@@ -131,7 +131,7 @@ func BenchmarkTuner(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(res.Breakdown.CacheHits), "cache-hits")
+				b.ReportMetric(float64(res.Breakdown.Counters.Get("cache_hits")), "cache-hits")
 				b.ReportMetric(float64(res.Breakdown.Compiles), "compiles")
 			}
 		})

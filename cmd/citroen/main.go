@@ -196,13 +196,8 @@ func main() {
 	fmt.Printf("\nBest speedup over -O3: %.3fx (time %.0f cycles)\n", res.BestSpeedup, res.BestTime)
 	fmt.Printf("Measurements: %d (saved by dedup: %d), compilations: %d\n",
 		res.Breakdown.Measures, res.SavedMeasurements, res.Breakdown.Compiles)
-	fmt.Printf("Compile cache: %d hits / %d misses (pipeline runs saved by incumbent reuse)\n",
-		res.Breakdown.CacheHits, res.Breakdown.CacheMisses)
-	fmt.Printf("Prefix cache: %d passes saved / %d replayed (%d snapshot bytes, %d evictions)\n",
-		res.Breakdown.PrefixSavedPasses, res.Breakdown.PrefixReplayedPasses,
-		res.Breakdown.PrefixSnapshotBytes, res.Breakdown.PrefixEvictions)
-	fmt.Printf("GP surrogate: %d full fits / %d incremental appends\n",
-		res.Breakdown.GPFits, res.Breakdown.GPAppends)
+	fmt.Println("Counters:")
+	analyze.WriteCounters(os.Stdout, res.Breakdown.Counters.Canonical())
 	fmt.Printf("Per-module budget: %v\n", res.ModuleBudget)
 	for mod, seq := range res.BestSeqs {
 		fmt.Printf("\nBest sequence for %s (%d passes):\n  %s\n", mod, len(seq), strings.Join(seq, ","))

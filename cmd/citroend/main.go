@@ -32,6 +32,13 @@ import (
 	"repro/internal/serve"
 )
 
+// Slow-client bounds for the HTTP server. There is deliberately no read or
+// write timeout on bodies: event streams and batch executions are long-lived.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		addr        = flag.String("addr", "localhost:8171", "HTTP listen address")
@@ -88,7 +95,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	httpSrv := &http.Server{Handler: s.Handler()}
+	httpSrv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	mode := ""

@@ -29,6 +29,13 @@ import (
 	"repro/internal/fleet"
 )
 
+// Slow-client bounds for the HTTP server. There is deliberately no read or
+// write timeout on bodies: event streams and batch executions are long-lived.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		coordinator = flag.String("coordinator", "http://localhost:8171", "citroend base URL (must run with -fleet)")
@@ -55,7 +62,7 @@ func main() {
 	self = strings.TrimRight(self, "/")
 
 	rs := &fleet.RunnerServer{Workers: *workers, Logf: logf}
-	httpSrv := &http.Server{Handler: rs.Handler()}
+	httpSrv := &http.Server{Handler: rs.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	logf("citroenrunner listening on http://%s (advertising %s)", ln.Addr(), self)

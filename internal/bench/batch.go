@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/evalpool"
 	"repro/internal/ir"
-	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/passes"
 )
 
@@ -30,105 +30,20 @@ type BatchItem struct {
 	Mod   *ir.Module
 }
 
-// CounterDelta is the evaluator work accounting attributable to one batch:
-// the change in cache/prefix counters across RunBatch. A coordinator sums
-// accepted batch deltas onto its own evaluator's counters to reproduce the
-// single-process totals (SnapshotBytes is a net byte change, so eviction
-// inside a batch subtracts).
-type CounterDelta struct {
-	CacheHits       int   `json:"cache_hits"`
-	CacheMisses     int   `json:"cache_misses"`
-	PrefixSaved     int   `json:"prefix_saved"`
-	PrefixReplayed  int   `json:"prefix_replayed"`
-	SnapshotBytes   int64 `json:"snapshot_bytes"`
-	Evictions       int   `json:"evictions"`
-	Compilations    int   `json:"compilations"`
-	CowShared       int   `json:"cow_shared"`
-	CowMaterialized int   `json:"cow_materialized"`
-	// Bytecode-engine accounting (see machine.BcStats). Runner batches only
-	// compile — they never execute — so these are zero in remote deltas;
-	// they exist so fleet aggregation reproduces single-process totals
-	// field-for-field.
-	BcLoweredFuncs  int64 `json:"bc_lowered_funcs"`
-	BcBytecodeBytes int64 `json:"bc_bytecode_bytes"`
-	BcFusedSites    int64 `json:"bc_fused_sites"`
-	BcSuperHits     int64 `json:"bc_super_hits"`
-	BcCodeHits      int64 `json:"bc_code_hits"`
-	BcCodeMisses    int64 `json:"bc_code_misses"`
-}
-
-// Add accumulates other into d.
-func (d *CounterDelta) Add(other CounterDelta) {
-	d.CacheHits += other.CacheHits
-	d.CacheMisses += other.CacheMisses
-	d.PrefixSaved += other.PrefixSaved
-	d.PrefixReplayed += other.PrefixReplayed
-	d.SnapshotBytes += other.SnapshotBytes
-	d.Evictions += other.Evictions
-	d.Compilations += other.Compilations
-	d.CowShared += other.CowShared
-	d.CowMaterialized += other.CowMaterialized
-	d.BcLoweredFuncs += other.BcLoweredFuncs
-	d.BcBytecodeBytes += other.BcBytecodeBytes
-	d.BcFusedSites += other.BcFusedSites
-	d.BcSuperHits += other.BcSuperHits
-	d.BcCodeHits += other.BcCodeHits
-	d.BcCodeMisses += other.BcCodeMisses
-}
-
-// counterSnap is a point-in-time copy of the batch-relevant counters.
-type counterSnap struct {
-	hits, miss, saved, replayed, evict, comps int
-	cowShared, cowMat                         int
-	bytes                                     int64
-	bc                                        machine.BcStats
-}
-
-func (ev *Evaluator) counterSnapshot() counterSnap {
-	bc := ev.meas.Machine.BcCounters()
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	return counterSnap{
-		hits: ev.cacheHits, miss: ev.cacheMiss,
-		saved: ev.prefixSaved, replayed: ev.prefixReplayed,
-		evict: ev.snapEvict, comps: ev.Compilations,
-		cowShared: ev.cowShared, cowMat: ev.cowMaterialized,
-		bytes: ev.snapBytes,
-		bc:    bc,
-	}
-}
-
-func (after counterSnap) sub(before counterSnap) CounterDelta {
-	return CounterDelta{
-		CacheHits:       after.hits - before.hits,
-		CacheMisses:     after.miss - before.miss,
-		PrefixSaved:     after.saved - before.saved,
-		PrefixReplayed:  after.replayed - before.replayed,
-		SnapshotBytes:   after.bytes - before.bytes,
-		Evictions:       after.evict - before.evict,
-		Compilations:    after.comps - before.comps,
-		CowShared:       after.cowShared - before.cowShared,
-		CowMaterialized: after.cowMat - before.cowMat,
-		BcLoweredFuncs:  after.bc.LoweredFuncs - before.bc.LoweredFuncs,
-		BcBytecodeBytes: after.bc.BytecodeBytes - before.bc.BytecodeBytes,
-		BcFusedSites:    after.bc.FusedSites - before.bc.FusedSites,
-		BcSuperHits:     after.bc.SuperHits - before.bc.SuperHits,
-		BcCodeHits:      after.bc.CodeHits - before.bc.CodeHits,
-		BcCodeMisses:    after.bc.CodeMisses - before.bc.CodeMisses,
-	}
-}
-
 // RunBatch compiles every spec (dataset 0) honouring the group structure —
 // indices inside one group run serially in order so prefix-siblings resume
 // from each other's snapshots; distinct groups fan out across workers — and
-// returns per-spec results plus the counter delta the batch caused. Batches
-// are serialised per evaluator (batchMu) so the delta is attributable to
-// exactly this batch; a cancelled ctx leaves unexecuted items !Ok with the
-// context error returned.
-func (ev *Evaluator) RunBatch(ctx context.Context, specs []TaskSpec, groups [][]int, workers int) ([]BatchItem, CounterDelta, error) {
+// returns per-spec results plus the change in the canonical Counters() rows
+// the batch caused. A coordinator sums accepted batch deltas onto its own
+// evaluator's counters to reproduce the single-process totals
+// (prefix_snapshot_bytes is a net byte change, so eviction inside a batch
+// subtracts). Batches are serialised per evaluator (batchMu) so the delta is
+// attributable to exactly this batch; a cancelled ctx leaves unexecuted
+// items !Ok with the context error returned.
+func (ev *Evaluator) RunBatch(ctx context.Context, specs []TaskSpec, groups [][]int, workers int) ([]BatchItem, obs.CounterSet, error) {
 	ev.batchMu.Lock()
 	defer ev.batchMu.Unlock()
-	before := ev.counterSnapshot()
+	before := ev.Counters().Canonical()
 	items := make([]BatchItem, len(specs))
 	pool := evalpool.New(workers)
 	err := pool.MapGroupsCtx(ctx, groups, func(i int) {
@@ -142,7 +57,8 @@ func (ev *Evaluator) RunBatch(ctx context.Context, specs []TaskSpec, groups [][]
 		}
 		items[i].Mod, items[i].Stats, items[i].Ok = m, st, true
 	})
-	return items, ev.counterSnapshot().sub(before), err
+	ev.publishMetrics()
+	return items, ev.Counters().Canonical().Sub(before), err
 }
 
 // WarmCompile compiles (dataset 0, module, seq) with all work accounting
@@ -157,7 +73,7 @@ func (ev *Evaluator) WarmCompile(ctx context.Context, module string, seq []strin
 }
 
 // WarmBytes reports the snapshot bytes currently retained by uncounted
-// warm compiles — the portion of PrefixCounters' snapshotBytes that
+// warm compiles — the portion of the prefix_snapshot_bytes counter that
 // distributed aggregation must subtract (the same cache entries are counted
 // on the runner that really compiled the candidate).
 func (ev *Evaluator) WarmBytes() int64 {

@@ -313,34 +313,14 @@ type Evaluator struct {
 	Compilations int
 	Measurements int
 
-	// Optional observability (SetObs); all nil until enabled. prof collects
-	// per-pass wall time and stats deltas, the counters mirror the ints above
-	// into the metrics registry.
-	prof         *passes.Profile
-	obsHits      *obs.Counter
-	obsMiss      *obs.Counter
-	obsComp      *obs.Counter
-	obsMeas      *obs.Counter
-	obsSaved     *obs.Counter
-	obsReplayed  *obs.Counter
-	obsEvict     *obs.Counter
-	obsSnapBytes *obs.Gauge
-	obsAnalHits  *obs.Gauge
-	obsAnalMiss  *obs.Gauge
-	obsCowClones *obs.Gauge
-	obsCowMat    *obs.Gauge
-	obsSlabFuncs *obs.Gauge
-	obsStray     *obs.Gauge
-	obsMachGets  *obs.Gauge
-	obsMachNews  *obs.Gauge
-	obsPassGets  *obs.Gauge
-	obsPassNews  *obs.Gauge
-	obsBcFuncs   *obs.Gauge
-	obsBcBytes   *obs.Gauge
-	obsBcFused   *obs.Gauge
-	obsBcSuper   *obs.Gauge
-	obsBcHits    *obs.Gauge
-	obsBcMiss    *obs.Gauge
+	// Optional observability (SetObs); nil until enabled. prof collects
+	// per-pass wall time and stats deltas; metrics is the registry
+	// publishMetrics mirrors Counters() into, published the set it mirrored
+	// last (both guarded by pubMu).
+	prof      *passes.Profile
+	metrics   *obs.Metrics
+	pubMu     sync.Mutex
+	published obs.CounterSet
 
 	// bc0 is the measurement machine's bytecode-engine counter state at the
 	// end of construction, so BcCounters reports search work only (the
@@ -463,40 +443,92 @@ func (ev *Evaluator) CacheCounters() (hits, misses int) {
 	return ev.cacheHits, ev.cacheMiss
 }
 
-// SetObs attaches the evaluator to a metrics registry (cache, compilation and
-// measurement counters plus a histogram of simulated run cycles) and, when
+// Counters is the one place an evaluator counter is defined: its journal and
+// report name, its /metrics series (if any), and whether it is canonical — a
+// deterministic function of the evaluated workload, counted since the
+// evaluator was built (the baseline build does not count) — or an Env
+// observation of process-global pools that depends on scheduling. Everything
+// downstream (stats events, Result, reports, gauges, batch deltas) iterates
+// this set, so adding a counter is adding a row here.
+func (ev *Evaluator) Counters() obs.CounterSet {
+	hits, misses := ev.CacheCounters()
+	saved, replayed, snapBytes, evictions := ev.PrefixCounters()
+	shared, materialized := ev.CowCounters()
+	bc := ev.BcCounters()
+	ev.mu.Lock()
+	pipelines, builds := ev.Compilations, ev.Measurements
+	ev.mu.Unlock()
+	analHits, analMisses := ir.AnalysisCacheCounters()
+	clones, cloneMat, slabFuncs, stray := ir.CloneCounters()
+	machGets, machNews := machine.PoolCounters()
+	passGets, passNews := passes.PoolCounters()
+
+	row := func(name string, v int64, series string) obs.CounterRow {
+		return obs.CounterRow{Name: name, Value: v, Series: series}
+	}
+	env := func(name string, v uint64, series string) obs.CounterRow {
+		return obs.CounterRow{Name: name, Value: int64(v), Env: true, Series: series}
+	}
+	return obs.CounterSet{
+		row("cache_hits", int64(hits), "bench_cache_hits_total"),
+		row("cache_misses", int64(misses), "bench_cache_misses_total"),
+		// Pass-pipeline executions and linked images timed. Not "compilations"
+		// / "measurements": the run-end summary uses those keys for the
+		// tuner's candidate and budget counts, which are different numbers.
+		row("pipeline_runs", int64(pipelines), "bench_compilations_total"),
+		row("measured_builds", int64(builds), "bench_measurements_total"),
+		row("prefix_saved_passes", int64(saved), "bench_prefix_saved_passes_total"),
+		row("prefix_replayed_passes", int64(replayed), "bench_prefix_replayed_passes_total"),
+		row("prefix_snapshot_bytes", snapBytes, "bench_prefix_snapshot_bytes"),
+		row("prefix_evictions", int64(evictions), "bench_prefix_evictions_total"),
+		row("cow_shared", int64(shared), ""),
+		row("cow_materialized", int64(materialized), ""),
+		row("bc_lowered_funcs", bc.LoweredFuncs, "machine_bc_lowered_funcs"),
+		row("bc_bytecode_bytes", bc.BytecodeBytes, "machine_bc_bytecode_bytes"),
+		row("bc_fused_sites", bc.FusedSites, "machine_bc_fused_sites"),
+		row("bc_super_hits", bc.SuperHits, "machine_bc_super_hits"),
+		row("bc_code_hits", bc.CodeHits, "machine_bc_code_hits"),
+		row("bc_code_misses", bc.CodeMisses, "machine_bc_code_misses"),
+		env("analysis_cache_hits", uint64(analHits), "ir_analysis_cache_hits"),
+		env("analysis_cache_misses", uint64(analMisses), "ir_analysis_cache_misses"),
+		env("ir_clone_cow", clones, "ir_clone_cow_total"),
+		env("ir_clone_materialized", cloneMat, "ir_clone_cow_materialized_total"),
+		env("ir_clone_slab_funcs", slabFuncs, "ir_clone_slab_funcs_total"),
+		env("ir_clone_stray_instrs", stray, "ir_clone_stray_instrs_total"),
+		env("machine_pool_gets", machGets, "machine_pool_gets_total"),
+		env("machine_pool_news", machNews, "machine_pool_news_total"),
+		env("passes_pool_gets", passGets, "passes_pool_gets_total"),
+		env("passes_pool_news", passNews, "passes_pool_news_total"),
+	}
+}
+
+// SetObs attaches the evaluator to a metrics registry (every Counters() row
+// that names a series, plus a histogram of simulated run cycles) and, when
 // prof is non-nil, enables per-pass profiling of every pipeline execution.
 // Call before tuning starts: CompileModule runs concurrently and the fields
-// set here are not guarded for mid-run replacement. A nil registry yields
-// live but unregistered instruments.
+// set here are not guarded for mid-run replacement. A nil registry publishes
+// nothing.
 func (ev *Evaluator) SetObs(m *obs.Metrics, prof *passes.Profile) {
 	ev.prof = prof
-	ev.obsHits = m.Counter("bench_cache_hits_total")
-	ev.obsMiss = m.Counter("bench_cache_misses_total")
-	ev.obsComp = m.Counter("bench_compilations_total")
-	ev.obsMeas = m.Counter("bench_measurements_total")
-	ev.obsSaved = m.Counter("bench_prefix_saved_passes_total")
-	ev.obsReplayed = m.Counter("bench_prefix_replayed_passes_total")
-	ev.obsEvict = m.Counter("bench_prefix_evictions_total")
-	ev.obsSnapBytes = m.Gauge("bench_prefix_snapshot_bytes")
-	ev.obsAnalHits = m.Gauge("ir_analysis_cache_hits")
-	ev.obsAnalMiss = m.Gauge("ir_analysis_cache_misses")
-	ev.obsCowClones = m.Gauge("ir_clone_cow_total")
-	ev.obsCowMat = m.Gauge("ir_clone_cow_materialized_total")
-	ev.obsSlabFuncs = m.Gauge("ir_clone_slab_funcs_total")
-	ev.obsStray = m.Gauge("ir_clone_stray_instrs_total")
-	ev.obsMachGets = m.Gauge("machine_pool_gets_total")
-	ev.obsMachNews = m.Gauge("machine_pool_news_total")
-	ev.obsPassGets = m.Gauge("passes_pool_gets_total")
-	ev.obsPassNews = m.Gauge("passes_pool_news_total")
-	ev.obsBcFuncs = m.Gauge("machine_bc_lowered_funcs")
-	ev.obsBcBytes = m.Gauge("machine_bc_bytecode_bytes")
-	ev.obsBcFused = m.Gauge("machine_bc_fused_sites")
-	ev.obsBcSuper = m.Gauge("machine_bc_super_hits")
-	ev.obsBcHits = m.Gauge("machine_bc_code_hits")
-	ev.obsBcMiss = m.Gauge("machine_bc_code_misses")
-	h := m.Histogram("machine_run_cycles", obs.CyclesBuckets)
-	ev.meas.OnSample = func(cycles float64, _ time.Duration) { h.Observe(cycles) }
+	ev.metrics = m
+	if m != nil {
+		h := m.Histogram("machine_run_cycles", obs.CyclesBuckets)
+		ev.meas.OnSample = func(cycles float64, _ time.Duration) { h.Observe(cycles) }
+	}
+}
+
+// publishMetrics mirrors Counters() into the registry. It runs where the
+// counters have just moved in bulk — after a pipeline build, a measurement or
+// a batch — never per pass; exact-hit handouts show up at the next of those.
+func (ev *Evaluator) publishMetrics() {
+	if ev.metrics == nil {
+		return
+	}
+	ev.pubMu.Lock()
+	defer ev.pubMu.Unlock()
+	set := ev.Counters()
+	ev.metrics.Publish(set, ev.published)
+	ev.published = set
 }
 
 // PassProfile returns the aggregated per-pass costs collected since SetObs
@@ -536,10 +568,9 @@ func (ev *Evaluator) timeWithSequences(ctx context.Context, seqs map[string][]st
 		if err != nil {
 			return 0, nil, err
 		}
+		ev.mu.Lock()
 		ev.Measurements++
-		if ev.obsMeas != nil {
-			ev.obsMeas.Inc()
-		}
+		ev.mu.Unlock()
 		t, res, err := ev.meas.TimeMedian(img, "main", ev.Runs)
 		if err != nil {
 			return 0, nil, err
@@ -568,6 +599,7 @@ func (ev *Evaluator) Measure(seqs map[string][]string) (timeCycles, speedup floa
 // cycle.
 func (ev *Evaluator) MeasureCtx(ctx context.Context, seqs map[string][]string) (timeCycles, speedup float64, err error) {
 	t, _, err := ev.timeWithSequences(ctx, seqs)
+	ev.publishMetrics()
 	if err != nil {
 		return 0, 0, err
 	}

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -115,12 +116,29 @@ func TestSetObsCountersAndHistogram(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// /metrics and the journal read the same rows, so they agree by
+	// construction — including the bytecode counters, which the gauges used
+	// to take from the machine with the baseline build still in them.
 	hits, misses := ev.CacheCounters()
-	if got := met.Counter("bench_cache_hits_total").Value(); got != int64(hits) {
-		t.Fatalf("registry hits %d != evaluator %d", got, hits)
+	published := 0
+	for _, c := range ev.Counters().Canonical() {
+		if c.Series == "" {
+			continue
+		}
+		published++
+		got := int64(met.Gauge(c.Series).Value())
+		if strings.HasSuffix(c.Series, "_total") {
+			got = met.Counter(c.Series).Value()
+		}
+		if got != c.Value {
+			t.Errorf("%s = %d on /metrics, %s = %d in the counter set", c.Series, got, c.Name, c.Value)
+		}
 	}
-	if got := met.Counter("bench_cache_misses_total").Value(); got != int64(misses) {
-		t.Fatalf("registry misses %d != evaluator %d", got, misses)
+	if published < 14 {
+		t.Fatalf("only %d canonical rows name a series", published)
+	}
+	if bc := ev.BcCounters(); bc.CodeMisses == 0 || int64(met.Gauge("machine_bc_code_misses").Value()) != bc.CodeMisses {
+		t.Fatalf("machine_bc_code_misses gauge %v != search-only counter %d", met.Gauge("machine_bc_code_misses").Value(), bc.CodeMisses)
 	}
 	if got := met.Counter("bench_compilations_total").Value(); got != int64(ev.Compilations) {
 		t.Fatalf("registry compilations %d != evaluator %d", got, ev.Compilations)

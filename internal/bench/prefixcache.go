@@ -9,7 +9,6 @@ import (
 	"io"
 
 	"repro/internal/ir"
-	"repro/internal/machine"
 	"repro/internal/passes"
 )
 
@@ -309,12 +308,6 @@ func (ev *Evaluator) insertSnapLocked(key snapKey, ps pendingSnap, warm bool) {
 		delete(ev.snaps, old.key)
 		ev.releaseSnapModLocked(old.mod)
 		ev.snapEvict++
-		if ev.obsEvict != nil {
-			ev.obsEvict.Inc()
-		}
-	}
-	if ev.obsSnapBytes != nil {
-		ev.obsSnapBytes.Set(float64(ev.snapBytes))
 	}
 }
 
@@ -366,10 +359,6 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 			ev.cowShared++       // the working clone shares pristine's bodies
 			ev.cowMaterialized++ // ...until the first pass materializes it
 			ev.mu.Unlock()
-			if ev.obsComp != nil {
-				ev.obsComp.Inc()
-				ev.obsReplayed.Add(int64(len(names)))
-			}
 		}
 		c := pristine.Clone()
 		st := passes.Stats{}
@@ -377,10 +366,14 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 		if ev.prof != nil {
 			mgr.Obs = ev.prof
 		}
-		if err := mgr.Run(c, names, st, false); err != nil {
+		err := func() (err error) {
+			defer recoverCompile(&err)
+			return mgr.Run(c, names, st, false)
+		}()
+		ev.publishMetrics()
+		if err != nil {
 			return nil, nil, err
 		}
-		ev.updateAnalysisGauges()
 		return c, st, nil
 	}
 
@@ -405,9 +398,6 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 			mod, st := se.mod, se.stats
 			verified, verr := se.verified, se.verr
 			ev.mu.Unlock()
-			if counted && ev.obsHits != nil {
-				ev.obsHits.Inc()
-			}
 			if !verified {
 				// An interior snapshot served as a full build: run the final
 				// verification a fresh build of this exact sequence would
@@ -438,9 +428,6 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 					ev.cacheHits++
 					ev.cowShared++ // follower handout, like an exact hit
 					ev.mu.Unlock()
-					if ev.obsHits != nil {
-						ev.obsHits.Inc()
-					}
 				}
 				return fl.mod.Clone(), fl.stats.Clone(), nil
 			}
@@ -477,39 +464,27 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 			ev.cowMaterialized++
 		}
 		ev.mu.Unlock()
-		if counted && ev.obsMiss != nil {
-			ev.obsMiss.Inc()
-			ev.obsComp.Inc()
-			ev.obsSaved.Add(int64(depth))
-			ev.obsReplayed.Add(int64(total - depth))
-		}
 
 		mod, st, err := ev.leadCompile(fl, flKey, fullKey, pristine, plist, hashes, baseMod, baseSt, baseFp, baseFpOK, depth, counted)
-		ev.updateAnalysisGauges()
+		ev.publishMetrics()
 		return mod, st, err
 	}
 }
 
-// leadCompile runs the pipeline suffix for a registered flight and publishes
-// the resulting snapshots. It always completes the flight, even on a panic in
-// a pass, so waiting followers never wedge.
-func (ev *Evaluator) leadCompile(fl *flight, flKey seqKey, fullKey snapKey, pristine *ir.Module, plist []*passes.Pass, hashes []uint64, baseMod *ir.Module, baseSt passes.Stats, baseFp uint64, baseFpOK bool, depth int, counted bool) (*ir.Module, passes.Stats, error) {
-	var (
-		c   *ir.Module
-		st  passes.Stats
-		err error
-	)
-	completed := false
-	defer func() {
-		if !completed { // panic unwinding: fail the flight before re-panicking
-			ev.mu.Lock()
-			delete(ev.flights, flKey)
-			ev.mu.Unlock()
-			fl.err = errors.New("bench: compile panicked")
-			close(fl.done)
-		}
-	}()
+// recoverCompile turns a panic inside a pass or an IR clone — a candidate
+// sequence that left the IR structurally broken, e.g. a dangling branch
+// target the next materialization trips over — into the error the candidate
+// is rejected with, instead of taking the tuning run down.
+func recoverCompile(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("bench: compile panicked: %v", r)
+	}
+}
 
+// buildSuffix clones the base state (a snapshot, else pristine) and runs
+// plist[depth:] on it. A build that panics yields no snapshots.
+func (ev *Evaluator) buildSuffix(pristine *ir.Module, plist []*passes.Pass, baseMod *ir.Module, baseSt passes.Stats, baseFp uint64, baseFpOK bool, depth int) (c *ir.Module, st passes.Stats, snaps []pendingSnap, err error) {
+	defer recoverCompile(&err)
 	if baseMod != nil {
 		c = baseMod.Clone()
 		st = baseSt.Clone()
@@ -517,7 +492,15 @@ func (ev *Evaluator) leadCompile(fl *flight, flKey seqKey, fullKey snapKey, pris
 		c = pristine.Clone()
 		st = passes.Stats{}
 	}
-	snaps, err := ev.runSuffix(c, plist, st, depth, baseMod, baseFp, baseFpOK)
+	snaps, err = ev.runSuffix(c, plist, st, depth, baseMod, baseFp, baseFpOK)
+	return c, st, snaps, err
+}
+
+// leadCompile runs the pipeline suffix for a registered flight, publishes the
+// resulting snapshots and completes the flight, handing followers the
+// leader's result or error.
+func (ev *Evaluator) leadCompile(fl *flight, flKey seqKey, fullKey snapKey, pristine *ir.Module, plist []*passes.Pass, hashes []uint64, baseMod *ir.Module, baseSt passes.Stats, baseFp uint64, baseFpOK bool, depth int, counted bool) (*ir.Module, passes.Stats, error) {
+	c, st, snaps, err := ev.buildSuffix(pristine, plist, baseMod, baseSt, baseFp, baseFpOK, depth)
 
 	ev.mu.Lock()
 	var final *ir.Module
@@ -543,7 +526,6 @@ func (ev *Evaluator) leadCompile(fl *flight, flKey seqKey, fullKey snapKey, pris
 		fl.mod, fl.stats = final, st
 	}
 	fl.err = err
-	completed = true
 	close(fl.done)
 
 	if err != nil {
@@ -551,42 +533,6 @@ func (ev *Evaluator) leadCompile(fl *flight, flKey seqKey, fullKey snapKey, pris
 	}
 	// c is the caller's private instance; the cached snapshot is its clone.
 	return c, st, nil
-}
-
-// updateAnalysisGauges mirrors the process-global analysis-cache, COW-clone
-// and scratch-pool counters into the metrics registry (no-op until SetObs
-// attaches gauges). These are environment metrics — scheduling-dependent and
-// process-global — so they feed Prometheus and env_ journal fields only,
-// never canonical journal fields.
-func (ev *Evaluator) updateAnalysisGauges() {
-	if ev.obsAnalHits == nil {
-		return
-	}
-	h, m := ir.AnalysisCacheCounters()
-	ev.obsAnalHits.Set(float64(h))
-	ev.obsAnalMiss.Set(float64(m))
-	if ev.obsCowClones != nil {
-		clones, mat, slab, stray := ir.CloneCounters()
-		ev.obsCowClones.Set(float64(clones))
-		ev.obsCowMat.Set(float64(mat))
-		ev.obsSlabFuncs.Set(float64(slab))
-		ev.obsStray.Set(float64(stray))
-		mg, mn := machine.PoolCounters()
-		ev.obsMachGets.Set(float64(mg))
-		ev.obsMachNews.Set(float64(mn))
-		pg, pn := passes.PoolCounters()
-		ev.obsPassGets.Set(float64(pg))
-		ev.obsPassNews.Set(float64(pn))
-	}
-	if ev.obsBcFuncs != nil {
-		bc := ev.meas.Machine.BcCounters()
-		ev.obsBcFuncs.Set(float64(bc.LoweredFuncs))
-		ev.obsBcBytes.Set(float64(bc.BytecodeBytes))
-		ev.obsBcFused.Set(float64(bc.FusedSites))
-		ev.obsBcSuper.Set(float64(bc.SuperHits))
-		ev.obsBcHits.Set(float64(bc.CodeHits))
-		ev.obsBcMiss.Set(float64(bc.CodeMisses))
-	}
 }
 
 // CowCounters returns the copy-on-write clone accounting since the evaluator
@@ -598,27 +544,6 @@ func (ev *Evaluator) CowCounters() (shared, materialized int) {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
 	return ev.cowShared, ev.cowMaterialized
-}
-
-// EnvPoolStats returns the process-global pool/arena counters behind the COW
-// and scratch-pool machinery. These depend on goroutine scheduling (other
-// evaluators in the process bump them too), so callers must treat them as
-// execution-environment observations — the tuner journals them only under
-// the canonicalisation-stripped "env_" prefix.
-func (ev *Evaluator) EnvPoolStats() map[string]uint64 {
-	clones, materialized, slabFuncs, stray := ir.CloneCounters()
-	machGets, machNews := machine.PoolCounters()
-	passGets, passNews := passes.PoolCounters()
-	return map[string]uint64{
-		"ir_clone_cow":          clones,
-		"ir_clone_materialized": materialized,
-		"ir_clone_slab_funcs":   slabFuncs,
-		"ir_clone_stray_instrs": stray,
-		"machine_pool_gets":     machGets,
-		"machine_pool_news":     machNews,
-		"passes_pool_gets":      passGets,
-		"passes_pool_news":      passNews,
-	}
 }
 
 // PrefixCounters returns the prefix-snapshot cache's work accounting since

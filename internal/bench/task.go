@@ -27,14 +27,7 @@ func (ev *Evaluator) Task() core.Task {
 			hot, _, err := ev.HotModules(coverage)
 			return hot, err
 		},
-		CacheFn:  ev.CacheCounters,
-		PrefixFn: ev.PrefixCounters,
-		CowFn:    ev.CowCounters,
-		BcFn: func() (loweredFuncs, bytecodeBytes, fusedSites, superHits, codeHits, codeMisses int64) {
-			bc := ev.BcCounters()
-			return bc.LoweredFuncs, bc.BytecodeBytes, bc.FusedSites, bc.SuperHits, bc.CodeHits, bc.CodeMisses
-		},
-		EnvFn:         ev.EnvPoolStats,
+		CountersFn:    ev.Counters,
 		PassProfileFn: ev.PassProfile,
 	}
 }

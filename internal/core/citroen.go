@@ -79,7 +79,7 @@ type Options struct {
 	Workers int
 	// Sink receives the run's structured event journal (see internal/obs):
 	// run-start, iteration, candidate-generated, compile, gp-fit, acq-max,
-	// measure, cache-stats, new-incumbent and run-end events with monotonic
+	// measure, stats, new-incumbent and run-end events with monotonic
 	// sequence numbers and span parent IDs. All events are emitted from the
 	// tuner goroutine in submit order, so journals are identical for every
 	// Workers value modulo timing ("_ns") and environment ("env_") fields.
@@ -159,35 +159,10 @@ type RuntimeBreakdown struct {
 	// non-refit iterations.
 	GPFits    int
 	GPAppends int
-	// CacheHits/CacheMisses count compiled-module cache lookups when the
-	// Task's evaluator memoises builds (zero otherwise): hits are pipeline
-	// executions the incumbent-reuse cache saved.
-	CacheHits   int
-	CacheMisses int
-	// Prefix-snapshot cache accounting when the Task's evaluator resumes
-	// builds from cached sequence prefixes (zero otherwise): passes skipped
-	// by resuming vs actually executed, snapshot memory held at run end, and
-	// snapshots evicted under the entry/byte bounds.
-	PrefixSavedPasses    int
-	PrefixReplayedPasses int
-	PrefixSnapshotBytes  int64
-	PrefixEvictions      int
-	// Copy-on-write clone accounting when the Task's evaluator hands out
-	// COW module clones (zero otherwise): clones that shared function
-	// bodies with their source, and the subset that later materialized
-	// private bodies because a pass mutated them.
-	CowShared       int
-	CowMaterialized int
-	// Bytecode measurement-engine accounting when the Task's evaluator
-	// executes through lowered code (zero otherwise): functions lowered,
-	// bytecode bytes produced, superinstruction fusion sites emitted and
-	// executed, and lowered-code cache hits/misses.
-	BcLoweredFuncs  int64
-	BcBytecodeBytes int64
-	BcFusedSites    int64
-	BcSuperHits     int64
-	BcCodeHits      int64
-	BcCodeMisses    int64
+	// Counters is the run's final counter set: whatever the Task reports
+	// (see CounterReporter; empty for a Task that reports none) followed by
+	// the tuner's own gp_fits / gp_appends rows.
+	Counters obs.CounterSet
 }
 
 // Result is the tuning outcome.
@@ -1158,29 +1133,21 @@ func (t *Tuner) measureCandidate(ms *moduleState, seq []int, knownFV map[string]
 		t.rec.NewIncumbent(t.curSpan, ms.name, meas, sp)
 	}
 	if t.rec.Enabled() {
-		if cs, ok := t.task.(CacheStatsReporter); ok {
-			hits, misses := cs.CacheCounters()
-			t.rec.CacheStats(t.curSpan, hits, misses)
-		}
-		if ps, ok := t.task.(PrefixStatsReporter); ok {
-			saved, replayed, bytes, evictions := ps.PrefixCounters()
-			t.rec.PrefixCache(t.curSpan, saved, replayed, bytes, evictions)
-		}
-		if cr, ok := t.task.(CowStatsReporter); ok {
-			shared, mat := cr.CowCounters()
-			var env map[string]uint64
-			if er, ok := t.task.(EnvStatsReporter); ok {
-				env = er.EnvPoolStats()
-			}
-			t.rec.CowStats(t.curSpan, shared, mat, env)
-		}
-		if br, ok := t.task.(BcStatsReporter); ok {
-			lowered, bytes, fused, super, hits, misses := br.BcCounters()
-			t.rec.BcStats(t.curSpan, lowered, bytes, fused, super, hits, misses)
-		}
-		t.rec.GPStats(t.curSpan, t.res.Breakdown.GPFits, t.res.Breakdown.GPAppends)
+		t.rec.Stats(t.curSpan, t.counters())
 	}
 	return true
+}
+
+// counters is the run's cumulative counter set as of now: the Task's rows
+// (if it reports any) plus the tuner's own surrogate accounting.
+func (t *Tuner) counters() obs.CounterSet {
+	var set obs.CounterSet
+	if cr, ok := t.task.(CounterReporter); ok {
+		set = cr.Counters()
+	}
+	return append(set,
+		obs.CounterRow{Name: "gp_fits", Value: int64(t.res.Breakdown.GPFits)},
+		obs.CounterRow{Name: "gp_appends", Value: int64(t.res.Breakdown.GPAppends)})
 }
 
 func (t *Tuner) tellGenerators(ms *moduleState, seq []int, y float64) {
@@ -1213,21 +1180,7 @@ func (t *Tuner) finalize(start time.Time) {
 	}
 	t.res.Breakdown.Measures = int(t.mMeas.Value() - t.mMeas0)
 	t.res.Breakdown.Compiles = int(t.mComp.Value() - t.mComp0)
-	if cs, ok := t.task.(CacheStatsReporter); ok {
-		t.res.Breakdown.CacheHits, t.res.Breakdown.CacheMisses = cs.CacheCounters()
-	}
-	if ps, ok := t.task.(PrefixStatsReporter); ok {
-		t.res.Breakdown.PrefixSavedPasses, t.res.Breakdown.PrefixReplayedPasses,
-			t.res.Breakdown.PrefixSnapshotBytes, t.res.Breakdown.PrefixEvictions = ps.PrefixCounters()
-	}
-	if cr, ok := t.task.(CowStatsReporter); ok {
-		t.res.Breakdown.CowShared, t.res.Breakdown.CowMaterialized = cr.CowCounters()
-	}
-	if br, ok := t.task.(BcStatsReporter); ok {
-		t.res.Breakdown.BcLoweredFuncs, t.res.Breakdown.BcBytecodeBytes,
-			t.res.Breakdown.BcFusedSites, t.res.Breakdown.BcSuperHits,
-			t.res.Breakdown.BcCodeHits, t.res.Breakdown.BcCodeMisses = br.BcCounters()
-	}
+	t.res.Breakdown.Counters = t.counters()
 	if pp, ok := t.task.(PassProfileReporter); ok {
 		t.res.PassProfile = pp.PassProfile()
 	}
@@ -1240,27 +1193,14 @@ func (t *Tuner) finalize(start time.Time) {
 			"saved_measurements": t.res.SavedMeasurements,
 			"novel_selections":   t.res.NovelSelections,
 			"candidate_dup_rate": t.res.CandidateDupRate,
-			"cache_hits":         bd.CacheHits, "cache_misses": bd.CacheMisses,
-			"gp_fits": bd.GPFits, "gp_appends": bd.GPAppends,
-			"prefix_saved_passes":    bd.PrefixSavedPasses,
-			"prefix_replayed_passes": bd.PrefixReplayedPasses,
-			"prefix_snapshot_bytes":  bd.PrefixSnapshotBytes,
-			"prefix_evictions":       bd.PrefixEvictions,
-			"cow_shared":             bd.CowShared,
-			"cow_materialized":       bd.CowMaterialized,
-			"bc_lowered_funcs":       bd.BcLoweredFuncs,
-			"bc_bytecode_bytes":      bd.BcBytecodeBytes,
-			"bc_fused_sites":         bd.BcFusedSites,
-			"bc_super_hits":          bd.BcSuperHits,
-			"bc_code_hits":           bd.BcCodeHits,
-			"bc_code_misses":         bd.BcCodeMisses,
-			"interrupted":            t.interrupted,
+			"interrupted":        t.interrupted,
 			"breakdown": map[string]any{
 				"gp_fit_ns": bd.GPFit.Nanoseconds(), "acq_max_ns": bd.AcqMax.Nanoseconds(),
 				"compile_ns": bd.Compile.Nanoseconds(), "measure_ns": bd.Measure.Nanoseconds(),
 				"total_ns": bd.Total.Nanoseconds(),
 			},
 		}
+		bd.Counters.PutFields(summary)
 		if len(t.res.PassProfile) > 0 {
 			rows := make([]any, 0, 20)
 			for i, c := range t.res.PassProfile {

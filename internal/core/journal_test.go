@@ -44,15 +44,17 @@ func TestJournalWorkerDeterminism(t *testing.T) {
 	if resS.Breakdown.GPAppends == 0 {
 		t.Fatal("no incremental GP appends recorded (RefitEvery > 1 should produce some)")
 	}
-	sawGPStats := false
+	var lastStats *obs.Event
 	for i := range evS {
-		if evS[i].Type == "gp-stats" {
-			sawGPStats = true
-			break
+		if evS[i].Type == "stats" {
+			lastStats = &evS[i]
 		}
 	}
-	if !sawGPStats {
-		t.Fatal("journal missing gp-stats events")
+	if lastStats == nil {
+		t.Fatal("journal missing stats events")
+	}
+	if got := lastStats.Fields["gp_appends"]; got != int64(resS.Breakdown.GPAppends) {
+		t.Fatalf("final stats event gp_appends = %v, breakdown says %d", got, resS.Breakdown.GPAppends)
 	}
 }
 
@@ -80,7 +82,7 @@ func TestJournalFinalIncumbentMatchesResult(t *testing.T) {
 			runEnd = e
 		}
 	}
-	for _, typ := range []string{"run-start", "candidate-generated", "compile", "gp-fit", "gp-stats", "acq-max", "measure", "new-incumbent", "run-end"} {
+	for _, typ := range []string{"run-start", "candidate-generated", "compile", "gp-fit", "stats", "acq-max", "measure", "new-incumbent", "run-end"} {
 		if !seenTypes[typ] {
 			t.Fatalf("journal missing %q events (saw %v)", typ, seenTypes)
 		}

@@ -13,6 +13,7 @@ import (
 	"context"
 
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/passes"
 )
 
@@ -47,60 +48,13 @@ type Task interface {
 	HotModules(coverage float64) ([]string, error)
 }
 
-// CacheStatsReporter is optionally implemented by Tasks whose evaluator
-// memoises compiled modules. The tuner copies the counters into
-// Result.Breakdown at the end of a run and journals them after every
-// measurement when a journal sink is attached.
-type CacheStatsReporter interface {
-	// CacheCounters returns cumulative compiled-module cache hits and misses.
-	CacheCounters() (hits, misses int)
-}
-
-// PrefixStatsReporter is optionally implemented by Tasks whose evaluator
-// memoises intermediate compilation states keyed by sequence prefix (the
-// bench prefix-snapshot cache). The tuner copies the counters into
-// Result.Breakdown and journals them after every measurement.
-type PrefixStatsReporter interface {
-	// PrefixCounters returns cumulative pipeline passes skipped by resuming
-	// from prefix snapshots, passes actually executed, the estimated bytes
-	// currently held by snapshots, and the number of evicted snapshots.
-	PrefixCounters() (savedPasses, replayedPasses int, snapshotBytes int64, evictions int)
-}
-
-// CowStatsReporter is optionally implemented by Tasks whose evaluator hands
-// out copy-on-write module clones. The tuner copies the counters into
-// Result.Breakdown and journals them with the prefix-cache stats after every
-// measurement. Both counters are deterministic functions of the evaluated
-// workload (clone handouts and the subset that materialized private bodies),
-// so they are safe for canonical journal fields.
-type CowStatsReporter interface {
-	// CowCounters returns cumulative COW clones handed out and the subset
-	// that materialized private function bodies.
-	CowCounters() (shared, materialized int)
-}
-
-// BcStatsReporter is optionally implemented by Tasks whose evaluator
-// measures through the bytecode execution engine. The tuner copies the
-// counters into Result.Breakdown and journals them after every measurement.
-// Lowering and execution happen on the serial measurement path, so all six
-// counters are deterministic functions of the evaluated workload and safe
-// for canonical journal fields.
-type BcStatsReporter interface {
-	// BcCounters returns cumulative bytecode-engine accounting: functions
-	// lowered, bytecode bytes produced, superinstruction fusion sites
-	// emitted, superinstruction executions, and lowered-code cache
-	// hits/misses.
-	BcCounters() (loweredFuncs, bytecodeBytes, fusedSites, superHits, codeHits, codeMisses int64)
-}
-
-// EnvStatsReporter is optionally implemented by Tasks that can report
-// process-global execution-environment counters (sync.Pool reuse rates,
-// slab-clone totals). Unlike CowStatsReporter these depend on goroutine
-// scheduling, so the tuner journals them only as "env_"-prefixed fields
-// that canonical journal comparison strips.
-type EnvStatsReporter interface {
-	// EnvPoolStats returns named process-global pool/arena counters.
-	EnvPoolStats() map[string]uint64
+// CounterReporter is optionally implemented by Tasks whose evaluator accounts
+// for its own work (caches, clones, the measurement engine). The tuner
+// journals the set after every measurement when a journal sink is attached
+// and copies it into Result.Breakdown at the end of a run.
+type CounterReporter interface {
+	// Counters returns the cumulative counter set.
+	Counters() obs.CounterSet
 }
 
 // PassProfileReporter is optionally implemented by Tasks whose evaluator
@@ -122,21 +76,9 @@ type BenchTask struct {
 	MeasureFn  func(ctx context.Context, seqs map[string][]string) (float64, error)
 	BaselineFn func() float64
 	HotFn      func(coverage float64) ([]string, error)
-	// CacheFn, when set, reports the evaluator's compiled-module cache
-	// counters (see CacheStatsReporter).
-	CacheFn func() (hits, misses int)
-	// PrefixFn, when set, reports the evaluator's prefix-snapshot cache
-	// accounting (see PrefixStatsReporter).
-	PrefixFn func() (savedPasses, replayedPasses int, snapshotBytes int64, evictions int)
-	// CowFn, when set, reports the evaluator's copy-on-write clone
-	// accounting (see CowStatsReporter).
-	CowFn func() (shared, materialized int)
-	// BcFn, when set, reports the evaluator's bytecode-engine accounting
-	// (see BcStatsReporter).
-	BcFn func() (loweredFuncs, bytecodeBytes, fusedSites, superHits, codeHits, codeMisses int64)
-	// EnvFn, when set, reports process-global pool/arena counters
-	// (see EnvStatsReporter).
-	EnvFn func() map[string]uint64
+	// CountersFn, when set, reports the evaluator's counter set (see
+	// CounterReporter).
+	CountersFn func() obs.CounterSet
 	// PassProfileFn, when set, reports the evaluator's per-pass profile
 	// (see PassProfileReporter).
 	PassProfileFn func() []passes.PassCost
@@ -161,49 +103,13 @@ func (t *BenchTask) BaselineTime() float64 { return t.BaselineFn() }
 // HotModules implements Task.
 func (t *BenchTask) HotModules(coverage float64) ([]string, error) { return t.HotFn(coverage) }
 
-// CacheCounters implements CacheStatsReporter; without a CacheFn it reports
-// an uncached evaluator (all zeros).
-func (t *BenchTask) CacheCounters() (hits, misses int) {
-	if t.CacheFn == nil {
-		return 0, 0
-	}
-	return t.CacheFn()
-}
-
-// PrefixCounters implements PrefixStatsReporter; without a PrefixFn it
-// reports an evaluator with no prefix cache (all zeros).
-func (t *BenchTask) PrefixCounters() (savedPasses, replayedPasses int, snapshotBytes int64, evictions int) {
-	if t.PrefixFn == nil {
-		return 0, 0, 0, 0
-	}
-	return t.PrefixFn()
-}
-
-// CowCounters implements CowStatsReporter; without a CowFn it reports an
-// evaluator that never hands out COW clones (all zeros).
-func (t *BenchTask) CowCounters() (shared, materialized int) {
-	if t.CowFn == nil {
-		return 0, 0
-	}
-	return t.CowFn()
-}
-
-// BcCounters implements BcStatsReporter; without a BcFn it reports an
-// evaluator that never lowered bytecode (all zeros).
-func (t *BenchTask) BcCounters() (loweredFuncs, bytecodeBytes, fusedSites, superHits, codeHits, codeMisses int64) {
-	if t.BcFn == nil {
-		return 0, 0, 0, 0, 0, 0
-	}
-	return t.BcFn()
-}
-
-// EnvPoolStats implements EnvStatsReporter; without an EnvFn it reports no
-// environment counters.
-func (t *BenchTask) EnvPoolStats() map[string]uint64 {
-	if t.EnvFn == nil {
+// Counters implements CounterReporter; without a CountersFn it reports no
+// counters.
+func (t *BenchTask) Counters() obs.CounterSet {
+	if t.CountersFn == nil {
 		return nil
 	}
-	return t.EnvFn()
+	return t.CountersFn()
 }
 
 // PassProfile implements PassProfileReporter; without a PassProfileFn it

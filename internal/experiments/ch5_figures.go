@@ -3,6 +3,7 @@ package experiments
 import (
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/obs/analyze"
 	"repro/internal/passes"
 	"repro/internal/tuners"
 )
@@ -336,10 +337,7 @@ func runFig512(c Config) error {
 	other := total - bd.Compile.Seconds() - bd.Measure.Seconds() - bd.GPFit.Seconds()
 	c.printf("  %-28s %6.1f%%\n", "acquisition + bookkeeping", 100*other/total)
 	c.printf("  total wall clock: %v; %d compiles, %d measurements\n", bd.Total, bd.Compiles, bd.Measures)
-	c.printf("  compile cache: %d hits / %d misses (pipeline runs saved by incumbent reuse)\n",
-		bd.CacheHits, bd.CacheMisses)
-	c.printf("  prefix cache: %d passes saved / %d replayed (%d snapshot bytes, %d evictions)\n",
-		bd.PrefixSavedPasses, bd.PrefixReplayedPasses, bd.PrefixSnapshotBytes, bd.PrefixEvictions)
+	analyze.WriteCounters(c.Out, bd.Counters.Canonical())
 	return nil
 }
 

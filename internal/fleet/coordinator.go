@@ -333,8 +333,10 @@ func (c *Coordinator) postBatch(ctx context.Context, r *runnerState, req BatchRe
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("fleet: runner %s: HTTP %d: %s", r.id, resp.StatusCode, bytes.TrimSpace(msg))
 	}
+	// A result past the cap reads as truncated JSON and fails the attempt
+	// like any other bad response.
 	var res BatchResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBatchBytes)).Decode(&res); err != nil {
 		return nil, fmt.Errorf("fleet: runner %s: decode batch result: %w", r.id, err)
 	}
 	if len(res.Items) != len(req.Specs) {
@@ -354,7 +356,7 @@ type JobBinding struct {
 	feat    core.FeatureKind
 
 	mu      sync.Mutex
-	agg     bench.CounterDelta
+	agg     obs.CounterSet
 	pending []core.EvalIncident // incidents discovered after their fan-out returned
 }
 
@@ -367,9 +369,9 @@ func (c *Coordinator) Bind(cfg JobConfig, ev *bench.Evaluator, localWorkers int)
 	return &JobBinding{c: c, cfg: cfg, ev: ev, workers: localWorkers, feat: kind}
 }
 
-// Delta reports the accepted remote counter work so far (test hook and
-// introspection).
-func (b *JobBinding) Delta() bench.CounterDelta {
+// Delta reports the accepted remote counter work so far. The set is never
+// mutated in place (Add copies), so the returned slice is safe to keep.
+func (b *JobBinding) Delta() obs.CounterSet {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.agg
@@ -398,42 +400,13 @@ func (b *JobBinding) EnsureLocal(ctx context.Context, module string, seq []strin
 }
 
 // Task wraps the evaluator's core.Task so the tuner journals aggregated
-// fleet-wide cache statistics: coordinator counters plus every accepted
-// batch delta, minus the bytes held by uncounted warm compiles.
+// fleet-wide counters: coordinator counters plus every accepted batch delta,
+// minus the bytes held by uncounted warm compiles.
 func (b *JobBinding) Task() core.Task {
 	t := b.ev.Task().(*core.BenchTask)
-	t.CacheFn = func() (hits, misses int) {
-		h, m := b.ev.CacheCounters()
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return h + b.agg.CacheHits, m + b.agg.CacheMisses
-	}
-	t.PrefixFn = func() (savedPasses, replayedPasses int, snapshotBytes int64, evictions int) {
-		s, r, bytes, e := b.ev.PrefixCounters()
-		bytes -= b.ev.WarmBytes()
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return s + b.agg.PrefixSaved, r + b.agg.PrefixReplayed, bytes + b.agg.SnapshotBytes, e + b.agg.Evictions
-	}
-	t.CowFn = func() (shared, materialized int) {
-		s, m := b.ev.CowCounters()
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return s + b.agg.CowShared, m + b.agg.CowMaterialized
-	}
-	t.BcFn = func() (loweredFuncs, bytecodeBytes, fusedSites, superHits, codeHits, codeMisses int64) {
-		bc := b.ev.BcCounters()
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		// Remote deltas are structurally zero (runner batches compile but
-		// never execute); adding them keeps fleet totals defined as
-		// coordinator + accepted deltas like every other counter.
-		return bc.LoweredFuncs + b.agg.BcLoweredFuncs,
-			bc.BytecodeBytes + b.agg.BcBytecodeBytes,
-			bc.FusedSites + b.agg.BcFusedSites,
-			bc.SuperHits + b.agg.BcSuperHits,
-			bc.CodeHits + b.agg.BcCodeHits,
-			bc.CodeMisses + b.agg.BcCodeMisses
+	t.CountersFn = func() obs.CounterSet {
+		warm := obs.CounterSet{{Name: "prefix_snapshot_bytes", Value: b.ev.WarmBytes()}}
+		return b.ev.Counters().Add(b.Delta()).Sub(warm)
 	}
 	return t
 }
@@ -502,7 +475,7 @@ func (b *JobBinding) runModuleBatch(ctx context.Context, bt *moduleBatch) ([]cor
 	res, attempted, incidents := b.dispatch(ctx, bt)
 	if res != nil {
 		b.mu.Lock()
-		b.agg.Add(res.Delta)
+		b.agg = b.agg.Add(res.Delta)
 		b.mu.Unlock()
 		b.c.hDispatch.Observe(time.Since(start).Seconds())
 		outs := make([]core.CompileOutcome, len(bt.specs))

@@ -25,6 +25,7 @@ package fleet
 
 import (
 	"repro/internal/bench"
+	"repro/internal/obs"
 	"repro/internal/passes"
 )
 
@@ -100,13 +101,13 @@ type WireOutcome struct {
 }
 
 // BatchResult is a runner's response: per-spec outcomes in request order
-// plus the counter delta the batch caused on the runner's evaluator. The
-// coordinator folds exactly one accepted delta per batch into the job's
-// aggregated counters.
+// plus the counter delta the batch caused on the runner's evaluator (see
+// bench.Evaluator.RunBatch). The coordinator folds exactly one accepted delta
+// per batch into the job's aggregated counters.
 type BatchResult struct {
-	ID    string             `json:"id"`
-	Items []WireOutcome      `json:"items"`
-	Delta bench.CounterDelta `json:"delta"`
+	ID    string         `json:"id"`
+	Items []WireOutcome  `json:"items"`
+	Delta obs.CounterSet `json:"delta"`
 }
 
 // RunnerInfo is the registry view of one runner, served by the

@@ -2,11 +2,13 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -158,7 +160,7 @@ func TestFleetJournalMatchesSingleProcess(t *testing.T) {
 	if c.cBatches.Value() == 0 {
 		t.Fatal("no batches were dispatched remotely")
 	}
-	if binding.Delta().Compilations == 0 {
+	if binding.Delta().Get("pipeline_runs") == 0 {
 		t.Fatal("no remote compilations were aggregated")
 	}
 }
@@ -290,7 +292,7 @@ func TestStolenDuplicateDiscardedExactlyOnce(t *testing.T) {
 	if c.cSteals.Value() != 1 {
 		t.Fatalf("steal counter = %d, want 1", c.cSteals.Value())
 	}
-	if got := binding.Delta().Compilations; got != 1 {
+	if got := binding.Delta().Get("pipeline_runs"); got != 1 {
 		t.Fatalf("accepted compilations = %d, want exactly 1 (duplicate delta must be discarded)", got)
 	}
 	// The straggler finishes later; its result is drained and discarded.
@@ -301,7 +303,7 @@ func TestStolenDuplicateDiscardedExactlyOnce(t *testing.T) {
 	if got := c.cDuplicates.Value(); got != 1 {
 		t.Fatalf("duplicates discarded = %d, want exactly 1", got)
 	}
-	if got := binding.Delta().Compilations; got != 1 {
+	if got := binding.Delta().Get("pipeline_runs"); got != 1 {
 		t.Fatalf("duplicate delta leaked into aggregation: %d compilations", got)
 	}
 	pend := binding.takePending()
@@ -396,7 +398,7 @@ func TestEmptyRegistryRunsLocallySilently(t *testing.T) {
 	if c.cFallbacks.Value() != 0 {
 		t.Fatal("fallback counter moved with an empty registry")
 	}
-	if got := binding.Delta(); got != (bench.CounterDelta{}) {
+	if got := binding.Delta(); len(got) != 0 {
 		t.Fatalf("local work leaked into remote aggregation: %+v", got)
 	}
 }
@@ -468,5 +470,37 @@ func TestAgentLifecycle(t *testing.T) {
 	}
 	if n := len(c.Runners()); n != 0 {
 		t.Fatalf("agent left %d registrations behind", n)
+	}
+}
+
+// The runner reads request bodies from the network: one past the cap is
+// refused with 413 before any evaluator is built.
+func TestRunnerRefusesOversizedBatch(t *testing.T) {
+	srv := httptest.NewServer((&RunnerServer{}).Handler())
+	defer srv.Close()
+	body := `{"id":"b1","config":{"bench":"` + strings.Repeat("x", maxBatchBytes) + `"}}`
+	resp, err := http.Post(srv.URL+"/v1/batch", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized batch: HTTP %d, want 413", resp.StatusCode)
+	}
+}
+
+// The coordinator reads result bodies from the network too: a runner that
+// answers with more than the cap fails the attempt instead of being read to
+// the end.
+func TestCoordinatorCapsBatchResult(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, `{"id":"b1","items":[{"ok":true,"err":"%s"}]}`, strings.Repeat("x", maxBatchBytes))
+	}))
+	defer srv.Close()
+	c := New(Options{})
+	_, err := c.postBatch(context.Background(), &runnerState{id: "r1", url: srv.URL},
+		BatchRequest{ID: "b1", Specs: []bench.TaskSpec{{Module: "m"}}})
+	if err == nil || !strings.Contains(err.Error(), "decode batch result") {
+		t.Fatalf("oversized result: err = %v, want a decode failure", err)
 	}
 }

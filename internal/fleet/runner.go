@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -83,10 +84,21 @@ func (rs *RunnerServer) Handler() http.Handler {
 	return mux
 }
 
+// maxBatchBytes caps a batch request body and a batch result body. A batch is
+// one module's share of an iteration (tens of specs of at most ~120 pass
+// names; per-spec feature maps of a few hundred floats coming back), so real
+// traffic stays far below it.
+const maxBatchBytes = 16 << 20
+
 func (rs *RunnerServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad batch request: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, "bad batch request: %v", err)
 		return
 	}
 	for _, g := range req.Groups {
@@ -124,7 +136,7 @@ func (rs *RunnerServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(res)
-	rs.logf("fleet runner: batch %s done (%d specs, +%d compiles)", req.ID, len(req.Specs), delta.Compilations)
+	rs.logf("fleet runner: batch %s done (%d specs, +%d compiles)", req.ID, len(req.Specs), delta.Get("pipeline_runs"))
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

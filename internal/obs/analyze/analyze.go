@@ -129,66 +129,23 @@ type ModuleReport struct {
 	Curve        []Step  `json:"curve,omitempty"`
 }
 
-// CacheReport is the cache-effectiveness view: the final cumulative counters
-// from cache-stats / prefix-cache-stats / gp-stats events plus the
-// measurement dedup observed on measure events.
-type CacheReport struct {
-	ModuleHits   int `json:"module_cache_hits"`
-	ModuleMisses int `json:"module_cache_misses"`
-
-	PrefixSavedPasses    int   `json:"prefix_saved_passes"`
-	PrefixReplayedPasses int   `json:"prefix_replayed_passes"`
-	PrefixSnapshotBytes  int64 `json:"prefix_snapshot_bytes"`
-	PrefixEvictions      int   `json:"prefix_evictions"`
-
-	GPFits    int `json:"gp_fits"`
-	GPAppends int `json:"gp_appends"`
-
-	// CowShared/CowMaterialized are the final cumulative copy-on-write
-	// clone counters from cow-stats events: module clones handed out
-	// sharing function bodies, and the subset that materialized private
-	// bodies because a pass mutated them. The gap is allocation work the
-	// COW layer avoided outright.
-	CowShared       int `json:"cow_shared"`
-	CowMaterialized int `json:"cow_materialized"`
-
-	// Bytecode measurement-engine counters from bc-stats events: functions
-	// lowered, bytecode bytes produced, superinstruction fusion sites and
-	// executions, and lowered-code cache hits/misses.
-	BcLoweredFuncs  int64 `json:"bc_lowered_funcs"`
-	BcBytecodeBytes int64 `json:"bc_bytecode_bytes"`
-	BcFusedSites    int64 `json:"bc_fused_sites"`
-	BcSuperHits     int64 `json:"bc_super_hits"`
-	BcCodeHits      int64 `json:"bc_code_hits"`
-	BcCodeMisses    int64 `json:"bc_code_misses"`
-
-	// EnvPools holds the final process-global pool/arena counters from the
-	// cow-stats event's env_-prefixed fields (sync.Pool gets/news, slab
-	// clone totals), when the journal retains them. Canonicalised journals
-	// strip these, so the map may be empty.
-	EnvPools map[string]uint64 `json:"env_pools,omitempty"`
-
-	// ReusedMeasurements counts duplicate-statistics candidates whose
-	// profiled value was reused without consuming budget.
-	ReusedMeasurements int `json:"reused_measurements"`
-}
-
-// CowShareRate is the fraction of COW clone handouts that never materialized
-// private function bodies — pure pointer-copy clones.
-func (c *CacheReport) CowShareRate() float64 {
-	if c.CowShared == 0 {
-		return 0
-	}
-	return float64(c.CowShared-c.CowMaterialized) / float64(c.CowShared)
-}
-
-// PrefixHitRate is the fraction of pipeline passes the prefix cache skipped.
-func (c *CacheReport) PrefixHitRate() float64 {
-	total := c.PrefixSavedPasses + c.PrefixReplayedPasses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.PrefixSavedPasses) / float64(total)
+// legacyStats maps the per-family counter events of journals written before
+// the single "stats" event to counter names (event type → field → name). Job
+// directories are durable, so a job resumed across that change has a journal
+// that starts with these; this table is the only place they are still known.
+var legacyStats = map[string]map[string]string{
+	"cache-stats": {"hits": "cache_hits", "misses": "cache_misses"},
+	"prefix-cache-stats": {
+		"saved_passes": "prefix_saved_passes", "replayed_passes": "prefix_replayed_passes",
+		"snapshot_bytes": "prefix_snapshot_bytes", "evictions": "prefix_evictions",
+	},
+	"cow-stats": {"shared": "cow_shared", "materialized": "cow_materialized"},
+	"bc-stats": {
+		"lowered_funcs": "bc_lowered_funcs", "bytecode_bytes": "bc_bytecode_bytes",
+		"fused_sites": "bc_fused_sites", "super_hits": "bc_super_hits",
+		"code_hits": "bc_code_hits", "code_misses": "bc_code_misses",
+	},
+	"gp-stats": {"fits": "gp_fits", "appends": "gp_appends"},
 }
 
 // Report is everything the analyzer can say about a journal. All durations
@@ -217,7 +174,12 @@ type Report struct {
 	Incumbents  []Step                   `json:"incumbents,omitempty"`
 	Curve       []Step                   `json:"curve,omitempty"`
 	Modules     map[string]*ModuleReport `json:"modules,omitempty"`
-	Cache       CacheReport              `json:"cache"`
+	// Counters is the latest value of every counter the journal's stats
+	// events carry, by name (a canonicalised journal has no Env rows).
+	Counters obs.CounterSet `json:"counters"`
+	// ReusedMeasurements counts duplicate-statistics candidates whose
+	// profiled value was reused without consuming budget.
+	ReusedMeasurements int `json:"reused_measurements"`
 
 	// Config/Final mirror the run-start / run-end fields of the last run.
 	Config map[string]any `json:"config,omitempty"`
@@ -249,14 +211,15 @@ type Analyzer struct {
 	firstNS  int64
 	haveTime bool
 
-	report Report
-	cpu    map[Phase]int64
-	evs    map[Phase]int
+	report   Report
+	cpu      map[Phase]int64
+	evs      map[Phase]int
+	counters map[string]obs.CounterRow
 }
 
 // NewAnalyzer returns an empty streaming analyzer.
 func NewAnalyzer() *Analyzer {
-	return &Analyzer{cpu: map[Phase]int64{}, evs: map[Phase]int{}}
+	return &Analyzer{cpu: map[Phase]int64{}, evs: map[Phase]int{}, counters: map[string]obs.CounterRow{}}
 }
 
 // Analyze runs a complete event slice through a fresh analyzer.
@@ -334,7 +297,7 @@ func (a *Analyzer) Feed(e *obs.Event) {
 		ok := fieldBool(f, "ok")
 		reused := fieldBool(f, "reused")
 		if reused {
-			r.Cache.ReusedMeasurements++
+			r.ReusedMeasurements++
 		}
 		if ok && !reused {
 			r.Measurements++
@@ -367,35 +330,26 @@ func (a *Analyzer) Feed(e *obs.Event) {
 		r.Checkpoints++
 	case "resume":
 		r.Resumes++
-	case "cache-stats":
-		r.Cache.ModuleHits = int(fieldFloat(f, "hits"))
-		r.Cache.ModuleMisses = int(fieldFloat(f, "misses"))
-	case "prefix-cache-stats":
-		r.Cache.PrefixSavedPasses = int(fieldFloat(f, "saved_passes"))
-		r.Cache.PrefixReplayedPasses = int(fieldFloat(f, "replayed_passes"))
-		r.Cache.PrefixSnapshotBytes = int64(fieldFloat(f, "snapshot_bytes"))
-		r.Cache.PrefixEvictions = int(fieldFloat(f, "evictions"))
-	case "cow-stats":
-		r.Cache.CowShared = int(fieldFloat(f, "shared"))
-		r.Cache.CowMaterialized = int(fieldFloat(f, "materialized"))
-		for k := range f {
-			if env, ok := strings.CutPrefix(k, "env_"); ok {
-				if r.Cache.EnvPools == nil {
-					r.Cache.EnvPools = map[string]uint64{}
-				}
-				r.Cache.EnvPools[env] = uint64(fieldFloat(f, k))
+	default:
+		a.feedStats(e)
+	}
+}
+
+// feedStats folds a stats event (or one of its legacy per-family
+// predecessors) into the counter table: cumulative counters, latest wins.
+func (a *Analyzer) feedStats(e *obs.Event) {
+	legacy, isLegacy := legacyStats[e.Type]
+	if e.Type != "stats" && !isLegacy {
+		return
+	}
+	for k := range e.Fields {
+		name, env := strings.CutPrefix(k, "env_")
+		if isLegacy && !env {
+			if name = legacy[k]; name == "" {
+				continue
 			}
 		}
-	case "bc-stats":
-		r.Cache.BcLoweredFuncs = int64(fieldFloat(f, "lowered_funcs"))
-		r.Cache.BcBytecodeBytes = int64(fieldFloat(f, "bytecode_bytes"))
-		r.Cache.BcFusedSites = int64(fieldFloat(f, "fused_sites"))
-		r.Cache.BcSuperHits = int64(fieldFloat(f, "super_hits"))
-		r.Cache.BcCodeHits = int64(fieldFloat(f, "code_hits"))
-		r.Cache.BcCodeMisses = int64(fieldFloat(f, "code_misses"))
-	case "gp-stats":
-		r.Cache.GPFits = int(fieldFloat(f, "fits"))
-		r.Cache.GPAppends = int(fieldFloat(f, "appends"))
+		a.counters[name] = obs.CounterRow{Name: name, Value: int64(fieldFloat(e.Fields, k)), Env: env}
 	}
 }
 
@@ -422,7 +376,12 @@ func (a *Analyzer) Events() []obs.Event { return a.events }
 // Report snapshots the analysis. Safe to call repeatedly while streaming;
 // each call recomputes the interval sweep over the events seen so far.
 func (a *Analyzer) Report() *Report {
-	r := a.report // copy: sweep-derived fields are filled per call
+	r := a.report // copy: sweep- and table-derived fields are filled per call
+	r.Counters = make(obs.CounterSet, 0, len(a.counters))
+	for _, c := range a.counters {
+		r.Counters = append(r.Counters, c)
+	}
+	sort.Slice(r.Counters, func(i, j int) bool { return r.Counters[i].Name < r.Counters[j].Name })
 	if a.haveTime {
 		r.WallNS = a.lastNS - a.firstNS
 	}
@@ -491,6 +450,9 @@ func sweep(ivs []interval, first, last int64) (elapsed map[Phase]int64, critical
 			}
 		}
 		return top, topP > 0
+	}
+	if len(edges) == 0 { // only zero-length intervals: a canonicalised journal
+		return elapsed, 0
 	}
 	prev := edges[0].t
 	for _, ed := range edges {

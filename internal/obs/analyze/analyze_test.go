@@ -118,15 +118,18 @@ func TestAnalyzeRealRun(t *testing.T) {
 	if r.Compiles != res.Breakdown.Compiles+baseline {
 		t.Fatalf("compiles %d != result %d + %d baseline", r.Compiles, res.Breakdown.Compiles, baseline)
 	}
-	if r.Cache.PrefixSavedPasses != res.Breakdown.PrefixSavedPasses ||
-		r.Cache.PrefixReplayedPasses != res.Breakdown.PrefixReplayedPasses {
-		t.Fatalf("prefix cache (%d,%d) != result (%d,%d)",
-			r.Cache.PrefixSavedPasses, r.Cache.PrefixReplayedPasses,
-			res.Breakdown.PrefixSavedPasses, res.Breakdown.PrefixReplayedPasses)
+	// Every counter of the Result reached the report with its final value.
+	if len(res.Breakdown.Counters) == 0 || res.Breakdown.Counters.Get("prefix_replayed_passes") == 0 {
+		t.Fatalf("Result carries no counters: %+v", res.Breakdown.Counters)
 	}
-	if r.Cache.GPFits != res.Breakdown.GPFits || r.Cache.GPAppends != res.Breakdown.GPAppends {
-		t.Fatalf("gp (%d,%d) != result (%d,%d)",
-			r.Cache.GPFits, r.Cache.GPAppends, res.Breakdown.GPFits, res.Breakdown.GPAppends)
+	for _, c := range res.Breakdown.Counters.Canonical() {
+		if got := r.Counters.Get(c.Name); got != c.Value {
+			t.Errorf("report %s = %d, Result says %d", c.Name, got, c.Value)
+		}
+	}
+	if int(r.Counters.Get("gp_fits")) != res.Breakdown.GPFits || int(r.Counters.Get("gp_appends")) != res.Breakdown.GPAppends {
+		t.Fatalf("gp rows (%d,%d) != breakdown (%d,%d)", r.Counters.Get("gp_fits"), r.Counters.Get("gp_appends"),
+			res.Breakdown.GPFits, res.Breakdown.GPAppends)
 	}
 	if len(r.Modules) == 0 {
 		t.Fatal("no per-module report")

@@ -1,0 +1,193 @@
+package analyze
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/obs"
+)
+
+// One counter path: a row a Task reports — names no production code knows —
+// must reach every view of a run by travelling the set, and an Env row must
+// not survive canonicalisation.
+func TestCounterReachesEveryView(t *testing.T) {
+	const canon, env = "zz_made_up_total", "zz_made_up_pool"
+	ev, err := bench.NewEvaluator(bench.ByName("automotive_bitcount"), bench.ARM(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := ev.Task().(*core.BenchTask)
+	var calls int64
+	task.CountersFn = func() obs.CounterSet {
+		calls++
+		return obs.CounterSet{{Name: canon, Value: 1000 + calls}, {Name: env, Value: 7, Env: true}}
+	}
+	mem := &obs.MemorySink{}
+	opts := core.DefaultOptions()
+	opts.Budget, opts.Lambda, opts.InitRandom, opts.Workers = 4, 4, 2, 1
+	opts.GPOpts.AdamSteps = 10
+	opts.Sink = mem
+	res, err := core.NewTuner(task, opts, 1).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := mem.Events()
+	final := 1000 + calls // the last read is finalize's
+
+	last := func(evs []obs.Event, typ string) map[string]any {
+		for i := len(evs) - 1; i >= 0; i-- {
+			if evs[i].Type == typ {
+				return evs[i].Fields
+			}
+		}
+		t.Fatalf("journal has no %s event", typ)
+		return nil
+	}
+	field := func(f map[string]any, key string) (int64, bool) {
+		v, ok := f[key].(int64)
+		return v, ok
+	}
+	report := Analyze(events)
+	var text bytes.Buffer
+	WriteReport(&text, report)
+	row := func(set obs.CounterSet, name string) (obs.CounterRow, bool) {
+		for _, c := range set {
+			if c.Name == name {
+				return c, true
+			}
+		}
+		return obs.CounterRow{}, false
+	}
+
+	views := []struct {
+		name      string
+		canonical func() (int64, bool)
+		env       func() (int64, bool)
+		lag       int64 // reads of CountersFn after this view's
+	}{
+		{"stats event",
+			func() (int64, bool) { return field(last(events, "stats"), canon) },
+			func() (int64, bool) { return field(last(events, "stats"), "env_"+env) }, 1},
+		{"run-end summary",
+			func() (int64, bool) { return field(last(events, "run-end"), canon) },
+			func() (int64, bool) { return field(last(events, "run-end"), "env_"+env) }, 0},
+		{"Result.Breakdown.Counters",
+			func() (int64, bool) { c, ok := row(res.Breakdown.Counters, canon); return c.Value, ok && !c.Env },
+			func() (int64, bool) { c, ok := row(res.Breakdown.Counters, env); return c.Value, ok && c.Env }, 0},
+		{"analyze.Report",
+			func() (int64, bool) { c, ok := row(report.Counters, canon); return c.Value, ok && !c.Env },
+			func() (int64, bool) { c, ok := row(report.Counters, env); return c.Value, ok && c.Env }, 1},
+		{"report text",
+			func() (int64, bool) { return final - 1, strings.Contains(text.String(), canon) },
+			func() (int64, bool) { return 7, strings.Contains(text.String(), env+"=7") }, 1},
+	}
+	for _, v := range views {
+		if got, ok := v.canonical(); !ok || got != final-v.lag {
+			t.Errorf("%s: canonical row = %d (present %v), want %d", v.name, got, ok, final-v.lag)
+		}
+		if got, ok := v.env(); !ok || got != 7 {
+			t.Errorf("%s: env row = %d (present %v), want 7", v.name, got, ok)
+		}
+	}
+	// The tuner's own rows ride the same set.
+	if _, ok := row(res.Breakdown.Counters, "gp_fits"); !ok {
+		t.Error("Result.Breakdown.Counters lacks the tuner's gp_fits row")
+	}
+
+	canonical := obs.Canonicalize(events)
+	for _, typ := range []string{"stats", "run-end"} {
+		f := last(canonical, typ)
+		if _, ok := f[canon]; !ok {
+			t.Errorf("canonical %s lost the canonical row", typ)
+		}
+		if _, ok := f["env_"+env]; ok {
+			t.Errorf("canonical %s kept the env row", typ)
+		}
+	}
+	if _, ok := row(Analyze(canonical).Counters, env); ok {
+		t.Error("report of the canonical journal still has the env row")
+	}
+}
+
+func legacyJournal(t *testing.T) []obs.Event {
+	t.Helper()
+	events, err := obs.ReadJournalFile("testdata/legacy_stats.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+// rerunLegacyJob repeats the run the fixture recorded at the parent commit:
+// citroen -bench telecom_gsm -budget 8 -seed 3 -workers 1.
+func rerunLegacyJob(t *testing.T) []obs.Event {
+	t.Helper()
+	ev, err := bench.NewEvaluator(bench.ByName("telecom_gsm"), bench.ARM(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := &obs.MemorySink{}
+	opts := core.DefaultOptions()
+	opts.Budget, opts.Workers = 8, 1
+	opts.Sink = mem
+	if _, err := core.NewTuner(ev.Task(), opts, 3).Run(); err != nil {
+		t.Fatal(err)
+	}
+	return mem.Events()
+}
+
+// Journals written before the single stats event must analyze to the same
+// counters the same job produces today, and render the same report block.
+func TestLegacyJournalMatchesRerun(t *testing.T) {
+	old := Analyze(legacyJournal(t))
+	now := Analyze(rerunLegacyJob(t))
+	legacy := old.Counters.Canonical()
+	if len(legacy) != 16 { // 2 cache + 4 prefix + 2 cow + 6 bc + 2 gp
+		t.Fatalf("legacy journal yields %d canonical counters, want 16: %+v", len(legacy), legacy)
+	}
+	for _, c := range legacy {
+		if got := now.Counters.Get(c.Name); got != c.Value {
+			t.Errorf("%s: legacy journal %d, rerun %d", c.Name, c.Value, got)
+		}
+	}
+	if old.Counters.Get("ir_clone_cow") == 0 {
+		t.Error("legacy env_ fields were dropped")
+	}
+	if old.BestSpeedup != now.BestSpeedup || old.Measurements != now.Measurements {
+		t.Fatalf("not the same job: legacy %v/%d, rerun %v/%d", old.BestSpeedup, old.Measurements, now.BestSpeedup, now.Measurements)
+	}
+	// Same "cache effectiveness" lines for every counter both journals have.
+	var oldText, nowText bytes.Buffer
+	WriteCounters(&oldText, legacy)
+	WriteCounters(&nowText, now.Counters.Canonical())
+	for _, line := range strings.Split(strings.TrimSpace(oldText.String()), "\n") {
+		if !strings.Contains(nowText.String(), line+"\n") {
+			t.Errorf("rerun report lacks legacy line %q", line)
+		}
+	}
+}
+
+// A job resumed across the upgrade appends stats events to a journal that
+// starts with the legacy ones: the analysis must end at the final values.
+func TestMixedLegacyAndNewJournal(t *testing.T) {
+	old, now := legacyJournal(t), rerunLegacyJob(t)
+	want := Analyze(now).Counters.Canonical()
+	mixed := append(append([]obs.Event{}, old[:len(old)/2]...), now[len(now)/2:]...)
+	sawLegacy, sawNew := false, false
+	for _, e := range mixed {
+		sawLegacy = sawLegacy || e.Type == "bc-stats"
+		sawNew = sawNew || e.Type == "stats"
+	}
+	if !sawLegacy || !sawNew {
+		t.Fatalf("mixed journal is not mixed (legacy %v, new %v)", sawLegacy, sawNew)
+	}
+	got := Analyze(mixed).Counters
+	for _, c := range want {
+		if got.Get(c.Name) != c.Value {
+			t.Errorf("%s = %d in the mixed journal, want %d", c.Name, got.Get(c.Name), c.Value)
+		}
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"sort"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // WriteReport renders the full phase/cache/convergence report as the
@@ -23,7 +25,7 @@ func WriteReport(w io.Writer, r *Report) {
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "iterations: %d, compiles: %d, measurements: %d (+%d reused), checkpoints: %d, resumes: %d\n",
-		r.Iterations, r.Compiles, r.Measurements, r.Cache.ReusedMeasurements, r.Checkpoints, r.Resumes)
+		r.Iterations, r.Compiles, r.Measurements, r.ReusedMeasurements, r.Checkpoints, r.Resumes)
 	fmt.Fprintf(w, "best speedup: %.3fx\n", r.BestSpeedup)
 
 	fmt.Fprintln(w, "\nphase attribution (elapsed = run timeline, cpu = summed event walls):")
@@ -43,34 +45,9 @@ func WriteReport(w io.Writer, r *Report) {
 			time.Duration(pt.CPUNS).Round(time.Microsecond), par, pt.Events)
 	}
 
-	c := &r.Cache
 	fmt.Fprintln(w, "\ncache effectiveness:")
-	fmt.Fprintf(w, "  module cache: %d hits / %d misses\n", c.ModuleHits, c.ModuleMisses)
-	fmt.Fprintf(w, "  prefix cache: %d passes saved / %d replayed (%.1f%% of pipeline work skipped, %d snapshot bytes, %d evictions)\n",
-		c.PrefixSavedPasses, c.PrefixReplayedPasses, 100*c.PrefixHitRate(), c.PrefixSnapshotBytes, c.PrefixEvictions)
-	if c.CowShared > 0 {
-		fmt.Fprintf(w, "  cow clones: %d handed out / %d materialized (%.1f%% stayed shared)\n",
-			c.CowShared, c.CowMaterialized, 100*c.CowShareRate())
-	}
-	if c.BcLoweredFuncs > 0 || c.BcCodeMisses > 0 {
-		fmt.Fprintf(w, "  bytecode engine: %d funcs lowered (%d bytes, %d fused sites), %d superinstruction hits, code cache %d hits / %d misses\n",
-			c.BcLoweredFuncs, c.BcBytecodeBytes, c.BcFusedSites,
-			c.BcSuperHits, c.BcCodeHits, c.BcCodeMisses)
-	}
-	if len(c.EnvPools) > 0 {
-		keys := make([]string, 0, len(c.EnvPools))
-		for k := range c.EnvPools {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		fmt.Fprint(w, "  env pools:")
-		for _, k := range keys {
-			fmt.Fprintf(w, " %s=%d", k, c.EnvPools[k])
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "  surrogate: %d full fits / %d incremental appends\n", c.GPFits, c.GPAppends)
-	fmt.Fprintf(w, "  measurement dedup: %d duplicate-statistics candidates reused without budget\n", c.ReusedMeasurements)
+	WriteCounters(w, r.Counters)
+	fmt.Fprintf(w, "  measurement dedup: %d duplicate-statistics candidates reused without budget\n", r.ReusedMeasurements)
 
 	if len(r.Modules) > 0 {
 		fmt.Fprintln(w, "\nper-module:")
@@ -85,6 +62,37 @@ func WriteReport(w io.Writer, r *Report) {
 				name, m.Compiles, time.Duration(m.CompileNS).Round(time.Microsecond),
 				m.Measurements, best)
 		}
+	}
+}
+
+// WriteCounters is the one renderer of a counter set: every canonical row as
+// "name value" in set order, the rates derived from rows by name, then the
+// Env rows on one line. A new counter shows up here by being in the set; only
+// a new derived rate needs a line of its own.
+func WriteCounters(w io.Writer, set obs.CounterSet) {
+	var env []obs.CounterRow
+	for _, c := range set {
+		if c.Env {
+			env = append(env, c)
+			continue
+		}
+		fmt.Fprintf(w, "  %-24s %12d\n", c.Name, c.Value)
+	}
+	rate := func(label string, num, den int64) {
+		if den > 0 {
+			fmt.Fprintf(w, "  %-24s %11.1f%%\n", label, 100*float64(num)/float64(den))
+		}
+	}
+	saved := set.Get("prefix_saved_passes")
+	rate("prefix hit rate", saved, saved+set.Get("prefix_replayed_passes"))
+	shared := set.Get("cow_shared")
+	rate("cow share rate", shared-set.Get("cow_materialized"), shared)
+	if len(env) > 0 {
+		fmt.Fprint(w, "  env:")
+		for _, c := range env {
+			fmt.Fprintf(w, " %s=%d", c.Name, c.Value)
+		}
+		fmt.Fprintln(w)
 	}
 }
 

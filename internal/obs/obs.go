@@ -365,18 +365,6 @@ func (r *Recorder) GPFit(parent int64, points, dim int, appended bool, wall time
 	})
 }
 
-// GPStats records cumulative surrogate accounting at a serial
-// synchronisation point (after a measurement): full refits vs incremental
-// appends absorbed by the model.
-func (r *Recorder) GPStats(parent int64, fits, appends int) {
-	if r == nil {
-		return
-	}
-	r.emit("gp-stats", -1, parent, map[string]any{
-		"fits": fits, "appends": appends,
-	})
-}
-
 // AcqMax records the acquisition argmax over one iteration's candidates.
 func (r *Recorder) AcqMax(parent int64, candidates int, module string, af float64, dup bool, novelDims int, wall time.Duration) {
 	if r == nil {
@@ -404,66 +392,16 @@ func (r *Recorder) Measure(parent int64, module string, measurement int, timeCyc
 	})
 }
 
-// CacheStats records cumulative compiled-module cache counters at a
-// serial synchronisation point (after a measurement).
-func (r *Recorder) CacheStats(parent int64, hits, misses int) {
+// Stats records the run's cumulative counter set at a serial synchronisation
+// point (after a measurement): canonical rows as plain fields, Env rows under
+// the "env_" prefix Canonicalize strips (see CounterSet.PutFields).
+func (r *Recorder) Stats(parent int64, set CounterSet) {
 	if r == nil {
 		return
 	}
-	r.emit("cache-stats", -1, parent, map[string]any{
-		"hits": hits, "misses": misses,
-	})
-}
-
-// PrefixCache records cumulative prefix-snapshot compilation-cache accounting
-// at a serial synchronisation point (after a measurement): pipeline passes
-// skipped by resuming from snapshots vs actually executed, the bytes
-// currently retained by snapshots, and how many snapshots were evicted.
-func (r *Recorder) PrefixCache(parent int64, savedPasses, replayedPasses int, snapshotBytes int64, evictions int) {
-	if r == nil {
-		return
-	}
-	r.emit("prefix-cache-stats", -1, parent, map[string]any{
-		"saved_passes": savedPasses, "replayed_passes": replayedPasses,
-		"snapshot_bytes": snapshotBytes, "evictions": evictions,
-	})
-}
-
-// CowStats records cumulative copy-on-write module-clone accounting at a
-// serial synchronisation point (after a measurement): clones handed out
-// sharing function bodies with their source, and the subset that went on to
-// materialize private bodies. Both are deterministic functions of the
-// evaluated workload, so they are canonical fields. env carries
-// process-global pool/arena counters (sync.Pool hit rates, slab clone
-// totals) that depend on scheduling; each key is journaled with an "env_"
-// prefix so Canonicalize strips it.
-func (r *Recorder) CowStats(parent int64, shared, materialized int, env map[string]uint64) {
-	if r == nil {
-		return
-	}
-	f := map[string]any{"shared": shared, "materialized": materialized}
-	for k, v := range env {
-		f["env_"+k] = v
-	}
-	r.emit("cow-stats", -1, parent, f)
-}
-
-// BcStats records cumulative bytecode measurement-engine accounting at a
-// serial synchronisation point (after a measurement): functions lowered to
-// bytecode, bytecode bytes produced, superinstruction fusion sites emitted,
-// superinstruction executions, and lowered-code cache hits/misses. Lowering
-// and execution happen on the serial measurement path, so all six are
-// deterministic functions of the evaluated workload and safe for canonical
-// journal fields.
-func (r *Recorder) BcStats(parent, loweredFuncs, bytecodeBytes, fusedSites, superHits, codeHits, codeMisses int64) {
-	if r == nil {
-		return
-	}
-	r.emit("bc-stats", -1, parent, map[string]any{
-		"lowered_funcs": loweredFuncs, "bytecode_bytes": bytecodeBytes,
-		"fused_sites": fusedSites, "super_hits": superHits,
-		"code_hits": codeHits, "code_misses": codeMisses,
-	})
+	f := make(map[string]any, len(set))
+	set.PutFields(f)
+	r.emit("stats", -1, parent, f)
 }
 
 // PlannerBuild records one statistics-connectivity planner construction: the

@@ -29,16 +29,16 @@ func TestNilRecorderAllocationFree(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
+	set := CounterSet{{Name: "cache_hits", Value: 3}}
 	allocs := testing.AllocsPerRun(100, func() {
 		r.RunStart(nil)
 		r.Iteration(1, 2, 3)
 		r.CandidateGenerated(1, "m", "ga", 10, 42)
 		r.Compile(1, "m", 10, 42, true, time.Second)
 		r.GPFit(1, 5, 7, false, time.Second)
-		r.GPStats(1, 4, 9)
 		r.AcqMax(1, 9, "m", 0.5, false, 2, time.Second)
 		r.Measure(1, "m", 3, 100, 1.1, 1.2, true, false, time.Second)
-		r.CacheStats(1, 3, 4)
+		r.Stats(1, set)
 		r.NewIncumbent(1, "m", 3, 1.2)
 		r.RunEnd(1, nil)
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -58,10 +59,6 @@ var renderers = map[string]func(w io.Writer, e *Event){
 		fmt.Fprintf(w, "  gp-fit: %d points, %d dims (%s)\n",
 			fieldInt(f, "points"), fieldInt(f, "dim"), mode)
 	},
-	"gp-stats": func(w io.Writer, e *Event) {
-		fmt.Fprintf(w, "  gp: %d full fits / %d incremental appends\n",
-			fieldInt(e.Fields, "fits"), fieldInt(e.Fields, "appends"))
-	},
 	"acq-max": func(w io.Writer, e *Event) {
 		f := e.Fields
 		dup := ""
@@ -87,27 +84,19 @@ var renderers = map[string]func(w io.Writer, e *Event){
 			fieldInt(f, "measurement"), f["module"],
 			fieldFloat(f, "speedup"), fieldFloat(f, "best"))
 	},
-	"cache-stats": func(w io.Writer, e *Event) {
-		fmt.Fprintf(w, "  cache: %d hits / %d misses\n",
-			fieldInt(e.Fields, "hits"), fieldInt(e.Fields, "misses"))
-	},
-	"prefix-cache-stats": func(w io.Writer, e *Event) {
-		f := e.Fields
-		fmt.Fprintf(w, "  prefix: %d passes saved / %d replayed (%d snapshot bytes, %d evictions)\n",
-			fieldInt(f, "saved_passes"), fieldInt(f, "replayed_passes"),
-			fieldInt64(f, "snapshot_bytes"), fieldInt(f, "evictions"))
-	},
-	"cow-stats": func(w io.Writer, e *Event) {
-		f := e.Fields
-		fmt.Fprintf(w, "  cow: %d shared clones / %d materialized\n",
-			fieldInt(f, "shared"), fieldInt(f, "materialized"))
-	},
-	"bc-stats": func(w io.Writer, e *Event) {
-		f := e.Fields
-		fmt.Fprintf(w, "  bc: %d funcs lowered (%d bytes, %d fused sites), %d super hits, code cache %d/%d\n",
-			fieldInt64(f, "lowered_funcs"), fieldInt64(f, "bytecode_bytes"),
-			fieldInt64(f, "fused_sites"), fieldInt64(f, "super_hits"),
-			fieldInt64(f, "code_hits"), fieldInt64(f, "code_misses"))
+	"stats": func(w io.Writer, e *Event) {
+		keys := make([]string, 0, len(e.Fields))
+		for k := range e.Fields {
+			if !strings.HasPrefix(k, "env_") {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		fmt.Fprint(w, "  stats:")
+		for _, k := range keys {
+			fmt.Fprintf(w, " %s=%d", k, fieldInt64(e.Fields, k))
+		}
+		fmt.Fprintln(w)
 	},
 	"planner-build": func(w io.Writer, e *Event) {
 		f := e.Fields

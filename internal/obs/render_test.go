@@ -16,13 +16,9 @@ func emitAll(r *Recorder) (emitterMethods int) {
 	r.CandidateGenerated(iter, "m", "des", 12, 99)
 	r.Compile(iter, "m", 12, 99, true, time.Millisecond)
 	r.GPFit(iter, 20, 8, false, time.Millisecond)
-	r.GPStats(iter, 2, 5)
 	r.AcqMax(iter, 9, "m", 0.5, false, 2, time.Millisecond)
 	r.Measure(iter, "m", 3, 1000, 1.2, 1.3, true, false, time.Millisecond)
-	r.CacheStats(iter, 4, 6)
-	r.PrefixCache(iter, 100, 40, 1<<20, 2)
-	r.CowStats(iter, 50, 12, map[string]uint64{"machine_pool_gets": 7})
-	r.BcStats(iter, 9, 5000, 14, 120000, 40, 3)
+	r.Stats(iter, CounterSet{{Name: "cache_hits", Value: 4}, {Name: "machine_pool_gets", Value: 7, Env: true}})
 	r.PlannerBuild(run, "m", 30, 200, 5, 18, time.Millisecond)
 	r.FleetIncident(iter, "retry", "r1", "m", 2)
 	r.NewIncumbent(iter, "m", 3, 1.3)

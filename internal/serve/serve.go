@@ -272,6 +272,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		s.forget(id)
 		return JobStatus{}, err
 	}
+	queued := j.snapshot() // before a runner can pick the job up and mark it running
 	if err := s.queue.TrySubmit(func() { s.runJob(j) }); err != nil {
 		s.forget(id)
 		os.RemoveAll(dir)
@@ -279,7 +280,7 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	s.mSubmitted.Inc()
 	s.refreshGauges()
-	return j.snapshot(), nil
+	return queued, nil
 }
 
 func (s *Server) forget(id string) {
