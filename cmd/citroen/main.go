@@ -223,58 +223,19 @@ func main() {
 	metrics.WriteSummary(os.Stdout)
 }
 
-// summarizeJournal replays a saved journal and prints, per run: the config,
-// the best-speedup-vs-measurement curve (incumbent improvements starred), the
-// Fig 5.12-style runtime breakdown and the per-pass profile.
+// summarizeJournal prints citroenstat's report and convergence views of a
+// saved journal.
 func summarizeJournal(path string) error {
 	events, err := obs.ReadJournalFile(path)
 	if err != nil {
 		return err
 	}
-	runs := obs.Summarize(events)
-	if len(runs) == 0 {
+	if len(events) == 0 {
 		return fmt.Errorf("journal %s contains no events", path)
 	}
-	for i := range runs {
-		run := &runs[i]
-		if len(runs) > 1 {
-			fmt.Printf("=== run %d of %d ===\n", i+1, len(runs))
-		}
-		if run.Config != nil {
-			fmt.Printf("config: budget=%v lambda=%v feature=%v hot_modules=%v\n",
-				run.Config["budget"], run.Config["lambda"], run.Config["feature"], run.Config["hot_modules"])
-		}
-		fmt.Printf("events: %d, budget-consuming measurements: %d, best speedup: %.3fx\n",
-			run.Events, len(run.Curve), run.BestSpeedup())
-		if len(run.Curve) > 0 {
-			incumbent := map[int]bool{}
-			for _, p := range run.Incumbents {
-				incumbent[p.Measurement] = true
-			}
-			fmt.Println("speedup vs measurement (* = new incumbent):")
-			for _, p := range run.Curve {
-				mark := " "
-				if incumbent[p.Measurement] {
-					mark = "*"
-				}
-				fmt.Printf("  %4d%s %-14s speedup %.3fx  best %.3fx\n",
-					p.Measurement, mark, p.Module, p.Speedup, p.Best)
-			}
-		}
-		if shares := run.BreakdownShares(); shares != nil {
-			fmt.Printf("runtime breakdown: gp-fit %.1f%%, acquisition %.1f%%, compile %.1f%%, measure %.1f%%\n",
-				100*shares["gp-fit"], 100*shares["acquisition"],
-				100*shares["compile"], 100*shares["measure"])
-		}
-		if len(run.PassProfile) > 0 {
-			fmt.Println("per-pass profile:")
-			fmt.Printf("  %-28s %7s %7s %12s %10s\n", "pass", "invoc", "fired", "wall", "delta")
-			for _, r := range run.PassProfile {
-				fmt.Printf("  %-28s %7d %7d %12v %10d\n",
-					r.Pass, r.Invocations, r.Fired,
-					time.Duration(r.WallNS).Round(time.Microsecond), r.DeltaTotal)
-			}
-		}
-	}
+	r := analyze.Analyze(events)
+	analyze.WriteReport(os.Stdout, r)
+	fmt.Println()
+	analyze.WriteConvergence(os.Stdout, r)
 	return nil
 }

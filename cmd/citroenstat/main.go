@@ -12,6 +12,10 @@
 //	                                           on the first mismatch
 //	citroenstat bench-diff <oldDir> <newDir>   compare BENCH_*.json metric files
 //	                                           (report-only, never fails)
+//	citroenstat bench-gate <bench.txt> <gates.json>
+//	                                           write the BENCH_*.json that gates.json
+//	                                           names for this `go test -bench` output;
+//	                                           exits 1 if a threshold is missed
 //
 // report, convergence and trace accept "-" for stdin, so a live job can be
 // piped in: citroenctl events -follow=false ID | citroenstat report -
@@ -23,6 +27,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
@@ -30,7 +37,7 @@ import (
 
 func main() {
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: citroenstat <report|convergence|trace|diff|bench-diff> ...\n")
+		fmt.Fprintf(os.Stderr, "usage: citroenstat <report|convergence|trace|diff|bench-diff|bench-gate> ...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -51,6 +58,8 @@ func main() {
 		err = cmdDiff(args)
 	case "bench-diff":
 		err = cmdBenchDiff(args)
+	case "bench-gate":
+		err = cmdBenchGate(args)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -161,6 +170,58 @@ func cmdBenchDiff(args []string) error {
 		return err
 	}
 	analyze.WriteBenchDeltas(os.Stdout, deltas)
+	return nil
+}
+
+// cmdBenchGate turns one `go test -bench` output into its BENCH_*.json
+// (written to the working directory, where bench-diff and the artifact upload
+// look for it) and fails when a gate does not hold. gates.json is keyed by the
+// bench output's file name.
+func cmdBenchGate(args []string) error {
+	fs := flag.NewFlagSet("bench-gate", flag.ExitOnError)
+	fs.Parse(args)
+	if fs.NArg() != 2 {
+		return fmt.Errorf("expected <go-test-bench-output> <gates.json>")
+	}
+	raw, err := os.ReadFile(fs.Arg(1))
+	if err != nil {
+		return err
+	}
+	var suites map[string]analyze.GateSuite
+	if err := json.Unmarshal(raw, &suites); err != nil {
+		return fmt.Errorf("%s: %w", fs.Arg(1), err)
+	}
+	name := filepath.Base(fs.Arg(0))
+	suite, ok := suites[name]
+	if !ok {
+		return fmt.Errorf("%s has no entry for %s", fs.Arg(1), name)
+	}
+	in, err := os.Open(fs.Arg(0))
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	doc, failures, err := analyze.BenchGate(in, suite)
+	if err != nil {
+		return fmt.Errorf("%s: %w", fs.Arg(0), err)
+	}
+	// Worker-count benchmarks mean nothing without the core count beside them.
+	doc["nproc"] = runtime.NumCPU()
+	out, err := os.Create(suite.Out)
+	if err != nil {
+		return err
+	}
+	if err := writeJSON(out, doc); err != nil {
+		out.Close()
+		return err
+	}
+	if err := out.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("bench-gate %s: wrote %s, %d gates\n", name, suite.Out, len(suite.Gates))
+	if len(failures) > 0 {
+		return fmt.Errorf("bench-gate %s failed:\n  %s", name, strings.Join(failures, "\n  "))
+	}
 	return nil
 }
 

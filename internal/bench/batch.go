@@ -33,17 +33,18 @@ type BatchItem struct {
 // RunBatch compiles every spec (dataset 0) honouring the group structure —
 // indices inside one group run serially in order so prefix-siblings resume
 // from each other's snapshots; distinct groups fan out across workers — and
-// returns per-spec results plus the change in the canonical Counters() rows
-// the batch caused. A coordinator sums accepted batch deltas onto its own
-// evaluator's counters to reproduce the single-process totals
-// (prefix_snapshot_bytes is a net byte change, so eviction inside a batch
-// subtracts). Batches are serialised per evaluator (batchMu) so the delta is
-// attributable to exactly this batch; a cancelled ctx leaves unexecuted
-// items !Ok with the context error returned.
+// returns per-spec results plus the change the batch caused in this
+// evaluator's own Counters() rows (canonical, prefix_* and cow_*; not the
+// process-global ones). A coordinator sums accepted batch deltas onto its own
+// evaluator's counters for the fleet-wide totals (prefix_snapshot_bytes is a
+// net byte change, so eviction inside a batch subtracts). Batches are
+// serialised per evaluator (batchMu) so the delta is attributable to exactly
+// this batch; a cancelled ctx leaves unexecuted items !Ok with the context
+// error returned.
 func (ev *Evaluator) RunBatch(ctx context.Context, specs []TaskSpec, groups [][]int, workers int) ([]BatchItem, obs.CounterSet, error) {
 	ev.batchMu.Lock()
 	defer ev.batchMu.Unlock()
-	before := ev.Counters().Canonical()
+	before := ev.Counters().Owned()
 	items := make([]BatchItem, len(specs))
 	pool := evalpool.New(workers)
 	err := pool.MapGroupsCtx(ctx, groups, func(i int) {
@@ -58,26 +59,15 @@ func (ev *Evaluator) RunBatch(ctx context.Context, specs []TaskSpec, groups [][]
 		items[i].Mod, items[i].Stats, items[i].Ok = m, st, true
 	})
 	ev.publishMetrics()
-	return items, ev.Counters().Canonical().Sub(before), err
+	return items, ev.Counters().Owned().Sub(before), err
 }
 
 // WarmCompile compiles (dataset 0, module, seq) with all work accounting
-// suppressed: no hit/miss/compilation/prefix counters move, and any
-// snapshot bytes it retains are tracked in WarmBytes instead of counting as
-// search work. The coordinator uses it to pre-install a remotely-compiled
+// suppressed: no hit/miss/compilation/prefix/cow counters move. The
+// coordinator uses it to pre-install a remotely-compiled
 // candidate into the measuring evaluator's cache, so the measure path's
 // dataset-0 compile hits exactly as it would have single-process.
 func (ev *Evaluator) WarmCompile(ctx context.Context, module string, seq []string) error {
 	_, _, err := ev.compiledForMode(ctx, 0, module, seq, false)
 	return err
-}
-
-// WarmBytes reports the snapshot bytes currently retained by uncounted
-// warm compiles — the portion of the prefix_snapshot_bytes counter that
-// distributed aggregation must subtract (the same cache entries are counted
-// on the runner that really compiled the candidate).
-func (ev *Evaluator) WarmBytes() int64 {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	return ev.warmBytes
 }

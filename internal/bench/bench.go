@@ -287,21 +287,18 @@ type Evaluator struct {
 	// entries so snapBytes charges shared instances exactly once (see
 	// modRef in prefixcache.go).
 	modBytes map[*ir.Module]*modRef
-	// COW clone accounting (deterministic: derived from hit/miss/snapshot
-	// structure, not from scheduling): clones handed out sharing bodies, and
-	// the subset that materialized private bodies.
+	// COW clone accounting, derived from the hit/miss/snapshot structure:
+	// clones handed out sharing bodies, and the subset that materialized
+	// private bodies.
 	cowShared       int
 	cowMaterialized int
 
 	// Prefix accounting: passes skipped by resuming from snapshots vs passes
 	// actually executed, current snapshot bytes, snapshots evicted.
-	// warmBytes tracks the subset of snapBytes created by uncounted
-	// WarmCompile builds (see compiledForMode).
 	prefixSaved    int
 	prefixReplayed int
 	snapBytes      int64
 	snapEvict      int
-	warmBytes      int64
 
 	// batchMu serialises RunBatch calls so each batch's counter delta is
 	// attributable to exactly that batch (see batch.go). Independent of mu:
@@ -447,9 +444,10 @@ func (ev *Evaluator) CacheCounters() (hits, misses int) {
 // report name, its /metrics series (if any), and whether it is canonical — a
 // deterministic function of the evaluated workload, counted since the
 // evaluator was built (the baseline build does not count) — or an Env
-// observation of process-global pools that depends on scheduling. Everything
-// downstream (stats events, Result, reports, gauges, batch deltas) iterates
-// this set, so adding a counter is adding a row here.
+// observation that depends on scheduling: the evaluator's own snapshot and
+// COW accounting, or the process-global pools. Everything downstream (stats
+// events, Result, reports, gauges, batch deltas) iterates this set, so adding
+// a counter is adding a row here.
 func (ev *Evaluator) Counters() obs.CounterSet {
 	hits, misses := ev.CacheCounters()
 	saved, replayed, snapBytes, evictions := ev.PrefixCounters()
@@ -458,7 +456,6 @@ func (ev *Evaluator) Counters() obs.CounterSet {
 	ev.mu.Lock()
 	pipelines, builds := ev.Compilations, ev.Measurements
 	ev.mu.Unlock()
-	analHits, analMisses := ir.AnalysisCacheCounters()
 	clones, cloneMat, slabFuncs, stray := ir.CloneCounters()
 	machGets, machNews := machine.PoolCounters()
 	passGets, passNews := passes.PoolCounters()
@@ -466,8 +463,15 @@ func (ev *Evaluator) Counters() obs.CounterSet {
 	row := func(name string, v int64, series string) obs.CounterRow {
 		return obs.CounterRow{Name: name, Value: v, Series: series}
 	}
+	// Which snapshot a build resumes from, and so how many further snapshots
+	// it clones and which are evicted, depends on the order workers touched
+	// the LRU once the budget is full: the prefix_* and cow_* rows count this
+	// evaluator's work but are not canonical.
+	sched := func(name string, v int64, series string) obs.CounterRow {
+		return obs.CounterRow{Name: name, Value: v, Env: true, Series: series}
+	}
 	env := func(name string, v uint64, series string) obs.CounterRow {
-		return obs.CounterRow{Name: name, Value: int64(v), Env: true, Series: series}
+		return obs.CounterRow{Name: name, Value: int64(v), Env: true, Global: true, Series: series}
 	}
 	return obs.CounterSet{
 		row("cache_hits", int64(hits), "bench_cache_hits_total"),
@@ -477,20 +481,18 @@ func (ev *Evaluator) Counters() obs.CounterSet {
 		// tuner's candidate and budget counts, which are different numbers.
 		row("pipeline_runs", int64(pipelines), "bench_compilations_total"),
 		row("measured_builds", int64(builds), "bench_measurements_total"),
-		row("prefix_saved_passes", int64(saved), "bench_prefix_saved_passes_total"),
-		row("prefix_replayed_passes", int64(replayed), "bench_prefix_replayed_passes_total"),
-		row("prefix_snapshot_bytes", snapBytes, "bench_prefix_snapshot_bytes"),
-		row("prefix_evictions", int64(evictions), "bench_prefix_evictions_total"),
-		row("cow_shared", int64(shared), ""),
-		row("cow_materialized", int64(materialized), ""),
+		sched("prefix_saved_passes", int64(saved), "bench_prefix_saved_passes_total"),
+		sched("prefix_replayed_passes", int64(replayed), "bench_prefix_replayed_passes_total"),
+		sched("prefix_snapshot_bytes", snapBytes, "bench_prefix_snapshot_bytes"),
+		sched("prefix_evictions", int64(evictions), "bench_prefix_evictions_total"),
+		sched("cow_shared", int64(shared), ""),
+		sched("cow_materialized", int64(materialized), ""),
 		row("bc_lowered_funcs", bc.LoweredFuncs, "machine_bc_lowered_funcs"),
 		row("bc_bytecode_bytes", bc.BytecodeBytes, "machine_bc_bytecode_bytes"),
 		row("bc_fused_sites", bc.FusedSites, "machine_bc_fused_sites"),
 		row("bc_super_hits", bc.SuperHits, "machine_bc_super_hits"),
 		row("bc_code_hits", bc.CodeHits, "machine_bc_code_hits"),
 		row("bc_code_misses", bc.CodeMisses, "machine_bc_code_misses"),
-		env("analysis_cache_hits", uint64(analHits), "ir_analysis_cache_hits"),
-		env("analysis_cache_misses", uint64(analMisses), "ir_analysis_cache_misses"),
 		env("ir_clone_cow", clones, "ir_clone_cow_total"),
 		env("ir_clone_materialized", cloneMat, "ir_clone_cow_materialized_total"),
 		env("ir_clone_slab_funcs", slabFuncs, "ir_clone_slab_funcs_total"),

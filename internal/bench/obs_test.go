@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 	"repro/internal/passes"
 )
 
@@ -71,14 +72,14 @@ func TestJournalEndToEndWorkerEquality(t *testing.T) {
 	}
 
 	// Replayed journal agrees with the Result.
-	runs := obs.Summarize(evS)
-	if len(runs) != 1 {
-		t.Fatalf("Summarize found %d runs, want 1", len(runs))
+	rep := analyze.Analyze(evS)
+	if rep.Runs != 1 {
+		t.Fatalf("analyzer found %d runs, want 1", rep.Runs)
 	}
-	if got := runs[0].BestSpeedup(); got != resS.BestSpeedup {
-		t.Fatalf("replayed best speedup %v != Result %v", got, resS.BestSpeedup)
+	if rep.BestSpeedup != resS.BestSpeedup {
+		t.Fatalf("replayed best speedup %v != Result %v", rep.BestSpeedup, resS.BestSpeedup)
 	}
-	if len(runs[0].PassProfile) == 0 {
+	if len(rep.PassProfile) == 0 {
 		t.Fatal("run-end event carries no pass profile")
 	}
 
@@ -121,7 +122,7 @@ func TestSetObsCountersAndHistogram(t *testing.T) {
 	// to take from the machine with the baseline build still in them.
 	hits, misses := ev.CacheCounters()
 	published := 0
-	for _, c := range ev.Counters().Canonical() {
+	for _, c := range ev.Counters().Owned() {
 		if c.Series == "" {
 			continue
 		}
@@ -135,7 +136,7 @@ func TestSetObsCountersAndHistogram(t *testing.T) {
 		}
 	}
 	if published < 14 {
-		t.Fatalf("only %d canonical rows name a series", published)
+		t.Fatalf("only %d owned rows name a series", published)
 	}
 	if bc := ev.BcCounters(); bc.CodeMisses == 0 || int64(met.Gauge("machine_bc_code_misses").Value()) != bc.CodeMisses {
 		t.Fatalf("machine_bc_code_misses gauge %v != search-only counter %d", met.Gauge("machine_bc_code_misses").Value(), bc.CodeMisses)

@@ -1,11 +1,14 @@
 package bench
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/passes"
 )
 
@@ -225,5 +228,112 @@ func BenchmarkPrefixCompile(b *testing.B) {
 			b.ReportMetric(float64(saved)/float64(b.N), "saved-passes/op")
 			b.ReportMetric(float64(replayed)/float64(b.N), "replayed-passes/op")
 		})
+	}
+}
+
+// The canonical counter rows are the behaviour contract of a run: they must
+// not depend on the worker count even when the snapshot budget is small
+// enough that every batch evicts, which is when the order workers touched the
+// LRU decides what the next build resumes from. Batches are grouped the way
+// the tuner groups them: one serial group per module, the groups in parallel.
+func TestCanonicalCountersWorkerIndependentUnderEviction(t *testing.T) {
+	vocab := passes.Names()
+	run := func(workers int) obs.CounterSet {
+		ev, err := NewEvaluator(ByName("525.x264_r"), X86(), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev.SnapshotBudget = 2 << 20
+		rng := rand.New(rand.NewSource(20260930))
+		incumbent := make([]string, 60)
+		for i := range incumbent {
+			incumbent[i] = vocab[rng.Intn(len(vocab))]
+		}
+		for round := 0; round < 10; round++ {
+			var specs []TaskSpec
+			var groups [][]int
+			for _, mod := range ev.Modules() {
+				var g []int
+				for k := 0; k < 6; k++ {
+					g = append(g, len(specs))
+					specs = append(specs, TaskSpec{Module: mod, Seq: mutateSeq(rng, incumbent, vocab)})
+				}
+				groups = append(groups, g)
+			}
+			if _, _, err := ev.RunBatch(context.Background(), specs, groups, workers); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, _, evictions := ev.PrefixCounters(); evictions == 0 {
+			t.Fatal("the budget never forced an eviction")
+		}
+		return ev.Counters().Canonical()
+	}
+	w1, w8 := run(1), run(8)
+	if !reflect.DeepEqual(w1, w8) {
+		t.Fatalf("canonical counters depend on the worker count:\nw1 %+v\nw8 %+v", w1, w8)
+	}
+	if w1.Get("cache_misses") == 0 {
+		t.Fatalf("no compile was counted: %+v", w1)
+	}
+}
+
+// TestFinalOnlySnapshotsMatchPristineBuilds compares the two oracle
+// configurations with each other on inputs the mutated-incumbent test above
+// does not reach: a second platform, sequences of 8 to 120 random passes, and
+// sequences that fail. SnapshotEvery < 0 runs the stepwise RunOne path and
+// keeps final states only; CacheCap < 0 runs Manager.Run on a pristine clone.
+// Neither resumes from an interior snapshot, so they must agree exactly —
+// error text, printed module and Stats. (Stride builds do not on long
+// sequences; see DESIGN.md "Compilation caching".)
+func TestFinalOnlySnapshotsMatchPristineBuilds(t *testing.T) {
+	perModule := 100
+	if testing.Short() {
+		perModule = 10
+	}
+	vocab := passes.Names()
+	for _, tc := range []struct {
+		bench string
+		plat  Platform
+	}{{"525.x264_r", X86()}, {"consumer_jpeg", ARM()}} {
+		finalOnly, err := NewEvaluator(ByName(tc.bench), tc.plat, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		finalOnly.SnapshotEvery = -1
+		pristine, err := NewEvaluator(ByName(tc.bench), tc.plat, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pristine.CacheCap = -1
+
+		rng := rand.New(rand.NewSource(20260930))
+		failed := 0
+		for _, name := range finalOnly.Modules() {
+			for i := 0; i < perModule; i++ {
+				seq := make([]string, 8+rng.Intn(113))
+				for j := range seq {
+					seq[j] = vocab[rng.Intn(len(vocab))]
+				}
+				m1, s1, err1 := finalOnly.CompileModule(name, seq)
+				m2, s2, err2 := pristine.CompileModule(name, seq)
+				if (err1 == nil) != (err2 == nil) || (err1 != nil && err1.Error() != err2.Error()) {
+					t.Fatalf("%s/%s: errors differ\nfinal-only: %v\npristine:   %v\nseq=%v", tc.bench, name, err1, err2, seq)
+				}
+				if err1 != nil {
+					failed++
+					continue
+				}
+				m1.Renumber()
+				m2.Renumber()
+				if p1, p2 := m1.String(), m2.String(); p1 != p2 {
+					t.Fatalf("%s/%s: modules differ\nseq=%v\n--- final-only ---\n%s\n--- pristine ---\n%s", tc.bench, name, seq, p1, p2)
+				}
+				if j1, j2 := s1.JSON(), s2.JSON(); j1 != j2 {
+					t.Fatalf("%s/%s: stats differ\nseq=%v\nfinal-only=%s\npristine=%s", tc.bench, name, seq, j1, j2)
+				}
+			}
+		}
+		t.Logf("%s: %d of %d sequences failed to compile, identically", tc.bench, failed, perModule*len(finalOnly.Modules()))
 	}
 }

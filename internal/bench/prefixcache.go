@@ -70,31 +70,20 @@ type snapEntry struct {
 // modRef is the per-module byte accounting record behind snapBytes: entries
 // that share one module instance (fingerprint dedup, stride sharing) share
 // one record, so the budget charges each retained module exactly once. bytes
-// is computed once at first retain; warmOwned marks modules held only by
-// uncounted warm-compile entries (mirrored in warmBytes) and converts to
-// counted ownership the first time a counted build retains the module.
+// is computed once at first retain.
 type modRef struct {
-	bytes     int64
-	refs      int
-	warmOwned bool
+	bytes int64
+	refs  int
 }
 
 // retainSnapModLocked charges m against the snapshot budget (first retain
 // only) and bumps its refcount. Caller holds ev.mu.
-func (ev *Evaluator) retainSnapModLocked(m *ir.Module, warm bool) {
+func (ev *Evaluator) retainSnapModLocked(m *ir.Module) {
 	r := ev.modBytes[m]
 	if r == nil {
-		r = &modRef{bytes: m.ApproxBytes(), warmOwned: warm}
+		r = &modRef{bytes: m.ApproxBytes()}
 		ev.modBytes[m] = r
 		ev.snapBytes += r.bytes
-		if warm {
-			ev.warmBytes += r.bytes
-		}
-	} else if r.warmOwned && !warm {
-		// A counted build now shares this module: it is real search-work
-		// memory, not warm-only, so stop subtracting it from aggregation.
-		r.warmOwned = false
-		ev.warmBytes -= r.bytes
 	}
 	r.refs++
 }
@@ -111,9 +100,6 @@ func (ev *Evaluator) releaseSnapModLocked(m *ir.Module) {
 		return
 	}
 	ev.snapBytes -= r.bytes
-	if r.warmOwned {
-		ev.warmBytes -= r.bytes
-	}
 	delete(ev.modBytes, m)
 }
 
@@ -150,7 +136,7 @@ func prefixHashes(names []string) []uint64 {
 	return out
 }
 
-// snapshotDepths reports whether a snapshot is retained after depth passes of
+// snapshotAt reports whether a snapshot is retained after depth passes of
 // an L-pass sequence under the given stride.
 func snapshotAt(depth, total, stride int) bool {
 	if depth == total {
@@ -209,7 +195,6 @@ func (ev *Evaluator) runSuffix(c *ir.Module, plist []*passes.Pass, st passes.Sta
 	if ev.prof != nil {
 		mgr.Obs = ev.prof
 	}
-	defer mgr.Release(c)
 	stride := ev.SnapshotEvery
 	if stride == 0 {
 		stride = DefaultSnapshotEvery
@@ -278,18 +263,15 @@ func (ev *Evaluator) deepestPrefixLocked(ds int, module string, hashes []uint64,
 }
 
 // insertSnapLocked publishes a snapshot and evicts past the entry cap and
-// byte budget. warm marks snapshots created by uncounted warm compiles:
-// their bytes are additionally tracked in warmBytes (and released from it
-// on eviction) so aggregated distributed accounting can subtract them.
-// Caller holds ev.mu.
-func (ev *Evaluator) insertSnapLocked(key snapKey, ps pendingSnap, warm bool) {
+// byte budget. Caller holds ev.mu.
+func (ev *Evaluator) insertSnapLocked(key snapKey, ps pendingSnap) {
 	if _, ok := ev.snaps[key]; ok {
 		return // a concurrent build of an overlapping sequence won the race
 	}
 	se := &snapEntry{key: key, mod: ps.mod, stats: ps.stats, fp: ps.fp, fpOK: ps.fpOK, verified: ps.verified}
 	se.elem = ev.lru.PushFront(se)
 	ev.snaps[key] = se.elem
-	ev.retainSnapModLocked(se.mod, warm)
+	ev.retainSnapModLocked(se.mod)
 	capacity := ev.CacheCap
 	if capacity == 0 {
 		capacity = DefaultCacheCap
@@ -324,11 +306,9 @@ func (ev *Evaluator) compiledFor(ctx context.Context, ds int, name string, seq [
 // compiledForMode is compiledFor with the work accounting made optional.
 // counted=false is the warm-compile mode: the build runs (or hits) exactly
 // as usual and publishes the same snapshots, but bumps no hit/miss/
-// compilation/prefix counters, and the bytes its snapshots retain are
-// tracked separately in warmBytes so distributed counter aggregation can
-// subtract them (the same entries are counted where the candidate compile
-// really ran). Snapshot bytes themselves always accrue — they are real
-// memory either way.
+// compilation/prefix/cow counters (the same work is counted where the
+// candidate compile really ran). Snapshot bytes always accrue — they are
+// real memory either way.
 func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, seq []string, counted bool) (*ir.Module, passes.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -514,7 +494,7 @@ func (ev *Evaluator) leadCompile(fl *flight, flKey seqKey, fullKey snapKey, pris
 				ev.cowMaterialized++
 			}
 		}
-		ev.insertSnapLocked(snapKey{dataset: fullKey.dataset, module: fullKey.module, hash: hashes[ps.depth], depth: ps.depth}, ps, !counted)
+		ev.insertSnapLocked(snapKey{dataset: fullKey.dataset, module: fullKey.module, hash: hashes[ps.depth], depth: ps.depth}, ps)
 		if ps.depth == len(plist) {
 			final = ps.mod
 		}
@@ -538,8 +518,8 @@ func (ev *Evaluator) leadCompile(fl *flight, flKey seqKey, fullKey snapKey, pris
 // CowCounters returns the copy-on-write clone accounting since the evaluator
 // was built (the baseline build does not count): clones handed out sharing
 // function bodies, and the subset that went on to materialize private
-// bodies. Both are deterministic functions of the evaluated workload, so
-// they are safe for canonical journal fields.
+// bodies. They follow the snapshots each build takes, so like the prefix
+// counters they depend on scheduling once snapshots are being evicted.
 func (ev *Evaluator) CowCounters() (shared, materialized int) {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 )
 
 // The journal must be deterministic modulo timing: the same seed with
@@ -99,13 +100,13 @@ func TestJournalFinalIncumbentMatchesResult(t *testing.T) {
 	if got := runEnd.Fields["measurements"]; got != res.Breakdown.Measures {
 		t.Fatalf("run-end measurements = %v, breakdown says %d", got, res.Breakdown.Measures)
 	}
-	// Summarize must agree with the raw events.
-	runs := obs.Summarize(events)
-	if len(runs) != 1 {
-		t.Fatalf("Summarize found %d runs, want 1", len(runs))
+	// The analyzer must agree with the raw events.
+	rep := analyze.Analyze(events)
+	if rep.Runs != 1 || !rep.Complete {
+		t.Fatalf("analyzer found %d runs (complete %v), want one complete run", rep.Runs, rep.Complete)
 	}
-	if got := runs[0].BestSpeedup(); got != res.BestSpeedup {
-		t.Fatalf("replayed best speedup = %v, want %v", got, res.BestSpeedup)
+	if rep.BestSpeedup != res.BestSpeedup {
+		t.Fatalf("replayed best speedup = %v, want %v", rep.BestSpeedup, res.BestSpeedup)
 	}
 }
 

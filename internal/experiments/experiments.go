@@ -36,7 +36,7 @@ type Config struct {
 	SeedGreedy bool
 	// Sink receives every tuning run's structured event journal (nil
 	// disables journaling; see internal/obs). Multi-run experiments append
-	// all runs to the same journal — obs.Summarize splits them back apart.
+	// all runs to the same journal.
 	Sink obs.Sink
 	// Metrics aggregates counters/histograms across every tuning run the
 	// experiment performs (nil = each tuner keeps a private registry).

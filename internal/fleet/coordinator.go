@@ -400,14 +400,10 @@ func (b *JobBinding) EnsureLocal(ctx context.Context, module string, seq []strin
 }
 
 // Task wraps the evaluator's core.Task so the tuner journals aggregated
-// fleet-wide counters: coordinator counters plus every accepted batch delta,
-// minus the bytes held by uncounted warm compiles.
+// fleet-wide counters: coordinator counters plus every accepted batch delta.
 func (b *JobBinding) Task() core.Task {
 	t := b.ev.Task().(*core.BenchTask)
-	t.CountersFn = func() obs.CounterSet {
-		warm := obs.CounterSet{{Name: "prefix_snapshot_bytes", Value: b.ev.WarmBytes()}}
-		return b.ev.Counters().Add(b.Delta()).Sub(warm)
-	}
+	t.CountersFn = func() obs.CounterSet { return b.ev.Counters().Add(b.Delta()) }
 	return t
 }
 

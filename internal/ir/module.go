@@ -31,9 +31,6 @@ type Function struct {
 	Attrs   FuncAttrs
 	IsDecl  bool // declaration only (external), no body
 	nextTmp int
-	// anal caches block-graph analyses (see analysis.go). Never cloned:
-	// function clones leave it nil so copies start with no stale state.
-	anal *FuncAnalyses
 	// shared is set (atomically) when the function body is referenced by
 	// more than one Module after a copy-on-write Module.Clone. Shared bodies
 	// are immutable: the block mutators panic on them, and MaterializeModule
@@ -51,14 +48,6 @@ func (f *Function) isShared() bool { return atomic.LoadUint32(&f.shared) == 1 }
 
 // markShared flags the body as COW-shared. Safe under concurrent clones.
 func (f *Function) markShared() { atomic.StoreUint32(&f.shared, 1) }
-
-// detachAnal drops the analysis cache with a skip-equal write, so calling it
-// on an already-detached (possibly shared) function is a pure read.
-func (f *Function) detachAnal() {
-	if f.anal != nil {
-		f.anal = nil
-	}
-}
 
 // Shared reports whether the function body is currently COW-shared (exported
 // for tests and accounting).
@@ -269,9 +258,8 @@ func (m *Module) Renumber() {
 // fingerprinting, verification, interpretation) work directly on shared
 // bodies.
 //
-// Clone renumbers m and detaches its analysis caches before sharing, with
-// skip-equal writes, so cloning an already-shared module concurrently from
-// several goroutines is safe.
+// Clone renumbers m before sharing, with skip-equal writes, so cloning an
+// already-shared module concurrently from several goroutines is safe.
 func (m *Module) Clone() *Module {
 	out := &Module{Name: m.Name, TargetVecWidth64: m.TargetVecWidth64}
 	if m.Meta != nil {
@@ -285,7 +273,6 @@ func (m *Module) Clone() *Module {
 	copy(out.Globals, m.Globals)
 	out.Funcs = make([]*Function, len(m.Funcs))
 	for i, f := range m.Funcs {
-		f.detachAnal()
 		f.markShared()
 		out.Funcs[i] = f
 	}

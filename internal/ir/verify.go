@@ -59,11 +59,7 @@ func verifyFunction(m *Module, f *Function) error {
 			defined[in] = true
 		}
 	}
-	// CFGOf (not BuildCFG) so that when the pass manager's analysis cache is
-	// attached, the graph built for verification is retained: verify-after-
-	// pass runs right after the cache was invalidated, so the build here is
-	// the one the next pass would otherwise repeat.
-	cfg := CFGOf(f)
+	cfg := BuildCFG(f)
 	reach := cfg.Reachable()
 	// Phi nodes must have exactly one incoming per CFG predecessor.
 	for _, b := range f.Blocks {
@@ -122,14 +118,7 @@ func verifyFunction(m *Module, f *Function) error {
 		}
 	}
 	// Dominance: every non-phi use must be dominated by its definition.
-	// Cached via DomTreeOf when a cache is attached (see cfg above); rebuilt
-	// from the local cfg otherwise, avoiding a second CFG construction.
-	var dt *DomTree
-	if f.anal != nil {
-		_, dt = DomTreeOf(f)
-	} else {
-		dt = BuildDomTree(cfg)
-	}
+	dt := BuildDomTree(cfg)
 	pos := make(map[*Instr]int)
 	for _, b := range f.Blocks {
 		for i, in := range b.Instrs {

@@ -59,7 +59,7 @@ var Phases = []Phase{PhaseCompile, PhaseMeasure, PhaseGPFit, PhaseAcq, PhasePlan
 // The only stateful rule is the acquisition/compile overlap: the tuner's
 // acq-max wall time covers the candidate compile fan-out, so compile wall
 // observed since the last acq-max is subtracted from the acquisition share
-// (clamped at zero), mirroring RunSummary.BreakdownShares.
+// (clamped at zero), the convention of Fig 5.12.
 type Attribution struct {
 	pendingCompileNS int64
 }
@@ -129,6 +129,16 @@ type ModuleReport struct {
 	Curve        []Step  `json:"curve,omitempty"`
 }
 
+// PassRow is one row of the per-pass profile a profiled run records in its
+// run-end event (the costliest passes, in the order the tuner ranked them).
+type PassRow struct {
+	Pass        string `json:"pass"`
+	Invocations int    `json:"invocations"`
+	Fired       int    `json:"fired"`
+	WallNS      int64  `json:"wall_ns"`
+	DeltaTotal  int    `json:"delta_total"`
+}
+
 // legacyStats maps the per-family counter events of journals written before
 // the single "stats" event to counter names (event type → field → name). Job
 // directories are durable, so a job resumed across that change has a journal
@@ -181,9 +191,11 @@ type Report struct {
 	// profiled value was reused without consuming budget.
 	ReusedMeasurements int `json:"reused_measurements"`
 
-	// Config/Final mirror the run-start / run-end fields of the last run.
-	Config map[string]any `json:"config,omitempty"`
-	Final  map[string]any `json:"final,omitempty"`
+	// Config/Final mirror the run-start / run-end fields of the last run;
+	// PassProfile is that run-end's pass_profile table, when it has one.
+	Config      map[string]any `json:"config,omitempty"`
+	Final       map[string]any `json:"final,omitempty"`
+	PassProfile []PassRow      `json:"pass_profile,omitempty"`
 }
 
 // PhaseSeconds returns one phase's elapsed share in seconds.
@@ -284,6 +296,7 @@ func (a *Analyzer) Feed(e *obs.Event) {
 	case "run-end":
 		r.Complete = true
 		r.Final = f
+		r.PassProfile = passProfile(f)
 	case "iteration":
 		r.Iterations++
 	case "compile":
@@ -333,6 +346,26 @@ func (a *Analyzer) Feed(e *obs.Event) {
 	default:
 		a.feedStats(e)
 	}
+}
+
+// passProfile decodes a run-end event's pass_profile rows.
+func passProfile(f map[string]any) []PassRow {
+	rows, _ := f["pass_profile"].([]any)
+	var out []PassRow
+	for _, r := range rows {
+		m, ok := r.(map[string]any)
+		if !ok {
+			continue
+		}
+		out = append(out, PassRow{
+			Pass:        fieldString(m, "pass"),
+			Invocations: int(fieldFloat(m, "invocations")),
+			Fired:       int(fieldFloat(m, "fired")),
+			WallNS:      int64(fieldFloat(m, "wall_ns")),
+			DeltaTotal:  int(fieldFloat(m, "delta_total")),
+		})
+	}
+	return out
 }
 
 // feedStats folds a stats event (or one of its legacy per-family

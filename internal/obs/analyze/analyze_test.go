@@ -1,6 +1,8 @@
 package analyze
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -288,6 +290,60 @@ func TestPhaseSinkMatchesReportCPU(t *testing.T) {
 		want := time.Duration(phaseByName(r, p).CPUNS).Seconds()
 		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("phase %s: gauge %v != report cpu %v", p, got, want)
+		}
+	}
+}
+
+// A replayed journal must give back the measurement curve without the reused
+// measurements, the incumbent steps, and the run-end pass profile — whether
+// the events come from memory or were decoded from JSON — and the report must
+// print the profile.
+func TestAnalyzeCurveIncumbentsAndPassProfile(t *testing.T) {
+	mem := &obs.MemorySink{}
+	r := obs.NewRecorder(mem)
+	span := r.RunStart(map[string]any{"budget": 3})
+	r.NewIncumbent(span, "", 0, 1.0)
+	r.Measure(span, "m", 1, 90, 1.1, 1.1, true, false, 0)
+	r.NewIncumbent(span, "m", 1, 1.1)
+	r.Measure(span, "m", 0, 90, 1.1, 1.1, true, true, 0) // reused: not on the curve
+	r.Measure(span, "m", 2, 95, 1.05, 1.1, true, false, 0)
+	r.RunEnd(span, map[string]any{
+		"best_speedup": 1.1,
+		"pass_profile": []any{map[string]any{
+			"pass": "gvn", "invocations": 4, "fired": 2, "wall_ns": int64(100), "delta_total": 9,
+		}},
+	})
+	var buf bytes.Buffer
+	sink := obs.NewJSONLSink(&buf)
+	for _, e := range mem.Events() {
+		sink.Emit(&e)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := obs.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, events := range map[string][]obs.Event{"memory": mem.Events(), "json": decoded} {
+		rep := Analyze(events)
+		if rep.Runs != 1 || !rep.Complete || rep.BestSpeedup != 1.1 || rep.ReusedMeasurements != 1 {
+			t.Fatalf("%s: report = %+v", name, rep)
+		}
+		if len(rep.Curve) != 2 || rep.Curve[0].Measurement != 1 || rep.Curve[1].Speedup != 1.05 {
+			t.Fatalf("%s: curve = %+v", name, rep.Curve)
+		}
+		if len(rep.Incumbents) != 2 {
+			t.Fatalf("%s: incumbents = %+v", name, rep.Incumbents)
+		}
+		want := PassRow{Pass: "gvn", Invocations: 4, Fired: 2, WallNS: 100, DeltaTotal: 9}
+		if len(rep.PassProfile) != 1 || rep.PassProfile[0] != want {
+			t.Fatalf("%s: pass profile = %+v", name, rep.PassProfile)
+		}
+		var text bytes.Buffer
+		WriteReport(&text, rep)
+		if !strings.Contains(text.String(), "per-pass profile:") || !strings.Contains(text.String(), "gvn") {
+			t.Fatalf("%s: report lacks the pass profile:\n%s", name, text.String())
 		}
 	}
 }

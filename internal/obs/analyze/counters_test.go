@@ -53,15 +53,6 @@ func TestCounterReachesEveryView(t *testing.T) {
 	report := Analyze(events)
 	var text bytes.Buffer
 	WriteReport(&text, report)
-	row := func(set obs.CounterSet, name string) (obs.CounterRow, bool) {
-		for _, c := range set {
-			if c.Name == name {
-				return c, true
-			}
-		}
-		return obs.CounterRow{}, false
-	}
-
 	views := []struct {
 		name      string
 		canonical func() (int64, bool)
@@ -112,6 +103,15 @@ func TestCounterReachesEveryView(t *testing.T) {
 	}
 }
 
+func row(set obs.CounterSet, name string) (obs.CounterRow, bool) {
+	for _, c := range set {
+		if c.Name == name {
+			return c, true
+		}
+	}
+	return obs.CounterRow{}, false
+}
+
 func legacyJournal(t *testing.T) []obs.Event {
 	t.Helper()
 	events, err := obs.ReadJournalFile("testdata/legacy_stats.jsonl")
@@ -140,18 +140,35 @@ func rerunLegacyJob(t *testing.T) []obs.Event {
 }
 
 // Journals written before the single stats event must analyze to the same
-// counters the same job produces today, and render the same report block.
+// counters the same job produces today, and render the same report block. The
+// legacy journal has the prefix_* and cow_* rows as canonical fields; today
+// they are Env rows (and the bytes follow the IR struct layout), so only rows
+// that are canonical on both sides must be equal.
 func TestLegacyJournalMatchesRerun(t *testing.T) {
 	old := Analyze(legacyJournal(t))
 	now := Analyze(rerunLegacyJob(t))
-	legacy := old.Counters.Canonical()
-	if len(legacy) != 16 { // 2 cache + 4 prefix + 2 cow + 6 bc + 2 gp
-		t.Fatalf("legacy journal yields %d canonical counters, want 16: %+v", len(legacy), legacy)
+	if n := len(old.Counters.Canonical()); n != 16 { // 2 cache + 4 prefix + 2 cow + 6 bc + 2 gp
+		t.Fatalf("legacy journal yields %d canonical counters, want 16: %+v", n, old.Counters.Canonical())
+	}
+	var legacy obs.CounterSet
+	for _, c := range old.Counters.Canonical() {
+		if nc, ok := row(now.Counters, c.Name); !ok {
+			t.Errorf("rerun lost the %s row", c.Name)
+		} else if !nc.Env {
+			legacy = append(legacy, c)
+		}
+	}
+	if len(legacy) != 10 {
+		t.Fatalf("%d rows canonical in both journals, want 10: %+v", len(legacy), legacy)
 	}
 	for _, c := range legacy {
 		if got := now.Counters.Get(c.Name); got != c.Value {
 			t.Errorf("%s: legacy journal %d, rerun %d", c.Name, c.Value, got)
 		}
+	}
+	if saved := "prefix_saved_passes"; now.Counters.Get(saved) != old.Counters.Get(saved) {
+		// No snapshot is evicted in this 8-measurement run, so the count repeats.
+		t.Errorf("%s: legacy journal %d, rerun %d", saved, old.Counters.Get(saved), now.Counters.Get(saved))
 	}
 	if old.Counters.Get("ir_clone_cow") == 0 {
 		t.Error("legacy env_ fields were dropped")
@@ -188,6 +205,33 @@ func TestMixedLegacyAndNewJournal(t *testing.T) {
 	for _, c := range want {
 		if got.Get(c.Name) != c.Value {
 			t.Errorf("%s = %d in the mixed journal, want %d", c.Name, got.Get(c.Name), c.Value)
+		}
+	}
+}
+
+// A journal written before the prefix_*/cow_* rows became Env rows carries
+// them as plain stats fields: the report must show them, as the kind the
+// journal gave them, and a job resumed across the change ends at the new kind.
+func TestStatsRowsKeepTheirJournaledKind(t *testing.T) {
+	before := obs.Event{Seq: 1, Type: "stats", Fields: map[string]any{"cache_hits": 3.0, "prefix_saved_passes": 40.0, "prefix_replayed_passes": 60.0}}
+	after := obs.Event{Seq: 2, Type: "stats", Fields: map[string]any{"cache_hits": 4.0, "env_prefix_saved_passes": 45.0, "env_prefix_replayed_passes": 75.0}}
+	for _, tc := range []struct {
+		name   string
+		events []obs.Event
+		saved  obs.CounterRow
+		rate   string
+	}{
+		{"before", []obs.Event{before}, obs.CounterRow{Name: "prefix_saved_passes", Value: 40}, "40.0%"},
+		{"resumed", []obs.Event{before, after}, obs.CounterRow{Name: "prefix_saved_passes", Value: 45, Env: true}, "37.5%"},
+	} {
+		rep := Analyze(tc.events)
+		if got, _ := row(rep.Counters, "prefix_saved_passes"); got != tc.saved {
+			t.Errorf("%s: row = %+v, want %+v", tc.name, got, tc.saved)
+		}
+		var text bytes.Buffer
+		WriteReport(&text, rep)
+		if !strings.Contains(text.String(), "prefix hit rate") || !strings.Contains(text.String(), tc.rate) {
+			t.Errorf("%s: report lacks a %s prefix hit rate:\n%s", tc.name, tc.rate, text.String())
 		}
 	}
 }

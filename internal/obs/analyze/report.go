@@ -9,7 +9,7 @@ import (
 	"repro/internal/obs"
 )
 
-// WriteReport renders the full phase/cache/convergence report as the
+// WriteReport renders the phase/cache/module/pass-profile report as the
 // human-readable `citroenstat report` output.
 func WriteReport(w io.Writer, r *Report) {
 	status := "complete"
@@ -61,6 +61,15 @@ func WriteReport(w io.Writer, r *Report) {
 			fmt.Fprintf(w, "  %-16s %9d %12v %8d %10s\n",
 				name, m.Compiles, time.Duration(m.CompileNS).Round(time.Microsecond),
 				m.Measurements, best)
+		}
+	}
+
+	if len(r.PassProfile) > 0 {
+		fmt.Fprintln(w, "\nper-pass profile:")
+		fmt.Fprintf(w, "  %-28s %7s %7s %12s %10s\n", "pass", "invoc", "fired", "wall", "delta")
+		for _, p := range r.PassProfile {
+			fmt.Fprintf(w, "  %-28s %7d %7d %12v %10d\n", p.Pass, p.Invocations, p.Fired,
+				time.Duration(p.WallNS).Round(time.Microsecond), p.DeltaTotal)
 		}
 	}
 }

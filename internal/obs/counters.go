@@ -9,10 +9,15 @@ import "strings"
 type CounterRow struct {
 	Name  string `json:"name"`
 	Value int64  `json:"value"`
-	// Env marks a process-global, scheduling-dependent observation (pool hit
-	// rates, slab-clone totals). Env rows are journaled as "env_<Name>" so
-	// Canonicalize strips them, and they never enter a batch delta.
+	// Env marks a scheduling-dependent observation: pool hit rates and
+	// slab-clone totals, and the snapshot and COW accounting, which depends
+	// on which worker touched the LRU first once snapshots are being evicted.
+	// Env rows are journaled as "env_<Name>" so Canonicalize strips them.
 	Env bool `json:"env,omitempty"`
+	// Global marks an Env row that observes process-wide state rather than
+	// its owner's work: it never enters a batch delta and is published as a
+	// gauge. Batch deltas carry no Global rows, so it is not on the wire.
+	Global bool `json:"-"`
 	// Series is the /metrics series Metrics.Publish mirrors the row into;
 	// empty for rows that have none. It is not part of the wire form.
 	Series string `json:"-"`
@@ -56,9 +61,19 @@ next:
 // Canonical returns the rows that are deterministic functions of the
 // evaluated workload (everything but the Env rows).
 func (s CounterSet) Canonical() CounterSet {
+	return s.filter(func(c CounterRow) bool { return !c.Env })
+}
+
+// Owned returns the rows that count the owner's own work (everything but the
+// Global rows): what a batch delta carries and a fleet report sums.
+func (s CounterSet) Owned() CounterSet {
+	return s.filter(func(c CounterRow) bool { return !c.Global })
+}
+
+func (s CounterSet) filter(keep func(CounterRow) bool) CounterSet {
 	out := make(CounterSet, 0, len(s))
 	for _, c := range s {
-		if !c.Env {
+		if keep(c) {
 			out = append(out, c)
 		}
 	}
@@ -77,16 +92,16 @@ func (s CounterSet) PutFields(f map[string]any) {
 	}
 }
 
-// Publish mirrors the rows of set that name a Series into the registry. A
-// canonical row whose series ends in "_total" is a Prometheus counter: it
+// Publish mirrors the rows of set that name a Series into the registry. An
+// owned row whose series ends in "_total" is a Prometheus counter: it
 // advances by the row's change since prev, the set the same owner published
 // last, so owners sharing a registry accumulate. Every other row is a gauge
-// set to the current value (Env rows are process-global already).
+// set to the current value (Global rows are process-wide already).
 func (m *Metrics) Publish(set, prev CounterSet) {
 	for _, c := range set {
 		switch {
 		case c.Series == "":
-		case !c.Env && strings.HasSuffix(c.Series, "_total"):
+		case !c.Global && strings.HasSuffix(c.Series, "_total"):
 			m.Counter(c.Series).Add(c.Value - prev.Get(c.Name))
 		default:
 			m.Gauge(c.Series).Set(float64(c.Value))

@@ -129,7 +129,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	m := events[1]
 	if m.Type != "measure" || fieldFloat(m.Fields, "speedup") != 1.25 ||
-		fieldString(m.Fields, "module") != "mod" || !fieldBool(m.Fields, "ok") {
+		m.Fields["module"] != "mod" || !fieldBool(m.Fields, "ok") {
 		t.Fatalf("measure mangled: %+v", m)
 	}
 	if events[2].Type != "run-end" || fieldFloat(events[2].Fields, "best_speedup") != 1.25 {
@@ -277,60 +277,6 @@ func TestServeMetricsAndPprof(t *testing.T) {
 	}
 	if body := get("/debug/pprof/cmdline"); body == "" {
 		t.Fatal("/debug/pprof/cmdline empty")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	mem := &MemorySink{}
-	r := NewRecorder(mem)
-	for run := 0; run < 2; run++ {
-		span := r.RunStart(map[string]any{"budget": 3})
-		r.NewIncumbent(span, "", 0, 1.0)
-		r.Measure(span, "m", 1, 90, 1.1, 1.1, true, false, 0)
-		r.NewIncumbent(span, "m", 1, 1.1)
-		r.Measure(span, "m", 0, 90, 1.1, 1.1, true, true, 0) // reused: not on curve
-		r.Measure(span, "m", 2, 95, 1.05, 1.1, true, false, 0)
-		r.RunEnd(span, map[string]any{
-			"best_speedup": 1.1,
-			"pass_profile": []any{map[string]any{
-				"pass": "gvn", "invocations": 4, "fired": 2, "wall_ns": int64(100), "delta_total": 9,
-			}},
-		})
-	}
-	runs := Summarize(mem.Events())
-	if len(runs) != 2 {
-		t.Fatalf("got %d runs, want 2", len(runs))
-	}
-	for i := range runs {
-		s := &runs[i]
-		if got := s.BestSpeedup(); got != 1.1 {
-			t.Fatalf("run %d best = %v", i, got)
-		}
-		if len(s.Curve) != 2 || s.Curve[0].Measurement != 1 || s.Curve[1].Speedup != 1.05 {
-			t.Fatalf("run %d curve = %+v", i, s.Curve)
-		}
-		if len(s.Incumbents) != 2 {
-			t.Fatalf("run %d incumbents = %+v", i, s.Incumbents)
-		}
-		if len(s.PassProfile) != 1 || s.PassProfile[0].Pass != "gvn" || s.PassProfile[0].DeltaTotal != 9 {
-			t.Fatalf("run %d pass profile = %+v", i, s.PassProfile)
-		}
-	}
-}
-
-func TestBreakdownShares(t *testing.T) {
-	s := RunSummary{Final: map[string]any{"breakdown": map[string]any{
-		"gp_fit_ns": float64(10), "acq_max_ns": float64(50),
-		"compile_ns": float64(30), "measure_ns": float64(40),
-	}}}
-	shares := s.BreakdownShares()
-	// acquisition = acq - compile = 20; total = 10+20+30+40 = 100.
-	want := map[string]float64{"gp-fit": 0.1, "acquisition": 0.2, "compile": 0.3, "measure": 0.4}
-	if !reflect.DeepEqual(shares, want) {
-		t.Fatalf("shares = %v, want %v", shares, want)
-	}
-	if (&RunSummary{}).BreakdownShares() != nil {
-		t.Fatal("missing run-end must yield nil shares")
 	}
 }
 

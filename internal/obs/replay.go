@@ -32,11 +32,6 @@ func fieldBool(f map[string]any, key string) bool {
 	return b
 }
 
-func fieldString(f map[string]any, key string) string {
-	s, _ := f[key].(string)
-	return s
-}
-
 // ReadJournal parses a JSONL event stream, failing with the 1-based line
 // number of the first malformed line. Blank lines are rejected: a valid
 // journal is exactly one JSON object per line.
@@ -115,129 +110,4 @@ func ReadJournalFileLenient(path string) ([]Event, error) {
 	}
 	defer f.Close()
 	return ReadJournalLenient(f)
-}
-
-// CurvePoint is one point of the best-speedup-vs-measurement curve.
-type CurvePoint struct {
-	Measurement int
-	Speedup     float64 // this measurement's speedup
-	Best        float64 // best speedup so far
-	Module      string
-}
-
-// PassRow is one row of a replayed per-pass profile.
-type PassRow struct {
-	Pass        string
-	Invocations int
-	Fired       int
-	WallNS      int64
-	DeltaTotal  int
-}
-
-// RunSummary is everything a journal says about one tuning run.
-type RunSummary struct {
-	Config      map[string]any // run-start fields
-	Final       map[string]any // run-end fields (nil if the run was cut short)
-	Events      int
-	Curve       []CurvePoint // successful budget-consuming measurements
-	Incumbents  []CurvePoint // new-incumbent steps
-	PassProfile []PassRow    // from the run-end event, journal order
-}
-
-// BestSpeedup returns the run's final best speedup: the last new-incumbent
-// event (1.0 if none — the -O3 baseline).
-func (s *RunSummary) BestSpeedup() float64 {
-	if n := len(s.Incumbents); n > 0 {
-		return s.Incumbents[n-1].Best
-	}
-	return 1.0
-}
-
-// BreakdownShares returns the Fig 5.12-style runtime breakdown recorded in
-// the run-end event as fractions of the accounted total (gp-fit, acq-max
-// minus compile, compile, measure).
-func (s *RunSummary) BreakdownShares() map[string]float64 {
-	if s.Final == nil {
-		return nil
-	}
-	bd, _ := s.Final["breakdown"].(map[string]any)
-	if bd == nil {
-		return nil
-	}
-	gp := fieldFloat(bd, "gp_fit_ns")
-	acq := fieldFloat(bd, "acq_max_ns")
-	comp := fieldFloat(bd, "compile_ns")
-	meas := fieldFloat(bd, "measure_ns")
-	// Compile time is nested inside the acquisition phase; report the
-	// non-compile remainder as "acquisition" like Fig 5.12 does.
-	acqOnly := acq - comp
-	if acqOnly < 0 {
-		acqOnly = 0
-	}
-	total := gp + acqOnly + comp + meas
-	if total <= 0 {
-		return nil
-	}
-	return map[string]float64{
-		"gp-fit":      gp / total,
-		"acquisition": acqOnly / total,
-		"compile":     comp / total,
-		"measure":     meas / total,
-	}
-}
-
-// Summarize replays a journal into per-run summaries (a journal may contain
-// several runs, e.g. one per repeat of an experiment sweep).
-func Summarize(events []Event) []RunSummary {
-	var runs []RunSummary
-	cur := func() *RunSummary {
-		if len(runs) == 0 {
-			runs = append(runs, RunSummary{})
-		}
-		return &runs[len(runs)-1]
-	}
-	for _, e := range events {
-		if e.Type == "run-start" {
-			runs = append(runs, RunSummary{Config: e.Fields})
-		}
-		s := cur()
-		s.Events++
-		switch e.Type {
-		case "measure":
-			if fieldBool(e.Fields, "ok") && !fieldBool(e.Fields, "reused") {
-				s.Curve = append(s.Curve, CurvePoint{
-					Measurement: fieldInt(e.Fields, "measurement"),
-					Speedup:     fieldFloat(e.Fields, "speedup"),
-					Best:        fieldFloat(e.Fields, "best"),
-					Module:      fieldString(e.Fields, "module"),
-				})
-			}
-		case "new-incumbent":
-			sp := fieldFloat(e.Fields, "speedup")
-			s.Incumbents = append(s.Incumbents, CurvePoint{
-				Measurement: fieldInt(e.Fields, "measurement"),
-				Speedup:     sp,
-				Best:        sp,
-				Module:      fieldString(e.Fields, "module"),
-			})
-		case "run-end":
-			s.Final = e.Fields
-			if rows, ok := e.Fields["pass_profile"].([]any); ok {
-				for _, r := range rows {
-					m, ok := r.(map[string]any)
-					if !ok {
-						continue
-					}
-					s.PassProfile = append(s.PassProfile, PassRow{
-						Pass:        fieldString(m, "pass"),
-						Invocations: fieldInt(m, "invocations"),
-						Fired:       fieldInt(m, "fired"),
-						WallNS:      int64(fieldFloat(m, "wall_ns")),
-						DeltaTotal:  fieldInt(m, "delta_total"),
-					})
-				}
-			}
-		}
-	}
-	return runs
 }

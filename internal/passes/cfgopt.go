@@ -5,7 +5,7 @@ import (
 )
 
 func init() {
-	register("simplifycfg", "CFG cleanup: dead blocks, merges, if-conversion", PreserveNone,
+	register("simplifycfg", "CFG cleanup: dead blocks, merges, if-conversion",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				n, sel := simplifyCFG(m, f)
@@ -14,49 +14,49 @@ func init() {
 			})
 		})
 
-	register("jump-threading", "thread branches over blocks with known outcome", PreserveNone,
+	register("jump-threading", "thread branches over blocks with known outcome",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("jump-threading.NumThreads", threadJumps(f))
 			})
 		})
 
-	register("correlated-propagation", "propagate branch-implied facts", PreserveCFG,
+	register("correlated-propagation", "propagate branch-implied facts",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("correlated-propagation.NumPropagated", propagateBranchFacts(f, false))
 			})
 		})
 
-	register("constraint-elimination", "remove comparisons implied by dominating branches", PreserveCFG,
+	register("constraint-elimination", "remove comparisons implied by dominating branches",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("constraint-elimination.NumCondsRemoved", propagateBranchFacts(f, true))
 			})
 		})
 
-	register("lower-switch", "lower switch terminators to branch chains", PreserveNone,
+	register("lower-switch", "lower switch terminators to branch chains",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("lower-switch.NumLowered", lowerSwitches(f))
 			})
 		})
 
-	register("flattencfg", "merge nested conditions into logical ops", PreserveNone,
+	register("flattencfg", "merge nested conditions into logical ops",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("flattencfg.NumFlattened", flattenCFG(f))
 			})
 		})
 
-	register("break-crit-edges", "split critical edges", PreserveNone,
+	register("break-crit-edges", "split critical edges",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("break-crit-edges.NumBroken", breakCriticalEdges(f))
 			})
 		})
 
-	register("mergereturn", "unify multiple returns into one exit block", PreserveNone,
+	register("mergereturn", "unify multiple returns into one exit block",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("mergereturn.NumMerged", mergeReturns(f))

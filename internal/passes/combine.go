@@ -205,7 +205,7 @@ func widenExtChain(f *ir.Function, b *ir.Block, idx int) bool {
 }
 
 func init() {
-	register("instcombine", "canonicalising peephole combiner", PreserveCFG,
+	register("instcombine", "canonicalising peephole combiner",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				n := runCombine(m, f, combineConfig{
@@ -216,7 +216,7 @@ func init() {
 			})
 		})
 
-	register("aggressive-instcombine", "expensive combine patterns", PreserveCFG,
+	register("aggressive-instcombine", "expensive combine patterns",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				n := runCombine(m, f, combineConfig{
@@ -228,7 +228,7 @@ func init() {
 			})
 		})
 
-	register("instsimplify", "fold to existing values only", PreserveCFG,
+	register("instsimplify", "fold to existing values only",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("instsimplify.NumSimplified", runInstSimplify(f))

@@ -177,7 +177,7 @@ func sortBlocks(bs []*ir.Block, order map[*ir.Block]int) {
 }
 
 func init() {
-	register("early-cse", "block-local common subexpression elimination", PreserveCFG,
+	register("early-cse", "block-local common subexpression elimination",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				ni, nl := runCSE(m, f, cseConfig{loads: true})
@@ -186,7 +186,7 @@ func init() {
 			})
 		})
 
-	register("early-cse-memssa", "dominator-scoped CSE with memory SSA", PreserveCFG,
+	register("early-cse-memssa", "dominator-scoped CSE with memory SSA",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				ni, nl := runCSE(m, f, cseConfig{global: true, loads: true})
@@ -195,7 +195,7 @@ func init() {
 			})
 		})
 
-	register("gvn", "global value numbering with load and call elimination", PreserveCFG,
+	register("gvn", "global value numbering with load and call elimination",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				ni, nl := runCSE(m, f, cseConfig{global: true, loads: true, calls: true})
@@ -204,7 +204,7 @@ func init() {
 			})
 		})
 
-	register("newgvn", "GVN that also value-numbers phi nodes", PreserveCFG,
+	register("newgvn", "GVN that also value-numbers phi nodes",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				ni, nl := runCSE(m, f, cseConfig{global: true, loads: true, calls: true, phiValues: true})
@@ -213,21 +213,21 @@ func init() {
 			})
 		})
 
-	register("gvn-hoist", "hoist identical computations from sibling blocks", PreserveCFG,
+	register("gvn-hoist", "hoist identical computations from sibling blocks",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("gvn-hoist.NumHoisted", hoistCommon(m, f, false))
 			})
 		})
 
-	register("gvn-sink", "sink identical computations into the common successor", PreserveCFG,
+	register("gvn-sink", "sink identical computations into the common successor",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("gvn-sink.NumSunk", sinkCommon(m, f))
 			})
 		})
 
-	register("mldst-motion", "merged load/store motion across diamonds", PreserveCFG,
+	register("mldst-motion", "merged load/store motion across diamonds",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("mldst-motion.NumHoisted", hoistCommon(m, f, true))
@@ -240,7 +240,7 @@ func init() {
 // rewrite to loads (mldst-motion); otherwise pure ops are hoisted (gvn-hoist).
 func hoistCommon(m *ir.Module, f *ir.Function, loadsOnly bool) int {
 	n := 0
-	cfg := cfgOf(f)
+	cfg := ir.BuildCFG(f)
 	for _, b := range f.Blocks {
 		t := b.Term()
 		if t == nil || t.Op != ir.OpBr {
@@ -281,7 +281,7 @@ func hoistCommon(m *ir.Module, f *ir.Function, loadsOnly bool) int {
 // predecessors into their common single successor.
 func sinkCommon(m *ir.Module, f *ir.Function) int {
 	n := 0
-	cfg := cfgOf(f)
+	cfg := ir.BuildCFG(f)
 	for _, b := range f.Blocks {
 		preds := cfg.Preds[b]
 		if len(preds) != 2 || len(b.Phis()) > 0 {

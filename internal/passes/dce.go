@@ -5,7 +5,7 @@ import (
 )
 
 func init() {
-	register("dce", "iterative dead code elimination", PreserveCFG,
+	register("dce", "iterative dead code elimination",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				n := removeDeadInstrs(m, f, true)
@@ -14,21 +14,21 @@ func init() {
 			})
 		})
 
-	register("die", "single-pass dead instruction elimination", PreserveCFG,
+	register("die", "single-pass dead instruction elimination",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("die.NumRemoved", removeDeadInstrs(m, f, false))
 			})
 		})
 
-	register("adce", "aggressive liveness-based dead code elimination", PreserveCFG,
+	register("adce", "aggressive liveness-based dead code elimination",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("adce.NumRemoved", aggressiveDCE(m, f))
 			})
 		})
 
-	register("bdce", "bit-tracking dead code elimination", PreserveCFG,
+	register("bdce", "bit-tracking dead code elimination",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				n := foldDeadBits(f)
@@ -37,7 +37,7 @@ func init() {
 			})
 		})
 
-	register("dse", "dead store elimination", PreserveCFG,
+	register("dse", "dead store elimination",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				n := deadStoreElim(m, f)

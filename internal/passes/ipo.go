@@ -9,27 +9,27 @@ import (
 )
 
 func init() {
-	register("inline", "inline small functions into their callers", PreserveNone,
+	register("inline", "inline small functions into their callers",
 		func(m *ir.Module, st Stats) {
 			st.Add("inline.NumInlined", inlineCalls(m, 45, false))
 		})
 
-	register("always-inline", "inline functions marked always_inline", PreserveNone,
+	register("always-inline", "inline functions marked always_inline",
 		func(m *ir.Module, st Stats) {
 			st.Add("always-inline.NumInlined", inlineCalls(m, 1<<30, true))
 		})
 
-	register("function-attrs", "infer readnone/readonly function attributes", PreserveCFG,
+	register("function-attrs", "infer readnone/readonly function attributes",
 		func(m *ir.Module, st Stats) {
 			st.Add("function-attrs.NumReadNone", inferFunctionAttrs(m, 1))
 		})
 
-	register("rpo-function-attrs", "function attribute inference over the call graph", PreserveCFG,
+	register("rpo-function-attrs", "function attribute inference over the call graph",
 		func(m *ir.Module, st Stats) {
 			st.Add("rpo-function-attrs.NumReadNone", inferFunctionAttrs(m, 4))
 		})
 
-	register("inferattrs", "mark runtime builtins with known attributes", PreserveAll,
+	register("inferattrs", "mark runtime builtins with known attributes",
 		func(m *ir.Module, st Stats) {
 			if !m.HasMeta("builtins-pure") {
 				m.SetMeta("builtins-pure")
@@ -37,41 +37,41 @@ func init() {
 			}
 		})
 
-	register("globalopt", "constant-fold loads from never-written globals", PreserveCFG,
+	register("globalopt", "constant-fold loads from never-written globals",
 		func(m *ir.Module, st Stats) {
 			c, l := globalOpt(m)
 			st.Add("globalopt.NumMarkedConst", c)
 			st.Add("globalopt.NumLoadsFolded", l)
 		})
 
-	register("globaldce", "remove unreferenced internal functions and globals", PreserveCFG,
+	register("globaldce", "remove unreferenced internal functions and globals",
 		func(m *ir.Module, st Stats) {
 			f, g := globalDCE(m)
 			st.Add("globaldce.NumFunctions", f)
 			st.Add("globaldce.NumVariables", g)
 		})
 
-	register("deadargelim", "remove unused arguments of internal functions", PreserveCFG,
+	register("deadargelim", "remove unused arguments of internal functions",
 		func(m *ir.Module, st Stats) {
 			st.Add("deadargelim.NumArgumentsEliminated", deadArgElim(m))
 		})
 
-	register("argpromotion", "pass loaded values instead of pointers", PreserveCFG,
+	register("argpromotion", "pass loaded values instead of pointers",
 		func(m *ir.Module, st Stats) {
 			st.Add("argpromotion.NumArgumentsPromoted", promoteArguments(m))
 		})
 
-	register("constmerge", "merge identical constant globals", PreserveCFG,
+	register("constmerge", "merge identical constant globals",
 		func(m *ir.Module, st Stats) {
 			st.Add("constmerge.NumMerged", mergeConstGlobals(m))
 		})
 
-	register("strip-dead-prototypes", "drop unused external declarations", PreserveCFG,
+	register("strip-dead-prototypes", "drop unused external declarations",
 		func(m *ir.Module, st Stats) {
 			st.Add("strip-dead-prototypes.NumDeadPrototypes", stripDeadPrototypes(m))
 		})
 
-	register("mergefunc", "deduplicate structurally identical functions", PreserveNone,
+	register("mergefunc", "deduplicate structurally identical functions",
 		func(m *ir.Module, st Stats) {
 			st.Add("mergefunc.NumMerged", mergeFunctions(m))
 		})

@@ -4,51 +4,40 @@ import (
 	"repro/internal/ir"
 )
 
-// loopsOf returns CFG, dominators and loop info for f, served from the
-// function's analysis cache when the pass manager has attached one.
+// loopsOf computes the CFG, dominator tree and loop info of f as it is now.
 func loopsOf(f *ir.Function) (*ir.CFG, *ir.DomTree, *ir.LoopInfo) {
-	return ir.LoopsOf(f)
+	cfg, dt := domOf(f)
+	return cfg, dt, ir.FindLoops(cfg, dt)
 }
 
-// loopsOfFresh drops any cached analyses and recomputes. CFG-restructuring
-// fixpoint passes call this at the top of each iteration: their previous
-// iteration may have mutated the block graph, so the cache (valid at pass
-// entry) must not be trusted mid-pass.
-func loopsOfFresh(f *ir.Function) (*ir.CFG, *ir.DomTree, *ir.LoopInfo) {
-	ir.InvalidateAnalyses(f)
-	return ir.LoopsOf(f)
+func domOf(f *ir.Function) (*ir.CFG, *ir.DomTree) {
+	cfg := ir.BuildCFG(f)
+	return cfg, ir.BuildDomTree(cfg)
 }
-
-// cfgOf and domOf are the cached counterparts of ir.BuildCFG/BuildDomTree
-// for passes that read the block graph without restructuring it.
-func cfgOf(f *ir.Function) *ir.CFG { return ir.CFGOf(f) }
-
-func domOf(f *ir.Function) (*ir.CFG, *ir.DomTree) { return ir.DomTreeOf(f) }
-
 
 func init() {
-	register("loop-simplify", "canonicalise loops: dedicated preheaders", PreserveNone,
+	register("loop-simplify", "canonicalise loops: dedicated preheaders",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("loop-simplify.NumPreheaders", insertPreheaders(f))
 			})
 		})
 
-	register("lcssa", "insert loop-closed SSA phis at exits", PreserveCFG,
+	register("lcssa", "insert loop-closed SSA phis at exits",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("lcssa.NumLCSSA", insertLCSSAPhis(f))
 			})
 		})
 
-	register("loop-rotate", "rotate while-loops into guarded do-while form", PreserveNone,
+	register("loop-rotate", "rotate while-loops into guarded do-while form",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("loop-rotate.NumRotated", rotateLoops(m, f))
 			})
 		})
 
-	register("licm", "hoist loop-invariant computation to the preheader", PreserveCFG,
+	register("licm", "hoist loop-invariant computation to the preheader",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				h, hl := hoistInvariants(m, f)
@@ -57,14 +46,14 @@ func init() {
 			})
 		})
 
-	register("loop-deletion", "delete loops with no observable effects", PreserveNone,
+	register("loop-deletion", "delete loops with no observable effects",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("loop-deletion.NumDeleted", deleteDeadLoops(m, f))
 			})
 		})
 
-	register("loop-idiom", "recognise memset/memcpy loops", PreserveNone,
+	register("loop-idiom", "recognise memset/memcpy loops",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				ms, mc := recognizeIdioms(m, f)
@@ -73,35 +62,35 @@ func init() {
 			})
 		})
 
-	register("indvars", "canonicalise induction variables and exit tests", PreserveCFG,
+	register("indvars", "canonicalise induction variables and exit tests",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("indvars.NumLFTR", canonicalizeIVs(f))
 			})
 		})
 
-	register("simple-loop-unswitch", "hoist invariant branches out of loops", PreserveNone,
+	register("simple-loop-unswitch", "hoist invariant branches out of loops",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("simple-loop-unswitch.NumUnswitched", unswitchLoops(m, f))
 			})
 		})
 
-	register("lsr", "loop strength reduction of IV multiplications", PreserveCFG,
+	register("lsr", "loop strength reduction of IV multiplications",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("lsr.NumStrengthReduced", strengthReduceIVs(f))
 			})
 		})
 
-	register("loop-sink", "sink preheader computation into the loop", PreserveCFG,
+	register("loop-sink", "sink preheader computation into the loop",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("loop-sink.NumSunk", sinkIntoLoops(m, f))
 			})
 		})
 
-	register("loop-instsimplify", "instruction simplification inside loops", PreserveCFG,
+	register("loop-instsimplify", "instruction simplification inside loops",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				_, _, li := loopsOf(f)
@@ -111,7 +100,7 @@ func init() {
 			})
 		})
 
-	register("loop-simplifycfg", "CFG cleanup scoped to functions with loops", PreserveNone,
+	register("loop-simplifycfg", "CFG cleanup scoped to functions with loops",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				_, _, li := loopsOf(f)
@@ -122,14 +111,14 @@ func init() {
 			})
 		})
 
-	register("loop-data-prefetch", "software-prefetch strided loop loads", PreserveCFG,
+	register("loop-data-prefetch", "software-prefetch strided loop loads",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("loop-data-prefetch.NumPrefetches", insertPrefetches(f))
 			})
 		})
 
-	register("loop-fusion", "fuse adjacent loops with equal trip counts", PreserveNone,
+	register("loop-fusion", "fuse adjacent loops with equal trip counts",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("loop-fusion.NumFused", fuseLoops(m, f))
@@ -142,7 +131,7 @@ func insertPreheaders(f *ir.Function) int {
 	n := 0
 	for changed := true; changed; {
 		changed = false
-		cfg, _, li := loopsOfFresh(f)
+		cfg, _, li := loopsOf(f)
 		for _, l := range li.Loops {
 			if l.Preheader != nil {
 				continue
@@ -327,7 +316,7 @@ func rotateLoops(m *ir.Module, f *ir.Function) int {
 	n := 0
 	for changed := true; changed; {
 		changed = false
-		cfg, _, li := loopsOfFresh(f)
+		cfg, _, li := loopsOf(f)
 		for _, l := range li.Loops {
 			if rotateOne(m, f, cfg, l) {
 				n++
@@ -762,7 +751,7 @@ func deleteDeadLoops(m *ir.Module, f *ir.Function) int {
 	n := 0
 	for changed := true; changed; {
 		changed = false
-		cfg, _, li := loopsOfFresh(f)
+		cfg, _, li := loopsOf(f)
 		for _, l := range li.Loops {
 			if l.Preheader == nil || loopHasMemoryEffects(m, l) {
 				continue
@@ -842,7 +831,7 @@ func recognizeIdioms(m *ir.Module, f *ir.Function) (int, int) {
 	ms, mc := 0, 0
 	for changed := true; changed; {
 		changed = false
-		cfg, _, li := loopsOfFresh(f)
+		cfg, _, li := loopsOf(f)
 		for _, l := range li.Loops {
 			if l.Preheader == nil || l.Header != l.Latch || len(l.Blocks) != 1 {
 				continue
@@ -1045,7 +1034,7 @@ func unswitchLoops(m *ir.Module, f *ir.Function) int {
 	n := 0
 	for changed := true; changed; {
 		changed = false
-		cfg, _, li := loopsOfFresh(f)
+		cfg, _, li := loopsOf(f)
 		for _, l := range li.Loops {
 			if l.Preheader == nil || len(l.Blocks) > 12 {
 				continue
@@ -1324,7 +1313,7 @@ func fuseLoops(m *ir.Module, f *ir.Function) int {
 	n := 0
 	for changed := true; changed; {
 		changed = false
-		cfg, _, li := loopsOfFresh(f)
+		cfg, _, li := loopsOf(f)
 		for _, l1 := range li.Loops {
 			if fuseWithNext(m, f, cfg, li, l1) {
 				n++

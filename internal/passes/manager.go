@@ -7,66 +7,42 @@ import (
 	"repro/internal/ir"
 )
 
-// Manager runs pass sequences with a shared per-function analysis cache.
-// Before each pass it makes sure every function carries an attached cache;
-// after each pass it invalidates cached analyses according to the pass's
-// Preserves declaration. Passes consume analyses through the cached
-// accessors (loopsOf, cfgOf, domOf), so a run of analysis-preserving passes
-// computes CFG/dominators/loops once instead of once per pass.
-//
-// A Manager is cheap to construct and single-use-per-goroutine: it holds no
-// state beyond configuration, but the caches it attaches live on the module's
-// functions, so two goroutines must never run managers over the same module
-// concurrently (the same rule as running passes concurrently).
+// Manager runs pass sequences. It holds no state beyond the observer, and a
+// pass run leaves nothing behind on the module: every pass computes the
+// CFG, dominators and loops it needs from the function as it is, so the
+// result of a sequence is a function of (module, sequence) alone. Two
+// goroutines must never run managers over the same module concurrently (the
+// same rule as running passes concurrently).
 type Manager struct {
-	// CacheAnalyses enables the per-function analysis cache. Disabled, every
-	// analysis request recomputes from scratch (the naive reference build).
-	CacheAnalyses bool
 	// Obs, when non-nil, receives one PassRan record per executed pass with
 	// its wall time and exact stats delta (see ApplyObserved).
 	Obs Observer
 }
 
-// NewManager returns a Manager with analysis caching enabled.
-func NewManager() *Manager { return &Manager{CacheAnalyses: true} }
+// NewManager returns a Manager with no observer.
+func NewManager() *Manager { return &Manager{} }
 
-// RunOne executes a single pass (no verification) and maintains the analysis
-// caches per the pass's Preserves declaration. It is the step primitive the
-// prefix-snapshot compilation cache resumes from: verification policy is the
-// caller's, exactly as in a mid-sequence position of Run.
+// RunOne executes a single pass (no verification). It is the step primitive
+// the prefix-snapshot compilation cache resumes from: verification policy is
+// the caller's, exactly as in a mid-sequence position of Run.
 func (pm *Manager) RunOne(m *ir.Module, p *Pass, st Stats) {
 	// COW: give the module private bodies before any pass may mutate it.
 	// No-op unless the module still shares function bodies with a clone.
 	ir.MaterializeModule(m)
-	if pm.CacheAnalyses {
-		// Enable on every function: passes like inline add functions mid-
-		// sequence, and enabling is a no-op when already attached.
-		for _, f := range m.Funcs {
-			ir.EnableAnalysisCache(f)
-		}
-	}
 	if pm.Obs == nil {
 		p.Run(m, st)
-	} else {
-		delta := Stats{}
-		t0 := time.Now()
-		p.Run(m, delta)
-		pm.Obs.PassRan(p.Name, time.Since(t0), delta)
-		st.Merge(delta)
+		return
 	}
-	if p.Preserves&PreserveCFG == 0 {
-		for _, f := range m.Funcs {
-			ir.InvalidateAnalyses(f)
-		}
-	}
+	delta := Stats{}
+	t0 := time.Now()
+	p.Run(m, delta)
+	pm.Obs.PassRan(p.Name, time.Since(t0), delta)
+	st.Merge(delta)
 }
 
 // Run executes the named passes in order, verifying after every pass when
-// verifyEach is set and once at the end otherwise. Attached analysis caches
-// are released before returning, so the module leaves the manager carrying
-// no cached state.
+// verifyEach is set and once at the end otherwise.
 func (pm *Manager) Run(m *ir.Module, sequence []string, st Stats, verifyEach bool) error {
-	defer pm.Release(m)
 	for _, name := range sequence {
 		p := byName[name]
 		if p == nil {
@@ -85,12 +61,4 @@ func (pm *Manager) Run(m *ir.Module, sequence []string, st Stats, verifyEach boo
 		}
 	}
 	return nil
-}
-
-// Release detaches the analysis caches from every function of m, freeing the
-// cached CFG/dominator/loop structures.
-func (pm *Manager) Release(m *ir.Module) {
-	for _, f := range m.Funcs {
-		ir.DisableAnalysisCache(f)
-	}
 }

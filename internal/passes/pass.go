@@ -56,33 +56,10 @@ func (s Stats) Clone() Stats {
 	return out
 }
 
-// PreservedAnalyses declares, per pass, which cached analyses survive the
-// pass (LLVM's PreservedAnalyses, reduced to this IR's analysis set). The
-// cached analyses — CFG, dominator tree, loop info — all derive from the
-// block graph alone, so a single "CFG preserved" bit covers all three:
-// a pass that never adds/removes blocks or rewrites branch targets keeps
-// every cached analysis valid no matter how it rewrites straight-line code.
-type PreservedAnalyses uint8
-
-const (
-	// PreserveNone: the pass may restructure the block graph; all cached
-	// analyses are invalidated after it runs. The safe default.
-	PreserveNone PreservedAnalyses = 0
-	// PreserveCFG: the pass mutates instructions only (insert/remove/move/
-	// rewrite non-terminators, attribute and global changes) and never
-	// changes the block graph, so CFG, dominators and loop info stay valid.
-	PreserveCFG PreservedAnalyses = 1 << iota
-	// PreserveAll: analysis-only; nothing is invalidated.
-	PreserveAll = PreserveCFG
-)
-
 // Pass is one named transformation.
 type Pass struct {
 	Name string
 	Desc string
-	// Preserves declares which cached analyses survive Run (see
-	// PreservedAnalyses); the Manager invalidates accordingly.
-	Preserves PreservedAnalyses
 	// Run transforms m in place, recording statistics into st.
 	Run func(m *ir.Module, st Stats)
 }
@@ -91,11 +68,11 @@ type Pass struct {
 var registry []*Pass
 var byName = map[string]*Pass{}
 
-func register(name, desc string, preserves PreservedAnalyses, run func(m *ir.Module, st Stats)) {
+func register(name, desc string, run func(m *ir.Module, st Stats)) {
 	if byName[name] != nil {
 		panic("passes: duplicate registration of " + name)
 	}
-	p := &Pass{Name: name, Desc: desc, Preserves: preserves, Run: run}
+	p := &Pass{Name: name, Desc: desc, Run: run}
 	registry = append(registry, p)
 	byName[name] = p
 }
@@ -118,8 +95,6 @@ func Names() []string {
 // Apply runs the named passes in order on m, accumulating statistics.
 // When verifyEach is set, the IR is verified after every pass and the first
 // violation is reported as an error naming the offending pass (a pass bug).
-// Analyses are cached across passes per each pass's Preserves declaration
-// (see Manager); ApplyUncached is the recompute-everything variant.
 func Apply(m *ir.Module, sequence []string, st Stats, verifyEach bool) error {
 	return ApplyObserved(m, sequence, st, verifyEach, nil)
 }
@@ -133,15 +108,6 @@ func Apply(m *ir.Module, sequence []string, st Stats, verifyEach bool) error {
 func ApplyObserved(m *ir.Module, sequence []string, st Stats, verifyEach bool, obs Observer) error {
 	mgr := NewManager()
 	mgr.Obs = obs
-	return mgr.Run(m, sequence, st, verifyEach)
-}
-
-// ApplyUncached runs the sequence with analysis caching disabled — every
-// analysis request recomputes from scratch. This is the naive reference
-// build the differential tests compare managed compilation against.
-func ApplyUncached(m *ir.Module, sequence []string, st Stats, verifyEach bool) error {
-	mgr := NewManager()
-	mgr.CacheAnalyses = false
 	return mgr.Run(m, sequence, st, verifyEach)
 }
 

@@ -243,7 +243,7 @@ func promoteAllocas(f *ir.Function) (promoted, phis int) {
 }
 
 func init() {
-	register("mem2reg", "promote scalar allocas to SSA registers", PreserveCFG,
+	register("mem2reg", "promote scalar allocas to SSA registers",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				p, ph := promoteAllocas(f)
@@ -252,7 +252,7 @@ func init() {
 			})
 		})
 
-	register("sroa", "scalar replacement of aggregates, then promotion", PreserveCFG,
+	register("sroa", "scalar replacement of aggregates, then promotion",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("sroa.NumReplaced", splitAggregates(f))
@@ -262,7 +262,7 @@ func init() {
 			})
 		})
 
-	register("reg2mem", "demote SSA phis back to stack slots", PreserveCFG,
+	register("reg2mem", "demote SSA phis back to stack slots",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("reg2mem.NumPhisDemoted", demotePhis(f))

@@ -5,112 +5,112 @@ import (
 )
 
 func init() {
-	register("reassociate", "rank-based reassociation of associative chains", PreserveCFG,
+	register("reassociate", "rank-based reassociation of associative chains",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("reassociate.NumReassoc", reassociate(f))
 			})
 		})
 
-	register("nary-reassociate", "canonical commutative operand ordering", PreserveCFG,
+	register("nary-reassociate", "canonical commutative operand ordering",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("nary-reassociate.NumCanon", canonicalizeCommutative(f))
 			})
 		})
 
-	register("tailcallelim", "turn self-recursive tail calls into loops", PreserveNone,
+	register("tailcallelim", "turn self-recursive tail calls into loops",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("tailcallelim.NumEliminated", eliminateTailCalls(f))
 			})
 		})
 
-	register("memcpyopt", "merge constant store runs into memset", PreserveCFG,
+	register("memcpyopt", "merge constant store runs into memset",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("memcpyopt.NumMemSet", storeRunsToMemset(f))
 			})
 		})
 
-	register("sink", "sink computations into the arm that uses them", PreserveCFG,
+	register("sink", "sink computations into the arm that uses them",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("sink.NumSunk", sinkIntoArms(m, f))
 			})
 		})
 
-	register("speculative-execution", "hoist cheap pure ops above branches", PreserveCFG,
+	register("speculative-execution", "hoist cheap pure ops above branches",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("speculative-execution.NumSpeculated", speculateArms(m, f))
 			})
 		})
 
-	register("slsr", "straight-line strength reduction", PreserveCFG,
+	register("slsr", "straight-line strength reduction",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("slsr.NumRewritten", straightLineSR(f))
 			})
 		})
 
-	register("div-rem-pairs", "recompose rem from matching div", PreserveCFG,
+	register("div-rem-pairs", "recompose rem from matching div",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("div-rem-pairs.NumRecomposed", divRemPairs(f))
 			})
 		})
 
-	register("float2int", "demote int-valued float arithmetic to integers", PreserveCFG,
+	register("float2int", "demote int-valued float arithmetic to integers",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("float2int.NumConverted", floatToInt(f))
 			})
 		})
 
-	register("partially-inline-libcalls", "expand abs/min/max builtins inline", PreserveCFG,
+	register("partially-inline-libcalls", "expand abs/min/max builtins inline",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("partially-inline-libcalls.NumInlined", inlineIntBuiltins(f))
 			})
 		})
 
-	register("separate-const-offset-from-gep", "split constant offsets out of GEPs", PreserveCFG,
+	register("separate-const-offset-from-gep", "split constant offsets out of GEPs",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("separate-const-offset-from-gep.NumSplit", splitGEPOffsets(f))
 			})
 		})
 
-	register("scalarizer", "split vector operations into scalar lanes", PreserveCFG,
+	register("scalarizer", "split vector operations into scalar lanes",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("scalarizer.NumScalarized", scalarizeVectors(f))
 			})
 		})
 
-	register("expand-reductions", "lower vector reductions to extract chains", PreserveCFG,
+	register("expand-reductions", "lower vector reductions to extract chains",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("expand-reductions.NumExpanded", expandReductions(f))
 			})
 		})
 
-	register("mergeicmps", "merge equality-compare chains into memcmp", PreserveCFG,
+	register("mergeicmps", "merge equality-compare chains into memcmp",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("mergeicmps.NumMerged", mergeICmpChains(f))
 			})
 		})
 
-	register("callsite-splitting", "split calls with phi arguments per predecessor", PreserveCFG,
+	register("callsite-splitting", "split calls with phi arguments per predecessor",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("callsite-splitting.NumSplit", splitCallSites(m, f))
 			})
 		})
 
-	register("loop-load-elim", "forward stored values to in-loop loads", PreserveCFG,
+	register("loop-load-elim", "forward stored values to in-loop loads",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("loop-load-elim.NumForwarded", forwardStoreToLoad(f))
@@ -425,7 +425,7 @@ func storeRunsToMemset(f *ir.Function) int {
 // block into the arm that uses them, so the untaken path skips the work.
 func sinkIntoArms(m *ir.Module, f *ir.Function) int {
 	n := 0
-	cfg := cfgOf(f)
+	cfg := ir.BuildCFG(f)
 	for _, b := range f.Blocks {
 		t := b.Term()
 		if t == nil || t.Op != ir.OpBr {
@@ -480,7 +480,7 @@ func sinkIntoArms(m *ir.Module, f *ir.Function) int {
 // preparing if-conversion.
 func speculateArms(m *ir.Module, f *ir.Function) int {
 	n := 0
-	cfg := cfgOf(f)
+	cfg := ir.BuildCFG(f)
 	for _, b := range f.Blocks {
 		t := b.Term()
 		if t == nil || t.Op != ir.OpBr {
@@ -884,7 +884,7 @@ func mergeICmpChains(f *ir.Function) int {
 // predecessor with the argument resolved, enabling later specialisation.
 func splitCallSites(m *ir.Module, f *ir.Function) int {
 	n := 0
-	cfg := cfgOf(f)
+	cfg := ir.BuildCFG(f)
 	// Shape: block = {phi, call using phi, jmp}, two preds, void call so no
 	// merging phi for the result is needed.
 	for _, b := range f.Blocks {

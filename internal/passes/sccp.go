@@ -5,14 +5,14 @@ import (
 )
 
 func init() {
-	register("sccp", "sparse conditional constant propagation", PreserveNone,
+	register("sccp", "sparse conditional constant propagation",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("sccp.NumInstRemoved", runSCCP(m, f))
 			})
 		})
 
-	register("ipsccp", "interprocedural SCCP: propagate constant arguments", PreserveNone,
+	register("ipsccp", "interprocedural SCCP: propagate constant arguments",
 		func(m *ir.Module, st Stats) {
 			st.Add("ipsccp.NumArgsReplaced", propagateConstArgs(m))
 			forEachDefined(m, func(f *ir.Function) {

@@ -5,7 +5,7 @@ import (
 )
 
 func init() {
-	register("loop-unroll", "full and partial loop unrolling", PreserveNone,
+	register("loop-unroll", "full and partial loop unrolling",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				full, partial := unrollLoops(f, 16, 48, 4)
@@ -14,7 +14,7 @@ func init() {
 			})
 		})
 
-	register("loop-unroll-full", "aggressive full unrolling only", PreserveNone,
+	register("loop-unroll-full", "aggressive full unrolling only",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				full, _ := unrollLoops(f, 64, 96, 0)
@@ -30,7 +30,7 @@ func unrollLoops(f *ir.Function, fullTripMax int64, bodyMax, factor int) (int, i
 	full, partial := 0, 0
 	for changed := true; changed; {
 		changed = false
-		cfg, _, li := loopsOfFresh(f)
+		cfg, _, li := loopsOf(f)
 		for _, l := range li.Loops {
 			if l.Preheader == nil || l.Header != l.Latch || len(l.Blocks) != 1 {
 				continue

@@ -7,14 +7,14 @@ import (
 )
 
 func init() {
-	register("loop-vectorize", "vectorise counted innermost loops", PreserveNone,
+	register("loop-vectorize", "vectorise counted innermost loops",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("loop-vectorize.LoopsVectorized", vectorizeLoops(m, f))
 			})
 		})
 
-	register("slp-vectorizer", "superword-level parallelism vectorisation", PreserveCFG,
+	register("slp-vectorizer", "superword-level parallelism vectorisation",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				nv, nr := slpVectorize(m, f)
@@ -23,14 +23,14 @@ func init() {
 			})
 		})
 
-	register("vector-combine", "fold redundant vector element traffic", PreserveCFG,
+	register("vector-combine", "fold redundant vector element traffic",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("vector-combine.NumCombined", combineVectorOps(f))
 			})
 		})
 
-	register("load-store-vectorizer", "merge consecutive scalar memory ops", PreserveCFG,
+	register("load-store-vectorizer", "merge consecutive scalar memory ops",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
 				st.Add("load-store-vectorizer.NumVectorized", vectorizeLoadRuns(m, f))
@@ -45,7 +45,7 @@ func vectorizeLoops(m *ir.Module, f *ir.Function) int {
 	n := 0
 	for changed := true; changed; {
 		changed = false
-		cfg, _, li := loopsOfFresh(f)
+		cfg, _, li := loopsOf(f)
 		for _, l := range li.Loops {
 			if vectorizeOneLoop(m, f, cfg, l) {
 				n++
