@@ -80,9 +80,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown benchmark %q (use -list)\n", *name)
 		os.Exit(1)
 	}
-	plat := bench.ARM()
-	if *platform == "x86" {
-		plat = bench.X86()
+	plat, err := bench.PlatformByName(*platform)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	featKind, ok := core.FeatureKindFromString(*feature)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown feature kind %q (stats, autophase, tokenmix or rawseq)\n", *feature)
+		os.Exit(1)
 	}
 	fmt.Printf("Building %s and measuring the -O3 baseline on %s...\n", b.Name, plat.Prof.Name)
 	ev, err := bench.NewEvaluator(b, plat, *seed)
@@ -155,14 +161,7 @@ func main() {
 	opts.Workers = *workers
 	opts.Sink = obs.Multi(sinks...)
 	opts.Metrics = metrics
-	switch *feature {
-	case "autophase":
-		opts.Feature = core.FeatAutophase
-	case "tokenmix":
-		opts.Feature = core.FeatTokenMix
-	case "rawseq":
-		opts.Feature = core.FeatRawSeq
-	}
+	opts.Feature = featKind
 
 	// First SIGINT/SIGTERM cancels the run gracefully: the tuner stops between
 	// steps, the journal gets its final run-end event and is flushed/closed,

@@ -14,6 +14,7 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/bench"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 )
@@ -55,7 +56,12 @@ func main() {
 	cfg.Budget = *budget
 	cfg.Repeats = *repeats
 	cfg.Seed = *seed
-	cfg.Platform = *platform
+	plat, err := bench.PlatformByName(*platform)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	cfg.Platform = plat
 	cfg.Scale = *scale
 	cfg.Workers = *workers
 	cfg.SeedGreedy = *seedGr

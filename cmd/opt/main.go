@@ -49,10 +49,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown benchmark %q\n", *benchName)
 		os.Exit(1)
 	}
-	prof := machine.CortexA57()
-	if *platform == "x86" {
-		prof = machine.Zen3()
+	plat, err := bench.PlatformByName(*platform)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
+	prof := plat.Prof
 	mods := b.Build(0, prof.VecWidth64)
 	target := *module
 	if target == "" {

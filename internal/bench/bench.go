@@ -227,15 +227,32 @@ func ByName(name string) *Benchmark {
 
 // --- Evaluation harness ---
 
-// Platform bundles the simulated machine and its measurement noise.
+// Platform bundles the simulated machine and its measurement noise under the
+// name the CLIs, the serve API and fleet batches spell it by.
 type Platform struct {
+	Name     string
 	Prof     machine.Profile
 	NoiseStd float64
 }
 
 // ARM and X86 are the two evaluation platforms (§5.4.2).
-func ARM() Platform { return Platform{Prof: machine.CortexA57(), NoiseStd: 0.006} }
-func X86() Platform { return Platform{Prof: machine.Zen3(), NoiseStd: 0.004} }
+func ARM() Platform { return Platform{Name: "arm", Prof: machine.CortexA57(), NoiseStd: 0.006} }
+func X86() Platform { return Platform{Name: "x86", Prof: machine.Zen3(), NoiseStd: 0.004} }
+
+// PlatformByName is the one parser of a platform name. The empty string
+// selects ARM, the default everywhere; anything else must be a Platform's
+// Name exactly.
+func PlatformByName(name string) (Platform, error) {
+	if name == "" {
+		return ARM(), nil
+	}
+	for _, p := range []Platform{ARM(), X86()} {
+		if p.Name == name {
+			return p, nil
+		}
+	}
+	return Platform{}, fmt.Errorf("unknown platform %q (arm or x86)", name)
+}
 
 // DefaultCacheCap is the default snapshot-cache capacity (entries). A single
 // build now retains one snapshot per stride boundary rather than one entry
@@ -299,11 +316,6 @@ type Evaluator struct {
 	prefixReplayed int
 	snapBytes      int64
 	snapEvict      int
-
-	// batchMu serialises RunBatch calls so each batch's counter delta is
-	// attributable to exactly that batch (see batch.go). Independent of mu:
-	// individual compiles stay concurrent inside a batch.
-	batchMu sync.Mutex
 
 	// Counters for Fig 5.12-style accounting. Compilations counts actual
 	// pass-pipeline executions (cache hits do not re-run pipelines).
@@ -520,8 +532,8 @@ func (ev *Evaluator) SetObs(m *obs.Metrics, prof *passes.Profile) {
 }
 
 // publishMetrics mirrors Counters() into the registry. It runs where the
-// counters have just moved in bulk — after a pipeline build, a measurement or
-// a batch — never per pass; exact-hit handouts show up at the next of those.
+// counters have just moved in bulk — after a pipeline build or a measurement
+// — never per pass; exact-hit handouts show up at the next of those.
 func (ev *Evaluator) publishMetrics() {
 	if ev.metrics == nil {
 		return

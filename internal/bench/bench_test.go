@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/passes"
@@ -285,5 +286,34 @@ func TestEvaluatorCacheEviction(t *testing.T) {
 	}
 	if ev.lru.Len() > 2 {
 		t.Fatalf("cache grew past its cap: %d entries", ev.lru.Len())
+	}
+}
+
+func TestPlatformByName(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		prof string // "" = rejected
+	}{
+		{"", ARM().Prof.Name},
+		{"arm", ARM().Prof.Name},
+		{"x86", X86().Prof.Name},
+		{"ARM", ""},
+		{"ARM64", ""},
+		{"x86_64", ""},
+		{" arm", ""},
+	} {
+		p, err := PlatformByName(tc.in)
+		switch {
+		case tc.prof == "" && err == nil:
+			t.Errorf("PlatformByName(%q) = %s, want an error", tc.in, p.Prof.Name)
+		case tc.prof == "":
+			if !strings.Contains(err.Error(), "arm") || !strings.Contains(err.Error(), "x86") {
+				t.Errorf("PlatformByName(%q): error %q does not name the valid values", tc.in, err)
+			}
+		case err != nil || p.Prof.Name != tc.prof:
+			t.Errorf("PlatformByName(%q) = %s, %v; want %s", tc.in, p.Prof.Name, err, tc.prof)
+		case p.Name != "arm" && p.Name != tc.in:
+			t.Errorf("PlatformByName(%q).Name = %q", tc.in, p.Name)
+		}
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/evalpool"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/passes"
@@ -250,17 +252,18 @@ func TestCanonicalCountersWorkerIndependentUnderEviction(t *testing.T) {
 			incumbent[i] = vocab[rng.Intn(len(vocab))]
 		}
 		for round := 0; round < 10; round++ {
-			var specs []TaskSpec
+			var specs []core.CompileSpec
 			var groups [][]int
 			for _, mod := range ev.Modules() {
 				var g []int
 				for k := 0; k < 6; k++ {
 					g = append(g, len(specs))
-					specs = append(specs, TaskSpec{Module: mod, Seq: mutateSeq(rng, incumbent, vocab)})
+					specs = append(specs, core.CompileSpec{Module: mod, Seq: mutateSeq(rng, incumbent, vocab)})
 				}
 				groups = append(groups, g)
 			}
-			if _, _, err := ev.RunBatch(context.Background(), specs, groups, workers); err != nil {
+			out := make([]core.CompileOutcome, len(specs))
+			if err := core.RunGroups(context.Background(), evalpool.New(workers), ev.Task(), core.FeatStats, specs, groups, out); err != nil {
 				t.Fatal(err)
 			}
 		}

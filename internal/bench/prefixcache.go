@@ -303,6 +303,16 @@ func (ev *Evaluator) compiledFor(ctx context.Context, ds int, name string, seq [
 	return ev.compiledForMode(ctx, ds, name, seq, true)
 }
 
+// WarmCompile compiles (dataset 0, module, seq) with all work accounting
+// suppressed: no hit/miss/compilation/prefix/cow counters move. The
+// coordinator uses it to pre-install a remotely-compiled
+// candidate into the measuring evaluator's cache, so the measure path's
+// dataset-0 compile hits exactly as it would have single-process.
+func (ev *Evaluator) WarmCompile(ctx context.Context, module string, seq []string) error {
+	_, _, err := ev.compiledForMode(ctx, 0, module, seq, false)
+	return err
+}
+
 // compiledForMode is compiledFor with the work accounting made optional.
 // counted=false is the warm-compile mode: the build runs (or hits) exactly
 // as usual and publishes the same snapshots, but bumps no hit/miss/

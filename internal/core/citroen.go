@@ -100,13 +100,6 @@ type Options struct {
 	// CheckpointEvery additionally fires the Checkpoint hook every N consumed
 	// measurements; 0 means final-only.
 	CheckpointEvery int
-	// Backend overrides where candidate compilations execute. nil uses the
-	// in-process evalpool (the default, single-process behaviour); the fleet
-	// coordinator installs a backend that dispatches compile batches to
-	// remote runner processes. Runtime measurements always stay local —
-	// before each one the tuner calls Backend.EnsureLocal so the measuring
-	// evaluator's cache state matches the single-process run.
-	Backend EvalBackend
 	// ResumeFrom warm-starts the run by replaying a prior checkpoint's
 	// observations into the model, generators and incumbent tracking. The
 	// replayed observations count against Budget (they were paid for by the
@@ -204,13 +197,12 @@ type moduleState struct {
 
 // Tuner runs CITROEN on a Task.
 type Tuner struct {
-	task    Task
-	opts    Options
-	rng     *rand.Rand
-	pool    *evalpool.Pool
-	backend EvalBackend
-	seed    int64
-	ctx     context.Context // run context; set by RunContext, nil before
+	task Task
+	opts Options
+	rng  *rand.Rand
+	pool *evalpool.Pool
+	seed int64
+	ctx  context.Context // run context; set by RunContext, nil before
 
 	vocab   []string
 	vIndex  map[string]int
@@ -300,10 +292,6 @@ func NewTuner(task Task, opts Options, seed int64) *Tuner {
 		hPlan:    met.Histogram("citroen_greedy_plan_seconds", obs.DurationBuckets),
 	}
 	t.mMeas0, t.mComp0 = t.mMeas.Value(), t.mComp.Value()
-	t.backend = opts.Backend
-	if t.backend == nil {
-		t.backend = &poolBackend{pool: t.pool, task: task, feat: opts.Feature}
-	}
 	if t.opts.GPOpts.Workers == 0 {
 		// -workers drives the surrogate too: parallel fit restarts, sharded
 		// gradients and batched prediction, all bit-identical to serial.
@@ -456,11 +444,10 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 		baseGroups[i] = []int{i}
 	}
 	baseOuts := make([]CompileOutcome, len(hot))
-	baseIncs := t.backend.CompileGroups(t.ctx, baseSpecs, baseGroups, baseOuts)
+	t.compileGroups(t.ctx, baseSpecs, baseGroups, baseOuts)
 	if err := t.ctx.Err(); err != nil {
 		return nil, err
 	}
-	t.journalIncidents(baseIncs)
 	for i, name := range hot {
 		if !baseOuts[i].Ok {
 			return nil, fmt.Errorf("core: baseline compile of %s: %s", name, baseOuts[i].Err)
@@ -636,7 +623,7 @@ func (t *Tuner) seedGreedyPlans(used *int) error {
 		var probeWall time.Duration
 		g, err := planner.BuildFromPrefixProbes(func(seq []string) (passes.Stats, error) {
 			probes++
-			out, err := t.backendCompileOne(ms.name, seq)
+			out, err := t.compileOne(ms.name, seq)
 			probeWall += out.Wall
 			if err != nil {
 				return nil, err
@@ -918,7 +905,7 @@ func (t *Tuner) proposeCandidate() (candidate, map[string]sparseVec, bool) {
 		specs[i] = CompileSpec{Module: jobs[i].ms.name, Seq: names[i]}
 	}
 	outs := make([]CompileOutcome, len(jobs))
-	t.journalIncidents(t.backend.CompileGroups(ctx, specs, groupByPrefix(jobs, names), outs))
+	t.compileGroups(ctx, specs, groupByPrefix(jobs, names), outs)
 	for i := range jobs {
 		jobs[i].compile = outs[i].Wall
 		if outs[i].Ok {
@@ -1039,7 +1026,7 @@ func (t *Tuner) bestObservedY() float64 {
 func (t *Tuner) compileCandidate(ms *moduleState, seq []int) (sparseVec, bool) {
 	t.candsCompiled++
 	t.mComp.Inc()
-	out, err := t.backendCompileOne(ms.name, t.seqStrings(seq))
+	out, err := t.compileOne(ms.name, t.seqStrings(seq))
 	t.res.Breakdown.Compile += out.Wall
 	t.hCompile.Observe(out.Wall.Seconds())
 	if t.rec.Enabled() {
@@ -1080,8 +1067,8 @@ func (t *Tuner) measureCandidate(ms *moduleState, seq []int, knownFV map[string]
 	prevBest := t.bestObservedY()
 	// A remote backend compiled the candidate elsewhere; warm the measuring
 	// evaluator so the measure path's compile hits exactly as single-process
-	// (a no-op on the local backend).
-	if err := t.backend.EnsureLocal(t.runCtx(), ms.name, t.seqStrings(seq)); err != nil {
+	// (without a backend the Task's own evaluator compiled it in place).
+	if b, ok := t.task.(EvalBackend); ok && b.EnsureLocal(t.runCtx(), ms.name, t.seqStrings(seq)) != nil {
 		if t.runCtx().Err() != nil {
 			return false
 		}

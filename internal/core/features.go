@@ -42,6 +42,21 @@ func (f FeatureKind) String() string {
 	return "feature?"
 }
 
+// FeatureKindFromString is the one parser of the CLI/API spelling of a
+// feature kind (the names String prints). The empty string selects
+// FeatStats, the default everywhere.
+func FeatureKindFromString(s string) (FeatureKind, bool) {
+	if s == "" {
+		return FeatStats, true
+	}
+	for k := FeatStats; k <= FeatRawSeq; k++ {
+		if k.String() == s {
+			return k, true
+		}
+	}
+	return FeatStats, false
+}
+
 // FeatureIndex maps named feature dimensions to vector slots. The statistics
 // feature space is open-ended (new counters appear as the search visits new
 // passes), so the index grows online; absent features read as zero.

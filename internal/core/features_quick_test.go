@@ -95,3 +95,28 @@ func abs(n int) int {
 	}
 	return n
 }
+
+func TestFeatureKindFromString(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want FeatureKind
+		ok   bool
+	}{
+		{"", FeatStats, true},
+		{"stats", FeatStats, true},
+		{"autophase", FeatAutophase, true},
+		{"tokenmix", FeatTokenMix, true},
+		{"rawseq", FeatRawSeq, true},
+		{"bogus", FeatStats, false},
+		{"Stats", FeatStats, false},
+		{"feature?", FeatStats, false}, // String() of an out-of-range kind
+	} {
+		got, ok := FeatureKindFromString(tc.in)
+		if got != tc.want || ok != tc.ok {
+			t.Errorf("FeatureKindFromString(%q) = %v, %v; want %v, %v", tc.in, got, ok, tc.want, tc.ok)
+		}
+		if ok && tc.in != "" && got.String() != tc.in {
+			t.Errorf("%q does not round-trip: String() = %q", tc.in, got.String())
+		}
+	}
+}

@@ -40,6 +40,12 @@ func TestJournalWorkerDeterminism(t *testing.T) {
 	if resS.BestSpeedup != resP.BestSpeedup {
 		t.Fatalf("best speedup differs: %v vs %v", resS.BestSpeedup, resP.BestSpeedup)
 	}
+	// Feature slots are registered in sorted-key order and the GP fit is
+	// bit-identical for every worker count, so the ARD ranking — ties and
+	// all — is too.
+	if len(resS.Importance) == 0 || !reflect.DeepEqual(resS.Importance, resP.Importance) {
+		t.Fatalf("importance ranking differs between Workers=1 and Workers=8:\n%+v\nvs\n%+v", resS.Importance, resP.Importance)
+	}
 	// The parallel surrogate must actually take the incremental path, and
 	// journal it at the serial sync points.
 	if resS.Breakdown.GPAppends == 0 {

@@ -2,9 +2,7 @@
 // candidate evaluations (compile + feature extraction) across CPUs. Results
 // are indexed by submission order, so the outcome of a fan-out is identical
 // for any worker count: parallelism changes only the wall-clock, never the
-// data. Jobs that need randomness use MapSeeded, which derives a private RNG
-// per index from a base seed — workers never share an RNG, and no job's
-// random stream depends on which worker ran it.
+// data.
 //
 // Two execution shapes are provided: Map/MapCtx for one-shot fan-outs
 // (the tuner's per-iteration candidate batch), and Queue for long-lived
@@ -14,7 +12,6 @@ package evalpool
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -192,16 +189,6 @@ func (p *Pool) MapGroupsCtx(ctx context.Context, groups [][]int, fn func(i int))
 			}
 			fn(i)
 		}
-	})
-}
-
-// MapSeeded is Map with a per-index rand.Rand seeded with baseSeed + i, so
-// fn can draw randomness without sharing an RNG across workers. The streams
-// depend only on baseSeed and the index, never on the worker count, which
-// keeps randomised fan-outs bit-identical between serial and parallel runs.
-func (p *Pool) MapSeeded(n int, baseSeed int64, fn func(i int, rng *rand.Rand)) {
-	p.Map(n, func(i int) {
-		fn(i, rand.New(rand.NewSource(baseSeed+int64(i))))
 	})
 }
 

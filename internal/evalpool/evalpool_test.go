@@ -3,7 +3,6 @@ package evalpool
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -102,23 +101,6 @@ func TestMapGroupsCancelStopsWithinGroup(t *testing.T) {
 	}
 	if n := ran.Load(); n != 1 {
 		t.Fatalf("cancellation mid-group still ran %d jobs", n)
-	}
-}
-
-func TestMapSeededIdenticalAcrossWorkerCounts(t *testing.T) {
-	draw := func(workers int) []float64 {
-		out := make([]float64, 64)
-		New(workers).MapSeeded(64, 42, func(i int, rng *rand.Rand) {
-			out[i] = rng.Float64()
-		})
-		return out
-	}
-	serial, parallel := draw(1), draw(8)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("per-index RNG stream depends on worker count at %d: %v vs %v",
-				i, serial[i], parallel[i])
-		}
 	}
 }
 

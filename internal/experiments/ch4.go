@@ -8,6 +8,7 @@ import (
 	"repro/internal/aibo"
 	"repro/internal/bench"
 	"repro/internal/heuristic"
+	"repro/internal/numeric"
 	"repro/internal/passes"
 	"repro/internal/synth"
 )
@@ -93,7 +94,7 @@ func runFig43(c Config) error {
 // removes every occurrence of that pass from the pipeline. The objective is
 // the measured runtime of telecom_gsm relative to -O3.
 func flagObjective(c Config) (func(x []float64) float64, int, error) {
-	ev, err := bench.NewEvaluator(bench.ByName("telecom_gsm"), c.platform(), c.Seed)
+	ev, err := bench.NewEvaluator(bench.ByName("telecom_gsm"), c.Platform, c.Seed)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -290,21 +291,10 @@ func runFig415(c Config) error {
 			return err
 		}
 		c.printf("  beta=%-5g mean GA diversity %.4f (final best %.3f)\n",
-			beta, mean(res.GADiversity), res.BestY)
+			beta, numeric.Mean(res.GADiversity), res.BestY)
 	}
 	c.printf("(paper shape: larger beta -> more diverse GA population)\n")
 	return nil
-}
-
-func mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
 }
 
 func runTab42(c Config) error {

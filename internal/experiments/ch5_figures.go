@@ -3,6 +3,7 @@ package experiments
 import (
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/numeric"
 	"repro/internal/obs/analyze"
 	"repro/internal/passes"
 	"repro/internal/tuners"
@@ -24,7 +25,7 @@ var defaultCBenchSubset = []string{"telecom_gsm", "automotive_susan", "office_st
 var defaultSPECSubset = []string{"525.x264_r"}
 
 func runFig56(c Config) error {
-	plat := c.platform()
+	plat := c.Platform
 	groups := map[string][]string{
 		"cBench": c.Benchmarks,
 		"SPEC":   nil,
@@ -68,7 +69,7 @@ func runFig56(c Config) error {
 			}
 		}
 		for _, m := range sortedKeys(perMethod) {
-			c.printf("  %-14s geo-mean speedup %.3fx\n", m, geoMean(perMethod[m]))
+			c.printf("  %-14s geo-mean speedup %.3fx\n", m, numeric.GeoMean(perMethod[m]))
 		}
 	}
 	c.printf("\n(paper shape: CITROEN highest on both suites)\n")
@@ -76,7 +77,7 @@ func runFig56(c Config) error {
 }
 
 func runFig57(c Config) error {
-	plat := c.platform()
+	plat := c.Platform
 	budgets := []int{c.Budget / 3, c.Budget * 2 / 3, c.Budget, c.Budget * 2}
 	names := c.Benchmarks
 	if len(names) == 0 {
@@ -85,7 +86,7 @@ func runFig57(c Config) error {
 	c.printf("Fig 5.7 — best speedup vs measurement budget (%v, platform %s)\n", names, plat.Prof.Name)
 	c.printf("%-14s", "method")
 	for _, b := range budgets {
-		c.printf(" %8s", fmtBudget(b))
+		c.printf(" %8d", b)
 	}
 	c.printf("\n")
 	methods := []string{"CITROEN", "RandomSearch", "GA", "BOCA"}
@@ -121,36 +122,12 @@ func runFig57(c Config) error {
 			for j := i; j < len(vals); j += nb {
 				col = append(col, vals[j])
 			}
-			c.printf(" %7.3fx", geoMean(col))
+			c.printf(" %7.3fx", numeric.GeoMean(col))
 		}
 		c.printf("\n")
 	}
 	c.printf("(paper shape: CITROEN at 1/3 budget ~ baselines at full budget)\n")
 	return nil
-}
-
-func fmtBudget(b int) string { return itoa(b) }
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [12]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 func citroenTrace(r *core.Result) []float64 {
@@ -172,7 +149,7 @@ func traceAt(trace []float64, budget int) float64 {
 }
 
 func runFig58(c Config) error {
-	plat := c.platform()
+	plat := c.Platform
 	names := c.Benchmarks
 	if len(names) == 0 {
 		names = []string{"telecom_gsm", "automotive_susan"}
@@ -202,14 +179,14 @@ func runFig58(c Config) error {
 				sps = append(sps, sp)
 			}
 		}
-		c.printf("  %-34s geo-mean speedup %.3fx\n", v.name, geoMean(sps))
+		c.printf("  %-34s geo-mean speedup %.3fx\n", v.name, numeric.GeoMean(sps))
 	}
 	c.printf("(paper shape: every ablation degrades the full system)\n")
 	return nil
 }
 
 func runFig59(c Config) error {
-	plat := c.platform()
+	plat := c.Platform
 	names := c.Benchmarks
 	if len(names) == 0 {
 		names = []string{"telecom_gsm", "office_stringsearch"}
@@ -230,14 +207,14 @@ func runFig59(c Config) error {
 				sps = append(sps, sp)
 			}
 		}
-		c.printf("  %-12s geo-mean speedup %.3fx\n", feat.String(), geoMean(sps))
+		c.printf("  %-12s geo-mean speedup %.3fx\n", feat.String(), numeric.GeoMean(sps))
 	}
 	c.printf("(paper shape: compilation statistics beat Autophase/token/raw features)\n")
 	return nil
 }
 
 func runFig510(c Config) error {
-	plat := c.platform()
+	plat := c.Platform
 	names := c.Benchmarks
 	if len(names) == 0 {
 		names = []string{"telecom_gsm"}
@@ -264,13 +241,13 @@ func runFig510(c Config) error {
 			}
 			sps = append(sps, sp)
 		}
-		c.printf("  %-20s geo-mean speedup %.3fx\n", variant.name, geoMean(sps))
+		c.printf("  %-20s geo-mean speedup %.3fx\n", variant.name, numeric.GeoMean(sps))
 	}
 	return nil
 }
 
 func runFig511(c Config) error {
-	plat := c.platform()
+	plat := c.Platform
 	b := bench.ByName("telecom_gsm")
 	if len(c.Benchmarks) > 0 {
 		b = bench.ByName(c.Benchmarks[0])
@@ -321,7 +298,7 @@ func runFig512(c Config) error {
 	}
 	opts := c.tunerOptions()
 	opts.Budget = c.Budget
-	_, res, err := runCitroen(b, c.platform(), opts, c.Seed)
+	_, res, err := runCitroen(b, c.Platform, opts, c.Seed)
 	if err != nil {
 		return err
 	}
@@ -342,7 +319,7 @@ func runFig512(c Config) error {
 }
 
 func runAdaptive(c Config) error {
-	plat := c.platform()
+	plat := c.Platform
 	b := bench.ByName("525.x264_r")
 	if len(c.Benchmarks) > 0 {
 		b = bench.ByName(c.Benchmarks[0])

@@ -30,12 +30,12 @@ func table51Sequences() [][]string {
 
 func runTab51(c Config) error {
 	b := bench.ByName("telecom_gsm")
-	ev, err := bench.NewEvaluator(b, c.platform(), c.Seed)
+	ev, err := bench.NewEvaluator(b, c.Platform, c.Seed)
 	if err != nil {
 		return err
 	}
 	cols := []string{"SLP.NumVectorInstructions", "mem2reg.NumPHIInsert", "mem2reg.NumPromoted", "instcombine.NumCombined"}
-	c.printf("Table 5.1 — pass statistics vs speedup (module long_term, platform %s)\n", c.platform().Prof.Name)
+	c.printf("Table 5.1 — pass statistics vs speedup (module long_term, platform %s)\n", c.Platform.Prof.Name)
 	c.printf("%-4s %-45s %8s %8s %8s %8s %9s\n", "No.", "Pass Sequence", "SLP.NVI", "m2r.NPI", "m2r.NP", "ic.NC", "Speedup")
 	for i, seq := range table51Sequences() {
 		_, st, err := ev.CompileModule("long_term", seq)
@@ -61,7 +61,7 @@ func runTab52(c Config) error {
 	}
 	opts := c.tunerOptions()
 	opts.Budget = c.Budget
-	_, res, err := runCitroen(b, c.platform(), opts, c.Seed)
+	_, res, err := runCitroen(b, c.Platform, opts, c.Seed)
 	if err != nil {
 		return err
 	}
@@ -102,7 +102,7 @@ func runTab55(c Config) error {
 	}
 	opts := c.tunerOptions()
 	opts.Budget = c.Budget
-	_, res, err := runCitroen(b, c.platform(), opts, c.Seed)
+	_, res, err := runCitroen(b, c.Platform, opts, c.Seed)
 	if err != nil {
 		return err
 	}
@@ -120,7 +120,7 @@ func runTab55(c Config) error {
 }
 
 func runFig51(c Config) error {
-	ev, err := bench.NewEvaluator(bench.ByName("telecom_gsm"), c.platform(), c.Seed)
+	ev, err := bench.NewEvaluator(bench.ByName("telecom_gsm"), c.Platform, c.Seed)
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 
 	"repro/internal/bench"
@@ -25,8 +24,9 @@ type Config struct {
 	Scale   float64 // generic scale knob for candidate counts etc.
 	// Benchmarks restricts the benchmark set (nil = experiment default).
 	Benchmarks []string
-	// Platform is "arm" or "x86".
-	Platform string
+	// Platform is the simulated evaluation platform (bench.PlatformByName
+	// parses the CLI spelling).
+	Platform bench.Platform
 	// Workers sizes the tuner's candidate-compilation pool (see
 	// core.Options.Workers): 0 = GOMAXPROCS, 1 = serial. Results are
 	// identical for every value; only wall-clock changes.
@@ -46,19 +46,12 @@ type Config struct {
 
 // DefaultConfig is the fast (test-friendly) scale.
 func DefaultConfig(out io.Writer) Config {
-	return Config{Seed: 1, Budget: 30, Repeats: 1, Scale: 1, Platform: "arm", Out: out}
+	return Config{Seed: 1, Budget: 30, Repeats: 1, Scale: 1, Platform: bench.ARM(), Out: out}
 }
 
 // PaperConfig approximates the paper's scale.
 func PaperConfig(out io.Writer) Config {
-	return Config{Seed: 1, Budget: 100, Repeats: 3, Scale: 1, Platform: "arm", Out: out}
-}
-
-func (c Config) platform() bench.Platform {
-	if c.Platform == "x86" {
-		return bench.X86()
-	}
-	return bench.ARM()
+	return Config{Seed: 1, Budget: 100, Repeats: 3, Scale: 1, Platform: bench.ARM(), Out: out}
 }
 
 func (c Config) printf(format string, args ...any) {
@@ -159,25 +152,6 @@ func runBaseline(t tuners.Tuner, b *bench.Benchmark, plat bench.Platform, budget
 		return 0, nil, err
 	}
 	return res.BestSpeedup, res, nil
-}
-
-// geoMean of positive values.
-func geoMean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	p := 1.0
-	for _, x := range v {
-		p *= x
-	}
-	return pow(p, 1/float64(len(v)))
-}
-
-func pow(base, exp float64) float64 {
-	if base <= 0 {
-		return 0
-	}
-	return math.Pow(base, exp)
 }
 
 // sortedKeys of a map[string]T.

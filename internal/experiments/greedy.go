@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/numeric"
 	"repro/internal/tuners"
 )
 
@@ -13,7 +14,7 @@ func init() {
 // greedy-seeded candidate pool, and unseeded CITROEN — all at the same
 // runtime-measurement budget.
 func runGreedy(c Config) error {
-	plat := c.platform()
+	plat := c.Platform
 	benches := c.benchSet(defaultCBenchSubset)
 	c.printf("Greedy statistics-connectivity planner (budget %d, platform %s, %d repeat(s))\n",
 		c.Budget, plat.Prof.Name, c.Repeats)
@@ -46,14 +47,14 @@ func runGreedy(c Config) error {
 			seeded = append(seeded, spS)
 		}
 		c.printf("%-22s %11.3fx %11.3fx %11.3fx\n",
-			b.Name, geoMean(greedy), geoMean(plain), geoMean(seeded))
+			b.Name, numeric.GeoMean(greedy), numeric.GeoMean(plain), numeric.GeoMean(seeded))
 		perMethod["GreedyStats"] = append(perMethod["GreedyStats"], greedy...)
 		perMethod["CITROEN"] = append(perMethod["CITROEN"], plain...)
 		perMethod["CITROEN+seed"] = append(perMethod["CITROEN+seed"], seeded...)
 	}
 	c.printf("%-22s %11.3fx %11.3fx %11.3fx\n", "geo-mean",
-		geoMean(perMethod["GreedyStats"]), geoMean(perMethod["CITROEN"]),
-		geoMean(perMethod["CITROEN+seed"]))
+		numeric.GeoMean(perMethod["GreedyStats"]), numeric.GeoMean(perMethod["CITROEN"]),
+		numeric.GeoMean(perMethod["CITROEN+seed"]))
 	c.printf("\n(paper shape: the greedy plan recovers most of O3's headroom for free;\n" +
 		" seeding starts BO from it instead of random sequences)\n")
 	return nil

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/evalpool"
 	"repro/internal/obs"
 )
 
@@ -345,15 +346,18 @@ func (c *Coordinator) postBatch(ctx context.Context, r *runnerState, req BatchRe
 	return &res, nil
 }
 
-// JobBinding scopes the coordinator to one tuning job: it implements
-// core.EvalBackend over the fleet and aggregates the accepted batch deltas
-// so the job's journalled cache statistics match a single-process run.
+// JobBinding scopes the coordinator to one tuning job. It is the job's
+// core.Task: the evaluator's own task, with Counters folding in every
+// accepted batch delta (so the journalled cache statistics match a
+// single-process run) and with core.EvalBackend implemented over the fleet,
+// which is how the tuner finds where candidate compiles execute.
 type JobBinding struct {
-	c       *Coordinator
-	cfg     JobConfig
-	ev      *bench.Evaluator
-	workers int // pool size for locally-executed fallback batches
-	feat    core.FeatureKind
+	*core.BenchTask
+	c    *Coordinator
+	cfg  JobConfig
+	ev   *bench.Evaluator
+	pool *evalpool.Pool // runs locally-executed fallback batches
+	feat core.FeatureKind
 
 	mu      sync.Mutex
 	agg     obs.CounterSet
@@ -366,8 +370,13 @@ type JobBinding struct {
 // single-process group schedule).
 func (c *Coordinator) Bind(cfg JobConfig, ev *bench.Evaluator, localWorkers int) *JobBinding {
 	kind, _ := core.FeatureKindFromString(cfg.Feature)
-	return &JobBinding{c: c, cfg: cfg, ev: ev, workers: localWorkers, feat: kind}
+	b := &JobBinding{BenchTask: ev.Task().(*core.BenchTask), c: c, cfg: cfg, ev: ev, pool: evalpool.New(localWorkers), feat: kind}
+	b.CountersFn = func() obs.CounterSet { return ev.Counters().Add(b.Delta()) }
+	return b
 }
+
+// Task returns the binding as the task to hand core.NewTuner.
+func (b *JobBinding) Task() core.Task { return b }
 
 // Delta reports the accepted remote counter work so far. The set is never
 // mutated in place (Add copies), so the returned slice is safe to keep.
@@ -399,20 +408,12 @@ func (b *JobBinding) EnsureLocal(ctx context.Context, module string, seq []strin
 	return b.ev.WarmCompile(ctx, module, seq)
 }
 
-// Task wraps the evaluator's core.Task so the tuner journals aggregated
-// fleet-wide counters: coordinator counters plus every accepted batch delta.
-func (b *JobBinding) Task() core.Task {
-	t := b.ev.Task().(*core.BenchTask)
-	t.CountersFn = func() obs.CounterSet { return b.ev.Counters().Add(b.Delta()) }
-	return t
-}
-
 // moduleBatch is the per-module slice of one fan-out: specs reindexed
 // locally with idx mapping back to the caller's spec indices.
 type moduleBatch struct {
 	module string
 	idx    []int
-	specs  []bench.TaskSpec
+	specs  []core.CompileSpec
 	groups [][]int
 }
 
@@ -438,7 +439,7 @@ func (b *JobBinding) CompileGroups(ctx context.Context, specs []core.CompileSpec
 		for _, gi := range g {
 			local = append(local, len(bt.specs))
 			bt.idx = append(bt.idx, gi)
-			bt.specs = append(bt.specs, bench.TaskSpec{Module: specs[gi].Module, Seq: specs[gi].Seq})
+			bt.specs = append(bt.specs, specs[gi])
 		}
 		bt.groups = append(bt.groups, local)
 	}
@@ -474,15 +475,7 @@ func (b *JobBinding) runModuleBatch(ctx context.Context, bt *moduleBatch) ([]cor
 		b.agg = b.agg.Add(res.Delta)
 		b.mu.Unlock()
 		b.c.hDispatch.Observe(time.Since(start).Seconds())
-		outs := make([]core.CompileOutcome, len(bt.specs))
-		for i, w := range res.Items {
-			outs[i] = core.CompileOutcome{
-				Ok: w.Ok, Err: w.Err,
-				Feature: w.Feature, Stats: w.Stats,
-				Wall: time.Duration(w.WallNS),
-			}
-		}
-		return outs, incidents
+		return res.Items, incidents
 	}
 	outs := make([]core.CompileOutcome, len(bt.specs))
 	if ctx.Err() != nil {
@@ -491,21 +484,15 @@ func (b *JobBinding) runModuleBatch(ctx context.Context, bt *moduleBatch) ([]cor
 	// Local execution. When runners are registered this is the last-resort
 	// fallback and journalled as an incident; with an empty registry it is
 	// simply normal single-process operation. Either way the work lands on
-	// the coordinator evaluator's own counters, so the delta is discarded
-	// rather than double-counted into agg.
+	// the coordinator evaluator's own counters, which Counters already
+	// reads, so nothing is added to agg.
 	if attempted || b.c.runnerCount() > 0 {
 		incidents = append(incidents, core.EvalIncident{Kind: "local-fallback", Module: bt.module, Attempt: 0})
 		b.c.cFallbacks.Inc()
 		b.c.logf("fleet: batch for module %s running locally (attempts exhausted or no healthy runner)", bt.module)
 	}
-	items, _, _ := b.ev.RunBatch(ctx, bt.specs, bt.groups, b.workers)
-	for i, it := range items {
-		o := core.CompileOutcome{Ok: it.Ok, Err: it.Err, Stats: it.Stats, Wall: it.Wall}
-		if it.Ok {
-			o.Feature = core.ExtractFeatures(b.feat, it.Mod, it.Stats, bt.specs[i].Seq)
-		}
-		outs[i] = o
-	}
+	// A cancelled batch leaves slots !Ok; the tuner checks its own context.
+	_ = core.RunGroups(ctx, b.pool, b.BenchTask, b.feat, bt.specs, bt.groups, outs)
 	return outs, incidents
 }
 

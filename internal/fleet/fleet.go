@@ -24,90 +24,41 @@
 package fleet
 
 import (
-	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/passes"
 )
 
 // JobConfig identifies the evaluation environment a batch must run in. A
 // runner lazily builds (and caches) one bench.Evaluator per distinct
-// config, so batches from the same job always hit the same caches.
+// (bench, platform, seed) — everything that changes compile/measure
+// behaviour — so batches from the same job always hit the same caches.
+// Feature only selects what the runner extracts per request.
 type JobConfig struct {
 	Bench    string `json:"bench"`
-	Platform string `json:"platform"` // "arm" (default) or "x86"
+	Platform string `json:"platform"` // see bench.PlatformByName
 	Seed     int64  `json:"seed"`
-	Feature  string `json:"feature"` // stats|autophase|tokenmix|rawseq ("" = stats)
-}
-
-// key is the evaluator identity: everything that changes compile/measure
-// behaviour. Feature is per-request (it only selects what the runner
-// extracts), so it is not part of the identity.
-func (c JobConfig) key() string {
-	p := c.Platform
-	if p == "" {
-		p = "arm"
-	}
-	return c.Bench + "|" + p + "|" + itoa64(c.Seed)
-}
-
-func itoa64(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
-// platform resolves the JobConfig's platform name.
-func (c JobConfig) platform() bench.Platform {
-	if c.Platform == "x86" {
-		return bench.X86()
-	}
-	return bench.ARM()
+	Feature  string `json:"feature"` // see core.FeatureKindFromString
 }
 
 // BatchRequest is one dispatched batch: an ordered spec list plus the group
 // structure the runner must honour (serial within a group, parallel across).
 type BatchRequest struct {
-	ID     string           `json:"id"`
-	Config JobConfig        `json:"config"`
-	Specs  []bench.TaskSpec `json:"specs"`
-	Groups [][]int          `json:"groups"`
-}
-
-// WireOutcome is one spec's result on the wire. Feature values are float64
-// and survive JSON round-trips bit-for-bit, which is what lets the
-// coordinator's journal stay byte-identical to a single-process run.
-type WireOutcome struct {
-	Ok      bool               `json:"ok"`
-	Err     string             `json:"err,omitempty"`
-	Feature map[string]float64 `json:"feature,omitempty"`
-	Stats   passes.Stats       `json:"stats,omitempty"`
-	WallNS  int64              `json:"wall_ns"`
+	ID     string             `json:"id"`
+	Config JobConfig          `json:"config"`
+	Specs  []core.CompileSpec `json:"specs"`
+	Groups [][]int            `json:"groups"`
 }
 
 // BatchResult is a runner's response: per-spec outcomes in request order
-// plus the counter delta the batch caused on the runner's evaluator (see
-// bench.Evaluator.RunBatch). The coordinator folds exactly one accepted delta
-// per batch into the job's aggregated counters.
+// plus the change the batch caused in the runner evaluator's own counter
+// rows (Counters().Owned(): canonical, prefix_* and cow_*, not the
+// process-global ones; prefix_snapshot_bytes is a net byte change, so
+// eviction inside a batch subtracts). The coordinator folds exactly one
+// accepted delta per batch into the job's aggregated counters.
 type BatchResult struct {
-	ID    string         `json:"id"`
-	Items []WireOutcome  `json:"items"`
-	Delta obs.CounterSet `json:"delta"`
+	ID    string                `json:"id"`
+	Items []core.CompileOutcome `json:"items"`
+	Delta obs.CounterSet        `json:"delta"`
 }
 
 // RunnerInfo is the registry view of one runner, served by the

@@ -1,12 +1,15 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -15,6 +18,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/evalpool"
 	"repro/internal/obs"
 )
 
@@ -133,9 +137,7 @@ func TestFleetJournalMatchesSingleProcess(t *testing.T) {
 	binding := c.Bind(cfg, newEval(t, benchName, seed), 2)
 
 	memF := &obs.MemorySink{}
-	o := tuneOpts(memF, 2)
-	o.Backend = binding
-	resF, err := core.NewTuner(binding.Task(), o, seed).Run()
+	resF, err := core.NewTuner(binding.Task(), tuneOpts(memF, 2), seed).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,9 +207,7 @@ func TestRunnerKilledMidJobCompletesWithRetries(t *testing.T) {
 	binding := c.Bind(cfg, newEval(t, benchName, seed), 2)
 
 	mem := &obs.MemorySink{}
-	o := tuneOpts(mem, 2)
-	o.Backend = binding
-	res, err := core.NewTuner(binding.Task(), o, seed).Run()
+	res, err := core.NewTuner(binding.Task(), tuneOpts(mem, 2), seed).Run()
 	if err != nil {
 		t.Fatalf("job did not survive a killed runner: %v", err)
 	}
@@ -241,10 +241,10 @@ func TestStolenDuplicateDiscardedExactlyOnce(t *testing.T) {
 	rsFast := &RunnerServer{Workers: 1}
 	// Prebuild both evaluators so handler latency is dominated by the
 	// deliberate delay, not by first-batch setup.
-	if _, err := rsSlow.evaluator(cfg); err != nil {
+	if _, err := rsSlow.evaluator(cfg, bench.ARM()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rsFast.evaluator(cfg); err != nil {
+	if _, err := rsFast.evaluator(cfg, bench.ARM()); err != nil {
 		t.Fatal(err)
 	}
 	slow := func(inner http.Handler) http.Handler {
@@ -499,8 +499,130 @@ func TestCoordinatorCapsBatchResult(t *testing.T) {
 	defer srv.Close()
 	c := New(Options{})
 	_, err := c.postBatch(context.Background(), &runnerState{id: "r1", url: srv.URL},
-		BatchRequest{ID: "b1", Specs: []bench.TaskSpec{{Module: "m"}}})
+		BatchRequest{ID: "b1", Specs: []core.CompileSpec{{Module: "m"}}})
 	if err == nil || !strings.Contains(err.Error(), "decode batch result") {
 		t.Fatalf("oversized result: err = %v, want a decode failure", err)
+	}
+}
+
+// The fleet wire format is core.CompileSpec / core.CompileOutcome themselves.
+// The golden bodies were captured from the last commit that had separate wire
+// types (bench.TaskSpec, fleet.WireOutcome): they must decode into today's
+// types and re-encode to the same bytes, the way each side writes them
+// (json.Marshal for the request, an Encoder — trailing newline — for the
+// result).
+func TestWireFormatGolden(t *testing.T) {
+	wantReq, err := os.ReadFile("testdata/batch_request.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req BatchRequest
+	if err := json.Unmarshal(wantReq, &req); err != nil {
+		t.Fatal(err)
+	}
+	if len(req.Specs) != 3 || req.Specs[1].Module != "long_term" || len(req.Specs[1].Seq) != 2 || req.Specs[0].Seq != nil {
+		t.Fatalf("request decoded wrong: %+v", req)
+	}
+	if got, err := json.Marshal(req); err != nil || !bytes.Equal(got, wantReq) {
+		t.Fatalf("request re-encodes differently (err %v):\n%s\nwant\n%s", err, got, wantReq)
+	}
+
+	wantRes, err := os.ReadFile("testdata/batch_result.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res BatchResult
+	if err := json.Unmarshal(wantRes, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Items) != 3 || !res.Items[0].Ok || res.Items[2].Ok || res.Items[2].Err == "" ||
+		res.Items[1].Wall <= 0 || len(res.Items[1].Feature) == 0 || len(res.Items[1].Stats) == 0 {
+		t.Fatalf("result decoded wrong: %+v", res.Items)
+	}
+	var got bytes.Buffer
+	if err := json.NewEncoder(&got).Encode(res); err != nil || !bytes.Equal(got.Bytes(), wantRes) {
+		t.Fatalf("result re-encodes differently (err %v):\n%s\nwant\n%s", err, got.Bytes(), wantRes)
+	}
+}
+
+// One executor, three callers: the same specs and groups give the same
+// outcomes (everything but Wall) through the evaluator's own task, through a
+// runner over HTTP, and through the coordinator's local fallback.
+func TestOutcomesEqualLocalRunnerFallback(t *testing.T) {
+	const seed = 3
+	const benchName = "telecom_gsm"
+	cfg := JobConfig{Bench: benchName, Platform: "arm", Seed: seed, Feature: "stats"}
+	var specs []core.CompileSpec
+	var groups [][]int
+	for _, mod := range newEval(t, benchName, seed).Modules() {
+		g := []int{len(specs), len(specs) + 1, len(specs) + 2, len(specs) + 3}
+		specs = append(specs,
+			core.CompileSpec{Module: mod},
+			core.CompileSpec{Module: mod, Seq: []string{"mem2reg", "instcombine", "dce"}},
+			core.CompileSpec{Module: mod, Seq: []string{"mem2reg", "instcombine", "gvn"}},
+			core.CompileSpec{Module: mod, Seq: []string{"no-such-pass"}})
+		groups = append(groups, g)
+	}
+	strip := func(outs []core.CompileOutcome) []core.CompileOutcome {
+		for i := range outs {
+			outs[i].Wall = 0
+		}
+		return outs
+	}
+
+	local := make([]core.CompileOutcome, len(specs))
+	if err := core.RunGroups(context.Background(), evalpool.New(2), newEval(t, benchName, seed).Task(), core.FeatStats, specs, groups, local); err != nil {
+		t.Fatal(err)
+	}
+	strip(local)
+	if !local[0].Ok || local[3].Ok || local[3].Err == "" || len(local[1].Feature) == 0 {
+		t.Fatalf("local outcomes look wrong: %+v", local[:4])
+	}
+
+	ts := httptest.NewServer((&RunnerServer{Workers: 2}).Handler())
+	defer ts.Close()
+	c := New(Options{HeartbeatTimeout: time.Minute})
+	c.Register(ts.URL, 2)
+	remote := make([]core.CompileOutcome, len(specs))
+	if incs := c.Bind(cfg, newEval(t, benchName, seed), 2).CompileGroups(context.Background(), specs, groups, remote); len(incs) != 0 {
+		t.Fatalf("healthy runner reported incidents: %v", incs)
+	}
+	if c.cBatches.Value() == 0 {
+		t.Fatal("nothing was dispatched to the runner")
+	}
+	if !reflect.DeepEqual(local, strip(remote)) {
+		t.Fatalf("runner outcomes differ from local:\n%+v\nvs\n%+v", remote, local)
+	}
+
+	fallback := make([]core.CompileOutcome, len(specs))
+	New(Options{}).Bind(cfg, newEval(t, benchName, seed), 2).CompileGroups(context.Background(), specs, groups, fallback)
+	if !reflect.DeepEqual(local, strip(fallback)) {
+		t.Fatalf("fallback outcomes differ from local:\n%+v\nvs\n%+v", fallback, local)
+	}
+}
+
+// Names arrive from the network: a platform or feature kind the parsers do
+// not know is a 400, not a silent ARM / stats run, and builds no evaluator.
+func TestRunnerRejectsUnknownNames(t *testing.T) {
+	rs := &RunnerServer{}
+	srv := httptest.NewServer(rs.Handler())
+	defer srv.Close()
+	for _, cfg := range []JobConfig{
+		{Bench: "telecom_gsm", Platform: "ARM", Seed: 1},
+		{Bench: "telecom_gsm", Platform: "riscv", Seed: 1},
+		{Bench: "telecom_gsm", Platform: "arm", Seed: 1, Feature: "bogus"},
+	} {
+		body, _ := json.Marshal(BatchRequest{ID: "b1", Config: cfg, Specs: []core.CompileSpec{{Module: "long_term"}}, Groups: [][]int{{0}}})
+		resp, err := http.Post(srv.URL+"/v1/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%+v: HTTP %d, want 400", cfg, resp.StatusCode)
+		}
+	}
+	if len(rs.evs) != 0 {
+		t.Fatalf("a rejected request built %d evaluators", len(rs.evs))
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/evalpool"
 )
 
 // RunnerServer executes evaluation batches on behalf of a coordinator. It
@@ -35,6 +36,10 @@ type lazyEvaluator struct {
 	once sync.Once
 	ev   *bench.Evaluator
 	err  error
+	// batchMu serialises this evaluator's batches so the counter bracket in
+	// handleBatch is attributable to exactly one batch; individual compiles
+	// stay concurrent inside it.
+	batchMu sync.Mutex
 }
 
 func (rs *RunnerServer) logf(format string, args ...any) {
@@ -43,18 +48,23 @@ func (rs *RunnerServer) logf(format string, args ...any) {
 	}
 }
 
-// evaluator returns the cached evaluator for cfg, building it on first use.
-// The build (modules + O3 baselines for both datasets) can take a while;
-// concurrent batches for the same config block on one build.
-func (rs *RunnerServer) evaluator(cfg JobConfig) (*bench.Evaluator, error) {
+// evaluator returns the cached evaluator for cfg on plat (cfg.Platform,
+// parsed), building it on first use. The build (modules + O3 baselines for
+// both datasets) can take a while; concurrent batches for the same config
+// block on one build.
+func (rs *RunnerServer) evaluator(cfg JobConfig, plat bench.Platform) (*lazyEvaluator, error) {
+	// The evaluator identity: everything that changes compile/measure
+	// behaviour, with the platform already parsed so two spellings of one
+	// platform cannot build two evaluators.
+	key := fmt.Sprintf("%s|%s|%d", cfg.Bench, plat.Name, cfg.Seed)
 	rs.mu.Lock()
 	if rs.evs == nil {
 		rs.evs = map[string]*lazyEvaluator{}
 	}
-	le := rs.evs[cfg.key()]
+	le := rs.evs[key]
 	if le == nil {
 		le = &lazyEvaluator{}
-		rs.evs[cfg.key()] = le
+		rs.evs[key] = le
 	}
 	rs.mu.Unlock()
 	le.once.Do(func() {
@@ -64,12 +74,12 @@ func (rs *RunnerServer) evaluator(cfg JobConfig) (*bench.Evaluator, error) {
 			return
 		}
 		t := time.Now()
-		le.ev, le.err = bench.NewEvaluator(b, cfg.platform(), cfg.Seed)
+		le.ev, le.err = bench.NewEvaluator(b, plat, cfg.Seed)
 		if le.err == nil {
-			rs.logf("fleet runner: built evaluator %s in %s", cfg.key(), time.Since(t).Round(time.Millisecond))
+			rs.logf("fleet runner: built evaluator %s in %s", key, time.Since(t).Round(time.Millisecond))
 		}
 	})
-	return le.ev, le.err
+	return le, le.err
 }
 
 // Handler returns the runner's HTTP API: POST /v1/batch executes a batch,
@@ -114,12 +124,22 @@ func (rs *RunnerServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "unknown feature kind %q", req.Config.Feature)
 		return
 	}
-	ev, err := rs.evaluator(req.Config)
+	plat, err := bench.PlatformByName(req.Config.Platform)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	le, err := rs.evaluator(req.Config, plat)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "evaluator: %v", err)
 		return
 	}
-	items, delta, err := ev.RunBatch(r.Context(), req.Specs, req.Groups, rs.Workers)
+	res := BatchResult{ID: req.ID, Items: make([]core.CompileOutcome, len(req.Specs))}
+	le.batchMu.Lock()
+	before := le.ev.Counters().Owned()
+	err = core.RunGroups(r.Context(), evalpool.New(rs.Workers), le.ev.Task(), kind, req.Specs, req.Groups, res.Items)
+	res.Delta = le.ev.Counters().Owned().Sub(before)
+	le.batchMu.Unlock()
 	if err != nil {
 		// Context cancelled mid-batch (coordinator gave up or stole the
 		// batch): the delta is real work but nobody will account for it;
@@ -127,16 +147,9 @@ func (rs *RunnerServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "batch aborted: %v", err)
 		return
 	}
-	res := BatchResult{ID: req.ID, Items: make([]WireOutcome, len(items)), Delta: delta}
-	for i, it := range items {
-		res.Items[i] = WireOutcome{Ok: it.Ok, Err: it.Err, Stats: it.Stats, WallNS: int64(it.Wall)}
-		if it.Ok {
-			res.Items[i].Feature = core.ExtractFeatures(kind, it.Mod, it.Stats, req.Specs[i].Seq)
-		}
-	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(res)
-	rs.logf("fleet runner: batch %s done (%d specs, +%d compiles)", req.ID, len(req.Specs), delta.Get("pipeline_runs"))
+	rs.logf("fleet runner: batch %s done (%d specs, +%d compiles)", req.ID, len(req.Specs), res.Delta.Get("pipeline_runs"))
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

@@ -185,10 +185,10 @@ func CholeskyInto(dst, a *Matrix) error {
 	return nil
 }
 
-// CholeskyWithJitterInto is CholeskyWithJitter reusing dst for the factor.
-// Unlike CholeskyWithJitter it perturbs a's diagonal in place by the jitter
-// that was needed — callers treat a as scratch. The jitter schedule (×10 per
-// retry) matches CholeskyWithJitter exactly.
+// CholeskyWithJitterInto factors a into dst, adding diagonal jitter (growing
+// ×10 each try) until the factorisation succeeds, and returns the jitter
+// used. It perturbs a's diagonal in place by that jitter — callers treat a as
+// scratch; CholeskyWithJitter is the form that leaves a alone.
 func CholeskyWithJitterInto(dst, a *Matrix, jitter float64, maxTries int) (float64, error) {
 	added := 0.0
 	for try := 0; try <= maxTries; try++ {

@@ -53,24 +53,8 @@ func (m *Matrix) T() *Matrix {
 
 // Mul returns the matrix product m·b.
 func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("numeric: mul shape mismatch %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
 	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		ri := m.Row(i)
-		oi := out.Row(i)
-		for k := 0; k < m.Cols; k++ {
-			a := ri[k]
-			if a == 0 {
-				continue
-			}
-			bk := b.Row(k)
-			for j := range oi {
-				oi[j] += a * bk[j]
-			}
-		}
-	}
+	MulInto(out, m, b)
 	return out
 }
 
@@ -104,27 +88,9 @@ var ErrNotPositiveDefinite = errors.New("numeric: matrix is not positive definit
 // Cholesky computes the lower-triangular factor L with A = L·Lᵀ.
 // A must be symmetric; only its lower triangle is read.
 func Cholesky(a *Matrix) (*Matrix, error) {
-	if a.Rows != a.Cols {
-		panic("numeric: cholesky of non-square matrix")
-	}
-	n := a.Rows
-	l := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			li, lj := l.Row(i), l.Row(j)
-			for k := 0; k < j; k++ {
-				sum -= li[k] * lj[k]
-			}
-			if i == j {
-				if sum <= 0 || math.IsNaN(sum) {
-					return nil, ErrNotPositiveDefinite
-				}
-				li[j] = math.Sqrt(sum)
-			} else {
-				li[j] = sum / lj[j]
-			}
-		}
+	l := NewMatrix(a.Rows, a.Rows)
+	if err := CholeskyInto(l, a); err != nil {
+		return nil, err
 	}
 	return l, nil
 }
@@ -132,52 +98,33 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 // CholeskyWithJitter repeatedly adds diagonal jitter (growing ×10 each try)
 // until the factorisation succeeds, returning the factor and the jitter used.
 func CholeskyWithJitter(a *Matrix, jitter float64, maxTries int) (*Matrix, float64, error) {
-	work := a.Clone()
-	added := 0.0
-	for try := 0; try <= maxTries; try++ {
-		l, err := Cholesky(work)
-		if err == nil {
-			return l, added, nil
-		}
-		step := jitter * math.Pow(10, float64(try))
-		work.AddDiag(step)
-		added += step
+	l := NewMatrix(a.Rows, a.Rows)
+	added, err := CholeskyWithJitterInto(l, a.Clone(), jitter, maxTries)
+	if err != nil {
+		return nil, added, err
 	}
-	return nil, added, ErrNotPositiveDefinite
+	return l, added, nil
 }
 
 // SolveLower solves L·x = b for lower-triangular L.
 func SolveLower(l *Matrix, b []float64) []float64 {
-	n := l.Rows
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		li := l.Row(i)
-		for k := 0; k < i; k++ {
-			sum -= li[k] * x[k]
-		}
-		x[i] = sum / li[i]
-	}
+	x := make([]float64, l.Rows)
+	SolveLowerInto(l, b, x)
 	return x
 }
 
 // SolveUpperT solves Lᵀ·x = b given the lower-triangular factor L.
 func SolveUpperT(l *Matrix, b []float64) []float64 {
-	n := l.Rows
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		sum := b[i]
-		for k := i + 1; k < n; k++ {
-			sum -= l.At(k, i) * x[k]
-		}
-		x[i] = sum / l.At(i, i)
-	}
+	x := make([]float64, l.Rows)
+	SolveUpperTInto(l, b, x)
 	return x
 }
 
 // CholSolve solves A·x = b using the Cholesky factor L of A.
 func CholSolve(l *Matrix, b []float64) []float64 {
-	return SolveUpperT(l, SolveLower(l, b))
+	x := make([]float64, l.Rows)
+	CholSolveInto(l, b, x)
+	return x
 }
 
 // CholSolveMatrix solves A·X = B column-by-column using the factor L.

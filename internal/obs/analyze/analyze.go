@@ -67,7 +67,7 @@ type Attribution struct {
 // Feed classifies one event, returning its phase and the CPU nanoseconds it
 // contributes. ok is false for events that carry no wall time.
 func (a *Attribution) Feed(e *obs.Event) (phase Phase, cpuNS int64, ok bool) {
-	wall := int64(fieldFloat(e.Fields, "wall_ns"))
+	wall := int64(obs.FieldFloat(e.Fields, "wall_ns"))
 	switch e.Type {
 	case "compile":
 		a.pendingCompileNS += wall
@@ -277,7 +277,7 @@ func (a *Analyzer) Feed(e *obs.Event) {
 		// [t - wall, t]. The acquisition interval spans its full wall (the
 		// sweep carves the nested compile segments out by priority), while
 		// its CPU share is the compile-free remainder from Attribution.
-		start := t - int64(fieldFloat(e.Fields, "wall_ns"))
+		start := t - int64(obs.FieldFloat(e.Fields, "wall_ns"))
 		if start < a.firstNS {
 			start = a.firstNS
 		}
@@ -304,20 +304,20 @@ func (a *Analyzer) Feed(e *obs.Event) {
 		m := a.module(fieldString(f, "module"))
 		if m != nil {
 			m.Compiles++
-			m.CompileNS += int64(fieldFloat(f, "wall_ns"))
+			m.CompileNS += int64(obs.FieldFloat(f, "wall_ns"))
 		}
 	case "measure":
-		ok := fieldBool(f, "ok")
-		reused := fieldBool(f, "reused")
+		ok := obs.FieldBool(f, "ok")
+		reused := obs.FieldBool(f, "reused")
 		if reused {
 			r.ReusedMeasurements++
 		}
 		if ok && !reused {
 			r.Measurements++
 			step := Step{
-				Measurement: int(fieldFloat(f, "measurement")),
-				Speedup:     fieldFloat(f, "speedup"),
-				Best:        fieldFloat(f, "best"),
+				Measurement: int(obs.FieldFloat(f, "measurement")),
+				Speedup:     obs.FieldFloat(f, "speedup"),
+				Best:        obs.FieldFloat(f, "best"),
 				Module:      fieldString(f, "module"),
 			}
 			r.Curve = append(r.Curve, step)
@@ -330,9 +330,9 @@ func (a *Analyzer) Feed(e *obs.Event) {
 			}
 		}
 	case "new-incumbent":
-		sp := fieldFloat(f, "speedup")
+		sp := obs.FieldFloat(f, "speedup")
 		r.Incumbents = append(r.Incumbents, Step{
-			Measurement: int(fieldFloat(f, "measurement")),
+			Measurement: int(obs.FieldFloat(f, "measurement")),
 			Speedup:     sp, Best: sp,
 			Module: fieldString(f, "module"),
 		})
@@ -359,10 +359,10 @@ func passProfile(f map[string]any) []PassRow {
 		}
 		out = append(out, PassRow{
 			Pass:        fieldString(m, "pass"),
-			Invocations: int(fieldFloat(m, "invocations")),
-			Fired:       int(fieldFloat(m, "fired")),
-			WallNS:      int64(fieldFloat(m, "wall_ns")),
-			DeltaTotal:  int(fieldFloat(m, "delta_total")),
+			Invocations: int(obs.FieldFloat(m, "invocations")),
+			Fired:       int(obs.FieldFloat(m, "fired")),
+			WallNS:      int64(obs.FieldFloat(m, "wall_ns")),
+			DeltaTotal:  int(obs.FieldFloat(m, "delta_total")),
 		})
 	}
 	return out
@@ -382,7 +382,7 @@ func (a *Analyzer) feedStats(e *obs.Event) {
 				continue
 			}
 		}
-		a.counters[name] = obs.CounterRow{Name: name, Value: int64(fieldFloat(e.Fields, k)), Env: env}
+		a.counters[name] = obs.CounterRow{Name: name, Value: int64(obs.FieldFloat(e.Fields, k)), Env: env}
 	}
 }
 
@@ -534,4 +534,9 @@ func sweep(ivs []interval, first, last int64) (elapsed map[Phase]int64, critical
 		}
 	}
 	return elapsed, criticalNS
+}
+
+func fieldString(f map[string]any, key string) string {
+	s, _ := f[key].(string)
+	return s
 }

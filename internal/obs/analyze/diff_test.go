@@ -24,7 +24,7 @@ func TestDiffWorkerDeterminism(t *testing.T) {
 		perturbed[i].TimeNS += 12345
 		if v, ok := perturbed[i].Fields["wall_ns"]; ok {
 			perturbed[i].Fields = cloneFields(perturbed[i].Fields)
-			perturbed[i].Fields["wall_ns"] = fieldFloat(map[string]any{"w": v}, "w") + 999
+			perturbed[i].Fields["wall_ns"] = obs.FieldFloat(map[string]any{"w": v}, "w") + 999
 		}
 	}
 	if m := Diff(ev1, perturbed); m != nil {

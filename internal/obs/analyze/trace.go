@@ -55,7 +55,7 @@ func ChromeTrace(events []obs.Event) *Trace {
 		for _, sp := range root.Children {
 			name := "iteration"
 			if sp.Open.Fields != nil {
-				name = "iteration " + itoa(int(fieldFloat(sp.Open.Fields, "iter")))
+				name = "iteration " + itoa(int(obs.FieldFloat(sp.Open.Fields, "iter")))
 			}
 			tr.slice(pid, tunerTID, name, "span", base, sp.StartNS, sp.EndNS, scrubArgs(sp.Open.Fields))
 			emitSpanEvents(tr, pid, base, sp, &compiles)
@@ -83,7 +83,7 @@ type interval3 struct {
 func emitSpanEvents(tr *Trace, pid int, base int64, sp *Span, compiles *[]interval3) {
 	for _, e := range sp.Events {
 		t := eventEnd(sp, e)
-		wall := int64(fieldFloat(e.Fields, "wall_ns"))
+		wall := int64(obs.FieldFloat(e.Fields, "wall_ns"))
 		start := t - wall
 		if start < base {
 			start = base
@@ -95,7 +95,7 @@ func emitSpanEvents(tr *Trace, pid int, base int64, sp *Span, compiles *[]interv
 			tr.slice(pid, tunerTID, "measure "+fieldString(e.Fields, "module"), string(PhaseMeasure), base, start, t, scrubArgs(e.Fields))
 		case "gp-fit":
 			name := "gp refit"
-			if fieldBool(e.Fields, "appended") {
+			if obs.FieldBool(e.Fields, "appended") {
 				name = "gp append"
 			}
 			tr.slice(pid, tunerTID, name, string(PhaseGPFit), base, start, t, scrubArgs(e.Fields))
@@ -180,7 +180,7 @@ func (t *Trace) meta(pid, tid int, name string, args map[string]any) {
 
 func processName(root *Span, idx int) string {
 	if f := root.Open.Fields; f != nil {
-		return "citroen run " + itoa(idx+1) + " (budget " + itoa(int(fieldFloat(f, "budget"))) + ")"
+		return "citroen run " + itoa(idx+1) + " (budget " + itoa(int(obs.FieldFloat(f, "budget"))) + ")"
 	}
 	return "citroen run " + itoa(idx+1)
 }

@@ -128,11 +128,11 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("run-start mangled: %+v", events[0])
 	}
 	m := events[1]
-	if m.Type != "measure" || fieldFloat(m.Fields, "speedup") != 1.25 ||
-		m.Fields["module"] != "mod" || !fieldBool(m.Fields, "ok") {
+	if m.Type != "measure" || FieldFloat(m.Fields, "speedup") != 1.25 ||
+		m.Fields["module"] != "mod" || !FieldBool(m.Fields, "ok") {
 		t.Fatalf("measure mangled: %+v", m)
 	}
-	if events[2].Type != "run-end" || fieldFloat(events[2].Fields, "best_speedup") != 1.25 {
+	if events[2].Type != "run-end" || FieldFloat(events[2].Fields, "best_speedup") != 1.25 {
 		t.Fatalf("run-end mangled: %+v", events[2])
 	}
 }

@@ -43,7 +43,7 @@ var renderers = map[string]func(w io.Writer, e *Event){
 	"compile": func(w io.Writer, e *Event) {
 		f := e.Fields
 		status := "ok"
-		if !fieldBool(f, "ok") {
+		if !FieldBool(f, "ok") {
 			status = "FAILED"
 		}
 		fmt.Fprintf(w, "  compile   module %-14s %3d passes  %s (%v)\n",
@@ -53,7 +53,7 @@ var renderers = map[string]func(w io.Writer, e *Event){
 	"gp-fit": func(w io.Writer, e *Event) {
 		f := e.Fields
 		mode := "refit"
-		if fieldBool(f, "appended") {
+		if FieldBool(f, "appended") {
 			mode = "append"
 		}
 		fmt.Fprintf(w, "  gp-fit: %d points, %d dims (%s)\n",
@@ -62,27 +62,27 @@ var renderers = map[string]func(w io.Writer, e *Event){
 	"acq-max": func(w io.Writer, e *Event) {
 		f := e.Fields
 		dup := ""
-		if fieldBool(f, "dup") {
+		if FieldBool(f, "dup") {
 			dup = " (duplicate statistics)"
 		}
 		fmt.Fprintf(w, "  acq: argmax over %d candidates -> module %v (af %.4g, %d novel dims)%s\n",
-			fieldInt(f, "candidates"), f["module"], fieldFloat(f, "af"),
+			fieldInt(f, "candidates"), f["module"], FieldFloat(f, "af"),
 			fieldInt(f, "novel_dims"), dup)
 	},
 	"measure": func(w io.Writer, e *Event) {
 		f := e.Fields
-		if !fieldBool(f, "ok") {
+		if !FieldBool(f, "ok") {
 			fmt.Fprintf(w, "  meas ---  module %-14s FAILED (differential test or build)\n", f["module"])
 			return
 		}
-		if fieldBool(f, "reused") {
+		if FieldBool(f, "reused") {
 			fmt.Fprintf(w, "  meas ---  module %-14s speedup %.3fx  (duplicate statistics, measurement reused)\n",
-				f["module"], fieldFloat(f, "speedup"))
+				f["module"], FieldFloat(f, "speedup"))
 			return
 		}
 		fmt.Fprintf(w, "  meas %3d  module %-14s speedup %.3fx  best %.3fx\n",
 			fieldInt(f, "measurement"), f["module"],
-			fieldFloat(f, "speedup"), fieldFloat(f, "best"))
+			FieldFloat(f, "speedup"), FieldFloat(f, "best"))
 	},
 	"stats": func(w io.Writer, e *Event) {
 		keys := make([]string, 0, len(e.Fields))
@@ -112,20 +112,20 @@ var renderers = map[string]func(w io.Writer, e *Event){
 	"new-incumbent": func(w io.Writer, e *Event) {
 		f := e.Fields
 		fmt.Fprintf(w, "  ** new incumbent: %.3fx (module %v, measurement %d)\n",
-			fieldFloat(f, "speedup"), f["module"], fieldInt(f, "measurement"))
+			FieldFloat(f, "speedup"), f["module"], fieldInt(f, "measurement"))
 	},
 	"checkpoint": func(w io.Writer, e *Event) {
 		fmt.Fprintf(w, "  checkpoint: %d measurements, best %.3fx\n",
-			fieldInt(e.Fields, "measurements"), fieldFloat(e.Fields, "best"))
+			fieldInt(e.Fields, "measurements"), FieldFloat(e.Fields, "best"))
 	},
 	"resume": func(w io.Writer, e *Event) {
 		fmt.Fprintf(w, "resume: replayed %d observations, best %.3fx\n",
-			fieldInt(e.Fields, "replayed"), fieldFloat(e.Fields, "best"))
+			fieldInt(e.Fields, "replayed"), FieldFloat(e.Fields, "best"))
 	},
 	"run-end": func(w io.Writer, e *Event) {
 		f := e.Fields
 		fmt.Fprintf(w, "run-end: best %.3fx, %d measurements, %d compilations\n",
-			fieldFloat(f, "best_speedup"), fieldInt(f, "measurements"), fieldInt(f, "compilations"))
+			FieldFloat(f, "best_speedup"), fieldInt(f, "measurements"), fieldInt(f, "compilations"))
 	},
 }
 
@@ -155,4 +155,4 @@ func (t *TextRenderer) Emit(e *Event) {
 	t.mu.Unlock()
 }
 
-func fieldInt64(f map[string]any, key string) int64 { return int64(fieldFloat(f, key)) }
+func fieldInt64(f map[string]any, key string) int64 { return int64(FieldFloat(f, key)) }

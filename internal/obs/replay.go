@@ -9,9 +9,10 @@ import (
 	"os"
 )
 
-// fieldFloat extracts a numeric field, tolerating both in-memory events
-// (int/int64/float64 values) and JSON-decoded ones (float64).
-func fieldFloat(f map[string]any, key string) float64 {
+// FieldFloat extracts a numeric event field, tolerating both in-memory
+// events (int/int64/uint64/float64 values) and JSON-decoded ones (float64);
+// a missing or non-numeric field reads as 0.
+func FieldFloat(f map[string]any, key string) float64 {
 	switch v := f[key].(type) {
 	case float64:
 		return v
@@ -25,9 +26,10 @@ func fieldFloat(f map[string]any, key string) float64 {
 	return 0
 }
 
-func fieldInt(f map[string]any, key string) int { return int(fieldFloat(f, key)) }
+func fieldInt(f map[string]any, key string) int { return int(FieldFloat(f, key)) }
 
-func fieldBool(f map[string]any, key string) bool {
+// FieldBool extracts a boolean event field; missing reads as false.
+func FieldBool(f map[string]any, key string) bool {
 	b, _ := f[key].(bool)
 	return b
 }

@@ -17,12 +17,12 @@ import (
 // minimal request is {"bench": "telecom_gsm"}.
 type JobSpec struct {
 	Bench    string `json:"bench"`
-	Platform string `json:"platform,omitempty"` // "arm" (default) or "x86"
+	Platform string `json:"platform,omitempty"` // see bench.PlatformByName
 	Budget   int    `json:"budget,omitempty"`
 	Seed     int64  `json:"seed,omitempty"`
 	Lambda   int    `json:"lambda,omitempty"`
 	Workers  int    `json:"workers,omitempty"`
-	Feature  string `json:"feature,omitempty"` // stats|autophase|tokenmix|rawseq
+	Feature  string `json:"feature,omitempty"` // see core.FeatureKindFromString
 	Adaptive *bool  `json:"adaptive,omitempty"`
 	// CheckpointEvery overrides the server's checkpoint interval (measurements
 	// between durable snapshots) for this job.
@@ -38,20 +38,16 @@ func (s *JobSpec) normalize(defaultCkptEvery int) error {
 	if bench.ByName(s.Bench) == nil {
 		return fmt.Errorf("serve: unknown benchmark %q", s.Bench)
 	}
-	switch s.Platform {
-	case "":
-		s.Platform = "arm"
-	case "arm", "x86":
-	default:
-		return fmt.Errorf("serve: unknown platform %q (arm or x86)", s.Platform)
+	plat, err := bench.PlatformByName(s.Platform)
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
-	switch s.Feature {
-	case "":
-		s.Feature = "stats"
-	case "stats", "autophase", "tokenmix", "rawseq":
-	default:
+	s.Platform = plat.Name
+	kind, ok := core.FeatureKindFromString(s.Feature)
+	if !ok {
 		return fmt.Errorf("serve: unknown feature kind %q", s.Feature)
 	}
+	s.Feature = kind.String()
 	if s.Budget == 0 {
 		s.Budget = 50
 	}
@@ -78,23 +74,9 @@ func (s *JobSpec) options() core.Options {
 	if s.Adaptive != nil {
 		opts.Adaptive = *s.Adaptive
 	}
-	switch s.Feature {
-	case "autophase":
-		opts.Feature = core.FeatAutophase
-	case "tokenmix":
-		opts.Feature = core.FeatTokenMix
-	case "rawseq":
-		opts.Feature = core.FeatRawSeq
-	}
+	opts.Feature, _ = core.FeatureKindFromString(s.Feature) // validated by normalize
 	opts.CheckpointEvery = s.CheckpointEvery
 	return opts
-}
-
-func (s *JobSpec) platform() bench.Platform {
-	if s.Platform == "x86" {
-		return bench.X86()
-	}
-	return bench.ARM()
 }
 
 // State is a job lifecycle state.

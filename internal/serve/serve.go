@@ -439,8 +439,12 @@ func (f flushingSink) BaseSeq() int64 { return f.s.BaseSeq() }
 // tune builds the evaluator and runs the tuner for one job, wiring the
 // journal, checkpoint hook and (if present) the prior checkpoint.
 func (s *Server) tune(ctx context.Context, j *job, spec JobSpec) (*core.Result, error) {
-	b := bench.ByName(spec.Bench) // validated at submit
-	ev, err := bench.NewEvaluator(b, spec.platform(), spec.Seed)
+	plat, err := bench.PlatformByName(spec.Platform)
+	if err != nil {
+		return nil, err
+	}
+	// The bench name was validated at submit.
+	ev, err := bench.NewEvaluator(bench.ByName(spec.Bench), plat, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -483,18 +487,16 @@ func (s *Server) tune(ctx context.Context, j *job, spec JobSpec) (*core.Result, 
 	}
 	task := ev.Task()
 	if s.cfg.Fleet != nil {
-		// Fleet mode: candidate batches dispatch to remote runners; the
-		// binding's task view folds accepted batch deltas into the cache
+		// Fleet mode: the binding is the task — candidate batches dispatch to
+		// remote runners and accepted batch deltas fold into the cache
 		// statistics the tuner journals, keeping the canonical journal
 		// byte-identical to a single-process run on a healthy fleet.
-		binding := s.cfg.Fleet.Bind(fleet.JobConfig{
+		task = s.cfg.Fleet.Bind(fleet.JobConfig{
 			Bench:    spec.Bench,
 			Platform: spec.Platform,
 			Seed:     spec.Seed,
 			Feature:  spec.Feature,
-		}, ev, spec.Workers)
-		opts.Backend = binding
-		task = binding.Task()
+		}, ev, spec.Workers).Task()
 	}
 	return core.NewTuner(task, opts, spec.Seed).RunContext(ctx)
 }
