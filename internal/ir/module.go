@@ -285,49 +285,70 @@ func CloneFunction(f *Function) *Function {
 	return cloneFunction(f, nil)
 }
 
+// The three scans below are the slow oracle of the Uses index and serve the
+// inliner's cross-function rewrites, where no index of the target exists.
+// They resolve v's concrete type once and compare pointers: an interface
+// compare per operand is a runtime call.
+
 // ReplaceAllUses rewrites every use of old as new throughout the function.
 func ReplaceAllUses(f *Function, old, new Value) int {
 	n := 0
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for i, op := range in.Ops {
-				if op == old {
-					in.Ops[i] = new
-					n++
-				}
-			}
-		}
-	}
+	scanUses(f, old, func(in *Instr, slot int) bool {
+		in.Ops[slot] = new
+		n++
+		return true
+	})
 	return n
 }
 
 // HasUses reports whether v is used by any instruction in f.
 func HasUses(f *Function, v Value) bool {
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for _, op := range in.Ops {
-				if op == v {
-					return true
-				}
-			}
-		}
-	}
-	return false
+	found := false
+	scanUses(f, v, func(*Instr, int) bool {
+		found = true
+		return false
+	})
+	return found
 }
 
 // CountUses returns the number of operand slots referencing v.
 func CountUses(f *Function, v Value) int {
 	n := 0
+	scanUses(f, v, func(*Instr, int) bool {
+		n++
+		return true
+	})
+	return n
+}
+
+// scanUses calls fn for every operand slot of f holding v, in block,
+// instruction and slot order, until fn returns false.
+func scanUses(f *Function, v Value, fn func(in *Instr, slot int) bool) {
+	switch d := v.(type) {
+	case *Instr:
+		scanUsesOf(f, d, fn)
+	case *Param:
+		scanUsesOf(f, d, fn)
+	case *Global:
+		scanUsesOf(f, d, fn)
+	case *Const:
+		scanUsesOf(f, d, fn)
+	}
+}
+
+func scanUsesOf[T interface {
+	comparable
+	Value
+}](f *Function, d T, fn func(in *Instr, slot int) bool) {
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			for _, op := range in.Ops {
-				if op == v {
-					n++
+			for slot, op := range in.Ops {
+				if p, ok := op.(T); ok && p == d && !fn(in, slot) {
+					return
 				}
 			}
 		}
 	}
-	return n
 }
 
 // AttachBlock sets f as the parent of a block constructed outside the

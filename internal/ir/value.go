@@ -135,6 +135,10 @@ type Instr struct {
 	// from another function's slab) degrades to the map path, never to a
 	// wrong mapping. See arena.go.
 	aid int32
+	// uid is this instruction's slot (1-based) in the tables of the Uses
+	// index that last numbered it, identity-checked the same way. It fills
+	// the padding after aid and means nothing once that index is released.
+	uid int32
 }
 
 // Type implements Value.

@@ -38,8 +38,8 @@ func gate(t *testing.T, file string, suite GateSuite) (map[string]any, []string)
 // commands CI runs (testdata/<name> is the output gates.json keys by <name>).
 func TestCommittedGatesHoldOnCapturedOutput(t *testing.T) {
 	suites := loadGates(t)
-	if len(suites) != 5 {
-		t.Fatalf("gates.json has %d suites, want 5", len(suites))
+	if len(suites) != 6 {
+		t.Fatalf("gates.json has %d suites, want 6", len(suites))
 	}
 	gates := 0
 	for file, suite := range suites {
@@ -56,8 +56,8 @@ func TestCommittedGatesHoldOnCapturedOutput(t *testing.T) {
 			t.Errorf("%s: %v", file, failures)
 		}
 	}
-	if gates != 10 {
-		t.Errorf("%d gates, want the 10 thresholds ci.yml enforced inline", gates)
+	if gates != 15 {
+		t.Errorf("%d gates, want the 10 thresholds ci.yml enforced inline and the 5 pass-scaling ratios", gates)
 	}
 }
 

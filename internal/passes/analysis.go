@@ -41,21 +41,6 @@ func mayTrap(in *ir.Instr) bool {
 	return false
 }
 
-// isDead reports whether in can be removed when it has no uses.
-func isDead(m *ir.Module, f *ir.Function, in *ir.Instr) bool {
-	if in.IsTerminator() || in.Op == ir.OpStore {
-		return false
-	}
-	if in.Op == ir.OpCall {
-		if ir.IsBuiltin(in.Callee) {
-			return ir.BuiltinIsPure(in.Callee)
-		}
-		callee := m.Func(in.Callee)
-		return callee != nil && callee.HasAttr(ir.AttrReadNone)
-	}
-	return !ir.HasUses(f, in)
-}
-
 // removeDeadInstrs deletes unused side-effect-free instructions; when fixpoint
 // is set it iterates until no more can be removed. Returns the removal count.
 func removeDeadInstrs(m *ir.Module, f *ir.Function, fixpoint bool) int {
@@ -110,6 +95,9 @@ func removeDeadInstrs(m *ir.Module, f *ir.Function, fixpoint bool) int {
 // never escaping), along with their stores.
 func removeDeadAllocas(f *ir.Function) int {
 	removed := 0
+	fu := funcUses{f: f}
+	defer fu.done()
+	var stores []*ir.Instr
 	for {
 		changed := false
 		for _, b := range f.Blocks {
@@ -118,34 +106,29 @@ func removeDeadAllocas(f *ir.Function) int {
 				if in.Op != ir.OpAlloca {
 					continue
 				}
+				// A store *to* the alloca is fine; anything else (load, GEP,
+				// call arg, stored value) escapes.
+				u := fu.get()
 				onlyStores := true
-				for _, ob := range f.Blocks {
-					for _, u := range ob.Instrs {
-						for oi, op := range u.Ops {
-							if op != in {
-								continue
-							}
-							// A store *to* the alloca is fine; anything else
-							// (load, GEP, call arg, stored value) escapes.
-							if !(u.Op == ir.OpStore && oi == 1) {
-								onlyStores = false
-							}
-						}
+				stores = stores[:0]
+				for _, x := range u.Of(in) {
+					if x.User.Op != ir.OpStore || x.Slot != 1 {
+						onlyStores = false
+						break
 					}
+					stores = append(stores, x.User)
 				}
 				if !onlyStores {
 					continue
 				}
-				for _, ob := range f.Blocks {
-					for j := len(ob.Instrs) - 1; j >= 0; j-- {
-						u := ob.Instrs[j]
-						if u.Op == ir.OpStore && u.Ops[1] == in {
-							ob.RemoveAt(j)
-							removed++
-						}
-					}
+				for _, st := range stores {
+					ob := st.Parent()
+					ob.RemoveAt(ob.IndexOf(st))
+					u.Remove(st)
+					removed++
 				}
 				b.RemoveAt(b.IndexOf(in))
+				u.Remove(in)
 				removed++
 				changed = true
 			}
@@ -155,16 +138,6 @@ func removeDeadAllocas(f *ir.Function) int {
 		}
 	}
 	return removed
-}
-
-// replaceWithValue replaces all uses of in with v and deletes in.
-func replaceWithValue(f *ir.Function, in *ir.Instr, v ir.Value) {
-	ir.ReplaceAllUses(f, in, v)
-	if b := in.Parent(); b != nil {
-		if idx := b.IndexOf(in); idx >= 0 {
-			b.RemoveAt(idx)
-		}
-	}
 }
 
 // baseObject follows a GEP chain to its root object: an alloca instruction, a
@@ -331,23 +304,6 @@ func loopHasMemoryEffects(m *ir.Module, l *ir.Loop) bool {
 				}
 				callee := m.Func(in.Callee)
 				if callee == nil || !callee.HasAttr(ir.AttrReadNone) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// valueUsedOutsideLoop reports whether any instruction outside l uses v.
-func valueUsedOutsideLoop(f *ir.Function, l *ir.Loop, v ir.Value) bool {
-	for _, b := range f.Blocks {
-		if l.Blocks[b] {
-			continue
-		}
-		for _, in := range b.Instrs {
-			for _, op := range in.Ops {
-				if op == v {
 					return true
 				}
 			}

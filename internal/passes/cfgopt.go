@@ -70,6 +70,8 @@ func init() {
 // small diamonds/triangles into selects.
 func simplifyCFG(m *ir.Module, f *ir.Function) (int, int) {
 	n, selects := 0, 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for rounds := 0; rounds < 20; rounds++ {
 		changed := 0
 
@@ -202,7 +204,7 @@ func simplifyCFG(m *ir.Module, f *ir.Function) (int, int) {
 			}
 			// Fold succ's phis (single incoming).
 			for _, phi := range succ.Phis() {
-				replaceWithValue(f, phi, phi.Ops[0])
+				replaceWithValue(&fu, phi, phi.Ops[0])
 			}
 			// Move succ's instructions into b, dropping b's jmp.
 			b.Instrs = b.Instrs[:len(b.Instrs)-1]
@@ -226,9 +228,12 @@ func simplifyCFG(m *ir.Module, f *ir.Function) (int, int) {
 		}
 
 		// 5. If-conversion: triangle/diamond with small pure arms -> select.
-		conv, sel := ifConvert(m, f, cfg)
+		conv, sel := ifConvert(m, f, cfg, &fu)
 		selects += sel
 		changed += conv
+		// Steps 1-3 splice phi operands and delete blocks behind the index's
+		// back; they never query it, so each round starts without one.
+		fu.drop()
 
 		n += changed
 		if changed == 0 {
@@ -257,7 +262,7 @@ func removePhiIncomingOnce(b *ir.Block, pred *ir.Block) {
 //	br c, T, F;  T: jmp J;  F: jmp J;  J: x = phi [vt,T],[vf,F]
 //
 // (and the triangle variant) into a select when the arms are tiny and pure.
-func ifConvert(m *ir.Module, f *ir.Function, cfg *ir.CFG) (int, int) {
+func ifConvert(m *ir.Module, f *ir.Function, cfg *ir.CFG, fu *funcUses) (int, int) {
 	n := 0
 	for _, b := range f.Blocks {
 		t := b.Term()
@@ -314,13 +319,14 @@ func ifConvert(m *ir.Module, f *ir.Function, cfg *ir.CFG) (int, int) {
 			_ = pi
 			sel := &ir.Instr{Op: ir.OpSelect, Ty: phi.Ty, Ops: []ir.Value{cond, vT[phi], vF[phi]}}
 			b.InsertBefore(insertAt, sel)
+			fu.inserted(sel)
 			insertAt++
-			replaceWithValue(f, phi, sel)
+			replaceWithValue(fu, phi, sel)
 			n++
 		}
 		// Branch becomes a direct jump to join.
 		t.Op = ir.OpJmp
-		t.Ops = nil
+		fu.setOps(t, nil)
 		t.Blocks = []*ir.Block{join}
 		// Detach arms (now unreachable; removed next round).
 		detach := func(arm *ir.Block) {
@@ -397,6 +403,8 @@ func matchDiamond(cfg *ir.CFG, b, tb, fb *ir.Block) (*ir.Block, map[*ir.Instr]ir
 // its resolved target.
 func threadJumps(f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for _, b := range f.Blocks {
 		if len(b.Instrs) != 2 {
 			continue
@@ -432,13 +440,14 @@ func threadJumps(f *ir.Function) int {
 			if moved {
 				phi.Ops = append(phi.Ops[:i], phi.Ops[i+1:]...)
 				phi.Blocks = append(phi.Blocks[:i], phi.Blocks[i+1:]...)
+				fu.drop() // operand slots shifted
 				i--
 				n++
 			}
 		}
 		// If only one incoming remains the phi is trivial.
 		if len(phi.Ops) == 1 {
-			replaceWithValue(f, phi, phi.Ops[0])
+			replaceWithValue(&fu, phi, phi.Ops[0])
 		}
 	}
 	return n
@@ -449,6 +458,8 @@ func threadJumps(f *ir.Function) int {
 // comparisons (condsOnly=true) with the implied constant.
 func propagateBranchFacts(f *ir.Function, condsOnly bool) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	cfg, dt := domOf(f)
 	for _, b := range f.Blocks {
 		t := b.Term()
@@ -465,23 +476,22 @@ func propagateBranchFacts(f *ir.Function, condsOnly bool) int {
 			}
 			implied := ir.ConstBool(edge == 0)
 			// All blocks dominated by target inherit the fact.
+			if !condsOnly {
+				uses := fu.collect(cond, func(x ir.Use) bool {
+					return x.User.Op != ir.OpBr && dt.Dominates(target, x.User.Parent())
+				})
+				fu.setAll(uses, implied)
+				n += len(uses)
+				continue
+			}
 			for _, d := range f.Blocks {
 				if !dt.Dominates(target, d) {
 					continue
 				}
 				for _, in := range d.Instrs {
-					if condsOnly {
-						if in != cond && in.Op == cond.Op && sameComputation(in, cond) {
-							replaceWithValue(f, in, implied)
-							n++
-						}
-					} else {
-						for oi, op := range in.Ops {
-							if op == cond && in.Op != ir.OpBr {
-								in.Ops[oi] = implied
-								n++
-							}
-						}
+					if in != cond && in.Op == cond.Op && sameComputation(in, cond) {
+						replaceWithValue(&fu, in, implied)
+						n++
 					}
 				}
 			}

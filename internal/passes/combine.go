@@ -17,6 +17,8 @@ type combineConfig struct {
 // the number of combined instructions.
 func runCombine(m *ir.Module, f *ir.Function, cfg combineConfig) int {
 	combined := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for round := 0; round < cfg.maxRounds; round++ {
 		changed := 0
 		for _, b := range f.Blocks {
@@ -28,27 +30,27 @@ func runCombine(m *ir.Module, f *ir.Function, cfg combineConfig) int {
 				}
 				if cfg.fold {
 					if c := foldConst(in); c != nil {
-						replaceWithValue(f, in, c)
+						replaceWithValue(&fu, in, c)
 						i--
 						changed++
 						continue
 					}
 					if v := simplifyIdentity(in); v != nil {
-						replaceWithValue(f, in, v)
+						replaceWithValue(&fu, in, v)
 						i--
 						changed++
 						continue
 					}
 				}
-				if cfg.strength && strengthReduce(in) {
+				if cfg.strength && strengthReduce(&fu, in) {
 					changed++
 					continue
 				}
-				if cfg.constReass && reassocConst(f, in) {
+				if cfg.constReass && reassocConst(&fu, in) {
 					changed++
 					continue
 				}
-				if cfg.widen && widenExtChain(f, b, i) {
+				if cfg.widen && widenExtChain(&fu, b, i) {
 					changed++
 					continue
 				}
@@ -61,6 +63,7 @@ func runCombine(m *ir.Module, f *ir.Function, cfg combineConfig) int {
 	}
 	if combined > 0 {
 		// Like LLVM's instcombine, erase instructions orphaned by rewrites.
+		fu.done()
 		removeDeadInstrs(m, f, true)
 	}
 	return combined
@@ -68,7 +71,7 @@ func runCombine(m *ir.Module, f *ir.Function, cfg combineConfig) int {
 
 // strengthReduce rewrites expensive scalar ops into cheaper equivalents in
 // place (the instruction object is mutated, uses stay valid).
-func strengthReduce(in *ir.Instr) bool {
+func strengthReduce(fu *funcUses, in *ir.Instr) bool {
 	switch in.Op {
 	case ir.OpMul:
 		if in.Ty.IsVector() {
@@ -77,15 +80,15 @@ func strengthReduce(in *ir.Instr) bool {
 		if c, ok := constOp(in, 1); ok {
 			if sh, isP2 := isPowerOfTwo(c.I); isP2 && sh > 0 {
 				in.Op = ir.OpShl
-				in.Ops[1] = ir.ConstInt(in.Ty, sh)
+				fu.set(in, 1, ir.ConstInt(in.Ty, sh))
 				return true
 			}
 		}
 		if c, ok := constOp(in, 0); ok {
 			if sh, isP2 := isPowerOfTwo(c.I); isP2 && sh > 0 {
 				in.Op = ir.OpShl
-				in.Ops[0] = in.Ops[1]
-				in.Ops[1] = ir.ConstInt(in.Ty, sh)
+				fu.set(in, 0, in.Ops[1])
+				fu.set(in, 1, ir.ConstInt(in.Ty, sh))
 				return true
 			}
 		}
@@ -93,7 +96,7 @@ func strengthReduce(in *ir.Instr) bool {
 		if c, ok := constOp(in, 1); ok {
 			if sh, isP2 := isPowerOfTwo(c.I); isP2 && sh > 0 {
 				in.Op = ir.OpLShr
-				in.Ops[1] = ir.ConstInt(in.Ty, sh)
+				fu.set(in, 1, ir.ConstInt(in.Ty, sh))
 				return true
 			}
 		}
@@ -104,7 +107,7 @@ func strengthReduce(in *ir.Instr) bool {
 			if _, isP2 := isPowerOfTwo(c.I); isP2 {
 				if src, ok := in.Ops[0].(*ir.Instr); ok && src.Op == ir.OpZExt {
 					in.Op = ir.OpAnd
-					in.Ops[1] = ir.ConstInt(in.Ty, c.I-1)
+					fu.set(in, 1, ir.ConstInt(in.Ty, c.I-1))
 					return true
 				}
 			}
@@ -115,7 +118,7 @@ func strengthReduce(in *ir.Instr) bool {
 		}
 		if in.Ops[0] == in.Ops[1] {
 			in.Op = ir.OpShl
-			in.Ops[1] = ir.ConstInt(in.Ty, 1)
+			fu.set(in, 1, ir.ConstInt(in.Ty, 1))
 			return true
 		}
 	}
@@ -124,7 +127,7 @@ func strengthReduce(in *ir.Instr) bool {
 
 // reassocConst rewrites (x op c1) op c2 into x op fold(c1,c2) for associative
 // commutative ops when the inner instruction has a single use.
-func reassocConst(f *ir.Function, in *ir.Instr) bool {
+func reassocConst(fu *funcUses, in *ir.Instr) bool {
 	if !in.Op.IsAssociative() || in.Ty.IsVector() {
 		return false
 	}
@@ -133,7 +136,7 @@ func reassocConst(f *ir.Function, in *ir.Instr) bool {
 		return false
 	}
 	inner, ok := in.Ops[0].(*ir.Instr)
-	if !ok || inner.Op != in.Op || ir.CountUses(f, inner) != 1 {
+	if !ok || inner.Op != in.Op || fu.get().Count(inner) != 1 {
 		return false
 	}
 	c1, ok := inner.ConstOperand(1)
@@ -145,8 +148,8 @@ func reassocConst(f *ir.Function, in *ir.Instr) bool {
 	if folded == nil {
 		return false
 	}
-	in.Ops[0] = inner.Ops[0]
-	in.Ops[1] = folded
+	fu.set(in, 0, inner.Ops[0])
+	fu.set(in, 1, folded)
 	return true
 }
 
@@ -155,12 +158,12 @@ func reassocConst(f *ir.Function, in *ir.Instr) bool {
 // interaction: `sext i16->i32; mul i32; sext i32->i64; add i64` becomes
 // `sext i16->i64; mul i64 (widened); add i64`, and the FlagWidened marker
 // later defeats SLP's profitability check on the reduction.
-func widenExtChain(f *ir.Function, b *ir.Block, idx int) bool {
+func widenExtChain(fu *funcUses, b *ir.Block, idx int) bool {
 	in := b.Instrs[idx]
 	// Pattern 1: sext(sext(x)) -> single widest sext.
 	if in.Op == ir.OpSExt {
 		if inner, ok := in.Ops[0].(*ir.Instr); ok && inner.Op == ir.OpSExt {
-			in.Ops[0] = inner.Ops[0]
+			fu.set(in, 0, inner.Ops[0])
 			in.Flags |= ir.FlagWidened
 			return true
 		}
@@ -174,7 +177,7 @@ func widenExtChain(f *ir.Function, b *ir.Block, idx int) bool {
 			inner.Op.IsIntBinary() && !inner.Ty.IsVector() &&
 			inner.Flags&ir.FlagNoWrap != 0 &&
 			(inner.Op == ir.OpAdd || inner.Op == ir.OpMul || inner.Op == ir.OpSub) &&
-			ir.CountUses(f, inner) == 1 && inner.Parent() == b {
+			inner.Parent() == b && fu.get().Count(inner) == 1 {
 			innerIdx := b.IndexOf(inner)
 			if innerIdx < 0 {
 				return false
@@ -186,6 +189,7 @@ func widenExtChain(f *ir.Function, b *ir.Block, idx int) bool {
 				}
 				se := &ir.Instr{Op: ir.OpSExt, Ty: wide, Ops: []ir.Value{v}, Flags: ir.FlagWidened}
 				b.InsertBefore(innerIdx, se)
+				fu.inserted(se)
 				innerIdx++
 				return se
 			}
@@ -194,10 +198,11 @@ func widenExtChain(f *ir.Function, b *ir.Block, idx int) bool {
 			// Mutate the sext instruction into the widened binop so existing
 			// uses remain valid.
 			in.Op = inner.Op
-			in.Ops = []ir.Value{a, c}
+			fu.setOps(in, []ir.Value{a, c})
 			in.Flags |= ir.FlagWidened
 			// Remove the narrow binop.
 			b.RemoveAt(b.IndexOf(inner))
+			fu.removed(inner)
 			return true
 		}
 	}
@@ -239,6 +244,8 @@ func init() {
 // runInstSimplify performs only fold-to-existing-value rewrites.
 func runInstSimplify(f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for _, b := range f.Blocks {
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
@@ -247,13 +254,13 @@ func runInstSimplify(f *ir.Function) int {
 				continue
 			}
 			if c := foldConst(in); c != nil {
-				replaceWithValue(f, in, c)
+				replaceWithValue(&fu, in, c)
 				i--
 				n++
 				continue
 			}
 			if v := simplifyIdentity(in); v != nil {
-				replaceWithValue(f, in, v)
+				replaceWithValue(&fu, in, v)
 				i--
 				n++
 			}

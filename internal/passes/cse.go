@@ -15,6 +15,8 @@ type cseConfig struct {
 // runCSE performs value numbering and returns (#instructions, #loads) CSE'd.
 func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 	nInstr, nLoad := 0, 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	// pureKey canonicalizes commutative operands via ID comparison; refresh
 	// IDs so matching is a pure function of structure, not of ID history.
 	refreshIDs(f)
@@ -68,7 +70,7 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 				}
 				k := loadKey{ptr: in.Ops[0], ty: in.Ty}
 				if prev, ok := sc.loads[k]; ok {
-					replaceWithValue(f, in, prev)
+					replaceWithValue(&fu, in, prev)
 					i--
 					nLoad++
 					continue
@@ -94,7 +96,7 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 				if pureCall {
 					if k, ok := pureKey(in); ok {
 						if prev, ok2 := sc.exprs[k]; ok2 {
-							replaceWithValue(f, in, prev)
+							replaceWithValue(&fu, in, prev)
 							i--
 							nInstr++
 							continue
@@ -117,7 +119,7 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 			case isPure(m, in) && !mayTrap(in):
 				if k, ok := pureKey(in); ok {
 					if prev, ok2 := sc.exprs[k]; ok2 && prev != in {
-						replaceWithValue(f, in, prev)
+						replaceWithValue(&fu, in, prev)
 						i--
 						nInstr++
 						continue
@@ -138,7 +140,7 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 						}
 					}
 					if same && b.IndexOf(other) < b.IndexOf(in) {
-						replaceWithValue(f, in, other)
+						replaceWithValue(&fu, in, other)
 						i--
 						nInstr++
 						break
@@ -240,6 +242,8 @@ func init() {
 // rewrite to loads (mldst-motion); otherwise pure ops are hoisted (gvn-hoist).
 func hoistCommon(m *ir.Module, f *ir.Function, loadsOnly bool) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	cfg := ir.BuildCFG(f)
 	for _, b := range f.Blocks {
 		t := b.Term()
@@ -270,7 +274,7 @@ func hoistCommon(m *ir.Module, f *ir.Function, loadsOnly bool) int {
 			// Move a into b before the terminator, replace c with a.
 			x.RemoveAt(0)
 			b.InsertBefore(b.IndexOf(t), a)
-			replaceWithValue(f, c, a)
+			replaceWithValue(&fu, c, a)
 			n++
 		}
 	}
@@ -281,6 +285,8 @@ func hoistCommon(m *ir.Module, f *ir.Function, loadsOnly bool) int {
 // predecessors into their common single successor.
 func sinkCommon(m *ir.Module, f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	cfg := ir.BuildCFG(f)
 	for _, b := range f.Blocks {
 		preds := cfg.Preds[b]
@@ -302,24 +308,23 @@ func sinkCommon(m *ir.Module, f *ir.Function) int {
 				break
 			}
 			// Values must not be used in their own blocks after this point.
-			if usedIn(p0, a) || usedIn(p1, c) {
+			if usedIn(fu.get(), p0, a) || usedIn(fu.get(), p1, c) {
 				break
 			}
 			p0.RemoveAt(i0)
 			b.InsertBefore(len(b.Phis()), a)
-			replaceWithValue(f, c, a)
+			replaceWithValue(&fu, c, a)
 			n++
 		}
 	}
 	return n
 }
 
-func usedIn(b *ir.Block, v ir.Value) bool {
-	for _, in := range b.Instrs {
-		for _, op := range in.Ops {
-			if op == v {
-				return true
-			}
+// usedIn reports whether an instruction of b uses v.
+func usedIn(u *ir.Uses, b *ir.Block, v ir.Value) bool {
+	for _, x := range u.Of(v) {
+		if x.User.Parent() == b {
+			return true
 		}
 	}
 	return false

@@ -109,6 +109,8 @@ func aggressiveDCE(m *ir.Module, f *ir.Function) int {
 // trunc of a value whose low bits come through an and-mask wide enough, etc.
 func foldDeadBits(f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for _, b := range f.Blocks {
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
@@ -118,13 +120,13 @@ func foldDeadBits(f *ir.Function) int {
 			switch in.Op {
 			case ir.OpAnd:
 				if c, ok := constOp(in, 1); ok && c.IsZero() {
-					replaceWithValue(f, in, ir.ConstInt(in.Ty, 0))
+					replaceWithValue(&fu, in, ir.ConstInt(in.Ty, 0))
 					i--
 					n++
 				}
 			case ir.OpOr:
 				if c, ok := constOp(in, 1); ok && allOnes(c, in.Ty.Kind) {
-					replaceWithValue(f, in, ir.ConstInt(in.Ty, -1))
+					replaceWithValue(&fu, in, ir.ConstInt(in.Ty, -1))
 					i--
 					n++
 				}
@@ -133,7 +135,7 @@ func foldDeadBits(f *ir.Function) int {
 				if src, ok := in.Ops[0].(*ir.Instr); ok &&
 					(src.Op == ir.OpZExt || src.Op == ir.OpSExt) &&
 					src.Ops[0].Type() == in.Ty {
-					replaceWithValue(f, in, src.Ops[0])
+					replaceWithValue(&fu, in, src.Ops[0])
 					i--
 					n++
 				}

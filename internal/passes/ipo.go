@@ -344,6 +344,7 @@ func globalOpt(m *ir.Module) (int, int) {
 		if f.IsDecl {
 			continue
 		}
+		fu := funcUses{f: f}
 		for _, b := range f.Blocks {
 			for i := 0; i < len(b.Instrs); i++ {
 				in := b.Instrs[i]
@@ -373,11 +374,12 @@ func globalOpt(m *ir.Module) (int, int) {
 					}
 					c = ir.ConstInt(in.Ty, v)
 				}
-				replaceWithValue(f, in, c)
+				replaceWithValue(&fu, in, c)
 				i--
 				folded++
 			}
 		}
+		fu.done()
 	}
 	return marked, folded
 }
@@ -492,6 +494,7 @@ func promoteArguments(m *ir.Module) int {
 		if f.IsDecl || !f.HasAttr(ir.AttrInternal) {
 			continue
 		}
+		fu := funcUses{f: f}
 		for pi, p := range f.Params {
 			if p.Ty != ir.PtrT {
 				continue
@@ -501,21 +504,15 @@ func promoteArguments(m *ir.Module) int {
 			var loads []*ir.Instr
 			ok := true
 			entryLoad := false
-			for _, b := range f.Blocks {
-				for _, in := range b.Instrs {
-					for oi, op := range in.Ops {
-						if op != p {
-							continue
-						}
-						if in.Op == ir.OpLoad && oi == 0 && !in.Ty.IsVector() {
-							loads = append(loads, in)
-							if b == f.Entry() {
-								entryLoad = true
-							}
-						} else {
-							ok = false
-						}
+			for _, x := range fu.get().Of(p) {
+				in := x.User
+				if in.Op == ir.OpLoad && x.Slot == 0 && !in.Ty.IsVector() {
+					loads = append(loads, in)
+					if in.Parent() == f.Entry() {
+						entryLoad = true
 					}
+				} else {
+					ok = false
 				}
 			}
 			if !ok || len(loads) == 0 || !entryLoad {
@@ -551,7 +548,7 @@ func promoteArguments(m *ir.Module) int {
 			// Rewrite callee: param becomes the value.
 			p.Ty = loadTy
 			for _, l := range loads {
-				replaceWithValue(f, l, p)
+				replaceWithValue(&fu, l, p)
 			}
 			// Rewrite call sites: load before the call.
 			for _, g := range m.Funcs {
@@ -566,8 +563,10 @@ func promoteArguments(m *ir.Module) int {
 					}
 				}
 			}
+			fu.drop() // a self-recursive call site was rewritten directly
 			n++
 		}
+		fu.done()
 	}
 	return n
 }

@@ -215,8 +215,14 @@ func insertPreheaders(f *ir.Function) int {
 // values used outside the loop, when the exit has exactly one in-loop pred.
 func insertLCSSAPhis(f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	cfg, dt, li := loopsOf(f)
 	for _, l := range li.Loops {
+		// Handle the common single-exit case only.
+		if len(l.Exits) != 1 {
+			continue
+		}
 		// Collect exit blocks (out-of-loop successors of exiting blocks).
 		exitBlocks := map[*ir.Block][]*ir.Block{} // exit -> in-loop preds
 		for _, e := range l.Exits {
@@ -238,66 +244,29 @@ func insertLCSSAPhis(f *ir.Function) int {
 					continue
 				}
 				for _, in := range b.Instrs {
-					if in.Ty == ir.VoidT || !hasLCSSAViolatingUse(f, l, in) {
+					if in.Ty == ir.VoidT {
 						continue
 					}
-					// Handle the common single-exit case only.
-					if len(l.Exits) != 1 {
+					// Uses outside the loop that are not already loop-closed: a
+					// phi use whose incoming edge starts in the loop is.
+					uses := fu.collect(in, func(x ir.Use) bool {
+						return !l.Blocks[x.User.Parent()] &&
+							!(x.User.Op == ir.OpPhi && l.Blocks[x.User.Blocks[x.Slot]])
+					})
+					if len(uses) == 0 {
 						continue
 					}
 					phi := &ir.Instr{Op: ir.OpPhi, Ty: in.Ty}
 					ir.AddIncoming(phi, in, inPreds[0])
 					exit.InsertBefore(0, phi)
-					// Replace LCSSA-violating uses (phi operand uses count by
-					// their incoming edge: an in-loop incoming is fine).
-					for _, ob := range f.Blocks {
-						if l.Blocks[ob] {
-							continue
-						}
-						for _, u := range ob.Instrs {
-							if u == phi {
-								continue
-							}
-							for oi, op := range u.Ops {
-								if op != in {
-									continue
-								}
-								if u.Op == ir.OpPhi && l.Blocks[u.Blocks[oi]] {
-									continue // already loop-closed
-								}
-								u.Ops[oi] = phi
-							}
-						}
-					}
+					fu.inserted(phi)
+					fu.setAll(uses, phi)
 					n++
 				}
 			}
 		}
 	}
 	return n
-}
-
-// hasLCSSAViolatingUse reports whether v (defined in loop l) has a use
-// outside the loop that is not already loop-closed: uses inside phi nodes
-// whose incoming edge originates inside the loop do not count.
-func hasLCSSAViolatingUse(f *ir.Function, l *ir.Loop, v ir.Value) bool {
-	for _, b := range f.Blocks {
-		if l.Blocks[b] {
-			continue
-		}
-		for _, in := range b.Instrs {
-			for oi, op := range in.Ops {
-				if op != v {
-					continue
-				}
-				if in.Op == ir.OpPhi && l.Blocks[in.Blocks[oi]] {
-					continue
-				}
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // loopSub is a value substitution map used when cloning header logic.
@@ -314,11 +283,13 @@ func (s loopSub) get(v ir.Value) ir.Value {
 // package documentation for the exact shape requirements).
 func rotateLoops(m *ir.Module, f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for changed := true; changed; {
 		changed = false
 		cfg, _, li := loopsOf(f)
 		for _, l := range li.Loops {
-			if rotateOne(m, f, cfg, l) {
+			if rotateOne(m, f, cfg, l, &fu) {
 				n++
 				changed = true
 				break
@@ -328,7 +299,9 @@ func rotateLoops(m *ir.Module, f *ir.Function) int {
 	return n
 }
 
-func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop) bool {
+// rotateOne leaves fu coherent when it declines and without an index when it
+// rotates.
+func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUses) bool {
 	H, P, L := l.Header, l.Preheader, l.Latch
 	if P == nil || L == nil || H == L {
 		return false
@@ -399,22 +372,15 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop) bool {
 		if !(isPure(m, in) || in.Op == ir.OpLoad) || mayTrap(in) && in.Op != ir.OpLoad {
 			return false
 		}
-		for _, ob := range f.Blocks {
+		for _, x := range fu.get().Of(in) {
+			ob := x.User.Parent()
 			if ob == H {
 				continue
 			}
-			inLoop := l.Blocks[ob]
-			for _, u := range ob.Instrs {
-				for _, op := range u.Ops {
-					if op != in {
-						continue
-					}
-					if !inLoop {
-						return false
-					}
-					usedInLoopBody[in] = true
-				}
+			if !l.Blocks[ob] {
+				return false
 			}
+			usedInLoopBody[in] = true
 		}
 		hwork = append(hwork, in)
 	}
@@ -503,6 +469,7 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop) bool {
 	}
 
 	// Guard in the preheader: clone everything with init substitutions.
+	fu.drop() // the rewrite below goes behind the index's back
 	subInit := loopSub{}
 	for _, p := range phis {
 		subInit[p] = initOf[p]
@@ -591,33 +558,20 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop) bool {
 		}
 	}
 
-	// Outside uses of phis go through fresh exit phis.
+	// Outside uses of phis go through fresh exit phis (H is in l.Blocks and
+	// about to be deleted, so header-internal uses are ignored).
+	outsideLoop := func(x ir.Use) bool { return !l.Blocks[x.User.Parent()] }
 	for _, p := range phis {
-		if !valueUsedOutsideLoopOrBlock(f, l, H, p) {
+		outside := fu.collect(p, outsideLoop)
+		if len(outside) == 0 {
 			continue
 		}
 		ephi := &ir.Instr{Op: ir.OpPhi, Ty: p.Ty}
 		ir.AddIncoming(ephi, initOf[p], P)
 		ir.AddIncoming(ephi, nextOf[p], L)
 		exitB.InsertBefore(0, ephi)
-		for _, ob := range f.Blocks {
-			if l.Blocks[ob] && ob != H {
-				continue
-			}
-			if ob == H {
-				continue
-			}
-			for _, u := range ob.Instrs {
-				if u == ephi {
-					continue
-				}
-				for oi, op := range u.Ops {
-					if op == p {
-						u.Ops[oi] = ephi
-					}
-				}
-			}
-		}
+		fu.inserted(ephi)
+		fu.setAll(outside, ephi)
 	}
 
 	// Delete the header block.
@@ -627,25 +581,8 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop) bool {
 			break
 		}
 	}
+	fu.drop()
 	return true
-}
-
-// valueUsedOutsideLoopOrBlock reports uses of v outside the loop (the header
-// is about to be deleted, so header-internal uses are ignored).
-func valueUsedOutsideLoopOrBlock(f *ir.Function, l *ir.Loop, skip *ir.Block, v ir.Value) bool {
-	for _, b := range f.Blocks {
-		if l.Blocks[b] || b == skip {
-			continue
-		}
-		for _, in := range b.Instrs {
-			for _, op := range in.Ops {
-				if op == v {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // hoistInvariants implements LICM over every loop with a preheader.
@@ -749,6 +686,8 @@ func hoistInvariants(m *ir.Module, f *ir.Function) (int, int) {
 // deleteDeadLoops removes loops whose execution is unobservable.
 func deleteDeadLoops(m *ir.Module, f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for changed := true; changed; {
 		changed = false
 		cfg, _, li := loopsOf(f)
@@ -787,15 +726,7 @@ func deleteDeadLoops(m *ir.Module, f *ir.Function) int {
 			if len(exitB.Phis()) > 0 {
 				continue
 			}
-			usedOutside := false
-			for b := range l.Blocks {
-				for _, in := range b.Instrs {
-					if in.Ty != ir.VoidT && valueUsedOutsideLoop(f, l, in) {
-						usedOutside = true
-					}
-				}
-			}
-			if usedOutside {
+			if loopValueUsedOutside(fu.get(), l) {
 				continue
 			}
 			// Termination: require a canonical IV (proxy for provable
@@ -817,6 +748,7 @@ func deleteDeadLoops(m *ir.Module, f *ir.Function) int {
 				}
 			}
 			f.Blocks = kept
+			fu.drop()
 			n++
 			changed = true
 			break
@@ -825,10 +757,25 @@ func deleteDeadLoops(m *ir.Module, f *ir.Function) int {
 	return n
 }
 
+// loopValueUsedOutside reports whether a value defined in l is used by an
+// instruction outside it.
+func loopValueUsedOutside(u *ir.Uses, l *ir.Loop) bool {
+	for b := range l.Blocks {
+		for _, in := range b.Instrs {
+			if in.Ty != ir.VoidT && valueUsedOutsideLoop(u, l, in) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // recognizeIdioms rewrites single-block memset and memcpy loops into builtin
 // calls.
 func recognizeIdioms(m *ir.Module, f *ir.Function) (int, int) {
 	ms, mc := 0, 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for changed := true; changed; {
 		changed = false
 		cfg, _, li := loopsOf(f)
@@ -842,13 +789,7 @@ func recognizeIdioms(m *ir.Module, f *ir.Function) (int, int) {
 				continue
 			}
 			// Loop values must not escape.
-			escaped := false
-			for _, in := range b.Instrs {
-				if in.Ty != ir.VoidT && valueUsedOutsideLoop(f, l, in) {
-					escaped = true
-				}
-			}
-			if escaped {
+			if loopValueUsedOutside(fu.get(), l) {
 				continue
 			}
 			exitB := exitTargetOf(cfg, l, b)
@@ -884,12 +825,12 @@ func recognizeIdioms(m *ir.Module, f *ir.Function) (int, int) {
 				continue
 			}
 			// Length = bound - init, computed in the preheader.
-			lenV := loopLengthValue(l.Preheader, iv)
+			lenV := loopLengthValue(&fu, l.Preheader, iv)
 			if lenV == nil {
 				continue
 			}
 			basePtr := dstGep.Ops[0]
-			startPtr := gepAt(l.Preheader, basePtr, iv.Init)
+			startPtr := gepAt(&fu, l.Preheader, basePtr, iv.Init)
 			pt := l.Preheader.Term()
 			switch {
 			case len(loads) == 0:
@@ -901,6 +842,7 @@ func recognizeIdioms(m *ir.Module, f *ir.Function) (int, int) {
 				call := &ir.Instr{Op: ir.OpCall, Ty: ir.VoidT, Callee: "sim.memset",
 					Ops: []ir.Value{startPtr, ir.ConstInt(ir.I64T, c.I), lenV}}
 				l.Preheader.InsertBefore(l.Preheader.IndexOf(pt), call)
+				fu.inserted(call)
 				ms++
 			case len(loads) == 1:
 				ld := loads[0]
@@ -914,10 +856,11 @@ func recognizeIdioms(m *ir.Module, f *ir.Function) (int, int) {
 				if bs == nil || bd == nil || bs == bd {
 					continue
 				}
-				srcPtr := gepAt(l.Preheader, srcGep.Ops[0], iv.Init)
+				srcPtr := gepAt(&fu, l.Preheader, srcGep.Ops[0], iv.Init)
 				call := &ir.Instr{Op: ir.OpCall, Ty: ir.VoidT, Callee: "sim.memcpy",
 					Ops: []ir.Value{startPtr, srcPtr, lenV}}
 				l.Preheader.InsertBefore(l.Preheader.IndexOf(pt), call)
+				fu.inserted(call)
 				mc++
 			default:
 				continue
@@ -933,6 +876,7 @@ func recognizeIdioms(m *ir.Module, f *ir.Function) (int, int) {
 				}
 			}
 			f.Blocks = kept
+			fu.drop()
 			changed = true
 			break
 		}
@@ -956,7 +900,7 @@ func exitTargetOf(cfg *ir.CFG, l *ir.Loop, b *ir.Block) *ir.Block {
 
 // loopLengthValue materialises (bound - init) in the preheader for a
 // step-one IV with an slt/ne exit test; nil if the shape is unsupported.
-func loopLengthValue(ph *ir.Block, iv *ir.CanonicalIV) ir.Value {
+func loopLengthValue(fu *funcUses, ph *ir.Block, iv *ir.CanonicalIV) ir.Value {
 	if iv.Cmp == nil || iv.Bound == nil {
 		return nil
 	}
@@ -973,16 +917,18 @@ func loopLengthValue(ph *ir.Block, iv *ir.CanonicalIV) ir.Value {
 	}
 	sub := &ir.Instr{Op: ir.OpSub, Ty: ir.I64T, Ops: []ir.Value{iv.Bound, iv.Init}}
 	ph.InsertBefore(len(ph.Instrs)-1, sub)
+	fu.inserted(sub)
 	return sub
 }
 
 // gepAt materialises base+idx in the preheader (or returns base for idx 0).
-func gepAt(ph *ir.Block, base, idx ir.Value) ir.Value {
+func gepAt(fu *funcUses, ph *ir.Block, base, idx ir.Value) ir.Value {
 	if c, ok := idx.(*ir.Const); ok && c.IsZero() {
 		return base
 	}
 	g := &ir.Instr{Op: ir.OpGEP, Ty: ir.PtrT, Ops: []ir.Value{base, idx}}
 	ph.InsertBefore(len(ph.Instrs)-1, g)
+	fu.inserted(g)
 	return g
 }
 
@@ -1032,6 +978,8 @@ func canonicalizeIVs(f *ir.Function) int {
 // version runs branch-free.
 func unswitchLoops(m *ir.Module, f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for changed := true; changed; {
 		changed = false
 		cfg, _, li := loopsOf(f)
@@ -1062,14 +1010,7 @@ func unswitchLoops(m *ir.Module, f *ir.Function) int {
 				continue
 			}
 			// No loop value may be used outside; exits must have no phis.
-			bad := false
-			for b := range l.Blocks {
-				for _, in := range b.Instrs {
-					if in.Ty != ir.VoidT && valueUsedOutsideLoop(f, l, in) {
-						bad = true
-					}
-				}
-			}
+			bad := loopValueUsedOutside(fu.get(), l)
 			for _, e := range l.Exits {
 				for _, s := range cfg.Succs[e] {
 					if !l.Blocks[s] && len(s.Phis()) > 0 {
@@ -1098,6 +1039,7 @@ func unswitchLoops(m *ir.Module, f *ir.Function) int {
 			pt.Op = ir.OpBr
 			pt.Ops = []ir.Value{cond}
 			pt.Blocks = []*ir.Block{l.Header, blockOf[l.Header]}
+			fu.drop()
 			n++
 			changed = true
 			break
@@ -1165,6 +1107,8 @@ func cloneBlockSet(f *ir.Function, set map[*ir.Block]bool) ([]*ir.Block, map[*ir
 // incrementing accumulator phi.
 func strengthReduceIVs(f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	cfg, _, li := loopsOf(f)
 	for _, l := range li.Loops {
 		if l.Preheader == nil || l.Header != l.Latch || len(l.Blocks) != 1 {
@@ -1195,6 +1139,7 @@ func strengthReduceIVs(f *ir.Function) int {
 			} else {
 				mi := &ir.Instr{Op: ir.OpMul, Ty: in.Ty, Ops: []ir.Value{iv.Init, c}}
 				l.Preheader.InsertBefore(len(l.Preheader.Instrs)-1, mi)
+				fu.inserted(mi)
 				initV = mi
 			}
 			q := &ir.Instr{Op: ir.OpPhi, Ty: in.Ty}
@@ -1202,6 +1147,7 @@ func strengthReduceIVs(f *ir.Function) int {
 			qn := &ir.Instr{Op: ir.OpAdd, Ty: in.Ty,
 				Ops: []ir.Value{q, ir.ConstInt(in.Ty, iv.Step*c.I)}}
 			b.InsertBefore(len(b.Instrs)-1, qn)
+			fu.inserted(qn)
 			for _, fb := range cfg.Preds[b] {
 				if l.Blocks[fb] {
 					ir.AddIncoming(q, qn, fb)
@@ -1209,7 +1155,8 @@ func strengthReduceIVs(f *ir.Function) int {
 					ir.AddIncoming(q, initV, fb)
 				}
 			}
-			replaceWithValue(f, in, q)
+			fu.inserted(q) // with its incomings in place
+			replaceWithValue(&fu, in, q)
 			n++
 			break // one per loop per run; IV info now stale
 		}
@@ -1222,6 +1169,8 @@ func strengthReduceIVs(f *ir.Function) int {
 // loop-sink for cold loops).
 func sinkIntoLoops(m *ir.Module, f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	_, _, li := loopsOf(f)
 	for _, l := range li.Loops {
 		if l.Preheader == nil {
@@ -1233,29 +1182,24 @@ func sinkIntoLoops(m *ir.Module, f *ir.Function) int {
 			if in.Op == ir.OpPhi || !isPure(m, in) || mayTrap(in) {
 				continue
 			}
-			onlyInLoop := true
-			anyUse := false
-			for _, ob := range f.Blocks {
-				for _, u := range ob.Instrs {
-					for oi, op := range u.Ops {
-						if op != in {
-							continue
-						}
-						anyUse = true
-						// A phi use lives on its incoming edge.
-						useBlock := ob
-						if u.Op == ir.OpPhi {
-							useBlock = u.Blocks[oi]
-						}
-						if !l.Blocks[useBlock] {
-							onlyInLoop = false
-						}
-					}
+			uses := fu.get().Of(in)
+			onlyInLoop := len(uses) > 0
+			for _, x := range uses {
+				// A phi use lives on its incoming edge.
+				useBlock := x.User.Parent()
+				if x.User.Op == ir.OpPhi {
+					useBlock = x.User.Blocks[x.Slot]
+				}
+				if !l.Blocks[useBlock] {
+					onlyInLoop = false
+					break
 				}
 			}
-			if !anyUse || !onlyInLoop {
+			if !onlyInLoop {
 				continue
 			}
+			// Moving in leaves the index coherent, and puts in's own operand
+			// uses in the loop for the instructions still to be visited.
 			ph.RemoveAt(i)
 			l.Header.InsertBefore(len(l.Header.Phis()), in)
 			n++
@@ -1311,11 +1255,13 @@ func insertPrefetches(f *ir.Function) int {
 // constant trip counts.
 func fuseLoops(m *ir.Module, f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for changed := true; changed; {
 		changed = false
 		cfg, _, li := loopsOf(f)
 		for _, l1 := range li.Loops {
-			if fuseWithNext(m, f, cfg, li, l1) {
+			if fuseWithNext(m, f, cfg, li, l1, &fu) {
 				n++
 				changed = true
 				break
@@ -1325,7 +1271,9 @@ func fuseLoops(m *ir.Module, f *ir.Function) int {
 	return n
 }
 
-func fuseWithNext(m *ir.Module, f *ir.Function, cfg *ir.CFG, li *ir.LoopInfo, l1 *ir.Loop) bool {
+// fuseWithNext leaves fu coherent when it declines and without an index when
+// it fuses.
+func fuseWithNext(m *ir.Module, f *ir.Function, cfg *ir.CFG, li *ir.LoopInfo, l1 *ir.Loop, fu *funcUses) bool {
 	if l1.Header != l1.Latch || len(l1.Blocks) != 1 {
 		return false
 	}
@@ -1409,10 +1357,8 @@ func fuseWithNext(m *ir.Module, f *ir.Function, cfg *ir.CFG, li *ir.LoopInfo, l1
 			}
 		}
 	}
-	for _, in := range b2.Instrs {
-		if in.Ty != ir.VoidT && valueUsedOutsideLoop(f, l2, in) {
-			return false
-		}
+	if loopValueUsedOutside(fu.get(), l2) {
+		return false
 	}
 	exit2 := exitTargetOf(cfg, l2, b2)
 	if exit2 == nil || len(exit2.Phis()) > 0 {
@@ -1421,6 +1367,7 @@ func fuseWithNext(m *ir.Module, f *ir.Function, cfg *ir.CFG, li *ir.LoopInfo, l1
 
 	// Move b2's phis into b1 (incoming: const init from b1's out-of-loop
 	// pred(s); latch value from b1).
+	fu.drop() // the rewrite below goes behind the index's back
 	sub := loopSub{iv2.Phi: iv1.Phi}
 	var outsidePreds1 []*ir.Block
 	for _, p := range cfg.Preds[b1] {

@@ -206,6 +206,8 @@ func promoteAllocas(f *ir.Function) (promoted, phis int) {
 	for _, pi := range inserted {
 		alive[pi.phi] = true
 	}
+	fu := funcUses{f: f}
+	defer fu.done()
 	for changed := true; changed; {
 		changed = false
 		for _, pi := range inserted {
@@ -227,7 +229,7 @@ func promoteAllocas(f *ir.Function) (promoted, phis int) {
 				}
 			}
 			if trivial && uniq != nil {
-				replaceWithValue(f, phi, uniq)
+				replaceWithValue(&fu, phi, uniq)
 				alive[phi] = false
 				changed = true
 			}
@@ -275,6 +277,9 @@ func init() {
 // promotion.
 func splitAggregates(f *ir.Function) int {
 	split := 0
+	fu := funcUses{f: f}
+	defer fu.done()
+	var geps []*ir.Instr
 	for _, b := range f.Blocks {
 		for bi := len(b.Instrs) - 1; bi >= 0; bi-- {
 			in := b.Instrs[bi]
@@ -283,41 +288,26 @@ func splitAggregates(f *ir.Function) int {
 			}
 			// All uses must be GEPs with constant indices, themselves used
 			// only as load/store addresses.
+			u := fu.get()
 			ok := true
-			var geps []*ir.Instr
-			for _, ob := range f.Blocks {
-				for _, u := range ob.Instrs {
-					for oi, op := range u.Ops {
-						if op != in {
-							continue
-						}
-						if u.Op != ir.OpGEP || oi != 0 {
-							ok = false
-							break
-						}
-						c, isC := u.ConstOperand(1)
-						if !isC || c.I < 0 || c.I >= int64(in.NAlloc) {
-							ok = false
-							break
-						}
-						geps = append(geps, u)
-					}
+			geps = geps[:0]
+			for _, x := range u.Of(in) {
+				g := x.User
+				if g.Op != ir.OpGEP || x.Slot != 0 {
+					ok = false
+					break
 				}
-			}
-			if !ok {
-				continue
+				c, isC := g.ConstOperand(1)
+				if !isC || c.I < 0 || c.I >= int64(in.NAlloc) {
+					ok = false
+					break
+				}
+				geps = append(geps, g)
 			}
 			for _, g := range geps {
-				for _, ob := range f.Blocks {
-					for _, u := range ob.Instrs {
-						for oi, op := range u.Ops {
-							if op != g {
-								continue
-							}
-							if !(u.Op == ir.OpLoad && oi == 0 || u.Op == ir.OpStore && oi == 1) {
-								ok = false
-							}
-						}
+				for _, x := range u.Of(g) {
+					if !(x.User.Op == ir.OpLoad && x.Slot == 0 || x.User.Op == ir.OpStore && x.Slot == 1) {
+						ok = false
 					}
 				}
 			}
@@ -330,13 +320,15 @@ func splitAggregates(f *ir.Function) int {
 			for e := 0; e < in.NAlloc; e++ {
 				na := &ir.Instr{Op: ir.OpAlloca, Ty: ir.PtrT, AllocTy: in.AllocTy, NAlloc: 1}
 				b.InsertBefore(pos+1+e, na)
+				fu.inserted(na)
 				elems[e] = na
 			}
 			for _, g := range geps {
 				c, _ := g.ConstOperand(1)
-				replaceWithValue(f, g, elems[c.I])
+				replaceWithValue(&fu, g, elems[c.I])
 			}
 			b.RemoveAt(b.IndexOf(in))
+			fu.removed(in)
 			split++
 		}
 	}
@@ -349,6 +341,8 @@ func splitAggregates(f *ir.Function) int {
 // reg2mem.
 func demotePhis(f *ir.Function) int {
 	demoted := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	entry := f.Entry()
 	for _, b := range f.Blocks {
 		phis := b.Phis()
@@ -358,15 +352,18 @@ func demotePhis(f *ir.Function) int {
 		for _, phi := range phis {
 			slot := &ir.Instr{Op: ir.OpAlloca, Ty: ir.PtrT, AllocTy: phi.Ty, NAlloc: 1}
 			entry.InsertBefore(0, slot)
+			fu.inserted(slot)
 			for i, from := range phi.Blocks {
 				st := &ir.Instr{Op: ir.OpStore, Ty: ir.VoidT, Ops: []ir.Value{phi.Ops[i], slot}}
 				// Insert before the predecessor's terminator.
 				from.InsertBefore(len(from.Instrs)-1, st)
+				fu.inserted(st)
 			}
 			ld := &ir.Instr{Op: ir.OpLoad, Ty: phi.Ty, Ops: []ir.Value{slot}}
 			idx := b.IndexOf(phi)
 			b.InsertBefore(idx+1, ld)
-			replaceWithValue(f, phi, ld)
+			fu.inserted(ld)
+			replaceWithValue(&fu, phi, ld)
 			demoted++
 		}
 	}

@@ -123,6 +123,8 @@ func init() {
 // left-leaning chain with constants folded, exposing CSE opportunities.
 func reassociate(f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	// valueLess compares instruction IDs; refresh them first so the result
 	// is a pure function of module structure, not of ID history (IDs go
 	// stale as passes insert instructions, and snapshot clones renumber).
@@ -152,7 +154,7 @@ func reassociate(f *ir.Function) int {
 			var collect func(v ir.Value) bool
 			collect = func(v ir.Value) bool {
 				d, ok := v.(*ir.Instr)
-				if ok && d.Op == in.Op && d.Parent() == b && ir.CountUses(f, d) == 1 {
+				if ok && d.Op == in.Op && d.Parent() == b && fu.get().Count(d) == 1 {
 					chain = append(chain, d)
 					return collect(d.Ops[0]) && collect(d.Ops[1])
 				}
@@ -202,23 +204,25 @@ func reassociate(f *ir.Function) int {
 			for vi := 1; vi < len(vals)-1; vi++ {
 				ni := &ir.Instr{Op: in.Op, Ty: in.Ty, Ops: []ir.Value{cur, vals[vi]}}
 				b.InsertBefore(pos, ni)
+				fu.inserted(ni)
 				pos++
 				cur = ni
 			}
 			// Mutate root in place with the final pair.
 			last := vals[len(vals)-1]
 			if len(vals) == 1 {
-				replaceWithValue(f, in, vals[0])
+				replaceWithValue(&fu, in, vals[0])
 				i--
 				n++
 				continue
 			}
-			in.Ops = []ir.Value{cur, last}
+			fu.setOps(in, []ir.Value{cur, last})
 			// Old chain instructions become dead; best-effort removal.
 			for _, c := range chain {
-				if !ir.HasUses(f, c) {
+				if !fu.get().Has(c) {
 					if idx := c.Parent().IndexOf(c); idx >= 0 {
 						c.Parent().RemoveAt(idx)
+						fu.removed(c)
 						if c.Parent() == b {
 							i = b.IndexOf(in)
 						}
@@ -425,6 +429,8 @@ func storeRunsToMemset(f *ir.Function) int {
 // block into the arm that uses them, so the untaken path skips the work.
 func sinkIntoArms(m *ir.Module, f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	cfg := ir.BuildCFG(f)
 	for _, b := range f.Blocks {
 		t := b.Term()
@@ -440,23 +446,13 @@ func sinkIntoArms(m *ir.Module, f *ir.Function) int {
 			// b itself.
 			var home *ir.Block
 			ok := true
-			for _, ob := range f.Blocks {
-				for _, u := range ob.Instrs {
-					for _, op := range u.Ops {
-						if op != in {
-							continue
-						}
-						if ob == b {
-							ok = false
-							break
-						}
-						if home == nil {
-							home = ob
-						} else if home != ob {
-							ok = false
-						}
-					}
+			for _, x := range fu.get().Of(in) {
+				ob := x.User.Parent()
+				if ob == b || home != nil && home != ob {
+					ok = false
+					break
 				}
+				home = ob
 			}
 			if !ok || home == nil {
 				continue
@@ -467,6 +463,8 @@ func sinkIntoArms(m *ir.Module, f *ir.Function) int {
 			if len(cfg.Preds[home]) != 1 || len(home.Phis()) > 0 {
 				continue
 			}
+			// Moving in keeps the index coherent: a use's block is read
+			// from its user.
 			b.RemoveAt(i)
 			home.InsertBefore(0, in)
 			n++
@@ -583,13 +581,15 @@ func divRemPairs(f *ir.Function) int {
 // whose only use is fptosi back to integers.
 func floatToInt(f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op != ir.OpFPToSI || in.Ty.IsVector() {
 				continue
 			}
 			op, ok := in.Ops[0].(*ir.Instr)
-			if !ok || ir.CountUses(f, op) != 1 {
+			if !ok {
 				continue
 			}
 			var intOp ir.Op
@@ -608,11 +608,11 @@ func floatToInt(f *ir.Function) int {
 			if !okA || !okC || a.Op != ir.OpSIToFP || c.Op != ir.OpSIToFP {
 				continue
 			}
-			if a.Ops[0].Type() != in.Ty || c.Ops[0].Type() != in.Ty {
+			if a.Ops[0].Type() != in.Ty || c.Ops[0].Type() != in.Ty || fu.get().Count(op) != 1 {
 				continue
 			}
 			in.Op = intOp
-			in.Ops = []ir.Value{a.Ops[0], c.Ops[0]}
+			fu.setOps(in, []ir.Value{a.Ops[0], c.Ops[0]})
 			n++
 		}
 	}
@@ -787,6 +787,8 @@ func expandReductions(f *ir.Function) int {
 // addresses into a single memcmp builtin call.
 func mergeICmpChains(f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op != ir.OpAnd || in.Ty != ir.I1T {
@@ -799,10 +801,10 @@ func mergeICmpChains(f *ir.Function) int {
 				if !ok {
 					return false
 				}
-				if d.Op == ir.OpAnd && d.Ty == ir.I1T && ir.CountUses(f, d) == 1 && d.Parent() == b {
+				if d.Op == ir.OpAnd && d.Ty == ir.I1T && d.Parent() == b && fu.get().Count(d) == 1 {
 					return walk(d.Ops[0]) && walk(d.Ops[1])
 				}
-				if d.Op == ir.OpICmp && d.Pred == ir.CmpEQ && ir.CountUses(f, d) == 1 && d.Parent() == b {
+				if d.Op == ir.OpICmp && d.Pred == ir.CmpEQ && d.Parent() == b && fu.get().Count(d) == 1 {
 					cmps = append(cmps, d)
 					return true
 				}
@@ -825,8 +827,8 @@ func mergeICmpChains(f *ir.Function) int {
 				l0, ok0 := c.Ops[0].(*ir.Instr)
 				l1, ok1 := c.Ops[1].(*ir.Instr)
 				if !ok0 || !ok1 || l0.Op != ir.OpLoad || l1.Op != ir.OpLoad ||
-					ir.CountUses(f, l0) != 1 || ir.CountUses(f, l1) != 1 ||
-					l0.Parent() != b || l1.Parent() != b {
+					l0.Parent() != b || l1.Parent() != b ||
+					fu.get().Count(l0) != 1 || fu.get().Count(l1) != 1 {
 					okAll = false
 					break
 				}
@@ -870,9 +872,10 @@ func mergeICmpChains(f *ir.Function) int {
 			call := &ir.Instr{Op: ir.OpCall, Ty: ir.I64T, Callee: "sim.memcmp",
 				Ops: []ir.Value{firstP, firstQ, ir.ConstInt(ir.I64T, int64(len(cmps)))}}
 			b.InsertBefore(b.IndexOf(in), call)
+			fu.inserted(call)
 			in.Op = ir.OpICmp
 			in.Pred = ir.CmpNE
-			in.Ops = []ir.Value{call, ir.ConstInt(ir.I64T, 0)}
+			fu.setOps(in, []ir.Value{call, ir.ConstInt(ir.I64T, 0)})
 			n++
 			break // restart this block next pass run; chains rarely repeat
 		}
@@ -929,6 +932,8 @@ func splitCallSites(m *ir.Module, f *ir.Function) int {
 // address within the block when nothing in between may clobber it.
 func forwardStoreToLoad(f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for _, b := range f.Blocks {
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
@@ -939,7 +944,7 @@ func forwardStoreToLoad(f *ir.Function) int {
 				p := b.Instrs[j]
 				if p.Op == ir.OpStore {
 					if p.Ops[1] == in.Ops[0] && p.Ops[0].Type() == in.Ty {
-						replaceWithValue(f, in, p.Ops[0])
+						replaceWithValue(&fu, in, p.Ops[0])
 						i--
 						n++
 						break

@@ -26,6 +26,8 @@ func init() {
 // (leaving unreachable-block removal to simplifycfg, as LLVM does).
 func runSCCP(m *ir.Module, f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for rounds := 0; rounds < 10; rounds++ {
 		changed := 0
 		cfg := ir.BuildCFG(f)
@@ -59,7 +61,7 @@ func runSCCP(m *ir.Module, f *ir.Function) int {
 						}
 					}
 					if ok && uniq != nil {
-						replaceWithValue(f, in, uniq)
+						replaceWithValue(&fu, in, uniq)
 						i--
 						changed++
 					}
@@ -70,7 +72,9 @@ func runSCCP(m *ir.Module, f *ir.Function) int {
 						if c.I != 0 {
 							target, dead = dead, target
 						}
-						removePhiIncoming(dead, b)
+						if removePhiIncoming(dead, b) {
+							fu.drop() // phi operand slots shifted
+						}
 						in.Op = ir.OpJmp
 						in.Ops = nil
 						in.Blocks = []*ir.Block{target}
@@ -86,8 +90,8 @@ func runSCCP(m *ir.Module, f *ir.Function) int {
 							}
 						}
 						for _, tb := range in.Blocks {
-							if tb != target {
-								removePhiIncoming(tb, b)
+							if tb != target && removePhiIncoming(tb, b) {
+								fu.drop() // phi operand slots shifted
 							}
 						}
 						in.Op = ir.OpJmp
@@ -98,7 +102,7 @@ func runSCCP(m *ir.Module, f *ir.Function) int {
 					}
 				case !in.Op.HasSideEffects() && in.Op != ir.OpLoad && in.Op != ir.OpAlloca:
 					if c := foldConst(in); c != nil {
-						replaceWithValue(f, in, c)
+						replaceWithValue(&fu, in, c)
 						i--
 						changed++
 					}
@@ -114,17 +118,21 @@ func runSCCP(m *ir.Module, f *ir.Function) int {
 }
 
 // removePhiIncoming drops the incoming edge from pred in every phi of b
-// (used when an edge is deleted). Safe to call when no such incoming exists.
-func removePhiIncoming(b *ir.Block, pred *ir.Block) {
+// (used when an edge is deleted) and reports whether any phi lost one. Safe
+// to call when no such incoming exists.
+func removePhiIncoming(b *ir.Block, pred *ir.Block) bool {
+	removed := false
 	for _, phi := range b.Phis() {
 		for i := 0; i < len(phi.Blocks); i++ {
 			if phi.Blocks[i] == pred {
 				phi.Ops = append(phi.Ops[:i], phi.Ops[i+1:]...)
 				phi.Blocks = append(phi.Blocks[:i], phi.Blocks[i+1:]...)
+				removed = true
 				i--
 			}
 		}
 	}
+	return removed
 }
 
 // propagateConstArgs replaces parameter uses with constants when every call
@@ -153,6 +161,7 @@ func propagateConstArgs(m *ir.Module) int {
 		if len(sites) == 0 {
 			continue
 		}
+		fu := funcUses{f: f}
 		for pi, p := range f.Params {
 			var uniq *ir.Const
 			same := true
@@ -173,10 +182,11 @@ func propagateConstArgs(m *ir.Module) int {
 					break
 				}
 			}
-			if same && uniq != nil && ir.HasUses(f, p) {
-				n += ir.ReplaceAllUses(f, p, uniq)
+			if same && uniq != nil {
+				n += fu.get().ReplaceAll(p, uniq)
 			}
 		}
+		fu.done()
 	}
 	return n
 }

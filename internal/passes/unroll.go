@@ -28,6 +28,8 @@ func init() {
 // `factor`) rotated single-block loops with divisible constant trips.
 func unrollLoops(f *ir.Function, fullTripMax int64, bodyMax, factor int) (int, int) {
 	full, partial := 0, 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for changed := true; changed; {
 		changed = false
 		cfg, _, li := loopsOf(f)
@@ -48,7 +50,7 @@ func unrollLoops(f *ir.Function, fullTripMax int64, bodyMax, factor int) (int, i
 			// must test the post-increment value (the canonical bottom-test
 			// form produced by loop-rotate); pre-increment compares have
 			// off-by-one trip semantics we do not model.
-			if ir.CountUses(f, iv.Cmp) != 1 {
+			if fu.get().Count(iv.Cmp) != 1 {
 				continue
 			}
 			if iv.Cmp.Ops[0] != iv.Next && iv.Cmp.Ops[1] != iv.Next {
@@ -66,14 +68,14 @@ func unrollLoops(f *ir.Function, fullTripMax int64, bodyMax, factor int) (int, i
 			}
 			body := len(b.Instrs) - len(b.Phis())
 			if trip <= fullTripMax && body <= bodyMax {
-				if fullyUnroll(f, cfg, l, iv, trip, exitB) {
+				if fullyUnroll(f, cfg, l, iv, trip, exitB, &fu) {
 					full++
 					changed = true
 					break
 				}
 			}
 			if factor > 1 && trip%int64(factor) == 0 && trip > int64(factor) && body*factor <= 160 {
-				if partiallyUnroll(f, cfg, l, iv, factor) {
+				if partiallyUnroll(cfg, l, iv, factor, &fu) {
 					partial++
 					changed = true
 					break
@@ -105,8 +107,9 @@ func cloneBodyInto(dst *ir.Block, insertAt int, b *ir.Block, skip map[*ir.Instr]
 }
 
 // fullyUnroll replaces a single-block counted loop with trip straight-line
-// copies of its body.
-func fullyUnroll(f *ir.Function, cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, trip int64, exitB *ir.Block) bool {
+// copies of its body. It leaves fu coherent when it declines and without an
+// index when it unrolls.
+func fullyUnroll(f *ir.Function, cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, trip int64, exitB *ir.Block, fu *funcUses) bool {
 	b := l.Header
 	phis := b.Phis()
 	initOf := make(map[*ir.Instr]ir.Value)
@@ -159,19 +162,11 @@ func fullyUnroll(f *ir.Function, cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, tr
 	}
 
 	// Rewrite uses elsewhere: loop instrs -> last clones; phis -> final value.
+	// nb is not in f.Blocks yet, so the function — and the index — still are
+	// as they were when the caller queried it.
+	outsideB := func(x ir.Use) bool { return x.User.Parent() != b }
 	remapOutside := func(old ir.Value, new ir.Value) {
-		for _, ob := range f.Blocks {
-			if ob == b || ob == nb {
-				continue
-			}
-			for _, u := range ob.Instrs {
-				for oi, op := range u.Ops {
-					if op == old {
-						u.Ops[oi] = new
-					}
-				}
-			}
-		}
+		fu.setAll(fu.collect(old, outsideB), new)
 	}
 	for _, p := range phis {
 		remapOutside(p, cur[p])
@@ -212,12 +207,13 @@ func fullyUnroll(f *ir.Function, cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, tr
 			break
 		}
 	}
+	fu.drop()
 	return true
 }
 
 // partiallyUnroll widens a rotated single-block loop body by `factor`,
-// stepping the IV factor times per latch test.
-func partiallyUnroll(f *ir.Function, cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, factor int) bool {
+// stepping the IV factor times per latch test. It leaves fu coherent.
+func partiallyUnroll(cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, factor int, fu *funcUses) bool {
 	b := l.Header
 	t := b.Term()
 	if t.Op != ir.OpBr {
@@ -244,6 +240,7 @@ func partiallyUnroll(f *ir.Function, cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV
 		}
 		originals = append(originals, in)
 	}
+	fu.drop() // the cloning below goes behind the index's back
 	insertAt := b.IndexOf(t)
 	cur := loopSub{}
 	for _, p := range phis {
@@ -298,22 +295,10 @@ func partiallyUnroll(f *ir.Function, cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV
 	}
 	// Uses outside the loop of original body values refer to the last
 	// iteration executed: remap to final copies.
+	outsideB := func(x ir.Use) bool { return x.User.Parent() != b }
 	for _, in := range originals {
-		nv, ok := lastSub[in]
-		if !ok {
-			continue
-		}
-		for _, ob := range f.Blocks {
-			if ob == b {
-				continue
-			}
-			for _, u := range ob.Instrs {
-				for oi, op := range u.Ops {
-					if op == in {
-						u.Ops[oi] = nv
-					}
-				}
-			}
+		if nv, ok := lastSub[in]; ok {
+			fu.setAll(fu.collect(in, outsideB), nv)
 		}
 	}
 	_ = cfg

@@ -43,11 +43,13 @@ func init() {
 // arithmetic, and reductions become vector accumulators reduced at the exit.
 func vectorizeLoops(m *ir.Module, f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for changed := true; changed; {
 		changed = false
 		cfg, _, li := loopsOf(f)
 		for _, l := range li.Loops {
-			if vectorizeOneLoop(m, f, cfg, l) {
+			if vectorizeOneLoop(m, cfg, l, &fu) {
 				n++
 				changed = true
 				break
@@ -57,7 +59,9 @@ func vectorizeLoops(m *ir.Module, f *ir.Function) int {
 	return n
 }
 
-func vectorizeOneLoop(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop) bool {
+// vectorizeOneLoop leaves fu coherent when it declines and without an index
+// when it vectorises.
+func vectorizeOneLoop(m *ir.Module, cfg *ir.CFG, l *ir.Loop, fu *funcUses) bool {
 	if l.Preheader == nil || l.Header != l.Latch || len(l.Blocks) != 1 {
 		return false
 	}
@@ -156,14 +160,9 @@ func vectorizeOneLoop(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop) boo
 			return false
 		}
 		// The phi must feed only its own update inside the loop.
-		for _, in := range b.Instrs {
-			if in == nextV {
-				continue
-			}
-			for _, op := range in.Ops {
-				if op == r && in.Op != ir.OpPhi {
-					return false
-				}
+		for _, x := range fu.get().Of(r) {
+			if in := x.User; in.Parent() == b && in != nextV && in.Op != ir.OpPhi {
+				return false
 			}
 		}
 		redNext[r] = nextV
@@ -211,6 +210,7 @@ func vectorizeOneLoop(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop) boo
 	_ = loadBases // same-base load/store pairs access the same element (index == iv)
 
 	// ---- Transform ----
+	fu.drop() // the rewrite below goes behind the index's back
 	vecOf := map[*ir.Instr]bool{}
 	for _, in := range b.Instrs {
 		switch kind[in] {
@@ -335,18 +335,8 @@ func vectorizeOneLoop(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop) boo
 			red := &ir.Instr{Op: ir.OpVecReduceAdd, Ty: sc, Ops: []ir.Value{ephi}}
 			exitB.InsertBefore(len(exitB.Phis()), red)
 			// All other uses of the exit phi see the scalar reduction.
-			for _, ob := range f.Blocks {
-				for _, u := range ob.Instrs {
-					if u == red {
-						continue
-					}
-					for oi, op := range u.Ops {
-						if op == ephi {
-							u.Ops[oi] = red
-						}
-					}
-				}
-			}
+			fu.setAll(fu.collect(ephi, func(x ir.Use) bool { return x.User != red }), red)
+			fu.drop()
 		}
 		// Direct outside uses of rn (no exit phi): only legal when exitB is
 		// dominated by b; rotation always goes through exit phis, so skip.
@@ -367,9 +357,11 @@ func vectorizeOneLoop(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop) boo
 // instcombine-widened chain (FlagWidened, i64) is rejected on narrow targets.
 func slpVectorize(m *ir.Module, f *ir.Function) (int, int) {
 	nVec, nRed := 0, 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for _, b := range f.Blocks {
 		for {
-			vn, rn := slpOneChain(m, f, b)
+			vn, rn := slpOneChain(m, b, &fu)
 			if rn == 0 && vn == 0 {
 				break
 			}
@@ -377,7 +369,7 @@ func slpVectorize(m *ir.Module, f *ir.Function) (int, int) {
 			nRed += rn
 		}
 	}
-	nVec += slpStoreGroups(m, f)
+	nVec += slpStoreGroups(m, f, &fu)
 	return nVec, nRed
 }
 
@@ -400,20 +392,27 @@ type slpTerm struct {
 }
 
 // slpOneChain vectorises the first profitable reduction chain in b.
-func slpOneChain(m *ir.Module, f *ir.Function, b *ir.Block) (int, int) {
+func slpOneChain(m *ir.Module, b *ir.Block, fu *funcUses) (int, int) {
+	// Stores between the loads and a chain would invalidate reordering. The
+	// block does not change until a chain is rewritten, which ends this call.
+	hazard, hazardKnown := false, false
+	storeOrCall := func() bool {
+		if !hazardKnown {
+			hazard, hazardKnown = blockHasStoreOrCall(m, b), true
+		}
+		return hazard
+	}
 	// Find chain roots: add/fadd not feeding another same-op single-use add.
 	for _, root := range b.Instrs {
 		if root.Op != ir.OpAdd && root.Op != ir.OpFAdd || root.Ty.IsVector() {
 			continue
 		}
+		u := fu.get()
 		feeds := false
-		for _, u := range b.Instrs {
-			if u.Op == root.Op {
-				for _, op := range u.Ops {
-					if op == root {
-						feeds = true
-					}
-				}
+		for _, x := range u.Of(root) {
+			if x.User.Op == root.Op && x.User.Parent() == b {
+				feeds = true
+				break
 			}
 		}
 		if feeds {
@@ -427,13 +426,13 @@ func slpOneChain(m *ir.Module, f *ir.Function, b *ir.Block) (int, int) {
 			chain = append(chain, cur)
 			a, b2 := cur.Ops[0], cur.Ops[1]
 			ai, aok := a.(*ir.Instr)
-			if aok && ai.Op == cur.Op && ai.Parent() == b && ir.CountUses(f, ai) == 1 {
+			if aok && ai.Op == cur.Op && ai.Parent() == b && u.Count(ai) == 1 {
 				terms = append(terms, slpTerm{add: cur, term: b2})
 				cur = ai
 				continue
 			}
 			bi, bok := b2.(*ir.Instr)
-			if bok && bi.Op == cur.Op && bi.Parent() == b && ir.CountUses(f, bi) == 1 {
+			if bok && bi.Op == cur.Op && bi.Parent() == b && u.Count(bi) == 1 {
 				terms = append(terms, slpTerm{add: cur, term: a})
 				cur = bi
 				continue
@@ -446,7 +445,7 @@ func slpOneChain(m *ir.Module, f *ir.Function, b *ir.Block) (int, int) {
 			continue
 		}
 		// Match every term except possibly the chain bottom's accumulator.
-		matched := matchSLPTerms(m, f, b, terms)
+		matched := matchSLPTerms(u, b, terms, storeOrCall)
 		if len(matched) < 4 {
 			continue
 		}
@@ -507,11 +506,14 @@ func slpOneChain(m *ir.Module, f *ir.Function, b *ir.Block) (int, int) {
 			continue
 		}
 		elemK := group[0].mulA.Ty.Kind
-		vload := func(base ir.Value, firstPtr ir.Value) *ir.Instr {
-			ld := &ir.Instr{Op: ir.OpLoad, Ty: ir.Vec(elemK, vf), Ops: []ir.Value{firstPtr}}
-			b.InsertBefore(insertPos, ld)
+		emit := func(in *ir.Instr) *ir.Instr {
+			b.InsertBefore(insertPos, in)
+			u.Insert(in)
 			insertPos++
-			return ld
+			return in
+		}
+		vload := func(base ir.Value, firstPtr ir.Value) *ir.Instr {
+			return emit(&ir.Instr{Op: ir.OpLoad, Ty: ir.Vec(elemK, vf), Ops: []ir.Value{firstPtr}})
 		}
 		la := vload(group[0].baseA, group[0].mulA.Ops[0])
 		var combined ir.Value
@@ -520,35 +522,21 @@ func slpOneChain(m *ir.Module, f *ir.Function, b *ir.Block) (int, int) {
 			lb := vload(group[0].baseB, group[0].mulB.Ops[0])
 			var va, vb ir.Value = la, lb
 			if group[0].extA != nil {
-				se := &ir.Instr{Op: group[0].extA.Op, Ty: ir.Vec(group[0].extA.Ty.Kind, vf), Ops: []ir.Value{la}}
-				b.InsertBefore(insertPos, se)
-				insertPos++
-				va = se
+				va = emit(&ir.Instr{Op: group[0].extA.Op, Ty: ir.Vec(group[0].extA.Ty.Kind, vf), Ops: []ir.Value{la}})
 			}
 			if group[0].extB != nil {
-				se := &ir.Instr{Op: group[0].extB.Op, Ty: ir.Vec(group[0].extB.Ty.Kind, vf), Ops: []ir.Value{lb}}
-				b.InsertBefore(insertPos, se)
-				insertPos++
-				vb = se
+				vb = emit(&ir.Instr{Op: group[0].extB.Op, Ty: ir.Vec(group[0].extB.Ty.Kind, vf), Ops: []ir.Value{lb}})
 			}
-			mul := &ir.Instr{Op: group[0].mul.Op, Ty: ir.Vec(group[0].mul.Ty.Kind, vf), Ops: []ir.Value{va, vb}}
-			b.InsertBefore(insertPos, mul)
-			insertPos++
-			combined = mul
+			combined = emit(&ir.Instr{Op: group[0].mul.Op, Ty: ir.Vec(group[0].mul.Ty.Kind, vf), Ops: []ir.Value{va, vb}})
 		} else {
 			combined = la
 		}
 		// Widen to the accumulator type if needed, then reduce.
 		cv := combined.(*ir.Instr)
 		if cv.Ty.Kind != accTy.Kind {
-			se := &ir.Instr{Op: ir.OpSExt, Ty: ir.Vec(accTy.Kind, vf), Ops: []ir.Value{cv}}
-			b.InsertBefore(insertPos, se)
-			insertPos++
-			cv = se
+			cv = emit(&ir.Instr{Op: ir.OpSExt, Ty: ir.Vec(accTy.Kind, vf), Ops: []ir.Value{cv}})
 		}
-		red := &ir.Instr{Op: ir.OpVecReduceAdd, Ty: accTy, Ops: []ir.Value{cv}}
-		b.InsertBefore(insertPos, red)
-		insertPos++
+		red := emit(&ir.Instr{Op: ir.OpVecReduceAdd, Ty: accTy, Ops: []ir.Value{cv}})
 
 		// Replace the group's terms: the first grouped add absorbs the
 		// reduction; the others forward their remaining operand.
@@ -556,12 +544,12 @@ func slpOneChain(m *ir.Module, f *ir.Function, b *ir.Block) (int, int) {
 			for oi, op := range t.add.Ops {
 				if op == t.term {
 					if i == 0 {
-						t.add.Ops[oi] = red
+						u.Set(t.add, oi, red)
 					} else {
 						// Remove this add from the chain: replace it with its
 						// other operand.
 						other := t.add.Ops[1-oi]
-						replaceWithValue(f, t.add, other)
+						replaceWithValue(fu, t.add, other)
 					}
 					break
 				}
@@ -578,7 +566,7 @@ func slpOneChain(m *ir.Module, f *ir.Function, b *ir.Block) (int, int) {
 }
 
 // matchSLPTerms extracts load/mul structure from chain terms.
-func matchSLPTerms(m *ir.Module, f *ir.Function, b *ir.Block, terms []slpTerm) []slpTerm {
+func matchSLPTerms(u *ir.Uses, b *ir.Block, terms []slpTerm, storeOrCall func() bool) []slpTerm {
 	var out []slpTerm
 	stripExt := func(v ir.Value) (*ir.Instr, *ir.Instr) { // (load, ext)
 		in, ok := v.(*ir.Instr)
@@ -587,7 +575,7 @@ func matchSLPTerms(m *ir.Module, f *ir.Function, b *ir.Block, terms []slpTerm) [
 		}
 		var ext *ir.Instr
 		if in.Op == ir.OpSExt || in.Op == ir.OpZExt {
-			if ir.CountUses(f, in) != 1 {
+			if u.Count(in) != 1 {
 				return nil, nil
 			}
 			ext = in
@@ -597,14 +585,14 @@ func matchSLPTerms(m *ir.Module, f *ir.Function, b *ir.Block, terms []slpTerm) [
 			}
 			in = ld
 		}
-		if in.Op != ir.OpLoad || in.Ty.IsVector() || ir.CountUses(f, in) != 1 {
+		if in.Op != ir.OpLoad || in.Ty.IsVector() || u.Count(in) != 1 {
 			return nil, nil
 		}
 		return in, ext
 	}
 	for _, t := range terms {
 		ti, ok := t.term.(*ir.Instr)
-		if !ok || ti.Parent() != b || ir.CountUses(f, ti) != 1 {
+		if !ok || ti.Parent() != b || u.Count(ti) != 1 {
 			continue
 		}
 		rec := t
@@ -613,7 +601,7 @@ func matchSLPTerms(m *ir.Module, f *ir.Function, b *ir.Block, terms []slpTerm) [
 		if ti.Op == ir.OpSExt {
 			if inner, okI := ti.Ops[0].(*ir.Instr); okI &&
 				(inner.Op == ir.OpMul || inner.Op == ir.OpFMul) &&
-				inner.Parent() == b && ir.CountUses(f, inner) == 1 {
+				inner.Parent() == b && u.Count(inner) == 1 {
 				ti = inner
 			}
 		}
@@ -653,8 +641,7 @@ func matchSLPTerms(m *ir.Module, f *ir.Function, b *ir.Block, terms []slpTerm) [
 			}
 			rec.mulB, rec.extB, rec.baseB, rec.symB, rec.offB = lB, eB, boB, symB, offB
 		}
-		// Stores between the loads and the chain would invalidate reordering.
-		if blockHasStoreOrCall(m, b) {
+		if storeOrCall() {
 			continue
 		}
 		out = append(out, rec)
@@ -724,7 +711,7 @@ func consecutiveRun(ts []slpTerm) []slpTerm {
 
 // slpStoreGroups merges 4 consecutive stores of isomorphic computations over
 // consecutive loads into vector form.
-func slpStoreGroups(m *ir.Module, f *ir.Function) int {
+func slpStoreGroups(m *ir.Module, f *ir.Function, fu *funcUses) int {
 	n := 0
 	for _, b := range f.Blocks {
 		var stores []*ir.Instr
@@ -771,7 +758,7 @@ func slpStoreGroups(m *ir.Module, f *ir.Function) int {
 			okLoads := true
 			for k := 0; k < 4; k++ {
 				ld, isL := g[k].st.Ops[0].(*ir.Instr)
-				if !isL || ld.Op != ir.OpLoad || ld.Parent() != b || ir.CountUses(f, ld) != 1 {
+				if !isL || ld.Op != ir.OpLoad || ld.Parent() != b || fu.get().Count(ld) != 1 {
 					okLoads = false
 					break
 				}
@@ -808,14 +795,17 @@ func slpStoreGroups(m *ir.Module, f *ir.Function) int {
 			vl := &ir.Instr{Op: ir.OpLoad, Ty: ir.Vec(elemK, 4), Ops: []ir.Value{loads[0].Ops[0]}}
 			pos := b.IndexOf(g[0].st)
 			b.InsertBefore(pos, vl)
-			g[0].st.Ops[0] = vl
+			fu.inserted(vl)
+			fu.set(g[0].st, 0, vl)
 			for k := 1; k < 4; k++ {
 				b.RemoveAt(b.IndexOf(g[k].st))
+				fu.removed(g[k].st)
 			}
 			for k := 0; k < 4; k++ {
-				if !ir.HasUses(f, loads[k]) {
+				if !fu.get().Has(loads[k]) {
 					if idx := b.IndexOf(loads[k]); idx >= 0 {
 						b.RemoveAt(idx)
+						fu.removed(loads[k])
 					}
 				}
 			}
@@ -830,6 +820,8 @@ func slpStoreGroups(m *ir.Module, f *ir.Function) int {
 // extract(broadcast(x), i) -> x.
 func combineVectorOps(f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for _, b := range f.Blocks {
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
@@ -842,14 +834,14 @@ func combineVectorOps(f *ir.Function) int {
 			}
 			switch src.Op {
 			case ir.OpBroadcast:
-				replaceWithValue(f, in, src.Ops[0])
+				replaceWithValue(&fu, in, src.Ops[0])
 				i--
 				n++
 			case ir.OpInsertElement:
 				li, okL := in.ConstOperand(1)
 				si, okS := src.ConstOperand(2)
 				if okL && okS && li.I == si.I {
-					replaceWithValue(f, in, src.Ops[1])
+					replaceWithValue(&fu, in, src.Ops[1])
 					i--
 					n++
 				}
@@ -863,6 +855,8 @@ func combineVectorOps(f *ir.Function) int {
 // may-alias stores) into one vector load plus extracts.
 func vectorizeLoadRuns(m *ir.Module, f *ir.Function) int {
 	n := 0
+	fu := funcUses{f: f}
+	defer fu.done()
 	for _, b := range f.Blocks {
 		type lRec struct {
 			ld   *ir.Instr
@@ -952,12 +946,14 @@ func vectorizeLoadRuns(m *ir.Module, f *ir.Function) int {
 				continue
 			}
 			b.InsertBefore(firstPos, vl)
+			fu.inserted(vl)
 			for k := 0; k < 4; k++ {
 				ext := &ir.Instr{Op: ir.OpExtractElement, Ty: g[k].ld.Ty,
 					Ops: []ir.Value{vl, ir.ConstInt(ir.I64T, int64(k))}}
 				idx := b.IndexOf(g[k].ld)
 				b.InsertBefore(idx, ext)
-				replaceWithValue(f, g[k].ld, ext)
+				fu.inserted(ext)
+				replaceWithValue(&fu, g[k].ld, ext)
 			}
 			n++
 			break // positions stale; next pass run handles more
