@@ -468,7 +468,7 @@ func (ev *Evaluator) Counters() obs.CounterSet {
 	ev.mu.Lock()
 	pipelines, builds := ev.Compilations, ev.Measurements
 	ev.mu.Unlock()
-	clones, cloneMat, slabFuncs, stray := ir.CloneCounters()
+	clones, cloneMat, slabFuncs, _ := ir.CloneCounters()
 	machGets, machNews := machine.PoolCounters()
 	passGets, passNews := passes.PoolCounters()
 
@@ -508,7 +508,6 @@ func (ev *Evaluator) Counters() obs.CounterSet {
 		env("ir_clone_cow", clones, "ir_clone_cow_total"),
 		env("ir_clone_materialized", cloneMat, "ir_clone_cow_materialized_total"),
 		env("ir_clone_slab_funcs", slabFuncs, "ir_clone_slab_funcs_total"),
-		env("ir_clone_stray_instrs", stray, "ir_clone_stray_instrs_total"),
 		env("machine_pool_gets", machGets, "machine_pool_gets_total"),
 		env("machine_pool_news", machNews, "machine_pool_news_total"),
 		env("passes_pool_gets", passGets, "passes_pool_gets_total"),

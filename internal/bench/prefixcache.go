@@ -48,8 +48,8 @@ type snapKey struct {
 	depth   int
 }
 
-// snapEntry is an LRU-tracked snapshot. mod and stats are immutable after
-// insertion; readers clone them outside the evaluator lock.
+// snapEntry is an LRU-tracked snapshot. key, mod, stats, fp and fpOK are
+// immutable after insertion; readers clone them outside the evaluator lock.
 //
 // Interior snapshots are published unverified: resuming from one is correct
 // regardless (replay is deterministic from any state, and every build ends
@@ -185,12 +185,12 @@ func statsSum(st passes.Stats) int {
 	return s
 }
 
-// runSuffix applies plist[from:] to c (which already reflects plist[:from]),
-// collecting snapshots at stride boundaries, and verifies the final state
-// once — exactly the verification policy of a full ApplyObserved(...,
-// verifyEach=false) build. baseFp is c's structural fingerprint before the
-// first suffix pass when known (haveFp); it seeds snapshot deduplication.
-func (ev *Evaluator) runSuffix(c *ir.Module, plist []*passes.Pass, st passes.Stats, from int, baseMod *ir.Module, baseFp uint64, haveFp bool) ([]pendingSnap, error) {
+// runSuffix applies the rest of plist to c, a clone of the base snapshot
+// (nil = pristine, nothing applied yet), collecting snapshots at stride
+// boundaries, and verifies the final state once — exactly the verification
+// policy of a full ApplyObserved(..., verifyEach=false) build. The base's
+// module and fingerprint, when it has one, seed snapshot deduplication.
+func (ev *Evaluator) runSuffix(c *ir.Module, plist []*passes.Pass, st passes.Stats, base *snapEntry) ([]pendingSnap, error) {
 	mgr := passes.NewManager()
 	if ev.prof != nil {
 		mgr.Obs = ev.prof
@@ -200,7 +200,15 @@ func (ev *Evaluator) runSuffix(c *ir.Module, plist []*passes.Pass, st passes.Sta
 		stride = DefaultSnapshotEvery
 	}
 	var snaps []pendingSnap
-	prevMod, prevFp, prevOK := baseMod, baseFp, haveFp
+	var (
+		prevMod *ir.Module
+		prevFp  uint64
+		prevOK  bool
+		from    int
+	)
+	if base != nil {
+		prevMod, prevFp, prevOK, from = base.mod, base.fp, base.fpOK, base.key.depth
+	}
 	prevSum := statsSum(st)
 	total := len(plist)
 	for i := from; i < total; i++ {
@@ -434,13 +442,9 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 		fl := &flight{done: make(chan struct{})}
 		ev.flights[flKey] = fl
 		base := ev.deepestPrefixLocked(ds, name, hashes, total, stride)
-		var baseMod *ir.Module
-		var baseSt passes.Stats
-		var baseFp uint64
-		baseFpOK := false
 		depth := 0
 		if base != nil {
-			baseMod, baseSt, baseFp, baseFpOK, depth = base.mod, base.stats, base.fp, base.fpOK, base.key.depth
+			depth = base.key.depth
 		}
 		if counted {
 			ev.cacheMiss++
@@ -455,7 +459,7 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 		}
 		ev.mu.Unlock()
 
-		mod, st, err := ev.leadCompile(fl, flKey, fullKey, pristine, plist, hashes, baseMod, baseSt, baseFp, baseFpOK, depth, counted)
+		mod, st, err := ev.leadCompile(fl, flKey, fullKey, pristine, plist, hashes, base, counted)
 		ev.publishMetrics()
 		return mod, st, err
 	}
@@ -471,26 +475,27 @@ func recoverCompile(err *error) {
 	}
 }
 
-// buildSuffix clones the base state (a snapshot, else pristine) and runs
-// plist[depth:] on it. A build that panics yields no snapshots.
-func (ev *Evaluator) buildSuffix(pristine *ir.Module, plist []*passes.Pass, baseMod *ir.Module, baseSt passes.Stats, baseFp uint64, baseFpOK bool, depth int) (c *ir.Module, st passes.Stats, snaps []pendingSnap, err error) {
+// buildSuffix clones the base state (a snapshot, else pristine) and runs the
+// passes of plist past it, reading only base's immutable fields (no lock
+// held). A build that panics yields no snapshots.
+func (ev *Evaluator) buildSuffix(pristine *ir.Module, plist []*passes.Pass, base *snapEntry) (c *ir.Module, st passes.Stats, snaps []pendingSnap, err error) {
 	defer recoverCompile(&err)
-	if baseMod != nil {
-		c = baseMod.Clone()
-		st = baseSt.Clone()
+	if base != nil {
+		c = base.mod.Clone()
+		st = base.stats.Clone()
 	} else {
 		c = pristine.Clone()
 		st = passes.Stats{}
 	}
-	snaps, err = ev.runSuffix(c, plist, st, depth, baseMod, baseFp, baseFpOK)
+	snaps, err = ev.runSuffix(c, plist, st, base)
 	return c, st, snaps, err
 }
 
 // leadCompile runs the pipeline suffix for a registered flight, publishes the
 // resulting snapshots and completes the flight, handing followers the
 // leader's result or error.
-func (ev *Evaluator) leadCompile(fl *flight, flKey seqKey, fullKey snapKey, pristine *ir.Module, plist []*passes.Pass, hashes []uint64, baseMod *ir.Module, baseSt passes.Stats, baseFp uint64, baseFpOK bool, depth int, counted bool) (*ir.Module, passes.Stats, error) {
-	c, st, snaps, err := ev.buildSuffix(pristine, plist, baseMod, baseSt, baseFp, baseFpOK, depth)
+func (ev *Evaluator) leadCompile(fl *flight, flKey seqKey, fullKey snapKey, pristine *ir.Module, plist []*passes.Pass, hashes []uint64, base *snapEntry, counted bool) (*ir.Module, passes.Stats, error) {
+	c, st, snaps, err := ev.buildSuffix(pristine, plist, base)
 
 	ev.mu.Lock()
 	var final *ir.Module

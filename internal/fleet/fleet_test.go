@@ -241,10 +241,10 @@ func TestStolenDuplicateDiscardedExactlyOnce(t *testing.T) {
 	rsFast := &RunnerServer{Workers: 1}
 	// Prebuild both evaluators so handler latency is dominated by the
 	// deliberate delay, not by first-batch setup.
-	if _, err := rsSlow.evaluator(cfg, bench.ARM()); err != nil {
+	if _, err := rsSlow.evaluator(bench.ByName(benchName), bench.ARM(), seed); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rsFast.evaluator(cfg, bench.ARM()); err != nil {
+	if _, err := rsFast.evaluator(bench.ByName(benchName), bench.ARM(), seed); err != nil {
 		t.Fatal(err)
 	}
 	slow := func(inner http.Handler) http.Handler {
@@ -601,17 +601,23 @@ func TestOutcomesEqualLocalRunnerFallback(t *testing.T) {
 	}
 }
 
-// Names arrive from the network: a platform or feature kind the parsers do
-// not know is a 400, not a silent ARM / stats run, and builds no evaluator.
+// Names arrive from the network: a platform, feature kind or bench the
+// parsers do not know is a 400, not a silent ARM / stats run, and leaves no
+// evaluator entry behind — a client cycling through bad bench names must not
+// grow the runner's cache.
 func TestRunnerRejectsUnknownNames(t *testing.T) {
 	rs := &RunnerServer{}
 	srv := httptest.NewServer(rs.Handler())
 	defer srv.Close()
-	for _, cfg := range []JobConfig{
+	cfgs := []JobConfig{
 		{Bench: "telecom_gsm", Platform: "ARM", Seed: 1},
 		{Bench: "telecom_gsm", Platform: "riscv", Seed: 1},
 		{Bench: "telecom_gsm", Platform: "arm", Seed: 1, Feature: "bogus"},
-	} {
+	}
+	for i := 0; i < 100; i++ {
+		cfgs = append(cfgs, JobConfig{Bench: fmt.Sprintf("no_such_bench_%d", i), Platform: "arm", Seed: 1})
+	}
+	for _, cfg := range cfgs {
 		body, _ := json.Marshal(BatchRequest{ID: "b1", Config: cfg, Specs: []core.CompileSpec{{Module: "long_term"}}, Groups: [][]int{{0}}})
 		resp, err := http.Post(srv.URL+"/v1/batch", "application/json", bytes.NewReader(body))
 		if err != nil {

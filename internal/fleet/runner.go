@@ -48,15 +48,16 @@ func (rs *RunnerServer) logf(format string, args ...any) {
 	}
 }
 
-// evaluator returns the cached evaluator for cfg on plat (cfg.Platform,
-// parsed), building it on first use. The build (modules + O3 baselines for
-// both datasets) can take a while; concurrent batches for the same config
-// block on one build.
-func (rs *RunnerServer) evaluator(cfg JobConfig, plat bench.Platform) (*lazyEvaluator, error) {
+// evaluator returns the cached evaluator for b on plat (the request's bench
+// and platform, already looked up, so a bad name never gets an entry),
+// building it on first use. The build (modules + O3 baselines for both
+// datasets) can take a while; concurrent batches for the same config block
+// on one build.
+func (rs *RunnerServer) evaluator(b *bench.Benchmark, plat bench.Platform, seed int64) (*lazyEvaluator, error) {
 	// The evaluator identity: everything that changes compile/measure
 	// behaviour, with the platform already parsed so two spellings of one
 	// platform cannot build two evaluators.
-	key := fmt.Sprintf("%s|%s|%d", cfg.Bench, plat.Name, cfg.Seed)
+	key := fmt.Sprintf("%s|%s|%d", b.Name, plat.Name, seed)
 	rs.mu.Lock()
 	if rs.evs == nil {
 		rs.evs = map[string]*lazyEvaluator{}
@@ -68,13 +69,8 @@ func (rs *RunnerServer) evaluator(cfg JobConfig, plat bench.Platform) (*lazyEval
 	}
 	rs.mu.Unlock()
 	le.once.Do(func() {
-		b := bench.ByName(cfg.Bench)
-		if b == nil {
-			le.err = fmt.Errorf("unknown bench %q", cfg.Bench)
-			return
-		}
 		t := time.Now()
-		le.ev, le.err = bench.NewEvaluator(b, plat, cfg.Seed)
+		le.ev, le.err = bench.NewEvaluator(b, plat, seed)
 		if le.err == nil {
 			rs.logf("fleet runner: built evaluator %s in %s", key, time.Since(t).Round(time.Millisecond))
 		}
@@ -129,7 +125,12 @@ func (rs *RunnerServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	le, err := rs.evaluator(req.Config, plat)
+	b := bench.ByName(req.Config.Bench)
+	if b == nil {
+		httpError(w, http.StatusBadRequest, "unknown bench %q", req.Config.Bench)
+		return
+	}
+	le, err := rs.evaluator(b, plat, req.Config.Seed)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "evaluator: %v", err)
 		return
@@ -224,13 +225,18 @@ func (a *Agent) Run(ctx context.Context) error {
 }
 
 // register retries with capped backoff until the coordinator accepts the
-// registration or ctx ends.
+// registration or ctx ends. Each attempt runs to completion on its own short
+// timeout, detached from ctx: a POST abandoned at cancellation may already
+// have been recorded by the coordinator, and an id never learned is never
+// deregistered. The caller sees ctx.Done next and deregisters the id.
 func (a *Agent) register(ctx context.Context) (string, error) {
 	body, _ := json.Marshal(RegisterRequest{URL: a.SelfURL, Workers: a.Workers})
 	backoff := 250 * time.Millisecond
 	for {
 		var info RunnerInfo
-		code, err := a.postJSON(ctx, "/v1/runners", body, &info)
+		actx, cancel := context.WithTimeout(context.WithoutCancel(ctx), shutdownTimeout)
+		code, err := a.postJSON(actx, "/v1/runners", body, &info)
+		cancel()
 		if err == nil && code < 300 {
 			a.logf("fleet agent: registered as %s", info.ID)
 			return info.ID, nil
@@ -250,10 +256,14 @@ func (a *Agent) register(ctx context.Context) (string, error) {
 	}
 }
 
+// shutdownTimeout bounds the requests that must outlive the run context: the
+// deregistration and any register attempt in flight when it is cancelled.
+const shutdownTimeout = 2 * time.Second
+
 // deregister is best effort on shutdown; it uses a fresh short-lived
 // context because the run context is already cancelled.
 func (a *Agent) deregister(id string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, a.Coordinator+"/v1/runners/"+id, nil)
 	if err != nil {

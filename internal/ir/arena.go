@@ -11,12 +11,11 @@ import (
 // function) instead of per-object heap allocations, and modules materialize
 // private copies of shared bodies only when a pass is about to mutate them.
 //
-// Identity within a slab is recorded in the persistent Instr.aid / Block.bid
-// fields (1-based slot numbers; 0 = stray heap object). A clone remaps old
-// operands to new ones through tables indexed by those ids, each entry
-// carrying the source pointer for an identity check, so objects spliced
-// between functions (the inliner) or inserted by passes (aid 0) fall back to
-// small stray maps instead of producing a wrong mapping.
+// A clone is numbered like its source: the k-th instruction in block order
+// has ID k in both (Function.Renumber), so an operand or branch target is
+// remapped by indexing the clone's slabs with the source's ID / block index,
+// after an identity check against the source (hasInstr / hasBlock) that
+// catches objects a pass removed or spliced in from another function.
 
 // Process-global clone/COW counters. These feed Prometheus gauges only —
 // they are scheduling-dependent, so they must never reach canonical journal
@@ -24,23 +23,23 @@ import (
 var (
 	cowClones       atomic.Uint64 // COW Module.Clone handouts
 	cowMaterialized atomic.Uint64 // modules materialized (deep-copied) for mutation
-	slabFuncClones  atomic.Uint64 // function bodies cloned through the slab path
-	strayInstrs     atomic.Uint64 // instructions that took the stray map path
+	slabFuncClones  atomic.Uint64 // function bodies cloned into slabs
 )
 
 // CloneCounters returns the cumulative process-global COW statistics:
-// copy-on-write clones handed out, modules materialized for mutation,
-// function bodies slab-cloned, and instructions that fell back to the stray
-// (map) remap path.
-func CloneCounters() (clones, materialized, slabFuncs, stray uint64) {
-	return cowClones.Load(), cowMaterialized.Load(), slabFuncClones.Load(), strayInstrs.Load()
+// copy-on-write clones handed out, modules materialized for mutation and
+// function bodies slab-cloned. The fourth result counted instructions on a
+// map fallback that no longer exists; it is constant 0 and stays only until
+// its last reader (the benchmark harness) drops it.
+func CloneCounters() (clones, materialized, slabFuncs, _ uint64) {
+	return cowClones.Load(), cowMaterialized.Load(), slabFuncClones.Load(), 0
 }
 
 // cloneFunction deep-copies f into fresh arena slabs. Operands, phi incoming
 // blocks and branch targets are remapped to the cloned objects; constants are
 // shared (they are immutable), and globals are remapped through gmap when
-// present (else shared). The copy is always fully slab-resident with dense
-// arena ids, regardless of how fragmented the source was.
+// present (else shared). The copy is always fully slab-resident and densely
+// numbered, regardless of how fragmented the source was.
 func cloneFunction(f *Function, gmap map[*Global]*Global) *Function {
 	slabFuncClones.Add(1)
 	nf := &Function{Name: f.Name, RetTy: f.RetTy, Attrs: f.Attrs, IsDecl: f.IsDecl, nextTmp: f.nextTmp}
@@ -56,18 +55,18 @@ func cloneFunction(f *Function, gmap map[*Global]*Global) *Function {
 		return nf
 	}
 
-	nInstr, nOps, nSucc := 0, 0, 0
-	for _, b := range f.Blocks {
-		nInstr += len(b.Instrs)
-		for _, in := range b.Instrs {
-			nOps += len(in.Ops)
-			nSucc += len(in.Blocks)
-		}
+	// memb becomes the clone's block-membership array. Until the last loop
+	// below it holds the source's instructions in ID order: the table the
+	// identity checks read, and the flat order the operand loop walks.
+	memb := f.instrsByID(nil)
+	nOps, nSucc := 0, 0
+	for _, in := range memb {
+		nOps += len(in.Ops)
+		nSucc += len(in.Blocks)
 	}
 
-	islab := make([]Instr, nInstr)
+	islab := make([]Instr, len(memb))
 	bslab := make([]Block, len(f.Blocks))
-	memb := make([]*Instr, nInstr)
 	var opslab []Value
 	if nOps > 0 {
 		opslab = make([]Value, nOps)
@@ -78,134 +77,75 @@ func cloneFunction(f *Function, gmap map[*Global]*Global) *Function {
 	}
 	nf.Blocks = make([]*Block, len(f.Blocks))
 
-	// Remap tables indexed by the source's arena ids, with identity-checked
-	// entries; stray objects (id 0, out-of-range, or a slot already claimed
-	// by a different object) go to lazily-allocated maps.
-	type ipair struct {
-		src, dst *Instr
-	}
-	type bpair struct {
-		src, dst *Block
-	}
-	var itab []ipair
-	if f.arenaLen > 0 {
-		itab = make([]ipair, f.arenaLen)
-	}
-	var btab []bpair
-	if f.barenaLen > 0 {
-		btab = make([]bpair, f.barenaLen)
-	}
-	var istray map[*Instr]*Instr
-	var bstray map[*Block]*Block
-
 	ii := 0
 	for bi, b := range f.Blocks {
 		nb := &bslab[bi]
 		nb.Name = b.Name
 		nb.parent = nf
-		nb.bid = int32(bi + 1)
+		nb.idx = int32(bi)
 		nf.Blocks[bi] = nb
-		if k := b.bid; k > 0 && int(k) <= len(btab) && btab[k-1].src == nil {
-			btab[k-1] = bpair{b, nb}
-		} else {
-			if bstray == nil {
-				bstray = make(map[*Block]*Block)
-			}
-			bstray[b] = nb
-		}
 		start := ii
 		for _, in := range b.Instrs {
 			ni := &islab[ii]
 			*ni = Instr{
 				Op: in.Op, Ty: in.Ty, Pred: in.Pred, Callee: in.Callee,
 				AllocTy: in.AllocTy, NAlloc: in.NAlloc, Flags: in.Flags,
-				ID: in.ID, parent: nb, aid: int32(ii + 1),
+				ID: ii, parent: nb,
 			}
 			if in.Cases != nil {
 				ni.Cases = append([]int64(nil), in.Cases...)
 			}
-			if k := in.aid; k > 0 && int(k) <= len(itab) && itab[k-1].src == nil {
-				itab[k-1] = ipair{in, ni}
-			} else {
-				if istray == nil {
-					istray = make(map[*Instr]*Instr)
-				}
-				istray[in] = ni
-				strayInstrs.Add(1)
-			}
-			memb[ii] = ni
 			ii++
 		}
 		nb.Instrs = memb[start:ii:ii]
 	}
 
-	lookupI := func(in *Instr) *Instr {
-		if k := in.aid; k > 0 && int(k) <= len(itab) {
-			if e := &itab[k-1]; e.src == in {
-				return e.dst
-			}
-		}
-		return istray[in]
-	}
-	lookupB := func(b *Block) *Block {
-		if k := b.bid; k > 0 && int(k) <= len(btab) {
-			if e := &btab[k-1]; e.src == b {
-				return e.dst
-			}
-		}
-		return bstray[b]
-	}
-
 	oi, si := 0, 0
-	for bi, b := range f.Blocks {
-		nbInstrs := nf.Blocks[bi].Instrs
-		for k, in := range b.Instrs {
-			ni := nbInstrs[k]
-			if n := len(in.Ops); n > 0 {
-				ops := opslab[oi : oi+n : oi+n]
-				oi += n
-				for j, op := range in.Ops {
-					switch t := op.(type) {
-					case *Instr:
-						nv := lookupI(t)
-						if nv == nil {
-							panic(fmt.Sprintf("ir: clone: operand instruction not in function %s", f.Name))
-						}
-						ops[j] = nv
-					case *Param:
-						if t.Index >= 0 && t.Index < len(f.Params) && f.Params[t.Index] == t {
-							ops[j] = nf.Params[t.Index]
-						} else {
-							ops[j] = t
-						}
-					case *Global:
-						if ng, ok := gmap[t]; ok {
-							ops[j] = ng
-						} else {
-							ops[j] = op
-						}
-					default:
-						ops[j] = op // constants are immutable and shared
+	for k, in := range memb {
+		ni := &islab[k]
+		if n := len(in.Ops); n > 0 {
+			ops := opslab[oi : oi+n : oi+n]
+			oi += n
+			for j, op := range in.Ops {
+				switch t := op.(type) {
+				case *Instr:
+					if !hasInstr(memb, t) {
+						panic(fmt.Sprintf("ir: clone: operand instruction not in function %s", f.Name))
 					}
-				}
-				ni.Ops = ops
-			}
-			if n := len(in.Blocks); n > 0 {
-				succ := succslab[si : si+n : si+n]
-				si += n
-				for j, tb := range in.Blocks {
-					nb := lookupB(tb)
-					if nb == nil {
-						panic(fmt.Sprintf("ir: clone: target block not in function %s", f.Name))
+					ops[j] = &islab[t.ID]
+				case *Param:
+					if t.Index >= 0 && t.Index < len(f.Params) && f.Params[t.Index] == t {
+						ops[j] = nf.Params[t.Index]
+					} else {
+						ops[j] = t
 					}
-					succ[j] = nb
+				case *Global:
+					if ng, ok := gmap[t]; ok {
+						ops[j] = ng
+					} else {
+						ops[j] = op
+					}
+				default:
+					ops[j] = op // constants are immutable and shared
 				}
-				ni.Blocks = succ
 			}
+			ni.Ops = ops
+		}
+		if n := len(in.Blocks); n > 0 {
+			succ := succslab[si : si+n : si+n]
+			si += n
+			for j, tb := range in.Blocks {
+				if !f.hasBlock(tb) {
+					panic(fmt.Sprintf("ir: clone: target block not in function %s", f.Name))
+				}
+				succ[j] = &bslab[tb.idx]
+			}
+			ni.Blocks = succ
 		}
 	}
-	nf.arenaLen = int32(nInstr)
-	nf.barenaLen = int32(len(f.Blocks))
+	for k := range memb {
+		memb[k] = &islab[k]
+	}
 	return nf
 }
 
@@ -251,20 +191,14 @@ func MaterializeModule(m *Module) bool {
 	for i, f := range m.Funcs {
 		m.Funcs[i] = cloneFunction(f, gmap)
 	}
-	// Renumber the now-private bodies so every materialized module leaves
-	// here with dense instruction IDs. Together with Clone (which renumbers
-	// before sharing) and CompactModule this makes density an invariant of
-	// every module handed to machine.Link, which asserts it instead of
-	// mutating shared snapshots.
-	m.Renumber()
 	return true
 }
 
-// CompactModule rebuilds every function of m into fresh dense arena slabs and
-// renumbers, without touching globals (the module keeps its identity; only
-// bodies move). Used on long-lived modules built object-by-object (irgen /
-// synth output) so that every subsequent clone takes the slab fast path.
-// Must not be called on a module with shared bodies.
+// CompactModule rebuilds every function of m into fresh dense arena slabs,
+// without touching globals (the module keeps its identity; only bodies move).
+// Used on long-lived modules built object-by-object (irgen / synth output) so
+// that their clones are copied from contiguous memory. Must not be called on
+// a module with shared bodies.
 func CompactModule(m *Module) {
 	for i, f := range m.Funcs {
 		if f.isShared() {
@@ -272,5 +206,4 @@ func CompactModule(m *Module) {
 		}
 		m.Funcs[i] = cloneFunction(f, nil)
 	}
-	m.Renumber()
 }

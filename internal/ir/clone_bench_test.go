@@ -33,7 +33,10 @@ func benchModule(tb testing.TB, optimize bool) *ir.Module {
 // BenchmarkModuleClone measures the copy paths behind snapshot creation and
 // cache-hit handout in the prefix-snapshot compile cache: the copy-on-write
 // Clone (what a cache hit pays) and Clone+MaterializeModule (what the first
-// mutating pass pays — the old eager deep copy, now slab-backed).
+// mutating pass pays — the old eager deep copy, now slab-backed). The
+// -materialize cases clone a compacted module; optimized-materialize-
+// uncompacted clones the module as -O3 left it, bodies full of instructions
+// passes inserted, which is what a snapshot resume clones.
 func BenchmarkModuleClone(b *testing.B) {
 	for _, mode := range []struct {
 		name     string
@@ -50,18 +53,40 @@ func BenchmarkModuleClone(b *testing.B) {
 				sink = m.Clone()
 			}
 		})
-		b.Run(mode.name+"-materialize", func(b *testing.B) {
-			m := benchModule(b, mode.optimize)
-			ir.CompactModule(m)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := m.Clone()
-				ir.MaterializeModule(c)
-				sink = c
+		materialize := func(compact bool) func(b *testing.B) {
+			return func(b *testing.B) {
+				m := benchModule(b, mode.optimize)
+				if compact {
+					ir.CompactModule(m)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					c := m.Clone()
+					ir.MaterializeModule(c)
+					sink = c
+				}
 			}
-		})
+		}
+		b.Run(mode.name+"-materialize", materialize(true))
+		if mode.optimize {
+			b.Run(mode.name+"-materialize-uncompacted", materialize(false))
+		}
 	}
+}
+
+// BenchmarkFingerprint measures the structural hash the prefix cache takes of
+// the working module and of a snapshot at every no-op-looking stride boundary
+// (bench.runSuffix), on a module as -O3 left it.
+func BenchmarkFingerprint(b *testing.B) {
+	b.Run("optimized", func(b *testing.B) {
+		m := benchModule(b, true)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkFP = m.Fingerprint()
+		}
+	})
 }
 
 // BenchmarkSnapshotHandout measures the cache-hit handout path: the clone a
@@ -79,4 +104,7 @@ func BenchmarkSnapshotHandout(b *testing.B) {
 	}
 }
 
-var sink *ir.Module
+var (
+	sink   *ir.Module
+	sinkFP uint64
+)

@@ -9,8 +9,9 @@ import (
 
 // Fingerprint returns a cheap structural hash of the module: function
 // signatures, block structure, every instruction's opcode/type/flags/operands
-// (operands by position-independent local numbering, so the hash does not
-// depend on printing IDs), globals with their initialisers, and module meta.
+// (operands by their position in block order, blocks by index; a reference to
+// an instruction or block outside the function hashes as 0), globals with
+// their initialisers, and module meta.
 // Two modules with equal fingerprints are structurally identical with
 // overwhelming probability; the compilation caches use it to deduplicate
 // snapshots and key compiled states.
@@ -51,6 +52,7 @@ func (m *Module) Fingerprint() uint64 {
 			w64(math.Float64bits(v))
 		}
 	}
+	var tab []*Instr // one function's instructions in ID order, reused
 	for _, f := range m.Funcs {
 		ws(f.Name)
 		wty(f.RetTy)
@@ -62,18 +64,7 @@ func (m *Module) Fingerprint() uint64 {
 			h.Write([]byte{2})
 			continue
 		}
-		// Position-independent value numbering: instruction index within the
-		// function in block order, blocks by index.
-		inum := make(map[*Instr]int)
-		bnum := make(map[*Block]int, len(f.Blocks))
-		n := 0
-		for bi, b := range f.Blocks {
-			bnum[b] = bi
-			for _, in := range b.Instrs {
-				inum[in] = n
-				n++
-			}
-		}
+		tab = f.instrsByID(tab)
 		for _, b := range f.Blocks {
 			ws(b.Name)
 			wi(int64(len(b.Instrs)))
@@ -85,7 +76,11 @@ func (m *Module) Fingerprint() uint64 {
 				for _, op := range in.Ops {
 					switch t := op.(type) {
 					case *Instr:
-						w64(1<<56 | uint64(uint32(inum[t])))
+						id := 0
+						if hasInstr(tab, t) {
+							id = t.ID
+						}
+						w64(1<<56 | uint64(uint32(id)))
 					case *Param:
 						w64(2<<56 | uint64(uint32(t.Index)))
 					case *Global:
@@ -101,7 +96,11 @@ func (m *Module) Fingerprint() uint64 {
 					}
 				}
 				for _, tb := range in.Blocks {
-					w64(6<<56 | uint64(uint32(bnum[tb])))
+					var bi int32
+					if f.hasBlock(tb) {
+						bi = tb.idx
+					}
+					w64(6<<56 | uint64(uint32(bi)))
 				}
 				for _, c := range in.Cases {
 					wi(c)

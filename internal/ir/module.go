@@ -1,6 +1,10 @@
 package ir
 
-import "sync/atomic"
+import (
+	"fmt"
+	"slices"
+	"sync/atomic"
+)
 
 // FuncAttrs carries interprocedural attributes discovered by analyses.
 type FuncAttrs uint8
@@ -36,11 +40,6 @@ type Function struct {
 	// are immutable: the block mutators panic on them, and MaterializeModule
 	// replaces them with private copies before a pass may run.
 	shared uint32
-	// arenaLen / barenaLen record the instruction- and block-slab sizes of
-	// the clone that produced this function (0 for builder output). They
-	// bound the identity-checked remap tables used by the slab clone path.
-	arenaLen  int32
-	barenaLen int32
 }
 
 // isShared reports whether the function body is COW-shared between modules.
@@ -74,9 +73,9 @@ type Block struct {
 	Name   string
 	Instrs []*Instr
 	parent *Function
-	// bid is this block's slot (1-based) in the block slab of the function
-	// clone that created it; 0 marks a stray heap block. See arena.go.
-	bid int32
+	// idx is the block's position in parent.Blocks as of the last Renumber;
+	// stale once a pass moves blocks, so readers go through hasBlock.
+	idx int32
 }
 
 // Parent returns the containing function.
@@ -230,24 +229,75 @@ func (m *Module) RemoveFunc(name string) {
 	}
 }
 
-// Renumber assigns sequential IDs to every instruction for printing and for
-// the interpreter's register file. Writes are skip-equal: renumbering an
-// already-dense module performs only reads, so concurrent renumbers of a
-// COW-shared module (e.g. machine.Link on two clones of one snapshot) are
-// race-free provided the module was renumbered once before it was shared —
-// Module.Clone guarantees exactly that.
-func (m *Module) Renumber() {
-	for _, f := range m.Funcs {
-		id := 0
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.ID != id {
-					in.ID = id
-				}
-				id++
+// Renumber assigns every instruction its position in block order as ID,
+// from zero, and every block its position in f.Blocks, and returns the
+// instruction count. It is the one numbering of a function body: clone,
+// fingerprint, verify, the printer, machine.Link and the lowerer all index by
+// it. Writes are skip-equal: renumbering a dense body only reads, so
+// concurrent renumbers of a COW-shared body (Module.Clone from several
+// goroutines) are race-free provided it was renumbered once before it was
+// shared — Module.Clone guarantees exactly that.
+func (f *Function) Renumber() int {
+	id := 0
+	for bi, b := range f.Blocks {
+		if b.idx != int32(bi) {
+			b.idx = int32(bi)
+		}
+		for _, in := range b.Instrs {
+			if in.ID != id {
+				in.ID = id
 			}
+			id++
 		}
 	}
+	return id
+}
+
+// Renumber renumbers every function of the module.
+func (m *Module) Renumber() {
+	for _, f := range m.Funcs {
+		f.Renumber()
+	}
+}
+
+// instrsByID returns f's instructions in ID order, reusing tab's storage. A
+// private body is renumbered first; a COW-shared body is dense by Clone's
+// invariant and only read. Together with hasInstr / hasBlock this is how
+// every reader in the package numbers a body and proves a reference local.
+func (f *Function) instrsByID(tab []*Instr) []*Instr {
+	shared := f.isShared()
+	var n int
+	if shared {
+		n = f.NumInstrs()
+	} else {
+		n = f.Renumber()
+	}
+	tab = slices.Grow(tab[:0], n)
+	for bi, b := range f.Blocks {
+		dense := b.idx == int32(bi)
+		for _, in := range b.Instrs {
+			dense = dense && in.ID == len(tab)
+			tab = append(tab, in)
+		}
+		if shared && !dense {
+			panic(fmt.Sprintf("ir: function %s has a non-dense numbering on a COW-shared body (missing renumber before sharing)", f.Name))
+		}
+	}
+	return tab
+}
+
+// hasInstr reports whether in is an instruction of the function tab numbers
+// (tab = f.instrsByID): an identity check, so a stale ID on an instruction a
+// pass removed or spliced in from another function never aliases a local one.
+// Nil is not in any function, for Verify to report rather than trip over.
+func hasInstr(tab []*Instr, in *Instr) bool {
+	return in != nil && uint(in.ID) < uint(len(tab)) && tab[in.ID] == in
+}
+
+// hasBlock reports whether b is a block of f, by the same identity check on
+// the block index. Valid after Renumber / instrsByID, like hasInstr.
+func (f *Function) hasBlock(b *Block) bool {
+	return b != nil && uint(b.idx) < uint(len(f.Blocks)) && f.Blocks[b.idx] == b
 }
 
 // Clone returns a copy-on-write copy of the module: a fresh Module wrapper

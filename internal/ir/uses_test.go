@@ -98,7 +98,7 @@ func indexedValues(f *Function) []Value {
 
 func TestInstrSizeUnchanged(t *testing.T) {
 	if got := unsafe.Sizeof(Instr{}); got != 176 {
-		t.Fatalf("unsafe.Sizeof(Instr{}) = %d, want 176: the Uses numbering must fit the padding after aid", got)
+		t.Fatalf("unsafe.Sizeof(Instr{}) = %d, want 176: ApproxBytes, and with it snapshot eviction, scales with it; uid sits in the tail padding after parent", got)
 	}
 }
 

@@ -126,18 +126,20 @@ type Instr struct {
 	AllocTy Type    // for alloca: element type
 	NAlloc  int     // for alloca: element count
 	Flags   InstrFlags
-	ID      int // printing/debugging id, assigned by renumber
-	parent  *Block
-	// aid is this instruction's slot (1-based) in the arena slab of the
-	// function clone that created it; 0 marks a stray heap instruction
-	// (builder output or pass-inserted). Clone remap tables are indexed by
-	// aid with an identity check, so a stale aid (an instruction spliced in
-	// from another function's slab) degrades to the map path, never to a
-	// wrong mapping. See arena.go.
-	aid int32
+	// ID is the instruction's position in its function in block order, as of
+	// the last Function.Renumber — the only writer. Clone, fingerprint and
+	// verify index their tables by it, the printer names values by it, and
+	// machine.Link and the bytecode lowerer use it as the register slot. It
+	// goes stale as passes insert and remove instructions, so every reader
+	// renumbers first (or, on a COW-shared body, relies on Module.Clone
+	// having done so) and proves a reference local by identity.
+	ID     int
+	parent *Block
 	// uid is this instruction's slot (1-based) in the tables of the Uses
-	// index that last numbered it, identity-checked the same way. It fills
-	// the padding after aid and means nothing once that index is released.
+	// index that last numbered it, identity-checked. It is not ID: a pass
+	// keeps its index while it inserts and removes instructions, and CSE and
+	// reassociate renumber ID under a live index. It means nothing once that
+	// index is released.
 	uid int32
 }
 

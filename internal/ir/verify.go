@@ -28,11 +28,10 @@ func verifyFunction(m *Module, f *Function) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("no blocks")
 	}
-	blockSet := make(map[*Block]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
-		blockSet[b] = true
-	}
-	defined := make(map[*Instr]bool)
+	// Numbers the body (a private one is renumbered, which no pass can see:
+	// every ID-ordered decision renumbers first); hasInstr / hasBlock below
+	// are "defined in this function" / "a block of this function".
+	tab := f.instrsByID(nil)
 	for _, b := range f.Blocks {
 		if b.parent != f {
 			return fmt.Errorf("block %s has wrong parent", b.Name)
@@ -52,11 +51,10 @@ func verifyFunction(m *Module, f *Function) error {
 				return fmt.Errorf("phi not at start of block %s", b.Name)
 			}
 			for _, tb := range in.Blocks {
-				if !blockSet[tb] {
+				if !f.hasBlock(tb) {
 					return fmt.Errorf("instr %s in %s references foreign block", in.Op, b.Name)
 				}
 			}
-			defined[in] = true
 		}
 	}
 	cfg := BuildCFG(f)
@@ -94,7 +92,7 @@ func verifyFunction(m *Module, f *Function) error {
 				case nil:
 					return fmt.Errorf("%s in %s: nil operand %d", in.Op, b.Name, oi)
 				case *Instr:
-					if !defined[v] {
+					if !hasInstr(tab, v) {
 						return fmt.Errorf("%s in %s: operand %d defined outside function", in.Op, b.Name, oi)
 					}
 				case *Param:
@@ -119,12 +117,6 @@ func verifyFunction(m *Module, f *Function) error {
 	}
 	// Dominance: every non-phi use must be dominated by its definition.
 	dt := BuildDomTree(cfg)
-	pos := make(map[*Instr]int)
-	for _, b := range f.Blocks {
-		for i, in := range b.Instrs {
-			pos[in] = i
-		}
-	}
 	for _, b := range f.Blocks {
 		if !reach[b] {
 			continue
@@ -144,7 +136,7 @@ func verifyFunction(m *Module, f *Function) error {
 					continue
 				}
 				if def.parent == b {
-					if pos[def] >= pos[in] {
+					if def.ID >= in.ID { // same block: ID order is position order
 						return fmt.Errorf("%s in %s: use before def in block", in.Op, b.Name)
 					}
 				} else if !dt.Dominates(def.parent, b) {

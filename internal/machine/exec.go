@@ -51,12 +51,11 @@ type Image struct {
 
 // Link resolves cross-module references and lays out global memory. The
 // interpreter's register files and the bytecode lowerer index by instruction
-// ID, so each function's IDs must be dense from zero. Link no longer
-// renumbers shared COW snapshots — Module.Clone, ir.MaterializeModule and
-// ir.CompactModule all renumber before a module can reach it, so linking is
-// read-only over shared bodies. Fully private modules (builder output that
-// never went through CompactModule) are renumbered here as before; a shared
-// module with stale IDs is a COW-invariant violation and fails the link.
+// ID, so each function's IDs must be dense from zero. Link does not renumber
+// shared COW snapshots — Module.Clone renumbers before it shares a body, so
+// linking is read-only over shared bodies. Private bodies (builder output,
+// a module a pass just touched) are renumbered here; a shared body with
+// stale IDs is a COW-invariant violation and fails the link.
 func Link(mods ...*ir.Module) (*Image, error) {
 	img := &Image{
 		Funcs:      make(map[string]*ir.Function),
@@ -88,35 +87,26 @@ func Link(mods ...*ir.Module) (*Image, error) {
 	return img, nil
 }
 
-// ensureDense verifies that every function's instruction IDs are dense from
-// zero. Private modules are renumbered in place (the pre-COW behaviour, kept
-// for modules built directly against the builder API); shared modules must
-// already be dense — writing to them here would race with every other holder
-// of the snapshot.
+// ensureDense leaves every function's instruction IDs dense from zero.
+// Private bodies are renumbered in place (modules built directly against the
+// builder API); shared bodies must already be dense — writing to them here
+// would race with every other holder of the snapshot.
 func ensureDense(m *ir.Module) error {
-	dense := true
-check:
 	for _, f := range m.Funcs {
+		if !f.Shared() {
+			f.Renumber()
+			continue
+		}
 		id := 0
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				if in.ID != id {
-					dense = false
-					break check
+					return fmt.Errorf("machine: module %q has non-dense instruction IDs on a COW-shared body (missing renumber before sharing)", m.Name)
 				}
 				id++
 			}
 		}
 	}
-	if dense {
-		return nil
-	}
-	for _, f := range m.Funcs {
-		if f.Shared() {
-			return fmt.Errorf("machine: module %q has non-dense instruction IDs on a COW-shared body (missing renumber before sharing)", m.Name)
-		}
-	}
-	m.Renumber()
 	return nil
 }
 

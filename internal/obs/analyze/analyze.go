@@ -139,25 +139,6 @@ type PassRow struct {
 	DeltaTotal  int    `json:"delta_total"`
 }
 
-// legacyStats maps the per-family counter events of journals written before
-// the single "stats" event to counter names (event type → field → name). Job
-// directories are durable, so a job resumed across that change has a journal
-// that starts with these; this table is the only place they are still known.
-var legacyStats = map[string]map[string]string{
-	"cache-stats": {"hits": "cache_hits", "misses": "cache_misses"},
-	"prefix-cache-stats": {
-		"saved_passes": "prefix_saved_passes", "replayed_passes": "prefix_replayed_passes",
-		"snapshot_bytes": "prefix_snapshot_bytes", "evictions": "prefix_evictions",
-	},
-	"cow-stats": {"shared": "cow_shared", "materialized": "cow_materialized"},
-	"bc-stats": {
-		"lowered_funcs": "bc_lowered_funcs", "bytecode_bytes": "bc_bytecode_bytes",
-		"fused_sites": "bc_fused_sites", "super_hits": "bc_super_hits",
-		"code_hits": "bc_code_hits", "code_misses": "bc_code_misses",
-	},
-	"gp-stats": {"fits": "gp_fits", "appends": "gp_appends"},
-}
-
 // Report is everything the analyzer can say about a journal. All durations
 // are nanoseconds on the run timeline (monotonic across checkpoint/resume
 // restarts: each process's recorder clock is spliced onto the previous one).
@@ -368,20 +349,14 @@ func passProfile(f map[string]any) []PassRow {
 	return out
 }
 
-// feedStats folds a stats event (or one of its legacy per-family
-// predecessors) into the counter table: cumulative counters, latest wins.
+// feedStats folds a stats event into the counter table: cumulative counters,
+// latest wins.
 func (a *Analyzer) feedStats(e *obs.Event) {
-	legacy, isLegacy := legacyStats[e.Type]
-	if e.Type != "stats" && !isLegacy {
+	if e.Type != "stats" {
 		return
 	}
 	for k := range e.Fields {
 		name, env := strings.CutPrefix(k, "env_")
-		if isLegacy && !env {
-			if name = legacy[k]; name == "" {
-				continue
-			}
-		}
 		a.counters[name] = obs.CounterRow{Name: name, Value: int64(obs.FieldFloat(e.Fields, k)), Env: env}
 	}
 }

@@ -112,103 +112,6 @@ func row(set obs.CounterSet, name string) (obs.CounterRow, bool) {
 	return obs.CounterRow{}, false
 }
 
-func legacyJournal(t *testing.T) []obs.Event {
-	t.Helper()
-	events, err := obs.ReadJournalFile("testdata/legacy_stats.jsonl")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return events
-}
-
-// rerunLegacyJob repeats the run the fixture recorded at the parent commit:
-// citroen -bench telecom_gsm -budget 8 -seed 3 -workers 1.
-func rerunLegacyJob(t *testing.T) []obs.Event {
-	t.Helper()
-	ev, err := bench.NewEvaluator(bench.ByName("telecom_gsm"), bench.ARM(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := &obs.MemorySink{}
-	opts := core.DefaultOptions()
-	opts.Budget, opts.Workers = 8, 1
-	opts.Sink = mem
-	if _, err := core.NewTuner(ev.Task(), opts, 3).Run(); err != nil {
-		t.Fatal(err)
-	}
-	return mem.Events()
-}
-
-// Journals written before the single stats event must analyze to the same
-// counters the same job produces today, and render the same report block. The
-// legacy journal has the prefix_* and cow_* rows as canonical fields; today
-// they are Env rows (and the bytes follow the IR struct layout), so only rows
-// that are canonical on both sides must be equal.
-func TestLegacyJournalMatchesRerun(t *testing.T) {
-	old := Analyze(legacyJournal(t))
-	now := Analyze(rerunLegacyJob(t))
-	if n := len(old.Counters.Canonical()); n != 16 { // 2 cache + 4 prefix + 2 cow + 6 bc + 2 gp
-		t.Fatalf("legacy journal yields %d canonical counters, want 16: %+v", n, old.Counters.Canonical())
-	}
-	var legacy obs.CounterSet
-	for _, c := range old.Counters.Canonical() {
-		if nc, ok := row(now.Counters, c.Name); !ok {
-			t.Errorf("rerun lost the %s row", c.Name)
-		} else if !nc.Env {
-			legacy = append(legacy, c)
-		}
-	}
-	if len(legacy) != 10 {
-		t.Fatalf("%d rows canonical in both journals, want 10: %+v", len(legacy), legacy)
-	}
-	for _, c := range legacy {
-		if got := now.Counters.Get(c.Name); got != c.Value {
-			t.Errorf("%s: legacy journal %d, rerun %d", c.Name, c.Value, got)
-		}
-	}
-	if saved := "prefix_saved_passes"; now.Counters.Get(saved) != old.Counters.Get(saved) {
-		// No snapshot is evicted in this 8-measurement run, so the count repeats.
-		t.Errorf("%s: legacy journal %d, rerun %d", saved, old.Counters.Get(saved), now.Counters.Get(saved))
-	}
-	if old.Counters.Get("ir_clone_cow") == 0 {
-		t.Error("legacy env_ fields were dropped")
-	}
-	if old.BestSpeedup != now.BestSpeedup || old.Measurements != now.Measurements {
-		t.Fatalf("not the same job: legacy %v/%d, rerun %v/%d", old.BestSpeedup, old.Measurements, now.BestSpeedup, now.Measurements)
-	}
-	// Same "cache effectiveness" lines for every counter both journals have.
-	var oldText, nowText bytes.Buffer
-	WriteCounters(&oldText, legacy)
-	WriteCounters(&nowText, now.Counters.Canonical())
-	for _, line := range strings.Split(strings.TrimSpace(oldText.String()), "\n") {
-		if !strings.Contains(nowText.String(), line+"\n") {
-			t.Errorf("rerun report lacks legacy line %q", line)
-		}
-	}
-}
-
-// A job resumed across the upgrade appends stats events to a journal that
-// starts with the legacy ones: the analysis must end at the final values.
-func TestMixedLegacyAndNewJournal(t *testing.T) {
-	old, now := legacyJournal(t), rerunLegacyJob(t)
-	want := Analyze(now).Counters.Canonical()
-	mixed := append(append([]obs.Event{}, old[:len(old)/2]...), now[len(now)/2:]...)
-	sawLegacy, sawNew := false, false
-	for _, e := range mixed {
-		sawLegacy = sawLegacy || e.Type == "bc-stats"
-		sawNew = sawNew || e.Type == "stats"
-	}
-	if !sawLegacy || !sawNew {
-		t.Fatalf("mixed journal is not mixed (legacy %v, new %v)", sawLegacy, sawNew)
-	}
-	got := Analyze(mixed).Counters
-	for _, c := range want {
-		if got.Get(c.Name) != c.Value {
-			t.Errorf("%s = %d in the mixed journal, want %d", c.Name, got.Get(c.Name), c.Value)
-		}
-	}
-}
-
 // A journal written before the prefix_*/cow_* rows became Env rows carries
 // them as plain stats fields: the report must show them, as the kind the
 // journal gave them, and a job resumed across the change ends at the new kind.

@@ -19,7 +19,7 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 	defer fu.done()
 	// pureKey canonicalizes commutative operands via ID comparison; refresh
 	// IDs so matching is a pure function of structure, not of ID history.
-	refreshIDs(f)
+	f.Renumber()
 	cfgG, dt := domOf(f)
 	children := make(map[*ir.Block][]*ir.Block)
 	for b, id := range dt.IDom {

@@ -128,7 +128,7 @@ func reassociate(f *ir.Function) int {
 	// valueLess compares instruction IDs; refresh them first so the result
 	// is a pure function of module structure, not of ID history (IDs go
 	// stale as passes insert instructions, and snapshot clones renumber).
-	refreshIDs(f)
+	f.Renumber()
 	// Precompute which instructions feed a same-op instruction (non-roots).
 	fed := make(map[*ir.Instr]bool)
 	for _, b := range f.Blocks {
@@ -245,26 +245,12 @@ func identityConst(op ir.Op, c *ir.Const) bool {
 	return false
 }
 
-// refreshIDs assigns dense block-order IDs, the canonical numbering every
-// ID-dependent ordering decision must be made against.
-func refreshIDs(f *ir.Function) {
-	id := 0
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.ID != id {
-				in.ID = id
-			}
-			id++
-		}
-	}
-}
-
 // canonicalizeCommutative sorts commutative operand pairs into a stable
 // order, making structurally-equal expressions literally equal for CSE.
 func canonicalizeCommutative(f *ir.Function) int {
 	n := 0
 	// valueLess compares instruction IDs; refresh them first.
-	refreshIDs(f)
+	f.Renumber()
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if !in.Op.IsCommutative() || len(in.Ops) != 2 {
