@@ -75,16 +75,6 @@ func DefaultOptions() Options {
 	}
 }
 
-// BOGradOptions is the standard-BO baseline: random initialisation only,
-// with a larger raw-candidate budget (§4.5.1: k=2000, n=10).
-func BOGradOptions() Options {
-	o := DefaultOptions()
-	o.Strategies = []Strategy{StratRandom}
-	o.RawCandidates = 2000
-	o.TopN = 10
-	return o
-}
-
 // IterDiag records per-iteration per-strategy diagnostics (for the Fig
 // 4.8-4.10 analyses: which strategy yields the highest AF value, lowest
 // posterior mean, highest posterior variance).

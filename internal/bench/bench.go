@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
-	"time"
 
 	"repro/internal/ir"
 	"repro/internal/irgen"
@@ -270,7 +269,7 @@ type Evaluator struct {
 	Bench    *Benchmark
 	Plat     Platform
 	Datasets int
-	Runs     int // timing repetitions per measurement
+	Runs     int // noise samples per measurement (the image executes once)
 	// CacheCap bounds the snapshot cache's entry count: 0 means
 	// DefaultCacheCap, negative disables memoisation entirely (every compile
 	// re-runs the full pipeline, the pre-cache behaviour).
@@ -404,9 +403,8 @@ func NewEvaluator(b *Benchmark, plat Platform, seed int64) (*Evaluator, error) {
 
 // BcCounters returns the measurement machine's bytecode-engine accounting
 // since the evaluator was built (the baseline build does not count):
-// functions lowered, bytecode bytes produced, superinstruction fusion sites
-// and executions, and lowered-code cache hits/misses. All lowering and
-// execution happen on the serial measurement path, so these are
+// functions lowered, bytecode bytes produced, and runs that lowered their
+// image or found it lowered. One lowering per measured image, so these are
 // deterministic functions of the evaluated workload and safe for canonical
 // journal fields.
 func (ev *Evaluator) BcCounters() machine.BcStats {
@@ -501,10 +499,6 @@ func (ev *Evaluator) Counters() obs.CounterSet {
 		sched("cow_materialized", int64(materialized), ""),
 		row("bc_lowered_funcs", bc.LoweredFuncs, "machine_bc_lowered_funcs"),
 		row("bc_bytecode_bytes", bc.BytecodeBytes, "machine_bc_bytecode_bytes"),
-		row("bc_fused_sites", bc.FusedSites, "machine_bc_fused_sites"),
-		row("bc_super_hits", bc.SuperHits, "machine_bc_super_hits"),
-		row("bc_code_hits", bc.CodeHits, "machine_bc_code_hits"),
-		row("bc_code_misses", bc.CodeMisses, "machine_bc_code_misses"),
 		env("ir_clone_cow", clones, "ir_clone_cow_total"),
 		env("ir_clone_materialized", cloneMat, "ir_clone_cow_materialized_total"),
 		env("ir_clone_slab_funcs", slabFuncs, "ir_clone_slab_funcs_total"),
@@ -526,7 +520,7 @@ func (ev *Evaluator) SetObs(m *obs.Metrics, prof *passes.Profile) {
 	ev.metrics = m
 	if m != nil {
 		h := m.Histogram("machine_run_cycles", obs.CyclesBuckets)
-		ev.meas.OnSample = func(cycles float64, _ time.Duration) { h.Observe(cycles) }
+		ev.meas.OnSample = h.Observe
 	}
 }
 

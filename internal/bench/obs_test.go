@@ -135,11 +135,11 @@ func TestSetObsCountersAndHistogram(t *testing.T) {
 			t.Errorf("%s = %d on /metrics, %s = %d in the counter set", c.Series, got, c.Name, c.Value)
 		}
 	}
-	if published < 14 {
+	if published < 10 {
 		t.Fatalf("only %d owned rows name a series", published)
 	}
-	if bc := ev.BcCounters(); bc.CodeMisses == 0 || int64(met.Gauge("machine_bc_code_misses").Value()) != bc.CodeMisses {
-		t.Fatalf("machine_bc_code_misses gauge %v != search-only counter %d", met.Gauge("machine_bc_code_misses").Value(), bc.CodeMisses)
+	if bc := ev.BcCounters(); bc.LoweredFuncs == 0 || int64(met.Gauge("machine_bc_lowered_funcs").Value()) != bc.LoweredFuncs {
+		t.Fatalf("machine_bc_lowered_funcs gauge %v != search-only counter %d", met.Gauge("machine_bc_lowered_funcs").Value(), bc.LoweredFuncs)
 	}
 	if got := met.Counter("bench_compilations_total").Value(); got != int64(ev.Compilations) {
 		t.Fatalf("registry compilations %d != evaluator %d", got, ev.Compilations)

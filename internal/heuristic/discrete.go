@@ -217,20 +217,6 @@ func (g *SeqGA) Tell(seq []int, y float64) {
 	}
 }
 
-// BestOf returns the population's best member.
-func (g *SeqGA) BestOf() ([]int, float64, bool) {
-	if len(g.pop) == 0 {
-		return nil, 0, false
-	}
-	bi, by := -1, math.Inf(1)
-	for i, p := range g.pop {
-		if p.y < by {
-			bi, by = i, p.y
-		}
-	}
-	return g.pop[bi].seq, by, true
-}
-
 // PopulationDiversity reports the mean pairwise edit-distance proxy
 // (normalised Hamming over the aligned prefix plus length difference).
 func (g *SeqGA) PopulationDiversity() float64 {

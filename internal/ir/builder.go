@@ -90,12 +90,6 @@ func (bd *Builder) ICmp(p CmpPred, a, b Value) *Instr {
 	return bd.emit(&Instr{Op: OpICmp, Ty: t, Pred: p, Ops: []Value{a, b}})
 }
 
-// FCmp emits a floating comparison producing i1.
-func (bd *Builder) FCmp(p CmpPred, a, b Value) *Instr {
-	t := Type{Kind: I1, Lanes: a.Type().Lanes}
-	return bd.emit(&Instr{Op: OpFCmp, Ty: t, Pred: p, Ops: []Value{a, b}})
-}
-
 // Select emits cond ? a : b.
 func (bd *Builder) Select(c, a, b Value) *Instr {
 	return bd.emit(&Instr{Op: OpSelect, Ty: a.Type(), Ops: []Value{c, a, b}})

@@ -31,7 +31,7 @@ func BuildCFG(f *Function) *CFG {
 	off := 0
 	for _, b := range f.Blocks {
 		if k := predN[b]; k > 0 {
-			c.Preds[b] = predBack[off:off:off+k]
+			c.Preds[b] = predBack[off : off : off+k]
 			off += k
 		}
 	}
@@ -45,7 +45,7 @@ func BuildCFG(f *Function) *CFG {
 		if len(ss) == 0 {
 			continue
 		}
-		dst := succBack[off:off:off+len(ss)]
+		dst := succBack[off : off : off+len(ss)]
 		off += len(ss)
 		c.Succs[b] = append(dst, ss...)
 		for _, s := range ss {
@@ -290,24 +290,6 @@ func finishLoop(c *CFG, l *Loop) {
 			}
 		}
 	}
-}
-
-// InnermostLoops returns loops that contain no other loop.
-func (li *LoopInfo) InnermostLoops() []*Loop {
-	var out []*Loop
-	for _, l := range li.Loops {
-		inner := true
-		for _, o := range li.Loops {
-			if o != l && l.Contains(o.Header) {
-				inner = false
-				break
-			}
-		}
-		if inner {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // CanonicalIV describes the canonical induction variable of a loop:

@@ -200,16 +200,6 @@ func (m *Module) Func(name string) *Function {
 	return nil
 }
 
-// Global returns the global with the given name, or nil.
-func (m *Module) GlobalByName(name string) *Global {
-	for _, g := range m.Globals {
-		if g.Name == name {
-			return g
-		}
-	}
-	return nil
-}
-
 // NumInstrs counts instructions across all function bodies.
 func (m *Module) NumInstrs() int {
 	n := 0

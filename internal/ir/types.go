@@ -212,9 +212,6 @@ func (o Op) IsBinary() bool { return o >= OpAdd && o <= OpFDiv }
 // IsIntBinary reports whether the op is an integer binary op.
 func (o Op) IsIntBinary() bool { return o >= OpAdd && o <= OpAShr }
 
-// IsFloatBinary reports whether the op is a floating binary op.
-func (o Op) IsFloatBinary() bool { return o >= OpFAdd && o <= OpFDiv }
-
 // IsCast reports whether the op is a conversion.
 func (o Op) IsCast() bool { return o >= OpSExt && o <= OpFPTrunc }
 

@@ -184,14 +184,3 @@ func BuiltinIsPure(name string) bool {
 	}
 	return false
 }
-
-// BuiltinRetType returns the result type of a builtin.
-func BuiltinRetType(name string) Type {
-	switch name {
-	case "sim.abs.i64", "sim.min.i64", "sim.max.i64", "sim.memcmp":
-		return I64T
-	case "sim.sqrt", "sim.exp", "sim.log":
-		return F64T
-	}
-	return VoidT
-}

@@ -17,11 +17,10 @@ import (
 // flat (index-addressed) replacements for the tree-walker's per-pointer maps.
 type bcState struct {
 	runCore
-	prog      *bcProgram
-	bpred     []uint8   // per lowered branch site (2-bit saturating)
-	called    []bool    // per function index
-	fcyc      []float64 // exclusive cycles per function index
-	superHits int64
+	prog   *bcProgram
+	bpred  []uint8   // per lowered branch site (2-bit saturating)
+	called []bool    // per function index
+	fcyc   []float64 // exclusive cycles per function index
 }
 
 // slotVal reads an operand slot: frame register when >= 0, constant pool
@@ -106,40 +105,6 @@ func wrapKI(k uint8, v int64) Val {
 	return Val{I: v}
 }
 
-// fastBinNT computes a non-trapping fast binary op of kind k; it matches
-// binScalar bit-for-bit (And/Or/Xor never wrap there either).
-func fastBinNT(op bcOp, k uint8, a, b Val) Val {
-	switch op {
-	case bcAddI:
-		return wrapKI(k, a.I+b.I)
-	case bcSubI:
-		return wrapKI(k, a.I-b.I)
-	case bcMulI:
-		return wrapKI(k, a.I*b.I)
-	case bcAndI:
-		return Val{I: a.I & b.I}
-	case bcOrI:
-		return Val{I: a.I | b.I}
-	case bcXorI:
-		return Val{I: a.I ^ b.I}
-	case bcShlI:
-		return wrapKI(k, a.I<<uint64(b.I&63))
-	case bcLShrI:
-		return wrapKI(k, int64(uint64(a.I)>>uint64(b.I&63)))
-	case bcAShrI:
-		return wrapKI(k, a.I>>uint64(b.I&63))
-	case bcFAdd:
-		return Val{F: a.F + b.F}
-	case bcFSub:
-		return Val{F: a.F - b.F}
-	case bcFMul:
-		return Val{F: a.F * b.F}
-	case bcFDiv:
-		return Val{F: a.F / b.F}
-	}
-	return Val{}
-}
-
 // genEval executes a generic (non-fast-path) value op. It mirrors the
 // tree-walker's evalPure case for case, reusing the same binVal / cmpVal /
 // selectVal / castVal helpers and error messages.
@@ -219,7 +184,6 @@ func (m *Machine) acquireBC(prog *bcProgram, img *Image) *bcState {
 	st.prepMemModel()
 	st.sp, st.hi = img.GlobalWords, img.GlobalWords
 	st.cycles, st.steps, st.curChild, st.depth = 0, 0, 0, 0
-	st.superHits = 0
 	st.out = nil
 	if cap(st.bpred) < int(prog.nBranch) {
 		st.bpred = make([]uint8, prog.nBranch)
@@ -261,11 +225,6 @@ func (m *Machine) runBC(prog *bcProgram, img *Image, entry string, args []Val) (
 	st.out = res.Output
 	st.initGlobals(img)
 	ret, err := st.call(fi, args)
-	if st.superHits > 0 {
-		m.bcMu.Lock()
-		m.bcStats.SuperHits += st.superHits
-		m.bcMu.Unlock()
-	}
 	if err != nil {
 		res.Output = st.out
 		ReleaseResult(res)
@@ -580,67 +539,6 @@ loop:
 			}
 			frame[in.dst] = v
 			st.putVals(argv)
-
-		case bcICmpBr:
-			cond := cmpI(in.pr, slotI(frame, consts, in.a), slotI(frame, consts, in.b)) != 0
-			st.steps++
-			if st.steps > maxSteps {
-				return Val{}, ErrStepLimit
-			}
-			st.cycles += in.cost2
-			st.chargeBr(in.aux, cond)
-			st.superHits++
-			if cond {
-				pc = in.c
-			} else {
-				pc = in.dst
-			}
-			continue loop
-
-		case bcLoadBin:
-			addr := slotI(frame, consts, in.a)
-			if addr < 0 || addr+1 > int64(len(st.mem)) {
-				return Val{}, ErrSegfault
-			}
-			st.chargeMem(addr, 1, true)
-			var lv Val
-			if kindFloat(in.k) {
-				lv = Val{F: st.mem[addr].f}
-			} else {
-				lv = Val{I: st.mem[addr].i}
-			}
-			st.steps++
-			if st.steps > maxSteps {
-				return Val{}, ErrStepLimit
-			}
-			st.cycles += in.cost2
-			other := slotVal(frame, consts, in.b)
-			if in.flags&1 != 0 {
-				frame[in.dst] = fastBinNT(bcOp(in.pr), in.k, lv, other)
-			} else {
-				frame[in.dst] = fastBinNT(bcOp(in.pr), in.k, other, lv)
-			}
-			st.superHits++
-
-		case bcBinStore:
-			v := fastBinNT(bcOp(in.pr), in.k, slotVal(frame, consts, in.a), slotVal(frame, consts, in.b))
-			st.steps++
-			if st.steps > maxSteps {
-				return Val{}, ErrStepLimit
-			}
-			st.cycles += in.cost2
-			addr := slotI(frame, consts, in.c)
-			if addr < 0 || addr+1 > int64(len(st.mem)) {
-				return Val{}, ErrSegfault
-			}
-			st.chargeMem(addr, 1, false)
-			st.dirty(addr + 1)
-			if kindFloat(in.k) {
-				st.mem[addr].f = v.F
-			} else {
-				st.mem[addr].i = ir.WrapInt(ir.Kind(in.k), v.I)
-			}
-			st.superHits++
 
 		default:
 			return Val{}, fmt.Errorf("machine: bad bytecode op %d", in.op)

@@ -133,17 +133,10 @@ func TestDifferentialBytecodeVsTree(t *testing.T) {
 	}
 
 	// The comparison is only meaningful if the fast path actually ran:
-	// lowering must have succeeded for these programs, and fusion must have
-	// fired (every benchmark has icmp+br loop exits at minimum).
+	// lowering must have succeeded for these programs.
 	st := bcM.BcCounters()
 	if st.LoweredFuncs == 0 || st.CodeMisses == 0 {
 		t.Fatalf("bytecode engine never engaged: %+v", st)
-	}
-	if st.SuperHits == 0 {
-		t.Fatalf("no superinstruction executions recorded: %+v", st)
-	}
-	if st.CodeHits == 0 {
-		t.Fatalf("code cache never hit across %d cases: %+v", cases, st)
 	}
 }
 

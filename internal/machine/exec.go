@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"math"
@@ -20,12 +19,6 @@ type Val struct {
 	Vec []Val // non-nil for vector values
 }
 
-// ScalarInt returns an integer scalar value.
-func ScalarInt(v int64) Val { return Val{I: v} }
-
-// ScalarFloat returns a floating scalar value.
-func ScalarFloat(v float64) Val { return Val{F: v} }
-
 // OutputEvent is one element of the program's observable output stream,
 // produced by the sim.out.* builtins and compared by differential testing.
 type OutputEvent struct {
@@ -43,10 +36,12 @@ type Image struct {
 	GlobalWords int64
 	funcSize    map[*ir.Function]int
 
-	// fp memoizes the image's content fingerprint — the bytecode code-cache
-	// key. Images are immutable after Link, so it is computed at most once.
-	fpOnce sync.Once
-	fp     uint64
+	// prog is the image's lowered program and progProf the profile whose
+	// instruction costs are baked into it (Machine.lowered); progMu guards
+	// both, so one image can Run on several machines and goroutines.
+	progMu   sync.Mutex
+	prog     *bcProgram
+	progProf Profile
 }
 
 // Link resolves cross-module references and lays out global memory. The
@@ -117,10 +112,9 @@ type Machine struct {
 	MaxCallDepth int
 	StackWords   int64
 
-	// TreeWalk forces the original tree-walking interpreter. The bytecode
-	// engine (lower.go / bcexec.go) is the default; the tree-walker remains
-	// as the differential oracle for the fuzzer and as the fallback for
-	// images the lowerer cannot handle.
+	// TreeWalk selects the original tree-walking interpreter, the
+	// differential oracle the bytecode engine (lower.go / bcexec.go) is
+	// tested against. Nothing on the tuning path sets it.
 	TreeWalk bool
 
 	// statePool recycles execution state (the flat memory slab, predictor
@@ -131,12 +125,9 @@ type Machine struct {
 	statePool sync.Pool
 	bcPool    sync.Pool
 
-	// bcMu guards the lowered-code cache (keyed by image fingerprint; the
-	// profile is fixed per machine) and its counters.
-	bcMu      sync.Mutex
-	bcEntries map[uint64]*list.Element
-	bcLRU     *list.List
-	bcStats   BcStats
+	// bcMu guards the bytecode-engine counters.
+	bcMu    sync.Mutex
+	bcStats BcStats
 }
 
 // Process-global interpreter scratch-pool counters (Prometheus/env-field
@@ -175,6 +166,12 @@ var (
 	ErrDivByZero  = errors.New("machine: division by zero")
 	ErrCallDepth  = errors.New("machine: call depth exceeded")
 	ErrNoFunction = errors.New("machine: undefined function")
+	// ErrUnlowerable: the bytecode lowerer cannot express the image with exact
+	// tree-walker semantics — a phi in the entry block, after a non-phi or
+	// without an incoming value for a predecessor, a block without a
+	// terminator, an unknown op or operand kind. ir.Verify rejects all but the
+	// first on every reachable block.
+	ErrUnlowerable = errors.New("machine: image cannot be lowered to bytecode")
 )
 
 type cell struct {
@@ -401,16 +398,18 @@ func (m *Machine) icachePenalty(cycles float64, hot int) float64 {
 }
 
 // Run executes the named entry function with the given arguments and returns
-// the observable output and modelled cycle count. The bytecode engine is
-// used unless TreeWalk is set or the image cannot be lowered; both engines
-// produce bit-identical Results.
+// the observable output and modelled cycle count. The bytecode engine runs it
+// unless TreeWalk is set; both engines produce bit-identical Results. An
+// image the lowerer cannot express fails with ErrUnlowerable.
 func (m *Machine) Run(img *Image, entry string, args ...Val) (*Result, error) {
-	if !m.TreeWalk {
-		if prog := m.lowered(img); prog != nil {
-			return m.runBC(prog, img, entry, args)
-		}
+	if m.TreeWalk {
+		return m.runTree(img, entry, args...)
 	}
-	return m.runTree(img, entry, args...)
+	prog, err := m.lowered(img)
+	if err != nil {
+		return nil, err
+	}
+	return m.runBC(prog, img, entry, args)
 }
 
 // runTree is the original tree-walking interpreter.

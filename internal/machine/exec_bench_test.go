@@ -28,8 +28,8 @@ func BenchmarkExec(b *testing.B) {
 		b.Run(eng.name, func(b *testing.B) {
 			m := machine.New(machine.CortexA57())
 			m.TreeWalk = eng.treeWalk
-			// Warm the code cache (and the scratch pools) so the loop times
-			// steady-state execution, the regime TimeMedian runs in.
+			// Lower the image (and warm the scratch pools) so the loop times
+			// steady-state execution alone.
 			res, err := m.Run(img, "main")
 			if err != nil {
 				b.Fatal(err)
@@ -45,5 +45,25 @@ func BenchmarkExec(b *testing.B) {
 				machine.ReleaseResult(res)
 			}
 		})
+	}
+}
+
+// BenchmarkMeasure times what a tuning run pays per measured candidate: link
+// the modules into a fresh image, lower it, execute it once and draw three
+// noise samples. CI gates its ratio to BenchmarkExec/bytecode (measure_over_run
+// in benchdata/gates.json).
+func BenchmarkMeasure(b *testing.B) {
+	mods := bench.ByName("telecom_gsm").Build(0, 2)
+	ms := machine.NewMeasurement(machine.New(machine.CortexA57()), 0.01, 1)
+	for i := 0; i < b.N; i++ {
+		img, err := machine.Link(mods...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, res, err := ms.TimeMedian(img, "main", 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		machine.ReleaseResult(res)
 	}
 }

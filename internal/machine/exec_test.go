@@ -3,6 +3,9 @@ package machine
 import (
 	"errors"
 	"math"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ir"
@@ -123,9 +126,9 @@ func TestVectorFloatAndBroadcast(t *testing.T) {
 	}
 }
 
-func TestCallAndRecursionAcrossModules(t *testing.T) {
-	// mod a: fib(n); mod b: main calls fib(10).
-	ma := &ir.Module{Name: "a"}
+// buildFibModules: mod a: fib(n); mod b: main calls fib(10) and outputs it.
+func buildFibModules() (ma, mb *ir.Module) {
+	ma = &ir.Module{Name: "a"}
 	bd := ir.NewBuilder(ma)
 	fib := bd.NewFunction("fib", ir.I64T, ir.I64T)
 	n := fib.Params[0]
@@ -142,15 +145,18 @@ func TestCallAndRecursionAcrossModules(t *testing.T) {
 	f2 := bd.Call("fib", ir.I64T, n2)
 	bd.Ret(bd.Bin(ir.OpAdd, f1, f2))
 
-	mb := &ir.Module{Name: "b"}
+	mb = &ir.Module{Name: "b"}
 	bd2 := ir.NewBuilder(mb)
 	bd2.DeclareFunction("fib", ir.I64T, ir.I64T)
 	bd2.NewFunction("main", ir.VoidT)
 	r := bd2.Call("fib", ir.I64T, ir.ConstInt(ir.I64T, 10))
 	bd2.Call("sim.out.i64", ir.VoidT, r)
 	bd2.Ret(nil)
+	return ma, mb
+}
 
-	img, err := Link(ma, mb)
+func TestCallAndRecursionAcrossModules(t *testing.T) {
+	img, err := Link(buildFibModules())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +169,8 @@ func TestCallAndRecursionAcrossModules(t *testing.T) {
 	}
 }
 
-func TestPhiExecution(t *testing.T) {
-	// SSA loop: for(i=0,s=0; i<5; i++) s+=i*i; out(s) => 30
+// buildPhiLoop: SSA loop: for(i=0,s=0; i<5; i++) s+=i*i; out(s) => 30
+func buildPhiLoop() *ir.Module {
 	m := &ir.Module{Name: "phi"}
 	bd := ir.NewBuilder(m)
 	f := bd.NewFunction("main", ir.VoidT)
@@ -193,8 +199,11 @@ func TestPhiExecution(t *testing.T) {
 	bd.SetBlock(exit)
 	bd.Call("sim.out.i64", ir.VoidT, s)
 	bd.Ret(nil)
+	return m
+}
 
-	res := runMain(t, m)
+func TestPhiExecution(t *testing.T) {
+	res := runMain(t, buildPhiLoop())
 	if res.Output[0].I != 30 {
 		t.Fatalf("phi loop = %d, want 30", res.Output[0].I)
 	}
@@ -412,5 +421,153 @@ func TestICachePenalty(t *testing.T) {
 	}
 	if rb.Cycles <= rs.Cycles {
 		t.Fatalf("icache penalty inert: %v <= %v", rb.Cycles, rs.Cycles)
+	}
+}
+
+// resultsEqual compares every Result field bit for bit.
+func resultsEqual(a, b *Result) bool {
+	if math.Float64bits(a.Cycles) != math.Float64bits(b.Cycles) || a.Steps != b.Steps ||
+		!reflect.DeepEqual(a.Ret, b.Ret) || len(a.Output) != len(b.Output) ||
+		len(a.FuncCycles) != len(b.FuncCycles) {
+		return false
+	}
+	for i := range a.Output {
+		if a.Output[i] != b.Output[i] {
+			return false
+		}
+	}
+	for fn, c := range a.FuncCycles {
+		if d, ok := b.FuncCycles[fn]; !ok || math.Float64bits(c) != math.Float64bits(d) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestImageProgramIsPerProfile: instruction costs are baked into the program
+// an Image keeps, so a machine with another profile must not be served it.
+func TestImageProgramIsPerProfile(t *testing.T) {
+	link := func() *Image {
+		img, err := Link(buildFibModules())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+	run := func(m *Machine, img *Image) *Result {
+		res, err := m.Run(img, "main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	arm, x86 := New(CortexA57()), New(Zen3())
+	wantARM, wantX86 := run(arm, link()), run(x86, link())
+	if wantARM.Cycles == wantX86.Cycles {
+		t.Fatalf("profiles cost the program alike (%v cycles): the test cannot tell them apart", wantARM.Cycles)
+	}
+	img := link()
+	for i, c := range []struct {
+		m    *Machine
+		want *Result
+	}{{arm, wantARM}, {x86, wantX86}, {arm, wantARM}} {
+		if got := run(c.m, img); !resultsEqual(got, c.want) {
+			t.Fatalf("run %d on %s: %v cycles, a fresh image gives %v", i, c.m.Prof.Name, got.Cycles, c.want.Cycles)
+		}
+	}
+}
+
+// TestUnlowerableImageIsAnError: shapes the lowerer refuses are an error from
+// Run, not a silent switch of engines; the tree-walking oracle still executes
+// them the way it always did.
+func TestUnlowerableImageIsAnError(t *testing.T) {
+	entryPhi := &ir.Module{Name: "entryphi"}
+	bd := ir.NewBuilder(entryPhi)
+	bd.NewFunction("main", ir.VoidT)
+	bd.Call("sim.out.i64", ir.VoidT, bd.Phi(ir.I64T))
+	bd.Ret(nil)
+
+	midPhi := &ir.Module{Name: "midphi"}
+	bd = ir.NewBuilder(midPhi)
+	bd.NewFunction("main", ir.VoidT)
+	bd.Call("sim.out.i64", ir.VoidT, ir.ConstInt(ir.I64T, 1))
+	bd.Phi(ir.I64T)
+	bd.Ret(nil)
+
+	// The unterminated block is unreachable, so the tree-walker never falls
+	// through it.
+	noTerm := &ir.Module{Name: "noterm"}
+	bd = ir.NewBuilder(noTerm)
+	bd.NewFunction("main", ir.VoidT)
+	bd.Call("sim.out.i64", ir.VoidT, ir.ConstInt(ir.I64T, 7))
+	bd.Ret(nil)
+	bd.SetBlock(bd.NewBlock("dead"))
+	bd.Call("sim.out.i64", ir.VoidT, ir.ConstInt(ir.I64T, 8))
+
+	for _, c := range []struct {
+		m        *ir.Module
+		verifies bool   // ir.Verify accepts the module
+		treeErr  string // "" = the tree-walker runs it and outputs 7
+	}{
+		// No incoming edge matches the entry block's no predecessor, so Verify
+		// passes it; the tree-walker faults on entering the block.
+		{entryPhi, true, "has no incoming"},
+		{midPhi, false, "cannot execute op"},
+		{noTerm, false, ""},
+	} {
+		if err := ir.Verify(c.m); (err == nil) != c.verifies {
+			t.Fatalf("%s: ir.Verify = %v", c.m.Name, err)
+		}
+		img, err := Link(c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(CortexA57()).Run(img, "main"); !errors.Is(err, ErrUnlowerable) {
+			t.Fatalf("%s: Run = %v, want ErrUnlowerable", c.m.Name, err)
+		}
+		walker := New(CortexA57())
+		walker.TreeWalk = true
+		res, err := walker.Run(img, "main")
+		switch {
+		case c.treeErr != "":
+			if err == nil || !strings.Contains(err.Error(), c.treeErr) {
+				t.Fatalf("%s under TreeWalk: err = %v, want %q", c.m.Name, err, c.treeErr)
+			}
+		case err != nil || len(res.Output) != 1 || res.Output[0].I != 7:
+			t.Fatalf("%s under TreeWalk: %+v, %v", c.m.Name, res, err)
+		}
+	}
+}
+
+// TestConcurrentRunsOfOneImage: one freshly linked image run from several
+// goroutines lowers once and gives every caller the same result.
+func TestConcurrentRunsOfOneImage(t *testing.T) {
+	img, err := Link(buildSumProgram(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := New(CortexA57())
+	const n = 8
+	results := make([]*Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = m.Run(img, "main")
+		}()
+	}
+	wg.Wait()
+	for i := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !resultsEqual(results[i], results[0]) {
+			t.Fatalf("goroutine %d: %+v, goroutine 0: %+v", i, results[i], results[0])
+		}
+	}
+	if st := m.BcCounters(); st.CodeMisses != 1 || st.CodeHits != n-1 {
+		t.Fatalf("%d runs of one image lowered it %d times, found it lowered %d times", n, st.CodeMisses, st.CodeHits)
 	}
 }

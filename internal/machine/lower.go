@@ -1,9 +1,6 @@
 package machine
 
 import (
-	"container/list"
-	"encoding/binary"
-	"hash/fnv"
 	"math"
 
 	"repro/internal/ir"
@@ -15,18 +12,14 @@ import (
 // slot (frame index) or constant-pool index, branch targets to instruction
 // offsets, callees to function indices and builtins to name-table entries,
 // so execution never chases ir.Instr pointers, allocates eval closures or
-// consults the Funcs map. Hot adjacent pairs (icmp+br, load+binop,
-// binop+store) are fused into superinstructions when the producer's only use
-// is the consumer.
+// consults the Funcs map.
 //
-// Lowering is read-only over the (possibly COW-shared) modules. Lowered code
-// is cached on the Machine keyed by the image's content fingerprint — the
-// profile is fixed per machine — so the N runs of TimeMedian, repeated
-// measurements of prefix-cache hits and re-measurements of identical images
-// all skip re-lowering. An image the lowerer cannot express is cached as a
-// negative entry and permanently falls back to the tree-walker, which is the
-// behavioural oracle: the engines are bit-identical in Result (Output,
-// Cycles, Steps, Ret, FuncCycles) and in errors.
+// Lowering is read-only over the (possibly COW-shared) modules. The lowered
+// program is kept on the Image it was lowered from, beside the Profile whose
+// costs are baked into it, so a second Run of the same image does not lower
+// again. An image the lowerer cannot express fails Run with ErrUnlowerable.
+// The tree-walker is the behavioural oracle: the engines are bit-identical in
+// Result (Output, Cycles, Steps, Ret, FuncCycles) and in errors.
 
 // bcOp enumerates bytecode opcodes. Operand meanings are documented per op;
 // "slot" is a frame register index when >= 0 and a constant-pool index
@@ -88,31 +81,21 @@ const (
 
 	// Generic fallback: aux = genOps index, slots in a,b,c (gens[aux].nops).
 	bcGen
-
-	// Fused superinstructions. Each charges cost for the producer in the
-	// dispatch header and cost2 for the consumer inline, with the consumer's
-	// own step-count/limit check in between, so the step and cycle streams
-	// are bit-identical to the unfused pair.
-	bcICmpBr   // a,b = cmp slots, pr = pred, c = taken offset, dst = not-taken offset, aux = predictor index
-	bcLoadBin  // a = addr slot, b = other operand slot, pr = fast bin op, k = load/bin kind, flags&1 = load is lhs, dst
-	bcBinStore // a,b = bin slots, c = addr slot, pr = fast bin op, k = bin/store kind
 )
 
-// bcInstr is one lowered instruction. cost is the producer's static opCost;
-// cost2 is the fused consumer's (fused ops only).
+// bcInstr is one lowered instruction. cost is its static opCost under the
+// profile it was lowered for.
 type bcInstr struct {
-	op    bcOp
-	k     uint8 // element kind (ir.Kind) for memory ops
-	pr    uint8 // cmp predicate / fused binary opcode
-	flags uint8
-	dst   int32
-	a     int32
-	b     int32
-	c     int32
-	aux   int32
-	imm   int64
-	cost  float64
-	cost2 float64
+	op   bcOp
+	k    uint8 // element kind (ir.Kind) for memory ops
+	pr   uint8 // cmp predicate
+	dst  int32
+	a    int32
+	b    int32
+	c    int32
+	aux  int32
+	imm  int64
+	cost float64
 }
 
 // genOp carries the static ir facts the generic evaluator needs; it reuses
@@ -153,24 +136,20 @@ type bcFunc struct {
 
 // bcProgram is a lowered image.
 type bcProgram struct {
-	funcs    []bcFunc
-	funcIdx  map[string]int32
-	nBranch  int32   // predictor table size
-	swExtra  float64 // Branch + Mispredict/2, charged per switch
-	bytes    int64
-	fusedSts int64 // static fused sites
+	funcs   []bcFunc
+	funcIdx map[string]int32
+	nBranch int32   // predictor table size
+	swExtra float64 // Branch + Mispredict/2, charged per switch
+	bytes   int64
 }
 
 // BcStats are cumulative bytecode-engine counters for one Machine: functions
-// lowered, bytecode bytes produced, static fused sites, dynamic
-// superinstruction executions, and code-cache hits/misses. All increments
-// happen on the serial measurement path, so the values are deterministic for
-// a deterministic run sequence.
+// lowered, bytecode bytes produced, and how many Runs found their image
+// already lowered for this machine's profile (CodeHits) or lowered it
+// (CodeMisses).
 type BcStats struct {
 	LoweredFuncs  int64
 	BytecodeBytes int64
-	FusedSites    int64
-	SuperHits     int64
 	CodeHits      int64
 	CodeMisses    int64
 }
@@ -180,8 +159,6 @@ func (s BcStats) Sub(o BcStats) BcStats {
 	return BcStats{
 		LoweredFuncs:  s.LoweredFuncs - o.LoweredFuncs,
 		BytecodeBytes: s.BytecodeBytes - o.BytecodeBytes,
-		FusedSites:    s.FusedSites - o.FusedSites,
-		SuperHits:     s.SuperHits - o.SuperHits,
 		CodeHits:      s.CodeHits - o.CodeHits,
 		CodeMisses:    s.CodeMisses - o.CodeMisses,
 	}
@@ -194,59 +171,33 @@ func (m *Machine) BcCounters() BcStats {
 	return m.bcStats
 }
 
-// bcCacheCap bounds the lowered-code LRU per machine.
-const bcCacheCap = 128
-
-type bcCacheEntry struct {
-	key  uint64
-	prog *bcProgram // nil: image is unlowerable, use the tree-walker
-}
-
-// fingerprint folds the module fingerprints (order-sensitive) into the
-// code-cache key. Module fingerprints cover globals' init data, so images of
-// different datasets key differently.
-func (img *Image) fingerprint() uint64 {
-	img.fpOnce.Do(func() {
-		h := fnv.New64a()
-		var buf [8]byte
-		for _, m := range img.Modules {
-			binary.LittleEndian.PutUint64(buf[:], m.Fingerprint())
-			h.Write(buf[:])
+// lowered returns img's bytecode program under m's profile, lowering it when
+// the image holds none or one lowered for another profile (instruction costs
+// are baked in). The image's lock is held across lowering, so concurrent Runs
+// of one image lower it once.
+func (m *Machine) lowered(img *Image) (*bcProgram, error) {
+	img.progMu.Lock()
+	prog := img.prog
+	hit := prog != nil && img.progProf == m.Prof
+	if !hit {
+		if prog = lowerImage(img, &m.Prof); prog != nil {
+			img.prog, img.progProf = prog, m.Prof
 		}
-		img.fp = h.Sum64()
-	})
-	return img.fp
-}
-
-// lowered returns the bytecode program for img, lowering and caching it on
-// first sight. A nil return means the image cannot be lowered and the caller
-// must fall back to the tree-walker.
-func (m *Machine) lowered(img *Image) *bcProgram {
-	key := img.fingerprint()
+	}
+	img.progMu.Unlock()
+	if prog == nil {
+		return nil, ErrUnlowerable
+	}
 	m.bcMu.Lock()
-	defer m.bcMu.Unlock()
-	if m.bcEntries == nil {
-		m.bcEntries = make(map[uint64]*list.Element)
-		m.bcLRU = list.New()
-	}
-	if el, ok := m.bcEntries[key]; ok {
-		m.bcLRU.MoveToFront(el)
+	if hit {
 		m.bcStats.CodeHits++
-		return el.Value.(*bcCacheEntry).prog
-	}
-	m.bcStats.CodeMisses++
-	prog := lowerImage(img, &m.Prof)
-	if prog != nil {
+	} else {
+		m.bcStats.CodeMisses++
 		m.bcStats.LoweredFuncs += int64(len(prog.funcs))
 		m.bcStats.BytecodeBytes += prog.bytes
-		m.bcStats.FusedSites += prog.fusedSts
 	}
-	m.bcEntries[key] = m.bcLRU.PushFront(&bcCacheEntry{key: key, prog: prog})
-	for m.bcLRU.Len() > bcCacheCap {
-		old := m.bcLRU.Remove(m.bcLRU.Back()).(*bcCacheEntry)
-		delete(m.bcEntries, old.key)
-	}
-	return prog
+	m.bcMu.Unlock()
+	return prog, nil
 }
 
 // lowerImage compiles every linked function. Returns nil if any construct
@@ -286,7 +237,7 @@ func lowerImage(img *Image, prof *Profile) *bcProgram {
 
 // byteSize estimates the memory footprint of the lowered function.
 func (fn *bcFunc) byteSize() int64 {
-	n := int64(len(fn.code))*56 + int64(len(fn.consts))*40 + int64(len(fn.gens))*24
+	n := int64(len(fn.code))*40 + int64(len(fn.consts))*40 + int64(len(fn.gens))*24
 	n += int64(len(fn.args)+2*len(fn.phiMoves)+2*len(fn.argRanges)+2*len(fn.phiRanges)) * 4
 	for _, sw := range fn.switches {
 		n += int64(len(sw.vals))*8 + int64(len(sw.offs))*4
@@ -309,11 +260,6 @@ type fnLowerer struct {
 	out     *bcFunc
 
 	constIdx map[[2]uint64]int32
-}
-
-type lowUnit struct {
-	in  *ir.Instr
-	in2 *ir.Instr // fused consumer, nil if unfused
 }
 
 // fastBinCode maps a scalar binary op to its fast opcode. Integer ops are
@@ -364,41 +310,6 @@ func fastBinCode(op ir.Op, ty ir.Type) (bcOp, bool) {
 		return bcUDivI, true
 	}
 	return 0, false
-}
-
-// trappingBin reports whether the fast binary opcode can fault; trapping
-// producers are never fused so a fused op has exactly one error point.
-func trappingBin(op bcOp) bool {
-	return op == bcSDivI || op == bcSRemI || op == bcUDivI
-}
-
-// fusable decides whether instruction a (producer) fuses with its immediate
-// successor b. a must have exactly one use (which the match conditions prove
-// is b), so skipping a's register write is unobservable.
-func fusable(a, b *ir.Instr, uses map[*ir.Instr]int) bool {
-	if uses[a] != 1 {
-		return false
-	}
-	switch {
-	case a.Op == ir.OpICmp && b.Op == ir.OpBr:
-		return len(a.Ops) == 2 && len(b.Ops) == 1 && len(b.Blocks) == 2 &&
-			b.Ops[0] == ir.Value(a) && !a.Ty.IsVector() && !a.Ops[0].Type().IsVector()
-	case a.Op == ir.OpLoad && b.Op.IsBinary():
-		code, ok := fastBinCode(b.Op, b.Ty)
-		if !ok || trappingBin(code) || a.Ty.IsVector() || len(a.Ops) != 1 || len(b.Ops) != 2 {
-			return false
-		}
-		l := b.Ops[0] == ir.Value(a)
-		r := b.Ops[1] == ir.Value(a)
-		return l != r
-	case a.Op.IsBinary() && b.Op == ir.OpStore:
-		code, ok := fastBinCode(a.Op, a.Ty)
-		if !ok || trappingBin(code) || len(a.Ops) != 2 || len(b.Ops) != 2 {
-			return false
-		}
-		return b.Ops[0] == ir.Value(a) && b.Ops[1] != ir.Value(a)
-	}
-	return false
 }
 
 // slot resolves an operand to a frame or constant slot.
@@ -454,8 +365,7 @@ func (fl *fnLowerer) nameIdx(s string) int64 {
 
 // lower compiles fl.f into out. Reports false when the function contains a
 // construct whose exact tree-walker behaviour the bytecode cannot reproduce
-// (malformed phis, missing terminators, unknown ops/operand kinds); the
-// whole image then falls back to the tree-walker.
+// (malformed phis, missing terminators, unknown ops/operand kinds).
 func (fl *fnLowerer) lower(out *bcFunc) bool {
 	f := fl.f
 	fl.out = out
@@ -470,24 +380,8 @@ func (fl *fnLowerer) lower(out *bcFunc) bool {
 		return false
 	}
 
-	// Use counts drive fusion's single-use requirement.
-	uses := make(map[*ir.Instr]int)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for _, op := range in.Ops {
-				if d, ok := op.(*ir.Instr); ok {
-					uses[d]++
-				}
-			}
-		}
-	}
-
-	// Plan: per-block phi prefixes, emit units (with fusion) and offsets.
-	type blockPlan struct {
-		phis  []*ir.Instr
-		units []lowUnit
-	}
-	plans := make([]blockPlan, len(f.Blocks))
+	// Plan: per-block phi prefixes and body offsets.
+	phisOf := make([][]*ir.Instr, len(f.Blocks))
 	blockOff := make(map[*ir.Block]int32, len(f.Blocks))
 	off := int32(0)
 	for bi, b := range f.Blocks {
@@ -504,18 +398,9 @@ func (fl *fnLowerer) lower(out *bcFunc) bool {
 		if b.Term() == nil {
 			return false
 		}
-		var units []lowUnit
-		for i := 0; i < len(body); i++ {
-			u := lowUnit{in: body[i]}
-			if i+1 < len(body) && fusable(body[i], body[i+1], uses) {
-				u.in2 = body[i+1]
-				i++
-			}
-			units = append(units, u)
-		}
-		plans[bi] = blockPlan{phis: phis, units: units}
+		phisOf[bi] = phis
 		blockOff[b] = off
-		off += int32(len(units))
+		off += int32(len(body))
 	}
 	bodyLen := off
 
@@ -528,13 +413,13 @@ func (fl *fnLowerer) lower(out *bcFunc) bool {
 	type edgeKey struct{ pred, succ *ir.Block }
 	edgeOff := make(map[edgeKey]int32)
 	var tramps []edgeKey
-	for bi, b := range f.Blocks {
-		for _, succ := range plans[bi].units[len(plans[bi].units)-1].termBlocks() {
+	for _, b := range f.Blocks {
+		for _, succ := range b.Term().Blocks {
 			si, ok := blockIdx[succ]
 			if !ok {
 				return false // foreign target block
 			}
-			if len(plans[si].phis) == 0 {
+			if len(phisOf[si]) == 0 {
 				continue
 			}
 			key := edgeKey{b, succ}
@@ -555,8 +440,8 @@ func (fl *fnLowerer) lower(out *bcFunc) bool {
 	// Emit block bodies.
 	code := make([]bcInstr, 0, int(bodyLen)+len(tramps))
 	for bi, b := range f.Blocks {
-		for _, u := range plans[bi].units {
-			bc, ok := fl.emit(u, b, target)
+		for _, in := range b.Instrs[len(phisOf[bi]):] {
+			bc, ok := fl.emit(in, b, target)
 			if !ok {
 				return false
 			}
@@ -566,7 +451,7 @@ func (fl *fnLowerer) lower(out *bcFunc) bool {
 	// Emit trampolines.
 	for _, e := range tramps {
 		start := int32(len(out.phiMoves))
-		for _, phi := range plans[blockIdx[e.succ]].phis {
+		for _, phi := range phisOf[blockIdx[e.succ]] {
 			found := false
 			for i, from := range phi.Blocks {
 				if from != e.pred {
@@ -599,22 +484,9 @@ func (fl *fnLowerer) lower(out *bcFunc) bool {
 	return true
 }
 
-// termBlocks returns the successor blocks of a unit's terminator (the fused
-// consumer when present).
-func (u lowUnit) termBlocks() []*ir.Block {
-	if u.in2 != nil {
-		return u.in2.Blocks
-	}
-	return u.in.Blocks
-}
-
-// emit lowers one unit.
-func (fl *fnLowerer) emit(u lowUnit, b *ir.Block, target func(pred, succ *ir.Block) int32) (bcInstr, bool) {
-	in := u.in
+// emit lowers one instruction of block b.
+func (fl *fnLowerer) emit(in *ir.Instr, b *ir.Block, target func(pred, succ *ir.Block) int32) (bcInstr, bool) {
 	cost := fl.prof.opCost(in)
-	if u.in2 != nil {
-		return fl.emitFused(u, b, cost, target)
-	}
 	out := bcInstr{cost: cost}
 	switch in.Op {
 	case ir.OpAlloca:
@@ -845,58 +717,5 @@ func (fl *fnLowerer) emitValue(in *ir.Instr, cost float64) (bcInstr, bool) {
 	out.op, out.a, out.b, out.c = bcGen, slots[0], slots[1], slots[2]
 	out.aux = int32(len(fl.out.gens))
 	fl.out.gens = append(fl.out.gens, g)
-	return out, true
-}
-
-// emitFused lowers a fused producer/consumer pair.
-func (fl *fnLowerer) emitFused(u lowUnit, b *ir.Block, cost float64, target func(pred, succ *ir.Block) int32) (bcInstr, bool) {
-	in, in2 := u.in, u.in2
-	out := bcInstr{cost: cost, cost2: fl.prof.opCost(in2)}
-	fl.prog.fusedSts++
-	switch {
-	case in.Op == ir.OpICmp: // icmp + br
-		a, ok1 := fl.slot(in.Ops[0])
-		bb, ok2 := fl.slot(in.Ops[1])
-		if !ok1 || !ok2 {
-			return out, false
-		}
-		out.op, out.a, out.b, out.pr = bcICmpBr, a, bb, uint8(in.Pred)
-		out.c = target(b, in2.Blocks[0])
-		out.dst = target(b, in2.Blocks[1])
-		out.aux = fl.prog.nBranch
-		fl.prog.nBranch++
-
-	case in.Op == ir.OpLoad: // load + binop
-		code, _ := fastBinCode(in2.Op, in2.Ty)
-		addr, ok1 := fl.slot(in.Ops[0])
-		dst, ok2 := fl.dstSlot(in2)
-		if !ok1 || !ok2 {
-			return out, false
-		}
-		var other ir.Value
-		if in2.Ops[0] == ir.Value(in) {
-			out.flags |= 1 // load is lhs
-			other = in2.Ops[1]
-		} else {
-			other = in2.Ops[0]
-		}
-		os, ok := fl.slot(other)
-		if !ok {
-			return out, false
-		}
-		out.op, out.a, out.b, out.dst = bcLoadBin, addr, os, dst
-		out.pr, out.k = uint8(code), uint8(in.Ty.Kind)
-
-	default: // binop + store
-		code, _ := fastBinCode(in.Op, in.Ty)
-		a, ok1 := fl.slot(in.Ops[0])
-		bb, ok2 := fl.slot(in.Ops[1])
-		p, ok3 := fl.slot(in2.Ops[1])
-		if !ok1 || !ok2 || !ok3 {
-			return out, false
-		}
-		out.op, out.a, out.b, out.c = bcBinStore, a, bb, p
-		out.pr, out.k = uint8(code), uint8(in.Ty.Kind)
-	}
 	return out, true
 }

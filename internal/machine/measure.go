@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"time"
 )
 
 // Measurement wraps execution with the noise model of a real timing run:
@@ -15,12 +13,10 @@ type Measurement struct {
 	Machine  *Machine
 	NoiseStd float64 // relative std-dev of one timing run (paper-style ~0.5-1%)
 	Rng      *rand.Rand
-	// OnSample, when set, observes every timing run: the noisy modelled
-	// cycle count and the wall-clock the simulation itself took. The hook is
-	// how the observability layer attributes measurement time without the
-	// machine depending on it; when nil no clock is read, keeping the
-	// disabled path overhead-free.
-	OnSample func(cycles float64, wall time.Duration)
+	// OnSample, when set, observes every timing sample's noisy modelled cycle
+	// count. The hook is how the observability layer sees samples without the
+	// machine depending on it.
+	OnSample func(cycles float64)
 }
 
 // NewMeasurement returns a measurement harness with the given noise level.
@@ -28,95 +24,50 @@ func NewMeasurement(m *Machine, noiseStd float64, seed int64) *Measurement {
 	return &Measurement{Machine: m, NoiseStd: noiseStd, Rng: rand.New(rand.NewSource(seed))}
 }
 
+// sample draws one noisy timing of a run that took the given clean cycles.
+func (ms *Measurement) sample(cycles float64) float64 {
+	noise := 1 + ms.NoiseStd*ms.Rng.NormFloat64()
+	if noise < 0.5 {
+		noise = 0.5
+	}
+	t := cycles * noise
+	if ms.OnSample != nil {
+		ms.OnSample(t)
+	}
+	return t
+}
+
 // TimeOnce runs entry once and returns one noisy time sample plus the clean
 // result (for output comparison).
 func (ms *Measurement) TimeOnce(img *Image, entry string, args ...Val) (float64, *Result, error) {
-	var t0 time.Time
-	if ms.OnSample != nil {
-		t0 = time.Now()
+	res, err := ms.Machine.Run(img, entry, args...)
+	if err != nil {
+		return 0, nil, err
+	}
+	return ms.sample(res.Cycles), res, nil
+}
+
+// TimeMedian returns the median of `runs` noisy timings of entry, following
+// the paper's repeated-measurement protocol, plus the clean result. The
+// machine is deterministic — repeated runs of one image differ only in their
+// noise draw — so the image executes once and the samples are `runs` draws
+// over that run's cycle count: bit for bit what `runs` TimeOnce calls and
+// medianIndex give, RNG stream included. A failed run draws nothing. The
+// caller owns the result (release it with ReleaseResult when done).
+func (ms *Measurement) TimeMedian(img *Image, entry string, runs int, args ...Val) (float64, *Result, error) {
+	if runs < 1 {
+		runs = 1
 	}
 	res, err := ms.Machine.Run(img, entry, args...)
 	if err != nil {
 		return 0, nil, err
 	}
-	noise := 1 + ms.NoiseStd*ms.Rng.NormFloat64()
-	if noise < 0.5 {
-		noise = 0.5
+	samples := make([]float64, runs)
+	for i := range samples {
+		samples[i] = ms.sample(res.Cycles)
 	}
-	t := res.Cycles * noise
-	if ms.OnSample != nil {
-		ms.OnSample(t, time.Since(t0))
-	}
-	return t, res, nil
-}
-
-// medScratch is the per-TimeMedian working set (result pointers, noisy
-// samples, sort order), pooled so repeated measurements of the same
-// candidate stream allocate nothing.
-type medScratch struct {
-	results []*Result
-	samples []float64
-	order   []int
-}
-
-var medPool sync.Pool
-
-func acquireMedScratch(runs int) *medScratch {
-	machinePoolGets.Add(1)
-	sc, _ := medPool.Get().(*medScratch)
-	if sc == nil {
-		machinePoolNews.Add(1)
-		sc = &medScratch{}
-	}
-	if cap(sc.results) < runs {
-		sc.results = make([]*Result, runs)
-		sc.samples = make([]float64, runs)
-		sc.order = make([]int, runs)
-	}
-	sc.results = sc.results[:runs]
-	sc.samples = sc.samples[:runs]
-	sc.order = sc.order[:runs]
-	return sc
-}
-
-func releaseMedScratch(sc *medScratch) {
-	for i := range sc.results {
-		sc.results[i] = nil
-	}
-	medPool.Put(sc)
-}
-
-// TimeMedian runs entry `runs` times and returns the median of the noisy
-// samples, following the paper's repeated-measurement protocol. The returned
-// *Result is the one from the median run (the lower-middle sample for even
-// run counts), so callers inspecting outputs or cycle breakdowns see the run
-// whose timing was reported — not whichever run happened to finish last. The
-// non-median results are returned to the result pool; the caller owns only
-// the returned one (release it with ReleaseResult when done).
-func (ms *Measurement) TimeMedian(img *Image, entry string, runs int, args ...Val) (float64, *Result, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	sc := acquireMedScratch(runs)
-	defer releaseMedScratch(sc)
-	for i := 0; i < runs; i++ {
-		t, r, err := ms.TimeOnce(img, entry, args...)
-		if err != nil {
-			for j := 0; j < i; j++ {
-				ReleaseResult(sc.results[j])
-			}
-			return 0, nil, err
-		}
-		sc.samples[i] = t
-		sc.results[i] = r
-	}
-	med, idx := medianIndex(sc.samples, sc.order)
-	for i, r := range sc.results {
-		if i != idx {
-			ReleaseResult(r)
-		}
-	}
-	return med, sc.results[idx], nil
+	med, _ := medianIndex(samples, make([]int, runs))
+	return med, res, nil
 }
 
 // medianIndex returns the median of v (mean of the two middle samples for

@@ -1,8 +1,13 @@
 package machine
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
+
+	"repro/internal/ir"
 )
 
 func TestMedianIndex(t *testing.T) {
@@ -32,43 +37,76 @@ func TestMedianIndex(t *testing.T) {
 	}
 }
 
-// TestTimeMedianReturnsMedianRun pins the fix for TimeMedian returning the
-// *Result of whichever run happened to be last: the reported median must
-// match the median of the exact sample stream, and the result must belong to
-// the median run.
-func TestTimeMedianReturnsMedianRun(t *testing.T) {
-	m := buildSumProgram(32)
-	img, err := Link(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A sibling measurement with the same seed reproduces the sample stream
-	// TimeMedian will observe.
-	probe := NewMeasurement(New(CortexA57()), 0.02, 99)
-	const runs = 5
-	samples := make([]float64, runs)
-	for i := range samples {
-		s, _, err := probe.TimeOnce(img, "main")
+// TestTimeMedianMatchesRepeatedRuns: TimeMedian executes the image once, yet
+// its time, its Result, its OnSample calls and the state it leaves the RNG in
+// are bit for bit those of the oracle it replaced — `runs` TimeOnce calls on a
+// same-seeded Measurement, then medianIndex. A noise level of 0.9 exercises
+// the clamp at 0.5.
+func TestTimeMedianMatchesRepeatedRuns(t *testing.T) {
+	fibA, fibB := buildFibModules()
+	for name, mods := range map[string][]*ir.Module{
+		"sum": {buildSumProgram(32)},
+		"phi": {buildPhiLoop()},
+		"fib": {fibA, fibB},
+	} {
+		img, err := Link(mods...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		samples[i] = s
-	}
-	wantMed, _ := medianIndex(samples, make([]int, len(samples)))
+		for _, noise := range []float64{0.02, 0.9} {
+			for _, runs := range []int{1, 2, 3, 5} {
+				oracle := NewMeasurement(New(CortexA57()), noise, 99)
+				var wantSamples []float64
+				var wantRes []*Result
+				for i := 0; i < runs; i++ {
+					s, r, err := oracle.TimeOnce(img, "main")
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantSamples, wantRes = append(wantSamples, s), append(wantRes, r)
+				}
+				wantMed, idx := medianIndex(wantSamples, make([]int, runs))
 
-	ms := NewMeasurement(New(CortexA57()), 0.02, 99)
-	med, res, err := ms.TimeMedian(img, "main", runs)
+				ms := NewMeasurement(New(CortexA57()), noise, 99)
+				var gotSamples []float64
+				ms.OnSample = func(c float64) { gotSamples = append(gotSamples, c) }
+				med, res, err := ms.TimeMedian(img, "main", runs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tag := fmt.Sprintf("%s noise=%v runs=%d", name, noise, runs)
+				if math.Float64bits(med) != math.Float64bits(wantMed) {
+					t.Fatalf("%s: median %v, oracle %v (samples %v)", tag, med, wantMed, wantSamples)
+				}
+				if !resultsEqual(res, wantRes[idx]) {
+					t.Fatalf("%s: result %+v, oracle's median run %+v", tag, res, wantRes[idx])
+				}
+				if !reflect.DeepEqual(gotSamples, wantSamples) {
+					t.Fatalf("%s: OnSample saw %v, oracle samples %v", tag, gotSamples, wantSamples)
+				}
+				if st := ms.Machine.BcCounters(); st.CodeMisses+st.CodeHits != 1 {
+					t.Fatalf("%s: image executed %d times", tag, st.CodeMisses+st.CodeHits)
+				}
+				if got, want := ms.Rng.NormFloat64(), oracle.Rng.NormFloat64(); got != want {
+					t.Fatalf("%s: RNG streams diverge after the measurement: next draw %v, oracle %v", tag, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestTimeMedianFailedRunDrawsNothing: a run that fails consumes no noise
+// draw, as the first failing TimeOnce of the old loop did not.
+func TestTimeMedianFailedRunDrawsNothing(t *testing.T) {
+	img, err := Link(buildSumProgram(32))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if med != wantMed {
-		t.Fatalf("median = %v, want %v (samples %v)", med, wantMed, samples)
+	ms := NewMeasurement(New(CortexA57()), 0.02, 7)
+	if _, _, err := ms.TimeMedian(img, "no_such_entry", 3); !errors.Is(err, ErrNoFunction) {
+		t.Fatalf("err = %v, want ErrNoFunction", err)
 	}
-	if res == nil || res.Cycles <= 0 {
-		t.Fatalf("median run result missing: %+v", res)
-	}
-	// The noisy median must sit near the clean cycle count of its run.
-	if math.Abs(med-res.Cycles)/res.Cycles > 0.1 {
-		t.Fatalf("returned result inconsistent with median sample: %v vs %v", med, res.Cycles)
+	if got, want := ms.Rng.NormFloat64(), NewMeasurement(nil, 0, 7).Rng.NormFloat64(); got != want {
+		t.Fatalf("failed measurement advanced the RNG: next draw %v, fresh stream %v", got, want)
 	}
 }

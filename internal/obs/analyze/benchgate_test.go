@@ -56,8 +56,8 @@ func TestCommittedGatesHoldOnCapturedOutput(t *testing.T) {
 			t.Errorf("%s: %v", file, failures)
 		}
 	}
-	if gates != 17 {
-		t.Errorf("%d gates, want the 10 thresholds ci.yml enforced inline, the 5 pass-scaling ratios and the 2 allocation counts of clone and fingerprint on a pass-touched module", gates)
+	if gates != 18 {
+		t.Errorf("%d gates, want the 10 thresholds ci.yml enforced inline, the 5 pass-scaling ratios, the 2 allocation counts of clone and fingerprint on a pass-touched module and the executions-per-measurement ratio", gates)
 	}
 }
 
@@ -90,9 +90,9 @@ func TestBenchGateDocument(t *testing.T) {
 
 func TestBenchGateFailures(t *testing.T) {
 	suite := loadGates(t)["machine-bench.txt"]
-	four, zero := 4.0, 0.0
+	five, four, zero := 5.0, 4.0, 0.0
 	suite.Gates = []Gate{
-		{Metric: "bytecode_speedup", Min: &four, Why: "captured run is 3.28x"},
+		{Metric: "bytecode_speedup", Min: &five, Why: "captured run is 4.69x"},
 		{Metric: "allocs_per_op.BenchmarkExec/treewalk", Max: &zero, Why: "captured run is 13"},
 		{Metric: "ns_per_op.BenchmarkExec/renamed", Max: &four, Why: "a renamed benchmark"},
 		{Metric: "allocs_per_op.BenchmarkExec/bytecode", Max: &zero, Why: "holds"},
@@ -101,7 +101,7 @@ func TestBenchGateFailures(t *testing.T) {
 	if len(failures) != 3 {
 		t.Fatalf("failures = %q, want 3", failures)
 	}
-	for i, want := range []string{"bytecode_speedup = 3.279, gate >= 4", "treewalk = 13, gate <= 0", "renamed: not in the bench output"} {
+	for i, want := range []string{"bytecode_speedup = 4.689, gate >= 5", "treewalk = 13, gate <= 0", "renamed: not in the bench output"} {
 		if !strings.Contains(failures[i], want) {
 			t.Errorf("failure %d = %q, want it to contain %q", i, failures[i], want)
 		}

@@ -94,8 +94,8 @@ func (c *costTask) CompileModule(_ context.Context, mod string, seq []string) (*
 func (c *costTask) Measure(_ context.Context, seqs map[string][]string) (float64, error) {
 	return c.cost(seqs["mod"])
 }
-func (c *costTask) BaselineTime() float64                             { return c.base }
-func (c *costTask) HotModules(float64) ([]string, error)              { return []string{"mod"}, nil }
+func (c *costTask) BaselineTime() float64                { return c.base }
+func (c *costTask) HotModules(float64) ([]string, error) { return []string{"mod"}, nil }
 
 func allTuners() []Tuner {
 	return []Tuner{Random{}, GA{}, HillClimb{}, Anneal{}, Ensemble{}, BOCA{Pool: 20}, GreedyStats{}}
