@@ -264,7 +264,11 @@ const DefaultCacheCap = 4096
 //
 // CompileModule is safe for concurrent use (the tuner's evaluation pool fans
 // candidate compilations across goroutines). Measure and the profiling
-// helpers share the measurement RNG and must stay on one goroutine.
+// helpers share the measurement RNG and must stay on one goroutine — callers
+// keep it there; inside one Measure the datasets fan out on their own
+// goroutines (build, link, execute) and are judged, and their noise drawn, in
+// dataset order back on the caller's (timeWithSequences), so the result does
+// not depend on scheduling. Datasets is the only control of that.
 type Evaluator struct {
 	Bench    *Benchmark
 	Plat     Platform
@@ -547,52 +551,106 @@ func (ev *Evaluator) PassProfile() []passes.PassCost {
 	return ev.prof.Costs()
 }
 
+// datasetRun is the deterministic half of measuring one dataset: the build,
+// the link and the image's single execution.
+type datasetRun struct {
+	stats    passes.Stats
+	linked   bool // the image linked, so the serial protocol counts a measurement
+	res      *machine.Result
+	err      error
+	panicked any // a panic in the build, link or run, re-raised by the caller
+}
+
+// runDataset builds every module of dataset ds with the per-module sequences,
+// links them and executes the image once. Safe to call concurrently for
+// different datasets: it draws no noise and touches only locked evaluator
+// state. The context is checked before the build.
+func (ev *Evaluator) runDataset(ctx context.Context, ds int, seqs map[string][]string) (r datasetRun) {
+	defer func() {
+		if p := recover(); p != nil {
+			r.panicked = p
+		}
+	}()
+	if r.err = ctx.Err(); r.err != nil {
+		return r
+	}
+	// Pipelines only re-run for modules whose sequence changed since the
+	// last build; unchanged incumbents come back as cached clones.
+	if ds == 0 {
+		r.stats = passes.Stats{} // the build statistics are dataset 0's
+	}
+	mods := make([]*ir.Module, 0, len(ev.pristine[ds]))
+	for _, pm := range ev.pristine[ds] {
+		m, st, err := ev.compiledFor(ctx, ds, pm.Name, seqs[pm.Name])
+		if err != nil {
+			r.err = err
+			return r
+		}
+		if ds == 0 {
+			r.stats.Merge(st)
+		}
+		mods = append(mods, m)
+	}
+	img, err := machine.Link(mods...)
+	if err != nil {
+		r.err = err
+		return r
+	}
+	r.linked = true
+	r.res, r.err = ev.meas.Machine.Run(img, "main")
+	return r
+}
+
 // timeWithSequences builds every dataset with the per-module sequences
 // (nil map entry or nil map = O3), differential-tests outputs and returns
-// the median runtime of dataset 0 plus the build's statistics. The context
-// is checked before each dataset's build-and-run cycle.
+// the median runtime of dataset 0 plus the build's statistics.
+//
+// The datasets execute concurrently — dataset 0 on the calling goroutine,
+// the others on their own — and are then judged serially, in dataset order,
+// exactly as a one-dataset-at-a-time loop would: the first error in dataset
+// order wins, and the measurement count and the noise samples (the only
+// consumers of the shared RNG) advance only for datasets that loop would
+// have reached. Times, errors and the RNG stream therefore do not depend on
+// scheduling; the one visible difference is that a later dataset's build has
+// already happened when an earlier one is rejected.
 func (ev *Evaluator) timeWithSequences(ctx context.Context, seqs map[string][]string) (float64, passes.Stats, error) {
-	stats := passes.Stats{}
+	runs := make([]datasetRun, ev.Datasets)
+	var wg sync.WaitGroup
+	for ds := 1; ds < ev.Datasets; ds++ {
+		wg.Add(1)
+		go func(ds int) {
+			defer wg.Done()
+			runs[ds] = ev.runDataset(ctx, ds, seqs)
+		}(ds)
+	}
+	runs[0] = ev.runDataset(ctx, 0, seqs)
+	wg.Wait()
+
 	var t0 float64
-	for ds := 0; ds < ev.Datasets; ds++ {
-		if err := ctx.Err(); err != nil {
-			return 0, nil, err
+	for ds, r := range runs {
+		if r.panicked != nil {
+			panic(r.panicked)
 		}
-		// Pipelines only re-run for modules whose sequence changed since the
-		// last build; unchanged incumbents come back as cached clones.
-		mods := make([]*ir.Module, 0, len(ev.pristine[ds]))
-		for _, pm := range ev.pristine[ds] {
-			m, st, err := ev.compiledFor(ctx, ds, pm.Name, seqs[pm.Name])
-			if err != nil {
-				return 0, nil, err
-			}
-			if ds == 0 {
-				stats.Merge(st)
-			}
-			mods = append(mods, m)
+		if r.linked {
+			ev.mu.Lock()
+			ev.Measurements++
+			ev.mu.Unlock()
 		}
-		img, err := machine.Link(mods...)
-		if err != nil {
-			return 0, nil, err
+		if r.err != nil {
+			return 0, nil, r.err
 		}
-		ev.mu.Lock()
-		ev.Measurements++
-		ev.mu.Unlock()
-		t, res, err := ev.meas.TimeMedian(img, "main", ev.Runs)
-		if err != nil {
-			return 0, nil, err
-		}
+		t := ev.meas.MedianOf(r.res.Cycles, ev.Runs)
 		// Differential testing against the unoptimised reference.
-		if err := machine.OutputsMatch(ev.refOut[ds], res.Output, 1e-6); err != nil {
+		if err := machine.OutputsMatch(ev.refOut[ds], r.res.Output, 1e-6); err != nil {
 			return 0, nil, fmt.Errorf("bench: differential test failed: %w", err)
 		}
-		// The median result is not retained past the differential check.
-		machine.ReleaseResult(res)
+		// The result is not retained past the differential check.
+		machine.ReleaseResult(r.res)
 		if ds == 0 {
 			t0 = t
 		}
 	}
-	return t0, stats, nil
+	return t0, runs[0].stats, nil
 }
 
 // Measure times the program with per-module sequences, differential-testing

@@ -149,17 +149,14 @@ func cloneFunction(f *Function, gmap map[*Global]*Global) *Function {
 	return nf
 }
 
-// cloneGlobals deep-copies the module's globals, returning the remap table.
+// cloneGlobals gives the module private Global values, returning the remap
+// table. The initialiser arrays are shared with the originals: they are
+// read-only once built (see Global).
 func cloneGlobals(m *Module) map[*Global]*Global {
 	gmap := make(map[*Global]*Global, len(m.Globals))
 	for i, g := range m.Globals {
-		ng := &Global{Name: g.Name, Elem: g.Elem, Size: g.Size, Const: g.Const}
-		if g.InitI != nil {
-			ng.InitI = append([]int64(nil), g.InitI...)
-		}
-		if g.InitF != nil {
-			ng.InitF = append([]float64(nil), g.InitF...)
-		}
+		ng := &Global{Name: g.Name, Elem: g.Elem, Size: g.Size, Const: g.Const,
+			InitI: g.InitI, InitF: g.InitF}
 		gmap[g] = ng
 		m.Globals[i] = ng
 	}

@@ -88,11 +88,11 @@ func TestCFGAndDominators(t *testing.T) {
 	_ = m
 	cfg := BuildCFG(f)
 	entry, header, body, exit := f.Blocks[0], f.Blocks[1], f.Blocks[2], f.Blocks[3]
-	if len(cfg.Succs[entry]) != 1 || cfg.Succs[entry][0] != header {
+	if len(cfg.Succs(entry)) != 1 || cfg.Succs(entry)[0] != header {
 		t.Fatal("entry successor wrong")
 	}
-	if len(cfg.Preds[header]) != 2 {
-		t.Fatalf("header should have 2 preds, got %d", len(cfg.Preds[header]))
+	if len(cfg.Preds(header)) != 2 {
+		t.Fatalf("header should have 2 preds, got %d", len(cfg.Preds(header)))
 	}
 	dt := BuildDomTree(cfg)
 	if !dt.Dominates(entry, exit) || !dt.Dominates(header, body) {
@@ -298,5 +298,34 @@ func TestOpClassification(t *testing.T) {
 	}
 	if !OpBr.IsTerminator() || OpPhi.IsTerminator() {
 		t.Fatal("terminator classification wrong")
+	}
+}
+
+// A pass that moves blocks, lets something re-index the function and then
+// asks the old CFG about a moved block would read "not in this CFG". Race
+// builds turn that silent wrong answer into a panic.
+func TestStaleCFGQueryPanicsUnderRace(t *testing.T) {
+	_, f := buildCountdown()
+	c := BuildCFG(f)
+	header := f.Blocks[1]
+	nb := &Block{Name: "late"}
+	AttachBlock(nb, f)
+	nb.Append(&Instr{Op: OpJmp, Ty: VoidT, Blocks: []*Block{header}})
+	f.Blocks = append([]*Block{f.Blocks[0], nb}, f.Blocks[1:]...)
+	if got := len(c.Preds(header)); got != 2 {
+		t.Fatalf("before the re-index the CFG answers for its own blocks: %d preds, want 2", got)
+	}
+	BuildCFG(f) // re-indexes: header moves from 1 to 2
+	defer func() {
+		r := recover()
+		if raceEnabled && r == nil {
+			t.Fatal("query about a moved block on a stale CFG did not panic in a race build")
+		}
+		if !raceEnabled && r != nil {
+			t.Fatalf("panicked outside a race build: %v", r)
+		}
+	}()
+	if got := c.Preds(header); !raceEnabled && got != nil {
+		t.Fatalf("stale CFG still resolved a moved block: %v", got)
 	}
 }

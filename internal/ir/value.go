@@ -84,10 +84,15 @@ func (p *Param) valueName() string { return "%" + p.Name }
 
 // Global is a module-level array variable.
 type Global struct {
-	Name    string
-	Elem    Type    // element type
-	Size    int     // number of elements
-	InitI   []int64 // optional integer initialiser (len Size or nil)
+	Name string
+	Elem Type // element type
+	Size int  // number of elements
+	// InitI / InitF are the optional initialiser (len Size or nil). Their
+	// contents are read-only once the module is built: every clone of the
+	// module shares the backing arrays (cloneGlobals), so a pass may read an
+	// initialiser, drop it or point the field at a new array, but never
+	// writes an element.
+	InitI   []int64
 	InitF   []float64
 	Const   bool // read-only data
 	address int64

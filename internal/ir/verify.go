@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Verify checks structural and dominance invariants of the module. Passes are
@@ -61,10 +62,10 @@ func verifyFunction(m *Module, f *Function) error {
 	reach := cfg.Reachable()
 	// Phi nodes must have exactly one incoming per CFG predecessor.
 	for _, b := range f.Blocks {
-		if !reach[b] {
+		if !reach.Has(b) {
 			continue
 		}
-		preds := cfg.Preds[b]
+		preds := cfg.Preds(b)
 		for _, phi := range b.Phis() {
 			if len(phi.Ops) != len(phi.Blocks) {
 				return fmt.Errorf("phi in %s: op/block arity mismatch", b.Name)
@@ -72,12 +73,8 @@ func verifyFunction(m *Module, f *Function) error {
 			if len(phi.Ops) != len(preds) {
 				return fmt.Errorf("phi in %s: %d incoming, %d preds", b.Name, len(phi.Ops), len(preds))
 			}
-			have := make(map[*Block]bool)
-			for _, fb := range phi.Blocks {
-				have[fb] = true
-			}
 			for _, p := range preds {
-				if !have[p] {
+				if !slices.Contains(phi.Blocks, p) {
 					return fmt.Errorf("phi in %s: missing incoming for pred %s", b.Name, p.Name)
 				}
 			}
@@ -118,13 +115,13 @@ func verifyFunction(m *Module, f *Function) error {
 	// Dominance: every non-phi use must be dominated by its definition.
 	dt := BuildDomTree(cfg)
 	for _, b := range f.Blocks {
-		if !reach[b] {
+		if !reach.Has(b) {
 			continue
 		}
 		for _, in := range b.Instrs {
 			for oi, op := range in.Ops {
 				def, ok := op.(*Instr)
-				if !ok || def.parent == nil || !reach[def.parent] {
+				if !ok || def.parent == nil || !reach.Has(def.parent) {
 					continue
 				}
 				if in.Op == OpPhi {

@@ -164,7 +164,7 @@ func genEval(g *genOp, ops *[3]Val) (Val, error) {
 func (m *Machine) acquireBC(prog *bcProgram, img *Image) *bcState {
 	machinePoolGets.Add(1)
 	need := img.GlobalWords + m.StackWords
-	st, _ := m.bcPool.Get().(*bcState)
+	st := m.bcPool.get()
 	if st == nil || int64(cap(st.mem)) < need || len(st.dtags) != m.Prof.DCacheLines {
 		machinePoolNews.Add(1)
 		st = &bcState{runCore: runCore{
@@ -210,7 +210,7 @@ func (m *Machine) acquireBC(prog *bcProgram, img *Image) *bcState {
 func (m *Machine) releaseBC(st *bcState) {
 	st.prog = nil
 	st.out = nil
-	m.bcPool.Put(st)
+	m.bcPool.put(st)
 }
 
 // runBC executes a lowered program.

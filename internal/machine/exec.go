@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -122,8 +123,8 @@ type Machine struct {
 	// is scrubbed back to the all-zero state a fresh allocation would have,
 	// so pooled and unpooled runs are bit-identical. bcPool is the same for
 	// the bytecode engine's states.
-	statePool sync.Pool
-	bcPool    sync.Pool
+	statePool freeList[execState]
+	bcPool    freeList[bcState]
 
 	// bcMu guards the bytecode-engine counters.
 	bcMu    sync.Mutex
@@ -135,10 +136,43 @@ type Machine struct {
 // never reach canonical journal fields).
 var machinePoolGets, machinePoolNews atomic.Uint64
 
-// PoolCounters returns the cumulative interpreter scratch-pool acquisitions
-// and the subset that had to allocate fresh state.
+// PoolCounters returns the cumulative execution-state acquisitions (one per
+// run) and the subset that had to allocate a fresh state; Results, which are
+// small and live in a sync.Pool, are not counted.
 func PoolCounters() (gets, news uint64) {
 	return machinePoolGets.Load(), machinePoolNews.Load()
+}
+
+// freeList keeps the idle execution states of one machine: at most
+// GOMAXPROCS of them, which is how many runs can be in flight. A state is a
+// 16 MiB+ slab, and a sync.Pool hands those back to the GC every second
+// cycle only for the next run to allocate and clear a new one.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// get returns an idle state, or nil when there is none.
+func (l *freeList[T]) get() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return nil
+	}
+	x := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return x
+}
+
+// put keeps x for the next get unless the list is full.
+func (l *freeList[T]) put(x *T) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.free) < runtime.GOMAXPROCS(0) {
+		l.free = append(l.free, x)
+	}
 }
 
 // New returns a machine with sensible execution limits.
@@ -289,7 +323,7 @@ func (st *execState) call(f *ir.Function, args []Val) (Val, error) {
 func (m *Machine) acquireState(img *Image) *execState {
 	machinePoolGets.Add(1)
 	need := img.GlobalWords + m.StackWords
-	st, _ := m.statePool.Get().(*execState)
+	st := m.statePool.get()
 	if st == nil || int64(cap(st.mem)) < need || len(st.dtags) != m.Prof.DCacheLines {
 		machinePoolNews.Add(1)
 		st = &execState{
@@ -335,7 +369,7 @@ func (m *Machine) releaseState(st *execState) {
 	st.img = nil
 	st.out = nil
 	st.called, st.fcyc = nil, nil
-	m.statePool.Put(st)
+	m.statePool.put(st)
 }
 
 // resultPool recycles Result values (and their Output / FuncCycles backing
@@ -346,10 +380,8 @@ var resultPool sync.Pool
 // acquireResult returns a zeroed Result whose Output and FuncCycles storage
 // may be recycled from an earlier released run.
 func acquireResult() *Result {
-	machinePoolGets.Add(1)
 	r, _ := resultPool.Get().(*Result)
 	if r == nil {
-		machinePoolNews.Add(1)
 		return &Result{FuncCycles: make(map[string]float64)}
 	}
 	r.Output = r.Output[:0]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -569,5 +570,49 @@ func TestConcurrentRunsOfOneImage(t *testing.T) {
 	}
 	if st := m.BcCounters(); st.CodeMisses != 1 || st.CodeHits != n-1 {
 		t.Fatalf("%d runs of one image lowered it %d times, found it lowered %d times", n, st.CodeMisses, st.CodeHits)
+	}
+}
+
+// TestExecutionStatesStayOnTheMachine: the 16 MiB+ execution state is kept on
+// the machine's free list across garbage collections (a sync.Pool drops its
+// content every second cycle), so after warm-up a machine allocates no new
+// one — at most GOMAXPROCS of them however many goroutines ran at once.
+func TestExecutionStatesStayOnTheMachine(t *testing.T) {
+	img, err := Link(buildSumProgram(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, treeWalk := range []bool{false, true} {
+		m := New(CortexA57())
+		m.TreeWalk = treeWalk
+		run := func() {
+			res, err := m.Run(img, "main")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ReleaseResult(res)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 2*runtime.GOMAXPROCS(0); i++ { // warm-up, concurrent
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run()
+			}()
+		}
+		wg.Wait()
+		_, before := PoolCounters()
+		for i := 0; i < 20; i++ {
+			runtime.GC()
+			runtime.GC()
+			run()
+		}
+		if _, after := PoolCounters(); after != before {
+			t.Fatalf("TreeWalk=%v: %d new execution states after warm-up", treeWalk, after-before)
+		}
+		if kept := len(m.bcPool.free) + len(m.statePool.free); kept < 1 || kept > runtime.GOMAXPROCS(0) {
+			t.Fatalf("TreeWalk=%v: %d idle states kept, want 1..GOMAXPROCS", treeWalk, kept)
+		}
 	}
 }

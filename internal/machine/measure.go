@@ -51,23 +51,32 @@ func (ms *Measurement) TimeOnce(img *Image, entry string, args ...Val) (float64,
 // the paper's repeated-measurement protocol, plus the clean result. The
 // machine is deterministic — repeated runs of one image differ only in their
 // noise draw — so the image executes once and the samples are `runs` draws
-// over that run's cycle count: bit for bit what `runs` TimeOnce calls and
-// medianIndex give, RNG stream included. A failed run draws nothing. The
-// caller owns the result (release it with ReleaseResult when done).
+// over that run's cycle count (MedianOf): bit for bit what `runs` TimeOnce
+// calls and medianIndex give, RNG stream included. A failed run draws
+// nothing. The caller owns the result (release it with ReleaseResult when
+// done).
 func (ms *Measurement) TimeMedian(img *Image, entry string, runs int, args ...Val) (float64, *Result, error) {
-	if runs < 1 {
-		runs = 1
-	}
 	res, err := ms.Machine.Run(img, entry, args...)
 	if err != nil {
 		return 0, nil, err
 	}
+	return ms.MedianOf(res.Cycles, runs), res, nil
+}
+
+// MedianOf is the noise half of TimeMedian: the median of `runs` samples
+// drawn over a run that took the given clean cycles. Machine.Run is the
+// deterministic half and safe to call concurrently; the draws share Rng and
+// stay on one goroutine.
+func (ms *Measurement) MedianOf(cycles float64, runs int) float64 {
+	if runs < 1 {
+		runs = 1
+	}
 	samples := make([]float64, runs)
 	for i := range samples {
-		samples[i] = ms.sample(res.Cycles)
+		samples[i] = ms.sample(cycles)
 	}
 	med, _ := medianIndex(samples, make([]int, runs))
-	return med, res, nil
+	return med
 }
 
 // medianIndex returns the median of v (mean of the two middle samples for

@@ -56,8 +56,8 @@ func TestCommittedGatesHoldOnCapturedOutput(t *testing.T) {
 			t.Errorf("%s: %v", file, failures)
 		}
 	}
-	if gates != 18 {
-		t.Errorf("%d gates, want the 10 thresholds ci.yml enforced inline, the 5 pass-scaling ratios, the 2 allocation counts of clone and fingerprint on a pass-touched module and the executions-per-measurement ratio", gates)
+	if gates != 19 {
+		t.Errorf("%d gates, want the 10 thresholds ci.yml enforced inline, the 5 pass-scaling ratios, the 3 allocation counts of clone and fingerprint on a pass-touched module and of the CFG / dominator / loop analyses, and the executions-per-measurement ratio", gates)
 	}
 }
 
@@ -74,11 +74,11 @@ func TestBenchGateDocument(t *testing.T) {
 	}
 	// Custom metrics between ns/op and allocs/op, fractional ns/op.
 	doc, _ = gate(t, "compile-bench.txt", suites["compile-bench.txt"])
-	if a := doc["allocs_per_op"].(map[string]float64); a["BenchmarkPrefixCompile/prefix-snapshots"] != 1187 {
+	if a := doc["allocs_per_op"].(map[string]float64); a["BenchmarkPrefixCompile/prefix-snapshots"] != 901 {
 		t.Fatalf("allocs_per_op = %v", a)
 	}
 	doc, _ = gate(t, "ir-bench.txt", suites["ir-bench.txt"])
-	if ns := doc["ns_per_op"].(map[string]float64); ns["BenchmarkSnapshotHandout"] != 776.3 {
+	if ns := doc["ns_per_op"].(map[string]float64); ns["BenchmarkSnapshotHandout"] != 1217 {
 		t.Fatalf("ns_per_op = %v", ns)
 	}
 	// Without -benchmem there is no allocs table.

@@ -290,7 +290,7 @@ func addressTakenAllocas(f *ir.Function) map[*ir.Instr]bool {
 // loopHasMemoryEffects reports whether any block of l contains a store or a
 // call with side effects.
 func loopHasMemoryEffects(m *ir.Module, l *ir.Loop) bool {
-	for b := range l.Blocks {
+	for _, b := range l.Blocks() {
 		for _, in := range b.Instrs {
 			switch in.Op {
 			case ir.OpStore:

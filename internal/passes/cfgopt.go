@@ -106,21 +106,21 @@ func simplifyCFG(m *ir.Module, f *ir.Function) (int, int) {
 
 		// 2. Remove unreachable blocks.
 		cfg := ir.BuildCFG(f)
-		reach := cfg.Reachable()
-		if len(reach) < len(f.Blocks) {
+		if len(cfg.ReversePostOrder()) < len(f.Blocks) {
+			reach := cfg.Reachable()
 			for _, b := range f.Blocks {
-				if reach[b] {
+				if reach.Has(b) {
 					continue
 				}
-				for _, s := range cfg.Succs[b] {
-					if reach[s] {
+				for _, s := range cfg.Succs(b) {
+					if reach.Has(s) {
 						removePhiIncoming(s, b)
 					}
 				}
 			}
 			kept := f.Blocks[:0]
 			for _, b := range f.Blocks {
-				if reach[b] {
+				if reach.Has(b) {
 					kept = append(kept, b)
 				} else {
 					changed++
@@ -144,7 +144,7 @@ func simplifyCFG(m *ir.Module, f *ir.Function) (int, int) {
 			if succ == b {
 				continue
 			}
-			preds := cfg.Preds[b]
+			preds := cfg.Preds(b)
 			if len(preds) == 0 {
 				continue
 			}
@@ -154,7 +154,7 @@ func simplifyCFG(m *ir.Module, f *ir.Function) (int, int) {
 			okRetarget := true
 			if len(succ.Phis()) > 0 {
 				for _, p := range preds {
-					for _, s := range cfg.Succs[p] {
+					for _, s := range cfg.Succs(p) {
 						if s == succ {
 							okRetarget = false
 						}
@@ -199,7 +199,7 @@ func simplifyCFG(m *ir.Module, f *ir.Function) (int, int) {
 			if succ == b || succ == f.Entry() {
 				continue
 			}
-			if len(cfg.Preds[succ]) != 1 {
+			if len(cfg.Preds(succ)) != 1 {
 				continue
 			}
 			// Fold succ's phis (single incoming).
@@ -212,7 +212,7 @@ func simplifyCFG(m *ir.Module, f *ir.Function) (int, int) {
 				b.Append(in)
 			}
 			// Rewire: succ's successors' phis now come from b.
-			for _, s := range cfg.Succs[succ] {
+			for _, s := range cfg.Succs(succ) {
 				for _, phi := range s.Phis() {
 					for i, fb := range phi.Blocks {
 						if fb == succ {
@@ -282,7 +282,7 @@ func ifConvert(m *ir.Module, f *ir.Function, cfg *ir.CFG, fu *funcUses) (int, in
 			if arm == b || arm == join {
 				return true
 			}
-			if len(arm.Instrs) > 4 || len(cfg.Preds[arm]) != 1 {
+			if len(arm.Instrs) > 4 || len(cfg.Preds(arm)) != 1 {
 				return false
 			}
 			for _, x := range arm.Instrs {
@@ -365,7 +365,7 @@ func matchDiamond(cfg *ir.CFG, b, tb, fb *ir.Block) (*ir.Block, map[*ir.Instr]ir
 	default:
 		return nil, nil, nil, false
 	}
-	if join == b || len(cfg.Preds[join]) != 2 {
+	if join == b || len(cfg.Preds(join)) != 2 {
 		return nil, nil, nil, false
 	}
 	vT := make(map[*ir.Instr]ir.Value)
@@ -471,7 +471,7 @@ func propagateBranchFacts(f *ir.Function, condsOnly bool) int {
 			continue
 		}
 		for edge, target := range t.Blocks {
-			if len(cfg.Preds[target]) != 1 || target == b {
+			if len(cfg.Preds(target)) != 1 || target == b {
 				continue
 			}
 			implied := ir.ConstBool(edge == 0)
@@ -576,7 +576,7 @@ func flattenCFG(f *ir.Function) int {
 		}
 		mB := t.Blocks[0]
 		fB := t.Blocks[1]
-		if mB == b || len(cfg.Preds[mB]) != 1 || len(mB.Instrs) < 1 {
+		if mB == b || len(cfg.Preds(mB)) != 1 || len(mB.Instrs) < 1 {
 			continue
 		}
 		mt := mB.Term()
@@ -635,7 +635,7 @@ func breakCriticalEdges(f *ir.Function) int {
 			continue
 		}
 		for i, succ := range t.Blocks {
-			if len(cfg.Preds[succ]) < 2 {
+			if len(cfg.Preds(succ)) < 2 {
 				continue
 			}
 			mid := &ir.Block{Name: b.Name + "_ce"}

@@ -20,44 +20,37 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 	// pureKey canonicalizes commutative operands via ID comparison; refresh
 	// IDs so matching is a pure function of structure, not of ID history.
 	f.Renumber()
-	cfgG, dt := domOf(f)
-	children := make(map[*ir.Block][]*ir.Block)
-	for b, id := range dt.IDom {
-		if b != id {
-			children[id] = append(children[id], b)
-		}
-	}
-	// Deterministic child order: function block order.
-	order := make(map[*ir.Block]int, len(f.Blocks))
-	for i, b := range f.Blocks {
-		order[b] = i
-	}
-	for _, cs := range children {
-		sortBlocks(cs, order)
+	var cfgG *ir.CFG
+	var dt *ir.DomTree
+	if cfg.global {
+		cfgG, dt = domOf(f)
 	}
 
-	type scope struct {
-		exprs map[instrKey]*ir.Instr
-		loads map[loadKey]*ir.Instr
+	// Pure-expression facts are immutable SSA values: a block sees those of
+	// the blocks that dominate it (its own only, when block-local). One table
+	// serves the whole walk — the keys a block adds are logged and deleted
+	// again when its dominator subtree is done — instead of a copy per block,
+	// and it is pooled scratch, so it is not re-grown per function either.
+	scr := getScratch()
+	defer putScratch(scr)
+	exprs := scr.exprs
+	addExpr := func(k instrKey, in *ir.Instr) {
+		scr.added = append(scr.added, k)
+		exprs[k] = in
 	}
 
-	var visit func(b *ir.Block, parent *scope)
-	visit = func(b *ir.Block, parent *scope) {
-		sc := &scope{exprs: make(map[instrKey]*ir.Instr), loads: make(map[loadKey]*ir.Instr)}
-		// Copy the parent scope's tables when dominator-scoped (cheaper than
-		// chained lookup given our function sizes). Pure-expression facts are
-		// immutable SSA values and flow freely; load facts describe memory,
-		// which is only unchanged when b's sole CFG predecessor is the block
-		// whose end-state we inherit — at joins and loop headers (back-edge
-		// preds) the inherited memory facts must be dropped.
-		if cfg.global && parent != nil {
-			for k, v := range parent.exprs {
-				sc.exprs[k] = v
-			}
-			if len(cfgG.Preds[b]) == 1 {
-				for k, v := range parent.loads {
-					sc.loads[k] = v
-				}
+	// visit value-numbers b and then, when dominator-scoped, its dominator-
+	// tree children in function block order. Load facts describe memory,
+	// which is only unchanged when b's sole CFG predecessor is the block
+	// whose end-state (inherited) it is handed — at joins and loop headers
+	// (back-edge preds) the inherited memory facts must be dropped.
+	var visit func(b *ir.Block, inherited map[loadKey]*ir.Instr)
+	visit = func(b *ir.Block, inherited map[loadKey]*ir.Instr) {
+		mark := len(scr.added)
+		loads := make(map[loadKey]*ir.Instr)
+		if cfg.global && len(cfgG.Preds(b)) == 1 {
+			for k, v := range inherited {
+				loads[k] = v
 			}
 		}
 
@@ -69,18 +62,18 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 					continue
 				}
 				k := loadKey{ptr: in.Ops[0], ty: in.Ty}
-				if prev, ok := sc.loads[k]; ok {
+				if prev, ok := loads[k]; ok {
 					replaceWithValue(&fu, in, prev)
 					i--
 					nLoad++
 					continue
 				}
-				sc.loads[k] = in
+				loads[k] = in
 			case in.Op == ir.OpStore:
 				// Invalidate may-aliasing loads; remember forwarding value.
-				for k := range sc.loads {
+				for k := range loads {
 					if mayAlias(k.ptr, in.Ops[1]) {
-						delete(sc.loads, k)
+						delete(loads, k)
 					}
 				}
 
@@ -95,13 +88,13 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 				}
 				if pureCall {
 					if k, ok := pureKey(in); ok {
-						if prev, ok2 := sc.exprs[k]; ok2 {
+						if prev, ok2 := exprs[k]; ok2 {
 							replaceWithValue(&fu, in, prev)
 							i--
 							nInstr++
 							continue
 						}
-						sc.exprs[k] = in
+						addExpr(k, in)
 					}
 					continue
 				}
@@ -113,18 +106,21 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 					readOnly = !ir.BuiltinHasSideEffects(in.Callee)
 				}
 				if !readOnly {
-					sc.loads = make(map[loadKey]*ir.Instr)
+					loads = make(map[loadKey]*ir.Instr)
 
 				}
 			case isPure(m, in) && !mayTrap(in):
 				if k, ok := pureKey(in); ok {
-					if prev, ok2 := sc.exprs[k]; ok2 && prev != in {
+					prev, ok2 := exprs[k]
+					if ok2 && prev != in {
 						replaceWithValue(&fu, in, prev)
 						i--
 						nInstr++
 						continue
 					}
-					sc.exprs[k] = in
+					if !ok2 {
+						addExpr(k, in)
+					}
 				}
 			case in.Op == ir.OpPhi && cfg.phiValues:
 				// Identical phis in the same block collapse.
@@ -149,10 +145,15 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 			}
 		}
 		if cfg.global {
-			for _, c := range children[b] {
-				visit(c, sc)
+			for _, c := range dt.Children(b) {
+				visit(c, loads)
 			}
 		}
+		for i, k := range scr.added[mark:] {
+			delete(exprs, k)
+			scr.added[mark+i] = instrKey{} // the pooled log must not pin the IR
+		}
+		scr.added = scr.added[:mark]
 	}
 
 	if cfg.global {
@@ -168,14 +169,6 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 type loadKey struct {
 	ptr ir.Value
 	ty  ir.Type
-}
-
-func sortBlocks(bs []*ir.Block, order map[*ir.Block]int) {
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0 && order[bs[j]] < order[bs[j-1]]; j-- {
-			bs[j], bs[j-1] = bs[j-1], bs[j]
-		}
-	}
 }
 
 func init() {
@@ -251,7 +244,7 @@ func hoistCommon(m *ir.Module, f *ir.Function, loadsOnly bool) int {
 			continue
 		}
 		x, y := t.Blocks[0], t.Blocks[1]
-		if x == y || len(cfg.Preds[x]) != 1 || len(cfg.Preds[y]) != 1 {
+		if x == y || len(cfg.Preds(x)) != 1 || len(cfg.Preds(y)) != 1 {
 			continue
 		}
 		for {
@@ -289,12 +282,12 @@ func sinkCommon(m *ir.Module, f *ir.Function) int {
 	defer fu.done()
 	cfg := ir.BuildCFG(f)
 	for _, b := range f.Blocks {
-		preds := cfg.Preds[b]
+		preds := cfg.Preds(b)
 		if len(preds) != 2 || len(b.Phis()) > 0 {
 			continue
 		}
 		p0, p1 := preds[0], preds[1]
-		if len(cfg.Succs[p0]) != 1 || len(cfg.Succs[p1]) != 1 {
+		if len(cfg.Succs(p0)) != 1 || len(cfg.Succs(p1)) != 1 {
 			continue
 		}
 		for {

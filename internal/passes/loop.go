@@ -137,8 +137,8 @@ func insertPreheaders(f *ir.Function) int {
 				continue
 			}
 			var outs []*ir.Block
-			for _, p := range cfg.Preds[l.Header] {
-				if !l.Blocks[p] {
+			for _, p := range cfg.Preds(l.Header) {
+				if !l.Contains(p) {
 					outs = append(outs, p)
 				}
 			}
@@ -171,7 +171,7 @@ func insertPreheaders(f *ir.Function) int {
 					merge := &ir.Instr{Op: ir.OpPhi, Ty: phi.Ty}
 					// Move outside incomings into the merge phi.
 					for i := 0; i < len(phi.Blocks); i++ {
-						if !l.Blocks[phi.Blocks[i]] {
+						if !l.Contains(phi.Blocks[i]) {
 							ir.AddIncoming(merge, phi.Ops[i], phi.Blocks[i])
 							phi.Ops = append(phi.Ops[:i], phi.Ops[i+1:]...)
 							phi.Blocks = append(phi.Blocks[:i], phi.Blocks[i+1:]...)
@@ -228,16 +228,16 @@ func insertLCSSAPhis(f *ir.Function) int {
 		for _, e := range l.Exits {
 			t := e.Term()
 			for _, s := range t.Succs() {
-				if !l.Blocks[s] {
+				if !l.Contains(s) {
 					exitBlocks[s] = append(exitBlocks[s], e)
 				}
 			}
 		}
 		for exit, inPreds := range exitBlocks {
-			if len(inPreds) != 1 || len(cfg.Preds[exit]) != 1 {
+			if len(inPreds) != 1 || len(cfg.Preds(exit)) != 1 {
 				continue
 			}
-			for b := range l.Blocks {
+			for _, b := range l.Blocks() {
 				// The value must dominate the exiting edge, or the new phi's
 				// incoming would violate dominance.
 				if !dt.Dominates(b, inPreds[0]) {
@@ -250,8 +250,8 @@ func insertLCSSAPhis(f *ir.Function) int {
 					// Uses outside the loop that are not already loop-closed: a
 					// phi use whose incoming edge starts in the loop is.
 					uses := fu.collect(in, func(x ir.Use) bool {
-						return !l.Blocks[x.User.Parent()] &&
-							!(x.User.Op == ir.OpPhi && l.Blocks[x.User.Blocks[x.Slot]])
+						return !l.Contains(x.User.Parent()) &&
+							!(x.User.Op == ir.OpPhi && l.Contains(x.User.Blocks[x.Slot]))
 					})
 					if len(uses) == 0 {
 						continue
@@ -317,7 +317,7 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUs
 	var body, exitB *ir.Block
 	bodyIdx := -1
 	for i, s := range ht.Blocks {
-		if l.Blocks[s] {
+		if l.Contains(s) {
 			body, bodyIdx = s, i
 		} else {
 			exitB = s
@@ -327,20 +327,20 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUs
 		return false
 	}
 	// Only the header may exit the loop; exit block must be simple.
-	for b := range l.Blocks {
+	for _, b := range l.Blocks() {
 		if b == H {
 			continue
 		}
-		for _, s := range cfg.Succs[b] {
-			if !l.Blocks[s] {
+		for _, s := range cfg.Succs(b) {
+			if !l.Contains(s) {
 				return false
 			}
 		}
 	}
-	if len(cfg.Preds[exitB]) != 1 {
+	if len(cfg.Preds(exitB)) != 1 {
 		return false
 	}
-	if len(cfg.Preds[body]) != 1 {
+	if len(cfg.Preds(body)) != 1 {
 		return false
 	}
 	// Exit-block phis must be LCSSA-style: a single incoming from H whose
@@ -377,7 +377,7 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUs
 			if ob == H {
 				continue
 			}
-			if !l.Blocks[ob] {
+			if !l.Contains(ob) {
 				return false
 			}
 			usedInLoopBody[in] = true
@@ -560,7 +560,7 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUs
 
 	// Outside uses of phis go through fresh exit phis (H is in l.Blocks and
 	// about to be deleted, so header-internal uses are ignored).
-	outsideLoop := func(x ir.Use) bool { return !l.Blocks[x.User.Parent()] }
+	outsideLoop := func(x ir.Use) bool { return !l.Contains(x.User.Parent()) }
 	for _, p := range phis {
 		outside := fu.collect(p, outsideLoop)
 		if len(outside) == 0 {
@@ -598,7 +598,7 @@ func hoistInvariants(m *ir.Module, f *ir.Function) (int, int) {
 		// Precompute store/call hazards once per loop.
 		var loopStores []*ir.Instr
 		hasUnknownCall := false
-		for b := range l.Blocks {
+		for _, b := range l.Blocks() {
 			for _, in := range b.Instrs {
 				if in.Op == ir.OpStore {
 					loopStores = append(loopStores, in)
@@ -619,7 +619,7 @@ func hoistInvariants(m *ir.Module, f *ir.Function) (int, int) {
 			moved := 0
 			// Deterministic block order.
 			for _, b := range f.Blocks {
-				if !l.Blocks[b] {
+				if !l.Contains(b) {
 					continue
 				}
 				for i := 0; i < len(b.Instrs); i++ {
@@ -697,7 +697,7 @@ func deleteDeadLoops(m *ir.Module, f *ir.Function) int {
 			}
 			// No builtin output calls, no calls at all for simplicity.
 			hasCall := false
-			for b := range l.Blocks {
+			for _, b := range l.Blocks() {
 				for _, in := range b.Instrs {
 					if in.Op == ir.OpCall {
 						hasCall = true
@@ -710,8 +710,8 @@ func deleteDeadLoops(m *ir.Module, f *ir.Function) int {
 			// Single exit block; no loop value used outside.
 			exitTargets := map[*ir.Block]bool{}
 			for _, e := range l.Exits {
-				for _, s := range cfg.Succs[e] {
-					if !l.Blocks[s] {
+				for _, s := range cfg.Succs(e) {
+					if !l.Contains(s) {
 						exitTargets[s] = true
 					}
 				}
@@ -743,7 +743,7 @@ func deleteDeadLoops(m *ir.Module, f *ir.Function) int {
 			pt.Blocks = []*ir.Block{exitB}
 			kept := f.Blocks[:0]
 			for _, b := range f.Blocks {
-				if !l.Blocks[b] {
+				if !l.Contains(b) {
 					kept = append(kept, b)
 				}
 			}
@@ -760,7 +760,7 @@ func deleteDeadLoops(m *ir.Module, f *ir.Function) int {
 // loopValueUsedOutside reports whether a value defined in l is used by an
 // instruction outside it.
 func loopValueUsedOutside(u *ir.Uses, l *ir.Loop) bool {
-	for b := range l.Blocks {
+	for _, b := range l.Blocks() {
 		for _, in := range b.Instrs {
 			if in.Ty != ir.VoidT && valueUsedOutsideLoop(u, l, in) {
 				return true
@@ -780,7 +780,7 @@ func recognizeIdioms(m *ir.Module, f *ir.Function) (int, int) {
 		changed = false
 		cfg, _, li := loopsOf(f)
 		for _, l := range li.Loops {
-			if l.Preheader == nil || l.Header != l.Latch || len(l.Blocks) != 1 {
+			if l.Preheader == nil || l.Header != l.Latch || len(l.Blocks()) != 1 {
 				continue
 			}
 			b := l.Header
@@ -887,8 +887,8 @@ func recognizeIdioms(m *ir.Module, f *ir.Function) (int, int) {
 // exitTargetOf returns the single out-of-loop successor of b, or nil.
 func exitTargetOf(cfg *ir.CFG, l *ir.Loop, b *ir.Block) *ir.Block {
 	var exit *ir.Block
-	for _, s := range cfg.Succs[b] {
-		if !l.Blocks[s] {
+	for _, s := range cfg.Succs(b) {
+		if !l.Contains(s) {
 			if exit != nil {
 				return nil
 			}
@@ -984,14 +984,14 @@ func unswitchLoops(m *ir.Module, f *ir.Function) int {
 		changed = false
 		cfg, _, li := loopsOf(f)
 		for _, l := range li.Loops {
-			if l.Preheader == nil || len(l.Blocks) > 12 {
+			if l.Preheader == nil || len(l.Blocks()) > 12 {
 				continue
 			}
 			// Find an in-loop conditional branch on an invariant condition
 			// whose both targets are in the loop.
 			var sw *ir.Instr
 			for _, b := range f.Blocks {
-				if !l.Blocks[b] {
+				if !l.Contains(b) {
 					continue
 				}
 				t := b.Term()
@@ -1001,7 +1001,7 @@ func unswitchLoops(m *ir.Module, f *ir.Function) int {
 				if !ir.IsLoopInvariant(l, t.Ops[0]) {
 					continue
 				}
-				if l.Blocks[t.Blocks[0]] && l.Blocks[t.Blocks[1]] && t.Blocks[0] != t.Blocks[1] {
+				if l.Contains(t.Blocks[0]) && l.Contains(t.Blocks[1]) && t.Blocks[0] != t.Blocks[1] {
 					sw = t
 					break
 				}
@@ -1012,8 +1012,8 @@ func unswitchLoops(m *ir.Module, f *ir.Function) int {
 			// No loop value may be used outside; exits must have no phis.
 			bad := loopValueUsedOutside(fu.get(), l)
 			for _, e := range l.Exits {
-				for _, s := range cfg.Succs[e] {
-					if !l.Blocks[s] && len(s.Phis()) > 0 {
+				for _, s := range cfg.Succs(e) {
+					if !l.Contains(s) && len(s.Phis()) > 0 {
 						bad = true
 					}
 				}
@@ -1025,7 +1025,7 @@ func unswitchLoops(m *ir.Module, f *ir.Function) int {
 			// takes the false path, and the preheader branches on the
 			// invariant condition.
 			cond := sw.Ops[0]
-			_, cloneOf, blockOf := cloneBlockSet(f, l.Blocks)
+			_, cloneOf, blockOf := cloneBlockSet(f, l.Blocks())
 			trueTarget := sw.Blocks[0]
 			sw.Op = ir.OpJmp
 			sw.Ops = nil
@@ -1048,17 +1048,12 @@ func unswitchLoops(m *ir.Module, f *ir.Function) int {
 	return n
 }
 
-// cloneBlockSet duplicates a set of blocks inside f, remapping intra-set
-// operands and branch targets; values defined outside the set are shared.
-func cloneBlockSet(f *ir.Function, set map[*ir.Block]bool) ([]*ir.Block, map[*ir.Instr]*ir.Instr, map[*ir.Block]*ir.Block) {
+// cloneBlockSet duplicates a set of blocks of f (orig, in block order) inside
+// f, remapping intra-set operands and branch targets; values defined outside
+// the set are shared.
+func cloneBlockSet(f *ir.Function, orig []*ir.Block) ([]*ir.Block, map[*ir.Instr]*ir.Instr, map[*ir.Block]*ir.Block) {
 	bmap := make(map[*ir.Block]*ir.Block)
 	imap := make(map[*ir.Instr]*ir.Instr)
-	var orig []*ir.Block
-	for _, b := range f.Blocks {
-		if set[b] {
-			orig = append(orig, b)
-		}
-	}
 	var clones []*ir.Block
 	for _, b := range orig {
 		nb := &ir.Block{Name: b.Name + "_us"}
@@ -1111,7 +1106,7 @@ func strengthReduceIVs(f *ir.Function) int {
 	defer fu.done()
 	cfg, _, li := loopsOf(f)
 	for _, l := range li.Loops {
-		if l.Preheader == nil || l.Header != l.Latch || len(l.Blocks) != 1 {
+		if l.Preheader == nil || l.Header != l.Latch || len(l.Blocks()) != 1 {
 			continue
 		}
 		b := l.Header
@@ -1148,8 +1143,8 @@ func strengthReduceIVs(f *ir.Function) int {
 				Ops: []ir.Value{q, ir.ConstInt(in.Ty, iv.Step*c.I)}}
 			b.InsertBefore(len(b.Instrs)-1, qn)
 			fu.inserted(qn)
-			for _, fb := range cfg.Preds[b] {
-				if l.Blocks[fb] {
+			for _, fb := range cfg.Preds(b) {
+				if l.Contains(fb) {
 					ir.AddIncoming(q, qn, fb)
 				} else {
 					ir.AddIncoming(q, initV, fb)
@@ -1190,7 +1185,7 @@ func sinkIntoLoops(m *ir.Module, f *ir.Function) int {
 				if x.User.Op == ir.OpPhi {
 					useBlock = x.User.Blocks[x.Slot]
 				}
-				if !l.Blocks[useBlock] {
+				if !l.Contains(useBlock) {
 					onlyInLoop = false
 					break
 				}
@@ -1214,7 +1209,7 @@ func insertPrefetches(f *ir.Function) int {
 	n := 0
 	cfg, _, li := loopsOf(f)
 	for _, l := range li.Loops {
-		if l.Header != l.Latch || len(l.Blocks) != 1 {
+		if l.Header != l.Latch || len(l.Blocks()) != 1 {
 			continue
 		}
 		b := l.Header
@@ -1274,7 +1269,7 @@ func fuseLoops(m *ir.Module, f *ir.Function) int {
 // fuseWithNext leaves fu coherent when it declines and without an index when
 // it fuses.
 func fuseWithNext(m *ir.Module, f *ir.Function, cfg *ir.CFG, li *ir.LoopInfo, l1 *ir.Loop, fu *funcUses) bool {
-	if l1.Header != l1.Latch || len(l1.Blocks) != 1 {
+	if l1.Header != l1.Latch || len(l1.Blocks()) != 1 {
 		return false
 	}
 	b1 := l1.Header
@@ -1287,14 +1282,14 @@ func fuseWithNext(m *ir.Module, f *ir.Function, cfg *ir.CFG, li *ir.LoopInfo, l1
 	// preheader (inserted by rotation) has exit1 as its only predecessor.
 	var l2 *ir.Loop
 	for _, l := range li.Loops {
-		if l == l1 || l.Header != l.Latch || len(l.Blocks) != 1 || l.Preheader == nil {
+		if l == l1 || l.Header != l.Latch || len(l.Blocks()) != 1 || l.Preheader == nil {
 			continue
 		}
 		if l.Preheader == exit1 {
 			l2 = l
 			break
 		}
-		preds := cfg.Preds[l.Preheader]
+		preds := cfg.Preds(l.Preheader)
 		if len(preds) == 1 && preds[0] == exit1 {
 			l2 = l
 			break
@@ -1350,7 +1345,7 @@ func fuseWithNext(m *ir.Module, f *ir.Function, cfg *ir.CFG, li *ir.LoopInfo, l1
 	// defined in b2 must not be used outside b2 (no-LCSSA escape hazard).
 	for _, phi := range b2.Phis() {
 		for i, fb := range phi.Blocks {
-			if !l2.Blocks[fb] {
+			if !l2.Contains(fb) {
 				if _, isC := phi.Ops[i].(*ir.Const); !isC {
 					return false
 				}
@@ -1370,8 +1365,8 @@ func fuseWithNext(m *ir.Module, f *ir.Function, cfg *ir.CFG, li *ir.LoopInfo, l1
 	fu.drop() // the rewrite below goes behind the index's back
 	sub := loopSub{iv2.Phi: iv1.Phi}
 	var outsidePreds1 []*ir.Block
-	for _, p := range cfg.Preds[b1] {
-		if !l1.Blocks[p] {
+	for _, p := range cfg.Preds(b1) {
+		if !l1.Contains(p) {
 			outsidePreds1 = append(outsidePreds1, p)
 		}
 	}
@@ -1383,7 +1378,7 @@ func fuseWithNext(m *ir.Module, f *ir.Function, cfg *ir.CFG, li *ir.LoopInfo, l1
 		var initC ir.Value
 		var latchV ir.Value
 		for i, fb := range phi.Blocks {
-			if l2.Blocks[fb] {
+			if l2.Contains(fb) {
 				latchV = phi.Ops[i]
 			} else {
 				initC = phi.Ops[i]

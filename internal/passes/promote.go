@@ -41,7 +41,7 @@ func promoteAllocas(f *ir.Function) (promoted, phis int) {
 	var inserted []phiInfo
 	phiFor := make(map[*ir.Block]map[*ir.Instr]*ir.Instr)
 	for _, b := range f.Blocks {
-		if !reach[b] || len(cfg.Preds[b]) < 2 {
+		if !reach.Has(b) || len(cfg.Preds(b)) < 2 {
 			continue
 		}
 		phiFor[b] = make(map[*ir.Instr]*ir.Instr)
@@ -61,12 +61,6 @@ func promoteAllocas(f *ir.Function) (promoted, phis int) {
 	}
 
 	// Rename along the dominator tree.
-	children := make(map[*ir.Block][]*ir.Block)
-	for b, id := range dt.IDom {
-		if b != id {
-			children[id] = append(children[id], b)
-		}
-	}
 	rep := make(map[*ir.Instr]ir.Value) // deleted load -> reaching value
 	endDef := make(map[*ir.Block]map[*ir.Instr]ir.Value)
 	var toDelete []*ir.Instr
@@ -99,7 +93,7 @@ func promoteAllocas(f *ir.Function) (promoted, phis int) {
 			}
 		}
 		endDef[b] = local
-		for _, c := range children[b] {
+		for _, c := range dt.Children(b) {
 			rename(c, local)
 		}
 	}
@@ -113,7 +107,7 @@ func promoteAllocas(f *ir.Function) (promoted, phis int) {
 	// they may still reference promoted allocas; neutralise those uses so
 	// the allocas can be deleted without dangling references.
 	for _, b := range f.Blocks {
-		if reach[b] {
+		if reach.Has(b) {
 			continue
 		}
 		for _, in := range b.Instrs {
@@ -153,7 +147,7 @@ func promoteAllocas(f *ir.Function) (promoted, phis int) {
 		if m == nil {
 			continue
 		}
-		for _, p := range cfg.Preds[b] {
+		for _, p := range cfg.Preds(b) {
 			defs := endDef[p]
 			for _, v := range vars {
 				phi, ok := m[v]

@@ -446,7 +446,7 @@ func sinkIntoArms(m *ir.Module, f *ir.Function) int {
 			if home != t.Blocks[0] && home != t.Blocks[1] {
 				continue
 			}
-			if len(cfg.Preds[home]) != 1 || len(home.Phis()) > 0 {
+			if len(cfg.Preds(home)) != 1 || len(home.Phis()) > 0 {
 				continue
 			}
 			// Moving in keeps the index coherent: a use's block is read
@@ -471,7 +471,7 @@ func speculateArms(m *ir.Module, f *ir.Function) int {
 			continue
 		}
 		for _, arm := range t.Blocks {
-			if len(cfg.Preds[arm]) != 1 || arm == b {
+			if len(cfg.Preds(arm)) != 1 || arm == b {
 				continue
 			}
 			budget := 2
@@ -884,7 +884,7 @@ func splitCallSites(m *ir.Module, f *ir.Function) int {
 		if phi.Op != ir.OpPhi || call.Op != ir.OpCall || jmp.Op != ir.OpJmp {
 			continue
 		}
-		if call.Ty != ir.VoidT || len(cfg.Preds[b]) != 2 || len(phi.Ops) != 2 {
+		if call.Ty != ir.VoidT || len(cfg.Preds(b)) != 2 || len(phi.Ops) != 2 {
 			continue
 		}
 		uses := false

@@ -33,7 +33,7 @@ func runSCCP(m *ir.Module, f *ir.Function) int {
 		cfg := ir.BuildCFG(f)
 		reach := cfg.Reachable()
 		for _, b := range f.Blocks {
-			if !reach[b] {
+			if !reach.Has(b) {
 				continue
 			}
 			for i := 0; i < len(b.Instrs); i++ {
@@ -45,7 +45,7 @@ func runSCCP(m *ir.Module, f *ir.Function) int {
 					var uniq *ir.Const
 					ok := true
 					for oi, op := range in.Ops {
-						if !reach[in.Blocks[oi]] {
+						if !reach.Has(in.Blocks[oi]) {
 							continue
 						}
 						c, isC := op.(*ir.Const)

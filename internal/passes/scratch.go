@@ -16,14 +16,18 @@ type scratch struct {
 	vset map[ir.Value]bool
 	iset map[*ir.Instr]bool
 	work []*ir.Instr
+	// runCSE's expression table and the log of keys added to it.
+	exprs map[instrKey]*ir.Instr
+	added []instrKey
 }
 
 var scratchPool = sync.Pool{
 	New: func() any {
 		passPoolNews.Add(1)
 		return &scratch{
-			vset: make(map[ir.Value]bool),
-			iset: make(map[*ir.Instr]bool),
+			vset:  make(map[ir.Value]bool),
+			iset:  make(map[*ir.Instr]bool),
+			exprs: make(map[instrKey]*ir.Instr),
 		}
 	},
 }
@@ -48,5 +52,11 @@ func putScratch(s *scratch) {
 	clear(s.vset)
 	clear(s.iset)
 	s.work = s.work[:0]
+	// runCSE leaves both empty, popped log entries zeroed, unless it panicked.
+	if len(s.exprs) > 0 {
+		clear(s.exprs)
+	}
+	clear(s.added)
+	s.added = s.added[:0]
 	scratchPool.Put(s)
 }

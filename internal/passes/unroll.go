@@ -34,7 +34,7 @@ func unrollLoops(f *ir.Function, fullTripMax int64, bodyMax, factor int) (int, i
 		changed = false
 		cfg, _, li := loopsOf(f)
 		for _, l := range li.Loops {
-			if l.Preheader == nil || l.Header != l.Latch || len(l.Blocks) != 1 {
+			if l.Preheader == nil || l.Header != l.Latch || len(l.Blocks()) != 1 {
 				continue
 			}
 			b := l.Header
@@ -119,7 +119,7 @@ func fullyUnroll(f *ir.Function, cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, tr
 			return false
 		}
 		for i, fb := range p.Blocks {
-			if l.Blocks[fb] {
+			if l.Contains(fb) {
 				nextOf[p] = p.Ops[i]
 			} else {
 				initOf[p] = p.Ops[i]
@@ -188,8 +188,8 @@ func fullyUnroll(f *ir.Function, cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, tr
 		}
 	}
 	// Preheader (or guard) edges to b now go to nb.
-	for _, p := range cfg.Preds[b] {
-		if l.Blocks[p] {
+	for _, p := range cfg.Preds(b) {
+		if l.Contains(p) {
 			continue
 		}
 		pt := p.Term()
@@ -223,7 +223,7 @@ func partiallyUnroll(cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, factor int, fu
 	nextOf := make(map[*ir.Instr]ir.Value)
 	for _, p := range phis {
 		for i, fb := range p.Blocks {
-			if l.Blocks[fb] {
+			if l.Contains(fb) {
 				nextOf[p] = p.Ops[i]
 			}
 		}
@@ -272,7 +272,7 @@ func partiallyUnroll(cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, factor int, fu
 	// Phi latch incomings now take the final copies' values.
 	for _, p := range phis {
 		for i, fb := range p.Blocks {
-			if l.Blocks[fb] {
+			if l.Contains(fb) {
 				p.Ops[i] = cur[p]
 			}
 		}

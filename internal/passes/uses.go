@@ -112,7 +112,7 @@ func replaceWithValue(fu *funcUses, in *ir.Instr, v ir.Value) {
 // valueUsedOutsideLoop reports whether any instruction outside l uses v.
 func valueUsedOutsideLoop(u *ir.Uses, l *ir.Loop, v ir.Value) bool {
 	for _, x := range u.Of(v) {
-		if !l.Blocks[x.User.Parent()] {
+		if !l.Contains(x.User.Parent()) {
 			return true
 		}
 	}

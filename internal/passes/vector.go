@@ -62,7 +62,7 @@ func vectorizeLoops(m *ir.Module, f *ir.Function) int {
 // vectorizeOneLoop leaves fu coherent when it declines and without an index
 // when it vectorises.
 func vectorizeOneLoop(m *ir.Module, cfg *ir.CFG, l *ir.Loop, fu *funcUses) bool {
-	if l.Preheader == nil || l.Header != l.Latch || len(l.Blocks) != 1 {
+	if l.Preheader == nil || l.Header != l.Latch || len(l.Blocks()) != 1 {
 		return false
 	}
 	b := l.Header
@@ -111,7 +111,7 @@ func vectorizeOneLoop(m *ir.Module, cfg *ir.CFG, l *ir.Loop, fu *funcUses) bool 
 			kind[in] = cGep
 		case in.Op == ir.OpLoad:
 			g, ok := in.Ops[0].(*ir.Instr)
-			if !ok || g.Op != ir.OpGEP || !l.Blocks[g.Parent()] {
+			if !ok || g.Op != ir.OpGEP || !l.Contains(g.Parent()) {
 				return false
 			}
 			kind[in] = cLoad
@@ -120,7 +120,7 @@ func vectorizeOneLoop(m *ir.Module, cfg *ir.CFG, l *ir.Loop, fu *funcUses) bool 
 			}
 		case in.Op == ir.OpStore:
 			g, ok := in.Ops[1].(*ir.Instr)
-			if !ok || g.Op != ir.OpGEP || !l.Blocks[g.Parent()] {
+			if !ok || g.Op != ir.OpGEP || !l.Contains(g.Parent()) {
 				return false
 			}
 			kind[in] = cStore
@@ -145,7 +145,7 @@ func vectorizeOneLoop(m *ir.Module, cfg *ir.CFG, l *ir.Loop, fu *funcUses) bool 
 	for _, r := range reductions {
 		var nextV *ir.Instr
 		for i, fb := range r.Blocks {
-			if l.Blocks[fb] {
+			if l.Contains(fb) {
 				nv, ok := r.Ops[i].(*ir.Instr)
 				if !ok {
 					return false
@@ -293,7 +293,7 @@ func vectorizeOneLoop(m *ir.Module, cfg *ir.CFG, l *ir.Loop, fu *funcUses) bool 
 	for _, r := range reductions {
 		var initV ir.Value
 		for i, fb := range r.Blocks {
-			if !l.Blocks[fb] {
+			if !l.Contains(fb) {
 				initV = r.Ops[i]
 				zero := zeroValue(ir.Type{Kind: r.Ty.Kind, Lanes: 1})
 				zv := &ir.Instr{Op: ir.OpBroadcast, Ty: r.Ty, Ops: []ir.Value{zero}}
@@ -688,22 +688,18 @@ func blockHasStoreOrCall(m *ir.Module, b *ir.Block) bool {
 }
 
 // consecutiveRun returns the longest run of terms with consecutive offA (and
-// offB when present), starting from the sorted slice.
+// offB when present), starting from the sorted slice: the first of the
+// longest, as a sub-slice of ts.
 func consecutiveRun(ts []slpTerm) []slpTerm {
-	best := []slpTerm{}
+	best := ts[:0]
 	for i := 0; i < len(ts); i++ {
-		run := []slpTerm{ts[i]}
-		for j := i + 1; j < len(ts); j++ {
-			last := run[len(run)-1]
-			if ts[j].offA == last.offA+1 &&
-				(ts[j].mul == nil || ts[j].offB == last.offB+1) {
-				run = append(run, ts[j])
-			} else {
-				break
-			}
+		j := i + 1
+		for j < len(ts) && ts[j].offA == ts[j-1].offA+1 &&
+			(ts[j].mul == nil || ts[j].offB == ts[j-1].offB+1) {
+			j++
 		}
-		if len(run) > len(best) {
-			best = run
+		if j-i > len(best) {
+			best = ts[i:j:j]
 		}
 	}
 	return best

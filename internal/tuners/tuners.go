@@ -10,7 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/heuristic"
@@ -68,20 +68,20 @@ func seqsKey(seqs map[string][]string) string {
 		mods = append(mods, m)
 	}
 	sort.Strings(mods)
-	var b strings.Builder
+	var b []byte
 	for _, m := range mods {
-		fmt.Fprintf(&b, "%q:", m)
+		b = append(strconv.AppendQuote(b, m), ':')
 		if seqs[m] == nil {
-			b.WriteString("nil;")
+			b = append(b, "nil;"...)
 			continue
 		}
-		b.WriteByte('[')
+		b = append(b, '[')
 		for _, p := range seqs[m] {
-			fmt.Fprintf(&b, "%q,", p)
+			b = append(strconv.AppendQuote(b, p), ',')
 		}
-		b.WriteString("];")
+		b = append(b, "];"...)
 	}
-	return b.String()
+	return string(b)
 }
 
 // measure profiles the program with module mod rebuilt under seq. It returns
