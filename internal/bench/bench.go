@@ -5,15 +5,19 @@
 package bench
 
 import (
+	"cmp"
 	"container/list"
 	"context"
 	"fmt"
 	"hash/fnv"
+	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/ir"
 	"repro/internal/irgen"
 	"repro/internal/machine"
+	"repro/internal/numeric"
 	"repro/internal/obs"
 	"repro/internal/passes"
 )
@@ -265,10 +269,11 @@ const DefaultCacheCap = 4096
 // CompileModule is safe for concurrent use (the tuner's evaluation pool fans
 // candidate compilations across goroutines). Measure and the profiling
 // helpers share the measurement RNG and must stay on one goroutine — callers
-// keep it there; inside one Measure the datasets fan out on their own
-// goroutines (build, link, execute) and are judged, and their noise drawn, in
-// dataset order back on the caller's (timeWithSequences), so the result does
-// not depend on scheduling. Datasets is the only control of that.
+// keep it there; inside one Measure the datasets fan out over
+// numeric.ParallelFor (build, link, execute) and are judged, and their noise
+// drawn, in dataset order back on the caller's goroutine (timeWithSequences),
+// so the result does not depend on scheduling. Datasets is the only control
+// of that.
 type Evaluator struct {
 	Bench    *Benchmark
 	Plat     Platform
@@ -293,6 +298,14 @@ type Evaluator struct {
 	refOut         [][]machine.OutputEvent
 	o3Time         float64
 	o3Stats        passes.Stats
+
+	// The -O3 baseline's profile (setHotTable), which HotModules reads:
+	// Modules() hottest first, and each executed module's share of the
+	// cycles spent outside main. hotRan is false when nothing outside main
+	// executed; the order is then Modules()' own.
+	hotOrder []string
+	hotFrac  map[string]float64
+	hotRan   bool
 
 	// Prefix-snapshot cache (see prefixcache.go): (dataset, module, prefix
 	// hash, depth) → immutable module state + stats. Guarded by mu together
@@ -381,8 +394,8 @@ func NewEvaluator(b *Benchmark, plat Platform, seed int64) (*Evaluator, error) {
 		}
 		ev.refOut = append(ev.refOut, res.Output)
 	}
-	// O3 baseline time.
-	t, st, err := ev.timeWithSequences(context.Background(), nil)
+	// O3 baseline time, and its dataset-0 profile for HotModules.
+	t, st, err := ev.timeWithSequences(context.Background(), nil, ev.setHotTable)
 	if err != nil {
 		return nil, err
 	}
@@ -554,23 +567,18 @@ func (ev *Evaluator) PassProfile() []passes.PassCost {
 // datasetRun is the deterministic half of measuring one dataset: the build,
 // the link and the image's single execution.
 type datasetRun struct {
-	stats    passes.Stats
-	linked   bool // the image linked, so the serial protocol counts a measurement
-	res      *machine.Result
-	err      error
-	panicked any // a panic in the build, link or run, re-raised by the caller
+	stats  passes.Stats
+	linked bool // the image linked, so the serial protocol counts a measurement
+	res    *machine.Result
+	err    error
 }
 
 // runDataset builds every module of dataset ds with the per-module sequences,
-// links them and executes the image once. Safe to call concurrently for
-// different datasets: it draws no noise and touches only locked evaluator
-// state. The context is checked before the build.
+// links them and executes the image once — the only path from modules to
+// cycles in this package. Safe to call concurrently for different datasets:
+// it draws no noise and touches only locked evaluator state. The context is
+// checked before the build.
 func (ev *Evaluator) runDataset(ctx context.Context, ds int, seqs map[string][]string) (r datasetRun) {
-	defer func() {
-		if p := recover(); p != nil {
-			r.panicked = p
-		}
-	}()
 	if r.err = ctx.Err(); r.err != nil {
 		return r
 	}
@@ -603,34 +611,26 @@ func (ev *Evaluator) runDataset(ctx context.Context, ds int, seqs map[string][]s
 
 // timeWithSequences builds every dataset with the per-module sequences
 // (nil map entry or nil map = O3), differential-tests outputs and returns
-// the median runtime of dataset 0 plus the build's statistics.
+// the median runtime of dataset 0 plus the build's statistics. A non-nil
+// profile receives dataset 0's exclusive cycles per function, which it must
+// not retain.
 //
-// The datasets execute concurrently — dataset 0 on the calling goroutine,
-// the others on their own — and are then judged serially, in dataset order,
-// exactly as a one-dataset-at-a-time loop would: the first error in dataset
-// order wins, and the measurement count and the noise samples (the only
-// consumers of the shared RNG) advance only for datasets that loop would
-// have reached. Times, errors and the RNG stream therefore do not depend on
-// scheduling; the one visible difference is that a later dataset's build has
-// already happened when an earlier one is rejected.
-func (ev *Evaluator) timeWithSequences(ctx context.Context, seqs map[string][]string) (float64, passes.Stats, error) {
+// The datasets execute concurrently on numeric.ParallelFor — which joins
+// every worker and re-raises a panic of any of them here — and are then
+// judged serially, in dataset order, exactly as a one-dataset-at-a-time loop
+// would: the first error in dataset order wins, and the measurement count and
+// the noise samples (the only consumers of the shared RNG) advance only for
+// datasets that loop would have reached. Times, errors and the RNG stream
+// therefore do not depend on scheduling; the one visible difference is that a
+// later dataset's build has already happened when an earlier one is rejected.
+func (ev *Evaluator) timeWithSequences(ctx context.Context, seqs map[string][]string, profile func(funcCycles map[string]float64)) (float64, passes.Stats, error) {
 	runs := make([]datasetRun, ev.Datasets)
-	var wg sync.WaitGroup
-	for ds := 1; ds < ev.Datasets; ds++ {
-		wg.Add(1)
-		go func(ds int) {
-			defer wg.Done()
-			runs[ds] = ev.runDataset(ctx, ds, seqs)
-		}(ds)
-	}
-	runs[0] = ev.runDataset(ctx, 0, seqs)
-	wg.Wait()
+	numeric.ParallelFor(ev.Datasets, ev.Datasets, func(ds int) {
+		runs[ds] = ev.runDataset(ctx, ds, seqs)
+	})
 
 	var t0 float64
 	for ds, r := range runs {
-		if r.panicked != nil {
-			panic(r.panicked)
-		}
 		if r.linked {
 			ev.mu.Lock()
 			ev.Measurements++
@@ -644,11 +644,14 @@ func (ev *Evaluator) timeWithSequences(ctx context.Context, seqs map[string][]st
 		if err := machine.OutputsMatch(ev.refOut[ds], r.res.Output, 1e-6); err != nil {
 			return 0, nil, fmt.Errorf("bench: differential test failed: %w", err)
 		}
-		// The result is not retained past the differential check.
-		machine.ReleaseResult(r.res)
 		if ds == 0 {
 			t0 = t
+			if profile != nil {
+				profile(r.res.FuncCycles)
+			}
 		}
+		// The result is not retained past the differential check.
+		machine.ReleaseResult(r.res)
 	}
 	return t0, runs[0].stats, nil
 }
@@ -663,7 +666,7 @@ func (ev *Evaluator) Measure(seqs map[string][]string) (timeCycles, speedup floa
 // between dataset builds instead of finishing the full differential-test
 // cycle.
 func (ev *Evaluator) MeasureCtx(ctx context.Context, seqs map[string][]string) (timeCycles, speedup float64, err error) {
-	t, _, err := ev.timeWithSequences(ctx, seqs)
+	t, _, err := ev.timeWithSequences(ctx, seqs, nil)
 	ev.publishMetrics()
 	if err != nil {
 		return 0, 0, err
@@ -671,63 +674,55 @@ func (ev *Evaluator) MeasureCtx(ctx context.Context, seqs map[string][]string) (
 	return t, ev.o3Time / t, nil
 }
 
-// HotModules profiles the -O3 build and returns modules sorted by their
-// share of execution time, keeping those that cumulatively cover `coverage`
-// (e.g. 0.9, per §5.3.1).
-func (ev *Evaluator) HotModules(coverage float64) ([]string, map[string]float64, error) {
-	mods := cloneAll(ev.pristine[0])
-	funcMod := map[string]string{}
-	for _, m := range mods {
-		for _, f := range m.Funcs {
-			if !f.IsDecl {
-				funcMod[f.Name] = m.Name
-			}
-		}
-		if err := passes.ApplyLevel(m, "O3", passes.Stats{}); err != nil {
-			return nil, nil, err
-		}
-	}
-	img, err := machine.Link(mods...)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := ev.meas.Machine.Run(img, "main")
-	if err != nil {
-		return nil, nil, err
-	}
+// setHotTable turns the exclusive per-function cycles of the -O3 baseline's
+// dataset-0 run into the table HotModules reads. Functions map to modules
+// through the pristine build, so main and functions a pass created count for
+// nothing; the sums run in module and function order, so every evaluator of
+// a benchmark holds the same floats.
+func (ev *Evaluator) setHotTable(funcCycles map[string]float64) {
 	byMod := map[string]float64{}
 	total := 0.0
 	mainName := ev.Bench.Name + "_main"
-	for fn, c := range res.FuncCycles {
-		mod := funcMod[fn]
-		if mod == "" || mod == mainName {
+	for _, m := range ev.pristine[0] {
+		if m.Name == mainName {
 			continue
 		}
-		byMod[mod] += c
-		total += c
-	}
-	if total == 0 {
-		return ev.Modules(), byMod, nil
-	}
-	names := ev.Modules()
-	// Sort by share, descending.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && byMod[names[j]] > byMod[names[j-1]]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
+		for _, f := range m.Funcs {
+			if f.IsDecl {
+				continue
+			}
+			if c, ok := funcCycles[f.Name]; ok {
+				byMod[m.Name] += c
+				total += c
+			}
 		}
 	}
-	frac := map[string]float64{}
+	ev.hotOrder, ev.hotFrac, ev.hotRan = ev.Modules(), byMod, total != 0
+	if !ev.hotRan {
+		return
+	}
+	// By share, descending; equal shares keep module order.
+	slices.SortStableFunc(ev.hotOrder, func(a, b string) int { return cmp.Compare(byMod[b], byMod[a]) })
 	for m, c := range byMod {
-		frac[m] = c / total
+		byMod[m] = c / total
 	}
-	var hot []string
-	acc := 0.0
-	for _, n := range names {
-		hot = append(hot, n)
-		acc += frac[n]
-		if acc >= coverage {
-			break
+}
+
+// HotModules returns the modules sorted by their share of the -O3 build's
+// execution time, keeping those that cumulatively cover `coverage` (e.g. 0.9,
+// per §5.3.1), and every executed module's share. It reads the profile the
+// baseline run left at construction — nothing is built, linked or run — and
+// the caller owns both results.
+func (ev *Evaluator) HotModules(coverage float64) ([]string, map[string]float64, error) {
+	n := len(ev.hotOrder)
+	if ev.hotRan {
+		acc := 0.0
+		for i, m := range ev.hotOrder {
+			if acc += ev.hotFrac[m]; acc >= coverage {
+				n = i + 1
+				break
+			}
 		}
 	}
-	return hot, frac, nil
+	return slices.Clone(ev.hotOrder[:n]), maps.Clone(ev.hotFrac), nil
 }

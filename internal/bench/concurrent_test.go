@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -134,7 +135,7 @@ func TestMeasureDatasetsConcurrentEqualsSerial(t *testing.T) {
 			conc.refOut[1][0].I++
 			serial.refOut[1][0].I++
 		}
-		tc, sc, errC := conc.timeWithSequences(c.ctx, c.seqs)
+		tc, sc, errC := conc.timeWithSequences(c.ctx, c.seqs, nil)
 		ts, ss, reached, errS := serialTimeWithSequences(serial, c.ctx, c.seqs)
 		if c.breakRef1 {
 			conc.refOut[1][0].I--
@@ -175,7 +176,8 @@ func TestMeasureDatasetsConcurrentEqualsSerial(t *testing.T) {
 
 // A panic on a dataset's own goroutine would take the process down; it must
 // surface on the goroutine that called Measure, where the callers' recovery
-// (the benchmark harness turns it into a rejected candidate) can see it.
+// (the benchmark harness turns it into a rejected candidate) can see it — the
+// value itself, as numeric.ParallelFor re-raises it, not a description of it.
 func TestMeasureDatasetPanicReachesCaller(t *testing.T) {
 	ev, err := NewEvaluator(ByName("security_sha"), ARM(), 1)
 	if err != nil {
@@ -183,8 +185,8 @@ func TestMeasureDatasetPanicReachesCaller(t *testing.T) {
 	}
 	ev.pristine[1] = []*ir.Module{nil} // dataset 1's build dereferences it
 	defer func() {
-		if recover() == nil {
-			t.Fatal("Measure returned; the dataset-1 panic was lost")
+		if p, ok := recover().(runtime.Error); !ok || !strings.Contains(p.Error(), "nil pointer dereference") {
+			t.Fatalf("recovered %v; want dataset 1's nil dereference, unchanged", p)
 		}
 	}()
 	_, _, err = ev.Measure(nil)

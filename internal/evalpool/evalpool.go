@@ -14,8 +14,8 @@ import (
 	"errors"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/numeric"
 	"repro/internal/obs"
 )
 
@@ -63,18 +63,19 @@ func (p *Pool) Instrument(m *obs.Metrics) {
 // deterministic regardless of scheduling. fn must not touch shared mutable
 // state unless it synchronises on its own.
 //
-// With one worker (or n == 1) the calls run inline in index order. A panic
-// in any job is re-raised on the calling goroutine after the remaining
-// workers drain.
+// The fan-out itself is numeric.ParallelFor: with one worker (or n == 1) the
+// calls run inline in index order, indices are claimed dynamically, and the
+// first panic of any job is re-raised on the calling goroutine once every
+// worker has returned.
 func (p *Pool) Map(n int, fn func(i int)) {
 	p.MapCtx(context.Background(), n, fn)
 }
 
-// MapCtx is Map with cancellation: once ctx is done, no further indices are
-// claimed (jobs already started run to completion) and the context's error
-// is returned. Callers that fan out into caller-owned result slots must
-// treat unclaimed slots as absent on a non-nil return. A nil ctx behaves
-// like context.Background().
+// MapCtx is Map with cancellation: once ctx is done, no further jobs start
+// (jobs already started run to completion) and the context's error is
+// returned. Callers that fan out into caller-owned result slots must treat
+// the slots of jobs that never started as absent on a non-nil return. A nil
+// ctx behaves like context.Background().
 func (p *Pool) MapCtx(ctx context.Context, n int, fn func(i int)) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -88,73 +89,17 @@ func (p *Pool) MapCtx(ctx context.Context, n int, fn func(i int)) error {
 		p.queued.Set(float64(n))
 		defer p.queued.Set(0)
 	}
-	w := p.workers
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if p.queued != nil {
-				p.queued.Set(float64(n - i - 1))
-				p.active.Set(1)
-			}
-			fn(i)
-			if p.active != nil {
-				p.active.Set(0)
-			}
+	numeric.ParallelFor(p.workers, n, func(i int) {
+		if ctx.Err() != nil {
+			return
 		}
-		return ctx.Err()
-	}
-	var (
-		next  atomic.Int64
-		wg    sync.WaitGroup
-		panMu sync.Mutex
-		pan   any
-	)
-	next.Store(-1)
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				if p.queued != nil {
-					if left := n - 1 - i; left >= 0 {
-						p.queued.Set(float64(left))
-					}
-					p.active.Add(1)
-				}
-				func() {
-					defer func() {
-						if p.active != nil {
-							p.active.Add(-1)
-						}
-						if r := recover(); r != nil {
-							panMu.Lock()
-							if pan == nil {
-								pan = r
-							}
-							panMu.Unlock()
-						}
-					}()
-					fn(i)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	if pan != nil {
-		panic(pan)
-	}
+		if p.queued != nil {
+			p.queued.Set(float64(n - 1 - i))
+			p.active.Add(1)
+			defer p.active.Add(-1)
+		}
+		fn(i)
+	})
 	return ctx.Err()
 }
 

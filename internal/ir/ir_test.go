@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -171,6 +172,54 @@ func TestCanonicalIVAndTripCount(t *testing.T) {
 	}
 	if tc := iv.TripCount(); tc != 10 {
 		t.Fatalf("trip count = %d, want 10", tc)
+	}
+}
+
+// RemoveIf is RemoveAt for a whole block at once: same survivors in the same
+// order, removed instructions detached, and the same refusal to touch a
+// COW-shared body.
+func TestRemoveIfCompactsInPlace(t *testing.T) {
+	_, f := buildCountdown()
+	_, want := buildCountdown()
+	b, wb := f.Blocks[2], want.Blocks[2]
+	if len(b.Instrs) < 6 {
+		t.Fatalf("block too short for the test: %d instructions", len(b.Instrs))
+	}
+	doomed := map[*Instr]bool{b.Instrs[0]: true, b.Instrs[3]: true, b.Instrs[4]: true}
+	for i := len(wb.Instrs) - 1; i >= 0; i-- {
+		if doomed[b.Instrs[i]] {
+			wb.RemoveAt(i)
+		}
+	}
+	var seen []*Instr
+	all := append([]*Instr(nil), b.Instrs...)
+	if n := b.RemoveIf(func(in *Instr) bool { seen = append(seen, in); return doomed[in] }); n != 3 {
+		t.Fatalf("RemoveIf removed %d, want 3", n)
+	}
+	if !slices.Equal(seen, all) {
+		t.Fatal("RemoveIf did not show the predicate every instruction once, in block order")
+	}
+	if got, want := f.String(), want.String(); got != want {
+		t.Fatalf("RemoveIf left\n%s\nRemoveAt leaves\n%s", got, want)
+	}
+	for in := range doomed {
+		if in.Parent() != nil {
+			t.Fatal("a removed instruction still has a parent")
+		}
+	}
+	for _, in := range b.Instrs {
+		if in.Parent() != b {
+			t.Fatal("a survivor lost its parent")
+		}
+	}
+
+	m, f := buildCountdown()
+	m.Clone() // f is now shared
+	if n := f.Blocks[2].RemoveIf(func(*Instr) bool { return false }); n != 0 {
+		t.Fatalf("RemoveIf removed %d of a shared body", n)
+	}
+	if got := panicText(func() { f.Blocks[2].RemoveIf(func(*Instr) bool { return true }) }); !strings.Contains(got, "COW-shared") {
+		t.Fatalf("RemoveIf on a shared body: panic %q", got)
 	}
 }
 

@@ -125,6 +125,26 @@ func (b *Block) RemoveAt(idx int) {
 	b.Instrs = append(b.Instrs[:idx], b.Instrs[idx+1:]...)
 }
 
+// RemoveIf deletes every instruction dead reports true for, in one in-place
+// compaction: the survivors keep their order, and dead sees each instruction
+// once, in block order. Returns the number removed; a block it removes
+// nothing from is not written to.
+func (b *Block) RemoveIf(dead func(*Instr) bool) int {
+	kept := slices.DeleteFunc(b.Instrs, func(in *Instr) bool {
+		if !dead(in) {
+			return false
+		}
+		b.guardMutable()
+		in.parent = nil
+		return true
+	})
+	removed := len(b.Instrs) - len(kept)
+	if removed > 0 {
+		b.Instrs = kept
+	}
+	return removed
+}
+
 // IndexOf returns the position of in within the block, or -1.
 func (b *Block) IndexOf(in *Instr) int {
 	for i, x := range b.Instrs {

@@ -1,8 +1,10 @@
 package numeric
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -225,6 +227,35 @@ func TestParallelForCoversAllShards(t *testing.T) {
 			if !ok {
 				t.Fatalf("workers=%d: index %d not covered", workers, i)
 			}
+		}
+	}
+}
+
+// ParallelFor is the repository's one data-parallel fan-out (evalpool.Pool and
+// the evaluator's datasets run on it): a panic in one shard reaches the caller
+// as the value it was raised with, after every worker has returned, and the
+// workers that did not panic finish the remaining shards.
+func TestParallelForPanicReachesCaller(t *testing.T) {
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 2, 8} {
+		const shards = 64
+		var ran atomic.Int32
+		func() {
+			defer func() {
+				if r := recover(); r != any(boom) {
+					t.Fatalf("workers=%d: recovered %v, want the panic value itself", workers, r)
+				}
+			}()
+			ParallelFor(workers, shards, func(s int) {
+				if s == shards-1 {
+					panic(boom)
+				}
+				ran.Add(1)
+			})
+			t.Fatalf("workers=%d: panic did not propagate", workers)
+		}()
+		if n := ran.Load(); n != shards-1 {
+			t.Fatalf("workers=%d: %d of %d healthy shards ran before the panic was re-raised", workers, n, shards-1)
 		}
 	}
 }

@@ -37,6 +37,12 @@ func ShardBounds(n, s int) (lo, hi int) {
 // dynamically, so fn must not care which goroutine runs which shard — derive
 // all boundaries from the problem size (ShardBounds), never from the worker
 // count, and results stay bit-identical for any workers value.
+//
+// This is the repository's one data-parallel loop (evalpool.Pool and the
+// evaluator's dataset fan-out run on it), and they rely on how it ends: it
+// returns only when every worker has, and a panic in fn — which ends the
+// worker it happened on, the others finishing the remaining shards — is
+// re-raised here with its value unchanged, the first one captured if several.
 func ParallelFor(workers, shards int, fn func(s int)) {
 	if shards <= 0 {
 		return

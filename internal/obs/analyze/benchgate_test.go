@@ -38,8 +38,8 @@ func gate(t *testing.T, file string, suite GateSuite) (map[string]any, []string)
 // commands CI runs (testdata/<name> is the output gates.json keys by <name>).
 func TestCommittedGatesHoldOnCapturedOutput(t *testing.T) {
 	suites := loadGates(t)
-	if len(suites) != 6 {
-		t.Fatalf("gates.json has %d suites, want 6", len(suites))
+	if len(suites) != 5 {
+		t.Fatalf("gates.json has %d suites, want 5", len(suites))
 	}
 	gates := 0
 	for file, suite := range suites {
@@ -56,8 +56,8 @@ func TestCommittedGatesHoldOnCapturedOutput(t *testing.T) {
 			t.Errorf("%s: %v", file, failures)
 		}
 	}
-	if gates != 19 {
-		t.Errorf("%d gates, want the 10 thresholds ci.yml enforced inline, the 5 pass-scaling ratios, the 3 allocation counts of clone and fingerprint on a pass-touched module and of the CFG / dominator / loop analyses, and the executions-per-measurement ratio", gates)
+	if gates != 17 {
+		t.Errorf("%d gates, want the 8 thresholds left of those ci.yml enforced inline (the greedy planner's two guarded no benchmark workload), the 5 pass-scaling ratios, the 3 allocation counts of clone and fingerprint on a pass-touched module and of the CFG / dominator / loop analyses, and the executions-per-measurement ratio", gates)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestBenchGateDocument(t *testing.T) {
 		t.Fatalf("ns_per_op = %v", ns)
 	}
 	// Without -benchmem there is no allocs table.
-	doc, _ = gate(t, "greedy-bench.txt", suites["greedy-bench.txt"])
+	doc, _ = gate(t, "passes-bench.txt", suites["passes-bench.txt"])
 	if _, ok := doc["allocs_per_op"]; ok {
 		t.Fatalf("allocs_per_op without -benchmem: %v", doc)
 	}

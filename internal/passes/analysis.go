@@ -47,46 +47,41 @@ func removeDeadInstrs(m *ir.Module, f *ir.Function, fixpoint bool) int {
 	total := 0
 	sc := getScratch()
 	defer putScratch(sc)
-	used := sc.vset
+	used := sc.iset
+	dead := func(in *ir.Instr) bool {
+		if in.IsTerminator() || in.Op == ir.OpStore || used[in] {
+			return false
+		}
+		if in.Op == ir.OpCall {
+			if ir.IsBuiltin(in.Callee) {
+				return ir.BuiltinIsPure(in.Callee)
+			}
+			callee := m.Func(in.Callee)
+			return callee != nil && callee.HasAttr(ir.AttrReadNone)
+		}
+		return in.Op != ir.OpAlloca // allocas are removeDeadAllocas' to judge
+	}
 	for {
-		removed := 0
-		// Count uses once per round.
-		clear(used)
+		// Mark the used instructions once per round; only an instruction can
+		// be removed, so constants, globals and params are never looked up.
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				for _, op := range in.Ops {
-					used[op] = true
+					if d, ok := op.(*ir.Instr); ok {
+						used[d] = true
+					}
 				}
 			}
 		}
+		removed := 0
 		for _, b := range f.Blocks {
-			for i := len(b.Instrs) - 1; i >= 0; i-- {
-				in := b.Instrs[i]
-				if in.IsTerminator() || in.Op == ir.OpStore || used[in] {
-					continue
-				}
-				if in.Op == ir.OpCall {
-					pureCall := false
-					if ir.IsBuiltin(in.Callee) {
-						pureCall = ir.BuiltinIsPure(in.Callee)
-					} else if callee := m.Func(in.Callee); callee != nil {
-						pureCall = callee.HasAttr(ir.AttrReadNone)
-					}
-					if !pureCall {
-						continue
-					}
-				}
-				if in.Op == ir.OpAlloca {
-					continue // handled by removeDeadAllocas
-				}
-				b.RemoveAt(i)
-				removed++
-			}
+			removed += b.RemoveIf(dead)
 		}
 		total += removed
 		if removed == 0 || !fixpoint {
 			break
 		}
+		clear(used) // handed out empty, cleared again on release
 	}
 	return total
 }

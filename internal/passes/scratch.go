@@ -13,7 +13,6 @@ import (
 // same maps on every invocation. Maps are handed out empty and cleared on
 // release; the worklist is handed out at length zero with capacity retained.
 type scratch struct {
-	vset map[ir.Value]bool
 	iset map[*ir.Instr]bool
 	work []*ir.Instr
 	// runCSE's expression table and the log of keys added to it.
@@ -25,7 +24,6 @@ var scratchPool = sync.Pool{
 	New: func() any {
 		passPoolNews.Add(1)
 		return &scratch{
-			vset:  make(map[ir.Value]bool),
 			iset:  make(map[*ir.Instr]bool),
 			exprs: make(map[instrKey]*ir.Instr),
 		}
@@ -49,7 +47,6 @@ func getScratch() *scratch {
 }
 
 func putScratch(s *scratch) {
-	clear(s.vset)
 	clear(s.iset)
 	s.work = s.work[:0]
 	// runCSE leaves both empty, popped log entries zeroed, unless it panicked.
