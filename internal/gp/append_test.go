@@ -255,3 +255,29 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Fatal("clone shares the input slice with the original")
 	}
 }
+
+// Fit keeps the caller's rows but not its spare capacity: Append grows the
+// model's own array, and the slot after the caller's last row stays the
+// caller's (core's tuner appends its next observation there).
+func TestAppendLeavesCallersBackingArrayAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	X, Y := randHistory(rng, 12, 2)
+	back := make([][]float64, 12, 16)
+	copy(back, X)
+	opts := DefaultOptions()
+	opts.AdamSteps = 0
+	opts.Restarts = 1
+	g, err := Fit(back, Y, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Append([]float64{0.25, 0.75}, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	if got := back[:13][12]; got != nil {
+		t.Fatalf("Append wrote %v into the caller's backing array", got)
+	}
+	if len(g.X) != 13 {
+		t.Fatalf("model has %d rows after Append, want 13", len(g.X))
+	}
+}

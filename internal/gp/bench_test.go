@@ -116,16 +116,26 @@ func BenchmarkPredictBatch(b *testing.B) {
 }
 
 // BenchmarkGPFitAdam measures a full hyperparameter fit (gradient steps
-// included) serial vs parallel, exercising the sharded lmlGrad.
+// included): a small one serial vs parallel, exercising the sharded lmlGrad,
+// and one the size sha_long's last refits have (n = 150, d = 55, the default
+// 2 restarts x 60 steps on 2 workers) — the case whose time and allocation
+// count CI gates.
 func BenchmarkGPFitAdam(b *testing.B) {
-	const n, d = 128, 8
-	X, Y := benchData(n, d)
-	for _, workers := range []int{1, 8} {
-		b.Run("w"+itoa(workers), func(b *testing.B) {
+	for _, c := range []struct {
+		name           string
+		n, d           int
+		steps, workers int
+	}{
+		{"w1", 128, 8, 5, 1},
+		{"w8", 128, 8, 5, 8},
+		{"n150-d55-s60-w2", 150, 55, 60, 2},
+	} {
+		X, Y := benchData(c.n, c.d)
+		b.Run(c.name, func(b *testing.B) {
 			opts := DefaultOptions()
-			opts.AdamSteps = 5
+			opts.AdamSteps = c.steps
 			opts.Restarts = 2
-			opts.Workers = workers
+			opts.Workers = c.workers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -132,7 +132,9 @@ func Fit(X [][]float64, Y []float64, opts Options, rng *rand.Rand) (*GP, error) 
 
 	workers := opts.Workers
 	g := &GP{
-		Kind: opts.Kernel, X: X, y: ty, std: std, lambda: lambda, usedYJ: usedYJ,
+		// Capacity clipped: Append grows g.X into an array of its own, never
+		// into spare capacity of the caller's.
+		Kind: opts.Kernel, X: X[:n:n], y: ty, std: std, lambda: lambda, usedYJ: usedYJ,
 		rawY: append([]float64(nil), Y...), opts: opts, workers: workers,
 	}
 
@@ -176,10 +178,18 @@ func Fit(X [][]float64, Y []float64, opts Options, rng *rand.Rand) (*GP, error) 
 		ok  bool
 	}
 	outs := make([]restartOut, restarts)
+	// With at least one restart per worker every core already runs an Adam
+	// loop of its own; forking the kernels inside it again only adds
+	// goroutine wake-ups (DESIGN.md "Layer audit"). The bits do not depend on
+	// the worker count either way.
+	inner := workers
+	if restarts >= workers {
+		inner = 1
+	}
 	numeric.ParallelFor(workers, restarts, func(r int) {
 		sc := newGradScratch(n, d)
-		t := adamOptimize(g, inits[r], opts, sc, workers)
-		lml, ok := g.computeLML(t.ls, t.sigf, t.noise, workers)
+		t := adamOptimize(g, inits[r], opts, sc, inner)
+		lml, ok := g.computeLML(t.ls, t.sigf, t.noise, sc, inner)
 		outs[r] = restartOut{t: t, lml: lml, ok: ok}
 	})
 	// Scanning the results in restart order with a strict > makes the winner
@@ -197,7 +207,7 @@ func Fit(X [][]float64, Y []float64, opts Options, rng *rand.Rand) (*GP, error) 
 		// Fall back to defaults with inflated noise.
 		bestT = mkInit(0)
 		bestT.noise = opts.NoiseCeil
-		lml, ok := g.computeLML(bestT.ls, bestT.sigf, bestT.noise, workers)
+		lml, ok := g.computeLML(bestT.ls, bestT.sigf, bestT.noise, newGradScratch(n, d), workers)
 		if !ok {
 			return nil, errors.New("gp: covariance not positive definite")
 		}
@@ -233,29 +243,53 @@ func kernelVal(kind KernelKind, a, b, ls []float64, sigf float64) float64 {
 
 // kernelFromR2 evaluates the kernel given the scaled squared distance.
 func kernelFromR2(kind KernelKind, r2, sigf float64) float64 {
+	k, _ := kernelWithExp(kind, r2, sigf)
+	return k
+}
+
+// kernelWithExp is kernelFromR2 that also hands back the exponential factor
+// it multiplied in, which is the expensive half of the LML gradient's
+// per-pair work (lmlGrad reads it back instead of calling math.Exp again).
+func kernelWithExp(kind KernelKind, r2, sigf float64) (k, e float64) {
 	switch kind {
 	case RBF:
-		return sigf * math.Exp(-0.5*r2)
+		e = math.Exp(-0.5 * r2)
+		return sigf * e, e
 	default: // Matern52
 		r := math.Sqrt(r2)
 		s5r := math.Sqrt(5) * r
-		return sigf * (1 + s5r + 5.0/3.0*r2) * math.Exp(-s5r)
+		e = math.Exp(-s5r)
+		return sigf * (1 + s5r + 5.0/3.0*r2) * e, e
 	}
 }
 
-// scaleInputs divides every coordinate of the rows by the matching length
+// newScaledRows carves n rows of d floats out of one allocation, the shape
+// scaleInputsInto fills.
+func newScaledRows(n, d int) [][]float64 {
+	out := make([][]float64, n)
+	flat := make([]float64, n*d)
+	for i := range out {
+		out[i] = flat[i*d : (i+1)*d : (i+1)*d]
+	}
+	return out
+}
+
+// scaleInputsInto divides every coordinate of the rows by the matching length
 // scale, one division per element instead of one per pair in the kernel
-// loops downstream.
-func scaleInputs(rows [][]float64, ls []float64) [][]float64 {
-	out := make([][]float64, len(rows))
-	flat := make([]float64, len(rows)*len(ls))
+// loops downstream, into dst (len(rows) rows of len(ls) floats).
+func scaleInputsInto(dst, rows [][]float64, ls []float64) {
 	for i, x := range rows {
-		sx := flat[i*len(ls) : (i+1)*len(ls)]
+		sx := dst[i]
 		for dd := range sx {
 			sx[dd] = x[dd] / ls[dd]
 		}
-		out[i] = sx
 	}
+}
+
+// scaleInputs is scaleInputsInto on a fresh buffer.
+func scaleInputs(rows [][]float64, ls []float64) [][]float64 {
+	out := newScaledRows(len(rows), len(ls))
+	scaleInputsInto(out, rows, ls)
 	return out
 }
 
@@ -269,70 +303,86 @@ func scaledR2(sa, sb []float64) float64 {
 	return r2
 }
 
-// buildKInto fills K with the kernel matrix for the training inputs and, when
-// r2m is non-nil, stores the scaled squared distances of the lower triangle
-// so the gradient loop can reuse them instead of recomputing every pair.
-// Rows are processed in fixed-size shards: phase one computes the lower
-// triangle (each shard writes only its own rows), phase two mirrors it to the
-// upper triangle after a barrier. No shard ever reduces across another
-// shard's rows, so the result is bit-identical for every worker count.
-func (g *GP) buildKInto(K, r2m *numeric.Matrix, sx [][]float64, sigf, noise float64, workers int) {
+// scaledR2x4 is scaledR2 of sa against four points at once: four independent
+// chains, each adding its squares in the same ascending-dimension order, so
+// the loop is not bound by the latency of one addition.
+func scaledR2x4(sa, b0, b1, b2, b3 []float64) (r0, r1, r2, r3 float64) {
+	b0, b1, b2, b3 = b0[:len(sa)], b1[:len(sa)], b2[:len(sa)], b3[:len(sa)]
+	for dd, a := range sa {
+		d0, d1, d2, d3 := a-b0[dd], a-b1[dd], a-b2[dd], a-b3[dd]
+		r0 += d0 * d0
+		r1 += d1 * d1
+		r2 += d2 * d2
+		r3 += d3 * d3
+	}
+	return r0, r1, r2, r3
+}
+
+// buildKInto fills the lower triangle of K (diagonal included, plus noise)
+// with the kernel matrix for the training inputs; the strict upper triangle
+// is left alone, since every consumer — CholeskyInto and its jitter wrappers
+// — reads the lower one only. When r2m and em are non-nil it also stores each
+// pair's scaled squared distance and exponential factor there, so the
+// gradient loop reuses them instead of recomputing every pair. Rows are
+// processed in fixed-size shards and each shard writes only its own rows, so
+// the result is bit-identical for every worker count.
+func (g *GP) buildKInto(K, r2m, em *numeric.Matrix, sx [][]float64, sigf, noise float64, workers int) {
 	n := len(g.X)
 	kind := g.Kind
-	shards := numeric.NumShards(n)
-	numeric.ParallelFor(workers, shards, func(s int) {
+	numeric.ParallelFor(workers, numeric.NumShards(n), func(s int) {
 		lo, hi := numeric.ShardBounds(n, s)
 		for i := lo; i < hi; i++ {
 			sxi := sx[i]
-			ki := K.Row(i)
-			var r2row []float64
+			ki := K.Row(i)[:i+1]
+			var r2row, erow []float64
 			if r2m != nil {
-				r2row = r2m.Row(i)
+				r2row, erow = r2m.Row(i)[:i+1], em.Row(i)[:i+1]
 			}
-			for j := 0; j <= i; j++ {
-				r2 := scaledR2(sxi, sx[j])
-				ki[j] = kernelFromR2(kind, r2, sigf)
+			// Squared distances first, parked in K's row, then the kernel
+			// over the row.
+			j := 0
+			for ; j+3 <= i; j += 4 {
+				ki[j], ki[j+1], ki[j+2], ki[j+3] = scaledR2x4(sxi, sx[j], sx[j+1], sx[j+2], sx[j+3])
+			}
+			for ; j <= i; j++ {
+				ki[j] = scaledR2(sxi, sx[j])
+			}
+			for j, r2 := range ki {
+				k, e := kernelWithExp(kind, r2, sigf)
+				ki[j] = k
 				if r2row != nil {
-					r2row[j] = r2
+					r2row[j], erow[j] = r2, e
 				}
-			}
-		}
-	})
-	numeric.ParallelFor(workers, shards, func(s int) {
-		lo, hi := numeric.ShardBounds(n, s)
-		for i := lo; i < hi; i++ {
-			ki := K.Row(i)
-			for j := i + 1; j < n; j++ {
-				ki[j] = K.At(j, i)
 			}
 		}
 	})
 	K.AddDiag(noise)
 }
 
-// computeLML evaluates the log marginal likelihood.
-func (g *GP) computeLML(ls []float64, sigf, noise float64, workers int) (float64, bool) {
-	K := numeric.NewMatrix(len(g.X), len(g.X))
-	g.buildKInto(K, nil, scaleInputs(g.X, ls), sigf, noise, workers)
-	L, _, err := numeric.CholeskyWithJitter(K, 1e-10, 6)
-	if err != nil {
+// computeLML evaluates the log marginal likelihood on sc's buffers.
+func (g *GP) computeLML(ls []float64, sigf, noise float64, sc *gradScratch, workers int) (float64, bool) {
+	scaleInputsInto(sc.sx, g.X, ls)
+	g.buildKInto(sc.K, nil, nil, sc.sx, sigf, noise, workers)
+	if _, err := numeric.CholeskyWithJitterInto(sc.L, sc.K, 1e-10, 6); err != nil {
 		return 0, false
 	}
-	alpha := numeric.CholSolve(L, g.y)
+	numeric.CholSolveInto(sc.L, g.y, sc.alpha)
 	n := float64(len(g.y))
-	lml := -0.5*numeric.Dot(g.y, alpha) - 0.5*numeric.LogDetFromChol(L) - 0.5*n*math.Log(2*math.Pi)
+	lml := -0.5*numeric.Dot(g.y, sc.alpha) - 0.5*numeric.LogDetFromChol(sc.L) - 0.5*n*math.Log(2*math.Pi)
 	if math.IsNaN(lml) || math.IsInf(lml, 0) {
 		return 0, false
 	}
 	return lml, true
 }
 
-// gradScratch owns the buffers one lmlGrad evaluation needs. A scratch is
-// reused across the Adam steps of a single restart; each restart allocates
-// its own, so concurrent restarts never share buffers.
+// gradScratch owns the buffers one lmlGrad or computeLML evaluation needs. A
+// scratch is reused across the Adam steps of a single restart; each restart
+// allocates its own, so concurrent restarts never share buffers.
 type gradScratch struct {
-	K, R2   *numeric.Matrix // kernel matrix and shared squared distances
-	L, Kinv *numeric.Matrix
+	sx      [][]float64     // inputs divided by the step's length scales
+	K       *numeric.Matrix // kernel matrix, lower triangle
+	R2, E   *numeric.Matrix // per pair: scaled squared distance, exponential factor
+	L, Kinv *numeric.Matrix // factor; lower triangle of K⁻¹
 	alpha   []float64
 	partial [][]float64 // per-shard partial gradients, reduced in shard order
 	grad    []float64
@@ -340,8 +390,10 @@ type gradScratch struct {
 
 func newGradScratch(n, d int) *gradScratch {
 	sc := &gradScratch{
+		sx:      newScaledRows(n, d),
 		K:       numeric.NewMatrix(n, n),
 		R2:      numeric.NewMatrix(n, n),
+		E:       numeric.NewMatrix(n, n),
 		L:       numeric.NewMatrix(n, n),
 		Kinv:    numeric.NewMatrix(n, n),
 		alpha:   make([]float64, n),
@@ -356,25 +408,30 @@ func newGradScratch(n, d int) *gradScratch {
 
 // lmlGrad returns the LML and its gradient w.r.t. (log ls_d..., log sigf,
 // log noise). The returned slice aliases sc.grad and is valid until the next
-// call with the same scratch. The pair loop reuses the squared distances that
-// buildKInto already computed (sc.R2) instead of re-deriving them per pair,
-// and is sharded by rows with per-shard partial gradients that are reduced
-// in fixed shard order — bit-identical for every worker count.
+// call with the same scratch. The pair loop reuses the squared distances and
+// exponential factors that buildKInto already computed (sc.R2, sc.E) instead
+// of re-deriving them per pair, and is sharded by rows with per-shard partial
+// gradients that are reduced in fixed shard order — bit-identical for every
+// worker count.
 func (g *GP) lmlGrad(ls []float64, sigf, noise float64, sc *gradScratch, workers int) (float64, []float64, bool) {
 	n := len(g.X)
 	d := len(ls)
-	sx := scaleInputs(g.X, ls)
-	g.buildKInto(sc.K, sc.R2, sx, sigf, noise, workers)
+	sx := sc.sx
+	scaleInputsInto(sx, g.X, ls)
+	g.buildKInto(sc.K, sc.R2, sc.E, sx, sigf, noise, workers)
 	if _, err := numeric.CholeskyWithJitterInto(sc.L, sc.K, 1e-10, 6); err != nil {
 		return 0, nil, false
 	}
 	numeric.CholSolveInto(sc.L, g.y, sc.alpha)
-	// A = alpha alpha^T - K^{-1}; we need tr(A dK/dθ) terms. Compute Kinv
-	// once (n independent column solves, sharded across workers).
-	numeric.CholInverseInto(sc.L, sc.Kinv, workers)
 	alpha := sc.alpha
-
 	lml := -0.5*numeric.Dot(g.y, alpha) - 0.5*numeric.LogDetFromChol(sc.L) - 0.5*float64(n)*math.Log(2*math.Pi)
+	if math.IsNaN(lml) {
+		return 0, nil, false
+	}
+	// A = alpha alpha^T - K^{-1}; we need tr(A dK/dθ) terms over the lower
+	// triangle, so that is all of K^{-1} that gets computed.
+	numeric.CholInverseLowerInto(sc.L, sc.Kinv, workers)
+
 	sqrt5 := math.Sqrt(5)
 	kind := g.Kind
 	shards := numeric.NumShards(n)
@@ -383,41 +440,42 @@ func (g *GP) lmlGrad(ls []float64, sigf, noise float64, sc *gradScratch, workers
 		for c := range part {
 			part[c] = 0
 		}
+		pls := part[:d]
 		lo, hi := numeric.ShardBounds(n, s)
 		for i := lo; i < hi; i++ {
-			sxi := sx[i]
+			sxi := sx[i][:d]
 			ai := alpha[i]
-			r2row := sc.R2.Row(i)
-			kinvRow := sc.Kinv.Row(i)
-			for j := 0; j <= i; j++ {
+			r2row := sc.R2.Row(i)[:i+1]
+			erow := sc.E.Row(i)[:i+1]
+			kinvRow := sc.Kinv.Row(i)[:i+1]
+			for j, r2 := range r2row {
 				aij := ai*alpha[j] - kinvRow[j]
 				w := 1.0
 				if i != j {
 					w = 2.0 // symmetric off-diagonal contributes twice
 				}
-				r2 := r2row[j]
+				c := 0.5 * w * aij
+				e := erow[j]
 				var kval, dkdr2 float64
 				switch kind {
 				case RBF:
-					e := math.Exp(-0.5 * r2)
 					kval = sigf * e
 					dkdr2 = -0.5 * kval
 				default:
 					r := math.Sqrt(r2)
-					e := math.Exp(-sqrt5 * r)
 					kval = sigf * (1 + sqrt5*r + 5.0/3.0*r2) * e
 					// dk/dr2 = sigf * e * (-5/6)(1 + sqrt5 r)
 					dkdr2 = -sigf * e * (5.0 / 6.0) * (1 + sqrt5*r)
 				}
-				sxj := sx[j]
+				sxj := sx[j][:d]
 				// d r2 / d log ls_dd = -2 (dx_dd)^2
-				for dd := 0; dd < d; dd++ {
+				for dd := range pls {
 					dx := sxi[dd] - sxj[dd]
 					dK := dkdr2 * (-2 * dx * dx)
-					part[dd] += 0.5 * w * aij * dK
+					pls[dd] += c * dK
 				}
 				// d k / d log sigf = k
-				part[d] += 0.5 * w * aij * kval
+				part[d] += c * kval
 				if i == j {
 					// d K / d log noise = noise on the diagonal
 					part[d+1] += 0.5 * aij * noise
@@ -433,9 +491,6 @@ func (g *GP) lmlGrad(ls []float64, sigf, noise float64, sc *gradScratch, workers
 		for c := range grad {
 			grad[c] += sc.partial[s][c]
 		}
-	}
-	if math.IsNaN(lml) {
-		return 0, nil, false
 	}
 	return lml, grad, true
 }
@@ -495,7 +550,7 @@ func (g *GP) factorize() error {
 	n := len(g.X)
 	K := numeric.NewMatrix(n, n)
 	g.sx = scaleInputs(g.X, g.LS)
-	g.buildKInto(K, nil, g.sx, g.SigF, g.Noise, g.workers)
+	g.buildKInto(K, nil, nil, g.sx, g.SigF, g.Noise, g.workers)
 	L, added, err := numeric.CholeskyWithJitter(K, 1e-10, 8)
 	if err != nil {
 		return err

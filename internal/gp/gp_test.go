@@ -69,6 +69,7 @@ func TestLMLGradientMatchesFiniteDifference(t *testing.T) {
 		t.Fatal("grad failed")
 	}
 	_ = lml0
+	sc := newGradScratch(n, d)
 	h := 1e-5
 	check := func(idx int, perturb func(delta float64) (float64, bool)) {
 		up, ok1 := perturb(h)
@@ -86,14 +87,14 @@ func TestLMLGradientMatchesFiniteDifference(t *testing.T) {
 		check(dd, func(delta float64) (float64, bool) {
 			ls2 := append([]float64(nil), ls...)
 			ls2[dd] = math.Exp(math.Log(ls[dd]) + delta)
-			return g.computeLML(ls2, sigf, noise, 1)
+			return g.computeLML(ls2, sigf, noise, sc, 1)
 		})
 	}
 	check(d, func(delta float64) (float64, bool) {
-		return g.computeLML(ls, math.Exp(math.Log(sigf)+delta), noise, 1)
+		return g.computeLML(ls, math.Exp(math.Log(sigf)+delta), noise, sc, 1)
 	})
 	check(d+1, func(delta float64) (float64, bool) {
-		return g.computeLML(ls, sigf, math.Exp(math.Log(noise)+delta), 1)
+		return g.computeLML(ls, sigf, math.Exp(math.Log(noise)+delta), sc, 1)
 	})
 }
 

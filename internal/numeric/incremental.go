@@ -62,14 +62,19 @@ func SolveLowerInto(l *Matrix, b, x []float64) {
 
 // SolveUpperTInto solves Lᵀ·x = b given the lower-triangular factor L,
 // without allocating. x must have length n; x and b may be the same slice.
+// Row i of Lᵀ is column i of L, walked through the raw storage one stride at
+// a time in ascending k.
 func SolveUpperTInto(l *Matrix, b, x []float64) {
-	n := l.Rows
+	n, stride, data := l.Rows, l.Cols, l.Data
+	x = x[:n]
 	for i := n - 1; i >= 0; i-- {
 		sum := b[i]
-		for k := i + 1; k < n; k++ {
-			sum -= l.At(k, i) * x[k]
+		at := (i+1)*stride + i
+		for _, xk := range x[i+1:] {
+			sum -= data[at] * xk
+			at += stride
 		}
-		x[i] = sum / l.At(i, i)
+		x[i] = sum / data[i*stride+i]
 	}
 }
 
@@ -122,39 +127,61 @@ func SolveLowerBatch(l *Matrix, b *Matrix) {
 // subtractions kept sequential, so each column's arithmetic order matches
 // SolveLower exactly.
 func solveLowerBlock(l, b *Matrix, n, q int) {
-	var acc [ShardSpan]float64
+	var accBuf [ShardSpan]float64
+	acc := accBuf[:q]
 	for i := 0; i < n; i++ {
 		li := l.Row(i)
 		vi := b.Row(i)
-		for j := 0; j < q; j++ {
-			acc[j] = vi[j]
-		}
+		copy(acc, vi)
 		k := 0
 		for ; k+1 < i; k += 2 {
-			a1, a2 := li[k], li[k+1]
-			vk1, vk2 := b.Row(k), b.Row(k+1)
-			for j := 0; j < q; j++ {
-				t := acc[j] - a1*vk1[j]
-				acc[j] = t - a2*vk2[j]
-			}
+			subRowPair(acc, li[k], li[k+1], b.Row(k), b.Row(k+1))
 		}
 		if k < i {
-			a := li[k]
-			vk := b.Row(k)
-			for j := 0; j < q; j++ {
-				acc[j] -= a * vk[j]
-			}
+			subRow(acc, li[k], b.Row(k))
 		}
-		d := li[i]
-		for j := 0; j < q; j++ {
-			vi[j] = acc[j] / d
-		}
+		divRowInto(vi, acc, li[i])
+	}
+}
+
+// subRowPair subtracts a1·y1 and then a2·y2 from acc, element by element and
+// in that order: two steps of a triangular solve's k-loop for len(acc)
+// right-hand sides at once.
+func subRowPair(acc []float64, a1, a2 float64, y1, y2 []float64) {
+	y1, y2 = y1[:len(acc)], y2[:len(acc)]
+	for c := range acc {
+		t := acc[c] - a1*y1[c]
+		acc[c] = t - a2*y2[c]
+	}
+}
+
+// subRow is one such step.
+func subRow(acc []float64, a float64, y []float64) {
+	y = y[:len(acc)]
+	for c := range acc {
+		acc[c] -= a * y[c]
+	}
+}
+
+// divRowInto stores acc/d in dst.
+func divRowInto(dst, acc []float64, d float64) {
+	dst = dst[:len(acc)]
+	for c := range acc {
+		dst[c] = acc[c] / d
 	}
 }
 
 // CholeskyInto computes the lower-triangular factor of a into dst, reusing
 // dst's storage. Only a's lower triangle is read; dst must be n×n and must
 // not alias a. The strict upper triangle of dst is zeroed.
+//
+// Row i is filled four columns at a time: the k < j partial sums of columns
+// j..j+3 run as four independent chains through one pass over the row, so the
+// loop is not bound by the latency of a single subtraction, and the 4×4
+// triangular tail that couples them is finished in column order. Every chain
+// still subtracts in ascending k and divides once, so each entry is the value
+// the one-column-at-a-time loop produces, and row i still depends on rows < i
+// only (what CholUpdateAppend relies on).
 func CholeskyInto(dst, a *Matrix) error {
 	n := a.Rows
 	if a.Cols != n || dst.Rows != n || dst.Cols != n {
@@ -163,11 +190,32 @@ func CholeskyInto(dst, a *Matrix) error {
 	for i := 0; i < n; i++ {
 		li := dst.Row(i)
 		ai := a.Row(i)
-		for j := 0; j <= i; j++ {
+		j := 0
+		for ; j+3 < i; j += 4 {
+			l0, l1, l2, l3 := dst.Row(j)[:j+1], dst.Row(j + 1)[:j+2], dst.Row(j + 2)[:j+3], dst.Row(j + 3)[:j+4]
+			s0, s1, s2, s3 := ai[j], ai[j+1], ai[j+2], ai[j+3]
+			for k, v := range li[:j] {
+				s0 -= v * l0[k]
+				s1 -= v * l1[k]
+				s2 -= v * l2[k]
+				s3 -= v * l3[k]
+			}
+			v0 := s0 / l0[j]
+			s1 -= v0 * l1[j]
+			v1 := s1 / l1[j+1]
+			s2 -= v0 * l2[j]
+			s2 -= v1 * l2[j+1]
+			v2 := s2 / l2[j+2]
+			s3 -= v0 * l3[j]
+			s3 -= v1 * l3[j+1]
+			s3 -= v2 * l3[j+2]
+			li[j], li[j+1], li[j+2], li[j+3] = v0, v1, v2, s3/l3[j+3]
+		}
+		for ; j <= i; j++ {
 			sum := ai[j]
 			lj := dst.Row(j)
-			for k := 0; k < j; k++ {
-				sum -= li[k] * lj[k]
+			for k, v := range li[:j] {
+				sum -= v * lj[k]
 			}
 			if i == j {
 				if sum <= 0 || math.IsNaN(sum) {
@@ -202,28 +250,74 @@ func CholeskyWithJitterInto(dst, a *Matrix, jitter float64, maxTries int) (float
 	return added, ErrNotPositiveDefinite
 }
 
-// CholInverseInto fills inv with (L·Lᵀ)⁻¹ by solving one unit vector per
-// column. Columns are independent, so they are sharded across workers with
-// results bit-identical to CholSolveMatrix(l, I) for every worker count.
-func CholInverseInto(l *Matrix, inv *Matrix, workers int) {
+// CholInverseLowerInto fills the lower triangle of inv (row i, columns ≤ i)
+// with that of (L·Lᵀ)⁻¹; the strict upper triangle of inv is left undefined.
+// Column j of the inverse solves L·Lᵀ·x = e_j, and the triangle needs a
+// third of that solve's arithmetic: the forward solve starts at row j (above
+// it e_j is zero, and every skipped step is a subtraction of l·0), the
+// back-substitution stops at row j (rows above are the upper triangle). Each
+// retained entry therefore sees the same subtractions in the same ascending-k
+// order and the same division as CholSolveInto on e_j, which the tests keep
+// as the oracle, bit for bit.
+//
+// Columns are solved ShardSpan at a time, in place in their strip of inv, in
+// the i-k-j order of solveLowerBlock (stack accumulator, paired k-steps with
+// the two subtractions kept sequential). Strips are independent, so they are
+// sharded across workers with the same bits for every worker count.
+func CholInverseLowerInto(l *Matrix, inv *Matrix, workers int) {
 	n := l.Rows
-	if inv.Rows != n || inv.Cols != n {
-		panic("numeric: CholInverseInto shape mismatch")
+	if l.Cols != n || inv.Rows != n || inv.Cols != n {
+		panic("numeric: CholInverseLowerInto shape mismatch")
 	}
 	ParallelFor(workers, NumShards(n), func(s int) {
 		lo, hi := ShardBounds(n, s)
-		col := make([]float64, n)
-		for j := lo; j < hi; j++ {
-			for i := range col {
-				col[i] = 0
-			}
-			col[j] = 1
-			CholSolveInto(l, col, col)
-			for i := 0; i < n; i++ {
-				inv.Set(i, j, col[i])
-			}
-		}
+		cholInverseLowerStrip(l, inv, lo, hi)
 	})
+}
+
+// cholInverseLowerStrip solves columns lo..hi-1 of the inverse in place in
+// rows lo.. of inv.
+func cholInverseLowerStrip(l, inv *Matrix, lo, hi int) {
+	n := l.Rows
+	var accBuf [ShardSpan]float64
+	acc := accBuf[:hi-lo]
+
+	// Forward: rows lo.. of L·Y = [e_lo … e_hi-1].
+	for i := lo; i < n; i++ {
+		li := l.Row(i)
+		for c := range acc {
+			acc[c] = 0
+		}
+		if i < hi {
+			acc[i-lo] = 1
+		}
+		k := lo
+		for ; k+1 < i; k += 2 {
+			subRowPair(acc, li[k], li[k+1], inv.Data[k*n+lo:], inv.Data[(k+1)*n+lo:])
+		}
+		if k < i {
+			subRow(acc, li[k], inv.Data[k*n+lo:])
+		}
+		divRowInto(inv.Data[i*n+lo:], acc, li[i])
+	}
+
+	// Backward: Lᵀ·X = Y from the last row up to row lo; inside the diagonal
+	// block row i keeps columns lo..i only.
+	for i := n - 1; i >= lo; i-- {
+		if i < hi {
+			acc = acc[:i-lo+1]
+		}
+		xi := inv.Data[i*n+lo:]
+		copy(acc, xi)
+		k := i + 1
+		for ; k+1 < n; k += 2 {
+			subRowPair(acc, l.Data[k*n+i], l.Data[(k+1)*n+i], inv.Data[k*n+lo:], inv.Data[(k+1)*n+lo:])
+		}
+		if k < n {
+			subRow(acc, l.Data[k*n+i], inv.Data[k*n+lo:])
+		}
+		divRowInto(xi, acc, l.Data[i*n+i])
+	}
 }
 
 // MulInto computes out = a·b reusing out's storage (out must not alias a or

@@ -127,22 +127,6 @@ func CholSolve(l *Matrix, b []float64) []float64 {
 	return x
 }
 
-// CholSolveMatrix solves A·X = B column-by-column using the factor L.
-func CholSolveMatrix(l *Matrix, b *Matrix) *Matrix {
-	out := NewMatrix(b.Rows, b.Cols)
-	col := make([]float64, b.Rows)
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < b.Rows; i++ {
-			col[i] = b.At(i, j)
-		}
-		x := CholSolve(l, col)
-		for i := 0; i < b.Rows; i++ {
-			out.Set(i, j, x[i])
-		}
-	}
-	return out
-}
-
 // LogDetFromChol returns log|A| given the Cholesky factor L of A.
 func LogDetFromChol(l *Matrix) float64 {
 	sum := 0.0
