@@ -14,7 +14,7 @@ import (
 // block-order numbering Module.Clone left, so clone, fingerprint, verify and
 // link index it by Instr.ID without writing a word of it. The second half is
 // the -race check of "without writing": snapshots are verified lazily and
-// fingerprinted, cloned and linked from several workers at once.
+// compared, cloned and linked from several workers at once.
 func TestSharedBodiesStayDense(t *testing.T) {
 	ev, err := NewEvaluator(ByName("telecom_gsm"), ARM(), 3)
 	if err != nil {
@@ -77,6 +77,9 @@ func TestSharedBodiesStayDense(t *testing.T) {
 					t.Errorf("concurrent link: %v", err)
 				}
 				ir.MaterializeModule(c)
+				if !ir.StructurallyEqual(biggest, c) {
+					t.Error("a materialized copy differs from the snapshot it was cloned from")
+				}
 				if got := c.Fingerprint(); got != want {
 					t.Errorf("materialized copy fingerprints as %016x, want %016x", got, want)
 				}

@@ -27,8 +27,8 @@ import (
 // keeps a snapshot alive while any in-flight build still resumes from it).
 // Eviction is LRU, bounded both by entry count (CacheCap) and by an
 // approximate byte budget (SnapshotBudget, measured with Module.ApproxBytes);
-// consecutive snapshots with equal structural fingerprints share one module
-// instance, so runs of no-op passes cost no extra memory.
+// consecutive snapshots that are the same code (ir.StructurallyEqual) share
+// one module instance, so runs of no-op passes cost no extra memory.
 
 // DefaultSnapshotEvery is the snapshot stride: an intermediate module state
 // is retained after every stride-th pass (plus always the final state).
@@ -48,8 +48,8 @@ type snapKey struct {
 	depth   int
 }
 
-// snapEntry is an LRU-tracked snapshot. key, mod, stats, fp and fpOK are
-// immutable after insertion; readers clone them outside the evaluator lock.
+// snapEntry is an LRU-tracked snapshot. key, mod and stats are immutable
+// after insertion; readers clone them outside the evaluator lock.
 //
 // Interior snapshots are published unverified: resuming from one is correct
 // regardless (replay is deterministic from any state, and every build ends
@@ -60,15 +60,13 @@ type snapEntry struct {
 	key      snapKey
 	mod      *ir.Module
 	stats    passes.Stats
-	fp       uint64 // structural fingerprint of mod, when fpOK (computed opportunistically for dedup)
-	fpOK     bool
 	elem     *list.Element
 	verified bool  // final verification ran (eagerly for final states, lazily for interior)
 	verr     error // result of that verification
 }
 
 // modRef is the per-module byte accounting record behind snapBytes: entries
-// that share one module instance (fingerprint dedup, stride sharing) share
+// that share one module instance (equal consecutive snapshots) share
 // one record, so the budget charges each retained module exactly once. bytes
 // is computed once at first retain.
 type modRef struct {
@@ -165,18 +163,16 @@ type pendingSnap struct {
 	depth    int
 	mod      *ir.Module
 	stats    passes.Stats
-	fp       uint64
-	fpOK     bool
 	verified bool
 	// cloned marks snapshots that took a fresh COW clone of the working
-	// module (as opposed to sharing the previous snapshot's instance via
-	// fingerprint dedup); the COW counters are derived from it.
+	// module (as opposed to sharing the previous snapshot's instance because
+	// the two are equal); the COW counters are derived from it.
 	cloned bool
 }
 
 // statsSum totals all counters — a cheap change pre-filter: a span of passes
 // that bumped no counter is almost certainly a no-op span worth the price of
-// a fingerprint comparison (which then proves or refutes equality).
+// a structural comparison (which then proves or refutes equality).
 func statsSum(st passes.Stats) int {
 	s := 0
 	for _, v := range st {
@@ -189,7 +185,7 @@ func statsSum(st passes.Stats) int {
 // (nil = pristine, nothing applied yet), collecting snapshots at stride
 // boundaries, and verifies the final state once — exactly the verification
 // policy of a full ApplyObserved(..., verifyEach=false) build. The base's
-// module and fingerprint, when it has one, seed snapshot deduplication.
+// module, when there is one, is the first candidate for sharing.
 func (ev *Evaluator) runSuffix(c *ir.Module, plist []*passes.Pass, st passes.Stats, base *snapEntry) ([]pendingSnap, error) {
 	mgr := passes.NewManager()
 	if ev.prof != nil {
@@ -202,12 +198,10 @@ func (ev *Evaluator) runSuffix(c *ir.Module, plist []*passes.Pass, st passes.Sta
 	var snaps []pendingSnap
 	var (
 		prevMod *ir.Module
-		prevFp  uint64
-		prevOK  bool
 		from    int
 	)
 	if base != nil {
-		prevMod, prevFp, prevOK, from = base.mod, base.fp, base.fpOK, base.key.depth
+		prevMod, from = base.mod, base.key.depth
 	}
 	prevSum := statsSum(st)
 	total := len(plist)
@@ -218,28 +212,22 @@ func (ev *Evaluator) runSuffix(c *ir.Module, plist []*passes.Pass, st passes.Sta
 			continue
 		}
 		// Dedup check: a span that bumped no stats counter is almost always a
-		// no-op; prove it with a fingerprint comparison and share the module
-		// instance instead of cloning a duplicate. Spans that did change
-		// stats skip the (module-sized) fingerprint walk and clone directly.
+		// no-op; prove it by comparing the working module with the previous
+		// snapshot and share that instance instead of cloning a duplicate.
+		// Spans that did change stats skip the module-sized walk and clone
+		// directly. Either way c leaves the boundary fully renumbered: a
+		// true comparison walked every body, and Clone renumbers.
 		curSum := statsSum(st)
 		var snap *ir.Module
-		var fp uint64
-		var fpOK bool
-		if prevMod != nil && curSum == prevSum {
-			if !prevOK {
-				prevFp, prevOK = prevMod.Fingerprint(), true
-			}
-			fp, fpOK = c.Fingerprint(), true
-			if fp == prevFp {
-				snap = prevMod
-			}
+		if prevMod != nil && curSum == prevSum && ir.StructurallyEqual(prevMod, c) {
+			snap = prevMod
 		}
 		cloned := snap == nil
 		if cloned {
 			snap = c.Clone()
 		}
-		snaps = append(snaps, pendingSnap{depth: depth, mod: snap, stats: st.Clone(), fp: fp, fpOK: fpOK, verified: depth == total, cloned: cloned})
-		prevMod, prevFp, prevOK, prevSum = snap, fp, fpOK, curSum
+		snaps = append(snaps, pendingSnap{depth: depth, mod: snap, stats: st.Clone(), verified: depth == total, cloned: cloned})
+		prevMod, prevSum = snap, curSum
 	}
 	if err := ir.Verify(c); err != nil {
 		// Drop the final-state snapshot: an exact hit must never turn a
@@ -276,7 +264,7 @@ func (ev *Evaluator) insertSnapLocked(key snapKey, ps pendingSnap) {
 	if _, ok := ev.snaps[key]; ok {
 		return // a concurrent build of an overlapping sequence won the race
 	}
-	se := &snapEntry{key: key, mod: ps.mod, stats: ps.stats, fp: ps.fp, fpOK: ps.fpOK, verified: ps.verified}
+	se := &snapEntry{key: key, mod: ps.mod, stats: ps.stats, verified: ps.verified}
 	se.elem = ev.lru.PushFront(se)
 	ev.snaps[key] = se.elem
 	ev.retainSnapModLocked(se.mod)

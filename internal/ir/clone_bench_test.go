@@ -75,9 +75,11 @@ func BenchmarkModuleClone(b *testing.B) {
 	}
 }
 
-// BenchmarkFingerprint measures the structural hash the prefix cache takes of
-// the working module and of a snapshot at every no-op-looking stride boundary
-// (bench.runSuffix), on a module as -O3 left it.
+// BenchmarkFingerprint measures the structural hash of a module as -O3 left
+// it (optimized) against the comparison the prefix cache makes in its place
+// at every no-op-looking stride boundary (bench.runSuffix): equal compares
+// the module, COW-shared as a snapshot is, with its materialized clone, as
+// the working module is — equal all the way, so the walk reaches the end.
 func BenchmarkFingerprint(b *testing.B) {
 	b.Run("optimized", func(b *testing.B) {
 		m := benchModule(b, true)
@@ -85,6 +87,19 @@ func BenchmarkFingerprint(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			sinkFP = m.Fingerprint()
+		}
+	})
+	b.Run("equal", func(b *testing.B) {
+		m := benchModule(b, true)
+		c := m.Clone()
+		ir.MaterializeModule(c)
+		if !ir.StructurallyEqual(m, c) {
+			b.Fatal("a module differs from its materialized clone")
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkEq = ir.StructurallyEqual(m, c)
 		}
 	})
 }
@@ -107,4 +122,5 @@ func BenchmarkSnapshotHandout(b *testing.B) {
 var (
 	sink   *ir.Module
 	sinkFP uint64
+	sinkEq bool
 )

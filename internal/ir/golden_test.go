@@ -15,11 +15,15 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/fingerprints.jso
 
 // TestGoldenFingerprints pins the value of Module.Fingerprint for every
 // CBench / SPEC module, pristine and after -O3, on both datasets and both
-// platforms' vector widths. The prefix cache shares or clones a snapshot on
-// fingerprint equality and clone points decide slice capacities, so a change
-// of the hash function — not only a collision — moves tuning results. The
-// file was generated at 5d6e447, before Fingerprint indexed by Instr.ID;
-// regenerate it (-update) only with a deliberate re-baseline.
+// platforms' vector widths. Nothing on the tuning path hashes any more: the
+// prefix cache shares or clones a snapshot on ir.StructurallyEqual, so a new
+// hash function alone would move no tuning result. The fixture stays pinned
+// as the oracle of what the comparison sees: the two share the encoding, the
+// oracle tests hold the comparison to fingerprint equality, and a change of
+// the encoding would move clone points, which decide slice capacities and so
+// tuning results. The file was generated at 5d6e447, before Fingerprint
+// indexed by Instr.ID; regenerate it (-update) only with a deliberate
+// re-baseline.
 func TestGoldenFingerprints(t *testing.T) {
 	const path = "testdata/fingerprints.json"
 	got := map[string]string{}

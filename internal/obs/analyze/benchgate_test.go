@@ -57,7 +57,7 @@ func TestCommittedGatesHoldOnCapturedOutput(t *testing.T) {
 		}
 	}
 	if gates != 19 {
-		t.Errorf("%d gates, want the 8 thresholds left of those ci.yml enforced inline (the greedy planner's two guarded no benchmark workload), the 5 pass-scaling ratios, the 3 allocation counts of clone and fingerprint on a pass-touched module and of the CFG / dominator / loop analyses, the executions-per-measurement ratio, and the GP fit's two: the lower-triangle inverse against the column-solve one and the allocation count of the sha_long-sized fit", gates)
+		t.Errorf("%d gates, want the 8 thresholds left of those ci.yml enforced inline (the greedy planner's two guarded no benchmark workload), the 5 pass-scaling ratios, the 2 allocation counts of a clone of a pass-touched module and of the CFG / dominator / loop analyses, the fingerprint-over-comparison ratio, the executions-per-measurement ratio, and the GP fit's two: the lower-triangle inverse against the column-solve one and the allocation count of the sha_long-sized fit", gates)
 	}
 }
 
@@ -78,8 +78,11 @@ func TestBenchGateDocument(t *testing.T) {
 		t.Fatalf("allocs_per_op = %v", a)
 	}
 	doc, _ = gate(t, "ir-bench.txt", suites["ir-bench.txt"])
-	if ns := doc["ns_per_op"].(map[string]float64); ns["BenchmarkSnapshotHandout"] != 1217 {
+	if ns := doc["ns_per_op"].(map[string]float64); ns["BenchmarkSnapshotHandout"] != 1090 {
 		t.Fatalf("ns_per_op = %v", ns)
+	}
+	if got, want := doc["fingerprint_over_equal"].(float64), 52172.0/10093.0; got != want {
+		t.Fatalf("fingerprint_over_equal = %v, want %v", got, want)
 	}
 	// Without -benchmem there is no allocs table.
 	doc, _ = gate(t, "passes-bench.txt", suites["passes-bench.txt"])

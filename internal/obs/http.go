@@ -17,6 +17,17 @@ func (m *Metrics) Handler() http.Handler {
 	})
 }
 
+// Slow-client bounds of the metrics listener, the ones citroend and
+// citroenrunner set: a client that never finishes its request header, or
+// idles on a kept-alive connection, is dropped instead of holding a
+// connection and a goroutine. There is no write timeout, because
+// /debug/pprof/profile streams for its seconds parameter. Variables so a
+// test can shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // MetricsServer is the /metrics + /debug/pprof/ listener returned by Serve.
 // Callers own its lifecycle: Shutdown (graceful, in-flight scrapes finish)
 // or Close (immediate) must be called on exit so the listener and its
@@ -45,7 +56,7 @@ func Serve(addr string, m *Metrics) (*MetricsServer, error) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	ms := &MetricsServer{
-		srv:  &http.Server{Handler: mux},
+		srv:  &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout},
 		addr: ln.Addr().String(),
 	}
 	go ms.srv.Serve(ln)

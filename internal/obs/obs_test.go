@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"os"
 	"reflect"
@@ -355,6 +356,32 @@ func TestMultiSinkBaseSeq(t *testing.T) {
 	}
 	if b.BaseSeq() != 1 {
 		t.Fatalf("multi BaseSeq = %d, want 1", b.BaseSeq())
+	}
+}
+
+// A client that sends half a request line and stops is dropped once the
+// header timeout passes, instead of holding its connection forever.
+func TestServeDropsHalfSentHeader(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 100 * time.Millisecond
+	srv, err := Serve("127.0.0.1:0", NewMetrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /metrics HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	_, err = io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open after %v: the half-sent header is never timed out", time.Since(start).Round(time.Millisecond))
 	}
 }
 

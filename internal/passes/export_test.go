@@ -15,3 +15,14 @@ func SetUsesChecked(fn func(f *ir.Function, u *ir.Uses)) (restore func()) {
 	usesChecked = fn
 	return func() { usesChecked = prev }
 }
+
+// MergeKeysForTest renders mergefunc's key of every function of m, in order,
+// through one keyer, as one run of the pass renders them.
+func MergeKeysForTest(m *ir.Module) []string {
+	var k mergeKeyer
+	keys := make([]string, len(m.Funcs))
+	for i, f := range m.Funcs {
+		keys[i] = string(k.render(f))
+	}
+	return keys
+}

@@ -1,9 +1,7 @@
 package passes
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/ir"
 )
@@ -663,14 +661,16 @@ func stripDeadPrototypes(m *ir.Module) int {
 // with calls to a single representative and deletes the duplicates.
 func mergeFunctions(m *ir.Module) int {
 	n := 0
-	byPrint := map[string]*ir.Function{}
+	byKey := map[string]*ir.Function{}
+	sc := getScratch()
+	defer putScratch(sc)
 	var dead []string
 	for _, f := range m.Funcs {
 		if f.IsDecl || f.Name == "main" || !f.HasAttr(ir.AttrInternal) {
 			continue
 		}
-		fp := functionFingerprint(f)
-		if rep, ok := byPrint[fp]; ok {
+		key := sc.keys.render(f)
+		if rep, ok := byKey[string(key)]; ok {
 			// Retarget all calls f -> rep.
 			for _, g := range m.Funcs {
 				for _, b := range g.Blocks {
@@ -684,7 +684,7 @@ func mergeFunctions(m *ir.Module) int {
 			dead = append(dead, f.Name)
 			n++
 		} else {
-			byPrint[fp] = f
+			byKey[string(key)] = f
 		}
 	}
 	for _, name := range dead {
@@ -693,50 +693,100 @@ func mergeFunctions(m *ir.Module) int {
 	return n
 }
 
-// functionFingerprint renders a linkage-name-independent structural summary.
-func functionFingerprint(f *ir.Function) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%v(", f.RetTy)
-	for _, p := range f.Params {
-		fmt.Fprintf(&sb, "%v,", p.Ty)
+// mergeKeyer renders mergeFunctions' key, a linkage-name-independent
+// structural summary of a function: the signature, then per block its number
+// and per instruction its number, opcode, type, predicate, callee, operands
+// and targets. Parameters are numbered first, then instructions in block
+// order, blocks by position; an operand or target outside the function
+// reads as 0, and an object listed twice takes its last position. The buffer
+// and the numbering tables live in the pooled pass scratch, so they are
+// reused across functions and pass runs, and nothing is written to the IR
+// (Instr.ID may be stale mid-sequence).
+type mergeKeyer struct {
+	buf  []byte
+	ipos map[*ir.Instr]int // block-order position
+	bpos map[*ir.Block]int // position in f.Blocks
+}
+
+// render returns f's key in the keyer's buffer, valid until the next call.
+func (k *mergeKeyer) render(f *ir.Function) []byte {
+	if k.ipos == nil {
+		k.ipos, k.bpos = map[*ir.Instr]int{}, map[*ir.Block]int{}
 	}
-	sb.WriteString(")")
-	// Local numbering.
-	id := map[ir.Value]int{}
-	next := 0
-	for _, p := range f.Params {
-		id[p] = next
-		next++
-	}
-	bid := map[*ir.Block]int{}
+	clear(k.ipos)
+	clear(k.bpos)
+	n := 0
 	for i, b := range f.Blocks {
-		bid[b] = i
-	}
-	for _, b := range f.Blocks {
+		k.bpos[b] = i
 		for _, in := range b.Instrs {
-			id[in] = next
-			next++
+			k.ipos[in] = n
+			n++
 		}
 	}
-	for _, b := range f.Blocks {
-		fmt.Fprintf(&sb, "b%d:", bid[b])
-		for _, in := range b.Instrs {
-			fmt.Fprintf(&sb, "%d=%v/%v/%v/%s", id[in], in.Op, in.Ty, in.Pred, in.Callee)
+
+	np := len(f.Params)
+	b := append(k.buf[:0], f.RetTy.String()...)
+	b = append(b, '(')
+	for _, p := range f.Params {
+		b = append(b, p.Ty.String()...)
+		b = append(b, ',')
+	}
+	b = append(b, ')')
+	for _, blk := range f.Blocks {
+		b = append(b, 'b')
+		b = strconv.AppendInt(b, int64(k.bpos[blk]), 10)
+		b = append(b, ':')
+		for _, in := range blk.Instrs {
+			b = strconv.AppendInt(b, int64(np+k.ipos[in]), 10)
+			b = append(b, '=')
+			b = append(b, in.Op.String()...)
+			b = append(b, '/')
+			b = append(b, in.Ty.String()...)
+			b = append(b, '/')
+			b = append(b, in.Pred.String()...)
+			b = append(b, '/')
+			b = append(b, in.Callee...)
 			for _, op := range in.Ops {
 				switch t := op.(type) {
 				case *ir.Const:
-					fmt.Fprintf(&sb, " c%d:%g", t.I, t.F)
+					b = append(b, " c"...)
+					b = strconv.AppendInt(b, t.I, 10)
+					b = append(b, ':')
+					b = strconv.AppendFloat(b, t.F, 'g', -1, 64)
 				case *ir.Global:
-					fmt.Fprintf(&sb, " @%s", t.Name)
+					b = append(b, " @"...)
+					b = append(b, t.Name...)
 				default:
-					fmt.Fprintf(&sb, " v%d", id[op])
+					b = append(b, " v"...)
+					b = strconv.AppendInt(b, int64(k.valueNumber(f, op)), 10)
 				}
 			}
 			for _, tb := range in.Blocks {
-				fmt.Fprintf(&sb, " b%d", bid[tb])
+				b = append(b, " b"...)
+				b = strconv.AppendInt(b, int64(k.bpos[tb]), 10)
 			}
-			sb.WriteString(";")
+			b = append(b, ';')
 		}
 	}
-	return sb.String()
+	k.buf = b
+	return b
+}
+
+// valueNumber numbers an operand that is neither a constant nor a global:
+// a parameter of f by its position, an instruction of f after the
+// parameters, anything else 0.
+func (k *mergeKeyer) valueNumber(f *ir.Function, v ir.Value) int {
+	switch t := v.(type) {
+	case *ir.Instr:
+		if pos, ok := k.ipos[t]; ok {
+			return len(f.Params) + pos
+		}
+	case *ir.Param:
+		for i := len(f.Params) - 1; i >= 0; i-- {
+			if f.Params[i] == t {
+				return i
+			}
+		}
+	}
+	return 0
 }

@@ -18,6 +18,8 @@ type scratch struct {
 	// runCSE's expression table and the log of keys added to it.
 	exprs map[instrKey]*ir.Instr
 	added []instrKey
+	// mergefunc's key buffer and numbering tables.
+	keys mergeKeyer
 }
 
 var scratchPool = sync.Pool{
@@ -55,5 +57,7 @@ func putScratch(s *scratch) {
 	}
 	clear(s.added)
 	s.added = s.added[:0]
+	clear(s.keys.ipos) // the last key's tables; the pool must not keep IR alive
+	clear(s.keys.bpos)
 	scratchPool.Put(s)
 }
