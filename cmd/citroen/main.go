@@ -8,8 +8,6 @@
 //	citroen -bench telecom_gsm -budget 100 -platform arm
 //	citroen -bench 525.x264_r -budget 150 -adaptive=false
 //	citroen -bench telecom_gsm -budget 50 -trace-out trace.jsonl -pass-profile
-//	citroen -bench telecom_gsm -tuner greedy -budget 10
-//	citroen -bench telecom_gsm -budget 100 -seed-greedy
 //	citroen -bench telecom_gsm -budget 200 -metrics-addr localhost:9090
 //	citroen -trace-summary trace.jsonl
 package main
@@ -30,7 +28,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/passes"
-	"repro/internal/tuners"
 )
 
 func main() {
@@ -40,8 +37,6 @@ func main() {
 		budget   = flag.Int("budget", 100, "runtime measurements")
 		seed     = flag.Int64("seed", 1, "random seed")
 		platform = flag.String("platform", "arm", "arm or x86")
-		tuner    = flag.String("tuner", "citroen", "search method: citroen (BO) or greedy (statistics-connectivity planner)")
-		seedGr   = flag.Bool("seed-greedy", false, "seed CITROEN's candidate pool from the greedy planner")
 		adaptive = flag.Bool("adaptive", true, "adaptive multi-module budget allocation")
 		lambda   = flag.Int("lambda", 9, "candidate compilations per iteration")
 		workers  = flag.Int("workers", 0, "candidate-compilation workers (0 = GOMAXPROCS, 1 = serial)")
@@ -133,29 +128,8 @@ func main() {
 		fmt.Printf("Serving http://%s/metrics (pprof under /debug/pprof/)\n", srv.Addr())
 	}
 
-	if *tuner == "greedy" {
-		// Standalone statistics-connectivity greedy planner: probe, plan and
-		// measure without the BO machinery (microsecond-scale planning).
-		res, err := tuners.GreedyStats{}.Tune(ev.Task(), *budget, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nBest speedup over -O3: %.3fx (%s)\n", res.BestSpeedup, res.Name)
-		for mod, seq := range res.BestSeqs {
-			fmt.Printf("\nBest sequence for %s (%d passes):\n  %s\n", mod, len(seq), strings.Join(seq, ","))
-		}
-		fmt.Println("\nMetrics summary:")
-		metrics.WriteSummary(os.Stdout)
-		return
-	} else if *tuner != "citroen" {
-		fmt.Fprintf(os.Stderr, "unknown tuner %q (citroen or greedy)\n", *tuner)
-		os.Exit(1)
-	}
-
 	opts := core.DefaultOptions()
 	opts.Budget = *budget
-	opts.SeedGreedy = *seedGr
 	opts.Adaptive = *adaptive
 	opts.Lambda = *lambda
 	opts.Workers = *workers

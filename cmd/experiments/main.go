@@ -30,7 +30,6 @@ func main() {
 		benchCSV = flag.String("benchmarks", "", "comma-separated benchmark subset")
 		workers  = flag.Int("workers", 0, "candidate-compilation workers (0 = GOMAXPROCS, 1 = serial)")
 		scale    = flag.Float64("scale", 1, "problem-size scale for synthetic experiments")
-		seedGr   = flag.Bool("seed-greedy", false, "seed every CITROEN run from the statistics-connectivity greedy planner")
 		paper    = flag.Bool("paper", false, "use paper-scale defaults (budget 100, 3 repeats)")
 
 		traceOut    = flag.String("trace-out", "", "append every tuning run's event journal (JSONL) to this file")
@@ -64,7 +63,6 @@ func main() {
 	cfg.Platform = plat
 	cfg.Scale = *scale
 	cfg.Workers = *workers
-	cfg.SeedGreedy = *seedGr
 	if *benchCSV != "" {
 		cfg.Benchmarks = strings.Split(*benchCSV, ",")
 	}

@@ -113,7 +113,7 @@ func (t *Tuner) compileGroups(ctx context.Context, specs []CompileSpec, groups [
 
 // compileOne routes a single compilation through compileGroups (a one-spec
 // batch) and surfaces the outcome's error as a Go error for the serial call
-// sites (greedy probes, selected-candidate compiles).
+// site (selected-candidate compiles).
 func (t *Tuner) compileOne(module string, seq []string) (CompileOutcome, error) {
 	specs := []CompileSpec{{Module: module, Seq: seq}}
 	out := make([]CompileOutcome, 1)

@@ -15,7 +15,6 @@ import (
 	"repro/internal/heuristic"
 	"repro/internal/obs"
 	"repro/internal/passes"
-	"repro/internal/planner"
 )
 
 // Options configure the CITROEN tuner.
@@ -59,17 +58,6 @@ type Options struct {
 	// transfer. They cost no budget until selected. Every pass name must be
 	// in the vocabulary; Run rejects unknown names.
 	SeedSequences [][]string
-	// SeedGreedy seeds the candidate pool from the statistics-connectivity
-	// greedy planner (internal/planner): before the random-init phase, each
-	// hot module's O3 prefix statistics are probed (compile-only, no budget),
-	// folded into a pass-interaction graph, and the greedy connectivity plan
-	// is measured as the module's first candidate. The generators learn from
-	// the plan's outcome like any other measurement, so BO starts from
-	// statistics-informed sequences instead of purely random ones.
-	SeedGreedy bool
-	// GreedyDecay is the planner's per-hop attribution decay; ≤ 0 uses
-	// planner.DefaultDecay.
-	GreedyDecay float64
 	// Workers sizes the candidate-compilation pool: each iteration's
 	// Lambda × |hot modules| candidate compilations fan out across this many
 	// goroutines. 0 uses GOMAXPROCS; 1 is the documented serial mode. All
@@ -245,12 +233,10 @@ type Tuner struct {
 	mMeas0, mComp0 int64
 	mGPApp         *obs.Counter
 	gBest          *obs.Gauge
-	gEdges         *obs.Gauge
 	hGPFit         *obs.Histogram
 	hAcq           *obs.Histogram
 	hCompile       *obs.Histogram
 	hMeasure       *obs.Histogram
-	hPlan          *obs.Histogram
 }
 
 // NewTuner prepares a tuner.
@@ -284,12 +270,10 @@ func NewTuner(task Task, opts Options, seed int64) *Tuner {
 		mDup:     met.Counter("citroen_candidate_dups_total"),
 		mGPApp:   met.Counter("citroen_gp_append_total"),
 		gBest:    met.Gauge("citroen_incumbent_speedup"),
-		gEdges:   met.Gauge("citroen_planner_edges"),
 		hGPFit:   met.Histogram("citroen_gp_fit_seconds", obs.DurationBuckets),
 		hAcq:     met.Histogram("citroen_acq_maximize_seconds", obs.DurationBuckets),
 		hCompile: met.Histogram("citroen_candidate_compile_seconds", obs.DurationBuckets),
 		hMeasure: met.Histogram("citroen_measure_seconds", obs.DurationBuckets),
-		hPlan:    met.Histogram("citroen_greedy_plan_seconds", obs.DurationBuckets),
 	}
 	t.mMeas0, t.mComp0 = t.mMeas.Value(), t.mComp.Value()
 	if t.opts.GPOpts.Workers == 0 {
@@ -415,7 +399,6 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 			"hot_coverage": t.opts.HotCoverage, "adaptive": t.opts.Adaptive,
 			"init_random": t.opts.InitRandom, "refit_every": t.opts.RefitEvery,
 			"vocab_size": len(t.vocab), "seed_sequences": len(t.opts.SeedSequences),
-			"seed_greedy": t.opts.SeedGreedy,
 			"hot_modules": hot, "env_workers": t.opts.Workers,
 		})
 	}
@@ -499,15 +482,6 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 		used = n
-	}
-
-	// Statistics-connectivity seeding: probe, plan and measure each hot
-	// module's greedy plan before the random design, so the model and the
-	// generators start from statistics-informed sequences.
-	if t.opts.SeedGreedy {
-		if err := t.seedGreedyPlans(&used); err != nil {
-			return nil, err
-		}
 	}
 
 	// Cross-program transfer: measure the seed sequences first (they embody
@@ -601,57 +575,6 @@ func clampSeq(seq []int, sp heuristic.SeqSpace, rng *rand.Rand) []int {
 		out = append(out, rng.Intn(sp.Vocab))
 	}
 	return out
-}
-
-// seedGreedyPlans builds each hot module's pass-interaction graph from
-// compile-only O3 prefix probes (free: budget counts runtime measurements,
-// and under a prefix-snapshot cache each probe resumes from the previous
-// one), then measures the greedy connectivity plan as the module's first
-// candidate. Everything runs serially on the tuner goroutine in hot order —
-// probes, graph building and the measurement — so journals stay canonically
-// identical across worker counts. Failed plan measurements are penalised like
-// any other candidate; the incumbent only ever improves, so seeding cannot
-// worsen the outcome at equal budget.
-func (t *Tuner) seedGreedyPlans(used *int) error {
-	probe := planner.KnownSubset(passes.O3Sequence(), t.vocab)
-	for _, ms := range t.mods {
-		if *used >= t.opts.Budget || t.ctx.Err() != nil {
-			return nil
-		}
-		tp := time.Now()
-		probes := 0
-		var probeWall time.Duration
-		g, err := planner.BuildFromPrefixProbes(func(seq []string) (passes.Stats, error) {
-			probes++
-			out, err := t.compileOne(ms.name, seq)
-			probeWall += out.Wall
-			if err != nil {
-				return nil, err
-			}
-			return out.Stats, nil
-		}, probe, t.vocab, t.opts.GreedyDecay)
-		if err != nil {
-			return fmt.Errorf("core: greedy planner probe of %s: %w", ms.name, err)
-		}
-		plan := g.Plan(probe)
-		wall := time.Since(tp)
-		// The histogram isolates graph building + plan construction; the
-		// journal event's wall_ns covers the probes too.
-		t.hPlan.Observe((wall - probeWall).Seconds())
-		t.gEdges.Set(float64(g.Edges()))
-		t.rec.PlannerBuild(t.runSpan, ms.name, g.Nodes(), g.Edges(), probes, len(plan), wall)
-		idx, err := t.seqIndices(plan)
-		if err != nil {
-			return fmt.Errorf("core: greedy plan of %s: %w", ms.name, err)
-		}
-		if t.measureCandidate(ms, clampSeq(idx, t.space, t.rng), nil) {
-			*used++
-			if err := t.maybeCheckpoint(0, false); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // programFeatures concatenates per-module features with override for one

@@ -31,9 +31,6 @@ type Config struct {
 	// core.Options.Workers): 0 = GOMAXPROCS, 1 = serial. Results are
 	// identical for every value; only wall-clock changes.
 	Workers int
-	// SeedGreedy seeds every CITROEN run's candidate pool from the
-	// statistics-connectivity greedy planner (core.Options.SeedGreedy).
-	SeedGreedy bool
 	// Sink receives every tuning run's structured event journal (nil
 	// disables journaling; see internal/obs). Multi-run experiments append
 	// all runs to the same journal.
@@ -64,7 +61,6 @@ func (c Config) tunerOptions() core.Options {
 	o := core.DefaultOptions()
 	o.Budget = c.Budget
 	o.Workers = c.Workers
-	o.SeedGreedy = c.SeedGreedy
 	o.Sink = c.Sink
 	o.Metrics = c.Metrics
 	return o
@@ -113,8 +109,7 @@ func (c Config) benchSet(def []string) []*bench.Benchmark {
 	return out
 }
 
-// tunerSet returns the standard baseline portfolio of §5.4.4 plus the
-// statistics-connectivity greedy planner.
+// tunerSet returns the standard baseline portfolio of §5.4.4.
 func tunerSet() []tuners.Tuner {
 	return []tuners.Tuner{
 		tuners.Random{},
@@ -123,7 +118,6 @@ func tunerSet() []tuners.Tuner {
 		tuners.Anneal{},
 		tuners.Ensemble{},
 		tuners.BOCA{},
-		tuners.GreedyStats{},
 	}
 }
 

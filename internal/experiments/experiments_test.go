@@ -19,7 +19,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"tab5.1", "tab5.2", "tab5.3", "tab5.4", "tab5.5",
 		"fig5.1", "fig5.6", "fig5.7", "fig5.8", "fig5.9", "fig5.10",
-		"fig5.11", "fig5.12", "adaptive", "greedy",
+		"fig5.11", "fig5.12", "adaptive",
 		"fig4.3", "fig4.4", "fig4.5", "fig4.7", "fig4.15", "tab4.2",
 	}
 	for _, id := range want {
@@ -108,24 +108,6 @@ func TestCh4ExperimentsRun(t *testing.T) {
 		}
 		if !strings.Contains(buf.String(), "paper shape") && id != "tab4.2" && id != "fig4.3" {
 			t.Fatalf("%s missing output:\n%s", id, buf.String())
-		}
-	}
-}
-
-func TestGreedyExperimentRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	var buf bytes.Buffer
-	c := tinyConfig(&buf)
-	c.Budget = 8
-	if err := ByID("greedy").Run(c); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, col := range []string{"GreedyStats", "CITROEN+seed", "geo-mean"} {
-		if !strings.Contains(out, col) {
-			t.Fatalf("missing %q in output:\n%s", col, out)
 		}
 	}
 }

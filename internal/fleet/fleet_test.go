@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -376,6 +378,77 @@ func TestQuarantineAndLocalFallback(t *testing.T) {
 	}
 }
 
+// Two modules' batches of one job that both fall back to local execution run
+// at the same time on the one coordinator evaluator, with no serialisation of
+// their own (runner batches take lazyEvaluator.batchMu; the fallback takes
+// nothing). Their outcomes must equal a serial run's on a fresh evaluator,
+// bit for bit; CI repeats this under -race.
+func TestConcurrentLocalFallbacksMatchSerial(t *testing.T) {
+	const seed = 13
+	const benchName = "telecom_gsm"
+	// The broken runner answers no batch until both have reached it, so the
+	// two fallbacks start together.
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	broken := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived.Done()
+		arrived.Wait()
+		http.Error(w, "boom", http.StatusInternalServerError)
+	}))
+	defer broken.Close()
+	c := New(Options{HeartbeatTimeout: time.Minute, RetryBase: time.Millisecond, MaxAttempts: 1, QuarantineAfter: 100})
+	c.Register(broken.URL, 1)
+
+	cfg := JobConfig{Bench: benchName, Platform: "arm", Seed: seed, Feature: "stats"}
+	ev := newEval(t, benchName, seed)
+	if len(ev.Modules()) < 2 {
+		t.Fatalf("%s has %d modules, want two", benchName, len(ev.Modules()))
+	}
+	seqs := [][]string{
+		{"mem2reg", "instcombine", "slp-vectorizer"},
+		{"mem2reg", "instcombine", "loop-unroll", "gvn"},
+		{"sroa", "licm", "loop-sink", "simplifycfg"},
+		{"mem2reg", "instcombine"},
+	}
+	var specs []core.CompileSpec
+	var groups [][]int
+	for _, mod := range ev.Modules()[:2] {
+		// One group per module: the batch's specs run in order, each
+		// resuming from the snapshots the previous one left.
+		var g []int
+		for _, seq := range seqs {
+			g = append(g, len(specs))
+			specs = append(specs, core.CompileSpec{Module: mod, Seq: seq})
+		}
+		groups = append(groups, g)
+	}
+	out := make([]core.CompileOutcome, len(specs))
+	incs := c.Bind(cfg, ev, 2).CompileGroups(context.Background(), specs, groups, out)
+	fallbacks := 0
+	for _, in := range incs {
+		if in.Kind == "local-fallback" {
+			fallbacks++
+		}
+	}
+	if fallbacks != 2 {
+		t.Fatalf("incidents %v, want both modules' batches to fall back", incs)
+	}
+
+	ref := newEval(t, benchName, seed)
+	kind, _ := core.FeatureKindFromString(cfg.Feature)
+	for i, sp := range specs {
+		want := make([]core.CompileOutcome, 1)
+		if err := core.RunGroups(context.Background(), evalpool.New(1), ref.Task(), kind, []core.CompileSpec{sp}, [][]int{{0}}, want); err != nil {
+			t.Fatal(err)
+		}
+		got := out[i]
+		got.Wall, want[0].Wall = 0, 0
+		if !got.Ok || !reflect.DeepEqual(got, want[0]) {
+			t.Fatalf("spec %d (%s %v): concurrent fallback %+v, serial %+v", i, sp.Module, sp.Seq, got, want[0])
+		}
+	}
+}
+
 // With an empty registry the binding degrades to plain local execution:
 // no incidents, no fallback accounting — indistinguishable from a
 // single-process run.
@@ -486,6 +559,66 @@ func TestRunnerRefusesOversizedBatch(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized batch: HTTP %d, want 413", resp.StatusCode)
+	}
+}
+
+// A client that sends its headers and part of a batch is answered and
+// dropped once the body deadline passes, instead of holding a handler
+// goroutine forever.
+func TestRunnerDropsHalfSentBatch(t *testing.T) {
+	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
+	bodyReadTimeout = 100 * time.Millisecond
+	srv := httptest.NewServer((&RunnerServer{}).Handler())
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprint(conn, "POST /v1/batch HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{\"id\":")
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection still open after %v: the half-sent batch is never timed out (%v)",
+			time.Since(start).Round(time.Millisecond), err)
+	}
+}
+
+// The body deadline ends with the body: a handler that runs past it (a long
+// batch) keeps its request context. BoundBodies relies on net/http's
+// background read clearing the deadline when it starts, and sets none on a
+// request without a body (a GET of the events stream), whose background read
+// is already running.
+func TestBoundBodiesLiftsDeadlineAfterBody(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	srv := httptest.NewServer(BoundBodies(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		select {
+		case <-r.Context().Done():
+			httpError(w, http.StatusInternalServerError, "request context cancelled")
+		case <-time.After(4 * timeout):
+			w.Write(body)
+		}
+	}), 1<<10, timeout))
+	defer srv.Close()
+	for _, body := range []string{`{"ok":true}`, ""} {
+		method := http.MethodPost
+		if body == "" {
+			method = http.MethodGet
+		}
+		req, err := http.NewRequest(method, srv.URL, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || string(got) != body {
+			t.Fatalf("%s: HTTP %d %q, want 200 and the body echoed", method, resp.StatusCode, got)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -87,7 +88,47 @@ func (rs *RunnerServer) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintln(w, `{"ok":true}`)
 	})
-	return mux
+	return BoundBodies(mux, maxBatchBytes, bodyReadTimeout)
+}
+
+// bodyReadTimeout bounds how long the runner waits for a request body
+// (BoundBodies); a variable so tests can shorten it.
+var bodyReadTimeout = 30 * time.Second
+
+// BoundBodies wraps h so that every request body is read in full before h
+// runs: at most maxBytes (413 past that), within timeout of the request
+// reaching the handler (400 and a closed connection past that). citroend
+// and citroenrunner set only ReadHeaderTimeout — a server-wide ReadTimeout
+// would cut the /v1/jobs/{id}/events stream — so without it a client that
+// sends its headers and then dribbles the body holds a handler goroutine
+// forever, in the handler's decode or in the server's drain of an unread
+// body. The deadline cannot cancel a long batch's request context: once the
+// body is in, the only read left on the connection is net/http's background
+// read, which clears it when it starts. After a failed read it stays, and
+// the drain fails at once. A request without a body is passed through
+// untouched: its background read is already running, and a deadline set now
+// would cancel it, and with it the request context of an events stream.
+func BoundBodies(h http.Handler, maxBytes int64, timeout time.Duration) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Body == nil || r.Body == http.NoBody {
+			h.ServeHTTP(w, r)
+			return
+		}
+		// A writer that cannot set deadlines (a test recorder) reads without one.
+		_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(timeout))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBytes))
+		if err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpError(w, code, "request body: %v", err)
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		h.ServeHTTP(w, r)
+	})
 }
 
 // maxBatchBytes caps a batch request body and a batch result body. A batch is
@@ -98,13 +139,8 @@ const maxBatchBytes = 16 << 20
 
 func (rs *RunnerServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBytes)).Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, code, "bad batch request: %v", err)
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		httpError(w, http.StatusBadRequest, "bad batch request: %v", err)
 		return
 	}
 	for _, g := range req.Groups {

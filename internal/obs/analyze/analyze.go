@@ -41,15 +41,13 @@ const (
 	// PhaseAcq: acquisition maximisation, minus the compile time nested
 	// inside the candidate fan-out (same convention as Fig 5.12).
 	PhaseAcq Phase = "acquisition"
-	// PhasePlanner: statistics-connectivity planner probe+build+plan steps.
-	PhasePlanner Phase = "planner"
 	// PhaseOther: journalled run time not covered by any timed event
 	// (setup, feature extraction, bookkeeping between events).
 	PhaseOther Phase = "other"
 )
 
 // Phases lists every phase in report order.
-var Phases = []Phase{PhaseCompile, PhaseMeasure, PhaseGPFit, PhaseAcq, PhasePlanner, PhaseOther}
+var Phases = []Phase{PhaseCompile, PhaseMeasure, PhaseGPFit, PhaseAcq, PhaseOther}
 
 // Attribution is the shared event→phase state machine. It is deliberately
 // tiny: the serve endpoints, the offline report and the Prometheus
@@ -76,8 +74,6 @@ func (a *Attribution) Feed(e *obs.Event) (phase Phase, cpuNS int64, ok bool) {
 		return PhaseMeasure, wall, true
 	case "gp-fit":
 		return PhaseGPFit, wall, true
-	case "planner-build":
-		return PhasePlanner, wall, true
 	case "acq-max":
 		acq := wall - a.pendingCompileNS
 		a.pendingCompileNS = 0
@@ -447,7 +443,7 @@ func sweep(ivs []interval, first, last int64) (elapsed map[Phase]int64, critical
 		return !edges[i].open && edges[j].open
 	})
 	// prio: leaf phases beat the acquisition envelope that nests them.
-	prio := map[Phase]int{PhaseCompile: 4, PhaseMeasure: 4, PhaseGPFit: 4, PhasePlanner: 4, PhaseAcq: 1}
+	prio := map[Phase]int{PhaseCompile: 4, PhaseMeasure: 4, PhaseGPFit: 4, PhaseAcq: 1}
 	depth := map[Phase]int{}
 	best := func() (Phase, bool) {
 		var top Phase

@@ -57,7 +57,7 @@ func TestCommittedGatesHoldOnCapturedOutput(t *testing.T) {
 		}
 	}
 	if gates != 19 {
-		t.Errorf("%d gates, want the 8 thresholds left of those ci.yml enforced inline (the greedy planner's two guarded no benchmark workload), the 5 pass-scaling ratios, the 2 allocation counts of a clone of a pass-touched module and of the CFG / dominator / loop analyses, the fingerprint-over-comparison ratio, the executions-per-measurement ratio, and the GP fit's two: the lower-triangle inverse against the column-solve one and the allocation count of the sha_long-sized fit", gates)
+		t.Errorf("%d gates, want the 8 thresholds left of those ci.yml enforced inline, the 5 pass-scaling ratios, the 2 allocation counts of a clone of a pass-touched module and of the CFG / dominator / loop analyses, the fingerprint-over-comparison ratio, the executions-per-measurement ratio, and the GP fit's two: the lower-triangle inverse against the column-solve one and the allocation count of the sha_long-sized fit", gates)
 	}
 }
 

@@ -36,7 +36,7 @@ const tunerTID = 0
 // ChromeTrace converts a journal into a Chrome trace-event document. Each
 // run becomes one process (pid = run index + 1) with the tuner's serial
 // timeline on thread 0 — the run span, iteration spans, and the serial
-// measure/gp-fit/acq-max/planner-build slices — while compile events, which
+// measure/gp-fit/acq-max slices — while compile events, which
 // overlap under parallel workers, are packed into "compile lane" threads so
 // the fan-out width is visible. Incumbent improvements, checkpoints and
 // resumes render as instant events.
@@ -101,8 +101,6 @@ func emitSpanEvents(tr *Trace, pid int, base int64, sp *Span, compiles *[]interv
 			tr.slice(pid, tunerTID, name, string(PhaseGPFit), base, start, t, scrubArgs(e.Fields))
 		case "acq-max":
 			tr.slice(pid, tunerTID, "acquisition", string(PhaseAcq), base, start, t, scrubArgs(e.Fields))
-		case "planner-build":
-			tr.slice(pid, tunerTID, "planner "+fieldString(e.Fields, "module"), string(PhasePlanner), base, start, t, scrubArgs(e.Fields))
 		case "new-incumbent":
 			tr.instant(pid, tunerTID, "new incumbent", base, t, scrubArgs(e.Fields))
 		case "checkpoint":

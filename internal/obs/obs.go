@@ -404,22 +404,6 @@ func (r *Recorder) Stats(parent int64, set CounterSet) {
 	r.emit("stats", -1, parent, f)
 }
 
-// PlannerBuild records one statistics-connectivity planner construction: the
-// module probed, the interaction graph's active node and positive-weight edge
-// counts, how many compile-only prefix probes fed it, and the length of the
-// greedy plan it produced. wall covers the whole probe+build+plan step and is
-// stripped by canonical comparison like every _ns field.
-func (r *Recorder) PlannerBuild(parent int64, module string, nodes, edges, probes, planLen int, wall time.Duration) {
-	if r == nil {
-		return
-	}
-	r.emit("planner-build", -1, parent, map[string]any{
-		"module": module, "nodes": nodes, "edges": edges,
-		"probe_compiles": probes, "plan_len": planLen,
-		"wall_ns": wall.Nanoseconds(),
-	})
-}
-
 // NewIncumbent records a program-level best-speedup improvement. The final
 // new-incumbent event of a run matches Result.BestSpeedup.
 func (r *Recorder) NewIncumbent(parent int64, module string, measurement int, speedup float64) {

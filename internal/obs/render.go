@@ -98,12 +98,6 @@ var renderers = map[string]func(w io.Writer, e *Event){
 		}
 		fmt.Fprintln(w)
 	},
-	"planner-build": func(w io.Writer, e *Event) {
-		f := e.Fields
-		fmt.Fprintf(w, "  planner: module %-14s %d nodes, %d edges (%d probes) -> %d-pass plan\n",
-			f["module"], fieldInt(f, "nodes"), fieldInt(f, "edges"),
-			fieldInt(f, "probe_compiles"), fieldInt(f, "plan_len"))
-	},
 	"fleet-incident": func(w io.Writer, e *Event) {
 		f := e.Fields
 		fmt.Fprintf(w, "  fleet: %v runner %v module %v (attempt %d)\n",

@@ -19,7 +19,6 @@ func emitAll(r *Recorder) (emitterMethods int) {
 	r.AcqMax(iter, 9, "m", 0.5, false, 2, time.Millisecond)
 	r.Measure(iter, "m", 3, 1000, 1.2, 1.3, true, false, time.Millisecond)
 	r.Stats(iter, CounterSet{{Name: "cache_hits", Value: 4}, {Name: "machine_pool_gets", Value: 7, Env: true}})
-	r.PlannerBuild(run, "m", 30, 200, 5, 18, time.Millisecond)
 	r.FleetIncident(iter, "retry", "r1", "m", 2)
 	r.NewIncumbent(iter, "m", 3, 1.3)
 	r.Checkpoint(run, 3, 1.3)

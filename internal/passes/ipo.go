@@ -695,8 +695,9 @@ func mergeFunctions(m *ir.Module) int {
 
 // mergeKeyer renders mergeFunctions' key, a linkage-name-independent
 // structural summary of a function: the signature, then per block its number
-// and per instruction its number, opcode, type, predicate, callee, operands
-// and targets. Parameters are numbered first, then instructions in block
+// and per instruction its number, opcode, type, predicate, callee, alloca
+// element type and count, flags, operands (a constant with its type),
+// targets and switch cases. Parameters are numbered first, then instructions in block
 // order, blocks by position; an operand or target outside the function
 // reads as 0, and an object listed twice takes its last position. The buffer
 // and the numbering tables live in the pooled pass scratch, so they are
@@ -746,10 +747,18 @@ func (k *mergeKeyer) render(f *ir.Function) []byte {
 			b = append(b, in.Pred.String()...)
 			b = append(b, '/')
 			b = append(b, in.Callee...)
+			b = append(b, '/')
+			b = append(b, in.AllocTy.String()...)
+			b = append(b, '*')
+			b = strconv.AppendInt(b, int64(in.NAlloc), 10)
+			b = append(b, '/')
+			b = strconv.AppendUint(b, uint64(in.Flags), 10)
 			for _, op := range in.Ops {
 				switch t := op.(type) {
 				case *ir.Const:
 					b = append(b, " c"...)
+					b = append(b, t.Ty.String()...)
+					b = append(b, ':')
 					b = strconv.AppendInt(b, t.I, 10)
 					b = append(b, ':')
 					b = strconv.AppendFloat(b, t.F, 'g', -1, 64)
@@ -764,6 +773,10 @@ func (k *mergeKeyer) render(f *ir.Function) []byte {
 			for _, tb := range in.Blocks {
 				b = append(b, " b"...)
 				b = strconv.AppendInt(b, int64(k.bpos[tb]), 10)
+			}
+			for _, c := range in.Cases {
+				b = append(b, " k"...)
+				b = strconv.AppendInt(b, c, 10)
 			}
 			b = append(b, ';')
 		}

@@ -41,11 +41,11 @@ func fmtMergeKey(f *ir.Function) string {
 	for _, b := range f.Blocks {
 		fmt.Fprintf(&sb, "b%d:", bid[b])
 		for _, in := range b.Instrs {
-			fmt.Fprintf(&sb, "%d=%v/%v/%v/%s", id[in], in.Op, in.Ty, in.Pred, in.Callee)
+			fmt.Fprintf(&sb, "%d=%v/%v/%v/%s/%v*%d/%d", id[in], in.Op, in.Ty, in.Pred, in.Callee, in.AllocTy, in.NAlloc, in.Flags)
 			for _, op := range in.Ops {
 				switch t := op.(type) {
 				case *ir.Const:
-					fmt.Fprintf(&sb, " c%d:%g", t.I, t.F)
+					fmt.Fprintf(&sb, " c%v:%d:%g", t.Ty, t.I, t.F)
 				case *ir.Global:
 					fmt.Fprintf(&sb, " @%s", t.Name)
 				default:
@@ -54,6 +54,9 @@ func fmtMergeKey(f *ir.Function) string {
 			}
 			for _, tb := range in.Blocks {
 				fmt.Fprintf(&sb, " b%d", bid[tb])
+			}
+			for _, c := range in.Cases {
+				fmt.Fprintf(&sb, " k%d", c)
 			}
 			sb.WriteString(";")
 		}
@@ -85,9 +88,10 @@ func checkMergeKeys(t *testing.T, m *ir.Module, where string) (stale bool) {
 
 // craftedMergeModule builds functions whose keys reach every rendering the
 // fmt verbs had: float constants of every shape %g prints, vector and
-// unknown types, an unknown opcode and predicate, operands and targets
-// outside the function, a parameter of another function, a nil operand, and
-// an instruction and a block listed twice (numbered by their last position).
+// unknown types, an alloca with a count and a flag, switch cases, an unknown
+// opcode and predicate, operands and targets outside the function, a
+// parameter of another function, a nil operand, and an instruction and a
+// block listed twice (numbered by their last position).
 func craftedMergeModule() *ir.Module {
 	m := &ir.Module{Name: "crafted"}
 	bd := ir.NewBuilder(m)
@@ -106,6 +110,7 @@ func craftedMergeModule() *ir.Module {
 		bd.B.Append(&ir.Instr{Op: ir.OpICmp, Pred: ir.CmpPred(77), Ty: ir.I1T, Ops: []ir.Value{other.Blocks[0].Instrs[0], other.Params[1]}})
 		bd.B.Append(&ir.Instr{Op: ir.OpFCmp, Pred: ir.CmpSGE, Ty: ir.I1T, Ops: []ir.Value{f.Params[2], g}})
 		bd.Call("sim.out.f64", ir.VoidT, bd.Load(ir.F64T, bd.GEP(g, f.Params[0])))
+		bd.Alloca(ir.Vec(ir.F32, 4), 3).Flags |= ir.FlagWidened
 		loop, exit := bd.NewBlock("loop"), bd.NewBlock("exit")
 		bd.Jmp(loop)
 		bd.SetBlock(loop)
@@ -149,7 +154,8 @@ func TestMergeFuncKeyMatchesFmt(t *testing.T) {
 	m.Renumber()
 	checkMergeKeys(t, m, "crafted, renumbered")
 	if key := passes.MergeKeysForTest(m)[1]; !strings.Contains(key, "op(200)") || !strings.Contains(key, "pred?") ||
-		!strings.Contains(key, " v0") || !strings.Contains(key, "NaN") || !strings.Contains(key, "<8 x i16>") {
+		!strings.Contains(key, " v0") || !strings.Contains(key, "NaN") || !strings.Contains(key, "<8 x i16>") ||
+		!strings.Contains(key, "/<4 x f32>*3/") || !strings.Contains(key, " k2;") {
 		t.Fatalf("crafted key lacks a case it was built for: %q", key)
 	}
 

@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -282,6 +283,60 @@ func TestMergeFunc(t *testing.T) {
 	}
 	if len(m.Funcs) != 2 { // main + one surviving dup
 		t.Fatalf("duplicate not removed: %d funcs", len(m.Funcs))
+	}
+}
+
+// Regression: mergefunc's key left out switch case values, alloca element
+// counts and constant types, so it merged functions that differ only there,
+// and a call to the one it deleted ran the other's body.
+func TestMergeFuncKeepsFunctionsDifferingOutsideOldKey(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body func(bd *ir.Builder, f *ir.Function, variant int)
+	}{
+		{"switch cases", func(bd *ir.Builder, f *ir.Function, variant int) {
+			hit, miss := bd.NewBlock("hit"), bd.NewBlock("miss")
+			bd.Switch(f.Params[0], miss, []int64{int64(1 + variant)}, []*ir.Block{hit})
+			bd.SetBlock(hit)
+			bd.Ret(ir.ConstInt(ir.I64T, 10))
+			bd.SetBlock(miss)
+			bd.Ret(ir.ConstInt(ir.I64T, 20))
+		}},
+		{"alloca count", func(bd *ir.Builder, f *ir.Function, variant int) {
+			p := bd.Alloca(ir.I64T, 1+3*variant)
+			bd.Store(f.Params[0], p)
+			bd.Ret(bd.Load(ir.I64T, p))
+		}},
+		{"constant type", func(bd *ir.Builder, f *ir.Function, variant int) {
+			c := ir.ConstInt([]ir.Type{ir.I8T, ir.I32T}[variant], -1)
+			bd.Ret(bd.Bin(ir.OpAdd, f.Params[0], bd.Cast(ir.OpZExt, c, ir.I64T)))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := &ir.Module{Name: "mf", TargetVecWidth64: 2}
+			bd := ir.NewBuilder(m)
+			for v, name := range []string{"fnA", "fnB"} {
+				f := bd.NewFunction(name, ir.I64T, ir.I64T)
+				f.Attrs |= ir.AttrInternal
+				tc.body(bd, f, v)
+			}
+			bd.NewFunction("main", ir.VoidT)
+			bd.Call("sim.out.i64", ir.VoidT, bd.Call("fnA", ir.I64T, ir.ConstInt(ir.I64T, 1)))
+			bd.Call("sim.out.i64", ir.VoidT, bd.Call("fnB", ir.I64T, ir.ConstInt(ir.I64T, 1)))
+			bd.Ret(nil)
+
+			ref := runModule(t, m)
+			st := Stats{}
+			if err := Apply(m, []string{"mergefunc", "globaldce"}, st, true); err != nil {
+				t.Fatal(err)
+			}
+			if st["mergefunc.NumMerged"] != 0 || len(m.Funcs) != 3 {
+				t.Fatalf("functions merged: %v, %d funcs", st, len(m.Funcs))
+			}
+			if res := runModule(t, m); !reflect.DeepEqual(res.Output, ref.Output) {
+				t.Fatalf("output changed: %v -> %v", ref.Output, res.Output)
+			}
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 
 	"repro/internal/fleet"
@@ -19,7 +18,7 @@ func (s *Server) handleRunnerRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req fleet.RegisterRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, err)
 		return
 	}

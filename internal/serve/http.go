@@ -50,8 +50,16 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/runners/{id}/heartbeat", s.handleRunnerHeartbeat)
 	mux.HandleFunc("DELETE /v1/runners/{id}", s.handleRunnerDeregister)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
-	return mux
+	return fleet.BoundBodies(mux, maxBodyBytes, bodyReadTimeout)
 }
+
+// maxBodyBytes caps a request body; a job spec or a runner registration is
+// a few hundred bytes.
+const maxBodyBytes = 1 << 20
+
+// bodyReadTimeout bounds how long a handler waits for its request body
+// (fleet.BoundBodies); a variable so tests can shorten it.
+var bodyReadTimeout = 30 * time.Second
 
 func writeJSONResponse(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -80,7 +88,7 @@ func writeError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&spec); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
 		writeError(w, err)
 		return
 	}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -367,5 +370,44 @@ func TestDrainRejectsNewSubmissions(t *testing.T) {
 	}
 	if _, err := c.Submit(tinySpec(2)); err == nil {
 		t.Fatal("submit after drain must fail")
+	}
+}
+
+// A client that sends its headers and part of a body is answered and dropped
+// once the body deadline passes, on a route that decodes its body and on one
+// that never reads it (the server's drain of an unread body blocked too).
+func TestHandlerDropsHalfSentBody(t *testing.T) {
+	defer func(d time.Duration) { bodyReadTimeout = d }(bodyReadTimeout)
+	bodyReadTimeout = 100 * time.Millisecond
+	s, ts, _ := newTestServer(t, t.TempDir())
+	defer s.Drain(context.Background())
+	for _, target := range []string{"/v1/jobs", "/v1/runners/r1/heartbeat"} {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, "POST %s HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"bench\":", target)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		start := time.Now()
+		if _, err := io.ReadAll(conn); err != nil {
+			t.Fatalf("%s: connection still open after %v: the half-sent body is never timed out (%v)",
+				target, time.Since(start).Round(time.Millisecond), err)
+		}
+	}
+}
+
+// A body past the cap is refused with 413, not truncated into a JSON error.
+func TestSubmitRefusesOversizedBody(t *testing.T) {
+	s, ts, _ := newTestServer(t, t.TempDir())
+	defer s.Drain(context.Background())
+	body := `{"bench":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized job spec: HTTP %d, want 413", resp.StatusCode)
 	}
 }

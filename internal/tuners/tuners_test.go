@@ -98,7 +98,7 @@ func (c *costTask) BaselineTime() float64                { return c.base }
 func (c *costTask) HotModules(float64) ([]string, error) { return []string{"mod"}, nil }
 
 func allTuners() []Tuner {
-	return []Tuner{Random{}, GA{}, HillClimb{}, Anneal{}, Ensemble{}, BOCA{Pool: 20}, GreedyStats{}}
+	return []Tuner{Random{}, GA{}, HillClimb{}, Anneal{}, Ensemble{}, BOCA{Pool: 20}}
 }
 
 func TestAllTunersRespectBudgetAndTrace(t *testing.T) {
@@ -244,23 +244,6 @@ func TestMeasureMemoSkipsRepeatedConfigurations(t *testing.T) {
 	// The repeat still consumed budget and extended the trace.
 	if h.used != 2 || len(h.trace) != 2 {
 		t.Fatalf("used=%d trace=%d, want 2/2", h.used, len(h.trace))
-	}
-}
-
-// GreedyStats probes compile statistics before its first measurement; the
-// probes must be free (budget untouched) and the result at least as good as
-// the baseline for this smooth synthetic cost.
-func TestGreedyStatsPlanNotWorseThanBaseline(t *testing.T) {
-	task := newCostTask(t)
-	res, err := GreedyStats{}.Tune(task, 12, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trace) != 12 {
-		t.Fatalf("trace length %d, want the full budget", len(res.Trace))
-	}
-	if res.BestSpeedup < 0.999 {
-		t.Fatalf("greedy plan fell below baseline: %v", res.BestSpeedup)
 	}
 }
 
