@@ -14,9 +14,9 @@ import (
 	"math/rand"
 
 	"repro/internal/acq"
-	"repro/internal/evalpool"
 	"repro/internal/gp"
 	"repro/internal/heuristic"
+	"repro/internal/numeric"
 )
 
 // Strategy names an acquisition-maximiser initialisation source.
@@ -184,10 +184,10 @@ func Minimize(f func([]float64) float64, bounds heuristic.Bounds, budget int, op
 		}
 	}
 
-	pool := evalpool.New(opts.Workers)
+	workers := numeric.Workers(opts.Workers)
 	warm := opts.GPOpts
 	if warm.Workers == 0 {
-		warm.Workers = pool.Workers()
+		warm.Workers = workers
 	}
 	var model *gp.GP
 	for it := 0; budget-len(Y) > 0; it++ {
@@ -251,7 +251,7 @@ func Minimize(f func([]float64) float64, bounds heuristic.Bounds, budget int, op
 		// Every maximised restart joins the candidate pool (so the Fig 4.3
 		// selection-mode comparison sees the whole pool); per-strategy
 		// diagnostics track the best restart.
-		maxX, maxV := maximizeBatch(model, cfg, unitBox, starts, opts.GradSteps, opts.GradLR, pool)
+		maxX, maxV := maximizeBatch(model, cfg, unitBox, starts, opts.GradSteps, opts.GradLR, workers)
 		finals := make([]cand, len(starts))
 		for i := range starts {
 			finals[i] = cand{x: maxX[i], af: maxV[i], s: startStrat[i]}

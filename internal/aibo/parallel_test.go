@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/acq"
-	"repro/internal/evalpool"
 	"repro/internal/gp"
 	"repro/internal/heuristic"
 	"repro/internal/synth"
@@ -164,11 +163,10 @@ func BenchmarkAcqMaximize(b *testing.B) {
 	}
 	for _, w := range []int{1, 8} {
 		b.Run("w"+strconv.Itoa(w), func(b *testing.B) {
-			pool := evalpool.New(w)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				maximizeBatch(model, cfg, box, starts, 20, 0.03, pool)
+				maximizeBatch(model, cfg, box, starts, 20, 0.03, w)
 			}
 		})
 	}

@@ -6,9 +6,9 @@ import (
 	"math/rand"
 
 	"repro/internal/acq"
-	"repro/internal/evalpool"
 	"repro/internal/gp"
 	"repro/internal/heuristic"
+	"repro/internal/numeric"
 )
 
 // TuRBOOptions configure the trust-region BO baseline (§3.2.1): local BO in
@@ -83,7 +83,7 @@ func TuRBOMinimize(f func([]float64) float64, bounds heuristic.Bounds, budget in
 
 	gpo := opts.GPOpts
 	if gpo.Workers == 0 {
-		gpo.Workers = evalpool.New(opts.Workers).Workers()
+		gpo.Workers = numeric.Workers(opts.Workers)
 	}
 	length := opts.LenInit
 	succ, fail := 0, 0

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/evalpool"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/passes"
@@ -263,7 +262,7 @@ func TestCanonicalCountersWorkerIndependentUnderEviction(t *testing.T) {
 				groups = append(groups, g)
 			}
 			out := make([]core.CompileOutcome, len(specs))
-			if err := core.RunGroups(context.Background(), evalpool.New(workers), ev.Task(), core.FeatStats, specs, groups, out); err != nil {
+			if err := core.RunGroups(context.Background(), workers, ev.Task(), core.FeatStats, specs, groups, out); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -3,11 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime/pprof"
 	"sort"
 	"time"
 
-	"repro/internal/evalpool"
 	"repro/internal/ir"
+	"repro/internal/numeric"
 	"repro/internal/passes"
 )
 
@@ -50,7 +51,7 @@ type EvalIncident struct {
 // EvalBackend is optionally implemented by Tasks that decide for themselves
 // where candidate compilations execute (the fleet's JobBinding dispatches
 // them to remote runner processes). For any other Task the tuner calls
-// RunGroups on its own evalpool. Implementations must honour the grouping
+// RunGroups on its own workers. Implementations must honour the grouping
 // contract: indices inside one group run serially in order (prefix-siblings
 // resume from each other's snapshots), distinct groups may run concurrently,
 // and out[i] is written by exactly one executor.
@@ -78,37 +79,47 @@ func ExtractFeatures(kind FeatureKind, m *ir.Module, st passes.Stats, seq []stri
 }
 
 // RunGroups is the one loop that executes a grouped batch: every spec is
-// compiled through task and reduced to its feature map in place, serially
-// inside a group and across pool's workers between groups, each outcome
-// written to its own slot of out (same length as specs). The in-process
-// tuner, the fleet runner's batch handler and the coordinator's local
-// fallback all run batches through here, so they cannot disagree. A
-// cancelled ctx leaves unexecuted specs !Ok and is returned as the error.
-func RunGroups(ctx context.Context, pool *evalpool.Pool, task Task, feat FeatureKind, specs []CompileSpec, groups [][]int, out []CompileOutcome) error {
-	return pool.MapGroupsCtx(ctx, groups, func(i int) {
-		s := specs[i]
-		tc := time.Now()
-		m, st, err := task.CompileModule(ctx, s.Module, s.Seq)
-		out[i].Wall = time.Since(tc)
-		if err != nil {
-			out[i].Err = err.Error()
-			return
+// compiled through task and reduced to its feature map in place, serially in
+// order inside a group while distinct groups fan out over up to workers
+// goroutines (numeric.ParallelFor), each outcome written to its own slot of
+// out (same length as specs). The in-process tuner, the fleet runner's batch
+// handler and the coordinator's local fallback all run batches through here,
+// so they cannot disagree. ctx is checked before every spec: a cancelled ctx
+// leaves unexecuted specs !Ok and is returned as the error. Each compile runs
+// under the pprof labels phase=compile and module=<name>.
+func RunGroups(ctx context.Context, workers int, task Task, feat FeatureKind, specs []CompileSpec, groups [][]int, out []CompileOutcome) error {
+	numeric.ParallelFor(workers, len(groups), func(g int) {
+		for _, i := range groups[g] {
+			if ctx.Err() != nil {
+				return
+			}
+			s := specs[i]
+			pprof.Do(ctx, pprof.Labels("phase", "compile", "module", s.Module), func(ctx context.Context) {
+				tc := time.Now()
+				m, st, err := task.CompileModule(ctx, s.Module, s.Seq)
+				out[i].Wall = time.Since(tc)
+				if err != nil {
+					out[i].Err = err.Error()
+					return
+				}
+				out[i].Stats = st
+				out[i].Feature = ExtractFeatures(feat, m, st, s.Seq)
+				out[i].Ok = true
+			})
 		}
-		out[i].Stats = st
-		out[i].Feature = ExtractFeatures(feat, m, st, s.Seq)
-		out[i].Ok = true
 	})
+	return ctx.Err()
 }
 
 // compileGroups runs one fan-out where the Task says it runs (EvalBackend)
-// or on the tuner's own pool, journalling any dispatch incidents.
+// or on the tuner's own workers, journalling any dispatch incidents.
 func (t *Tuner) compileGroups(ctx context.Context, specs []CompileSpec, groups [][]int, out []CompileOutcome) {
 	if b, ok := t.task.(EvalBackend); ok {
 		t.journalIncidents(b.CompileGroups(ctx, specs, groups, out))
 		return
 	}
 	// A cancelled fan-out leaves slots !Ok; callers check their own context.
-	_ = RunGroups(ctx, t.pool, t.task, t.opts.Feature, specs, groups, out)
+	_ = RunGroups(ctx, t.workers, t.task, t.opts.Feature, specs, groups, out)
 }
 
 // compileOne routes a single compilation through compileGroups (a one-spec

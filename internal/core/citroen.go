@@ -6,13 +6,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/pprof"
 	"sort"
 	"time"
 
 	"repro/internal/acq"
-	"repro/internal/evalpool"
 	"repro/internal/gp"
 	"repro/internal/heuristic"
+	"repro/internal/numeric"
 	"repro/internal/obs"
 	"repro/internal/passes"
 )
@@ -58,7 +59,7 @@ type Options struct {
 	// transfer. They cost no budget until selected. Every pass name must be
 	// in the vocabulary; Run rejects unknown names.
 	SeedSequences [][]string
-	// Workers sizes the candidate-compilation pool: each iteration's
+	// Workers bounds the candidate-compilation fan-out: each iteration's
 	// Lambda × |hot modules| candidate compilations fan out across this many
 	// goroutines. 0 uses GOMAXPROCS; 1 is the documented serial mode. All
 	// candidate generation and RNG draws happen outside the parallel region,
@@ -74,8 +75,7 @@ type Options struct {
 	// nil disables journaling; the disabled path is allocation-free.
 	Sink obs.Sink
 	// Metrics is the registry fed by the tuner (measurement/compilation
-	// counters, phase-duration histograms, incumbent gauge) and by the
-	// evaluation pool (queue depth, worker utilisation). nil uses a
+	// counters, phase-duration histograms, incumbent gauge). nil uses a
 	// tuner-private registry, which still feeds Result.Breakdown.
 	Metrics *obs.Metrics
 	// Checkpoint, when non-nil, receives durable snapshots of the tuner's
@@ -185,12 +185,12 @@ type moduleState struct {
 
 // Tuner runs CITROEN on a Task.
 type Tuner struct {
-	task Task
-	opts Options
-	rng  *rand.Rand
-	pool *evalpool.Pool
-	seed int64
-	ctx  context.Context // run context; set by RunContext, nil before
+	task    Task
+	opts    Options
+	rng     *rand.Rand
+	workers int // Options.Workers resolved (0 → GOMAXPROCS)
+	seed    int64
+	ctx     context.Context // run context; set by RunContext, nil before
 
 	vocab   []string
 	vIndex  map[string]int
@@ -255,8 +255,8 @@ func NewTuner(task Task, opts Options, seed int64) *Tuner {
 	}
 	t := &Tuner{
 		task: task, opts: opts, rng: rand.New(rand.NewSource(seed)), seed: seed,
-		pool:  evalpool.New(opts.Workers),
-		vocab: vocab, vIndex: vi,
+		workers: numeric.Workers(opts.Workers),
+		vocab:   vocab, vIndex: vi,
 		space:   heuristic.SeqSpace{Vocab: len(vocab), MinLen: opts.SeqMin, MaxLen: opts.SeqMax},
 		fi:      NewFeatureIndex(),
 		seen:    map[string]bool{},
@@ -279,9 +279,8 @@ func NewTuner(task Task, opts Options, seed int64) *Tuner {
 	if t.opts.GPOpts.Workers == 0 {
 		// -workers drives the surrogate too: parallel fit restarts, sharded
 		// gradients and batched prediction, all bit-identical to serial.
-		t.opts.GPOpts.Workers = t.pool.Workers()
+		t.opts.GPOpts.Workers = t.workers
 	}
-	t.pool.Instrument(met)
 	return t
 }
 
@@ -525,8 +524,10 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 		}
 		iters = iter + 1
 		t.curSpan = t.rec.Iteration(t.runSpan, iter, used)
-		if err := t.fitModel(iter); err != nil {
-			return nil, err
+		var fitErr error
+		pprof.Do(t.ctx, pprof.Labels("phase", "gp-fit"), func(context.Context) { fitErr = t.fitModel(iter) })
+		if fitErr != nil {
+			return nil, fitErr
 		}
 		sel, selFeat, ok := t.proposeCandidate()
 		if !ok {
@@ -701,7 +702,7 @@ type candidate struct {
 	dup bool
 }
 
-// candJob is one candidate evaluation fanned out on the pool: the inputs are
+// candJob is one candidate evaluation fanned out by RunGroups: the inputs are
 // filled serially, the outputs by exactly one worker.
 type candJob struct {
 	ms      *moduleState
@@ -714,7 +715,7 @@ type candJob struct {
 // groupByPrefix partitions candidate-job indices so that same-module jobs
 // whose sequences share a long common prefix land in one group, ordered
 // lexicographically (shortest-divergence neighbours adjacent). Groups are
-// what MapGroupsCtx schedules: serial within, parallel across — compiling
+// what RunGroups schedules: serial within, parallel across — compiling
 // prefix-siblings back to back turns the evaluator's prefix-snapshot cache
 // misses into resumes.
 //
@@ -1002,7 +1003,11 @@ func (t *Tuner) measureCandidate(ms *moduleState, seq []int, knownFV map[string]
 	seqs := t.currentSequences()
 	seqs[ms.name] = t.seqStrings(seq)
 	tm := time.Now()
-	timeC, err := t.task.Measure(t.runCtx(), seqs)
+	var timeC float64
+	var err error
+	pprof.Do(t.runCtx(), pprof.Labels("phase", "measure"), func(ctx context.Context) {
+		timeC, err = t.task.Measure(ctx, seqs)
+	})
 	wall := time.Since(tm)
 	t.res.Breakdown.Measure += wall
 	t.hMeasure.Observe(wall.Seconds())

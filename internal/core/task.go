@@ -34,8 +34,8 @@ type Task interface {
 	Modules() []string
 	// CompileModule applies seq to a fresh copy of the module. nil seq means
 	// the -O3 baseline pipeline. No execution happens. The tuner calls this
-	// from its evaluation pool, so implementations must be safe for
-	// concurrent use unless the tuner runs with Options.Workers == 1.
+	// from up to Options.Workers goroutines, so implementations must be safe
+	// for concurrent use unless the tuner runs with Options.Workers == 1.
 	CompileModule(ctx context.Context, mod string, seq []string) (*ir.Module, passes.Stats, error)
 	// Measure builds the program with the given per-module sequences
 	// (missing entries = -O3), runs it with differential testing and returns

@@ -16,7 +16,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/evalpool"
+	"repro/internal/numeric"
 	"repro/internal/obs"
 )
 
@@ -353,11 +353,11 @@ func (c *Coordinator) postBatch(ctx context.Context, r *runnerState, req BatchRe
 // which is how the tuner finds where candidate compiles execute.
 type JobBinding struct {
 	*core.BenchTask
-	c    *Coordinator
-	cfg  JobConfig
-	ev   *bench.Evaluator
-	pool *evalpool.Pool // runs locally-executed fallback batches
-	feat core.FeatureKind
+	c       *Coordinator
+	cfg     JobConfig
+	ev      *bench.Evaluator
+	workers int // compile workers for locally-executed fallback batches
+	feat    core.FeatureKind
 
 	mu      sync.Mutex
 	agg     obs.CounterSet
@@ -365,12 +365,12 @@ type JobBinding struct {
 }
 
 // Bind scopes the coordinator to one job evaluating on ev. localWorkers is
-// the pool size used when a batch falls back to coordinator-local
-// execution (the job's -workers value, so fallback runs keep the
-// single-process group schedule).
+// the worker count used when a batch falls back to coordinator-local
+// execution (the job's -workers value, 0 meaning GOMAXPROCS, so fallback
+// runs keep the single-process group schedule).
 func (c *Coordinator) Bind(cfg JobConfig, ev *bench.Evaluator, localWorkers int) *JobBinding {
 	kind, _ := core.FeatureKindFromString(cfg.Feature)
-	b := &JobBinding{BenchTask: ev.Task().(*core.BenchTask), c: c, cfg: cfg, ev: ev, pool: evalpool.New(localWorkers), feat: kind}
+	b := &JobBinding{BenchTask: ev.Task().(*core.BenchTask), c: c, cfg: cfg, ev: ev, workers: numeric.Workers(localWorkers), feat: kind}
 	b.CountersFn = func() obs.CounterSet { return ev.Counters().Add(b.Delta()) }
 	return b
 }
@@ -419,8 +419,9 @@ type moduleBatch struct {
 
 // CompileGroups implements core.EvalBackend: it splits the fan-out into
 // per-module batches (groups never span modules), dispatches each to its
-// sticky runner concurrently, and stitches results back in spec order.
-// Specs a cancelled context left unexecuted keep Ok=false.
+// sticky runner concurrently, and stitches results back in spec order and
+// incidents in module order. Specs a cancelled context left unexecuted keep
+// Ok=false.
 func (b *JobBinding) CompileGroups(ctx context.Context, specs []core.CompileSpec, groups [][]int, out []core.CompileOutcome) []core.EvalIncident {
 	var order []string
 	batches := map[string]*moduleBatch{}
@@ -445,25 +446,18 @@ func (b *JobBinding) CompileGroups(ctx context.Context, specs []core.CompileSpec
 	}
 
 	incidents := b.takePending()
-	var (
-		wg  sync.WaitGroup
-		imu sync.Mutex
-	)
-	for _, mod := range order {
-		bt := batches[mod]
-		wg.Add(1)
-		go func(bt *moduleBatch) {
-			defer wg.Done()
-			outs, incs := b.runModuleBatch(ctx, bt)
-			imu.Lock()
-			incidents = append(incidents, incs...)
-			imu.Unlock()
-			for li, gi := range bt.idx {
-				out[gi] = outs[li]
-			}
-		}(bt)
+	batchIncs := make([][]core.EvalIncident, len(order))
+	numeric.ParallelFor(len(order), len(order), func(k int) {
+		bt := batches[order[k]]
+		outs, incs := b.runModuleBatch(ctx, bt)
+		batchIncs[k] = incs
+		for li, gi := range bt.idx {
+			out[gi] = outs[li]
+		}
+	})
+	for _, incs := range batchIncs {
+		incidents = append(incidents, incs...)
 	}
-	wg.Wait()
 	return incidents
 }
 
@@ -492,7 +486,7 @@ func (b *JobBinding) runModuleBatch(ctx context.Context, bt *moduleBatch) ([]cor
 		b.c.logf("fleet: batch for module %s running locally (attempts exhausted or no healthy runner)", bt.module)
 	}
 	// A cancelled batch leaves slots !Ok; the tuner checks its own context.
-	_ = core.RunGroups(ctx, b.pool, b.BenchTask, b.feat, bt.specs, bt.groups, outs)
+	_ = core.RunGroups(ctx, b.workers, b.BenchTask, b.feat, bt.specs, bt.groups, outs)
 	return outs, incidents
 }
 

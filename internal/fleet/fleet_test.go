@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/evalpool"
 	"repro/internal/obs"
 )
 
@@ -438,7 +437,7 @@ func TestConcurrentLocalFallbacksMatchSerial(t *testing.T) {
 	kind, _ := core.FeatureKindFromString(cfg.Feature)
 	for i, sp := range specs {
 		want := make([]core.CompileOutcome, 1)
-		if err := core.RunGroups(context.Background(), evalpool.New(1), ref.Task(), kind, []core.CompileSpec{sp}, [][]int{{0}}, want); err != nil {
+		if err := core.RunGroups(context.Background(), 1, ref.Task(), kind, []core.CompileSpec{sp}, [][]int{{0}}, want); err != nil {
 			t.Fatal(err)
 		}
 		got := out[i]
@@ -704,7 +703,7 @@ func TestOutcomesEqualLocalRunnerFallback(t *testing.T) {
 	}
 
 	local := make([]core.CompileOutcome, len(specs))
-	if err := core.RunGroups(context.Background(), evalpool.New(2), newEval(t, benchName, seed).Task(), core.FeatStats, specs, groups, local); err != nil {
+	if err := core.RunGroups(context.Background(), 2, newEval(t, benchName, seed).Task(), core.FeatStats, specs, groups, local); err != nil {
 		t.Fatal(err)
 	}
 	strip(local)

@@ -13,7 +13,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/evalpool"
+	"repro/internal/numeric"
 )
 
 // RunnerServer executes evaluation batches on behalf of a coordinator. It
@@ -174,7 +174,7 @@ func (rs *RunnerServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	res := BatchResult{ID: req.ID, Items: make([]core.CompileOutcome, len(req.Specs))}
 	le.batchMu.Lock()
 	before := le.ev.Counters().Owned()
-	err = core.RunGroups(r.Context(), evalpool.New(rs.Workers), le.ev.Task(), kind, req.Specs, req.Groups, res.Items)
+	err = core.RunGroups(r.Context(), numeric.Workers(rs.Workers), le.ev.Task(), kind, req.Specs, req.Groups, res.Items)
 	res.Delta = le.ev.Counters().Owned().Sub(before)
 	le.batchMu.Unlock()
 	if err != nil {

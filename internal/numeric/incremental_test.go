@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -237,8 +238,44 @@ func TestParallelForCoversAllShards(t *testing.T) {
 	}
 }
 
-// ParallelFor is the repository's one data-parallel fan-out (evalpool.Pool and
-// the evaluator's datasets run on it): a panic in one shard reaches the caller
+// No shards means no calls; a single shard runs once, with index 0, whatever
+// the worker count.
+func TestParallelForEmptyAndSingle(t *testing.T) {
+	ParallelFor(8, 0, func(int) { t.Fatal("fn called for 0 shards") })
+	ParallelFor(8, -1, func(int) { t.Fatal("fn called for negative shards") })
+	var got []int
+	ParallelFor(8, 1, func(s int) { got = append(got, s) })
+	if len(got) != 1 || got[0] != 0 {
+		t.Fatalf("single shard ran %v, want [0]", got)
+	}
+}
+
+// One worker runs inline in index order on the caller's goroutine.
+func TestParallelForSerialModeRunsInIndexOrder(t *testing.T) {
+	for _, c := range []struct{ workers, shards int }{{1, 5}, {0, 5}, {-2, 5}} {
+		var got []int
+		ParallelFor(c.workers, c.shards, func(s int) { got = append(got, s) })
+		if len(got) != c.shards {
+			t.Fatalf("%+v: ran %v", c, got)
+		}
+		for i, s := range got {
+			if s != i {
+				t.Fatalf("%+v: serial order broken: %v", c, got)
+			}
+		}
+	}
+}
+
+func TestWorkersResolvesZeroToGOMAXPROCS(t *testing.T) {
+	for n, want := range map[int]int{0: runtime.GOMAXPROCS(0), -3: runtime.GOMAXPROCS(0), 1: 1, 33: 33} {
+		if got := Workers(n); got != want {
+			t.Fatalf("Workers(%d) = %d, want %d", n, got, want)
+		}
+	}
+}
+
+// ParallelFor is the repository's one data-parallel fan-out (core.RunGroups
+// and the evaluator's datasets run on it): a panic in one shard reaches the caller
 // as the value it was raised with, after every worker has returned, and the
 // workers that did not panic finish the remaining shards.
 func TestParallelForPanicReachesCaller(t *testing.T) {

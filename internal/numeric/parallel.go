@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -38,11 +39,14 @@ func ShardBounds(n, s int) (lo, hi int) {
 // all boundaries from the problem size (ShardBounds), never from the worker
 // count, and results stay bit-identical for any workers value.
 //
-// This is the repository's one data-parallel loop (evalpool.Pool and the
-// evaluator's dataset fan-out run on it), and they rely on how it ends: it
-// returns only when every worker has, and a panic in fn — which ends the
-// worker it happened on, the others finishing the remaining shards — is
-// re-raised here with its value unchanged, the first one captured if several.
+// This is the repository's one data-parallel loop — the GP kernels, the
+// tuner's candidate compiles (core.RunGroups), the acquisition restarts, the
+// fleet's per-module batches and the evaluator's dataset fan-out all run on
+// it — and they rely on how it ends: it returns only when every worker has,
+// and a panic in fn — which ends the worker it happened on, the others
+// finishing the remaining shards — is re-raised here with its value
+// unchanged, the first one captured if several. Callers that stop early check
+// their context inside fn.
 func ParallelFor(workers, shards int, fn func(s int)) {
 	if shards <= 0 {
 		return
@@ -82,6 +86,15 @@ func ParallelFor(workers, shards int, fn func(s int)) {
 	if b := panicked.Load(); b != nil {
 		panic(b.val)
 	}
+}
+
+// Workers resolves a worker-count option: n <= 0 selects
+// runtime.GOMAXPROCS(0), any other value is returned unchanged.
+func Workers(n int) int {
+	if n <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return n
 }
 
 // GrowFloats returns s resized to length n, reusing its backing array when

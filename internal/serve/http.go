@@ -208,12 +208,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
-	n := len(s.jobs)
+	n, backlog := len(s.jobs), len(s.queue)
 	s.mu.Unlock()
 	writeJSONResponse(w, http.StatusOK, map[string]any{
 		"ok":       !draining,
 		"draining": draining,
 		"jobs":     n,
-		"backlog":  s.Backlog(),
+		"backlog":  backlog,
 	})
 }

@@ -164,6 +164,12 @@ func (j *job) finishLocked(st State, errMsg string, nowNS int64) {
 	j.status.FinishedNS = nowNS
 	j.cancel = nil
 	writeJSONAtomic(filepath.Join(j.dir, stateFile), &j.status)
+	j.releaseLocked()
+}
+
+// releaseLocked closes done unless it is closed already. Caller must hold
+// j.mu.
+func (j *job) releaseLocked() {
 	select {
 	case <-j.done:
 	default:

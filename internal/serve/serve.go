@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -28,7 +29,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/evalpool"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
@@ -38,8 +38,9 @@ import (
 type Config struct {
 	// Dir is the root of the per-job state directories.
 	Dir string
-	// QueueCap bounds the backlog of accepted-but-not-running jobs; a full
-	// queue rejects submissions (HTTP 503). Default 16.
+	// QueueCap bounds the backlog of queued (accepted, not yet running) jobs;
+	// a full queue rejects submissions (HTTP 503). A cancelled queued job
+	// frees its slot at once. Default 16.
 	QueueCap int
 	// Runners is the number of jobs tuned concurrently. Default 1: tuning
 	// runs are themselves internally parallel (JobSpec.Workers).
@@ -59,16 +60,18 @@ type Config struct {
 
 // Server owns the job queue and state directories.
 type Server struct {
-	cfg   Config
-	queue *evalpool.Queue
+	cfg Config
 
 	// baseCtx parents every job context; baseCancel is the drain switch.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu       sync.Mutex
+	mu       sync.Mutex // taken before a job's mu, never while holding one
 	jobs     map[string]*job
-	order    []string // submission order, for listing
+	order    []string       // submission order, for listing
+	queue    []*job         // queued jobs, FIFO; startLocked runs the head
+	running  int            // jobs started and not yet returned
+	runs     sync.WaitGroup // one per started job; Drain waits on it
 	nextID   int
 	draining bool
 
@@ -95,8 +98,8 @@ var jobWallBuckets = []float64{0.1, 0.5, 1, 5, 15, 60, 300, 900, 3600}
 // ErrDraining rejects submissions while the server shuts down.
 var ErrDraining = errors.New("serve: server is draining")
 
-// ErrQueueFull mirrors the queue's backpressure signal.
-var ErrQueueFull = evalpool.ErrQueueFull
+// ErrQueueFull rejects submissions while Config.QueueCap jobs are queued.
+var ErrQueueFull = errors.New("serve: queue full")
 
 // ErrUnknownJob is returned for ids the server has never seen.
 var ErrUnknownJob = errors.New("serve: unknown job")
@@ -127,7 +130,6 @@ func New(cfg Config) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		queue:      evalpool.NewQueue(cfg.Runners, cfg.QueueCap),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       map[string]*job{},
@@ -153,6 +155,9 @@ func New(cfg Config) (*Server, error) {
 		cancel()
 		return nil, err
 	}
+	s.mu.Lock()
+	s.startLocked()
+	s.mu.Unlock()
 	s.refreshGauges()
 	return s, nil
 }
@@ -166,6 +171,7 @@ func (s *Server) refreshGauges() {
 	for _, j := range s.jobs {
 		jobs = append(jobs, j)
 	}
+	backlog := len(s.queue)
 	s.mu.Unlock()
 	counts := map[State]int{}
 	for _, j := range jobs {
@@ -175,11 +181,12 @@ func (s *Server) refreshGauges() {
 		g.Set(float64(counts[st]))
 	}
 	s.gRunning.Set(float64(counts[StateRunning]))
-	s.gQueueDepth.Set(float64(s.queue.Backlog()))
+	s.gQueueDepth.Set(float64(backlog))
 }
 
 // recover loads persisted jobs and re-queues the unfinished ones in id
-// (submission) order, preserving FIFO across restarts.
+// (submission) order, preserving FIFO across restarts. QueueCap bounds new
+// submissions only: a recovered backlog is queued in full.
 func (s *Server) recover() error {
 	entries, err := os.ReadDir(s.cfg.Dir)
 	if err != nil {
@@ -192,7 +199,6 @@ func (s *Server) recover() error {
 		}
 	}
 	sort.Strings(names) // ids are zero-padded, so lexical == numeric order
-	var requeue []*job
 	for _, name := range names {
 		dir := filepath.Join(s.cfg.Dir, name)
 		var st JobStatus
@@ -214,40 +220,59 @@ func (s *Server) recover() error {
 			j.status.State = StateQueued
 			j.status.Error = ""
 			writeJSONAtomic(filepath.Join(dir, stateFile), &j.status)
-			requeue = append(requeue, j)
+			s.queue = append(s.queue, j)
 		default:
 			close(j.done) // terminal: nothing will ever touch it again
 		}
 		s.jobs[st.ID] = j
 		s.order = append(s.order, st.ID)
 	}
-	// Recovered backlogs may exceed the queue capacity; a background
-	// submitter preserves order and blocks on Submit until runners free
-	// capacity (or the server drains).
-	if len(requeue) > 0 {
-		go func() {
-			for _, j := range requeue {
-				j := j
-				if err := s.queue.Submit(s.baseCtx, func() { s.runJob(j) }); err != nil {
-					return // draining or closed; jobs stay queued on disk
-				}
-			}
-		}()
+	return nil
+}
+
+// admitLocked reports why a new job cannot be queued now, if it cannot.
+// Caller must hold s.mu.
+func (s *Server) admitLocked() error {
+	if s.draining {
+		return ErrDraining
+	}
+	if len(s.queue) >= s.cfg.QueueCap {
+		return ErrQueueFull
 	}
 	return nil
 }
 
+// startLocked starts queued jobs, head first, while fewer than Runners run.
+// A job leaves the queue and becomes running in one step, so the queue holds
+// exactly the jobs in state queued. Caller must hold s.mu.
+func (s *Server) startLocked() {
+	for !s.draining && s.running < s.cfg.Runners && len(s.queue) > 0 {
+		j := s.queue[0]
+		s.queue = slices.Delete(s.queue, 0, 1)
+		ctx, cancel := context.WithCancel(s.baseCtx)
+		j.mu.Lock()
+		j.cancel = cancel
+		j.status.State = StateRunning
+		j.status.StartedNS = time.Now().UnixNano()
+		writeJSONAtomic(filepath.Join(j.dir, stateFile), &j.status)
+		j.mu.Unlock()
+		s.running++
+		s.runs.Add(1)
+		go s.runJob(ctx, cancel, j)
+	}
+}
+
 // Submit accepts a new tuning job, persists it and enqueues it. Returns the
-// queued status, ErrDraining during shutdown, or ErrQueueFull when the
-// backlog is at capacity.
+// queued status, ErrDraining during shutdown, or ErrQueueFull when
+// Config.QueueCap jobs are queued.
 func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 	if err := spec.normalize(s.cfg.CheckpointEvery); err != nil {
 		return JobStatus{}, err
 	}
 	s.mu.Lock()
-	if s.draining {
+	if err := s.admitLocked(); err != nil {
 		s.mu.Unlock()
-		return JobStatus{}, ErrDraining
+		return JobStatus{}, err
 	}
 	id := fmt.Sprintf("%06d", s.nextID)
 	s.nextID++
@@ -273,7 +298,14 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	queued := j.snapshot() // before a runner can pick the job up and mark it running
-	if err := s.queue.TrySubmit(func() { s.runJob(j) }); err != nil {
+	s.mu.Lock()
+	err := s.admitLocked()
+	if err == nil {
+		s.queue = append(s.queue, j)
+		s.startLocked()
+	}
+	s.mu.Unlock()
+	if err != nil {
 		s.forget(id)
 		os.RemoveAll(dir)
 		return JobStatus{}, err
@@ -324,17 +356,21 @@ func (s *Server) lookup(id string) *job {
 	return s.jobs[id]
 }
 
-// Cancel stops a job: a queued job is marked cancelled immediately, a
-// running job's context is cancelled (the tuner stops between steps and
-// checkpoints). The returned channel closes when the job has fully stopped.
+// Cancel stops a job: a queued job leaves the queue and is marked cancelled
+// immediately, a running job's context is cancelled (the tuner stops between
+// steps and checkpoints). The returned channel closes when the job has fully
+// stopped.
 func (s *Server) Cancel(id string) (JobStatus, <-chan struct{}, error) {
-	j := s.lookup(id)
+	s.mu.Lock()
+	j := s.jobs[id]
 	if j == nil {
+		s.mu.Unlock()
 		return JobStatus{}, nil, ErrUnknownJob
 	}
 	j.mu.Lock()
 	switch j.status.State {
 	case StateQueued:
+		s.queue = slices.DeleteFunc(s.queue, func(q *job) bool { return q == j })
 		j.userCancel = true
 		j.finishLocked(StateCancelled, "", time.Now().UnixNano())
 		s.mCancelled.Inc()
@@ -346,40 +382,38 @@ func (s *Server) Cancel(id string) (JobStatus, <-chan struct{}, error) {
 	}
 	st := j.status
 	j.mu.Unlock()
+	s.mu.Unlock()
 	s.refreshGauges()
 	return st, j.done, nil
 }
 
-// runJob executes one tuning job on a queue runner goroutine.
-func (s *Server) runJob(j *job) {
-	j.mu.Lock()
-	if j.status.State != StateQueued {
-		// Cancelled while waiting in the queue.
-		j.mu.Unlock()
-		return
-	}
-	if s.baseCtx.Err() != nil {
-		// Drained before starting: stays queued on disk for the next process.
-		select {
-		case <-j.done:
-		default:
-			close(j.done)
+// runJob executes one tuning job on the goroutine startLocked gave it, then
+// hands its runner slot to the head of the queue. A job the drain stops
+// before it leaves setup is queued again, so Backlog keeps counting every
+// queued job; it stays queued on disk for the next process.
+func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job) {
+	defer func() {
+		cancel()
+		s.mu.Lock()
+		s.running--
+		if j.snapshot().State == StateQueued {
+			s.queue = append(s.queue, j)
 		}
-		j.mu.Unlock()
-		return
-	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	defer cancel()
-	j.cancel = cancel
-	j.status.State = StateRunning
-	j.status.StartedNS = time.Now().UnixNano()
-	writeJSONAtomic(filepath.Join(j.dir, stateFile), &j.status)
+		s.startLocked()
+		s.mu.Unlock()
+		s.refreshGauges()
+		s.runs.Done()
+	}()
+	j.mu.Lock()
 	spec := j.status.Spec
 	started := j.status.StartedNS
 	j.mu.Unlock()
-	s.refreshGauges()
 
-	res, runErr := s.tune(ctx, j, spec)
+	var res *core.Result
+	runErr := ctx.Err() // drained or cancelled before the evaluator is built
+	if runErr == nil {
+		res, runErr = s.tune(ctx, j, spec)
+	}
 
 	j.mu.Lock()
 	now := time.Now().UnixNano()
@@ -406,11 +440,6 @@ func (s *Server) runJob(j *job) {
 			j.status.StartedNS = 0
 			j.cancel = nil
 			writeJSONAtomic(filepath.Join(j.dir, stateFile), &j.status)
-			select {
-			case <-j.done:
-			default:
-				close(j.done)
-			}
 		}
 	default:
 		j.finishLocked(StateFailed, runErr.Error(), now)
@@ -421,7 +450,6 @@ func (s *Server) runJob(j *job) {
 	if final.terminal() && started > 0 {
 		s.hJobWall.Observe(float64(now-started) / 1e9)
 	}
-	s.refreshGauges()
 }
 
 // flushingSink forwards events to a JSONL sink and flushes after each one so
@@ -518,10 +546,12 @@ func (s *Server) persistResult(j *job, res *core.Result, interrupted bool) {
 	}
 }
 
-// Drain gracefully shuts the server down: new submissions are rejected,
-// every running job is cancelled (each takes a final checkpoint and is
-// marked interrupted for resume on restart), and queued jobs stay queued on
-// disk. Returns when all runners have stopped or ctx expires.
+// Drain gracefully shuts the server down: new submissions are rejected, no
+// queued job starts, and every running job is cancelled (each takes a final
+// checkpoint and is marked interrupted for resume on restart). Once the
+// running jobs have returned, the done channel of every job left queued is
+// closed; those jobs stay queued on disk. Returns when that has happened or
+// ctx expires.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -534,7 +564,15 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.baseCancel()
 	stopped := make(chan struct{})
 	go func() {
-		s.queue.Close()
+		s.runs.Wait()
+		s.mu.Lock()
+		left := slices.Clone(s.queue)
+		s.mu.Unlock()
+		for _, j := range left {
+			j.mu.Lock()
+			j.releaseLocked()
+			j.mu.Unlock()
+		}
 		close(stopped)
 	}()
 	select {
@@ -545,8 +583,12 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Backlog reports the number of queued-but-not-running jobs.
-func (s *Server) Backlog() int { return s.queue.Backlog() }
+// Backlog reports the number of queued (accepted, not yet running) jobs.
+func (s *Server) Backlog() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.queue)
+}
 
 // JournalPath returns the job's event journal file.
 func (s *Server) JournalPath(id string) (string, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -370,6 +371,9 @@ func TestDrainRejectsNewSubmissions(t *testing.T) {
 	}
 	if _, err := c.Submit(tinySpec(2)); err == nil {
 		t.Fatal("submit after drain must fail")
+	}
+	if _, err := s.Submit(tinySpec(2)); !errors.Is(err, ErrDraining) {
+		t.Fatalf("Submit after Drain: err = %v, want ErrDraining", err)
 	}
 }
 
