@@ -257,10 +257,9 @@ func PlatformByName(name string) (Platform, error) {
 	return Platform{}, fmt.Errorf("unknown platform %q (arm or x86)", name)
 }
 
-// DefaultCacheCap is the default snapshot-cache capacity (entries). A single
-// build now retains one snapshot per stride boundary rather than one entry
-// total, so the entry cap is a generous backstop — SnapshotBudget (bytes) is
-// the bound that matters for memory on long tuning runs.
+// DefaultCacheCap is the default compile-cache capacity (entries): a generous
+// backstop — SnapshotBudget (bytes) is the bound that matters for memory on
+// long tuning runs.
 const DefaultCacheCap = 4096
 
 // Evaluator compiles benchmark modules under pass sequences and measures the
@@ -279,17 +278,11 @@ type Evaluator struct {
 	Plat     Platform
 	Datasets int
 	Runs     int // noise samples per measurement (the image executes once)
-	// CacheCap bounds the snapshot cache's entry count: 0 means
-	// DefaultCacheCap, negative disables memoisation entirely (every compile
-	// re-runs the full pipeline, the pre-cache behaviour).
+	// CacheCap bounds the compile cache's entry count: 0 means
+	// DefaultCacheCap, negative retains and serves nothing (every compile
+	// that is not joining a concurrent identical one re-runs the pipeline).
 	CacheCap int
-	// SnapshotEvery is the prefix-snapshot stride in passes: intermediate
-	// module states are retained every SnapshotEvery passes so later
-	// candidates resume from their longest cached prefix. 0 means
-	// DefaultSnapshotEvery; negative keeps only final states (the old
-	// exact-sequence cache, useful as a benchmarking baseline).
-	SnapshotEvery int
-	// SnapshotBudget bounds the estimated bytes held by snapshots
+	// SnapshotBudget bounds the estimated bytes held by cached builds
 	// (Module.ApproxBytes). 0 means DefaultSnapshotBudget; negative is
 	// unbounded (entry cap still applies).
 	SnapshotBudget int64
@@ -307,31 +300,24 @@ type Evaluator struct {
 	hotFrac  map[string]float64
 	hotRan   bool
 
-	// Prefix-snapshot cache (see prefixcache.go): (dataset, module, prefix
-	// hash, depth) → immutable module state + stats. Guarded by mu together
-	// with flights and all counters below.
+	// Compile cache (see cache.go): (dataset, module, sequence hash) →
+	// immutable final state + stats. Guarded by mu together with flights and
+	// all counters below.
 	mu        sync.Mutex
-	snaps     map[snapKey]*list.Element
-	lru       *list.List // front = most recently used *snapEntry
-	flights   map[seqKey]*flight
+	cache     map[buildKey]*list.Element
+	lru       *list.List // front = most recently used *cacheEntry
+	flights   map[buildKey]*flight
 	cacheHits int
 	cacheMiss int
-	// modBytes refcounts the distinct module instances retained by snapshot
-	// entries so snapBytes charges shared instances exactly once (see
-	// modRef in prefixcache.go).
-	modBytes map[*ir.Module]*modRef
-	// COW clone accounting, derived from the hit/miss/snapshot structure:
-	// clones handed out sharing bodies, and the subset that materialized
-	// private bodies.
+	// COW clone accounting: clones handed out sharing bodies, and the
+	// subset that materialized private bodies.
 	cowShared       int
 	cowMaterialized int
 
-	// Prefix accounting: passes skipped by resuming from snapshots vs passes
-	// actually executed, current snapshot bytes, snapshots evicted.
-	prefixSaved    int
-	prefixReplayed int
-	snapBytes      int64
-	snapEvict      int
+	// Passes executed, estimated bytes currently cached, entries evicted.
+	replayed   int
+	cacheBytes int64
+	evictions  int
 
 	// Counters for Fig 5.12-style accounting. Compilations counts actual
 	// pass-pipeline executions (cache hits do not re-run pipelines).
@@ -354,23 +340,14 @@ type Evaluator struct {
 	bc0 machine.BcStats
 }
 
-// seqKey identifies one full (dataset, module, sequence) build; used to
-// deduplicate concurrent in-flight compilations.
-type seqKey struct {
-	dataset int
-	module  string
-	hash    uint64
-}
-
 // NewEvaluator builds the evaluator and its -O3 baseline.
 func NewEvaluator(b *Benchmark, plat Platform, seed int64) (*Evaluator, error) {
 	ev := &Evaluator{
 		Bench: b, Plat: plat, Datasets: 2, Runs: 3,
-		meas:     machine.NewMeasurement(machine.New(plat.Prof), plat.NoiseStd, seed),
-		snaps:    map[snapKey]*list.Element{},
-		lru:      list.New(),
-		flights:  map[seqKey]*flight{},
-		modBytes: map[*ir.Module]*modRef{},
+		meas:    machine.NewMeasurement(machine.New(plat.Prof), plat.NoiseStd, seed),
+		cache:   map[buildKey]*list.Element{},
+		lru:     list.New(),
+		flights: map[buildKey]*flight{},
 	}
 	for ds := 0; ds < ev.Datasets; ds++ {
 		mods := b.Build(ds, plat.Prof.VecWidth64)
@@ -401,14 +378,13 @@ func NewEvaluator(b *Benchmark, plat Platform, seed int64) (*Evaluator, error) {
 	}
 	ev.o3Time, ev.o3Stats = t, st
 	// The baseline build is setup, not search work: reset the accounting so
-	// counters reflect what the tuner spends. The O3-compiled modules (and
-	// their prefix snapshots) stay in the cache — every later measurement
-	// reuses them for unchanged modules, and candidates that extend or mutate
-	// the O3 pipeline resume from its snapshots.
+	// counters reflect what the tuner spends. The O3-compiled modules stay
+	// in the cache: every later measurement reuses them for unchanged
+	// modules.
 	ev.Compilations, ev.Measurements = 0, 0
 	ev.mu.Lock()
 	ev.cacheHits, ev.cacheMiss = 0, 0
-	ev.prefixSaved, ev.prefixReplayed, ev.snapEvict = 0, 0, 0
+	ev.replayed, ev.evictions = 0, 0
 	ev.cowShared, ev.cowMaterialized = 0, 0
 	ev.mu.Unlock()
 	// Snapshot the bytecode-engine counters accumulated by the baseline and
@@ -471,13 +447,13 @@ func (ev *Evaluator) CacheCounters() (hits, misses int) {
 // report name, its /metrics series (if any), and whether it is canonical — a
 // deterministic function of the evaluated workload, counted since the
 // evaluator was built (the baseline build does not count) — or an Env
-// observation that depends on scheduling: the evaluator's own snapshot and
+// observation that depends on scheduling: the evaluator's own cache-byte and
 // COW accounting, or the process-global pools. Everything downstream (stats
 // events, Result, reports, gauges, batch deltas) iterates this set, so adding
 // a counter is adding a row here.
 func (ev *Evaluator) Counters() obs.CounterSet {
 	hits, misses := ev.CacheCounters()
-	saved, replayed, snapBytes, evictions := ev.PrefixCounters()
+	_, replayed, cacheBytes, evictions := ev.PrefixCounters()
 	shared, materialized := ev.CowCounters()
 	bc := ev.BcCounters()
 	ev.mu.Lock()
@@ -490,9 +466,8 @@ func (ev *Evaluator) Counters() obs.CounterSet {
 	row := func(name string, v int64, series string) obs.CounterRow {
 		return obs.CounterRow{Name: name, Value: v, Series: series}
 	}
-	// Which snapshot a build resumes from, and so how many further snapshots
-	// it clones and which are evicted, depends on the order workers touched
-	// the LRU once the budget is full: the prefix_* and cow_* rows count this
+	// Which entries are evicted depends on the order workers touched the LRU
+	// once the budget is full: the prefix_* and cow_* rows count this
 	// evaluator's work but are not canonical.
 	sched := func(name string, v int64, series string) obs.CounterRow {
 		return obs.CounterRow{Name: name, Value: v, Env: true, Series: series}
@@ -508,9 +483,8 @@ func (ev *Evaluator) Counters() obs.CounterSet {
 		// tuner's candidate and budget counts, which are different numbers.
 		row("pipeline_runs", int64(pipelines), "bench_compilations_total"),
 		row("measured_builds", int64(builds), "bench_measurements_total"),
-		sched("prefix_saved_passes", int64(saved), "bench_prefix_saved_passes_total"),
 		sched("prefix_replayed_passes", int64(replayed), "bench_prefix_replayed_passes_total"),
-		sched("prefix_snapshot_bytes", snapBytes, "bench_prefix_snapshot_bytes"),
+		sched("prefix_snapshot_bytes", cacheBytes, "bench_prefix_snapshot_bytes"),
 		sched("prefix_evictions", int64(evictions), "bench_prefix_evictions_total"),
 		sched("cow_shared", int64(shared), ""),
 		sched("cow_materialized", int64(materialized), ""),

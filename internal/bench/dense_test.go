@@ -9,12 +9,12 @@ import (
 	"repro/internal/machine"
 )
 
-// TestSharedBodiesStayDense checks the invariant every reader of a snapshot
-// stands on: a body the prefix cache holds is COW-shared and carries the dense
-// block-order numbering Module.Clone left, so clone, fingerprint, verify and
-// link index it by Instr.ID without writing a word of it. The second half is
-// the -race check of "without writing": snapshots are verified lazily and
-// compared, cloned and linked from several workers at once.
+// TestSharedBodiesStayDense checks the invariant every reader of a cached
+// build stands on: a body the compile cache holds is COW-shared and carries
+// the dense block-order numbering Module.Clone left, so clone, fingerprint,
+// verify and link index it by Instr.ID without writing a word of it. The
+// second half is the -race check of "without writing": cached modules are
+// verified, compared, cloned and linked from several workers at once.
 func TestSharedBodiesStayDense(t *testing.T) {
 	ev, err := NewEvaluator(ByName("telecom_gsm"), ARM(), 3)
 	if err != nil {
@@ -28,12 +28,12 @@ func TestSharedBodiesStayDense(t *testing.T) {
 
 	ev.mu.Lock()
 	var mods []*ir.Module
-	for m := range ev.modBytes { // every module a snapshot entry retains, once
-		mods = append(mods, m)
+	for e := ev.lru.Front(); e != nil; e = e.Next() {
+		mods = append(mods, e.Value.(*cacheEntry).mod)
 	}
 	ev.mu.Unlock()
 	if len(mods) < 10 {
-		t.Fatalf("a Budget-8 run left only %d snapshot modules", len(mods))
+		t.Fatalf("a Budget-8 run left only %d cached modules", len(mods))
 	}
 	var biggest *ir.Module
 	for _, m := range mods {
@@ -45,7 +45,7 @@ func TestSharedBodiesStayDense(t *testing.T) {
 				continue
 			}
 			if !f.Shared() {
-				t.Fatalf("%s/%s: a snapshot body is not flagged shared", m.Name, f.Name)
+				t.Fatalf("%s/%s: a cached body is not flagged shared", m.Name, f.Name)
 			}
 			id := 0
 			for _, b := range f.Blocks {
@@ -59,7 +59,10 @@ func TestSharedBodiesStayDense(t *testing.T) {
 		}
 	}
 
-	want, valid := biggest.Fingerprint(), ir.Verify(biggest) == nil // an interior snapshot may be invalid IR
+	want := biggest.Fingerprint()
+	if err := ir.Verify(biggest); err != nil {
+		t.Fatalf("a cached build is invalid IR: %v", err)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -70,15 +73,15 @@ func TestSharedBodiesStayDense(t *testing.T) {
 				if got := c.Fingerprint(); got != want {
 					t.Errorf("concurrent fingerprint %016x, want %016x", got, want)
 				}
-				if err := ir.Verify(c); (err == nil) != valid {
-					t.Errorf("concurrent verify: %v, alone valid = %v", err, valid)
+				if err := ir.Verify(c); err != nil {
+					t.Errorf("concurrent verify: %v", err)
 				}
 				if _, err := machine.Link(c); err != nil {
 					t.Errorf("concurrent link: %v", err)
 				}
 				ir.MaterializeModule(c)
 				if !ir.StructurallyEqual(biggest, c) {
-					t.Error("a materialized copy differs from the snapshot it was cloned from")
+					t.Error("a materialized copy differs from the cached module it was cloned from")
 				}
 				if got := c.Fingerprint(); got != want {
 					t.Errorf("materialized copy fingerprints as %016x, want %016x", got, want)

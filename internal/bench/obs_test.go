@@ -135,7 +135,7 @@ func TestSetObsCountersAndHistogram(t *testing.T) {
 			t.Errorf("%s = %d on /metrics, %s = %d in the counter set", c.Series, got, c.Name, c.Value)
 		}
 	}
-	if published < 10 {
+	if published < 9 {
 		t.Fatalf("only %d owned rows name a series", published)
 	}
 	if bc := ev.BcCounters(); bc.LoweredFuncs == 0 || int64(met.Gauge("machine_bc_lowered_funcs").Value()) != bc.LoweredFuncs {

@@ -24,8 +24,9 @@ func stubPass(t *testing.T, run func(m *ir.Module, st passes.Stats)) string {
 }
 
 // danglingBranch points one branch of every defined function at a block that
-// is not in the function — what a buggy CFG pass leaves behind. Nothing fails
-// until the next COW materialization deep-copies the function.
+// is not in the function — what a buggy CFG pass leaves behind. A slab copy
+// of the function (COW materialization, the cache's compaction of a final
+// state) panics on it; the verifier reports it.
 func danglingBranch(m *ir.Module, _ passes.Stats) {
 	for _, f := range m.Funcs {
 		if f.IsDecl {
@@ -40,11 +41,11 @@ func danglingBranch(m *ir.Module, _ passes.Stats) {
 	}
 }
 
-// A candidate whose compile panics — inside a pass, or in the snapshot clone
-// that trips over the IR a pass broke — must come back as a rejected
-// candidate (an error carrying the panic text, for the leader and for
-// followers of the same flight), publish nothing, and leave the evaluator
-// and a tuning run over it working.
+// A candidate whose compile panics inside a pass, or whose final state is IR
+// the cache's compaction would panic on, must come back as a rejected
+// candidate (an error carrying the panic text or the verifier's, for the
+// leader and for followers of the same flight), cache nothing, and leave the
+// evaluator and a tuning run over it working.
 func TestPanickingCompileIsRejectedNotFatal(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -52,9 +53,9 @@ func TestPanickingCompileIsRejectedNotFatal(t *testing.T) {
 		stub      func(m *ir.Module, st passes.Stats)
 		want      string
 	}{
-		// Stride 1: the snapshot after the stub shares the broken bodies, and
-		// the next pass's materialization panics in ir's clone.
-		{"snapshot clone", func(ev *Evaluator) { ev.SnapshotEvery = 1 }, danglingBranch, "target block not in function"},
+		// The stub is the last pass: the final state's compaction would panic
+		// in ir's clone, so the verifier must see it first.
+		{"final compaction", func(*Evaluator) {}, danglingBranch, "IR invalid after sequence: ir: function"},
 		{"pass, uncached path", func(ev *Evaluator) { ev.CacheCap = -1 },
 			func(*ir.Module, passes.Stats) { panic("stub pass exploded") }, "stub pass exploded"},
 	}
@@ -65,7 +66,7 @@ func TestPanickingCompileIsRejectedNotFatal(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.configure(ev)
-			bad := []string{"mem2reg", stubPass(t, tc.stub), "instcombine", "simplifycfg"}
+			bad := []string{"mem2reg", "instcombine", "simplifycfg", stubPass(t, tc.stub)}
 			_, _, bytesBefore, _ := ev.PrefixCounters()
 
 			var wg sync.WaitGroup
@@ -84,7 +85,7 @@ func TestPanickingCompileIsRejectedNotFatal(t *testing.T) {
 				}
 			}
 			if _, _, bytesAfter, _ := ev.PrefixCounters(); bytesAfter != bytesBefore {
-				t.Fatalf("failed build published snapshots: %d -> %d bytes", bytesBefore, bytesAfter)
+				t.Fatalf("failed build was cached: %d -> %d bytes", bytesBefore, bytesAfter)
 			}
 			if _, _, err := ev.CompileModuleCtx(context.Background(), "bitcnt", []string{"mem2reg", "instcombine"}); err != nil {
 				t.Fatalf("evaluator unusable after a rejected candidate: %v", err)

@@ -52,9 +52,10 @@ type EvalIncident struct {
 // where candidate compilations execute (the fleet's JobBinding dispatches
 // them to remote runner processes). For any other Task the tuner calls
 // RunGroups on its own workers. Implementations must honour the grouping
-// contract: indices inside one group run serially in order (prefix-siblings
-// resume from each other's snapshots), distinct groups may run concurrently,
-// and out[i] is written by exactly one executor.
+// contract: indices inside one group run serially in order, distinct groups
+// may run concurrently, and out[i] is written by exactly one executor. The
+// tuner hands in singleton groups (no compile waits on another); the
+// contract stays for callers that want an order.
 type EvalBackend interface {
 	// CompileGroups executes every spec, writing outcomes into out (same
 	// length as specs) and returning any dispatch incidents. Cancellation is

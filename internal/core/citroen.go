@@ -712,64 +712,6 @@ type candJob struct {
 	compile time.Duration
 }
 
-// groupByPrefix partitions candidate-job indices so that same-module jobs
-// whose sequences share a long common prefix land in one group, ordered
-// lexicographically (shortest-divergence neighbours adjacent). Groups are
-// what RunGroups schedules: serial within, parallel across — compiling
-// prefix-siblings back to back turns the evaluator's prefix-snapshot cache
-// misses into resumes.
-//
-// Groups are never size-capped, and that is a determinism requirement, not
-// a simplification: sequences sharing a prefix form a contiguous interval in
-// lexicographic order, so uncapped greedy grouping puts every pair of jobs
-// sharing at least minShared passes into the same (serial) group. Distinct
-// groups then share fewer than minShared passes — below any snapshot stride —
-// so no job's cache outcome can depend on when another group ran, and the
-// evaluator's counters stay identical for every worker count. The serialised
-// work is exactly the work that resuming makes nearly free.
-func groupByPrefix(jobs []candJob, names [][]string) [][]int {
-	const minShared = 4 // below this, resuming saves too little to serialise
-	idx := make([]int, len(jobs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		a, b := idx[x], idx[y]
-		if jobs[a].ms != jobs[b].ms {
-			return jobs[a].ms.name < jobs[b].ms.name
-		}
-		na, nb := names[a], names[b]
-		for k := 0; k < len(na) && k < len(nb); k++ {
-			if na[k] != nb[k] {
-				return na[k] < nb[k]
-			}
-		}
-		return len(na) < len(nb)
-	})
-	var groups [][]int
-	for _, i := range idx {
-		if n := len(groups); n > 0 {
-			g := groups[n-1]
-			prev := g[len(g)-1]
-			if jobs[prev].ms == jobs[i].ms &&
-				sharedPrefixLen(names[prev], names[i]) >= minShared {
-				groups[n-1] = append(g, i)
-				continue
-			}
-		}
-		groups = append(groups, []int{i})
-	}
-	return groups
-}
-
-func sharedPrefixLen(a, b []string) int {
-	n := 0
-	for n < len(a) && n < len(b) && a[n] == b[n] {
-		n++
-	}
-	return n
-}
-
 // proposeCandidate generates, compiles and scores candidates for the target
 // modules and returns the acquisition argmax. Candidate compilation — the
 // expensive, embarrassingly parallel part — fans out across the evaluation
@@ -810,26 +752,23 @@ func (t *Tuner) proposeCandidate() (candidate, map[string]sparseVec, bool) {
 	}
 
 	// Phase 2 (parallel): compile and feature-extract all Lambda × |targets|
-	// candidates through the evaluation backend. Jobs are grouped by shared
-	// sequence prefix and each group runs serially in order, so the first
-	// build of a group publishes the prefix snapshots its siblings resume
-	// from (mutation-heavy generators emit many candidates differing only
-	// near the tail), while distinct groups still fan out — across the local
-	// pool, or across fleet runners (sticky per module, so each runner's
-	// cache evolves exactly like the single shared cache's restriction to
-	// its modules). Grouping is computed serially from submit-order data and
-	// every executor writes only its own submit-order slot, so the results
-	// stay independent of Options.Workers and of the fleet size. On
-	// cancellation unexecuted jobs stay !ok and are skipped by scoring.
+	// candidates through the evaluation backend, each job its own group: a
+	// build depends on nothing but its own sequence, so every compile fans
+	// out — across the local workers, or across fleet runners (sticky per
+	// module, so each runner's cache evolves exactly like the single shared
+	// cache's restriction to its modules). Every executor writes only its own
+	// submit-order slot, so the results stay independent of Options.Workers
+	// and of the fleet size. On cancellation unexecuted jobs stay !ok and
+	// are skipped by scoring.
 	ctx := t.runCtx()
-	names := make([][]string, len(jobs))
 	specs := make([]CompileSpec, len(jobs))
+	groups := make([][]int, len(jobs))
 	for i := range jobs {
-		names[i] = t.seqStrings(jobs[i].seq)
-		specs[i] = CompileSpec{Module: jobs[i].ms.name, Seq: names[i]}
+		specs[i] = CompileSpec{Module: jobs[i].ms.name, Seq: t.seqStrings(jobs[i].seq)}
+		groups[i] = []int{i}
 	}
 	outs := make([]CompileOutcome, len(jobs))
-	t.compileGroups(ctx, specs, groupByPrefix(jobs, names), outs)
+	t.compileGroups(ctx, specs, groups, outs)
 	for i := range jobs {
 		jobs[i].compile = outs[i].Wall
 		if outs[i].Ok {

@@ -412,8 +412,7 @@ func TestConcurrentLocalFallbacksMatchSerial(t *testing.T) {
 	var specs []core.CompileSpec
 	var groups [][]int
 	for _, mod := range ev.Modules()[:2] {
-		// One group per module: the batch's specs run in order, each
-		// resuming from the snapshots the previous one left.
+		// One group per module: the batch's specs run in order.
 		var g []int
 		for _, seq := range seqs {
 			g = append(g, len(specs))

@@ -191,6 +191,64 @@ func MaterializeModule(m *Module) bool {
 	return true
 }
 
+// TrimModule leaves m's function bodies in the shape a slab clone
+// (Clone + MaterializeModule) of m would give them, without copying a body:
+// every function renumbered, every parent pointer set, and every slice
+// cloneFunction re-slabs — Function.Blocks and Params, Block.Instrs, Instr.Ops
+// and Blocks — nil when empty and at cap == len otherwise, except that, as in
+// the clone, an empty block of a function that has instructions gets an
+// empty, non-nil Instrs. Cases is re-copied exactly as the clone copies it. A slice already in that shape is kept as it is. Globals and the
+// Funcs / Globals slices are not touched: materialization keeps those in
+// place too.
+//
+// The shape matters because passes append to these slices while ranging over
+// them; a pass's result can depend on whether an append reallocates (DESIGN.md
+// "Compilation caching"). Must not be called on a module with shared bodies.
+func TrimModule(m *Module) {
+	for _, f := range m.Funcs {
+		if f.isShared() {
+			panic("ir: TrimModule on a COW-shared module")
+		}
+		trimFunction(f)
+	}
+}
+
+func trimFunction(f *Function) {
+	f.Params = trimmed(f.Params)
+	f.Blocks = trimmed(f.Blocks)
+	anyInstr := f.Renumber() > 0
+	for _, b := range f.Blocks {
+		if b.parent != f {
+			b.parent = f
+		}
+		if b.Instrs = trimmed(b.Instrs); b.Instrs == nil && anyInstr {
+			b.Instrs = []*Instr{}
+		}
+		for _, in := range b.Instrs {
+			if in.parent != b {
+				in.parent = b
+			}
+			in.Ops = trimmed(in.Ops)
+			in.Blocks = trimmed(in.Blocks)
+			if in.Cases != nil {
+				in.Cases = append([]int64(nil), in.Cases...)
+			}
+		}
+	}
+}
+
+// trimmed returns s as a slab clone holds it: nil when empty, else s itself
+// when cap == len, else a copy at cap == len.
+func trimmed[T any](s []T) []T {
+	switch {
+	case len(s) == 0:
+		return nil
+	case cap(s) == len(s):
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
+}
+
 // CompactModule rebuilds every function of m into fresh dense arena slabs,
 // without touching globals (the module keeps its identity; only bodies move).
 // Used on long-lived modules built object-by-object (irgen / synth output) so

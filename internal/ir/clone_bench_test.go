@@ -10,7 +10,7 @@ import (
 
 // benchModule builds a representative multi-kernel module and, when optimize
 // is set, runs the O3 pipeline over it so the clone benchmarks see the
-// instruction mix a mid-sequence prefix snapshot sees.
+// instruction mix a cached final state has.
 func benchModule(tb testing.TB, optimize bool) *ir.Module {
 	m := irgen.BuildModule(irgen.ModuleSpec{
 		Name: "clonebench",
@@ -30,13 +30,13 @@ func benchModule(tb testing.TB, optimize bool) *ir.Module {
 	return m
 }
 
-// BenchmarkModuleClone measures the copy paths behind snapshot creation and
-// cache-hit handout in the prefix-snapshot compile cache: the copy-on-write
-// Clone (what a cache hit pays) and Clone+MaterializeModule (what the first
-// mutating pass pays — the old eager deep copy, now slab-backed). The
-// -materialize cases clone a compacted module; optimized-materialize-
-// uncompacted clones the module as -O3 left it, bodies full of instructions
-// passes inserted, which is what a snapshot resume clones.
+// BenchmarkModuleClone measures the copy paths behind the compile cache: the
+// copy-on-write Clone (what a cache hit pays) and Clone+MaterializeModule
+// (what a build's first pass pays — the old eager deep copy, now
+// slab-backed). The -materialize cases clone a compacted module;
+// optimized-materialize-uncompacted clones the module as -O3 left it, bodies
+// full of instructions passes inserted, which is what the cache's compaction
+// of a final state copies.
 func BenchmarkModuleClone(b *testing.B) {
 	for _, mode := range []struct {
 		name     string
@@ -76,10 +76,10 @@ func BenchmarkModuleClone(b *testing.B) {
 }
 
 // BenchmarkFingerprint measures the structural hash of a module as -O3 left
-// it (optimized) against the comparison the prefix cache makes in its place
-// at every no-op-looking stride boundary (bench.runSuffix): equal compares
-// the module, COW-shared as a snapshot is, with its materialized clone, as
-// the working module is — equal all the way, so the walk reaches the end.
+// it (optimized) against StructurallyEqual, which answers fingerprint
+// equality without hashing: equal compares the module, COW-shared as a cached
+// one is, with its materialized clone — equal all the way, so the walk
+// reaches the end.
 func BenchmarkFingerprint(b *testing.B) {
 	b.Run("optimized", func(b *testing.B) {
 		m := benchModule(b, true)
@@ -105,7 +105,7 @@ func BenchmarkFingerprint(b *testing.B) {
 }
 
 // BenchmarkSnapshotHandout measures the cache-hit handout path: the clone a
-// caller receives for an immutable cached snapshot, including the renumbering
+// caller receives for an immutable cached module, including the renumbering
 // Link performs before interpretation.
 func BenchmarkSnapshotHandout(b *testing.B) {
 	m := benchModule(b, true)

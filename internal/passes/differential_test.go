@@ -6,8 +6,8 @@ import (
 )
 
 // TestManagerStepEquivalence checks that driving passes one at a time through
-// Manager.RunOne with a single final verification — the prefix-snapshot
-// cache's resume path — matches a plain Apply of the same sequence.
+// Manager.RunOne with a single final verification — the compile cache's
+// build path — matches a plain Apply of the same sequence.
 func TestManagerStepEquivalence(t *testing.T) {
 	names := Names()
 	rng := rand.New(rand.NewSource(7))
@@ -46,7 +46,7 @@ func TestManagerStepEquivalence(t *testing.T) {
 }
 
 // TestCOWSnapshotResumeDifferential interleaves the copy-on-write clone
-// protocol with pass execution the way the prefix-snapshot cache does: run a
+// protocol with pass execution the way a cache that resumes builds would: run a
 // random prefix, take a COW snapshot (Clone), keep running the suffix on the
 // original, then resume a second build from the snapshot's clone. The
 // resumed build must be bit-identical — printed module, fingerprint, and

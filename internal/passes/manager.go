@@ -23,8 +23,9 @@ type Manager struct {
 func NewManager() *Manager { return &Manager{} }
 
 // RunOne executes a single pass (no verification). It is the step primitive
-// the prefix-snapshot compilation cache resumes from: verification policy is
-// the caller's, exactly as in a mid-sequence position of Run.
+// of the compile cache's builds, which act on the module between passes:
+// verification policy is the caller's, exactly as in a mid-sequence position
+// of Run.
 func (pm *Manager) RunOne(m *ir.Module, p *Pass, st Stats) {
 	// COW: give the module private bodies before any pass may mutate it.
 	// No-op unless the module still shares function bodies with a clone.
