@@ -396,10 +396,12 @@ func NewEvaluator(b *Benchmark, plat Platform, seed int64) (*Evaluator, error) {
 
 // BcCounters returns the measurement machine's bytecode-engine accounting
 // since the evaluator was built (the baseline build does not count):
-// functions lowered, bytecode bytes produced, and runs that lowered their
-// image or found it lowered. One lowering per measured image, so these are
+// functions and bytecode bytes of the image programs assembled, and
+// functions whose lowering was reused from their shared body or lowered now.
+// One assembly per measured image, so LoweredFuncs and BytecodeBytes are
 // deterministic functions of the evaluated workload and safe for canonical
-// journal fields.
+// journal fields; which of two concurrent measurements lowers a shared body
+// first is not, so CodeHits and CodeMisses are not.
 func (ev *Evaluator) BcCounters() machine.BcStats {
 	return ev.meas.Machine.BcCounters().Sub(ev.bc0)
 }

@@ -311,10 +311,12 @@ func sortedMetaKeys(meta map[string]bool) []string {
 // Per-object sizes of the slab layout produced by cloneFunction and
 // CompactModule — the layout every cached snapshot actually has. Derived
 // from the real struct definitions so the estimate tracks layout changes.
+// A function's lowered slot is the consumer's memory, not the snapshot's,
+// and is left out.
 const (
 	sizeofInstr    = int64(unsafe.Sizeof(Instr{}))
 	sizeofBlock    = int64(unsafe.Sizeof(Block{}))
-	sizeofFunction = int64(unsafe.Sizeof(Function{}))
+	sizeofFunction = int64(unsafe.Sizeof(Function{}) - unsafe.Sizeof(Function{}.lowered))
 	sizeofGlobal   = int64(unsafe.Sizeof(Global{}))
 	sizeofParam    = int64(unsafe.Sizeof(Param{}))
 	sizeofModule   = int64(unsafe.Sizeof(Module{}))

@@ -40,6 +40,12 @@ type Function struct {
 	// are immutable: the block mutators panic on them, and MaterializeModule
 	// replaces them with private copies before a pass may run.
 	shared uint32
+	// lowered is an opaque slot for a consumer's derived form of the body
+	// (the machine keeps its lowered bytecode here). It is published only
+	// on a shared body, which never changes again, so the derived form
+	// lives exactly as long as the body it came from; cloneFunction never
+	// copies it, and ApproxBytes does not charge it.
+	lowered atomic.Value
 }
 
 // isShared reports whether the function body is COW-shared between modules.
@@ -51,6 +57,21 @@ func (f *Function) markShared() { atomic.StoreUint32(&f.shared, 1) }
 // Shared reports whether the function body is currently COW-shared (exported
 // for tests and accounting).
 func (f *Function) Shared() bool { return f.isShared() }
+
+// Lowered returns the value last published with KeepLowered, or nil.
+func (f *Function) Lowered() any { return f.lowered.Load() }
+
+// KeepLowered publishes v as the body's derived form when the body is
+// COW-shared, hence immutable for the rest of its life, and reports whether
+// it did. A private body may still be mutated, so nothing is kept on it.
+// Every value published on one function must have the same concrete type.
+func (f *Function) KeepLowered(v any) bool {
+	if !f.isShared() {
+		return false
+	}
+	f.lowered.Store(v)
+	return true
+}
 
 // Entry returns the entry block.
 func (f *Function) Entry() *Block { return f.Blocks[0] }

@@ -460,7 +460,7 @@ loop:
 
 		case bcBr:
 			taken := slotI(frame, consts, in.a) != 0
-			st.chargeBr(in.aux, taken)
+			st.chargeBr(fn.brBase+in.aux, taken)
 			if taken {
 				pc = in.b
 			} else {
@@ -517,10 +517,11 @@ loop:
 			for i := int32(0); i < r.n; i++ {
 				argv[i] = slotVal(frame, consts, fn.args[r.off+i])
 			}
-			if in.b < 0 {
-				return Val{}, fmt.Errorf("%w: %s", ErrNoFunction, fn.names[in.imm])
+			callee := fn.callees[in.b]
+			if callee < 0 {
+				return Val{}, fmt.Errorf("%w: %s", ErrNoFunction, fn.calleeNames[in.b])
 			}
-			v, err := st.call(in.b, argv)
+			v, err := st.call(callee, argv)
 			if err != nil {
 				return Val{}, err
 			}

@@ -37,7 +37,7 @@ type Image struct {
 	GlobalWords int64
 	funcSize    map[*ir.Function]int
 
-	// prog is the image's lowered program and progProf the profile whose
+	// prog is the image's assembled program and progProf the profile whose
 	// instruction costs are baked into it (Machine.lowered); progMu guards
 	// both, so one image can Run on several machines and goroutines.
 	progMu   sync.Mutex

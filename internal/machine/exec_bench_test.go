@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/ir"
 	"repro/internal/machine"
 )
 
@@ -50,20 +51,43 @@ func BenchmarkExec(b *testing.B) {
 
 // BenchmarkMeasure times what a tuning run pays per measured candidate: link
 // the modules into a fresh image, lower it, execute it once and draw three
-// noise samples. CI gates its ratio to BenchmarkExec/bytecode (measure_over_run
-// in benchdata/gates.json).
+// noise samples. fresh links private bodies, so every function is lowered for
+// every image (builder output, or a module the candidate's passes just
+// built); reused links COW clones of compacted modules, as every cold module
+// of a measurement is linked, so each function's lowering is kept on its
+// shared body and only assembled into the new image. CI gates fresh's ratio
+// to BenchmarkExec/bytecode (measure_over_run in benchdata/gates.json).
 func BenchmarkMeasure(b *testing.B) {
-	mods := bench.ByName("telecom_gsm").Build(0, 2)
-	ms := machine.NewMeasurement(machine.New(machine.CortexA57()), 0.01, 1)
-	for i := 0; i < b.N; i++ {
-		img, err := machine.Link(mods...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, res, err := ms.TimeMedian(img, "main", 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		machine.ReleaseResult(res)
+	for _, c := range []struct {
+		name string
+		cow  bool
+	}{{"fresh", false}, {"reused", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			mods := bench.ByName("telecom_gsm").Build(0, 2)
+			if c.cow {
+				for _, m := range mods {
+					ir.CompactModule(m)
+				}
+			}
+			ms := machine.NewMeasurement(machine.New(machine.CortexA57()), 0.01, 1)
+			linked := make([]*ir.Module, len(mods))
+			for i := 0; i < b.N; i++ {
+				for j, m := range mods {
+					if c.cow {
+						m = m.Clone()
+					}
+					linked[j] = m
+				}
+				img, err := machine.Link(linked...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, res, err := ms.TimeMedian(img, "main", 3)
+				if err != nil {
+					b.Fatal(err)
+				}
+				machine.ReleaseResult(res)
+			}
+		})
 	}
 }

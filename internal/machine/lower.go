@@ -6,20 +6,27 @@ import (
 	"repro/internal/ir"
 )
 
-// This file implements the bytecode lowering stage: a one-time compiler from
-// a linked Image to a dense instruction stream executed by the flat dispatch
-// loop in bcexec.go. Lowering resolves every ir.Value operand to a register
-// slot (frame index) or constant-pool index, branch targets to instruction
-// offsets, callees to function indices and builtins to name-table entries,
-// so execution never chases ir.Instr pointers, allocates eval closures or
-// consults the Funcs map.
+// This file implements the bytecode lowering stage: a compiler from function
+// bodies to dense instruction streams executed by the flat dispatch loop in
+// bcexec.go. Lowering resolves every ir.Value operand to a register slot
+// (frame index) or constant-pool index, branch targets to instruction
+// offsets, callees to callee-table entries and builtins to name-table
+// entries, so execution never chases ir.Instr pointers, allocates eval
+// closures or consults the Funcs map.
 //
-// Lowering is read-only over the (possibly COW-shared) modules. The lowered
-// program is kept on the Image it was lowered from, beside the Profile whose
-// costs are baked into it, so a second Run of the same image does not lower
-// again. An image the lowerer cannot express fails Run with ErrUnlowerable.
-// The tree-walker is the behavioural oracle: the engines are bit-identical in
-// Result (Output, Cycles, Steps, Ret, FuncCycles) and in errors.
+// Lowering is per function and image-independent: a lowered function
+// depends only on its body and the Profile whose costs are baked into it.
+// What does depend on the image is left symbolic — a global operand is a
+// constant slot plus a relocation, a call names its callee, branch sites are
+// numbered from 0 within the function — and lowerImage resolves it when it
+// assembles an image's program from its functions in link order. A
+// COW-shared body never changes again, so its lowering is kept on the body
+// (ir.Function.KeepLowered) and every later image that links the body reuses
+// it; a private body is lowered for each image. The assembled program is kept
+// on the Image, so a second Run of one image assembles nothing. An image the
+// lowerer cannot express fails Run with ErrUnlowerable. The tree-walker is
+// the behavioural oracle: the engines are bit-identical in Result (Output,
+// Cycles, Steps, Ret, FuncCycles) and in errors.
 
 // bcOp enumerates bytecode opcodes. Operand meanings are documented per op;
 // "slot" is a frame register index when >= 0 and a constant-pool index
@@ -31,7 +38,7 @@ const (
 
 	// Control flow.
 	bcJmp     // b = target offset
-	bcBr      // a = cond slot, b = taken offset, c = not-taken offset, aux = predictor index
+	bcBr      // a = cond slot, b = taken offset, c = not-taken offset, aux = predictor index within the function
 	bcSwitch  // a = value slot, aux = switch-table index
 	bcRet     // a = value slot
 	bcRetVoid //
@@ -43,10 +50,10 @@ const (
 	bcStore  // a = value slot, b = addr slot, k = kind, c = lanes
 	bcGEP    // dst = a.I + b.I
 
-	// Calls. b = callee function index / builtin presence flag; b < 0 means
-	// unresolved with imm = name-table index (error or builtin dispatch by
-	// name at run time, preserving tree-walker error parity).
-	bcCall  // b = function index, aux = arg range, dst
+	// Calls. bcCall's callee is resolved per image: callees[b] is its
+	// function index, or -1 when the image does not define it (ErrNoFunction
+	// at run time, preserving tree-walker error parity).
+	bcCall  // b = callee-table index, aux = arg range, dst
 	bcCallB // imm = builtin name index, aux = arg range, dst
 
 	// Scalar fast ops (dst, a, b). Integer forms carry the result kind in k
@@ -117,24 +124,39 @@ type bcSwitchTab struct {
 	offs []int32 // offs[0] = default, offs[i+1] pairs with vals[i]
 }
 
-// bcFunc is one lowered function.
-type bcFunc struct {
-	name      string
-	nParams   int32
-	frame     int32 // registers: params then one slot per instruction ID
-	size      int   // static ir instruction count (i-cache footprint)
-	code      []bcInstr
-	consts    []Val
-	gens      []genOp
-	args      []int32 // flattened call-argument slots
-	argRanges []slotRange
-	phiMoves  []phiMove
-	phiRanges []slotRange
-	switches  []bcSwitchTab
-	names     []string // callee/builtin names for unresolved calls
+// reloc is a constant slot that holds a global's address in the image.
+type reloc struct {
+	slot int32
+	g    *ir.Global
 }
 
-// bcProgram is a lowered image.
+// bcFunc is one lowered function. Everything up to callees is the
+// image-independent lowering of the body; an image's program holds a copy
+// with callees and brBase filled in and, when the body has relocations, its
+// own constant pool with the addresses patched in.
+type bcFunc struct {
+	name        string
+	nParams     int32
+	frame       int32 // registers: params then one slot per instruction ID
+	size        int   // static ir instruction count (i-cache footprint)
+	code        []bcInstr
+	consts      []Val
+	gens        []genOp
+	args        []int32 // flattened call-argument slots
+	argRanges   []slotRange
+	phiMoves    []phiMove
+	phiRanges   []slotRange
+	switches    []bcSwitchTab
+	names       []string // builtin names
+	calleeNames []string // bcCall targets
+	relocs      []reloc
+	nBranch     int32 // predictor sites
+
+	callees []int32 // per calleeNames entry: function index in the image, or -1
+	brBase  int32   // the function's first predictor site in the image
+}
+
+// bcProgram is an image's assembled program.
 type bcProgram struct {
 	funcs   []bcFunc
 	funcIdx map[string]int32
@@ -143,10 +165,17 @@ type bcProgram struct {
 	bytes   int64
 }
 
+// loweredBody is what a shared ir.Function keeps: its lowering and the
+// profile that lowering was made for.
+type loweredBody struct {
+	prof Profile
+	fn   bcFunc
+}
+
 // BcStats are cumulative bytecode-engine counters for one Machine: functions
-// lowered, bytecode bytes produced, and how many Runs found their image
-// already lowered for this machine's profile (CodeHits) or lowered it
-// (CodeMisses).
+// and bytecode bytes of every image program assembled, and, per function a
+// Run needed, whether its lowering was reused — kept on its body or on an
+// already assembled image (CodeHits) — or lowered now (CodeMisses).
 type BcStats struct {
 	LoweredFuncs  int64
 	BytecodeBytes int64
@@ -171,28 +200,28 @@ func (m *Machine) BcCounters() BcStats {
 	return m.bcStats
 }
 
-// lowered returns img's bytecode program under m's profile, lowering it when
-// the image holds none or one lowered for another profile (instruction costs
-// are baked in). The image's lock is held across lowering, so concurrent Runs
-// of one image lower it once.
+// lowered returns img's bytecode program under m's profile, assembling it
+// when the image holds none or one made for another profile (instruction
+// costs are baked in). The image's lock is held across assembly, so
+// concurrent Runs of one image assemble it once.
 func (m *Machine) lowered(img *Image) (*bcProgram, error) {
 	img.progMu.Lock()
 	prog := img.prog
 	hit := prog != nil && img.progProf == m.Prof
-	if !hit {
-		if prog = lowerImage(img, &m.Prof); prog != nil {
-			img.prog, img.progProf = prog, m.Prof
-		}
+	var reused int
+	if hit {
+		reused = len(prog.funcs)
+	} else if prog, reused = lowerImage(img, &m.Prof); prog != nil {
+		img.prog, img.progProf = prog, m.Prof
 	}
 	img.progMu.Unlock()
 	if prog == nil {
 		return nil, ErrUnlowerable
 	}
 	m.bcMu.Lock()
-	if hit {
-		m.bcStats.CodeHits++
-	} else {
-		m.bcStats.CodeMisses++
+	m.bcStats.CodeHits += int64(reused)
+	m.bcStats.CodeMisses += int64(len(prog.funcs) - reused)
+	if !hit {
 		m.bcStats.LoweredFuncs += int64(len(prog.funcs))
 		m.bcStats.BytecodeBytes += prog.bytes
 	}
@@ -200,16 +229,40 @@ func (m *Machine) lowered(img *Image) (*bcProgram, error) {
 	return prog, nil
 }
 
-// lowerImage compiles every linked function. Returns nil if any construct
-// cannot be lowered with exact tree-walker semantics.
-func lowerImage(img *Image, prof *Profile) *bcProgram {
+// lowerBody lowers f under prof into out, which must be zero: it copies the
+// lowering kept on the body when that was made for prof (reused), else lowers
+// now and, when the body is shared, keeps a copy on it (replacing one made
+// for another profile). A body that cannot be lowered reports !ok and keeps
+// nothing.
+func lowerBody(out *bcFunc, f *ir.Function, prof *Profile) (reused, ok bool) {
+	if lb, ok := f.Lowered().(*loweredBody); ok && lb.prof == *prof {
+		*out = lb.fn
+		return true, true
+	}
+	if !(&fnLowerer{prof: prof, f: f}).lower(out) {
+		return false, false
+	}
+	if f.Shared() { // KeepLowered would refuse a private body anyway
+		f.KeepLowered(&loweredBody{prof: *prof, fn: *out})
+	}
+	return false, true
+}
+
+// lowerImage assembles img's program from the lowering of every linked
+// function, in link order, and reports how many of those lowerings were
+// reused. Returns nil if any construct cannot be lowered with exact
+// tree-walker semantics.
+func lowerImage(img *Image, prof *Profile) (*bcProgram, int) {
+	// Link maps every defined function's name to exactly one body, so the
+	// image has len(img.Funcs) functions.
 	prog := &bcProgram{
+		funcs:   make([]bcFunc, len(img.Funcs)),
 		funcIdx: make(map[string]int32, len(img.Funcs)),
 		swExtra: prof.Branch + prof.Mispredict/2,
 	}
 	// Deterministic function order: link order. Duplicate names reaching
 	// here are same-pointer (Link rejects conflicting ones).
-	var fns []*ir.Function
+	n, reused, nCallees, nConsts := 0, 0, 0, 0
 	for _, mod := range img.Modules {
 		for _, f := range mod.Funcs {
 			if f.IsDecl || img.Funcs[f.Name] != f {
@@ -218,24 +271,61 @@ func lowerImage(img *Image, prof *Profile) *bcProgram {
 			if _, ok := prog.funcIdx[f.Name]; ok {
 				continue
 			}
-			prog.funcIdx[f.Name] = int32(len(fns))
-			fns = append(fns, f)
+			fn := &prog.funcs[n]
+			hit, ok := lowerBody(fn, f, prof)
+			if !ok {
+				return nil, 0
+			}
+			if hit {
+				reused++
+			}
+			prog.funcIdx[f.Name] = int32(n)
+			n++
+			nCallees += len(fn.calleeNames)
+			if len(fn.relocs) > 0 {
+				nConsts += len(fn.consts)
+			}
 		}
 	}
-	prog.funcs = make([]bcFunc, len(fns))
-	for i, f := range fns {
-		fl := &fnLowerer{img: img, prof: prof, prog: prog, f: f}
-		if !fl.lower(&prog.funcs[i]) {
-			return nil
-		}
-	}
+	// Resolve what the lowerings left symbolic. The image's callee tables
+	// and patched constant pools are carved from one slab each; the arrays
+	// a lowering points at are shared with its body and never written.
+	callees := make([]int32, nCallees)
+	consts := make([]Val, nConsts)
 	for i := range prog.funcs {
-		prog.bytes += prog.funcs[i].byteSize()
+		fn := &prog.funcs[i]
+		fn.brBase = prog.nBranch
+		prog.nBranch += fn.nBranch
+		prog.bytes += fn.byteSize()
+		if k := len(fn.calleeNames); k > 0 {
+			fn.callees, callees = callees[:k:k], callees[k:]
+			for j, name := range fn.calleeNames {
+				fi, ok := prog.funcIdx[name]
+				if !ok {
+					fi = -1
+					prog.bytes += int64(len(name))
+				}
+				fn.callees[j] = fi
+			}
+		}
+		if len(fn.relocs) > 0 {
+			k := len(fn.consts)
+			patched := consts[:k:k]
+			consts = consts[k:]
+			copy(patched, fn.consts)
+			// Missing globals read address 0, exactly like the
+			// tree-walker's map-zero behaviour.
+			for _, r := range fn.relocs {
+				patched[r.slot] = Val{I: img.GlobalAddr[r.g]}
+			}
+			fn.consts = patched
+		}
 	}
-	return prog
+	return prog, reused
 }
 
-// byteSize estimates the memory footprint of the lowered function.
+// byteSize estimates the memory footprint of the lowered function. Resolved
+// callee names are not counted: unresolved ones are, by lowerImage.
 func (fn *bcFunc) byteSize() int64 {
 	n := int64(len(fn.code))*40 + int64(len(fn.consts))*40 + int64(len(fn.gens))*24
 	n += int64(len(fn.args)+2*len(fn.phiMoves)+2*len(fn.argRanges)+2*len(fn.phiRanges)) * 4
@@ -248,11 +338,9 @@ func (fn *bcFunc) byteSize() int64 {
 	return n
 }
 
-// fnLowerer compiles one function.
+// fnLowerer compiles one function. It reads the body and the profile only.
 type fnLowerer struct {
-	img  *Image
 	prof *Profile
-	prog *bcProgram
 	f    *ir.Function
 
 	nParams int
@@ -328,11 +416,23 @@ func (fl *fnLowerer) slot(v ir.Value) (int32, bool) {
 	case *ir.Const:
 		return fl.constSlot(Val{I: t.I, F: t.F}), true
 	case *ir.Global:
-		// Missing globals read address 0, exactly like the tree-walker's
-		// map-zero behaviour.
-		return fl.constSlot(Val{I: fl.img.GlobalAddr[t]}), true
+		return fl.globalSlot(t), true
 	}
 	return 0, false
+}
+
+// globalSlot gives each global its own constant slot, never shared with an
+// equal numeric constant: lowerImage patches the image's address into it.
+func (fl *fnLowerer) globalSlot(g *ir.Global) int32 {
+	for _, r := range fl.out.relocs {
+		if r.g == g {
+			return ^r.slot
+		}
+	}
+	idx := int32(len(fl.out.consts))
+	fl.out.consts = append(fl.out.consts, Val{})
+	fl.out.relocs = append(fl.out.relocs, reloc{slot: idx, g: g})
+	return ^idx
 }
 
 func (fl *fnLowerer) constSlot(v Val) int32 {
@@ -353,14 +453,15 @@ func (fl *fnLowerer) dstSlot(in *ir.Instr) (int32, bool) {
 	return int32(fl.nParams + in.ID), true
 }
 
-func (fl *fnLowerer) nameIdx(s string) int64 {
-	for i, n := range fl.out.names {
+// nameIdx interns s in a name table.
+func nameIdx(names *[]string, s string) int {
+	for i, n := range *names {
 		if n == s {
-			return int64(i)
+			return i
 		}
 	}
-	fl.out.names = append(fl.out.names, s)
-	return int64(len(fl.out.names) - 1)
+	*names = append(*names, s)
+	return len(*names) - 1
 }
 
 // lower compiles fl.f into out. Reports false when the function contains a
@@ -375,7 +476,7 @@ func (fl *fnLowerer) lower(out *bcFunc) bool {
 	out.name = f.Name
 	out.nParams = int32(fl.nParams)
 	out.frame = int32(fl.nParams + fl.nInstr)
-	out.size = fl.img.funcSize[f]
+	out.size = fl.nInstr
 	if len(f.Blocks) == 0 {
 		return false
 	}
@@ -544,8 +645,8 @@ func (fl *fnLowerer) emit(in *ir.Instr, b *ir.Block, target func(pred, succ *ir.
 		}
 		out.op, out.a = bcBr, a
 		out.b, out.c = target(b, in.Blocks[0]), target(b, in.Blocks[1])
-		out.aux = fl.prog.nBranch
-		fl.prog.nBranch++
+		out.aux = fl.out.nBranch
+		fl.out.nBranch++
 
 	case ir.OpJmp:
 		if len(in.Blocks) != 1 {
@@ -599,11 +700,9 @@ func (fl *fnLowerer) emit(in *ir.Instr, b *ir.Block, target func(pred, succ *ir.
 		fl.out.argRanges = append(fl.out.argRanges, slotRange{off: start, n: int32(len(in.Ops))})
 		out.dst = dst
 		if ir.IsBuiltin(in.Callee) {
-			out.op, out.imm = bcCallB, fl.nameIdx(in.Callee)
-		} else if fi, ok := fl.prog.funcIdx[in.Callee]; ok {
-			out.op, out.b = bcCall, fi
+			out.op, out.imm = bcCallB, int64(nameIdx(&fl.out.names, in.Callee))
 		} else {
-			out.op, out.b, out.imm = bcCall, -1, fl.nameIdx(in.Callee)
+			out.op, out.b = bcCall, int32(nameIdx(&fl.out.calleeNames, in.Callee))
 		}
 
 	default:

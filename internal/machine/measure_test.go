@@ -84,8 +84,9 @@ func TestTimeMedianMatchesRepeatedRuns(t *testing.T) {
 				if !reflect.DeepEqual(gotSamples, wantSamples) {
 					t.Fatalf("%s: OnSample saw %v, oracle samples %v", tag, gotSamples, wantSamples)
 				}
-				if st := ms.Machine.BcCounters(); st.CodeMisses+st.CodeHits != 1 {
-					t.Fatalf("%s: image executed %d times", tag, st.CodeMisses+st.CodeHits)
+				// One Run needs each function once, lowered now or reused.
+				if st, nf := ms.Machine.BcCounters(), int64(len(img.Funcs)); st.CodeMisses+st.CodeHits != nf {
+					t.Fatalf("%s: image executed %d/%d times", tag, st.CodeMisses+st.CodeHits, nf)
 				}
 				if got, want := ms.Rng.NormFloat64(), oracle.Rng.NormFloat64(); got != want {
 					t.Fatalf("%s: RNG streams diverge after the measurement: next draw %v, oracle %v", tag, got, want)

@@ -95,7 +95,7 @@ func TestBenchGateFailures(t *testing.T) {
 	suite := loadGates(t)["machine-bench.txt"]
 	five, four, zero := 5.0, 4.0, 0.0
 	suite.Gates = []Gate{
-		{Metric: "bytecode_speedup", Min: &five, Why: "captured run is 4.69x"},
+		{Metric: "bytecode_speedup", Min: &five, Why: "captured run is 4.14x"},
 		{Metric: "allocs_per_op.BenchmarkExec/treewalk", Max: &zero, Why: "captured run is 13"},
 		{Metric: "ns_per_op.BenchmarkExec/renamed", Max: &four, Why: "a renamed benchmark"},
 		{Metric: "allocs_per_op.BenchmarkExec/bytecode", Max: &zero, Why: "holds"},
@@ -104,7 +104,7 @@ func TestBenchGateFailures(t *testing.T) {
 	if len(failures) != 3 {
 		t.Fatalf("failures = %q, want 3", failures)
 	}
-	for i, want := range []string{"bytecode_speedup = 4.689, gate >= 5", "treewalk = 13, gate <= 0", "renamed: not in the bench output"} {
+	for i, want := range []string{"bytecode_speedup = 4.14, gate >= 5", "treewalk = 13, gate <= 0", "renamed: not in the bench output"} {
 		if !strings.Contains(failures[i], want) {
 			t.Errorf("failure %d = %q, want it to contain %q", i, failures[i], want)
 		}
