@@ -379,8 +379,8 @@ func BenchmarkPrefixCompile(b *testing.B) {
 // The canonical counter rows are the behaviour contract of a run: they must
 // not depend on the worker count even when the byte budget is small enough
 // that every batch evicts, which is when the order workers touched the LRU
-// decides what is still cached. Batches are grouped the way the tuner groups
-// them: every compile its own group, all in parallel.
+// decides what is still cached. Batches run the way the tuner runs them:
+// every compile in parallel.
 func TestCanonicalCountersWorkerIndependentUnderEviction(t *testing.T) {
 	vocab := passes.Names()
 	run := func(workers int) obs.CounterSet {
@@ -396,15 +396,13 @@ func TestCanonicalCountersWorkerIndependentUnderEviction(t *testing.T) {
 		}
 		for round := 0; round < 10; round++ {
 			var specs []core.CompileSpec
-			var groups [][]int
 			for _, mod := range ev.Modules() {
 				for k := 0; k < 6; k++ {
-					groups = append(groups, []int{len(specs)})
 					specs = append(specs, core.CompileSpec{Module: mod, Seq: mutateSeq(rng, incumbent, vocab)})
 				}
 			}
 			out := make([]core.CompileOutcome, len(specs))
-			if err := core.RunGroups(context.Background(), workers, ev.Task(), core.FeatStats, specs, groups, out); err != nil {
+			if err := core.RunSpecs(context.Background(), workers, ev.Task(), core.FeatStats, specs, out); err != nil {
 				t.Fatal(err)
 			}
 		}

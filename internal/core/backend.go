@@ -14,7 +14,7 @@ import (
 
 // CompileSpec names one candidate compilation: a module rebuilt under a pass
 // sequence. It is the only description of that unit of work — the tuner
-// builds it, RunGroups executes it, and its JSON form is the fleet wire
+// builds it, RunSpecs executes it, and its JSON form is the fleet wire
 // format (fleet.BatchRequest carries a slice of these).
 type CompileSpec struct {
 	Module string `json:"module"`
@@ -51,17 +51,13 @@ type EvalIncident struct {
 // EvalBackend is optionally implemented by Tasks that decide for themselves
 // where candidate compilations execute (the fleet's JobBinding dispatches
 // them to remote runner processes). For any other Task the tuner calls
-// RunGroups on its own workers. Implementations must honour the grouping
-// contract: indices inside one group run serially in order, distinct groups
-// may run concurrently, and out[i] is written by exactly one executor. The
-// tuner hands in singleton groups (no compile waits on another); the
-// contract stays for callers that want an order.
+// RunSpecs on its own workers.
 type EvalBackend interface {
-	// CompileGroups executes every spec, writing outcomes into out (same
-	// length as specs) and returning any dispatch incidents. Cancellation is
+	// RunSpecs executes every spec, writing outcomes into out (same length
+	// as specs) and returning any dispatch incidents. Cancellation is
 	// graceful: unexecuted specs keep Ok == false and the caller checks its
 	// own context.
-	CompileGroups(ctx context.Context, specs []CompileSpec, groups [][]int, out []CompileOutcome) []EvalIncident
+	RunSpecs(ctx context.Context, specs []CompileSpec, out []CompileOutcome) []EvalIncident
 	// EnsureLocal makes (module, seq) compilable as a cache hit on the
 	// process that runs measurements: the fleet backend warm-compiles the
 	// selected candidate on the coordinator (uncounted) so the measure
@@ -79,57 +75,55 @@ func ExtractFeatures(kind FeatureKind, m *ir.Module, st passes.Stats, seq []stri
 	return extract(kind, m, st, seq)
 }
 
-// RunGroups is the one loop that executes a grouped batch: every spec is
-// compiled through task and reduced to its feature map in place, serially in
-// order inside a group while distinct groups fan out over up to workers
-// goroutines (numeric.ParallelFor), each outcome written to its own slot of
-// out (same length as specs). The in-process tuner, the fleet runner's batch
-// handler and the coordinator's local fallback all run batches through here,
-// so they cannot disagree. ctx is checked before every spec: a cancelled ctx
-// leaves unexecuted specs !Ok and is returned as the error. Each compile runs
-// under the pprof labels phase=compile and module=<name>.
-func RunGroups(ctx context.Context, workers int, task Task, feat FeatureKind, specs []CompileSpec, groups [][]int, out []CompileOutcome) error {
-	numeric.ParallelFor(workers, len(groups), func(g int) {
-		for _, i := range groups[g] {
-			if ctx.Err() != nil {
+// RunSpecs is the one loop that executes a batch of compiles: every spec is
+// compiled through task and reduced to its feature map in place, the specs
+// fanning out over up to workers goroutines (numeric.ParallelFor), each
+// outcome written to its own slot of out (same length as specs). The
+// in-process tuner, the fleet runner's batch handler and the coordinator's
+// local fallback all run batches through here, so they cannot disagree. ctx
+// is checked before every spec: a cancelled ctx leaves unexecuted specs !Ok
+// and is returned as the error. Each compile runs under the pprof labels
+// phase=compile and module=<name>.
+func RunSpecs(ctx context.Context, workers int, task Task, feat FeatureKind, specs []CompileSpec, out []CompileOutcome) error {
+	numeric.ParallelFor(workers, len(specs), func(i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		s := specs[i]
+		pprof.Do(ctx, pprof.Labels("phase", "compile", "module", s.Module), func(ctx context.Context) {
+			tc := time.Now()
+			m, st, err := task.CompileModule(ctx, s.Module, s.Seq)
+			out[i].Wall = time.Since(tc)
+			if err != nil {
+				out[i].Err = err.Error()
 				return
 			}
-			s := specs[i]
-			pprof.Do(ctx, pprof.Labels("phase", "compile", "module", s.Module), func(ctx context.Context) {
-				tc := time.Now()
-				m, st, err := task.CompileModule(ctx, s.Module, s.Seq)
-				out[i].Wall = time.Since(tc)
-				if err != nil {
-					out[i].Err = err.Error()
-					return
-				}
-				out[i].Stats = st
-				out[i].Feature = ExtractFeatures(feat, m, st, s.Seq)
-				out[i].Ok = true
-			})
-		}
+			out[i].Stats = st
+			out[i].Feature = ExtractFeatures(feat, m, st, s.Seq)
+			out[i].Ok = true
+		})
 	})
 	return ctx.Err()
 }
 
-// compileGroups runs one fan-out where the Task says it runs (EvalBackend)
-// or on the tuner's own workers, journalling any dispatch incidents.
-func (t *Tuner) compileGroups(ctx context.Context, specs []CompileSpec, groups [][]int, out []CompileOutcome) {
+// runSpecs runs one fan-out where the Task says it runs (EvalBackend) or on
+// the tuner's own workers, journalling any dispatch incidents.
+func (t *Tuner) runSpecs(ctx context.Context, specs []CompileSpec, out []CompileOutcome) {
 	if b, ok := t.task.(EvalBackend); ok {
-		t.journalIncidents(b.CompileGroups(ctx, specs, groups, out))
+		t.journalIncidents(b.RunSpecs(ctx, specs, out))
 		return
 	}
 	// A cancelled fan-out leaves slots !Ok; callers check their own context.
-	_ = RunGroups(ctx, t.workers, t.task, t.opts.Feature, specs, groups, out)
+	_ = RunSpecs(ctx, t.workers, t.task, t.opts.Feature, specs, out)
 }
 
-// compileOne routes a single compilation through compileGroups (a one-spec
+// compileOne routes a single compilation through runSpecs (a one-spec
 // batch) and surfaces the outcome's error as a Go error for the serial call
 // site (selected-candidate compiles).
 func (t *Tuner) compileOne(module string, seq []string) (CompileOutcome, error) {
 	specs := []CompileSpec{{Module: module, Seq: seq}}
 	out := make([]CompileOutcome, 1)
-	t.compileGroups(t.runCtx(), specs, [][]int{{0}}, out)
+	t.runSpecs(t.runCtx(), specs, out)
 	if !out[0].Ok {
 		msg := out[0].Err
 		if msg == "" {

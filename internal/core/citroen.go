@@ -416,17 +416,15 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 
 	// Per-module state: O3 baseline features, generator portfolios. The
 	// baseline compiles are independent of each other and of the tuner RNG,
-	// so they fan out through the evaluation backend (singleton groups = a
-	// plain parallel map); results are indexed by hot order.
+	// so they fan out through the evaluation backend; results are indexed by
+	// hot order.
 	o3Indices := t.knownIndices(passes.O3Sequence())
 	baseSpecs := make([]CompileSpec, len(hot))
-	baseGroups := make([][]int, len(hot))
 	for i, name := range hot {
 		baseSpecs[i] = CompileSpec{Module: name} // nil seq = -O3
-		baseGroups[i] = []int{i}
 	}
 	baseOuts := make([]CompileOutcome, len(hot))
-	t.compileGroups(t.ctx, baseSpecs, baseGroups, baseOuts)
+	t.runSpecs(t.ctx, baseSpecs, baseOuts)
 	if err := t.ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -702,7 +700,7 @@ type candidate struct {
 	dup bool
 }
 
-// candJob is one candidate evaluation fanned out by RunGroups: the inputs are
+// candJob is one candidate evaluation fanned out by RunSpecs: the inputs are
 // filled serially, the outputs by exactly one worker.
 type candJob struct {
 	ms      *moduleState
@@ -752,9 +750,8 @@ func (t *Tuner) proposeCandidate() (candidate, map[string]sparseVec, bool) {
 	}
 
 	// Phase 2 (parallel): compile and feature-extract all Lambda × |targets|
-	// candidates through the evaluation backend, each job its own group: a
-	// build depends on nothing but its own sequence, so every compile fans
-	// out — across the local workers, or across fleet runners (sticky per
+	// candidates through the evaluation backend: a build depends on nothing
+	// but its own sequence, so every compile fans out — across the local workers, or across fleet runners (sticky per
 	// module, so each runner's cache evolves exactly like the single shared
 	// cache's restriction to its modules). Every executor writes only its own
 	// submit-order slot, so the results stay independent of Options.Workers
@@ -762,13 +759,11 @@ func (t *Tuner) proposeCandidate() (candidate, map[string]sparseVec, bool) {
 	// are skipped by scoring.
 	ctx := t.runCtx()
 	specs := make([]CompileSpec, len(jobs))
-	groups := make([][]int, len(jobs))
 	for i := range jobs {
 		specs[i] = CompileSpec{Module: jobs[i].ms.name, Seq: t.seqStrings(jobs[i].seq)}
-		groups[i] = []int{i}
 	}
 	outs := make([]CompileOutcome, len(jobs))
-	t.compileGroups(ctx, specs, groups, outs)
+	t.runSpecs(ctx, specs, outs)
 	for i := range jobs {
 		jobs[i].compile = outs[i].Wall
 		if outs[i].Ok {

@@ -3,11 +3,8 @@ package core
 import (
 	"context"
 	"errors"
-	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,7 +15,7 @@ import (
 
 // hookTask is a Task whose CompileModule hands the spec index (the specs of
 // runHooked name their module by index) to compile and then fails, so
-// RunGroups records the call and extracts no features.
+// RunSpecs records the call and extracts no features.
 type hookTask struct {
 	*syntheticTask
 	compile func(ctx context.Context, i int)
@@ -32,36 +29,20 @@ func (h *hookTask) CompileModule(ctx context.Context, mod string, _ []string) (*
 	return nil, nil, errHooked
 }
 
-func runHooked(ctx context.Context, workers int, groups [][]int, n int, compile func(ctx context.Context, i int)) ([]CompileOutcome, error) {
+func runHooked(ctx context.Context, workers, n int, compile func(ctx context.Context, i int)) ([]CompileOutcome, error) {
 	specs := make([]CompileSpec, n)
 	for i := range specs {
 		specs[i].Module = strconv.Itoa(i)
 	}
 	out := make([]CompileOutcome, n)
-	err := RunGroups(ctx, workers, &hookTask{compile: compile}, FeatStats, specs, groups, out)
+	err := RunSpecs(ctx, workers, &hookTask{compile: compile}, FeatStats, specs, out)
 	return out, err
 }
 
-func singletons(n int) [][]int {
-	groups := make([][]int, n)
-	for i := range groups {
-		groups[i] = []int{i}
-	}
-	return groups
-}
-
-// goid reads the calling goroutine's id from its stack header.
-func goid() string {
-	buf := make([]byte, 64)
-	buf = buf[:runtime.Stack(buf, false)]
-	return strings.Fields(string(buf))[1]
-}
-
-func TestRunGroupsCoversEveryIndexExactlyOnce(t *testing.T) {
-	groups := [][]int{{3, 1}, {0}, {4, 2, 5}, {}, {6}}
+func TestRunSpecsCoversEveryIndexExactlyOnce(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
 		counts := make([]int32, 7)
-		out, err := runHooked(context.Background(), w, groups, 7, func(_ context.Context, i int) {
+		out, err := runHooked(context.Background(), w, 7, func(_ context.Context, i int) {
 			atomic.AddInt32(&counts[i], 1)
 		})
 		if err != nil {
@@ -75,74 +56,13 @@ func TestRunGroupsCoversEveryIndexExactlyOnce(t *testing.T) {
 	}
 }
 
-// Within one group the indices run in order on one goroutine, however many
-// workers there are; across groups the order is unconstrained.
-func TestRunGroupsRunSeriallyInOrder(t *testing.T) {
-	groups := [][]int{{5, 3, 9, 0}, {1, 2}, {4, 6, 7, 8}}
-	groupOf := map[int]int{}
-	for g, idx := range groups {
-		for _, i := range idx {
-			groupOf[i] = g
-		}
-	}
-	for _, w := range []int{1, 2, 8} {
-		var mu sync.Mutex
-		got := make([][]int, len(groups))
-		gids := make([]map[string]bool, len(groups))
-		for g := range gids {
-			gids[g] = map[string]bool{}
-		}
-		if _, err := runHooked(context.Background(), w, groups, 10, func(_ context.Context, i int) {
-			mu.Lock()
-			defer mu.Unlock()
-			g := groupOf[i]
-			got[g] = append(got[g], i)
-			gids[g][goid()] = true
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for g := range groups {
-			if len(gids[g]) != 1 {
-				t.Fatalf("workers=%d: group %d ran on %d goroutines", w, g, len(gids[g]))
-			}
-			if !slices.Equal(got[g], groups[g]) {
-				t.Fatalf("workers=%d: group %d ran %v, want %v", w, g, got[g], groups[g])
-			}
-		}
-	}
-}
-
-// Cancelling inside a group's first spec stops that group: its later specs
-// never run and keep empty outcomes.
-func TestRunGroupsCancelStopsWithinGroup(t *testing.T) {
+// Cancelling mid-batch stops the workers claiming further specs, and the
+// specs never claimed keep empty outcomes.
+func TestRunSpecsCancelStopsClaiming(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int32
-		out, err := runHooked(ctx, w, [][]int{{0, 1, 2, 3}}, 4, func(context.Context, int) {
-			if ran.Add(1) == 1 {
-				cancel()
-			}
-		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", w, err)
-		}
-		if n := ran.Load(); n != 1 {
-			t.Fatalf("workers=%d: cancellation mid-group still ran %d specs", w, n)
-		}
-		for i := 1; i < 4; i++ {
-			if o := out[i]; o.Ok || o.Err != "" || o.Wall != 0 {
-				t.Fatalf("workers=%d: unexecuted spec %d has outcome %+v", w, i, out[i])
-			}
-		}
-	}
-}
-
-// Cancelling mid-batch stops the workers claiming further groups.
-func TestRunGroupsCancelStopsClaiming(t *testing.T) {
-	for _, w := range []int{1, 2, 8} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var ran atomic.Int32
-		_, err := runHooked(ctx, w, singletons(1000), 1000, func(context.Context, int) {
+		out, err := runHooked(ctx, w, 1000, func(context.Context, int) {
 			if ran.Add(1) == 3 {
 				cancel()
 			}
@@ -154,15 +74,26 @@ func TestRunGroupsCancelStopsClaiming(t *testing.T) {
 		if n := ran.Load(); n > int32(3+w) {
 			t.Fatalf("workers=%d: %d specs ran after cancelling at the third", w, n)
 		}
+		executed := 0
+		for _, o := range out {
+			if o.Err != "" {
+				executed++
+			} else if o.Ok || o.Wall != 0 {
+				t.Fatalf("workers=%d: unexecuted spec has outcome %+v", w, o)
+			}
+		}
+		if executed != int(ran.Load()) {
+			t.Fatalf("workers=%d: %d outcomes written for %d compiles", w, executed, ran.Load())
+		}
 	}
 }
 
-func TestRunGroupsPreCancelledRunsAtMostWorkers(t *testing.T) {
+func TestRunSpecsPreCancelledRunsAtMostWorkers(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, w := range []int{1, 2, 8} {
 		var ran atomic.Int32
-		_, err := runHooked(ctx, w, singletons(64), 64, func(context.Context, int) { ran.Add(1) })
+		_, err := runHooked(ctx, w, 64, func(context.Context, int) { ran.Add(1) })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", w, err)
 		}
@@ -172,9 +103,9 @@ func TestRunGroupsPreCancelledRunsAtMostWorkers(t *testing.T) {
 	}
 }
 
-// A panic inside CompileModule reaches RunGroups' caller with its value
+// A panic inside CompileModule reaches RunSpecs' caller with its value
 // unchanged.
-func TestRunGroupsPanicReachesCaller(t *testing.T) {
+func TestRunSpecsPanicReachesCaller(t *testing.T) {
 	boom := errors.New("boom")
 	for _, w := range []int{1, 2, 8} {
 		func() {
@@ -183,7 +114,7 @@ func TestRunGroupsPanicReachesCaller(t *testing.T) {
 					t.Fatalf("workers=%d: recovered %v, want the panic value itself", w, r)
 				}
 			}()
-			runHooked(context.Background(), w, singletons(16), 16, func(_ context.Context, i int) {
+			runHooked(context.Background(), w, 16, func(_ context.Context, i int) {
 				if i == 5 {
 					panic(boom)
 				}

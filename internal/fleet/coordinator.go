@@ -36,16 +36,6 @@ type Options struct {
 	// after this long (default 30s); first completion wins and the
 	// straggler's result is discarded.
 	StealAfter time.Duration
-	// RetryBase and RetryCap bound the exponential backoff between
-	// dispatch attempts of one batch (defaults 100ms and 2s).
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// MaxAttempts caps dispatch attempts (including steals) per batch
-	// before the coordinator runs it locally (default 4).
-	MaxAttempts int
-	// QuarantineAfter quarantines a runner after this many consecutive
-	// batch failures (default 3). Quarantine clears on re-register.
-	QuarantineAfter int
 	// Metrics receives fleet gauges/counters; nil allocates a private
 	// registry.
 	Metrics *obs.Metrics
@@ -63,18 +53,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.StealAfter <= 0 {
 		o.StealAfter = 30 * time.Second
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 100 * time.Millisecond
-	}
-	if o.RetryCap <= 0 {
-		o.RetryCap = 2 * time.Second
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 4
-	}
-	if o.QuarantineAfter <= 0 {
-		o.QuarantineAfter = 3
 	}
 	if o.Metrics == nil {
 		o.Metrics = obs.NewMetrics()
@@ -98,10 +76,23 @@ type runnerState struct {
 	failures    int64
 }
 
+// The coordinator's retry policy. New copies them into the Coordinator,
+// where this package's tests shorten them before first use.
+const (
+	retryBase       = 100 * time.Millisecond // first backoff between dispatch attempts of one batch
+	retryCap        = 2 * time.Second        // backoff ceiling
+	maxAttempts     = 4                      // dispatch attempts (steals included) before a batch runs locally
+	quarantineAfter = 3                      // consecutive batch failures that quarantine a runner until it re-registers
+)
+
 // Coordinator owns the runner registry and dispatches evaluation batches.
 // One coordinator serves many jobs; each job gets its own Bind.
 type Coordinator struct {
-	opts    Options
+	opts Options
+	// The retry policy (the constants above).
+	retryBase, retryCap          time.Duration
+	maxAttempts, quarantineAfter int
+
 	mu      sync.Mutex
 	runners map[string]*runnerState
 	nextSeq int
@@ -124,18 +115,22 @@ func New(opts Options) *Coordinator {
 	opts = opts.withDefaults()
 	m := opts.Metrics
 	return &Coordinator{
-		opts:         opts,
-		runners:      map[string]*runnerState{},
-		gHealthy:     m.Gauge("citroen_fleet_runners_healthy"),
-		gLost:        m.Gauge("citroen_fleet_runners_lost"),
-		gQuarantined: m.Gauge("citroen_fleet_runners_quarantined"),
-		cBatches:     m.Counter("citroen_fleet_batches_total"),
-		cRetries:     m.Counter("citroen_fleet_batch_retries_total"),
-		cSteals:      m.Counter("citroen_fleet_batch_steals_total"),
-		cDuplicates:  m.Counter("citroen_fleet_duplicates_discarded_total"),
-		cFallbacks:   m.Counter("citroen_fleet_local_fallbacks_total"),
-		cQuarantines: m.Counter("citroen_fleet_quarantines_total"),
-		hDispatch:    m.Histogram("citroen_fleet_dispatch_seconds", obs.DurationBuckets),
+		opts:            opts,
+		retryBase:       retryBase,
+		retryCap:        retryCap,
+		maxAttempts:     maxAttempts,
+		quarantineAfter: quarantineAfter,
+		runners:         map[string]*runnerState{},
+		gHealthy:        m.Gauge("citroen_fleet_runners_healthy"),
+		gLost:           m.Gauge("citroen_fleet_runners_lost"),
+		gQuarantined:    m.Gauge("citroen_fleet_runners_quarantined"),
+		cBatches:        m.Counter("citroen_fleet_batches_total"),
+		cRetries:        m.Counter("citroen_fleet_batch_retries_total"),
+		cSteals:         m.Counter("citroen_fleet_batch_steals_total"),
+		cDuplicates:     m.Counter("citroen_fleet_duplicates_discarded_total"),
+		cFallbacks:      m.Counter("citroen_fleet_local_fallbacks_total"),
+		cQuarantines:    m.Counter("citroen_fleet_quarantines_total"),
+		hDispatch:       m.Histogram("citroen_fleet_dispatch_seconds", obs.DurationBuckets),
 	}
 }
 
@@ -306,7 +301,7 @@ func (c *Coordinator) noteFailure(r *runnerState) bool {
 	defer c.mu.Unlock()
 	r.fails++
 	r.failures++
-	newlyQuarantined := !r.quarantined && r.fails >= c.opts.QuarantineAfter
+	newlyQuarantined := !r.quarantined && r.fails >= c.quarantineAfter
 	if newlyQuarantined {
 		r.quarantined = true
 		c.logf("fleet: quarantined runner %s after %d consecutive failures", r.id, r.fails)
@@ -343,6 +338,13 @@ func (c *Coordinator) postBatch(ctx context.Context, r *runnerState, req BatchRe
 	if len(res.Items) != len(req.Specs) {
 		return nil, fmt.Errorf("fleet: runner %s: %d items for %d specs", r.id, len(res.Items), len(req.Specs))
 	}
+	// A runner that executed a spec reports it Ok or with its error text; a
+	// cancelled batch is a 500. An item with neither was never compiled.
+	for i, it := range res.Items {
+		if !it.Ok && it.Err == "" {
+			return nil, fmt.Errorf("fleet: runner %s: item %d neither ok nor failed", r.id, i)
+		}
+	}
 	return &res, nil
 }
 
@@ -367,7 +369,7 @@ type JobBinding struct {
 // Bind scopes the coordinator to one job evaluating on ev. localWorkers is
 // the worker count used when a batch falls back to coordinator-local
 // execution (the job's -workers value, 0 meaning GOMAXPROCS, so fallback
-// runs keep the single-process group schedule).
+// runs fan out like a single-process run).
 func (c *Coordinator) Bind(cfg JobConfig, ev *bench.Evaluator, localWorkers int) *JobBinding {
 	kind, _ := core.FeatureKindFromString(cfg.Feature)
 	b := &JobBinding{BenchTask: ev.Task().(*core.BenchTask), c: c, cfg: cfg, ev: ev, workers: numeric.Workers(localWorkers), feat: kind}
@@ -408,41 +410,30 @@ func (b *JobBinding) EnsureLocal(ctx context.Context, module string, seq []strin
 	return b.ev.WarmCompile(ctx, module, seq)
 }
 
-// moduleBatch is the per-module slice of one fan-out: specs reindexed
-// locally with idx mapping back to the caller's spec indices.
+// moduleBatch is the per-module slice of one fan-out: the module's specs in
+// fan-out order, with idx mapping each back to the caller's spec index.
 type moduleBatch struct {
 	module string
 	idx    []int
 	specs  []core.CompileSpec
-	groups [][]int
 }
 
-// CompileGroups implements core.EvalBackend: it splits the fan-out into
-// per-module batches (groups never span modules), dispatches each to its
-// sticky runner concurrently, and stitches results back in spec order and
-// incidents in module order. Specs a cancelled context left unexecuted keep
-// Ok=false.
-func (b *JobBinding) CompileGroups(ctx context.Context, specs []core.CompileSpec, groups [][]int, out []core.CompileOutcome) []core.EvalIncident {
+// RunSpecs implements core.EvalBackend: it splits the fan-out into
+// per-module batches, dispatches each to its sticky runner concurrently, and
+// stitches results back in spec order and incidents in module order. Specs a
+// cancelled context left unexecuted keep Ok=false.
+func (b *JobBinding) RunSpecs(ctx context.Context, specs []core.CompileSpec, out []core.CompileOutcome) []core.EvalIncident {
 	var order []string
 	batches := map[string]*moduleBatch{}
-	for _, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		mod := specs[g[0]].Module
-		bt := batches[mod]
+	for i, s := range specs {
+		bt := batches[s.Module]
 		if bt == nil {
-			bt = &moduleBatch{module: mod}
-			batches[mod] = bt
-			order = append(order, mod)
+			bt = &moduleBatch{module: s.Module}
+			batches[s.Module] = bt
+			order = append(order, s.Module)
 		}
-		local := make([]int, 0, len(g))
-		for _, gi := range g {
-			local = append(local, len(bt.specs))
-			bt.idx = append(bt.idx, gi)
-			bt.specs = append(bt.specs, specs[gi])
-		}
-		bt.groups = append(bt.groups, local)
+		bt.idx = append(bt.idx, i)
+		bt.specs = append(bt.specs, s)
 	}
 
 	incidents := b.takePending()
@@ -486,7 +477,7 @@ func (b *JobBinding) runModuleBatch(ctx context.Context, bt *moduleBatch) ([]cor
 		b.c.logf("fleet: batch for module %s running locally (attempts exhausted or no healthy runner)", bt.module)
 	}
 	// A cancelled batch leaves slots !Ok; the tuner checks its own context.
-	_ = core.RunGroups(ctx, b.workers, b.BenchTask, b.feat, bt.specs, bt.groups, outs)
+	_ = core.RunSpecs(ctx, b.workers, b.BenchTask, b.feat, bt.specs, outs)
 	return outs, incidents
 }
 
@@ -506,9 +497,8 @@ func (b *JobBinding) dispatch(ctx context.Context, bt *moduleBatch) (*BatchResul
 		ID:     fmt.Sprintf("b%d", c.batchID.Add(1)),
 		Config: b.cfg,
 		Specs:  bt.specs,
-		Groups: bt.groups,
 	}
-	resc := make(chan attemptResult, c.opts.MaxAttempts+1)
+	resc := make(chan attemptResult, c.maxAttempts+1)
 	inflight, tried := 0, 0
 	launch := func() *runnerState {
 		r := c.pickDispatchable(bt.module, tried)
@@ -550,13 +540,13 @@ func (b *JobBinding) dispatch(ctx context.Context, bt *moduleBatch) (*BatchResul
 			if inflight > 0 {
 				continue // a stolen copy is still running; let it race
 			}
-			if tried >= c.opts.MaxAttempts {
+			if tried >= c.maxAttempts {
 				return nil, true, incidents
 			}
 			retries++
-			backoff := c.opts.RetryBase << (retries - 1)
-			if backoff > c.opts.RetryCap {
-				backoff = c.opts.RetryCap
+			backoff := c.retryBase << (retries - 1)
+			if backoff > c.retryCap {
+				backoff = c.retryCap
 			}
 			select {
 			case <-time.After(backoff):
@@ -570,7 +560,7 @@ func (b *JobBinding) dispatch(ctx context.Context, bt *moduleBatch) (*BatchResul
 			c.cRetries.Inc()
 			incidents = append(incidents, core.EvalIncident{Kind: "retry", Runner: r.id, Module: bt.module, Attempt: tried})
 		case <-steal.C:
-			if inflight > 0 && tried < c.opts.MaxAttempts {
+			if inflight > 0 && tried < c.maxAttempts {
 				if r := launch(); r != nil {
 					c.cSteals.Inc()
 					incidents = append(incidents, core.EvalIncident{Kind: "steal", Runner: r.id, Module: bt.module, Attempt: tried})

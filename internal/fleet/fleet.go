@@ -40,13 +40,12 @@ type JobConfig struct {
 	Feature  string `json:"feature"` // see core.FeatureKindFromString
 }
 
-// BatchRequest is one dispatched batch: an ordered spec list plus the group
-// structure the runner must honour (serial within a group, parallel across).
+// BatchRequest is one dispatched batch: one module's specs of a fan-out, in
+// the fan-out's order. The runner compiles them in parallel.
 type BatchRequest struct {
 	ID     string             `json:"id"`
 	Config JobConfig          `json:"config"`
 	Specs  []core.CompileSpec `json:"specs"`
-	Groups [][]int            `json:"groups"`
 }
 
 // BatchResult is a runner's response: per-spec outcomes in request order

@@ -197,11 +197,8 @@ func TestRunnerKilledMidJobCompletesWithRetries(t *testing.T) {
 	tsB := httptest.NewServer(kill(&RunnerServer{Workers: 2}))
 	defer tsB.Close()
 
-	c := New(Options{
-		HeartbeatTimeout: time.Minute,
-		RetryBase:        5 * time.Millisecond,
-		RetryCap:         20 * time.Millisecond,
-	})
+	c := New(Options{HeartbeatTimeout: time.Minute})
+	c.retryBase, c.retryCap = 5*time.Millisecond, 20*time.Millisecond
 	c.Register(tsA.URL, 2)
 	c.Register(tsB.URL, 2)
 	cfg := JobConfig{Bench: benchName, Platform: "arm", Seed: seed, Feature: "stats"}
@@ -277,7 +274,7 @@ func TestStolenDuplicateDiscardedExactlyOnce(t *testing.T) {
 
 	out := make([]core.CompileOutcome, 1)
 	specs := []core.CompileSpec{{Module: module, Seq: []string{"mem2reg", "dce"}}}
-	incs := binding.CompileGroups(context.Background(), specs, [][]int{{0}}, out)
+	incs := binding.RunSpecs(context.Background(), specs, out)
 	if !out[0].Ok {
 		t.Fatalf("stolen batch failed: %+v (incidents %v)", out[0], incs)
 	}
@@ -327,12 +324,8 @@ func TestQuarantineAndLocalFallback(t *testing.T) {
 	}))
 	defer broken.Close()
 
-	c := New(Options{
-		HeartbeatTimeout: time.Minute,
-		RetryBase:        time.Millisecond,
-		MaxAttempts:      2,
-		QuarantineAfter:  2,
-	})
+	c := New(Options{HeartbeatTimeout: time.Minute})
+	c.retryBase, c.maxAttempts, c.quarantineAfter = time.Millisecond, 2, 2
 	info := c.Register(broken.URL, 1)
 	ev := newEval(t, benchName, seed)
 	cfg := JobConfig{Bench: benchName, Platform: "arm", Seed: seed, Feature: "stats"}
@@ -340,7 +333,7 @@ func TestQuarantineAndLocalFallback(t *testing.T) {
 
 	out := make([]core.CompileOutcome, 1)
 	specs := []core.CompileSpec{{Module: ev.Modules()[0], Seq: []string{"mem2reg"}}}
-	incs := binding.CompileGroups(context.Background(), specs, [][]int{{0}}, out)
+	incs := binding.RunSpecs(context.Background(), specs, out)
 	if !out[0].Ok {
 		t.Fatalf("local fallback did not produce a result: %+v", out[0])
 	}
@@ -356,7 +349,7 @@ func TestQuarantineAndLocalFallback(t *testing.T) {
 	}
 	before := hits.Load()
 	out2 := make([]core.CompileOutcome, 1)
-	incs = binding.CompileGroups(context.Background(), specs, [][]int{{0}}, out2)
+	incs = binding.RunSpecs(context.Background(), specs, out2)
 	if !out2[0].Ok {
 		t.Fatal("second local fallback failed")
 	}
@@ -395,7 +388,8 @@ func TestConcurrentLocalFallbacksMatchSerial(t *testing.T) {
 		http.Error(w, "boom", http.StatusInternalServerError)
 	}))
 	defer broken.Close()
-	c := New(Options{HeartbeatTimeout: time.Minute, RetryBase: time.Millisecond, MaxAttempts: 1, QuarantineAfter: 100})
+	c := New(Options{HeartbeatTimeout: time.Minute})
+	c.retryBase, c.maxAttempts, c.quarantineAfter = time.Millisecond, 1, 100
 	c.Register(broken.URL, 1)
 
 	cfg := JobConfig{Bench: benchName, Platform: "arm", Seed: seed, Feature: "stats"}
@@ -410,18 +404,13 @@ func TestConcurrentLocalFallbacksMatchSerial(t *testing.T) {
 		{"mem2reg", "instcombine"},
 	}
 	var specs []core.CompileSpec
-	var groups [][]int
 	for _, mod := range ev.Modules()[:2] {
-		// One group per module: the batch's specs run in order.
-		var g []int
 		for _, seq := range seqs {
-			g = append(g, len(specs))
 			specs = append(specs, core.CompileSpec{Module: mod, Seq: seq})
 		}
-		groups = append(groups, g)
 	}
 	out := make([]core.CompileOutcome, len(specs))
-	incs := c.Bind(cfg, ev, 2).CompileGroups(context.Background(), specs, groups, out)
+	incs := c.Bind(cfg, ev, 2).RunSpecs(context.Background(), specs, out)
 	fallbacks := 0
 	for _, in := range incs {
 		if in.Kind == "local-fallback" {
@@ -436,7 +425,7 @@ func TestConcurrentLocalFallbacksMatchSerial(t *testing.T) {
 	kind, _ := core.FeatureKindFromString(cfg.Feature)
 	for i, sp := range specs {
 		want := make([]core.CompileOutcome, 1)
-		if err := core.RunGroups(context.Background(), 1, ref.Task(), kind, []core.CompileSpec{sp}, [][]int{{0}}, want); err != nil {
+		if err := core.RunSpecs(context.Background(), 1, ref.Task(), kind, []core.CompileSpec{sp}, want); err != nil {
 			t.Fatal(err)
 		}
 		got := out[i]
@@ -459,7 +448,7 @@ func TestEmptyRegistryRunsLocallySilently(t *testing.T) {
 
 	out := make([]core.CompileOutcome, 1)
 	specs := []core.CompileSpec{{Module: ev.Modules()[0]}}
-	incs := binding.CompileGroups(context.Background(), specs, [][]int{{0}}, out)
+	incs := binding.RunSpecs(context.Background(), specs, out)
 	if !out[0].Ok {
 		t.Fatalf("local compile failed: %+v", out[0])
 	}
@@ -638,10 +627,10 @@ func TestCoordinatorCapsBatchResult(t *testing.T) {
 
 // The fleet wire format is core.CompileSpec / core.CompileOutcome themselves.
 // The golden bodies were captured from the last commit that had separate wire
-// types (bench.TaskSpec, fleet.WireOutcome): they must decode into today's
-// types and re-encode to the same bytes, the way each side writes them
-// (json.Marshal for the request, an Encoder — trailing newline — for the
-// result).
+// types (bench.TaskSpec, fleet.WireOutcome), the request's since stripped of
+// its "groups" key and nothing else: they must decode into today's types and
+// re-encode to the same bytes, the way each side writes them (json.Marshal
+// for the request, an Encoder — trailing newline — for the result).
 func TestWireFormatGolden(t *testing.T) {
 	wantReq, err := os.ReadFile("testdata/batch_request.json")
 	if err != nil {
@@ -676,7 +665,7 @@ func TestWireFormatGolden(t *testing.T) {
 	}
 }
 
-// One executor, three callers: the same specs and groups give the same
+// One executor, three callers: the same specs give the same
 // outcomes (everything but Wall) through the evaluator's own task, through a
 // runner over HTTP, and through the coordinator's local fallback.
 func TestOutcomesEqualLocalRunnerFallback(t *testing.T) {
@@ -684,15 +673,12 @@ func TestOutcomesEqualLocalRunnerFallback(t *testing.T) {
 	const benchName = "telecom_gsm"
 	cfg := JobConfig{Bench: benchName, Platform: "arm", Seed: seed, Feature: "stats"}
 	var specs []core.CompileSpec
-	var groups [][]int
 	for _, mod := range newEval(t, benchName, seed).Modules() {
-		g := []int{len(specs), len(specs) + 1, len(specs) + 2, len(specs) + 3}
 		specs = append(specs,
 			core.CompileSpec{Module: mod},
 			core.CompileSpec{Module: mod, Seq: []string{"mem2reg", "instcombine", "dce"}},
 			core.CompileSpec{Module: mod, Seq: []string{"mem2reg", "instcombine", "gvn"}},
 			core.CompileSpec{Module: mod, Seq: []string{"no-such-pass"}})
-		groups = append(groups, g)
 	}
 	strip := func(outs []core.CompileOutcome) []core.CompileOutcome {
 		for i := range outs {
@@ -702,7 +688,7 @@ func TestOutcomesEqualLocalRunnerFallback(t *testing.T) {
 	}
 
 	local := make([]core.CompileOutcome, len(specs))
-	if err := core.RunGroups(context.Background(), 2, newEval(t, benchName, seed).Task(), core.FeatStats, specs, groups, local); err != nil {
+	if err := core.RunSpecs(context.Background(), 2, newEval(t, benchName, seed).Task(), core.FeatStats, specs, local); err != nil {
 		t.Fatal(err)
 	}
 	strip(local)
@@ -715,7 +701,7 @@ func TestOutcomesEqualLocalRunnerFallback(t *testing.T) {
 	c := New(Options{HeartbeatTimeout: time.Minute})
 	c.Register(ts.URL, 2)
 	remote := make([]core.CompileOutcome, len(specs))
-	if incs := c.Bind(cfg, newEval(t, benchName, seed), 2).CompileGroups(context.Background(), specs, groups, remote); len(incs) != 0 {
+	if incs := c.Bind(cfg, newEval(t, benchName, seed), 2).RunSpecs(context.Background(), specs, remote); len(incs) != 0 {
 		t.Fatalf("healthy runner reported incidents: %v", incs)
 	}
 	if c.cBatches.Value() == 0 {
@@ -726,9 +712,46 @@ func TestOutcomesEqualLocalRunnerFallback(t *testing.T) {
 	}
 
 	fallback := make([]core.CompileOutcome, len(specs))
-	New(Options{}).Bind(cfg, newEval(t, benchName, seed), 2).CompileGroups(context.Background(), specs, groups, fallback)
+	New(Options{}).Bind(cfg, newEval(t, benchName, seed), 2).RunSpecs(context.Background(), specs, fallback)
 	if !reflect.DeepEqual(local, strip(fallback)) {
 		t.Fatalf("fallback outcomes differ from local:\n%+v\nvs\n%+v", fallback, local)
+	}
+}
+
+// A 200 whose item is neither Ok nor carries an error (what a runner that
+// never compiled the spec would send) fails the attempt like any other bad
+// response: retries, quarantine and a journalled local fallback follow, and
+// the outcome is the local compile's.
+func TestMalformedResultFallsBackLocally(t *testing.T) {
+	const seed = 9
+	const benchName = "automotive_bitcount"
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"items":[{}]}`)
+	}))
+	defer fake.Close()
+	c := New(Options{HeartbeatTimeout: time.Minute})
+	c.retryBase = time.Millisecond
+	c.Register(fake.URL, 1)
+	ev := newEval(t, benchName, seed)
+	cfg := JobConfig{Bench: benchName, Platform: "arm", Seed: seed, Feature: "stats"}
+	specs := []core.CompileSpec{{Module: ev.Modules()[0], Seq: []string{"mem2reg", "instcombine"}}}
+
+	out := make([]core.CompileOutcome, 1)
+	incs := c.Bind(cfg, ev, 1).RunSpecs(context.Background(), specs, out)
+	fallback := false
+	for _, in := range incs {
+		fallback = fallback || in.Kind == "local-fallback"
+	}
+	if !fallback {
+		t.Fatalf("malformed result accepted: incidents %v, outcome %+v", incs, out[0])
+	}
+	want := make([]core.CompileOutcome, 1)
+	if err := core.RunSpecs(context.Background(), 1, newEval(t, benchName, seed).Task(), core.FeatStats, specs, want); err != nil {
+		t.Fatal(err)
+	}
+	out[0].Wall, want[0].Wall = 0, 0
+	if !out[0].Ok || !reflect.DeepEqual(out[0], want[0]) {
+		t.Fatalf("fallback outcome %+v, local compile %+v", out[0], want[0])
 	}
 }
 
@@ -749,7 +772,7 @@ func TestRunnerRejectsUnknownNames(t *testing.T) {
 		cfgs = append(cfgs, JobConfig{Bench: fmt.Sprintf("no_such_bench_%d", i), Platform: "arm", Seed: 1})
 	}
 	for _, cfg := range cfgs {
-		body, _ := json.Marshal(BatchRequest{ID: "b1", Config: cfg, Specs: []core.CompileSpec{{Module: "long_term"}}, Groups: [][]int{{0}}})
+		body, _ := json.Marshal(BatchRequest{ID: "b1", Config: cfg, Specs: []core.CompileSpec{{Module: "long_term"}}})
 		resp, err := http.Post(srv.URL+"/v1/batch", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -22,9 +22,9 @@ import (
 // compile caches — exactly the behaviour the sticky-dispatch determinism
 // argument needs.
 type RunnerServer struct {
-	// Workers bounds the compile pool per batch; 0 means GOMAXPROCS.
-	// Group scheduling (serial within a group) is preserved at any
-	// worker count, so this never affects results — only latency.
+	// Workers bounds the compile pool per batch; 0 means GOMAXPROCS. Every
+	// spec writes only its own outcome slot, so this never affects results —
+	// only latency.
 	Workers int
 	// Logf, when set, receives batch diagnostics.
 	Logf func(format string, args ...any)
@@ -143,14 +143,6 @@ func (rs *RunnerServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad batch request: %v", err)
 		return
 	}
-	for _, g := range req.Groups {
-		for _, i := range g {
-			if i < 0 || i >= len(req.Specs) {
-				httpError(w, http.StatusBadRequest, "group index %d out of range (%d specs)", i, len(req.Specs))
-				return
-			}
-		}
-	}
 	kind, ok := core.FeatureKindFromString(req.Config.Feature)
 	if !ok {
 		httpError(w, http.StatusBadRequest, "unknown feature kind %q", req.Config.Feature)
@@ -174,7 +166,7 @@ func (rs *RunnerServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	res := BatchResult{ID: req.ID, Items: make([]core.CompileOutcome, len(req.Specs))}
 	le.batchMu.Lock()
 	before := le.ev.Counters().Owned()
-	err = core.RunGroups(r.Context(), numeric.Workers(rs.Workers), le.ev.Task(), kind, req.Specs, req.Groups, res.Items)
+	err = core.RunSpecs(r.Context(), numeric.Workers(rs.Workers), le.ev.Task(), kind, req.Specs, res.Items)
 	res.Delta = le.ev.Counters().Owned().Sub(before)
 	le.batchMu.Unlock()
 	if err != nil {

@@ -274,7 +274,7 @@ func TestWorkersResolvesZeroToGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// ParallelFor is the repository's one data-parallel fan-out (core.RunGroups
+// ParallelFor is the repository's one data-parallel fan-out (core.RunSpecs
 // and the evaluator's datasets run on it): a panic in one shard reaches the caller
 // as the value it was raised with, after every worker has returned, and the
 // workers that did not panic finish the remaining shards.

@@ -40,7 +40,7 @@ func ShardBounds(n, s int) (lo, hi int) {
 // count, and results stay bit-identical for any workers value.
 //
 // This is the repository's one data-parallel loop — the GP kernels, the
-// tuner's candidate compiles (core.RunGroups), the acquisition restarts, the
+// tuner's candidate compiles (core.RunSpecs), the acquisition restarts, the
 // fleet's per-module batches and the evaluator's dataset fan-out all run on
 // it — and they rely on how it ends: it returns only when every worker has,
 // and a panic in fn — which ends the worker it happened on, the others

@@ -128,7 +128,7 @@ func eventEnd(sp *Span, e obs.Event) int64 {
 }
 
 // packCompileLanes assigns overlapping compile slices to the fewest lanes
-// (first-fit by start time), mirroring how core.RunGroups fans candidates over
+// (first-fit by start time), mirroring how core.RunSpecs fans candidates over
 // workers, and emits them on threads 1..N.
 func packCompileLanes(tr *Trace, pid int, base int64, ivs []interval3) {
 	sort.SliceStable(ivs, func(i, j int) bool { return ivs[i].startNS < ivs[j].startNS })
