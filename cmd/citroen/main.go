@@ -9,7 +9,8 @@
 //	citroen -bench 525.x264_r -budget 150 -adaptive=false
 //	citroen -bench telecom_gsm -budget 50 -trace-out trace.jsonl -pass-profile
 //	citroen -bench telecom_gsm -budget 200 -metrics-addr localhost:9090
-//	citroen -trace-summary trace.jsonl
+//
+// A saved journal is read by citroenstat (report, convergence, trace, diff).
 package main
 
 import (
@@ -43,20 +44,11 @@ func main() {
 		feature  = flag.String("feature", "stats", "cost-model features: stats|autophase|tokenmix|rawseq")
 		verbose  = flag.Bool("v", false, "render the measurement trace live")
 
-		traceOut     = flag.String("trace-out", "", "write the structured event journal (JSONL) to this file")
-		traceSummary = flag.String("trace-summary", "", "replay a saved journal file, print its summary, and exit")
-		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics (Prometheus text) and /debug/pprof/ on this address, e.g. localhost:9090")
-		passProfile  = flag.Bool("pass-profile", false, "profile per-pass wall time and stats-counter deltas")
+		traceOut    = flag.String("trace-out", "", "write the structured event journal (JSONL) to this file")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text) and /debug/pprof/ on this address, e.g. localhost:9090")
+		passProfile = flag.Bool("pass-profile", false, "profile per-pass wall time and stats-counter deltas")
 	)
 	flag.Parse()
-
-	if *traceSummary != "" {
-		if err := summarizeJournal(*traceSummary); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		fmt.Println("cBench-like suite:")
@@ -194,21 +186,4 @@ func main() {
 	}
 	fmt.Println("\nMetrics summary:")
 	metrics.WriteSummary(os.Stdout)
-}
-
-// summarizeJournal prints citroenstat's report and convergence views of a
-// saved journal.
-func summarizeJournal(path string) error {
-	events, err := obs.ReadJournalFile(path)
-	if err != nil {
-		return err
-	}
-	if len(events) == 0 {
-		return fmt.Errorf("journal %s contains no events", path)
-	}
-	r := analyze.Analyze(events)
-	analyze.WriteReport(os.Stdout, r)
-	fmt.Println()
-	analyze.WriteConvergence(os.Stdout, r)
-	return nil
 }

@@ -33,6 +33,10 @@ type CompileOutcome struct {
 	Feature map[string]float64 `json:"feature,omitempty"`
 	Stats   passes.Stats       `json:"stats,omitempty"`
 	Wall    time.Duration      `json:"wall_ns"`
+	// End is when the compile finished on this process's clock (for a
+	// remote compile: when its result arrived). It places the compile on
+	// the run timeline (obs.Recorder.Compile) and is not sent on the wire.
+	End time.Time `json:"-"`
 }
 
 // EvalIncident describes one dispatch-level anomaly an evaluation backend
@@ -83,7 +87,7 @@ func ExtractFeatures(kind FeatureKind, m *ir.Module, st passes.Stats, seq []stri
 // local fallback all run batches through here, so they cannot disagree. ctx
 // is checked before every spec: a cancelled ctx leaves unexecuted specs !Ok
 // and is returned as the error. Each compile runs under the pprof labels
-// phase=compile and module=<name>.
+// phase=compile and module=<name>, and its outcome records when it ended.
 func RunSpecs(ctx context.Context, workers int, task Task, feat FeatureKind, specs []CompileSpec, out []CompileOutcome) error {
 	numeric.ParallelFor(workers, len(specs), func(i int) {
 		if ctx.Err() != nil {
@@ -93,7 +97,8 @@ func RunSpecs(ctx context.Context, workers int, task Task, feat FeatureKind, spe
 		pprof.Do(ctx, pprof.Labels("phase", "compile", "module", s.Module), func(ctx context.Context) {
 			tc := time.Now()
 			m, st, err := task.CompileModule(ctx, s.Module, s.Seq)
-			out[i].Wall = time.Since(tc)
+			out[i].End = time.Now()
+			out[i].Wall = out[i].End.Sub(tc)
 			if err != nil {
 				out[i].Err = err.Error()
 				return

@@ -74,9 +74,10 @@ type Options struct {
 	// Workers value modulo timing ("_ns") and environment ("env_") fields.
 	// nil disables journaling; the disabled path is allocation-free.
 	Sink obs.Sink
-	// Metrics is the registry fed by the tuner (measurement/compilation
-	// counters, phase-duration histograms, incumbent gauge). nil uses a
-	// tuner-private registry, which still feeds Result.Breakdown.
+	// Metrics is the registry fed by the tuner (measurement, compilation,
+	// dedup and GP-append counters, incumbent gauge). nil uses a
+	// tuner-private registry. Phase time is the journal's to report: attach
+	// analyze.NewPhaseSink to Sink for the citroen_phase_seconds series.
 	Metrics *obs.Metrics
 	// Checkpoint, when non-nil, receives durable snapshots of the tuner's
 	// state (incumbent, measurement history) so an interrupted run can be
@@ -126,18 +127,14 @@ type StatImportance struct {
 	Relevance float64 // 1/length-scale, higher = more impactful
 }
 
-// RuntimeBreakdown records where wall-clock time went (Fig 5.12).
+// RuntimeBreakdown counts the run's work. Where its time went (Fig 5.12) is
+// the journal's to say: analyze.Analyzer partitions a run's wall clock over
+// the timed events.
 type RuntimeBreakdown struct {
-	GPFit    time.Duration
-	AcqMax   time.Duration // candidate generation + compilation + scoring
-	Compile  time.Duration // summed per-candidate compile work (can exceed wall time when Workers > 1)
-	Measure  time.Duration
-	Total    time.Duration
-	Measures int
-	Compiles int
-	// GPFits/GPAppends count the surrogate updates behind the GPFit wall
-	// time: full O(n³) (re)fits vs O(n²) incremental appends absorbed on
-	// non-refit iterations.
+	Measures int // budget-consuming measurements (len(Result.Trace))
+	Compiles int // candidate compiles, the -O3 baselines excluded
+	// GPFits/GPAppends count the surrogate updates: full O(n³) (re)fits vs
+	// O(n²) incremental appends absorbed on non-refit iterations.
 	GPFits    int
 	GPAppends int
 	// Counters is the run's final counter set: whatever the Task reports
@@ -218,8 +215,7 @@ type Tuner struct {
 
 	// Observability. rec is nil when journaling is disabled (every emit is
 	// then a single nil check). The metric instruments are resolved once at
-	// construction; RuntimeBreakdown's counts are read back from them at
-	// finalize, making the registry the single source of truth.
+	// construction; a registry shared across runs keeps global totals.
 	rec     *obs.Recorder
 	runSpan int64 // journal span of the whole run
 	curSpan int64 // parent span for the current phase's events
@@ -227,16 +223,8 @@ type Tuner struct {
 	mComp   *obs.Counter
 	mSaved  *obs.Counter
 	mDup    *obs.Counter
-	// Counter values at construction: a registry shared across several runs
-	// (experiment repeats) keeps global totals, while Breakdown reports
-	// this run's deltas.
-	mMeas0, mComp0 int64
-	mGPApp         *obs.Counter
-	gBest          *obs.Gauge
-	hGPFit         *obs.Histogram
-	hAcq           *obs.Histogram
-	hCompile       *obs.Histogram
-	hMeasure       *obs.Histogram
+	mGPApp  *obs.Counter
+	gBest   *obs.Gauge
 }
 
 // NewTuner prepares a tuner.
@@ -263,19 +251,14 @@ func NewTuner(task Task, opts Options, seed int64) *Tuner {
 		modIdx:  map[string]*moduleState{},
 		measCut: map[string]float64{},
 
-		rec:      obs.NewRecorder(opts.Sink),
-		mMeas:    met.Counter("citroen_measurements_total"),
-		mComp:    met.Counter("citroen_compilations_total"),
-		mSaved:   met.Counter("citroen_saved_measurements_total"),
-		mDup:     met.Counter("citroen_candidate_dups_total"),
-		mGPApp:   met.Counter("citroen_gp_append_total"),
-		gBest:    met.Gauge("citroen_incumbent_speedup"),
-		hGPFit:   met.Histogram("citroen_gp_fit_seconds", obs.DurationBuckets),
-		hAcq:     met.Histogram("citroen_acq_maximize_seconds", obs.DurationBuckets),
-		hCompile: met.Histogram("citroen_candidate_compile_seconds", obs.DurationBuckets),
-		hMeasure: met.Histogram("citroen_measure_seconds", obs.DurationBuckets),
+		rec:    obs.NewRecorder(opts.Sink),
+		mMeas:  met.Counter("citroen_measurements_total"),
+		mComp:  met.Counter("citroen_compilations_total"),
+		mSaved: met.Counter("citroen_saved_measurements_total"),
+		mDup:   met.Counter("citroen_candidate_dups_total"),
+		mGPApp: met.Counter("citroen_gp_append_total"),
+		gBest:  met.Gauge("citroen_incumbent_speedup"),
 	}
-	t.mMeas0, t.mComp0 = t.mMeas.Value(), t.mComp.Value()
 	if t.opts.GPOpts.Workers == 0 {
 		// -workers drives the surrogate too: parallel fit restarts, sharded
 		// gradients and batched prediction, all bit-identical to serial.
@@ -369,7 +352,6 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 		ctx = context.Background()
 	}
 	t.ctx = ctx
-	start := time.Now()
 	t.res = &Result{BestSeqs: map[string][]string{}, ModuleBudget: map[string]int{}}
 	t.base = t.task.BaselineTime()
 	if t.base <= 0 {
@@ -433,7 +415,7 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 			return nil, fmt.Errorf("core: baseline compile of %s: %s", name, baseOuts[i].Err)
 		}
 		// Journaled serially in hot order, after the fan-out barrier.
-		t.rec.Compile(t.runSpan, name, len(o3Indices), hashSeq(o3Indices), true, baseOuts[i].Wall)
+		t.rec.Compile(t.runSpan, name, len(o3Indices), hashSeq(o3Indices), true, baseOuts[i].Wall, baseOuts[i].End)
 		ms := &moduleState{
 			name:     name,
 			bestY:    1.0,
@@ -554,7 +536,7 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 	if err := t.maybeCheckpoint(iters, true); err != nil {
 		return nil, err
 	}
-	t.finalize(start)
+	t.finalize()
 	if t.interrupted {
 		return t.res, t.ctx.Err()
 	}
@@ -659,12 +641,9 @@ func (t *Tuner) fitModel(iter int) error {
 			return nil
 		case 1:
 			if err := t.model.Append(t.X[len(t.X)-1], t.Y[len(t.Y)-1]); err == nil {
-				wall := time.Since(tStart)
-				t.res.Breakdown.GPFit += wall
 				t.res.Breakdown.GPAppends++
 				t.mGPApp.Inc()
-				t.hGPFit.Observe(wall.Seconds())
-				t.rec.GPFit(t.curSpan, len(t.Y), t.fi.Dim(), true, wall)
+				t.rec.GPFit(t.curSpan, len(t.Y), t.fi.Dim(), true, time.Since(tStart))
 				return nil
 			}
 			// The bordered update could not recover — fall through to the
@@ -684,11 +663,8 @@ func (t *Tuner) fitModel(iter int) error {
 		return fmt.Errorf("core: GP fit: %w", err)
 	}
 	t.model = m
-	wall := time.Since(tStart)
-	t.res.Breakdown.GPFit += wall
 	t.res.Breakdown.GPFits++
-	t.hGPFit.Observe(wall.Seconds())
-	t.rec.GPFit(t.curSpan, len(t.Y), t.fi.Dim(), false, wall)
+	t.rec.GPFit(t.curSpan, len(t.Y), t.fi.Dim(), false, time.Since(tStart))
 	return nil
 }
 
@@ -700,14 +676,13 @@ type candidate struct {
 	dup bool
 }
 
-// candJob is one candidate evaluation fanned out by RunSpecs: the inputs are
-// filled serially, the outputs by exactly one worker.
+// candJob is one candidate of a proposal round: its sequence, and the
+// feature vector its compile produced (ok is false when the compile failed).
 type candJob struct {
-	ms      *moduleState
-	seq     []int
-	fv      sparseVec
-	ok      bool
-	compile time.Duration
+	ms  *moduleState
+	seq []int
+	fv  sparseVec
+	ok  bool
 }
 
 // proposeCandidate generates, compiles and scores candidates for the target
@@ -718,11 +693,6 @@ type candJob struct {
 // independent of Options.Workers.
 func (t *Tuner) proposeCandidate() (candidate, map[string]sparseVec, bool) {
 	tAcq := time.Now()
-	defer func() {
-		wall := time.Since(tAcq)
-		t.res.Breakdown.AcqMax += wall
-		t.hAcq.Observe(wall.Seconds())
-	}()
 
 	targets := t.mods
 	if !t.opts.Adaptive {
@@ -765,7 +735,6 @@ func (t *Tuner) proposeCandidate() (candidate, map[string]sparseVec, bool) {
 	outs := make([]CompileOutcome, len(jobs))
 	t.runSpecs(ctx, specs, outs)
 	for i := range jobs {
-		jobs[i].compile = outs[i].Wall
 		if outs[i].Ok {
 			jobs[i].fv = sparseVec(outs[i].Feature)
 			jobs[i].ok = true
@@ -789,10 +758,8 @@ func (t *Tuner) proposeCandidate() (candidate, map[string]sparseVec, bool) {
 		j := &jobs[i]
 		t.candsCompiled++
 		t.mComp.Inc()
-		t.res.Breakdown.Compile += j.compile
-		t.hCompile.Observe(j.compile.Seconds())
 		if t.rec.Enabled() {
-			t.rec.Compile(t.curSpan, j.ms.name, len(j.seq), hashSeq(j.seq), j.ok, j.compile)
+			t.rec.Compile(t.curSpan, j.ms.name, len(j.seq), hashSeq(j.seq), j.ok, outs[i].Wall, outs[i].End)
 		}
 		if !j.ok {
 			continue
@@ -885,10 +852,8 @@ func (t *Tuner) compileCandidate(ms *moduleState, seq []int) (sparseVec, bool) {
 	t.candsCompiled++
 	t.mComp.Inc()
 	out, err := t.compileOne(ms.name, t.seqStrings(seq))
-	t.res.Breakdown.Compile += out.Wall
-	t.hCompile.Observe(out.Wall.Seconds())
 	if t.rec.Enabled() {
-		t.rec.Compile(t.curSpan, ms.name, len(seq), hashSeq(seq), err == nil, out.Wall)
+		t.rec.Compile(t.curSpan, ms.name, len(seq), hashSeq(seq), err == nil, out.Wall, out.End)
 	}
 	if err != nil {
 		return nil, false
@@ -943,8 +908,6 @@ func (t *Tuner) measureCandidate(ms *moduleState, seq []int, knownFV map[string]
 		timeC, err = t.task.Measure(ctx, seqs)
 	})
 	wall := time.Since(tm)
-	t.res.Breakdown.Measure += wall
-	t.hMeasure.Observe(wall.Seconds())
 	if err != nil {
 		// Differential-test failure or build error: discard, penalise.
 		t.rec.Measure(t.curSpan, ms.name, 0, 0, 0, 1/prevBest, false, false, wall)
@@ -1016,10 +979,8 @@ func (t *Tuner) currentSequences() map[string][]string {
 	return out
 }
 
-// finalize fills the result summary. The breakdown's counts come back out
-// of the metrics registry (this run's deltas), making the registry, the
-// journal and Result three views of the same accounting.
-func (t *Tuner) finalize(start time.Time) {
+// finalize fills the result summary and closes the journal's run span.
+func (t *Tuner) finalize() {
 	t.res.BestSeqs = t.currentSequences()
 	bestY := t.bestObservedY()
 	t.res.BestTime = bestY * t.base
@@ -1027,13 +988,12 @@ func (t *Tuner) finalize(start time.Time) {
 	if t.candsCompiled > 0 {
 		t.res.CandidateDupRate = float64(t.candsDup) / float64(t.candsCompiled)
 	}
-	t.res.Breakdown.Measures = int(t.mMeas.Value() - t.mMeas0)
-	t.res.Breakdown.Compiles = int(t.mComp.Value() - t.mComp0)
+	t.res.Breakdown.Measures = len(t.res.Trace)
+	t.res.Breakdown.Compiles = t.candsCompiled
 	t.res.Breakdown.Counters = t.counters()
 	if pp, ok := t.task.(PassProfileReporter); ok {
 		t.res.PassProfile = pp.PassProfile()
 	}
-	t.res.Breakdown.Total = time.Since(start)
 	if t.rec.Enabled() {
 		bd := t.res.Breakdown
 		summary := map[string]any{
@@ -1043,11 +1003,6 @@ func (t *Tuner) finalize(start time.Time) {
 			"novel_selections":   t.res.NovelSelections,
 			"candidate_dup_rate": t.res.CandidateDupRate,
 			"interrupted":        t.interrupted,
-			"breakdown": map[string]any{
-				"gp_fit_ns": bd.GPFit.Nanoseconds(), "acq_max_ns": bd.AcqMax.Nanoseconds(),
-				"compile_ns": bd.Compile.Nanoseconds(), "measure_ns": bd.Measure.Nanoseconds(),
-				"total_ns": bd.Total.Nanoseconds(),
-			},
 		}
 		bd.Counters.PutFields(summary)
 		if len(t.res.PassProfile) > 0 {

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"time"
+
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/numeric"
+	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/passes"
 	"repro/internal/tuners"
@@ -296,25 +299,32 @@ func runFig512(c Config) error {
 	if len(c.Benchmarks) > 0 {
 		b = bench.ByName(c.Benchmarks[0])
 	}
+	// The journal is the one account of where the time went: an Analyzer
+	// on the run's sink partitions its wall clock over the phases.
+	an := analyze.NewAnalyzer()
 	opts := c.tunerOptions()
 	opts.Budget = c.Budget
+	opts.Sink = obs.Multi(opts.Sink, an)
 	_, res, err := runCitroen(b, c.Platform, opts, c.Seed)
 	if err != nil {
 		return err
 	}
-	bd := res.Breakdown
-	total := bd.Total.Seconds()
-	if total <= 0 {
-		total = 1
+	rep := an.Report()
+	labels := map[analyze.Phase]string{
+		analyze.PhaseCompile: "candidate compilation",
+		analyze.PhaseMeasure: "runtime measurement",
+		analyze.PhaseGPFit:   "GP model fitting",
+		analyze.PhaseAcq:     "acquisition",
+		analyze.PhaseOther:   "bookkeeping (untimed)",
 	}
+	wall := float64(max(rep.WallNS, 1))
 	c.printf("Fig 5.12 — proportion of algorithmic runtime (%s, budget %d)\n", b.Name, c.Budget)
-	c.printf("  %-28s %6.1f%%\n", "candidate compilation", 100*bd.Compile.Seconds()/total)
-	c.printf("  %-28s %6.1f%%\n", "runtime measurement", 100*bd.Measure.Seconds()/total)
-	c.printf("  %-28s %6.1f%%\n", "GP model fitting", 100*bd.GPFit.Seconds()/total)
-	other := total - bd.Compile.Seconds() - bd.Measure.Seconds() - bd.GPFit.Seconds()
-	c.printf("  %-28s %6.1f%%\n", "acquisition + bookkeeping", 100*other/total)
-	c.printf("  total wall clock: %v; %d compiles, %d measurements\n", bd.Total, bd.Compiles, bd.Measures)
-	analyze.WriteCounters(c.Out, bd.Counters.Canonical())
+	for _, pt := range rep.Phases {
+		c.printf("  %-28s %6.2f%%\n", labels[pt.Phase], 100*float64(pt.ElapsedNS)/wall)
+	}
+	c.printf("  total wall clock: %v; %d compiles, %d measurements\n",
+		time.Duration(rep.WallNS), res.Breakdown.Compiles, res.Breakdown.Measures)
+	analyze.WriteCounters(c.Out, res.Breakdown.Counters.Canonical())
 	return nil
 }
 

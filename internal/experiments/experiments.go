@@ -13,6 +13,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 	"repro/internal/tuners"
 )
 
@@ -35,8 +36,10 @@ type Config struct {
 	// disables journaling; see internal/obs). Multi-run experiments append
 	// all runs to the same journal.
 	Sink obs.Sink
-	// Metrics aggregates counters/histograms across every tuning run the
-	// experiment performs (nil = each tuner keeps a private registry).
+	// Metrics aggregates counters, gauges and the citroen_phase_seconds
+	// series (fed from each run's journal by analyze.PhaseSink) across every
+	// tuning run the experiment performs (nil = each tuner keeps a private
+	// registry).
 	Metrics *obs.Metrics
 	Out     io.Writer
 }
@@ -63,6 +66,9 @@ func (c Config) tunerOptions() core.Options {
 	o.Workers = c.Workers
 	o.Sink = c.Sink
 	o.Metrics = c.Metrics
+	if c.Metrics != nil {
+		o.Sink = obs.Multi(c.Sink, analyze.NewPhaseSink(c.Metrics))
+	}
 	return o
 }
 

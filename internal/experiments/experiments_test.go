@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // tinyConfig keeps experiment smoke tests fast on one core.
@@ -123,5 +127,66 @@ func TestFig58AblationRuns(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "CITROEN (full)") {
 		t.Fatalf("missing variants:\n%s", buf.String())
+	}
+}
+
+// Fig 5.12's shares are the journal's elapsed partition of the run: each is
+// a share of the wall clock, and together they are all of it. Summing the
+// parallel compile walls instead reads over 100 % with four workers.
+func TestFig512SharesPartitionWall(t *testing.T) {
+	var buf bytes.Buffer
+	c := tinyConfig(&buf)
+	c.Budget = 8
+	c.Workers = 4
+	if err := ByID("fig5.12").Run(c); err != nil {
+		t.Fatal(err)
+	}
+	var shares []float64
+	inTable := false
+	for _, l := range strings.Split(buf.String(), "\n") {
+		switch {
+		case strings.HasPrefix(l, "Fig 5.12"):
+			inTable = true
+		case strings.Contains(l, "total wall clock"):
+			inTable = false
+		case inTable:
+			f := strings.Fields(l)
+			v, err := strconv.ParseFloat(strings.TrimSuffix(f[len(f)-1], "%"), 64)
+			if err != nil {
+				t.Fatalf("share row %q: %v", l, err)
+			}
+			shares = append(shares, v)
+		}
+	}
+	if len(shares) == 0 {
+		t.Fatalf("no share rows:\n%s", buf.String())
+	}
+	sum := 0.0
+	for _, v := range shares {
+		if v < 0 || v > 100 {
+			t.Errorf("share %.2f%% outside [0, 100]", v)
+		}
+		sum += v
+	}
+	if math.Abs(sum-100) > 0.1 {
+		t.Errorf("shares sum to %.2f%%, want 100 ± 0.1", sum)
+	}
+	if t.Failed() {
+		t.Log(buf.String())
+	}
+}
+
+// Config.Metrics carries the phase series the journal feeds, like the
+// registries of citroen -metrics-addr and serve.
+func TestMetricsCarryPhaseSeconds(t *testing.T) {
+	var buf bytes.Buffer
+	c := tinyConfig(&buf)
+	c.Budget = 4
+	c.Metrics = obs.NewMetrics()
+	if err := ByID("fig5.12").Run(c); err != nil {
+		t.Fatal(err)
+	}
+	if v := c.Metrics.Gauge(`citroen_phase_seconds{phase="compile"}`).Value(); v <= 0 {
+		t.Fatalf(`citroen_phase_seconds{phase="compile"} = %v, want > 0`, v)
 	}
 }

@@ -456,6 +456,11 @@ func (b *JobBinding) runModuleBatch(ctx context.Context, bt *moduleBatch) ([]cor
 	start := time.Now()
 	res, attempted, incidents := b.dispatch(ctx, bt)
 	if res != nil {
+		// A remote compile ends, on this process's clock, when it arrives.
+		now := time.Now()
+		for i := range res.Items {
+			res.Items[i].End = now
+		}
 		b.mu.Lock()
 		b.agg = b.agg.Add(res.Delta)
 		b.mu.Unlock()

@@ -430,6 +430,7 @@ func TestConcurrentLocalFallbacksMatchSerial(t *testing.T) {
 		}
 		got := out[i]
 		got.Wall, want[0].Wall = 0, 0
+		got.End, want[0].End = time.Time{}, time.Time{}
 		if !got.Ok || !reflect.DeepEqual(got, want[0]) {
 			t.Fatalf("spec %d (%s %v): concurrent fallback %+v, serial %+v", i, sp.Module, sp.Seq, got, want[0])
 		}
@@ -682,7 +683,7 @@ func TestOutcomesEqualLocalRunnerFallback(t *testing.T) {
 	}
 	strip := func(outs []core.CompileOutcome) []core.CompileOutcome {
 		for i := range outs {
-			outs[i].Wall = 0
+			outs[i].Wall, outs[i].End = 0, time.Time{}
 		}
 		return outs
 	}
@@ -750,6 +751,7 @@ func TestMalformedResultFallsBackLocally(t *testing.T) {
 		t.Fatal(err)
 	}
 	out[0].Wall, want[0].Wall = 0, 0
+	out[0].End, want[0].End = time.Time{}, time.Time{}
 	if !out[0].Ok || !reflect.DeepEqual(out[0], want[0]) {
 		t.Fatalf("fallback outcome %+v, local compile %+v", out[0], want[0])
 	}

@@ -6,7 +6,7 @@
 // stream the Recorder emits and reconstructs three views of one run:
 //
 //   - a span tree (run → iterations → compile/measure/... leaf events) with
-//     per-phase wall-time attribution and a critical-path estimate,
+//     per-phase wall-time attribution,
 //   - cache-effectiveness and convergence-curve reports,
 //   - a Chrome trace-event export that opens directly in ui.perfetto.dev.
 //
@@ -143,13 +143,8 @@ type Report struct {
 	Events   int  `json:"events"`
 	Complete bool `json:"complete"` // the last run has its run-end event
 
-	WallNS int64 `json:"wall_ns"`
-	// CriticalPathNS estimates the serial-equivalent time of the run's span
-	// tree: for each batch of overlapping compile intervals (a parallel
-	// fan-out) only the longest member counts; everything else is serial on
-	// the tuner goroutine and counts as-is.
-	CriticalPathNS int64        `json:"critical_path_ns"`
-	Phases         []PhaseTotal `json:"phases"`
+	WallNS int64        `json:"wall_ns"`
+	Phases []PhaseTotal `json:"phases"`
 
 	Iterations   int `json:"iterations"`
 	Compiles     int `json:"compiles"`
@@ -250,18 +245,19 @@ func (a *Analyzer) Feed(e *obs.Event) {
 	if phase, cpu, ok := a.att.Feed(e); ok {
 		a.cpu[phase] += cpu
 		a.evs[phase]++
-		// Events are journalled at operation end, so the interval is
-		// [t - wall, t]. The acquisition interval spans its full wall (the
-		// sweep carves the nested compile segments out by priority), while
-		// its CPU share is the compile-free remainder from Attribution.
-		start := t - int64(obs.FieldFloat(e.Fields, "wall_ns"))
+		// The interval is [end - wall, end]. The acquisition interval spans
+		// its full wall (the sweep carves the nested compile segments out by
+		// priority), while its CPU share is the compile-free remainder from
+		// Attribution.
+		end := opEnd(e, t)
+		start := end - int64(obs.FieldFloat(e.Fields, "wall_ns"))
 		if start < a.firstNS {
 			start = a.firstNS
 		}
-		if start > t {
-			start = t
+		if start > end {
+			start = end
 		}
-		a.intervals = append(a.intervals, interval{startNS: start, endNS: t, phase: phase})
+		a.intervals = append(a.intervals, interval{startNS: start, endNS: end, phase: phase})
 	}
 
 	f := e.Fields
@@ -323,6 +319,21 @@ func (a *Analyzer) Feed(e *obs.Event) {
 	default:
 		a.feedStats(e)
 	}
+}
+
+// opEnd places the end of e's operation on a timeline where e is journalled
+// at t. An event is journalled when its operation ends, except a compile:
+// compiles fan out and are journalled serially after the barrier, so each
+// carries its own end_ns, and it ended that long before its t_ns. A compile
+// from a journal older than end_ns ends at t.
+func opEnd(e *obs.Event, t int64) int64 {
+	if _, ok := e.Fields["end_ns"]; !ok {
+		return t
+	}
+	if lag := e.TimeNS - int64(obs.FieldFloat(e.Fields, "end_ns")); lag > 0 {
+		return t - lag
+	}
+	return t
 }
 
 // passProfile decodes a run-end event's pass_profile rows.
@@ -389,7 +400,7 @@ func (a *Analyzer) Report() *Report {
 	if a.haveTime {
 		r.WallNS = a.lastNS - a.firstNS
 	}
-	elapsed, critical := sweep(a.intervals, a.firstNS, a.lastNS)
+	elapsed := sweep(a.intervals)
 	r.Phases = make([]PhaseTotal, 0, len(Phases))
 	var covered int64
 	for _, p := range Phases {
@@ -406,22 +417,14 @@ func (a *Analyzer) Report() *Report {
 		other = 0
 	}
 	r.Phases = append(r.Phases, PhaseTotal{Phase: PhaseOther, ElapsedNS: other})
-	r.CriticalPathNS = critical + other
 	return &r
 }
 
-// sweep partitions the [first,last] timeline over the phases: at every
-// elementary segment the highest-priority covering interval wins, leaf
-// phases beating the composite acquisition interval that nests them. It also
-// returns the critical-path contribution of the covered timeline: each batch
-// of transitively-overlapping compile intervals contributes only its longest
-// member (the fan-out barrier waits for the slowest worker), every other
-// phase contributes its merged elapsed time.
-func sweep(ivs []interval, first, last int64) (elapsed map[Phase]int64, criticalNS int64) {
-	elapsed = map[Phase]int64{}
-	if len(ivs) == 0 {
-		return elapsed, 0
-	}
+// sweep partitions the timeline the intervals cover over the phases: at
+// every elementary segment the highest-priority covering interval wins, leaf
+// phases beating the composite acquisition interval that nests them.
+func sweep(ivs []interval) map[Phase]int64 {
+	elapsed := map[Phase]int64{}
 	type edge struct {
 		t     int64
 		open  bool
@@ -433,6 +436,9 @@ func sweep(ivs []interval, first, last int64) (elapsed map[Phase]int64, critical
 			continue
 		}
 		edges = append(edges, edge{iv.startNS, true, iv.phase}, edge{iv.endNS, false, iv.phase})
+	}
+	if len(edges) == 0 { // only zero-length intervals: a canonicalised journal
+		return elapsed
 	}
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].t != edges[j].t {
@@ -455,9 +461,6 @@ func sweep(ivs []interval, first, last int64) (elapsed map[Phase]int64, critical
 		}
 		return top, topP > 0
 	}
-	if len(edges) == 0 { // only zero-length intervals: a canonicalised journal
-		return elapsed, 0
-	}
 	prev := edges[0].t
 	for _, ed := range edges {
 		if ed.t > prev {
@@ -472,39 +475,7 @@ func sweep(ivs []interval, first, last int64) (elapsed map[Phase]int64, critical
 			depth[ed.phase]--
 		}
 	}
-
-	// Critical path: group overlapping compile intervals into fan-out
-	// batches; each batch contributes max duration.
-	var compiles []interval
-	for _, iv := range ivs {
-		if iv.phase == PhaseCompile && iv.endNS > iv.startNS {
-			compiles = append(compiles, iv)
-		}
-	}
-	sort.Slice(compiles, func(i, j int) bool { return compiles[i].startNS < compiles[j].startNS })
-	var compileCritical int64
-	for i := 0; i < len(compiles); {
-		batchEnd := compiles[i].endNS
-		var maxDur int64
-		j := i
-		for ; j < len(compiles) && compiles[j].startNS < batchEnd; j++ {
-			if compiles[j].endNS > batchEnd {
-				batchEnd = compiles[j].endNS
-			}
-			if d := compiles[j].endNS - compiles[j].startNS; d > maxDur {
-				maxDur = d
-			}
-		}
-		compileCritical += maxDur
-		i = j
-	}
-	criticalNS = compileCritical
-	for p, e := range elapsed {
-		if p != PhaseCompile {
-			criticalNS += e
-		}
-	}
-	return elapsed, criticalNS
+	return elapsed
 }
 
 func fieldString(f map[string]any, key string) string {

@@ -90,9 +90,6 @@ func TestAnalyzeRealRun(t *testing.T) {
 			t.Fatalf("phase %s elapsed %d > cpu %d", pt.Phase, pt.ElapsedNS, pt.CPUNS)
 		}
 	}
-	if r.CriticalPathNS <= 0 {
-		t.Fatal("critical path not computed")
-	}
 
 	// Ground truth against the tuner's own result.
 	if r.BestSpeedup != res.BestSpeedup {

@@ -16,14 +16,8 @@ func WriteReport(w io.Writer, r *Report) {
 	if !r.Complete {
 		status = "in flight"
 	}
-	fmt.Fprintf(w, "runs: %d (%s), events: %d, wall %v, critical path %v",
-		r.Runs, status, r.Events,
-		time.Duration(r.WallNS).Round(time.Microsecond),
-		time.Duration(r.CriticalPathNS).Round(time.Microsecond))
-	if r.CriticalPathNS > 0 {
-		fmt.Fprintf(w, " (%.2fx parallel speedup)", float64(r.CriticalPathNS)/float64(max64(r.WallNS, 1)))
-	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "runs: %d (%s), events: %d, wall %v\n",
+		r.Runs, status, r.Events, time.Duration(r.WallNS).Round(time.Microsecond))
 	fmt.Fprintf(w, "iterations: %d, compiles: %d, measurements: %d (+%d reused), checkpoints: %d, resumes: %d\n",
 		r.Iterations, r.Compiles, r.Measurements, r.ReusedMeasurements, r.Checkpoints, r.Resumes)
 	fmt.Fprintf(w, "best speedup: %.3fx\n", r.BestSpeedup)
@@ -146,11 +140,4 @@ func sortedModuleNames(m map[string]*ModuleReport) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -83,24 +83,24 @@ type interval3 struct {
 func emitSpanEvents(tr *Trace, pid int, base int64, sp *Span, compiles *[]interval3) {
 	for _, e := range sp.Events {
 		t := eventEnd(sp, e)
-		wall := int64(obs.FieldFloat(e.Fields, "wall_ns"))
-		start := t - wall
+		end := opEnd(&e, t)
+		start := end - int64(obs.FieldFloat(e.Fields, "wall_ns"))
 		if start < base {
 			start = base
 		}
 		switch e.Type {
 		case "compile":
-			*compiles = append(*compiles, interval3{start, t, "compile " + fieldString(e.Fields, "module"), scrubArgs(e.Fields)})
+			*compiles = append(*compiles, interval3{start, end, "compile " + fieldString(e.Fields, "module"), scrubArgs(e.Fields)})
 		case "measure":
-			tr.slice(pid, tunerTID, "measure "+fieldString(e.Fields, "module"), string(PhaseMeasure), base, start, t, scrubArgs(e.Fields))
+			tr.slice(pid, tunerTID, "measure "+fieldString(e.Fields, "module"), string(PhaseMeasure), base, start, end, scrubArgs(e.Fields))
 		case "gp-fit":
 			name := "gp refit"
 			if obs.FieldBool(e.Fields, "appended") {
 				name = "gp append"
 			}
-			tr.slice(pid, tunerTID, name, string(PhaseGPFit), base, start, t, scrubArgs(e.Fields))
+			tr.slice(pid, tunerTID, name, string(PhaseGPFit), base, start, end, scrubArgs(e.Fields))
 		case "acq-max":
-			tr.slice(pid, tunerTID, "acquisition", string(PhaseAcq), base, start, t, scrubArgs(e.Fields))
+			tr.slice(pid, tunerTID, "acquisition", string(PhaseAcq), base, start, end, scrubArgs(e.Fields))
 		case "new-incumbent":
 			tr.instant(pid, tunerTID, "new incumbent", base, t, scrubArgs(e.Fields))
 		case "checkpoint":

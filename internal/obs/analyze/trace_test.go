@@ -136,3 +136,21 @@ func TestChromeTraceLanePacking(t *testing.T) {
 		}
 	}
 }
+
+// Each compile is drawn at its own interval, so the lanes packed from them
+// are no more than the workers that ran them. Drawing every compile as
+// ending when it was journalled, after the fan-out barrier, stacks a whole
+// fan-out into one overlapping pile.
+func TestChromeTraceCompileLanesAtMostWorkers(t *testing.T) {
+	const workers = 2
+	events, _ := runJournal(t, workers, 8, 1)
+	lanes := map[int]bool{}
+	for _, ev := range ChromeTrace(events).TraceEvents {
+		if ev.Ph == "X" && ev.Cat == string(PhaseCompile) {
+			lanes[ev.TID] = true
+		}
+	}
+	if len(lanes) == 0 || len(lanes) > workers {
+		t.Fatalf("%d compile lanes, want 1..%d", len(lanes), workers)
+	}
+}

@@ -343,14 +343,19 @@ func (r *Recorder) CandidateGenerated(parent int64, module, generator string, se
 }
 
 // Compile records one candidate compilation (stats extraction, no
-// execution). wall is a timing field.
-func (r *Recorder) Compile(parent int64, module string, seqLen int, seqHash uint64, ok bool, wall time.Duration) {
+// execution). Compiles fan out and are journalled after the barrier, so the
+// event carries the compile's own end: end_ns is when it finished (a zero
+// end means now) and wall_ns how long it ran, both timing fields.
+func (r *Recorder) Compile(parent int64, module string, seqLen int, seqHash uint64, ok bool, wall time.Duration, end time.Time) {
 	if r == nil {
 		return
 	}
+	if end.IsZero() {
+		end = time.Now()
+	}
 	r.emit("compile", -1, parent, map[string]any{
 		"module": module, "seq_len": seqLen, "seq_hash": seqHash,
-		"ok": ok, "wall_ns": wall.Nanoseconds(),
+		"ok": ok, "wall_ns": wall.Nanoseconds(), "end_ns": end.Sub(r.start).Nanoseconds(),
 	})
 }
 

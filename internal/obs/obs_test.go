@@ -35,7 +35,7 @@ func TestNilRecorderAllocationFree(t *testing.T) {
 		r.RunStart(nil)
 		r.Iteration(1, 2, 3)
 		r.CandidateGenerated(1, "m", "ga", 10, 42)
-		r.Compile(1, "m", 10, 42, true, time.Second)
+		r.Compile(1, "m", 10, 42, true, time.Second, time.Time{})
 		r.GPFit(1, 5, 7, false, time.Second)
 		r.AcqMax(1, 9, "m", 0.5, false, 2, time.Second)
 		r.Measure(1, "m", 3, 100, 1.1, 1.2, true, false, time.Second)
@@ -53,7 +53,7 @@ func TestRecorderSequencingAndSpans(t *testing.T) {
 	r := NewRecorder(mem)
 	run := r.RunStart(map[string]any{"budget": 5})
 	iter := r.Iteration(run, 0, 0)
-	r.Compile(iter, "m", 3, 99, true, time.Millisecond)
+	r.Compile(iter, "m", 3, 99, true, time.Millisecond, time.Time{})
 	r.RunEnd(run, map[string]any{"best_speedup": 1.5})
 
 	ev := mem.Events()

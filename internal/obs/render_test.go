@@ -14,7 +14,7 @@ func emitAll(r *Recorder) (emitterMethods int) {
 	run := r.RunStart(map[string]any{"budget": 10, "lambda": 9, "feature": "stats", "hot_modules": []string{"m"}})
 	iter := r.Iteration(run, 1, 3)
 	r.CandidateGenerated(iter, "m", "des", 12, 99)
-	r.Compile(iter, "m", 12, 99, true, time.Millisecond)
+	r.Compile(iter, "m", 12, 99, true, time.Millisecond, time.Time{})
 	r.GPFit(iter, 20, 8, false, time.Millisecond)
 	r.AcqMax(iter, 9, "m", 0.5, false, 2, time.Millisecond)
 	r.Measure(iter, "m", 3, 1000, 1.2, 1.3, true, false, time.Millisecond)
