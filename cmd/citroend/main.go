@@ -50,7 +50,6 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof/ on this address")
 
 		fleetMode   = flag.Bool("fleet", false, "dispatch candidate evaluation to remote citroenrunner processes")
-		stealAfter  = flag.Duration("steal-after", 30*time.Second, "fleet: duplicate a straggler batch onto another runner after this long")
 		beatTimeout = flag.Duration("heartbeat-timeout", 5*time.Second, "fleet: mark a runner lost when its heartbeat is older than this")
 	)
 	flag.Parse()
@@ -60,7 +59,6 @@ func main() {
 	if *fleetMode {
 		coord = fleet.New(fleet.Options{
 			HeartbeatTimeout: *beatTimeout,
-			StealAfter:       *stealAfter,
 			Metrics:          metrics,
 			Logf: func(format string, args ...any) {
 				fmt.Printf(format+"\n", args...)

@@ -40,13 +40,13 @@ type CompileOutcome struct {
 }
 
 // EvalIncident describes one dispatch-level anomaly an evaluation backend
-// observed while executing a fan-out: retries, steals, discarded duplicate
-// results, quarantines, local fallbacks. The tuner journals incidents
-// serially after the fan-out barrier (see obs.Recorder.FleetIncident), so a
-// healthy fixed fleet — which reports none — keeps its canonical journal
-// byte-identical to a single-process run.
+// observed while executing a fan-out: retries, quarantines, local
+// fallbacks. The tuner journals incidents serially after the fan-out
+// barrier (see obs.Recorder.FleetIncident), so a healthy fixed fleet —
+// which reports none — keeps its canonical journal byte-identical to a
+// single-process run.
 type EvalIncident struct {
-	Kind    string // "retry" | "steal" | "duplicate-discarded" | "quarantine" | "local-fallback"
+	Kind    string // "retry" | "quarantine" | "local-fallback"
 	Runner  string
 	Module  string
 	Attempt int

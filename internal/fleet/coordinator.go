@@ -9,7 +9,9 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,27 +34,21 @@ type Options struct {
 	// older than this (default 5s). Lost runners receive no batches but
 	// recover on their next heartbeat.
 	HeartbeatTimeout time.Duration
-	// StealAfter duplicates a still-running batch onto another runner
-	// after this long (default 30s); first completion wins and the
-	// straggler's result is discarded.
-	StealAfter time.Duration
 	// Metrics receives fleet gauges/counters; nil allocates a private
 	// registry.
 	Metrics *obs.Metrics
 	// Client performs batch POSTs; nil uses a default client with no
-	// overall timeout (batches are bounded by the job context).
+	// overall timeout (each attempt is bounded by the per-attempt deadline
+	// and the job context).
 	Client *http.Client
-	// Logf, when set, receives dispatch diagnostics (retries, steals,
-	// quarantines).
+	// Logf, when set, receives dispatch diagnostics (registrations, failed
+	// attempts, quarantines, local fallbacks).
 	Logf func(format string, args ...any)
 }
 
 func (o Options) withDefaults() Options {
 	if o.HeartbeatTimeout <= 0 {
 		o.HeartbeatTimeout = 5 * time.Second
-	}
-	if o.StealAfter <= 0 {
-		o.StealAfter = 30 * time.Second
 	}
 	if o.Metrics == nil {
 		o.Metrics = obs.NewMetrics()
@@ -79,9 +75,10 @@ type runnerState struct {
 // The coordinator's retry policy. New copies them into the Coordinator,
 // where this package's tests shorten them before first use.
 const (
+	attemptTimeout  = 30 * time.Second       // deadline of one dispatch attempt; a runner that has not answered by then has failed it
 	retryBase       = 100 * time.Millisecond // first backoff between dispatch attempts of one batch
 	retryCap        = 2 * time.Second        // backoff ceiling
-	maxAttempts     = 4                      // dispatch attempts (steals included) before a batch runs locally
+	maxAttempts     = 4                      // dispatch attempts before a batch runs locally
 	quarantineAfter = 3                      // consecutive batch failures that quarantine a runner until it re-registers
 )
 
@@ -90,8 +87,8 @@ const (
 type Coordinator struct {
 	opts Options
 	// The retry policy (the constants above).
-	retryBase, retryCap          time.Duration
-	maxAttempts, quarantineAfter int
+	attemptTimeout, retryBase, retryCap time.Duration
+	maxAttempts, quarantineAfter        int
 
 	mu      sync.Mutex
 	runners map[string]*runnerState
@@ -103,8 +100,6 @@ type Coordinator struct {
 	gQuarantined *obs.Gauge
 	cBatches     *obs.Counter
 	cRetries     *obs.Counter
-	cSteals      *obs.Counter
-	cDuplicates  *obs.Counter
 	cFallbacks   *obs.Counter
 	cQuarantines *obs.Counter
 	hDispatch    *obs.Histogram
@@ -116,6 +111,7 @@ func New(opts Options) *Coordinator {
 	m := opts.Metrics
 	return &Coordinator{
 		opts:            opts,
+		attemptTimeout:  attemptTimeout,
 		retryBase:       retryBase,
 		retryCap:        retryCap,
 		maxAttempts:     maxAttempts,
@@ -126,8 +122,6 @@ func New(opts Options) *Coordinator {
 		gQuarantined:    m.Gauge("citroen_fleet_runners_quarantined"),
 		cBatches:        m.Counter("citroen_fleet_batches_total"),
 		cRetries:        m.Counter("citroen_fleet_batch_retries_total"),
-		cSteals:         m.Counter("citroen_fleet_batch_steals_total"),
-		cDuplicates:     m.Counter("citroen_fleet_duplicates_discarded_total"),
 		cFallbacks:      m.Counter("citroen_fleet_local_fallbacks_total"),
 		cQuarantines:    m.Counter("citroen_fleet_quarantines_total"),
 		hDispatch:       m.Histogram("citroen_fleet_dispatch_seconds", obs.DurationBuckets),
@@ -142,34 +136,54 @@ func (c *Coordinator) logf(format string, args ...any) {
 
 // Register adds a runner (or refreshes one re-registering at the same URL:
 // same ID, quarantine and failure streak cleared) and returns its registry
-// entry.
-func (c *Coordinator) Register(url string, workers int) RunnerInfo {
+// entry. The URL must be an http or https base URL, such as
+// http://host:port, with one trailing slash at most; it is stored without
+// the slash, so batches go to <url>/v1/batch.
+func (c *Coordinator) Register(rawURL string, workers int) (RunnerInfo, error) {
+	base, err := runnerBaseURL(rawURL)
+	if err != nil {
+		return RunnerInfo{}, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := time.Now()
 	for _, r := range c.runners {
-		if r.url == url {
+		if r.url == base {
 			r.workers = workers
 			r.lastBeat = now
 			r.quarantined = false
 			r.fails = 0
 			c.refreshGaugesLocked(now)
-			return c.infoLocked(r, now)
+			return c.infoLocked(r, now), nil
 		}
 	}
 	c.nextSeq++
 	r := &runnerState{
 		seq:        c.nextSeq,
 		id:         fmt.Sprintf("r%d", c.nextSeq),
-		url:        url,
+		url:        base,
 		workers:    workers,
 		registered: now,
 		lastBeat:   now,
 	}
 	c.runners[r.id] = r
 	c.refreshGaugesLocked(now)
-	c.logf("fleet: registered runner %s at %s (workers=%d)", r.id, url, workers)
-	return c.infoLocked(r, now)
+	c.logf("fleet: registered runner %s at %s (workers=%d)", r.id, base, workers)
+	return c.infoLocked(r, now), nil
+}
+
+// runnerBaseURL validates a runner's advertised URL and trims its one
+// trailing slash.
+func runnerBaseURL(raw string) (string, error) {
+	u, err := url.Parse(raw)
+	if err != nil {
+		return "", fmt.Errorf("fleet: runner url: %w", err)
+	}
+	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" ||
+		(u.Path != "" && u.Path != "/") || u.RawQuery != "" || u.ForceQuery || u.Fragment != "" {
+		return "", fmt.Errorf("fleet: runner url %q: want http(s)://host[:port] with no path, query or fragment", raw)
+	}
+	return strings.TrimSuffix(raw, "/"), nil
 }
 
 // Heartbeat refreshes a runner's liveness; ErrUnknownRunner if the ID is
@@ -263,11 +277,20 @@ func (c *Coordinator) refreshGaugesLocked(now time.Time) {
 	c.gQuarantined.Set(float64(quarantined))
 }
 
-// pickDispatchable selects the runner for a module's batch: FNV hash of the
-// module name over the healthy runners in registration order, rotated by
-// the attempt index so retries and steals land on a different runner when
-// one exists. Sticky assignment is what keeps per-runner cache state (and
-// therefore the journalled counters) identical to single-process runs.
+// stickyIndex is the position of module's runner among n healthy runners in
+// registration order: the FNV-1a hash of the name modulo n, taken in uint32
+// so the index is never negative where int is 32 bits wide.
+func stickyIndex(module string, n int) int {
+	h := fnv.New32a()
+	io.WriteString(h, module)
+	return int(h.Sum32() % uint32(n))
+}
+
+// pickDispatchable selects the runner for a module's batch: its
+// stickyIndex over the healthy runners in registration order, rotated by
+// the attempt index so a retry lands on a different runner when one exists.
+// Sticky assignment is what keeps per-runner cache state (and therefore the
+// journalled counters) identical to single-process runs.
 func (c *Coordinator) pickDispatchable(module string, rotation int) *runnerState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -282,9 +305,7 @@ func (c *Coordinator) pickDispatchable(module string, rotation int) *runnerState
 		return nil
 	}
 	sort.Slice(list, func(i, j int) bool { return list[i].seq < list[j].seq })
-	h := fnv.New32a()
-	io.WriteString(h, module)
-	return list[(int(h.Sum32())%len(list)+rotation)%len(list)]
+	return list[(stickyIndex(module, len(list))+rotation)%len(list)]
 }
 
 func (c *Coordinator) noteSuccess(r *runnerState) {
@@ -361,9 +382,8 @@ type JobBinding struct {
 	workers int // compile workers for locally-executed fallback batches
 	feat    core.FeatureKind
 
-	mu      sync.Mutex
-	agg     obs.CounterSet
-	pending []core.EvalIncident // incidents discovered after their fan-out returned
+	mu  sync.Mutex
+	agg obs.CounterSet
 }
 
 // Bind scopes the coordinator to one job evaluating on ev. localWorkers is
@@ -386,20 +406,6 @@ func (b *JobBinding) Delta() obs.CounterSet {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.agg
-}
-
-func (b *JobBinding) addPending(inc core.EvalIncident) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.pending = append(b.pending, inc)
-}
-
-func (b *JobBinding) takePending() []core.EvalIncident {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := b.pending
-	b.pending = nil
-	return out
 }
 
 // EnsureLocal warm-compiles a candidate into the coordinator evaluator's
@@ -436,7 +442,6 @@ func (b *JobBinding) RunSpecs(ctx context.Context, specs []core.CompileSpec, out
 		bt.specs = append(bt.specs, s)
 	}
 
-	incidents := b.takePending()
 	batchIncs := make([][]core.EvalIncident, len(order))
 	numeric.ParallelFor(len(order), len(order), func(k int) {
 		bt := batches[order[k]]
@@ -446,6 +451,7 @@ func (b *JobBinding) RunSpecs(ctx context.Context, specs []core.CompileSpec, out
 			out[gi] = outs[li]
 		}
 	})
+	var incidents []core.EvalIncident
 	for _, incs := range batchIncs {
 		incidents = append(incidents, incs...)
 	}
@@ -486,16 +492,14 @@ func (b *JobBinding) runModuleBatch(ctx context.Context, bt *moduleBatch) ([]cor
 	return outs, incidents
 }
 
-type attemptResult struct {
-	r   *runnerState
-	res *BatchResult
-	err error
-}
-
-// dispatch runs the retry/steal state machine for one batch. It returns
-// the first successful result (nil if every attempt failed, no runner was
-// dispatchable, or ctx was cancelled), whether any remote attempt was
-// made, and the incidents to journal.
+// dispatch posts one batch to up to maxAttempts runners in turn, each
+// attempt under attemptTimeout. A failed or timed-out attempt counts against
+// its runner, and the next attempt goes, after a capped exponential backoff,
+// to the next runner in the ring. An attempt cut short by the end of ctx
+// returns at once and counts against nobody. dispatch returns the first
+// successful result (nil if every attempt failed, no runner was
+// dispatchable, or ctx ended), whether any remote attempt was made, and the
+// incidents to journal.
 func (b *JobBinding) dispatch(ctx context.Context, bt *moduleBatch) (*BatchResult, bool, []core.EvalIncident) {
 	c := b.c
 	req := BatchRequest{
@@ -503,96 +507,41 @@ func (b *JobBinding) dispatch(ctx context.Context, bt *moduleBatch) (*BatchResul
 		Config: b.cfg,
 		Specs:  bt.specs,
 	}
-	resc := make(chan attemptResult, c.maxAttempts+1)
-	inflight, tried := 0, 0
-	launch := func() *runnerState {
-		r := c.pickDispatchable(bt.module, tried)
-		if r == nil {
-			return nil
-		}
-		tried++
-		inflight++
-		go func() {
-			res, err := c.postBatch(ctx, r, req)
-			resc <- attemptResult{r: r, res: res, err: err}
-		}()
-		return r
-	}
 	var incidents []core.EvalIncident
-	if launch() == nil {
-		return nil, false, nil
-	}
-	steal := time.NewTimer(c.opts.StealAfter)
-	defer steal.Stop()
-	retries := 0
-	for {
-		select {
-		case ar := <-resc:
-			inflight--
-			if ar.err == nil {
-				c.noteSuccess(ar.r)
-				c.cBatches.Inc()
-				if inflight > 0 {
-					go b.drainStragglers(bt.module, resc, inflight)
-				}
-				return ar.res, true, incidents
-			}
-			c.logf("fleet: batch %s (%s) on runner %s failed: %v", req.ID, bt.module, ar.r.id, ar.err)
-			if c.noteFailure(ar.r) {
-				c.cQuarantines.Inc()
-				incidents = append(incidents, core.EvalIncident{Kind: "quarantine", Runner: ar.r.id, Module: bt.module, Attempt: tried})
-			}
-			if inflight > 0 {
-				continue // a stolen copy is still running; let it race
-			}
-			if tried >= c.maxAttempts {
-				return nil, true, incidents
-			}
-			retries++
-			backoff := c.retryBase << (retries - 1)
-			if backoff > c.retryCap {
-				backoff = c.retryCap
-			}
-			select {
-			case <-time.After(backoff):
-			case <-ctx.Done():
-				return nil, true, incidents
-			}
-			r := launch()
-			if r == nil {
-				return nil, true, incidents
-			}
+	for attempt := 1; attempt <= c.maxAttempts; attempt++ {
+		r := c.pickDispatchable(bt.module, attempt-1)
+		if r == nil {
+			return nil, attempt > 1, incidents
+		}
+		if attempt > 1 {
 			c.cRetries.Inc()
-			incidents = append(incidents, core.EvalIncident{Kind: "retry", Runner: r.id, Module: bt.module, Attempt: tried})
-		case <-steal.C:
-			if inflight > 0 && tried < c.maxAttempts {
-				if r := launch(); r != nil {
-					c.cSteals.Inc()
-					incidents = append(incidents, core.EvalIncident{Kind: "steal", Runner: r.id, Module: bt.module, Attempt: tried})
-					c.logf("fleet: stole straggler batch %s (%s) onto runner %s", req.ID, bt.module, r.id)
-				}
-			}
-			steal.Reset(c.opts.StealAfter)
+			incidents = append(incidents, core.EvalIncident{Kind: "retry", Runner: r.id, Module: bt.module, Attempt: attempt})
+		}
+		actx, cancel := context.WithTimeout(ctx, c.attemptTimeout)
+		res, err := c.postBatch(actx, r, req)
+		cancel()
+		if err == nil {
+			c.noteSuccess(r)
+			c.cBatches.Inc()
+			return res, true, incidents
+		}
+		if ctx.Err() != nil {
+			return nil, true, incidents
+		}
+		c.logf("fleet: batch %s (%s) on runner %s failed: %v", req.ID, bt.module, r.id, err)
+		if c.noteFailure(r) {
+			c.cQuarantines.Inc()
+			incidents = append(incidents, core.EvalIncident{Kind: "quarantine", Runner: r.id, Module: bt.module, Attempt: attempt})
+		}
+		if attempt == c.maxAttempts {
+			break
+		}
+		backoff := min(c.retryBase<<(attempt-1), c.retryCap)
+		select {
+		case <-time.After(backoff):
 		case <-ctx.Done():
 			return nil, true, incidents
 		}
 	}
-}
-
-// drainStragglers consumes results that lost the steal race. The winner's
-// delta was already accepted, so duplicates are discarded — counted, and
-// journalled as a pending incident on the job's next fan-out.
-func (b *JobBinding) drainStragglers(module string, resc <-chan attemptResult, n int) {
-	for i := 0; i < n; i++ {
-		ar := <-resc
-		if ar.err == nil {
-			b.c.noteSuccess(ar.r)
-			b.c.cDuplicates.Inc()
-			b.addPending(core.EvalIncident{Kind: "duplicate-discarded", Runner: ar.r.id, Module: module})
-			b.c.logf("fleet: discarded duplicate result for module %s from runner %s", module, ar.r.id)
-		} else if b.c.noteFailure(ar.r) {
-			b.c.cQuarantines.Inc()
-			b.addPending(core.EvalIncident{Kind: "quarantine", Runner: ar.r.id, Module: module})
-		}
-	}
+	return nil, true, incidents
 }

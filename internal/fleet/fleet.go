@@ -13,14 +13,14 @@
 // to a single-process run at any -workers count; see DESIGN.md
 // "Distributed evaluation" for the full argument.
 //
-// Failure handling: batches on runners that fail or vanish are retried on
-// the next runner with capped exponential backoff; straggler batches past a
-// deadline are stolen (duplicated onto another runner, first completion
-// wins, the loser's result is discarded exactly once); runners failing
-// repeatedly are quarantined and runners whose heartbeats stop are marked
-// lost — both are excluded from dispatch. When no runner is usable the
-// coordinator executes the batch itself. Every such anomaly is journalled
-// as a fleet-incident event.
+// Failure handling: each batch is posted to one runner at a time, each
+// attempt under a deadline. An attempt that fails or runs past its deadline
+// is retried on the next runner with capped exponential backoff; runners
+// failing repeatedly are quarantined and runners whose heartbeats stop are
+// marked lost — both are excluded from dispatch. When the attempts are used
+// up, or no runner is usable, the coordinator executes the batch itself.
+// Every such anomaly is journalled as a fleet-incident event of the fan-out
+// that caused it.
 package fleet
 
 import (

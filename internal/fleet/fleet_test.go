@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -23,18 +24,20 @@ import (
 	"repro/internal/obs"
 )
 
-// stickyIndex mirrors pickDispatchable's hash so tests can predict which of
-// n healthy runners a module's batches land on.
-func stickyIndex(module string, n int) int {
-	h := fnv.New32a()
-	io.WriteString(h, module)
-	return int(h.Sum32()) % n
+// register adds a runner the test knows to be well formed.
+func register(t *testing.T, c *Coordinator, url string, workers int) RunnerInfo {
+	t.Helper()
+	info, err := c.Register(url, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info
 }
 
 func TestRegistryLifecycle(t *testing.T) {
 	c := New(Options{HeartbeatTimeout: time.Minute})
-	a := c.Register("http://a", 2)
-	b := c.Register("http://b", 4)
+	a := register(t, c, "http://a", 2)
+	b := register(t, c, "http://b", 4)
 	if a.ID == b.ID {
 		t.Fatalf("duplicate runner IDs: %s", a.ID)
 	}
@@ -52,15 +55,58 @@ func TestRegistryLifecycle(t *testing.T) {
 	c.runners[a.ID].quarantined = true
 	c.runners[a.ID].fails = 5
 	c.mu.Unlock()
-	a2 := c.Register("http://a", 8)
+	a2 := register(t, c, "http://a/", 8) // the trailing slash is the same runner
 	if a2.ID != a.ID || a2.State != "healthy" || a2.Workers != 8 {
 		t.Fatalf("re-register = %+v, want same id healthy", a2)
 	}
 	if !c.Deregister(b.ID) || c.Deregister(b.ID) {
 		t.Fatal("deregister should succeed once")
 	}
-	if got := c.Runners(); len(got) != 1 {
+	if got := c.Runners(); len(got) != 1 || got[0].URL != "http://a" {
 		t.Fatalf("after deregister: %+v", got)
+	}
+}
+
+// A runner URL is a base URL the coordinator appends /v1/batch to: anything
+// else is refused at registration, not discovered batch by batch.
+func TestRegistryRejectsMalformedURLs(t *testing.T) {
+	c := New(Options{HeartbeatTimeout: time.Minute})
+	for _, u := range []string{
+		"", "runner:8080", "localhost:8080", "ftp://runner", "http://", "http:runner", "http://runner/v1",
+		"http://runner//", "http://runner?x=1", "http://runner?", "http://runner#top", "http://%zz",
+	} {
+		if info, err := c.Register(u, 1); err == nil {
+			t.Errorf("Register(%q) = %+v, want an error", u, info)
+		}
+	}
+	if got := c.Runners(); len(got) != 0 {
+		t.Fatalf("rejected registrations left runners behind: %+v", got)
+	}
+	for _, u := range []string{"http://runner:8080/", "https://[::1]:8443"} {
+		if info, err := c.Register(u, 1); err != nil || info.URL != strings.TrimSuffix(u, "/") {
+			t.Errorf("Register(%q) = %+v, %v; want the URL without its trailing slash", u, info, err)
+		}
+	}
+}
+
+// stickyIndex is FNV-1a modulo n in unsigned arithmetic: never negative, on
+// 32-bit platforms too, where int(uint32) wraps.
+func TestStickyIndex(t *testing.T) {
+	for _, module := range []string{"a", "b", "m", "long_term", "short_term", "main"} {
+		h := fnv.New32a()
+		io.WriteString(h, module)
+		for n := 1; n <= 7; n++ {
+			if got, want := stickyIndex(module, n), int(uint64(h.Sum32())%uint64(n)); got != want {
+				t.Errorf("stickyIndex(%q, %d) = %d, want %d", module, n, got, want)
+			}
+		}
+	}
+	c := New(Options{HeartbeatTimeout: time.Minute})
+	a, b := register(t, c, "http://a", 1), register(t, c, "http://b", 1)
+	for rotation, want := range []string{b.ID, a.ID, b.ID, a.ID} {
+		if r := c.pickDispatchable("b", rotation); r == nil || r.id != want {
+			t.Fatalf("module b, attempt %d: runner %v, want %s", rotation+1, r, want)
+		}
 	}
 }
 
@@ -68,7 +114,7 @@ func TestRegistryLifecycle(t *testing.T) {
 // the next heartbeat revives it.
 func TestHeartbeatTimeoutMarksLost(t *testing.T) {
 	c := New(Options{HeartbeatTimeout: 40 * time.Millisecond})
-	info := c.Register("http://a", 1)
+	info := register(t, c, "http://a", 1)
 	if r := c.pickDispatchable("m", 0); r == nil {
 		t.Fatal("fresh runner should be dispatchable")
 	}
@@ -132,8 +178,8 @@ func TestFleetJournalMatchesSingleProcess(t *testing.T) {
 	defer tsB.Close()
 
 	c := New(Options{HeartbeatTimeout: time.Minute})
-	c.Register(tsA.URL, 2)
-	c.Register(tsB.URL, 2)
+	register(t, c, tsA.URL, 2)
+	register(t, c, tsB.URL, 2)
 	cfg := JobConfig{Bench: benchName, Platform: "arm", Seed: seed, Feature: "stats"}
 	binding := c.Bind(cfg, newEval(t, benchName, seed), 2)
 
@@ -199,8 +245,8 @@ func TestRunnerKilledMidJobCompletesWithRetries(t *testing.T) {
 
 	c := New(Options{HeartbeatTimeout: time.Minute})
 	c.retryBase, c.retryCap = 5*time.Millisecond, 20*time.Millisecond
-	c.Register(tsA.URL, 2)
-	c.Register(tsB.URL, 2)
+	register(t, c, tsA.URL, 2)
+	register(t, c, tsB.URL, 2)
 	cfg := JobConfig{Bench: benchName, Platform: "arm", Seed: seed, Feature: "stats"}
 	binding := c.Bind(cfg, newEval(t, benchName, seed), 2)
 
@@ -226,30 +272,41 @@ func TestRunnerKilledMidJobCompletesWithRetries(t *testing.T) {
 	}
 }
 
-// Work stealing: the sticky runner is slow, the deadline passes, the batch
-// is duplicated onto the other runner, the first completion wins and the
-// straggler's result is discarded exactly once (delta accepted once, one
-// duplicate-discarded incident).
-func TestStolenDuplicateDiscardedExactlyOnce(t *testing.T) {
+// A slow runner: its sticky runner answers only after the per-attempt
+// deadline has passed. The attempt fails like any other — one failure on
+// that runner, one retry on the other — and the late answer, a real result
+// of real work, is never folded in: exactly one batch delta is accepted, at
+// return and after the slow handler has finished.
+func TestSlowRunnerTimesOutAndRetries(t *testing.T) {
 	const seed = 7
 	const benchName = "automotive_bitcount"
 
 	cfg := JobConfig{Bench: benchName, Platform: "arm", Seed: seed, Feature: "stats"}
 	rsSlow := &RunnerServer{Workers: 1}
 	rsFast := &RunnerServer{Workers: 1}
-	// Prebuild both evaluators so handler latency is dominated by the
-	// deliberate delay, not by first-batch setup.
-	if _, err := rsSlow.evaluator(bench.ByName(benchName), bench.ARM(), seed); err != nil {
+	// Prebuild both evaluators so the fast runner answers well inside the
+	// deadline, not after a first-batch setup.
+	slowEv, err := rsSlow.evaluator(bench.ByName(benchName), bench.ARM(), seed)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := rsFast.evaluator(bench.ByName(benchName), bench.ARM(), seed); err != nil {
 		t.Fatal(err)
 	}
+	slowDone := make(chan struct{})
 	slow := func(inner http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/batch" {
-				time.Sleep(600 * time.Millisecond)
+			if r.URL.Path != "/v1/batch" {
+				inner.ServeHTTP(w, r)
+				return
 			}
+			defer close(slowDone)
+			// Read the batch to the end, so the coordinator closing the
+			// connection cancels r.Context(); then answer only after that.
+			body, _ := io.ReadAll(r.Body)
+			<-r.Context().Done()
+			r = r.WithContext(context.WithoutCancel(r.Context()))
+			r.Body = io.NopCloser(bytes.NewReader(body))
 			inner.ServeHTTP(w, r)
 		})
 	}
@@ -261,14 +318,16 @@ func TestStolenDuplicateDiscardedExactlyOnce(t *testing.T) {
 	ev := newEval(t, benchName, seed)
 	module := ev.Modules()[0]
 
-	c := New(Options{HeartbeatTimeout: time.Minute, StealAfter: 100 * time.Millisecond})
+	c := New(Options{HeartbeatTimeout: time.Minute})
+	c.attemptTimeout, c.retryBase = 500*time.Millisecond, time.Millisecond
 	// Place the slow runner where the module's sticky hash will pick it.
+	var slowInfo RunnerInfo
 	if stickyIndex(module, 2) == 0 {
-		c.Register(tsSlow.URL, 1)
-		c.Register(tsFast.URL, 1)
+		slowInfo = register(t, c, tsSlow.URL, 1)
+		register(t, c, tsFast.URL, 1)
 	} else {
-		c.Register(tsFast.URL, 1)
-		c.Register(tsSlow.URL, 1)
+		register(t, c, tsFast.URL, 1)
+		slowInfo = register(t, c, tsSlow.URL, 1)
 	}
 	binding := c.Bind(cfg, ev, 1)
 
@@ -276,37 +335,244 @@ func TestStolenDuplicateDiscardedExactlyOnce(t *testing.T) {
 	specs := []core.CompileSpec{{Module: module, Seq: []string{"mem2reg", "dce"}}}
 	incs := binding.RunSpecs(context.Background(), specs, out)
 	if !out[0].Ok {
-		t.Fatalf("stolen batch failed: %+v (incidents %v)", out[0], incs)
+		t.Fatalf("retried batch failed: %+v (incidents %v)", out[0], incs)
 	}
-	found := false
-	for _, in := range incs {
-		if in.Kind == "steal" {
-			found = true
+	if len(incs) != 1 || incs[0].Kind != "retry" || incs[0].Attempt != 2 || incs[0].Runner == slowInfo.ID {
+		t.Fatalf("incidents = %+v, want one retry onto the other runner", incs)
+	}
+	if got := binding.Delta().Get("pipeline_runs"); got != 1 {
+		t.Fatalf("accepted compilations = %d, want exactly 1", got)
+	}
+	select {
+	case <-slowDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("slow handler never finished")
+	}
+	if got := slowEv.ev.Counters().Get("pipeline_runs"); got != 1 {
+		t.Fatalf("slow runner compiled %d specs after its deadline, want 1", got)
+	}
+	if got := binding.Delta().Get("pipeline_runs"); got != 1 {
+		t.Fatalf("the late result leaked into aggregation: %d compilations", got)
+	}
+	for _, r := range c.Runners() {
+		if want := map[bool]int64{true: 1, false: 0}[r.ID == slowInfo.ID]; r.Failures != want {
+			t.Fatalf("runner %s: %d failures, want %d", r.ID, r.Failures, want)
 		}
 	}
-	if !found {
-		t.Fatalf("no steal incident: %v", incs)
+}
+
+// fault is what faultTransport does to one batch POST.
+type fault int
+
+const (
+	forward  fault = iota // pass to the runner untouched
+	drop                  // forward, then lose the answer: the connection drops after the runner did the work
+	badGate               // answer 502 without reaching the runner
+	truncate              // forward, then cut the answer's body in half
+	hang                  // hold the request until its context ends: a runner that accepted the batch and never answers
+)
+
+// faultTransport is the coordinator's Client transport: it forwards batch
+// POSTs to the real runners, injecting the fault that plan names for the
+// n-th POST (1-based).
+type faultTransport struct {
+	base http.RoundTripper
+	plan func(n int) fault
+	n    atomic.Int32
+}
+
+func (ft *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	switch f := ft.plan(int(ft.n.Add(1))); f {
+	case badGate:
+		req.Body.Close()
+		return &http.Response{StatusCode: http.StatusBadGateway, Header: http.Header{}, Body: io.NopCloser(strings.NewReader("bad gateway")), Request: req}, nil
+	case hang:
+		req.Body.Close()
+		<-req.Context().Done()
+		return nil, req.Context().Err()
+	default:
+		resp, err := ft.base.RoundTrip(req)
+		if err != nil || f == forward {
+			return resp, err
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || f == drop {
+			return nil, errors.New("connection reset by peer")
+		}
+		resp.Body, resp.ContentLength = io.NopCloser(bytes.NewReader(body[:len(body)/2])), -1
+		resp.Header.Del("Content-Length")
+		return resp, nil
 	}
-	if c.cSteals.Value() != 1 {
-		t.Fatalf("steal counter = %d, want 1", c.cSteals.Value())
+}
+
+// Faults injected below the coordinator's HTTP client, one table: each fault
+// alone on the first attempt, and every runner hanging. In every case
+// RunSpecs returns within maxAttempts deadlines plus the backoffs (and a
+// local compile), the outcomes equal a local core.RunSpecs bit for bit, the
+// incidents are the expected ones, and the job's counters fold exactly the
+// one accepted batch — none when the batch ran locally.
+func TestDispatchFaults(t *testing.T) {
+	const seed = 5
+	const benchName = "automotive_bitcount"
+	const deadline = 500 * time.Millisecond
+	cfg := JobConfig{Bench: benchName, Platform: "arm", Seed: seed, Feature: "stats"}
+	module := newEval(t, benchName, seed).Modules()[0]
+	specs := []core.CompileSpec{
+		{Module: module, Seq: []string{"mem2reg", "instcombine", "dce"}},
+		{Module: module, Seq: []string{"sroa", "gvn"}},
+		{Module: module, Seq: []string{"no-such-pass"}},
 	}
-	if got := binding.Delta().Get("pipeline_runs"); got != 1 {
-		t.Fatalf("accepted compilations = %d, want exactly 1 (duplicate delta must be discarded)", got)
+	// The reference: one batch on a fresh evaluator, and the counters it moved.
+	ref := newEval(t, benchName, seed)
+	before := ref.Counters().Owned()
+	want := make([]core.CompileOutcome, len(specs))
+	if err := core.RunSpecs(context.Background(), 1, ref.Task(), core.FeatStats, specs, want); err != nil {
+		t.Fatal(err)
 	}
-	// The straggler finishes later; its result is drained and discarded.
-	deadline := time.Now().Add(3 * time.Second)
-	for c.cDuplicates.Value() == 0 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	wantDelta := counts(ref.Counters().Owned().Sub(before))
+	for i := range want {
+		want[i].Wall, want[i].End = 0, time.Time{}
 	}
-	if got := c.cDuplicates.Value(); got != 1 {
-		t.Fatalf("duplicates discarded = %d, want exactly 1", got)
+
+	first := func(f fault) func(int) fault {
+		return func(n int) fault {
+			if n == 1 {
+				return f
+			}
+			return forward
+		}
 	}
-	if got := binding.Delta().Get("pipeline_runs"); got != 1 {
-		t.Fatalf("duplicate delta leaked into aggregation: %d compilations", got)
+	cases := []struct {
+		name   string
+		plan   func(n int) fault
+		kinds  []string
+		remote bool // the batch was accepted from a runner
+	}{
+		{"drop", first(drop), []string{"retry"}, true},
+		{"5xx", first(badGate), []string{"retry"}, true},
+		{"truncate", first(truncate), []string{"retry"}, true},
+		{"delay", first(hang), []string{"retry"}, true},
+		{"all hang", func(int) fault { return hang }, []string{"retry", "retry", "retry", "local-fallback"}, false},
 	}
-	pend := binding.takePending()
-	if len(pend) != 1 || pend[0].Kind != "duplicate-discarded" {
-		t.Fatalf("pending incidents = %v, want one duplicate-discarded", pend)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := &http.Transport{}
+			defer base.CloseIdleConnections()
+			c := New(Options{HeartbeatTimeout: time.Minute, Client: &http.Client{Transport: &faultTransport{base: base, plan: tc.plan}}})
+			c.attemptTimeout, c.retryBase, c.retryCap = deadline, 5*time.Millisecond, 20*time.Millisecond
+			for i := 0; i < 2; i++ {
+				rs := &RunnerServer{Workers: 1}
+				// Prebuilt, so a healthy attempt answers well inside the deadline.
+				if _, err := rs.evaluator(bench.ByName(benchName), bench.ARM(), seed); err != nil {
+					t.Fatal(err)
+				}
+				ts := httptest.NewServer(rs.Handler())
+				defer ts.Close()
+				register(t, c, ts.URL, 1)
+			}
+			binding := c.Bind(cfg, newEval(t, benchName, seed), 1)
+
+			var backoffs time.Duration
+			for a := 1; a < c.maxAttempts; a++ {
+				backoffs += min(c.retryBase<<(a-1), c.retryCap)
+			}
+			out := make([]core.CompileOutcome, len(specs))
+			start := time.Now()
+			incs := binding.RunSpecs(context.Background(), specs, out)
+			if took, bound := time.Since(start), time.Duration(c.maxAttempts)*deadline+backoffs+2*time.Second; took > bound {
+				t.Fatalf("RunSpecs took %v, bound %v", took, bound)
+			}
+			for i := range out {
+				out[i].Wall, out[i].End = 0, time.Time{}
+			}
+			if !reflect.DeepEqual(out, want) {
+				t.Fatalf("outcomes differ from a local run:\n%+v\nvs\n%+v", out, want)
+			}
+			var kinds []string
+			for _, in := range incs {
+				kinds = append(kinds, in.Kind)
+			}
+			if !reflect.DeepEqual(kinds, tc.kinds) {
+				t.Fatalf("incidents %+v, want kinds %v", incs, tc.kinds)
+			}
+			folded, fresh := counts(binding.Delta()), wantDelta
+			if !tc.remote {
+				fresh = map[string]int64{}
+			}
+			if !reflect.DeepEqual(folded, fresh) {
+				t.Fatalf("folded counters %v, want %v", folded, fresh)
+			}
+		})
+	}
+}
+
+// counts maps a counter set to its values by name.
+func counts(s obs.CounterSet) map[string]int64 {
+	m := map[string]int64{}
+	for _, r := range s {
+		m[r.Name] = r.Value
+	}
+	return m
+}
+
+// A job cancelled in the middle of an attempt is not the runner's fault: ten
+// cancellations leave its failure count at 0 and it stays healthy.
+func TestCancelledAttemptIsNotARunnerFailure(t *testing.T) {
+	const seed = 9
+	const benchName = "automotive_bitcount"
+	arrived := make(chan struct{}, 1)
+	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body) // read to the end, so a closed connection cancels r.Context()
+		select {
+		case arrived <- struct{}{}:
+			<-r.Context().Done()
+		case <-r.Context().Done():
+		}
+	}))
+	defer stuck.Close()
+	c := New(Options{HeartbeatTimeout: time.Minute})
+	register(t, c, stuck.URL, 1)
+	ev := newEval(t, benchName, seed)
+	binding := c.Bind(JobConfig{Bench: benchName, Platform: "arm", Seed: seed, Feature: "stats"}, ev, 1)
+	specs := []core.CompileSpec{{Module: ev.Modules()[0], Seq: []string{"mem2reg"}}}
+
+	for i := 0; i < 10; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			select {
+			case <-arrived:
+				cancel()
+			case <-ctx.Done():
+			}
+		}()
+		out := make([]core.CompileOutcome, 1)
+		incs := binding.RunSpecs(ctx, specs, out)
+		cancel()
+		if out[0].Ok || len(incs) != 0 {
+			t.Fatalf("cancel %d: outcome %+v, incidents %v; want an unexecuted spec and no incident", i+1, out[0], incs)
+		}
+	}
+	if r := c.Runners()[0]; r.Failures != 0 || r.State != "healthy" {
+		t.Fatalf("after 10 cancelled attempts: %+v, want 0 failures and healthy", r)
+	}
+}
+
+// A runner registered with a trailing slash gets its batches at
+// <url>/v1/batch, not //v1/batch (which its mux would redirect).
+func TestTrailingSlashRunnerServesBatch(t *testing.T) {
+	const seed = 3
+	const benchName = "automotive_bitcount"
+	ts := httptest.NewServer((&RunnerServer{Workers: 1}).Handler())
+	defer ts.Close()
+	c := New(Options{HeartbeatTimeout: time.Minute})
+	register(t, c, ts.URL+"/", 1)
+	ev := newEval(t, benchName, seed)
+	out := make([]core.CompileOutcome, 1)
+	specs := []core.CompileSpec{{Module: ev.Modules()[0], Seq: []string{"mem2reg"}}}
+	incs := c.Bind(JobConfig{Bench: benchName, Platform: "arm", Seed: seed, Feature: "stats"}, ev, 1).RunSpecs(context.Background(), specs, out)
+	if !out[0].Ok || len(incs) != 0 || c.cBatches.Value() != 1 {
+		t.Fatalf("outcome %+v, incidents %v, %d remote batches; want one clean remote batch", out[0], incs, c.cBatches.Value())
 	}
 }
 
@@ -326,7 +592,7 @@ func TestQuarantineAndLocalFallback(t *testing.T) {
 
 	c := New(Options{HeartbeatTimeout: time.Minute})
 	c.retryBase, c.maxAttempts, c.quarantineAfter = time.Millisecond, 2, 2
-	info := c.Register(broken.URL, 1)
+	info := register(t, c, broken.URL, 1)
 	ev := newEval(t, benchName, seed)
 	cfg := JobConfig{Bench: benchName, Platform: "arm", Seed: seed, Feature: "stats"}
 	binding := c.Bind(cfg, ev, 1)
@@ -365,7 +631,7 @@ func TestQuarantineAndLocalFallback(t *testing.T) {
 	if !foundFallback {
 		t.Fatalf("fallback with quarantined runner not journalled: %v", incs)
 	}
-	if got := c.Register(broken.URL, 1); got.ID != info.ID || got.State != "healthy" {
+	if got := register(t, c, broken.URL, 1); got.ID != info.ID || got.State != "healthy" {
 		t.Fatalf("re-register = %+v, want same id healthy", got)
 	}
 }
@@ -390,7 +656,7 @@ func TestConcurrentLocalFallbacksMatchSerial(t *testing.T) {
 	defer broken.Close()
 	c := New(Options{HeartbeatTimeout: time.Minute})
 	c.retryBase, c.maxAttempts, c.quarantineAfter = time.Millisecond, 1, 100
-	c.Register(broken.URL, 1)
+	register(t, c, broken.URL, 1)
 
 	cfg := JobConfig{Bench: benchName, Platform: "arm", Seed: seed, Feature: "stats"}
 	ev := newEval(t, benchName, seed)
@@ -471,7 +737,7 @@ func TestAgentLifecycle(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case r.Method == http.MethodPost && r.URL.Path == "/v1/runners":
-			info := c.Register("http://runner", 3)
+			info, _ := c.Register("http://runner", 3)
 			w.Header().Set("Content-Type", "application/json")
 			io.WriteString(w, `{"id":"`+info.ID+`"}`)
 		case r.Method == http.MethodPost && len(r.URL.Path) > len("/v1/runners/") && r.URL.Path[len(r.URL.Path)-len("/heartbeat"):] == "/heartbeat":
@@ -700,7 +966,7 @@ func TestOutcomesEqualLocalRunnerFallback(t *testing.T) {
 	ts := httptest.NewServer((&RunnerServer{Workers: 2}).Handler())
 	defer ts.Close()
 	c := New(Options{HeartbeatTimeout: time.Minute})
-	c.Register(ts.URL, 2)
+	register(t, c, ts.URL, 2)
 	remote := make([]core.CompileOutcome, len(specs))
 	if incs := c.Bind(cfg, newEval(t, benchName, seed), 2).RunSpecs(context.Background(), specs, remote); len(incs) != 0 {
 		t.Fatalf("healthy runner reported incidents: %v", incs)
@@ -732,7 +998,7 @@ func TestMalformedResultFallsBackLocally(t *testing.T) {
 	defer fake.Close()
 	c := New(Options{HeartbeatTimeout: time.Minute})
 	c.retryBase = time.Millisecond
-	c.Register(fake.URL, 1)
+	register(t, c, fake.URL, 1)
 	ev := newEval(t, benchName, seed)
 	cfg := JobConfig{Bench: benchName, Platform: "arm", Seed: seed, Feature: "stats"}
 	specs := []core.CompileSpec{{Module: ev.Modules()[0], Seq: []string{"mem2reg", "instcombine"}}}

@@ -170,9 +170,10 @@ func (rs *RunnerServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	res.Delta = le.ev.Counters().Owned().Sub(before)
 	le.batchMu.Unlock()
 	if err != nil {
-		// Context cancelled mid-batch (coordinator gave up or stole the
-		// batch): the delta is real work but nobody will account for it;
-		// report failure so the coordinator's retry path owns recovery.
+		// Context cancelled mid-batch (the coordinator's attempt deadline
+		// passed or its job ended): the delta is real work but nobody will
+		// account for it; report failure so the coordinator's retry path
+		// owns recovery.
 		httpError(w, http.StatusInternalServerError, "batch aborted: %v", err)
 		return
 	}

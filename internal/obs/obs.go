@@ -444,14 +444,14 @@ func (r *Recorder) Resume(parent int64, replayed int, best float64) {
 }
 
 // FleetIncident records one distributed-dispatch anomaly: a batch retried
-// after a runner failure ("retry"), a straggler batch duplicated onto a
-// second runner ("steal"), a losing duplicate result thrown away
-// ("duplicate-discarded"), a runner quarantined after repeated failures
-// ("quarantine"), or a batch executed on the coordinator because no runner
-// was available ("local-fallback"). attempt is the dispatch attempt the
-// incident belongs to (1-based). Healthy fixed fleets emit none of these,
-// which is what keeps their canonical journals byte-identical to a
-// single-process run.
+// on the next runner after a runner failed an attempt or let its deadline
+// pass ("retry"), a runner quarantined after repeated failures
+// ("quarantine"), or a batch executed on the coordinator because its
+// attempts were used up or no runner was available ("local-fallback").
+// attempt is the dispatch attempt the incident belongs to (1-based).
+// Each belongs to the fan-out that caused it. Healthy fixed fleets emit
+// none of these, which is what keeps their canonical journals
+// byte-identical to a single-process run.
 func (r *Recorder) FleetIncident(parent int64, kind, runner, module string, attempt int) {
 	if r == nil {
 		return

@@ -22,11 +22,12 @@ func (s *Server) handleRunnerRegister(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if req.URL == "" {
-		writeJSONResponse(w, http.StatusBadRequest, errorBody{"register needs a runner url"})
+	info, err := s.cfg.Fleet.Register(req.URL, req.Workers)
+	if err != nil {
+		writeError(w, err) // a malformed runner url: 400
 		return
 	}
-	writeJSONResponse(w, http.StatusOK, s.cfg.Fleet.Register(req.URL, req.Workers))
+	writeJSONResponse(w, http.StatusOK, info)
 }
 
 func (s *Server) handleRunnerList(w http.ResponseWriter, _ *http.Request) {

@@ -94,7 +94,19 @@ func TestRunnerEndpointsLifecycle(t *testing.T) {
 	if got, err := c.Runners(); err != nil || len(got) != 0 {
 		t.Fatalf("empty registry: %v %v", got, err)
 	}
-	body, _ := json.Marshal(fleet.RegisterRequest{URL: "http://runner-a", Workers: 2})
+	// A runner URL the coordinator could not append /v1/batch to is a 400.
+	for _, bad := range []string{"", "runner-a:8080", "ftp://runner-a", "http://runner-a/v1", "http://runner-a?x=1"} {
+		body, _ := json.Marshal(fleet.RegisterRequest{URL: bad, Workers: 2})
+		resp, err := http.Post(ts.URL+"/v1/runners", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("register %q = HTTP %d, want 400", bad, resp.StatusCode)
+		}
+	}
+	body, _ := json.Marshal(fleet.RegisterRequest{URL: "http://runner-a/", Workers: 2})
 	resp, err := http.Post(ts.URL+"/v1/runners", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +115,7 @@ func TestRunnerEndpointsLifecycle(t *testing.T) {
 	if err := decodeOrError(resp, &info); err != nil {
 		t.Fatal(err)
 	}
-	if info.ID == "" || info.State != "healthy" {
+	if info.ID == "" || info.State != "healthy" || info.URL != "http://runner-a" {
 		t.Fatalf("register = %+v", info)
 	}
 
@@ -197,8 +209,11 @@ func TestFleetJobJournalMatchesLocal(t *testing.T) {
 	tsB := httptest.NewServer(rsB.Handler())
 	defer tsB.Close()
 	coord := fleet.New(fleet.Options{HeartbeatTimeout: time.Minute})
-	coord.Register(tsA.URL, 2)
-	coord.Register(tsB.URL, 2)
+	for _, u := range []string{tsA.URL, tsB.URL} {
+		if _, err := coord.Register(u, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
 	fleetEvents := runJob(Config{Dir: t.TempDir(), Fleet: coord})
 
 	if mm := analyze.Diff(local, fleetEvents); mm != nil {
