@@ -3,27 +3,27 @@
 // and are two runs canonically the same search.
 //
 // The package is the read side of internal/obs. It consumes the JSONL event
-// stream the Recorder emits and reconstructs three views of one run:
+// stream the Recorder emits and gives three views of one run:
 //
-//   - a span tree (run → iterations → compile/measure/... leaf events) with
-//     per-phase wall-time attribution,
+//   - per-phase wall-time and CPU attribution,
 //   - cache-effectiveness and convergence-curve reports,
 //   - a Chrome trace-event export that opens directly in ui.perfetto.dev.
 //
-// Attribution uses only the "_ns" timing fields, which Canonicalize strips:
-// analysing a journal can therefore never change its canonical content, and
-// the same journal analysed twice (or analysed live and then offline) yields
-// the same phase shares. The Analyzer is a streaming consumer — it works as
-// an obs.Sink over a live run exactly as it works over a file — which is what
-// lets the serve endpoints report phase attribution for running jobs and the
-// citroen_phase_seconds metrics stay consistent with the offline report by
-// construction: both are fed from the one Attribution state machine.
+// All three read one streaming timeline (timeline.go) that places every
+// timed event once and books the run's elapsed time over the phases in a
+// single pass. It uses only the "_ns" timing fields, which Canonicalize
+// strips: analysing a journal can therefore never change its canonical
+// content, and the same journal analysed twice (or analysed live and then
+// offline) yields the same phase shares. The Analyzer is a streaming
+// consumer — it works as an obs.Sink over a live run exactly as it works
+// over a file — which is what lets the serve /summary endpoint report phase
+// attribution for running jobs, and PhaseSink's citroen_phase_seconds
+// series agree with the offline report by construction.
 package analyze
 
 import (
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -38,8 +38,8 @@ const (
 	PhaseMeasure Phase = "measure"
 	// PhaseGPFit: surrogate refits and incremental appends.
 	PhaseGPFit Phase = "gp-fit"
-	// PhaseAcq: acquisition maximisation, minus the compile time nested
-	// inside the candidate fan-out (same convention as Fig 5.12).
+	// PhaseAcq: acquisition maximisation, minus the compile fan-out nested
+	// inside it (same convention as Fig 5.12).
 	PhaseAcq Phase = "acquisition"
 	// PhaseOther: journalled run time not covered by any timed event
 	// (setup, feature extraction, bookkeeping between events).
@@ -49,60 +49,19 @@ const (
 // Phases lists every phase in report order.
 var Phases = []Phase{PhaseCompile, PhaseMeasure, PhaseGPFit, PhaseAcq, PhaseOther}
 
-// Attribution is the shared event→phase state machine. It is deliberately
-// tiny: the serve endpoints, the offline report and the Prometheus
-// citroen_phase_seconds series all feed events through an Attribution, so
-// they cannot disagree about what counts as which phase.
-//
-// The only stateful rule is the acquisition/compile overlap: the tuner's
-// acq-max wall time covers the candidate compile fan-out, so compile wall
-// observed since the last acq-max is subtracted from the acquisition share
-// (clamped at zero), the convention of Fig 5.12.
-type Attribution struct {
-	pendingCompileNS int64
-}
-
-// Feed classifies one event, returning its phase and the CPU nanoseconds it
-// contributes. ok is false for events that carry no wall time.
-func (a *Attribution) Feed(e *obs.Event) (phase Phase, cpuNS int64, ok bool) {
-	wall := int64(obs.FieldFloat(e.Fields, "wall_ns"))
-	switch e.Type {
-	case "compile":
-		a.pendingCompileNS += wall
-		return PhaseCompile, wall, true
-	case "measure":
-		return PhaseMeasure, wall, true
-	case "gp-fit":
-		return PhaseGPFit, wall, true
-	case "acq-max":
-		acq := wall - a.pendingCompileNS
-		a.pendingCompileNS = 0
-		if acq < 0 {
-			acq = 0
-		}
-		return PhaseAcq, acq, true
-	}
-	return "", 0, false
-}
-
-// interval is one timed event on the run's adjusted timeline.
-type interval struct {
-	startNS, endNS int64
-	phase          Phase
-}
-
 // PhaseTotal is one row of the phase attribution.
 type PhaseTotal struct {
 	Phase Phase `json:"phase"`
-	// ElapsedNS is wall-clock time on the run timeline attributed to the
-	// phase by the interval sweep: overlapping intervals are merged, and
-	// segments covered by both a leaf phase and the enclosing acquisition
-	// interval count as the leaf. The ElapsedNS of all phases (including
-	// "other") partition the run, so they always sum to WallNS exactly.
+	// ElapsedNS is the run-timeline time booked to the phase: a compile
+	// fan-out counts once however many workers ran it, and acquisition
+	// keeps only what its nested fan-out left. The
+	// ElapsedNS of all phases (including "other") partition the run, so
+	// they always sum to WallNS exactly.
 	ElapsedNS int64 `json:"elapsed_ns"`
-	// CPUNS is the sum of individual event wall times: with parallel
-	// compile workers it exceeds ElapsedNS, and CPUNS/ElapsedNS is the
-	// phase's effective parallelism.
+	// CPUNS is the sum of individual event wall times for compile, measure
+	// and gp-fit: with parallel compile workers it exceeds ElapsedNS, and
+	// CPUNS/ElapsedNS is the phase's effective parallelism. Acquisition
+	// runs on the tuner goroutine alone, so its CPUNS is its ElapsedNS.
 	CPUNS int64 `json:"cpu_ns"`
 	// Events is the number of timed events attributed to the phase.
 	Events int `json:"events"`
@@ -170,40 +129,18 @@ type Report struct {
 	PassProfile []PassRow      `json:"pass_profile,omitempty"`
 }
 
-// PhaseSeconds returns one phase's elapsed share in seconds.
-func (r *Report) PhaseSeconds(p Phase) float64 {
-	for _, pt := range r.Phases {
-		if pt.Phase == p {
-			return time.Duration(pt.ElapsedNS).Seconds()
-		}
-	}
-	return 0
-}
-
 // Analyzer is the streaming journal consumer. Feed events in journal order
 // (it is an obs.Sink, so it can be multiplexed onto a live run) and call
 // Report at any point — including mid-run — for a consistent snapshot.
 type Analyzer struct {
-	att       Attribution
-	intervals []interval
-	events    []obs.Event // retained for tree/trace reuse via Events()
-
-	// timeline splicing across process restarts (TimeNS resets to ~0 when a
-	// resumed job re-creates its recorder).
-	offsetNS int64
-	lastNS   int64
-	firstNS  int64
-	haveTime bool
-
+	tl       timeline
 	report   Report
-	cpu      map[Phase]int64
-	evs      map[Phase]int
 	counters map[string]obs.CounterRow
 }
 
 // NewAnalyzer returns an empty streaming analyzer.
 func NewAnalyzer() *Analyzer {
-	return &Analyzer{cpu: map[Phase]int64{}, evs: map[Phase]int{}, counters: map[string]obs.CounterRow{}}
+	return &Analyzer{counters: map[string]obs.CounterRow{}}
 }
 
 // Analyze runs a complete event slice through a fresh analyzer.
@@ -218,47 +155,11 @@ func Analyze(events []obs.Event) *Report {
 // Emit implements obs.Sink so an Analyzer can watch a live run.
 func (a *Analyzer) Emit(e *obs.Event) { a.Feed(e) }
 
-// adjust splices the event onto the monotonic run timeline.
-func (a *Analyzer) adjust(raw int64) int64 {
-	t := raw + a.offsetNS
-	if t < a.lastNS {
-		// The recorder clock restarted (checkpoint/resume in a new process):
-		// splice the new epoch onto the end of the old one.
-		a.offsetNS = a.lastNS
-		t = raw + a.offsetNS
-	}
-	a.lastNS = t
-	if !a.haveTime {
-		a.firstNS = t
-		a.haveTime = true
-	}
-	return t
-}
-
 // Feed consumes one event.
 func (a *Analyzer) Feed(e *obs.Event) {
-	t := a.adjust(e.TimeNS)
-	a.events = append(a.events, *e)
+	a.tl.feed(e)
 	r := &a.report
 	r.Events++
-
-	if phase, cpu, ok := a.att.Feed(e); ok {
-		a.cpu[phase] += cpu
-		a.evs[phase]++
-		// The interval is [end - wall, end]. The acquisition interval spans
-		// its full wall (the sweep carves the nested compile segments out by
-		// priority), while its CPU share is the compile-free remainder from
-		// Attribution.
-		end := opEnd(e, t)
-		start := end - int64(obs.FieldFloat(e.Fields, "wall_ns"))
-		if start < a.firstNS {
-			start = a.firstNS
-		}
-		if start > end {
-			start = end
-		}
-		a.intervals = append(a.intervals, interval{startNS: start, endNS: end, phase: phase})
-	}
 
 	f := e.Fields
 	switch e.Type {
@@ -321,21 +222,6 @@ func (a *Analyzer) Feed(e *obs.Event) {
 	}
 }
 
-// opEnd places the end of e's operation on a timeline where e is journalled
-// at t. An event is journalled when its operation ends, except a compile:
-// compiles fan out and are journalled serially after the barrier, so each
-// carries its own end_ns, and it ended that long before its t_ns. A compile
-// from a journal older than end_ns ends at t.
-func opEnd(e *obs.Event, t int64) int64 {
-	if _, ok := e.Fields["end_ns"]; !ok {
-		return t
-	}
-	if lag := e.TimeNS - int64(obs.FieldFloat(e.Fields, "end_ns")); lag > 0 {
-		return t - lag
-	}
-	return t
-}
-
 // passProfile decodes a run-end event's pass_profile rows.
 func passProfile(f map[string]any) []PassRow {
 	rows, _ := f["pass_profile"].([]any)
@@ -385,97 +271,18 @@ func (a *Analyzer) module(name string) *ModuleReport {
 	return m
 }
 
-// Events returns the events consumed so far (journal order).
-func (a *Analyzer) Events() []obs.Event { return a.events }
-
-// Report snapshots the analysis. Safe to call repeatedly while streaming;
-// each call recomputes the interval sweep over the events seen so far.
+// Report snapshots the analysis. Safe to call repeatedly while streaming:
+// a snapshot books the open compile fan-out as if it closed now and leaves
+// the timeline as it is.
 func (a *Analyzer) Report() *Report {
-	r := a.report // copy: sweep- and table-derived fields are filled per call
+	r := a.report // copy: the timeline- and table-derived fields are filled per call
 	r.Counters = make(obs.CounterSet, 0, len(a.counters))
 	for _, c := range a.counters {
 		r.Counters = append(r.Counters, c)
 	}
 	sort.Slice(r.Counters, func(i, j int) bool { return r.Counters[i].Name < r.Counters[j].Name })
-	if a.haveTime {
-		r.WallNS = a.lastNS - a.firstNS
-	}
-	elapsed := sweep(a.intervals)
-	r.Phases = make([]PhaseTotal, 0, len(Phases))
-	var covered int64
-	for _, p := range Phases {
-		if p == PhaseOther {
-			continue
-		}
-		covered += elapsed[p]
-		r.Phases = append(r.Phases, PhaseTotal{
-			Phase: p, ElapsedNS: elapsed[p], CPUNS: a.cpu[p], Events: a.evs[p],
-		})
-	}
-	other := r.WallNS - covered
-	if other < 0 {
-		other = 0
-	}
-	r.Phases = append(r.Phases, PhaseTotal{Phase: PhaseOther, ElapsedNS: other})
+	r.WallNS, r.Phases = a.tl.wallNS(), a.tl.phases()
 	return &r
-}
-
-// sweep partitions the timeline the intervals cover over the phases: at
-// every elementary segment the highest-priority covering interval wins, leaf
-// phases beating the composite acquisition interval that nests them.
-func sweep(ivs []interval) map[Phase]int64 {
-	elapsed := map[Phase]int64{}
-	type edge struct {
-		t     int64
-		open  bool
-		phase Phase
-	}
-	edges := make([]edge, 0, 2*len(ivs))
-	for _, iv := range ivs {
-		if iv.endNS <= iv.startNS {
-			continue
-		}
-		edges = append(edges, edge{iv.startNS, true, iv.phase}, edge{iv.endNS, false, iv.phase})
-	}
-	if len(edges) == 0 { // only zero-length intervals: a canonicalised journal
-		return elapsed
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].t != edges[j].t {
-			return edges[i].t < edges[j].t
-		}
-		// Close before open at equal times so zero-length overlap is not
-		// double-counted.
-		return !edges[i].open && edges[j].open
-	})
-	// prio: leaf phases beat the acquisition envelope that nests them.
-	prio := map[Phase]int{PhaseCompile: 4, PhaseMeasure: 4, PhaseGPFit: 4, PhaseAcq: 1}
-	depth := map[Phase]int{}
-	best := func() (Phase, bool) {
-		var top Phase
-		topP := 0
-		for p, d := range depth {
-			if d > 0 && prio[p] > topP {
-				top, topP = p, prio[p]
-			}
-		}
-		return top, topP > 0
-	}
-	prev := edges[0].t
-	for _, ed := range edges {
-		if ed.t > prev {
-			if p, ok := best(); ok {
-				elapsed[p] += ed.t - prev
-			}
-			prev = ed.t
-		}
-		if ed.open {
-			depth[ed.phase]++
-		} else {
-			depth[ed.phase]--
-		}
-	}
-	return elapsed
 }
 
 func fieldString(f map[string]any, key string) string {

@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -78,17 +79,18 @@ func TestAnalyzeRealRun(t *testing.T) {
 	if phaseByName(r, PhaseMeasure).Events == 0 {
 		t.Fatal("no measure attribution")
 	}
-	// For leaf phases elapsed never exceeds CPU: merged intervals are at most
-	// the summed walls. (Acquisition is exempt — its CPU subtracts the SUMMED
-	// nested-compile walls while its elapsed only loses the MERGED compile
-	// coverage, so parallel compiles push elapsed above CPU by design.)
+	// Elapsed never exceeds CPU: merged intervals are at most the summed
+	// walls.
 	for _, pt := range r.Phases {
-		if pt.Phase == PhaseOther || pt.Phase == PhaseAcq {
-			continue
-		}
-		if pt.ElapsedNS > pt.CPUNS {
+		if pt.Phase != PhaseOther && pt.ElapsedNS > pt.CPUNS {
 			t.Fatalf("phase %s elapsed %d > cpu %d", pt.Phase, pt.ElapsedNS, pt.CPUNS)
 		}
+	}
+	// The tuner goroutine is idle while two workers compile, so acquisition
+	// CPU is the elapsed time its fan-out left, not the acq-max wall minus
+	// the summed compile walls (which reads 0 once compiles overlap).
+	if acq := phaseByName(r, PhaseAcq); acq.CPUNS <= 0 || acq.CPUNS != acq.ElapsedNS {
+		t.Fatalf("acquisition cpu %d, elapsed %d: want equal and > 0", acq.CPUNS, acq.ElapsedNS)
 	}
 
 	// Ground truth against the tuner's own result.
@@ -170,36 +172,10 @@ func TestAnalyzerStreamingSnapshotsMatchBatch(t *testing.T) {
 	}
 }
 
-// The acquisition phase must not double-count the compile fan-out nested
-// inside its wall time.
-func TestAttributionSubtractsNestedCompile(t *testing.T) {
-	var att Attribution
-	feed := func(typ string, wallNS int64) (Phase, int64) {
-		p, cpu, ok := att.Feed(&obs.Event{Type: typ, Fields: map[string]any{"wall_ns": wallNS}})
-		if !ok {
-			t.Fatalf("%s not attributed", typ)
-		}
-		return p, cpu
-	}
-	if p, cpu := feed("compile", 6e6); p != PhaseCompile || cpu != 6e6 {
-		t.Fatalf("compile -> %s %d", p, cpu)
-	}
-	if p, cpu := feed("acq-max", 10e6); p != PhaseAcq || cpu != 4e6 {
-		t.Fatalf("acq-max -> %s %d, want acquisition 4e6 (10ms - 6ms nested compile)", p, cpu)
-	}
-	// Clamped at zero when compile exceeds the acquisition wall.
-	feed("compile", 20e6)
-	if _, cpu := feed("acq-max", 10e6); cpu != 0 {
-		t.Fatalf("acq cpu = %d, want 0 (clamped)", cpu)
-	}
-	// Untimed events pass through unattributed.
-	if _, _, ok := att.Feed(&obs.Event{Type: "new-incumbent"}); ok {
-		t.Fatal("new-incumbent must not be attributed")
-	}
-}
-
 // Checkpoint/resume journals restart the recorder clock; the analyzer must
-// splice the epochs instead of producing a negative or overlapping timeline.
+// splice the epochs instead of producing a negative or overlapping timeline,
+// and the Perfetto export must draw the second epoch after the first, not
+// at its raw clock.
 func TestAnalyzerSplicesRestartedClock(t *testing.T) {
 	mk := func(seq, tNS int64, typ string, wallNS int64) obs.Event {
 		return obs.Event{Seq: seq, TimeNS: tNS, Type: typ,
@@ -212,65 +188,53 @@ func TestAnalyzerSplicesRestartedClock(t *testing.T) {
 		// Process restart: clock rewinds to near zero, seq keeps growing.
 		mk(4, 10, "resume", 0),
 		mk(5, 90, "compile", 60),
-		mk(6, 150, "run-end", 0),
+		mk(6, 150, "measure", 40),
+		mk(7, 160, "run-end", 0),
 	}
 	r := Analyze(events)
-	// Spliced wall: 200 (first epoch) + 150 (second epoch, offset by 200).
-	if r.WallNS != 350 {
-		t.Fatalf("wall = %d, want 350 (spliced epochs)", r.WallNS)
+	// Spliced wall: 200 (first epoch) + 160 (second epoch, offset by 200).
+	if r.WallNS != 360 {
+		t.Fatalf("wall = %d, want 360 (spliced epochs)", r.WallNS)
 	}
 	if r.Resumes != 1 {
 		t.Fatalf("resumes = %d, want 1", r.Resumes)
 	}
-	var sum int64
-	for _, pt := range r.Phases {
-		sum += pt.ElapsedNS
+	want := []PhaseTotal{
+		{Phase: PhaseCompile, ElapsedNS: 140, CPUNS: 140, Events: 2},
+		{Phase: PhaseMeasure, ElapsedNS: 90, CPUNS: 90, Events: 2},
+		{Phase: PhaseGPFit}, {Phase: PhaseAcq},
+		{Phase: PhaseOther, ElapsedNS: 130},
 	}
-	if sum != r.WallNS {
-		t.Fatalf("phases sum %d != wall %d", sum, r.WallNS)
+	if !slices.Equal(r.Phases, want) {
+		t.Fatalf("phases = %+v, want %+v", r.Phases, want)
 	}
-	if cp := phaseByName(r, PhaseCompile); cp.CPUNS != 140 {
-		t.Fatalf("compile cpu = %d, want 140", cp.CPUNS)
-	}
-}
 
-func TestBuildTreeStructure(t *testing.T) {
-	events, _ := runJournal(t, 1, 4, 3)
-	tree := BuildTree(events)
-	if len(tree.Roots) != 1 {
-		t.Fatalf("roots = %d, want 1", len(tree.Roots))
+	// The trace draws every timed event where the timeline placed it: the
+	// second epoch's compile at [230,290] on the first lane, its measure at
+	// [310,350] inside the 360 ns run slice.
+	tr := checkTraceAtTimeline(t, events)
+	type slice struct {
+		cat     string
+		tid     int
+		ts, dur float64
 	}
-	root := tree.Roots[0]
-	if root.Type != "run-start" {
-		t.Fatalf("root type = %s", root.Type)
-	}
-	iters := 0
-	for _, e := range events {
-		if e.Type == "iteration" {
-			iters++
+	var got []slice
+	for _, ev := range tr.TraceEvents {
+		if ev.Ph == "X" && ev.Cat != "span" {
+			got = append(got, slice{ev.Cat, ev.TID, ev.TS, ev.Dur})
 		}
 	}
-	if len(root.Children) != iters {
-		t.Fatalf("children = %d, want %d iterations", len(root.Children), iters)
+	wantSlices := []slice{
+		{"measure", tunerTID, 0.15, 0.05}, {"measure", tunerTID, 0.31, 0.04},
+		{"compile", 1, 0.02, 0.08}, {"compile", 1, 0.23, 0.06},
 	}
-	leafs := 0
-	for _, sp := range root.Children {
-		if sp.EndNS < sp.StartNS {
-			t.Fatalf("span %d ends before it starts", sp.ID)
-		}
-		if sp.StartNS < root.StartNS || sp.EndNS > root.EndNS {
-			t.Fatalf("iteration span [%d,%d] outside run [%d,%d]",
-				sp.StartNS, sp.EndNS, root.StartNS, root.EndNS)
-		}
-		leafs += len(sp.Events)
-	}
-	if leafs == 0 {
-		t.Fatal("no leaf events attached to iteration spans")
+	if !slices.Equal(got, wantSlices) {
+		t.Fatalf("slices %+v, want %+v", got, wantSlices)
 	}
 }
 
 // PhaseSink must agree with the offline report's CPU attribution — they
-// share the Attribution state machine, so this is a wiring test.
+// share the timeline, so this is a wiring test.
 func TestPhaseSinkMatchesReportCPU(t *testing.T) {
 	events, _ := runJournal(t, 2, 4, 4)
 	m := obs.NewMetrics()

@@ -8,18 +8,18 @@ import (
 )
 
 // PhaseSink feeds the citroen_phase_seconds{phase=...} series from the same
-// Attribution state machine the offline report uses, so Prometheus and
-// `citroenstat report` can never disagree about phase accounting. The series
-// accumulate CPU seconds per phase (the sum of event wall times; with
-// parallel compile workers this exceeds wall-clock, exactly like the
-// report's CPUNS column).
+// timeline the offline report books on, so Prometheus and `citroenstat
+// report` can never disagree about phase accounting. The series accumulate
+// CPU seconds per phase, exactly the report's CPUNS column: the sum of event
+// wall times (with parallel compile workers this exceeds wall-clock), and
+// for acquisition its booked elapsed time.
 //
 // Multiplex it onto a run with obs.Multi:
 //
 //	opts.Sink = obs.Multi(journal, analyze.NewPhaseSink(metrics))
 type PhaseSink struct {
 	mu     sync.Mutex
-	att    Attribution
+	tl     timeline
 	gauges map[Phase]*obs.Gauge
 }
 
@@ -39,10 +39,10 @@ func NewPhaseSink(m *obs.Metrics) *PhaseSink {
 // Emit implements obs.Sink.
 func (s *PhaseSink) Emit(e *obs.Event) {
 	s.mu.Lock()
-	phase, cpuNS, ok := s.att.Feed(e)
+	p := s.tl.feed(e)
 	s.mu.Unlock()
-	if !ok || cpuNS == 0 {
+	if p.phase == "" || p.cpuNS == 0 {
 		return
 	}
-	s.gauges[phase].Add(time.Duration(cpuNS).Seconds())
+	s.gauges[p.phase].Add(time.Duration(p.cpuNS).Seconds())
 }

@@ -22,7 +22,7 @@ func WriteReport(w io.Writer, r *Report) {
 		r.Iterations, r.Compiles, r.Measurements, r.ReusedMeasurements, r.Checkpoints, r.Resumes)
 	fmt.Fprintf(w, "best speedup: %.3fx\n", r.BestSpeedup)
 
-	fmt.Fprintln(w, "\nphase attribution (elapsed = run timeline, cpu = summed event walls):")
+	fmt.Fprintln(w, "\nphase attribution (elapsed = run timeline, cpu = summed event walls; acquisition cpu = its elapsed):")
 	fmt.Fprintf(w, "  %-12s %14s %7s %14s %8s %7s\n", "phase", "elapsed", "share", "cpu", "parallel", "events")
 	for _, pt := range r.Phases {
 		share := 0.0

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/obs"
 )
@@ -33,34 +34,57 @@ type Trace struct {
 // tuner goroutine track; parallel compile fan-outs pack into lanes above it.
 const tunerTID = 0
 
-// ChromeTrace converts a journal into a Chrome trace-event document. Each
-// run becomes one process (pid = run index + 1) with the tuner's serial
-// timeline on thread 0 — the run span, iteration spans, and the serial
-// measure/gp-fit/acq-max slices — while compile events, which
-// overlap under parallel workers, are packed into "compile lane" threads so
-// the fan-out width is visible. Incumbent improvements, checkpoints and
-// resumes render as instant events.
+// ChromeTrace converts a journal into a Chrome trace-event document in one
+// pass over the events. Each run becomes one process (pid = run index + 1)
+// with the tuner's serial timeline on thread 0 — the run slice, iteration
+// slices (each up to the next iteration or the run's end), and the serial
+// measure/gp-fit/acq-max slices — while compile events, which overlap under
+// parallel workers, are packed into "compile lane" threads so the fan-out
+// width is visible. Incumbent improvements, checkpoints and resumes render
+// as instant events. Every event sits where the report's timeline placed
+// it, on one time axis from the journal's first event, so the runs of a
+// resumed job follow each other.
 func ChromeTrace(events []obs.Event) *Trace {
 	tr := &Trace{DisplayTimeUnit: "ms"}
-	tree := BuildTree(events)
-	for runIdx, root := range tree.Roots {
-		pid := runIdx + 1
-		tr.meta(pid, tunerTID, "process_name", map[string]any{"name": processName(root, runIdx)})
-		tr.meta(pid, tunerTID, "thread_name", map[string]any{"name": "tuner"})
-		base := root.StartNS
-
-		tr.slice(pid, tunerTID, "run", "span", base, root.StartNS, root.EndNS, scrubArgs(root.Open.Fields))
-		var compiles []interval3
-		emitSpanEvents(tr, pid, base, root, &compiles)
-		for _, sp := range root.Children {
-			name := "iteration"
-			if sp.Open.Fields != nil {
-				name = "iteration " + itoa(int(obs.FieldFloat(sp.Open.Fields, "iter")))
+	var tl timeline
+	var run *runTrack
+	for i := range events {
+		e := &events[i]
+		p := tl.feed(e)
+		if run == nil || e.Type == "run-start" {
+			pid := 1
+			if run != nil {
+				run.close(tr)
+				pid = run.pid + 1
 			}
-			tr.slice(pid, tunerTID, name, "span", base, sp.StartNS, sp.EndNS, scrubArgs(sp.Open.Fields))
-			emitSpanEvents(tr, pid, base, sp, &compiles)
+			run = tr.openRun(pid, e, tl.firstNS, p.atNS)
 		}
-		packCompileLanes(tr, pid, base, compiles)
+		run.endNS = p.atNS
+		pid, base := run.pid, run.base
+		switch e.Type {
+		case "iteration":
+			run.closeIteration(tr)
+			run.iter, run.iterStartNS = len(tr.TraceEvents), p.atNS
+			name := "iteration " + itoa(int(obs.FieldFloat(e.Fields, "iter")))
+			tr.slice(pid, tunerTID, name, "span", base, p.atNS, p.atNS, scrubArgs(e.Fields))
+		case "compile":
+			run.compiles = append(run.compiles, compileSlice{p.span, "compile " + fieldString(e.Fields, "module"), scrubArgs(e.Fields)})
+		case "measure":
+			tr.slice(pid, tunerTID, "measure "+fieldString(e.Fields, "module"), string(PhaseMeasure), base, p.span.startNS, p.span.endNS, scrubArgs(e.Fields))
+		case "gp-fit":
+			name := "gp refit"
+			if obs.FieldBool(e.Fields, "appended") {
+				name = "gp append"
+			}
+			tr.slice(pid, tunerTID, name, string(PhaseGPFit), base, p.span.startNS, p.span.endNS, scrubArgs(e.Fields))
+		case "acq-max":
+			tr.slice(pid, tunerTID, "acquisition", string(PhaseAcq), base, p.span.startNS, p.span.endNS, scrubArgs(e.Fields))
+		case "new-incumbent", "checkpoint", "resume":
+			tr.instant(pid, tunerTID, strings.ReplaceAll(e.Type, "-", " "), base, p.atNS, scrubArgs(e.Fields))
+		}
+	}
+	if run != nil {
+		run.close(tr)
 	}
 	return tr
 }
@@ -72,71 +96,62 @@ func WriteChromeTrace(w io.Writer, events []obs.Event) error {
 	return enc.Encode(ChromeTrace(events))
 }
 
-type interval3 struct {
-	startNS, endNS int64
-	name           string
-	args           map[string]any
+// runTrack is the run ChromeTrace is in: its process, its open run and
+// iteration slices (indices into TraceEvents; iter is -1 before the first
+// iteration), and its compiles, packed into lanes when the run closes.
+type runTrack struct {
+	pid, slice, iter                  int
+	base, startNS, iterStartNS, endNS int64
+	compiles                          []compileSlice
 }
 
-// emitSpanEvents renders one span's leaf events: serial phases as slices on
-// the tuner thread, compiles collected for lane packing, markers as instants.
-func emitSpanEvents(tr *Trace, pid int, base int64, sp *Span, compiles *[]interval3) {
-	for _, e := range sp.Events {
-		t := eventEnd(sp, e)
-		end := opEnd(&e, t)
-		start := end - int64(obs.FieldFloat(e.Fields, "wall_ns"))
-		if start < base {
-			start = base
-		}
-		switch e.Type {
-		case "compile":
-			*compiles = append(*compiles, interval3{start, end, "compile " + fieldString(e.Fields, "module"), scrubArgs(e.Fields)})
-		case "measure":
-			tr.slice(pid, tunerTID, "measure "+fieldString(e.Fields, "module"), string(PhaseMeasure), base, start, end, scrubArgs(e.Fields))
-		case "gp-fit":
-			name := "gp refit"
-			if obs.FieldBool(e.Fields, "appended") {
-				name = "gp append"
-			}
-			tr.slice(pid, tunerTID, name, string(PhaseGPFit), base, start, end, scrubArgs(e.Fields))
-		case "acq-max":
-			tr.slice(pid, tunerTID, "acquisition", string(PhaseAcq), base, start, end, scrubArgs(e.Fields))
-		case "new-incumbent":
-			tr.instant(pid, tunerTID, "new incumbent", base, t, scrubArgs(e.Fields))
-		case "checkpoint":
-			tr.instant(pid, tunerTID, "checkpoint", base, t, scrubArgs(e.Fields))
-		case "resume":
-			tr.instant(pid, tunerTID, "resume", base, t, scrubArgs(e.Fields))
-		}
+type compileSlice struct {
+	span interval
+	name string
+	args map[string]any
+}
+
+// openRun starts process pid at atNS. A journal that starts mid-run (a
+// tail) opens its first process at a non-run-start event.
+func (t *Trace) openRun(pid int, e *obs.Event, base, atNS int64) *runTrack {
+	name := "citroen run " + itoa(pid)
+	var config map[string]any
+	if e.Type == "run-start" {
+		config = e.Fields
+		name += " (budget " + itoa(int(obs.FieldFloat(config, "budget"))) + ")"
+	}
+	t.meta(pid, tunerTID, "process_name", map[string]any{"name": name})
+	t.meta(pid, tunerTID, "thread_name", map[string]any{"name": "tuner"})
+	r := &runTrack{pid: pid, slice: len(t.TraceEvents), iter: -1, base: base, startNS: atNS}
+	t.slice(pid, tunerTID, "run", "span", base, atNS, atNS, scrubArgs(config))
+	return r
+}
+
+// closeIteration ends the open iteration slice at the run's last event.
+func (r *runTrack) closeIteration(t *Trace) {
+	if r.iter >= 0 {
+		t.TraceEvents[r.iter].Dur = float64(r.endNS-r.iterStartNS) / 1e3
 	}
 }
 
-// eventEnd places an event on the run timeline. Journal events carry raw
-// recorder time; the span tree was built on the spliced timeline, so clamp
-// into the span (covers resumed journals whose clocks restarted).
-func eventEnd(sp *Span, e obs.Event) int64 {
-	t := e.TimeNS
-	if t < sp.StartNS || t > sp.EndNS {
-		// Restarted clock: fall back to the span's window edge.
-		if t < sp.StartNS {
-			t = sp.StartNS
-		} else {
-			t = sp.EndNS
-		}
-	}
-	return t
+// close ends the run and its last iteration at its last event and packs its
+// compiles into lanes.
+func (r *runTrack) close(t *Trace) {
+	r.closeIteration(t)
+	t.TraceEvents[r.slice].Dur = float64(r.endNS-r.startNS) / 1e3
+	packCompileLanes(t, r.pid, r.base, r.compiles)
 }
 
 // packCompileLanes assigns overlapping compile slices to the fewest lanes
 // (first-fit by start time), mirroring how core.RunSpecs fans candidates over
 // workers, and emits them on threads 1..N.
-func packCompileLanes(tr *Trace, pid int, base int64, ivs []interval3) {
-	sort.SliceStable(ivs, func(i, j int) bool { return ivs[i].startNS < ivs[j].startNS })
+func packCompileLanes(tr *Trace, pid int, base int64, cs []compileSlice) {
+	sort.SliceStable(cs, func(i, j int) bool { return cs[i].span.startNS < cs[j].span.startNS })
 	var laneEnd []int64
-	for _, iv := range ivs {
+	for _, c := range cs {
 		lane := -1
 		for l, end := range laneEnd {
-			if end <= iv.startNS {
+			if end <= c.span.startNS {
 				lane = l
 				break
 			}
@@ -146,8 +161,8 @@ func packCompileLanes(tr *Trace, pid int, base int64, ivs []interval3) {
 			laneEnd = append(laneEnd, 0)
 			tr.meta(pid, lane+1, "thread_name", map[string]any{"name": "compile lane " + itoa(lane+1)})
 		}
-		laneEnd[lane] = iv.endNS
-		tr.slice(pid, lane+1, iv.name, string(PhaseCompile), base, iv.startNS, iv.endNS, iv.args)
+		laneEnd[lane] = c.span.endNS
+		tr.slice(pid, lane+1, c.name, string(PhaseCompile), base, c.span.startNS, c.span.endNS, c.args)
 	}
 }
 
@@ -174,13 +189,6 @@ func (t *Trace) meta(pid, tid int, name string, args map[string]any) {
 	t.TraceEvents = append(t.TraceEvents, TraceEvent{
 		Name: name, Ph: "M", PID: pid, TID: tid, Args: args,
 	})
-}
-
-func processName(root *Span, idx int) string {
-	if f := root.Open.Fields; f != nil {
-		return "citroen run " + itoa(idx+1) + " (budget " + itoa(int(obs.FieldFloat(f, "budget"))) + ")"
-	}
-	return "citroen run " + itoa(idx+1)
 }
 
 // scrubArgs shallow-copies event fields for the args payload, dropping

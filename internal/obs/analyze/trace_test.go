@@ -2,8 +2,14 @@ package analyze
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
+	"math"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // The Chrome trace-event export must be schema-valid: ui.perfetto.dev is an
@@ -152,5 +158,113 @@ func TestChromeTraceCompileLanesAtMostWorkers(t *testing.T) {
 	}
 	if len(lanes) == 0 || len(lanes) > workers {
 		t.Fatalf("%d compile lanes, want 1..%d", len(lanes), workers)
+	}
+}
+
+// checkTraceAtTimeline checks that ChromeTrace draws every timed event at
+// the interval the report's timeline placed it, that the tuner thread's
+// slices do not overlap, and that the run slices lie end to end from 0 to
+// Report.WallNS. It returns the trace.
+func checkTraceAtTimeline(t *testing.T, events []obs.Event) *Trace {
+	t.Helper()
+	type slice struct {
+		cat     string
+		ts, dur float64
+	}
+	var tl timeline
+	var want []slice
+	for i := range events {
+		if p := tl.feed(&events[i]); p.phase != "" {
+			want = append(want, slice{string(p.phase), float64(p.span.startNS-tl.firstNS) / 1e3, float64(p.span.endNS-p.span.startNS) / 1e3})
+		}
+	}
+	tr := ChromeTrace(events)
+	var got, tuner, runs []slice
+	for _, ev := range tr.TraceEvents {
+		s := slice{ev.Cat, ev.TS, ev.Dur}
+		switch {
+		case ev.Ph != "X" || ev.Cat == "span" && ev.Name != "run":
+		case ev.Name == "run":
+			runs = append(runs, s)
+		default:
+			got = append(got, s)
+			if ev.TID == tunerTID {
+				tuner = append(tuner, s)
+			}
+		}
+	}
+	byTime := func(a, b slice) int {
+		return cmp.Or(cmp.Compare(a.ts, b.ts), cmp.Compare(a.dur, b.dur), strings.Compare(a.cat, b.cat))
+	}
+	slices.SortFunc(want, byTime)
+	slices.SortFunc(got, byTime)
+	if !slices.Equal(got, want) {
+		t.Fatalf("trace slices differ from the timeline's placement:\n got %v\nwant %v", got, want)
+	}
+	const eps = 1e-6 // µs; ts and dur are converted separately
+	slices.SortFunc(tuner, byTime)
+	for i := 1; i < len(tuner); i++ {
+		if prev := tuner[i-1]; tuner[i].ts < prev.ts+prev.dur-eps {
+			t.Fatalf("tuner-thread slices overlap: %v then %v", prev, tuner[i])
+		}
+	}
+	wall := float64(Analyze(events).WallNS) / 1e3
+	if len(runs) == 0 || runs[0].ts != 0 {
+		t.Fatalf("run slices %v do not start at 0", runs)
+	}
+	for i := 1; i < len(runs); i++ {
+		if prev := runs[i-1]; runs[i].ts < prev.ts+prev.dur-eps {
+			t.Fatalf("run slices overlap: %v then %v", prev, runs[i])
+		}
+	}
+	if last := runs[len(runs)-1]; last.ts+last.dur < wall-eps || last.ts+last.dur > wall+eps {
+		t.Fatalf("last run slice %v does not end at the wall, %v µs", last, wall)
+	}
+	return tr
+}
+
+// Each iteration is one slice on the tuner thread, from its event up to the
+// next iteration's or the run's end, so the iterations tile the rest of the
+// run slice and the leaf events of the model-guided loop fall inside them.
+func TestChromeTraceIterations(t *testing.T) {
+	events, _ := runJournal(t, 1, 4, 3)
+	tr := checkTraceAtTimeline(t, events)
+	iters := 0
+	for _, e := range events {
+		if e.Type == "iteration" {
+			iters++
+		}
+	}
+	var run, prev *TraceEvent
+	spans, leaves := 0, 0
+	for i := range tr.TraceEvents {
+		ev := &tr.TraceEvents[i]
+		switch {
+		case ev.Ph == "M" && ev.Name == "process_name" && ev.PID != 1:
+			t.Fatalf("a one-run journal opened process %d", ev.PID)
+		case ev.Ph != "X":
+		case ev.Name == "run":
+			run = ev
+		case ev.Cat == "span":
+			if !strings.HasPrefix(ev.Name, "iteration ") || ev.TID != tunerTID {
+				t.Fatalf("unexpected span slice %+v", ev)
+			}
+			if prev != nil && math.Abs(prev.TS+prev.Dur-ev.TS) > 1e-6 {
+				t.Fatalf("iteration %s ends at %v, the next starts at %v", prev.Name, prev.TS+prev.Dur, ev.TS)
+			}
+			prev = ev
+			spans++
+		case ev.TID == tunerTID && prev != nil && ev.TS >= prev.TS:
+			leaves++
+		}
+	}
+	if run == nil || spans != iters || spans == 0 {
+		t.Fatalf("run slice %v, %d iteration slices for %d iteration events", run, spans, iters)
+	}
+	if math.Abs(prev.TS+prev.Dur-(run.TS+run.Dur)) > 1e-6 {
+		t.Fatalf("last iteration ends at %v, the run at %v", prev.TS+prev.Dur, run.TS+run.Dur)
+	}
+	if leaves == 0 {
+		t.Fatal("no tuner-thread slices inside the iterations")
 	}
 }

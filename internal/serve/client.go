@@ -132,16 +132,6 @@ func (c *Client) Summary(id string) (JobSummary, error) {
 	return sum, decodeOrError(resp, &sum)
 }
 
-// Phases fetches the compact per-phase wall-time attribution for a job.
-func (c *Client) Phases(id string) (JobPhases, error) {
-	resp, err := c.http().Get(c.BaseURL + "/v1/jobs/" + id + "/phases")
-	if err != nil {
-		return JobPhases{}, err
-	}
-	var ph JobPhases
-	return ph, decodeOrError(resp, &ph)
-}
-
 // Cancel stops a job and returns its post-cancellation status.
 func (c *Client) Cancel(id string) (JobStatus, error) {
 	req, err := http.NewRequest(http.MethodDelete, c.BaseURL+"/v1/jobs/"+id, nil)

@@ -23,8 +23,8 @@ const cancelWait = 2 * time.Second
 //	GET    /v1/jobs/{id}/result the completed job's result.json
 //	GET    /v1/jobs/{id}/events stream the JSONL event journal (live tail;
 //	                            ?follow=0 dumps the current contents)
-//	GET    /v1/jobs/{id}/summary full journal analysis (works on running jobs)
-//	GET    /v1/jobs/{id}/phases  compact per-phase wall-time attribution
+//	GET    /v1/jobs/{id}/summary full journal analysis (works on running
+//	                            jobs; its report carries the phase attribution)
 //	DELETE /v1/jobs/{id}        cancel, waits up to 2s for the job to stop
 //	GET    /healthz             liveness + backlog
 //
@@ -43,7 +43,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/jobs/{id}/summary", s.handleSummary)
-	mux.HandleFunc("GET /v1/jobs/{id}/phases", s.handlePhases)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("POST /v1/runners", s.handleRunnerRegister)
 	mux.HandleFunc("GET /v1/runners", s.handleRunnerList)

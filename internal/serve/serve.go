@@ -490,8 +490,8 @@ func (s *Server) tune(ctx context.Context, j *job, spec JobSpec) (*core.Result, 
 
 	opts := spec.options()
 	// The phase sink feeds citroen_phase_seconds{phase=...} on the SERVICE
-	// registry from the same Attribution state machine the /summary endpoint
-	// uses, so Prometheus and the offline report can never disagree.
+	// registry from the same timeline the /summary endpoint books on, so
+	// Prometheus and the offline report can never disagree.
 	opts.Sink = obs.Multi(flushingSink{sink}, analyze.NewPhaseSink(s.met))
 	opts.Metrics = met
 	ckptPath := filepath.Join(j.dir, checkpointFile)

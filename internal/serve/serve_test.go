@@ -2,22 +2,27 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 )
 
 // tinySpec is a fast-but-real tuning job: a single-module benchmark with a
@@ -344,6 +349,85 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 	}
 	if runStarts != 2 || resumes != 1 {
 		t.Fatalf("journal has %d run-starts and %d resumes, want 2 and 1", runStarts, resumes)
+	}
+
+	// The Perfetto export draws the resumed run after the first one, on the
+	// report's spliced timeline, not at its restarted clock.
+	events, err := obs.ReadJournal(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTraceFollowsReport(t, events)
+}
+
+// checkTraceFollowsReport checks a journal's Perfetto export against its
+// report. Every compile, measure, gp-fit and acq-max slice sits where the
+// streaming Analyzer placed its event: it ends at the spliced time the
+// report's WallNS reaches with that event (a compile end_ns's lag earlier)
+// and began wall_ns before, clamped at the journal's start. Tuner-thread
+// slices do not overlap, and the run slices lie end to end from 0 to WallNS.
+func checkTraceFollowsReport(t *testing.T, events []obs.Event) {
+	t.Helper()
+	type slice struct {
+		cat     string
+		ts, dur float64
+	}
+	cats := map[string]string{"compile": "compile", "measure": "measure", "gp-fit": "gp-fit", "acq-max": "acquisition"}
+	an := analyze.NewAnalyzer()
+	var want []slice
+	for i := range events {
+		e := &events[i]
+		an.Feed(e)
+		if cats[e.Type] == "" {
+			continue
+		}
+		end := an.Report().WallNS
+		if _, ok := e.Fields["end_ns"]; ok {
+			end -= max(e.TimeNS-int64(obs.FieldFloat(e.Fields, "end_ns")), 0)
+		}
+		start := max(end-int64(obs.FieldFloat(e.Fields, "wall_ns")), 0)
+		want = append(want, slice{cats[e.Type], float64(start) / 1e3, float64(end-start) / 1e3})
+	}
+	var got, tuner, runs []slice
+	for _, ev := range analyze.ChromeTrace(events).TraceEvents {
+		s := slice{ev.Cat, ev.TS, ev.Dur}
+		switch {
+		case ev.Ph != "X" || ev.Cat == "span" && ev.Name != "run":
+		case ev.Name == "run":
+			runs = append(runs, s)
+		default:
+			got = append(got, s)
+			if ev.TID == 0 {
+				tuner = append(tuner, s)
+			}
+		}
+	}
+	byTime := func(a, b slice) int {
+		return cmp.Or(cmp.Compare(a.ts, b.ts), cmp.Compare(a.dur, b.dur), strings.Compare(a.cat, b.cat))
+	}
+	slices.SortFunc(want, byTime)
+	slices.SortFunc(got, byTime)
+	if !slices.Equal(got, want) {
+		t.Fatalf("trace slices differ from the report's placement:\n got %v\nwant %v", got, want)
+	}
+	const eps = 1e-6 // µs; ts and dur are converted separately
+	slices.SortFunc(tuner, byTime)
+	for i := 1; i < len(tuner); i++ {
+		if prev := tuner[i-1]; tuner[i].ts < prev.ts+prev.dur-eps {
+			t.Fatalf("tuner-thread slices overlap: %v then %v", prev, tuner[i])
+		}
+	}
+	wall := float64(an.Report().WallNS) / 1e3
+	if len(runs) == 0 || runs[0].ts != 0 {
+		t.Fatalf("run slices %v do not start at 0", runs)
+	}
+	for i := 1; i < len(runs); i++ {
+		if prev := runs[i-1]; runs[i].ts < prev.ts+prev.dur-eps {
+			t.Fatalf("run slices overlap: %v then %v", prev, runs[i])
+		}
+	}
+	if last := runs[len(runs)-1]; math.Abs(last.ts+last.dur-wall) > eps {
+		t.Fatalf("last run slice %v does not end at the wall, %v µs", last, wall)
 	}
 }
 

@@ -16,15 +16,6 @@ type JobSummary struct {
 	Report *analyze.Report `json:"report"`
 }
 
-// JobPhases is the compact per-phase view of a job: where its wall time went.
-type JobPhases struct {
-	ID           string               `json:"id"`
-	State        State                `json:"state"`
-	WallNS       int64                `json:"wall_ns"`
-	Phases       []analyze.PhaseTotal `json:"phases"`
-	PhaseSeconds map[string]float64   `json:"phase_seconds"`
-}
-
 // Summary analyzes the job's journal as it stands right now. For a running
 // job the journal tail may be torn mid-write; the lenient reader drops an
 // unterminated final line, so the analysis is always over complete events.
@@ -40,25 +31,6 @@ func (s *Server) Summary(id string) (JobSummary, error) {
 	return JobSummary{Status: j.snapshot(), Report: analyze.Analyze(events)}, nil
 }
 
-// Phases returns the compact phase attribution for a job.
-func (s *Server) Phases(id string) (JobPhases, error) {
-	sum, err := s.Summary(id)
-	if err != nil {
-		return JobPhases{}, err
-	}
-	seconds := make(map[string]float64, len(sum.Report.Phases))
-	for _, pt := range sum.Report.Phases {
-		seconds[string(pt.Phase)] = sum.Report.PhaseSeconds(pt.Phase)
-	}
-	return JobPhases{
-		ID:           sum.Status.ID,
-		State:        sum.Status.State,
-		WallNS:       sum.Report.WallNS,
-		Phases:       sum.Report.Phases,
-		PhaseSeconds: seconds,
-	}, nil
-}
-
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	sum, err := s.Summary(r.PathValue("id"))
 	if err != nil {
@@ -66,13 +38,4 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSONResponse(w, http.StatusOK, sum)
-}
-
-func (s *Server) handlePhases(w http.ResponseWriter, r *http.Request) {
-	ph, err := s.Phases(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSONResponse(w, http.StatusOK, ph)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 )
 
 // The acceptance contract for live introspection: while a job is RUNNING,
@@ -57,8 +58,11 @@ func TestLiveSummaryOfRunningJobAndServeMetrics(t *testing.T) {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	if sum.Report.Events == 0 || sum.Report.Runs != 1 {
-		t.Fatalf("summary has no analysis: %+v", sum.Report)
+	if sum.Status.ID != st.ID || sum.Report.Events == 0 || sum.Report.Runs != 1 || sum.Report.WallNS == 0 {
+		t.Fatalf("summary has no analysis: %+v", sum)
+	}
+	if len(sum.Report.Phases) == 0 || sum.Report.Phases[0].Phase != analyze.PhaseCompile || sum.Report.Phases[0].ElapsedNS <= 0 {
+		t.Fatalf("summary has no compile time: %+v", sum.Report.Phases)
 	}
 
 	// Exact partition: phases (incl. "other") sum to the journal wall.
@@ -87,15 +91,6 @@ func TestLiveSummaryOfRunningJobAndServeMetrics(t *testing.T) {
 	if float64(gap) > 0.05*float64(clockWall)+0.5e9 {
 		t.Fatalf("phase sum %d not within 5%% of wall %d (gap %v)",
 			phaseSum, clockWall, time.Duration(gap))
-	}
-
-	// The compact phases endpoint agrees with the full summary.
-	ph, err := c.Phases(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ph.ID != st.ID || ph.WallNS == 0 || ph.PhaseSeconds["compile"] <= 0 {
-		t.Fatalf("phases endpoint: %+v", ph)
 	}
 
 	if _, err := c.Cancel(st.ID); err != nil {
@@ -139,8 +134,5 @@ func TestSummaryUnknownJob(t *testing.T) {
 	defer ts.Close()
 	if _, err := c.Summary("999999"); err == nil {
 		t.Fatal("summary of unknown job must error")
-	}
-	if _, err := c.Phases("999999"); err == nil {
-		t.Fatal("phases of unknown job must error")
 	}
 }
