@@ -58,7 +58,7 @@ func cloneFunction(f *Function, gmap map[*Global]*Global) *Function {
 	// memb becomes the clone's block-membership array. Until the last loop
 	// below it holds the source's instructions in ID order: the table the
 	// identity checks read, and the flat order the operand loop walks.
-	memb := f.instrsByID(nil)
+	memb := f.InstrsByID(nil)
 	nOps, nSucc := 0, 0
 	for _, in := range memb {
 		nOps += len(in.Ops)

@@ -18,7 +18,7 @@ import (
 // cache asks StructurallyEqual, which compares exactly what this hashes, and
 // the hash stays as the oracle of that comparison and as a content digest
 // for tests and the benchmark probe. Like every reader of a body in this
-// package it renumbers the private bodies it walks (instrsByID).
+// package it renumbers the private bodies it walks (InstrsByID).
 func (m *Module) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -68,7 +68,7 @@ func (m *Module) Fingerprint() uint64 {
 			h.Write([]byte{2})
 			continue
 		}
-		tab = f.instrsByID(tab)
+		tab = f.InstrsByID(tab)
 		for _, b := range f.Blocks {
 			ws(b.Name)
 			wi(int64(len(b.Instrs)))
@@ -145,7 +145,7 @@ func (f *Function) localBlock(b *Block) uint32 {
 // without hashing and so without collisions, walking both modules in
 // lockstep and returning at the first difference.
 //
-// It numbers each body it compares as Fingerprint does (instrsByID): a
+// It numbers each body it compares as Fingerprint does (InstrsByID): a
 // private body is renumbered, a COW-shared one only read, and a shared body
 // whose numbering is not dense panics. After a true answer every private
 // body of both modules is renumbered; a false answer may stop before the
@@ -177,10 +177,10 @@ func StructurallyEqual(a, b *Module) bool {
 			continue // Fingerprint hashes no body of a declaration
 		}
 		if fa == fb {
-			ta = fa.instrsByID(ta) // number it as Fingerprint would; equal to itself
+			ta = fa.InstrsByID(ta) // number it as Fingerprint would; equal to itself
 			continue
 		}
-		ta, tb = fa.instrsByID(ta), fb.instrsByID(tb)
+		ta, tb = fa.InstrsByID(ta), fb.InstrsByID(tb)
 		if !bodiesEqual(fa, ta, fb, tb) {
 			return false
 		}
@@ -312,10 +312,10 @@ func sortedMetaKeys(meta map[string]bool) []string {
 // CompactModule — the layout every cached snapshot actually has. Derived
 // from the real struct definitions so the estimate tracks layout changes.
 // A function's lowered slot is the consumer's memory, not the snapshot's,
-// and is left out.
+// and a block's insertion log is a pass's; both are left out.
 const (
 	sizeofInstr    = int64(unsafe.Sizeof(Instr{}))
-	sizeofBlock    = int64(unsafe.Sizeof(Block{}))
+	sizeofBlock    = int64(unsafe.Sizeof(Block{}) - unsafe.Sizeof(Block{}.ins))
 	sizeofFunction = int64(unsafe.Sizeof(Function{}) - unsafe.Sizeof(Function{}.lowered))
 	sizeofGlobal   = int64(unsafe.Sizeof(Global{}))
 	sizeofParam    = int64(unsafe.Sizeof(Param{}))

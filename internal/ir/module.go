@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -80,7 +81,7 @@ func (f *Function) Entry() *Block { return f.Blocks[0] }
 func (f *Function) NumInstrs() int {
 	n := 0
 	for _, b := range f.Blocks {
-		n += len(b.Instrs)
+		n += b.length()
 	}
 	return n
 }
@@ -90,6 +91,19 @@ func (f *Function) HasAttr(a FuncAttrs) bool { return f.Attrs&a == a }
 
 // Block is a basic block: a straight-line instruction list ended by a
 // terminator.
+//
+// Edits go through one log. Unlink takes an instruction out of the block at
+// once (Parent() is nil from then on) but leaves its entry in Instrs; Insert
+// gives an instruction the block as parent at once but only logs where it
+// goes. Flush applies both in one compaction and one splice, leaving Instrs
+// with exactly the length, order and capacity the same edits made one at a
+// time with InsertBefore / RemoveAt would have left: a removal keeps the
+// capacity, an insertion grows it as a one-element append at the same running
+// length would. A pass that defers edits reads positions only as they stand
+// (entries with Parent() != b are unlinked) and flushes before anything reads
+// positions again; InsertBefore, RemoveAt, RemoveIf, IndexOf, Append and
+// Renumber refuse a block with pending edits. Term, Phis, NumInstrs and the
+// def-use index read a pending block as a Flush would leave it.
 type Block struct {
 	Name   string
 	Instrs []*Instr
@@ -97,17 +111,93 @@ type Block struct {
 	// idx is the block's position in parent.Blocks as of the last Renumber;
 	// stale once a pass moves blocks, so readers go through hasBlock.
 	idx int32
+	// unlinked counts the instructions Unlink took out since the last Flush.
+	unlinked int32
+	// ins is the insertion log since the last Flush, nil when there is none.
+	// Pass-transient, so ApproxBytes leaves it out.
+	ins *insertLog
 }
+
+// insertLog is a block's pending insertions, ordered by position and, at one
+// position, by the order they were logged.
+type insertLog struct {
+	cap  int // the capacity Instrs has once they are spliced in
+	list []pendingInsert
+}
+
+// pendingInsert places in before the entry at Instrs[at] (at the end when
+// at == len(Instrs)), positions counted as they stood when it was logged.
+type pendingInsert struct {
+	at int
+	in *Instr
+}
+
+var insertLogPool = sync.Pool{New: func() any { return new(insertLog) }}
 
 // Parent returns the containing function.
 func (b *Block) Parent() *Function { return b.parent }
 
+// pending reports whether b has edits no Flush has applied yet.
+func (b *Block) pending() bool { return b.unlinked != 0 || b.ins != nil }
+
+// refusePending panics when b has pending edits: op reads or writes positions.
+func (b *Block) refusePending(op string) {
+	if b.pending() {
+		panic("ir: " + op + " on block " + b.Name + " with pending edits; Flush first")
+	}
+}
+
+// view returns the block's instructions as a Flush would leave them: Instrs
+// itself when nothing is pending, else a copy in buf's storage.
+func (b *Block) view(buf *[]*Instr) []*Instr {
+	if !b.pending() {
+		return b.Instrs
+	}
+	var list []pendingInsert
+	if b.ins != nil {
+		list = b.ins.list
+	}
+	out := (*buf)[:0]
+	add := func(in *Instr) {
+		if in.parent == b {
+			out = append(out, in)
+		}
+	}
+	j := 0
+	for r, in := range b.Instrs {
+		for ; j < len(list) && list[j].at == r; j++ {
+			add(list[j].in)
+		}
+		add(in)
+	}
+	for ; j < len(list); j++ {
+		add(list[j].in)
+	}
+	*buf = out
+	return out
+}
+
+// length returns the number of instructions in the block, pending edits
+// applied.
+func (b *Block) length() int {
+	n := len(b.Instrs) - int(b.unlinked)
+	if b.ins != nil {
+		n += len(b.ins.list)
+	}
+	return n
+}
+
 // Term returns the block terminator, or nil if the block is unterminated.
 func (b *Block) Term() *Instr {
-	if len(b.Instrs) == 0 {
+	instrs := b.Instrs
+	if b.pending() {
+		var buf []*Instr
+		instrs = b.view(&buf)
+	}
+	if len(instrs) == 0 {
 		return nil
 	}
-	last := b.Instrs[len(b.Instrs)-1]
+	last := instrs[len(instrs)-1]
 	if !last.IsTerminator() {
 		return nil
 	}
@@ -124,26 +214,179 @@ func (b *Block) guardMutable() {
 
 // Append adds an instruction at the end of the block.
 func (b *Block) Append(in *Instr) *Instr {
+	b.refusePending("Append")
 	b.guardMutable()
 	in.parent = b
 	b.Instrs = append(b.Instrs, in)
 	return in
 }
 
-// InsertBefore inserts in before position idx.
-func (b *Block) InsertBefore(idx int, in *Instr) {
+// Unlink takes in, an instruction of b, out of the block: in.Parent() is nil
+// at once, and its entry leaves Instrs at the next Flush.
+func (b *Block) Unlink(in *Instr) {
+	if in.parent != b {
+		panic("ir: Unlink of an instruction not in block " + b.Name)
+	}
 	b.guardMutable()
-	in.parent = b
-	b.Instrs = append(b.Instrs, nil)
-	copy(b.Instrs[idx+1:], b.Instrs[idx:])
-	b.Instrs[idx] = in
+	in.parent = nil
+	b.unlinked++
 }
 
-// RemoveAt deletes the instruction at position idx.
-func (b *Block) RemoveAt(idx int) {
+// Insert puts in into the block before the entry now at Instrs[at] (at the
+// end when at == len(Instrs)), after whatever was already logged there:
+// in.Parent() is b at once, and the entry is spliced in at the next Flush.
+func (b *Block) Insert(at int, in *Instr) {
+	if at < 0 || at > len(b.Instrs) {
+		panic(fmt.Sprintf("ir: Insert at %d into block %s of %d entries", at, b.Name, len(b.Instrs)))
+	}
 	b.guardMutable()
-	b.Instrs[idx].parent = nil
-	b.Instrs = append(b.Instrs[:idx], b.Instrs[idx+1:]...)
+	l := b.ins
+	if l == nil {
+		l = insertLogPool.Get().(*insertLog)
+		l.cap = cap(b.Instrs)
+		b.ins = l
+	}
+	if b.length() == l.cap {
+		l.cap = appendCap(l.cap)
+	}
+	in.parent = b
+	k := len(l.list)
+	for k > 0 && l.list[k-1].at > at {
+		k--
+	}
+	l.list = slices.Insert(l.list, k, pendingInsert{at, in})
+}
+
+// Flush applies the block's pending edits: one in-place compaction of the
+// unlinked entries, then one splice of the logged insertions, backward into
+// the array or, when the insertions outgrew its capacity, forward into a
+// fresh array of the capacity they grew to. A single removal moves the tail
+// as RemoveAt's memmove does, slot for slot; a single insertion, as
+// InsertBefore's append and copy do.
+func (b *Block) Flush() {
+	if !b.pending() {
+		return
+	}
+	s := b.Instrs
+	var list []pendingInsert
+	c := cap(s)
+	if b.ins != nil {
+		list, c = b.ins.list, b.ins.cap
+	}
+	dead, w := 0, len(s)
+	if b.unlinked > 0 {
+		// Re-base each insertion on the compacted positions, dropping those
+		// unlinked since they were logged.
+		w = 0
+		j, live := 0, 0
+		keep := func(k int) {
+			if list[k].in.parent != b {
+				dead++
+				return
+			}
+			list[live] = pendingInsert{w, list[k].in}
+			live++
+		}
+		for r, in := range s {
+			for ; j < len(list) && list[j].at == r; j++ {
+				keep(j)
+			}
+			if in.parent != b {
+				dead++
+				continue
+			}
+			if w != r {
+				s[w] = in
+			}
+			w++
+		}
+		for ; j < len(list); j++ {
+			keep(j)
+		}
+		if len(s)-w > 1 {
+			clear(s[w:len(s)])
+		}
+		list = list[:live]
+	}
+	if dead != int(b.unlinked) {
+		panic(fmt.Sprintf("ir: block %s: %d entries out of the block, %d unlinked", b.Name, dead, b.unlinked))
+	}
+	n := w + len(list)
+	if c != cap(s) {
+		dst := make([]*Instr, n, c)
+		o, prev := 0, 0
+		for _, x := range list {
+			o += copy(dst[o:], s[prev:x.at])
+			dst[o] = x.in
+			o++
+			prev = x.at
+		}
+		copy(dst[o:], s[prev:w])
+		s = dst
+	} else {
+		s = s[:n]
+		hi := w
+		for k := len(list) - 1; k >= 0; k-- {
+			at := list[k].at
+			copy(s[at+k+1:hi+k+1], s[at:hi])
+			s[at+k] = list[k].in
+			hi = at
+		}
+	}
+	b.Instrs = s
+	b.unlinked = 0
+	if l := b.ins; l != nil {
+		clear(l.list) // every entry logged since the last Flush
+		l.list = l.list[:0]
+		b.ins = nil
+		insertLogPool.Put(l)
+	}
+}
+
+// Flush applies the pending edits of every block of f.
+func (f *Function) Flush() {
+	for _, b := range f.Blocks {
+		b.Flush()
+	}
+}
+
+// appendCaps memoizes appendCap for small capacities.
+var appendCaps [1024]atomic.Int32
+
+// appendCap returns the capacity append gives an []*Instr of capacity c that
+// it has to grow by one element: the runtime's growth policy, measured rather
+// than restated.
+func appendCap(c int) int {
+	if c < len(appendCaps) {
+		if v := appendCaps[c].Load(); v != 0 {
+			return int(v)
+		}
+	}
+	g := cap(append(make([]*Instr, c), nil))
+	if c < len(appendCaps) {
+		appendCaps[c].Store(int32(g))
+	}
+	return g
+}
+
+// InsertBefore inserts in before position idx: a one-edit Insert and Flush.
+func (b *Block) InsertBefore(idx int, in *Instr) {
+	b.refusePending("InsertBefore")
+	if idx < 0 || idx > len(b.Instrs) {
+		// Fail with the very panic the per-edit memmove raised.
+		s := append(b.Instrs, nil)
+		copy(s[idx+1:], s[idx:])
+	}
+	b.Insert(idx, in)
+	b.Flush()
+}
+
+// RemoveAt deletes the instruction at position idx: a one-edit Unlink and
+// Flush.
+func (b *Block) RemoveAt(idx int) {
+	b.refusePending("RemoveAt")
+	b.Unlink(b.Instrs[idx])
+	b.Flush()
 }
 
 // RemoveIf deletes every instruction dead reports true for, in one in-place
@@ -151,23 +394,20 @@ func (b *Block) RemoveAt(idx int) {
 // once, in block order. Returns the number removed; a block it removes
 // nothing from is not written to.
 func (b *Block) RemoveIf(dead func(*Instr) bool) int {
-	kept := slices.DeleteFunc(b.Instrs, func(in *Instr) bool {
-		if !dead(in) {
-			return false
+	b.refusePending("RemoveIf")
+	for _, in := range b.Instrs {
+		if dead(in) {
+			b.Unlink(in)
 		}
-		b.guardMutable()
-		in.parent = nil
-		return true
-	})
-	removed := len(b.Instrs) - len(kept)
-	if removed > 0 {
-		b.Instrs = kept
 	}
+	removed := int(b.unlinked)
+	b.Flush()
 	return removed
 }
 
 // IndexOf returns the position of in within the block, or -1.
 func (b *Block) IndexOf(in *Instr) int {
+	b.refusePending("IndexOf")
 	for i, x := range b.Instrs {
 		if x == in {
 			return i
@@ -178,8 +418,8 @@ func (b *Block) IndexOf(in *Instr) int {
 
 // Phis returns the leading phi instructions of the block.
 func (b *Block) Phis() []*Instr {
-	var out []*Instr
-	for _, in := range b.Instrs {
+	var out, buf []*Instr
+	for _, in := range b.view(&buf) {
 		if in.Op != OpPhi {
 			break
 		}
@@ -267,10 +507,12 @@ func (m *Module) RemoveFunc(name string) {
 // it. Writes are skip-equal: renumbering a dense body only reads, so
 // concurrent renumbers of a COW-shared body (Module.Clone from several
 // goroutines) are race-free provided it was renumbered once before it was
-// shared — Module.Clone guarantees exactly that.
+// shared — Module.Clone guarantees exactly that. A block with pending edits
+// has no positions to number: Flush first.
 func (f *Function) Renumber() int {
 	id := 0
 	for bi, b := range f.Blocks {
+		b.refusePending("Renumber")
 		if b.idx != int32(bi) {
 			b.idx = int32(bi)
 		}
@@ -291,11 +533,13 @@ func (m *Module) Renumber() {
 	}
 }
 
-// instrsByID returns f's instructions in ID order, reusing tab's storage. A
+// InstrsByID returns f's instructions in ID order, reusing tab's storage. A
 // private body is renumbered first; a COW-shared body is dense by Clone's
 // invariant and only read. Together with hasInstr / hasBlock this is how
-// every reader in the package numbers a body and proves a reference local.
-func (f *Function) instrsByID(tab []*Instr) []*Instr {
+// every reader numbers a body and proves a reference local: tab[in.ID] == in
+// holds for an instruction of f only, whatever ID a removed or foreign
+// instruction still carries.
+func (f *Function) InstrsByID(tab []*Instr) []*Instr {
 	shared := f.isShared()
 	var n int
 	if shared {
@@ -318,7 +562,7 @@ func (f *Function) instrsByID(tab []*Instr) []*Instr {
 }
 
 // hasInstr reports whether in is an instruction of the function tab numbers
-// (tab = f.instrsByID): an identity check, so a stale ID on an instruction a
+// (tab = f.InstrsByID): an identity check, so a stale ID on an instruction a
 // pass removed or spliced in from another function never aliases a local one.
 // Nil is not in any function, for Verify to report rather than trip over.
 func hasInstr(tab []*Instr, in *Instr) bool {
@@ -326,7 +570,7 @@ func hasInstr(tab []*Instr, in *Instr) bool {
 }
 
 // hasBlock reports whether b is a block of f, by the same identity check on
-// the block index. Valid after Renumber / instrsByID, like hasInstr.
+// the block index. Valid after Renumber / InstrsByID, like hasInstr.
 func (f *Function) hasBlock(b *Block) bool {
 	return b != nil && uint(b.idx) < uint(len(f.Blocks)) && f.Blocks[b.idx] == b
 }

@@ -144,10 +144,10 @@ func TestRenumberIsDenseBlockOrder(t *testing.T) {
 			id++
 		}
 	}
-	tab := f.instrsByID(nil)
+	tab := f.InstrsByID(nil)
 	for k, in := range tab {
 		if in.ID != k || !hasInstr(tab, in) {
-			t.Fatalf("instrsByID[%d] has ID %d", k, in.ID)
+			t.Fatalf("InstrsByID[%d] has ID %d", k, in.ID)
 		}
 	}
 }

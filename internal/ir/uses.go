@@ -24,7 +24,9 @@ type Use struct {
 // of an older index. Release returns the tables to a pool.
 //
 // Only users in f.Blocks count: an instruction that has been taken out of
-// its block, or not yet put into one, uses nothing. A use's block is not
+// its block, or not yet put into one, uses nothing. A block with pending
+// edits counts as a Flush would leave it: an unlinked entry uses nothing, a
+// logged insertion is in the block. A use's block is not
 // recorded; read it from User.Parent() (for a phi, User.Blocks[Slot] is the
 // incoming edge), so moving a user moves its uses with it. A value that is
 // referenced but is itself no longer in the function keeps its list, exactly
@@ -62,8 +64,9 @@ func ComputeUses(f *Function) *Uses {
 		u.params = u.params[:n]
 	}
 	total := 0
+	var buf []*Instr
 	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
+		for _, in := range b.view(&buf) {
 			for _, op := range in.Ops {
 				if l := u.entry(op); l != nil {
 					l.n++
@@ -87,7 +90,7 @@ func ComputeUses(f *Function) *Uses {
 	carve(u.defs)
 	carve(u.params)
 	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
+		for _, in := range b.view(&buf) {
 			for slot, op := range in.Ops {
 				if l := u.entry(op); l != nil {
 					l.uses = append(l.uses, Use{in, slot}) // within the carved capacity
@@ -226,14 +229,17 @@ func (u *Uses) drop(v Value, user *Instr, slot int) {
 
 // Check compares the index against a fresh scan of f and reports the first
 // difference (use lists are compared as multisets: only a fresh index
-// promises an order). It is the oracle tests hold a maintained index to.
+// promises an order). It is the oracle tests hold a maintained index to, and
+// it reads a block with pending edits as a Flush would leave it, so it holds
+// a pass to its index in the middle of a block too.
 func (u *Uses) Check(f *Function) error {
 	if u.f != f {
 		return fmt.Errorf("ir: Uses of %s checked against %s", u.f.Name, f.Name)
 	}
 	want := make(map[Value]map[Use]int)
+	var buf []*Instr
 	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
+		for _, in := range b.view(&buf) {
 			for slot, op := range in.Ops {
 				switch d := op.(type) {
 				case *Param:

@@ -32,7 +32,7 @@ func verifyFunction(m *Module, f *Function) error {
 	// Numbers the body (a private one is renumbered, which no pass can see:
 	// every ID-ordered decision renumbers first); hasInstr / hasBlock below
 	// are "defined in this function" / "a block of this function".
-	tab := f.instrsByID(nil)
+	tab := f.InstrsByID(nil)
 	for _, b := range f.Blocks {
 		if b.parent != f {
 			return fmt.Errorf("block %s has wrong parent", b.Name)

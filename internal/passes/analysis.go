@@ -47,9 +47,11 @@ func removeDeadInstrs(m *ir.Module, f *ir.Function, fixpoint bool) int {
 	total := 0
 	sc := getScratch()
 	defer putScratch(sc)
-	used := sc.iset
+	// Nothing is inserted below, so one numbering serves every round.
+	sc.byID = f.InstrsByID(sc.byID)
+	byID := sc.byID
 	dead := func(in *ir.Instr) bool {
-		if in.IsTerminator() || in.Op == ir.OpStore || used[in] {
+		if in.IsTerminator() || in.Op == ir.OpStore || sc.marked(in.ID) {
 			return false
 		}
 		if in.Op == ir.OpCall {
@@ -62,13 +64,15 @@ func removeDeadInstrs(m *ir.Module, f *ir.Function, fixpoint bool) int {
 		return in.Op != ir.OpAlloca // allocas are removeDeadAllocas' to judge
 	}
 	for {
-		// Mark the used instructions once per round; only an instruction can
-		// be removed, so constants, globals and params are never looked up.
+		// Mark the used instructions once per round; only an instruction of
+		// f can be removed, so constants, globals, params and instructions
+		// of no block of f are never marked.
+		sc.newMarks(len(byID))
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				for _, op := range in.Ops {
-					if d, ok := op.(*ir.Instr); ok {
-						used[d] = true
+					if d, ok := op.(*ir.Instr); ok && uint(d.ID) < uint(len(byID)) && byID[d.ID] == d {
+						sc.mark(d.ID)
 					}
 				}
 			}
@@ -81,7 +85,6 @@ func removeDeadInstrs(m *ir.Module, f *ir.Function, fixpoint bool) int {
 		if removed == 0 || !fixpoint {
 			break
 		}
-		clear(used) // handed out empty, cleared again on release
 	}
 	return total
 }
@@ -305,57 +308,6 @@ func loopHasMemoryEffects(m *ir.Module, l *ir.Loop) bool {
 		}
 	}
 	return false
-}
-
-// instrKey builds a structural hash key for CSE/GVN: opcode, type, predicate,
-// callee and operand identities (commutative operands canonically ordered).
-// Constants are keyed by value, not pointer, so structurally-equal constants
-// value-number together.
-type instrKey struct {
-	op     ir.Op
-	ty     ir.Type
-	pred   ir.CmpPred
-	callee string
-	a, b   any
-	extra  any
-}
-
-// constKey is the by-value identity of a constant operand.
-type constKey struct {
-	ty ir.Type
-	i  int64
-	f  float64
-}
-
-// canonVal maps a value to its CSE identity.
-func canonVal(v ir.Value) any {
-	if c, ok := v.(*ir.Const); ok {
-		return constKey{c.Ty, c.I, c.F}
-	}
-	return v
-}
-
-// pureKey returns the value-numbering key of a pure instruction and whether
-// the instruction is keyable.
-func pureKey(in *ir.Instr) (instrKey, bool) {
-	k := instrKey{op: in.Op, ty: in.Ty, pred: in.Pred, callee: in.Callee}
-	switch len(in.Ops) {
-	case 0:
-		return k, in.Op != ir.OpAlloca && in.Op != ir.OpPhi
-	case 1:
-		k.a = canonVal(in.Ops[0])
-	case 2:
-		x, y := in.Ops[0], in.Ops[1]
-		if in.Op.IsCommutative() && valueLess(y, x) {
-			x, y = y, x
-		}
-		k.a, k.b = canonVal(x), canonVal(y)
-	case 3:
-		k.a, k.b, k.extra = canonVal(in.Ops[0]), canonVal(in.Ops[1]), canonVal(in.Ops[2])
-	default:
-		return k, false
-	}
-	return k, true
 }
 
 // valueLess imposes an arbitrary but stable order on values for canonical

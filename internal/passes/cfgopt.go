@@ -204,7 +204,7 @@ func simplifyCFG(m *ir.Module, f *ir.Function) (int, int) {
 			}
 			// Fold succ's phis (single incoming).
 			for _, phi := range succ.Phis() {
-				replaceWithValue(&fu, phi, phi.Ops[0])
+				replaceNow(&fu, phi, phi.Ops[0])
 			}
 			// Move succ's instructions into b, dropping b's jmp.
 			b.Instrs = b.Instrs[:len(b.Instrs)-1]
@@ -321,7 +321,7 @@ func ifConvert(m *ir.Module, f *ir.Function, cfg *ir.CFG, fu *funcUses) (int, in
 			b.InsertBefore(insertAt, sel)
 			fu.inserted(sel)
 			insertAt++
-			replaceWithValue(fu, phi, sel)
+			replaceNow(fu, phi, sel)
 			n++
 		}
 		// Branch becomes a direct jump to join.
@@ -447,7 +447,7 @@ func threadJumps(f *ir.Function) int {
 		}
 		// If only one incoming remains the phi is trivial.
 		if len(phi.Ops) == 1 {
-			replaceWithValue(&fu, phi, phi.Ops[0])
+			replaceNow(&fu, phi, phi.Ops[0])
 		}
 	}
 	return n
@@ -490,7 +490,9 @@ func propagateBranchFacts(f *ir.Function, condsOnly bool) int {
 				}
 				for _, in := range d.Instrs {
 					if in != cond && in.Op == cond.Op && sameComputation(in, cond) {
-						replaceWithValue(&fu, in, implied)
+						// Flushed at once: the range reads d.Instrs as the
+						// per-edit removal shifted it.
+						replaceNow(&fu, in, implied)
 						n++
 					}
 				}

@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"slices"
+
 	"repro/internal/ir"
 )
 
@@ -31,13 +33,11 @@ func runCombine(m *ir.Module, f *ir.Function, cfg combineConfig) int {
 				if cfg.fold {
 					if c := foldConst(in); c != nil {
 						replaceWithValue(&fu, in, c)
-						i--
 						changed++
 						continue
 					}
 					if v := simplifyIdentity(in); v != nil {
 						replaceWithValue(&fu, in, v)
-						i--
 						changed++
 						continue
 					}
@@ -50,11 +50,12 @@ func runCombine(m *ir.Module, f *ir.Function, cfg combineConfig) int {
 					changed++
 					continue
 				}
-				if cfg.widen && widenExtChain(&fu, b, i) {
+				if cfg.widen && widenExtChain(&fu, b, &i) {
 					changed++
 					continue
 				}
 			}
+			b.Flush()
 		}
 		combined += changed
 		if changed == 0 {
@@ -158,8 +159,13 @@ func reassocConst(fu *funcUses, in *ir.Instr) bool {
 // interaction: `sext i16->i32; mul i32; sext i32->i64; add i64` becomes
 // `sext i16->i64; mul i64 (widened); add i64`, and the FlagWidened marker
 // later defeats SLP's profitability check on the reduction.
-func widenExtChain(fu *funcUses, b *ir.Block, idx int) bool {
-	in := b.Instrs[idx]
+//
+// The instruction is b.Instrs[*i], and the caller's scan goes on at *i+1. The
+// edits are logged (the new sexts go before the narrow binop, which is
+// unlinked), and *i moves so that the scan visits what it visited when each
+// edit shifted the block at once: the successor of the sext's old position.
+func widenExtChain(fu *funcUses, b *ir.Block, i *int) bool {
+	in := b.Instrs[*i]
 	// Pattern 1: sext(sext(x)) -> single widest sext.
 	if in.Op == ir.OpSExt {
 		if inner, ok := in.Ops[0].(*ir.Instr); ok && inner.Op == ir.OpSExt {
@@ -178,19 +184,20 @@ func widenExtChain(fu *funcUses, b *ir.Block, idx int) bool {
 			inner.Flags&ir.FlagNoWrap != 0 &&
 			(inner.Op == ir.OpAdd || inner.Op == ir.OpMul || inner.Op == ir.OpSub) &&
 			inner.Parent() == b && fu.get().Count(inner) == 1 {
-			innerIdx := b.IndexOf(inner)
-			if innerIdx < 0 {
+			at := slices.Index(b.Instrs, inner)
+			if at < 0 {
 				return false
 			}
 			wide := in.Ty
+			added := 0
 			mk := func(v ir.Value) ir.Value {
 				if c, ok := v.(*ir.Const); ok {
 					return ir.ConstInt(wide, c.I)
 				}
 				se := &ir.Instr{Op: ir.OpSExt, Ty: wide, Ops: []ir.Value{v}, Flags: ir.FlagWidened}
-				b.InsertBefore(innerIdx, se)
+				b.Insert(at, se)
 				fu.inserted(se)
-				innerIdx++
+				added++
 				return se
 			}
 			a := mk(inner.Ops[0])
@@ -201,8 +208,17 @@ func widenExtChain(fu *funcUses, b *ir.Block, idx int) bool {
 			fu.setOps(in, []ir.Value{a, c})
 			in.Flags |= ir.FlagWidened
 			// Remove the narrow binop.
-			b.RemoveAt(b.IndexOf(inner))
-			fu.removed(inner)
+			fu.unlink(inner)
+			if at < *i {
+				// The sext moved by added-1 places; everything after it is
+				// still in place and linked.
+				*i += 1 - added
+			} else {
+				// The binop came after its user (invalid IR): settle the
+				// block and resume at the sext's own position.
+				b.Flush()
+				*i = b.IndexOf(in)
+			}
 			return true
 		}
 	}
@@ -255,13 +271,11 @@ func runInstSimplify(f *ir.Function) int {
 			}
 			if c := foldConst(in); c != nil {
 				replaceWithValue(&fu, in, c)
-				i--
 				n++
 				continue
 			}
 			if v := simplifyIdentity(in); v != nil {
 				replaceWithValue(&fu, in, v)
-				i--
 				n++
 			}
 		}

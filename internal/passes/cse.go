@@ -1,6 +1,9 @@
 package passes
 
 import (
+	"maps"
+	"slices"
+
 	"repro/internal/ir"
 )
 
@@ -17,9 +20,6 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 	nInstr, nLoad := 0, 0
 	fu := funcUses{f: f}
 	defer fu.done()
-	// pureKey canonicalizes commutative operands via ID comparison; refresh
-	// IDs so matching is a pure function of structure, not of ID history.
-	f.Renumber()
 	var cfgG *ir.CFG
 	var dt *ir.DomTree
 	if cfg.global {
@@ -28,30 +28,34 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 
 	// Pure-expression facts are immutable SSA values: a block sees those of
 	// the blocks that dominate it (its own only, when block-local). One table
-	// serves the whole walk — the keys a block adds are logged and deleted
-	// again when its dominator subtree is done — instead of a copy per block,
-	// and it is pooled scratch, so it is not re-grown per function either.
+	// serves the whole walk — the keys a block adds are popped again when its
+	// dominator subtree is done — instead of a copy per block, and it is
+	// pooled scratch, so it is not re-grown per function either. Keys are
+	// value numbers, which start from a renumbering: the key's commutative
+	// operand order compares IDs too, so matching is a pure function of
+	// structure, not of ID history.
 	scr := getScratch()
 	defer putScratch(scr)
-	exprs := scr.exprs
-	addExpr := func(k instrKey, in *ir.Instr) {
-		scr.added = append(scr.added, k)
-		exprs[k] = in
-	}
+	scr.byID = f.InstrsByID(scr.byID)
+	vn, exprs := &scr.vn, &scr.exprs
+	vn.start(f, scr.byID)
 
 	// visit value-numbers b and then, when dominator-scoped, its dominator-
 	// tree children in function block order. Load facts describe memory,
 	// which is only unchanged when b's sole CFG predecessor is the block
 	// whose end-state (inherited) it is handed — at joins and loop headers
 	// (back-edge preds) the inherited memory facts must be dropped.
-	var visit func(b *ir.Block, inherited map[loadKey]*ir.Instr)
-	visit = func(b *ir.Block, inherited map[loadKey]*ir.Instr) {
-		mark := len(scr.added)
-		loads := make(map[loadKey]*ir.Instr)
-		if cfg.global && len(cfgG.Preds(b)) == 1 {
-			for k, v := range inherited {
-				loads[k] = v
-			}
+	//
+	// A replaced instruction is unlinked in place; the scan goes on past it,
+	// and the block is flushed once its scan is done.
+	var visit func(b *ir.Block, inherited map[loadKey]loadFact)
+	visit = func(b *ir.Block, inherited map[loadKey]loadFact) {
+		mark := exprs.mark()
+		var loads map[loadKey]loadFact
+		if cfg.global && len(cfgG.Preds(b)) == 1 && inherited != nil {
+			loads = maps.Clone(inherited)
+		} else {
+			loads = make(map[loadKey]loadFact)
 		}
 
 		for i := 0; i < len(b.Instrs); i++ {
@@ -61,18 +65,17 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 				if in.Ty.IsVector() {
 					continue
 				}
-				k := loadKey{ptr: in.Ops[0], ty: in.Ty}
+				k := loadKey{ptr: vn.ident(in.Ops[0]), kind: in.Ty.Kind, lanes: int32(in.Ty.Lanes)}
 				if prev, ok := loads[k]; ok {
-					replaceWithValue(&fu, in, prev)
-					i--
+					replaceWithValue(&fu, in, prev.load)
 					nLoad++
 					continue
 				}
-				loads[k] = in
+				loads[k] = loadFact{in.Ops[0], in}
 			case in.Op == ir.OpStore:
 				// Invalidate may-aliasing loads; remember forwarding value.
-				for k := range loads {
-					if mayAlias(k.ptr, in.Ops[1]) {
+				for k, l := range loads {
+					if mayAlias(l.ptr, in.Ops[1]) {
 						delete(loads, k)
 					}
 				}
@@ -87,14 +90,13 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 					}
 				}
 				if pureCall {
-					if k, ok := pureKey(in); ok {
-						if prev, ok2 := exprs[k]; ok2 {
-							replaceWithValue(&fu, in, prev)
-							i--
+					if k, ok := vn.key(in); ok {
+						if prev := exprs.find(k); prev >= 0 {
+							replaceWithValue(&fu, in, scr.byID[prev])
 							nInstr++
 							continue
 						}
-						addExpr(k, in)
+						exprs.add(k, in.ID)
 					}
 					continue
 				}
@@ -106,21 +108,19 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 					readOnly = !ir.BuiltinHasSideEffects(in.Callee)
 				}
 				if !readOnly {
-					loads = make(map[loadKey]*ir.Instr)
+					loads = make(map[loadKey]loadFact)
 
 				}
 			case isPure(m, in) && !mayTrap(in):
-				if k, ok := pureKey(in); ok {
-					prev, ok2 := exprs[k]
-					if ok2 && prev != in {
-						replaceWithValue(&fu, in, prev)
-						i--
-						nInstr++
+				if k, ok := vn.key(in); ok {
+					if prev := exprs.find(k); prev >= 0 {
+						if prev != in.ID {
+							replaceWithValue(&fu, in, scr.byID[prev])
+							nInstr++
+						}
 						continue
 					}
-					if !ok2 {
-						addExpr(k, in)
-					}
+					exprs.add(k, in.ID)
 				}
 			case in.Op == ir.OpPhi && cfg.phiValues:
 				// Identical phis in the same block collapse.
@@ -135,25 +135,21 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 							break
 						}
 					}
-					if same && b.IndexOf(other) < b.IndexOf(in) {
+					if same && slices.Contains(b.Instrs[:i], other) {
 						replaceWithValue(&fu, in, other)
-						i--
 						nInstr++
 						break
 					}
 				}
 			}
 		}
+		b.Flush()
 		if cfg.global {
 			for _, c := range dt.Children(b) {
 				visit(c, loads)
 			}
 		}
-		for i, k := range scr.added[mark:] {
-			delete(exprs, k)
-			scr.added[mark+i] = instrKey{} // the pooled log must not pin the IR
-		}
-		scr.added = scr.added[:mark]
+		exprs.pop(mark)
 	}
 
 	if cfg.global {
@@ -166,9 +162,223 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 	return nInstr, nLoad
 }
 
+// valueNumbers numbers the operands of one function's pure instructions for
+// runCSE's keys: an instruction of the function by its ID, a parameter of the
+// function after the instructions, and everything else — constants by value,
+// globals, callee names, foreign values — by interning on first sight.
+// Constants intern by their (type, int, float) with float ==, as a map key
+// compares them: +0 and -0 are one number, and a NaN is a new number every
+// time, so it never matches.
+type valueNumbers struct {
+	f       *ir.Function
+	byID    []*ir.Instr
+	next    int32
+	consts  map[constKey]int32
+	globals map[*ir.Global]int32
+	callees map[string]int32
+	others  map[ir.Value]int32
+}
+
+// constKey is the by-value identity of a constant operand.
+type constKey struct {
+	ty ir.Type
+	i  int64
+	f  float64
+}
+
+// start numbers f, whose instructions byID lists (InstrsByID). Number 0 is
+// no operand.
+func (vn *valueNumbers) start(f *ir.Function, byID []*ir.Instr) {
+	vn.f, vn.byID = f, byID
+	vn.next = int32(len(byID) + len(f.Params) + 1)
+	if vn.consts == nil {
+		vn.consts = make(map[constKey]int32)
+		vn.globals = make(map[*ir.Global]int32)
+		vn.callees = make(map[string]int32)
+	}
+}
+
+// reset empties the tables for the pool: they must not keep IR alive.
+func (vn *valueNumbers) reset() {
+	vn.f, vn.byID = nil, nil
+	if len(vn.consts) > 0 {
+		clear(vn.consts)
+	}
+	if len(vn.globals) > 0 {
+		clear(vn.globals)
+	}
+	if len(vn.callees) > 0 {
+		clear(vn.callees)
+	}
+	vn.others = nil
+}
+
+func intern[K comparable](m map[K]int32, k K, next *int32) int32 {
+	if n, ok := m[k]; ok {
+		return n
+	}
+	n := *next
+	*next++
+	m[k] = n
+	return n
+}
+
+// of returns the value number of an operand.
+func (vn *valueNumbers) of(v ir.Value) int32 {
+	switch t := v.(type) {
+	case *ir.Instr:
+		if t != nil && uint(t.ID) < uint(len(vn.byID)) && vn.byID[t.ID] == t {
+			return int32(t.ID) + 1
+		}
+	case *ir.Const:
+		return intern(vn.consts, constKey{t.Ty, t.I, t.F}, &vn.next)
+	case *ir.Param:
+		if t != nil && t.Index >= 0 && t.Index < len(vn.f.Params) && vn.f.Params[t.Index] == t {
+			return int32(len(vn.byID)+t.Index) + 1
+		}
+	case *ir.Global:
+		return intern(vn.globals, t, &vn.next)
+	case nil:
+		return 0
+	}
+	if vn.others == nil {
+		vn.others = make(map[ir.Value]int32)
+	}
+	return intern(vn.others, v, &vn.next)
+}
+
+// ident numbers a value by identity alone: as of, except that a constant is
+// its own object, not its value.
+func (vn *valueNumbers) ident(v ir.Value) int32 {
+	if _, ok := v.(*ir.Const); !ok {
+		return vn.of(v)
+	}
+	if vn.others == nil {
+		vn.others = make(map[ir.Value]int32)
+	}
+	return intern(vn.others, v, &vn.next)
+}
+
+// key returns the value-numbering key of a pure instruction and whether the
+// instruction is keyable: opcode, type, predicate, callee and operand value
+// numbers, commutative operands canonically ordered.
+func (vn *valueNumbers) key(in *ir.Instr) (instrKey, bool) {
+	k := instrKey{op: in.Op, pred: in.Pred, kind: in.Ty.Kind, lanes: int32(in.Ty.Lanes)}
+	if in.Callee != "" {
+		k.callee = intern(vn.callees, in.Callee, &vn.next)
+	}
+	switch len(in.Ops) {
+	case 0:
+		return k, in.Op != ir.OpAlloca && in.Op != ir.OpPhi
+	case 1:
+		k.a = vn.of(in.Ops[0])
+	case 2:
+		x, y := in.Ops[0], in.Ops[1]
+		if in.Op.IsCommutative() && valueLess(y, x) {
+			x, y = y, x
+		}
+		k.a, k.b = vn.of(x), vn.of(y)
+	case 3:
+		k.a, k.b, k.c = vn.of(in.Ops[0]), vn.of(in.Ops[1]), vn.of(in.Ops[2])
+	default:
+		return k, false
+	}
+	return k, true
+}
+
+// instrKey is the structural key of a pure instruction for CSE/GVN. Vector
+// lane counts are small, so the type's Lanes fits the int32.
+type instrKey struct {
+	a, b, c, callee, lanes int32
+	op                     ir.Op
+	pred                   ir.CmpPred
+	kind                   ir.Kind
+}
+
+func (k *instrKey) hash() uint64 {
+	h := (uint64(uint32(k.a)) | uint64(uint32(k.b))<<32) * 0x9E3779B97F4A7C15
+	h ^= (uint64(uint32(k.c)) | uint64(uint32(k.callee))<<32) * 0xC2B2AE3D27D4EB4F
+	h ^= (uint64(uint32(k.lanes)) | uint64(k.op)<<32 | uint64(k.pred)<<40 | uint64(k.kind)<<48) * 0x165667B19E3779F9
+	h ^= h >> 29
+	h *= 0xBF58476D1CE4E5B9
+	return h ^ h>>32
+}
+
+// exprTable is runCSE's scoped expression table: open addressing with linear
+// probing from instrKey to an instruction ID. Scopes nest, and a scope pops
+// exactly the keys it added, newest first, so a popped key's slot can simply
+// be emptied: no key added after it is left to probe past it. Growing
+// re-inserts the live keys in the order they were added, which keeps that
+// true.
+type exprTable struct {
+	slots []exprSlot // power-of-two length
+	log   []instrKey // live keys, oldest first
+}
+
+type exprSlot struct {
+	k  instrKey
+	id int32 // instruction ID + 1; 0 is an empty slot
+}
+
+func (t *exprTable) reset() {
+	clear(t.slots)
+	t.log = t.log[:0]
+}
+
+func (t *exprTable) mark() int { return len(t.log) }
+
+// slotOf returns the index of k's slot in slots, or of the empty slot it
+// would take.
+func slotOf(slots []exprSlot, k *instrKey) int {
+	m := len(slots) - 1
+	for i := int(k.hash()) & m; ; i = (i + 1) & m {
+		if s := &slots[i]; s.id == 0 || s.k == *k {
+			return i
+		}
+	}
+}
+
+// find returns the ID recorded for k, or -1.
+func (t *exprTable) find(k instrKey) int {
+	if len(t.slots) == 0 {
+		return -1
+	}
+	return int(t.slots[slotOf(t.slots, &k)].id) - 1
+}
+
+// add records id for k, which must be absent.
+func (t *exprTable) add(k instrKey, id int) {
+	if 2*(len(t.log)+1) > len(t.slots) {
+		n := max(64, 2*len(t.slots))
+		old := t.slots
+		t.slots = make([]exprSlot, n)
+		for _, lk := range t.log {
+			t.slots[slotOf(t.slots, &lk)] = old[slotOf(old, &lk)]
+		}
+	}
+	t.log = append(t.log, k)
+	t.slots[slotOf(t.slots, &k)] = exprSlot{k, int32(id) + 1}
+}
+
+// pop removes the keys added since mark, newest first.
+func (t *exprTable) pop(mark int) {
+	for j := len(t.log) - 1; j >= mark; j-- {
+		t.slots[slotOf(t.slots, &t.log[j])] = exprSlot{}
+	}
+	t.log = t.log[:mark]
+}
+
+// loadKey identifies a load by its address operand (the very object: a
+// constant address is its own pointer, not its value) and its type.
 type loadKey struct {
-	ptr ir.Value
-	ty  ir.Type
+	ptr, lanes int32
+	kind       ir.Kind
+}
+
+// loadFact is a load whose value is known, with its address operand.
+type loadFact struct {
+	ptr  ir.Value
+	load *ir.Instr
 }
 
 func init() {
@@ -267,7 +477,7 @@ func hoistCommon(m *ir.Module, f *ir.Function, loadsOnly bool) int {
 			// Move a into b before the terminator, replace c with a.
 			x.RemoveAt(0)
 			b.InsertBefore(b.IndexOf(t), a)
-			replaceWithValue(&fu, c, a)
+			replaceNow(&fu, c, a)
 			n++
 		}
 	}
@@ -306,7 +516,7 @@ func sinkCommon(m *ir.Module, f *ir.Function) int {
 			}
 			p0.RemoveAt(i0)
 			b.InsertBefore(len(b.Phis()), a)
-			replaceWithValue(&fu, c, a)
+			replaceNow(&fu, c, a)
 			n++
 		}
 	}
@@ -331,9 +541,27 @@ func sameComputation(a, b *ir.Instr) bool {
 		return false
 	}
 	for i := range a.Ops {
-		if canonVal(a.Ops[i]) != canonVal(b.Ops[i]) {
+		if !sameOperand(a.Ops[i], b.Ops[i]) {
 			return false
 		}
 	}
 	return true
+}
+
+// sameOperand reports whether two operands are one value: equal constants (by
+// type and value, float ==) or the same object.
+func sameOperand(x, y ir.Value) bool {
+	var kx, ky constKey
+	cx, okX := x.(*ir.Const)
+	if okX {
+		kx = constKey{cx.Ty, cx.I, cx.F}
+	}
+	cy, okY := y.(*ir.Const)
+	if okY {
+		ky = constKey{cy.Ty, cy.I, cy.F}
+	}
+	if okX || okY {
+		return okX && okY && kx == ky
+	}
+	return x == y
 }

@@ -53,20 +53,36 @@ func init() {
 func aggressiveDCE(m *ir.Module, f *ir.Function) int {
 	sc := getScratch()
 	defer putScratch(sc)
-	live := sc.iset
+	sc.byID = f.InstrsByID(sc.byID)
+	byID := sc.byID
+	sc.newMarks(len(byID))
 	work := sc.work
 	defer func() { sc.work = work }() // hand grown capacity back to the pool
-	markRoot := func(in *ir.Instr) {
-		if !live[in] {
-			live[in] = true
-			work = append(work, in)
+	// An operand that is no instruction of f (invalid IR a pass left behind)
+	// has no ID to mark by; it is followed all the same, once.
+	var foreign map[*ir.Instr]bool
+	markLive := func(in *ir.Instr) {
+		if uint(in.ID) < uint(len(byID)) && byID[in.ID] == in {
+			if sc.marked(in.ID) {
+				return
+			}
+			sc.mark(in.ID)
+		} else {
+			if foreign[in] {
+				return
+			}
+			if foreign == nil {
+				foreign = make(map[*ir.Instr]bool)
+			}
+			foreign[in] = true
 		}
+		work = append(work, in)
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			switch in.Op {
 			case ir.OpStore, ir.OpRet, ir.OpBr, ir.OpJmp, ir.OpSwitch, ir.OpAlloca:
-				markRoot(in)
+				markLive(in)
 			case ir.OpCall:
 				effect := true
 				if ir.IsBuiltin(in.Callee) {
@@ -75,7 +91,7 @@ func aggressiveDCE(m *ir.Module, f *ir.Function) int {
 					effect = false
 				}
 				if effect {
-					markRoot(in)
+					markLive(in)
 				}
 			}
 		}
@@ -84,23 +100,14 @@ func aggressiveDCE(m *ir.Module, f *ir.Function) int {
 		in := work[len(work)-1]
 		work = work[:len(work)-1]
 		for _, op := range in.Ops {
-			if d, ok := op.(*ir.Instr); ok && !live[d] {
-				live[d] = true
-				work = append(work, d)
+			if d, ok := op.(*ir.Instr); ok {
+				markLive(d)
 			}
 		}
 	}
 	removed := 0
 	for _, b := range f.Blocks {
-		kept := b.Instrs[:0]
-		for _, in := range b.Instrs {
-			if live[in] {
-				kept = append(kept, in)
-			} else {
-				removed++
-			}
-		}
-		b.Instrs = kept
+		removed += b.RemoveIf(func(in *ir.Instr) bool { return !sc.marked(in.ID) })
 	}
 	return removed
 }
@@ -121,13 +128,11 @@ func foldDeadBits(f *ir.Function) int {
 			case ir.OpAnd:
 				if c, ok := constOp(in, 1); ok && c.IsZero() {
 					replaceWithValue(&fu, in, ir.ConstInt(in.Ty, 0))
-					i--
 					n++
 				}
 			case ir.OpOr:
 				if c, ok := constOp(in, 1); ok && allOnes(c, in.Ty.Kind) {
 					replaceWithValue(&fu, in, ir.ConstInt(in.Ty, -1))
-					i--
 					n++
 				}
 			case ir.OpTrunc:
@@ -136,7 +141,6 @@ func foldDeadBits(f *ir.Function) int {
 					(src.Op == ir.OpZExt || src.Op == ir.OpSExt) &&
 					src.Ops[0].Type() == in.Ty {
 					replaceWithValue(&fu, in, src.Ops[0])
-					i--
 					n++
 				}
 			}

@@ -26,3 +26,24 @@ func MergeKeysForTest(m *ir.Module) []string {
 	}
 	return keys
 }
+
+// RunPerEdit runs the named pass as a manager's RunOne does, but as it ran
+// before the block edit log: the per-edit version (peredit_test.go) where
+// the log changed the pass, the registered one elsewhere.
+func RunPerEdit(m *ir.Module, name string, st Stats) {
+	ir.MaterializeModule(m)
+	if run := perEditPasses[name]; run != nil {
+		run(m, st)
+		return
+	}
+	byName[name].Run(m, st)
+}
+
+// RunRecovered runs seq through mgr, returning a pass panic as its value.
+func RunRecovered(mgr *Manager, m *ir.Module, seq []string) (r any) {
+	defer func() { r = recover() }()
+	for _, name := range seq {
+		mgr.RunOne(m, byName[name], Stats{})
+	}
+	return nil
+}

@@ -373,7 +373,6 @@ func globalOpt(m *ir.Module) (int, int) {
 					c = ir.ConstInt(in.Ty, v)
 				}
 				replaceWithValue(&fu, in, c)
-				i--
 				folded++
 			}
 		}
@@ -546,7 +545,7 @@ func promoteArguments(m *ir.Module) int {
 			// Rewrite callee: param becomes the value.
 			p.Ty = loadTy
 			for _, l := range loads {
-				replaceWithValue(&fu, l, p)
+				replaceNow(&fu, l, p)
 			}
 			// Rewrite call sites: load before the call.
 			for _, g := range m.Funcs {

@@ -1151,7 +1151,7 @@ func strengthReduceIVs(f *ir.Function) int {
 				}
 			}
 			fu.inserted(q) // with its incomings in place
-			replaceWithValue(&fu, in, q)
+			replaceNow(&fu, in, q)
 			n++
 			break // one per loop per run; IV info now stale
 		}

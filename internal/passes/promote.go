@@ -184,14 +184,7 @@ func promoteAllocas(f *ir.Function) (promoted, phis int) {
 		del[v] = true
 	}
 	for _, b := range f.Blocks {
-		kept := b.Instrs[:0]
-		for _, in := range b.Instrs {
-			if del[in] {
-				continue
-			}
-			kept = append(kept, in)
-		}
-		b.Instrs = kept
+		b.RemoveIf(func(in *ir.Instr) bool { return del[in] })
 	}
 
 	// Trivial phi elimination: a phi whose incoming values (ignoring itself)
@@ -319,7 +312,7 @@ func splitAggregates(f *ir.Function) int {
 			}
 			for _, g := range geps {
 				c, _ := g.ConstOperand(1)
-				replaceWithValue(&fu, g, elems[c.I])
+				replaceNow(&fu, g, elems[c.I])
 			}
 			b.RemoveAt(b.IndexOf(in))
 			fu.removed(in)
@@ -357,7 +350,7 @@ func demotePhis(f *ir.Function) int {
 			idx := b.IndexOf(phi)
 			b.InsertBefore(idx+1, ld)
 			fu.inserted(ld)
-			replaceWithValue(&fu, phi, ld)
+			replaceNow(&fu, phi, ld)
 			demoted++
 		}
 	}

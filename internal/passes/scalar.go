@@ -144,6 +144,10 @@ func reassociate(f *ir.Function) int {
 		}
 	}
 	for _, b := range f.Blocks {
+		// unlinked counts the roots replaced outright in this block and not
+		// yet flushed: all before i, so in's position in the block as a
+		// per-edit scan saw it is i-unlinked.
+		unlinked := 0
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
 			if !in.Op.IsAssociative() || in.Ty.IsVector() || fed[in] {
@@ -199,20 +203,18 @@ func reassociate(f *ir.Function) int {
 				continue
 			}
 			// Rebuild left-leaning chain just before `in`.
-			pos := b.IndexOf(in)
 			cur := vals[0]
 			for vi := 1; vi < len(vals)-1; vi++ {
 				ni := &ir.Instr{Op: in.Op, Ty: in.Ty, Ops: []ir.Value{cur, vals[vi]}}
-				b.InsertBefore(pos, ni)
+				b.Insert(i, ni)
 				fu.inserted(ni)
-				pos++
 				cur = ni
 			}
 			// Mutate root in place with the final pair.
 			last := vals[len(vals)-1]
 			if len(vals) == 1 {
 				replaceWithValue(&fu, in, vals[0])
-				i--
+				unlinked++
 				n++
 				continue
 			}
@@ -220,17 +222,18 @@ func reassociate(f *ir.Function) int {
 			// Old chain instructions become dead; best-effort removal.
 			for _, c := range chain {
 				if !fu.get().Has(c) {
-					if idx := c.Parent().IndexOf(c); idx >= 0 {
-						c.Parent().RemoveAt(idx)
-						fu.removed(c)
-						if c.Parent() == b {
-							i = b.IndexOf(in)
-						}
-					}
+					fu.unlink(c)
 				}
 			}
+			// The scan goes on from in's old position, as it did when every
+			// edit shifted the block at once: over the new chain, or past
+			// in by as many places as more were removed than inserted.
+			b.Flush()
+			i -= unlinked
+			unlinked = 0
 			n++
 		}
+		b.Flush()
 	}
 	return n
 }
@@ -605,7 +608,10 @@ func floatToInt(f *ir.Function) int {
 	return n
 }
 
-// inlineIntBuiltins expands sim.abs/min/max calls into compare+select.
+// inlineIntBuiltins expands sim.abs/min/max calls into compare+select. The
+// compares are logged before the call and spliced in once per block; the scan
+// skips them, as it stepped over them when each edit shifted the block at
+// once (they are no calls).
 func inlineIntBuiltins(f *ir.Function) int {
 	n := 0
 	for _, b := range f.Blocks {
@@ -619,8 +625,8 @@ func inlineIntBuiltins(f *ir.Function) int {
 				x := in.Ops[0]
 				neg := &ir.Instr{Op: ir.OpSub, Ty: ir.I64T, Ops: []ir.Value{ir.ConstInt(ir.I64T, 0), x}}
 				cmp := &ir.Instr{Op: ir.OpICmp, Ty: ir.I1T, Pred: ir.CmpSLT, Ops: []ir.Value{x, ir.ConstInt(ir.I64T, 0)}}
-				b.InsertBefore(i, neg)
-				b.InsertBefore(i+1, cmp)
+				b.Insert(i, neg)
+				b.Insert(i, cmp)
 				in.Op = ir.OpSelect
 				in.Ty = ir.I64T
 				in.Callee = ""
@@ -633,7 +639,7 @@ func inlineIntBuiltins(f *ir.Function) int {
 				}
 				a, c := in.Ops[0], in.Ops[1]
 				cmp := &ir.Instr{Op: ir.OpICmp, Ty: ir.I1T, Pred: pred, Ops: []ir.Value{a, c}}
-				b.InsertBefore(i, cmp)
+				b.Insert(i, cmp)
 				in.Op = ir.OpSelect
 				in.Ty = ir.I64T
 				in.Callee = ""
@@ -641,6 +647,7 @@ func inlineIntBuiltins(f *ir.Function) int {
 				n++
 			}
 		}
+		b.Flush()
 	}
 	return n
 }
@@ -674,7 +681,8 @@ func splitGEPOffsets(f *ir.Function) int {
 
 // scalarizeVectors splits vector arithmetic into per-lane scalar operations
 // (a genuine deoptimising direction in the search space, as in LLVM's
-// scalarizer pass).
+// scalarizer pass). The new instructions are logged before the vector op and
+// spliced in once per block.
 func scalarizeVectors(f *ir.Function) int {
 	n := 0
 	for _, b := range f.Blocks {
@@ -685,35 +693,31 @@ func scalarizeVectors(f *ir.Function) int {
 			}
 			lanes := in.Ty.Lanes
 			sc := in.Ty.Scalar()
-			pos := i
 			var parts []ir.Value
 			for l := 0; l < lanes; l++ {
 				ea := &ir.Instr{Op: ir.OpExtractElement, Ty: sc, Ops: []ir.Value{in.Ops[0], ir.ConstInt(ir.I64T, int64(l))}}
 				eb := &ir.Instr{Op: ir.OpExtractElement, Ty: sc, Ops: []ir.Value{in.Ops[1], ir.ConstInt(ir.I64T, int64(l))}}
 				op := &ir.Instr{Op: in.Op, Ty: sc, Ops: []ir.Value{ea, eb}}
-				b.InsertBefore(pos, ea)
-				b.InsertBefore(pos+1, eb)
-				b.InsertBefore(pos+2, op)
-				pos += 3
+				b.Insert(i, ea)
+				b.Insert(i, eb)
+				b.Insert(i, op)
 				parts = append(parts, op)
 			}
 			// Rebuild the vector via insertelement chain; mutate `in` into the
 			// final insert so uses remain valid.
 			var vec ir.Value = &ir.Instr{Op: ir.OpBroadcast, Ty: in.Ty, Ops: []ir.Value{zeroValue(sc)}}
-			b.InsertBefore(pos, vec.(*ir.Instr))
-			pos++
+			b.Insert(i, vec.(*ir.Instr))
 			for l := 0; l < lanes-1; l++ {
 				ins := &ir.Instr{Op: ir.OpInsertElement, Ty: in.Ty,
 					Ops: []ir.Value{vec, parts[l], ir.ConstInt(ir.I64T, int64(l))}}
-				b.InsertBefore(pos, ins)
-				pos++
+				b.Insert(i, ins)
 				vec = ins
 			}
 			in.Op = ir.OpInsertElement
 			in.Ops = []ir.Value{vec, parts[lanes-1], ir.ConstInt(ir.I64T, int64(lanes-1))}
-			i = pos
 			n++
 		}
+		b.Flush()
 	}
 	return n
 }
@@ -725,7 +729,8 @@ func zeroValue(t ir.Type) ir.Value {
 	return ir.ConstInt(t, 0)
 }
 
-// expandReductions lowers vecreduce.add into an extract+add chain.
+// expandReductions lowers vecreduce.add into an extract+add chain, logged
+// before the reduction and spliced in once per block.
 func expandReductions(f *ir.Function) int {
 	n := 0
 	for _, b := range f.Blocks {
@@ -741,12 +746,12 @@ func expandReductions(f *ir.Function) int {
 			if sc.Kind.IsFloat() {
 				addOp = ir.OpFAdd
 			}
-			pos := i
 			var acc ir.Value
+			var lastE *ir.Instr
 			for l := 0; l < lanes; l++ {
 				e := &ir.Instr{Op: ir.OpExtractElement, Ty: sc, Ops: []ir.Value{src, ir.ConstInt(ir.I64T, int64(l))}}
-				b.InsertBefore(pos, e)
-				pos++
+				b.Insert(i, e)
+				lastE = e
 				if acc == nil {
 					acc = e
 					continue
@@ -755,16 +760,18 @@ func expandReductions(f *ir.Function) int {
 					break
 				}
 				a := &ir.Instr{Op: addOp, Ty: sc, Ops: []ir.Value{acc, e}}
-				b.InsertBefore(pos, a)
-				pos++
+				b.Insert(i, a)
+				lastE = a
 				acc = a
 			}
-			lastE := b.Instrs[pos-1]
+			if lastE == nil { // no lanes: the instruction before the reduction
+				lastE = b.Instrs[i-1]
+			}
 			in.Op = addOp
 			in.Ops = []ir.Value{acc, lastE}
-			i = pos
 			n++
 		}
+		b.Flush()
 	}
 	return n
 }
@@ -930,8 +937,9 @@ func forwardStoreToLoad(f *ir.Function) int {
 				p := b.Instrs[j]
 				if p.Op == ir.OpStore {
 					if p.Ops[1] == in.Ops[0] && p.Ops[0].Type() == in.Ty {
+						// The loads replaced before in stay in place until
+						// done; the backward scan passes over loads anyway.
 						replaceWithValue(&fu, in, p.Ops[0])
-						i--
 						n++
 						break
 					}

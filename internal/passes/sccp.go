@@ -62,7 +62,6 @@ func runSCCP(m *ir.Module, f *ir.Function) int {
 					}
 					if ok && uniq != nil {
 						replaceWithValue(&fu, in, uniq)
-						i--
 						changed++
 					}
 				case in.Op == ir.OpBr:
@@ -103,11 +102,11 @@ func runSCCP(m *ir.Module, f *ir.Function) int {
 				case !in.Op.HasSideEffects() && in.Op != ir.OpLoad && in.Op != ir.OpAlloca:
 					if c := foldConst(in); c != nil {
 						replaceWithValue(&fu, in, c)
-						i--
 						changed++
 					}
 				}
 			}
+			b.Flush()
 		}
 		n += changed
 		if changed == 0 {

@@ -7,17 +7,23 @@ import (
 	"repro/internal/ir"
 )
 
-// scratch bundles the transient marking sets and worklists the hot DCE-family
-// passes need. Instances are pooled so a long tuning run (hundreds of
-// thousands of pass executions over small functions) does not re-grow the
-// same maps on every invocation. Maps are handed out empty and cleared on
-// release; the worklist is handed out at length zero with capacity retained.
+// scratch bundles the transient tables the hot passes need. Instances are
+// pooled so a long tuning run (hundreds of thousands of pass executions over
+// small functions) does not re-grow them on every invocation. Tables indexed
+// by instruction are dense, by Instr.ID after a renumbering (byID): a mark set
+// is a slice of epoch stamps, so starting a fresh one costs one increment, not
+// a clear. Worklists are handed out at length zero with capacity retained.
 type scratch struct {
-	iset map[*ir.Instr]bool
-	work []*ir.Instr
-	// runCSE's expression table and the log of keys added to it.
-	exprs map[instrKey]*ir.Instr
-	added []instrKey
+	// byID is the function's instructions in ID order (InstrsByID):
+	// byID[in.ID] == in proves in is one of them before its ID is trusted.
+	byID []*ir.Instr
+	// marks is the current mark set: ID k is marked when marks[k] == epoch.
+	marks []uint32
+	epoch uint32
+	work  []*ir.Instr
+	// runCSE's value numbers and scoped expression table.
+	vn    valueNumbers
+	exprs exprTable
 	// mergefunc's key buffer and numbering tables.
 	keys mergeKeyer
 }
@@ -25,12 +31,26 @@ type scratch struct {
 var scratchPool = sync.Pool{
 	New: func() any {
 		passPoolNews.Add(1)
-		return &scratch{
-			iset:  make(map[*ir.Instr]bool),
-			exprs: make(map[instrKey]*ir.Instr),
-		}
+		return new(scratch)
 	},
 }
+
+// newMarks starts an empty mark set over IDs [0, n).
+func (s *scratch) newMarks(n int) {
+	if cap(s.marks) < n {
+		s.marks = make([]uint32, n)
+		s.epoch = 0
+	}
+	s.marks = s.marks[:n]
+	s.epoch++
+	if s.epoch == 0 { // wrapped: old stamps could read as current
+		clear(s.marks[:cap(s.marks)])
+		s.epoch = 1
+	}
+}
+
+func (s *scratch) mark(id int)        { s.marks[id] = s.epoch }
+func (s *scratch) marked(id int) bool { return s.marks[id] == s.epoch }
 
 // Process-global pass scratch-pool counters (Prometheus/env-field reporting
 // only: pool behaviour is scheduling-dependent, so these must never reach
@@ -49,15 +69,12 @@ func getScratch() *scratch {
 }
 
 func putScratch(s *scratch) {
-	clear(s.iset)
+	clear(s.byID) // the pool must not keep IR alive
+	s.byID = s.byID[:0]
 	s.work = s.work[:0]
-	// runCSE leaves both empty, popped log entries zeroed, unless it panicked.
-	if len(s.exprs) > 0 {
-		clear(s.exprs)
-	}
-	clear(s.added)
-	s.added = s.added[:0]
-	clear(s.keys.ipos) // the last key's tables; the pool must not keep IR alive
+	s.vn.reset()
+	s.exprs.reset()
+	clear(s.keys.ipos) // the last key's tables
 	clear(s.keys.bpos)
 	scratchPool.Put(s)
 }

@@ -86,24 +86,71 @@ func unrollLoops(f *ir.Function, fullTripMax int64, bodyMax, factor int) (int, i
 	return full, partial
 }
 
-// cloneBody clones the non-phi, non-terminator instructions of b with
-// substitution, appending them before dst's terminator region; returns the
-// value map extension.
-func cloneBodyInto(dst *ir.Block, insertAt int, b *ir.Block, skip map[*ir.Instr]bool, sub loopSub) (int, loopSub) {
+// bodySub is the value substitution of one unrolled iteration of a block's
+// body: a table indexed by position in the block (the block's instructions
+// hold consecutive IDs after a Renumber), whose entries count only when
+// stamped in the current iteration's mark set.
+type bodySub struct {
+	b    *ir.Block
+	base int
+	vals []ir.Value
+	sc   *scratch
+}
+
+// index returns v's position in the block, or -1 when v is no instruction
+// of it.
+func (s *bodySub) index(v ir.Value) int {
+	if in, ok := v.(*ir.Instr); ok && in != nil {
+		if k := in.ID - s.base; uint(k) < uint(len(s.b.Instrs)) && s.b.Instrs[k] == in {
+			return k
+		}
+	}
+	return -1
+}
+
+// next starts an iteration with an empty substitution.
+func (s *bodySub) next() { s.sc.newMarks(len(s.vals)) }
+
+func (s *bodySub) set(in *ir.Instr, v ir.Value) {
+	k := s.index(in)
+	s.vals[k] = v
+	s.sc.mark(k)
+}
+
+// lookup returns what the iteration substitutes for v, if anything.
+func (s *bodySub) lookup(v ir.Value) (ir.Value, bool) {
+	if k := s.index(v); k >= 0 && s.sc.marked(k) {
+		return s.vals[k], true
+	}
+	return nil, false
+}
+
+func (s *bodySub) get(v ir.Value) ir.Value {
+	if nv, ok := s.lookup(v); ok {
+		return nv
+	}
+	return v
+}
+
+// cloneBodyInto clones the non-phi, non-terminator instructions of b other
+// than skip, with substitution, logging them into dst before its entry at
+// position at; each clone becomes the substitute of its original.
+func cloneBodyInto(dst *ir.Block, at int, b *ir.Block, skip *ir.Instr, sub *bodySub) {
 	for _, in := range b.Instrs {
-		if in.Op == ir.OpPhi || in.IsTerminator() || skip[in] {
+		if in.Op == ir.OpPhi || in.IsTerminator() || in == skip {
 			continue
 		}
 		c := &ir.Instr{Op: in.Op, Ty: in.Ty, Pred: in.Pred, Callee: in.Callee,
 			AllocTy: in.AllocTy, NAlloc: in.NAlloc, Flags: in.Flags}
-		for _, op := range in.Ops {
-			c.Ops = append(c.Ops, sub.get(op))
+		if len(in.Ops) > 0 {
+			c.Ops = make([]ir.Value, len(in.Ops))
+			for k, op := range in.Ops {
+				c.Ops[k] = sub.get(op)
+			}
 		}
-		dst.InsertBefore(insertAt, c)
-		insertAt++
-		sub[in] = c
+		dst.Insert(at, c)
+		sub.set(in, c)
 	}
-	return insertAt, sub
 }
 
 // fullyUnroll replaces a single-block counted loop with trip straight-line
@@ -112,54 +159,45 @@ func cloneBodyInto(dst *ir.Block, insertAt int, b *ir.Block, skip map[*ir.Instr]
 func fullyUnroll(f *ir.Function, cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, trip int64, exitB *ir.Block, fu *funcUses) bool {
 	b := l.Header
 	phis := b.Phis()
-	initOf := make(map[*ir.Instr]ir.Value)
-	nextOf := make(map[*ir.Instr]ir.Value)
-	for _, p := range phis {
+	initOf := make([]ir.Value, len(phis))
+	nextOf := make([]ir.Value, len(phis))
+	for pi, p := range phis {
 		if len(p.Ops) != 2 {
 			return false
 		}
 		for i, fb := range p.Blocks {
 			if l.Contains(fb) {
-				nextOf[p] = p.Ops[i]
+				nextOf[pi] = p.Ops[i]
 			} else {
-				initOf[p] = p.Ops[i]
+				initOf[pi] = p.Ops[i]
 			}
 		}
-		if initOf[p] == nil || nextOf[p] == nil {
+		if initOf[pi] == nil || nextOf[pi] == nil {
 			return false
 		}
 	}
-	// Values defined in the loop and used outside (directly or via exit
-	// phis) must be remappable to last-iteration clones; collect them.
-	term := b.Term()
 
-	// Build the straight-line body in a fresh block.
+	// Build the straight-line body in a fresh block: every clone goes before
+	// its jump, in one splice.
 	nb := &ir.Block{Name: b.Name + "_unr"}
 	ir.AttachBlock(nb, f)
-	cur := loopSub{}
-	for _, p := range phis {
-		cur[p] = initOf[p]
-	}
-	skip := map[*ir.Instr]bool{}
-	if iv.Cmp != nil {
-		skip[iv.Cmp] = true
-	}
-	insertAt := 0
-	var last loopSub
 	nb.Append(&ir.Instr{Op: ir.OpJmp, Ty: ir.VoidT, Blocks: []*ir.Block{exitB}})
+	sc := getScratch()
+	defer putScratch(sc)
+	f.Renumber()
+	sub := &bodySub{b: b, base: b.Instrs[0].ID, vals: make([]ir.Value, len(b.Instrs)), sc: sc}
+	cur := initOf // the phis' values entering the iteration
 	for k := int64(0); k < trip; k++ {
-		iterSub := loopSub{}
-		for v, s := range cur {
-			iterSub[v] = s
+		sub.next()
+		for pi, p := range phis {
+			sub.set(p, cur[pi])
 		}
-		insertAt, iterSub = cloneBodyInto(nb, insertAt, b, skip, iterSub)
-		nextCur := loopSub{}
-		for _, p := range phis {
-			nextCur[p] = iterSub.get(nextOf[p])
+		cloneBodyInto(nb, 0, b, iv.Cmp, sub)
+		for pi := range phis {
+			cur[pi] = sub.get(nextOf[pi])
 		}
-		cur = nextCur
-		last = iterSub
 	}
+	nb.Flush()
 
 	// Rewrite uses elsewhere: loop instrs -> last clones; phis -> final value.
 	// nb is not in f.Blocks yet, so the function — and the index — still are
@@ -168,14 +206,14 @@ func fullyUnroll(f *ir.Function, cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, tr
 	remapOutside := func(old ir.Value, new ir.Value) {
 		fu.setAll(fu.collect(old, outsideB), new)
 	}
-	for _, p := range phis {
-		remapOutside(p, cur[p])
+	for pi, p := range phis {
+		remapOutside(p, cur[pi])
 	}
 	for _, in := range b.Instrs {
 		if in.Op == ir.OpPhi || in.IsTerminator() {
 			continue
 		}
-		if nv, ok := last[in]; ok {
+		if nv, ok := sub.lookup(in); ok { // the last iteration's clone
 			remapOutside(in, nv)
 		}
 	}
@@ -199,7 +237,6 @@ func fullyUnroll(f *ir.Function, cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, tr
 			}
 		}
 	}
-	_ = term
 	// Replace b with nb in the layout.
 	for i, blk := range f.Blocks {
 		if blk == b {

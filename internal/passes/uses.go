@@ -8,8 +8,12 @@ import (
 // function it rewrites. The index is built at the first query, so a pass
 // that finds nothing to do never pays for it. The rule a pass keeps: a live
 // index is coherent. Whatever the pass changes it either reports to the
-// index (Set, ReplaceAll, Insert, Remove, replaceWithValue) or follows with
-// drop, and the next query builds a fresh one. done, deferred, releases it.
+// index (Set, ReplaceAll, Insert, Remove, replaceWithValue, unlink) or
+// follows with drop, and the next query builds a fresh one. A block with
+// pending edits (ir.Block's edit log) is coherent as a Flush would leave it:
+// an unlinked instruction is already out of the index, a logged insertion
+// already in. done, deferred, flushes every block of the function and
+// releases the index.
 type funcUses struct {
 	f   *ir.Function
 	u   *ir.Uses
@@ -17,7 +21,8 @@ type funcUses struct {
 }
 
 // usesChecked, set by tests only, sees every index a pass is about to query
-// again or release, i.e. every point where the rule above must hold.
+// again or release, i.e. every point where the rule above must hold — in the
+// middle of a block with pending edits too.
 var usesChecked func(f *ir.Function, u *ir.Uses)
 
 func (x *funcUses) get() *ir.Uses {
@@ -37,8 +42,10 @@ func (x *funcUses) drop() {
 	}
 }
 
-// done releases the index at the end of the pass.
+// done applies the pending block edits and releases the index at the end of
+// the pass.
 func (x *funcUses) done() {
+	x.f.Flush()
 	if x.u != nil && usesChecked != nil {
 		usesChecked(x.f, x.u)
 	}
@@ -78,6 +85,13 @@ func (x *funcUses) removed(in *ir.Instr) {
 	}
 }
 
+// unlink takes in out of its block, leaving the entry for the block's next
+// Flush.
+func (x *funcUses) unlink(in *ir.Instr) {
+	in.Parent().Unlink(in)
+	x.removed(in)
+}
+
 // collect returns the uses of v that keep accepts, copied out of the index so
 // the caller may rewrite them; the slice is reused by the next collect.
 func (x *funcUses) collect(v ir.Value, keep func(ir.Use) bool) []ir.Use {
@@ -97,15 +111,26 @@ func (x *funcUses) setAll(uses []ir.Use, v ir.Value) {
 	}
 }
 
-// replaceWithValue replaces all uses of in with v and deletes in.
+// replaceWithValue replaces all uses of in with v and unlinks in from its
+// block: the entry stays in place until the block's next Flush (a caller
+// scanning the block goes on past it, or flushes before it reads positions
+// again).
 func replaceWithValue(fu *funcUses, in *ir.Instr, v ir.Value) {
 	u := fu.get()
 	u.ReplaceAll(in, v)
 	if b := in.Parent(); b != nil {
-		if idx := b.IndexOf(in); idx >= 0 {
-			b.RemoveAt(idx)
-			u.Remove(in)
-		}
+		b.Unlink(in)
+		u.Remove(in)
+	}
+}
+
+// replaceNow is replaceWithValue for a caller that reads positions again
+// right after: in's block is flushed at once, as a per-edit removal left it.
+func replaceNow(fu *funcUses, in *ir.Instr, v ir.Value) {
+	b := in.Parent()
+	replaceWithValue(fu, in, v)
+	if b != nil {
+		b.Flush()
 	}
 }
 

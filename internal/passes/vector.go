@@ -549,7 +549,7 @@ func slpOneChain(m *ir.Module, b *ir.Block, fu *funcUses) (int, int) {
 						// Remove this add from the chain: replace it with its
 						// other operand.
 						other := t.add.Ops[1-oi]
-						replaceWithValue(fu, t.add, other)
+						replaceNow(fu, t.add, other)
 					}
 					break
 				}
@@ -831,14 +831,12 @@ func combineVectorOps(f *ir.Function) int {
 			switch src.Op {
 			case ir.OpBroadcast:
 				replaceWithValue(&fu, in, src.Ops[0])
-				i--
 				n++
 			case ir.OpInsertElement:
 				li, okL := in.ConstOperand(1)
 				si, okS := src.ConstOperand(2)
 				if okL && okS && li.I == si.I {
 					replaceWithValue(&fu, in, src.Ops[1])
-					i--
 					n++
 				}
 			}
@@ -949,7 +947,7 @@ func vectorizeLoadRuns(m *ir.Module, f *ir.Function) int {
 				idx := b.IndexOf(g[k].ld)
 				b.InsertBefore(idx, ext)
 				fu.inserted(ext)
-				replaceWithValue(&fu, g[k].ld, ext)
+				replaceNow(&fu, g[k].ld, ext)
 			}
 			n++
 			break // positions stale; next pass run handles more
