@@ -185,45 +185,17 @@ func Minimize(f func([]float64) float64, bounds heuristic.Bounds, budget int, op
 	}
 
 	workers := numeric.Workers(opts.Workers)
-	warm := opts.GPOpts
-	if warm.Workers == 0 {
-		warm.Workers = workers
+	gpo := opts.GPOpts
+	if gpo.Workers == 0 {
+		gpo.Workers = workers
 	}
 	var model *gp.GP
 	for it := 0; budget-len(Y) > 0; it++ {
-		// 1. Fit/refit the surrogate.
-		refit := opts.RefitEvery <= 1 || it%opts.RefitEvery == 0 || model == nil
-		switch {
-		case refit:
-			o := warm
-			if model != nil {
-				o.WarmLS, o.WarmSigF, o.WarmNoise = model.LS, model.SigF, model.Noise
-			}
-			var err error
-			model, err = gp.Fit(X, Y, o, rng)
-			if err != nil {
-				return nil, fmt.Errorf("aibo: GP fit failed: %w", err)
-			}
-		case len(X) == len(model.X)+1:
-			// Non-refit iterations add exactly one observation: absorb it
-			// with the O(n²) incremental update instead of an O(n³)
-			// hyperparameter-frozen refit. Append consumes no randomness
-			// (neither did the frozen refit), so the rng stream is unchanged.
-			if err := model.Append(X[len(X)-1], Y[len(Y)-1]); err != nil {
-				return nil, fmt.Errorf("aibo: GP append failed: %w", err)
-			}
-		default:
-			// Defensive: the history advanced by more than one point, which
-			// this loop never does on its own — frozen warm refit.
-			o := warm
-			o.AdamSteps = 0
-			o.Restarts = 1
-			o.WarmLS, o.WarmSigF, o.WarmNoise = model.LS, model.SigF, model.Noise
-			var err error
-			model, err = gp.Fit(X, Y, o, rng)
-			if err != nil {
-				return nil, fmt.Errorf("aibo: GP update failed: %w", err)
-			}
+		// 1. Bring the surrogate up to date.
+		var err error
+		model, _, err = gp.Update(model, X, Y, it, opts.RefitEvery, gpo, rng)
+		if err != nil {
+			return nil, fmt.Errorf("aibo: GP fit failed: %w", err)
 		}
 		bestT := model.TransformY(res.BestY)
 		cfg := acq.Config{Kind: opts.AF, Beta: opts.Beta, Best: bestT}

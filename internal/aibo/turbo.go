@@ -87,37 +87,17 @@ func TuRBOMinimize(f func([]float64) float64, bounds heuristic.Bounds, budget in
 	}
 	length := opts.LenInit
 	succ, fail := 0, 0
-	prevLo := -1
 	var model *gp.GP
 	for it := 0; len(Y) < budget; it++ {
 		lo := len(X) - opts.MaxGPHistory
 		if lo < 0 {
 			lo = 0
 		}
-		nonRefit := model != nil && opts.RefitEvery > 1 && it%opts.RefitEvery != 0
-		if nonRefit && lo == prevLo && len(X)-lo == len(model.X)+1 {
-			// The sliding window kept its left edge and gained exactly one
-			// observation: extend the factor incrementally instead of the
-			// O(n³) frozen refit. Neither path draws randomness.
-			if err := model.Append(X[len(X)-1], Y[len(Y)-1]); err != nil {
-				return nil, err
-			}
-		} else {
-			o := gpo
-			if model != nil {
-				o.WarmLS, o.WarmSigF, o.WarmNoise = model.LS, model.SigF, model.Noise
-				if nonRefit {
-					o.AdamSteps = 0
-					o.Restarts = 1
-				}
-			}
-			var err error
-			model, err = gp.Fit(X[lo:], Y[lo:], o, rng)
-			if err != nil {
-				return nil, err
-			}
+		var err error
+		model, _, err = gp.Update(model, X[lo:], Y[lo:], it, opts.RefitEvery, gpo, rng)
+		if err != nil {
+			return nil, err
 		}
-		prevLo = lo
 		cfg := acq.Config{Kind: acq.UCB, Beta: opts.Beta, Best: model.TransformY(res.BestY)}
 
 		// Trust region around the incumbent, scaled per-dim by the model's

@@ -621,50 +621,31 @@ func (t *Tuner) recordObservation(fv map[string]sparseVec, y float64) {
 	t.measCut[t.programKey(fv)] = y
 }
 
-// fitModel updates the GP for this iteration: a full (re)fit when
-// hyperparameter tuning is due, the model is missing, or the feature space
-// grew; otherwise the single new observation — non-refit iterations add at
-// most one — is absorbed by the O(n²) incremental Append. Neither path draws
-// from t.rng on non-refit iterations, so swapping the old frozen refit for
-// Append leaves the tuner's random stream untouched.
+// fitModel brings the GP up to date for this iteration (gp.Update decides
+// between a refit, an Append and keeping the model) and counts and journals
+// what it did.
 func (t *Tuner) fitModel(iter int) error {
 	if len(t.Y) < 2 {
 		return nil
 	}
-	nonRefit := t.opts.RefitEvery > 1 && iter%t.opts.RefitEvery != 0 && t.model != nil
 	tStart := time.Now()
-	if nonRefit && len(t.model.LS) == t.fi.Dim() {
-		switch len(t.Y) - len(t.model.X) {
-		case 0:
-			// Nothing measured since the last update (failed builds or
-			// duplicate reuse): the posterior is already current.
-			return nil
-		case 1:
-			if err := t.model.Append(t.X[len(t.X)-1], t.Y[len(t.Y)-1]); err == nil {
-				t.res.Breakdown.GPAppends++
-				t.mGPApp.Inc()
-				t.rec.GPFit(t.curSpan, len(t.Y), t.fi.Dim(), true, time.Since(tStart))
-				return nil
-			}
-			// The bordered update could not recover — fall through to the
-			// full warm fit, which can also inflate the noise.
-		}
-	}
-	o := t.opts.GPOpts
-	if t.model != nil && len(t.model.LS) == t.fi.Dim() {
-		o.WarmLS, o.WarmSigF, o.WarmNoise = t.model.LS, t.model.SigF, t.model.Noise
-	}
-	if nonRefit {
-		o.AdamSteps = 0
-		o.Restarts = 1
-	}
-	m, err := gp.Fit(t.X, t.Y, o, t.rng)
+	m, step, err := gp.Update(t.model, t.X, t.Y, iter, t.opts.RefitEvery, t.opts.GPOpts, t.rng)
 	if err != nil {
 		return fmt.Errorf("core: GP fit: %w", err)
 	}
 	t.model = m
-	t.res.Breakdown.GPFits++
-	t.rec.GPFit(t.curSpan, len(t.Y), t.fi.Dim(), false, time.Since(tStart))
+	switch step {
+	case gp.Kept:
+		// Nothing measured since the last update (failed builds or
+		// duplicate reuse): the posterior is already current.
+		return nil
+	case gp.Appended:
+		t.res.Breakdown.GPAppends++
+		t.mGPApp.Inc()
+	default:
+		t.res.Breakdown.GPFits++
+	}
+	t.rec.GPFit(t.curSpan, len(t.Y), t.fi.Dim(), step == gp.Appended, time.Since(tStart))
 	return nil
 }
 

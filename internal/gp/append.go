@@ -21,9 +21,9 @@ import (
 // to (numerically) zero — Append falls back to a full jittered
 // refactorisation; Refactorized counts those recoveries.
 //
-// Append consumes no random numbers, so replacing a warm non-refit Fit call
-// (AdamSteps=0, Restarts=1) with Append leaves the caller's rng stream
-// untouched.
+// Like Fit, Append keeps the row x itself, which Update relies on to tell
+// the model's rows from a new training set. It consumes no random numbers;
+// Update calls it on non-refit iterations that add one row.
 func (g *GP) Append(x []float64, y float64) error {
 	if g.chol == nil {
 		return errors.New("gp: Append on an unfitted model")
@@ -32,12 +32,11 @@ func (g *GP) Append(x []float64, y float64) error {
 	if len(x) != d {
 		return fmt.Errorf("gp: Append input has %d dims, model has %d", len(x), d)
 	}
-	xc := append([]float64(nil), x...)
 	sxc := make([]float64, d)
 	for dd := range sxc {
-		sxc[dd] = xc[dd] / g.LS[dd]
+		sxc[dd] = x[dd] / g.LS[dd]
 	}
-	g.X = append(g.X, xc)
+	g.X = append(g.X, x)
 	g.sx = append(g.sx, sxc)
 	g.rawY = append(g.rawY, y)
 	n := len(g.X)

@@ -6,17 +6,13 @@ import (
 	"testing"
 )
 
-// warmRefitOpts builds options that make Fit reproduce g's hyperparameters
-// verbatim (AdamSteps=0 keeps the warm start), the reference a chain of
-// Appends must agree with.
-func warmRefitOpts(g *GP, base Options) Options {
+// frozenFit refits (X, Y) at g's hyperparameters verbatim (AdamSteps=0
+// keeps the warm start), the reference a chain of Appends must agree with.
+func frozenFit(g *GP, X [][]float64, Y []float64, base Options) (*GP, error) {
 	o := base
 	o.AdamSteps = 0
 	o.Restarts = 1
-	o.WarmLS = append([]float64(nil), g.LS...)
-	o.WarmSigF = g.SigF
-	o.WarmNoise = g.Noise
-	return o
+	return fit(X, Y, o, g, nil)
 }
 
 func randHistory(rng *rand.Rand, n, d int) ([][]float64, []float64) {
@@ -67,12 +63,11 @@ func TestAppendMatchesFullRefit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm := warmRefitOpts(g, opts)
 		for k := n0; k < n0+extra; k++ {
 			if err := g.Append(X[k], Y[k]); err != nil {
 				t.Fatalf("append %d: %v", k, err)
 			}
-			ref, err := Fit(X[:k+1], Y[:k+1], warm, nil)
+			ref, err := frozenFit(g, X[:k+1], Y[:k+1], opts)
 			if err != nil {
 				t.Fatalf("refit %d: %v", k, err)
 			}
@@ -104,11 +99,8 @@ func TestAppendJitterRecovery(t *testing.T) {
 	opts := DefaultOptions()
 	opts.AdamSteps = 0
 	opts.Restarts = 1
-	opts.WarmLS = []float64{0.5}
-	opts.WarmSigF = 1
-	opts.WarmNoise = 1e-13
 	opts.NoiseFloor = 1e-14
-	g, err := Fit(X, Y, opts, nil)
+	g, err := fit(X, Y, opts, &GP{LS: []float64{0.5}, SigF: 1, Noise: 1e-13}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +121,7 @@ func TestAppendJitterRecovery(t *testing.T) {
 	// The recovered model must still agree with a from-scratch warm refit,
 	// which factorises the identical bordered matrix through the same
 	// jitter schedule.
-	ref, err := Fit(append(append([][]float64(nil), X...), []float64{0}), []float64{0.1, 0.9, 0.2, 0.15}, warmRefitOpts(g, opts), nil)
+	ref, err := frozenFit(g, append(append([][]float64(nil), X...), []float64{0}), []float64{0.1, 0.9, 0.2, 0.15}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +149,12 @@ func TestAppendFuzzRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		warm := warmRefitOpts(g, opts)
 		for k := n0; k < n0+extra; k++ {
 			if err := g.Append(X[k], Y[k]); err != nil {
 				t.Fatalf("trial %d append %d: %v", trial, k, err)
 			}
 		}
-		ref, err := Fit(X, Y, warm, nil)
+		ref, err := frozenFit(g, X, Y, opts)
 		if err != nil {
 			t.Fatalf("trial %d refit: %v", trial, err)
 		}
@@ -215,28 +206,14 @@ func TestPredictBatchBitIdenticalAcrossWorkers(t *testing.T) {
 	sig8 := make([]float64, len(queries))
 	g1.PredictBatch(queries, mu1, sig1)
 	g8.PredictBatch(queries, mu8, sig8)
-	var sc PredictScratch
 	for i, q := range queries {
-		ms, ss := g1.PredictTransformedInto(q, &sc)
+		ms, ss := g1.PredictTransformed(q)
 		if mu1[i] != ms || sig1[i] != ss {
 			t.Fatalf("batch differs from single at %d: (%v,%v) vs (%v,%v)", i, mu1[i], sig1[i], ms, ss)
 		}
 		if mu1[i] != mu8[i] || sig1[i] != sig8[i] {
 			t.Fatalf("batch differs across workers at %d", i)
 		}
-	}
-}
-
-func TestPredictIntoAllocationFree(t *testing.T) {
-	g, _, _ := fitSine(t, Matern52, 30)
-	x := []float64{0.4}
-	var sc PredictScratch
-	g.PredictInto(x, &sc) // warm the scratch
-	allocs := testing.AllocsPerRun(50, func() {
-		g.PredictInto(x, &sc)
-	})
-	if allocs != 0 {
-		t.Fatalf("PredictInto allocates %v times per call", allocs)
 	}
 }
 

@@ -42,11 +42,10 @@ func BenchmarkGPFit(b *testing.B) {
 
 	b.Run("refit-n256", func(b *testing.B) {
 		base := benchFit(b, X[:n-1], Y[:n-1], 1)
-		warm := warmRefitOpts(base, DefaultOptions())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := Fit(X, Y, warm, nil); err != nil {
+			if _, err := frozenFit(base, X, Y, DefaultOptions()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -94,12 +93,11 @@ func BenchmarkPredictBatch(b *testing.B) {
 
 	b.Run("single-loop", func(b *testing.B) {
 		g := benchFit(b, X, Y, 1)
-		var sc PredictScratch
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j, x := range queries {
-				mu[j], sigma[j] = g.PredictTransformedInto(x, &sc)
+				mu[j], sigma[j] = g.PredictTransformed(x)
 			}
 		}
 	})

@@ -49,6 +49,7 @@ type goldenCase struct {
 	X    [][]float64
 	Y    []float64
 	opts Options
+	warm *GP // restart 0's starting hyperparameters, if set
 	seed int64
 	// jitterRetry marks the case that exists to take CholeskyWithJitterInto's
 	// retry path: its golden jitter must not be zero.
@@ -84,9 +85,8 @@ func goldenCases() []goldenCase {
 	opts := DefaultOptions()
 	opts.AdamSteps = 12
 	opts.NoiseFloor, opts.NoiseCeil = 1e-18, 1e-16
-	opts.WarmLS = []float64{0.5, 0.5, 0.5}
-	opts.WarmSigF, opts.WarmNoise = 1, 1e-17
-	cases = append(cases, goldenCase{name: "matern52/near_duplicates_jitter", X: X, Y: Y, opts: opts, seed: 5, jitterRetry: true})
+	warm := &GP{LS: []float64{0.5, 0.5, 0.5}, SigF: 1, Noise: 1e-17}
+	cases = append(cases, goldenCase{name: "matern52/near_duplicates_jitter", X: X, Y: Y, opts: opts, warm: warm, seed: 5, jitterRetry: true})
 	return cases
 }
 
@@ -94,7 +94,7 @@ func fitBitsFor(t *testing.T, c goldenCase, workers int) fitBits {
 	t.Helper()
 	opts := c.opts
 	opts.Workers = workers
-	g, err := Fit(c.X, c.Y, opts, rand.New(rand.NewSource(c.seed)))
+	g, err := fit(c.X, c.Y, opts, c.warm, rand.New(rand.NewSource(c.seed)))
 	if err != nil {
 		t.Fatalf("%s workers=%d: %v", c.name, workers, err)
 	}

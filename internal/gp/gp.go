@@ -34,11 +34,8 @@ type Options struct {
 	NoiseCeil   float64 // maximum noise variance
 	LSFloor     float64 // minimum length scale
 	LSCeil      float64 // maximum length scale
-	WarmLS      []float64
-	WarmSigF    float64
-	WarmNoise   float64
-	Standardize bool // standardise Y internally (recommended)
-	PowerTransf bool // Yeo-Johnson transform Y before standardising
+	Standardize bool    // standardise Y internally (recommended)
+	PowerTransf bool    // Yeo-Johnson transform Y before standardising
 
 	// Workers bounds the parallelism of fitting (hyperparameter restarts,
 	// sharded kernel-matrix and LML-gradient evaluation) and of PredictBatch.
@@ -100,6 +97,12 @@ var ErrNoData = errors.New("gp: need at least 2 observations")
 
 // Fit trains a GP on inputs X (rows) and targets Y.
 func Fit(X [][]float64, Y []float64, opts Options, rng *rand.Rand) (*GP, error) {
+	return fit(X, Y, opts, nil, rng)
+}
+
+// fit is Fit with restart 0 started from warm's hyperparameters instead of
+// the defaults, when warm is non-nil and has X's width.
+func fit(X [][]float64, Y []float64, opts Options, warm *GP, rng *rand.Rand) (*GP, error) {
 	n := len(X)
 	if n < 2 || len(Y) != n {
 		return nil, ErrNoData
@@ -144,14 +147,9 @@ func Fit(X [][]float64, Y []float64, opts Options, rng *rand.Rand) (*GP, error) 
 		for i := range t.ls {
 			t.ls[i] = 0.5
 		}
-		if r == 0 && opts.WarmLS != nil && len(opts.WarmLS) == d {
-			copy(t.ls, opts.WarmLS)
-			if opts.WarmSigF > 0 {
-				t.sigf = opts.WarmSigF
-			}
-			if opts.WarmNoise > 0 {
-				t.noise = opts.WarmNoise
-			}
+		if r == 0 && warm != nil && len(warm.LS) == d {
+			copy(t.ls, warm.LS)
+			t.sigf, t.noise = warm.SigF, warm.Noise
 		} else if r > 0 && rng != nil {
 			for i := range t.ls {
 				t.ls[i] = math.Exp(rng.NormFloat64()*0.7 - 0.7)
@@ -567,54 +565,29 @@ func (g *GP) factorize() error {
 // the Yeo-Johnson case, which is how acquisition values are computed in
 // practice — consistently for all candidates).
 func (g *GP) Predict(x []float64) (mu, sigma float64) {
-	mu, sigma = g.predictTransformed(x)
+	mu, sigma = g.PredictTransformed(x)
 	return g.InvertMean(mu), g.std.InvertScale(sigma)
 }
 
 // PredictTransformed returns the posterior in the standardised (model)
 // space; acquisition functions operate here.
 func (g *GP) PredictTransformed(x []float64) (mu, sigma float64) {
-	return g.predictTransformed(x)
-}
-
-// PredictScratch owns the buffers an allocation-free prediction needs. A
-// scratch may be reused across calls but never shared between goroutines.
-type PredictScratch struct {
-	k, v, sq []float64
-}
-
-// PredictInto is Predict with caller-owned scratch: after the first call with
-// a given scratch, no allocations happen on this path.
-func (g *GP) PredictInto(x []float64, s *PredictScratch) (mu, sigma float64) {
-	mu, sigma = g.PredictTransformedInto(x, s)
-	return g.InvertMean(mu), g.std.InvertScale(sigma)
-}
-
-// PredictTransformedInto is PredictTransformed with caller-owned scratch.
-func (g *GP) PredictTransformedInto(x []float64, s *PredictScratch) (mu, sigma float64) {
 	n := len(g.X)
-	s.k = numeric.GrowFloats(s.k, n)
-	s.v = numeric.GrowFloats(s.v, n)
-	s.sq = numeric.GrowFloats(s.sq, len(x))
+	sq := make([]float64, len(x))
 	for dd := range x {
-		s.sq[dd] = x[dd] / g.LS[dd]
+		sq[dd] = x[dd] / g.LS[dd]
 	}
-	k := s.k
+	k := make([]float64, n)
 	for i := 0; i < n; i++ {
-		k[i] = kernelFromR2(g.Kind, scaledR2(s.sq, g.sx[i]), g.SigF)
+		k[i] = kernelFromR2(g.Kind, scaledR2(sq, g.sx[i]), g.SigF)
 	}
 	mu = numeric.Dot(k, g.alpha)
-	numeric.SolveLowerInto(g.chol, k, s.v)
-	varf := g.SigF + g.Noise - numeric.Dot(s.v, s.v)
+	v := numeric.SolveLower(g.chol, k)
+	varf := g.SigF + g.Noise - numeric.Dot(v, v)
 	if varf < 1e-12 {
 		varf = 1e-12
 	}
 	return mu, math.Sqrt(varf)
-}
-
-func (g *GP) predictTransformed(x []float64) (float64, float64) {
-	var s PredictScratch
-	return g.PredictTransformedInto(x, &s)
 }
 
 // TransformY maps an original-space observation into the model space (for

@@ -183,10 +183,8 @@ func TestWarmStartUsed(t *testing.T) {
 	opts := DefaultOptions()
 	opts.AdamSteps = 0 // keep the warm start verbatim
 	opts.Restarts = 1
-	opts.WarmLS = []float64{0.123}
-	opts.WarmSigF = 2
-	opts.WarmNoise = 1e-4
-	g, err := Fit(X, Y, opts, rng)
+	warm := &GP{LS: []float64{0.123}, SigF: 2, Noise: 1e-4}
+	g, err := fit(X, Y, opts, warm, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -476,11 +476,6 @@ func (s *Server) tune(ctx context.Context, j *job, spec JobSpec) (*core.Result, 
 	if err != nil {
 		return nil, err
 	}
-	// Each job gets a private registry: the tuner reads back this-run deltas
-	// from its counters, which a registry shared across concurrent jobs
-	// would corrupt.
-	met := obs.NewMetrics()
-	ev.SetObs(met, nil)
 
 	sink, err := obs.AppendJSONLFile(filepath.Join(j.dir, journalFile))
 	if err != nil {
@@ -493,7 +488,6 @@ func (s *Server) tune(ctx context.Context, j *job, spec JobSpec) (*core.Result, 
 	// registry from the same timeline the /summary endpoint books on, so
 	// Prometheus and the offline report can never disagree.
 	opts.Sink = obs.Multi(flushingSink{sink}, analyze.NewPhaseSink(s.met))
-	opts.Metrics = met
 	ckptPath := filepath.Join(j.dir, checkpointFile)
 	opts.Checkpoint = func(c *core.Checkpoint) error {
 		if err := writeJSONAtomic(ckptPath, c); err != nil {
