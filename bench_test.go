@@ -3,7 +3,7 @@
 // takes on the order of seconds, so b.N stays small under the default
 // -benchtime). For paper-scale numbers use:
 //
-//	go run ./cmd/experiments -run <id> -paper
+//	go run ./cmd/experiments -run <id> -budget 100 -repeats 3
 package repro
 
 import (

@@ -24,13 +24,12 @@ func main() {
 		list     = flag.Bool("list", false, "list available experiments")
 		run      = flag.String("run", "", "experiment id to run (or 'all')")
 		budget   = flag.Int("budget", 30, "runtime-measurement budget per tuning run")
-		repeats  = flag.Int("repeats", 1, "independent seeds to average")
+		repeats  = flag.Int("repeats", 1, "seeds each comparison averages over: repeat r runs every arm on seed+r")
 		seed     = flag.Int64("seed", 1, "base random seed")
 		platform = flag.String("platform", "arm", "simulated platform: arm or x86")
 		benchCSV = flag.String("benchmarks", "", "comma-separated benchmark subset")
 		workers  = flag.Int("workers", 0, "candidate-compilation workers (0 = GOMAXPROCS, 1 = serial)")
 		scale    = flag.Float64("scale", 1, "problem-size scale for synthetic experiments")
-		paper    = flag.Bool("paper", false, "use paper-scale defaults (budget 100, 3 repeats)")
 
 		traceOut    = flag.String("trace-out", "", "append every tuning run's event journal (JSONL) to this file")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof/ on this address while experiments run")
@@ -49,9 +48,6 @@ func main() {
 	}
 
 	cfg := experiments.DefaultConfig(os.Stdout)
-	if *paper {
-		cfg = experiments.PaperConfig(os.Stdout)
-	}
 	cfg.Budget = *budget
 	cfg.Repeats = *repeats
 	cfg.Seed = *seed

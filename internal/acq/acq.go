@@ -1,13 +1,11 @@
 // Package acq implements the acquisition functions of §2.1.2: analytic
 // UCB/EI/PI over a GP posterior, their gradients for gradient-based
-// maximisation, Monte-Carlo batch estimates via the reparameterisation
-// trick, and CITROEN's coverage-aware acquisition for sparse statistics
-// feature spaces (§5.3.4).
+// maximisation, and CITROEN's coverage-aware acquisition for sparse
+// statistics feature spaces (§5.3.4).
 package acq
 
 import (
 	"math"
-	"math/rand"
 
 	"repro/internal/gp"
 	"repro/internal/numeric"
@@ -108,48 +106,6 @@ func (c Config) ValueGrad(g *gp.GP, x []float64) (float64, []float64) {
 		return numeric.NormalCDF(z), grad
 	}
 	return 0, grad
-}
-
-// MCBatch estimates the q-point batch acquisition value by Monte-Carlo
-// sampling of the joint posterior using the reparameterisation trick
-// (§2.1.2). For qEI the estimate is the expected best improvement over the
-// batch; for qUCB, mean plus scaled |deviation| following Wilson et al.
-func (c Config) MCBatch(g *gp.GP, xs [][]float64, samples int, rng *rand.Rand) float64 {
-	mu, cov := g.PredictJoint(xs)
-	L, _, err := numeric.CholeskyWithJitter(cov, 1e-10, 6)
-	if err != nil {
-		return math.Inf(-1)
-	}
-	q := len(xs)
-	total := 0.0
-	for s := 0; s < samples; s++ {
-		eps := numeric.SampleNormalVec(rng, q)
-		best := math.Inf(-1)
-		for a := 0; a < q; a++ {
-			// ξ_a = μ_a + (L ε)_a
-			v := mu[a]
-			for b := 0; b <= a; b++ {
-				v += L.At(a, b) * eps[b]
-			}
-			var u float64
-			switch c.Kind {
-			case UCB:
-				// qUCB sample utility: -μ + sqrt(βπ/2)|γ|, γ = ξ-μ.
-				u = -mu[a] + math.Sqrt(c.Beta*math.Pi/2)*math.Abs(v-mu[a])
-			case PI:
-				if v < c.Best {
-					u = 1
-				}
-			default: // EI
-				u = math.Max(c.Best-v, 0)
-			}
-			if u > best {
-				best = u
-			}
-		}
-		total += best
-	}
-	return total / float64(samples)
 }
 
 // Coverage augments a base acquisition with CITROEN's coverage bonus

@@ -87,26 +87,6 @@ func TestValueGradMatchesFiniteDifference(t *testing.T) {
 	}
 }
 
-func TestMCBatchApproximatesAnalyticEI(t *testing.T) {
-	g := fitted(t)
-	best := g.TransformY(-0.3)
-	c := Config{Kind: EI, Best: best}
-	rng := rand.New(rand.NewSource(2))
-	x := []float64{0.4}
-	mc := c.MCBatch(g, [][]float64{x}, 4000, rng)
-	analytic := c.Value(g, x)
-	// MC-EI includes observation noise in the sample variance, so allow a
-	// generous tolerance.
-	if math.Abs(mc-analytic) > 0.25*(analytic+0.05) {
-		t.Fatalf("qEI(1) = %v, analytic EI = %v", mc, analytic)
-	}
-	// A batch of two distinct points is worth at least one of them.
-	mc2 := c.MCBatch(g, [][]float64{{0.4}, {0.6}}, 2000, rng)
-	if mc2 < mc-0.05 {
-		t.Fatalf("qEI(2) = %v < qEI(1) = %v", mc2, mc)
-	}
-}
-
 func TestCoverageScoring(t *testing.T) {
 	cv := Coverage{Base: Config{Kind: UCB, Beta: 1}, Gamma: 0.5, DupPenalty: 10}
 	base := 1.0

@@ -469,8 +469,9 @@ func (ev *Evaluator) Counters() obs.CounterSet {
 		return obs.CounterRow{Name: name, Value: v, Series: series}
 	}
 	// Which entries are evicted depends on the order workers touched the LRU
-	// once the budget is full: the prefix_* and cow_* rows count this
-	// evaluator's work but are not canonical.
+	// once the budget is full: the build_passes, cache_bytes,
+	// cache_evictions and cow_* rows count this evaluator's work but are not
+	// canonical.
 	sched := func(name string, v int64, series string) obs.CounterRow {
 		return obs.CounterRow{Name: name, Value: v, Env: true, Series: series}
 	}
@@ -485,9 +486,9 @@ func (ev *Evaluator) Counters() obs.CounterSet {
 		// tuner's candidate and budget counts, which are different numbers.
 		row("pipeline_runs", int64(pipelines), "bench_compilations_total"),
 		row("measured_builds", int64(builds), "bench_measurements_total"),
-		sched("prefix_replayed_passes", int64(replayed), "bench_prefix_replayed_passes_total"),
-		sched("prefix_snapshot_bytes", cacheBytes, "bench_prefix_snapshot_bytes"),
-		sched("prefix_evictions", int64(evictions), "bench_prefix_evictions_total"),
+		sched("build_passes", int64(replayed), "bench_build_passes_total"),
+		sched("cache_bytes", cacheBytes, "bench_cache_bytes"),
+		sched("cache_evictions", int64(evictions), "bench_cache_evictions_total"),
 		sched("cow_shared", int64(shared), ""),
 		sched("cow_materialized", int64(materialized), ""),
 		row("bc_lowered_funcs", bc.LoweredFuncs, "machine_bc_lowered_funcs"),

@@ -55,17 +55,12 @@ func runTab51(c Config) error {
 }
 
 func runTab52(c Config) error {
-	b := bench.ByName("telecom_gsm")
-	if names := c.Benchmarks; len(names) > 0 {
-		b = bench.ByName(names[0])
-	}
-	opts := c.tunerOptions()
-	opts.Budget = c.Budget
-	_, res, err := runCitroen(b, c.Platform, opts, c.Seed)
+	name := c.benchmarksOr("telecom_gsm")[0]
+	res, err := c.runCitroen(name, c.tunerOptions())
 	if err != nil {
 		return err
 	}
-	c.printf("Table 5.2 — coverage issue of the statistics feature space (%s, budget %d)\n", b.Name, c.Budget)
+	c.printf("Table 5.2 — coverage issue of the statistics feature space (%s, budget %d)\n", name, c.Budget)
 	c.printf("%-48s %8.1f%%\n", "candidate feature vectors duplicating observed ones", res.CandidateDupRate*100)
 	c.printf("%-48s %8d\n", "profiling runs saved by duplicate detection", res.SavedMeasurements)
 	c.printf("%-48s %8d\n", "selected candidates activating novel dimensions", res.NovelSelections)
@@ -96,17 +91,12 @@ func runTab54(c Config) error {
 }
 
 func runTab55(c Config) error {
-	b := bench.ByName("telecom_gsm")
-	if names := c.Benchmarks; len(names) > 0 {
-		b = bench.ByName(names[0])
-	}
-	opts := c.tunerOptions()
-	opts.Budget = c.Budget
-	_, res, err := runCitroen(b, c.Platform, opts, c.Seed)
+	name := c.benchmarksOr("telecom_gsm")[0]
+	res, err := c.runCitroen(name, c.tunerOptions())
 	if err != nil {
 		return err
 	}
-	c.printf("Table 5.5 — top 5 impactful compilation statistics recognised by the cost model (%s)\n", b.Name)
+	c.printf("Table 5.5 — top 5 impactful compilation statistics recognised by the cost model (%s)\n", name)
 	c.printf("%-56s %12s\n", "Statistic (module|counter)", "ARD relevance")
 	n := 0
 	for _, imp := range res.Importance {

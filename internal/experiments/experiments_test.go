@@ -2,11 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -188,5 +193,70 @@ func TestMetricsCarryPhaseSeconds(t *testing.T) {
 	}
 	if v := c.Metrics.Gauge(`citroen_phase_seconds{phase="compile"}`).Value(); v <= 0 {
 		t.Fatalf(`citroen_phase_seconds{phase="compile"} = %v, want > 0`, v)
+	}
+}
+
+// Every arm of a sweep sees the same (benchmark, seed) cells in the same
+// order, seeds Seed .. Seed+Repeats-1 within each benchmark, each on an
+// evaluator of its own, and gets its traces back in cell order.
+func TestSweepPairsArmsBySeed(t *testing.T) {
+	type call struct {
+		arm     int
+		modules string
+		seed    int64
+		budget  int
+		fresh   bool // no compile had run on the evaluator yet
+	}
+	var log []call
+	recording := func(i int) arm {
+		return arm{fmt.Sprint("arm", i), func(task core.Task, budget int, seed int64) ([]float64, error) {
+			fresh := task.(core.CounterReporter).Counters().Get("pipeline_runs") == 0
+			log = append(log, call{i, strings.Join(task.Modules(), ","), seed, budget, fresh})
+			// Leave a mark a later run on the same evaluator would see.
+			if _, _, err := task.CompileModule(context.Background(), task.Modules()[0], []string{"mem2reg"}); err != nil {
+				return nil, err
+			}
+			return []float64{float64(len(log))}, nil
+		}}
+	}
+	c := DefaultConfig(io.Discard)
+	c.Seed, c.Repeats = 5, 2
+	arms := []arm{recording(0), recording(1), recording(2)}
+	benchmarks := []string{"telecom_gsm", "office_stringsearch"}
+	traces, err := c.sweep(arms, benchmarks, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != len(arms)*len(benchmarks)*c.Repeats {
+		t.Fatalf("%d runs, want %d", len(log), len(arms)*len(benchmarks)*c.Repeats)
+	}
+	for i, got := range log {
+		cell, a := i/len(arms), i%len(arms)
+		b := bench.ByName(benchmarks[cell/c.Repeats])
+		want := call{a, strings.Join(b.ModuleNames(), ","), c.Seed + int64(cell%c.Repeats), 7, true}
+		if got != want {
+			t.Errorf("run %d = %+v, want %+v", i, got, want)
+		}
+		if tr := traces[a][cell]; len(tr) != 1 || tr[0] != float64(i+1) {
+			t.Errorf("traces[%d][%d] = %v, want run %d's trace", a, cell, tr, i)
+		}
+	}
+	if _, err := c.sweep(arms, []string{"no_such_benchmark"}, 7); err == nil {
+		t.Error("sweep over an unknown benchmark did not fail")
+	}
+}
+
+// A trace read before its first measurement is -O3, and one read past its
+// end keeps its final value: Fig 5.7 reads budget/3, which is 0 below 3.
+func TestTraceAtBounds(t *testing.T) {
+	trace := []float64{1.1, 1.2, 1.5}
+	for _, tc := range []struct {
+		trace  []float64
+		budget int
+		want   float64
+	}{{trace, 0, 1}, {trace, 2, 1.2}, {trace, 9, 1.5}, {nil, 4, 1}} {
+		if got := traceAt(tc.trace, tc.budget); got != tc.want {
+			t.Errorf("traceAt(%v, %d) = %v, want %v", tc.trace, tc.budget, got, tc.want)
+		}
 	}
 }

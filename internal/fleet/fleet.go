@@ -50,8 +50,8 @@ type BatchRequest struct {
 
 // BatchResult is a runner's response: per-spec outcomes in request order
 // plus the change the batch caused in the runner evaluator's own counter
-// rows (Counters().Owned(): canonical, prefix_* and cow_*, not the
-// process-global ones; prefix_snapshot_bytes is a net byte change, so
+// rows (Counters().Owned(): canonical, the cache's Env rows and cow_*, not
+// the process-global ones; cache_bytes is a net byte change, so
 // eviction inside a batch subtracts). The coordinator folds exactly one
 // accepted delta per batch into the job's aggregated counters.
 type BatchResult struct {

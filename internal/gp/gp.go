@@ -663,36 +663,3 @@ func (g *GP) PredictGrad(x []float64) (mu float64, dmu []float64, sigma float64,
 	numeric.Scale(dsigma, 1/sigma)
 	return mu, dmu, sigma, dsigma
 }
-
-// PredictJoint returns the joint posterior (mean vector and covariance) of q
-// candidate points in transformed space, for Monte-Carlo batch acquisition.
-func (g *GP) PredictJoint(xs [][]float64) ([]float64, *numeric.Matrix) {
-	q := len(xs)
-	n := len(g.X)
-	mu := make([]float64, q)
-	vs := make([][]float64, q)
-	for a := 0; a < q; a++ {
-		k := make([]float64, n)
-		for i := 0; i < n; i++ {
-			k[i] = kernelVal(g.Kind, xs[a], g.X[i], g.LS, g.SigF)
-		}
-		mu[a] = numeric.Dot(k, g.alpha)
-		vs[a] = numeric.SolveLower(g.chol, k)
-	}
-	cov := numeric.NewMatrix(q, q)
-	for a := 0; a < q; a++ {
-		for b := 0; b <= a; b++ {
-			prior := kernelVal(g.Kind, xs[a], xs[b], g.LS, g.SigF)
-			v := prior - numeric.Dot(vs[a], vs[b])
-			if a == b {
-				v += g.Noise
-				if v < 1e-12 {
-					v = 1e-12
-				}
-			}
-			cov.Set(a, b, v)
-			cov.Set(b, a, v)
-		}
-	}
-	return mu, cov
-}

@@ -149,24 +149,6 @@ func TestTransformRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPredictJointConsistency(t *testing.T) {
-	g, _, _ := fitSine(t, Matern52, 15)
-	xs := [][]float64{{0.2}, {0.8}}
-	mu, cov := g.PredictJoint(xs)
-	for i, x := range xs {
-		m1, s1 := g.PredictTransformed(x)
-		if math.Abs(mu[i]-m1) > 1e-9 {
-			t.Fatalf("joint mean mismatch: %v vs %v", mu[i], m1)
-		}
-		if math.Abs(cov.At(i, i)-s1*s1) > 1e-9 {
-			t.Fatalf("joint var mismatch: %v vs %v", cov.At(i, i), s1*s1)
-		}
-	}
-	if math.Abs(cov.At(0, 1)-cov.At(1, 0)) > 1e-12 {
-		t.Fatal("cov not symmetric")
-	}
-}
-
 func TestFitErrors(t *testing.T) {
 	if _, err := Fit(nil, nil, DefaultOptions(), nil); err == nil {
 		t.Fatal("expected error for empty data")

@@ -120,7 +120,7 @@ func TestAnalyzeRealRun(t *testing.T) {
 		t.Fatalf("compiles %d != result %d + %d baseline", r.Compiles, res.Breakdown.Compiles, baseline)
 	}
 	// Every counter of the Result reached the report with its final value.
-	if len(res.Breakdown.Counters) == 0 || res.Breakdown.Counters.Get("prefix_replayed_passes") == 0 {
+	if len(res.Breakdown.Counters) == 0 || res.Breakdown.Counters.Get("build_passes") == 0 {
 		t.Fatalf("Result carries no counters: %+v", res.Breakdown.Counters)
 	}
 	for _, c := range res.Breakdown.Counters.Canonical() {

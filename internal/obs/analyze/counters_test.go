@@ -113,7 +113,7 @@ func row(set obs.CounterSet, name string) (obs.CounterRow, bool) {
 }
 
 // A journal written before the prefix_*/cow_* rows became Env rows carries
-// them as plain stats fields: the report must show them, as the kind the
+// them as plain stats fields: the report must keep them as the kind the
 // journal gave them, and a job resumed across the change ends at the new kind.
 func TestStatsRowsKeepTheirJournaledKind(t *testing.T) {
 	before := obs.Event{Seq: 1, Type: "stats", Fields: map[string]any{"cache_hits": 3.0, "prefix_saved_passes": 40.0, "prefix_replayed_passes": 60.0}}
@@ -122,19 +122,12 @@ func TestStatsRowsKeepTheirJournaledKind(t *testing.T) {
 		name   string
 		events []obs.Event
 		saved  obs.CounterRow
-		rate   string
 	}{
-		{"before", []obs.Event{before}, obs.CounterRow{Name: "prefix_saved_passes", Value: 40}, "40.0%"},
-		{"resumed", []obs.Event{before, after}, obs.CounterRow{Name: "prefix_saved_passes", Value: 45, Env: true}, "37.5%"},
+		{"before", []obs.Event{before}, obs.CounterRow{Name: "prefix_saved_passes", Value: 40}},
+		{"resumed", []obs.Event{before, after}, obs.CounterRow{Name: "prefix_saved_passes", Value: 45, Env: true}},
 	} {
-		rep := Analyze(tc.events)
-		if got, _ := row(rep.Counters, "prefix_saved_passes"); got != tc.saved {
+		if got, _ := row(Analyze(tc.events).Counters, "prefix_saved_passes"); got != tc.saved {
 			t.Errorf("%s: row = %+v, want %+v", tc.name, got, tc.saved)
-		}
-		var text bytes.Buffer
-		WriteReport(&text, rep)
-		if !strings.Contains(text.String(), "prefix hit rate") || !strings.Contains(text.String(), tc.rate) {
-			t.Errorf("%s: report lacks a %s prefix hit rate:\n%s", tc.name, tc.rate, text.String())
 		}
 	}
 }

@@ -86,11 +86,6 @@ func WriteCounters(w io.Writer, set obs.CounterSet) {
 			fmt.Fprintf(w, "  %-24s %11.1f%%\n", label, 100*float64(num)/float64(den))
 		}
 	}
-	// Only journals written while builds resumed from prefix snapshots carry
-	// saved passes.
-	if saved := set.Get("prefix_saved_passes"); saved > 0 {
-		rate("prefix hit rate", saved, saved+set.Get("prefix_replayed_passes"))
-	}
 	shared := set.Get("cow_shared")
 	rate("cow share rate", shared-set.Get("cow_materialized"), shared)
 	if len(env) > 0 {
