@@ -1,5 +1,5 @@
 // Package acq implements the acquisition functions of §2.1.2: analytic
-// UCB/EI/PI over a GP posterior, their gradients for gradient-based
+// UCB/EI over a GP posterior, their gradients for gradient-based
 // maximisation, and CITROEN's coverage-aware acquisition for sparse
 // statistics feature spaces (§5.3.4).
 package acq
@@ -18,7 +18,6 @@ type Kind int
 const (
 	UCB Kind = iota
 	EI
-	PI
 )
 
 // Config parameterises an acquisition function. All computations happen in
@@ -28,23 +27,19 @@ type Config struct {
 	// Beta is the UCB exploration weight (β_t).
 	Beta float64
 	// Best is the incumbent best objective value in transformed space
-	// (required by EI and PI).
+	// (required by EI).
 	Best float64
 }
 
 // Value computes the acquisition value at x under model g. Larger is better.
 func (c Config) Value(g *gp.GP, x []float64) float64 {
 	mu, sigma := g.PredictTransformed(x)
-	return c.fromPosterior(mu, sigma)
+	return c.FromPosterior(mu, sigma)
 }
 
 // FromPosterior computes the acquisition value from a posterior mean/std in
 // transformed space.
 func (c Config) FromPosterior(mu, sigma float64) float64 {
-	return c.fromPosterior(mu, sigma)
-}
-
-func (c Config) fromPosterior(mu, sigma float64) float64 {
 	switch c.Kind {
 	case UCB:
 		// Minimisation: α(x) = -μ + √β σ.
@@ -55,14 +50,6 @@ func (c Config) fromPosterior(mu, sigma float64) float64 {
 		}
 		z := (c.Best - mu) / sigma
 		return (c.Best-mu)*numeric.NormalCDF(z) + sigma*numeric.NormalPDF(z)
-	case PI:
-		if sigma < 1e-12 {
-			if mu < c.Best {
-				return 1
-			}
-			return 0
-		}
-		return numeric.NormalCDF((c.Best - mu) / sigma)
 	}
 	return 0
 }
@@ -91,19 +78,6 @@ func (c Config) ValueGrad(g *gp.GP, x []float64) (float64, []float64) {
 			grad[i] = -cdf*dmu[i] + pdf*dsigma[i]
 		}
 		return val, grad
-	case PI:
-		if sigma < 1e-12 {
-			if mu < c.Best {
-				return 1, grad
-			}
-			return 0, grad
-		}
-		z := (c.Best - mu) / sigma
-		pdf := numeric.NormalPDF(z)
-		for i := 0; i < d; i++ {
-			grad[i] = pdf * (-dmu[i]/sigma - z*dsigma[i]/sigma)
-		}
-		return numeric.NormalCDF(z), grad
 	}
 	return 0, grad
 }
@@ -116,7 +90,6 @@ func (c Config) ValueGrad(g *gp.GP, x []float64) (float64, []float64) {
 // duplicates an evaluated one are strongly penalised (they would re-measure
 // a known binary).
 type Coverage struct {
-	Base Config
 	// Gamma scales the novel-dimension bonus.
 	Gamma float64
 	// DupPenalty is subtracted for exact feature-vector duplicates.

@@ -13,9 +13,7 @@ func fitted(t *testing.T) *gp.GP {
 	rng := rand.New(rand.NewSource(1))
 	X := [][]float64{{0}, {0.25}, {0.5}, {0.75}, {1}}
 	Y := []float64{1.0, 0.2, -0.5, 0.2, 1.0} // minimum near 0.5
-	opts := gp.DefaultOptions()
-	opts.PowerTransf = false
-	g, err := gp.Fit(X, Y, opts, rng)
+	g, err := gp.Fit(X, Y, gp.DefaultOptions(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,23 +52,11 @@ func TestEIZeroWhereNoImprovementPossible(t *testing.T) {
 	}
 }
 
-func TestPIInUnitRange(t *testing.T) {
-	g := fitted(t)
-	c := Config{Kind: PI, Best: g.TransformY(-0.4)}
-	for _, x := range []float64{0, 0.3, 0.5, 0.9, 2} {
-		v := c.Value(g, []float64{x})
-		if v < 0 || v > 1 {
-			t.Fatalf("PI(%v) = %v out of [0,1]", x, v)
-		}
-	}
-}
-
 func TestValueGradMatchesFiniteDifference(t *testing.T) {
 	g := fitted(t)
 	for _, cfg := range []Config{
 		{Kind: UCB, Beta: 1.96},
 		{Kind: EI, Best: g.TransformY(-0.3)},
-		{Kind: PI, Best: g.TransformY(-0.3)},
 	} {
 		x := []float64{0.37}
 		v, grad := cfg.ValueGrad(g, x)
@@ -88,7 +74,7 @@ func TestValueGradMatchesFiniteDifference(t *testing.T) {
 }
 
 func TestCoverageScoring(t *testing.T) {
-	cv := Coverage{Base: Config{Kind: UCB, Beta: 1}, Gamma: 0.5, DupPenalty: 10}
+	cv := Coverage{Gamma: 0.5, DupPenalty: 10}
 	base := 1.0
 	if cv.Score(base, 0, false) != 1.0 {
 		t.Fatal("neutral coverage changed score")

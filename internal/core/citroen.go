@@ -75,8 +75,8 @@ type Options struct {
 	// nil disables journaling; the disabled path is allocation-free.
 	Sink obs.Sink
 	// Metrics is the registry fed by the tuner (measurement, compilation,
-	// dedup and GP-append counters, incumbent gauge). nil uses a
-	// tuner-private registry. Phase time is the journal's to report: attach
+	// dedup and GP-append counters, incumbent gauge). nil discards them
+	// (obs.Metrics' nil receiver hands out unregistered instruments). Phase time is the journal's to report: attach
 	// analyze.NewPhaseSink to Sink for the citroen_phase_seconds series.
 	Metrics *obs.Metrics
 	// Checkpoint, when non-nil, receives durable snapshots of the tuner's
@@ -238,9 +238,6 @@ func NewTuner(task Task, opts Options, seed int64) *Tuner {
 		vi[v] = i
 	}
 	met := opts.Metrics
-	if met == nil {
-		met = obs.NewMetrics()
-	}
 	t := &Tuner{
 		task: task, opts: opts, rng: rand.New(rand.NewSource(seed)), seed: seed,
 		workers: numeric.Workers(opts.Workers),
@@ -731,7 +728,7 @@ func (t *Tuner) proposeCandidate() (candidate, map[string]sparseVec, bool) {
 	if t.model != nil {
 		cfg.Best = t.model.TransformY(bestY)
 	}
-	cov := acq.Coverage{Base: cfg, Gamma: t.opts.CoverageGamma, DupPenalty: t.opts.DupPenalty}
+	cov := acq.Coverage{Gamma: t.opts.CoverageGamma, DupPenalty: t.opts.DupPenalty}
 
 	progs := make([]map[string]sparseVec, len(jobs))
 	dups := make([]bool, len(jobs))

@@ -49,7 +49,7 @@ func (g *GP) Append(x []float64, y float64) error {
 	g.scrK = numeric.GrowFloats(g.scrK, n-1)
 	k := g.scrK
 	for i := 0; i < n-1; i++ {
-		k[i] = kernelFromR2(g.Kind, scaledR2(sxc, g.sx[i]), g.SigF)
+		k[i] = kernelFromR2(scaledR2(sxc, g.sx[i]), g.SigF)
 	}
 	diag := g.SigF + g.Noise + g.jitter
 	L, err := numeric.CholUpdateAppend(g.chol, k, diag, diag*1e-12)
@@ -67,28 +67,20 @@ func (g *GP) Append(x []float64, y float64) error {
 	return nil
 }
 
-// refreshTargets recomputes the transformed targets from the raw history,
-// mirroring the transform sequence in Fit.
+// refreshTargets fits the output transform — Yeo-Johnson, then
+// standardisation — to the whole raw-target history and recomputes the
+// model-space targets from it. Fit and Append both call it.
 func (g *GP) refreshTargets() {
 	ty := numeric.GrowFloats(g.y, len(g.rawY))
-	copy(ty, g.rawY)
-	lambda := 1.0
-	usedYJ := false
-	if g.opts.PowerTransf {
-		lambda = numeric.FitYeoJohnson(g.rawY)
-		usedYJ = true
-		for i, v := range g.rawY {
-			ty[i] = numeric.YeoJohnson(v, lambda)
-		}
+	g.lambda = numeric.FitYeoJohnson(g.rawY)
+	for i, v := range g.rawY {
+		ty[i] = numeric.YeoJohnson(v, g.lambda)
 	}
-	std := numeric.Standardizer{Mu: 0, Sigma: 1}
-	if g.opts.Standardize {
-		std = numeric.FitStandardizer(ty)
-		for i := range ty {
-			ty[i] = std.Apply(ty[i])
-		}
+	g.std = numeric.FitStandardizer(ty)
+	for i := range ty {
+		ty[i] = g.std.Apply(ty[i])
 	}
-	g.y, g.std, g.lambda, g.usedYJ = ty, std, lambda, usedYJ
+	g.y = ty
 }
 
 // Clone returns a deep copy of the model, so callers (benchmarks, what-if
@@ -147,7 +139,7 @@ func (g *GP) PredictBatch(xs [][]float64, mu, sigma []float64) {
 			sxi := g.sx[i]
 			ai := g.alpha[i]
 			for a := 0; a < qb; a++ {
-				bi[a] = kernelFromR2(g.Kind, scaledR2(sq[a], sxi), g.SigF)
+				bi[a] = kernelFromR2(scaledR2(sq[a], sxi), g.SigF)
 			}
 			for a := 0; a < qb; a++ {
 				mub[a] += bi[a] * ai

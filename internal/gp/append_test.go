@@ -46,36 +46,29 @@ func assertModelsAgree(t *testing.T, tag string, inc, ref *GP, queries [][]float
 }
 
 func TestAppendMatchesFullRefit(t *testing.T) {
-	for _, kind := range []KernelKind{RBF, Matern52} {
-		kname := "rbf"
-		if kind == Matern52 {
-			kname = "matern52"
-		}
-		rng := rand.New(rand.NewSource(21))
-		const n0, extra, d = 8, 10, 3
-		X, Y := randHistory(rng, n0+extra, d)
-		queries, _ := randHistory(rng, 5, d)
+	rng := rand.New(rand.NewSource(21))
+	const n0, extra, d = 8, 10, 3
+	X, Y := randHistory(rng, n0+extra, d)
+	queries, _ := randHistory(rng, 5, d)
 
-		opts := DefaultOptions()
-		opts.Kernel = kind
-		opts.AdamSteps = 30
-		g, err := Fit(X[:n0], Y[:n0], opts, rng)
+	opts := DefaultOptions()
+	opts.AdamSteps = 30
+	g, err := Fit(X[:n0], Y[:n0], opts, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := n0; k < n0+extra; k++ {
+		if err := g.Append(X[k], Y[k]); err != nil {
+			t.Fatalf("append %d: %v", k, err)
+		}
+		ref, err := frozenFit(g, X[:k+1], Y[:k+1], opts)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("refit %d: %v", k, err)
 		}
-		for k := n0; k < n0+extra; k++ {
-			if err := g.Append(X[k], Y[k]); err != nil {
-				t.Fatalf("append %d: %v", k, err)
-			}
-			ref, err := frozenFit(g, X[:k+1], Y[:k+1], opts)
-			if err != nil {
-				t.Fatalf("refit %d: %v", k, err)
-			}
-			assertModelsAgree(t, kname+" history "+itoa(k+1), g, ref, queries, 1e-9)
-		}
-		if g.Refactorized() != 0 {
-			t.Fatalf("well-conditioned appends hit the jitter-recovery path %d times", g.Refactorized())
-		}
+		assertModelsAgree(t, "history "+itoa(k+1), g, ref, queries, 1e-9)
+	}
+	if g.Refactorized() != 0 {
+		t.Fatalf("well-conditioned appends hit the jitter-recovery path %d times", g.Refactorized())
 	}
 }
 
@@ -131,10 +124,6 @@ func TestAppendJitterRecovery(t *testing.T) {
 func TestAppendFuzzRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 25; trial++ {
-		kind := RBF
-		if trial%2 == 1 {
-			kind = Matern52
-		}
 		n0 := 3 + rng.Intn(8)
 		extra := 1 + rng.Intn(8)
 		d := 1 + rng.Intn(4)
@@ -142,7 +131,6 @@ func TestAppendFuzzRoundTrip(t *testing.T) {
 		queries, _ := randHistory(rng, 3, d)
 
 		opts := DefaultOptions()
-		opts.Kernel = kind
 		opts.AdamSteps = 10
 		opts.Restarts = 2
 		g, err := Fit(X[:n0], Y[:n0], opts, rng)
@@ -167,7 +155,7 @@ func TestAppendRejectsBadInput(t *testing.T) {
 	if err := unfitted.Append([]float64{1}, 0); err == nil {
 		t.Fatal("Append on an unfitted model must fail")
 	}
-	g, _, _ := fitSine(t, Matern52, 10)
+	g, _, _ := fitSine(t, 10)
 	if err := g.Append([]float64{1, 2}, 0); err == nil {
 		t.Fatal("Append with mismatched dimensionality must fail")
 	}
@@ -218,7 +206,7 @@ func TestPredictBatchBitIdenticalAcrossWorkers(t *testing.T) {
 }
 
 func TestCloneIsIndependent(t *testing.T) {
-	g, X, _ := fitSine(t, Matern52, 12)
+	g, X, _ := fitSine(t, 12)
 	c := g.Clone()
 	mu0, sig0 := g.Predict([]float64{0.4})
 	if err := c.Append([]float64{0.9}, 0.3); err != nil {

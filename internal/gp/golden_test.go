@@ -58,24 +58,16 @@ type goldenCase struct {
 
 // goldenCases are the fixed-seed fits pinned by fit_bits.json: the three
 // (n, d) shapes a tuning run passes through (first fit, mid-run, the
-// sha_long end state) under both kernels, and one history with near-duplicate
-// rows under tiny noise whose factorisations need the jitter retry.
+// sha_long end state), and one history with near-duplicate rows under tiny
+// noise whose factorisations need the jitter retry.
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, shape := range [][2]int{{9, 24}, {60, 53}, {150, 55}} {
 		n, d := shape[0], shape[1]
-		for _, kind := range []KernelKind{Matern52, RBF} {
-			kname := "matern52"
-			if kind == RBF {
-				kname = "rbf"
-			}
-			X, Y := randHistory(rand.New(rand.NewSource(int64(1000*n+d))), n, d)
-			opts := DefaultOptions()
-			opts.Kernel = kind
-			cases = append(cases, goldenCase{
-				name: fmt.Sprintf("%s/n%d_d%d", kname, n, d), X: X, Y: Y, opts: opts, seed: 5,
-			})
-		}
+		X, Y := randHistory(rand.New(rand.NewSource(int64(1000*n+d))), n, d)
+		cases = append(cases, goldenCase{
+			name: fmt.Sprintf("matern52/n%d_d%d", n, d), X: X, Y: Y, opts: DefaultOptions(), seed: 5,
+		})
 	}
 	X, Y := randHistory(rand.New(rand.NewSource(77)), 40, 3)
 	for i := 30; i < 40; i++ {

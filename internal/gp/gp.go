@@ -1,5 +1,5 @@
 // Package gp implements exact Gaussian-process regression from scratch:
-// ARD RBF and Matérn-5/2 kernels, Cholesky-based inference, analytic
+// an ARD Matérn-5/2 kernel, Cholesky-based inference, analytic
 // log-marginal-likelihood gradients and Adam-based hyperparameter fitting
 // with multiple restarts. It is the surrogate model for both the generic
 // high-dimensional BO of Chapter 4 (AIBO) and CITROEN's compilation-
@@ -15,27 +15,16 @@ import (
 	"repro/internal/numeric"
 )
 
-// KernelKind selects the covariance function.
-type KernelKind int
-
-// Supported kernels.
-const (
-	RBF KernelKind = iota
-	Matern52
-)
-
-// Options configure fitting.
+// Options configure fitting. The model itself is fixed (§4.3.2): an ARD
+// Matérn-5/2 kernel over targets that are always Yeo-Johnson transformed and
+// then standardised.
 type Options struct {
-	Kernel      KernelKind
-	Restarts    int     // hyperparameter optimisation restarts
-	AdamSteps   int     // gradient steps per restart
-	LearnRate   float64 // Adam step size (on log-params)
-	NoiseFloor  float64 // minimum noise variance
-	NoiseCeil   float64 // maximum noise variance
-	LSFloor     float64 // minimum length scale
-	LSCeil      float64 // maximum length scale
-	Standardize bool    // standardise Y internally (recommended)
-	PowerTransf bool    // Yeo-Johnson transform Y before standardising
+	Restarts   int     // hyperparameter optimisation restarts
+	AdamSteps  int     // gradient steps per restart
+	NoiseFloor float64 // minimum noise variance
+	NoiseCeil  float64 // maximum noise variance
+	LSFloor    float64 // minimum length scale
+	LSCeil     float64 // maximum length scale
 
 	// Workers bounds the parallelism of fitting (hyperparameter restarts,
 	// sharded kernel-matrix and LML-gradient evaluation) and of PredictBatch.
@@ -47,19 +36,20 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions mirror the paper's settings (§4.3.2): Matérn-5/2 ARD,
-// bounded length scales and noise, Yeo-Johnson output transform.
+// learnRate is Adam's step size on the log-parameters.
+const learnRate = 0.08
+
+// DefaultOptions mirror the paper's settings (§4.3.2): bounded length scales
+// and noise.
 func DefaultOptions() Options {
 	return Options{
-		Kernel: Matern52, Restarts: 2, AdamSteps: 60, LearnRate: 0.08,
+		Restarts: 2, AdamSteps: 60,
 		NoiseFloor: 1e-6, NoiseCeil: 1e-2, LSFloor: 0.005, LSCeil: 20,
-		Standardize: true, PowerTransf: true,
 	}
 }
 
 // GP is a fitted Gaussian process.
 type GP struct {
-	Kind  KernelKind
 	X     [][]float64
 	LS    []float64 // per-dimension length scales
 	SigF  float64   // signal variance
@@ -68,8 +58,7 @@ type GP struct {
 	y      []float64 // transformed, standardised targets
 	rawY   []float64 // original-unit targets (Append refits the transform)
 	std    numeric.Standardizer
-	lambda float64 // Yeo-Johnson lambda (1 => identity)
-	usedYJ bool
+	lambda float64 // Yeo-Johnson lambda
 
 	chol   *numeric.Matrix
 	alpha  []float64
@@ -79,14 +68,10 @@ type GP struct {
 	// not per pair); every hot kernel path derives r2 from these, keeping
 	// single, batched and appended evaluations bit-identical to each other
 
-	opts            Options // fitting options, kept for Append
 	workers         int
 	refactorization int       // Append calls that fell back to a full refactorize
 	scrK            []float64 // kernel-column scratch for Append
 }
-
-// Workers returns the worker bound the model was fitted with.
-func (g *GP) Workers() int { return g.workers }
 
 // Refactorized reports how many Append calls hit the jitter-recovery path
 // (a full refactorisation instead of the O(n²) rank-1 extension).
@@ -114,32 +99,13 @@ func fit(X [][]float64, Y []float64, opts Options, warm *GP, rng *rand.Rand) (*G
 		}
 	}
 
-	// Output transform.
-	lambda := 1.0
-	usedYJ := false
-	ty := append([]float64(nil), Y...)
-	if opts.PowerTransf {
-		lambda = numeric.FitYeoJohnson(Y)
-		usedYJ = true
-		for i, v := range Y {
-			ty[i] = numeric.YeoJohnson(v, lambda)
-		}
-	}
-	std := numeric.Standardizer{Mu: 0, Sigma: 1}
-	if opts.Standardize {
-		std = numeric.FitStandardizer(ty)
-		for i := range ty {
-			ty[i] = std.Apply(ty[i])
-		}
-	}
-
 	workers := opts.Workers
 	g := &GP{
 		// Capacity clipped: Append grows g.X into an array of its own, never
 		// into spare capacity of the caller's.
-		Kind: opts.Kernel, X: X[:n:n], y: ty, std: std, lambda: lambda, usedYJ: usedYJ,
-		rawY: append([]float64(nil), Y...), opts: opts, workers: workers,
+		X: X[:n:n], rawY: append([]float64(nil), Y...), workers: workers,
 	}
+	g.refreshTargets()
 
 	// Hyperparameter optimisation over log parameters.
 	mkInit := func(r int) hypers {
@@ -229,36 +195,30 @@ type hypers struct {
 // LML returns the log marginal likelihood at the fitted hyperparameters.
 func (g *GP) LML() float64 { return g.lml }
 
-// kernelVal computes k(a,b).
-func kernelVal(kind KernelKind, a, b, ls []float64, sigf float64) float64 {
-	r2 := 0.0
-	for i := range a {
-		dx := (a[i] - b[i]) / ls[i]
-		r2 += dx * dx
-	}
-	return kernelFromR2(kind, r2, sigf)
+// expFactor is the Matérn-5/2 kernel's exponential factor exp(−√5·r) at
+// scaled squared distance r2 = r², the expensive half of a kernel evaluation.
+func expFactor(r2 float64) float64 {
+	return math.Exp(-(math.Sqrt(5) * math.Sqrt(r2)))
 }
 
-// kernelFromR2 evaluates the kernel given the scaled squared distance.
-func kernelFromR2(kind KernelKind, r2, sigf float64) float64 {
-	k, _ := kernelWithExp(kind, r2, sigf)
+// matern52 is the one Matérn-5/2 kernel evaluation: at scaled squared
+// distance r2 = r², with e = expFactor(r2), it returns
+//
+//	k = sigf·(1 + √5·r + 5/3·r²)·e,  dk/dr² = −sigf·e·5/6·(1 + √5·r).
+//
+// Every kernel site calls it and derives r2 its own way. The factor comes in
+// from outside so lmlGrad can read back the ones buildKInto stored instead of
+// calling math.Exp per pair again; inlined at a site that discards dk/dr²,
+// that half compiles away.
+func matern52(r2, e, sigf float64) (k, dkdr2 float64) {
+	s5r := math.Sqrt(5) * math.Sqrt(r2)
+	return sigf * (1 + s5r + 5.0/3.0*r2) * e, -sigf * e * (5.0 / 6.0) * (1 + s5r)
+}
+
+// kernelFromR2 is the kernel at scaled squared distance r2.
+func kernelFromR2(r2, sigf float64) float64 {
+	k, _ := matern52(r2, expFactor(r2), sigf)
 	return k
-}
-
-// kernelWithExp is kernelFromR2 that also hands back the exponential factor
-// it multiplied in, which is the expensive half of the LML gradient's
-// per-pair work (lmlGrad reads it back instead of calling math.Exp again).
-func kernelWithExp(kind KernelKind, r2, sigf float64) (k, e float64) {
-	switch kind {
-	case RBF:
-		e = math.Exp(-0.5 * r2)
-		return sigf * e, e
-	default: // Matern52
-		r := math.Sqrt(r2)
-		s5r := math.Sqrt(5) * r
-		e = math.Exp(-s5r)
-		return sigf * (1 + s5r + 5.0/3.0*r2) * e, e
-	}
 }
 
 // newScaledRows carves n rows of d floats out of one allocation, the shape
@@ -326,7 +286,6 @@ func scaledR2x4(sa, b0, b1, b2, b3 []float64) (r0, r1, r2, r3 float64) {
 // the result is bit-identical for every worker count.
 func (g *GP) buildKInto(K, r2m, em *numeric.Matrix, sx [][]float64, sigf, noise float64, workers int) {
 	n := len(g.X)
-	kind := g.Kind
 	numeric.ParallelFor(workers, numeric.NumShards(n), func(s int) {
 		lo, hi := numeric.ShardBounds(n, s)
 		for i := lo; i < hi; i++ {
@@ -346,8 +305,8 @@ func (g *GP) buildKInto(K, r2m, em *numeric.Matrix, sx [][]float64, sigf, noise 
 				ki[j] = scaledR2(sxi, sx[j])
 			}
 			for j, r2 := range ki {
-				k, e := kernelWithExp(kind, r2, sigf)
-				ki[j] = k
+				e := expFactor(r2)
+				ki[j], _ = matern52(r2, e, sigf)
 				if r2row != nil {
 					r2row[j], erow[j] = r2, e
 				}
@@ -430,8 +389,6 @@ func (g *GP) lmlGrad(ls []float64, sigf, noise float64, sc *gradScratch, workers
 	// triangle, so that is all of K^{-1} that gets computed.
 	numeric.CholInverseLowerInto(sc.L, sc.Kinv, workers)
 
-	sqrt5 := math.Sqrt(5)
-	kind := g.Kind
 	shards := numeric.NumShards(n)
 	numeric.ParallelFor(workers, shards, func(s int) {
 		part := sc.partial[s]
@@ -453,18 +410,7 @@ func (g *GP) lmlGrad(ls []float64, sigf, noise float64, sc *gradScratch, workers
 					w = 2.0 // symmetric off-diagonal contributes twice
 				}
 				c := 0.5 * w * aij
-				e := erow[j]
-				var kval, dkdr2 float64
-				switch kind {
-				case RBF:
-					kval = sigf * e
-					dkdr2 = -0.5 * kval
-				default:
-					r := math.Sqrt(r2)
-					kval = sigf * (1 + sqrt5*r + 5.0/3.0*r2) * e
-					// dk/dr2 = sigf * e * (-5/6)(1 + sqrt5 r)
-					dkdr2 = -sigf * e * (5.0 / 6.0) * (1 + sqrt5*r)
-				}
+				kval, dkdr2 := matern52(r2, erow[j], sigf)
 				sxj := sx[j][:d]
 				// d r2 / d log ls_dd = -2 (dx_dd)^2
 				for dd := range pls {
@@ -528,7 +474,7 @@ func adamOptimize(g *GP, init hypers, opts Options, sc *gradScratch, workers int
 			v[i] = beta2*v[i] + (1-beta2)*grad[i]*grad[i]
 			mh := m[i] / (1 - math.Pow(beta1, float64(step)))
 			vh := v[i] / (1 - math.Pow(beta2, float64(step)))
-			theta[i] += opts.LearnRate * mh / (math.Sqrt(vh) + eps)
+			theta[i] += learnRate * mh / (math.Sqrt(vh) + eps)
 		}
 		clamp()
 	}
@@ -560,10 +506,10 @@ func (g *GP) factorize() error {
 }
 
 // Predict returns the posterior mean and standard deviation at x, in the
-// ORIGINAL output units (transforms are inverted for the mean; the std is
-// scaled back through the standardiser but remains in transformed space for
-// the Yeo-Johnson case, which is how acquisition values are computed in
-// practice — consistently for all candidates).
+// ORIGINAL output units (both transforms are inverted for the mean; the std
+// is scaled back through the standardiser but remains in Yeo-Johnson space,
+// which is how acquisition values are computed in practice — consistently
+// for all candidates).
 func (g *GP) Predict(x []float64) (mu, sigma float64) {
 	mu, sigma = g.PredictTransformed(x)
 	return g.InvertMean(mu), g.std.InvertScale(sigma)
@@ -579,7 +525,7 @@ func (g *GP) PredictTransformed(x []float64) (mu, sigma float64) {
 	}
 	k := make([]float64, n)
 	for i := 0; i < n; i++ {
-		k[i] = kernelFromR2(g.Kind, scaledR2(sq, g.sx[i]), g.SigF)
+		k[i] = kernelFromR2(scaledR2(sq, g.sx[i]), g.SigF)
 	}
 	mu = numeric.Dot(k, g.alpha)
 	v := numeric.SolveLower(g.chol, k)
@@ -593,20 +539,12 @@ func (g *GP) PredictTransformed(x []float64) (mu, sigma float64) {
 // TransformY maps an original-space observation into the model space (for
 // comparing with PredictTransformed outputs, e.g. the incumbent best).
 func (g *GP) TransformY(y float64) float64 {
-	t := y
-	if g.usedYJ {
-		t = numeric.YeoJohnson(y, g.lambda)
-	}
-	return g.std.Apply(t)
+	return g.std.Apply(numeric.YeoJohnson(y, g.lambda))
 }
 
 // InvertMean maps a model-space mean back to original units.
 func (g *GP) InvertMean(mu float64) float64 {
-	t := g.std.Invert(mu)
-	if g.usedYJ {
-		t = numeric.YeoJohnsonInverse(t, g.lambda)
-	}
-	return t
+	return numeric.YeoJohnsonInverse(g.std.Invert(mu), g.lambda)
 }
 
 // PredictGrad returns the transformed-space posterior mean/std at x plus
@@ -616,25 +554,13 @@ func (g *GP) PredictGrad(x []float64) (mu float64, dmu []float64, sigma float64,
 	d := len(x)
 	k := make([]float64, n)
 	dk := make([][]float64, n) // dk[i][dim]
-	sqrt5 := math.Sqrt(5)
 	for i := 0; i < n; i++ {
 		r2 := 0.0
 		for dd := 0; dd < d; dd++ {
 			dx := (x[dd] - g.X[i][dd]) / g.LS[dd]
 			r2 += dx * dx
 		}
-		var kv, dkdr2 float64
-		switch g.Kind {
-		case RBF:
-			e := math.Exp(-0.5 * r2)
-			kv = g.SigF * e
-			dkdr2 = -0.5 * kv
-		default:
-			r := math.Sqrt(r2)
-			e := math.Exp(-sqrt5 * r)
-			kv = g.SigF * (1 + sqrt5*r + 5.0/3.0*r2) * e
-			dkdr2 = -g.SigF * e * (5.0 / 6.0) * (1 + sqrt5*r)
-		}
+		kv, dkdr2 := matern52(r2, expFactor(r2), g.SigF)
 		k[i] = kv
 		row := make([]float64, d)
 		for dd := 0; dd < d; dd++ {

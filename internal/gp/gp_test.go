@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-func fitSine(t *testing.T, kind KernelKind, n int) (*GP, [][]float64, []float64) {
+func fitSine(t *testing.T, n int) (*GP, [][]float64, []float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	X := make([][]float64, n)
@@ -16,9 +16,7 @@ func fitSine(t *testing.T, kind KernelKind, n int) (*GP, [][]float64, []float64)
 		X[i] = []float64{x}
 		Y[i] = math.Sin(6*x) + 0.01*rng.NormFloat64()
 	}
-	opts := DefaultOptions()
-	opts.Kernel = kind
-	g, err := Fit(X, Y, opts, rng)
+	g, err := Fit(X, Y, DefaultOptions(), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,24 +24,22 @@ func fitSine(t *testing.T, kind KernelKind, n int) (*GP, [][]float64, []float64)
 }
 
 func TestFitInterpolates(t *testing.T) {
-	for _, kind := range []KernelKind{RBF, Matern52} {
-		g, X, Y := fitSine(t, kind, 25)
-		for i := range X {
-			mu, _ := g.Predict(X[i])
-			if math.Abs(mu-Y[i]) > 0.15 {
-				t.Fatalf("kernel %v: poor fit at %v: mu=%v y=%v", kind, X[i], mu, Y[i])
-			}
+	g, X, Y := fitSine(t, 25)
+	for i := range X {
+		mu, _ := g.Predict(X[i])
+		if math.Abs(mu-Y[i]) > 0.15 {
+			t.Fatalf("poor fit at %v: mu=%v y=%v", X[i], mu, Y[i])
 		}
-		// Prediction between points should also be close.
-		mu, _ := g.Predict([]float64{0.5})
-		if math.Abs(mu-math.Sin(3)) > 0.2 {
-			t.Fatalf("kernel %v: interpolation off: %v vs %v", kind, mu, math.Sin(3))
-		}
+	}
+	// Prediction between points should also be close.
+	mu, _ := g.Predict([]float64{0.5})
+	if math.Abs(mu-math.Sin(3)) > 0.2 {
+		t.Fatalf("interpolation off: %v vs %v", mu, math.Sin(3))
 	}
 }
 
 func TestUncertaintyGrowsAwayFromData(t *testing.T) {
-	g, _, _ := fitSine(t, Matern52, 20)
+	g, _, _ := fitSine(t, 20)
 	_, sNear := g.PredictTransformed([]float64{0.5})
 	_, sFar := g.PredictTransformed([]float64{3.0})
 	if sFar <= sNear {
@@ -60,7 +56,7 @@ func TestLMLGradientMatchesFiniteDifference(t *testing.T) {
 		X[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 		Y[i] = X[i][0]*2 - X[i][1] + 0.3*math.Sin(5*X[i][2])
 	}
-	g := &GP{Kind: Matern52, X: X, y: Y}
+	g := &GP{X: X, y: Y}
 	ls := []float64{0.6, 0.8, 0.5}
 	sigf, noise := 1.2, 1e-3
 
@@ -99,23 +95,19 @@ func TestLMLGradientMatchesFiniteDifference(t *testing.T) {
 }
 
 func TestPredictGradMatchesFiniteDifference(t *testing.T) {
-	for _, kind := range []KernelKind{RBF, Matern52} {
-		g, _, _ := fitSine(t, kind, 15)
-		x := []float64{0.37}
-		mu, dmu, sig, dsig := g.PredictGrad(x)
-		h := 1e-6
-		muU, sigU := g.PredictTransformed([]float64{x[0] + h})
-		muD, sigD := g.PredictTransformed([]float64{x[0] - h})
-		fdMu := (muU - muD) / (2 * h)
-		fdSig := (sigU - sigD) / (2 * h)
-		if math.Abs(fdMu-dmu[0]) > 1e-3*(1+math.Abs(fdMu)) {
-			t.Fatalf("kernel %v: dmu = %v, fd = %v", kind, dmu[0], fdMu)
-		}
-		if math.Abs(fdSig-dsig[0]) > 1e-3*(1+math.Abs(fdSig)) {
-			t.Fatalf("kernel %v: dsigma = %v, fd = %v", kind, dsig[0], fdSig)
-		}
-		_ = mu
-		_ = sig
+	g, _, _ := fitSine(t, 15)
+	x := []float64{0.37}
+	_, dmu, _, dsig := g.PredictGrad(x)
+	h := 1e-6
+	muU, sigU := g.PredictTransformed([]float64{x[0] + h})
+	muD, sigD := g.PredictTransformed([]float64{x[0] - h})
+	fdMu := (muU - muD) / (2 * h)
+	fdSig := (sigU - sigD) / (2 * h)
+	if math.Abs(fdMu-dmu[0]) > 1e-3*(1+math.Abs(fdMu)) {
+		t.Fatalf("dmu = %v, fd = %v", dmu[0], fdMu)
+	}
+	if math.Abs(fdSig-dsig[0]) > 1e-3*(1+math.Abs(fdSig)) {
+		t.Fatalf("dsigma = %v, fd = %v", dsig[0], fdSig)
 	}
 }
 
@@ -141,7 +133,7 @@ func TestARDIdentifiesIrrelevantDimension(t *testing.T) {
 }
 
 func TestTransformRoundTrip(t *testing.T) {
-	g, _, _ := fitSine(t, Matern52, 10)
+	g, _, _ := fitSine(t, 10)
 	for _, y := range []float64{-0.9, 0, 1.2} {
 		if got := g.InvertMean(g.TransformY(y)); math.Abs(got-y) > 1e-6 {
 			t.Fatalf("transform round trip: %v -> %v", y, got)

@@ -419,12 +419,19 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job) 
 	now := time.Now().UnixNano()
 	switch {
 	case runErr == nil:
-		s.persistResult(j, res, false)
-		j.finishLocked(StateDone, "", now)
-		s.mDone.Inc()
+		// Done promises a readable result.json; a job whose result could not
+		// be written fails with the write error instead.
+		if err := s.persistResult(j, res, false); err != nil {
+			j.finishLocked(StateFailed, err.Error(), now)
+			s.mFailed.Inc()
+		} else {
+			j.finishLocked(StateDone, "", now)
+			s.mDone.Inc()
+		}
 	case errors.Is(runErr, context.Canceled) && j.userCancel:
+		// A cancelled job promises no result: the partial one is best effort.
 		if res != nil {
-			s.persistResult(j, res, true)
+			_ = s.persistResult(j, res, true)
 		}
 		j.finishLocked(StateCancelled, "", now)
 		s.mCancelled.Inc()
@@ -523,8 +530,9 @@ func (s *Server) tune(ctx context.Context, j *job, spec JobSpec) (*core.Result, 
 	return core.NewTuner(task, opts, spec.Seed).RunContext(ctx)
 }
 
-// persistResult writes result.json and mirrors the summary into the status.
-func (s *Server) persistResult(j *job, res *core.Result, interrupted bool) {
+// persistResult writes result.json and, once it is written, mirrors the
+// summary into the status.
+func (s *Server) persistResult(j *job, res *core.Result, interrupted bool) error {
 	out := JobResult{
 		BestSpeedup:  res.BestSpeedup,
 		BestTime:     res.BestTime,
@@ -533,11 +541,14 @@ func (s *Server) persistResult(j *job, res *core.Result, interrupted bool) {
 		Measurements: res.Breakdown.Measures,
 		Interrupted:  interrupted,
 	}
-	writeJSONAtomic(filepath.Join(j.dir, resultFile), &out)
+	if err := writeJSONAtomic(filepath.Join(j.dir, resultFile), &out); err != nil {
+		return err
+	}
 	j.status.BestSpeedup = res.BestSpeedup
 	if n := len(res.Trace); n > j.status.Measurements {
 		j.status.Measurements = n
 	}
+	return nil
 }
 
 // Drain gracefully shuts the server down: new submissions are rejected, no

@@ -122,6 +122,37 @@ func TestJobLifecycleEndToEnd(t *testing.T) {
 	}
 }
 
+// A job whose result.json cannot be written must not end done: done promises
+// a readable result. A non-empty directory in the file's place makes the
+// final rename fail.
+func TestUnwritableResultFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	s, _, c := newTestServer(t, dir)
+	defer s.Drain(context.Background())
+
+	st, err := c.Submit(tinySpec(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocker := filepath.Join(dir, st.ID, resultFile)
+	if err := os.MkdirAll(filepath.Join(blocker, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	final, err := c.Wait(ctx, st.ID, 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateFailed {
+		t.Fatalf("state = %s (err %q), want failed", final.State, final.Error)
+	}
+	var linkErr *os.LinkError
+	if werr := writeJSONAtomic(blocker, &JobResult{}); !errors.As(werr, &linkErr) || final.Error != werr.Error() {
+		t.Fatalf("job error %q, want the rename error %v", final.Error, werr)
+	}
+}
+
 func TestCancelStopsJobWithinTwoSeconds(t *testing.T) {
 	before := runtime.NumGoroutine()
 	dir := t.TempDir()

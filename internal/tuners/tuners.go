@@ -46,9 +46,14 @@ type harness struct {
 	memo  map[string]float64
 }
 
+// newHarness tunes the task's hot modules, or all of them when none is hot,
+// as core.Tuner does; an error from HotModules fails the run there too.
 func newHarness(task core.Task, budget int) (*harness, error) {
 	hot, err := task.HotModules(0.9)
-	if err != nil || len(hot) == 0 {
+	if err != nil {
+		return nil, err
+	}
+	if len(hot) == 0 {
 		hot = task.Modules()
 	}
 	return &harness{

@@ -2,6 +2,7 @@ package tuners
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -218,6 +219,24 @@ type countingTask struct {
 func (c *countingTask) Measure(ctx context.Context, seqs map[string][]string) (float64, error) {
 	c.measures++
 	return c.costTask.Measure(ctx, seqs)
+}
+
+// hotErrTask is a costTask whose HotModules fails.
+type hotErrTask struct{ *costTask }
+
+var errNoProfile = errors.New("no baseline profile")
+
+func (hotErrTask) HotModules(float64) ([]string, error) { return nil, errNoProfile }
+
+// A HotModules error fails the run, as it fails core.Tuner's, instead of
+// quietly tuning every module.
+func TestHotModulesErrorFailsTune(t *testing.T) {
+	task := hotErrTask{newCostTask(t)}
+	for _, tn := range allTuners() {
+		if res, err := tn.Tune(task, 5, 1); !errors.Is(err, errNoProfile) {
+			t.Fatalf("%s: Tune = %v, %v; want the HotModules error", tn.Name(), res, err)
+		}
+	}
 }
 
 func TestMeasureMemoSkipsRepeatedConfigurations(t *testing.T) {
