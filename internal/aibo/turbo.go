@@ -98,7 +98,7 @@ func TuRBOMinimize(f func([]float64) float64, bounds heuristic.Bounds, budget in
 		if err != nil {
 			return nil, err
 		}
-		cfg := acq.Config{Kind: acq.UCB, Beta: opts.Beta, Best: model.TransformY(res.BestY)}
+		cfg := acq.Config{Kind: acq.UCB, Beta: opts.Beta}
 
 		// Trust region around the incumbent, scaled per-dim by the model's
 		// length scales (as in TuRBO).

@@ -6,7 +6,6 @@ package bench
 
 import (
 	"cmp"
-	"container/list"
 	"context"
 	"fmt"
 	"hash/fnv"
@@ -257,11 +256,6 @@ func PlatformByName(name string) (Platform, error) {
 	return Platform{}, fmt.Errorf("unknown platform %q (arm or x86)", name)
 }
 
-// DefaultCacheCap is the default compile-cache capacity (entries): a generous
-// backstop — SnapshotBudget (bytes) is the bound that matters for memory on
-// long tuning runs.
-const DefaultCacheCap = 4096
-
 // Evaluator compiles benchmark modules under pass sequences and measures the
 // result, implementing the compile→stats→profile→differential-test cycle.
 //
@@ -278,19 +272,15 @@ type Evaluator struct {
 	Plat     Platform
 	Datasets int
 	Runs     int // noise samples per measurement (the image executes once)
-	// CacheCap bounds the compile cache's entry count: 0 means
-	// DefaultCacheCap, negative retains and serves nothing (every compile
-	// that is not joining a concurrent identical one re-runs the pipeline).
+	// CacheCap < 0 makes the compile cache retain and serve nothing (every
+	// compile that is not joining a concurrent identical one re-runs the
+	// pipeline); otherwise the round rule of cache.go bounds it.
 	CacheCap int
-	// SnapshotBudget bounds the estimated bytes held by cached builds
-	// (Module.ApproxBytes). 0 means DefaultSnapshotBudget; negative is
-	// unbounded (entry cap still applies).
-	SnapshotBudget int64
-	meas           *machine.Measurement
-	pristine       [][]*ir.Module // per dataset
-	refOut         [][]machine.OutputEvent
-	o3Time         float64
-	o3Stats        passes.Stats
+	meas     *machine.Measurement
+	pristine [][]*ir.Module // per dataset
+	refOut   [][]machine.OutputEvent
+	o3Time   float64
+	o3Stats  passes.Stats
 
 	// The -O3 baseline's profile (setHotTable), which HotModules reads:
 	// Modules() hottest first, and each executed module's share of the
@@ -301,11 +291,11 @@ type Evaluator struct {
 	hotRan   bool
 
 	// Compile cache (see cache.go): (dataset, module, sequence hash) →
-	// immutable final state + stats. Guarded by mu together with flights and
-	// all counters below.
+	// immutable final state + stats, and the current round (BeginRound).
+	// Guarded by mu together with flights and all counters below.
 	mu        sync.Mutex
-	cache     map[buildKey]*list.Element
-	lru       *list.List // front = most recently used *cacheEntry
+	cache     map[buildKey]*cacheEntry
+	round     int
 	flights   map[buildKey]*flight
 	cacheHits int
 	cacheMiss int
@@ -345,8 +335,7 @@ func NewEvaluator(b *Benchmark, plat Platform, seed int64) (*Evaluator, error) {
 	ev := &Evaluator{
 		Bench: b, Plat: plat, Datasets: 2, Runs: 3,
 		meas:    machine.NewMeasurement(machine.New(plat.Prof), plat.NoiseStd, seed),
-		cache:   map[buildKey]*list.Element{},
-		lru:     list.New(),
+		cache:   map[buildKey]*cacheEntry{},
 		flights: map[buildKey]*flight{},
 	}
 	for ds := 0; ds < ev.Datasets; ds++ {
@@ -449,8 +438,8 @@ func (ev *Evaluator) CacheCounters() (hits, misses int) {
 // report name, its /metrics series (if any), and whether it is canonical — a
 // deterministic function of the evaluated workload, counted since the
 // evaluator was built (the baseline build does not count) — or an Env
-// observation that depends on scheduling: the evaluator's own cache-byte and
-// COW accounting, or the process-global pools. Everything downstream (stats
+// observation: the evaluator's own cache-byte and COW accounting, or the
+// scheduling-dependent process-global pools. Everything downstream (stats
 // events, Result, reports, gauges, batch deltas) iterates this set, so adding
 // a counter is adding a row here.
 func (ev *Evaluator) Counters() obs.CounterSet {
@@ -468,11 +457,11 @@ func (ev *Evaluator) Counters() obs.CounterSet {
 	row := func(name string, v int64, series string) obs.CounterRow {
 		return obs.CounterRow{Name: name, Value: v, Series: series}
 	}
-	// Which entries are evicted depends on the order workers touched the LRU
-	// once the budget is full: the build_passes, cache_bytes,
-	// cache_evictions and cow_* rows count this evaluator's work but are not
-	// canonical.
-	sched := func(name string, v int64, series string) obs.CounterRow {
+	// The build_passes, cache_bytes, cache_evictions and cow_* rows count
+	// this evaluator's work. Since eviction happens only at round starts they
+	// no longer depend on scheduling, but they stay Env rows until a
+	// re-baseline changes the journal schema.
+	ownEnv := func(name string, v int64, series string) obs.CounterRow {
 		return obs.CounterRow{Name: name, Value: v, Env: true, Series: series}
 	}
 	env := func(name string, v uint64, series string) obs.CounterRow {
@@ -486,11 +475,11 @@ func (ev *Evaluator) Counters() obs.CounterSet {
 		// tuner's candidate and budget counts, which are different numbers.
 		row("pipeline_runs", int64(pipelines), "bench_compilations_total"),
 		row("measured_builds", int64(builds), "bench_measurements_total"),
-		sched("build_passes", int64(replayed), "bench_build_passes_total"),
-		sched("cache_bytes", cacheBytes, "bench_cache_bytes"),
-		sched("cache_evictions", int64(evictions), "bench_cache_evictions_total"),
-		sched("cow_shared", int64(shared), ""),
-		sched("cow_materialized", int64(materialized), ""),
+		ownEnv("build_passes", int64(replayed), "bench_build_passes_total"),
+		ownEnv("cache_bytes", cacheBytes, "bench_cache_bytes"),
+		ownEnv("cache_evictions", int64(evictions), "bench_cache_evictions_total"),
+		ownEnv("cow_shared", int64(shared), ""),
+		ownEnv("cow_materialized", int64(materialized), ""),
 		row("bc_lowered_funcs", bc.LoweredFuncs, "machine_bc_lowered_funcs"),
 		row("bc_bytecode_bytes", bc.BytecodeBytes, "machine_bc_bytecode_bytes"),
 		env("ir_clone_cow", clones, "ir_clone_cow_total"),
@@ -600,7 +589,9 @@ func (ev *Evaluator) runDataset(ctx context.Context, ds int, seqs map[string][]s
 // datasets that loop would have reached. Times, errors and the RNG stream
 // therefore do not depend on scheduling; the one visible difference is that a
 // later dataset's build has already happened when an earlier one is rejected.
+// Every measurement, the baseline's included, opens a compile-cache round.
 func (ev *Evaluator) timeWithSequences(ctx context.Context, seqs map[string][]string, profile func(funcCycles map[string]float64)) (float64, passes.Stats, error) {
+	ev.BeginRound()
 	runs := make([]datasetRun, ev.Datasets)
 	numeric.ParallelFor(ev.Datasets, ev.Datasets, func(ds int) {
 		runs[ds] = ev.runDataset(ctx, ds, seqs)

@@ -259,33 +259,53 @@ func TestEvaluatorCacheDoesNotChangeResults(t *testing.T) {
 	}
 }
 
-// TestEvaluatorCacheEviction bounds the cache: with a tiny capacity the LRU
-// must evict rather than grow, and evictions must not corrupt results.
+// TestEvaluatorCacheEviction bounds the cache: across measurements of
+// changing candidates, every build it holds was built or read in the current
+// round or one of the retainRounds before it, old candidates are evicted
+// rather than kept, and the measured times are those of an evaluator that
+// retains nothing.
 func TestEvaluatorCacheEviction(t *testing.T) {
-	ev, err := NewEvaluator(ByName("telecom_gsm"), ARM(), 9)
-	if err != nil {
-		t.Fatal(err)
+	newEv := func() *Evaluator {
+		ev, err := NewEvaluator(ByName("telecom_gsm"), ARM(), 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev
 	}
-	ev.CacheCap = 2
-	ref, _, err := ev.Measure(nil)
-	if err != nil {
-		t.Fatal(err)
+	ev, plain := newEv(), newEv()
+	plain.CacheCap = -1
+	cands := [][]string{
+		{"mem2reg", "dce"}, {"mem2reg", "gvn"}, {"sroa", "instcombine"},
+		{"mem2reg", "licm", "dce"}, {"sroa", "simplifycfg"}, {"mem2reg", "sccp"},
 	}
-	for i := 0; i < 4; i++ {
-		seqs := map[string][]string{"long_term": {"mem2reg", "dce"}}
-		if i%2 == 1 {
+	for i := 0; i < 12; i++ {
+		seqs := map[string][]string{"long_term": cands[i%len(cands)]}
+		if i%4 == 3 {
 			seqs = nil
 		}
 		tm, _, err := ev.Measure(seqs)
 		if err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}
-		if seqs == nil && tm <= 0 {
-			t.Fatalf("round %d: bad time %v (ref %v)", i, tm, ref)
+		tp, _, err := plain.Measure(seqs)
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
 		}
+		if tm != tp {
+			t.Fatalf("round %d: cached time %v, an evaluator that retains nothing measures %v", i, tm, tp)
+		}
+		ev.mu.Lock()
+		for key, e := range ev.cache {
+			if ev.round-e.round > retainRounds {
+				t.Errorf("round %d: %v was last touched in round %d of %d", i, key, e.round, ev.round)
+			}
+		}
+		ev.mu.Unlock()
 	}
-	if ev.lru.Len() > 2 {
-		t.Fatalf("cache grew past its cap: %d entries", ev.lru.Len())
+	// Six candidates in turn: each is measured again only six rounds later,
+	// after its builds were dropped.
+	if _, _, _, evictions := ev.PrefixCounters(); evictions == 0 {
+		t.Fatal("the round rule never evicted")
 	}
 }
 

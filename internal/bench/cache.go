@@ -12,19 +12,27 @@ import (
 )
 
 // The compiled-module cache memoises complete builds: the final module and
-// statistics of (dataset, module, exact sequence), in one LRU bounded by
-// entry count (CacheCap) and by an approximate byte budget (SnapshotBudget,
-// measured with Module.ApproxBytes). A miss builds from the pristine module;
-// concurrent requests for the same build share one pipeline run
-// (singleflight).
+// statistics of (dataset, module, exact sequence). A miss builds from the
+// pristine module; concurrent requests for the same build share one pipeline
+// run (singleflight).
 //
 // The key is the dataset, the module name and an FNV-1a hash over the pass
 // names. nil sequences are normalised to the O3 pipeline's names first, so
 // -O3 and an explicitly spelled O3 sequence are one entry. Entries are
-// immutable: readers clone them under no lock, eviction merely unlinks.
+// immutable apart from their round stamp: readers clone them under no lock,
+// eviction merely unlinks.
+//
+// Retention is one round rule. Every measurement opens a round, and so does
+// every batch a fleet runner serves (BeginRound); each entry records the
+// round that last built or read it, and opening a round drops every entry
+// that none of the last retainRounds rounds touched. Nothing is dropped
+// between two round starts, so what a concurrent fan-out finds cached
+// depends only on the access history, not on which worker came first.
 
-// DefaultSnapshotBudget bounds the estimated bytes retained by cached builds.
-const DefaultSnapshotBudget int64 = 64 << 20
+// retainRounds is how many rounds a cached build outlives its last use:
+// almost every hit of a tuning run re-reads a build touched within the last
+// four measurements (DESIGN.md "Compilation caching").
+const retainRounds = 4
 
 // resetStride is the boundary spacing of build's in-place resets. See build.
 const resetStride = 6
@@ -37,13 +45,14 @@ type buildKey struct {
 	hash    uint64
 }
 
-// cacheEntry is an LRU-tracked final state. Every field is immutable after
-// insertion; readers clone mod outside the evaluator lock.
+// cacheEntry is a cached final state. mod, stats and bytes are immutable
+// after insertion, and readers clone mod outside the evaluator lock; round,
+// the last round that built or read the entry, is guarded by Evaluator.mu.
 type cacheEntry struct {
-	key   buildKey
 	mod   *ir.Module // compacted, bodies flagged shared
 	stats passes.Stats
 	bytes int64
+	round int
 }
 
 // flight is one in-progress build. Concurrent requests for the same build
@@ -157,28 +166,32 @@ func recoverCompile(err *error) {
 	}
 }
 
-// insertLocked publishes a final state and evicts past the entry cap and byte
-// budget, always keeping the newest entry. Caller holds ev.mu.
+// insertLocked publishes a final state, stamped with the current round.
+// Caller holds ev.mu.
 func (ev *Evaluator) insertLocked(key buildKey, mod *ir.Module, st passes.Stats) {
 	if _, ok := ev.cache[key]; ok {
 		return
 	}
-	e := &cacheEntry{key: key, mod: mod, stats: st, bytes: mod.ApproxBytes()}
-	ev.cache[key] = ev.lru.PushFront(e)
+	e := &cacheEntry{mod: mod, stats: st, bytes: mod.ApproxBytes(), round: ev.round}
+	ev.cache[key] = e
 	ev.cacheBytes += e.bytes
-	capacity := ev.CacheCap
-	if capacity == 0 {
-		capacity = DefaultCacheCap
-	}
-	budget := ev.SnapshotBudget
-	if budget == 0 {
-		budget = DefaultSnapshotBudget
-	}
-	for ev.lru.Len() > capacity || (budget > 0 && ev.cacheBytes > budget && ev.lru.Len() > 1) {
-		old := ev.lru.Remove(ev.lru.Back()).(*cacheEntry)
-		delete(ev.cache, old.key)
-		ev.cacheBytes -= old.bytes
-		ev.evictions++
+}
+
+// BeginRound opens a compile-cache round and drops every cached build that
+// none of the last retainRounds rounds built or read. Call it only where no
+// compile of this evaluator runs concurrently: timeWithSequences calls it at
+// the start of every measurement, and a fleet runner at the start of every
+// batch it serves.
+func (ev *Evaluator) BeginRound() {
+	ev.mu.Lock()
+	defer ev.mu.Unlock()
+	ev.round++
+	for key, e := range ev.cache {
+		if ev.round-e.round > retainRounds {
+			delete(ev.cache, key)
+			ev.cacheBytes -= e.bytes
+			ev.evictions++
+		}
 	}
 }
 
@@ -230,9 +243,8 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 
 	for {
 		ev.mu.Lock()
-		if e, ok := ev.cache[key]; ok && ev.CacheCap >= 0 {
-			ev.lru.MoveToFront(e)
-			ce := e.Value.(*cacheEntry)
+		if ce, ok := ev.cache[key]; ok && ev.CacheCap >= 0 {
+			ce.round = ev.round
 			if counted {
 				ev.cacheHits++
 				ev.cowShared++ // hit handout: a COW clone that never materializes

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/irgen"
 	"repro/internal/numeric"
 	"repro/internal/obs"
 	"repro/internal/passes"
@@ -140,8 +141,8 @@ func sameBuild(m1 *ir.Module, s1 passes.Stats, err1 error, m2 *ir.Module, s2 pas
 // TestBuildsMatchCloneScheduleOracle is the differential test of the one
 // build path: on every CBench / SPEC benchmark, on both platforms and both
 // datasets, random 8–120-pass sequences and tail mutations of them compile
-// through the evaluator's cache — repeats come back as hits, and a small
-// byte budget makes some of them rebuilds after eviction — to exactly what
+// through the evaluator's cache — repeats come back as hits, and one round
+// per sequence makes some of them rebuilds after eviction — to exactly what
 // the clone schedule builds from pristine: same error text, printed module
 // and Stats.
 func TestBuildsMatchCloneScheduleOracle(t *testing.T) {
@@ -172,11 +173,11 @@ func TestBuildsMatchCloneScheduleOracle(t *testing.T) {
 			fails[j] = err.Error()
 			return
 		}
-		ev.SnapshotBudget = 2 << 20
 		rng := rand.New(rand.NewSource(int64(20261016 + j)))
 		for _, name := range ev.Modules() {
 			var incumbent []string
 			for i := 0; i < perModule; i++ {
+				ev.BeginRound()
 				var seq []string
 				switch r := rng.Intn(8); {
 				case incumbent != nil && r == 0:
@@ -239,10 +240,9 @@ func TestCachePathsAgree(t *testing.T) {
 		ev.CacheCap = cacheCap
 		return ev
 	}
-	cached, plain := newEv(1), newEv(-1)
-	baseline := plain.lru.Len() // the -O3 builds NewEvaluator cached before CacheCap was set
+	cached, plain := newEv(0), newEv(-1)
+	baseline := len(plain.cache) // the -O3 builds NewEvaluator cached before CacheCap was set
 	seq := append(append([]string(nil), passes.O3Sequence()...), "dce", "instcombine")
-	other := []string{"mem2reg", "gvn"}
 	render := func(m *ir.Module, st passes.Stats, err error) string {
 		if err != nil {
 			t.Fatal(err)
@@ -263,8 +263,9 @@ func TestCachePathsAgree(t *testing.T) {
 		{"retain nothing", plain, false, false},
 	} {
 		if step.evictFst {
-			if _, _, err := step.ev.CompileModule("long_term", other); err != nil {
-				t.Fatal(err)
+			// Past the last round that may still hold the build.
+			for r := 0; r <= retainRounds; r++ {
+				step.ev.BeginRound()
 			}
 		}
 		hits0, _ := step.ev.CacheCounters()
@@ -276,10 +277,10 @@ func TestCachePathsAgree(t *testing.T) {
 		}
 	}
 	if _, _, _, evictions := cached.PrefixCounters(); evictions == 0 {
-		t.Fatal("a one-entry cache never evicted")
+		t.Fatal("five rounds without a read evicted nothing")
 	}
-	if hits, _ := plain.CacheCounters(); hits != 0 || plain.lru.Len() != baseline {
-		t.Fatalf("CacheCap < 0 retained %d entries, hit %d times", plain.lru.Len()-baseline, hits)
+	if hits, _ := plain.CacheCounters(); hits != 0 || len(plain.cache) != baseline {
+		t.Fatalf("CacheCap < 0 retained %d entries, hit %d times", len(plain.cache)-baseline, hits)
 	}
 }
 
@@ -311,41 +312,133 @@ func TestCacheCountersPerBuildAndHandout(t *testing.T) {
 	}
 }
 
-// TestSnapshotBudgetBound checks the byte budget: with a budget smaller than
-// any cached build, the cache keeps at most one entry, keeps evicting, and
-// still returns correct results.
-func TestSnapshotBudgetBound(t *testing.T) {
-	ev, err := NewEvaluator(ByName("telecom_gsm"), ARM(), 9)
-	if err != nil {
-		t.Fatal(err)
+// TestCacheRoundBound checks the round rule itself: a build outlives the
+// round that last built or read it by exactly retainRounds round starts, a
+// read restarts that count, the sweep's evictions and byte accounting add up,
+// and a measurement after the sweep equals one by an evaluator that retains
+// nothing.
+func TestCacheRoundBound(t *testing.T) {
+	newEv := func() *Evaluator {
+		ev, err := NewEvaluator(ByName("telecom_gsm"), ARM(), 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev
 	}
-	ev.SnapshotBudget = 1
-	free, err := NewEvaluator(ByName("telecom_gsm"), ARM(), 9)
-	if err != nil {
-		t.Fatal(err)
+	ev, plain := newEv(), newEv()
+	plain.CacheCap = -1
+	a := []string{"mem2reg", "instcombine", "dce"}
+	b := []string{"mem2reg", "gvn"}
+	key := func(seq []string) buildKey { return buildKey{0, "long_term", seqHash(seq)} }
+	cached := func(seq []string) bool {
+		ev.mu.Lock()
+		defer ev.mu.Unlock()
+		_, ok := ev.cache[key(seq)]
+		return ok
 	}
-	seqs := map[string][]string{"long_term": {"mem2reg", "instcombine", "dce"}}
+	for _, seq := range [][]string{a, b} {
+		if _, _, err := ev.CompileModule("long_term", seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 1; r <= retainRounds; r++ {
+		ev.BeginRound()
+		if !cached(a) || !cached(b) {
+			t.Fatalf("a build was dropped %d round starts after its last use", r)
+		}
+		if r == 2 {
+			if _, _, err := ev.CompileModule("long_term", b); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_, _, bytesBefore, ev0 := ev.PrefixCounters()
+	ev.BeginRound()
+	if cached(a) || !cached(b) {
+		t.Fatalf("after %d round starts: a cached %v (want false), b read since cached %v (want true)",
+			retainRounds+1, cached(a), cached(b))
+	}
+	_, _, bytesAfter, ev1 := ev.PrefixCounters()
+	ev.mu.Lock()
+	var held int64
+	for _, e := range ev.cache {
+		held += e.bytes
+	}
+	ev.mu.Unlock()
+	// The baseline's -O3 builds were last read in a's round, so the same
+	// sweep dropped them.
+	if ev1 <= ev0 || bytesAfter >= bytesBefore || bytesAfter != held {
+		t.Fatalf("evictions %d -> %d, cache bytes %d -> %d, entries hold %d", ev0, ev1, bytesBefore, bytesAfter, held)
+	}
+	seqs := map[string][]string{"long_term": a}
 	for round := 0; round < 2; round++ {
 		t1, _, err := ev.Measure(seqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t2, _, err := free.Measure(seqs)
+		t2, _, err := plain.Measure(seqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Same seed, same workload: the budget may change only how much is
-		// recompiled, never what is measured.
 		if t1 != t2 {
-			t.Fatalf("round %d: budget-constrained cache changed measured times: %v vs %v", round, t1, t2)
+			t.Fatalf("round %d: the swept cache changed measured times: %v vs %v", round, t1, t2)
 		}
 	}
-	if ev.lru.Len() > 1 {
-		t.Fatalf("budget of 1 byte should keep at most one entry, have %d", ev.lru.Len())
+}
+
+// manyModuleBench is the shape the compile cache exists for: one hot kernel
+// module and 47 cold units that every measurement links at -O3 (the
+// benchmark harness's manymod_bo program).
+func manyModuleBench() *Benchmark {
+	kinds := []irgen.KernelKind{
+		irgen.DotProduct, irgen.FIR, irgen.Stencil, irgen.CRC, irgen.Histogram,
+		irgen.MinMaxReduce, irgen.StateMachine, irgen.CompareBlocks, irgen.CopyFill,
+		irgen.FloatNorm, irgen.Polynomial, irgen.PrefixSum,
 	}
-	_, _, _, evictions := ev.PrefixCounters()
-	if evictions == 0 {
-		t.Fatalf("budget-constrained cache never evicted")
+	specs := []irgen.ModuleSpec{
+		{Name: "core_kern", Kernels: []irgen.KernelSpec{ks(irgen.DotProduct, 64, 12, 4, ir.CmpSLT)}},
+	}
+	for i := 0; i < 47; i++ {
+		var kern []irgen.KernelSpec
+		for j := 0; j < 3; j++ {
+			kern = append(kern, ks(kinds[(i*3+j)%len(kinds)], 16, 1, 0, ir.CmpSLT))
+		}
+		specs = append(specs, irgen.ModuleSpec{Name: fmt.Sprintf("unit%02d", i), Kernels: kern})
+	}
+	return &Benchmark{Name: "manymod", Suite: "spec", Specs: specs}
+}
+
+// TestUnchangedModulesSurviveRounds: tuning one module of 48, every round
+// compiles a fan-out of candidates and measures one of them, and the 47
+// untouched -O3 builds of each dataset are never rebuilt — a measurement
+// moves pipeline_runs by at most Datasets (the measured module's builds),
+// however much the candidates leave in the cache.
+func TestUnchangedModulesSurviveRounds(t *testing.T) {
+	ev, err := NewEvaluator(manyModuleBench(), ARM(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vocab := passes.Names()
+	rng := rand.New(rand.NewSource(20261017))
+	incumbent := append([]string(nil), passes.O3Sequence()...)
+	for round := 0; round < 12; round++ {
+		var measured []string
+		for k := 0; k < 16; k++ {
+			seq := mutateSeq(rng, incumbent, vocab)
+			if _, _, err := ev.CompileModule("core_kern", seq); err == nil && measured == nil {
+				measured = seq
+			}
+		}
+		if measured == nil {
+			t.Fatalf("round %d: no candidate compiled", round)
+		}
+		before := ev.Counters().Get("pipeline_runs")
+		if _, _, err := ev.Measure(map[string][]string{"core_kern": measured}); err == nil {
+			incumbent = measured
+		}
+		if moved := ev.Counters().Get("pipeline_runs") - before; moved > int64(ev.Datasets) {
+			t.Fatalf("round %d: the measurement ran %d pipelines, at most %d may be the measured module's", round, moved, ev.Datasets)
+		}
 	}
 }
 
@@ -377,10 +470,9 @@ func BenchmarkPrefixCompile(b *testing.B) {
 }
 
 // The canonical counter rows are the behaviour contract of a run: they must
-// not depend on the worker count even when the byte budget is small enough
-// that every batch evicts, which is when the order workers touched the LRU
-// decides what is still cached. Batches run the way the tuner runs them:
-// every compile in parallel.
+// not depend on the worker count, also once the round rule evicts. Rounds run
+// the way the tuner runs them: every compile of a batch in parallel, then one
+// measurement of a candidate that compiled, which opens the next round.
 func TestCanonicalCountersWorkerIndependentUnderEviction(t *testing.T) {
 	vocab := passes.Names()
 	run := func(workers int) obs.CounterSet {
@@ -388,7 +480,6 @@ func TestCanonicalCountersWorkerIndependentUnderEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev.SnapshotBudget = 2 << 20
 		rng := rand.New(rand.NewSource(20260930))
 		incumbent := make([]string, 60)
 		for i := range incumbent {
@@ -405,9 +496,17 @@ func TestCanonicalCountersWorkerIndependentUnderEviction(t *testing.T) {
 			if err := core.RunSpecs(context.Background(), workers, ev.Task(), core.FeatStats, specs, out); err != nil {
 				t.Fatal(err)
 			}
+			for i, o := range out {
+				if o.Ok {
+					// A rejected measurement is rejected the same way at any
+					// worker count; its round is opened either way.
+					ev.Measure(map[string][]string{specs[i].Module: specs[i].Seq})
+					break
+				}
+			}
 		}
 		if _, _, _, evictions := ev.PrefixCounters(); evictions == 0 {
-			t.Fatal("the budget never forced an eviction")
+			t.Fatal("the round rule never evicted")
 		}
 		return ev.Counters().Canonical()
 	}

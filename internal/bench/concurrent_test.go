@@ -16,8 +16,10 @@ import (
 // serialTimeWithSequences is the one-dataset-at-a-time measurement loop
 // timeWithSequences replaced, kept as its oracle: build, link, execute, draw
 // and differential-test dataset 0, and only then start on dataset 1. reached
-// is the number of datasets it started on.
+// is the number of datasets it started on. It opens its compile-cache round
+// exactly as timeWithSequences does.
 func serialTimeWithSequences(ev *Evaluator, ctx context.Context, seqs map[string][]string) (t0 float64, stats passes.Stats, reached int, err error) {
+	ev.BeginRound()
 	stats = passes.Stats{}
 	for ds := 0; ds < ev.Datasets; ds++ {
 		reached = ds + 1

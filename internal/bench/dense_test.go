@@ -28,8 +28,8 @@ func TestSharedBodiesStayDense(t *testing.T) {
 
 	ev.mu.Lock()
 	var mods []*ir.Module
-	for e := ev.lru.Front(); e != nil; e = e.Next() {
-		mods = append(mods, e.Value.(*cacheEntry).mod)
+	for _, e := range ev.cache {
+		mods = append(mods, e.mod)
 	}
 	ev.mu.Unlock()
 	if len(mods) < 10 {

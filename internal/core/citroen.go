@@ -699,9 +699,11 @@ func (t *Tuner) proposeCandidate() (candidate, map[string]sparseVec, bool) {
 
 	// Phase 2 (parallel): compile and feature-extract all Lambda × |targets|
 	// candidates through the evaluation backend: a build depends on nothing
-	// but its own sequence, so every compile fans out — across the local workers, or across fleet runners (sticky per
-	// module, so each runner's cache evolves exactly like the single shared
-	// cache's restriction to its modules). Every executor writes only its own
+	// but its own sequence, so every compile fans out — across the local
+	// workers, or across fleet runners (sticky per module, so a runner sees
+	// the candidate compiles of its modules; its cache counts the same hits
+	// as the single shared cache until one side evicts a build the other
+	// still serves, see package fleet). Every executor writes only its own
 	// submit-order slot, so the results stay independent of Options.Workers
 	// and of the fleet size. On cancellation unexecuted jobs stay !ok and
 	// are skipped by scoring.
@@ -723,11 +725,7 @@ func (t *Tuner) proposeCandidate() (candidate, map[string]sparseVec, bool) {
 	// events, counters, the model-free acquisition draw (t.rng.Float64())
 	// and the feature-index growth inside denseProgram all live here,
 	// outside the parallel region.
-	bestY := t.bestObservedY()
 	cfg := acq.Config{Kind: acq.UCB, Beta: t.opts.Beta}
-	if t.model != nil {
-		cfg.Best = t.model.TransformY(bestY)
-	}
 	cov := acq.Coverage{Gamma: t.opts.CoverageGamma, DupPenalty: t.opts.DupPenalty}
 
 	progs := make([]map[string]sparseVec, len(jobs))

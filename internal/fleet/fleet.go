@@ -4,14 +4,21 @@
 // server that executes batches against a bench.Evaluator.
 //
 // Dispatch is sticky: every batch for a module goes to the runner selected
-// by hashing the module name over the healthy runner set, so each runner's
-// compile cache evolves exactly like the single shared cache's restriction
-// to its modules. Runtime measurements never leave the coordinator — before
+// by hashing the module name over the healthy runner set, so each runner
+// sees exactly the candidate compiles the single shared cache would see for
+// its modules. Runtime measurements never leave the coordinator — before
 // each one the selected candidate is warm-compiled locally (uncounted) so
-// the measure path's compile hits exactly as it does single-process. With a
-// healthy fixed fleet this makes the canonical run journal byte-identical
-// to a single-process run at any -workers count; see DESIGN.md
-// "Distributed evaluation" for the full argument.
+// the measure path's compile hits exactly as it does single-process. The
+// caches are not each other's restriction once something is evicted: a
+// runner opens a cache round per batch and sees no measurement, while the
+// coordinator's evaluator opens one per measurement and its reads, dataset 1
+// included, keep builds alive that no runner touches. Every lookup finds
+// the same answer on both sides until one asks for a build that one side
+// swept and the other kept. Up to that lookup — on every run that evicts
+// nothing — a healthy fixed fleet writes a canonical run journal
+// byte-identical to a single-process run at any -workers count; past it
+// only the cache hit, miss and pipeline counts can differ, never a result.
+// See DESIGN.md "Distributed evaluation" for the full argument.
 //
 // Failure handling: each batch is posted to one runner at a time, each
 // attempt under a deadline. An attempt that fails or runs past its deadline

@@ -38,8 +38,9 @@ type lazyEvaluator struct {
 	ev   *bench.Evaluator
 	err  error
 	// batchMu serialises this evaluator's batches so the counter bracket in
-	// handleBatch is attributable to exactly one batch; individual compiles
-	// stay concurrent inside it.
+	// handleBatch is attributable to exactly one batch and each batch opens
+	// its cache round where no compile runs; individual compiles stay
+	// concurrent inside it.
 	batchMu sync.Mutex
 }
 
@@ -166,6 +167,10 @@ func (rs *RunnerServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	res := BatchResult{ID: req.ID, Items: make([]core.CompileOutcome, len(req.Specs))}
 	le.batchMu.Lock()
 	before := le.ev.Counters().Owned()
+	// Every batch is a compile-cache round, so a runner's cache is bounded by
+	// the rule that bounds a measuring evaluator's; its evictions count in
+	// this batch's delta.
+	le.ev.BeginRound()
 	err = core.RunSpecs(r.Context(), numeric.Workers(rs.Workers), le.ev.Task(), kind, req.Specs, res.Items)
 	res.Delta = le.ev.Counters().Owned().Sub(before)
 	le.batchMu.Unlock()

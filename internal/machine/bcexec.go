@@ -164,7 +164,7 @@ func genEval(g *genOp, ops *[3]Val) (Val, error) {
 func (m *Machine) acquireBC(prog *bcProgram, img *Image) *bcState {
 	machinePoolGets.Add(1)
 	need := img.GlobalWords + m.StackWords
-	st := m.bcPool.get()
+	st := bcStates.get()
 	if st == nil || int64(cap(st.mem)) < need || len(st.dtags) != m.Prof.DCacheLines {
 		machinePoolNews.Add(1)
 		st = &bcState{runCore: runCore{
@@ -207,10 +207,17 @@ func (m *Machine) acquireBC(prog *bcProgram, img *Image) *bcState {
 	return st
 }
 
+// bcStates keeps the bytecode engine's idle execution states for every
+// machine of the process, so a new machine — a new evaluator's — runs on the
+// slabs an earlier one left instead of allocating and clearing its own.
+// acquireBC re-derives everything a state holds from the machine and image
+// it runs, so which machine used a state last changes nothing.
+var bcStates freeList[bcState]
+
 func (m *Machine) releaseBC(st *bcState) {
-	st.prog = nil
+	st.m, st.prog = nil, nil
 	st.out = nil
-	m.bcPool.put(st)
+	bcStates.put(st)
 }
 
 // runBC executes a lowered program.

@@ -118,13 +118,12 @@ type Machine struct {
 	// tested against. Nothing on the tuning path sets it.
 	TreeWalk bool
 
-	// statePool recycles execution state (the flat memory slab, predictor
-	// and attribution maps, frame register files) across runs. Reused memory
-	// is scrubbed back to the all-zero state a fresh allocation would have,
-	// so pooled and unpooled runs are bit-identical. bcPool is the same for
-	// the bytecode engine's states.
+	// statePool recycles the tree-walker's execution state (the flat memory
+	// slab, predictor and attribution maps, frame register files) across
+	// runs. Reused memory is scrubbed back to the all-zero state a fresh
+	// allocation would have, so pooled and unpooled runs are bit-identical.
+	// The bytecode engine's states do the same on the process-wide bcStates.
 	statePool freeList[execState]
-	bcPool    freeList[bcState]
 
 	// bcMu guards the bytecode-engine counters.
 	bcMu    sync.Mutex
@@ -143,10 +142,10 @@ func PoolCounters() (gets, news uint64) {
 	return machinePoolGets.Load(), machinePoolNews.Load()
 }
 
-// freeList keeps the idle execution states of one machine: at most
-// GOMAXPROCS of them, which is how many runs can be in flight. A state is a
-// 16 MiB+ slab, and a sync.Pool hands those back to the GC every second
-// cycle only for the next run to allocate and clear a new one.
+// freeList keeps idle execution states: at most GOMAXPROCS of them, which is
+// how many runs can execute at once. A state is a 16 MiB+ slab, and a
+// sync.Pool hands those back to the GC every second cycle only for the next
+// run to allocate and clear a new one.
 type freeList[T any] struct {
 	mu   sync.Mutex
 	free []*T

@@ -577,9 +577,10 @@ func TestConcurrentRunsOfOneImage(t *testing.T) {
 }
 
 // TestExecutionStatesStayOnTheMachine: the 16 MiB+ execution state is kept on
-// the machine's free list across garbage collections (a sync.Pool drops its
-// content every second cycle), so after warm-up a machine allocates no new
-// one — at most GOMAXPROCS of them however many goroutines ran at once.
+// a free list across garbage collections (a sync.Pool drops its content every
+// second cycle) — the machine's for the tree-walker, the process's for the
+// bytecode engine — so after warm-up a machine allocates no new one, and at
+// most GOMAXPROCS of them stay idle however many goroutines ran at once.
 func TestExecutionStatesStayOnTheMachine(t *testing.T) {
 	img, err := Link(buildSumProgram(50))
 	if err != nil {
@@ -614,8 +615,21 @@ func TestExecutionStatesStayOnTheMachine(t *testing.T) {
 		if _, after := PoolCounters(); after != before {
 			t.Fatalf("TreeWalk=%v: %d new execution states after warm-up", treeWalk, after-before)
 		}
-		if kept := len(m.bcPool.free) + len(m.statePool.free); kept < 1 || kept > runtime.GOMAXPROCS(0) {
+		kept := len(bcStates.free)
+		if treeWalk {
+			kept = len(m.statePool.free)
+		}
+		if kept < 1 || kept > runtime.GOMAXPROCS(0) {
 			t.Fatalf("TreeWalk=%v: %d idle states kept, want 1..GOMAXPROCS", treeWalk, kept)
+		}
+		if !treeWalk {
+			// A new machine (a new evaluator's) runs on the states the first
+			// one left idle.
+			m = New(CortexA57())
+			run()
+			if _, after := PoolCounters(); after != before {
+				t.Fatalf("a second machine allocated %d new execution states", after-before)
+			}
 		}
 	}
 }

@@ -9,10 +9,11 @@ import "strings"
 type CounterRow struct {
 	Name  string `json:"name"`
 	Value int64  `json:"value"`
-	// Env marks a scheduling-dependent observation: pool hit rates and
-	// slab-clone totals, and the snapshot and COW accounting, which depends
-	// on which worker touched the LRU first once snapshots are being evicted.
-	// Env rows are journaled as "env_<Name>" so Canonicalize strips them.
+	// Env marks an observation outside the canonical contract: the
+	// scheduling-dependent pool hit rates and slab-clone totals, and the
+	// compile cache's byte, eviction and COW accounting, which kept its Env
+	// kind when eviction stopped depending on scheduling. Env rows are
+	// journaled as "env_<Name>" so Canonicalize strips them.
 	Env bool `json:"env,omitempty"`
 	// Global marks an Env row that observes process-wide state rather than
 	// its owner's work: it never enters a batch delta and is published as a
