@@ -144,8 +144,10 @@ func (ev *Evaluator) build(pristine *ir.Module, plist []*passes.Pass) (c *ir.Mod
 			c.Renumber()
 		}
 	}
-	// Verify before compacting: the compaction copies bodies and would trip,
-	// as a panic, over a reference the verifier reports as an error.
+	// The passes' analysis slots go with the build. Verify before compacting:
+	// the compaction copies bodies and would trip, as a panic, over a
+	// reference the verifier reports as an error.
+	ir.DropAnalyses(c)
 	if err := ir.Verify(c); err != nil {
 		return nil, nil, nil, fmt.Errorf("passes: IR invalid after sequence: %w", err)
 	}

@@ -1,9 +1,13 @@
 package ir
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // CFG holds predecessor/successor relations for a function at a moment in
-// time. Recompute after mutating control flow.
+// time. BuildCFG always builds a fresh one; CFGOf reuses the one kept in the
+// function's analysis slot while it is still current (see CFGOf).
 //
 // The graph is indexed by Block.idx: BuildCFG re-indexes the function's
 // blocks and keeps its own copy of the block list, and every query proves
@@ -22,11 +26,19 @@ type CFG struct {
 	// edges[succOff[i]:succOff[i+1]], its predecessors the same by predOff.
 	edges            []*Block
 	succOff, predOff []int32
+	// ops[i] is block i's terminator opcode as of the build, -1 for none:
+	// with the block list and the successor lists, all the three builders
+	// read of the function (FindLoops' preheader test reads the opcode).
+	ops []int32
 	// ReversePostOrder's result once computed (nil before), in rpoBuf, and its
 	// DFS scratch, three per block; all carved by BuildCFG, since nearly
 	// every CFG is asked for its order.
 	rpo, rpoBuf []*Block
 	scratch     []int32
+	// The dominator tree and loops DomOf and LoopsOf derived from this CFG,
+	// nil until asked for.
+	dom   *DomTree
+	loops *LoopInfo
 }
 
 // BuildCFG computes the control-flow graph of f. The block list and the
@@ -48,16 +60,19 @@ func BuildCFG(f *Function) *CFG {
 		}
 	}
 	back := make([]*Block, 2*n+2*total)
-	nums := make([]int32, 5*n+2)
+	nums := make([]int32, 6*n+2)
 	c := &CFG{F: f, blocks: back[:n:n], rpoBuf: back[n : 2*n : 2*n], edges: back[2*n:],
-		succOff: nums[: n+1 : n+1], predOff: nums[n+1 : 2*n+2 : 2*n+2], scratch: nums[2*n+2:]}
+		succOff: nums[: n+1 : n+1], predOff: nums[n+1 : 2*n+2 : 2*n+2],
+		scratch: nums[2*n+2 : 5*n+2 : 5*n+2], ops: nums[5*n+2:]}
 	copy(c.blocks, f.Blocks)
 	// Successor lists, counting each block's predecessors on the way.
 	predN := c.scratch[2*n:]
 	off := 0
 	for bi, b := range c.blocks {
 		c.succOff[bi] = int32(off)
+		c.ops[bi] = -1
 		if t := b.Term(); t != nil {
+			c.ops[bi] = int32(t.Op)
 			off += copy(c.edges[off:], t.Blocks)
 		}
 		for _, s := range c.edges[c.succOff[bi]:off] {
@@ -84,6 +99,101 @@ func BuildCFG(f *Function) *CFG {
 		}
 	}
 	return c
+}
+
+// analysesChecked, set by tests only, sees every analysis slot CFGOf, DomOf
+// and LoopsOf reuse: its CFG, and the dominator tree and loops derived from
+// it so far (nil where none has been).
+var analysesChecked func(f *Function, c *CFG, dt *DomTree, li *LoopInfo)
+
+// SetAnalysesChecked installs fn as the observer of every reused analysis
+// slot (tests only) and returns a function restoring the previous one.
+func SetAnalysesChecked(fn func(f *Function, c *CFG, dt *DomTree, li *LoopInfo)) (restore func()) {
+	prev := analysesChecked
+	analysesChecked = fn
+	return func() { analysesChecked = prev }
+}
+
+// CFGOf returns the CFG of f as it is now: the one in f's analysis slot while
+// it is current, else a fresh build, which then takes the slot. A COW-shared
+// body may be read by several goroutines, so it gets a fresh build and its
+// slot is neither read nor written. The index validity rule of CFG holds
+// unchanged: a pass that changes control flow gets a new CFG at its next
+// query, and must stop querying the old one once anything re-indexes the
+// function.
+func CFGOf(f *Function) *CFG {
+	if f.isShared() {
+		return BuildCFG(f)
+	}
+	if c := f.cfg; c != nil && c.current() {
+		if analysesChecked != nil {
+			analysesChecked(f, c, c.dom, c.loops)
+		}
+		return c
+	}
+	f.cfg = BuildCFG(f)
+	return f.cfg
+}
+
+// DomOf is CFGOf plus the dominator tree over that CFG, built at the first
+// query and kept with it.
+func DomOf(f *Function) (*CFG, *DomTree) {
+	c := CFGOf(f)
+	if c.dom == nil {
+		c.dom = BuildDomTree(c)
+	}
+	return c, c.dom
+}
+
+// LoopsOf is DomOf plus the loops, built at the first query and kept with
+// the CFG.
+func LoopsOf(f *Function) (*CFG, *DomTree, *LoopInfo) {
+	c, dt := DomOf(f)
+	if c.loops == nil {
+		c.loops = FindLoops(c, dt)
+	}
+	return c, dt, c.loops
+}
+
+// current reports whether c still describes its function: f.Blocks is c's
+// block list element by element, and every block ends in a terminator of the
+// opcode and with the successor list recorded at the build — exactly the
+// input of BuildCFG, BuildDomTree and FindLoops, so a current CFG and what
+// was derived from it answer as fresh builds would. Like BuildCFG it
+// re-indexes the blocks, skip-equal.
+func (c *CFG) current() bool {
+	if len(c.F.Blocks) != len(c.blocks) {
+		return false
+	}
+	for i, b := range c.F.Blocks {
+		if b != c.blocks[i] {
+			return false
+		}
+		if b.idx != int32(i) {
+			b.idx = int32(i)
+		}
+		t := b.Term()
+		if t == nil {
+			if c.ops[i] >= 0 {
+				return false
+			}
+			continue
+		}
+		if int32(t.Op) != c.ops[i] || !slices.Equal(t.Blocks, c.succsAt(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// DropAnalyses empties the analysis slots of m's private bodies, so nothing
+// a pass built outlives the build it ran in.
+func DropAnalyses(m *Module) {
+	for _, f := range m.Funcs {
+		if !f.isShared() {
+			f.cfg = nil
+		}
+	}
 }
 
 func (c *CFG) succsAt(i int) []*Block {

@@ -312,11 +312,12 @@ func sortedMetaKeys(meta map[string]bool) []string {
 // CompactModule — the layout every cached snapshot actually has. Derived
 // from the real struct definitions so the estimate tracks layout changes.
 // A function's lowered slot is the consumer's memory, not the snapshot's,
-// and a block's insertion log is a pass's; both are left out.
+// and its analysis slot and a block's insertion log are a pass's; all three
+// are left out.
 const (
 	sizeofInstr    = int64(unsafe.Sizeof(Instr{}))
 	sizeofBlock    = int64(unsafe.Sizeof(Block{}) - unsafe.Sizeof(Block{}.ins))
-	sizeofFunction = int64(unsafe.Sizeof(Function{}) - unsafe.Sizeof(Function{}.lowered))
+	sizeofFunction = int64(unsafe.Sizeof(Function{}) - unsafe.Sizeof(Function{}.lowered) - unsafe.Sizeof(Function{}.cfg))
 	sizeofGlobal   = int64(unsafe.Sizeof(Global{}))
 	sizeofParam    = int64(unsafe.Sizeof(Param{}))
 	sizeofModule   = int64(unsafe.Sizeof(Module{}))

@@ -47,6 +47,11 @@ type Function struct {
 	// lives exactly as long as the body it came from; cloneFunction never
 	// copies it, and ApproxBytes does not charge it.
 	lowered atomic.Value
+	// cfg is the body's analysis slot: the CFG CFGOf last built, with the
+	// dominator tree and loops derived from it. Only a private body uses
+	// it; cloneFunction never copies it, ApproxBytes does not charge it, and
+	// DropAnalyses empties it at the end of a build.
+	cfg *CFG
 }
 
 // isShared reports whether the function body is COW-shared between modules.

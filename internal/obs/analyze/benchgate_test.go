@@ -56,8 +56,8 @@ func TestCommittedGatesHoldOnCapturedOutput(t *testing.T) {
 			t.Errorf("%s: %v", file, failures)
 		}
 	}
-	if gates != 18 {
-		t.Errorf("%d gates, want the 7 thresholds left of those ci.yml enforced inline (the prefix-snapshot compile's went with the snapshots), the 5 pass-scaling ratios, the 2 allocation counts of a clone of a pass-touched module and of the CFG / dominator / loop analyses, the fingerprint-over-comparison ratio, the executions-per-measurement ratio, and the GP fit's two: the lower-triangle inverse against the column-solve one and the allocation count of the sha_long-sized fit", gates)
+	if gates != 19 {
+		t.Errorf("%d gates, want the 7 thresholds left of those ci.yml enforced inline (the prefix-snapshot compile's went with the snapshots), the 5 pass-scaling ratios, the 3 allocation counts of a clone of a pass-touched module and of the CFG / dominator / loop analyses built and reused, the fingerprint-over-comparison ratio, the executions-per-measurement ratio, and the GP fit's two: the lower-triangle inverse against the column-solve one and the allocation count of the sha_long-sized fit", gates)
 	}
 }
 
@@ -74,14 +74,14 @@ func TestBenchGateDocument(t *testing.T) {
 	}
 	// Custom metrics between ns/op and allocs/op, fractional ns/op.
 	doc, _ = gate(t, "compile-bench.txt", suites["compile-bench.txt"])
-	if a := doc["allocs_per_op"].(map[string]float64); a["BenchmarkPrefixCompile"] != 1943 {
+	if a := doc["allocs_per_op"].(map[string]float64); a["BenchmarkPrefixCompile"] != 1071 {
 		t.Fatalf("allocs_per_op = %v", a)
 	}
 	doc, _ = gate(t, "ir-bench.txt", suites["ir-bench.txt"])
-	if ns := doc["ns_per_op"].(map[string]float64); ns["BenchmarkSnapshotHandout"] != 1090 {
+	if ns := doc["ns_per_op"].(map[string]float64); ns["BenchmarkSnapshotHandout"] != 530.1 {
 		t.Fatalf("ns_per_op = %v", ns)
 	}
-	if got, want := doc["fingerprint_over_equal"].(float64), 52172.0/10093.0; got != want {
+	if got, want := doc["fingerprint_over_equal"].(float64), 28241.0/5709.0; got != want {
 		t.Fatalf("fingerprint_over_equal = %v, want %v", got, want)
 	}
 	// Without -benchmem there is no allocs table.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
@@ -30,15 +32,20 @@ func names(bs []*ir.Block) []string {
 	return out
 }
 
-// checkDenseAnalyses holds the Block.idx-indexed CFG, dominator tree and loop
+// checkDenseAnalyses holds freshly built analyses of f to the map-based ones
+// (checkAgainstMap).
+func checkDenseAnalyses(f *ir.Function) error {
+	c := ir.BuildCFG(f)
+	dt := ir.BuildDomTree(c)
+	return checkAgainstMap(f, c, dt, ir.FindLoops(c, dt))
+}
+
+// checkAgainstMap holds the Block.idx-indexed CFG, dominator tree and loop
 // info of f to the map-based ones: same adjacency in the same order, same
 // reverse post-order, same immediate dominators, same dominance relation,
 // same loops in the same order with the same shape — and the two orders the
 // maps left to chance (dominator-tree children, loop exits) in block order.
-func checkDenseAnalyses(f *ir.Function) error {
-	c := ir.BuildCFG(f)
-	dt := ir.BuildDomTree(c)
-	li := ir.FindLoops(c, dt)
+func checkAgainstMap(f *ir.Function, c *ir.CFG, dt *ir.DomTree, li *ir.LoopInfo) error {
 	oc := mapBuildCFG(f)
 	odt := mapBuildDomTree(oc)
 	oloops := mapFindLoops(oc, odt)
@@ -138,12 +145,17 @@ func benchPrograms() []*bench.Benchmark {
 // analyses: random 8–120-pass sequences over the whole pass vocabulary on all
 // 15 benchmarks, and after every single pass — on the mid-sequence module,
 // verified or not — the analyses of every function must agree with the
-// map-based ones, adjacency order included.
+// map-based ones, adjacency order included: a fresh build, and what
+// ir.LoopsOf serves, which is the slot's analyses when the function's
+// control flow has not changed since the last query (a hit) and a rebuild
+// when it has (a miss).
 func TestDenseAnalysesMatchMapOracle(t *testing.T) {
 	vocab := passes.Names()
 	rng := rand.New(rand.NewSource(20261004))
 	mgr := passes.NewManager()
 	ran, checked := 0, 0
+	served := map[*ir.Function]*ir.CFG{} // what LoopsOf served at the last check
+	hits, misses := 0, 0
 	for _, b := range benchPrograms() {
 		iters := 3
 		if testing.Short() {
@@ -175,12 +187,106 @@ func TestDenseAnalysesMatchMapOracle(t *testing.T) {
 						if err := checkDenseAnalyses(f); err != nil {
 							t.Fatalf("%s/%s after %s: %v\nseq=%v", b.Name, m.Name, name, err, seq[:i+1])
 						}
+						c, dt, li := ir.LoopsOf(f)
+						if c == served[f] {
+							hits++
+						} else {
+							misses++
+						}
+						served[f] = c
+						if err := checkAgainstMap(f, c, dt, li); err != nil {
+							t.Fatalf("%s/%s after %s, LoopsOf: %v\nseq=%v", b.Name, m.Name, name, err, seq[:i+1])
+						}
 					}
 				}
 			}
 		}
 	}
-	t.Logf("%d passes run, %d function analyses compared", ran, checked)
+	if hits == 0 || misses == 0 {
+		t.Fatalf("LoopsOf served %d hits and %d misses: the test needs both", hits, misses)
+	}
+	t.Logf("%d passes run, %d function analyses compared; LoopsOf %d hits, %d misses", ran, checked, hits, misses)
+}
+
+// sameAsFresh compares analyses the slot served for f with a fresh
+// BuildCFG / BuildDomTree / FindLoops: predecessors, successors, reverse
+// post-order, immediate dominators, dominator-tree children, and each loop's
+// header, latch, preheader, exits, blocks, parent and depth. dt and li may be
+// nil (not derived yet).
+func sameAsFresh(f *ir.Function, c *ir.CFG, dt *ir.DomTree, li *ir.LoopInfo) error {
+	fc := ir.BuildCFG(f)
+	fdt := ir.BuildDomTree(fc)
+	fli := ir.FindLoops(fc, fdt)
+	differ := func(what string, b *ir.Block, got, want []*ir.Block) error {
+		return fmt.Errorf("%s: reused %s(%s) = %v, a fresh build has %v", f.Name, what, b.Name, names(got), names(want))
+	}
+	for _, b := range f.Blocks {
+		if got, want := c.Preds(b), fc.Preds(b); !slices.Equal(got, want) {
+			return differ("Preds", b, got, want)
+		}
+		if got, want := c.Succs(b), fc.Succs(b); !slices.Equal(got, want) {
+			return differ("Succs", b, got, want)
+		}
+		if dt == nil {
+			continue
+		}
+		if got, want := dt.IDom(b), fdt.IDom(b); got != want {
+			return fmt.Errorf("%s: reused IDom(%s) differs from a fresh build's", f.Name, b.Name)
+		}
+		if got, want := dt.Children(b), fdt.Children(b); !slices.Equal(got, want) {
+			return differ("Children", b, got, want)
+		}
+	}
+	if got, want := c.ReversePostOrder(), fc.ReversePostOrder(); !slices.Equal(got, want) {
+		return fmt.Errorf("%s: reused ReversePostOrder = %v, a fresh build has %v", f.Name, names(got), names(want))
+	}
+	if li == nil {
+		return nil
+	}
+	if len(li.Loops) != len(fli.Loops) {
+		return fmt.Errorf("%s: %d reused loops, a fresh build finds %d", f.Name, len(li.Loops), len(fli.Loops))
+	}
+	parent := func(ls []*ir.Loop, l *ir.Loop) int { return slices.Index(ls, l.Parent) }
+	for i, l := range li.Loops {
+		fl := fli.Loops[i]
+		if l.Header != fl.Header || l.Latch != fl.Latch || l.Preheader != fl.Preheader ||
+			l.Depth != fl.Depth || parent(li.Loops, l) != parent(fli.Loops, fl) {
+			return fmt.Errorf("%s: reused loop %d (%s) differs in header, latch, preheader, depth or parent", f.Name, i, fl.Header.Name)
+		}
+		if !slices.Equal(l.Blocks(), fl.Blocks()) {
+			return differ("loop blocks", fl.Header, l.Blocks(), fl.Blocks())
+		}
+		if !slices.Equal(l.Exits, fl.Exits) {
+			return differ("loop exits", fl.Header, l.Exits, fl.Exits)
+		}
+	}
+	return nil
+}
+
+// checkReuse installs an analysesChecked hook that holds every analysis the
+// slots serve to a fresh build, until the returned stop is called. stop
+// reports the first difference and how many reuses were checked. Safe for
+// passes running concurrently on different modules.
+func checkReuse() (stop func() (hits int64, err error)) {
+	var mu sync.Mutex
+	var first error
+	var hits atomic.Int64
+	restore := ir.SetAnalysesChecked(func(f *ir.Function, c *ir.CFG, dt *ir.DomTree, li *ir.LoopInfo) {
+		hits.Add(1)
+		if err := sameAsFresh(f, c, dt, li); err != nil {
+			mu.Lock()
+			if first == nil {
+				first = err
+			}
+			mu.Unlock()
+		}
+	})
+	return func() (int64, error) {
+		restore()
+		mu.Lock()
+		defer mu.Unlock()
+		return hits.Load(), first
+	}
 }
 
 // loopyFunctions returns the larger benchmark functions after loop-rotate
@@ -311,4 +417,154 @@ func TestStaleCFGAnswersForItsOwnBlockList(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// reuseFunction builds a counting loop with two unreachable blocks after it:
+//
+//	entry: jmp header            (the loop's preheader)
+//	header: br i<n, body, exit
+//	body: jmp header             (the latch)
+//	exit: ret s
+//	dead1: jmp exit
+//	dead2: jmp exit
+func reuseFunction() *ir.Function {
+	m := &ir.Module{Name: "reuse"}
+	bd := ir.NewBuilder(m)
+	f := bd.NewFunction("count", ir.I64T, ir.I64T)
+	n := f.Params[0]
+	i := bd.Alloca(ir.I64T, 1)
+	bd.Store(ir.ConstInt(ir.I64T, 0), i)
+	header, body, exit := bd.NewBlock("header"), bd.NewBlock("body"), bd.NewBlock("exit")
+	dead1, dead2 := bd.NewBlock("dead1"), bd.NewBlock("dead2")
+	bd.Jmp(header)
+	bd.SetBlock(header)
+	iv := bd.Load(ir.I64T, i)
+	bd.Br(bd.ICmp(ir.CmpSLT, iv, n), body, exit)
+	bd.SetBlock(body)
+	bd.Store(bd.Bin(ir.OpAdd, iv, ir.ConstInt(ir.I64T, 1)), i)
+	bd.Jmp(header)
+	bd.SetBlock(exit)
+	bd.Ret(bd.Load(ir.I64T, i))
+	for _, d := range []*ir.Block{dead1, dead2} {
+		bd.SetBlock(d)
+		bd.Jmp(exit)
+	}
+	return f
+}
+
+// TestStaleCFGSlotIsRebuilt: each change to what the analyses read makes the
+// slot stale, one test per reason current() checks, and the next query
+// builds analyses equal to a fresh build's.
+func TestStaleCFGSlotIsRebuilt(t *testing.T) {
+	block := func(f *ir.Function, name string) *ir.Block {
+		for _, b := range f.Blocks {
+			if b.Name == name {
+				return b
+			}
+		}
+		t.Fatalf("no block %s", name)
+		return nil
+	}
+	dropTerm := func(b *ir.Block) { b.Instrs = b.Instrs[:len(b.Instrs)-1] }
+	for _, tc := range []struct {
+		reason string
+		edit   func(f *ir.Function)
+	}{
+		{"block added", func(f *ir.Function) {
+			nb := &ir.Block{Name: "dead3"}
+			ir.AttachBlock(nb, f)
+			nb.Append(&ir.Instr{Op: ir.OpJmp, Ty: ir.VoidT, Blocks: []*ir.Block{block(f, "exit")}})
+			f.Blocks = append(f.Blocks, nb)
+		}},
+		{"block removed", func(f *ir.Function) { f.Blocks = f.Blocks[:len(f.Blocks)-1] }},
+		// dead1 and dead2 end in the same jmp: only the block identities
+		// differ, and with them the order of exit's predecessors.
+		{"blocks reordered", func(f *ir.Function) {
+			k := len(f.Blocks)
+			f.Blocks[k-2], f.Blocks[k-1] = f.Blocks[k-1], f.Blocks[k-2]
+		}},
+		{"successor replaced", func(f *ir.Function) { block(f, "header").Term().Blocks[1] = block(f, "dead1") }},
+		// Removing the latch's jmp removes the loop.
+		{"terminator removed", func(f *ir.Function) { dropTerm(block(f, "body")) }},
+		// The same successor behind another opcode: the entry block stops
+		// being a dedicated preheader.
+		{"opcode changed", func(f *ir.Function) {
+			entry := f.Entry()
+			dropTerm(entry)
+			entry.Append(&ir.Instr{Op: ir.OpSwitch, Ty: ir.VoidT, Ops: []ir.Value{f.Params[0]}, Blocks: []*ir.Block{block(f, "header")}})
+		}},
+	} {
+		t.Run(tc.reason, func(t *testing.T) {
+			f := reuseFunction()
+			c0, _, li0 := ir.LoopsOf(f)
+			if len(li0.Loops) != 1 || li0.Loops[0].Preheader != f.Entry() {
+				t.Fatalf("the test function has %d loops, want one with the entry as preheader", len(li0.Loops))
+			}
+			if c, _, _ := ir.LoopsOf(f); c != c0 {
+				t.Fatal("a second query of an unchanged function rebuilt the CFG")
+			}
+			tc.edit(f)
+			c, dt, li := ir.LoopsOf(f)
+			if err := sameAsFresh(f, c, dt, li); err != nil {
+				t.Fatal(err)
+			}
+			if c == c0 {
+				t.Fatal("the slot still served the CFG built before the edit")
+			}
+		})
+	}
+}
+
+// fuzzModules are the modules FuzzAnalysisReuseMatchesFresh picks from: every
+// module of the 15 benchmarks, dataset 0.
+var fuzzModules = sync.OnceValue(func() []*ir.Module {
+	var out []*ir.Module
+	for _, b := range benchPrograms() {
+		out = append(out, b.Build(0, 2)...)
+	}
+	return out
+})
+
+// fuzzInput encodes a module index and a pass sequence as the fuzz target
+// reads them.
+func fuzzInput(module byte, seq ...string) []byte {
+	in := []byte{module}
+	for _, name := range seq {
+		in = append(in, byte(slices.Index(passes.Names(), name)))
+	}
+	return in
+}
+
+// FuzzAnalysisReuseMatchesFresh: the first input byte picks a benchmark
+// module, each further byte (at most 120) a pass. The sequence runs on a
+// clone of the module, and every analysis a function's slot serves to a pass
+// must equal a fresh build (checkReuse). A pass that panics, or leaves IR
+// that does not verify, ends the sequence: the target checks the reuse, not
+// the passes.
+func FuzzAnalysisReuseMatchesFresh(f *testing.F) {
+	f.Add(fuzzInput(0, "mem2reg", "loop-simplify", "loop-rotate", "licm", "simplifycfg", "loop-unroll", "gvn"))
+	f.Add(fuzzInput(7, "sroa", "simple-loop-unswitch", "jump-threading", "loop-deletion", "simplifycfg", "indvars"))
+	f.Add(fuzzInput(20, "mem2reg", "lower-switch", "break-crit-edges", "loop-fusion", "loop-vectorize", "adce", "simplifycfg"))
+	f.Add(fuzzInput(33, "inline", "mergereturn", "tailcallelim", "early-cse-memssa", "loop-idiom", "loop-simplifycfg"))
+	vocab := passes.Names()
+	mgr := passes.NewManager()
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 2 {
+			return
+		}
+		mods := fuzzModules()
+		pristine := mods[int(in[0])%len(mods)]
+		m := pristine.Clone()
+		var seq []string
+		stop := checkReuse()
+		for _, k := range in[1:min(len(in), 121)] {
+			seq = append(seq, vocab[int(k)%len(vocab)])
+			if passes.RunRecovered(mgr, m, seq[len(seq)-1:]) != nil || ir.Verify(m) != nil {
+				break
+			}
+		}
+		if _, err := stop(); err != nil {
+			t.Fatalf("%s, passes %v: %v", pristine.Name, seq, err)
+		}
+	})
 }

@@ -105,7 +105,7 @@ func simplifyCFG(m *ir.Module, f *ir.Function) (int, int) {
 		}
 
 		// 2. Remove unreachable blocks.
-		cfg := ir.BuildCFG(f)
+		cfg := ir.CFGOf(f)
 		if len(cfg.ReversePostOrder()) < len(f.Blocks) {
 			reach := cfg.Reachable()
 			for _, b := range f.Blocks {
@@ -127,7 +127,7 @@ func simplifyCFG(m *ir.Module, f *ir.Function) (int, int) {
 				}
 			}
 			f.Blocks = kept
-			cfg = ir.BuildCFG(f)
+			cfg = ir.CFGOf(f)
 		}
 
 		// 3. Skip empty forwarding blocks: a block containing only `jmp S`
@@ -186,7 +186,7 @@ func simplifyCFG(m *ir.Module, f *ir.Function) (int, int) {
 			b.Instrs = nil
 			b.Append(&ir.Instr{Op: ir.OpJmp, Ty: ir.VoidT, Blocks: []*ir.Block{b}}) // self loop; now unreachable
 			changed++
-			cfg = ir.BuildCFG(f)
+			cfg = ir.CFGOf(f)
 		}
 
 		// 4. Merge single-succ block into single-pred successor.
@@ -224,7 +224,7 @@ func simplifyCFG(m *ir.Module, f *ir.Function) (int, int) {
 			succ.Instrs = nil
 			succ.Append(&ir.Instr{Op: ir.OpJmp, Ty: ir.VoidT, Blocks: []*ir.Block{succ}})
 			changed++
-			cfg = ir.BuildCFG(f)
+			cfg = ir.CFGOf(f)
 		}
 
 		// 5. If-conversion: triangle/diamond with small pure arms -> select.
@@ -460,7 +460,7 @@ func propagateBranchFacts(f *ir.Function, condsOnly bool) int {
 	n := 0
 	fu := funcUses{f: f}
 	defer fu.done()
-	cfg, dt := domOf(f)
+	cfg, dt := ir.DomOf(f)
 	for _, b := range f.Blocks {
 		t := b.Term()
 		if t == nil || t.Op != ir.OpBr {
@@ -570,7 +570,7 @@ func lowerSwitches(f *ir.Function) int {
 // becomes `x = and c1, c2; br x, T, F`.
 func flattenCFG(f *ir.Function) int {
 	n := 0
-	cfg := ir.BuildCFG(f)
+	cfg := ir.CFGOf(f)
 	for _, b := range f.Blocks {
 		t := b.Term()
 		if t == nil || t.Op != ir.OpBr {
@@ -620,7 +620,7 @@ func flattenCFG(f *ir.Function) int {
 		mB.Instrs = nil
 		mB.Append(&ir.Instr{Op: ir.OpJmp, Ty: ir.VoidT, Blocks: []*ir.Block{mB}})
 		n++
-		cfg = ir.BuildCFG(f)
+		cfg = ir.CFGOf(f)
 	}
 	return n
 }
@@ -629,7 +629,7 @@ func flattenCFG(f *ir.Function) int {
 // destination multiple predecessors by inserting a forwarding block.
 func breakCriticalEdges(f *ir.Function) int {
 	n := 0
-	cfg := ir.BuildCFG(f)
+	cfg := ir.CFGOf(f)
 	var newBlocks []*ir.Block
 	for _, b := range f.Blocks {
 		t := b.Term()

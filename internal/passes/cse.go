@@ -23,7 +23,7 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 	var cfgG *ir.CFG
 	var dt *ir.DomTree
 	if cfg.global {
-		cfgG, dt = domOf(f)
+		cfgG, dt = ir.DomOf(f)
 	}
 
 	// Pure-expression facts are immutable SSA values: a block sees those of
@@ -320,10 +320,9 @@ type exprSlot struct {
 	id int32 // instruction ID + 1; 0 is an empty slot
 }
 
-func (t *exprTable) reset() {
-	clear(t.slots)
-	t.log = t.log[:0]
-}
+// reset empties the table. Only the keys still in the log hold slots (a
+// pass that panicked mid-walk leaves some), so popping them is enough.
+func (t *exprTable) reset() { t.pop(0) }
 
 func (t *exprTable) mark() int { return len(t.log) }
 
@@ -447,7 +446,7 @@ func hoistCommon(m *ir.Module, f *ir.Function, loadsOnly bool) int {
 	n := 0
 	fu := funcUses{f: f}
 	defer fu.done()
-	cfg := ir.BuildCFG(f)
+	cfg := ir.CFGOf(f)
 	for _, b := range f.Blocks {
 		t := b.Term()
 		if t == nil || t.Op != ir.OpBr {
@@ -490,7 +489,7 @@ func sinkCommon(m *ir.Module, f *ir.Function) int {
 	n := 0
 	fu := funcUses{f: f}
 	defer fu.done()
-	cfg := ir.BuildCFG(f)
+	cfg := ir.CFGOf(f)
 	for _, b := range f.Blocks {
 		preds := cfg.Preds(b)
 		if len(preds) != 2 || len(b.Phis()) > 0 {

@@ -4,17 +4,6 @@ import (
 	"repro/internal/ir"
 )
 
-// loopsOf computes the CFG, dominator tree and loop info of f as it is now.
-func loopsOf(f *ir.Function) (*ir.CFG, *ir.DomTree, *ir.LoopInfo) {
-	cfg, dt := domOf(f)
-	return cfg, dt, ir.FindLoops(cfg, dt)
-}
-
-func domOf(f *ir.Function) (*ir.CFG, *ir.DomTree) {
-	cfg := ir.BuildCFG(f)
-	return cfg, ir.BuildDomTree(cfg)
-}
-
 func init() {
 	register("loop-simplify", "canonicalise loops: dedicated preheaders",
 		func(m *ir.Module, st Stats) {
@@ -93,7 +82,7 @@ func init() {
 	register("loop-instsimplify", "instruction simplification inside loops",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
-				_, _, li := loopsOf(f)
+				_, _, li := ir.LoopsOf(f)
 				if len(li.Loops) > 0 {
 					st.Add("loop-instsimplify.NumSimplified", runInstSimplify(f))
 				}
@@ -103,7 +92,7 @@ func init() {
 	register("loop-simplifycfg", "CFG cleanup scoped to functions with loops",
 		func(m *ir.Module, st Stats) {
 			forEachDefined(m, func(f *ir.Function) {
-				_, _, li := loopsOf(f)
+				_, _, li := ir.LoopsOf(f)
 				if len(li.Loops) > 0 {
 					n, _ := simplifyCFG(m, f)
 					st.Add("loop-simplifycfg.NumSimpl", n)
@@ -131,7 +120,7 @@ func insertPreheaders(f *ir.Function) int {
 	n := 0
 	for changed := true; changed; {
 		changed = false
-		cfg, _, li := loopsOf(f)
+		cfg, _, li := ir.LoopsOf(f)
 		for _, l := range li.Loops {
 			if l.Preheader != nil {
 				continue
@@ -217,7 +206,7 @@ func insertLCSSAPhis(f *ir.Function) int {
 	n := 0
 	fu := funcUses{f: f}
 	defer fu.done()
-	cfg, dt, li := loopsOf(f)
+	cfg, dt, li := ir.LoopsOf(f)
 	for _, l := range li.Loops {
 		// Handle the common single-exit case only.
 		if len(l.Exits) != 1 {
@@ -287,7 +276,7 @@ func rotateLoops(m *ir.Module, f *ir.Function) int {
 	defer fu.done()
 	for changed := true; changed; {
 		changed = false
-		cfg, _, li := loopsOf(f)
+		cfg, _, li := ir.LoopsOf(f)
 		for _, l := range li.Loops {
 			if rotateOne(m, f, cfg, l, &fu) {
 				n++
@@ -588,7 +577,7 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUs
 // hoistInvariants implements LICM over every loop with a preheader.
 func hoistInvariants(m *ir.Module, f *ir.Function) (int, int) {
 	nPure, nLoad := 0, 0
-	cfg, dt, li := loopsOf(f)
+	cfg, dt, li := ir.LoopsOf(f)
 	for _, l := range li.Loops {
 		if l.Preheader == nil || l.Latch == nil {
 			continue
@@ -690,7 +679,7 @@ func deleteDeadLoops(m *ir.Module, f *ir.Function) int {
 	defer fu.done()
 	for changed := true; changed; {
 		changed = false
-		cfg, _, li := loopsOf(f)
+		cfg, _, li := ir.LoopsOf(f)
 		for _, l := range li.Loops {
 			if l.Preheader == nil || loopHasMemoryEffects(m, l) {
 				continue
@@ -778,7 +767,7 @@ func recognizeIdioms(m *ir.Module, f *ir.Function) (int, int) {
 	defer fu.done()
 	for changed := true; changed; {
 		changed = false
-		cfg, _, li := loopsOf(f)
+		cfg, _, li := ir.LoopsOf(f)
 		for _, l := range li.Loops {
 			if l.Preheader == nil || l.Header != l.Latch || len(l.Blocks()) != 1 {
 				continue
@@ -936,7 +925,7 @@ func gepAt(fu *funcUses, ph *ir.Block, base, idx ir.Value) ir.Value {
 // marks IV increments no-wrap.
 func canonicalizeIVs(f *ir.Function) int {
 	n := 0
-	cfg, _, li := loopsOf(f)
+	cfg, _, li := ir.LoopsOf(f)
 	for _, l := range li.Loops {
 		iv := ir.FindCanonicalIV(cfg, l)
 		if iv == nil {
@@ -982,7 +971,7 @@ func unswitchLoops(m *ir.Module, f *ir.Function) int {
 	defer fu.done()
 	for changed := true; changed; {
 		changed = false
-		cfg, _, li := loopsOf(f)
+		cfg, _, li := ir.LoopsOf(f)
 		for _, l := range li.Loops {
 			if l.Preheader == nil || len(l.Blocks()) > 12 {
 				continue
@@ -1104,7 +1093,7 @@ func strengthReduceIVs(f *ir.Function) int {
 	n := 0
 	fu := funcUses{f: f}
 	defer fu.done()
-	cfg, _, li := loopsOf(f)
+	cfg, _, li := ir.LoopsOf(f)
 	for _, l := range li.Loops {
 		if l.Preheader == nil || l.Header != l.Latch || len(l.Blocks()) != 1 {
 			continue
@@ -1166,7 +1155,7 @@ func sinkIntoLoops(m *ir.Module, f *ir.Function) int {
 	n := 0
 	fu := funcUses{f: f}
 	defer fu.done()
-	_, _, li := loopsOf(f)
+	_, _, li := ir.LoopsOf(f)
 	for _, l := range li.Loops {
 		if l.Preheader == nil {
 			continue
@@ -1207,7 +1196,7 @@ func sinkIntoLoops(m *ir.Module, f *ir.Function) int {
 // single-block loops.
 func insertPrefetches(f *ir.Function) int {
 	n := 0
-	cfg, _, li := loopsOf(f)
+	cfg, _, li := ir.LoopsOf(f)
 	for _, l := range li.Loops {
 		if l.Header != l.Latch || len(l.Blocks()) != 1 {
 			continue
@@ -1254,7 +1243,7 @@ func fuseLoops(m *ir.Module, f *ir.Function) int {
 	defer fu.done()
 	for changed := true; changed; {
 		changed = false
-		cfg, _, li := loopsOf(f)
+		cfg, _, li := ir.LoopsOf(f)
 		for _, l1 := range li.Loops {
 			if fuseWithNext(m, f, cfg, li, l1, &fu) {
 				n++

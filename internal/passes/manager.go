@@ -7,12 +7,13 @@ import (
 	"repro/internal/ir"
 )
 
-// Manager runs pass sequences. It holds no state beyond the observer, and a
-// pass run leaves nothing behind on the module: every pass computes the
-// CFG, dominators and loops it needs from the function as it is, so the
-// result of a sequence is a function of (module, sequence) alone. Two
-// goroutines must never run managers over the same module concurrently (the
-// same rule as running passes concurrently).
+// Manager runs pass sequences. It holds no state beyond the observer. A pass
+// asks for the CFG, dominators and loops of a function through ir.CFGOf /
+// DomOf / LoopsOf, which reuse the function's analysis slot only while it is
+// current — an answer a fresh build would give — so the result of a sequence
+// is a function of (module, sequence) alone. Run empties the slots at the end
+// of the sequence. Two goroutines must never run managers over the same
+// module concurrently (the same rule as running passes concurrently).
 type Manager struct {
 	// Obs, when non-nil, receives one PassRan record per executed pass with
 	// its wall time and exact stats delta (see ApplyObserved).
@@ -44,6 +45,7 @@ func (pm *Manager) RunOne(m *ir.Module, p *Pass, st Stats) {
 // Run executes the named passes in order, verifying after every pass when
 // verifyEach is set and once at the end otherwise.
 func (pm *Manager) Run(m *ir.Module, sequence []string, st Stats, verifyEach bool) error {
+	defer ir.DropAnalyses(m)
 	for _, name := range sequence {
 		p := byName[name]
 		if p == nil {

@@ -649,3 +649,47 @@ func TestIPSCCPPropagatesConstArgs(t *testing.T) {
 		t.Fatal("output changed")
 	}
 }
+
+// TestExprTableResetEmptiesEverySlot: reset pops the keys still in the log —
+// the outer scopes' keys when a pass panicked mid-walk — and that empties
+// every slot of the pooled table, growth and nested scopes included.
+func TestExprTableResetEmptiesEverySlot(t *testing.T) {
+	var tab exprTable
+	key := func(i int) instrKey { return instrKey{a: int32(i), b: int32(i % 7), op: ir.OpAdd, kind: ir.I64} }
+	n := 0
+	add := func(k int) {
+		for ; k > 0; k-- {
+			tab.add(key(n), n)
+			n++
+		}
+	}
+	add(40) // the outermost scope, grown past the table's first size
+	inner := tab.mark()
+	add(100)
+	deeper := tab.mark()
+	add(10)
+	tab.pop(deeper)
+	add(30)
+	tab.pop(inner)
+	add(20) // left in the log, with the outermost 40, as a panic leaves them
+	if live := tab.mark(); live != 60 {
+		t.Fatalf("%d keys live before the reset, want 60", live)
+	}
+	if got := tab.find(key(n - 1)); got != n-1 {
+		t.Fatalf("find of a live key = %d, want %d", got, n-1)
+	}
+	tab.reset()
+	if len(tab.log) != 0 {
+		t.Fatalf("%d keys left in the log", len(tab.log))
+	}
+	for i, s := range tab.slots {
+		if s.id != 0 {
+			t.Fatalf("slot %d of %d still holds id %d", i, len(tab.slots), s.id-1)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if got := tab.find(key(i)); got != -1 {
+			t.Fatalf("find(key %d) = %d after reset, want a miss", i, got)
+		}
+	}
+}

@@ -59,7 +59,9 @@ func sameShape(m1 *ir.Module, s1 passes.Stats, err1 error, m2 *ir.Module, s2 pas
 // CBench / SPEC module, for the ARM and x86 vector widths, random 8–120-pass
 // sequences and tail mutations of them build to exactly what the passes built
 // when every edit shifted the block at once (passes.RunPerEdit): same error
-// text, printed module, Stats, and every block's length and capacity.
+// text, printed module, Stats, and every block's length and capacity. Every
+// analysis a pass reuses from a function's slot on either side must equal a
+// fresh build (checkReuse).
 func TestPerEditOracle(t *testing.T) {
 	// Sequences per module and vector width: 17 200 builds over the 43
 	// modules, 1 376 at -short.
@@ -83,6 +85,7 @@ func TestPerEditOracle(t *testing.T) {
 	fails := make([]string, len(jobs))
 	counts := make([][2]int, len(jobs)) // builds, failed builds
 	fired := make([]passes.Stats, len(jobs))
+	stopChecking := checkReuse()
 	numeric.ParallelFor(numeric.Workers(0), len(jobs), func(j int) {
 		rng := rand.New(rand.NewSource(int64(20261017 + j)))
 		fired[j] = passes.Stats{}
@@ -117,6 +120,13 @@ func TestPerEditOracle(t *testing.T) {
 			}
 		}
 	})
+	reused, err := stopChecking()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused == 0 {
+		t.Fatal("no pass reused an analysis: the reuse check checked nothing")
+	}
 	var total [2]int
 	all := passes.Stats{}
 	for j, f := range fails {
@@ -127,7 +137,7 @@ func TestPerEditOracle(t *testing.T) {
 		total[1] += counts[j][1]
 		all.Merge(fired[j])
 	}
-	t.Logf("%d builds equal to the per-edit passes (%d failed identically); stats summed over the good ones: %s", total[0], total[1], all.JSON())
+	t.Logf("%d builds equal to the per-edit passes (%d failed identically), %d reused analyses equal to fresh builds; stats summed over the good ones: %s", total[0], total[1], reused, all.JSON())
 }
 
 // TestRemovedInstructionsAreUnlinked: every instruction adce and mem2reg take

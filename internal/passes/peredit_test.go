@@ -33,7 +33,7 @@ func runCSEPerEdit(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 	var cfgG *ir.CFG
 	var dt *ir.DomTree
 	if cfg.global {
-		cfgG, dt = domOf(f)
+		cfgG, dt = ir.DomOf(f)
 	}
 
 	// Pure-expression facts are immutable SSA values: a block sees those of
@@ -792,7 +792,7 @@ func runSCCPPerEdit(m *ir.Module, f *ir.Function) int {
 	defer fu.done()
 	for rounds := 0; rounds < 10; rounds++ {
 		changed := 0
-		cfg := ir.BuildCFG(f)
+		cfg := ir.CFGOf(f)
 		reach := cfg.Reachable()
 		for _, b := range f.Blocks {
 			if !reach.Has(b) {
@@ -923,7 +923,7 @@ func unrollLoopsPerEdit(f *ir.Function, fullTripMax int64, bodyMax, factor int) 
 	defer fu.done()
 	for changed := true; changed; {
 		changed = false
-		cfg, _, li := loopsOf(f)
+		cfg, _, li := ir.LoopsOf(f)
 		for _, l := range li.Loops {
 			if l.Preheader == nil || l.Header != l.Latch || len(l.Blocks()) != 1 {
 				continue
@@ -1128,7 +1128,7 @@ func promoteAllocasPerEdit(f *ir.Function) (promoted, phis int) {
 		return 0, 0
 	}
 
-	cfg, dt := domOf(f)
+	cfg, dt := ir.DomOf(f)
 	reach := cfg.Reachable()
 
 	// Insert a phi per variable in every reachable join block (maximal SSA).
@@ -1506,7 +1506,7 @@ var perEditPasses = map[string]func(m *ir.Module, st Stats){
 	},
 	"loop-instsimplify": func(m *ir.Module, st Stats) {
 		forEachDefined(m, func(f *ir.Function) {
-			_, _, li := loopsOf(f)
+			_, _, li := ir.LoopsOf(f)
 			if len(li.Loops) > 0 {
 				st.Add("loop-instsimplify.NumSimplified", runInstSimplifyPerEdit(f))
 			}

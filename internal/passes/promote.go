@@ -30,7 +30,7 @@ func promoteAllocas(f *ir.Function) (promoted, phis int) {
 		return 0, 0
 	}
 
-	cfg, dt := domOf(f)
+	cfg, dt := ir.DomOf(f)
 	reach := cfg.Reachable()
 
 	// Insert a phi per variable in every reachable join block (maximal SSA).

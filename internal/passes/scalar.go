@@ -420,7 +420,7 @@ func sinkIntoArms(m *ir.Module, f *ir.Function) int {
 	n := 0
 	fu := funcUses{f: f}
 	defer fu.done()
-	cfg := ir.BuildCFG(f)
+	cfg := ir.CFGOf(f)
 	for _, b := range f.Blocks {
 		t := b.Term()
 		if t == nil || t.Op != ir.OpBr {
@@ -467,7 +467,7 @@ func sinkIntoArms(m *ir.Module, f *ir.Function) int {
 // preparing if-conversion.
 func speculateArms(m *ir.Module, f *ir.Function) int {
 	n := 0
-	cfg := ir.BuildCFG(f)
+	cfg := ir.CFGOf(f)
 	for _, b := range f.Blocks {
 		t := b.Term()
 		if t == nil || t.Op != ir.OpBr {
@@ -880,7 +880,7 @@ func mergeICmpChains(f *ir.Function) int {
 // predecessor with the argument resolved, enabling later specialisation.
 func splitCallSites(m *ir.Module, f *ir.Function) int {
 	n := 0
-	cfg := ir.BuildCFG(f)
+	cfg := ir.CFGOf(f)
 	// Shape: block = {phi, call using phi, jmp}, two preds, void call so no
 	// merging phi for the result is needed.
 	for _, b := range f.Blocks {

@@ -30,7 +30,7 @@ func runSCCP(m *ir.Module, f *ir.Function) int {
 	defer fu.done()
 	for rounds := 0; rounds < 10; rounds++ {
 		changed := 0
-		cfg := ir.BuildCFG(f)
+		cfg := ir.CFGOf(f)
 		reach := cfg.Reachable()
 		for _, b := range f.Blocks {
 			if !reach.Has(b) {

@@ -32,7 +32,7 @@ func unrollLoops(f *ir.Function, fullTripMax int64, bodyMax, factor int) (int, i
 	defer fu.done()
 	for changed := true; changed; {
 		changed = false
-		cfg, _, li := loopsOf(f)
+		cfg, _, li := ir.LoopsOf(f)
 		for _, l := range li.Loops {
 			if l.Preheader == nil || l.Header != l.Latch || len(l.Blocks()) != 1 {
 				continue

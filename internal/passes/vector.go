@@ -47,7 +47,7 @@ func vectorizeLoops(m *ir.Module, f *ir.Function) int {
 	defer fu.done()
 	for changed := true; changed; {
 		changed = false
-		cfg, _, li := loopsOf(f)
+		cfg, _, li := ir.LoopsOf(f)
 		for _, l := range li.Loops {
 			if vectorizeOneLoop(m, cfg, l, &fu) {
 				n++
