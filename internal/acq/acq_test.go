@@ -2,7 +2,6 @@ package acq
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/gp"
@@ -10,10 +9,9 @@ import (
 
 func fitted(t *testing.T) *gp.GP {
 	t.Helper()
-	rng := rand.New(rand.NewSource(1))
 	X := [][]float64{{0}, {0.25}, {0.5}, {0.75}, {1}}
 	Y := []float64{1.0, 0.2, -0.5, 0.2, 1.0} // minimum near 0.5
-	g, err := gp.Fit(X, Y, gp.DefaultOptions(), rng)
+	g, err := gp.Fit(X, Y, gp.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,7 +193,7 @@ func Minimize(f func([]float64) float64, bounds heuristic.Bounds, budget int, op
 	for it := 0; budget-len(Y) > 0; it++ {
 		// 1. Bring the surrogate up to date.
 		var err error
-		model, _, err = gp.Update(model, X, Y, it, opts.RefitEvery, gpo, rng)
+		model, _, err = gp.Update(model, X, Y, it, opts.RefitEvery, gpo)
 		if err != nil {
 			return nil, fmt.Errorf("aibo: GP fit failed: %w", err)
 		}

@@ -25,7 +25,6 @@ func fastOpts() Options {
 	o.GradSteps = 8
 	o.RefitEvery = 3
 	o.GPOpts.AdamSteps = 25
-	o.GPOpts.Restarts = 1
 	return o
 }
 
@@ -138,7 +137,6 @@ func TestTuRBOImprovesAndRespectsBudget(t *testing.T) {
 	o.InitSamples = 12
 	o.Candidates = 80
 	o.GPOpts.AdamSteps = 20
-	o.GPOpts.Restarts = 1
 	o.RefitEvery = 3
 	res, err := TuRBOMinimize(f.Eval, b, 60, o, 2)
 	if err != nil {

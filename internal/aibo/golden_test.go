@@ -23,18 +23,17 @@ func historyDigest(h []float64) string {
 
 // TestSurrogateUpdateGolden pins the History bits of AIBO and TuRBO runs
 // whose surrogate is refitted every third iteration, so the runs pass
-// through every step of gp.Update: full refits that draw restarts from the
-// rng, Appends in between, and — for TuRBO, whose window (MaxGPHistory)
-// is smaller than the budget — frozen refits of a window that slid at
-// constant length. The digests were recorded before the update policy moved
-// into gp.Update; a change that moves one has changed a trajectory.
+// through every step of gp.Update: full refits, Appends in between, and —
+// for TuRBO, whose window (MaxGPHistory) is smaller than the budget — frozen
+// refits of a window that slid at constant length. The digests were recorded
+// with one Adam run per fit, the shape every run fits with; a change that
+// moves one has changed a trajectory.
 func TestSurrogateUpdateGolden(t *testing.T) {
 	f := synth.Ackley()
 	b := boxFor(f, 5)
 
 	ao := fastOpts()
 	ao.GPOpts.AdamSteps = 15
-	ao.GPOpts.Restarts = 2
 	ao.RefitEvery = 3
 	ao.Workers = 2
 
@@ -42,18 +41,17 @@ func TestSurrogateUpdateGolden(t *testing.T) {
 	to.InitSamples = 10
 	to.Candidates = 60
 	to.GPOpts.AdamSteps = 15
-	to.GPOpts.Restarts = 2
 	to.RefitEvery = 3
 	to.MaxGPHistory = 18
 	to.Workers = 2
 
 	want := map[string]string{
-		"aibo/seed1":  "9194182f9cc3582f",
-		"aibo/seed2":  "b16b6fd82d0f837f",
-		"aibo/seed3":  "f7823184aa0c8d60",
-		"turbo/seed1": "f048085ed2a88e4a",
-		"turbo/seed2": "6c9a7f159f2c72b7",
-		"turbo/seed3": "47058d41cb9cb354",
+		"aibo/seed1":  "f30b8eef39d5a956",
+		"aibo/seed2":  "b2ece49f944c85f0",
+		"aibo/seed3":  "d741dbb08bd2c0b8",
+		"turbo/seed1": "ff1efe3747c0a083",
+		"turbo/seed2": "4b985e79aafa72c6",
+		"turbo/seed3": "3d67882596e6ddba",
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		ar, err := Minimize(f.Eval, b, 30, ao, seed)

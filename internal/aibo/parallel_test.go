@@ -13,14 +13,13 @@ import (
 )
 
 // TestAIBOWorkersDeterminism pins the tentpole guarantee: the parallel
-// surrogate (fit restarts, batched screening, fanned-out acquisition
+// surrogate (sharded fit kernels, batched screening, fanned-out acquisition
 // maximisation) produces the exact trace of the serial one.
 func TestAIBOWorkersDeterminism(t *testing.T) {
 	f := synth.Rastrigin()
 	b := boxFor(f, 4)
 	base := fastOpts()
 	base.TopN = 3
-	base.GPOpts.Restarts = 2
 	var ref *Result
 	for _, w := range []int{1, 8} {
 		o := base
@@ -61,7 +60,6 @@ func TestTuRBOWorkersDeterminism(t *testing.T) {
 	base.InitSamples = 10
 	base.Candidates = 60
 	base.GPOpts.AdamSteps = 15
-	base.GPOpts.Restarts = 1
 	base.RefitEvery = 3
 	var ref *Result
 	for _, w := range []int{1, 8} {
@@ -100,8 +98,7 @@ func screenFixture(t testing.TB, n, d int) (*gp.GP, acq.Config) {
 	}
 	o := gp.DefaultOptions()
 	o.AdamSteps = 10
-	o.Restarts = 1
-	model, err := gp.Fit(X, Y, o, rand.New(rand.NewSource(1)))
+	model, err := gp.Fit(X, Y, o)
 	if err != nil {
 		t.Fatal(err)
 	}

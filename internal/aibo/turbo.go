@@ -94,7 +94,7 @@ func TuRBOMinimize(f func([]float64) float64, bounds heuristic.Bounds, budget in
 			lo = 0
 		}
 		var err error
-		model, _, err = gp.Update(model, X[lo:], Y[lo:], it, opts.RefitEvery, gpo, rng)
+		model, _, err = gp.Update(model, X[lo:], Y[lo:], it, opts.RefitEvery, gpo)
 		if err != nil {
 			return nil, err
 		}

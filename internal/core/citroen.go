@@ -99,16 +99,13 @@ type Options struct {
 
 // DefaultOptions mirror the paper's setup.
 func DefaultOptions() Options {
-	g := gp.DefaultOptions()
-	g.AdamSteps = 40
-	g.Restarts = 1
 	return Options{
 		Budget: 100, Lambda: 9,
 		SeqMin: 8, SeqMax: 120,
 		Beta:    1.96,
 		Feature: FeatStats, CoverageAF: true, CoverageGamma: 0.3, DupPenalty: 100,
 		HeuristicInit: true, HotCoverage: 0.9, Adaptive: true,
-		InitRandom: 6, RefitEvery: 5, GPOpts: g,
+		InitRandom: 6, RefitEvery: 5, GPOpts: gp.DefaultOptions(),
 	}
 }
 
@@ -257,7 +254,7 @@ func NewTuner(task Task, opts Options, seed int64) *Tuner {
 		gBest:  met.Gauge("citroen_incumbent_speedup"),
 	}
 	if t.opts.GPOpts.Workers == 0 {
-		// -workers drives the surrogate too: parallel fit restarts, sharded
+		// -workers drives the surrogate too: sharded fit kernels and
 		// gradients and batched prediction, all bit-identical to serial.
 		t.opts.GPOpts.Workers = t.workers
 	}
@@ -626,7 +623,7 @@ func (t *Tuner) fitModel(iter int) error {
 		return nil
 	}
 	tStart := time.Now()
-	m, step, err := gp.Update(t.model, t.X, t.Y, iter, t.opts.RefitEvery, t.opts.GPOpts, t.rng)
+	m, step, err := gp.Update(t.model, t.X, t.Y, iter, t.opts.RefitEvery, t.opts.GPOpts)
 	if err != nil {
 		return fmt.Errorf("core: GP fit: %w", err)
 	}

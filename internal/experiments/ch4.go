@@ -50,7 +50,6 @@ func fastAIBO(budget int) aibo.Options {
 	o.GradSteps = 10
 	o.RefitEvery = 3
 	o.GPOpts.AdamSteps = 25
-	o.GPOpts.Restarts = 1
 	return o
 }
 
@@ -199,7 +198,6 @@ func runFig45(c Config) error {
 			o.InitSamples = budget / 4
 			o.Candidates = 100
 			o.GPOpts.AdamSteps = 20
-			o.GPOpts.Restarts = 1
 			o.RefitEvery = 3
 			r, err := aibo.TuRBOMinimize(f.Eval, boxFor(f, d), budget, o, c.Seed)
 			if err != nil {

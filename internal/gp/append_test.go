@@ -11,8 +11,7 @@ import (
 func frozenFit(g *GP, X [][]float64, Y []float64, base Options) (*GP, error) {
 	o := base
 	o.AdamSteps = 0
-	o.Restarts = 1
-	return fit(X, Y, o, g, nil)
+	return fit(X, Y, o, g)
 }
 
 func randHistory(rng *rand.Rand, n, d int) ([][]float64, []float64) {
@@ -53,7 +52,7 @@ func TestAppendMatchesFullRefit(t *testing.T) {
 
 	opts := DefaultOptions()
 	opts.AdamSteps = 30
-	g, err := Fit(X[:n0], Y[:n0], opts, rng)
+	g, err := Fit(X[:n0], Y[:n0], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +90,8 @@ func TestAppendJitterRecovery(t *testing.T) {
 	Y := []float64{0.1, 0.9, 0.2}
 	opts := DefaultOptions()
 	opts.AdamSteps = 0
-	opts.Restarts = 1
 	opts.NoiseFloor = 1e-14
-	g, err := fit(X, Y, opts, &GP{LS: []float64{0.5}, SigF: 1, Noise: 1e-13}, nil)
+	g, err := fit(X, Y, opts, &GP{LS: []float64{0.5}, SigF: 1, Noise: 1e-13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +130,7 @@ func TestAppendFuzzRoundTrip(t *testing.T) {
 
 		opts := DefaultOptions()
 		opts.AdamSteps = 10
-		opts.Restarts = 2
-		g, err := Fit(X[:n0], Y[:n0], opts, rng)
+		g, err := Fit(X[:n0], Y[:n0], opts)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -170,7 +167,7 @@ func TestPredictBatchBitIdenticalAcrossWorkers(t *testing.T) {
 		opts := DefaultOptions()
 		opts.AdamSteps = 15
 		opts.Workers = workers
-		g, err := Fit(X, Y, opts, rand.New(rand.NewSource(4)))
+		g, err := Fit(X, Y, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,8 +228,7 @@ func TestAppendLeavesCallersBackingArrayAlone(t *testing.T) {
 	copy(back, X)
 	opts := DefaultOptions()
 	opts.AdamSteps = 0
-	opts.Restarts = 1
-	g, err := Fit(back, Y, opts, nil)
+	g, err := Fit(back, Y, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

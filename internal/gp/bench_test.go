@@ -24,9 +24,8 @@ func benchFit(b *testing.B, X [][]float64, Y []float64, workers int) *GP {
 	b.Helper()
 	opts := DefaultOptions()
 	opts.AdamSteps = 0
-	opts.Restarts = 1
 	opts.Workers = workers
-	g, err := Fit(X, Y, opts, nil)
+	g, err := Fit(X, Y, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -116,8 +115,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 // BenchmarkGPFitAdam measures a full hyperparameter fit (gradient steps
 // included): a small one serial vs parallel, exercising the sharded lmlGrad,
 // and one the size sha_long's last refits have (n = 150, d = 55, the default
-// 2 restarts x 60 steps on 2 workers) — the case whose time and allocation
-// count CI gates.
+// 40 steps on 2 workers) — the case whose time and allocation count CI gates.
 func BenchmarkGPFitAdam(b *testing.B) {
 	for _, c := range []struct {
 		name           string
@@ -126,18 +124,17 @@ func BenchmarkGPFitAdam(b *testing.B) {
 	}{
 		{"w1", 128, 8, 5, 1},
 		{"w8", 128, 8, 5, 8},
-		{"n150-d55-s60-w2", 150, 55, 60, 2},
+		{"n150-d55-s40-w2", 150, 55, 40, 2},
 	} {
 		X, Y := benchData(c.n, c.d)
 		b.Run(c.name, func(b *testing.B) {
 			opts := DefaultOptions()
 			opts.AdamSteps = c.steps
-			opts.Restarts = 2
 			opts.Workers = c.workers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Fit(X, Y, opts, rand.New(rand.NewSource(1))); err != nil {
+				if _, err := Fit(X, Y, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,16 +1,14 @@
 // Package gp implements exact Gaussian-process regression from scratch:
 // an ARD Matérn-5/2 kernel, Cholesky-based inference, analytic
-// log-marginal-likelihood gradients and Adam-based hyperparameter fitting
-// with multiple restarts. It is the surrogate model for both the generic
-// high-dimensional BO of Chapter 4 (AIBO) and CITROEN's compilation-
-// statistics cost model (§5.3.3).
+// log-marginal-likelihood gradients and Adam-based hyperparameter fitting.
+// It is the surrogate model for both the generic high-dimensional BO of
+// Chapter 4 (AIBO) and CITROEN's compilation-statistics cost model (§5.3.3).
 package gp
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/numeric"
 )
@@ -19,20 +17,17 @@ import (
 // Matérn-5/2 kernel over targets that are always Yeo-Johnson transformed and
 // then standardised.
 type Options struct {
-	Restarts   int     // hyperparameter optimisation restarts
-	AdamSteps  int     // gradient steps per restart
+	AdamSteps  int     // gradient steps of the hyperparameter fit
 	NoiseFloor float64 // minimum noise variance
 	NoiseCeil  float64 // maximum noise variance
 	LSFloor    float64 // minimum length scale
 	LSCeil     float64 // maximum length scale
 
-	// Workers bounds the parallelism of fitting (hyperparameter restarts,
-	// sharded kernel-matrix and LML-gradient evaluation) and of PredictBatch.
-	// 0 or 1 runs serially. Results are bit-identical for every value: work
-	// is partitioned into fixed-size shards whose boundaries depend only on
-	// the problem size, per-shard partial results are reduced in shard order,
-	// restart initialisations are drawn from the rng serially before the
-	// fan-out, and the restart winner is chosen by (LML, restart index).
+	// Workers bounds the parallelism of fitting (sharded kernel-matrix and
+	// LML-gradient evaluation) and of PredictBatch. 0 or 1 runs serially.
+	// Results are bit-identical for every value: work is partitioned into
+	// fixed-size shards whose boundaries depend only on the problem size, and
+	// per-shard partial results are reduced in shard order.
 	Workers int
 }
 
@@ -43,7 +38,7 @@ const learnRate = 0.08
 // and noise.
 func DefaultOptions() Options {
 	return Options{
-		Restarts: 2, AdamSteps: 60,
+		AdamSteps:  40,
 		NoiseFloor: 1e-6, NoiseCeil: 1e-2, LSFloor: 0.005, LSCeil: 20,
 	}
 }
@@ -81,13 +76,14 @@ func (g *GP) Refactorized() int { return g.refactorization }
 var ErrNoData = errors.New("gp: need at least 2 observations")
 
 // Fit trains a GP on inputs X (rows) and targets Y.
-func Fit(X [][]float64, Y []float64, opts Options, rng *rand.Rand) (*GP, error) {
-	return fit(X, Y, opts, nil, rng)
+func Fit(X [][]float64, Y []float64, opts Options) (*GP, error) {
+	return fit(X, Y, opts, nil)
 }
 
-// fit is Fit with restart 0 started from warm's hyperparameters instead of
-// the defaults, when warm is non-nil and has X's width.
-func fit(X [][]float64, Y []float64, opts Options, warm *GP, rng *rand.Rand) (*GP, error) {
+// fit is Fit with the hyperparameter search started from warm's
+// hyperparameters instead of the defaults, when warm is non-nil and has X's
+// width.
+func fit(X [][]float64, Y []float64, opts Options, warm *GP) (*GP, error) {
 	n := len(X)
 	if n < 2 || len(Y) != n {
 		return nil, ErrNoData
@@ -107,78 +103,30 @@ func fit(X [][]float64, Y []float64, opts Options, warm *GP, rng *rand.Rand) (*G
 	}
 	g.refreshTargets()
 
-	// Hyperparameter optimisation over log parameters.
-	mkInit := func(r int) hypers {
-		t := hypers{ls: make([]float64, d), sigf: 1, noise: 1e-3}
-		for i := range t.ls {
-			t.ls[i] = 0.5
-		}
-		if r == 0 && warm != nil && len(warm.LS) == d {
-			copy(t.ls, warm.LS)
-			t.sigf, t.noise = warm.SigF, warm.Noise
-		} else if r > 0 && rng != nil {
-			for i := range t.ls {
-				t.ls[i] = math.Exp(rng.NormFloat64()*0.7 - 0.7)
-			}
-			t.sigf = math.Exp(rng.NormFloat64() * 0.5)
-		}
-		return t
-	}
-
-	restarts := opts.Restarts
-	if restarts < 1 {
-		restarts = 1
-	}
-	// Draw every restart initialisation from the rng serially, in restart
-	// order, so the stream of random numbers consumed is identical to a
-	// serial fit; the optimisation itself is rng-free and fans out below.
-	inits := make([]hypers, restarts)
-	for r := range inits {
-		inits[r] = mkInit(r)
-	}
-	type restartOut struct {
-		t   hypers
-		lml float64
-		ok  bool
-	}
-	outs := make([]restartOut, restarts)
-	// With at least one restart per worker every core already runs an Adam
-	// loop of its own; forking the kernels inside it again only adds
-	// goroutine wake-ups (DESIGN.md "Layer audit"). The bits do not depend on
-	// the worker count either way.
-	inner := workers
-	if restarts >= workers {
-		inner = 1
-	}
-	numeric.ParallelFor(workers, restarts, func(r int) {
-		sc := newGradScratch(n, d)
-		t := adamOptimize(g, inits[r], opts, sc, inner)
-		lml, ok := g.computeLML(t.ls, t.sigf, t.noise, sc, inner)
-		outs[r] = restartOut{t: t, lml: lml, ok: ok}
-	})
-	// Scanning the results in restart order with a strict > makes the winner
-	// the (highest LML, lowest restart index) pair regardless of which
-	// goroutine finished first.
-	best := math.Inf(-1)
-	var bestT hypers
-	for _, o := range outs {
-		if o.ok && o.lml > best {
-			best = o.lml
-			bestT = o.t
+	// Hyperparameter optimisation over log parameters: one Adam run from
+	// warm's hyperparameters, or from the defaults.
+	start := hypers{ls: make([]float64, d), sigf: 1, noise: 1e-3}
+	if warm != nil && len(warm.LS) == d {
+		copy(start.ls, warm.LS)
+		start.sigf, start.noise = warm.SigF, warm.Noise
+	} else {
+		for i := range start.ls {
+			start.ls[i] = 0.5
 		}
 	}
-	if math.IsInf(best, -1) {
-		// Fall back to defaults with inflated noise.
-		bestT = mkInit(0)
-		bestT.noise = opts.NoiseCeil
-		lml, ok := g.computeLML(bestT.ls, bestT.sigf, bestT.noise, newGradScratch(n, d), workers)
-		if !ok {
+	sc := newGradScratch(n, d)
+	t := adamOptimize(g, start, opts, sc, workers)
+	lml, ok := g.computeLML(t.ls, t.sigf, t.noise, sc, workers)
+	if !ok {
+		// Fall back to the start point with inflated noise.
+		t = start
+		t.noise = opts.NoiseCeil
+		if lml, ok = g.computeLML(t.ls, t.sigf, t.noise, sc, workers); !ok {
 			return nil, errors.New("gp: covariance not positive definite")
 		}
-		best = lml
 	}
-	g.LS, g.SigF, g.Noise = bestT.ls, bestT.sigf, bestT.noise
-	g.lml = best
+	g.LS, g.SigF, g.Noise = t.ls, t.sigf, t.noise
+	g.lml = lml
 	if err := g.factorize(); err != nil {
 		return nil, err
 	}
@@ -333,8 +281,7 @@ func (g *GP) computeLML(ls []float64, sigf, noise float64, sc *gradScratch, work
 }
 
 // gradScratch owns the buffers one lmlGrad or computeLML evaluation needs. A
-// scratch is reused across the Adam steps of a single restart; each restart
-// allocates its own, so concurrent restarts never share buffers.
+// fit allocates one and reuses it across its Adam steps and LML evaluations.
 type gradScratch struct {
 	sx      [][]float64     // inputs divided by the step's length scales
 	K       *numeric.Matrix // kernel matrix, lower triangle

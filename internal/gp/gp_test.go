@@ -16,7 +16,7 @@ func fitSine(t *testing.T, n int) (*GP, [][]float64, []float64) {
 		X[i] = []float64{x}
 		Y[i] = math.Sin(6*x) + 0.01*rng.NormFloat64()
 	}
-	g, err := Fit(X, Y, DefaultOptions(), rng)
+	g, err := Fit(X, Y, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +122,7 @@ func TestARDIdentifiesIrrelevantDimension(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.AdamSteps = 150
-	opts.Restarts = 3
-	g, err := Fit(X, Y, opts, rng)
+	g, err := Fit(X, Y, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,23 +141,21 @@ func TestTransformRoundTrip(t *testing.T) {
 }
 
 func TestFitErrors(t *testing.T) {
-	if _, err := Fit(nil, nil, DefaultOptions(), nil); err == nil {
+	if _, err := Fit(nil, nil, DefaultOptions()); err == nil {
 		t.Fatal("expected error for empty data")
 	}
-	if _, err := Fit([][]float64{{1}}, []float64{1}, DefaultOptions(), nil); err == nil {
+	if _, err := Fit([][]float64{{1}}, []float64{1}, DefaultOptions()); err == nil {
 		t.Fatal("expected error for single point")
 	}
 }
 
 func TestWarmStartUsed(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
 	X := [][]float64{{0}, {0.5}, {1}, {0.25}, {0.75}}
 	Y := []float64{0, 1, 0, 0.7, 0.7}
 	opts := DefaultOptions()
 	opts.AdamSteps = 0 // keep the warm start verbatim
-	opts.Restarts = 1
 	warm := &GP{LS: []float64{0.123}, SigF: 2, Noise: 1e-4}
-	g, err := fit(X, Y, opts, warm, rng)
+	g, err := fit(X, Y, opts, warm)
 	if err != nil {
 		t.Fatal(err)
 	}

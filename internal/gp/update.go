@@ -1,7 +1,5 @@
 package gp
 
-import "math/rand"
-
 // Step names what Update did to the surrogate.
 type Step int
 
@@ -17,23 +15,22 @@ const (
 // iterations. It is the one update policy of CITROEN, AIBO and TuRBO:
 //
 //  1. On a refit iteration (prev == nil, refitEvery <= 1 or iter a multiple
-//     of refitEvery) it fits from scratch, restart 0 warm-started from
-//     prev's hyperparameters when the input width is unchanged.
+//     of refitEvery) it fits from scratch, the hyperparameter search
+//     warm-started from prev's hyperparameters when the input width is
+//     unchanged.
 //  2. Otherwise, when X is prev's rows — the very row slices prev was
 //     trained on — prev already is the posterior and is kept.
 //  3. When X is prev's rows plus one, the new row is Appended in O(n²).
 //  4. Anything else (a window that slid, a width that grew, an Append that
-//     failed) refits with prev's hyperparameters frozen: no Adam step, one
-//     restart. At a changed width there are no hyperparameters to freeze,
-//     so that refit keeps the defaults (0.5 length scales, unit signal,
-//     1e-3 noise).
+//     failed) refits with prev's hyperparameters frozen: no Adam step. At a
+//     changed width there are no hyperparameters to freeze, so that refit
+//     keeps the defaults (0.5 length scales, unit signal, 1e-3 noise).
 //
-// Only step 1 with opts.Restarts > 1 draws from rng. Like Fit, the model
-// keeps the row slices of X (not the outer slice's spare capacity); callers
-// must not write to a row once it has been passed in.
-func Update(prev *GP, X [][]float64, Y []float64, iter, refitEvery int, opts Options, rng *rand.Rand) (*GP, Step, error) {
+// Like Fit, the model keeps the row slices of X (not the outer slice's spare
+// capacity); callers must not write to a row once it has been passed in.
+func Update(prev *GP, X [][]float64, Y []float64, iter, refitEvery int, opts Options) (*GP, Step, error) {
 	if prev == nil || refitEvery <= 1 || iter%refitEvery == 0 {
-		g, err := fit(X, Y, opts, prev, rng)
+		g, err := fit(X, Y, opts, prev)
 		return g, Fitted, err
 	}
 	if n := len(prev.X); len(X) >= n && sameRows(prev.X, X[:n]) {
@@ -46,8 +43,8 @@ func Update(prev *GP, X [][]float64, Y []float64, iter, refitEvery int, opts Opt
 			}
 		}
 	}
-	opts.AdamSteps, opts.Restarts = 0, 1
-	g, err := fit(X, Y, opts, prev, rng)
+	opts.AdamSteps = 0
+	g, err := fit(X, Y, opts, prev)
 	return g, Fitted, err
 }
 

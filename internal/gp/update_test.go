@@ -6,16 +6,6 @@ import (
 	"testing"
 )
 
-// countingSource counts the draws a fit makes from its rng.
-type countingSource struct {
-	src   rand.Source64
-	draws int
-}
-
-func (c *countingSource) Int63() int64    { c.draws++; return c.src.Int63() }
-func (c *countingSource) Uint64() uint64  { c.draws++; return c.src.Uint64() }
-func (c *countingSource) Seed(seed int64) { c.src.Seed(seed) }
-
 func sameHypers(a, b *GP) bool {
 	near := func(x, y float64) bool { return math.Abs(x-y) <= 1e-12*math.Abs(y) }
 	if len(a.LS) != len(b.LS) || !near(a.SigF, b.SigF) || !near(a.Noise, b.Noise) {
@@ -31,16 +21,16 @@ func sameHypers(a, b *GP) bool {
 
 // TestUpdateDecisionTable walks gp.Update through every step of its rule:
 // which Step it reports, whether it hands back prev itself, where the
-// hyperparameters start, and which steps draw from the rng.
+// hyperparameters start.
 func TestUpdateDecisionTable(t *testing.T) {
 	X, Y := randHistory(rand.New(rand.NewSource(2)), 12, 2)
 	opts := DefaultOptions()
 	opts.AdamSteps = 10
 	noAdam := opts
-	noAdam.AdamSteps, noAdam.Restarts = 0, 1
+	noAdam.AdamSteps = 0
 	const every = 3
 	fitPrev := func() *GP {
-		g, err := Fit(X[:8], Y[:8], opts, rand.New(rand.NewSource(1)))
+		g, err := Fit(X[:8], Y[:8], opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,12 +59,11 @@ func TestUpdateDecisionTable(t *testing.T) {
 		opts    *Options // nil: opts
 		want    Step
 		same    bool // Update hands back prev itself
-		draws   bool // the rng was drawn from
 		hypers  func(prev *GP) *GP
 		wantErr bool
 	}{
-		{name: "first fit", noPrev: true, X: X[:8], Y: Y[:8], iter: 1, want: Fitted, draws: true},
-		{name: "refit iteration", X: X[:9], Y: Y[:9], iter: 3, want: Fitted, draws: true},
+		{name: "first fit", noPrev: true, X: X[:8], Y: Y[:8], iter: 1, want: Fitted},
+		{name: "refit iteration", X: X[:9], Y: Y[:9], iter: 3, want: Fitted},
 		{name: "refit starts from prev", X: X[:9], Y: Y[:9], iter: 3, want: Fitted,
 			opts: &noAdam, hypers: func(prev *GP) *GP { return prev }},
 		{name: "kept", X: X[:8], Y: Y[:8], iter: 1, want: Kept, same: true},
@@ -110,8 +99,7 @@ func TestUpdateDecisionTable(t *testing.T) {
 			if c.opts != nil {
 				o = *c.opts
 			}
-			src := &countingSource{src: rand.NewSource(9).(rand.Source64)}
-			g, step, err := Update(prev, c.X, c.Y, c.iter, every, o, rand.New(src))
+			g, step, err := Update(prev, c.X, c.Y, c.iter, every, o)
 			if c.wantErr {
 				if err == nil {
 					t.Fatalf("got %v, want an error", step)
@@ -129,9 +117,6 @@ func TestUpdateDecisionTable(t *testing.T) {
 			}
 			if len(g.X) != len(c.X) {
 				t.Fatalf("model has %d rows, want %d", len(g.X), len(c.X))
-			}
-			if (src.draws > 0) != c.draws {
-				t.Fatalf("%d rng draws, want draws: %v", src.draws, c.draws)
 			}
 			if c.hypers != nil {
 				if w := c.hypers(&ref); !sameHypers(g, w) {

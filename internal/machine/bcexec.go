@@ -162,27 +162,14 @@ func genEval(g *genOp, ops *[3]Val) (Val, error) {
 // scrubbed back to fresh-allocation equivalence (same contract as
 // acquireState).
 func (m *Machine) acquireBC(prog *bcProgram, img *Image) *bcState {
-	machinePoolGets.Add(1)
-	need := img.GlobalWords + m.StackWords
 	st := bcStates.get()
-	if st == nil || int64(cap(st.mem)) < need || len(st.dtags) != m.Prof.DCacheLines {
-		machinePoolNews.Add(1)
-		st = &bcState{runCore: runCore{
-			mem:   make([]cell, need),
-			dtags: make([]int64, m.Prof.DCacheLines),
-		}}
-	} else {
-		if st.hi > img.GlobalWords {
-			scrub := st.mem[img.GlobalWords:st.hi]
-			for i := range scrub {
-				scrub[i] = cell{}
-			}
-		}
-		st.mem = st.mem[:need]
+	if st == nil {
+		st = &bcState{}
 	}
 	st.m, st.prog = m, prog
+	st.takeSlab(img.GlobalWords+m.StackWords, img.GlobalWords)
 	st.prepMemModel()
-	st.sp, st.hi = img.GlobalWords, img.GlobalWords
+	st.sp = img.GlobalWords
 	st.cycles, st.steps, st.curChild, st.depth = 0, 0, 0, 0
 	st.out = nil
 	if cap(st.bpred) < int(prog.nBranch) {
@@ -201,20 +188,18 @@ func (m *Machine) acquireBC(prog *bcProgram, img *Image) *bcState {
 		clear(st.called)
 		clear(st.fcyc)
 	}
-	for i := range st.dtags {
-		st.dtags[i] = -1
-	}
 	return st
 }
 
 // bcStates keeps the bytecode engine's idle execution states for every
-// machine of the process, so a new machine — a new evaluator's — runs on the
-// slabs an earlier one left instead of allocating and clearing its own.
-// acquireBC re-derives everything a state holds from the machine and image
-// it runs, so which machine used a state last changes nothing.
+// machine of the process, as slabs keeps their memory, so a new machine — a
+// new evaluator's — runs on what an earlier one left instead of allocating
+// its own. acquireBC re-derives everything a state holds from the machine and
+// image it runs, so which machine used a state last changes nothing.
 var bcStates freeList[bcState]
 
 func (m *Machine) releaseBC(st *bcState) {
+	st.dropSlab()
 	st.m, st.prog = nil, nil
 	st.out = nil
 	bcStates.put(st)

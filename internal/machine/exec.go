@@ -118,11 +118,12 @@ type Machine struct {
 	// tested against. Nothing on the tuning path sets it.
 	TreeWalk bool
 
-	// statePool recycles the tree-walker's execution state (the flat memory
-	// slab, predictor and attribution maps, frame register files) across
-	// runs. Reused memory is scrubbed back to the all-zero state a fresh
-	// allocation would have, so pooled and unpooled runs are bit-identical.
-	// The bytecode engine's states do the same on the process-wide bcStates.
+	// statePool recycles the tree-walker's execution state (predictor and
+	// attribution maps, frame register files) across runs; the bytecode
+	// engine's states live on the process-wide bcStates. Both take their
+	// memory slab from the process-wide slabs, scrubbed back to the all-zero
+	// state a fresh allocation would have, so pooled and unpooled runs are
+	// bit-identical.
 	statePool freeList[execState]
 
 	// bcMu guards the bytecode-engine counters.
@@ -135,17 +136,17 @@ type Machine struct {
 // never reach canonical journal fields).
 var machinePoolGets, machinePoolNews atomic.Uint64
 
-// PoolCounters returns the cumulative execution-state acquisitions (one per
-// run) and the subset that had to allocate a fresh state; Results, which are
-// small and live in a sync.Pool, are not counted.
+// PoolCounters returns the cumulative memory-slab acquisitions (one per run)
+// and the subset that had to allocate a fresh slab; Results, which are small
+// and live in a sync.Pool, are not counted.
 func PoolCounters() (gets, news uint64) {
 	return machinePoolGets.Load(), machinePoolNews.Load()
 }
 
-// freeList keeps idle execution states: at most GOMAXPROCS of them, which is
-// how many runs can execute at once. A state is a 16 MiB+ slab, and a
-// sync.Pool hands those back to the GC every second cycle only for the next
-// run to allocate and clear a new one.
+// freeList keeps idle execution states or memory slabs: at most GOMAXPROCS
+// of them, which is how many runs can execute at once. A slab is 16 MiB+,
+// and a sync.Pool hands those back to the GC every second cycle only for the
+// next run to allocate and clear a new one.
 type freeList[T any] struct {
 	mu   sync.Mutex
 	free []*T
@@ -234,6 +235,8 @@ type runCore struct {
 	// reuse only [GlobalWords, hi) needs scrubbing — the global region is
 	// fully rewritten at run start anyway.
 	hi int64
+	// slab backs mem and dtags for the current run (takeSlab / dropSlab).
+	slab *memSlab
 	// valFree is a LIFO freelist of frame register files ([]Val) released by
 	// returned calls; entries are scrubbed on reuse.
 	valFree [][]Val
@@ -273,6 +276,51 @@ type execState struct {
 	// opsTmp is scratch for pure-op operand evaluation; evalPure never
 	// re-enters the interpreter, so the buffer cannot be live twice.
 	opsTmp []Val
+}
+
+// memSlab is a run's flat memory and data-cache tags: 16 MiB and more, the
+// bulk of an execution state. Idle slabs wait in slabs, shared by both
+// engines and every machine of the process, so a tree-walking run after
+// bytecode runs (the reference check after a tuning run) reuses their slabs.
+// A fresh slab's pages stay untouched until the run writes them, a reused
+// one's are zeroed by the allocator; which of the two a new slab got would
+// depend on when the last GC ran, and so would the peak RSS.
+type memSlab struct {
+	mem   []cell
+	dtags []int64
+	hi    int64 // the dirty high-water mark the last run left
+}
+
+var slabs freeList[memSlab]
+
+// takeSlab gives st a slab of need cells, scrubbed back to the all-zero state
+// a fresh allocation has above globalWords (the globals are fully rewritten
+// at run start): a wild but in-bounds pointer above sp must read zero.
+// st.m must be set.
+func (st *runCore) takeSlab(need, globalWords int64) {
+	machinePoolGets.Add(1)
+	s := slabs.get()
+	if s == nil || int64(cap(s.mem)) < need || len(s.dtags) != st.m.Prof.DCacheLines {
+		machinePoolNews.Add(1)
+		s = &memSlab{mem: make([]cell, need), dtags: make([]int64, st.m.Prof.DCacheLines)}
+	} else if s.hi > globalWords {
+		// Scrub before re-slicing: hi is bounded by the previous run's
+		// length, which may exceed this image's need.
+		clear(s.mem[globalWords:s.hi])
+	}
+	st.slab = s
+	st.mem, st.dtags, st.hi = s.mem[:need], s.dtags, globalWords
+	for i := range st.dtags {
+		st.dtags[i] = -1
+	}
+}
+
+// dropSlab returns st's slab to the pool.
+func (st *runCore) dropSlab() {
+	s := st.slab
+	s.mem, s.hi = st.mem, st.hi
+	st.slab, st.mem, st.dtags = nil, nil, nil
+	slabs.put(s)
 }
 
 // dirty widens the scrub region to cover a write ending at index end.
@@ -317,47 +365,23 @@ func (st *execState) call(f *ir.Function, args []Val) (Val, error) {
 	return v, err
 }
 
-// acquireState returns a run-ready execution state: pooled when available
-// (scrubbed back to fresh-allocation equivalence), newly allocated otherwise.
+// acquireState returns a run-ready execution state: pooled when available,
+// newly allocated otherwise, on a memory slab from the process-wide pool.
 func (m *Machine) acquireState(img *Image) *execState {
-	machinePoolGets.Add(1)
-	need := img.GlobalWords + m.StackWords
 	st := m.statePool.get()
-	if st == nil || int64(cap(st.mem)) < need || len(st.dtags) != m.Prof.DCacheLines {
-		machinePoolNews.Add(1)
-		st = &execState{
-			runCore: runCore{
-				mem:   make([]cell, need),
-				dtags: make([]int64, m.Prof.DCacheLines),
-			},
-			bpred: make(map[*ir.Instr]uint8),
-		}
+	if st == nil {
+		st = &execState{bpred: make(map[*ir.Instr]uint8)}
 	} else {
-		// Scrub what previous runs dirtied above the current global region
-		// (the globals themselves are fully rewritten below). A wild but
-		// in-bounds pointer above sp must read zero, exactly as from a fresh
-		// allocation. Scrub before re-slicing: hi is bounded by the previous
-		// run's length, which may exceed this image's need.
-		if st.hi > img.GlobalWords {
-			scrub := st.mem[img.GlobalWords:st.hi]
-			for i := range scrub {
-				scrub[i] = cell{}
-			}
-		}
-		st.mem = st.mem[:need]
 		clear(st.bpred)
 	}
 	st.m, st.img = m, img
+	st.takeSlab(img.GlobalWords+m.StackWords, img.GlobalWords)
 	st.prepMemModel()
 	st.sp = img.GlobalWords
-	st.hi = img.GlobalWords
 	st.cycles, st.steps, st.curChild, st.depth = 0, 0, 0, 0
 	st.out = nil // escapes via Result
 	st.called = make(map[*ir.Function]bool)
 	st.fcyc = make(map[*ir.Function]float64)
-	for i := range st.dtags {
-		st.dtags[i] = -1
-	}
 	return st
 }
 
@@ -365,6 +389,7 @@ func (m *Machine) acquireState(img *Image) *execState {
 // detached by the caller; maps that do not escape are cleared lazily on
 // reuse.
 func (m *Machine) releaseState(st *execState) {
+	st.dropSlab()
 	st.img = nil
 	st.out = nil
 	st.called, st.fcyc = nil, nil

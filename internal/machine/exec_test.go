@@ -576,11 +576,12 @@ func TestConcurrentRunsOfOneImage(t *testing.T) {
 	}
 }
 
-// TestExecutionStatesStayOnTheMachine: the 16 MiB+ execution state is kept on
-// a free list across garbage collections (a sync.Pool drops its content every
+// TestExecutionStatesStayOnTheMachine: the execution state is kept on a free
+// list across garbage collections (a sync.Pool drops its content every
 // second cycle) — the machine's for the tree-walker, the process's for the
-// bytecode engine — so after warm-up a machine allocates no new one, and at
-// most GOMAXPROCS of them stay idle however many goroutines ran at once.
+// bytecode engine — and its 16 MiB+ memory slab on the process's, so after
+// warm-up a machine allocates no new slab, and at most GOMAXPROCS states stay
+// idle however many goroutines ran at once.
 func TestExecutionStatesStayOnTheMachine(t *testing.T) {
 	img, err := Link(buildSumProgram(50))
 	if err != nil {
@@ -629,6 +630,13 @@ func TestExecutionStatesStayOnTheMachine(t *testing.T) {
 			run()
 			if _, after := PoolCounters(); after != before {
 				t.Fatalf("a second machine allocated %d new execution states", after-before)
+			}
+			// Nor does a tree-walking one: both engines share the slabs.
+			m = New(CortexA57())
+			m.TreeWalk = true
+			run()
+			if _, after := PoolCounters(); after != before {
+				t.Fatalf("a tree-walking machine allocated %d new slabs after bytecode runs", after-before)
 			}
 		}
 	}

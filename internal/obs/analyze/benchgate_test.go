@@ -66,10 +66,10 @@ func TestBenchGateDocument(t *testing.T) {
 	// Two packages' output in one file, names with and without a sub-benchmark.
 	doc, _ := gate(t, "gp-bench.txt", suites["gp-bench.txt"])
 	ns := doc["ns_per_op"].(map[string]float64)
-	if ns["BenchmarkGPFit/refit-n256"] != 11918089 || ns["BenchmarkAcqMaximize/w8"] != 20226465 || len(ns) != 17 {
+	if ns["BenchmarkGPFit/refit-n256"] != 3315597 || ns["BenchmarkAcqMaximize/w8"] != 10390441 || len(ns) != 17 {
 		t.Fatalf("ns_per_op = %v", ns)
 	}
-	if got, want := doc["refit_over_append"].(float64), 11918089.0/1594360.0; got != want {
+	if got, want := doc["refit_over_append"].(float64), 3315597.0/619465.0; got != want {
 		t.Fatalf("refit_over_append = %v, want %v", got, want)
 	}
 	// Custom metrics between ns/op and allocs/op, fractional ns/op.
