@@ -256,6 +256,15 @@ func PlatformByName(name string) (Platform, error) {
 	return Platform{}, fmt.Errorf("unknown platform %q (arm or x86)", name)
 }
 
+const (
+	// numDatasets is the number of inputs every measurement builds, runs and
+	// differential-tests against the unoptimised reference.
+	numDatasets = 2
+	// noiseRuns is the number of noise samples per measurement (the image
+	// executes once).
+	noiseRuns = 3
+)
+
 // Evaluator compiles benchmark modules under pass sequences and measures the
 // result, implementing the compile→stats→profile→differential-test cycle.
 //
@@ -265,13 +274,10 @@ func PlatformByName(name string) (Platform, error) {
 // keep it there; inside one Measure the datasets fan out over
 // numeric.ParallelFor (build, link, execute) and are judged, and their noise
 // drawn, in dataset order back on the caller's goroutine (timeWithSequences),
-// so the result does not depend on scheduling. Datasets is the only control
-// of that.
+// so the result does not depend on scheduling.
 type Evaluator struct {
-	Bench    *Benchmark
-	Plat     Platform
-	Datasets int
-	Runs     int // noise samples per measurement (the image executes once)
+	Bench *Benchmark
+	Plat  Platform
 	// CacheCap < 0 makes the compile cache retain and serve nothing (every
 	// compile that is not joining a concurrent identical one re-runs the
 	// pipeline); otherwise the round rule of cache.go bounds it.
@@ -333,12 +339,12 @@ type Evaluator struct {
 // NewEvaluator builds the evaluator and its -O3 baseline.
 func NewEvaluator(b *Benchmark, plat Platform, seed int64) (*Evaluator, error) {
 	ev := &Evaluator{
-		Bench: b, Plat: plat, Datasets: 2, Runs: 3,
+		Bench: b, Plat: plat,
 		meas:    machine.NewMeasurement(machine.New(plat.Prof), plat.NoiseStd, seed),
 		cache:   map[buildKey]*cacheEntry{},
 		flights: map[buildKey]*flight{},
 	}
-	for ds := 0; ds < ev.Datasets; ds++ {
+	for ds := 0; ds < numDatasets; ds++ {
 		mods := b.Build(ds, plat.Prof.VecWidth64)
 		for _, m := range mods {
 			if err := ir.Verify(m); err != nil {
@@ -592,8 +598,8 @@ func (ev *Evaluator) runDataset(ctx context.Context, ds int, seqs map[string][]s
 // Every measurement, the baseline's included, opens a compile-cache round.
 func (ev *Evaluator) timeWithSequences(ctx context.Context, seqs map[string][]string, profile func(funcCycles map[string]float64)) (float64, passes.Stats, error) {
 	ev.BeginRound()
-	runs := make([]datasetRun, ev.Datasets)
-	numeric.ParallelFor(ev.Datasets, ev.Datasets, func(ds int) {
+	runs := make([]datasetRun, numDatasets)
+	numeric.ParallelFor(numDatasets, numDatasets, func(ds int) {
 		runs[ds] = ev.runDataset(ctx, ds, seqs)
 	})
 
@@ -607,7 +613,7 @@ func (ev *Evaluator) timeWithSequences(ctx context.Context, seqs map[string][]st
 		if r.err != nil {
 			return 0, nil, r.err
 		}
-		t := ev.meas.MedianOf(r.res.Cycles, ev.Runs)
+		t := ev.meas.MedianOf(r.res.Cycles, noiseRuns)
 		// Differential testing against the unoptimised reference.
 		if err := machine.OutputsMatch(ev.refOut[ds], r.res.Output, 1e-6); err != nil {
 			return 0, nil, fmt.Errorf("bench: differential test failed: %w", err)

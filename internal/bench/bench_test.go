@@ -206,9 +206,9 @@ func TestEvaluatorCacheReusesIncumbentCompiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	afterChange := ev.Compilations
-	if afterChange != ev.Datasets {
+	if afterChange != numDatasets {
 		t.Fatalf("changed module: %d pipeline runs, want %d (one per dataset)",
-			afterChange, ev.Datasets)
+			afterChange, numDatasets)
 	}
 	// Re-measuring the identical configuration must not compile at all.
 	if _, _, err := ev.Measure(seqs); err != nil {

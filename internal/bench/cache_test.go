@@ -191,7 +191,7 @@ func TestBuildsMatchCloneScheduleOracle(t *testing.T) {
 					}
 					incumbent = seq
 				}
-				for ds := 0; ds < ev.Datasets; ds++ {
+				for ds := 0; ds < numDatasets; ds++ {
 					pristine := ev.pristine[ds][0]
 					for _, pm := range ev.pristine[ds] {
 						if pm.Name == name {
@@ -411,7 +411,7 @@ func manyModuleBench() *Benchmark {
 // TestUnchangedModulesSurviveRounds: tuning one module of 48, every round
 // compiles a fan-out of candidates and measures one of them, and the 47
 // untouched -O3 builds of each dataset are never rebuilt — a measurement
-// moves pipeline_runs by at most Datasets (the measured module's builds),
+// moves pipeline_runs by at most numDatasets (the measured module's builds),
 // however much the candidates leave in the cache.
 func TestUnchangedModulesSurviveRounds(t *testing.T) {
 	ev, err := NewEvaluator(manyModuleBench(), ARM(), 1)
@@ -436,8 +436,8 @@ func TestUnchangedModulesSurviveRounds(t *testing.T) {
 		if _, _, err := ev.Measure(map[string][]string{"core_kern": measured}); err == nil {
 			incumbent = measured
 		}
-		if moved := ev.Counters().Get("pipeline_runs") - before; moved > int64(ev.Datasets) {
-			t.Fatalf("round %d: the measurement ran %d pipelines, at most %d may be the measured module's", round, moved, ev.Datasets)
+		if moved := ev.Counters().Get("pipeline_runs") - before; moved > int64(numDatasets) {
+			t.Fatalf("round %d: the measurement ran %d pipelines, at most %d may be the measured module's", round, moved, numDatasets)
 		}
 	}
 }

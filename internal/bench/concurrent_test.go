@@ -21,7 +21,7 @@ import (
 func serialTimeWithSequences(ev *Evaluator, ctx context.Context, seqs map[string][]string) (t0 float64, stats passes.Stats, reached int, err error) {
 	ev.BeginRound()
 	stats = passes.Stats{}
-	for ds := 0; ds < ev.Datasets; ds++ {
+	for ds := 0; ds < numDatasets; ds++ {
 		reached = ds + 1
 		if err := ctx.Err(); err != nil {
 			return 0, nil, reached, err
@@ -44,7 +44,7 @@ func serialTimeWithSequences(ev *Evaluator, ctx context.Context, seqs map[string
 		ev.mu.Lock()
 		ev.Measurements++
 		ev.mu.Unlock()
-		t, res, err := ev.meas.TimeMedian(img, "main", ev.Runs)
+		t, res, err := ev.meas.TimeMedian(img, "main", noiseRuns)
 		if err != nil {
 			return 0, nil, reached, err
 		}
@@ -165,7 +165,7 @@ func TestMeasureDatasetsConcurrentEqualsSerial(t *testing.T) {
 		}
 		// Rejected before the last dataset: give the serial evaluator the
 		// dataset runs it skipped.
-		for ds := reached; ds < serial.Datasets; ds++ {
+		for ds := reached; ds < numDatasets; ds++ {
 			if r := serial.runDataset(c.ctx, ds, c.seqs); r.res != nil {
 				machine.ReleaseResult(r.res)
 			}

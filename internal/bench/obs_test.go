@@ -147,8 +147,8 @@ func TestSetObsCountersAndHistogram(t *testing.T) {
 	if got := met.Counter("bench_measurements_total").Value(); got != int64(ev.Measurements) {
 		t.Fatalf("registry measurements %d != evaluator %d", got, ev.Measurements)
 	}
-	// Datasets × Runs timing samples per Measure call.
-	wantSamples := int64(2 * ev.Datasets * ev.Runs)
+	// numDatasets × noiseRuns timing samples per Measure call.
+	wantSamples := int64(2 * numDatasets * noiseRuns)
 	if got := met.Histogram("machine_run_cycles", nil).Count(); got != wantSamples {
 		t.Fatalf("cycles histogram has %d samples, want %d", got, wantSamples)
 	}

@@ -23,15 +23,15 @@ type CompileSpec struct {
 }
 
 // CompileOutcome is the result of one CompileSpec, in process and on the
-// wire (fleet.BatchResult). Feature and Stats are computed where the compile
-// ran, so remote execution never has to serialize IR modules; feature values
-// are float64 and survive a JSON round-trip bit-for-bit, which is what lets
-// a fleet journal stay byte-identical to a single-process one.
+// wire (fleet.BatchResult). Feature is computed from the pipeline's
+// statistics where the compile ran, so remote execution never has to
+// serialize IR modules or the statistics themselves; feature values are
+// float64 and survive a JSON round-trip bit-for-bit, which is what lets a
+// fleet journal stay byte-identical to a single-process one.
 type CompileOutcome struct {
 	Ok      bool               `json:"ok"`
 	Err     string             `json:"err,omitempty"` // compile error message when !Ok
 	Feature map[string]float64 `json:"feature,omitempty"`
-	Stats   passes.Stats       `json:"stats,omitempty"`
 	Wall    time.Duration      `json:"wall_ns"`
 	// End is when the compile finished on this process's clock (for a
 	// remote compile: when its result arrived). It places the compile on
@@ -103,7 +103,6 @@ func RunSpecs(ctx context.Context, workers int, task Task, feat FeatureKind, spe
 				out[i].Err = err.Error()
 				return
 			}
-			out[i].Stats = st
 			out[i].Feature = ExtractFeatures(feat, m, st, s.Seq)
 			out[i].Ok = true
 		})

@@ -20,11 +20,10 @@ type Observation struct {
 }
 
 // Checkpoint is a durable snapshot of tuner state, written by the
-// Options.Checkpoint hook and re-ingested via Options.ResumeFrom. It is the
-// paper's §6.3.2 transfer machinery turned inward: the observed
-// (sequence, y) pairs are replayed as warm-start observations — each is
-// recompiled (cheap, and usually a compiled-module cache hit) to rebuild its
-// statistics features, then injected into the model with its recorded y
+// Options.Checkpoint hook and re-ingested via Options.ResumeFrom. The
+// observed (sequence, y) pairs are replayed as warm-start observations —
+// each is recompiled (cheap, and usually a compiled-module cache hit) to
+// rebuild its statistics features, then taken in with its recorded y
 // instead of being re-measured — so a restarted run reconstructs its
 // incumbent, its generators' state and its GP training set without spending
 // any of the remaining measurement budget.
@@ -35,7 +34,8 @@ type Checkpoint struct {
 	Seed int64 `json:"seed"`
 	// Measurements is the budget consumed so far (== len(Observations)).
 	Measurements int `json:"measurements"`
-	// Iteration is the model-guided iteration count at checkpoint time.
+	// Iteration is the model-guided iteration count at checkpoint time; a
+	// resumed run's model-guided loop continues from it.
 	Iteration int `json:"iteration"`
 	// BestSpeedup is the incumbent program speedup over -O3.
 	BestSpeedup float64 `json:"best_speedup"`
@@ -106,40 +106,33 @@ func (t *Tuner) maybeCheckpoint(iter int, final bool) error {
 }
 
 // replayCheckpoint warm-starts the tuner from c: every recorded observation
-// is recompiled to rebuild its feature vector and injected into the model,
-// generators and incumbent tracking with its recorded y. Returns the number
-// of budget units already consumed. Replayed observations do not touch the
-// measurement counters — no program execution happens.
-func (t *Tuner) replayCheckpoint(c *Checkpoint) (int, error) {
+// is recompiled to rebuild its feature vector and taken in by observe with
+// its recorded y, as a live measurement would be. It sets t.replayed, the
+// number of budget units already consumed. Replayed observations do not
+// touch the measurement counters — no program execution happens.
+func (t *Tuner) replayCheckpoint(c *Checkpoint) error {
 	if err := c.Validate(); err != nil {
-		return 0, err
+		return err
 	}
 	for i, o := range c.Observations {
 		ms := t.modIdx[o.Module]
 		if ms == nil {
-			return 0, fmt.Errorf("core: checkpoint observation %d: module %q not in the hot set", i, o.Module)
+			return fmt.Errorf("core: checkpoint observation %d: module %q not in the hot set", i, o.Module)
 		}
 		idx, err := t.seqIndices(o.Seq)
 		if err != nil {
-			return 0, fmt.Errorf("core: checkpoint observation %d: %w", i, err)
+			return fmt.Errorf("core: checkpoint observation %d: %w", i, err)
 		}
 		fv, ok := t.compileCandidate(ms, idx)
 		if !ok {
-			return 0, fmt.Errorf("core: checkpoint observation %d: compile of %s failed on replay", i, o.Module)
+			return fmt.Errorf("core: checkpoint observation %d: compile of %s failed on replay", i, o.Module)
 		}
-		prog := t.programFeatures(map[string]sparseVec{ms.name: fv})
-		t.recordObservation(prog, o.Y)
-		t.tellGenerators(ms, idx, o.Y)
-		if o.Y < ms.bestY {
-			ms.bestY = o.Y
-			ms.bestSeq = append([]int(nil), idx...)
-			ms.bestFeat = fv
-		}
-		t.obsLog = append(t.obsLog, o)
+		t.observe(ms, idx, t.programFeatures(map[string]sparseVec{ms.name: fv}), o.Y)
 	}
+	t.replayed = len(c.Observations)
 	t.lastCkpt = len(t.obsLog)
 	best := 1 / t.bestObservedY()
 	t.gBest.Set(best)
-	t.rec.Resume(t.runSpan, len(c.Observations), best)
-	return len(c.Observations), nil
+	t.rec.Resume(t.runSpan, t.replayed, best)
+	return nil
 }

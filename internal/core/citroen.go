@@ -53,12 +53,6 @@ type Options struct {
 	// RefitEvery controls GP hyperparameter refits.
 	RefitEvery int
 	GPOpts     gp.Options
-	// SeedSequences inject known-good pass sequences (e.g. the winners of a
-	// previous program's tuning run) into every module's heuristic
-	// generators — the paper's §6.3.2 program-independent pass-correlation
-	// transfer. They cost no budget until selected. Every pass name must be
-	// in the vocabulary; Run rejects unknown names.
-	SeedSequences [][]string
 	// Workers bounds the candidate-compilation fan-out: each iteration's
 	// Lambda × |hot modules| candidate compilations fan out across this many
 	// goroutines. 0 uses GOMAXPROCS; 1 is the documented serial mode. All
@@ -111,6 +105,9 @@ func DefaultOptions() Options {
 
 // TracePoint records one runtime measurement.
 type TracePoint struct {
+	// Measurement numbers the measurement within the whole run: a resumed
+	// run's trace holds only its own measurements, numbered after the
+	// replayed ones.
 	Measurement int
 	Module      string
 	Time        float64
@@ -204,11 +201,14 @@ type Tuner struct {
 	candsDup      int
 
 	// Checkpoint state: the append-only measurement log (maintained only when
-	// a Checkpoint hook is set), the log length at the last snapshot, and
-	// whether the run ended by cancellation.
+	// a Checkpoint hook is set), the log length at the last snapshot, whether
+	// the run ended by cancellation, and what a resume replayed.
 	obsLog      []Observation
 	lastCkpt    int
 	interrupted bool
+	// replayed is the number of observations a resumed run took from its
+	// checkpoint; the run's own measurements are numbered after them.
+	replayed int
 
 	// Observability. rec is nil when journaling is disabled (every emit is
 	// then a single nil check). The metric instruments are resolved once at
@@ -295,8 +295,8 @@ func (t *Tuner) seqStrings(seq []int) []string {
 }
 
 // seqIndices maps pass names to vocabulary indices, rejecting unknown names:
-// a typo in Options.SeedSequences must surface as an error instead of
-// silently dropping the pass and degrading transfer with no signal.
+// a checkpoint naming a pass this binary's vocabulary lacks must fail the
+// resume instead of silently replaying a different sequence under its y.
 func (t *Tuner) seqIndices(seq []string) ([]int, error) {
 	out := make([]int, 0, len(seq))
 	for _, p := range seq {
@@ -373,22 +373,10 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 			"dup_penalty": t.opts.DupPenalty, "heuristic_init": t.opts.HeuristicInit,
 			"hot_coverage": t.opts.HotCoverage, "adaptive": t.opts.Adaptive,
 			"init_random": t.opts.InitRandom, "refit_every": t.opts.RefitEvery,
-			"vocab_size": len(t.vocab), "seed_sequences": len(t.opts.SeedSequences),
-			"hot_modules": hot, "env_workers": t.opts.Workers,
+			"vocab_size": len(t.vocab), "hot_modules": hot, "env_workers": t.opts.Workers,
 		})
 	}
 	t.curSpan = t.runSpan
-
-	// Validate transfer seeds up front so a typo fails the run immediately
-	// rather than silently weakening the search.
-	seedIdx := make([][]int, 0, len(t.opts.SeedSequences))
-	for _, seedSeq := range t.opts.SeedSequences {
-		idx, err := t.seqIndices(seedSeq)
-		if err != nil {
-			return nil, fmt.Errorf("core: seed sequence: %w", err)
-		}
-		seedIdx = append(seedIdx, idx)
-	}
 
 	// Per-module state: O3 baseline features, generator portfolios. The
 	// baseline compiles are independent of each other and of the tuner RNG,
@@ -447,38 +435,20 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 	t.rec.NewIncumbent(t.runSpan, "", 0, 1.0)
 
 	// Warm start: replay a prior run's checkpoint into the model, generators
-	// and incumbents. The replayed observations already consumed budget.
-	used := 0
-	if t.opts.ResumeFrom != nil {
-		n, err := t.replayCheckpoint(t.opts.ResumeFrom)
-		if err != nil {
+	// and incumbents. The replayed observations already consumed budget, and
+	// the run continues where the checkpoint left off: a resumed run does
+	// not repeat the random design it already measured, and its
+	// measurements and iterations keep the interrupted run's numbering.
+	used, iters := 0, 0
+	if c := t.opts.ResumeFrom; c != nil {
+		if err := t.replayCheckpoint(c); err != nil {
 			return nil, err
 		}
-		used = n
-	}
-
-	// Cross-program transfer: measure the seed sequences first (they embody
-	// program-independent pass correlations, §6.3.2).
-	for _, si := range seedIdx {
-		if used >= t.opts.Budget || t.ctx.Err() != nil {
-			break
-		}
-		idx := clampSeq(si, t.space, t.rng)
-		for _, ms := range t.mods {
-			if used >= t.opts.Budget || t.ctx.Err() != nil {
-				break
-			}
-			if t.measureCandidate(ms, idx, nil) {
-				used++
-				if err := t.maybeCheckpoint(0, false); err != nil {
-					return nil, err
-				}
-			}
-		}
+		used, iters = t.replayed, c.Iteration
 	}
 
 	// Initial random configurations (consume budget).
-	for i := 0; i < t.opts.InitRandom && used < t.opts.Budget && t.ctx.Err() == nil; i++ {
+	for i := used; i < t.opts.InitRandom && used < t.opts.Budget && t.ctx.Err() == nil; i++ {
 		ms := t.mods[i%len(t.mods)]
 		seq := t.space.Sample(t.rng)
 		if t.measureCandidate(ms, seq, nil) {
@@ -490,9 +460,8 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 	}
 
 	// Model-guided loop.
-	iters := 0
 	maxIters := t.opts.Budget * 6
-	for iter := 0; used < t.opts.Budget && iter < maxIters; iter++ {
+	for iter := iters; used < t.opts.Budget && iter < maxIters; iter++ {
 		if t.ctx.Err() != nil {
 			break
 		}
@@ -889,29 +858,20 @@ func (t *Tuner) measureCandidate(ms *moduleState, seq []int, knownFV map[string]
 	}
 	t.mMeas.Inc()
 	y := timeC / t.base
-	t.recordObservation(fv, y)
-	if t.opts.Checkpoint != nil {
-		t.obsLog = append(t.obsLog, Observation{Module: ms.name, Seq: t.seqStrings(seq), Y: y})
-	}
-	t.tellGenerators(ms, seq, y)
+	t.observe(ms, seq, fv, y)
 	t.res.ModuleBudget[ms.name]++
 	// 1/y, not base/timeC: finalize computes BestSpeedup as 1/bestY, and the
 	// journal's final new-incumbent must match it bit-for-bit.
 	sp := 1 / y
-	if y < ms.bestY {
-		ms.bestY = y
-		ms.bestSeq = append([]int(nil), seq...)
-		ms.bestFeat = fv[ms.name]
-	}
 	bestSoFar := 1 / t.bestObservedY()
+	meas := t.replayed + len(t.res.Trace) + 1
 	t.res.Trace = append(t.res.Trace, TracePoint{
-		Measurement: len(t.res.Trace) + 1,
+		Measurement: meas,
 		Module:      ms.name,
 		Time:        timeC,
 		Speedup:     sp,
 		BestSpeedup: bestSoFar,
 	})
-	meas := len(t.res.Trace)
 	t.gBest.Set(bestSoFar)
 	t.rec.Measure(t.curSpan, ms.name, meas, timeC, sp, bestSoFar, true, false, wall)
 	if y < prevBest {
@@ -933,6 +893,23 @@ func (t *Tuner) counters() obs.CounterSet {
 	return append(set,
 		obs.CounterRow{Name: "gp_fits", Value: int64(t.res.Breakdown.GPFits)},
 		obs.CounterRow{Name: "gp_appends", Value: int64(t.res.Breakdown.GPAppends)})
+}
+
+// observe takes one budget-consuming observation into the tuner: the model's
+// training set, the checkpoint log (kept only when a Checkpoint hook will
+// read it), the module's generators and its incumbent. A live measurement
+// and a replayed checkpoint observation both enter here.
+func (t *Tuner) observe(ms *moduleState, seq []int, prog map[string]sparseVec, y float64) {
+	t.recordObservation(prog, y)
+	if t.opts.Checkpoint != nil {
+		t.obsLog = append(t.obsLog, Observation{Module: ms.name, Seq: t.seqStrings(seq), Y: y})
+	}
+	t.tellGenerators(ms, seq, y)
+	if y < ms.bestY {
+		ms.bestY = y
+		ms.bestSeq = append([]int(nil), seq...)
+		ms.bestFeat = prog[ms.name]
+	}
 }
 
 func (t *Tuner) tellGenerators(ms *moduleState, seq []int, y float64) {

@@ -312,21 +312,6 @@ func TestClampSeqPadsWithoutPassZeroBias(t *testing.T) {
 	}
 }
 
-// Regression: seqIndices used to silently drop unknown pass names, so a typo
-// in Options.SeedSequences degraded transfer with no signal.
-func TestSeedSequenceUnknownPassErrors(t *testing.T) {
-	o := fastOpts()
-	o.Budget = 4
-	o.SeedSequences = [][]string{{"mem2reg", "no-such-pass", "dce"}}
-	_, err := NewTuner(newSyntheticTask(t), o, 11).Run()
-	if err == nil {
-		t.Fatal("typo in seed sequence not rejected")
-	}
-	if !strings.Contains(err.Error(), "no-such-pass") {
-		t.Fatalf("error does not name the unknown pass: %v", err)
-	}
-}
-
 // TestBestSpeedupTraceInvariant pins the fixed bestSoFar computation:
 // BestSpeedup must equal the running max of measured speedups (floored at
 // the -O3 observation, speedup 1) and therefore be monotone non-decreasing.
@@ -405,39 +390,6 @@ func TestExtractVariantsNonEmpty(t *testing.T) {
 		t.Fatalf("stats features missing SLP counter: %v", sv)
 	}
 	_ = fmt.Sprint(FeatStats, FeatAutophase, FeatTokenMix, FeatRawSeq)
-}
-
-func TestSeedSequencesTransfer(t *testing.T) {
-	// A seed sequence known to be good for the dot kernel must be measured
-	// first and adopted as the incumbent.
-	task := newSyntheticTask(t)
-	o := fastOpts()
-	o.Budget = 8
-	o.InitRandom = 2
-	o.SeedSequences = [][]string{{"mem2reg", "slp-vectorizer", "dce"}}
-	res, err := NewTuner(task, o, 9).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trace) == 0 {
-		t.Fatal("no measurements")
-	}
-	// The transfer seed must be the first configuration measured, and the
-	// incumbent must never regress below any measured point.
-	if res.BestSpeedup+1e-9 < res.Trace[0].Speedup {
-		t.Fatal("incumbent regressed below the seed")
-	}
-	noSeed := fastOpts()
-	noSeed.Budget = 8
-	noSeed.InitRandom = 2
-	task2 := newSyntheticTask(t)
-	res2, err := NewTuner(task2, noSeed, 9).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Trace) == 0 {
-		t.Fatal("no measurements without seeds")
-	}
 }
 
 // --- checkpoint, resume, cancellation ---
@@ -597,6 +549,127 @@ func TestResumeRejectsBadCheckpoints(t *testing.T) {
 	}
 	if _, err := NewTuner(task, opts, 1).Run(); err == nil {
 		t.Fatal("unknown module must fail the run")
+	}
+}
+
+// TestSeedSequenceUnknownPassErrors: a recorded sequence naming a pass this
+// binary's vocabulary lacks must fail the resume, naming the pass, instead of
+// silently replaying a shorter sequence under its y.
+func TestSeedSequenceUnknownPassErrors(t *testing.T) {
+	opts := fastOpts()
+	opts.ResumeFrom = &Checkpoint{
+		Version:      CheckpointVersion,
+		Observations: []Observation{{Module: "mod", Seq: []string{"mem2reg", "no-such-pass", "dce"}, Y: 0.9}},
+	}
+	_, err := NewTuner(newSyntheticTask(t), opts, 1).Run()
+	if err == nil {
+		t.Fatal("unknown pass in a checkpoint must fail the run")
+	}
+	if !strings.Contains(err.Error(), "no-such-pass") {
+		t.Fatalf("error does not name the unknown pass: %v", err)
+	}
+}
+
+// interruptedRun runs the synthetic task under opts, with its own
+// Checkpoint hook and Sink, until the after-th measurement cancels the run,
+// and returns the run's final checkpoint and journal.
+func interruptedRun(t *testing.T, opts Options, after int) (*Checkpoint, *eventLog) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	task := &cancellingTask{syntheticTask: newSyntheticTask(t), after: after, cancel: cancel}
+	var last *Checkpoint
+	log := &eventLog{}
+	opts.Checkpoint = func(c *Checkpoint) error { last = c; return nil }
+	opts.Sink = log
+	if _, err := NewTuner(task, opts, 7).RunContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if last == nil {
+		t.Fatal("no final checkpoint on cancellation")
+	}
+	return last, log
+}
+
+// resumedRun finishes the run a checkpoint interrupted and returns its
+// result and journal.
+func resumedRun(t *testing.T, opts Options, ck *Checkpoint) (*Result, *eventLog) {
+	t.Helper()
+	log := &eventLog{}
+	opts.ResumeFrom = ck
+	opts.Checkpoint = func(*Checkpoint) error { return nil }
+	opts.Sink = log
+	res, err := NewTuner(newSyntheticTask(t), opts, 7).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, log
+}
+
+// TestResumeSkipsCompletedRandomDesign: a checkpoint holding at least
+// InitRandom observations already paid for the random initial design, so
+// the resumed run goes straight from the replay to the model-guided loop.
+func TestResumeSkipsCompletedRandomDesign(t *testing.T) {
+	opts := fastOpts()
+	opts.Budget = 20
+	opts.CheckpointEvery = 1
+	ck, _ := interruptedRun(t, opts, opts.InitRandom+2)
+	if ck.Measurements < opts.InitRandom {
+		t.Fatalf("checkpoint holds %d observations, the test needs at least InitRandom = %d", ck.Measurements, opts.InitRandom)
+	}
+	res, log := resumedRun(t, opts, ck)
+	if len(res.Trace) == 0 {
+		t.Fatal("resumed run measured nothing")
+	}
+	resumed := false
+	for _, e := range log.events {
+		switch {
+		case e.Type == "resume":
+			resumed = true
+		case e.Type == "iteration" && resumed:
+			return
+		case e.Type == "measure" && resumed:
+			t.Fatalf("measure event %v between the resume and the first iteration: the random design ran again", e.Fields)
+		}
+	}
+	t.Fatalf("journal has no iteration after the resume (resume seen: %v)", resumed)
+}
+
+// TestResumeContinuesMeasurementNumbering: across a cancel and a resume the
+// budget-consuming measurements are numbered 1, 2, ... with no gap or
+// repeat, and the model-guided iterations continue from the checkpoint's.
+func TestResumeContinuesMeasurementNumbering(t *testing.T) {
+	opts := fastOpts()
+	opts.Budget = 16
+	opts.CheckpointEvery = 2
+	ck, log1 := interruptedRun(t, opts, opts.InitRandom+3)
+	if ck.Iteration == 0 {
+		t.Fatal("the interrupted run never reached the model-guided loop")
+	}
+	res, log2 := resumedRun(t, opts, ck)
+	want := 1
+	for _, e := range append(log1.events, log2.events...) {
+		if e.Type != "measure" || !obs.FieldBool(e.Fields, "ok") || obs.FieldBool(e.Fields, "reused") {
+			continue
+		}
+		if got := int(obs.FieldFloat(e.Fields, "measurement")); got != want {
+			t.Fatalf("budget-consuming measurement numbered %d, want %d", got, want)
+		}
+		want++
+	}
+	if want-1 > opts.Budget {
+		t.Fatalf("%d budget-consuming measurements across the resume, budget %d", want-1, opts.Budget)
+	}
+	if len(res.Trace) == 0 || res.Trace[0].Measurement != ck.Measurements+1 {
+		t.Fatalf("resumed trace starts at %v, want measurement %d", res.Trace, ck.Measurements+1)
+	}
+	for _, e := range log2.events {
+		if e.Type == "iteration" {
+			if got := int(obs.FieldFloat(e.Fields, "iter")); got != ck.Iteration {
+				t.Fatalf("resumed run's first iteration is %d, want the checkpoint's %d", got, ck.Iteration)
+			}
+			break
+		}
 	}
 }
 
