@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 
 	"repro/internal/ir"
 	"repro/internal/passes"
@@ -74,14 +72,19 @@ func seqNames(seq []string) []string {
 	return seq
 }
 
-// seqHash is FNV-1a over the names, each followed by a separator byte.
+// seqHash is 64-bit FNV-1a over the names, each followed by a separator
+// byte 1: the value hash/fnv's New64a gives for that byte stream, without
+// its per-name string conversion.
 func seqHash(names []string) uint64 {
-	h := fnv.New64a()
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
 	for _, p := range names {
-		io.WriteString(h, p)
-		h.Write([]byte{1})
+		for i := 0; i < len(p); i++ {
+			h = (h ^ uint64(p[i])) * prime
+		}
+		h = (h ^ 1) * prime
 	}
-	return h.Sum64()
+	return h
 }
 
 // resolveSequence maps pass names to passes, mirroring Apply's unknown-pass

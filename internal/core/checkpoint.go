@@ -29,8 +29,9 @@ type Observation struct {
 // any of the remaining measurement budget.
 type Checkpoint struct {
 	Version int `json:"version"`
-	// Seed is the RNG seed of the run that wrote the checkpoint; resuming
-	// with the same seed makes the replayed warm-start reproducible.
+	// Seed is the RNG seed of the run that wrote the checkpoint. A resume
+	// must run under the same seed, so that the replayed warm start and what
+	// follows it are those of the interrupted run.
 	Seed int64 `json:"seed"`
 	// Measurements is the budget consumed so far (== len(Observations)).
 	Measurements int `json:"measurements"`
@@ -39,9 +40,6 @@ type Checkpoint struct {
 	Iteration int `json:"iteration"`
 	// BestSpeedup is the incumbent program speedup over -O3.
 	BestSpeedup float64 `json:"best_speedup"`
-	// BestSeqs are the incumbent per-module sequences (informational: the
-	// replay recomputes them from Observations).
-	BestSeqs map[string][]string `json:"best_seqs,omitempty"`
 	// Observations is the full measurement history in measurement order.
 	Observations []Observation `json:"observations"`
 }
@@ -74,7 +72,6 @@ func (t *Tuner) snapshotCheckpoint(iter int) *Checkpoint {
 		Measurements: len(t.obsLog),
 		Iteration:    iter,
 		BestSpeedup:  1 / t.bestObservedY(),
-		BestSeqs:     t.currentSequences(),
 		Observations: append([]Observation(nil), t.obsLog...),
 	}
 }
@@ -113,6 +110,9 @@ func (t *Tuner) maybeCheckpoint(iter int, final bool) error {
 func (t *Tuner) replayCheckpoint(c *Checkpoint) error {
 	if err := c.Validate(); err != nil {
 		return err
+	}
+	if c.Seed != t.seed {
+		return fmt.Errorf("core: checkpoint written under seed %d, resumed under seed %d", c.Seed, t.seed)
 	}
 	for i, o := range c.Observations {
 		ms := t.modIdx[o.Module]

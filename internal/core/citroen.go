@@ -125,7 +125,9 @@ type StatImportance struct {
 // the journal's to say: analyze.Analyzer partitions a run's wall clock over
 // the timed events.
 type RuntimeBreakdown struct {
-	Measures int // budget-consuming measurements (len(Result.Trace))
+	// Measures is the budget the whole run consumed: a resumed run's
+	// replayed measurements plus its own (len(Result.Trace)).
+	Measures int
 	Compiles int // candidate compiles, the -O3 baselines excluded
 	// GPFits/GPAppends count the surrogate updates: full O(n³) (re)fits vs
 	// O(n²) incremental appends absorbed on non-refit iterations.
@@ -938,7 +940,7 @@ func (t *Tuner) finalize() {
 	if t.candsCompiled > 0 {
 		t.res.CandidateDupRate = float64(t.candsDup) / float64(t.candsCompiled)
 	}
-	t.res.Breakdown.Measures = len(t.res.Trace)
+	t.res.Breakdown.Measures = t.replayed + len(t.res.Trace)
 	t.res.Breakdown.Compiles = t.candsCompiled
 	t.res.Breakdown.Counters = t.counters()
 	if pp, ok := t.task.(PassProfileReporter); ok {

@@ -545,10 +545,35 @@ func TestResumeRejectsBadCheckpoints(t *testing.T) {
 	}
 	opts.ResumeFrom = &Checkpoint{
 		Version:      CheckpointVersion,
+		Seed:         1,
 		Observations: []Observation{{Module: "nope", Seq: []string{"mem2reg"}, Y: 0.9}},
 	}
-	if _, err := NewTuner(task, opts, 1).Run(); err == nil {
-		t.Fatal("unknown module must fail the run")
+	if _, err := NewTuner(task, opts, 1).Run(); err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Fatalf("unknown module must fail the run, naming it: %v", err)
+	}
+}
+
+// TestResumeRejectsOtherSeed: a checkpoint resumed under another seed than
+// the one that wrote it fails the run before any replay, naming both seeds.
+func TestResumeRejectsOtherSeed(t *testing.T) {
+	opts := fastOpts()
+	ck, _ := interruptedRun(t, opts, 4)
+	if ck.Seed != 7 {
+		t.Fatalf("checkpoint records seed %d, the run's was 7", ck.Seed)
+	}
+	log := &eventLog{}
+	opts.ResumeFrom, opts.Sink = ck, log
+	_, err := NewTuner(newSyntheticTask(t), opts, 8).Run()
+	if err == nil {
+		t.Fatal("a resume under another seed must fail the run")
+	}
+	if !strings.Contains(err.Error(), "seed 7") || !strings.Contains(err.Error(), "seed 8") {
+		t.Fatalf("error does not name both seeds: %v", err)
+	}
+	for _, typ := range log.types() {
+		if typ == "resume" {
+			t.Fatal("the rejected resume was journaled as a resume")
+		}
 	}
 }
 
@@ -559,6 +584,7 @@ func TestSeedSequenceUnknownPassErrors(t *testing.T) {
 	opts := fastOpts()
 	opts.ResumeFrom = &Checkpoint{
 		Version:      CheckpointVersion,
+		Seed:         1,
 		Observations: []Observation{{Module: "mod", Seq: []string{"mem2reg", "no-such-pass", "dce"}, Y: 0.9}},
 	}
 	_, err := NewTuner(newSyntheticTask(t), opts, 1).Run()

@@ -673,7 +673,7 @@ func FindCanonicalIV(c *CFG, l *Loop) *CanonicalIV {
 	if l.Preheader == nil || l.Latch == nil {
 		return nil
 	}
-	for _, phi := range l.Header.Phis() {
+	for _, phi := range l.Header.phiPrefix() {
 		if !phi.Ty.Kind.IsInt() || phi.Ty.IsVector() || len(phi.Ops) != 2 {
 			continue
 		}

@@ -421,16 +421,29 @@ func (b *Block) IndexOf(in *Instr) int {
 	return -1
 }
 
-// Phis returns the leading phi instructions of the block.
-func (b *Block) Phis() []*Instr {
-	var out, buf []*Instr
-	for _, in := range b.view(&buf) {
-		if in.Op != OpPhi {
-			break
-		}
-		out = append(out, in)
+// Phis returns the leading phi instructions of the block, pending edits
+// applied, in a slice of their own.
+func (b *Block) Phis() []*Instr { return b.AppendPhis(nil) }
+
+// AppendPhis appends the block's leading phis, pending edits applied, to dst
+// and returns the extended slice.
+func (b *Block) AppendPhis(dst []*Instr) []*Instr {
+	return append(dst, b.phiPrefix()...)
+}
+
+// NumPhis returns the number of leading phis, pending edits applied.
+func (b *Block) NumPhis() int { return len(b.phiPrefix()) }
+
+// phiPrefix returns the leading phis, pending edits applied: a view of
+// Instrs when nothing is pending, valid until the block's next edit.
+func (b *Block) phiPrefix() []*Instr {
+	var buf []*Instr
+	list := b.view(&buf)
+	n := 0
+	for n < len(list) && list[n].Op == OpPhi {
+		n++
 	}
-	return out
+	return list[:n:n]
 }
 
 // Module is a single compilation unit: an ordered list of functions plus

@@ -36,6 +36,7 @@ type Uses struct {
 	defs   []useList // by Instr.uid-1, entry.def identity-checked
 	params []useList // by Param.Index
 	store  []Use     // backing array the lists of a fresh index are carved from
+	spill  []Use     // room a list outgrowing its capacity moves to
 }
 
 type useList struct {
@@ -108,6 +109,8 @@ func (u *Uses) Release() {
 	u.defs = u.defs[:0]
 	clear(u.params)
 	clear(u.store)
+	clear(u.spill)
+	u.spill = u.spill[:0]
 	u.f = nil
 	usesPool.Put(u)
 }
@@ -182,9 +185,9 @@ func (u *Uses) ReplaceAll(old, new Value) int {
 		x.User.Ops[x.Slot] = new
 	}
 	if l := u.entry(new); l != nil {
-		// entry may have grown u.defs, and new's list may grow into fresh
-		// memory; uses still points at old's (unmoved) elements either way.
-		l.uses = append(l.uses, uses...)
+		// entry may have grown u.defs, and new's list may move to spill
+		// room; uses still points at old's (unmoved) elements either way.
+		l.uses = append(u.room(l.uses, len(uses)), uses...)
 	}
 	lo := u.entry(old)
 	lo.uses = lo.uses[:0]
@@ -209,8 +212,25 @@ func (u *Uses) Remove(in *Instr) {
 
 func (u *Uses) add(v Value, user *Instr, slot int) {
 	if l := u.entry(v); l != nil {
-		l.uses = append(l.uses, Use{user, slot})
+		l.uses = append(u.room(l.uses, 1), Use{user, slot})
 	}
+}
+
+// room returns list, or a copy of it in the spill array, with capacity for
+// n more uses. Spill room is only ever handed out once per index, so no two
+// lists share memory, and the array is kept across the pool.
+func (u *Uses) room(list []Use, n int) []Use {
+	if cap(list)-len(list) >= n {
+		return list
+	}
+	c := 2*cap(list) + n
+	if cap(u.spill)-len(u.spill) < c {
+		// A fresh array; lists in the old one keep it alive until Release.
+		u.spill = make([]Use, 0, max(c, 2*cap(u.spill), 64))
+	}
+	k := len(u.spill)
+	u.spill = u.spill[:k+c]
+	return append(u.spill[k:k:k+c], list...)
 }
 
 func (u *Uses) drop(v Value, user *Instr, slot int) {

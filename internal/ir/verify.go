@@ -66,7 +66,7 @@ func verifyFunction(m *Module, f *Function) error {
 			continue
 		}
 		preds := cfg.Preds(b)
-		for _, phi := range b.Phis() {
+		for _, phi := range b.phiPrefix() {
 			if len(phi.Ops) != len(phi.Blocks) {
 				return fmt.Errorf("phi in %s: op/block arity mismatch", b.Name)
 			}

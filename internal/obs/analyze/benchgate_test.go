@@ -74,7 +74,7 @@ func TestBenchGateDocument(t *testing.T) {
 	}
 	// Custom metrics between ns/op and allocs/op, fractional ns/op.
 	doc, _ = gate(t, "compile-bench.txt", suites["compile-bench.txt"])
-	if a := doc["allocs_per_op"].(map[string]float64); a["BenchmarkPrefixCompile"] != 1071 {
+	if a := doc["allocs_per_op"].(map[string]float64); a["BenchmarkPrefixCompile"] != 659 {
 		t.Fatalf("allocs_per_op = %v", a)
 	}
 	doc, _ = gate(t, "ir-bench.txt", suites["ir-bench.txt"])

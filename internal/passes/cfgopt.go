@@ -152,7 +152,7 @@ func simplifyCFG(m *ir.Module, f *ir.Function) (int, int) {
 			// (would create duplicate incoming with possibly different
 			// values), or if b itself feeds phis (b has none: only a jmp).
 			okRetarget := true
-			if len(succ.Phis()) > 0 {
+			if succ.NumPhis() > 0 {
 				for _, p := range preds {
 					for _, s := range cfg.Succs(p) {
 						if s == succ {
@@ -423,7 +423,7 @@ func threadJumps(f *ir.Function) int {
 			if c.I != 0 {
 				target = t.Blocks[0]
 			}
-			if len(target.Phis()) > 0 {
+			if target.NumPhis() > 0 {
 				continue // would need new phi entries; skip
 			}
 			pt := pred.Term()
@@ -587,7 +587,7 @@ func flattenCFG(f *ir.Function) int {
 		}
 		// All instructions in m other than the terminator and the condition
 		// must be pure and cheap, and the false edges must agree.
-		if mt.Blocks[1] != fB || len(fB.Phis()) > 0 || len(mt.Blocks[0].Phis()) > 0 {
+		if mt.Blocks[1] != fB || fB.NumPhis() > 0 || mt.Blocks[0].NumPhis() > 0 {
 			continue
 		}
 		if len(mB.Instrs) > 3 {

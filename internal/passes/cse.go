@@ -51,11 +51,11 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 	var visit func(b *ir.Block, inherited map[loadKey]loadFact)
 	visit = func(b *ir.Block, inherited map[loadKey]loadFact) {
 		mark := exprs.mark()
+		// The block's load facts: nil, which reads as no fact, until the
+		// first one is recorded.
 		var loads map[loadKey]loadFact
 		if cfg.global && len(cfgG.Preds(b)) == 1 && inherited != nil {
 			loads = maps.Clone(inherited)
-		} else {
-			loads = make(map[loadKey]loadFact)
 		}
 
 		for i := 0; i < len(b.Instrs); i++ {
@@ -70,6 +70,9 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 					replaceWithValue(&fu, in, prev.load)
 					nLoad++
 					continue
+				}
+				if loads == nil {
+					loads = make(map[loadKey]loadFact)
 				}
 				loads[k] = loadFact{in.Ops[0], in}
 			case in.Op == ir.OpStore:
@@ -108,8 +111,7 @@ func runCSE(m *ir.Module, f *ir.Function, cfg cseConfig) (int, int) {
 					readOnly = !ir.BuiltinHasSideEffects(in.Callee)
 				}
 				if !readOnly {
-					loads = make(map[loadKey]loadFact)
-
+					loads = nil
 				}
 			case isPure(m, in) && !mayTrap(in):
 				if k, ok := vn.key(in); ok {
@@ -492,7 +494,7 @@ func sinkCommon(m *ir.Module, f *ir.Function) int {
 	cfg := ir.CFGOf(f)
 	for _, b := range f.Blocks {
 		preds := cfg.Preds(b)
-		if len(preds) != 2 || len(b.Phis()) > 0 {
+		if len(preds) != 2 || b.NumPhis() > 0 {
 			continue
 		}
 		p0, p1 := preds[0], preds[1]
@@ -514,7 +516,7 @@ func sinkCommon(m *ir.Module, f *ir.Function) int {
 				break
 			}
 			p0.RemoveAt(i0)
-			b.InsertBefore(len(b.Phis()), a)
+			b.InsertBefore(b.NumPhis(), a)
 			replaceNow(&fu, c, a)
 			n++
 		}

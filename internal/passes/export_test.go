@@ -27,6 +27,19 @@ func MergeKeysForTest(m *ir.Module) []string {
 	return keys
 }
 
+// MergeFunctionsForTest runs mergefunc on m as a manager would, with its
+// shape pre-test (mergeFunctions) or without it (the key loop alone), and
+// returns the number of functions merged.
+func MergeFunctionsForTest(m *ir.Module, pretest bool) int {
+	ir.MaterializeModule(m)
+	if pretest {
+		return mergeFunctions(m)
+	}
+	sc := getScratch()
+	defer putScratch(sc)
+	return mergeByKey(m, sc)
+}
+
 // RunPerEdit runs the named pass as a manager's RunOne does, but as it ran
 // before the block edit log: the per-edit version (peredit_test.go) where
 // the log changed the pass, the registered one elsewhere.

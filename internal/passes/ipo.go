@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/ir"
@@ -658,14 +659,35 @@ func stripDeadPrototypes(m *ir.Module) int {
 
 // mergeFunctions replaces calls to structurally identical internal functions
 // with calls to a single representative and deletes the duplicates.
+//
+// A merge needs two eligible functions with equal keys, and equal keys imply
+// equal shapes (mergeShape). The key loop writes nothing before its first
+// merge, so when no two eligible functions share a shape it would return 0
+// with the module untouched: that case renders no key at all.
 func mergeFunctions(m *ir.Module) int {
-	n := 0
-	byKey := map[string]*ir.Function{}
 	sc := getScratch()
 	defer putScratch(sc)
+	if !sc.keys.shapesCollide(m) {
+		return 0
+	}
+	return mergeByKey(m, sc)
+}
+
+// mergeEligible reports whether mergeFunctions may merge f: an internal
+// definition other than main.
+func mergeEligible(f *ir.Function) bool {
+	return !f.IsDecl && f.Name != "main" && f.HasAttr(ir.AttrInternal)
+}
+
+// mergeByKey is mergeFunctions without its shape pre-test: every eligible
+// function's key is rendered, and each one whose key an earlier function
+// already has is merged into that one.
+func mergeByKey(m *ir.Module, sc *scratch) int {
+	n := 0
+	byKey := map[string]*ir.Function{}
 	var dead []string
 	for _, f := range m.Funcs {
-		if f.IsDecl || f.Name == "main" || !f.HasAttr(ir.AttrInternal) {
+		if !mergeEligible(f) {
 			continue
 		}
 		key := sc.keys.render(f)
@@ -703,9 +725,58 @@ func mergeFunctions(m *ir.Module) int {
 // reused across functions and pass runs, and nothing is written to the IR
 // (Instr.ID may be stale mid-sequence).
 type mergeKeyer struct {
-	buf  []byte
-	ipos map[*ir.Instr]int // block-order position
-	bpos map[*ir.Block]int // position in f.Blocks
+	buf    []byte
+	ipos   map[*ir.Instr]int // block-order position
+	bpos   map[*ir.Block]int // position in f.Blocks
+	shapes []uint64          // shapesCollide's hashes, one per eligible function
+}
+
+// shapesCollide reports whether two functions mergeFunctions may merge have
+// equal shape hashes. Equal shapes hash equally, so false proves that no two
+// of them have equal keys; a hash collision only costs the key loop.
+func (k *mergeKeyer) shapesCollide(m *ir.Module) bool {
+	k.shapes = k.shapes[:0]
+	for _, f := range m.Funcs {
+		if !mergeEligible(f) {
+			continue
+		}
+		h := mergeShape(f)
+		if slices.Contains(k.shapes, h) {
+			return true
+		}
+		k.shapes = append(k.shapes, h)
+	}
+	return false
+}
+
+// mergeShape hashes what f's key spells out before any name, number or
+// opcode: the return and parameter types, the block count and each block's
+// instruction count. The key renders a type by Type.String, which prints
+// every Lanes <= 1 as the bare kind, so those hash as one lane. The counts
+// are read off the key's delimiters: 'b' opens a block, ';' ends an
+// instruction, and neither starts or ends anything inside an instruction (a
+// symbol name holds no ';'). So equal keys have equal shapes.
+func mergeShape(f *ir.Function) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(x uint64) { h = (h ^ x) * 1099511628211 }
+	ty := func(t ir.Type) {
+		lanes := t.Lanes
+		if lanes <= 1 {
+			lanes = 1
+		}
+		mix(uint64(t.Kind))
+		mix(uint64(lanes))
+	}
+	ty(f.RetTy)
+	mix(uint64(len(f.Params)))
+	for _, p := range f.Params {
+		ty(p.Ty)
+	}
+	mix(uint64(len(f.Blocks)))
+	for _, b := range f.Blocks {
+		mix(uint64(len(b.Instrs)))
+	}
+	return h
 }
 
 // render returns f's key in the keyer's buffer, valid until the next call.

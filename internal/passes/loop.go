@@ -178,7 +178,7 @@ func insertPreheaders(f *ir.Function) int {
 						}
 					}
 				}
-				if len(l.Header.Phis()) == 0 {
+				if l.Header.NumPhis() == 0 {
 					// no phis: nothing to merge
 					_ = outs
 				}
@@ -475,7 +475,7 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUs
 
 	// Move the per-iteration work to the start of the body (after any
 	// pre-existing phis).
-	insertAt := len(body.Phis())
+	insertAt := body.NumPhis()
 	for _, in := range hwork {
 		if !moved[in] {
 			continue
@@ -712,7 +712,7 @@ func deleteDeadLoops(m *ir.Module, f *ir.Function) int {
 			for e := range exitTargets {
 				exitB = e
 			}
-			if len(exitB.Phis()) > 0 {
+			if exitB.NumPhis() > 0 {
 				continue
 			}
 			if loopValueUsedOutside(fu.get(), l) {
@@ -782,7 +782,7 @@ func recognizeIdioms(m *ir.Module, f *ir.Function) (int, int) {
 				continue
 			}
 			exitB := exitTargetOf(cfg, l, b)
-			if exitB == nil || len(exitB.Phis()) > 0 {
+			if exitB == nil || exitB.NumPhis() > 0 {
 				continue
 			}
 			// Classify body: allow {phi(iv), gep(s), loads, store, ivnext,
@@ -1002,7 +1002,7 @@ func unswitchLoops(m *ir.Module, f *ir.Function) int {
 			bad := loopValueUsedOutside(fu.get(), l)
 			for _, e := range l.Exits {
 				for _, s := range cfg.Succs(e) {
-					if !l.Contains(s) && len(s.Phis()) > 0 {
+					if !l.Contains(s) && s.NumPhis() > 0 {
 						bad = true
 					}
 				}
@@ -1185,7 +1185,7 @@ func sinkIntoLoops(m *ir.Module, f *ir.Function) int {
 			// Moving in leaves the index coherent, and puts in's own operand
 			// uses in the loop for the instructions still to be visited.
 			ph.RemoveAt(i)
-			l.Header.InsertBefore(len(l.Header.Phis()), in)
+			l.Header.InsertBefore(l.Header.NumPhis(), in)
 			n++
 		}
 	}
@@ -1345,7 +1345,7 @@ func fuseWithNext(m *ir.Module, f *ir.Function, cfg *ir.CFG, li *ir.LoopInfo, l1
 		return false
 	}
 	exit2 := exitTargetOf(cfg, l2, b2)
-	if exit2 == nil || len(exit2.Phis()) > 0 {
+	if exit2 == nil || exit2.NumPhis() > 0 {
 		return false
 	}
 

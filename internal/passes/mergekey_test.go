@@ -196,3 +196,106 @@ func TestMergeFuncKeyMatchesFmt(t *testing.T) {
 		t.Fatal("the sequences never left IDs stale, or always did")
 	}
 }
+
+// checkMergePretest runs mergefunc on two clones of m, with and without its
+// shape pre-test, and fails unless both merge as many functions and leave
+// the same module. It returns that count.
+func checkMergePretest(t *testing.T, m *ir.Module, where string) int {
+	t.Helper()
+	with, without := m.Clone(), m.Clone()
+	n := passes.MergeFunctionsForTest(with, true)
+	if k := passes.MergeFunctionsForTest(without, false); n != k {
+		t.Fatalf("%s: %d merges with the pre-test, %d without", where, n, k)
+	}
+	if a, b := with.String(), without.String(); a != b {
+		t.Fatalf("%s: the pre-test changed the module\n--- with ---\n%s\n--- without ---\n%s", where, a, b)
+	}
+	return n
+}
+
+// TestMergeFuncPretestMatchesKeyLoop holds mergeFunctions' shape pre-test
+// to the key loop it guards: on crafted modules that must merge, and on
+// every CBench / SPEC module on both platforms after every pass of random
+// 8–120-pass sequences, both give the same count and the same module.
+func TestMergeFuncPretestMatchesKeyLoop(t *testing.T) {
+	// body builds an internal function: p0 + c, then a call to callee when
+	// one is named.
+	body := func(bd *ir.Builder, name string, param ir.Type, callee string) *ir.Function {
+		f := bd.NewFunction(name, ir.I64T, param)
+		f.Attrs |= ir.AttrInternal
+		v := bd.Bin(ir.OpAdd, f.Params[0], ir.ConstInt(ir.I64T, 3))
+		if callee != "" {
+			v = bd.Call(callee, ir.I64T, v)
+		}
+		bd.Ret(v)
+		return f
+	}
+	crafted := []struct {
+		name  string
+		build func(bd *ir.Builder)
+		want  int
+	}{
+		{"identical pair", func(bd *ir.Builder) {
+			body(bd, "a", ir.I64T, "")
+			body(bd, "b", ir.I64T, "")
+		}, 1},
+		// Type.String prints Lanes 0 and 1 alike, so the keys are equal.
+		{"lanes 0 and 1", func(bd *ir.Builder) {
+			body(bd, "a", ir.Type{Kind: ir.I64, Lanes: 0}, "")
+			body(bd, "b", ir.I64T, "")
+		}, 1},
+		{"lanes 1 and 2", func(bd *ir.Builder) {
+			body(bd, "a", ir.I64T, "")
+			body(bd, "b", ir.Vec(ir.I64, 2), "")
+		}, 0},
+		// Merging h2 into h1 retargets g2's call, which makes g2 equal to
+		// g1, and then f2's call, which makes f2 equal to f1.
+		{"retargeted calls", func(bd *ir.Builder) {
+			body(bd, "h1", ir.I64T, "")
+			body(bd, "h2", ir.I64T, "")
+			body(bd, "g1", ir.I64T, "h1")
+			body(bd, "g2", ir.I64T, "h2")
+			body(bd, "f1", ir.I64T, "g1")
+			body(bd, "f2", ir.I64T, "g2")
+			main := bd.NewFunction("main", ir.I64T)
+			bd.Ret(bd.Call("f2", ir.I64T, ir.ConstInt(ir.I64T, 1)))
+			_ = main
+		}, 3},
+	}
+	for _, c := range crafted {
+		m := &ir.Module{Name: c.name}
+		c.build(ir.NewBuilder(m))
+		if n := checkMergePretest(t, m, c.name); n != c.want {
+			t.Fatalf("%s: %d merges, want %d", c.name, n, c.want)
+		}
+	}
+
+	names := passes.Names()
+	rng := rand.New(rand.NewSource(52))
+	mgr := passes.NewManager()
+	states, merged := 0, 0
+	for _, b := range append(bench.CBench(), bench.SPEC()...) {
+		for _, plat := range []bench.Platform{bench.ARM(), bench.X86()} {
+			for _, m := range b.Build(0, plat.Prof.VecWidth64) {
+				where := fmt.Sprintf("%s/%s %s", b.Name, m.Name, plat.Name)
+				seq := make([]string, 8+rng.Intn(113))
+				for i := range seq {
+					seq[i] = names[rng.Intn(len(names))]
+				}
+				for i, name := range seq {
+					panicked := func() (r any) {
+						defer func() { r = recover() }()
+						mgr.RunOne(m, passes.Lookup(name), passes.Stats{})
+						return nil
+					}()
+					if panicked != nil {
+						break
+					}
+					merged += checkMergePretest(t, m, fmt.Sprintf("%s after %v", where, seq[:i+1]))
+					states++
+				}
+			}
+		}
+	}
+	t.Logf("%d module states, %d functions merged", states, merged)
+}

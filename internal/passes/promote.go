@@ -331,8 +331,9 @@ func demotePhis(f *ir.Function) int {
 	fu := funcUses{f: f}
 	defer fu.done()
 	entry := f.Entry()
+	var phis []*ir.Instr // a copy: demotion inserts into the block
 	for _, b := range f.Blocks {
-		phis := b.Phis()
+		phis = b.AppendPhis(phis[:0])
 		if len(phis) == 0 {
 			continue
 		}

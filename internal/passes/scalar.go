@@ -143,28 +143,37 @@ func reassociate(f *ir.Function) int {
 			}
 		}
 	}
+	// The root's tree: its single-use same-op operands in this block
+	// (chain) and the values they bottom out in (leaves). The buffers are
+	// reused from root to root.
+	var (
+		in           *ir.Instr
+		blk          *ir.Block
+		leaves, vals []ir.Value
+		chain        []*ir.Instr
+	)
+	var collect func(v ir.Value) bool
+	collect = func(v ir.Value) bool {
+		d, ok := v.(*ir.Instr)
+		if ok && d.Op == in.Op && d.Parent() == blk && fu.get().Count(d) == 1 {
+			chain = append(chain, d)
+			return collect(d.Ops[0]) && collect(d.Ops[1])
+		}
+		leaves = append(leaves, v)
+		return true
+	}
 	for _, b := range f.Blocks {
+		blk = b
 		// unlinked counts the roots replaced outright in this block and not
 		// yet flushed: all before i, so in's position in the block as a
 		// per-edit scan saw it is i-unlinked.
 		unlinked := 0
 		for i := 0; i < len(b.Instrs); i++ {
-			in := b.Instrs[i]
+			in = b.Instrs[i]
 			if !in.Op.IsAssociative() || in.Ty.IsVector() || fed[in] {
 				continue
 			}
-			var leaves []ir.Value
-			var chain []*ir.Instr
-			var collect func(v ir.Value) bool
-			collect = func(v ir.Value) bool {
-				d, ok := v.(*ir.Instr)
-				if ok && d.Op == in.Op && d.Parent() == b && fu.get().Count(d) == 1 {
-					chain = append(chain, d)
-					return collect(d.Ops[0]) && collect(d.Ops[1])
-				}
-				leaves = append(leaves, v)
-				return true
-			}
+			leaves, chain = leaves[:0], chain[:0]
 			if !collect(in.Ops[0]) || !collect(in.Ops[1]) {
 				continue
 			}
@@ -172,7 +181,7 @@ func reassociate(f *ir.Function) int {
 				continue
 			}
 			// Partition: non-constants sorted by stable rank, constants folded.
-			var vals []ir.Value
+			vals = vals[:0]
 			var accC *ir.Const
 			for _, l := range leaves {
 				if c, ok := l.(*ir.Const); ok {
@@ -449,7 +458,7 @@ func sinkIntoArms(m *ir.Module, f *ir.Function) int {
 			if home != t.Blocks[0] && home != t.Blocks[1] {
 				continue
 			}
-			if len(cfg.Preds(home)) != 1 || len(home.Phis()) > 0 {
+			if len(cfg.Preds(home)) != 1 || home.NumPhis() > 0 {
 				continue
 			}
 			// Moving in keeps the index coherent: a use's block is read
@@ -682,22 +691,47 @@ func splitGEPOffsets(f *ir.Function) int {
 // scalarizeVectors splits vector arithmetic into per-lane scalar operations
 // (a genuine deoptimising direction in the search space, as in LLVM's
 // scalarizer pass). The new instructions are logged before the vector op and
-// spliced in once per block.
+// spliced in once per block; they and their operands come from one slab per
+// function.
 func scalarizeVectors(f *ir.Function) int {
+	scalarizable := func(in *ir.Instr) bool { return in.Op.IsBinary() && in.Ty.IsVector() }
+	// A vector op of L lanes becomes 4L instructions: per lane two extracts
+	// and the scalar op (two operands each), a broadcast (one) and L-1
+	// inserts (three), and its own three new operands.
+	nInstrs, nOps := 0, 0
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if scalarizable(in) {
+				nInstrs += 4 * in.Ty.Lanes
+				nOps += 9*in.Ty.Lanes + 1
+			}
+		}
+	}
+	if nInstrs == 0 {
+		return 0
+	}
+	slab := newInstrSlab(nInstrs, nOps)
+	emit := func(op ir.Op, ty ir.Type, ops ...ir.Value) *ir.Instr {
+		in := slab.take(len(ops))
+		in.Op, in.Ty = op, ty
+		copy(in.Ops, ops)
+		return in
+	}
 	n := 0
+	var parts []*ir.Instr
 	for _, b := range f.Blocks {
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
-			if !in.Op.IsBinary() || !in.Ty.IsVector() {
+			if !scalarizable(in) {
 				continue
 			}
 			lanes := in.Ty.Lanes
 			sc := in.Ty.Scalar()
-			var parts []ir.Value
+			parts = parts[:0]
 			for l := 0; l < lanes; l++ {
-				ea := &ir.Instr{Op: ir.OpExtractElement, Ty: sc, Ops: []ir.Value{in.Ops[0], ir.ConstInt(ir.I64T, int64(l))}}
-				eb := &ir.Instr{Op: ir.OpExtractElement, Ty: sc, Ops: []ir.Value{in.Ops[1], ir.ConstInt(ir.I64T, int64(l))}}
-				op := &ir.Instr{Op: in.Op, Ty: sc, Ops: []ir.Value{ea, eb}}
+				ea := emit(ir.OpExtractElement, sc, in.Ops[0], ir.ConstInt(ir.I64T, int64(l)))
+				eb := emit(ir.OpExtractElement, sc, in.Ops[1], ir.ConstInt(ir.I64T, int64(l)))
+				op := emit(in.Op, sc, ea, eb)
 				b.Insert(i, ea)
 				b.Insert(i, eb)
 				b.Insert(i, op)
@@ -705,16 +739,16 @@ func scalarizeVectors(f *ir.Function) int {
 			}
 			// Rebuild the vector via insertelement chain; mutate `in` into the
 			// final insert so uses remain valid.
-			var vec ir.Value = &ir.Instr{Op: ir.OpBroadcast, Ty: in.Ty, Ops: []ir.Value{zeroValue(sc)}}
-			b.Insert(i, vec.(*ir.Instr))
+			vec := emit(ir.OpBroadcast, in.Ty, zeroValue(sc))
+			b.Insert(i, vec)
 			for l := 0; l < lanes-1; l++ {
-				ins := &ir.Instr{Op: ir.OpInsertElement, Ty: in.Ty,
-					Ops: []ir.Value{vec, parts[l], ir.ConstInt(ir.I64T, int64(l))}}
+				ins := emit(ir.OpInsertElement, in.Ty, vec, parts[l], ir.ConstInt(ir.I64T, int64(l)))
 				b.Insert(i, ins)
 				vec = ins
 			}
 			in.Op = ir.OpInsertElement
-			in.Ops = []ir.Value{vec, parts[lanes-1], ir.ConstInt(ir.I64T, int64(lanes-1))}
+			in.Ops = slab.operands(3)
+			in.Ops[0], in.Ops[1], in.Ops[2] = vec, parts[lanes-1], ir.ConstInt(ir.I64T, int64(lanes-1))
 			n++
 		}
 		b.Flush()
@@ -922,19 +956,28 @@ func splitCallSites(m *ir.Module, f *ir.Function) int {
 }
 
 // forwardStoreToLoad replaces a load with the most recent store to the same
-// address within the block when nothing in between may clobber it.
+// address within the block when nothing in between may clobber it. Only
+// stores and calls can stop the backward search, and the pass replaces
+// neither, so it walks back over those alone: the block's stores and
+// clobbering calls so far, in order (mem).
 func forwardStoreToLoad(f *ir.Function) int {
 	n := 0
 	fu := funcUses{f: f}
 	defer fu.done()
+	var mem []*ir.Instr
 	for _, b := range f.Blocks {
+		mem = mem[:0]
 		for i := 0; i < len(b.Instrs); i++ {
 			in := b.Instrs[i]
+			if in.Op == ir.OpStore || in.Op == ir.OpCall && !(ir.IsBuiltin(in.Callee) && !ir.BuiltinHasSideEffects(in.Callee)) {
+				mem = append(mem, in)
+				continue
+			}
 			if in.Op != ir.OpLoad || in.Ty.IsVector() {
 				continue
 			}
-			for j := i - 1; j >= 0; j-- {
-				p := b.Instrs[j]
+			for j := len(mem) - 1; j >= 0; j-- {
+				p := mem[j]
 				if p.Op == ir.OpStore {
 					if p.Ops[1] == in.Ops[0] && p.Ops[0].Type() == in.Ty {
 						// The loads replaced before in stay in place until
@@ -948,9 +991,7 @@ func forwardStoreToLoad(f *ir.Function) int {
 					}
 					continue
 				}
-				if p.Op == ir.OpCall && !(ir.IsBuiltin(p.Callee) && !ir.BuiltinHasSideEffects(p.Callee)) {
-					break
-				}
+				break // a clobbering call
 			}
 		}
 	}

@@ -26,6 +26,8 @@ type scratch struct {
 	exprs exprTable
 	// mergefunc's key buffer and numbering tables.
 	keys mergeKeyer
+	// slpOneChain's chain terms and matched terms.
+	slpTerms, slpMatched []slpTerm
 }
 
 var scratchPool = sync.Pool{
@@ -76,5 +78,7 @@ func putScratch(s *scratch) {
 	s.exprs.reset()
 	clear(s.keys.ipos) // the last key's tables
 	clear(s.keys.bpos)
+	clear(s.slpTerms[:cap(s.slpTerms)])
+	clear(s.slpMatched[:cap(s.slpMatched)])
 	scratchPool.Put(s)
 }

@@ -57,7 +57,7 @@ func unrollLoops(f *ir.Function, fullTripMax int64, bodyMax, factor int) (int, i
 				continue
 			}
 			exitB := exitTargetOf(cfg, l, b)
-			if exitB == nil || len(exitB.Phis()) > 0 {
+			if exitB == nil || exitB.NumPhis() > 0 {
 				// Exit phis (from rotation) reference in-loop values; the
 				// full unroll handles them by rewriting incomings below, so
 				// allow them only on the partial path where block identity
@@ -66,7 +66,7 @@ func unrollLoops(f *ir.Function, fullTripMax int64, bodyMax, factor int) (int, i
 					continue
 				}
 			}
-			body := len(b.Instrs) - len(b.Phis())
+			body := len(b.Instrs) - b.NumPhis()
 			if trip <= fullTripMax && body <= bodyMax {
 				if fullyUnroll(f, cfg, l, iv, trip, exitB, &fu) {
 					full++
@@ -132,21 +132,57 @@ func (s *bodySub) get(v ir.Value) ir.Value {
 	return v
 }
 
+// instrSlab hands out the instructions of one burst of new IR, and their
+// operand slices, from two arrays sized up front: two allocations for the
+// burst instead of two per instruction. An operand slice has capacity equal
+// to its length, as a make of that length has, so a later append reallocates
+// exactly where it did before. The arrays live as long as any instruction
+// carved from them; a build's final compaction copies every body.
+type instrSlab struct {
+	instrs []ir.Instr
+	ops    []ir.Value
+}
+
+func newInstrSlab(nInstrs, nOps int) instrSlab {
+	return instrSlab{instrs: make([]ir.Instr, nInstrs), ops: make([]ir.Value, nOps)}
+}
+
+// take returns a zero instruction with nops nil operands.
+func (s *instrSlab) take(nops int) *ir.Instr {
+	in := &s.instrs[0]
+	s.instrs = s.instrs[1:]
+	in.Ops = s.operands(nops)
+	return in
+}
+
+// operands returns n nil operands, nil when n is 0.
+func (s *instrSlab) operands(n int) []ir.Value {
+	if n == 0 {
+		return nil
+	}
+	ops := s.ops[:n:n]
+	s.ops = s.ops[n:]
+	return ops
+}
+
+// cloned reports whether cloneBodyInto clones in.
+func cloned(in, skip *ir.Instr) bool {
+	return in.Op != ir.OpPhi && !in.IsTerminator() && in != skip
+}
+
 // cloneBodyInto clones the non-phi, non-terminator instructions of b other
-// than skip, with substitution, logging them into dst before its entry at
-// position at; each clone becomes the substitute of its original.
-func cloneBodyInto(dst *ir.Block, at int, b *ir.Block, skip *ir.Instr, sub *bodySub) {
+// than skip, with substitution, from slab, logging them into dst before its
+// entry at position at; each clone becomes the substitute of its original.
+func cloneBodyInto(dst *ir.Block, at int, b *ir.Block, skip *ir.Instr, sub *bodySub, slab *instrSlab) {
 	for _, in := range b.Instrs {
-		if in.Op == ir.OpPhi || in.IsTerminator() || in == skip {
+		if !cloned(in, skip) {
 			continue
 		}
-		c := &ir.Instr{Op: in.Op, Ty: in.Ty, Pred: in.Pred, Callee: in.Callee,
-			AllocTy: in.AllocTy, NAlloc: in.NAlloc, Flags: in.Flags}
-		if len(in.Ops) > 0 {
-			c.Ops = make([]ir.Value, len(in.Ops))
-			for k, op := range in.Ops {
-				c.Ops[k] = sub.get(op)
-			}
+		c := slab.take(len(in.Ops))
+		c.Op, c.Ty, c.Pred, c.Callee = in.Op, in.Ty, in.Pred, in.Callee
+		c.AllocTy, c.NAlloc, c.Flags = in.AllocTy, in.NAlloc, in.Flags
+		for k, op := range in.Ops {
+			c.Ops[k] = sub.get(op)
 		}
 		dst.Insert(at, c)
 		sub.set(in, c)
@@ -186,13 +222,21 @@ func fullyUnroll(f *ir.Function, cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, tr
 	defer putScratch(sc)
 	f.Renumber()
 	sub := &bodySub{b: b, base: b.Instrs[0].ID, vals: make([]ir.Value, len(b.Instrs)), sc: sc}
+	nInstrs, nOps := 0, 0
+	for _, in := range b.Instrs {
+		if cloned(in, iv.Cmp) {
+			nInstrs++
+			nOps += len(in.Ops)
+		}
+	}
+	slab := newInstrSlab(int(trip)*nInstrs, int(trip)*nOps)
 	cur := initOf // the phis' values entering the iteration
 	for k := int64(0); k < trip; k++ {
 		sub.next()
 		for pi, p := range phis {
 			sub.set(p, cur[pi])
 		}
-		cloneBodyInto(nb, 0, b, iv.Cmp, sub)
+		cloneBodyInto(nb, 0, b, iv.Cmp, sub, &slab)
 		for pi := range phis {
 			cur[pi] = sub.get(nextOf[pi])
 		}

@@ -333,7 +333,7 @@ func vectorizeOneLoop(m *ir.Module, cfg *ir.CFG, l *ir.Loop, fu *funcUses) bool 
 				ephi.Ops[i] = ins
 			}
 			red := &ir.Instr{Op: ir.OpVecReduceAdd, Ty: sc, Ops: []ir.Value{ephi}}
-			exitB.InsertBefore(len(exitB.Phis()), red)
+			exitB.InsertBefore(exitB.NumPhis(), red)
 			// All other uses of the exit phi see the scalar reduction.
 			fu.setAll(fu.collect(ephi, func(x ir.Use) bool { return x.User != red }), red)
 			fu.drop()
@@ -359,9 +359,11 @@ func slpVectorize(m *ir.Module, f *ir.Function) (int, int) {
 	nVec, nRed := 0, 0
 	fu := funcUses{f: f}
 	defer fu.done()
+	sc := getScratch()
+	defer putScratch(sc)
 	for _, b := range f.Blocks {
 		for {
-			vn, rn := slpOneChain(m, b, &fu)
+			vn, rn := slpOneChain(m, b, &fu, sc)
 			if rn == 0 && vn == 0 {
 				break
 			}
@@ -391,8 +393,9 @@ type slpTerm struct {
 	widest ir.Kind
 }
 
-// slpOneChain vectorises the first profitable reduction chain in b.
-func slpOneChain(m *ir.Module, b *ir.Block, fu *funcUses) (int, int) {
+// slpOneChain vectorises the first profitable reduction chain in b. A
+// chain's terms and its matched terms live in sc's buffers.
+func slpOneChain(m *ir.Module, b *ir.Block, fu *funcUses, sc *scratch) (int, int) {
 	// Stores between the loads and a chain would invalidate reordering. The
 	// block does not change until a chain is rewritten, which ends this call.
 	hazard, hazardKnown := false, false
@@ -419,11 +422,9 @@ func slpOneChain(m *ir.Module, b *ir.Block, fu *funcUses) (int, int) {
 			continue
 		}
 		// Walk the linear chain acc_k = add(acc_{k-1}, t_k).
-		var terms []slpTerm
-		var chain []*ir.Instr
+		terms := sc.slpTerms[:0]
 		cur := root
 		for {
-			chain = append(chain, cur)
 			a, b2 := cur.Ops[0], cur.Ops[1]
 			ai, aok := a.(*ir.Instr)
 			if aok && ai.Op == cur.Op && ai.Parent() == b && u.Count(ai) == 1 {
@@ -441,11 +442,13 @@ func slpOneChain(m *ir.Module, b *ir.Block, fu *funcUses) (int, int) {
 			terms = append(terms, slpTerm{add: cur, term: b2})
 			break
 		}
+		sc.slpTerms = terms
 		if len(terms) < 4 {
 			continue
 		}
 		// Match every term except possibly the chain bottom's accumulator.
-		matched := matchSLPTerms(u, b, terms, storeOrCall)
+		matched := matchSLPTerms(u, b, terms, storeOrCall, sc.slpMatched[:0])
+		sc.slpMatched = matched
 		if len(matched) < 4 {
 			continue
 		}
@@ -565,9 +568,9 @@ func slpOneChain(m *ir.Module, b *ir.Block, fu *funcUses) (int, int) {
 	return 0, 0
 }
 
-// matchSLPTerms extracts load/mul structure from chain terms.
-func matchSLPTerms(u *ir.Uses, b *ir.Block, terms []slpTerm, storeOrCall func() bool) []slpTerm {
-	var out []slpTerm
+// matchSLPTerms extracts load/mul structure from chain terms, appending the
+// matches to out.
+func matchSLPTerms(u *ir.Uses, b *ir.Block, terms []slpTerm, storeOrCall func() bool, out []slpTerm) []slpTerm {
 	stripExt := func(v ir.Value) (*ir.Instr, *ir.Instr) { // (load, ext)
 		in, ok := v.(*ir.Instr)
 		if !ok || in.Parent() != b {
@@ -646,12 +649,13 @@ func matchSLPTerms(u *ir.Uses, b *ir.Block, terms []slpTerm, storeOrCall func() 
 		}
 		out = append(out, rec)
 	}
-	// All terms must share bases and shape.
+	// All terms must share bases and shape: keep those like the first, in
+	// place.
 	if len(out) == 0 {
-		return nil
+		return out
 	}
 	ref := out[0]
-	var same []slpTerm
+	same := out[:0]
 	for _, t := range out {
 		if t.baseA == ref.baseA && t.symA == ref.symA &&
 			((t.mul == nil) == (ref.mul == nil)) &&

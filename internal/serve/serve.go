@@ -545,9 +545,7 @@ func (s *Server) persistResult(j *job, res *core.Result, interrupted bool) error
 		return err
 	}
 	j.status.BestSpeedup = res.BestSpeedup
-	if n := len(res.Trace); n > j.status.Measurements {
-		j.status.Measurements = n
-	}
+	j.status.Measurements = res.Breakdown.Measures
 	return nil
 }
 

@@ -345,9 +345,17 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Replayed observations consume prior budget: the resumed run finishes
-	// the original 10, not 10 more.
-	if ck.Measurements+res.Measurements != 10 {
-		t.Fatalf("budget accounting: checkpoint %d + resumed %d != 10", ck.Measurements, res.Measurements)
+	// the original 10, not 10 more, and the result, the persisted state and
+	// the last run-end event all count the whole job's 10.
+	if res.Measurements != 10 {
+		t.Fatalf("budget accounting: result counts %d measurements, want the whole job's 10 (checkpoint had %d)",
+			res.Measurements, ck.Measurements)
+	}
+	if err := readJSON(stPath, &persisted); err != nil {
+		t.Fatal(err)
+	}
+	if persisted.Measurements != res.Measurements {
+		t.Fatalf("state.json counts %d measurements, result.json %d", persisted.Measurements, res.Measurements)
 	}
 
 	// The journal must be one valid JSONL stream across both processes:
@@ -358,11 +366,12 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lastSeq int64
-	runStarts, resumes := 0, 0
+	runStarts, resumes, endMeasurements := 0, 0, -1
 	for i, line := range strings.Split(strings.TrimRight(string(b), "\n"), "\n") {
 		var e struct {
-			Seq  int64  `json:"seq"`
-			Type string `json:"type"`
+			Seq    int64          `json:"seq"`
+			Type   string         `json:"type"`
+			Fields map[string]any `json:"fields"`
 		}
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			t.Fatalf("line %d is not valid JSON (torn tail survived?): %q", i+1, line)
@@ -376,10 +385,15 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 			runStarts++
 		case "resume":
 			resumes++
+		case "run-end":
+			endMeasurements = int(obs.FieldFloat(e.Fields, "measurements"))
 		}
 	}
 	if runStarts != 2 || resumes != 1 {
 		t.Fatalf("journal has %d run-starts and %d resumes, want 2 and 1", runStarts, resumes)
+	}
+	if endMeasurements != res.Measurements {
+		t.Fatalf("the last run-end event counts %d measurements, result.json %d", endMeasurements, res.Measurements)
 	}
 
 	// The Perfetto export draws the resumed run after the first one, on the
