@@ -101,10 +101,10 @@ func main() {
 		sinks = append(sinks, obs.NewTextRenderer(os.Stdout))
 	}
 	metrics := obs.NewMetrics()
-	// Phase attribution gauges (citroen_phase_seconds{phase=...}) feed from
-	// the same event stream the journal captures, so the /metrics view and an
-	// offline `citroenstat report` of the journal always agree.
-	sinks = append(sinks, analyze.NewPhaseSink(metrics))
+	// The run's series (phase seconds, measurements, compilations, ...) are
+	// read off the same event stream the journal captures, so the /metrics
+	// view and an offline `citroenstat report` of the journal always agree.
+	sinks = append(sinks, analyze.NewMetricsSink(metrics))
 	var prof *passes.Profile
 	if *passProfile {
 		prof = passes.NewProfile()
@@ -126,7 +126,6 @@ func main() {
 	opts.Lambda = *lambda
 	opts.Workers = *workers
 	opts.Sink = obs.Multi(sinks...)
-	opts.Metrics = metrics
 	opts.Feature = featKind
 
 	// First SIGINT/SIGTERM cancels the run gracefully: the tuner stops between

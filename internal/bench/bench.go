@@ -286,7 +286,6 @@ type Evaluator struct {
 	pristine [][]*ir.Module // per dataset
 	refOut   [][]machine.OutputEvent
 	o3Time   float64
-	o3Stats  passes.Stats
 
 	// The -O3 baseline's profile (setHotTable), which HotModules reads:
 	// Modules() hottest first, and each executed module's share of the
@@ -367,11 +366,11 @@ func NewEvaluator(b *Benchmark, plat Platform, seed int64) (*Evaluator, error) {
 		ev.refOut = append(ev.refOut, res.Output)
 	}
 	// O3 baseline time, and its dataset-0 profile for HotModules.
-	t, st, err := ev.timeWithSequences(context.Background(), nil, ev.setHotTable)
+	t, _, err := ev.timeWithSequences(context.Background(), nil, ev.setHotTable)
 	if err != nil {
 		return nil, err
 	}
-	ev.o3Time, ev.o3Stats = t, st
+	ev.o3Time = t
 	// The baseline build is setup, not search work: reset the accounting so
 	// counters reflect what the tuner spends. The O3-compiled modules stay
 	// in the cache: every later measurement reuses them for unchanged
@@ -411,9 +410,6 @@ func cloneAll(mods []*ir.Module) []*ir.Module {
 
 // O3Time returns the baseline runtime (median cycles at -O3).
 func (ev *Evaluator) O3Time() float64 { return ev.o3Time }
-
-// O3Stats returns the compilation statistics of the -O3 build.
-func (ev *Evaluator) O3Stats() passes.Stats { return ev.o3Stats }
 
 // Modules returns the module names (excluding main).
 func (ev *Evaluator) Modules() []string { return ev.Bench.ModuleNames() }

@@ -42,9 +42,6 @@ func TestEvaluatorBaselineAndMeasure(t *testing.T) {
 	if ev.O3Time() <= 0 {
 		t.Fatal("no baseline time")
 	}
-	if len(ev.O3Stats()) == 0 {
-		t.Fatal("no baseline stats")
-	}
 	// Measuring the O3 build again gives speedup ~1.
 	_, sp, err := ev.Measure(nil)
 	if err != nil {

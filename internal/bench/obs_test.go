@@ -37,7 +37,6 @@ func TestJournalEndToEndWorkerEquality(t *testing.T) {
 		o := obsTunerOpts()
 		o.Workers = workers
 		o.Sink = sink
-		o.Metrics = met
 		res, err := core.NewTuner(ev.Task(), o, 5).Run()
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -131,8 +131,6 @@ func (t *Tuner) replayCheckpoint(c *Checkpoint) error {
 	}
 	t.replayed = len(c.Observations)
 	t.lastCkpt = len(t.obsLog)
-	best := 1 / t.bestObservedY()
-	t.gBest.Set(best)
-	t.rec.Resume(t.runSpan, t.replayed, best)
+	t.rec.Resume(t.runSpan, t.replayed, 1/t.bestObservedY())
 	return nil
 }

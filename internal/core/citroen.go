@@ -62,17 +62,14 @@ type Options struct {
 	Workers int
 	// Sink receives the run's structured event journal (see internal/obs):
 	// run-start, iteration, candidate-generated, compile, gp-fit, acq-max,
-	// measure, stats, new-incumbent and run-end events with monotonic
-	// sequence numbers and span parent IDs. All events are emitted from the
-	// tuner goroutine in submit order, so journals are identical for every
-	// Workers value modulo timing ("_ns") and environment ("env_") fields.
-	// nil disables journaling; the disabled path is allocation-free.
+	// measure, stats, new-incumbent, checkpoint, resume, fleet-incident and
+	// run-end events with monotonic sequence numbers and span parent IDs.
+	// All events are emitted from the tuner goroutine in submit order, so
+	// journals are identical for every Workers value modulo timing ("_ns")
+	// and environment ("env_") fields. nil disables journaling; the disabled
+	// path is allocation-free. The journal is the run's only account to
+	// /metrics: attach analyze.NewMetricsSink to Sink for the run's series.
 	Sink obs.Sink
-	// Metrics is the registry fed by the tuner (measurement, compilation,
-	// dedup and GP-append counters, incumbent gauge). nil discards them
-	// (obs.Metrics' nil receiver hands out unregistered instruments). Phase time is the journal's to report: attach
-	// analyze.NewPhaseSink to Sink for the citroen_phase_seconds series.
-	Metrics *obs.Metrics
 	// Checkpoint, when non-nil, receives durable snapshots of the tuner's
 	// state (incumbent, measurement history) so an interrupted run can be
 	// resumed via ResumeFrom. The hook runs on the tuner goroutine; an error
@@ -199,8 +196,7 @@ type Tuner struct {
 	base    float64
 	res     *Result
 
-	candsCompiled int
-	candsDup      int
+	candsDup int
 
 	// Checkpoint state: the append-only measurement log (maintained only when
 	// a Checkpoint hook is set), the log length at the last snapshot, whether
@@ -213,17 +209,10 @@ type Tuner struct {
 	replayed int
 
 	// Observability. rec is nil when journaling is disabled (every emit is
-	// then a single nil check). The metric instruments are resolved once at
-	// construction; a registry shared across runs keeps global totals.
+	// then a single nil check).
 	rec     *obs.Recorder
 	runSpan int64 // journal span of the whole run
 	curSpan int64 // parent span for the current phase's events
-	mMeas   *obs.Counter
-	mComp   *obs.Counter
-	mSaved  *obs.Counter
-	mDup    *obs.Counter
-	mGPApp  *obs.Counter
-	gBest   *obs.Gauge
 }
 
 // NewTuner prepares a tuner.
@@ -236,7 +225,6 @@ func NewTuner(task Task, opts Options, seed int64) *Tuner {
 	for i, v := range vocab {
 		vi[v] = i
 	}
-	met := opts.Metrics
 	t := &Tuner{
 		task: task, opts: opts, rng: rand.New(rand.NewSource(seed)), seed: seed,
 		workers: numeric.Workers(opts.Workers),
@@ -247,13 +235,7 @@ func NewTuner(task Task, opts Options, seed int64) *Tuner {
 		modIdx:  map[string]*moduleState{},
 		measCut: map[string]float64{},
 
-		rec:    obs.NewRecorder(opts.Sink),
-		mMeas:  met.Counter("citroen_measurements_total"),
-		mComp:  met.Counter("citroen_compilations_total"),
-		mSaved: met.Counter("citroen_saved_measurements_total"),
-		mDup:   met.Counter("citroen_candidate_dups_total"),
-		mGPApp: met.Counter("citroen_gp_append_total"),
-		gBest:  met.Gauge("citroen_incumbent_speedup"),
+		rec: obs.NewRecorder(opts.Sink),
 	}
 	if t.opts.GPOpts.Workers == 0 {
 		// -workers drives the surrogate too: sharded fit kernels and
@@ -433,7 +415,6 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 	// incumbent, so a run that never improves on -O3 still closes with a
 	// final new-incumbent event matching Result.BestSpeedup (1.0).
 	t.recordObservation(t.programFeatures(nil), 1.0)
-	t.gBest.Set(1.0)
 	t.rec.NewIncumbent(t.runSpan, "", 0, 1.0)
 
 	// Warm start: replay a prior run's checkpoint into the model, generators
@@ -606,7 +587,6 @@ func (t *Tuner) fitModel(iter int) error {
 		return nil
 	case gp.Appended:
 		t.res.Breakdown.GPAppends++
-		t.mGPApp.Inc()
 	default:
 		t.res.Breakdown.GPFits++
 	}
@@ -698,10 +678,10 @@ func (t *Tuner) proposeCandidate() (candidate, map[string]sparseVec, bool) {
 
 	progs := make([]map[string]sparseVec, len(jobs))
 	dups := make([]bool, len(jobs))
+	nDup := 0
 	for i := range jobs {
 		j := &jobs[i]
-		t.candsCompiled++
-		t.mComp.Inc()
+		t.res.Breakdown.Compiles++
 		if t.rec.Enabled() {
 			t.rec.Compile(t.curSpan, j.ms.name, len(j.seq), hashSeq(j.seq), j.ok, outs[i].Wall, outs[i].End)
 		}
@@ -712,10 +692,10 @@ func (t *Tuner) proposeCandidate() (candidate, map[string]sparseVec, bool) {
 		progs[i] = prog
 		if _, seenBefore := t.measCut[t.programKey(prog)]; seenBefore {
 			dups[i] = true
-			t.candsDup++
-			t.mDup.Inc()
+			nDup++
 		}
 	}
+	t.candsDup += nDup
 
 	// One batched posterior evaluation over the surviving candidates: each
 	// dense feature vector is padded or truncated to the model's training
@@ -776,7 +756,7 @@ func (t *Tuner) proposeCandidate() (candidate, map[string]sparseVec, bool) {
 	if novel > 0 {
 		t.res.NovelSelections++
 	}
-	t.rec.AcqMax(t.curSpan, len(jobs), best.ms.name, best.af, best.dup, novel, time.Since(tAcq))
+	t.rec.AcqMax(t.curSpan, len(jobs), nDup, best.ms.name, best.af, best.dup, novel, time.Since(tAcq))
 	return best, bestFV, true
 }
 
@@ -793,8 +773,7 @@ func (t *Tuner) bestObservedY() float64 {
 // compileCandidate compiles seq for ms's module (through the evaluation
 // backend) and extracts features.
 func (t *Tuner) compileCandidate(ms *moduleState, seq []int) (sparseVec, bool) {
-	t.candsCompiled++
-	t.mComp.Inc()
+	t.res.Breakdown.Compiles++
 	out, err := t.compileOne(ms.name, t.seqStrings(seq))
 	if t.rec.Enabled() {
 		t.rec.Compile(t.curSpan, ms.name, len(seq), hashSeq(seq), err == nil, out.Wall, out.End)
@@ -826,7 +805,6 @@ func (t *Tuner) measureCandidate(ms *moduleState, seq []int, knownFV map[string]
 		// as) identical; reuse the measurement (§5.2: avoid profiling
 		// sequences that cannot change the outcome).
 		t.res.SavedMeasurements++
-		t.mSaved.Inc()
 		t.rec.Measure(t.curSpan, ms.name, 0, y*t.base, 1/y, 1/t.bestObservedY(), true, true, 0)
 		t.tellGenerators(ms, seq, y)
 		return false
@@ -858,7 +836,6 @@ func (t *Tuner) measureCandidate(ms *moduleState, seq []int, knownFV map[string]
 		t.tellGenerators(ms, seq, 10)
 		return false
 	}
-	t.mMeas.Inc()
 	y := timeC / t.base
 	t.observe(ms, seq, fv, y)
 	t.res.ModuleBudget[ms.name]++
@@ -874,7 +851,6 @@ func (t *Tuner) measureCandidate(ms *moduleState, seq []int, knownFV map[string]
 		Speedup:     sp,
 		BestSpeedup: bestSoFar,
 	})
-	t.gBest.Set(bestSoFar)
 	t.rec.Measure(t.curSpan, ms.name, meas, timeC, sp, bestSoFar, true, false, wall)
 	if y < prevBest {
 		t.rec.NewIncumbent(t.curSpan, ms.name, meas, sp)
@@ -937,11 +913,10 @@ func (t *Tuner) finalize() {
 	bestY := t.bestObservedY()
 	t.res.BestTime = bestY * t.base
 	t.res.BestSpeedup = 1 / bestY
-	if t.candsCompiled > 0 {
-		t.res.CandidateDupRate = float64(t.candsDup) / float64(t.candsCompiled)
+	if c := t.res.Breakdown.Compiles; c > 0 {
+		t.res.CandidateDupRate = float64(t.candsDup) / float64(c)
 	}
 	t.res.Breakdown.Measures = t.replayed + len(t.res.Trace)
-	t.res.Breakdown.Compiles = t.candsCompiled
 	t.res.Breakdown.Counters = t.counters()
 	if pp, ok := t.task.(PassProfileReporter); ok {
 		t.res.PassProfile = pp.PassProfile()

@@ -116,14 +116,14 @@ func TestJournalFinalIncumbentMatchesResult(t *testing.T) {
 	}
 }
 
-// A registry shared across runs must not corrupt per-run breakdown counts:
-// the tuner snapshots its counters at construction and reports deltas.
+// A registry shared across runs sums their series: each run's metrics sink
+// adds that run's own count, which its breakdown reports.
 func TestSharedMetricsRegistryPerRunCounts(t *testing.T) {
 	met := obs.NewMetrics()
 	var counts []int
 	for seed := int64(1); seed <= 2; seed++ {
 		o := fastOpts()
-		o.Metrics = met
+		o.Sink = analyze.NewMetricsSink(met)
 		res, err := NewTuner(newSyntheticTask(t), o, seed).Run()
 		if err != nil {
 			t.Fatal(err)
@@ -134,8 +134,8 @@ func TestSharedMetricsRegistryPerRunCounts(t *testing.T) {
 	if counts[0]+counts[1] != total {
 		t.Fatalf("per-run measures %v do not sum to registry total %d", counts, total)
 	}
-	if counts[1] > total-counts[0]+0 || counts[1] <= 0 {
-		t.Fatalf("second run's measures (%d) not a per-run delta (registry total %d)", counts[1], total)
+	if counts[0] <= 0 || counts[1] <= 0 {
+		t.Fatalf("per-run measures %v, want both positive", counts)
 	}
 }
 

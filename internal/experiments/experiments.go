@@ -40,10 +40,9 @@ type Config struct {
 	// disables journaling; see internal/obs). Multi-run experiments append
 	// all runs to the same journal.
 	Sink obs.Sink
-	// Metrics aggregates counters, gauges and the citroen_phase_seconds
-	// series (fed from each run's journal by analyze.PhaseSink) across every
-	// tuning run the experiment performs (nil = each tuner keeps a private
-	// registry).
+	// Metrics aggregates the run series (fed from each run's journal by
+	// analyze.NewMetricsSink) across every tuning run the experiment
+	// performs; nil feeds none.
 	Metrics *obs.Metrics
 	Out     io.Writer
 }
@@ -64,9 +63,8 @@ func (c Config) tunerOptions() core.Options {
 	o.Budget = c.Budget
 	o.Workers = c.Workers
 	o.Sink = c.Sink
-	o.Metrics = c.Metrics
 	if c.Metrics != nil {
-		o.Sink = obs.Multi(c.Sink, analyze.NewPhaseSink(c.Metrics))
+		o.Sink = obs.Multi(c.Sink, analyze.NewMetricsSink(c.Metrics))
 	}
 	return o
 }

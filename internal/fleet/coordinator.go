@@ -34,8 +34,9 @@ type Options struct {
 	// older than this (default 5s). Lost runners receive no batches but
 	// recover on their next heartbeat.
 	HeartbeatTimeout time.Duration
-	// Metrics receives fleet gauges/counters; nil allocates a private
-	// registry.
+	// Metrics receives the runner gauges, the batch counter and the
+	// dispatch histogram; nil allocates a private registry. The incident
+	// counters are read off the journal (analyze.NewMetricsSink).
 	Metrics *obs.Metrics
 	// Client performs batch POSTs; nil uses a default client with no
 	// overall timeout (each attempt is bounded by the per-attempt deadline
@@ -99,9 +100,6 @@ type Coordinator struct {
 	gLost        *obs.Gauge
 	gQuarantined *obs.Gauge
 	cBatches     *obs.Counter
-	cRetries     *obs.Counter
-	cFallbacks   *obs.Counter
-	cQuarantines *obs.Counter
 	hDispatch    *obs.Histogram
 }
 
@@ -121,9 +119,6 @@ func New(opts Options) *Coordinator {
 		gLost:           m.Gauge("citroen_fleet_runners_lost"),
 		gQuarantined:    m.Gauge("citroen_fleet_runners_quarantined"),
 		cBatches:        m.Counter("citroen_fleet_batches_total"),
-		cRetries:        m.Counter("citroen_fleet_batch_retries_total"),
-		cFallbacks:      m.Counter("citroen_fleet_local_fallbacks_total"),
-		cQuarantines:    m.Counter("citroen_fleet_quarantines_total"),
 		hDispatch:       m.Histogram("citroen_fleet_dispatch_seconds", obs.DurationBuckets),
 	}
 }
@@ -484,7 +479,6 @@ func (b *JobBinding) runModuleBatch(ctx context.Context, bt *moduleBatch) ([]cor
 	// reads, so nothing is added to agg.
 	if attempted || b.c.runnerCount() > 0 {
 		incidents = append(incidents, core.EvalIncident{Kind: "local-fallback", Module: bt.module, Attempt: 0})
-		b.c.cFallbacks.Inc()
 		b.c.logf("fleet: batch for module %s running locally (attempts exhausted or no healthy runner)", bt.module)
 	}
 	// A cancelled batch leaves slots !Ok; the tuner checks its own context.
@@ -514,7 +508,6 @@ func (b *JobBinding) dispatch(ctx context.Context, bt *moduleBatch) (*BatchResul
 			return nil, attempt > 1, incidents
 		}
 		if attempt > 1 {
-			c.cRetries.Inc()
 			incidents = append(incidents, core.EvalIncident{Kind: "retry", Runner: r.id, Module: bt.module, Attempt: attempt})
 		}
 		actx, cancel := context.WithTimeout(ctx, c.attemptTimeout)
@@ -530,7 +523,6 @@ func (b *JobBinding) dispatch(ctx context.Context, bt *moduleBatch) (*BatchResul
 		}
 		c.logf("fleet: batch %s (%s) on runner %s failed: %v", req.ID, bt.module, r.id, err)
 		if c.noteFailure(r) {
-			c.cQuarantines.Inc()
 			incidents = append(incidents, core.EvalIncident{Kind: "quarantine", Runner: r.id, Module: bt.module, Attempt: attempt})
 		}
 		if attempt == c.maxAttempts {

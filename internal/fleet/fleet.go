@@ -27,7 +27,9 @@
 // marked lost — both are excluded from dispatch. When the attempts are used
 // up, or no runner is usable, the coordinator executes the batch itself.
 // Every such anomaly is journalled as a fleet-incident event of the fan-out
-// that caused it.
+// that caused it, and the incident series
+// citroen_fleet_{batch_retries,local_fallbacks,quarantines}_total count
+// those events (analyze.NewMetricsSink).
 package fleet
 
 import (

@@ -22,6 +22,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/obs/analyze"
 )
 
 // register adds a runner the test knows to be well formed.
@@ -251,7 +252,10 @@ func TestRunnerKilledMidJobCompletesWithRetries(t *testing.T) {
 	binding := c.Bind(cfg, newEval(t, benchName, seed), 2)
 
 	mem := &obs.MemorySink{}
-	res, err := core.NewTuner(binding.Task(), tuneOpts(mem, 2), seed).Run()
+	met := obs.NewMetrics()
+	opts := tuneOpts(mem, 2)
+	opts.Sink = obs.Multi(mem, analyze.NewMetricsSink(met))
+	res, err := core.NewTuner(binding.Task(), opts, seed).Run()
 	if err != nil {
 		t.Fatalf("job did not survive a killed runner: %v", err)
 	}
@@ -267,8 +271,8 @@ func TestRunnerKilledMidJobCompletesWithRetries(t *testing.T) {
 	if kinds["retry"] == 0 {
 		t.Fatalf("no retry incidents journalled; incidents = %v", kinds)
 	}
-	if c.cRetries.Value() == 0 {
-		t.Fatal("retry counter not incremented")
+	if got := met.Counter("citroen_fleet_batch_retries_total").Value(); got != int64(kinds["retry"]) {
+		t.Fatalf("retry series %d, journalled retry incidents %d", got, kinds["retry"])
 	}
 }
 
@@ -721,9 +725,6 @@ func TestEmptyRegistryRunsLocallySilently(t *testing.T) {
 	}
 	if len(incs) != 0 {
 		t.Fatalf("unexpected incidents with no runners: %v", incs)
-	}
-	if c.cFallbacks.Value() != 0 {
-		t.Fatal("fallback counter moved with an empty registry")
 	}
 	if got := binding.Delta(); len(got) != 0 {
 		t.Fatalf("local work leaked into remote aggregation: %+v", got)

@@ -17,13 +17,15 @@
 // offline) yields the same phase shares. The Analyzer is a streaming
 // consumer — it works as an obs.Sink over a live run exactly as it works
 // over a file — which is what lets the serve /summary endpoint report phase
-// attribution for running jobs, and PhaseSink's citroen_phase_seconds
-// series agree with the offline report by construction.
+// attribution for running jobs. It is also the only reader that turns events
+// into /metrics series (NewMetricsSink), so the registry and the offline
+// report agree by construction.
 package analyze
 
 import (
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -105,12 +107,20 @@ type Report struct {
 	WallNS int64        `json:"wall_ns"`
 	Phases []PhaseTotal `json:"phases"`
 
-	Iterations   int `json:"iterations"`
-	Compiles     int `json:"compiles"`
-	Measurements int `json:"measurements"` // budget-consuming (ok, not reused)
-	Checkpoints  int `json:"checkpoints"`
-	Resumes      int `json:"resumes"`
+	Iterations int `json:"iterations"`
+	Compiles   int `json:"compiles"`
+	// CandidateCompiles: the compiles after each run's -O3 baselines (which
+	// precede its first new-incumbent), the run-ends' "compilations".
+	CandidateCompiles int            `json:"candidate_compiles"`
+	Measurements      int            `json:"measurements"` // budget-consuming (ok, not reused)
+	Checkpoints       int            `json:"checkpoints"`
+	Resumes           int            `json:"resumes"`
+	GPAppends         int            `json:"gp_appends"`                // gp-fit events that appended
+	CandidateDups     int            `json:"candidate_dups"`            // acq-max dups: candidates with an observed program's statistics
+	FleetIncidents    map[string]int `json:"fleet_incidents,omitempty"` // fleet-incident events by kind
 
+	// BestSpeedup is the best incumbent a new-incumbent or resume event
+	// reported.
 	BestSpeedup float64                  `json:"best_speedup"`
 	Incumbents  []Step                   `json:"incumbents,omitempty"`
 	Curve       []Step                   `json:"curve,omitempty"`
@@ -136,12 +146,14 @@ type Analyzer struct {
 	tl       timeline
 	report   Report
 	counters map[string]obs.CounterRow
+	// baselines is set from a run-start to the run's first new-incumbent:
+	// the compiles in between are the -O3 baselines.
+	baselines bool
+	series    *series // registered by NewMetricsSink, unregistered otherwise
 }
 
 // NewAnalyzer returns an empty streaming analyzer.
-func NewAnalyzer() *Analyzer {
-	return &Analyzer{counters: map[string]obs.CounterRow{}}
-}
+func NewAnalyzer() *Analyzer { return NewMetricsSink(nil) }
 
 // Analyze runs a complete event slice through a fresh analyzer.
 func Analyze(events []obs.Event) *Report {
@@ -157,7 +169,10 @@ func (a *Analyzer) Emit(e *obs.Event) { a.Feed(e) }
 
 // Feed consumes one event.
 func (a *Analyzer) Feed(e *obs.Event) {
-	a.tl.feed(e)
+	s := a.series
+	if p := a.tl.feed(e); p.phase != "" && p.cpuNS != 0 {
+		s.phase[p.phase].Add(time.Duration(p.cpuNS).Seconds())
+	}
 	r := &a.report
 	r.Events++
 
@@ -167,6 +182,7 @@ func (a *Analyzer) Feed(e *obs.Event) {
 		r.Runs++
 		r.Complete = false
 		r.Config = f
+		a.baselines = true
 	case "run-end":
 		r.Complete = true
 		r.Final = f
@@ -175,6 +191,10 @@ func (a *Analyzer) Feed(e *obs.Event) {
 		r.Iterations++
 	case "compile":
 		r.Compiles++
+		if !a.baselines {
+			r.CandidateCompiles++
+			s.compiles.Inc()
+		}
 		m := a.module(fieldString(f, "module"))
 		if m != nil {
 			m.Compiles++
@@ -185,9 +205,11 @@ func (a *Analyzer) Feed(e *obs.Event) {
 		reused := obs.FieldBool(f, "reused")
 		if reused {
 			r.ReusedMeasurements++
+			s.saved.Inc()
 		}
 		if ok && !reused {
 			r.Measurements++
+			s.measurements.Inc()
 			step := Step{
 				Measurement: int(obs.FieldFloat(f, "measurement")),
 				Speedup:     obs.FieldFloat(f, "speedup"),
@@ -204,22 +226,47 @@ func (a *Analyzer) Feed(e *obs.Event) {
 			}
 		}
 	case "new-incumbent":
+		a.baselines = false
 		sp := obs.FieldFloat(f, "speedup")
 		r.Incumbents = append(r.Incumbents, Step{
 			Measurement: int(obs.FieldFloat(f, "measurement")),
 			Speedup:     sp, Best: sp,
 			Module: fieldString(f, "module"),
 		})
-		if sp > r.BestSpeedup {
-			r.BestSpeedup = sp
+		a.incumbent(sp)
+	case "gp-fit":
+		if obs.FieldBool(f, "appended") {
+			r.GPAppends++
+			s.gpAppends.Inc()
+		}
+	case "acq-max":
+		n := int(obs.FieldFloat(f, "dups"))
+		r.CandidateDups += n
+		s.dups.Add(int64(n))
+	case "fleet-incident":
+		kind := fieldString(f, "kind")
+		if r.FleetIncidents == nil {
+			r.FleetIncidents = map[string]int{}
+		}
+		r.FleetIncidents[kind]++
+		if c := s.incidents[kind]; c != nil {
+			c.Inc()
 		}
 	case "checkpoint":
 		r.Checkpoints++
 	case "resume":
 		r.Resumes++
+		a.incumbent(obs.FieldFloat(f, "best"))
 	default:
 		a.feedStats(e)
 	}
+}
+
+// incumbent takes the incumbent speedup a new-incumbent or resume event
+// reported.
+func (a *Analyzer) incumbent(sp float64) {
+	a.series.incumbent.Set(sp)
+	a.report.BestSpeedup = max(a.report.BestSpeedup, sp)
 }
 
 // passProfile decodes a run-end event's pass_profile rows.

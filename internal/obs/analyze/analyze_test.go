@@ -2,6 +2,7 @@ package analyze
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -233,16 +234,85 @@ func TestAnalyzerSplicesRestartedClock(t *testing.T) {
 	}
 }
 
-// PhaseSink must agree with the offline report's CPU attribution — they
-// share the timeline, so this is a wiring test.
-func TestPhaseSinkMatchesReportCPU(t *testing.T) {
-	events, _ := runJournal(t, 2, 4, 4)
+// One metrics sink per process, on one registry, fed a run and its
+// checkpoint resume to a larger budget, books what the two Results account:
+// each series equals the Result counts summed over both processes, the
+// incumbent gauge the resumed run's best, and the phase gauges the report's
+// CPU attribution of the spliced journal. The report of that journal reads
+// the same numbers.
+func TestMetricsSinkMatchesResult(t *testing.T) {
+	const seed = 5
 	m := obs.NewMetrics()
-	sink := NewPhaseSink(m)
-	for i := range events {
-		sink.Emit(&events[i])
+	var events []obs.Event
+	var ckpt *core.Checkpoint
+	run := func(budget int, from *core.Checkpoint) *core.Result {
+		ev, err := bench.NewEvaluator(bench.ByName("telecom_gsm"), bench.ARM(), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mem := &obs.MemorySink{}
+		opts := core.DefaultOptions()
+		opts.Budget = budget
+		opts.Lambda = 4
+		opts.InitRandom = 3
+		opts.GPOpts.AdamSteps = 10
+		opts.Workers = 2
+		opts.Sink = obs.Multi(mem, NewMetricsSink(m))
+		opts.Checkpoint = func(c *core.Checkpoint) error { ckpt = c; return nil }
+		opts.ResumeFrom = from
+		res, err := core.NewTuner(ev.Task(), opts, seed).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, mem.Events()...)
+		return res
+	}
+	first := run(8, nil)
+	resumedFrom, resumedAt := ckpt, len(events)
+	second := run(16, resumedFrom)
+
+	var meas, saved, compiles, dups, appends int
+	for _, res := range []*core.Result{first, second} {
+		meas += len(res.Trace)
+		saved += res.SavedMeasurements
+		compiles += res.Breakdown.Compiles
+		dups += int(math.Round(res.CandidateDupRate * float64(res.Breakdown.Compiles)))
+		appends += res.Breakdown.GPAppends
+	}
+	if meas != second.Breakdown.Measures || compiles == 0 || appends == 0 || dups == 0 {
+		t.Fatalf("degenerate runs: %d measurements (resumed run consumed %d), %d compiles, %d appends, %d dups",
+			meas, second.Breakdown.Measures, compiles, appends, dups)
 	}
 	r := Analyze(events)
+	for _, c := range []struct {
+		series       string
+		want, report int
+	}{
+		{"citroen_measurements_total", meas, r.Measurements},
+		{"citroen_saved_measurements_total", saved, r.ReusedMeasurements},
+		{"citroen_compilations_total", compiles, r.CandidateCompiles},
+		{"citroen_candidate_dups_total", dups, r.CandidateDups},
+		{"citroen_gp_append_total", appends, r.GPAppends},
+	} {
+		if got := m.Counter(c.series).Value(); got != int64(c.want) || c.report != c.want {
+			t.Errorf("%s = %d, report %d, Results %d", c.series, got, c.report, c.want)
+		}
+	}
+	if got := m.Gauge("citroen_incumbent_speedup").Value(); got != second.BestSpeedup || r.BestSpeedup != got {
+		t.Errorf("citroen_incumbent_speedup = %v, report %v, Result %v", got, r.BestSpeedup, second.BestSpeedup)
+	}
+	// Until the resumed process improves on it, its incumbent is the one its
+	// resume event restores from the checkpoint.
+	upToResume := NewMetricsSink(obs.NewMetrics())
+	for i := resumedAt; i < len(events); i++ {
+		upToResume.Feed(&events[i])
+		if events[i].Type == "resume" {
+			break
+		}
+	}
+	if got := upToResume.series.incumbent.Value(); got != resumedFrom.BestSpeedup || upToResume.Report().BestSpeedup != got {
+		t.Errorf("incumbent after resume = %v, report %v, checkpoint %v", got, upToResume.Report().BestSpeedup, resumedFrom.BestSpeedup)
+	}
 	for _, p := range Phases {
 		if p == PhaseOther {
 			continue
@@ -250,7 +320,7 @@ func TestPhaseSinkMatchesReportCPU(t *testing.T) {
 		got := m.Gauge(`citroen_phase_seconds{phase="` + string(p) + `"}`).Value()
 		want := time.Duration(phaseByName(r, p).CPUNS).Seconds()
 		if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("phase %s: gauge %v != report cpu %v", p, got, want)
+			t.Errorf("phase %s: gauge %v != report cpu %v", p, got, want)
 		}
 	}
 }

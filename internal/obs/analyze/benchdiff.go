@@ -68,7 +68,7 @@ func CompareBenchDirs(oldDir, newDir string) ([]BenchDelta, error) {
 		for k := range newM {
 			keys[k] = true
 		}
-		for _, k := range sortedKeys2(keys) {
+		for _, k := range sortedKeys(keys) {
 			ov, inOld := oldM[k]
 			nv, inNew := newM[k]
 			d := BenchDelta{File: name, Metric: k, Old: ov, New: nv, OnlyOld: !inNew, OnlyNew: !inOld}
@@ -137,22 +137,4 @@ func flattenJSON(prefix string, v any, out map[string]float64) {
 			flattenJSON(fmt.Sprintf("%s[%d]", prefix, i), e, out)
 		}
 	}
-}
-
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeys2(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -18,8 +18,8 @@ func WriteReport(w io.Writer, r *Report) {
 	}
 	fmt.Fprintf(w, "runs: %d (%s), events: %d, wall %v\n",
 		r.Runs, status, r.Events, time.Duration(r.WallNS).Round(time.Microsecond))
-	fmt.Fprintf(w, "iterations: %d, compiles: %d, measurements: %d (+%d reused), checkpoints: %d, resumes: %d\n",
-		r.Iterations, r.Compiles, r.Measurements, r.ReusedMeasurements, r.Checkpoints, r.Resumes)
+	fmt.Fprintf(w, "iterations: %d, compiles: %d (%d candidates), measurements: %d (+%d reused), gp appends: %d, checkpoints: %d, resumes: %d\n",
+		r.Iterations, r.Compiles, r.CandidateCompiles, r.Measurements, r.ReusedMeasurements, r.GPAppends, r.Checkpoints, r.Resumes)
 	fmt.Fprintf(w, "best speedup: %.3fx\n", r.BestSpeedup)
 
 	fmt.Fprintln(w, "\nphase attribution (elapsed = run timeline, cpu = summed event walls; acquisition cpu = its elapsed):")
@@ -41,12 +41,13 @@ func WriteReport(w io.Writer, r *Report) {
 
 	fmt.Fprintln(w, "\ncache effectiveness:")
 	WriteCounters(w, r.Counters)
-	fmt.Fprintf(w, "  measurement dedup: %d duplicate-statistics candidates reused without budget\n", r.ReusedMeasurements)
+	fmt.Fprintf(w, "  measurement dedup: %d duplicate-statistics candidates reused without budget, %d compiled candidates duplicated observed statistics\n",
+		r.ReusedMeasurements, r.CandidateDups)
 
 	if len(r.Modules) > 0 {
 		fmt.Fprintln(w, "\nper-module:")
 		fmt.Fprintf(w, "  %-16s %9s %12s %8s %10s\n", "module", "compiles", "compile cpu", "meas", "best")
-		for _, name := range sortedModuleNames(r.Modules) {
+		for _, name := range sortedKeys(r.Modules) {
 			m := r.Modules[name]
 			best := "-"
 			if m.BestSpeedup > 0 {
@@ -128,7 +129,7 @@ func WriteConvergence(w io.Writer, r *Report) {
 	}
 }
 
-func sortedModuleNames(m map[string]*ModuleReport) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

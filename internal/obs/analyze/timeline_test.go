@@ -207,7 +207,7 @@ func TestTimelineSubtractsNestedFanout(t *testing.T) {
 		t.Fatalf("wall %d, phases %+v; want 10ms, %+v", r.WallNS, r.Phases, want)
 	}
 	m := obs.NewMetrics()
-	sink := NewPhaseSink(m)
+	sink := NewMetricsSink(m)
 	for i := range events {
 		sink.Emit(&events[i])
 	}

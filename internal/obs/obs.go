@@ -371,12 +371,14 @@ func (r *Recorder) GPFit(parent int64, points, dim int, appended bool, wall time
 }
 
 // AcqMax records the acquisition argmax over one iteration's candidates.
-func (r *Recorder) AcqMax(parent int64, candidates int, module string, af float64, dup bool, novelDims int, wall time.Duration) {
+// dups counts the round's compiled candidates whose statistics equal an
+// observed program's; dup marks the argmax as one of them.
+func (r *Recorder) AcqMax(parent int64, candidates, dups int, module string, af float64, dup bool, novelDims int, wall time.Duration) {
 	if r == nil {
 		return
 	}
 	r.emit("acq-max", -1, parent, map[string]any{
-		"candidates": candidates, "module": module, "af": af,
+		"candidates": candidates, "dups": dups, "module": module, "af": af,
 		"dup": dup, "novel_dims": novelDims, "wall_ns": wall.Nanoseconds(),
 	})
 }

@@ -37,7 +37,7 @@ func TestNilRecorderAllocationFree(t *testing.T) {
 		r.CandidateGenerated(1, "m", "ga", 10, 42)
 		r.Compile(1, "m", 10, 42, true, time.Second, time.Time{})
 		r.GPFit(1, 5, 7, false, time.Second)
-		r.AcqMax(1, 9, "m", 0.5, false, 2, time.Second)
+		r.AcqMax(1, 9, 0, "m", 0.5, false, 2, time.Second)
 		r.Measure(1, "m", 3, 100, 1.1, 1.2, true, false, time.Second)
 		r.Stats(1, set)
 		r.NewIncumbent(1, "m", 3, 1.2)

@@ -105,10 +105,3 @@ func TopByWall(costs []PassCost, n int) []PassCost {
 	}
 	return out
 }
-
-// Reset clears all aggregated costs.
-func (p *Profile) Reset() {
-	p.mu.Lock()
-	p.byPass = map[string]*PassCost{}
-	p.mu.Unlock()
-}

@@ -95,18 +95,3 @@ func TestTopByWall(t *testing.T) {
 		t.Fatal("TopByWall mutated its input")
 	}
 }
-
-func TestProfileReset(t *testing.T) {
-	prof := NewProfile()
-	st := Stats{}
-	if err := ApplyObserved(dotProductModule(), O1Sequence(), st, false, prof); err != nil {
-		t.Fatal(err)
-	}
-	if len(prof.Costs()) == 0 {
-		t.Fatal("profile empty after observed run")
-	}
-	prof.Reset()
-	if len(prof.Costs()) != 0 {
-		t.Fatal("profile not empty after Reset")
-	}
-}

@@ -75,8 +75,8 @@ type Server struct {
 	nextID   int
 	draining bool
 
-	// met is the service-level registry; per-job phase attribution
-	// (citroen_phase_seconds) and the service gauges accumulate here.
+	// met is the service-level registry; every job's run series (phase
+	// seconds, measurements, ...) and the service gauges accumulate here.
 	met *obs.Metrics
 
 	mSubmitted   *obs.Counter
@@ -491,10 +491,10 @@ func (s *Server) tune(ctx context.Context, j *job, spec JobSpec) (*core.Result, 
 	defer sink.Close()
 
 	opts := spec.options()
-	// The phase sink feeds citroen_phase_seconds{phase=...} on the SERVICE
-	// registry from the same timeline the /summary endpoint books on, so
-	// Prometheus and the offline report can never disagree.
-	opts.Sink = obs.Multi(flushingSink{sink}, analyze.NewPhaseSink(s.met))
+	// The metrics sink feeds the run's series on the SERVICE registry (summed
+	// over jobs) from the same Analyzer the /summary endpoint reports with,
+	// so Prometheus and the offline report can never disagree.
+	opts.Sink = obs.Multi(flushingSink{sink}, analyze.NewMetricsSink(s.met))
 	ckptPath := filepath.Join(j.dir, checkpointFile)
 	opts.Checkpoint = func(c *core.Checkpoint) error {
 		if err := writeJSONAtomic(ckptPath, c); err != nil {
