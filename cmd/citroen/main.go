@@ -101,7 +101,7 @@ func main() {
 		sinks = append(sinks, obs.NewTextRenderer(os.Stdout))
 	}
 	metrics := obs.NewMetrics()
-	// The run's series (phase seconds, measurements, compilations, ...) are
+	// The run's series (phase seconds, measurements, counter rows, ...) are
 	// read off the same event stream the journal captures, so the /metrics
 	// view and an offline `citroenstat report` of the journal always agree.
 	sinks = append(sinks, analyze.NewMetricsSink(metrics))

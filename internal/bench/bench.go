@@ -319,14 +319,9 @@ type Evaluator struct {
 	Compilations int
 	Measurements int
 
-	// Optional observability (SetObs); nil until enabled. prof collects
-	// per-pass wall time and stats deltas; metrics is the registry
-	// publishMetrics mirrors Counters() into, published the set it mirrored
-	// last (both guarded by pubMu).
-	prof      *passes.Profile
-	metrics   *obs.Metrics
-	pubMu     sync.Mutex
-	published obs.CounterSet
+	// Optional per-pass profile (SetObs); nil until enabled. It collects
+	// per-pass wall time and stats deltas.
+	prof *passes.Profile
 
 	// bc0 is the measurement machine's bytecode-engine counter state at the
 	// end of construction, so BcCounters reports search work only (the
@@ -366,7 +361,7 @@ func NewEvaluator(b *Benchmark, plat Platform, seed int64) (*Evaluator, error) {
 		ev.refOut = append(ev.refOut, res.Output)
 	}
 	// O3 baseline time, and its dataset-0 profile for HotModules.
-	t, _, err := ev.timeWithSequences(context.Background(), nil, ev.setHotTable)
+	t, err := ev.timeWithSequences(context.Background(), nil, ev.setHotTable)
 	if err != nil {
 		return nil, err
 	}
@@ -437,13 +432,13 @@ func (ev *Evaluator) CacheCounters() (hits, misses int) {
 }
 
 // Counters is the one place an evaluator counter is defined: its journal and
-// report name, its /metrics series (if any), and whether it is canonical — a
-// deterministic function of the evaluated workload, counted since the
-// evaluator was built (the baseline build does not count) — or an Env
-// observation: the evaluator's own cache-byte and COW accounting, or the
-// scheduling-dependent process-global pools. Everything downstream (stats
-// events, Result, reports, gauges, batch deltas) iterates this set, so adding
-// a counter is adding a row here.
+// report name, which also names its /metrics series (DESIGN.md "Counters"),
+// and whether it is canonical — a deterministic function of the evaluated
+// workload, counted since the evaluator was built (the baseline build does
+// not count) — or an Env observation: the evaluator's own cache-byte and COW
+// accounting, or the scheduling-dependent process-global pools. Everything
+// downstream (stats events, Result, reports, /metrics, batch deltas)
+// iterates this set, so adding a counter is adding a row here.
 func (ev *Evaluator) Counters() obs.CounterSet {
 	hits, misses := ev.CacheCounters()
 	_, replayed, cacheBytes, evictions := ev.PrefixCounters()
@@ -456,71 +451,57 @@ func (ev *Evaluator) Counters() obs.CounterSet {
 	machGets, machNews := machine.PoolCounters()
 	passGets, passNews := passes.PoolCounters()
 
-	row := func(name string, v int64, series string) obs.CounterRow {
-		return obs.CounterRow{Name: name, Value: v, Series: series}
+	row := func(name string, v int64) obs.CounterRow {
+		return obs.CounterRow{Name: name, Value: v}
 	}
 	// The build_passes, cache_bytes, cache_evictions and cow_* rows count
 	// this evaluator's work. Since eviction happens only at round starts they
 	// no longer depend on scheduling, but they stay Env rows until a
 	// re-baseline changes the journal schema.
-	ownEnv := func(name string, v int64, series string) obs.CounterRow {
-		return obs.CounterRow{Name: name, Value: v, Env: true, Series: series}
+	ownEnv := func(name string, v int64) obs.CounterRow {
+		return obs.CounterRow{Name: name, Value: v, Env: true}
 	}
-	env := func(name string, v uint64, series string) obs.CounterRow {
-		return obs.CounterRow{Name: name, Value: int64(v), Env: true, Global: true, Series: series}
+	env := func(name string, v uint64) obs.CounterRow {
+		return obs.CounterRow{Name: name, Value: int64(v), Env: true, Global: true}
 	}
 	return obs.CounterSet{
-		row("cache_hits", int64(hits), "bench_cache_hits_total"),
-		row("cache_misses", int64(misses), "bench_cache_misses_total"),
+		row("cache_hits", int64(hits)),
+		row("cache_misses", int64(misses)),
 		// Pass-pipeline executions and linked images timed. Not "compilations"
 		// / "measurements": the run-end summary uses those keys for the
 		// tuner's candidate and budget counts, which are different numbers.
-		row("pipeline_runs", int64(pipelines), "bench_compilations_total"),
-		row("measured_builds", int64(builds), "bench_measurements_total"),
-		ownEnv("build_passes", int64(replayed), "bench_build_passes_total"),
-		ownEnv("cache_bytes", cacheBytes, "bench_cache_bytes"),
-		ownEnv("cache_evictions", int64(evictions), "bench_cache_evictions_total"),
-		ownEnv("cow_shared", int64(shared), ""),
-		ownEnv("cow_materialized", int64(materialized), ""),
-		row("bc_lowered_funcs", bc.LoweredFuncs, "machine_bc_lowered_funcs"),
-		row("bc_bytecode_bytes", bc.BytecodeBytes, "machine_bc_bytecode_bytes"),
-		env("ir_clone_cow", clones, "ir_clone_cow_total"),
-		env("ir_clone_materialized", cloneMat, "ir_clone_cow_materialized_total"),
-		env("ir_clone_slab_funcs", slabFuncs, "ir_clone_slab_funcs_total"),
-		env("machine_pool_gets", machGets, "machine_pool_gets_total"),
-		env("machine_pool_news", machNews, "machine_pool_news_total"),
-		env("passes_pool_gets", passGets, "passes_pool_gets_total"),
-		env("passes_pool_news", passNews, "passes_pool_news_total"),
+		row("pipeline_runs", int64(pipelines)),
+		row("measured_builds", int64(builds)),
+		ownEnv("build_passes", int64(replayed)),
+		ownEnv("cache_bytes", cacheBytes),
+		ownEnv("cache_evictions", int64(evictions)),
+		ownEnv("cow_shared", int64(shared)),
+		ownEnv("cow_materialized", int64(materialized)),
+		row("bc_lowered_funcs", bc.LoweredFuncs),
+		row("bc_bytecode_bytes", bc.BytecodeBytes),
+		env("ir_clone_cow", clones),
+		env("ir_clone_materialized", cloneMat),
+		env("ir_clone_slab_funcs", slabFuncs),
+		env("machine_pool_gets", machGets),
+		env("machine_pool_news", machNews),
+		env("passes_pool_gets", passGets),
+		env("passes_pool_news", passNews),
 	}
 }
 
-// SetObs attaches the evaluator to a metrics registry (every Counters() row
-// that names a series, plus a histogram of simulated run cycles) and, when
-// prof is non-nil, enables per-pass profiling of every pipeline execution.
-// Call before tuning starts: CompileModule runs concurrently and the fields
-// set here are not guarded for mid-run replacement. A nil registry publishes
-// nothing.
+// SetObs attaches the evaluator to a metrics registry, where it keeps a
+// histogram of simulated run cycles (single noise samples, which no journal
+// event carries; the Counters() rows reach /metrics through the journal's
+// stats events, analyze.NewMetricsSink) and, when prof is non-nil, enables
+// per-pass profiling of every pipeline execution. Call before tuning starts:
+// CompileModule runs concurrently and the fields set here are not guarded for
+// mid-run replacement. A nil registry records nothing.
 func (ev *Evaluator) SetObs(m *obs.Metrics, prof *passes.Profile) {
 	ev.prof = prof
-	ev.metrics = m
 	if m != nil {
 		h := m.Histogram("machine_run_cycles", obs.CyclesBuckets)
 		ev.meas.OnSample = h.Observe
 	}
-}
-
-// publishMetrics mirrors Counters() into the registry. It runs where the
-// counters have just moved in bulk — after a pipeline build or a measurement
-// — never per pass; exact-hit handouts show up at the next of those.
-func (ev *Evaluator) publishMetrics() {
-	if ev.metrics == nil {
-		return
-	}
-	ev.pubMu.Lock()
-	defer ev.pubMu.Unlock()
-	set := ev.Counters()
-	ev.metrics.Publish(set, ev.published)
-	ev.published = set
 }
 
 // PassProfile returns the aggregated per-pass costs collected since SetObs
@@ -535,7 +516,6 @@ func (ev *Evaluator) PassProfile() []passes.PassCost {
 // datasetRun is the deterministic half of measuring one dataset: the build,
 // the link and the image's single execution.
 type datasetRun struct {
-	stats  passes.Stats
 	linked bool // the image linked, so the serial protocol counts a measurement
 	res    *machine.Result
 	err    error
@@ -552,18 +532,12 @@ func (ev *Evaluator) runDataset(ctx context.Context, ds int, seqs map[string][]s
 	}
 	// Pipelines only re-run for modules whose sequence changed since the
 	// last build; unchanged incumbents come back as cached clones.
-	if ds == 0 {
-		r.stats = passes.Stats{} // the build statistics are dataset 0's
-	}
 	mods := make([]*ir.Module, 0, len(ev.pristine[ds]))
 	for _, pm := range ev.pristine[ds] {
-		m, st, err := ev.compiledFor(ctx, ds, pm.Name, seqs[pm.Name])
+		m, _, err := ev.compiledFor(ctx, ds, pm.Name, seqs[pm.Name])
 		if err != nil {
 			r.err = err
 			return r
-		}
-		if ds == 0 {
-			r.stats.Merge(st)
 		}
 		mods = append(mods, m)
 	}
@@ -579,7 +553,7 @@ func (ev *Evaluator) runDataset(ctx context.Context, ds int, seqs map[string][]s
 
 // timeWithSequences builds every dataset with the per-module sequences
 // (nil map entry or nil map = O3), differential-tests outputs and returns
-// the median runtime of dataset 0 plus the build's statistics. A non-nil
+// the median runtime of dataset 0. A non-nil
 // profile receives dataset 0's exclusive cycles per function, which it must
 // not retain.
 //
@@ -592,7 +566,7 @@ func (ev *Evaluator) runDataset(ctx context.Context, ds int, seqs map[string][]s
 // therefore do not depend on scheduling; the one visible difference is that a
 // later dataset's build has already happened when an earlier one is rejected.
 // Every measurement, the baseline's included, opens a compile-cache round.
-func (ev *Evaluator) timeWithSequences(ctx context.Context, seqs map[string][]string, profile func(funcCycles map[string]float64)) (float64, passes.Stats, error) {
+func (ev *Evaluator) timeWithSequences(ctx context.Context, seqs map[string][]string, profile func(funcCycles map[string]float64)) (float64, error) {
 	ev.BeginRound()
 	runs := make([]datasetRun, numDatasets)
 	numeric.ParallelFor(numDatasets, numDatasets, func(ds int) {
@@ -607,12 +581,12 @@ func (ev *Evaluator) timeWithSequences(ctx context.Context, seqs map[string][]st
 			ev.mu.Unlock()
 		}
 		if r.err != nil {
-			return 0, nil, r.err
+			return 0, r.err
 		}
 		t := ev.meas.MedianOf(r.res.Cycles, noiseRuns)
 		// Differential testing against the unoptimised reference.
 		if err := machine.OutputsMatch(ev.refOut[ds], r.res.Output, 1e-6); err != nil {
-			return 0, nil, fmt.Errorf("bench: differential test failed: %w", err)
+			return 0, fmt.Errorf("bench: differential test failed: %w", err)
 		}
 		if ds == 0 {
 			t0 = t
@@ -623,7 +597,7 @@ func (ev *Evaluator) timeWithSequences(ctx context.Context, seqs map[string][]st
 		// The result is not retained past the differential check.
 		machine.ReleaseResult(r.res)
 	}
-	return t0, runs[0].stats, nil
+	return t0, nil
 }
 
 // Measure times the program with per-module sequences, differential-testing
@@ -636,8 +610,7 @@ func (ev *Evaluator) Measure(seqs map[string][]string) (timeCycles, speedup floa
 // between dataset builds instead of finishing the full differential-test
 // cycle.
 func (ev *Evaluator) MeasureCtx(ctx context.Context, seqs map[string][]string) (timeCycles, speedup float64, err error) {
-	t, _, err := ev.timeWithSequences(ctx, seqs, nil)
-	ev.publishMetrics()
+	t, err := ev.timeWithSequences(ctx, seqs, nil)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -311,7 +311,6 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 		ev.mu.Unlock()
 		fl.mod, fl.stats, fl.err = keep, kept, err
 		close(fl.done)
-		ev.publishMetrics()
 		if err != nil {
 			return nil, nil, err
 		}

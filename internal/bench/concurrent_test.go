@@ -18,45 +18,41 @@ import (
 // and differential-test dataset 0, and only then start on dataset 1. reached
 // is the number of datasets it started on. It opens its compile-cache round
 // exactly as timeWithSequences does.
-func serialTimeWithSequences(ev *Evaluator, ctx context.Context, seqs map[string][]string) (t0 float64, stats passes.Stats, reached int, err error) {
+func serialTimeWithSequences(ev *Evaluator, ctx context.Context, seqs map[string][]string) (t0 float64, reached int, err error) {
 	ev.BeginRound()
-	stats = passes.Stats{}
 	for ds := 0; ds < numDatasets; ds++ {
 		reached = ds + 1
 		if err := ctx.Err(); err != nil {
-			return 0, nil, reached, err
+			return 0, reached, err
 		}
 		mods := make([]*ir.Module, 0, len(ev.pristine[ds]))
 		for _, pm := range ev.pristine[ds] {
-			m, st, err := ev.compiledFor(ctx, ds, pm.Name, seqs[pm.Name])
+			m, _, err := ev.compiledFor(ctx, ds, pm.Name, seqs[pm.Name])
 			if err != nil {
-				return 0, nil, reached, err
-			}
-			if ds == 0 {
-				stats.Merge(st)
+				return 0, reached, err
 			}
 			mods = append(mods, m)
 		}
 		img, err := machine.Link(mods...)
 		if err != nil {
-			return 0, nil, reached, err
+			return 0, reached, err
 		}
 		ev.mu.Lock()
 		ev.Measurements++
 		ev.mu.Unlock()
 		t, res, err := ev.meas.TimeMedian(img, "main", noiseRuns)
 		if err != nil {
-			return 0, nil, reached, err
+			return 0, reached, err
 		}
 		if err := machine.OutputsMatch(ev.refOut[ds], res.Output, 1e-6); err != nil {
-			return 0, nil, reached, fmt.Errorf("bench: differential test failed: %w", err)
+			return 0, reached, fmt.Errorf("bench: differential test failed: %w", err)
 		}
 		machine.ReleaseResult(res)
 		if ds == 0 {
 			t0 = t
 		}
 	}
-	return t0, stats, reached, nil
+	return t0, reached, nil
 }
 
 // canonicalCounters renders the rows of Counters() that reach the canonical
@@ -73,7 +69,7 @@ func canonicalCounters(ev *Evaluator) string {
 
 // TestMeasureDatasetsConcurrentEqualsSerial: executing the datasets of a
 // measurement concurrently and judging them in order gives what the serial
-// loop gave — time, statistics, error text, the RNG stream afterwards and the
+// loop gave — time, error text, the RNG stream afterwards and the
 // canonical counters — for accepted candidates and for every way a candidate
 // is rejected. The one allowed difference: when dataset 0 rejects the
 // candidate, dataset 1's build and run have already happened, so the
@@ -137,8 +133,8 @@ func TestMeasureDatasetsConcurrentEqualsSerial(t *testing.T) {
 			conc.refOut[1][0].I++
 			serial.refOut[1][0].I++
 		}
-		tc, sc, errC := conc.timeWithSequences(c.ctx, c.seqs, nil)
-		ts, ss, reached, errS := serialTimeWithSequences(serial, c.ctx, c.seqs)
+		tc, errC := conc.timeWithSequences(c.ctx, c.seqs, nil)
+		ts, reached, errS := serialTimeWithSequences(serial, c.ctx, c.seqs)
 		if c.breakRef1 {
 			conc.refOut[1][0].I--
 			serial.refOut[1][0].I--
@@ -153,9 +149,6 @@ func TestMeasureDatasetsConcurrentEqualsSerial(t *testing.T) {
 		}
 		if tc != ts {
 			t.Fatalf("%s: concurrent time %v, serial time %v", c.name, tc, ts)
-		}
-		if jc, js := sc.JSON(), ss.JSON(); jc != js {
-			t.Fatalf("%s: stats differ\nconcurrent %s\nserial     %s", c.name, jc, js)
 		}
 		if a, b := conc.meas.Rng.Int63(), serial.meas.Rng.Int63(); a != b {
 			t.Fatalf("%s: the RNG streams diverged (next draw %d vs %d)", c.name, a, b)

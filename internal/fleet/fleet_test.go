@@ -217,7 +217,8 @@ func TestFleetJournalMatchesSingleProcess(t *testing.T) {
 
 // A runner that dies mid-batch: its batch is retried on the surviving
 // runner, the job still completes, and the retries (and eventual
-// quarantine) are journalled as fleet-incident events.
+// quarantine) are journalled as fleet-incident events. The job's counter
+// rows, and so its /metrics series, count the surviving runner's work.
 func TestRunnerKilledMidJobCompletesWithRetries(t *testing.T) {
 	const seed = 5
 	const benchName = "automotive_bitcount"
@@ -249,7 +250,8 @@ func TestRunnerKilledMidJobCompletesWithRetries(t *testing.T) {
 	register(t, c, tsA.URL, 2)
 	register(t, c, tsB.URL, 2)
 	cfg := JobConfig{Bench: benchName, Platform: "arm", Seed: seed, Feature: "stats"}
-	binding := c.Bind(cfg, newEval(t, benchName, seed), 2)
+	local := newEval(t, benchName, seed)
+	binding := c.Bind(cfg, local, 2)
 
 	mem := &obs.MemorySink{}
 	met := obs.NewMetrics()
@@ -273,6 +275,10 @@ func TestRunnerKilledMidJobCompletesWithRetries(t *testing.T) {
 	}
 	if got := met.Counter("citroen_fleet_batch_retries_total").Value(); got != int64(kinds["retry"]) {
 		t.Fatalf("retry series %d, journalled retry incidents %d", got, kinds["retry"])
+	}
+	runs := analyze.Analyze(mem.Events()).Counters.Get("pipeline_runs")
+	if got := met.Counter("citroen_pipeline_runs_total").Value(); got != runs || got <= int64(local.Compilations) {
+		t.Fatalf("citroen_pipeline_runs_total = %d, journal %d, the coordinator's own pipeline runs %d: want the journal's, runners' work included", got, runs, local.Compilations)
 	}
 }
 

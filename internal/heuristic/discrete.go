@@ -34,6 +34,21 @@ func (s SeqSpace) Sample(rng *rand.Rand) []int {
 	return seq
 }
 
+// Clamp returns a copy of seq fitted to the length limits: truncated to
+// MaxLen, or padded to MinLen with genes drawn from rng. Padding with a fixed
+// index would inject repeated copies of whichever pass is first in the
+// vocabulary, biasing every short seed the same way.
+func (s SeqSpace) Clamp(seq []int, rng *rand.Rand) []int {
+	out := append([]int(nil), seq...)
+	if len(out) > s.MaxLen {
+		out = out[:s.MaxLen]
+	}
+	for len(out) < s.MinLen {
+		out = append(out, rng.Intn(s.Vocab))
+	}
+	return out
+}
+
 // Mutate applies one random edit: replace, insert, delete or swap.
 func (s SeqSpace) Mutate(rng *rand.Rand, seq []int) []int {
 	out := append([]int(nil), seq...)

@@ -154,6 +154,38 @@ func TestSeqSpaceSampleAndMutate(t *testing.T) {
 	}
 }
 
+// Regression: the tuner's clamp used to pad short sequences with pass index 0,
+// silently injecting repeated copies of whichever pass is first in the
+// vocabulary. Padding must resample from the RNG instead.
+func TestClampSeqPadsWithoutPassZeroBias(t *testing.T) {
+	sp := SeqSpace{Vocab: 40, MinLen: 8, MaxLen: 12}
+	rng := rand.New(rand.NewSource(1))
+	out := sp.Clamp([]int{5}, rng)
+	if len(out) != sp.MinLen {
+		t.Fatalf("len = %d, want %d", len(out), sp.MinLen)
+	}
+	if out[0] != 5 {
+		t.Fatalf("existing genes rewritten: %v", out)
+	}
+	zeros := 0
+	for _, g := range out[1:] {
+		if g < 0 || g >= sp.Vocab {
+			t.Fatalf("pad gene %d outside vocabulary", g)
+		}
+		if g == 0 {
+			zeros++
+		}
+	}
+	if zeros == len(out)-1 {
+		t.Fatalf("padding still biased to pass 0: %v", out)
+	}
+	// Truncation side must still clamp to MaxLen.
+	long := make([]int, 30)
+	if got := sp.Clamp(long, rng); len(got) != sp.MaxLen {
+		t.Fatalf("truncated len = %d, want %d", len(got), sp.MaxLen)
+	}
+}
+
 func TestDESConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	sp := SeqSpace{Vocab: 6, MinLen: 4, MaxLen: 10}

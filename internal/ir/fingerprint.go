@@ -14,11 +14,11 @@ import (
 // an instruction or block outside the function hashes as 0), globals with
 // their initialisers, and module meta.
 // Two modules with equal fingerprints are structurally identical with
-// overwhelming probability. No cache keys or deduplicates by it: the prefix
-// cache asks StructurallyEqual, which compares exactly what this hashes, and
-// the hash stays as the oracle of that comparison and as a content digest
-// for tests and the benchmark probe. Like every reader of a body in this
-// package it renumbers the private bodies it walks (InstrsByID).
+// overwhelming probability. No cache keys or deduplicates by it: it is a
+// content digest for tests and the benchmark probe, and the oracle that
+// StructurallyEqual (itself called only by tests) must agree with. Like every
+// reader of a body in this package it renumbers the private bodies it walks
+// (InstrsByID).
 func (m *Module) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -325,8 +325,9 @@ const (
 	ptrBytes       = int64(unsafe.Sizeof(uintptr(0)))
 )
 
-// ApproxBytes estimates the retained heap size of the module in bytes, for
-// byte-budgeted cache eviction. It models the slab layout a materialized
+// ApproxBytes estimates the retained heap size of the module in bytes. The
+// compile cache sums it over its entries for the cache_bytes Env counter row
+// and PrefixCounters' byte result; no eviction reads it. It models the slab layout a materialized
 // clone has: one Instr/Block slab per function plus the shared operand,
 // successor, and membership arrays, with per-object sizes taken from the
 // struct definitions via unsafe.Sizeof. Strings (names, callees) count their

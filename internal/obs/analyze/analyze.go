@@ -183,6 +183,7 @@ func (a *Analyzer) Feed(e *obs.Event) {
 		r.Complete = false
 		r.Config = f
 		a.baselines = true
+		s.newRun()
 	case "run-end":
 		r.Complete = true
 		r.Final = f
@@ -237,7 +238,6 @@ func (a *Analyzer) Feed(e *obs.Event) {
 	case "gp-fit":
 		if obs.FieldBool(f, "appended") {
 			r.GPAppends++
-			s.gpAppends.Inc()
 		}
 	case "acq-max":
 		n := int(obs.FieldFloat(f, "dups"))
@@ -289,15 +289,17 @@ func passProfile(f map[string]any) []PassRow {
 	return out
 }
 
-// feedStats folds a stats event into the counter table: cumulative counters,
-// latest wins.
+// feedStats folds a stats event into the counter table (cumulative counters,
+// latest wins) and books its rows into the sink's registry.
 func (a *Analyzer) feedStats(e *obs.Event) {
 	if e.Type != "stats" {
 		return
 	}
 	for k := range e.Fields {
 		name, env := strings.CutPrefix(k, "env_")
-		a.counters[name] = obs.CounterRow{Name: name, Value: int64(obs.FieldFloat(e.Fields, k)), Env: env}
+		v := int64(obs.FieldFloat(e.Fields, k))
+		a.counters[name] = obs.CounterRow{Name: name, Value: v, Env: env}
+		a.series.row(k, env, v)
 	}
 }
 

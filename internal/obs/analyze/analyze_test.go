@@ -236,7 +236,9 @@ func TestAnalyzerSplicesRestartedClock(t *testing.T) {
 
 // One metrics sink per process, on one registry, fed a run and its
 // checkpoint resume to a larger budget, books what the two Results account:
-// each series equals the Result counts summed over both processes, the
+// each series equals the Result counts summed over both processes, each
+// canonical counter row's series the row summed over the two runs' last
+// stats events, each Env row's gauge the resumed run's last value, the
 // incumbent gauge the resumed run's best, and the phase gauges the report's
 // CPU attribution of the spliced journal. The report of that journal reads
 // the same numbers.
@@ -244,6 +246,7 @@ func TestMetricsSinkMatchesResult(t *testing.T) {
 	const seed = 5
 	m := obs.NewMetrics()
 	var events []obs.Event
+	var lastStats []map[string]any // per run
 	var ckpt *core.Checkpoint
 	run := func(budget int, from *core.Checkpoint) *core.Result {
 		ev, err := bench.NewEvaluator(bench.ByName("telecom_gsm"), bench.ARM(), seed)
@@ -265,6 +268,13 @@ func TestMetricsSinkMatchesResult(t *testing.T) {
 			t.Fatal(err)
 		}
 		events = append(events, mem.Events()...)
+		var last map[string]any
+		for _, e := range mem.Events() {
+			if e.Type == "stats" {
+				last = e.Fields
+			}
+		}
+		lastStats = append(lastStats, last)
 		return res
 	}
 	first := run(8, nil)
@@ -292,11 +302,41 @@ func TestMetricsSinkMatchesResult(t *testing.T) {
 		{"citroen_saved_measurements_total", saved, r.ReusedMeasurements},
 		{"citroen_compilations_total", compiles, r.CandidateCompiles},
 		{"citroen_candidate_dups_total", dups, r.CandidateDups},
-		{"citroen_gp_append_total", appends, r.GPAppends},
+		{"citroen_gp_appends_total", appends, r.GPAppends},
 	} {
 		if got := m.Counter(c.series).Value(); got != int64(c.want) || c.report != c.want {
 			t.Errorf("%s = %d, report %d, Results %d", c.series, got, c.report, c.want)
 		}
+	}
+	// One sink fed the spliced journal books the same rows: each run-start
+	// restarts the canonical rows' deltas.
+	spliced := obs.NewMetrics()
+	one := NewMetricsSink(spliced)
+	for i := range events {
+		one.Feed(&events[i])
+	}
+	rows := 0
+	for key := range lastStats[1] {
+		env := strings.HasPrefix(key, "env_")
+		if !env {
+			rows++
+		}
+		for name, reg := range map[string]*obs.Metrics{"per-run sinks": m, "one sink": spliced} {
+			if env {
+				want := obs.FieldFloat(lastStats[1], key)
+				if got := reg.Gauge("citroen_" + key).Value(); got != want {
+					t.Errorf("%s: citroen_%s = %v, the resumed run's last stats event %v", name, key, got, want)
+				}
+				continue
+			}
+			want := int64(obs.FieldFloat(lastStats[0], key) + obs.FieldFloat(lastStats[1], key))
+			if got := reg.Counter("citroen_" + key + "_total").Value(); got != want {
+				t.Errorf("%s: citroen_%s_total = %d, the two runs' last stats events sum to %d", name, key, got, want)
+			}
+		}
+	}
+	if rows < 7 || obs.FieldFloat(lastStats[1], "pipeline_runs") == 0 {
+		t.Fatalf("resumed run's last stats event has %d canonical rows: %v", rows, lastStats[1])
 	}
 	if got := m.Gauge("citroen_incumbent_speedup").Value(); got != second.BestSpeedup || r.BestSpeedup != got {
 		t.Errorf("citroen_incumbent_speedup = %v, report %v, Result %v", got, r.BestSpeedup, second.BestSpeedup)

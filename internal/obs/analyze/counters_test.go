@@ -11,10 +11,11 @@ import (
 )
 
 // One counter path: a row a Task reports — names no production code knows —
-// must reach every view of a run by travelling the set, and an Env row must
-// not survive canonicalisation.
+// must reach every view of a run by travelling the set, /metrics included
+// under the name its journal key gives it, and an Env row must not survive
+// canonicalisation.
 func TestCounterReachesEveryView(t *testing.T) {
-	const canon, env = "zz_made_up_total", "zz_made_up_pool"
+	const canon, env = "zz_made_up", "zz_made_up_pool"
 	ev, err := bench.NewEvaluator(bench.ByName("automotive_bitcount"), bench.ARM(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -26,10 +27,11 @@ func TestCounterReachesEveryView(t *testing.T) {
 		return obs.CounterSet{{Name: canon, Value: 1000 + calls}, {Name: env, Value: 7, Env: true}}
 	}
 	mem := &obs.MemorySink{}
+	met := obs.NewMetrics()
 	opts := core.DefaultOptions()
 	opts.Budget, opts.Lambda, opts.InitRandom, opts.Workers = 4, 4, 2, 1
 	opts.GPOpts.AdamSteps = 10
-	opts.Sink = mem
+	opts.Sink = obs.Multi(mem, NewMetricsSink(met))
 	res, err := core.NewTuner(task, opts, 1).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +73,9 @@ func TestCounterReachesEveryView(t *testing.T) {
 		{"analyze.Report",
 			func() (int64, bool) { c, ok := row(report.Counters, canon); return c.Value, ok && !c.Env },
 			func() (int64, bool) { c, ok := row(report.Counters, env); return c.Value, ok && c.Env }, 1},
+		{"/metrics",
+			func() (int64, bool) { return met.Counter("citroen_" + canon + "_total").Value(), true },
+			func() (int64, bool) { return int64(met.Gauge("citroen_env_" + env).Value()), true }, 1},
 		{"report text",
 			func() (int64, bool) { return final - 1, strings.Contains(text.String(), canon) },
 			func() (int64, bool) { return 7, strings.Contains(text.String(), env+"=7") }, 1},
@@ -129,5 +134,25 @@ func TestStatsRowsKeepTheirJournaledKind(t *testing.T) {
 		if got, _ := row(Analyze(tc.events).Counters, "prefix_saved_passes"); got != tc.saved {
 			t.Errorf("%s: row = %+v, want %+v", tc.name, got, tc.saved)
 		}
+	}
+}
+
+// A sink resolves each row's instrument once: after the first stats event,
+// feeding one books without allocating, and an Analyzer without a registry
+// books nothing and never allocates for one.
+func TestStatsEventsBookWithoutAllocating(t *testing.T) {
+	stats := obs.Event{Type: "stats", Fields: map[string]any{"cache_hits": int64(3), "env_cache_bytes": int64(900)}}
+	m := obs.NewMetrics()
+	for name, a := range map[string]*Analyzer{"sink": NewMetricsSink(m), "analyzer": NewAnalyzer()} {
+		a.Feed(&stats)
+		if n := testing.AllocsPerRun(100, func() { a.Feed(&stats) }); n != 0 {
+			t.Errorf("%s: %v allocations per stats event, want 0", name, n)
+		}
+	}
+	if got := m.Counter("citroen_cache_hits_total").Value(); got != 3 {
+		t.Errorf("citroen_cache_hits_total = %d after one value repeated, want 3", got)
+	}
+	if got := m.Gauge("citroen_env_cache_bytes").Value(); got != 900 {
+		t.Errorf("citroen_env_cache_bytes = %v, want 900", got)
 	}
 }

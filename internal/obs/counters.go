@@ -1,11 +1,10 @@
 package obs
 
-import "strings"
-
 // CounterRow is one named cumulative work counter. A row is the only form in
 // which a counter travels: the evaluator defines it once (see
-// bench.Evaluator.Counters) and the journal, Result, reports, /metrics and
-// the fleet wire all carry the same row.
+// bench.Evaluator.Counters) and the journal, Result, reports and the fleet
+// wire all carry the same row; /metrics reads it off the journal's stats
+// events (analyze.NewMetricsSink), named by its journal key.
 type CounterRow struct {
 	Name  string `json:"name"`
 	Value int64  `json:"value"`
@@ -16,12 +15,9 @@ type CounterRow struct {
 	// journaled as "env_<Name>" so Canonicalize strips them.
 	Env bool `json:"env,omitempty"`
 	// Global marks an Env row that observes process-wide state rather than
-	// its owner's work: it never enters a batch delta and is published as a
-	// gauge. Batch deltas carry no Global rows, so it is not on the wire.
+	// its owner's work: it never enters a batch delta. Batch deltas carry no
+	// Global rows, so it is not on the wire.
 	Global bool `json:"-"`
-	// Series is the /metrics series Metrics.Publish mirrors the row into;
-	// empty for rows that have none. It is not part of the wire form.
-	Series string `json:"-"`
 }
 
 // CounterSet is an ordered list of counter rows, keyed by Name.
@@ -89,23 +85,6 @@ func (s CounterSet) PutFields(f map[string]any) {
 			f["env_"+c.Name] = c.Value
 		} else {
 			f[c.Name] = c.Value
-		}
-	}
-}
-
-// Publish mirrors the rows of set that name a Series into the registry. An
-// owned row whose series ends in "_total" is a Prometheus counter: it
-// advances by the row's change since prev, the set the same owner published
-// last, so owners sharing a registry accumulate. Every other row is a gauge
-// set to the current value (Global rows are process-wide already).
-func (m *Metrics) Publish(set, prev CounterSet) {
-	for _, c := range set {
-		switch {
-		case c.Series == "":
-		case !c.Global && strings.HasSuffix(c.Series, "_total"):
-			m.Counter(c.Series).Add(c.Value - prev.Get(c.Name))
-		default:
-			m.Gauge(c.Series).Set(float64(c.Value))
 		}
 	}
 }

@@ -128,6 +128,54 @@ func TestLiveSummaryOfRunningJobAndServeMetrics(t *testing.T) {
 	}
 }
 
+// Two jobs tuned at once on one service registry: each job's metrics sink
+// adds its own pipeline runs, so the registry's counter is the sum of the
+// pipeline_runs row the two jobs' summaries read off their journals.
+func TestConcurrentJobsSumCounterRows(t *testing.T) {
+	met := obs.NewMetrics()
+	s, err := New(Config{Dir: t.TempDir(), Metrics: met, Runners: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := &Client{BaseURL: ts.URL}
+
+	var ids []string
+	for _, spec := range []JobSpec{tinySpec(6), {Bench: "telecom_gsm", Budget: 6, Workers: 1, Seed: 2}} {
+		st, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var sum int64
+	for _, id := range ids {
+		st, err := c.Wait(ctx, id, 50*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateDone {
+			t.Fatalf("job %s ended %s (%s)", id, st.State, st.Error)
+		}
+		js, err := c.Summary(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := js.Report.Counters.Get("pipeline_runs")
+		if n == 0 {
+			t.Fatalf("job %s: summary counts no pipeline runs: %+v", id, js.Report.Counters)
+		}
+		sum += n
+	}
+	if got := met.Counter("citroen_pipeline_runs_total").Value(); got != sum {
+		t.Fatalf("citroen_pipeline_runs_total = %d, the jobs' summaries sum to %d", got, sum)
+	}
+}
+
 // Summary of an unknown job 404s through the client.
 func TestSummaryUnknownJob(t *testing.T) {
 	_, ts, c := newTestServer(t, t.TempDir())

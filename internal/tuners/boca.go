@@ -66,7 +66,7 @@ func (b BOCA) Tune(task core.Task, budget int, seed int64) (*Result, error) {
 		return nil, err
 	}
 	for _, m := range h.mods {
-		incumbent[m] = clip(o3, sp, rng)
+		incumbent[m] = sp.Clamp(o3, rng)
 	}
 
 	record := func(o obs, y float64) {

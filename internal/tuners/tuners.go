@@ -247,7 +247,7 @@ func (hc HillClimb) Tune(task core.Task, budget int, seed int64) (*Result, error
 		rng := rand.New(rand.NewSource(subSeed(seed, 1, i)))
 		d := heuristic.NewDES(sp, rng)
 		d.MutBurst = 1
-		d.Seed(clip(o3, sp, rng), 1.0)
+		d.Seed(sp.Clamp(o3, rng), 1.0)
 		des[m] = d
 	}
 	for i := 0; h.used < budget; i++ {
@@ -280,20 +280,6 @@ func indicesOf(vocab []string, seq []string) ([]int, error) {
 		out = append(out, i)
 	}
 	return out, nil
-}
-
-// clip fits a sequence to the search space, padding short sequences with
-// random vocabulary draws rather than repeating gene 0 (which would bias
-// every padded candidate toward the first registered pass).
-func clip(seq []int, sp heuristic.SeqSpace, rng *rand.Rand) []int {
-	out := append([]int(nil), seq...)
-	if len(out) > sp.MaxLen {
-		out = out[:sp.MaxLen]
-	}
-	for len(out) < sp.MinLen {
-		out = append(out, rng.Intn(sp.Vocab))
-	}
-	return out
 }
 
 // splitmix64 is the SplitMix64 finalizer: a bijective avalanche mix.
@@ -350,7 +336,7 @@ func (a Anneal) Tune(task core.Task, budget int, seed int64) (*Result, error) {
 		return nil, err
 	}
 	for _, m := range h.mods {
-		cur[m] = clip(o3, sp, rng)
+		cur[m] = sp.Clamp(o3, rng)
 		curY[m] = 1.0
 	}
 	T := t0
@@ -414,7 +400,7 @@ func (e Ensemble) Tune(task core.Task, budget int, seed int64) (*Result, error) 
 		{name: "des", credit: 1, gens: mkGens(func(i int) heuristic.SeqOptimizer {
 			drng := rand.New(rand.NewSource(subSeed(seed, 2, i)))
 			d := heuristic.NewDES(sp, drng)
-			d.Seed(clip(o3, sp, drng), 1.0)
+			d.Seed(sp.Clamp(o3, drng), 1.0)
 			return d
 		})},
 	}
