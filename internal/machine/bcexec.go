@@ -23,29 +23,6 @@ type bcState struct {
 	fcyc   []float64 // exclusive cycles per function index
 }
 
-// slotVal reads an operand slot: frame register when >= 0, constant pool
-// otherwise.
-func slotVal(frame, consts []Val, s int32) Val {
-	if s >= 0 {
-		return frame[s]
-	}
-	return consts[^s]
-}
-
-func slotI(frame, consts []Val, s int32) int64 {
-	if s >= 0 {
-		return frame[s].I
-	}
-	return consts[^s].I
-}
-
-func slotF(frame, consts []Val, s int32) float64 {
-	if s >= 0 {
-		return frame[s].F
-	}
-	return consts[^s].F
-}
-
 func kindFloat(k uint8) bool {
 	return k == uint8(ir.F32) || k == uint8(ir.F64)
 }
@@ -96,13 +73,13 @@ func cmpF(pred uint8, a, b float64) int64 {
 	return 0
 }
 
-// wrapKI re-wraps an integer fast-op result to its declared width, exactly
+// wrapI re-wraps an integer fast-op result to its declared width, exactly
 // like binScalar (the i64 hot path skips the call).
-func wrapKI(k uint8, v int64) Val {
+func wrapI(k uint8, v int64) int64 {
 	if kk := ir.Kind(k); kk != ir.I64 {
 		v = ir.WrapInt(kk, v)
 	}
-	return Val{I: v}
+	return v
 }
 
 // genEval executes a generic (non-fast-path) value op. It mirrors the
@@ -253,24 +230,17 @@ func (st *bcState) call(fi int32, args []Val) (Val, error) {
 	return v, err
 }
 
-// chargeBr models the 2-bit saturating predictor, indexed by lowered branch
-// site instead of *ir.Instr.
-func (st *bcState) chargeBr(idx int32, taken bool) {
-	p := &st.m.Prof
-	st.cycles += p.Branch
-	state := st.bpred[idx]
-	predictTaken := state >= 2
-	if predictTaken != taken {
-		st.cycles += p.Mispredict
-	}
-	if taken && state < 3 {
-		state++
-	} else if !taken && state > 0 {
-		state--
-	}
-	st.bpred[idx] = state
-}
-
+// callInner runs one activation of function fi. The frame is [params |
+// instruction results | constant pool]; the pool is the function's, patched
+// for this image, copied in after getVals zeroed the frame, so every operand
+// is a plain frame read. Each instruction slot has one writer, so a scalar
+// fast op writes only the field it produces (.I or .F): the other fields are
+// still zero, as a whole-Val write would leave them.
+//
+// steps and cycles live in locals while the loop runs. They are written back
+// to runCore before anything else reads or adds to them — a call, a builtin,
+// a vector load or store (chargeMem) — and before every return, error
+// returns included; the cycle additions happen in the tree-walker's order.
 func (st *bcState) callInner(fi int32, args []Val) (Val, error) {
 	if st.depth >= st.m.MaxCallDepth {
 		return Val{}, ErrCallDepth
@@ -284,145 +254,165 @@ func (st *bcState) callInner(fi int32, args []Val) (Val, error) {
 	frame := st.getVals(int(fn.frame))
 	defer st.putVals(frame)
 	copy(frame[:fn.nParams], args)
+	copy(frame[int(fn.frame)-len(fn.consts):], fn.consts)
 	savedSP := st.sp
 
 	code := fn.code
-	consts := fn.consts
 	maxSteps := st.m.MaxSteps
+	brCost, mispredict := st.m.Prof.Branch, st.m.Prof.Mispredict
+	steps, cycles := st.steps, st.cycles
 	pc := int32(0)
 
 loop:
 	for {
 		in := &code[pc]
-		st.steps++
-		if st.steps > maxSteps {
+		steps++
+		if steps > maxSteps {
+			st.steps, st.cycles = steps, cycles
 			return Val{}, ErrStepLimit
 		}
-		st.cycles += in.cost
+		cycles += in.cost
 		switch in.op {
 		case bcAddI:
-			frame[in.dst] = wrapKI(in.k, slotI(frame, consts, in.a)+slotI(frame, consts, in.b))
+			frame[in.dst].I = wrapI(in.k, frame[in.a].I+frame[in.b].I)
 		case bcSubI:
-			frame[in.dst] = wrapKI(in.k, slotI(frame, consts, in.a)-slotI(frame, consts, in.b))
+			frame[in.dst].I = wrapI(in.k, frame[in.a].I-frame[in.b].I)
 		case bcMulI:
-			frame[in.dst] = wrapKI(in.k, slotI(frame, consts, in.a)*slotI(frame, consts, in.b))
+			frame[in.dst].I = wrapI(in.k, frame[in.a].I*frame[in.b].I)
 		case bcAndI:
-			frame[in.dst] = Val{I: slotI(frame, consts, in.a) & slotI(frame, consts, in.b)}
+			frame[in.dst].I = frame[in.a].I & frame[in.b].I
 		case bcOrI:
-			frame[in.dst] = Val{I: slotI(frame, consts, in.a) | slotI(frame, consts, in.b)}
+			frame[in.dst].I = frame[in.a].I | frame[in.b].I
 		case bcXorI:
-			frame[in.dst] = Val{I: slotI(frame, consts, in.a) ^ slotI(frame, consts, in.b)}
+			frame[in.dst].I = frame[in.a].I ^ frame[in.b].I
 		case bcShlI:
-			frame[in.dst] = wrapKI(in.k, slotI(frame, consts, in.a)<<uint64(slotI(frame, consts, in.b)&63))
+			frame[in.dst].I = wrapI(in.k, frame[in.a].I<<uint64(frame[in.b].I&63))
 		case bcLShrI:
-			frame[in.dst] = wrapKI(in.k, int64(uint64(slotI(frame, consts, in.a))>>uint64(slotI(frame, consts, in.b)&63)))
+			frame[in.dst].I = wrapI(in.k, int64(uint64(frame[in.a].I)>>uint64(frame[in.b].I&63)))
 		case bcAShrI:
-			frame[in.dst] = wrapKI(in.k, slotI(frame, consts, in.a)>>uint64(slotI(frame, consts, in.b)&63))
+			frame[in.dst].I = wrapI(in.k, frame[in.a].I>>uint64(frame[in.b].I&63))
 		case bcSDivI:
-			a, b := slotI(frame, consts, in.a), slotI(frame, consts, in.b)
+			a, b := frame[in.a].I, frame[in.b].I
 			if b == 0 {
+				st.steps, st.cycles = steps, cycles
 				return Val{}, ErrDivByZero
 			}
 			if a == math.MinInt64 && b == -1 {
-				frame[in.dst] = Val{I: a}
+				frame[in.dst].I = a
 			} else {
-				frame[in.dst] = wrapKI(in.k, a/b)
+				frame[in.dst].I = wrapI(in.k, a/b)
 			}
 		case bcSRemI:
-			a, b := slotI(frame, consts, in.a), slotI(frame, consts, in.b)
+			a, b := frame[in.a].I, frame[in.b].I
 			if b == 0 {
+				st.steps, st.cycles = steps, cycles
 				return Val{}, ErrDivByZero
 			}
 			if a == math.MinInt64 && b == -1 {
-				frame[in.dst] = Val{I: 0}
+				frame[in.dst].I = 0
 			} else {
-				frame[in.dst] = wrapKI(in.k, a%b)
+				frame[in.dst].I = wrapI(in.k, a%b)
 			}
 		case bcUDivI:
-			a, b := slotI(frame, consts, in.a), slotI(frame, consts, in.b)
+			a, b := frame[in.a].I, frame[in.b].I
 			if b == 0 {
+				st.steps, st.cycles = steps, cycles
 				return Val{}, ErrDivByZero
 			}
-			frame[in.dst] = wrapKI(in.k, int64(uint64(a)/uint64(b)))
+			frame[in.dst].I = wrapI(in.k, int64(uint64(a)/uint64(b)))
 		case bcFAdd:
-			frame[in.dst] = Val{F: slotF(frame, consts, in.a) + slotF(frame, consts, in.b)}
+			frame[in.dst].F = frame[in.a].F + frame[in.b].F
 		case bcFSub:
-			frame[in.dst] = Val{F: slotF(frame, consts, in.a) - slotF(frame, consts, in.b)}
+			frame[in.dst].F = frame[in.a].F - frame[in.b].F
 		case bcFMul:
-			frame[in.dst] = Val{F: slotF(frame, consts, in.a) * slotF(frame, consts, in.b)}
+			frame[in.dst].F = frame[in.a].F * frame[in.b].F
 		case bcFDiv:
-			frame[in.dst] = Val{F: slotF(frame, consts, in.a) / slotF(frame, consts, in.b)}
+			frame[in.dst].F = frame[in.a].F / frame[in.b].F
 		case bcICmp:
-			frame[in.dst] = Val{I: cmpI(in.pr, slotI(frame, consts, in.a), slotI(frame, consts, in.b))}
+			frame[in.dst].I = cmpI(in.pr, frame[in.a].I, frame[in.b].I)
 		case bcFCmp:
-			frame[in.dst] = Val{I: cmpF(in.pr, slotF(frame, consts, in.a), slotF(frame, consts, in.b))}
+			frame[in.dst].I = cmpF(in.pr, frame[in.a].F, frame[in.b].F)
 		case bcSelect:
-			if slotI(frame, consts, in.a) != 0 {
-				frame[in.dst] = slotVal(frame, consts, in.b)
+			if frame[in.a].I != 0 {
+				frame[in.dst] = frame[in.b]
 			} else {
-				frame[in.dst] = slotVal(frame, consts, in.c)
+				frame[in.dst] = frame[in.c]
 			}
 
 		case bcMove:
-			frame[in.dst] = slotVal(frame, consts, in.a)
+			frame[in.dst] = frame[in.a]
 		case bcZExt:
-			frame[in.dst] = Val{I: slotI(frame, consts, in.a) & in.imm}
+			frame[in.dst].I = frame[in.a].I & in.imm
 		case bcTruncW:
-			frame[in.dst] = Val{I: ir.WrapInt(ir.Kind(in.k), slotI(frame, consts, in.a))}
+			frame[in.dst].I = ir.WrapInt(ir.Kind(in.k), frame[in.a].I)
 		case bcSIToFP:
-			frame[in.dst] = Val{F: float64(slotI(frame, consts, in.a))}
+			frame[in.dst].F = float64(frame[in.a].I)
 		case bcFPToSI:
-			frame[in.dst] = Val{I: ir.WrapInt(ir.Kind(in.k), int64(slotF(frame, consts, in.a)))}
+			frame[in.dst].I = ir.WrapInt(ir.Kind(in.k), int64(frame[in.a].F))
 		case bcF32:
-			frame[in.dst] = Val{F: float64(float32(slotF(frame, consts, in.a)))}
+			frame[in.dst].F = float64(float32(frame[in.a].F))
 
 		case bcGEP:
-			frame[in.dst] = Val{I: slotI(frame, consts, in.a) + slotI(frame, consts, in.b)}
+			frame[in.dst].I = frame[in.a].I + frame[in.b].I
 
 		case bcLoad:
-			addr := slotI(frame, consts, in.a)
+			addr := frame[in.a].I
 			if in.b <= 1 {
 				if addr < 0 || addr+1 > int64(len(st.mem)) {
+					st.steps, st.cycles = steps, cycles
 					return Val{}, ErrSegfault
 				}
-				st.chargeMem(addr, 1, true)
-				c := st.mem[addr]
-				if kindFloat(in.k) {
-					frame[in.dst] = Val{F: c.f}
+				if st.touchLine(addr >> st.lineShift) {
+					cycles += st.costLoadHit
 				} else {
-					frame[in.dst] = Val{I: c.i}
+					cycles += st.costLoadMiss
+				}
+				c := &st.mem[addr]
+				if kindFloat(in.k) {
+					frame[in.dst].F = c.f
+				} else {
+					frame[in.dst].I = c.i
 				}
 			} else {
+				st.steps, st.cycles = steps, cycles
 				v, err := st.load(addr, ir.Type{Kind: ir.Kind(in.k), Lanes: int(in.b)})
 				if err != nil {
 					return Val{}, err
 				}
+				cycles = st.cycles
 				frame[in.dst] = v
 			}
 
 		case bcStore:
-			v := slotVal(frame, consts, in.a)
-			addr := slotI(frame, consts, in.b)
+			addr := frame[in.b].I
 			if in.c <= 1 {
 				if addr < 0 || addr+1 > int64(len(st.mem)) {
+					st.steps, st.cycles = steps, cycles
 					return Val{}, ErrSegfault
 				}
-				st.chargeMem(addr, 1, false)
+				hit := st.touchLine(addr >> st.lineShift)
+				cycles += st.costStore
+				if !hit {
+					cycles += st.costStoreFill
+				}
 				st.dirty(addr + 1)
 				if kindFloat(in.k) {
-					st.mem[addr].f = v.F
+					st.mem[addr].f = frame[in.a].F
 				} else {
-					st.mem[addr].i = ir.WrapInt(ir.Kind(in.k), v.I)
+					st.mem[addr].i = ir.WrapInt(ir.Kind(in.k), frame[in.a].I)
 				}
 			} else {
-				if err := st.store(addr, ir.Type{Kind: ir.Kind(in.k), Lanes: int(in.c)}, v); err != nil {
+				st.steps, st.cycles = steps, cycles
+				if err := st.store(addr, ir.Type{Kind: ir.Kind(in.k), Lanes: int(in.c)}, frame[in.a]); err != nil {
 					return Val{}, err
 				}
+				cycles = st.cycles
 			}
 
 		case bcAlloca:
 			words := in.imm
 			if st.sp+words > int64(len(st.mem)) {
+				st.steps, st.cycles = steps, cycles
 				return Val{}, ErrStack
 			}
 			base := st.sp
@@ -430,32 +420,45 @@ loop:
 				st.mem[base+i] = cell{}
 			}
 			st.sp += words
-			frame[in.dst] = Val{I: base}
+			frame[in.dst].I = base
 
 		case bcGen:
 			g := &fn.gens[in.aux]
 			var ops [3]Val
 			if g.nops > 0 {
-				ops[0] = slotVal(frame, consts, in.a)
+				ops[0] = frame[in.a]
 			}
 			if g.nops > 1 {
-				ops[1] = slotVal(frame, consts, in.b)
+				ops[1] = frame[in.b]
 			}
 			if g.nops > 2 {
-				ops[2] = slotVal(frame, consts, in.c)
+				ops[2] = frame[in.c]
 			}
 			v, err := genEval(g, &ops)
 			if err != nil {
+				st.steps, st.cycles = steps, cycles
 				return Val{}, err
 			}
 			frame[in.dst] = v
 
 		case bcBr:
-			taken := slotI(frame, consts, in.a) != 0
-			st.chargeBr(fn.brBase+in.aux, taken)
+			// The 2-bit saturating predictor, indexed by lowered branch site.
+			taken := frame[in.a].I != 0
+			cycles += brCost
+			bp := &st.bpred[fn.brBase+in.aux]
+			state := *bp
+			if (state >= 2) != taken {
+				cycles += mispredict
+			}
 			if taken {
+				if state < 3 {
+					*bp = state + 1
+				}
 				pc = in.b
 			} else {
+				if state > 0 {
+					*bp = state - 1
+				}
 				pc = in.c
 			}
 			continue loop
@@ -465,8 +468,8 @@ loop:
 			continue loop
 
 		case bcSwitch:
-			v := slotI(frame, consts, in.a)
-			st.cycles += st.prog.swExtra
+			v := frame[in.a].I
+			cycles += st.prog.swExtra
 			sw := &fn.switches[in.aux]
 			t := sw.offs[0]
 			for ci, cv := range sw.vals {
@@ -486,9 +489,9 @@ loop:
 			}
 			tmp := st.phiTmp[:len(moves)]
 			for i := range moves {
-				tmp[i] = slotVal(frame, consts, moves[i].src)
+				tmp[i] = frame[moves[i].src]
 			}
-			st.steps += int64(len(moves)) - 1
+			steps += int64(len(moves)) - 1
 			for i := range moves {
 				frame[moves[i].dst] = tmp[i]
 			}
@@ -497,18 +500,21 @@ loop:
 
 		case bcRet:
 			st.sp = savedSP
-			return slotVal(frame, consts, in.a), nil
+			st.steps, st.cycles = steps, cycles
+			return frame[in.a], nil
 
 		case bcRetVoid:
 			st.sp = savedSP
+			st.steps, st.cycles = steps, cycles
 			return Val{}, nil
 
 		case bcCall:
 			r := fn.argRanges[in.aux]
 			argv := st.getVals(int(r.n))
 			for i := int32(0); i < r.n; i++ {
-				argv[i] = slotVal(frame, consts, fn.args[r.off+i])
+				argv[i] = frame[fn.args[r.off+i]]
 			}
+			st.steps, st.cycles = steps, cycles
 			callee := fn.callees[in.b]
 			if callee < 0 {
 				return Val{}, fmt.Errorf("%w: %s", ErrNoFunction, fn.calleeNames[in.b])
@@ -517,6 +523,7 @@ loop:
 			if err != nil {
 				return Val{}, err
 			}
+			steps, cycles = st.steps, st.cycles
 			frame[in.dst] = v
 			st.putVals(argv)
 
@@ -524,16 +531,19 @@ loop:
 			r := fn.argRanges[in.aux]
 			argv := st.getVals(int(r.n))
 			for i := int32(0); i < r.n; i++ {
-				argv[i] = slotVal(frame, consts, fn.args[r.off+i])
+				argv[i] = frame[fn.args[r.off+i]]
 			}
+			st.steps, st.cycles = steps, cycles
 			v, err := st.builtin(fn.names[in.imm], argv)
 			if err != nil {
 				return Val{}, err
 			}
+			cycles = st.cycles
 			frame[in.dst] = v
 			st.putVals(argv)
 
 		default:
+			st.steps, st.cycles = steps, cycles
 			return Val{}, fmt.Errorf("machine: bad bytecode op %d", in.op)
 		}
 		pc++

@@ -215,9 +215,9 @@ type cell struct {
 
 // runCore is the execution state shared by the tree-walking interpreter and
 // the bytecode engine: the flat memory slab, data-cache model, output stream
-// and cycle/step accumulators. Both engines run the very same load/store/
-// builtin code on this struct, so those parts are bit-identical by
-// construction.
+// and cycle/step accumulators. Both engines run the very same cache model
+// (touchLine), load/store and builtin code on this struct, so those parts are
+// bit-identical by construction.
 type runCore struct {
 	m      *Machine
 	mem    []cell
@@ -243,10 +243,11 @@ type runCore struct {
 	// phiTmp is per-state scratch for phi parallel copies. No use spans a
 	// call, so one buffer per state suffices even under recursion.
 	phiTmp []Val
-	// Cache geometry and cost constants hoisted out of chargeMem's per-access
-	// path (it dominates execution time in both engines). Derived from m.Prof
-	// by prepMemModel; DCacheLineElt and DCacheLines/dcacheWays are powers of
-	// two by Profile contract, so division becomes a shift and modulo a mask.
+	// Cache geometry and cost constants hoisted out of the per-access path
+	// (touchLine and its callers dominate execution time in both engines).
+	// Derived from m.Prof by prepMemModel; DCacheLineElt and
+	// DCacheLines/dcacheWays are powers of two by Profile contract, so
+	// division becomes a shift and modulo a mask.
 	lineShift     uint
 	setMask       int64
 	costLoadHit   float64 // LoadHit
@@ -255,7 +256,7 @@ type runCore struct {
 	costStoreFill float64 // LoadMiss / 2 (write-allocate fill)
 }
 
-// prepMemModel derives the chargeMem constants from the machine profile.
+// prepMemModel derives the cache-model constants from the machine profile.
 // Must run after st.m is set and before any load/store executes.
 func (st *runCore) prepMemModel() {
 	p := &st.m.Prof
@@ -1012,43 +1013,54 @@ func (st *runCore) store(addr int64, ty ir.Type, v Val) error {
 // dcacheWays is the associativity of the modelled data cache.
 const dcacheWays = 4
 
-// chargeMem models the data cache: 4-way set associative with LRU
-// replacement, line granularity. This is the hottest function in both
-// engines, so the way scan is unrolled and the geometry math uses the
-// shift/mask constants from prepMemModel; the cycle charges are added in
-// exactly the order the straightforward loop would, so results stay
-// bit-identical.
+// touchLine looks line ln up in the modelled data cache (4-way set
+// associative, LRU replacement) and makes it the most recently used way of
+// its set, evicting the least recently used way on a miss. Every load and
+// store of both engines goes through it — chargeMem's per-line loop and the
+// bytecode engine's scalar fast path — and the caller adds the charge. The
+// set index uses the shift/mask constants from prepMemModel. A hit on the
+// MRU way, the common case, changes nothing: that test is kept small enough
+// to be inlined into the callers, and promoteLine does the rest.
+func (st *runCore) touchLine(ln int64) (hit bool) {
+	if st.dtags[(ln&st.setMask)*dcacheWays] == ln {
+		return true
+	}
+	return st.promoteLine(ln)
+}
+
+// promoteLine moves line ln, which is not the MRU way of its set, to the
+// front: on a hit the younger ways shift down, on a miss the LRU way falls
+// off the end. The way scan is unrolled.
+func (st *runCore) promoteLine(ln int64) (hit bool) {
+	set := (ln & st.setMask) * dcacheWays
+	ways := (*[dcacheWays]int64)(st.dtags[set : set+dcacheWays])
+	hit = true
+	switch ln {
+	case ways[1]:
+	case ways[2]:
+		ways[2] = ways[1]
+	case ways[3]:
+		ways[3] = ways[2]
+		ways[2] = ways[1]
+	default:
+		hit = false
+		ways[3] = ways[2]
+		ways[2] = ways[1]
+	}
+	ways[1] = ways[0]
+	ways[0] = ln
+	return hit
+}
+
+// chargeMem charges an access of n words at addr, line by line: a load
+// LoadHit or LoadHit+LoadMiss, a store Store plus the write-allocate fill on
+// a miss. The cycle charges are added in exactly the order the
+// straightforward loop would, so results stay bit-identical.
 func (st *runCore) chargeMem(addr, n int64, isLoad bool) {
 	first := addr >> st.lineShift
 	last := (addr + n - 1) >> st.lineShift
 	for ln := first; ln <= last; ln++ {
-		set := (ln & st.setMask) * dcacheWays
-		ways := st.dtags[set : set+dcacheWays : set+dcacheWays]
-		// Unrolled 4-way LRU: on hit shift the younger ways down and move the
-		// line to MRU; on miss evict the LRU way.
-		hit := true
-		switch ln {
-		case ways[0]:
-			// Already MRU.
-		case ways[1]:
-			ways[1] = ways[0]
-			ways[0] = ln
-		case ways[2]:
-			ways[2] = ways[1]
-			ways[1] = ways[0]
-			ways[0] = ln
-		case ways[3]:
-			ways[3] = ways[2]
-			ways[2] = ways[1]
-			ways[1] = ways[0]
-			ways[0] = ln
-		default:
-			hit = false
-			ways[3] = ways[2]
-			ways[2] = ways[1]
-			ways[1] = ways[0]
-			ways[0] = ln
-		}
+		hit := st.touchLine(ln)
 		if isLoad {
 			if hit {
 				st.cycles += st.costLoadHit

@@ -8,11 +8,13 @@ import (
 
 // This file implements the bytecode lowering stage: a compiler from function
 // bodies to dense instruction streams executed by the flat dispatch loop in
-// bcexec.go. Lowering resolves every ir.Value operand to a register slot
-// (frame index) or constant-pool index, branch targets to instruction
-// offsets, callees to callee-table entries and builtins to name-table
-// entries, so execution never chases ir.Instr pointers, allocates eval
-// closures or consults the Funcs map.
+// bcexec.go. Lowering resolves every ir.Value operand to a frame slot, branch
+// targets to instruction offsets, callees to callee-table entries and
+// builtins to name-table entries, so execution never chases ir.Instr
+// pointers, allocates eval closures or consults the Funcs map. A frame is
+// [params | one slot per instruction ID | constant pool]: the dispatch loop
+// copies the function's pool into the frame's tail at call entry, so every
+// operand is a plain frame read.
 //
 // Lowering is per function and image-independent: a lowered function
 // depends only on its body and the Profile whose costs are baked into it.
@@ -29,8 +31,8 @@ import (
 // Cycles, Steps, Ret, FuncCycles) and in errors.
 
 // bcOp enumerates bytecode opcodes. Operand meanings are documented per op;
-// "slot" is a frame register index when >= 0 and a constant-pool index
-// (^slot) when negative.
+// "slot" is a frame index: a parameter, an instruction's result, or a
+// constant-pool entry (nParams + nInstr + pool index).
 type bcOp uint8
 
 const (
@@ -124,10 +126,10 @@ type bcSwitchTab struct {
 	offs []int32 // offs[0] = default, offs[i+1] pairs with vals[i]
 }
 
-// reloc is a constant slot that holds a global's address in the image.
+// reloc is a constant-pool entry that holds a global's address in the image.
 type reloc struct {
-	slot int32
-	g    *ir.Global
+	idx int32 // index into bcFunc.consts
+	g   *ir.Global
 }
 
 // bcFunc is one lowered function. Everything up to callees is the
@@ -137,7 +139,7 @@ type reloc struct {
 type bcFunc struct {
 	name        string
 	nParams     int32
-	frame       int32 // registers: params then one slot per instruction ID
+	frame       int32 // slots: params, one per instruction ID, then len(consts)
 	size        int   // static ir instruction count (i-cache footprint)
 	code        []bcInstr
 	consts      []Val
@@ -316,7 +318,7 @@ func lowerImage(img *Image, prof *Profile) (*bcProgram, int) {
 			// Missing globals read address 0, exactly like the
 			// tree-walker's map-zero behaviour.
 			for _, r := range fn.relocs {
-				patched[r.slot] = Val{I: img.GlobalAddr[r.g]}
+				patched[r.idx] = Val{I: img.GlobalAddr[r.g]}
 			}
 			fn.consts = patched
 		}
@@ -400,7 +402,7 @@ func fastBinCode(op ir.Op, ty ir.Type) (bcOp, bool) {
 	return 0, false
 }
 
-// slot resolves an operand to a frame or constant slot.
+// slot resolves an operand to its frame slot.
 func (fl *fnLowerer) slot(v ir.Value) (int32, bool) {
 	switch t := v.(type) {
 	case *ir.Instr:
@@ -426,24 +428,30 @@ func (fl *fnLowerer) slot(v ir.Value) (int32, bool) {
 func (fl *fnLowerer) globalSlot(g *ir.Global) int32 {
 	for _, r := range fl.out.relocs {
 		if r.g == g {
-			return ^r.slot
+			return fl.poolSlot(r.idx)
 		}
 	}
 	idx := int32(len(fl.out.consts))
 	fl.out.consts = append(fl.out.consts, Val{})
-	fl.out.relocs = append(fl.out.relocs, reloc{slot: idx, g: g})
-	return ^idx
+	fl.out.relocs = append(fl.out.relocs, reloc{idx: idx, g: g})
+	return fl.poolSlot(idx)
 }
 
 func (fl *fnLowerer) constSlot(v Val) int32 {
 	key := [2]uint64{uint64(v.I), math.Float64bits(v.F)}
 	if idx, ok := fl.constIdx[key]; ok {
-		return ^idx
+		return fl.poolSlot(idx)
 	}
 	idx := int32(len(fl.out.consts))
 	fl.out.consts = append(fl.out.consts, v)
 	fl.constIdx[key] = idx
-	return ^idx
+	return fl.poolSlot(idx)
+}
+
+// poolSlot is the frame slot of constant-pool entry idx: the pool sits after
+// the parameters and the instruction results.
+func (fl *fnLowerer) poolSlot(idx int32) int32 {
+	return int32(fl.nParams+fl.nInstr) + idx
 }
 
 func (fl *fnLowerer) dstSlot(in *ir.Instr) (int32, bool) {
@@ -475,7 +483,6 @@ func (fl *fnLowerer) lower(out *bcFunc) bool {
 	fl.constIdx = make(map[[2]uint64]int32)
 	out.name = f.Name
 	out.nParams = int32(fl.nParams)
-	out.frame = int32(fl.nParams + fl.nInstr)
 	out.size = fl.nInstr
 	if len(f.Blocks) == 0 {
 		return false
@@ -582,6 +589,7 @@ func (fl *fnLowerer) lower(out *bcFunc) bool {
 		code = append(code, bcInstr{op: bcEdge, aux: aux, b: blockOff[e.succ]})
 	}
 	out.code = code
+	out.frame = int32(fl.nParams+fl.nInstr) + int32(len(out.consts))
 	return true
 }
 
