@@ -74,14 +74,14 @@ func main() {
 // dropped, interior corruption is an error). "-" reads stdin.
 func readEvents(path string) ([]obs.Event, error) {
 	if path == "-" {
-		return obs.ReadJournalLenient(os.Stdin)
+		return obs.ReadJournal(os.Stdin)
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return obs.ReadJournalLenient(f)
+	return obs.ReadJournal(f)
 }
 
 func cmdReport(args []string, write func(io.Writer, *analyze.Report)) error {

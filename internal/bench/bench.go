@@ -298,16 +298,14 @@ type Evaluator struct {
 	// Compile cache (see cache.go): (dataset, module, sequence hash) →
 	// immutable final state + stats, and the current round (BeginRound).
 	// Guarded by mu together with flights and all counters below.
-	mu        sync.Mutex
-	cache     map[buildKey]*cacheEntry
-	round     int
-	flights   map[buildKey]*flight
+	mu      sync.Mutex
+	cache   map[buildKey]*cacheEntry
+	round   int
+	flights map[buildKey]*flight
+	// cacheHits counts handouts of a cached or in-flight build. Every miss
+	// is a pipeline run (Compilations), so the miss count and the COW
+	// accounting (CacheCounters, CowCounters) derive from the two.
 	cacheHits int
-	cacheMiss int
-	// COW clone accounting: clones handed out sharing bodies, and the
-	// subset that materialized private bodies.
-	cowShared       int
-	cowMaterialized int
 
 	// Passes executed, estimated bytes currently cached, entries evicted.
 	replayed   int
@@ -372,9 +370,8 @@ func NewEvaluator(b *Benchmark, plat Platform, seed int64) (*Evaluator, error) {
 	// modules.
 	ev.Compilations, ev.Measurements = 0, 0
 	ev.mu.Lock()
-	ev.cacheHits, ev.cacheMiss = 0, 0
+	ev.cacheHits = 0
 	ev.replayed, ev.evictions = 0, 0
-	ev.cowShared, ev.cowMaterialized = 0, 0
 	ev.mu.Unlock()
 	// Snapshot the bytecode-engine counters accumulated by the baseline and
 	// reference runs; BcCounters subtracts this so it too reports search
@@ -428,7 +425,7 @@ func (ev *Evaluator) CompileModuleCtx(ctx context.Context, name string, seq []st
 func (ev *Evaluator) CacheCounters() (hits, misses int) {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
-	return ev.cacheHits, ev.cacheMiss
+	return ev.cacheHits, ev.Compilations
 }
 
 // Counters is the one place an evaluator counter is defined: its journal and

@@ -252,7 +252,6 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 			ce.round = ev.round
 			if counted {
 				ev.cacheHits++
-				ev.cowShared++ // hit handout: a COW clone that never materializes
 			}
 			ev.mu.Unlock()
 			// The cached instance is immutable; hand out a clone (Link
@@ -270,7 +269,6 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 				if counted {
 					ev.mu.Lock()
 					ev.cacheHits++
-					ev.cowShared++ // follower handout, like a hit
 					ev.mu.Unlock()
 				}
 				return fl.mod.Clone(), fl.stats.Clone(), nil
@@ -288,13 +286,8 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 		fl := &flight{done: make(chan struct{})}
 		ev.flights[key] = fl
 		if counted {
-			ev.cacheMiss++
 			ev.Compilations++
 			ev.replayed += len(plist)
-			// The working clone shares pristine's bodies until its first
-			// pass materializes it.
-			ev.cowShared++
-			ev.cowMaterialized++
 		}
 		ev.mu.Unlock()
 
@@ -322,10 +315,13 @@ func (ev *Evaluator) compiledForMode(ctx context.Context, ds int, name string, s
 // was built (the baseline build does not count): clones handed out sharing
 // function bodies — a build's working clone and every hit's copy — and the
 // subset that went on to materialize private bodies (the working clones).
+// Every hit (a follower's handout included) hands out a clone that never
+// materializes, and every pipeline run's working clone shares pristine's
+// bodies until its first pass materializes it.
 func (ev *Evaluator) CowCounters() (shared, materialized int) {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
-	return ev.cowShared, ev.cowMaterialized
+	return ev.cacheHits + ev.Compilations, ev.Compilations
 }
 
 // PrefixCounters returns the cache's work accounting since the evaluator was

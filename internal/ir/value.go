@@ -172,7 +172,3 @@ func (in *Instr) ConstOperand(i int) (*Const, bool) {
 	c, ok := in.Ops[i].(*Const)
 	return c, ok
 }
-
-// WrapInt wraps v to the signed range of kind k (exported for the
-// interpreter and constant folding).
-func WrapInt(k Kind, v int64) int64 { return truncInt(k, v) }

@@ -27,52 +27,6 @@ func kindFloat(k uint8) bool {
 	return k == uint8(ir.F32) || k == uint8(ir.F64)
 }
 
-// cmpI mirrors cmpVal's scalar integer path.
-func cmpI(pred uint8, a, b int64) int64 {
-	var r bool
-	switch ir.CmpPred(pred) {
-	case ir.CmpEQ:
-		r = a == b
-	case ir.CmpNE:
-		r = a != b
-	case ir.CmpSLT:
-		r = a < b
-	case ir.CmpSLE:
-		r = a <= b
-	case ir.CmpSGT:
-		r = a > b
-	case ir.CmpSGE:
-		r = a >= b
-	}
-	if r {
-		return 1
-	}
-	return 0
-}
-
-// cmpF mirrors cmpVal's scalar float path.
-func cmpF(pred uint8, a, b float64) int64 {
-	var r bool
-	switch ir.CmpPred(pred) {
-	case ir.CmpEQ:
-		r = a == b
-	case ir.CmpNE:
-		r = a != b
-	case ir.CmpSLT:
-		r = a < b
-	case ir.CmpSLE:
-		r = a <= b
-	case ir.CmpSGT:
-		r = a > b
-	case ir.CmpSGE:
-		r = a >= b
-	}
-	if r {
-		return 1
-	}
-	return 0
-}
-
 // wrapI re-wraps an integer fast-op result to its declared width, exactly
 // like binScalar (the i64 hot path skips the call).
 func wrapI(k uint8, v int64) int64 {
@@ -82,17 +36,19 @@ func wrapI(k uint8, v int64) int64 {
 	return v
 }
 
-// genEval executes a generic (non-fast-path) value op. It mirrors the
-// tree-walker's evalPure case for case, reusing the same binVal / cmpVal /
-// selectVal / castVal helpers and error messages.
-func genEval(g *genOp, ops *[3]Val) (Val, error) {
+// evalPureOp executes a pure value op on its (up to three) operand values.
+// It is both engines' evaluator for the ops the dispatch loop has no fast
+// path for: the bytecode engine's generic opcode calls it, and so does the
+// tree-walker's evalPure for every pure op. Every scalar lane goes through
+// ir's semantics (ir/eval.go).
+func evalPureOp(g *genOp, ops *[3]Val) (Val, error) {
 	switch {
 	case g.op.IsBinary():
 		return binVal(g.op, g.ty, ops[0], ops[1])
 	case g.op == ir.OpICmp:
-		return cmpVal(g.pred, g.opTy, ops[0], ops[1], false)
+		return cmpVal(g.pred, g.opTy, ops[0], ops[1], false), nil
 	case g.op == ir.OpFCmp:
-		return cmpVal(g.pred, g.opTy, ops[0], ops[1], true)
+		return cmpVal(g.pred, g.opTy, ops[0], ops[1], true), nil
 	case g.op == ir.OpSelect:
 		return selectVal(g.ty, ops[0], ops[1], ops[2]), nil
 	case g.op.IsCast():
@@ -329,9 +285,9 @@ loop:
 		case bcFDiv:
 			frame[in.dst].F = frame[in.a].F / frame[in.b].F
 		case bcICmp:
-			frame[in.dst].I = cmpI(in.pr, frame[in.a].I, frame[in.b].I)
+			frame[in.dst].I = boolVal(ir.Compare(ir.CmpPred(in.pr), frame[in.a].I, frame[in.b].I))
 		case bcFCmp:
-			frame[in.dst].I = cmpF(in.pr, frame[in.a].F, frame[in.b].F)
+			frame[in.dst].I = boolVal(ir.Compare(ir.CmpPred(in.pr), frame[in.a].F, frame[in.b].F))
 		case bcSelect:
 			if frame[in.a].I != 0 {
 				frame[in.dst] = frame[in.b]
@@ -434,7 +390,7 @@ loop:
 			if g.nops > 2 {
 				ops[2] = frame[in.c]
 			}
-			v, err := genEval(g, &ops)
+			v, err := evalPureOp(g, &ops)
 			if err != nil {
 				st.steps, st.cycles = steps, cycles
 				return Val{}, err

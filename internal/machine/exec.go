@@ -274,9 +274,6 @@ type execState struct {
 	bpred  map[*ir.Instr]uint8
 	called map[*ir.Function]bool
 	fcyc   map[*ir.Function]float64
-	// opsTmp is scratch for pure-op operand evaluation; evalPure never
-	// re-enters the interpreter, so the buffer cannot be live twice.
-	opsTmp []Val
 }
 
 // memSlab is a run's flat memory and data-cache tags: 16 MiB and more, the
@@ -719,68 +716,25 @@ func blockName(b *ir.Block) string {
 	return b.Name
 }
 
-// evalPure computes arithmetic, comparison, cast, select and vector ops.
+// evalPure computes arithmetic, comparison, cast, select and vector ops:
+// it evaluates the operands in order and hands the first three to
+// evalPureOp, the evaluator the bytecode engine's generic opcode runs too.
 func (st *execState) evalPure(in *ir.Instr, eval func(ir.Value) (Val, error)) (Val, error) {
-	// Operand scratch: evalPure never re-enters the interpreter, so the
-	// per-state buffer cannot be live twice.
-	if cap(st.opsTmp) < len(in.Ops) {
-		st.opsTmp = make([]Val, len(in.Ops))
-	}
-	ops := st.opsTmp[:len(in.Ops)]
+	g := genOp{op: in.Op, pred: in.Pred, ty: in.Ty}
+	var ops [3]Val
 	for i, o := range in.Ops {
 		v, err := eval(o)
 		if err != nil {
 			return Val{}, err
 		}
-		ops[i] = v
+		if i < len(ops) {
+			ops[i] = v
+		}
 	}
-	switch {
-	case in.Op.IsBinary():
-		return binVal(in.Op, in.Ty, ops[0], ops[1])
-	case in.Op == ir.OpICmp:
-		return cmpVal(in.Pred, in.Ops[0].Type(), ops[0], ops[1], false)
-	case in.Op == ir.OpFCmp:
-		return cmpVal(in.Pred, in.Ops[0].Type(), ops[0], ops[1], true)
-	case in.Op == ir.OpSelect:
-		return selectVal(in.Ty, ops[0], ops[1], ops[2]), nil
-	case in.Op.IsCast():
-		return castVal(in.Op, in.Ops[0].Type(), in.Ty, ops[0]), nil
-	case in.Op == ir.OpBroadcast:
-		out := Val{Vec: make([]Val, in.Ty.Lanes)}
-		for i := range out.Vec {
-			out.Vec[i] = ops[0]
-		}
-		return out, nil
-	case in.Op == ir.OpExtractElement:
-		lane := ops[1].I
-		if lane < 0 || int(lane) >= len(ops[0].Vec) {
-			return Val{}, fmt.Errorf("machine: extractelement lane %d out of range", lane)
-		}
-		return ops[0].Vec[lane], nil
-	case in.Op == ir.OpInsertElement:
-		lane := ops[2].I
-		if lane < 0 || int(lane) >= len(ops[0].Vec) {
-			return Val{}, fmt.Errorf("machine: insertelement lane %d out of range", lane)
-		}
-		out := Val{Vec: append([]Val(nil), ops[0].Vec...)}
-		out.Vec[lane] = ops[1]
-		return out, nil
-	case in.Op == ir.OpVecReduceAdd:
-		elem := in.Ops[0].Type().Kind
-		if elem.IsFloat() {
-			s := 0.0
-			for _, l := range ops[0].Vec {
-				s += l.F
-			}
-			return Val{F: s}, nil
-		}
-		s := int64(0)
-		for _, l := range ops[0].Vec {
-			s += l.I
-		}
-		return Val{I: ir.WrapInt(elem, s)}, nil
+	if len(in.Ops) > 0 {
+		g.opTy = in.Ops[0].Type()
 	}
-	return Val{}, fmt.Errorf("machine: cannot execute op %s", in.Op)
+	return evalPureOp(&g, &ops)
 }
 
 func binVal(op ir.Op, ty ir.Type, a, b Val) (Val, error) {
@@ -805,106 +759,44 @@ func lane(v Val, i int) Val {
 	return v
 }
 
+// binScalar computes one lane of a binary op through ir's semantics.
 func binScalar(op ir.Op, k ir.Kind, a, b Val) (Val, error) {
-	switch op {
-	case ir.OpAdd:
-		return Val{I: ir.WrapInt(k, a.I+b.I)}, nil
-	case ir.OpSub:
-		return Val{I: ir.WrapInt(k, a.I-b.I)}, nil
-	case ir.OpMul:
-		return Val{I: ir.WrapInt(k, a.I*b.I)}, nil
-	case ir.OpSDiv:
-		if b.I == 0 {
+	switch {
+	case op.IsIntBinary():
+		v, ok := ir.IntBinary(op, k, a.I, b.I)
+		if !ok {
 			return Val{}, ErrDivByZero
 		}
-		if a.I == math.MinInt64 && b.I == -1 {
-			return Val{I: a.I}, nil
-		}
-		return Val{I: ir.WrapInt(k, a.I/b.I)}, nil
-	case ir.OpSRem:
-		if b.I == 0 {
-			return Val{}, ErrDivByZero
-		}
-		if a.I == math.MinInt64 && b.I == -1 {
-			return Val{I: 0}, nil
-		}
-		return Val{I: ir.WrapInt(k, a.I%b.I)}, nil
-	case ir.OpUDiv:
-		if b.I == 0 {
-			return Val{}, ErrDivByZero
-		}
-		return Val{I: ir.WrapInt(k, int64(uint64(a.I)/uint64(b.I)))}, nil
-	case ir.OpAnd:
-		return Val{I: a.I & b.I}, nil
-	case ir.OpOr:
-		return Val{I: a.I | b.I}, nil
-	case ir.OpXor:
-		return Val{I: a.I ^ b.I}, nil
-	case ir.OpShl:
-		return Val{I: ir.WrapInt(k, a.I<<uint64(b.I&63))}, nil
-	case ir.OpLShr:
-		return Val{I: ir.WrapInt(k, int64(uint64(a.I)>>uint64(b.I&63)))}, nil
-	case ir.OpAShr:
-		return Val{I: ir.WrapInt(k, a.I>>uint64(b.I&63))}, nil
-	case ir.OpFAdd:
-		return Val{F: a.F + b.F}, nil
-	case ir.OpFSub:
-		return Val{F: a.F - b.F}, nil
-	case ir.OpFMul:
-		return Val{F: a.F * b.F}, nil
-	case ir.OpFDiv:
-		return Val{F: a.F / b.F}, nil
+		return Val{I: v}, nil
+	case op.IsBinary():
+		return Val{F: ir.FloatBinary(op, a.F, b.F)}, nil
 	}
 	return Val{}, fmt.Errorf("machine: bad binary op %s", op)
 }
 
-func cmpVal(p ir.CmpPred, opTy ir.Type, a, b Val, isFloat bool) (Val, error) {
+// boolVal is an i1 result: 1 for true, 0 for false.
+func boolVal(r bool) int64 {
+	if r {
+		return 1
+	}
+	return 0
+}
+
+func cmpVal(p ir.CmpPred, opTy ir.Type, a, b Val, isFloat bool) Val {
 	one := func(x, y Val) Val {
-		var r bool
 		if isFloat {
-			switch p {
-			case ir.CmpEQ:
-				r = x.F == y.F
-			case ir.CmpNE:
-				r = x.F != y.F
-			case ir.CmpSLT:
-				r = x.F < y.F
-			case ir.CmpSLE:
-				r = x.F <= y.F
-			case ir.CmpSGT:
-				r = x.F > y.F
-			case ir.CmpSGE:
-				r = x.F >= y.F
-			}
-		} else {
-			switch p {
-			case ir.CmpEQ:
-				r = x.I == y.I
-			case ir.CmpNE:
-				r = x.I != y.I
-			case ir.CmpSLT:
-				r = x.I < y.I
-			case ir.CmpSLE:
-				r = x.I <= y.I
-			case ir.CmpSGT:
-				r = x.I > y.I
-			case ir.CmpSGE:
-				r = x.I >= y.I
-			}
+			return Val{I: boolVal(ir.Compare(p, x.F, y.F))}
 		}
-		if r {
-			return Val{I: 1}
-		}
-		return Val{}
+		return Val{I: boolVal(ir.Compare(p, x.I, y.I))}
 	}
 	if opTy.IsVector() {
 		out := Val{Vec: make([]Val, opTy.Lanes)}
 		for i := 0; i < opTy.Lanes; i++ {
 			out.Vec[i] = one(lane(a, i), lane(b, i))
 		}
-		return out, nil
+		return out
 	}
-	return one(a, b), nil
+	return one(a, b)
 }
 
 func selectVal(ty ir.Type, c, a, b Val) Val {
@@ -927,29 +819,8 @@ func selectVal(ty ir.Type, c, a, b Val) Val {
 
 func castVal(op ir.Op, from, to ir.Type, v Val) Val {
 	one := func(x Val) Val {
-		switch op {
-		case ir.OpSExt:
-			return Val{I: x.I} // values carried sign-extended already
-		case ir.OpZExt:
-			bits := from.Kind.Bits()
-			if bits >= 64 {
-				return Val{I: x.I}
-			}
-			mask := int64(1)<<uint(bits) - 1
-			return Val{I: x.I & mask}
-		case ir.OpTrunc:
-			return Val{I: ir.WrapInt(to.Kind, x.I)}
-		case ir.OpSIToFP:
-			return Val{F: float64(x.I)}
-		case ir.OpFPToSI:
-			return Val{I: ir.WrapInt(to.Kind, int64(x.F))}
-		case ir.OpFPExt, ir.OpFPTrunc:
-			if to.Kind == ir.F32 {
-				return Val{F: float64(float32(x.F))}
-			}
-			return Val{F: x.F}
-		}
-		return x
+		i, f := ir.Cast(op, from.Kind, to.Kind, x.I, x.F)
+		return Val{I: i, F: f}
 	}
 	if to.IsVector() {
 		out := Val{Vec: make([]Val, to.Lanes)}

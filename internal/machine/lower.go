@@ -107,8 +107,8 @@ type bcInstr struct {
 	cost float64
 }
 
-// genOp carries the static ir facts the generic evaluator needs; it reuses
-// the tree-walker's binVal/cmpVal/selectVal/castVal helpers verbatim.
+// genOp carries the static ir facts evalPureOp needs: the generic opcode
+// runs the same evaluator as the tree-walker, over ir's scalar semantics.
 type genOp struct {
 	op   ir.Op
 	pred ir.CmpPred
@@ -749,10 +749,11 @@ func (fl *fnLowerer) emitValue(in *ir.Instr, cost float64) (bcInstr, bool) {
 		case ir.OpSExt:
 			out.op = bcMove // values are carried sign-extended already
 		case ir.OpZExt:
-			if bits := from.Kind.Bits(); bits >= 64 {
+			// The mask is ir's zext of all ones; a 64-bit source keeps them all.
+			if mask, _ := ir.Cast(ir.OpZExt, from.Kind, to.Kind, -1, 0); mask == -1 {
 				out.op = bcMove
 			} else {
-				out.op, out.imm = bcZExt, int64(1)<<uint(bits)-1
+				out.op, out.imm = bcZExt, mask
 			}
 		case ir.OpTrunc:
 			out.op, out.k = bcTruncW, uint8(to.Kind)

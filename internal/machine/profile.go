@@ -121,10 +121,3 @@ func (p *Profile) opCost(in *ir.Instr) float64 {
 		return p.IntALU
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

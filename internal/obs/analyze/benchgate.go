@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+
+	"repro/internal/numeric"
 )
 
 // GateSuite is one entry of benchdata/gates.json, keyed there by the name of
@@ -38,9 +40,12 @@ var procSuffix = regexp.MustCompile(`-\d+$`)
 
 // ParseBenchOutput reads `go test -bench` text and returns ns/op, and
 // allocs/op where -benchmem printed it, per benchmark name (the GOMAXPROCS
-// suffix removed). Lines that are not benchmark results are skipped.
+// suffix removed). A benchmark that ran more than once (-count, or one
+// command repeated into the same file) reads as the median of its lines, so
+// a ratio of two benchmarks rests on alternating runs rather than on the last
+// one. Lines that are not benchmark results are skipped.
 func ParseBenchOutput(r io.Reader) (nsPerOp, allocsPerOp map[string]float64, err error) {
-	nsPerOp, allocsPerOp = map[string]float64{}, map[string]float64{}
+	ns, allocs := map[string][]float64{}, map[string][]float64{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		f := strings.Fields(sc.Text())
@@ -58,13 +63,21 @@ func ParseBenchOutput(r io.Reader) (nsPerOp, allocsPerOp map[string]float64, err
 			}
 			switch f[i+1] {
 			case "ns/op":
-				nsPerOp[name] = v
+				ns[name] = append(ns[name], v)
 			case "allocs/op":
-				allocsPerOp[name] = v
+				allocs[name] = append(allocs[name], v)
 			}
 		}
 	}
-	return nsPerOp, allocsPerOp, sc.Err()
+	return medians(ns), medians(allocs), sc.Err()
+}
+
+func medians(runs map[string][]float64) map[string]float64 {
+	out := make(map[string]float64, len(runs))
+	for name, v := range runs {
+		out[name] = numeric.Median(v)
+	}
+	return out
 }
 
 // BenchGate builds the suite's BENCH document from bench output and checks

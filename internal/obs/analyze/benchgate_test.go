@@ -113,3 +113,31 @@ func TestBenchGateFailures(t *testing.T) {
 		t.Error("bench output without results must be an error")
 	}
 }
+
+// A benchmark repeated into one output (CI runs the machine benchmarks five
+// times so a ratio's numerator and denominator alternate) reads as the
+// median of its runs, not the last one.
+func TestParseBenchOutputTakesMedianOfRepeats(t *testing.T) {
+	out := `BenchmarkExec/bytecode-2   300   210 ns/op   0 B/op   0 allocs/op
+BenchmarkMeasure/fresh-2   300   400 ns/op   9 B/op   3 allocs/op
+BenchmarkExec/bytecode-2   300   900 ns/op   0 B/op   0 allocs/op
+BenchmarkMeasure/fresh-2   300   380 ns/op   9 B/op   5 allocs/op
+BenchmarkExec/bytecode-2   300   200 ns/op   0 B/op   0 allocs/op
+BenchmarkMeasure/fresh-2   300   390 ns/op   9 B/op   4 allocs/op
+BenchmarkExec/treewalk-2   300  1000 ns/op
+BenchmarkExec/treewalk-2   300  2000 ns/op
+`
+	ns, allocs, err := ParseBenchOutput(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"BenchmarkExec/bytecode": 210, "BenchmarkMeasure/fresh": 390, "BenchmarkExec/treewalk": 1500}
+	for name, w := range want {
+		if ns[name] != w {
+			t.Errorf("ns/op %s = %v, want %v", name, ns[name], w)
+		}
+	}
+	if allocs["BenchmarkMeasure/fresh"] != 4 || allocs["BenchmarkExec/bytecode"] != 0 || len(allocs) != 2 {
+		t.Errorf("allocs/op = %v, want the medians 4 and 0", allocs)
+	}
+}

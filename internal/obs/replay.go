@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -34,48 +33,17 @@ func FieldBool(f map[string]any, key string) bool {
 	return b
 }
 
-// ReadJournal parses a JSONL event stream, failing with the 1-based line
-// number of the first malformed line. Blank lines are rejected: a valid
-// journal is exactly one JSON object per line.
-func ReadJournal(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	var out []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("obs: journal line %d: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("obs: journal read: %w", err)
-	}
-	return out, nil
-}
-
-// ReadJournalFile reads a JSONL journal from disk.
-func ReadJournalFile(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadJournal(f)
-}
-
-// ReadJournalLenient parses a journal that may still be growing: an
+// ReadJournal parses a JSONL event stream that may still be growing: an
 // unterminated final line — the signature of a writer caught mid-append — is
 // silently dropped instead of failing the read, whether or not the fragment
 // happens to parse (a torn `{"seq":12` can be a valid-JSON prefix of a
 // larger event, so the missing newline is the only trustworthy signal, the
 // same rule scanJournalTail applies on restart). Newline-terminated lines
-// must all parse: a genuinely corrupt journal cannot masquerade as a live
-// one. This is the reader behind the live job-introspection endpoints, which
-// analyse journals of running jobs.
-func ReadJournalLenient(r io.Reader) ([]Event, error) {
+// must all parse, failing with the 1-based line number of the first
+// malformed one (blank lines included): a genuinely corrupt journal cannot
+// masquerade as a live one. A finished journal ends in a newline, so it reads
+// in full; the live job-introspection endpoints read running jobs' journals.
+func ReadJournal(r io.Reader) ([]Event, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("obs: journal read: %w", err)
@@ -99,10 +67,10 @@ func ReadJournalLenient(r io.Reader) ([]Event, error) {
 	return out, nil
 }
 
-// ReadJournalFileLenient reads a possibly-still-growing journal from disk,
+// ReadJournalFile reads a possibly-still-growing journal from disk,
 // tolerating a torn final line. A missing file yields an empty journal: a
 // just-submitted job simply has no events yet.
-func ReadJournalFileLenient(path string) ([]Event, error) {
+func ReadJournalFile(path string) ([]Event, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return nil, nil
@@ -111,5 +79,5 @@ func ReadJournalFileLenient(path string) ([]Event, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadJournalLenient(f)
+	return ReadJournal(f)
 }

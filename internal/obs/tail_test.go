@@ -84,7 +84,7 @@ func TestScanJournalTailTornUnterminatedLine(t *testing.T) {
 // A torn final line can be a VALID JSON prefix of a larger event — e.g.
 // `{"seq":12}` truncated out of `{"seq":123,...}`. Parseability is therefore
 // not trustworthy; only the missing newline is. Both the restart repair and
-// the lenient live reader must drop it.
+// the journal reader must drop it.
 func TestScanJournalTailValidJSONPrefixTorn(t *testing.T) {
 	good := `{"seq":11,"type":"measure"}` + "\n"
 	torn := `{"seq":12}` // prefix of {"seq":123,...}; parses, but unterminated
@@ -100,7 +100,7 @@ func TestScanJournalTailValidJSONPrefixTorn(t *testing.T) {
 		t.Fatalf("truncateTo = %d, want %d", trunc, len(good))
 	}
 
-	events, err := ReadJournalLenient(strings.NewReader(good + torn))
+	events, err := ReadJournal(strings.NewReader(good + torn))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,18 +111,18 @@ func TestScanJournalTailValidJSONPrefixTorn(t *testing.T) {
 
 func TestReadJournalLenientDropsTornTailButRejectsCorruption(t *testing.T) {
 	// Torn tail: tolerated.
-	events, err := ReadJournalLenient(strings.NewReader(
+	events, err := ReadJournal(strings.NewReader(
 		`{"seq":1,"type":"run-start"}` + "\n" + `{"seq":2,"ty`))
 	if err != nil || len(events) != 1 {
 		t.Fatalf("torn tail: events=%v err=%v, want 1 event, nil", events, err)
 	}
 	// Empty input: no events, no error.
-	events, err = ReadJournalLenient(strings.NewReader(""))
+	events, err = ReadJournal(strings.NewReader(""))
 	if err != nil || len(events) != 0 {
 		t.Fatalf("empty: events=%v err=%v", events, err)
 	}
 	// Malformed line in the interior: real corruption, must error.
-	if _, err := ReadJournalLenient(strings.NewReader(
+	if _, err := ReadJournal(strings.NewReader(
 		"not json\n" + `{"seq":2,"type":"measure"}` + "\n")); err == nil {
 		t.Fatal("interior corruption must error")
 	}
@@ -130,7 +130,7 @@ func TestReadJournalLenientDropsTornTailButRejectsCorruption(t *testing.T) {
 
 // CRLF journals (a file that passed through a Windows checkout or an editor
 // that rewrites line endings) must read identically: the trailing \r is JSON
-// whitespace for the tail scanner and stripped by the line readers.
+// whitespace for the tail scanner and for the line reader.
 func TestJournalReadersTolerateCRLF(t *testing.T) {
 	crlf := `{"seq":1,"type":"run-start"}` + "\r\n" + `{"seq":2,"type":"run-end"}` + "\r\n"
 	path := writeJournal(t, crlf)
@@ -146,9 +146,5 @@ func TestJournalReadersTolerateCRLF(t *testing.T) {
 	events, err := ReadJournal(strings.NewReader(crlf))
 	if err != nil || len(events) != 2 {
 		t.Fatalf("ReadJournal CRLF: events=%v err=%v", events, err)
-	}
-	events, err = ReadJournalLenient(strings.NewReader(crlf))
-	if err != nil || len(events) != 2 {
-		t.Fatalf("ReadJournalLenient CRLF: events=%v err=%v", events, err)
 	}
 }

@@ -8,7 +8,9 @@ import (
 
 // foldConst evaluates an instruction whose operands are all constants,
 // returning the folded constant or nil when the operation cannot be folded
-// (division by zero, non-constant operand, unsupported op).
+// (non-constant operand, vector result, unsupported op, or one of the
+// refusals below). What an op computes is ir's (ir/eval.go), the same
+// definition the machine runs, so a fold never changes a program's output.
 func foldConst(in *ir.Instr) *ir.Const {
 	if in.Ty.IsVector() {
 		return nil
@@ -28,117 +30,42 @@ func foldConst(in *ir.Instr) *ir.Const {
 		cs[i] = c
 	}
 	k := in.Ty.Kind
-	switch in.Op {
-	case ir.OpAdd:
-		return ir.ConstInt(in.Ty, cs[0].I+cs[1].I)
-	case ir.OpSub:
-		return ir.ConstInt(in.Ty, cs[0].I-cs[1].I)
-	case ir.OpMul:
-		return ir.ConstInt(in.Ty, cs[0].I*cs[1].I)
-	case ir.OpSDiv:
-		if cs[1].I == 0 || (cs[0].I == math.MinInt64 && cs[1].I == -1) {
+	switch {
+	case in.Op.IsIntBinary():
+		// Refusals the machine does not share (DESIGN "IR semantics"):
+		// division by zero traps at run time, and MinInt64 / -1 has a value
+		// there, but folding it would move every tuning trajectory.
+		if (in.Op == ir.OpSDiv || in.Op == ir.OpSRem) && cs[0].I == math.MinInt64 && cs[1].I == -1 {
 			return nil
 		}
-		return ir.ConstInt(in.Ty, cs[0].I/cs[1].I)
-	case ir.OpSRem:
-		if cs[1].I == 0 || (cs[0].I == math.MinInt64 && cs[1].I == -1) {
+		v, ok := ir.IntBinary(in.Op, k, cs[0].I, cs[1].I)
+		if !ok {
 			return nil
 		}
-		return ir.ConstInt(in.Ty, cs[0].I%cs[1].I)
-	case ir.OpUDiv:
-		if cs[1].I == 0 {
+		return ir.ConstInt(in.Ty, v)
+	case in.Op.IsBinary():
+		// Likewise division by ±0, though it has a value (±Inf or NaN).
+		if in.Op == ir.OpFDiv && cs[1].F == 0 {
 			return nil
 		}
-		return ir.ConstInt(in.Ty, int64(uint64(cs[0].I)/uint64(cs[1].I)))
-	case ir.OpAnd:
-		return ir.ConstInt(in.Ty, cs[0].I&cs[1].I)
-	case ir.OpOr:
-		return ir.ConstInt(in.Ty, cs[0].I|cs[1].I)
-	case ir.OpXor:
-		return ir.ConstInt(in.Ty, cs[0].I^cs[1].I)
-	case ir.OpShl:
-		return ir.ConstInt(in.Ty, cs[0].I<<uint64(cs[1].I&63))
-	case ir.OpLShr:
-		return ir.ConstInt(in.Ty, int64(uint64(cs[0].I)>>uint64(cs[1].I&63)))
-	case ir.OpAShr:
-		return ir.ConstInt(in.Ty, cs[0].I>>uint64(cs[1].I&63))
-	case ir.OpFAdd:
-		return ir.ConstFloat(in.Ty, cs[0].F+cs[1].F)
-	case ir.OpFSub:
-		return ir.ConstFloat(in.Ty, cs[0].F-cs[1].F)
-	case ir.OpFMul:
-		return ir.ConstFloat(in.Ty, cs[0].F*cs[1].F)
-	case ir.OpFDiv:
-		if cs[1].F == 0 {
-			return nil
-		}
-		return ir.ConstFloat(in.Ty, cs[0].F/cs[1].F)
-	case ir.OpICmp:
-		return ir.ConstBool(evalICmp(in.Pred, cs[0].I, cs[1].I))
-	case ir.OpFCmp:
-		return ir.ConstBool(evalFCmp(in.Pred, cs[0].F, cs[1].F))
-	case ir.OpSelect:
+		return ir.ConstFloat(in.Ty, ir.FloatBinary(in.Op, cs[0].F, cs[1].F))
+	case in.Op == ir.OpICmp:
+		return ir.ConstBool(ir.Compare(in.Pred, cs[0].I, cs[1].I))
+	case in.Op == ir.OpFCmp:
+		return ir.ConstBool(ir.Compare(in.Pred, cs[0].F, cs[1].F))
+	case in.Op == ir.OpSelect:
+		// The operand constant itself: CSE compares constants by pointer.
 		if cs[0].I != 0 {
 			return cs[1]
 		}
 		return cs[2]
-	case ir.OpSExt:
-		return ir.ConstInt(in.Ty, cs[0].I) // constants carried sign-extended
-	case ir.OpZExt:
-		bits := in.Ops[0].Type().Kind.Bits()
-		if bits >= 64 {
-			return ir.ConstInt(in.Ty, cs[0].I)
-		}
-		return ir.ConstInt(in.Ty, cs[0].I&(int64(1)<<uint(bits)-1))
-	case ir.OpTrunc:
-		return ir.ConstInt(in.Ty, cs[0].I)
-	case ir.OpSIToFP:
-		return ir.ConstFloat(in.Ty, float64(cs[0].I))
-	case ir.OpFPToSI:
-		return ir.ConstInt(in.Ty, int64(cs[0].F))
-	case ir.OpFPExt, ir.OpFPTrunc:
-		if k == ir.F32 {
-			return ir.ConstFloat(in.Ty, float64(float32(cs[0].F)))
-		}
-		return ir.ConstFloat(in.Ty, cs[0].F)
+	case in.Op.IsCast():
+		// Cast leaves the field its result does not use zero, so one literal
+		// builds exactly what ConstInt or ConstFloat would.
+		i, f := ir.Cast(in.Op, in.Ops[0].Type().Kind, k, cs[0].I, cs[0].F)
+		return &ir.Const{Ty: in.Ty, I: ir.WrapInt(k, i), F: f}
 	}
 	return nil
-}
-
-func evalICmp(p ir.CmpPred, a, b int64) bool {
-	switch p {
-	case ir.CmpEQ:
-		return a == b
-	case ir.CmpNE:
-		return a != b
-	case ir.CmpSLT:
-		return a < b
-	case ir.CmpSLE:
-		return a <= b
-	case ir.CmpSGT:
-		return a > b
-	case ir.CmpSGE:
-		return a >= b
-	}
-	return false
-}
-
-func evalFCmp(p ir.CmpPred, a, b float64) bool {
-	switch p {
-	case ir.CmpEQ:
-		return a == b
-	case ir.CmpNE:
-		return a != b
-	case ir.CmpSLT:
-		return a < b
-	case ir.CmpSLE:
-		return a <= b
-	case ir.CmpSGT:
-		return a > b
-	case ir.CmpSGE:
-		return a >= b
-	}
-	return false
 }
 
 // simplifyIdentity returns an existing value the instruction reduces to

@@ -24,7 +24,7 @@ func (s *Server) Summary(id string) (JobSummary, error) {
 	if j == nil {
 		return JobSummary{}, ErrUnknownJob
 	}
-	events, err := obs.ReadJournalFileLenient(filepath.Join(j.dir, journalFile))
+	events, err := obs.ReadJournalFile(filepath.Join(j.dir, journalFile))
 	if err != nil {
 		return JobSummary{}, err
 	}
