@@ -48,10 +48,7 @@ type Options struct {
 	RawCandidates int     // k: raw points per strategy per iteration
 	TopN          int     // n: maximiser restarts per strategy
 	GradSteps     int     // projected-gradient ascent steps (0 = none)
-	GradLR        float64
 	Strategies    []Strategy
-	GAPop         int
-	CMASigma      float64
 	RefitEvery    int // refit GP hyperparameters every k iterations
 	Selection     SelectionMode
 	GPOpts        gp.Options
@@ -63,15 +60,20 @@ type Options struct {
 	Workers int
 }
 
+// Fixed settings of the maximiser and its strategies (§4.3.2).
+const (
+	gradLR   = 0.03 // projected-gradient ascent step size
+	gaPop    = 50   // GA population
+	cmaSigma = 0.2  // CMA-ES σ0
+)
+
 // DefaultOptions mirror §4.3.2: UCB1.96, N=50, k=500, n=1, all three
-// strategies, GA population 50, CMA-ES σ0=0.2.
+// strategies (GA population gaPop, CMA-ES σ0 cmaSigma).
 func DefaultOptions() Options {
 	return Options{
 		AF: acq.UCB, Beta: 1.96, InitSamples: 50, RawCandidates: 500, TopN: 1,
-		GradSteps: 20, GradLR: 0.03,
-		Strategies: []Strategy{StratCMAES, StratGA, StratRandom},
-		GAPop:      50, CMASigma: 0.2, RefitEvery: 1,
-		GPOpts: gp.DefaultOptions(),
+		GradSteps: 20, Strategies: []Strategy{StratCMAES, StratGA, StratRandom},
+		RefitEvery: 1, GPOpts: gp.DefaultOptions(),
 	}
 }
 
@@ -159,11 +161,11 @@ func Minimize(f func([]float64) float64, bounds heuristic.Bounds, budget int, op
 		case StratRandom:
 			strats = append(strats, strat{s, &heuristic.RandomSearch{B: unitBox, Rng: rand.New(rand.NewSource(seed + 11))}})
 		case StratGA:
-			ga := heuristic.NewGA(unitBox, opts.GAPop, rand.New(rand.NewSource(seed+22)))
+			ga := heuristic.NewGA(unitBox, gaPop, rand.New(rand.NewSource(seed+22)))
 			gaRef = ga
 			strats = append(strats, strat{s, ga})
 		case StratCMAES:
-			strats = append(strats, strat{s, heuristic.NewCMAES(unitBox, opts.CMASigma, 0, rand.New(rand.NewSource(seed+33)))})
+			strats = append(strats, strat{s, heuristic.NewCMAES(unitBox, cmaSigma, 0, rand.New(rand.NewSource(seed+33)))})
 		default:
 			return nil, fmt.Errorf("aibo: unknown strategy %q", s)
 		}
@@ -223,7 +225,7 @@ func Minimize(f func([]float64) float64, bounds heuristic.Bounds, budget int, op
 		// Every maximised restart joins the candidate pool (so the Fig 4.3
 		// selection-mode comparison sees the whole pool); per-strategy
 		// diagnostics track the best restart.
-		maxX, maxV := maximizeBatch(model, cfg, unitBox, starts, opts.GradSteps, opts.GradLR, workers)
+		maxX, maxV := maximizeBatch(model, cfg, unitBox, starts, opts.GradSteps, workers)
 		finals := make([]cand, len(starts))
 		for i := range starts {
 			finals[i] = cand{x: maxX[i], af: maxV[i], s: startStrat[i]}
@@ -287,11 +289,11 @@ func (r *Result) BestXUnit(fn func([]float64), toUnit func([]float64) []float64)
 
 // maximizeFrom runs projected gradient ascent on the acquisition function
 // from x0, returning the best point and its AF value.
-func maximizeFrom(model *gp.GP, cfg acq.Config, box heuristic.Bounds, x0 []float64, steps int, lr float64) ([]float64, float64) {
+func maximizeFrom(model *gp.GP, cfg acq.Config, box heuristic.Bounds, x0 []float64, steps int) ([]float64, float64) {
 	x := append([]float64(nil), x0...)
 	bestX := append([]float64(nil), x...)
 	bestV := cfg.Value(model, x)
-	cur := lr
+	cur := gradLR
 	for s := 0; s < steps; s++ {
 		_, grad := cfg.ValueGrad(model, x)
 		moved := false

@@ -163,7 +163,7 @@ func BenchmarkAcqMaximize(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				maximizeBatch(model, cfg, box, starts, 20, 0.03, w)
+				maximizeBatch(model, cfg, box, starts, 20, w)
 			}
 		})
 	}

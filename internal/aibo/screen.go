@@ -105,11 +105,11 @@ func screenTop(model *gp.GP, cfg acq.Config, raw [][]float64, topN int) [][]floa
 // goroutines, collecting results by submission index. Each restart only reads
 // the fitted model, so the outputs are identical for every worker count;
 // parallelism changes the wall-clock only.
-func maximizeBatch(model *gp.GP, cfg acq.Config, box heuristic.Bounds, starts [][]float64, steps int, lr float64, workers int) ([][]float64, []float64) {
+func maximizeBatch(model *gp.GP, cfg acq.Config, box heuristic.Bounds, starts [][]float64, steps, workers int) ([][]float64, []float64) {
 	xs := make([][]float64, len(starts))
 	vs := make([]float64, len(starts))
 	numeric.ParallelFor(workers, len(starts), func(i int) {
-		xs[i], vs[i] = maximizeFrom(model, cfg, box, starts[i], steps, lr)
+		xs[i], vs[i] = maximizeFrom(model, cfg, box, starts[i], steps)
 	})
 	return xs, vs
 }

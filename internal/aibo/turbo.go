@@ -17,12 +17,6 @@ import (
 type TuRBOOptions struct {
 	InitSamples  int
 	Candidates   int // Thompson-style candidate pool per iteration
-	LenInit      float64
-	LenMin       float64
-	LenMax       float64
-	SuccTol      int
-	FailTol      int
-	Beta         float64
 	GPOpts       gp.Options
 	RefitEvery   int
 	MaxGPHistory int // fit on the most recent points only (local model)
@@ -32,12 +26,20 @@ type TuRBOOptions struct {
 	Workers int
 }
 
+// The trust region's fixed shape, as in the reference implementation.
+const (
+	turboLenInit = 0.8       // side length at the start and after a restart
+	turboLenMin  = 0.5 / 128 // 0.5·2⁻⁷: below it the region restarts
+	turboLenMax  = 1.6
+	turboSuccTol = 3    // successes in a row that double the side
+	turboFailTol = 8    // failures in a row that halve it
+	turboBeta    = 1.96 // UCB weight of the candidate scoring
+)
+
 // DefaultTuRBOOptions mirror the reference implementation's shape.
 func DefaultTuRBOOptions() TuRBOOptions {
 	return TuRBOOptions{
 		InitSamples: 50, Candidates: 500,
-		LenInit: 0.8, LenMin: 0.5 * math.Pow(2, -7), LenMax: 1.6,
-		SuccTol: 3, FailTol: 8, Beta: 1.96,
 		GPOpts: gp.DefaultOptions(), RefitEvery: 1, MaxGPHistory: 256,
 	}
 }
@@ -85,7 +87,7 @@ func TuRBOMinimize(f func([]float64) float64, bounds heuristic.Bounds, budget in
 	if gpo.Workers == 0 {
 		gpo.Workers = numeric.Workers(opts.Workers)
 	}
-	length := opts.LenInit
+	length := turboLenInit
 	succ, fail := 0, 0
 	var model *gp.GP
 	for it := 0; len(Y) < budget; it++ {
@@ -98,7 +100,7 @@ func TuRBOMinimize(f func([]float64) float64, bounds heuristic.Bounds, budget in
 		if err != nil {
 			return nil, err
 		}
-		cfg := acq.Config{Kind: acq.UCB, Beta: opts.Beta}
+		cfg := acq.Config{Kind: acq.UCB, Beta: turboBeta}
 
 		// Trust region around the incumbent, scaled per-dim by the model's
 		// length scales (as in TuRBO).
@@ -115,8 +117,8 @@ func TuRBOMinimize(f func([]float64) float64, bounds heuristic.Bounds, budget in
 			u := make([]float64, d)
 			for i := 0; i < d; i++ {
 				w := length * model.LS[i] / meanLS
-				if w > opts.LenMax {
-					w = opts.LenMax
+				if w > turboLenMax {
+					w = turboLenMax
 				}
 				lo2 := math.Max(0, bestU[i]-w/2)
 				hi2 := math.Min(1, bestU[i]+w/2)
@@ -142,16 +144,16 @@ func TuRBOMinimize(f func([]float64) float64, bounds heuristic.Bounds, budget in
 			fail++
 			succ = 0
 		}
-		if succ >= opts.SuccTol {
-			length = math.Min(2*length, opts.LenMax)
+		if succ >= turboSuccTol {
+			length = math.Min(2*length, turboLenMax)
 			succ = 0
 		}
-		if fail >= opts.FailTol {
+		if fail >= turboFailTol {
 			length /= 2
 			fail = 0
-			if length < opts.LenMin {
+			if length < turboLenMin {
 				// Restart the trust region from scratch.
-				length = opts.LenInit
+				length = turboLenInit
 				bestU = unit.Sample(rng)
 			}
 		}

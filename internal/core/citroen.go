@@ -166,7 +166,6 @@ type Result struct {
 type moduleState struct {
 	name     string
 	gens     []heuristic.SeqOptimizer
-	des      *heuristic.DES
 	bestSeq  []int
 	bestFeat sparseVec
 	bestY    float64
@@ -395,7 +394,6 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 			if len(o3Indices) > 0 {
 				des.Seed(t.space.Clamp(o3Indices, t.rng), 1.0)
 			}
-			ms.des = des
 			ms.gens = []heuristic.SeqOptimizer{
 				des,
 				heuristic.NewSeqGA(t.space, 24, rand.New(rand.NewSource(seed+1))),

@@ -55,15 +55,18 @@ func (g *GP) Append(x []float64, y float64) error {
 	L, err := numeric.CholUpdateAppend(g.chol, k, diag, diag*1e-12)
 	if err != nil {
 		g.refactorization++
-		if err := g.factorize(); err != nil {
+		p := newPosterior(n, d)
+		lml, err := g.evaluate(p, g.LS, g.SigF, g.Noise, nil, nil, appendTries, g.workers)
+		if err != nil {
 			return err
 		}
-	} else {
-		g.chol = L
-		g.alpha = numeric.GrowFloats(g.alpha, n)
-		numeric.CholSolveInto(L, g.y, g.alpha)
+		g.sx, g.chol, g.alpha, g.jitter, g.lml = p.sx, p.L, p.alpha, p.jitter, lml
+		return nil
 	}
-	g.lml = -0.5*numeric.Dot(g.y, g.alpha) - 0.5*numeric.LogDetFromChol(g.chol) - 0.5*float64(n)*math.Log(2*math.Pi)
+	g.chol = L
+	g.alpha = numeric.GrowFloats(g.alpha, n)
+	numeric.CholSolveInto(L, g.y, g.alpha)
+	g.lml = g.logML(g.chol, g.alpha)
 	return nil
 }
 

@@ -115,7 +115,9 @@ func BenchmarkPredictBatch(b *testing.B) {
 // BenchmarkGPFitAdam measures a full hyperparameter fit (gradient steps
 // included): a small one serial vs parallel, exercising the sharded lmlGrad,
 // and one the size sha_long's last refits have (n = 150, d = 55, the default
-// 40 steps on 2 workers) — the case whose time and allocation count CI gates.
+// 40 steps on 2 workers) — the case whose allocations and bytes CI gates —
+// beside the frozen refit of the same size (no Adam step), whose bytes CI
+// gates too.
 func BenchmarkGPFitAdam(b *testing.B) {
 	for _, c := range []struct {
 		name           string
@@ -125,6 +127,7 @@ func BenchmarkGPFitAdam(b *testing.B) {
 		{"w1", 128, 8, 5, 1},
 		{"w8", 128, 8, 5, 8},
 		{"n150-d55-s40-w2", 150, 55, 40, 2},
+		{"n150-d55-s0-w2", 150, 55, 0, 2},
 	} {
 		X, Y := benchData(c.n, c.d)
 		b.Run(c.name, func(b *testing.B) {

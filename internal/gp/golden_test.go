@@ -9,6 +9,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"repro/internal/numeric"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/fit_bits.json from this build")
@@ -156,6 +158,98 @@ func TestFitBitsGolden(t *testing.T) {
 			for f := 0; f < gv.NumField(); f++ {
 				if !reflect.DeepEqual(gv.Field(f).Interface(), wv.Field(f).Interface()) {
 					t.Errorf("%s workers=%d: %s moved", c.name, workers, gv.Type().Field(f).Name)
+				}
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFitKeepsItsFinalFactor holds the posterior a fit keeps to a fresh
+// factorisation at the model's own hyperparameters, made the way the model
+// used to refactorise after every fit: scaled inputs, K, an 8-try jittered
+// Cholesky and alpha. Every golden case is checked, plus a frozen refit
+// through Update's fourth branch, at several worker counts; a fit that kept
+// the factor of its last Adam step instead of its closing evaluation fails.
+func TestFitKeepsItsFinalFactor(t *testing.T) {
+	type fitted struct {
+		name string
+		fit  func(workers int) (*GP, error)
+	}
+	var fits []fitted
+	for _, c := range goldenCases() {
+		fits = append(fits, fitted{c.name, func(workers int) (*GP, error) {
+			opts := c.opts
+			opts.Workers = workers
+			return fit(c.X, c.Y, opts, c.warm)
+		}})
+	}
+	X, Y := randHistory(rand.New(rand.NewSource(58)), 61, 53)
+	fits = append(fits, fitted{"frozen refit n60_d53", func(workers int) (*GP, error) {
+		opts := DefaultOptions()
+		opts.Workers = workers
+		prev, err := fit(X[:60], Y[:60], opts, nil)
+		if err != nil {
+			return nil, err
+		}
+		// The window slides by one row: not a refit iteration, not an append.
+		g, step, err := Update(prev, X[1:], Y[1:], 1, 3, opts)
+		if err == nil && (step != Fitted || g == prev) {
+			t.Fatalf("Update took step %d, want a frozen refit", step)
+		}
+		return g, err
+	}})
+
+	for _, f := range fits {
+		for _, workers := range []int{1, 2, 8} {
+			g, err := f.fit(workers)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", f.name, workers, err)
+			}
+			n := len(g.X)
+			sx := scaleInputs(g.X, g.LS)
+			K := numeric.NewMatrix(n, n)
+			g.buildKInto(K, nil, nil, sx, g.SigF, g.Noise, workers)
+			L, jitter, err := numeric.CholeskyWithJitter(K, 1e-10, 8)
+			if err != nil {
+				t.Fatalf("%s workers=%d: oracle factorisation: %v", f.name, workers, err)
+			}
+			alpha := make([]float64, n)
+			numeric.CholSolveInto(L, g.y, alpha)
+
+			tag := fmt.Sprintf("%s workers=%d", f.name, workers)
+			if !sameBits(g.chol.Data, L.Data) {
+				t.Errorf("%s: kept factor differs from a fresh one", tag)
+			}
+			if !sameBits(g.alpha, alpha) {
+				t.Errorf("%s: kept alpha differs from a fresh one", tag)
+			}
+			if math.Float64bits(g.jitter) != math.Float64bits(jitter) {
+				t.Errorf("%s: kept jitter %g, a fresh factorisation adds %g", tag, g.jitter, jitter)
+			}
+			if len(g.sx) != n {
+				t.Fatalf("%s: %d scaled rows for %d inputs", tag, len(g.sx), n)
+			}
+			for i, row := range g.sx {
+				if !sameBits(row, sx[i]) {
+					t.Errorf("%s: kept scaled row %d differs", tag, i)
+					break
+				}
+				if cap(row) != len(row) {
+					t.Errorf("%s: kept scaled row %d has spare capacity %d", tag, i, cap(row)-len(row))
+					break
 				}
 			}
 		}

@@ -20,8 +20,6 @@ type Options struct {
 	AdamSteps  int     // gradient steps of the hyperparameter fit
 	NoiseFloor float64 // minimum noise variance
 	NoiseCeil  float64 // maximum noise variance
-	LSFloor    float64 // minimum length scale
-	LSCeil     float64 // maximum length scale
 
 	// Workers bounds the parallelism of fitting (sharded kernel-matrix and
 	// LML-gradient evaluation) and of PredictBatch. 0 or 1 runs serially.
@@ -34,12 +32,18 @@ type Options struct {
 // learnRate is Adam's step size on the log-parameters.
 const learnRate = 0.08
 
-// DefaultOptions mirror the paper's settings (§4.3.2): bounded length scales
-// and noise.
+// The length-scale bounds of the hyperparameter fit (§4.3.2).
+const (
+	lsFloor = 0.005
+	lsCeil  = 20.0
+)
+
+// DefaultOptions mirror the paper's settings (§4.3.2): bounded noise; the
+// length scales are bounded by lsFloor and lsCeil.
 func DefaultOptions() Options {
 	return Options{
 		AdamSteps:  40,
-		NoiseFloor: 1e-6, NoiseCeil: 1e-2, LSFloor: 0.005, LSCeil: 20,
+		NoiseFloor: 1e-6, NoiseCeil: 1e-2,
 	}
 }
 
@@ -64,7 +68,7 @@ type GP struct {
 	// single, batched and appended evaluations bit-identical to each other
 
 	workers         int
-	refactorization int       // Append calls that fell back to a full refactorize
+	refactorization int       // Append calls that fell back to a full refactorisation
 	scrK            []float64 // kernel-column scratch for Append
 }
 
@@ -114,22 +118,28 @@ func fit(X [][]float64, Y []float64, opts Options, warm *GP) (*GP, error) {
 			start.ls[i] = 0.5
 		}
 	}
-	sc := newGradScratch(n, d)
-	t := adamOptimize(g, start, opts, sc, workers)
-	lml, ok := g.computeLML(t.ls, t.sigf, t.noise, sc, workers)
+	// Adam's steps and the closing evaluation share one posterior, and the
+	// model keeps the closing evaluation's. Its sx rows are capped
+	// (newScaledRows), so Append's appends never write into them.
+	p := newPosterior(n, d)
+	t := adamOptimize(g, start, opts, p, workers)
+	// The closing evaluation rejects an LML that is NaN or ±Inf.
+	closing := func(t hypers) (float64, bool) {
+		lml, err := g.evaluate(p, t.ls, t.sigf, t.noise, nil, nil, fitTries, workers)
+		return lml, err == nil && !math.IsNaN(lml) && !math.IsInf(lml, 0)
+	}
+	lml, ok := closing(t)
 	if !ok {
 		// Fall back to the start point with inflated noise.
 		t = start
 		t.noise = opts.NoiseCeil
-		if lml, ok = g.computeLML(t.ls, t.sigf, t.noise, sc, workers); !ok {
+		if lml, ok = closing(t); !ok {
 			return nil, errors.New("gp: covariance not positive definite")
 		}
 	}
 	g.LS, g.SigF, g.Noise = t.ls, t.sigf, t.noise
 	g.lml = lml
-	if err := g.factorize(); err != nil {
-		return nil, err
-	}
+	g.sx, g.chol, g.alpha, g.jitter = p.sx, p.L, p.alpha, p.jitter
 	return g, nil
 }
 
@@ -264,43 +274,69 @@ func (g *GP) buildKInto(K, r2m, em *numeric.Matrix, sx [][]float64, sigf, noise 
 	K.AddDiag(noise)
 }
 
-// computeLML evaluates the log marginal likelihood on sc's buffers.
-func (g *GP) computeLML(ls []float64, sigf, noise float64, sc *gradScratch, workers int) (float64, bool) {
-	scaleInputsInto(sc.sx, g.X, ls)
-	g.buildKInto(sc.K, nil, nil, sc.sx, sigf, noise, workers)
-	if _, err := numeric.CholeskyWithJitterInto(sc.L, sc.K, 1e-10, 6); err != nil {
-		return 0, false
-	}
-	numeric.CholSolveInto(sc.L, g.y, sc.alpha)
-	n := float64(len(g.y))
-	lml := -0.5*numeric.Dot(g.y, sc.alpha) - 0.5*numeric.LogDetFromChol(sc.L) - 0.5*n*math.Log(2*math.Pi)
-	if math.IsNaN(lml) || math.IsInf(lml, 0) {
-		return 0, false
-	}
-	return lml, true
+// Jitter tries of a factorisation: a fit's evaluations stop after fitTries,
+// Append's recovery from a failed rank-1 extension after appendTries.
+const (
+	fitTries    = 6
+	appendTries = 8
+)
+
+// posterior holds the buffers of one posterior evaluation. A fit reuses one
+// across its Adam steps and closing evaluation, and the model keeps the last.
+type posterior struct {
+	sx     [][]float64     // inputs divided by the length scales
+	K      *numeric.Matrix // kernel matrix, lower triangle; scratch
+	L      *numeric.Matrix // its factor
+	alpha  []float64
+	jitter float64 // diagonal jitter the factorisation added
 }
 
-// gradScratch owns the buffers one lmlGrad or computeLML evaluation needs. A
-// fit allocates one and reuses it across its Adam steps and LML evaluations.
+func newPosterior(n, d int) *posterior {
+	return &posterior{
+		sx:    newScaledRows(n, d),
+		K:     numeric.NewMatrix(n, n),
+		L:     numeric.NewMatrix(n, n),
+		alpha: make([]float64, n),
+	}
+}
+
+// evaluate is the one posterior evaluation: into p it scales the inputs by
+// ls, builds K (and each pair's r² and exponential factor into non-nil r2m
+// and em), factors K with up to tries jitter retries and solves alpha; it
+// returns the LML. Which LML values to reject is the caller's call.
+func (g *GP) evaluate(p *posterior, ls []float64, sigf, noise float64, r2m, em *numeric.Matrix, tries, workers int) (float64, error) {
+	scaleInputsInto(p.sx, g.X, ls)
+	g.buildKInto(p.K, r2m, em, p.sx, sigf, noise, workers)
+	var err error
+	if p.jitter, err = numeric.CholeskyWithJitterInto(p.L, p.K, 1e-10, tries); err != nil {
+		return 0, err
+	}
+	numeric.CholSolveInto(p.L, g.y, p.alpha)
+	return g.logML(p.L, p.alpha), nil
+}
+
+// logML is the log marginal likelihood of the targets under factor L with
+// alpha = K⁻¹y.
+func (g *GP) logML(L *numeric.Matrix, alpha []float64) float64 {
+	n := float64(len(g.y))
+	return -0.5*numeric.Dot(g.y, alpha) - 0.5*numeric.LogDetFromChol(L) - 0.5*n*math.Log(2*math.Pi)
+}
+
+// gradScratch owns the buffers lmlGrad needs beyond a posterior evaluation's.
+// adamOptimize allocates one when it takes a step, and reuses it across its
+// steps.
 type gradScratch struct {
-	sx      [][]float64     // inputs divided by the step's length scales
-	K       *numeric.Matrix // kernel matrix, lower triangle
 	R2, E   *numeric.Matrix // per pair: scaled squared distance, exponential factor
-	L, Kinv *numeric.Matrix // factor; lower triangle of K⁻¹
-	alpha   []float64
-	partial [][]float64 // per-shard partial gradients, reduced in shard order
+	Kinv    *numeric.Matrix // lower triangle of K⁻¹
+	partial [][]float64     // per-shard partial gradients, reduced in shard order
 	grad    []float64
 }
 
 func newGradScratch(n, d int) *gradScratch {
 	sc := &gradScratch{
-		sx:      newScaledRows(n, d),
-		K:       numeric.NewMatrix(n, n),
 		R2:      numeric.NewMatrix(n, n),
 		E:       numeric.NewMatrix(n, n),
-		L:       numeric.NewMatrix(n, n),
 		Kinv:    numeric.NewMatrix(n, n),
-		alpha:   make([]float64, n),
 		grad:    make([]float64, d+2),
 		partial: make([][]float64, numeric.NumShards(n)),
 	}
@@ -311,30 +347,23 @@ func newGradScratch(n, d int) *gradScratch {
 }
 
 // lmlGrad returns the LML and its gradient w.r.t. (log ls_d..., log sigf,
-// log noise). The returned slice aliases sc.grad and is valid until the next
-// call with the same scratch. The pair loop reuses the squared distances and
-// exponential factors that buildKInto already computed (sc.R2, sc.E) instead
-// of re-deriving them per pair, and is sharded by rows with per-shard partial
-// gradients that are reduced in fixed shard order — bit-identical for every
-// worker count.
-func (g *GP) lmlGrad(ls []float64, sigf, noise float64, sc *gradScratch, workers int) (float64, []float64, bool) {
+// log noise), evaluating the posterior into p. The returned slice aliases
+// sc.grad and is valid until the next call with the same scratch. The pair
+// loop reuses the squared distances and exponential factors that buildKInto
+// already computed (sc.R2, sc.E) instead of re-deriving them per pair, and is
+// sharded by rows with per-shard partial gradients that are reduced in fixed
+// shard order — bit-identical for every worker count.
+func (g *GP) lmlGrad(ls []float64, sigf, noise float64, p *posterior, sc *gradScratch, workers int) (float64, []float64, bool) {
 	n := len(g.X)
 	d := len(ls)
-	sx := sc.sx
-	scaleInputsInto(sx, g.X, ls)
-	g.buildKInto(sc.K, sc.R2, sc.E, sx, sigf, noise, workers)
-	if _, err := numeric.CholeskyWithJitterInto(sc.L, sc.K, 1e-10, 6); err != nil {
+	lml, err := g.evaluate(p, ls, sigf, noise, sc.R2, sc.E, fitTries, workers)
+	if err != nil || math.IsNaN(lml) {
 		return 0, nil, false
 	}
-	numeric.CholSolveInto(sc.L, g.y, sc.alpha)
-	alpha := sc.alpha
-	lml := -0.5*numeric.Dot(g.y, alpha) - 0.5*numeric.LogDetFromChol(sc.L) - 0.5*float64(n)*math.Log(2*math.Pi)
-	if math.IsNaN(lml) {
-		return 0, nil, false
-	}
+	sx, alpha := p.sx, p.alpha
 	// A = alpha alpha^T - K^{-1}; we need tr(A dK/dθ) terms over the lower
 	// triangle, so that is all of K^{-1} that gets computed.
-	numeric.CholInverseLowerInto(sc.L, sc.Kinv, workers)
+	numeric.CholInverseLowerInto(p.L, sc.Kinv, workers)
 
 	shards := numeric.NumShards(n)
 	numeric.ParallelFor(workers, shards, func(s int) {
@@ -386,8 +415,9 @@ func (g *GP) lmlGrad(ls []float64, sigf, noise float64, sc *gradScratch, workers
 	return lml, grad, true
 }
 
-// adamOptimize runs Adam ascent on the LML over log-parameters.
-func adamOptimize(g *GP, init hypers, opts Options, sc *gradScratch, workers int) hypers {
+// adamOptimize runs Adam ascent on the LML over log-parameters, evaluating
+// each step's posterior into p.
+func adamOptimize(g *GP, init hypers, opts Options, p *posterior, workers int) hypers {
 	d := len(init.ls)
 	theta := make([]float64, d+2)
 	for i, v := range init.ls {
@@ -402,17 +432,21 @@ func adamOptimize(g *GP, init hypers, opts Options, sc *gradScratch, workers int
 	beta1, beta2, eps := 0.9, 0.999, 1e-8
 	clamp := func() {
 		for i := 0; i < d; i++ {
-			theta[i] = numeric.Clamp(theta[i], math.Log(opts.LSFloor), math.Log(opts.LSCeil))
+			theta[i] = numeric.Clamp(theta[i], math.Log(lsFloor), math.Log(lsCeil))
 		}
 		theta[d] = numeric.Clamp(theta[d], math.Log(1e-3), math.Log(1e3))
 		theta[d+1] = numeric.Clamp(theta[d+1], math.Log(opts.NoiseFloor), math.Log(opts.NoiseCeil))
 	}
 	clamp()
+	var sc *gradScratch // a frozen refit takes no step and allocates none
+	if opts.AdamSteps > 0 {
+		sc = newGradScratch(len(g.X), d)
+	}
 	for step := 1; step <= opts.AdamSteps; step++ {
 		for i := range curLS {
 			curLS[i] = math.Exp(theta[i])
 		}
-		_, grad, ok := g.lmlGrad(curLS, math.Exp(theta[d]), math.Exp(theta[d+1]), sc, workers)
+		_, grad, ok := g.lmlGrad(curLS, math.Exp(theta[d]), math.Exp(theta[d+1]), p, sc, workers)
 		if !ok {
 			break
 		}
@@ -432,24 +466,6 @@ func adamOptimize(g *GP, init hypers, opts Options, sc *gradScratch, workers int
 	out.sigf = math.Exp(theta[d])
 	out.noise = math.Exp(theta[d+1])
 	return out
-}
-
-// factorize caches the Cholesky factor and alpha for prediction, recording
-// the jitter that was needed so Append can keep the bordered diagonal
-// consistent with the retained rows.
-func (g *GP) factorize() error {
-	n := len(g.X)
-	K := numeric.NewMatrix(n, n)
-	g.sx = scaleInputs(g.X, g.LS)
-	g.buildKInto(K, nil, nil, g.sx, g.SigF, g.Noise, g.workers)
-	L, added, err := numeric.CholeskyWithJitter(K, 1e-10, 8)
-	if err != nil {
-		return err
-	}
-	g.chol = L
-	g.jitter = added
-	g.alpha = numeric.CholSolve(L, g.y)
-	return nil
 }
 
 // Predict returns the posterior mean and standard deviation at x, in the

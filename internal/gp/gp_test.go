@@ -60,12 +60,15 @@ func TestLMLGradientMatchesFiniteDifference(t *testing.T) {
 	ls := []float64{0.6, 0.8, 0.5}
 	sigf, noise := 1.2, 1e-3
 
-	lml0, grad, ok := g.lmlGrad(ls, sigf, noise, newGradScratch(n, d), 1)
+	_, grad, ok := g.lmlGrad(ls, sigf, noise, newPosterior(n, d), newGradScratch(n, d), 1)
 	if !ok {
 		t.Fatal("grad failed")
 	}
-	_ = lml0
-	sc := newGradScratch(n, d)
+	p := newPosterior(n, d)
+	lml := func(ls []float64, sigf, noise float64) (float64, bool) {
+		lml, err := g.evaluate(p, ls, sigf, noise, nil, nil, fitTries, 1)
+		return lml, err == nil
+	}
 	h := 1e-5
 	check := func(idx int, perturb func(delta float64) (float64, bool)) {
 		up, ok1 := perturb(h)
@@ -83,14 +86,14 @@ func TestLMLGradientMatchesFiniteDifference(t *testing.T) {
 		check(dd, func(delta float64) (float64, bool) {
 			ls2 := append([]float64(nil), ls...)
 			ls2[dd] = math.Exp(math.Log(ls[dd]) + delta)
-			return g.computeLML(ls2, sigf, noise, sc, 1)
+			return lml(ls2, sigf, noise)
 		})
 	}
 	check(d, func(delta float64) (float64, bool) {
-		return g.computeLML(ls, math.Exp(math.Log(sigf)+delta), noise, sc, 1)
+		return lml(ls, math.Exp(math.Log(sigf)+delta), noise)
 	})
 	check(d+1, func(delta float64) (float64, bool) {
-		return g.computeLML(ls, sigf, math.Exp(math.Log(noise)+delta), sc, 1)
+		return lml(ls, sigf, math.Exp(math.Log(noise)+delta))
 	})
 }
 

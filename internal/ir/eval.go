@@ -3,11 +3,11 @@ package ir
 import "math"
 
 // This file is the one definition of what a scalar instruction computes.
-// Integer values are carried sign-extended to 64 bits, floats as float64
-// (f32 arithmetic is not rounded; only a cast to f32 rounds). The machine's
-// engines evaluate every lane through it, and the constant folder folds
-// through it, so a fold computes exactly what the program would have
-// computed at run time.
+// Integer values are carried sign-extended to 64 bits (an i1 as 0 / 1),
+// floats as float64 (f32 arithmetic is not rounded; only a cast to f32
+// rounds). The machine's engines evaluate every lane through it, and the
+// constant folder folds through it, so a fold computes exactly what the
+// program would have computed at run time.
 
 // WrapInt wraps v to the signed range of kind k.
 func WrapInt(k Kind, v int64) int64 { return truncInt(k, v) }
@@ -102,12 +102,16 @@ func Compare[T int64 | float64](p CmpPred, a, b T) bool {
 // Cast converts one lane of kind from to kind to. The operand is i for an
 // integer source and f for a float one; the result is returned in the field
 // of its kind and the other is zero (a non-cast op returns its operand
-// unchanged). sext carries its already sign-extended operand as is, zext
-// masks by the source width, trunc and fptosi wrap to the destination, and
-// fpext / fptrunc round only on an f32 destination.
+// unchanged). sext carries its already sign-extended operand as is, except
+// that an i1, carried as 0 / 1, extends to 0 / -1; zext masks by the source
+// width, trunc and fptosi wrap to the destination, and fpext / fptrunc round
+// only on an f32 destination.
 func Cast(op Op, from, to Kind, i int64, f float64) (int64, float64) {
 	switch op {
 	case OpSExt:
+		if from == I1 {
+			return -(i & 1), 0
+		}
 		return i, 0
 	case OpZExt:
 		if bits := from.Bits(); bits < 64 {

@@ -738,7 +738,9 @@ func (fl *fnLowerer) emitValue(in *ir.Instr, cost float64) (bcInstr, bool) {
 		}
 		return out, false
 	}
-	if in.Op.IsCast() && len(in.Ops) == 1 && !in.Ty.IsVector() && !in.Ops[0].Type().IsVector() {
+	// An i1 is carried as 0 / 1, so its sext (0 / -1) takes the generic opcode.
+	if in.Op.IsCast() && len(in.Ops) == 1 && !in.Ty.IsVector() && !in.Ops[0].Type().IsVector() &&
+		!(in.Op == ir.OpSExt && in.Ops[0].Type().Kind == ir.I1) {
 		a, ok := fl.slot(in.Ops[0])
 		if !ok {
 			return out, false
@@ -747,7 +749,7 @@ func (fl *fnLowerer) emitValue(in *ir.Instr, cost float64) (bcInstr, bool) {
 		from, to := in.Ops[0].Type(), in.Ty
 		switch in.Op {
 		case ir.OpSExt:
-			out.op = bcMove // values are carried sign-extended already
+			out.op = bcMove // values wider than i1 are carried sign-extended already
 		case ir.OpZExt:
 			// The mask is ir's zext of all ones; a 64-bit source keeps them all.
 			if mask, _ := ir.Cast(ir.OpZExt, from.Kind, to.Kind, -1, 0); mask == -1 {

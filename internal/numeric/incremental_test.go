@@ -81,7 +81,7 @@ func TestSolveIntoVariantsMatchAllocating(t *testing.T) {
 	}
 	wantLower := SolveLower(l, b)
 	wantUpper := SolveUpperT(l, b)
-	wantSolve := CholSolve(l, b)
+	wantSolve := SolveUpperT(l, SolveLower(l, b))
 
 	x := make([]float64, 33)
 	SolveLowerInto(l, b, x)

@@ -61,9 +61,9 @@ func CholSolveMatrix(l *Matrix, b *Matrix) *Matrix {
 		for i := 0; i < b.Rows; i++ {
 			col[i] = b.At(i, j)
 		}
-		x := CholSolve(l, col)
+		CholSolveInto(l, col, col)
 		for i := 0; i < b.Rows; i++ {
-			out.Set(i, j, x[i])
+			out.Set(i, j, col[i])
 		}
 	}
 	return out

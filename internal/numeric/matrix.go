@@ -120,13 +120,6 @@ func SolveUpperT(l *Matrix, b []float64) []float64 {
 	return x
 }
 
-// CholSolve solves A·x = b using the Cholesky factor L of A.
-func CholSolve(l *Matrix, b []float64) []float64 {
-	x := make([]float64, l.Rows)
-	CholSolveInto(l, b, x)
-	return x
-}
-
 // LogDetFromChol returns log|A| given the Cholesky factor L of A.
 func LogDetFromChol(l *Matrix) float64 {
 	sum := 0.0

@@ -101,7 +101,8 @@ func TestCholSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := CholSolve(l, b)
+	got := make([]float64, len(b))
+	CholSolveInto(l, b, got)
 	for i := range x {
 		if !almostEq(got[i], x[i], 1e-8) {
 			t.Fatalf("solve[%d] = %v, want %v", i, got[i], x[i])
@@ -126,7 +127,8 @@ func TestCholSolveMatrixMatchesVector(t *testing.T) {
 		for i := range col {
 			col[i] = b.At(i, j)
 		}
-		want := CholSolve(l, col)
+		want := col
+		CholSolveInto(l, col, want)
 		for i := range want {
 			if !almostEq(x.At(i, j), want[i], 1e-10) {
 				t.Fatalf("col %d row %d mismatch", j, i)

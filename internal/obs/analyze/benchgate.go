@@ -26,7 +26,8 @@ type GateSuite struct {
 }
 
 // Gate bounds one metric of the document, named by the dotted path bench-diff
-// prints ("ns_per_op.BenchmarkExec/bytecode", "bytecode_speedup"). Min and
+// prints ("ns_per_op.BenchmarkExec/bytecode",
+// "bytes_per_op.BenchmarkGPFitAdam/n150-d55-s40-w2", "bytecode_speedup"). Min and
 // Max are inclusive.
 type Gate struct {
 	Metric string   `json:"metric"`
@@ -38,14 +39,19 @@ type Gate struct {
 // procSuffix is the -GOMAXPROCS suffix `go test` appends to benchmark names.
 var procSuffix = regexp.MustCompile(`-\d+$`)
 
-// ParseBenchOutput reads `go test -bench` text and returns ns/op, and
-// allocs/op where -benchmem printed it, per benchmark name (the GOMAXPROCS
-// suffix removed). A benchmark that ran more than once (-count, or one
+// benchUnits maps the per-op units `go test -bench` prints to the document
+// keys their values go under.
+var benchUnits = map[string]string{"ns/op": "ns_per_op", "B/op": "bytes_per_op", "allocs/op": "allocs_per_op"}
+
+// ParseBenchOutput reads `go test -bench` text and returns each value under
+// its gate metric name: ns_per_op.<name>, and bytes_per_op.<name> and
+// allocs_per_op.<name> where -benchmem or ReportAllocs printed them (the
+// GOMAXPROCS suffix removed from the benchmark name). A benchmark that ran more than once (-count, or one
 // command repeated into the same file) reads as the median of its lines, so
 // a ratio of two benchmarks rests on alternating runs rather than on the last
 // one. Lines that are not benchmark results are skipped.
-func ParseBenchOutput(r io.Reader) (nsPerOp, allocsPerOp map[string]float64, err error) {
-	ns, allocs := map[string][]float64{}, map[string][]float64{}
+func ParseBenchOutput(r io.Reader) (map[string]float64, error) {
+	runs := map[string][]float64{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		f := strings.Fields(sc.Text())
@@ -59,53 +65,48 @@ func ParseBenchOutput(r io.Reader) (nsPerOp, allocsPerOp map[string]float64, err
 		for i := 2; i+1 < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
-				return nil, nil, fmt.Errorf("bench output: %s: bad value %q", name, f[i])
+				return nil, fmt.Errorf("bench output: %s: bad value %q", name, f[i])
 			}
-			switch f[i+1] {
-			case "ns/op":
-				ns[name] = append(ns[name], v)
-			case "allocs/op":
-				allocs[name] = append(allocs[name], v)
+			if key, ok := benchUnits[f[i+1]]; ok {
+				runs[key+"."+name] = append(runs[key+"."+name], v)
 			}
 		}
 	}
-	return medians(ns), medians(allocs), sc.Err()
-}
-
-func medians(runs map[string][]float64) map[string]float64 {
 	out := make(map[string]float64, len(runs))
-	for name, v := range runs {
-		out[name] = numeric.Median(v)
+	for metric, v := range runs {
+		out[metric] = numeric.Median(v)
 	}
-	return out
+	return out, sc.Err()
 }
 
 // BenchGate builds the suite's BENCH document from bench output and checks
 // every gate. failures names each gate that does not hold, or whose metric the
 // output lacks: a renamed benchmark must fail its gate, not disable it.
 func BenchGate(r io.Reader, suite GateSuite) (doc map[string]any, failures []string, err error) {
-	ns, allocs, err := ParseBenchOutput(r)
+	perOp, err := ParseBenchOutput(r)
 	if err != nil {
 		return nil, nil, err
 	}
+	doc = map[string]any{}
+	for metric, v := range perOp {
+		key, name, _ := strings.Cut(metric, ".")
+		if doc[key] == nil {
+			doc[key] = map[string]float64{}
+		}
+		doc[key].(map[string]float64)[name] = v
+	}
+	ns, _ := doc["ns_per_op"].(map[string]float64)
 	if len(ns) == 0 {
 		return nil, nil, fmt.Errorf("bench output has no benchmark results")
-	}
-	doc = map[string]any{"ns_per_op": ns}
-	if len(allocs) > 0 {
-		doc["allocs_per_op"] = allocs
 	}
 	for name, of := range suite.Ratios {
 		if num, den := ns[of[0]], ns[of[1]]; num != 0 && den != 0 {
 			doc[name] = num / den // else its gate reports the metric missing
 		}
 	}
-	lookup := func(metric string) (v float64, ok bool) {
-		if name, cut := strings.CutPrefix(metric, "ns_per_op."); cut {
-			v, ok = ns[name]
-		} else if name, cut := strings.CutPrefix(metric, "allocs_per_op."); cut {
-			v, ok = allocs[name]
-		} else {
+	lookup := func(metric string) (float64, bool) {
+		v, ok := perOp[metric]
+		if !ok {
 			v, ok = doc[metric].(float64)
 		}
 		return v, ok

@@ -3,6 +3,7 @@ package analyze
 import (
 	"encoding/json"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -56,8 +57,8 @@ func TestCommittedGatesHoldOnCapturedOutput(t *testing.T) {
 			t.Errorf("%s: %v", file, failures)
 		}
 	}
-	if gates != 19 {
-		t.Errorf("%d gates, want the 7 thresholds left of those ci.yml enforced inline (the prefix-snapshot compile's went with the snapshots), the 5 pass-scaling ratios, the 3 allocation counts of a clone of a pass-touched module and of the CFG / dominator / loop analyses built and reused, the fingerprint-over-comparison ratio, the executions-per-measurement ratio, and the GP fit's two: the lower-triangle inverse against the column-solve one and the allocation count of the sha_long-sized fit", gates)
+	if gates != 21 {
+		t.Errorf("%d gates, want the 7 thresholds left of those ci.yml enforced inline (the prefix-snapshot compile's went with the snapshots), the 5 pass-scaling ratios, the 3 allocation counts of a clone of a pass-touched module and of the CFG / dominator / loop analyses built and reused, the fingerprint-over-comparison ratio, the executions-per-measurement ratio, and the GP fit's four: the lower-triangle inverse against the column-solve one, the allocation count of the sha_long-sized fit, and the bytes of that fit and of its frozen refit", gates)
 	}
 }
 
@@ -66,11 +67,14 @@ func TestBenchGateDocument(t *testing.T) {
 	// Two packages' output in one file, names with and without a sub-benchmark.
 	doc, _ := gate(t, "gp-bench.txt", suites["gp-bench.txt"])
 	ns := doc["ns_per_op"].(map[string]float64)
-	if ns["BenchmarkGPFit/refit-n256"] != 3315597 || ns["BenchmarkAcqMaximize/w8"] != 10390441 || len(ns) != 17 {
+	if ns["BenchmarkGPFit/refit-n256"] != 3885168 || ns["BenchmarkAcqMaximize/w8"] != 19990945 || len(ns) != 18 {
 		t.Fatalf("ns_per_op = %v", ns)
 	}
-	if got, want := doc["refit_over_append"].(float64), 3315597.0/619465.0; got != want {
+	if got, want := doc["refit_over_append"].(float64), 3885168.0/1133831.0; got != want {
 		t.Fatalf("refit_over_append = %v, want %v", got, want)
+	}
+	if b := doc["bytes_per_op"].(map[string]float64); b["BenchmarkGPFitAdam/n150-d55-s0-w2"] != 499297 || len(b) != 15 {
+		t.Fatalf("bytes_per_op = %v", b)
 	}
 	// Custom metrics between ns/op and allocs/op, fractional ns/op.
 	doc, _ = gate(t, "compile-bench.txt", suites["compile-bench.txt"])
@@ -84,10 +88,12 @@ func TestBenchGateDocument(t *testing.T) {
 	if got, want := doc["fingerprint_over_equal"].(float64), 28241.0/5709.0; got != want {
 		t.Fatalf("fingerprint_over_equal = %v, want %v", got, want)
 	}
-	// Without -benchmem there is no allocs table.
+	// Without -benchmem there is no allocs or bytes table.
 	doc, _ = gate(t, "passes-bench.txt", suites["passes-bench.txt"])
-	if _, ok := doc["allocs_per_op"]; ok {
-		t.Fatalf("allocs_per_op without -benchmem: %v", doc)
+	for _, key := range []string{"allocs_per_op", "bytes_per_op"} {
+		if _, ok := doc[key]; ok {
+			t.Fatalf("%s without -benchmem: %v", key, doc)
+		}
 	}
 }
 
@@ -127,17 +133,16 @@ BenchmarkMeasure/fresh-2   300   390 ns/op   9 B/op   4 allocs/op
 BenchmarkExec/treewalk-2   300  1000 ns/op
 BenchmarkExec/treewalk-2   300  2000 ns/op
 `
-	ns, allocs, err := ParseBenchOutput(strings.NewReader(out))
+	perOp, err := ParseBenchOutput(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]float64{"BenchmarkExec/bytecode": 210, "BenchmarkMeasure/fresh": 390, "BenchmarkExec/treewalk": 1500}
-	for name, w := range want {
-		if ns[name] != w {
-			t.Errorf("ns/op %s = %v, want %v", name, ns[name], w)
-		}
+	want := map[string]float64{
+		"ns_per_op.BenchmarkExec/bytecode": 210, "ns_per_op.BenchmarkMeasure/fresh": 390, "ns_per_op.BenchmarkExec/treewalk": 1500,
+		"allocs_per_op.BenchmarkExec/bytecode": 0, "allocs_per_op.BenchmarkMeasure/fresh": 4,
+		"bytes_per_op.BenchmarkExec/bytecode": 0, "bytes_per_op.BenchmarkMeasure/fresh": 9,
 	}
-	if allocs["BenchmarkMeasure/fresh"] != 4 || allocs["BenchmarkExec/bytecode"] != 0 || len(allocs) != 2 {
-		t.Errorf("allocs/op = %v, want the medians 4 and 0", allocs)
+	if !reflect.DeepEqual(perOp, want) {
+		t.Errorf("ParseBenchOutput = %v, want the medians %v", perOp, want)
 	}
 }

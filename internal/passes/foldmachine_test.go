@@ -161,13 +161,17 @@ func newFoldEngines() foldEngines {
 	return foldEngines{bc: machine.New(machine.CortexA57()), tree: tree}
 }
 
-// run executes `main { in; print in }` and returns what each engine printed.
-func (e foldEngines) run(t *testing.T, in *ir.Instr) (bc, tree machine.OutputEvent) {
+// run executes `main { ins...; print the last }` and returns what each
+// engine printed.
+func (e foldEngines) run(t *testing.T, ins ...*ir.Instr) (bc, tree machine.OutputEvent) {
 	t.Helper()
 	m := &ir.Module{Name: "fold"}
 	bd := ir.NewBuilder(m)
 	bd.NewFunction("main", ir.VoidT)
-	bd.B.Append(in)
+	for _, in := range ins {
+		bd.B.Append(in)
+	}
+	in := ins[len(ins)-1]
 	if in.Ty.Kind.IsFloat() {
 		bd.Call("sim.out.f64", ir.VoidT, in)
 	} else {
@@ -254,6 +258,27 @@ func TestFoldMatchesMachine(t *testing.T) {
 		}
 	}
 	t.Logf("%d instructions", cases)
+
+	// The i1 extensions, pinned by value: an i1 is carried as 0 / 1, and
+	// sext makes true all ones, as in LLVM, where zext makes it 1.
+	for _, p := range []struct {
+		op   ir.Op
+		want int64
+	}{{ir.OpSExt, -1}, {ir.OpZExt, 1}} {
+		in := &ir.Instr{Op: p.op, Ty: ir.I32T, Ops: []ir.Value{ir.ConstBool(true)}}
+		if c := foldConst(in); c == nil || c.I != p.want {
+			t.Errorf("%s: folded to %+v, want %d", in, c, p.want)
+		}
+		checkFold(t, e, in)
+		// The same extension of a four-lane vector of true, summed: 4·want.
+		vb := &ir.Instr{Op: ir.OpBroadcast, Ty: ir.Vec(ir.I1, 4), Ops: []ir.Value{ir.ConstBool(true)}}
+		vx := &ir.Instr{Op: p.op, Ty: ir.Vec(ir.I32, 4), Ops: []ir.Value{vb}}
+		sum := &ir.Instr{Op: ir.OpVecReduceAdd, Ty: ir.I32T, Ops: []ir.Value{vx}}
+		bc, tree := e.run(t, vb, vx, sum)
+		if bc.I != 4*p.want || tree.I != 4*p.want {
+			t.Errorf("%s of <4 x i1> true, summed: bytecode %d, tree-walker %d, want %d", p.op, bc.I, tree.I, 4*p.want)
+		}
+	}
 }
 
 // foldPins are the folds whose outcome is not a value: the three refusals,

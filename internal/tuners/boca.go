@@ -15,11 +15,14 @@ import (
 // across-tree variance, and candidate pools built by mutating the incumbent
 // plus uniform exploration. Unlike CITROEN it never looks at compilation
 // statistics, which is exactly the comparison the paper draws (§5.1).
-type BOCA struct {
-	SeqMax     int
-	Pool       int // candidate pool per iteration
-	InitRandom int
-}
+type BOCA struct{}
+
+// BOCA's candidate pool per iteration, and the random sequences it measures
+// before the forest takes over.
+const (
+	bocaPool       = 40
+	bocaInitRandom = 6
+)
 
 // Name implements Tuner.
 func (BOCA) Name() string { return "BOCA" }
@@ -30,15 +33,7 @@ func (b BOCA) Tune(task core.Task, budget int, seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp, vocab := space(seqMaxOr(b.SeqMax))
-	pool := b.Pool
-	if pool <= 0 {
-		pool = 40
-	}
-	initN := b.InitRandom
-	if initN <= 0 {
-		initN = 6
-	}
+	sp, vocab := space()
 	rng := rand.New(rand.NewSource(seed))
 	d := 2 * len(vocab) // counts + first positions
 
@@ -78,7 +73,7 @@ func (b BOCA) Tune(task core.Task, budget int, seed int64) (*Result, error) {
 	}
 
 	// Initial random design.
-	for i := 0; i < initN && h.used < budget; i++ {
+	for i := 0; i < bocaInitRandom && h.used < budget; i++ {
 		mod := h.mods[i%len(h.mods)]
 		seq := sp.Sample(rng)
 		y, ok := h.measure(mod, toStrings(vocab, seq))
@@ -103,7 +98,7 @@ func (b BOCA) Tune(task core.Task, budget int, seed int64) (*Result, error) {
 		best := minOf(Y[mod])
 		// Candidate pool: mutations of the incumbent + uniform samples.
 		bestAF, bestSeq := math.Inf(-1), []int(nil)
-		for c := 0; c < pool; c++ {
+		for c := 0; c < bocaPool; c++ {
 			var cand []int
 			if c%2 == 0 {
 				cand = incumbent[mod]

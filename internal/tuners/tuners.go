@@ -139,8 +139,16 @@ func (h *harness) result(name string) *Result {
 	return &Result{Name: name, BestSeqs: h.best, BestSpeedup: 1 / h.globY, Trace: h.trace}
 }
 
+// Fixed settings of the baselines.
+const (
+	seqMax     = 120  // longest sequence a baseline proposes
+	gaPop      = 20   // GA population per module
+	annealT0   = 0.05 // SimAnneal's starting temperature
+	annealCool = 0.97 // SimAnneal's cooling factor per measurement
+)
+
 // space returns the sequence search space over the full pass vocabulary.
-func space(seqMax int) (heuristic.SeqSpace, []string) {
+func space() (heuristic.SeqSpace, []string) {
 	vocab := passes.Names()
 	return heuristic.SeqSpace{Vocab: len(vocab), MinLen: 8, MaxLen: seqMax}, vocab
 }
@@ -156,7 +164,7 @@ func toStrings(vocab []string, seq []int) []string {
 // --- Random search ---
 
 // Random samples uniform sequences round-robin over hot modules.
-type Random struct{ SeqMax int }
+type Random struct{}
 
 // Name implements Tuner.
 func (Random) Name() string { return "RandomSearch" }
@@ -167,7 +175,7 @@ func (r Random) Tune(task core.Task, budget int, seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp, vocab := space(seqMaxOr(r.SeqMax))
+	sp, vocab := space()
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; h.used < budget; i++ {
 		mod := h.mods[i%len(h.mods)]
@@ -178,20 +186,10 @@ func (r Random) Tune(task core.Task, budget int, seed int64) (*Result, error) {
 	return h.result(r.Name()), nil
 }
 
-func seqMaxOr(v int) int {
-	if v <= 0 {
-		return 120
-	}
-	return v
-}
-
 // --- Genetic algorithm ---
 
-// GA tunes with a per-module sequence GA.
-type GA struct {
-	SeqMax int
-	Pop    int
-}
+// GA tunes with a per-module sequence GA of gaPop individuals.
+type GA struct{}
 
 // Name implements Tuner.
 func (GA) Name() string { return "GA" }
@@ -202,14 +200,10 @@ func (g GA) Tune(task core.Task, budget int, seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp, vocab := space(seqMaxOr(g.SeqMax))
-	pop := g.Pop
-	if pop <= 0 {
-		pop = 20
-	}
+	sp, vocab := space()
 	gas := map[string]*heuristic.SeqGA{}
 	for i, m := range h.mods {
-		gas[m] = heuristic.NewSeqGA(sp, pop, rand.New(rand.NewSource(subSeed(seed, 0, i))))
+		gas[m] = heuristic.NewSeqGA(sp, gaPop, rand.New(rand.NewSource(subSeed(seed, 0, i))))
 	}
 	for i := 0; h.used < budget; i++ {
 		mod := h.mods[i%len(h.mods)]
@@ -226,7 +220,7 @@ func (g GA) Tune(task core.Task, budget int, seed int64) (*Result, error) {
 // --- Hill climbing (discrete 1+λ on the incumbent) ---
 
 // HillClimb mutates the per-module incumbent, accepting improvements.
-type HillClimb struct{ SeqMax int }
+type HillClimb struct{}
 
 // Name implements Tuner.
 func (HillClimb) Name() string { return "HillClimb" }
@@ -237,7 +231,7 @@ func (hc HillClimb) Tune(task core.Task, budget int, seed int64) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	sp, vocab := space(seqMaxOr(hc.SeqMax))
+	sp, vocab := space()
 	des := map[string]*heuristic.DES{}
 	o3, err := indicesOf(vocab, passes.O3Sequence())
 	if err != nil {
@@ -303,12 +297,9 @@ func subSeed(seed int64, family, i int) int64 {
 
 // --- Simulated annealing ---
 
-// Anneal performs simulated annealing over sequence mutations.
-type Anneal struct {
-	SeqMax int
-	T0     float64
-	Cool   float64
-}
+// Anneal performs simulated annealing over sequence mutations, from
+// temperature annealT0 cooled by annealCool per measurement.
+type Anneal struct{}
 
 // Name implements Tuner.
 func (Anneal) Name() string { return "SimAnneal" }
@@ -319,16 +310,8 @@ func (a Anneal) Tune(task core.Task, budget int, seed int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp, vocab := space(seqMaxOr(a.SeqMax))
+	sp, vocab := space()
 	rng := rand.New(rand.NewSource(seed))
-	t0 := a.T0
-	if t0 <= 0 {
-		t0 = 0.05
-	}
-	cool := a.Cool
-	if cool <= 0 {
-		cool = 0.97
-	}
 	cur := map[string][]int{}
 	curY := map[string]float64{}
 	o3, err := indicesOf(vocab, passes.O3Sequence())
@@ -339,7 +322,7 @@ func (a Anneal) Tune(task core.Task, budget int, seed int64) (*Result, error) {
 		cur[m] = sp.Clamp(o3, rng)
 		curY[m] = 1.0
 	}
-	T := t0
+	T := annealT0
 	for i := 0; h.used < budget; i++ {
 		mod := h.mods[i%len(h.mods)]
 		cand := sp.Mutate(rng, cur[mod])
@@ -351,7 +334,7 @@ func (a Anneal) Tune(task core.Task, budget int, seed int64) (*Result, error) {
 			cur[mod] = cand
 			curY[mod] = y
 		}
-		T *= cool
+		T *= annealCool
 	}
 	return h.result(a.Name()), nil
 }
@@ -360,7 +343,7 @@ func (a Anneal) Tune(task core.Task, budget int, seed int64) (*Result, error) {
 
 // Ensemble runs a portfolio of techniques, allocating measurements to the
 // techniques that recently produced improvements (§3.1.1's OpenTuner).
-type Ensemble struct{ SeqMax int }
+type Ensemble struct{}
 
 // Name implements Tuner.
 func (Ensemble) Name() string { return "Ensemble" }
@@ -371,7 +354,7 @@ func (e Ensemble) Tune(task core.Task, budget int, seed int64) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	sp, vocab := space(seqMaxOr(e.SeqMax))
+	sp, vocab := space()
 	rng := rand.New(rand.NewSource(seed))
 	o3, err := indicesOf(vocab, passes.O3Sequence())
 	if err != nil {

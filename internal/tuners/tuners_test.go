@@ -99,7 +99,7 @@ func (c *costTask) BaselineTime() float64                { return c.base }
 func (c *costTask) HotModules(float64) ([]string, error) { return []string{"mod"}, nil }
 
 func allTuners() []Tuner {
-	return []Tuner{Random{}, GA{}, HillClimb{}, Anneal{}, Ensemble{}, BOCA{Pool: 20}}
+	return []Tuner{Random{}, GA{}, HillClimb{}, Anneal{}, Ensemble{}, BOCA{}}
 }
 
 func TestAllTunersRespectBudgetAndTrace(t *testing.T) {
