@@ -71,23 +71,23 @@ func main() {
 	for _, m := range mods {
 		if m.Name != target {
 			// Other modules get -O3 so the program still links and runs.
-			if err := passes.ApplyLevel(m, "O3", passes.Stats{}); err != nil {
+			if err := passes.NewManager().Run(m, passes.O3Sequence(), passes.Stats{}, false); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
 			continue
 		}
 		found = true
-		var o passes.Observer
+		mgr := passes.NewManager()
 		if *profile {
 			passProf = passes.NewProfile()
-			o = passProf
+			mgr.Obs = passProf
 		}
 		var err error
 		if seq == nil {
-			err = passes.ApplyLevelObserved(m, "O3", st, o)
+			err = mgr.Run(m, passes.O3Sequence(), st, false)
 		} else {
-			err = passes.ApplyObserved(m, seq, st, true, o)
+			err = mgr.Run(m, seq, st, true)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -63,12 +63,10 @@ func main() {
 	compile := func(seq []string) (*ir.Module, passes.Stats, error) {
 		m := pristine.Clone()
 		st := passes.Stats{}
-		var err error
 		if seq == nil {
-			err = passes.ApplyLevel(m, "O3", st)
-		} else {
-			err = passes.Apply(m, seq, st, false)
+			seq = passes.O3Sequence()
 		}
+		err := passes.NewManager().Run(m, seq, st, false)
 		return m, st, err
 	}
 	refImg, err := machine.Link(pristine.Clone())

@@ -112,7 +112,7 @@ func statsSum(st passes.Stats) int {
 }
 
 // build clones pristine, runs plist over it and verifies the final state once
-// — the verification policy of ApplyObserved(..., verifyEach=false). It
+// — the verification policy of Manager.Run(..., verifyEach=false). It
 // returns the working module (the caller's to keep) and, for the cache, a
 // compacted copy whose bodies are flagged shared. A build that panics, or
 // whose final state fails verification, returns only the error.

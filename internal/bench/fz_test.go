@@ -38,7 +38,7 @@ func TestFuzzBenchModules(t *testing.T) {
 						t.Fatalf("PANIC %v\nmod=%s seq=%v", r, m.Name, seq)
 					}
 				}()
-				if err := passes.Apply(c, seq, passes.Stats{}, true); err != nil {
+				if err := passes.NewManager().Run(c, seq, passes.Stats{}, true); err != nil {
 					t.Fatalf("mod=%s seq=%v: %v", m.Name, seq, err)
 				}
 				_ = ir.Verify

@@ -14,7 +14,7 @@ import (
 
 // freshO3HotModules is the pipeline HotModules ran on every call before it
 // read the baseline's profile, kept as its oracle: clone the pristine
-// dataset-0 modules, push each through passes.ApplyLevel("O3") uncached, link,
+// dataset-0 modules, push each through an uncached passes.O3Sequence() run, link,
 // run once, and rank the modules by the exclusive cycles of the functions the
 // pristine build gave them. The sums run in module and function order.
 func freshO3HotModules(t *testing.T, ev *Evaluator, coverage float64) ([]string, map[string]float64) {
@@ -29,7 +29,7 @@ func freshO3HotModules(t *testing.T, ev *Evaluator, coverage float64) ([]string,
 				funcs = append(funcs, f.Name)
 			}
 		}
-		if err := passes.ApplyLevel(m, "O3", passes.Stats{}); err != nil {
+		if err := passes.NewManager().Run(m, passes.O3Sequence(), passes.Stats{}, false); err != nil {
 			t.Fatal(err)
 		}
 	}

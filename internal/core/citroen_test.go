@@ -42,12 +42,10 @@ func newSyntheticTask(t *testing.T) *syntheticTask {
 func (s *syntheticTask) cost(seq []string) (float64, error) {
 	m := s.build()
 	m.TargetVecWidth64 = 2
-	var err error
 	if seq == nil {
-		err = passes.ApplyLevel(m, "O3", passes.Stats{})
-	} else {
-		err = passes.Apply(m, seq, passes.Stats{}, false)
+		seq = passes.O3Sequence()
 	}
+	err := passes.NewManager().Run(m, seq, passes.Stats{}, false)
 	if err != nil {
 		return 0, err
 	}
@@ -80,12 +78,10 @@ func (s *syntheticTask) CompileModule(_ context.Context, mod string, seq []strin
 	m := s.build()
 	m.TargetVecWidth64 = 2
 	st := passes.Stats{}
-	var err error
 	if seq == nil {
-		err = passes.ApplyLevel(m, "O3", st)
-	} else {
-		err = passes.Apply(m, seq, st, false)
+		seq = passes.O3Sequence()
 	}
+	err := passes.NewManager().Run(m, seq, st, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -340,7 +336,7 @@ func TestFeatureIndexAndSparseVec(t *testing.T) {
 func TestExtractVariantsNonEmpty(t *testing.T) {
 	m := buildDotModule()
 	st := passes.Stats{}
-	if err := passes.Apply(m, []string{"mem2reg", "slp-vectorizer"}, st, false); err != nil {
+	if err := passes.NewManager().Run(m, []string{"mem2reg", "slp-vectorizer"}, st, false); err != nil {
 		t.Fatal(err)
 	}
 	seq := []string{"mem2reg", "slp-vectorizer"}

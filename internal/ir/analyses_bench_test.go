@@ -19,7 +19,7 @@ var loopSink *ir.LoopInfo
 func BenchmarkAnalyses(b *testing.B) {
 	var f *ir.Function
 	for _, m := range bench.ByName("525.x264_r").Build(0, 2) {
-		if err := passes.ApplyLevel(m, "O3", passes.Stats{}); err != nil {
+		if err := passes.NewManager().Run(m, passes.O3Sequence(), passes.Stats{}, false); err != nil {
 			b.Fatal(err)
 		}
 		for _, g := range m.Funcs {

@@ -23,7 +23,7 @@ func benchModule(tb testing.TB, optimize bool) *ir.Module {
 		Seed: 42,
 	})
 	if optimize {
-		if err := passes.ApplyLevel(m, "O3", passes.Stats{}); err != nil {
+		if err := passes.NewManager().Run(m, passes.O3Sequence(), passes.Stats{}, false); err != nil {
 			tb.Fatal(err)
 		}
 	}

@@ -33,7 +33,7 @@ func TestGoldenFingerprints(t *testing.T) {
 				for _, m := range b.Build(ds, plat.Prof.VecWidth64) {
 					key := fmt.Sprintf("%s/%s/%s/ds%d", b.Name, m.Name, plat.Name, ds)
 					got[key+"/pristine"] = fmt.Sprintf("%016x", m.Fingerprint())
-					if err := passes.ApplyLevel(m, "O3", passes.Stats{}); err != nil {
+					if err := passes.NewManager().Run(m, passes.O3Sequence(), passes.Stats{}, false); err != nil {
 						t.Fatalf("%s: O3: %v", key, err)
 					}
 					got[key+"/O3"] = fmt.Sprintf("%016x", m.Fingerprint())

@@ -84,6 +84,21 @@ func TestVerifyCatchesPhiArityMismatch(t *testing.T) {
 	}
 }
 
+// An alloca must allocate at least one element of a non-void type.
+func TestVerifyCatchesShapelessAlloca(t *testing.T) {
+	for _, shape := range []struct {
+		ty Type
+		n  int
+	}{{VoidT, 1}, {I64T, 0}, {VoidT, 0}} {
+		m, f := buildCountdown()
+		a := f.Entry().Instrs[0]
+		a.AllocTy, a.NAlloc = shape.ty, shape.n
+		if err := Verify(m); err == nil || !strings.Contains(err.Error(), "alloca in entry allocates") {
+			t.Fatalf("alloca %d x %s: expected alloca error, got %v", shape.n, shape.ty, err)
+		}
+	}
+}
+
 func TestCFGAndDominators(t *testing.T) {
 	m, f := buildCountdown()
 	_ = m

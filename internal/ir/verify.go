@@ -51,6 +51,9 @@ func verifyFunction(m *Module, f *Function) error {
 			if in.Op == OpPhi && i > 0 && b.Instrs[i-1].Op != OpPhi {
 				return fmt.Errorf("phi not at start of block %s", b.Name)
 			}
+			if in.Op == OpAlloca && (in.AllocTy.Kind == Void || in.NAlloc < 1) {
+				return fmt.Errorf("alloca in %s allocates %d x %s", b.Name, in.NAlloc, in.AllocTy)
+			}
 			for _, tb := range in.Blocks {
 				if !f.hasBlock(tb) {
 					return fmt.Errorf("instr %s in %s references foreign block", in.Op, b.Name)

@@ -93,7 +93,7 @@ func TestKernelsSurviveO3(t *testing.T) {
 		ref := run(t, mods)
 		opt := []*ir.Module{mods[0].Clone(), mods[1].Clone()}
 		for _, m := range opt {
-			if err := passes.ApplyLevel(m, "O3", passes.Stats{}); err != nil {
+			if err := passes.NewManager().Run(m, passes.O3Sequence(), passes.Stats{}, false); err != nil {
 				t.Fatalf("kernel %v: O3: %v", kind, err)
 			}
 		}
@@ -126,7 +126,7 @@ func TestKernelsUnderRandomSequences(t *testing.T) {
 			}
 			opt := []*ir.Module{mods[0].Clone(), mods[1].Clone()}
 			for _, m := range opt {
-				if err := passes.Apply(m, seq, passes.Stats{}, true); err != nil {
+				if err := passes.NewManager().Run(m, seq, passes.Stats{}, true); err != nil {
 					t.Fatalf("kernel %v seq %v: %v", kind, seq, err)
 				}
 			}

@@ -116,7 +116,7 @@ func TestDifferentialBytecodeVsTree(t *testing.T) {
 		mods := make([]*ir.Module, len(s.mods))
 		for i, m := range s.mods {
 			c := m.Clone()
-			if err := passes.Apply(c, seq, passes.Stats{}, false); err != nil {
+			if err := passes.NewManager().Run(c, seq, passes.Stats{}, false); err != nil {
 				t.Fatalf("case %d (%s seq=%v): apply: %v", it, s.name, seq, err)
 			}
 			mods[i] = c

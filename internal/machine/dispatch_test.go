@@ -227,7 +227,7 @@ func programFor(t *testing.T, bi, pi int, plat bench.Platform) *fuzzProgram {
 	for _, pm := range p.pristine {
 		ir.CompactModule(pm)
 		m := pm.Clone()
-		if err := passes.ApplyLevel(m, "O3", passes.Stats{}); err != nil {
+		if err := passes.NewManager().Run(m, passes.O3Sequence(), passes.Stats{}, false); err != nil {
 			t.Fatalf("%s/%s: O3: %v", b.Name, pm.Name, err)
 		}
 		p.o3 = append(p.o3, compacted(m))

@@ -111,7 +111,7 @@ func testReusedLoweringRandom(t *testing.T) {
 			for i, pm := range pristine {
 				ir.CompactModule(pm)
 				m := pm.Clone()
-				if err := passes.ApplyLevel(m, "O3", passes.Stats{}); err != nil {
+				if err := passes.NewManager().Run(m, passes.O3Sequence(), passes.Stats{}, false); err != nil {
 					t.Fatalf("%s/%s: O3: %v", b.Name, pm.Name, err)
 				}
 				o3[i] = compacted(m)
@@ -152,7 +152,7 @@ func compile(m *ir.Module, seq []string) (out *ir.Module, ok bool) {
 		}
 	}()
 	c := m.Clone()
-	if err := passes.Apply(c, seq, passes.Stats{}, false); err != nil || ir.Verify(c) != nil {
+	if err := passes.NewManager().Run(c, seq, passes.Stats{}, false); err != nil || ir.Verify(c) != nil {
 		return nil, false
 	}
 	return compacted(c), true
@@ -329,7 +329,7 @@ func TestConcurrentLoweringOfSharedBodies(t *testing.T) {
 		variants = append(variants, mods)
 		for i, m := range mods {
 			o3 := m.Clone()
-			if err := passes.ApplyLevel(o3, "O3", passes.Stats{}); err != nil {
+			if err := passes.NewManager().Run(o3, passes.O3Sequence(), passes.Stats{}, false); err != nil {
 				t.Fatal(err)
 			}
 			v := append([]*ir.Module(nil), mods...)

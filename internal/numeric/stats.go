@@ -159,10 +159,16 @@ func YeoJohnsonInverse(y, lambda float64) float64 {
 }
 
 // FitYeoJohnson picks lambda in [-2, 2] by golden-section maximisation of the
-// normal log-likelihood of the transformed values.
+// normal log-likelihood of the transformed values. The log-Jacobian terms
+// log1p|x|, which lambda does not change, are computed once per call, and
+// every evaluation transforms into one buffer.
 func FitYeoJohnson(v []float64) float64 {
+	buf := make([]float64, 2*len(v))
+	t, logs := buf[:len(v)], buf[len(v):]
+	for i, x := range v {
+		logs[i] = math.Copysign(math.Log1p(math.Abs(x)), 1)
+	}
 	ll := func(lambda float64) float64 {
-		t := make([]float64, len(v))
 		for i, x := range v {
 			t[i] = YeoJohnson(x, lambda)
 		}
@@ -171,8 +177,8 @@ func FitYeoJohnson(v []float64) float64 {
 			return math.Inf(-1)
 		}
 		l := -float64(len(v)) * math.Log(sd)
-		for _, x := range v {
-			l += (lambda - 1) * math.Copysign(math.Log1p(math.Abs(x)), 1)
+		for _, c := range logs {
+			l += (lambda - 1) * c
 		}
 		return l
 	}

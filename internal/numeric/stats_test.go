@@ -134,6 +134,77 @@ func TestFitYeoJohnsonReducesSkew(t *testing.T) {
 	}
 }
 
+// fitYeoJohnsonFrozen is FitYeoJohnson as it was when every likelihood
+// evaluation recomputed log1p|x| and allocated its transform.
+func fitYeoJohnsonFrozen(v []float64) float64 {
+	ll := func(lambda float64) float64 {
+		t := make([]float64, len(v))
+		for i, x := range v {
+			t[i] = YeoJohnson(x, lambda)
+		}
+		sd := StdDev(t)
+		if sd < 1e-12 {
+			return math.Inf(-1)
+		}
+		l := -float64(len(v)) * math.Log(sd)
+		for _, x := range v {
+			l += (lambda - 1) * math.Copysign(math.Log1p(math.Abs(x)), 1)
+		}
+		return l
+	}
+	lo, hi := -2.0, 2.0
+	phi := (math.Sqrt(5) - 1) / 2
+	a, b := hi-phi*(hi-lo), lo+phi*(hi-lo)
+	fa, fb := ll(a), ll(b)
+	for i := 0; i < 40; i++ {
+		if fa > fb {
+			hi, b, fb = b, a, fa
+			a = hi - phi*(hi-lo)
+			fa = ll(a)
+		} else {
+			lo, a, fa = a, b, fb
+			b = lo + phi*(hi-lo)
+			fb = ll(b)
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// FitYeoJohnson picks bit for bit the lambda its frozen copy picks, on
+// random vectors of every length up to 300 mixing negatives, zeros, repeats,
+// tiny and huge magnitudes, and on the degenerate ones (empty, one value,
+// all equal).
+func TestFitYeoJohnsonMatchesFrozen(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	cases := [][]float64{nil, {0}, {-3}, {2, 2, 2, 2}, {0, 0, 0}}
+	for n := 1; n <= 300; n++ {
+		v := make([]float64, n)
+		for i := range v {
+			switch rng.Intn(6) {
+			case 0:
+				v[i] = 0
+			case 1:
+				if i > 0 {
+					v[i] = v[rng.Intn(i)]
+				}
+			case 2:
+				v[i] = -math.Exp(rng.NormFloat64() * 3)
+			case 3:
+				v[i] = rng.NormFloat64() * 1e-9
+			default:
+				v[i] = math.Exp(rng.NormFloat64()*4) - 1
+			}
+		}
+		cases = append(cases, v)
+	}
+	for _, v := range cases {
+		got, want := FitYeoJohnson(v), fitYeoJohnsonFrozen(v)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("FitYeoJohnson(%v) = %v (%#x), frozen %v (%#x)", v, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestShuffleIsPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	v := []int{1, 2, 3, 4, 5}

@@ -295,7 +295,7 @@ func loopyFunctions(t *testing.T) []*ir.Function {
 	var out []*ir.Function
 	for _, b := range benchPrograms() {
 		for _, m := range b.Build(0, 2) {
-			if err := passes.Apply(m, []string{"loop-rotate", "simple-loop-unswitch"}, passes.Stats{}, false); err != nil {
+			if err := passes.NewManager().Run(m, []string{"loop-rotate", "simple-loop-unswitch"}, passes.Stats{}, false); err != nil {
 				t.Fatal(err)
 			}
 			for _, f := range m.Funcs {

@@ -7,7 +7,7 @@ import (
 
 // TestManagerStepEquivalence checks that driving passes one at a time through
 // Manager.RunOne with a single final verification — the compile cache's
-// build path — matches a plain Apply of the same sequence.
+// build path — matches a plain Manager.Run of the same sequence.
 func TestManagerStepEquivalence(t *testing.T) {
 	names := Names()
 	rng := rand.New(rand.NewSource(7))
@@ -21,7 +21,7 @@ func TestManagerStepEquivalence(t *testing.T) {
 
 			whole := build()
 			wholeSt := Stats{}
-			if err := Apply(whole, seq, wholeSt, false); err != nil {
+			if err := NewManager().Run(whole, seq, wholeSt, false); err != nil {
 				continue // a sequence that fails verification has no result to compare
 			}
 
@@ -72,7 +72,7 @@ func TestCOWSnapshotResumeDifferential(t *testing.T) {
 			// Fresh path: the whole sequence in one managed build.
 			fresh := build()
 			freshSt := Stats{}
-			freshErr := Apply(fresh, seq, freshSt, false)
+			freshErr := NewManager().Run(fresh, seq, freshSt, false)
 
 			// Snapshot path: run the prefix, snapshot via COW clone, then
 			// continue the original to the end while a second clone resumes

@@ -60,3 +60,16 @@ func RunRecovered(mgr *Manager, m *ir.Module, seq []string) (r any) {
 	}
 	return nil
 }
+
+// RunFrozenClone runs the named pass as a manager's RunOne does, but as it
+// ran before the loop transforms shared one cloner: the frozen version
+// (cloneoracle_test.go) where that changed the pass, the registered one
+// elsewhere.
+func RunFrozenClone(m *ir.Module, name string, st Stats) {
+	ir.MaterializeModule(m)
+	if run := frozenClonePasses[name]; run != nil {
+		run(m, st)
+		return
+	}
+	byName[name].Run(m, st)
+}

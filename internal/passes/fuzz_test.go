@@ -39,7 +39,7 @@ func TestRandomSequencesPreserveSemantics(t *testing.T) {
 			}
 			m := build()
 			st := Stats{}
-			if err := Apply(m, seq, st, true); err != nil {
+			if err := NewManager().Run(m, seq, st, true); err != nil {
 				t.Fatalf("%s it=%d: %v\nseq=%v", name, it, err, seq)
 			}
 			img, err := machine.Link(m)
@@ -69,7 +69,7 @@ func TestRandomSequencesAfterO3(t *testing.T) {
 	for name, build := range allTestModules() {
 		base := build()
 		base.TargetVecWidth64 = 4
-		if err := Apply(base, O3Sequence(), Stats{}, false); err != nil {
+		if err := NewManager().Run(base, O3Sequence(), Stats{}, false); err != nil {
 			t.Fatalf("%s: O3: %v", name, err)
 		}
 		refImg, _ := machine.Link(base)
@@ -84,7 +84,7 @@ func TestRandomSequencesAfterO3(t *testing.T) {
 			for i := range seq {
 				seq[i] = names[rng.Intn(len(names))]
 			}
-			if err := Apply(m, seq, Stats{}, true); err != nil {
+			if err := NewManager().Run(m, seq, Stats{}, true); err != nil {
 				t.Fatalf("%s it=%d: %v\nseq=%v", name, it, err, seq)
 			}
 			img, _ := machine.Link(m)

@@ -25,7 +25,7 @@ func TestPassesNeverWriteGlobalInitialisers(t *testing.T) {
 	for _, b := range benchPrograms() {
 		for _, pristine := range b.Build(0, 2) {
 			o3 := pristine.Clone()
-			if err := passes.ApplyLevel(o3, "O3", passes.Stats{}); err != nil {
+			if err := passes.NewManager().Run(o3, passes.O3Sequence(), passes.Stats{}, false); err != nil {
 				t.Fatal(err)
 			}
 			for _, base := range []*ir.Module{pristine, o3} {

@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"slices"
+
 	"repro/internal/ir"
 )
 
@@ -258,16 +260,6 @@ func insertLCSSAPhis(f *ir.Function) int {
 	return n
 }
 
-// loopSub is a value substitution map used when cloning header logic.
-type loopSub map[ir.Value]ir.Value
-
-func (s loopSub) get(v ir.Value) ir.Value {
-	if nv, ok := s[v]; ok {
-		return nv
-	}
-	return v
-}
-
 // rotateLoops converts top-test loops into guarded bottom-test loops (see
 // package documentation for the exact shape requirements).
 func rotateLoops(m *ir.Module, f *ir.Function) int {
@@ -440,30 +432,34 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUs
 		}
 	}
 
-	cloneInto := func(dst *ir.Block, sub loopSub, all bool) ir.Value {
+	// The guard copies every header instruction and the latch the
+	// condition chain alone, each round substituting for the phis their
+	// values on entry to the loop (guard) or to the next iteration (latch).
+	fu.drop() // the rewrite below goes behind the index's back
+	sub := newValueSub(f)
+	defer sub.release()
+	cloneInto := func(dst *ir.Block, entering map[*ir.Instr]ir.Value, all bool) ir.Value {
+		sub.next()
+		for _, p := range phis {
+			sub.set(p, entering[p])
+		}
+		copied := func(in *ir.Instr) bool { return all || !moved[in] } // a moved one resolves to itself
+		slab := slabFor(1, hwork, copied)
 		insertAt := len(dst.Instrs) - 1 // before terminator
 		for _, in := range hwork {
-			if !all && moved[in] {
-				continue // resolves to the moved body instruction
+			if !copied(in) {
+				continue
 			}
-			c := &ir.Instr{Op: in.Op, Ty: in.Ty, Pred: in.Pred, Callee: in.Callee, Flags: in.Flags}
-			for _, op := range in.Ops {
-				c.Ops = append(c.Ops, sub.get(op))
-			}
+			c := cloneInstr(in, &sub, blockMap{}, &slab)
 			dst.InsertBefore(insertAt, c)
 			insertAt++
-			sub[in] = c
+			sub.set(in, c)
 		}
 		return sub.get(ht.Ops[0])
 	}
 
 	// Guard in the preheader: clone everything with init substitutions.
-	fu.drop() // the rewrite below goes behind the index's back
-	subInit := loopSub{}
-	for _, p := range phis {
-		subInit[p] = initOf[p]
-	}
-	condInit := cloneInto(P, subInit, true)
+	condInit := cloneInto(P, initOf, true)
 	pt := P.Term()
 	pt.Op = ir.OpBr
 	pt.Ops = []ir.Value{condInit}
@@ -487,11 +483,7 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUs
 
 	// Bottom test in the latch: clone only the condition chain; references
 	// to phis become their next values (often the moved body instructions).
-	subNext := loopSub{}
-	for _, p := range phis {
-		subNext[p] = nextOf[p]
-	}
-	condNext := cloneInto(L, subNext, false)
+	condNext := cloneInto(L, nextOf, false)
 	lt.Op = ir.OpBr
 	lt.Ops = []ir.Value{condNext}
 	if bodyIdx == 0 {
@@ -1014,12 +1006,14 @@ func unswitchLoops(m *ir.Module, f *ir.Function) int {
 			// takes the false path, and the preheader branches on the
 			// invariant condition.
 			cond := sw.Ops[0]
-			_, cloneOf, blockOf := cloneBlockSet(f, l.Blocks())
+			sub := newValueSub(f)
+			clones := cloneLoop(f, l.Blocks(), &sub)
+			csw := sub.get(sw).(*ir.Instr)
+			sub.release()
 			trueTarget := sw.Blocks[0]
 			sw.Op = ir.OpJmp
 			sw.Ops = nil
 			sw.Blocks = []*ir.Block{trueTarget}
-			csw := cloneOf[sw]
 			falseTarget := csw.Blocks[1]
 			csw.Op = ir.OpJmp
 			csw.Ops = nil
@@ -1027,7 +1021,7 @@ func unswitchLoops(m *ir.Module, f *ir.Function) int {
 			pt := l.Preheader.Term()
 			pt.Op = ir.OpBr
 			pt.Ops = []ir.Value{cond}
-			pt.Blocks = []*ir.Block{l.Header, blockOf[l.Header]}
+			pt.Blocks = []*ir.Block{l.Header, clones[slices.Index(l.Blocks(), l.Header)]}
 			fu.drop()
 			n++
 			changed = true
@@ -1037,54 +1031,34 @@ func unswitchLoops(m *ir.Module, f *ir.Function) int {
 	return n
 }
 
-// cloneBlockSet duplicates a set of blocks of f (orig, in block order) inside
-// f, remapping intra-set operands and branch targets; values defined outside
-// the set are shared.
-func cloneBlockSet(f *ir.Function, orig []*ir.Block) ([]*ir.Block, map[*ir.Instr]*ir.Instr, map[*ir.Block]*ir.Block) {
-	bmap := make(map[*ir.Block]*ir.Block)
-	imap := make(map[*ir.Instr]*ir.Instr)
-	var clones []*ir.Block
-	for _, b := range orig {
-		nb := &ir.Block{Name: b.Name + "_us"}
-		ir.AttachBlock(nb, f)
-		bmap[b] = nb
-		clones = append(clones, nb)
+// cloneLoop copies the blocks of a loop of f (orig, in block order) to the
+// end of f, returning the copies in the same order: operands defined in the
+// loop and branch targets in it go to their copies, every other value and
+// block is shared. sub, one round over f, maps each instruction to its copy.
+func cloneLoop(f *ir.Function, orig []*ir.Block, sub *valueSub) []*ir.Block {
+	clones := make([]*ir.Block, len(orig))
+	for i, b := range orig {
+		clones[i] = &ir.Block{Name: b.Name + "_us"}
+		ir.AttachBlock(clones[i], f)
 	}
-	for _, b := range orig {
-		nb := bmap[b]
+	bm := blockMap{from: orig, to: clones}
+	for i, b := range orig {
+		slab := slabFor(1, b.Instrs, nil)
 		for _, in := range b.Instrs {
-			c := &ir.Instr{Op: in.Op, Ty: in.Ty, Pred: in.Pred, Callee: in.Callee,
-				AllocTy: in.AllocTy, NAlloc: in.NAlloc, Flags: in.Flags}
-			if in.Cases != nil {
-				c.Cases = append([]int64(nil), in.Cases...)
-			}
-			imap[in] = c
-			nb.Append(c)
+			c := cloneInstr(in, sub, bm, &slab)
+			clones[i].Append(c)
+			sub.set(in, c)
 		}
 	}
-	for _, b := range orig {
-		for _, in := range b.Instrs {
-			c := imap[in]
-			for _, op := range in.Ops {
-				if oi, ok := op.(*ir.Instr); ok {
-					if coi, inSet := imap[oi]; inSet {
-						c.Ops = append(c.Ops, coi)
-						continue
-					}
-				}
-				c.Ops = append(c.Ops, op)
-			}
-			for _, tb := range in.Blocks {
-				if ntb, inSet := bmap[tb]; inSet {
-					c.Blocks = append(c.Blocks, ntb)
-				} else {
-					c.Blocks = append(c.Blocks, tb)
-				}
-			}
+	// An operand may come later in block order (a phi's latch value): now
+	// that every copy exists, substitute again.
+	for i, b := range orig {
+		for k, in := range b.Instrs {
+			sub.apply(clones[i].Instrs[k].Ops, in.Ops)
 		}
 	}
 	f.Blocks = append(f.Blocks, clones...)
-	return clones, imap, bmap
+	return clones
 }
 
 // strengthReduceIVs replaces mul(iv, c) inside single-block loops with an
@@ -1352,7 +1326,9 @@ func fuseWithNext(m *ir.Module, f *ir.Function, cfg *ir.CFG, li *ir.LoopInfo, l1
 	// Move b2's phis into b1 (incoming: const init from b1's out-of-loop
 	// pred(s); latch value from b1).
 	fu.drop() // the rewrite below goes behind the index's back
-	sub := loopSub{iv2.Phi: iv1.Phi}
+	sub := newValueSub(f)
+	defer sub.release()
+	sub.set(iv2.Phi, iv1.Phi)
 	var outsidePreds1 []*ir.Block
 	for _, p := range cfg.Preds(b1) {
 		if !l1.Contains(p) {
@@ -1378,26 +1354,24 @@ func fuseWithNext(m *ir.Module, f *ir.Function, cfg *ir.CFG, li *ir.LoopInfo, l1
 		}
 		ir.AddIncoming(np, latchV, b1) // latchV remapped after instr move
 		b1.InsertBefore(0, np)
-		sub[phi] = np
+		sub.set(phi, np)
 	}
-	// Move b2's non-phi, non-control instructions into b1 before its
+	// Copy b2's non-phi, non-control instructions into b1 before its
 	// terminator region (before iv1.Next's cmp/br: insert before terminator).
+	// Copies, not moves: a moved instruction would keep its ID from b2.
+	copied := func(in *ir.Instr) bool {
+		return in.Op != ir.OpPhi && in.Op != ir.OpBr && in.Op != ir.OpJmp && in != iv2.Next && in != iv2.Cmp
+	}
+	slab := slabFor(1, b2.Instrs, copied)
 	insertAt := len(b1.Instrs) - 1
 	for _, in := range b2.Instrs {
-		switch in.Op {
-		case ir.OpPhi, ir.OpBr, ir.OpJmp:
+		if !copied(in) {
 			continue
 		}
-		if in == iv2.Next || in == iv2.Cmp {
-			continue
-		}
-		c := &ir.Instr{Op: in.Op, Ty: in.Ty, Pred: in.Pred, Callee: in.Callee, Flags: in.Flags}
-		for _, op := range in.Ops {
-			c.Ops = append(c.Ops, sub.get(op))
-		}
+		c := cloneInstr(in, &sub, blockMap{}, &slab)
 		b1.InsertBefore(insertAt, c)
 		insertAt++
-		sub[in] = c
+		sub.set(in, c)
 	}
 	// Fix moved-phi latch incomings through the substitution.
 	for _, phi := range b1.Phis() {

@@ -7,7 +7,7 @@ import (
 	"repro/internal/ir"
 )
 
-// Manager runs pass sequences. It holds no state beyond the observer. A pass
+// Manager runs pass sequences. It holds no state beyond the profile. A pass
 // asks for the CFG, dominators and loops of a function through ir.CFGOf /
 // DomOf / LoopsOf, which reuse the function's analysis slot only while it is
 // current — an answer a fresh build would give — so the result of a sequence
@@ -15,12 +15,12 @@ import (
 // of the sequence. Two goroutines must never run managers over the same
 // module concurrently (the same rule as running passes concurrently).
 type Manager struct {
-	// Obs, when non-nil, receives one PassRan record per executed pass with
-	// its wall time and exact stats delta (see ApplyObserved).
-	Obs Observer
+	// Obs, when non-nil, records every executed pass with its wall time and
+	// exact stats delta (see Profile). Verification is not timed.
+	Obs *Profile
 }
 
-// NewManager returns a Manager with no observer.
+// NewManager returns a Manager with no profile.
 func NewManager() *Manager { return &Manager{} }
 
 // RunOne executes a single pass (no verification). It is the step primitive

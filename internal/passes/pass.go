@@ -92,25 +92,6 @@ func Names() []string {
 	return out
 }
 
-// Apply runs the named passes in order on m, accumulating statistics.
-// When verifyEach is set, the IR is verified after every pass and the first
-// violation is reported as an error naming the offending pass (a pass bug).
-func Apply(m *ir.Module, sequence []string, st Stats, verifyEach bool) error {
-	return ApplyObserved(m, sequence, st, verifyEach, nil)
-}
-
-// ApplyObserved is Apply with per-pass profiling: when obs is non-nil, each
-// pass runs against a fresh Stats whose contents — the exact counters this
-// invocation changed — are reported to obs along with the pass's wall time,
-// then merged into st. The merged totals are identical to an unobserved run
-// (Stats.Add is additive), so profiling never changes what the cost model
-// sees. IR verification time is excluded from the reported wall time.
-func ApplyObserved(m *ir.Module, sequence []string, st Stats, verifyEach bool, obs Observer) error {
-	mgr := NewManager()
-	mgr.Obs = obs
-	return mgr.Run(m, sequence, st, verifyEach)
-}
-
 // forEachDefined invokes fn for every function with a body.
 func forEachDefined(m *ir.Module, fn func(f *ir.Function)) {
 	for _, f := range m.Funcs {

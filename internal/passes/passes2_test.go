@@ -77,6 +77,59 @@ func TestLoopFusionFires(t *testing.T) {
 	}
 }
 
+// TestLoopFusionKeepsAllocaShape: fusion copies the second loop's body into
+// the first, and a copied alloca keeps its element type and count. The
+// second loop holds an `alloca i64, 2`, which mem2reg leaves alone.
+func TestLoopFusionKeepsAllocaShape(t *testing.T) {
+	build := func() *ir.Module {
+		m := &ir.Module{Name: "fusealloca", TargetVecWidth64: 2}
+		bd := ir.NewBuilder(m)
+		a, b := bd.AddGlobal("a", ir.I64T, 16), bd.AddGlobal("b", ir.I64T, 16)
+		a.InitI, b.InitI = make([]int64, 16), make([]int64, 16)
+		bd.NewFunction("main", ir.VoidT)
+		iv := bd.Alloca(ir.I64T, 1)
+		mk := func(tag string, body func(i ir.Value)) {
+			bd.Store(ir.ConstInt(ir.I64T, 0), iv)
+			h, bb, e := bd.NewBlock(tag+"_h"), bd.NewBlock(tag+"_b"), bd.NewBlock(tag+"_e")
+			bd.Jmp(h)
+			bd.SetBlock(h)
+			bd.Br(bd.ICmp(ir.CmpSLT, bd.Load(ir.I64T, iv), ir.ConstInt(ir.I64T, 16)), bb, e)
+			bd.SetBlock(bb)
+			i := bd.Load(ir.I64T, iv)
+			body(i)
+			n := bd.Bin(ir.OpAdd, i, ir.ConstInt(ir.I64T, 1))
+			n.Flags |= ir.FlagNoWrap
+			bd.Store(n, iv)
+			bd.Jmp(h)
+			bd.SetBlock(e)
+		}
+		mk("l1", func(i ir.Value) { bd.Store(i, bd.GEP(a, i)) })
+		mk("l2", func(i ir.Value) {
+			pair := bd.Alloca(ir.I64T, 2)
+			bd.Store(i, bd.GEP(pair, ir.ConstInt(ir.I64T, 1)))
+			bd.Store(bd.Load(ir.I64T, bd.GEP(pair, ir.ConstInt(ir.I64T, 1))), bd.GEP(b, i))
+		})
+		bd.Ret(nil)
+		return m
+	}
+	m := build()
+	st := applySeq(t, m, "mem2reg", "loop-rotate", "loop-fusion")
+	if st["loop-fusion.NumFused"] != 1 {
+		t.Fatalf("fusion did not fire once: %v\n%s", st, m)
+	}
+	var allocas []*ir.Instr
+	for _, b := range m.Funcs[0].Blocks {
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpAlloca && in.NAlloc != 1 {
+				allocas = append(allocas, in)
+			}
+		}
+	}
+	if len(allocas) != 1 || allocas[0].AllocTy != ir.I64T || allocas[0].NAlloc != 2 {
+		t.Fatalf("want one alloca i64, 2 after fusion, got %v:\n%s", allocas, m)
+	}
+}
+
 func TestLSRFires(t *testing.T) {
 	// lsr rewrites mul(iv, c) in single-block loops; build one with c=3.
 	m := &ir.Module{Name: "lsr", TargetVecWidth64: 2}
@@ -109,7 +162,7 @@ func TestLSRFires(t *testing.T) {
 
 	ref := runModule(t, m)
 	st := Stats{}
-	if err := Apply(m, []string{"mem2reg", "loop-rotate", "lsr", "dce"}, st, true); err != nil {
+	if err := NewManager().Run(m, []string{"mem2reg", "loop-rotate", "lsr", "dce"}, st, true); err != nil {
 		t.Fatal(err)
 	}
 	if st["lsr.NumStrengthReduced"] == 0 {
@@ -171,7 +224,7 @@ func TestUnswitchFires(t *testing.T) {
 
 	ref := runModule(t, m)
 	st := Stats{}
-	if err := Apply(m, []string{"simple-loop-unswitch"}, st, true); err != nil {
+	if err := NewManager().Run(m, []string{"simple-loop-unswitch"}, st, true); err != nil {
 		t.Fatal(err)
 	}
 	if st["simple-loop-unswitch.NumUnswitched"] == 0 {
@@ -208,7 +261,7 @@ func TestMergeICmpChains(t *testing.T) {
 
 	ref := runModule(t, m)
 	st := Stats{}
-	if err := Apply(m, []string{"mergeicmps", "dce"}, st, true); err != nil {
+	if err := NewManager().Run(m, []string{"mergeicmps", "dce"}, st, true); err != nil {
 		t.Fatal(err)
 	}
 	if st["mergeicmps.NumMerged"] == 0 {
@@ -240,7 +293,7 @@ func TestArgPromotionAndDeadArgElim(t *testing.T) {
 
 	ref := runModule(t, m)
 	st := Stats{}
-	if err := Apply(m, []string{"deadargelim", "argpromotion"}, st, true); err != nil {
+	if err := NewManager().Run(m, []string{"deadargelim", "argpromotion"}, st, true); err != nil {
 		t.Fatal(err)
 	}
 	if st["deadargelim.NumArgumentsEliminated"] == 0 {
@@ -271,7 +324,7 @@ func TestMergeFunc(t *testing.T) {
 
 	ref := runModule(t, m)
 	st := Stats{}
-	if err := Apply(m, []string{"mergefunc", "globaldce"}, st, true); err != nil {
+	if err := NewManager().Run(m, []string{"mergefunc", "globaldce"}, st, true); err != nil {
 		t.Fatal(err)
 	}
 	if st["mergefunc.NumMerged"] != 1 {
@@ -327,7 +380,7 @@ func TestMergeFuncKeepsFunctionsDifferingOutsideOldKey(t *testing.T) {
 
 			ref := runModule(t, m)
 			st := Stats{}
-			if err := Apply(m, []string{"mergefunc", "globaldce"}, st, true); err != nil {
+			if err := NewManager().Run(m, []string{"mergefunc", "globaldce"}, st, true); err != nil {
 				t.Fatal(err)
 			}
 			if st["mergefunc.NumMerged"] != 0 || len(m.Funcs) != 3 {
@@ -355,7 +408,7 @@ func TestGlobalOptConstMerge(t *testing.T) {
 
 	ref := runModule(t, m)
 	st := Stats{}
-	if err := Apply(m, []string{"globalopt", "constmerge", "dce"}, st, true); err != nil {
+	if err := NewManager().Run(m, []string{"globalopt", "constmerge", "dce"}, st, true); err != nil {
 		t.Fatal(err)
 	}
 	if st["globalopt.NumMarkedConst"] < 2 || st["globalopt.NumLoadsFolded"] < 2 {
@@ -391,7 +444,7 @@ func TestFloat2IntAndSLSR(t *testing.T) {
 
 	ref := runModule(t, m)
 	st := Stats{}
-	if err := Apply(m, []string{"float2int", "slsr", "dce"}, st, true); err != nil {
+	if err := NewManager().Run(m, []string{"float2int", "slsr", "dce"}, st, true); err != nil {
 		t.Fatal(err)
 	}
 	if st["float2int.NumConverted"] == 0 {
@@ -435,7 +488,7 @@ func TestGVNHoistSinkAndFlatten(t *testing.T) {
 
 	ref := runModule(t, m)
 	st2 := Stats{}
-	if err := Apply(m, []string{"flattencfg"}, st2, true); err != nil {
+	if err := NewManager().Run(m, []string{"flattencfg"}, st2, true); err != nil {
 		t.Fatal(err)
 	}
 	if st2["flattencfg.NumFlattened"] == 0 {
@@ -508,9 +561,18 @@ func TestCallsiteSplitting(t *testing.T) {
 	bd.SetBlock(end)
 	bd.Ret(nil)
 
+	// The split copies the call as the pass did before it went through
+	// cloneInstr (cloneoracle_test.go).
+	got, want := m.Clone(), m.Clone()
+	ir.MaterializeModule(got)
+	ir.MaterializeModule(want)
+	if n, nf := splitCallSites(got, got.Funcs[0]), splitCallSitesFrozen(want, want.Funcs[0]); n != 1 || nf != 1 || got.String() != want.String() {
+		t.Fatalf("split %d, frozen %d:\n%s\nfrozen:\n%s", n, nf, got, want)
+	}
+
 	ref := runModule(t, m)
 	st := Stats{}
-	if err := Apply(m, []string{"callsite-splitting", "sccp", "simplifycfg"}, st, true); err != nil {
+	if err := NewManager().Run(m, []string{"callsite-splitting", "sccp", "simplifycfg"}, st, true); err != nil {
 		t.Fatal(err)
 	}
 	if st["callsite-splitting.NumSplit"] == 0 {
@@ -535,7 +597,7 @@ func TestDSEFires(t *testing.T) {
 
 	ref := runModule(t, m)
 	st := Stats{}
-	if err := Apply(m, []string{"dse"}, st, true); err != nil {
+	if err := NewManager().Run(m, []string{"dse"}, st, true); err != nil {
 		t.Fatal(err)
 	}
 	if st["dse.NumFastStores"] == 0 {
@@ -573,7 +635,7 @@ func TestSinkAndSpeculate(t *testing.T) {
 
 	ref := runModule(t, m)
 	st2 := Stats{}
-	if err := Apply(m, []string{"sink"}, st2, true); err != nil {
+	if err := NewManager().Run(m, []string{"sink"}, st2, true); err != nil {
 		t.Fatal(err)
 	}
 	if st2["sink.NumSunk"] == 0 {
@@ -608,7 +670,7 @@ func TestVectorCombineFoldsExtractOfInsert(t *testing.T) {
 
 	ref := runModule(t, m)
 	st := Stats{}
-	if err := Apply(m, []string{"vector-combine", "dce"}, st, true); err != nil {
+	if err := NewManager().Run(m, []string{"vector-combine", "dce"}, st, true); err != nil {
 		t.Fatal(err)
 	}
 	if st["vector-combine.NumCombined"] == 0 {
@@ -638,7 +700,7 @@ func TestIPSCCPPropagatesConstArgs(t *testing.T) {
 
 	ref := runModule(t, m)
 	st := Stats{}
-	if err := Apply(m, []string{"ipsccp"}, st, true); err != nil {
+	if err := NewManager().Run(m, []string{"ipsccp"}, st, true); err != nil {
 		t.Fatal(err)
 	}
 	if st["ipsccp.NumArgsReplaced"] == 0 {

@@ -55,6 +55,23 @@ func sameShape(m1 *ir.Module, s1 passes.Stats, err1 error, m2 *ir.Module, s2 pas
 	return ""
 }
 
+// oracleJob is one benchmark built for one platform's vector width.
+type oracleJob struct {
+	b  *bench.Benchmark
+	vw int
+}
+
+// oracleJobs lists every CBench / SPEC benchmark for the ARM and x86 widths.
+func oracleJobs() []oracleJob {
+	var jobs []oracleJob
+	for _, b := range append(bench.CBench(), bench.SPEC()...) {
+		for _, plat := range []bench.Platform{bench.ARM(), bench.X86()} {
+			jobs = append(jobs, oracleJob{b, plat.Prof.VecWidth64})
+		}
+	}
+	return jobs
+}
+
 // TestPerEditOracle is the differential test of the block edit log: on every
 // CBench / SPEC module, for the ARM and x86 vector widths, random 8–120-pass
 // sequences and tail mutations of them build to exactly what the passes built
@@ -69,16 +86,7 @@ func TestPerEditOracle(t *testing.T) {
 	if testing.Short() {
 		perModule = 16
 	}
-	type job struct {
-		b  *bench.Benchmark
-		vw int
-	}
-	var jobs []job
-	for _, b := range append(bench.CBench(), bench.SPEC()...) {
-		for _, plat := range []bench.Platform{bench.ARM(), bench.X86()} {
-			jobs = append(jobs, job{b, plat.Prof.VecWidth64})
-		}
-	}
+	jobs := oracleJobs()
 	vocab := passes.Names()
 	mgr := passes.NewManager()
 	logged := func(m *ir.Module, name string, st passes.Stats) { mgr.RunOne(m, passes.Lookup(name), st) }
@@ -138,6 +146,72 @@ func TestPerEditOracle(t *testing.T) {
 		all.Merge(fired[j])
 	}
 	t.Logf("%d builds equal to the per-edit passes (%d failed identically), %d reused analyses equal to fresh builds; stats summed over the good ones: %s", total[0], total[1], reused, all.JSON())
+}
+
+// TestCloneOracle holds the passes that copy IR to their versions from before
+// they shared one cloner (passes.RunFrozenClone): on every CBench / SPEC
+// module, for the ARM and x86 vector widths, random sequences in which every
+// other pass copies IR and most others shape loops for it build to the same
+// error text, printed module, Stats, and every block's length and capacity.
+// Each of the copying loop passes must fire.
+func TestCloneOracle(t *testing.T) {
+	perModule := 100
+	if testing.Short() {
+		perModule = 10
+	}
+	copying := []string{"loop-rotate", "loop-unroll", "loop-unroll-full", "simple-loop-unswitch", "simple-loop-unswitch", "loop-fusion", "callsite-splitting"}
+	shaping := []string{"mem2reg", "sroa", "loop-simplify", "lcssa", "licm", "indvars", "instcombine", "simplifycfg", "early-cse", "gvn", "dce"}
+	jobs := oracleJobs()
+	vocab := passes.Names()
+	mgr := passes.NewManager()
+	logged := func(m *ir.Module, name string, st passes.Stats) { mgr.RunOne(m, passes.Lookup(name), st) }
+	fails := make([]string, len(jobs))
+	fired := make([]passes.Stats, len(jobs))
+	numeric.ParallelFor(numeric.Workers(0), len(jobs), func(j int) {
+		rng := rand.New(rand.NewSource(int64(20261019 + j)))
+		fired[j] = passes.Stats{}
+		for _, pristine := range jobs[j].b.Build(0, jobs[j].vw) {
+			for i := 0; i < perModule; i++ {
+				seq := make([]string, 8+rng.Intn(57))
+				for k := range seq {
+					switch {
+					case k%2 == 1:
+						seq[k] = copying[rng.Intn(len(copying))]
+					case rng.Intn(4) > 0:
+						seq[k] = shaping[rng.Intn(len(shaping))]
+					default:
+						seq[k] = vocab[rng.Intn(len(vocab))]
+					}
+				}
+				m1, s1, err1 := buildSeq(pristine, seq, logged)
+				m2, s2, err2 := buildSeq(pristine, seq, passes.RunFrozenClone)
+				if diff := sameShape(m1, s1, err1, m2, s2, err2); diff != "" {
+					fails[j] = fmt.Sprintf("%s/%s (vec %d): %s\nseq=%v", jobs[j].b.Name, pristine.Name, jobs[j].vw, diff, seq)
+					return
+				}
+				if err1 == nil {
+					fired[j].Merge(s1)
+				}
+			}
+		}
+	})
+	all := passes.Stats{}
+	for j, f := range fails {
+		if f != "" {
+			t.Fatal(f)
+		}
+		all.Merge(fired[j])
+	}
+	for _, key := range []string{"loop-rotate.NumRotated", "loop-unroll.NumCompletelyUnrolled", "loop-unroll.NumUnrolled",
+		"loop-unroll-full.NumCompletelyUnrolled", "simple-loop-unswitch.NumUnswitched", "loop-fusion.NumFused"} {
+		if all[key] == 0 {
+			t.Errorf("%s never fired", key)
+		}
+		t.Logf("%s: %d", key, all[key])
+	}
+	// Its shape (phi, void call, jmp) is rare here: 2 splits at full size,
+	// usually none at -short. TestCallsiteSplitting builds one.
+	t.Logf("callsite-splitting.NumSplit: %d", all["callsite-splitting.NumSplit"])
 }
 
 // TestRemovedInstructionsAreUnlinked: every instruction adce and mem2reg take

@@ -966,7 +966,7 @@ func unrollLoopsPerEdit(f *ir.Function, fullTripMax int64, bodyMax, factor int) 
 				}
 			}
 			if factor > 1 && trip%int64(factor) == 0 && trip > int64(factor) && body*factor <= 160 {
-				if partiallyUnroll(cfg, l, iv, factor, &fu) {
+				if partiallyUnrollFrozen(cfg, l, iv, factor, &fu) {
 					partial++
 					changed = true
 					break

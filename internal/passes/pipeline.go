@@ -1,26 +1,5 @@
 package passes
 
-import "repro/internal/ir"
-
-// O1Sequence is a light cleanup pipeline.
-func O1Sequence() []string {
-	return []string{
-		"inferattrs", "mem2reg", "instcombine", "simplifycfg",
-		"early-cse", "dce", "simplifycfg",
-	}
-}
-
-// O2Sequence is a mid-level pipeline.
-func O2Sequence() []string {
-	return []string{
-		"inferattrs", "function-attrs", "inline", "sroa",
-		"early-cse", "simplifycfg", "instcombine",
-		"loop-simplify", "loop-rotate", "licm", "indvars",
-		"loop-idiom", "loop-deletion", "loop-unroll",
-		"gvn", "sccp", "instcombine", "dse", "adce", "simplifycfg",
-	}
-}
-
 // O3Sequence mirrors the structure of LLVM's -O3 pass pipeline: IPO and
 // canonicalisation, scalar simplification, a loop-optimisation nest,
 // redundancy elimination, vectorisation, then late cleanup. The pass
@@ -62,20 +41,6 @@ func O3Sequence() []string {
 	}
 }
 
-// OzSequence optimises for size: no unrolling, aggressive DCE and merging.
-func OzSequence() []string {
-	return []string{
-		"inferattrs", "ipsccp", "globalopt", "deadargelim",
-		"inline", "function-attrs", "sroa", "early-cse-memssa",
-		"simplifycfg", "instcombine", "tailcallelim", "reassociate",
-		"loop-simplify", "loop-rotate", "licm", "indvars",
-		"loop-idiom", "loop-deletion",
-		"gvn", "sccp", "bdce", "dse", "adce", "simplifycfg",
-		"instcombine", "mergefunc", "globaldce", "constmerge",
-		"strip-dead-prototypes",
-	}
-}
-
 // LLVM10Names is the reduced pass vocabulary used for the "older compiler"
 // comparison (Fig 5.10): passes absent from the legacy pass manager era are
 // excluded.
@@ -95,29 +60,6 @@ func LLVM10Names() []string {
 		}
 	}
 	return out
-}
-
-// ApplyLevel compiles m with a named optimisation level ("O0"..."O3", "Oz").
-func ApplyLevel(m *ir.Module, level string, st Stats) error {
-	return ApplyLevelObserved(m, level, st, nil)
-}
-
-// ApplyLevelObserved is ApplyLevel with per-pass profiling (see
-// ApplyObserved).
-func ApplyLevelObserved(m *ir.Module, level string, st Stats, obs Observer) error {
-	switch level {
-	case "O0", "":
-		return ir.Verify(m)
-	case "O1":
-		return ApplyObserved(m, O1Sequence(), st, false, obs)
-	case "O2":
-		return ApplyObserved(m, O2Sequence(), st, false, obs)
-	case "O3":
-		return ApplyObserved(m, O3Sequence(), st, false, obs)
-	case "Oz":
-		return ApplyObserved(m, OzSequence(), st, false, obs)
-	}
-	return ApplyObserved(m, []string{level}, st, false, obs)
 }
 
 // Families groups the registry for documentation (Table 5.3).

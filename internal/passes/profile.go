@@ -6,15 +6,6 @@ import (
 	"time"
 )
 
-// Observer receives one record per executed pass: its wall-clock time and
-// the statistics counters that this single invocation changed. ApplyObserved
-// runs each pass against a fresh Stats and merges it into the cumulative
-// one, so the delta attribution is exact — the merged totals are identical
-// to an unobserved run.
-type Observer interface {
-	PassRan(name string, wall time.Duration, delta Stats)
-}
-
 // PassCost aggregates the profile of one pass across many invocations.
 type PassCost struct {
 	Name        string
@@ -34,9 +25,12 @@ func (c PassCost) DeltaTotal() int {
 	return t
 }
 
-// Profile is a thread-safe Observer that aggregates per-pass costs. The
-// tuner's evaluation pool invokes it from many goroutines; all accounting is
-// mutex-guarded.
+// Profile aggregates per-pass costs: a Manager with a Profile (Manager.Obs)
+// runs each pass against a fresh Stats, records its wall-clock time and the
+// counters that this single invocation changed, and merges them into the
+// cumulative Stats, so the delta attribution is exact and the merged totals
+// are identical to an unobserved run. The tuner's evaluation pool records
+// from many goroutines; all accounting is mutex-guarded.
 type Profile struct {
 	mu     sync.Mutex
 	byPass map[string]*PassCost
@@ -45,7 +39,7 @@ type Profile struct {
 // NewProfile returns an empty profile.
 func NewProfile() *Profile { return &Profile{byPass: map[string]*PassCost{}} }
 
-// PassRan implements Observer.
+// PassRan records one invocation of the named pass.
 func (p *Profile) PassRan(name string, wall time.Duration, delta Stats) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -5,20 +5,20 @@ import (
 	"testing"
 )
 
-// ApplyObserved must attribute stats deltas exactly: the observer's summed
-// deltas and the cumulative Stats handed to the caller must both equal the
-// stats of an unobserved run of the same pipeline.
-func TestApplyObservedExactAttribution(t *testing.T) {
-	seq := O2Sequence()
+// A profiled Manager must attribute stats deltas exactly: the profile's
+// summed deltas and the cumulative Stats handed to the caller must both equal
+// the stats of an unprofiled run of the same pipeline.
+func TestProfileExactAttribution(t *testing.T) {
+	seq := O3Sequence()
 
 	plain := Stats{}
-	if err := Apply(dotProductModule(), seq, plain, false); err != nil {
+	if err := NewManager().Run(dotProductModule(), seq, plain, false); err != nil {
 		t.Fatal(err)
 	}
 
 	prof := NewProfile()
 	observed := Stats{}
-	if err := ApplyObserved(dotProductModule(), seq, observed, false, prof); err != nil {
+	if err := (&Manager{Obs: prof}).Run(dotProductModule(), seq, observed, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -52,7 +52,7 @@ func TestApplyObservedExactAttribution(t *testing.T) {
 func TestProfileCostsDeterministicAndCopied(t *testing.T) {
 	prof := NewProfile()
 	st := Stats{}
-	if err := ApplyObserved(dotProductModule(), O3Sequence(), st, false, prof); err != nil {
+	if err := (&Manager{Obs: prof}).Run(dotProductModule(), O3Sequence(), st, false); err != nil {
 		t.Fatal(err)
 	}
 	a, b := prof.Costs(), prof.Costs()

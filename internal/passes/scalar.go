@@ -938,17 +938,14 @@ func splitCallSites(m *ir.Module, f *ir.Function) int {
 			continue
 		}
 		// Clone the call into each predecessor with the resolved argument.
+		sub := newValueSub(f)
+		slab := newInstrSlab(len(phi.Blocks), len(phi.Blocks)*len(call.Ops))
 		for i, pred := range phi.Blocks {
-			nc := &ir.Instr{Op: ir.OpCall, Ty: call.Ty, Callee: call.Callee}
-			for _, op := range call.Ops {
-				if op == phi {
-					nc.Ops = append(nc.Ops, phi.Ops[i])
-				} else {
-					nc.Ops = append(nc.Ops, op)
-				}
-			}
-			pred.InsertBefore(len(pred.Instrs)-1, nc)
+			sub.next()
+			sub.set(phi, phi.Ops[i])
+			pred.InsertBefore(len(pred.Instrs)-1, cloneInstr(call, &sub, blockMap{}, &slab))
 		}
+		sub.release()
 		b.RemoveAt(1) // original call
 		n++
 	}

@@ -21,6 +21,8 @@ type scratch struct {
 	marks []uint32
 	epoch uint32
 	work  []*ir.Instr
+	// valueSub's substitutes, by ID.
+	subVals []ir.Value
 	// runCSE's value numbers and scoped expression table.
 	vn    valueNumbers
 	exprs exprTable
@@ -74,6 +76,8 @@ func putScratch(s *scratch) {
 	clear(s.byID) // the pool must not keep IR alive
 	s.byID = s.byID[:0]
 	s.work = s.work[:0]
+	clear(s.subVals)
+	s.subVals = s.subVals[:0]
 	s.vn.reset()
 	s.exprs.reset()
 	clear(s.keys.ipos) // the last key's tables

@@ -300,7 +300,7 @@ func runModule(t *testing.T, m *ir.Module) *machine.Result {
 func applySeq(t *testing.T, m *ir.Module, seq ...string) Stats {
 	t.Helper()
 	st := Stats{}
-	if err := Apply(m, seq, st, true); err != nil {
+	if err := NewManager().Run(m, seq, st, true); err != nil {
 		t.Fatalf("apply %v: %v", seq, err)
 	}
 	return st

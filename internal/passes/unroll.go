@@ -1,6 +1,8 @@
 package passes
 
 import (
+	"slices"
+
 	"repro/internal/ir"
 )
 
@@ -75,7 +77,7 @@ func unrollLoops(f *ir.Function, fullTripMax int64, bodyMax, factor int) (int, i
 				}
 			}
 			if factor > 1 && trip%int64(factor) == 0 && trip > int64(factor) && body*factor <= 160 {
-				if partiallyUnroll(cfg, l, iv, factor, &fu) {
+				if partiallyUnroll(f, l, iv, factor, &fu) {
 					partial++
 					changed = true
 					break
@@ -86,106 +88,29 @@ func unrollLoops(f *ir.Function, fullTripMax int64, bodyMax, factor int) (int, i
 	return full, partial
 }
 
-// bodySub is the value substitution of one unrolled iteration of a block's
-// body: a table indexed by position in the block (the block's instructions
-// hold consecutive IDs after a Renumber), whose entries count only when
-// stamped in the current iteration's mark set.
-type bodySub struct {
-	b    *ir.Block
-	base int
-	vals []ir.Value
-	sc   *scratch
-}
-
-// index returns v's position in the block, or -1 when v is no instruction
-// of it.
-func (s *bodySub) index(v ir.Value) int {
-	if in, ok := v.(*ir.Instr); ok && in != nil {
-		if k := in.ID - s.base; uint(k) < uint(len(s.b.Instrs)) && s.b.Instrs[k] == in {
-			return k
+// unrollBody logs n copies of b's body — every instruction but its phis, its
+// terminator and skip — into dst before its entry at position at. Copy k
+// substitutes for each phi of b its value entering copy k (cur, which each
+// copy advances along the phis' latch values nextOf) and for each body
+// instruction its copy in copy k; sub keeps the last copy's substitution.
+func unrollBody(dst *ir.Block, at int, b *ir.Block, skip *ir.Instr, phis []*ir.Instr, cur, nextOf []ir.Value, n int, sub *valueSub) {
+	copied := func(in *ir.Instr) bool { return in.Op != ir.OpPhi && !in.IsTerminator() && in != skip }
+	slab := slabFor(n, b.Instrs, copied)
+	for k := 0; k < n; k++ {
+		sub.next()
+		for pi, p := range phis {
+			sub.set(p, cur[pi])
 		}
-	}
-	return -1
-}
-
-// next starts an iteration with an empty substitution.
-func (s *bodySub) next() { s.sc.newMarks(len(s.vals)) }
-
-func (s *bodySub) set(in *ir.Instr, v ir.Value) {
-	k := s.index(in)
-	s.vals[k] = v
-	s.sc.mark(k)
-}
-
-// lookup returns what the iteration substitutes for v, if anything.
-func (s *bodySub) lookup(v ir.Value) (ir.Value, bool) {
-	if k := s.index(v); k >= 0 && s.sc.marked(k) {
-		return s.vals[k], true
-	}
-	return nil, false
-}
-
-func (s *bodySub) get(v ir.Value) ir.Value {
-	if nv, ok := s.lookup(v); ok {
-		return nv
-	}
-	return v
-}
-
-// instrSlab hands out the instructions of one burst of new IR, and their
-// operand slices, from two arrays sized up front: two allocations for the
-// burst instead of two per instruction. An operand slice has capacity equal
-// to its length, as a make of that length has, so a later append reallocates
-// exactly where it did before. The arrays live as long as any instruction
-// carved from them; a build's final compaction copies every body.
-type instrSlab struct {
-	instrs []ir.Instr
-	ops    []ir.Value
-}
-
-func newInstrSlab(nInstrs, nOps int) instrSlab {
-	return instrSlab{instrs: make([]ir.Instr, nInstrs), ops: make([]ir.Value, nOps)}
-}
-
-// take returns a zero instruction with nops nil operands.
-func (s *instrSlab) take(nops int) *ir.Instr {
-	in := &s.instrs[0]
-	s.instrs = s.instrs[1:]
-	in.Ops = s.operands(nops)
-	return in
-}
-
-// operands returns n nil operands, nil when n is 0.
-func (s *instrSlab) operands(n int) []ir.Value {
-	if n == 0 {
-		return nil
-	}
-	ops := s.ops[:n:n]
-	s.ops = s.ops[n:]
-	return ops
-}
-
-// cloned reports whether cloneBodyInto clones in.
-func cloned(in, skip *ir.Instr) bool {
-	return in.Op != ir.OpPhi && !in.IsTerminator() && in != skip
-}
-
-// cloneBodyInto clones the non-phi, non-terminator instructions of b other
-// than skip, with substitution, from slab, logging them into dst before its
-// entry at position at; each clone becomes the substitute of its original.
-func cloneBodyInto(dst *ir.Block, at int, b *ir.Block, skip *ir.Instr, sub *bodySub, slab *instrSlab) {
-	for _, in := range b.Instrs {
-		if !cloned(in, skip) {
-			continue
+		for _, in := range b.Instrs {
+			if copied(in) {
+				c := cloneInstr(in, sub, blockMap{}, &slab)
+				dst.Insert(at, c)
+				sub.set(in, c)
+			}
 		}
-		c := slab.take(len(in.Ops))
-		c.Op, c.Ty, c.Pred, c.Callee = in.Op, in.Ty, in.Pred, in.Callee
-		c.AllocTy, c.NAlloc, c.Flags = in.AllocTy, in.NAlloc, in.Flags
-		for k, op := range in.Ops {
-			c.Ops[k] = sub.get(op)
+		for pi := range phis {
+			cur[pi] = sub.get(nextOf[pi])
 		}
-		dst.Insert(at, c)
-		sub.set(in, c)
 	}
 }
 
@@ -218,29 +143,10 @@ func fullyUnroll(f *ir.Function, cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, tr
 	nb := &ir.Block{Name: b.Name + "_unr"}
 	ir.AttachBlock(nb, f)
 	nb.Append(&ir.Instr{Op: ir.OpJmp, Ty: ir.VoidT, Blocks: []*ir.Block{exitB}})
-	sc := getScratch()
-	defer putScratch(sc)
-	f.Renumber()
-	sub := &bodySub{b: b, base: b.Instrs[0].ID, vals: make([]ir.Value, len(b.Instrs)), sc: sc}
-	nInstrs, nOps := 0, 0
-	for _, in := range b.Instrs {
-		if cloned(in, iv.Cmp) {
-			nInstrs++
-			nOps += len(in.Ops)
-		}
-	}
-	slab := newInstrSlab(int(trip)*nInstrs, int(trip)*nOps)
+	sub := newValueSub(f)
+	defer sub.release()
 	cur := initOf // the phis' values entering the iteration
-	for k := int64(0); k < trip; k++ {
-		sub.next()
-		for pi, p := range phis {
-			sub.set(p, cur[pi])
-		}
-		cloneBodyInto(nb, 0, b, iv.Cmp, sub, &slab)
-		for pi := range phis {
-			cur[pi] = sub.get(nextOf[pi])
-		}
-	}
+	unrollBody(nb, 0, b, iv.Cmp, phis, cur, nextOf, int(trip), &sub)
 	nb.Flush()
 
 	// Rewrite uses elsewhere: loop instrs -> last clones; phis -> final value.
@@ -294,82 +200,56 @@ func fullyUnroll(f *ir.Function, cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, tr
 
 // partiallyUnroll widens a rotated single-block loop body by `factor`,
 // stepping the IV factor times per latch test. It leaves fu coherent.
-func partiallyUnroll(cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, factor int, fu *funcUses) bool {
+func partiallyUnroll(f *ir.Function, l *ir.Loop, iv *ir.CanonicalIV, factor int, fu *funcUses) bool {
 	b := l.Header
 	t := b.Term()
 	if t.Op != ir.OpBr {
 		return false // not rotated: top-test single block loop has br too; require bottom test via cmp in same block
 	}
 	phis := b.Phis()
-	nextOf := make(map[*ir.Instr]ir.Value)
-	for _, p := range phis {
+	nextOf := make([]ir.Value, len(phis))
+	for pi, p := range phis {
 		for i, fb := range p.Blocks {
 			if l.Contains(fb) {
-				nextOf[p] = p.Ops[i]
+				nextOf[pi] = p.Ops[i]
 			}
 		}
-		if nextOf[p] == nil {
+		if nextOf[pi] == nil {
 			return false
 		}
 	}
-	// Snapshot the original body (everything but phis, the compare and the
-	// terminator) before cloning starts.
-	var originals []*ir.Instr
-	for _, in := range b.Instrs {
-		if in.Op == ir.OpPhi || in.IsTerminator() || in == iv.Cmp {
-			continue
-		}
-		originals = append(originals, in)
-	}
-	fu.drop() // the cloning below goes behind the index's back
-	insertAt := b.IndexOf(t)
-	cur := loopSub{}
-	for _, p := range phis {
-		cur[p] = nextOf[p]
-	}
-	lastSub := loopSub{}
-	for k := 1; k < factor; k++ {
-		iterSub := loopSub{}
-		for v, s := range cur {
-			iterSub[v] = s
-		}
-		for _, in := range originals {
-			c := &ir.Instr{Op: in.Op, Ty: in.Ty, Pred: in.Pred, Callee: in.Callee,
-				AllocTy: in.AllocTy, NAlloc: in.NAlloc, Flags: in.Flags}
-			for _, op := range in.Ops {
-				c.Ops = append(c.Ops, iterSub.get(op))
-			}
-			b.InsertBefore(insertAt, c)
-			insertAt++
-			iterSub[in] = c
-		}
-		nextCur := loopSub{}
-		for _, p := range phis {
-			nextCur[p] = iterSub.get(nextOf[p])
-		}
-		cur = nextCur
-		lastSub = iterSub
-	}
+	fu.drop() // the copying below goes behind the index's back
+	sub := newValueSub(f)
+	defer sub.release()
+	// factor-1 copies of the body (all but the compare) before the
+	// terminator; the first enters with the phis' latch values.
+	cur := slices.Clone(nextOf)
+	unrollBody(b, b.IndexOf(t), b, iv.Cmp, phis, cur, nextOf, factor-1, &sub)
+	b.Flush()
 	// Phi latch incomings now take the final copies' values.
-	for _, p := range phis {
+	var ivCur ir.Value
+	for pi, p := range phis {
 		for i, fb := range p.Blocks {
 			if l.Contains(fb) {
-				p.Ops[i] = cur[p]
+				p.Ops[i] = cur[pi]
 			}
+		}
+		if p == iv.Phi {
+			ivCur = cur[pi]
 		}
 	}
 	// The compare must test the final IV value.
 	for oi, op := range iv.Cmp.Ops {
 		if op == iv.Next {
-			iv.Cmp.Ops[oi] = cur[iv.Phi]
+			iv.Cmp.Ops[oi] = ivCur
 		} else if op == iv.Phi {
 			// Pre-increment compare: test the value entering the next
 			// iteration, i.e. the final copy's phi substitute.
-			iv.Cmp.Ops[oi] = cur[iv.Phi]
+			iv.Cmp.Ops[oi] = ivCur
 		}
 	}
 	// Move the cmp to just before the terminator (operands may be defined by
-	// late clones).
+	// late copies).
 	if idx := b.IndexOf(iv.Cmp); idx >= 0 {
 		b.RemoveAt(idx)
 		b.InsertBefore(b.IndexOf(t), iv.Cmp)
@@ -377,11 +257,13 @@ func partiallyUnroll(cfg *ir.CFG, l *ir.Loop, iv *ir.CanonicalIV, factor int, fu
 	// Uses outside the loop of original body values refer to the last
 	// iteration executed: remap to final copies.
 	outsideB := func(x ir.Use) bool { return x.User.Parent() != b }
-	for _, in := range originals {
-		if nv, ok := lastSub[in]; ok {
+	for _, in := range b.Instrs {
+		if in.Op == ir.OpPhi || in.IsTerminator() {
+			continue
+		}
+		if nv, ok := sub.lookup(in); ok {
 			fu.setAll(fu.collect(in, outsideB), nv)
 		}
 	}
-	_ = cfg
 	return true
 }

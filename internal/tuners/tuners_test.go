@@ -54,12 +54,10 @@ func buildKernelModule() *ir.Module {
 
 func (c *costTask) cost(seq []string) (float64, error) {
 	m := c.build()
-	var err error
 	if seq == nil {
-		err = passes.ApplyLevel(m, "O3", passes.Stats{})
-	} else {
-		err = passes.Apply(m, seq, passes.Stats{}, false)
+		seq = passes.O3Sequence()
 	}
+	err := passes.NewManager().Run(m, seq, passes.Stats{}, false)
 	if err != nil {
 		return 0, err
 	}
@@ -84,12 +82,10 @@ func (c *costTask) Modules() []string { return []string{"mod"} }
 func (c *costTask) CompileModule(_ context.Context, mod string, seq []string) (*ir.Module, passes.Stats, error) {
 	m := c.build()
 	st := passes.Stats{}
-	var err error
 	if seq == nil {
-		err = passes.ApplyLevel(m, "O3", st)
-	} else {
-		err = passes.Apply(m, seq, st, false)
+		seq = passes.O3Sequence()
 	}
+	err := passes.NewManager().Run(m, seq, st, false)
 	return m, st, err
 }
 func (c *costTask) Measure(_ context.Context, seqs map[string][]string) (float64, error) {
