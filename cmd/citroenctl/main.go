@@ -103,12 +103,11 @@ func cmdSubmit(c *serve.Client, args []string) error {
 	var spec serve.JobSpec
 	fs.StringVar(&spec.Bench, "bench", "", "benchmark to tune (required)")
 	fs.StringVar(&spec.Platform, "platform", "", "arm or x86 (default arm)")
-	fs.IntVar(&spec.Budget, "budget", 0, "runtime measurements (default 50)")
+	fs.IntVar(&spec.Budget, "budget", 0, "runtime measurements (default 50, at most 100000)")
 	fs.Int64Var(&spec.Seed, "seed", 0, "random seed (default 1)")
-	fs.IntVar(&spec.Lambda, "lambda", 0, "candidates per iteration")
+	fs.IntVar(&spec.Lambda, "lambda", 0, "candidates per iteration (default 9, at most 1024)")
 	fs.IntVar(&spec.Workers, "workers", 0, "candidate-compilation workers")
 	fs.StringVar(&spec.Feature, "feature", "", "stats|autophase|tokenmix|rawseq")
-	fs.IntVar(&spec.CheckpointEvery, "checkpoint-every", 0, "measurements between checkpoints")
 	adaptive := fs.Bool("adaptive", true, "adaptive multi-module budget allocation")
 	wait := fs.Bool("wait", false, "block until the job finishes, then print the result")
 	fs.Parse(args)

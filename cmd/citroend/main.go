@@ -1,12 +1,13 @@
 // Command citroend runs the CITROEN tuning service: an HTTP job server with
-// a bounded FIFO queue, per-job event streams, cancellation and durable
-// checkpoints. Interrupted jobs (SIGTERM, crash) resume from their last
-// checkpoint when the server restarts on the same -dir.
+// a bounded FIFO queue, per-job event journals and cancellation. Every
+// measurement is in the job's journal once it is taken: interrupted jobs
+// (SIGTERM, crash) resume from their journals when the server restarts on
+// the same -dir, and keep every measurement journalled before the stop.
 //
 // Usage:
 //
 //	citroend -addr localhost:8171 -dir ./jobs
-//	citroend -addr localhost:8171 -dir ./jobs -runners 2 -checkpoint-every 10
+//	citroend -addr localhost:8171 -dir ./jobs -runners 2 -queue-cap 32
 //	citroend -addr localhost:8171 -dir ./jobs -fleet
 //
 // With -fleet, candidate evaluation is dispatched to remote citroenrunner
@@ -42,11 +43,10 @@ const (
 func main() {
 	var (
 		addr        = flag.String("addr", "localhost:8171", "HTTP listen address")
-		dir         = flag.String("dir", "citroend-jobs", "job state directory (checkpoints, journals, results)")
+		dir         = flag.String("dir", "citroend-jobs", "job state directory (states, journals, results)")
 		queueCap    = flag.Int("queue-cap", 16, "max queued-but-not-running jobs")
 		runners     = flag.Int("runners", 1, "jobs tuned concurrently")
-		ckptEvery   = flag.Int("checkpoint-every", 5, "default measurements between checkpoints")
-		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "max wait for running jobs to checkpoint on shutdown")
+		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "max wait for running jobs to stop on shutdown")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof/ on this address")
 
 		fleetMode   = flag.Bool("fleet", false, "dispatch candidate evaluation to remote citroenrunner processes")
@@ -66,12 +66,11 @@ func main() {
 		})
 	}
 	s, err := serve.New(serve.Config{
-		Dir:             *dir,
-		QueueCap:        *queueCap,
-		Runners:         *runners,
-		CheckpointEvery: *ckptEvery,
-		Metrics:         metrics,
-		Fleet:           coord,
+		Dir:      *dir,
+		QueueCap: *queueCap,
+		Runners:  *runners,
+		Metrics:  metrics,
+		Fleet:    coord,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -102,8 +101,8 @@ func main() {
 	}
 	fmt.Printf("citroend listening on http://%s (jobs in %s%s)\n", ln.Addr(), *dir, mode)
 
-	// Graceful shutdown: stop accepting, cancel running jobs (each takes a
-	// final checkpoint and resumes on the next start), then exit.
+	// Graceful shutdown: stop accepting, cancel running jobs (each resumes
+	// from its journal on the next start), then exit.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
@@ -111,7 +110,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	case got := <-sig:
-		fmt.Printf("%s: draining (checkpointing running jobs, up to %v)...\n", got, *drainWait)
+		fmt.Printf("%s: draining (stopping running jobs, up to %v)...\n", got, *drainWait)
 	}
 
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)

@@ -62,7 +62,7 @@ type Options struct {
 	Workers int
 	// Sink receives the run's structured event journal (see internal/obs):
 	// run-start, iteration, candidate-generated, compile, gp-fit, acq-max,
-	// measure, stats, new-incumbent, checkpoint, resume, fleet-incident and
+	// measure, stats, new-incumbent, resume, fleet-incident and
 	// run-end events with monotonic sequence numbers and span parent IDs.
 	// All events are emitted from the tuner goroutine in submit order, so
 	// journals are identical for every Workers value modulo timing ("_ns")
@@ -70,22 +70,13 @@ type Options struct {
 	// path is allocation-free. The journal is the run's only account to
 	// /metrics: attach analyze.NewMetricsSink to Sink for the run's series.
 	Sink obs.Sink
-	// Checkpoint, when non-nil, receives durable snapshots of the tuner's
-	// state (incumbent, measurement history) so an interrupted run can be
-	// resumed via ResumeFrom. The hook runs on the tuner goroutine; an error
-	// aborts the run — a caller persisting state must not believe the run is
-	// durable when writes fail. A final snapshot is always taken before the
-	// run returns (including on cancellation).
-	Checkpoint func(*Checkpoint) error
-	// CheckpointEvery additionally fires the Checkpoint hook every N consumed
-	// measurements; 0 means final-only.
-	CheckpointEvery int
-	// ResumeFrom warm-starts the run by replaying a prior checkpoint's
-	// observations into the model, generators and incumbent tracking. The
-	// replayed observations count against Budget (they were paid for by the
-	// interrupted run), so a resumed run finishes the original budget instead
-	// of starting a fresh one.
-	ResumeFrom *Checkpoint
+	// ResumeFrom is the journal of an interrupted run of the same job, in
+	// file order (obs.ReadJournal drops a torn last line). The run replays its
+	// budget-consuming measurements into the model, generators and incumbent
+	// tracking (see Tuner.resume). They count against Budget (the interrupted
+	// run paid for them), so a resumed run finishes the original budget
+	// instead of starting a fresh one.
+	ResumeFrom []obs.Event
 }
 
 // DefaultOptions mirror the paper's setup.
@@ -197,15 +188,11 @@ type Tuner struct {
 
 	candsDup int
 
-	// Checkpoint state: the append-only measurement log (maintained only when
-	// a Checkpoint hook is set), the log length at the last snapshot, whether
-	// the run ended by cancellation, and what a resume replayed.
-	obsLog      []Observation
-	lastCkpt    int
+	// interrupted: the run ended by cancellation. replayed is the number of
+	// measurements a resumed run took from its journal; the run's own
+	// measurements are numbered after them.
 	interrupted bool
-	// replayed is the number of observations a resumed run took from its
-	// checkpoint; the run's own measurements are numbered after them.
-	replayed int
+	replayed    int
 
 	// Observability. rec is nil when journaling is disabled (every emit is
 	// then a single nil check).
@@ -278,7 +265,7 @@ func (t *Tuner) seqStrings(seq []int) []string {
 }
 
 // seqIndices maps pass names to vocabulary indices, rejecting unknown names:
-// a checkpoint naming a pass this binary's vocabulary lacks must fail the
+// a journal naming a pass this binary's vocabulary lacks must fail the
 // resume instead of silently replaying a different sequence under its y.
 func (t *Tuner) seqIndices(seq []string) ([]int, error) {
 	out := make([]int, 0, len(seq))
@@ -318,12 +305,11 @@ func (t *Tuner) runCtx() context.Context {
 }
 
 // RunContext executes the tuning loop under ctx. Cancellation is graceful:
-// the tuner stops between steps (never mid-measurement bookkeeping), takes a
-// final checkpoint when a Checkpoint hook is set, finalizes the partial
-// Result — best-so-far sequences, trace, breakdown, an "interrupted" run-end
-// journal event — and returns it alongside ctx's error. Cancellation during
-// setup (baseline compiles, before any observation exists) returns a nil
-// Result. A nil ctx behaves like Run.
+// the tuner stops between steps (never mid-measurement bookkeeping),
+// finalizes the partial Result — best-so-far sequences, trace, breakdown, an
+// "interrupted" run-end journal event — and returns it alongside ctx's error.
+// Cancellation during setup (baseline compiles, before any observation
+// exists) returns a nil Result. A nil ctx behaves like Run.
 func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -356,7 +342,8 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 			"dup_penalty": t.opts.DupPenalty, "heuristic_init": t.opts.HeuristicInit,
 			"hot_coverage": t.opts.HotCoverage, "adaptive": t.opts.Adaptive,
 			"init_random": t.opts.InitRandom, "refit_every": t.opts.RefitEvery,
-			"vocab_size": len(t.vocab), "hot_modules": hot, "env_workers": t.opts.Workers,
+			"vocab_size": len(t.vocab), "hot_modules": hot, "seed": t.seed,
+			"env_workers": t.opts.Workers,
 		})
 	}
 	t.curSpan = t.runSpan
@@ -415,18 +402,16 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 	t.recordObservation(t.programFeatures(nil), 1.0)
 	t.rec.NewIncumbent(t.runSpan, "", 0, 1.0)
 
-	// Warm start: replay a prior run's checkpoint into the model, generators
-	// and incumbents. The replayed observations already consumed budget, and
-	// the run continues where the checkpoint left off: a resumed run does
-	// not repeat the random design it already measured, and its
+	// Warm start: replay an interrupted run's journal into the model,
+	// generators and incumbents. The replayed measurements already consumed
+	// budget, and the run continues where the journal left off: a resumed run
+	// does not repeat the random design it already measured, and its
 	// measurements and iterations keep the interrupted run's numbering.
-	used, iters := 0, 0
-	if c := t.opts.ResumeFrom; c != nil {
-		if err := t.replayCheckpoint(c); err != nil {
-			return nil, err
-		}
-		used, iters = t.replayed, c.Iteration
+	iters, err := t.resume(t.opts.ResumeFrom)
+	if err != nil {
+		return nil, err
 	}
+	used := t.replayed
 
 	// Initial random configurations (consume budget).
 	for i := used; i < t.opts.InitRandom && used < t.opts.Budget && t.ctx.Err() == nil; i++ {
@@ -434,9 +419,6 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 		seq := t.space.Sample(t.rng)
 		if t.measureCandidate(ms, seq, nil) {
 			used++
-			if err := t.maybeCheckpoint(0, false); err != nil {
-				return nil, err
-			}
 		}
 	}
 
@@ -462,24 +444,15 @@ func (t *Tuner) RunContext(ctx context.Context) (*Result, error) {
 			ms := t.mods[t.rng.Intn(len(t.mods))]
 			if t.measureCandidate(ms, t.space.Sample(t.rng), nil) {
 				used++
-				if err := t.maybeCheckpoint(iters, false); err != nil {
-					return nil, err
-				}
 			}
 			continue
 		}
 		if t.measureCandidate(sel.ms, sel.seq, selFeat) {
 			used++
-			if err := t.maybeCheckpoint(iters, false); err != nil {
-				return nil, err
-			}
 		}
 	}
 
 	t.interrupted = t.ctx.Err() != nil
-	if err := t.maybeCheckpoint(iters, true); err != nil {
-		return nil, err
-	}
 	t.finalize()
 	if t.interrupted {
 		return t.res, t.ctx.Err()
@@ -788,7 +761,7 @@ func (t *Tuner) measureCandidate(ms *moduleState, seq []int, knownFV map[string]
 		// as) identical; reuse the measurement (§5.2: avoid profiling
 		// sequences that cannot change the outcome).
 		t.res.SavedMeasurements++
-		t.rec.Measure(t.curSpan, ms.name, 0, y*t.base, 1/y, 1/t.bestObservedY(), true, true, 0)
+		t.rec.Measure(t.curSpan, ms.name, 0, nil, y*t.base, 1/y, 1/t.bestObservedY(), true, true, 0)
 		t.tellGenerators(ms, seq, y)
 		return false
 	}
@@ -800,7 +773,7 @@ func (t *Tuner) measureCandidate(ms *moduleState, seq []int, knownFV map[string]
 		if t.runCtx().Err() != nil {
 			return false
 		}
-		t.rec.Measure(t.curSpan, ms.name, 0, 0, 0, 1/prevBest, false, false, 0)
+		t.rec.Measure(t.curSpan, ms.name, 0, nil, 0, 0, 1/prevBest, false, false, 0)
 		t.tellGenerators(ms, seq, 10)
 		return false
 	}
@@ -815,7 +788,7 @@ func (t *Tuner) measureCandidate(ms *moduleState, seq []int, knownFV map[string]
 	wall := time.Since(tm)
 	if err != nil {
 		// Differential-test failure or build error: discard, penalise.
-		t.rec.Measure(t.curSpan, ms.name, 0, 0, 0, 1/prevBest, false, false, wall)
+		t.rec.Measure(t.curSpan, ms.name, 0, nil, 0, 0, 1/prevBest, false, false, wall)
 		t.tellGenerators(ms, seq, 10)
 		return false
 	}
@@ -834,7 +807,7 @@ func (t *Tuner) measureCandidate(ms *moduleState, seq []int, knownFV map[string]
 		Speedup:     sp,
 		BestSpeedup: bestSoFar,
 	})
-	t.rec.Measure(t.curSpan, ms.name, meas, timeC, sp, bestSoFar, true, false, wall)
+	t.rec.Measure(t.curSpan, ms.name, meas, seqs[ms.name], timeC, sp, bestSoFar, true, false, wall)
 	if y < prevBest {
 		t.rec.NewIncumbent(t.curSpan, ms.name, meas, sp)
 	}
@@ -857,14 +830,10 @@ func (t *Tuner) counters() obs.CounterSet {
 }
 
 // observe takes one budget-consuming observation into the tuner: the model's
-// training set, the checkpoint log (kept only when a Checkpoint hook will
-// read it), the module's generators and its incumbent. A live measurement
-// and a replayed checkpoint observation both enter here.
+// training set, the module's generators and its incumbent. A live
+// measurement and a replayed one from a resumed journal both enter here.
 func (t *Tuner) observe(ms *moduleState, seq []int, prog map[string]sparseVec, y float64) {
 	t.recordObservation(prog, y)
-	if t.opts.Checkpoint != nil {
-		t.obsLog = append(t.obsLog, Observation{Module: ms.name, Seq: t.seqStrings(seq), Y: y})
-	}
 	t.tellGenerators(ms, seq, y)
 	if y < ms.bestY {
 		ms.bestY = y

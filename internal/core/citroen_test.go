@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -354,7 +357,7 @@ func TestExtractVariantsNonEmpty(t *testing.T) {
 	_ = fmt.Sprint(FeatStats, FeatAutophase, FeatTokenMix, FeatRawSeq)
 }
 
-// --- checkpoint, resume, cancellation ---
+// --- resume, cancellation ---
 
 // eventLog captures journal events for assertions.
 type eventLog struct {
@@ -398,52 +401,83 @@ func (c *cancellingTask) Measure(ctx context.Context, seqs map[string][]string) 
 	return c.syntheticTask.Measure(ctx, seqs)
 }
 
-func TestCheckpointHookFiresAndIsConsistent(t *testing.T) {
-	task := newSyntheticTask(t)
-	var ckpts []*Checkpoint
-	opts := fastOpts()
-	opts.Budget = 12
-	opts.CheckpointEvery = 4
-	opts.Checkpoint = func(c *Checkpoint) error { ckpts = append(ckpts, c); return nil }
-	res, err := NewTuner(task, opts, 3).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ckpts) < 2 {
-		t.Fatalf("expected periodic + final checkpoints, got %d", len(ckpts))
-	}
-	last := ckpts[len(ckpts)-1]
-	if err := last.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if last.Measurements != len(last.Observations) {
-		t.Fatalf("Measurements=%d, len(Observations)=%d", last.Measurements, len(last.Observations))
-	}
-	if last.Measurements != len(res.Trace) {
-		t.Fatalf("final checkpoint has %d measurements, trace has %d", last.Measurements, len(res.Trace))
-	}
-	if last.BestSpeedup != res.BestSpeedup {
-		t.Fatalf("checkpoint best %v != result best %v", last.BestSpeedup, res.BestSpeedup)
-	}
-	// Periodic snapshots land on CheckpointEvery boundaries.
-	for _, c := range ckpts[:len(ckpts)-1] {
-		if c.Measurements%opts.CheckpointEvery != 0 {
-			t.Fatalf("periodic checkpoint at %d measurements, every=%d", c.Measurements, opts.CheckpointEvery)
+// paid reports whether e is a budget-consuming measure event (ok, not
+// reused).
+func paid(e obs.Event) bool {
+	return e.Type == "measure" && obs.FieldBool(e.Fields, "ok") && !obs.FieldBool(e.Fields, "reused")
+}
+
+// consumed returns a journal's budget-consuming measure events, in order.
+func consumed(events []obs.Event) []obs.Event {
+	var out []obs.Event
+	for _, e := range events {
+		if paid(e) {
+			out = append(out, e)
 		}
+	}
+	return out
+}
+
+// nextIteration is the iteration a run resumed from events continues at:
+// one past the last iteration event's iter.
+func nextIteration(events []obs.Event) int {
+	next := 0
+	for _, e := range events {
+		if e.Type == "iteration" {
+			next = int(obs.FieldFloat(e.Fields, "iter")) + 1
+		}
+	}
+	return next
+}
+
+// checkNumbering fails unless the budget-consuming measurements of events
+// are numbered 1, 2, ..., want.
+func checkNumbering(t *testing.T, events []obs.Event, want int) {
+	t.Helper()
+	ms := consumed(events)
+	for i, e := range ms {
+		if got := int(obs.FieldFloat(e.Fields, "measurement")); got != i+1 {
+			t.Fatalf("budget-consuming measurement %d is numbered %d", i+1, got)
+		}
+	}
+	if len(ms) != want {
+		t.Fatalf("%d budget-consuming measurements, want %d", len(ms), want)
 	}
 }
 
-func TestCancelMidRunCheckpointsAndResumes(t *testing.T) {
+// encodeJournal writes events as the JSONL a journal file holds.
+func encodeJournal(t *testing.T, events []obs.Event) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sink := obs.NewJSONLSink(&buf)
+	for i := range events {
+		sink.Emit(&events[i])
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// decodeJournal reads a journal back as a restarted server does: fresh
+// field maps, JSON-decoded values, a torn last line dropped.
+func decodeJournal(t *testing.T, data []byte) []obs.Event {
+	t.Helper()
+	events, err := obs.ReadJournal(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
+func TestCancelMidRunResumesFromJournal(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	task := &cancellingTask{syntheticTask: newSyntheticTask(t), after: 6, cancel: cancel}
 
-	var last *Checkpoint
 	log1 := &eventLog{}
 	opts := fastOpts()
 	opts.Budget = 20
-	opts.CheckpointEvery = 2
-	opts.Checkpoint = func(c *Checkpoint) error { last = c; return nil }
 	opts.Sink = log1
 	res, err := NewTuner(task, opts, 7).RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
@@ -452,19 +486,10 @@ func TestCancelMidRunCheckpointsAndResumes(t *testing.T) {
 	if res == nil || len(res.Trace) == 0 {
 		t.Fatal("cancelled run must still return the partial result")
 	}
-	if last == nil {
-		t.Fatal("no final checkpoint on cancellation")
+	if got := len(consumed(log1.events)); got != len(res.Trace) {
+		t.Fatalf("journal has %d budget-consuming measurements, trace %d", got, len(res.Trace))
 	}
-	if last.Measurements != len(res.Trace) {
-		t.Fatalf("checkpoint %d measurements, trace %d", last.Measurements, len(res.Trace))
-	}
-	found := false
-	for _, typ := range log1.types() {
-		if typ == "run-end" {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(log1.types(), "run-end") {
 		t.Fatal("cancelled run journal is missing run-end")
 	}
 
@@ -473,58 +498,89 @@ func TestCancelMidRunCheckpointsAndResumes(t *testing.T) {
 	log2 := &eventLog{}
 	opts2 := fastOpts()
 	opts2.Budget = opts.Budget
-	opts2.ResumeFrom = last
-	opts2.Checkpoint = func(c *Checkpoint) error { return nil }
+	opts2.ResumeFrom = decodeJournal(t, encodeJournal(t, log1.events))
 	opts2.Sink = log2
 	res2, err := NewTuner(newSyntheticTask(t), opts2, 7).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.BestSpeedup < last.BestSpeedup-1e-9 {
-		t.Fatalf("resumed best %v < checkpointed best %v", res2.BestSpeedup, last.BestSpeedup)
+	if res2.BestSpeedup < res.BestSpeedup {
+		t.Fatalf("resumed best %v < interrupted best %v", res2.BestSpeedup, res.BestSpeedup)
 	}
-	if got := len(res2.Trace); got > opts.Budget-last.Measurements {
-		t.Fatalf("resumed run measured %d times, budget remainder is %d",
-			got, opts.Budget-last.Measurements)
+	if got := len(res2.Trace); got > opts.Budget-len(res.Trace) {
+		t.Fatalf("resumed run measured %d times, budget remainder is %d", got, opts.Budget-len(res.Trace))
 	}
-	resumed := false
-	for _, typ := range log2.types() {
-		if typ == "resume" {
-			resumed = true
-		}
-	}
-	if !resumed {
+	if !slices.Contains(log2.types(), "resume") {
 		t.Fatal("resumed run journal is missing the resume event")
 	}
 }
 
-func TestResumeRejectsBadCheckpoints(t *testing.T) {
-	task := newSyntheticTask(t)
-	opts := fastOpts()
-	opts.ResumeFrom = &Checkpoint{Version: 99}
-	if _, err := NewTuner(task, opts, 1).Run(); err == nil {
-		t.Fatal("version mismatch must fail the run")
+// TestResumeRejectsBadJournals: a journal the run cannot replay faithfully
+// fails the run before anything is replayed, and the error names what it
+// refuses.
+func TestResumeRejectsBadJournals(t *testing.T) {
+	good := interruptedRun(t, fastOpts(), 4)
+	if n := len(consumed(good)); n < 2 {
+		t.Fatalf("the interrupted run journaled %d measurements, the test needs 2", n)
 	}
-	opts.ResumeFrom = &Checkpoint{
-		Version:      CheckpointVersion,
-		Seed:         1,
-		Observations: []Observation{{Module: "nope", Seq: []string{"mem2reg"}, Y: 0.9}},
+	// edit returns a fresh copy of the journal with f applied to its events;
+	// f returns the events to keep.
+	edit := func(f func(events []obs.Event) []obs.Event) []obs.Event {
+		return f(decodeJournal(t, encodeJournal(t, good)))
 	}
-	if _, err := NewTuner(task, opts, 1).Run(); err == nil || !strings.Contains(err.Error(), "nope") {
-		t.Fatalf("unknown module must fail the run, naming it: %v", err)
+	// nth returns the index of the n-th (1-based) budget-consuming measure.
+	nth := func(events []obs.Event, n int) int {
+		for i, e := range events {
+			if paid(e) {
+				if n--; n == 0 {
+					return i
+				}
+			}
+		}
+		t.Fatal("journal too short")
+		return 0
+	}
+	for _, c := range []struct {
+		name, want string
+		journal    []obs.Event
+	}{
+		{"run-start without a seed", "no seed", edit(func(ev []obs.Event) []obs.Event {
+			delete(ev[0].Fields, "seed")
+			return ev
+		})},
+		{"module outside the hot set", `"nope"`, edit(func(ev []obs.Event) []obs.Event {
+			ev[nth(ev, 2)].Fields["module"] = "nope"
+			return ev
+		})},
+		{"measure without passes", "no passes", edit(func(ev []obs.Event) []obs.Event {
+			delete(ev[nth(ev, 2)].Fields, "passes")
+			return ev
+		})},
+		{"non-positive time", "non-positive time", edit(func(ev []obs.Event) []obs.Event {
+			ev[nth(ev, 1)].Fields["time_cycles"] = 0.0
+			return ev
+		})},
+	} {
+		opts := fastOpts()
+		log := &eventLog{}
+		opts.ResumeFrom, opts.Sink = c.journal, log
+		_, err := NewTuner(newSyntheticTask(t), opts, 7).Run()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one naming %q", c.name, err, c.want)
+		}
+		if slices.Contains(log.types(), "resume") || slices.Contains(log.types(), "measure") {
+			t.Errorf("%s: the refused journal was partly replayed: %v", c.name, log.types())
+		}
 	}
 }
 
-// TestResumeRejectsOtherSeed: a checkpoint resumed under another seed than
-// the one that wrote it fails the run before any replay, naming both seeds.
+// TestResumeRejectsOtherSeed: a journal resumed under another seed than the
+// one that wrote it fails the run before any replay, naming both seeds.
 func TestResumeRejectsOtherSeed(t *testing.T) {
 	opts := fastOpts()
-	ck, _ := interruptedRun(t, opts, 4)
-	if ck.Seed != 7 {
-		t.Fatalf("checkpoint records seed %d, the run's was 7", ck.Seed)
-	}
+	journal := interruptedRun(t, opts, 4)
 	log := &eventLog{}
-	opts.ResumeFrom, opts.Sink = ck, log
+	opts.ResumeFrom, opts.Sink = journal, log
 	_, err := NewTuner(newSyntheticTask(t), opts, 8).Run()
 	if err == nil {
 		t.Fatal("a resume under another seed must fail the run")
@@ -532,60 +588,51 @@ func TestResumeRejectsOtherSeed(t *testing.T) {
 	if !strings.Contains(err.Error(), "seed 7") || !strings.Contains(err.Error(), "seed 8") {
 		t.Fatalf("error does not name both seeds: %v", err)
 	}
-	for _, typ := range log.types() {
-		if typ == "resume" {
-			t.Fatal("the rejected resume was journaled as a resume")
-		}
+	if slices.Contains(log.types(), "resume") {
+		t.Fatal("the rejected resume was journaled as a resume")
 	}
 }
 
-// TestSeedSequenceUnknownPassErrors: a recorded sequence naming a pass this
+// TestSeedSequenceUnknownPassErrors: a journalled sequence naming a pass this
 // binary's vocabulary lacks must fail the resume, naming the pass, instead of
 // silently replaying a shorter sequence under its y.
 func TestSeedSequenceUnknownPassErrors(t *testing.T) {
 	opts := fastOpts()
-	opts.ResumeFrom = &Checkpoint{
-		Version:      CheckpointVersion,
-		Seed:         1,
-		Observations: []Observation{{Module: "mod", Seq: []string{"mem2reg", "no-such-pass", "dce"}, Y: 0.9}},
-	}
-	_, err := NewTuner(newSyntheticTask(t), opts, 1).Run()
+	journal := interruptedRun(t, opts, 4)
+	m := consumed(journal)[0]
+	m.Fields["passes"] = []any{"mem2reg", "no-such-pass", "dce"}
+	opts.ResumeFrom = journal
+	_, err := NewTuner(newSyntheticTask(t), opts, 7).Run()
 	if err == nil {
-		t.Fatal("unknown pass in a checkpoint must fail the run")
+		t.Fatal("unknown pass in a journal must fail the run")
 	}
 	if !strings.Contains(err.Error(), "no-such-pass") {
 		t.Fatalf("error does not name the unknown pass: %v", err)
 	}
 }
 
-// interruptedRun runs the synthetic task under opts, with its own
-// Checkpoint hook and Sink, until the after-th measurement cancels the run,
-// and returns the run's final checkpoint and journal.
-func interruptedRun(t *testing.T, opts Options, after int) (*Checkpoint, *eventLog) {
+// interruptedRun runs the synthetic task under opts, with its own Sink, until
+// the after-th measurement cancels the run, and returns the run's journal
+// read back from JSONL.
+func interruptedRun(t *testing.T, opts Options, after int) []obs.Event {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	task := &cancellingTask{syntheticTask: newSyntheticTask(t), after: after, cancel: cancel}
-	var last *Checkpoint
 	log := &eventLog{}
-	opts.Checkpoint = func(c *Checkpoint) error { last = c; return nil }
 	opts.Sink = log
 	if _, err := NewTuner(task, opts, 7).RunContext(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if last == nil {
-		t.Fatal("no final checkpoint on cancellation")
-	}
-	return last, log
+	return decodeJournal(t, encodeJournal(t, log.events))
 }
 
-// resumedRun finishes the run a checkpoint interrupted and returns its
-// result and journal.
-func resumedRun(t *testing.T, opts Options, ck *Checkpoint) (*Result, *eventLog) {
+// resumedRun finishes the run a journal interrupted and returns its result
+// and journal.
+func resumedRun(t *testing.T, opts Options, journal []obs.Event) (*Result, *eventLog) {
 	t.Helper()
 	log := &eventLog{}
-	opts.ResumeFrom = ck
-	opts.Checkpoint = func(*Checkpoint) error { return nil }
+	opts.ResumeFrom = journal
 	opts.Sink = log
 	res, err := NewTuner(newSyntheticTask(t), opts, 7).Run()
 	if err != nil {
@@ -594,18 +641,17 @@ func resumedRun(t *testing.T, opts Options, ck *Checkpoint) (*Result, *eventLog)
 	return res, log
 }
 
-// TestResumeSkipsCompletedRandomDesign: a checkpoint holding at least
-// InitRandom observations already paid for the random initial design, so
+// TestResumeSkipsCompletedRandomDesign: a journal holding at least
+// InitRandom measurements already paid for the random initial design, so
 // the resumed run goes straight from the replay to the model-guided loop.
 func TestResumeSkipsCompletedRandomDesign(t *testing.T) {
 	opts := fastOpts()
 	opts.Budget = 20
-	opts.CheckpointEvery = 1
-	ck, _ := interruptedRun(t, opts, opts.InitRandom+2)
-	if ck.Measurements < opts.InitRandom {
-		t.Fatalf("checkpoint holds %d observations, the test needs at least InitRandom = %d", ck.Measurements, opts.InitRandom)
+	journal := interruptedRun(t, opts, opts.InitRandom+2)
+	if n := len(consumed(journal)); n < opts.InitRandom {
+		t.Fatalf("journal holds %d measurements, the test needs at least InitRandom = %d", n, opts.InitRandom)
 	}
-	res, log := resumedRun(t, opts, ck)
+	res, log := resumedRun(t, opts, journal)
 	if len(res.Trace) == 0 {
 		t.Fatal("resumed run measured nothing")
 	}
@@ -625,38 +671,136 @@ func TestResumeSkipsCompletedRandomDesign(t *testing.T) {
 
 // TestResumeContinuesMeasurementNumbering: across a cancel and a resume the
 // budget-consuming measurements are numbered 1, 2, ... with no gap or
-// repeat, and the model-guided iterations continue from the checkpoint's.
+// repeat, and the model-guided iterations continue one past the journal's
+// last.
 func TestResumeContinuesMeasurementNumbering(t *testing.T) {
 	opts := fastOpts()
 	opts.Budget = 16
-	opts.CheckpointEvery = 2
-	ck, log1 := interruptedRun(t, opts, opts.InitRandom+3)
-	if ck.Iteration == 0 {
+	journal := interruptedRun(t, opts, opts.InitRandom+3)
+	next := nextIteration(journal)
+	if next == 0 {
 		t.Fatal("the interrupted run never reached the model-guided loop")
 	}
-	res, log2 := resumedRun(t, opts, ck)
-	want := 1
-	for _, e := range append(log1.events, log2.events...) {
-		if e.Type != "measure" || !obs.FieldBool(e.Fields, "ok") || obs.FieldBool(e.Fields, "reused") {
-			continue
-		}
-		if got := int(obs.FieldFloat(e.Fields, "measurement")); got != want {
-			t.Fatalf("budget-consuming measurement numbered %d, want %d", got, want)
-		}
-		want++
+	res, log := resumedRun(t, opts, journal)
+	checkNumbering(t, append(slices.Clone(journal), log.events...), opts.Budget)
+	if n := len(consumed(journal)); len(res.Trace) == 0 || res.Trace[0].Measurement != n+1 {
+		t.Fatalf("resumed trace starts at %v, want measurement %d", res.Trace, n+1)
 	}
-	if want-1 > opts.Budget {
-		t.Fatalf("%d budget-consuming measurements across the resume, budget %d", want-1, opts.Budget)
-	}
-	if len(res.Trace) == 0 || res.Trace[0].Measurement != ck.Measurements+1 {
-		t.Fatalf("resumed trace starts at %v, want measurement %d", res.Trace, ck.Measurements+1)
-	}
-	for _, e := range log2.events {
+	for _, e := range log.events {
 		if e.Type == "iteration" {
-			if got := int(obs.FieldFloat(e.Fields, "iter")); got != ck.Iteration {
-				t.Fatalf("resumed run's first iteration is %d, want the checkpoint's %d", got, ck.Iteration)
+			if got := int(obs.FieldFloat(e.Fields, "iter")); got != next {
+				t.Fatalf("resumed run's first iteration is %d, want %d", got, next)
 			}
 			break
+		}
+	}
+}
+
+// TestResumeAtEveryCut cuts a finished run's JSONL journal at every line end,
+// and once mid-line (ReadJournal drops the torn tail), and resumes from each
+// prefix. Every resumed run finishes, and across the prefix and the resumed
+// run the budget-consuming measurements are numbered 1…Budget with no gap or
+// repeat. The replay takes in exactly the prefix's measurements: each
+// replayed compile rebuilds the prefix's (module, passes) and each replayed
+// y equals, bit for bit, the y the uninterrupted run observed. The incumbent
+// never falls below the prefix's best. A journal with one measurement
+// deleted or doubled is refused as a gap or a repeat.
+func TestResumeAtEveryCut(t *testing.T) {
+	opts := fastOpts()
+	opts.Budget = 12
+	var buf bytes.Buffer
+	sink := obs.NewJSONLSink(&buf)
+	opts.Sink = sink
+	full := NewTuner(newSyntheticTask(t), opts, 7)
+	if _, err := full.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	checkNumbering(t, decodeJournal(t, data), opts.Budget)
+
+	var cuts []int
+	for i, b := range data {
+		if b == '\n' {
+			cuts = append(cuts, i+1)
+		}
+	}
+	mid := cuts[len(cuts)/2]
+	cuts = append(cuts, mid+(cuts[len(cuts)/2+1]-mid)/2)
+	for _, cut := range cuts {
+		prefix := decodeJournal(t, data[:cut])
+		paid := consumed(prefix)
+		prefixBest := 1.0
+		for _, e := range paid {
+			prefixBest = max(prefixBest, obs.FieldFloat(e.Fields, "best"))
+		}
+		log := &eventLog{}
+		ropts := opts
+		ropts.ResumeFrom, ropts.Sink = prefix, log
+		tn := NewTuner(newSyntheticTask(t), ropts, 7)
+		res, err := tn.Run()
+		if err != nil {
+			t.Fatalf("cut at byte %d: %v", cut, err)
+		}
+		checkNumbering(t, append(slices.Clone(prefix), log.events...), opts.Budget)
+		for i := range paid {
+			if got, want := tn.Y[1+i], full.Y[1+i]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("cut at byte %d: replayed y %d = %v, the run observed %v", cut, i+1, got, want)
+			}
+		}
+		// The replay's compiles follow the -O3 baselines' new-incumbent and
+		// precede the resume event, one per replayed measurement.
+		var replays []obs.Event
+		for i, e := range log.events {
+			if e.Type == "new-incumbent" && len(paid) > 0 {
+				for _, r := range log.events[i+1:] {
+					if r.Type != "compile" {
+						break
+					}
+					replays = append(replays, r)
+				}
+				break
+			}
+		}
+		if len(replays) != len(paid) {
+			t.Fatalf("cut at byte %d: %d replay compiles for %d measurements", cut, len(replays), len(paid))
+		}
+		for i, e := range paid {
+			passes, _ := obs.FieldStrings(e.Fields, "passes")
+			seq, err := tn.seqIndices(passes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := replays[i].Fields
+			if r["module"] != e.Fields["module"] || obs.FieldFloat(r, "seq_hash") != float64(hashSeq(seq)) || int(obs.FieldFloat(r, "seq_len")) != len(seq) {
+				t.Fatalf("cut at byte %d: replay %d compiled %v, the journal measured %v %v", cut, i+1, r, e.Fields["module"], passes)
+			}
+		}
+		for _, e := range consumed(log.events) {
+			if best := obs.FieldFloat(e.Fields, "best"); best < prefixBest {
+				t.Fatalf("cut at byte %d: incumbent %v fell below the prefix's %v", cut, best, prefixBest)
+			}
+		}
+		if res.BestSpeedup < prefixBest {
+			t.Fatalf("cut at byte %d: resumed best %v < the prefix's %v", cut, res.BestSpeedup, prefixBest)
+		}
+	}
+
+	// One measurement deleted leaves a gap, one doubled a repeat.
+	events := decodeJournal(t, data)
+	at := slices.IndexFunc(events, func(e obs.Event) bool {
+		return paid(e) && obs.FieldFloat(e.Fields, "measurement") == 3
+	})
+	for name, journal := range map[string][]obs.Event{
+		"gap":    slices.Delete(slices.Clone(events), at, at+1),
+		"repeat": slices.Insert(slices.Clone(events), at, events[at]),
+	} {
+		ropts := opts
+		ropts.ResumeFrom, ropts.Sink = journal, nil
+		if _, err := NewTuner(newSyntheticTask(t), ropts, 7).Run(); err == nil || !strings.Contains(err.Error(), "a gap or a repeat") {
+			t.Errorf("a journal with a %s: err = %v, want a gap or a repeat refused", name, err)
 		}
 	}
 }

@@ -97,7 +97,7 @@ type PassRow struct {
 }
 
 // Report is everything the analyzer can say about a journal. All durations
-// are nanoseconds on the run timeline (monotonic across checkpoint/resume
+// are nanoseconds on the run timeline (monotonic across resume
 // restarts: each process's recorder clock is spliced onto the previous one).
 type Report struct {
 	Runs     int  `json:"runs"`
@@ -113,7 +113,6 @@ type Report struct {
 	// precede its first new-incumbent), the run-ends' "compilations".
 	CandidateCompiles int            `json:"candidate_compiles"`
 	Measurements      int            `json:"measurements"` // budget-consuming (ok, not reused)
-	Checkpoints       int            `json:"checkpoints"`
 	Resumes           int            `json:"resumes"`
 	GPAppends         int            `json:"gp_appends"`                // gp-fit events that appended
 	CandidateDups     int            `json:"candidate_dups"`            // acq-max dups: candidates with an observed program's statistics
@@ -252,8 +251,6 @@ func (a *Analyzer) Feed(e *obs.Event) {
 		if c := s.incidents[kind]; c != nil {
 			c.Inc()
 		}
-	case "checkpoint":
-		r.Checkpoints++
 	case "resume":
 		r.Resumes++
 		a.incumbent(obs.FieldFloat(f, "best"))

@@ -173,7 +173,7 @@ func TestAnalyzerStreamingSnapshotsMatchBatch(t *testing.T) {
 	}
 }
 
-// Checkpoint/resume journals restart the recorder clock; the analyzer must
+// Resumed journals restart the recorder clock; the analyzer must
 // splice the epochs instead of producing a negative or overlapping timeline,
 // and the Perfetto export must draw the second epoch after the first, not
 // at its raw clock.
@@ -234,8 +234,8 @@ func TestAnalyzerSplicesRestartedClock(t *testing.T) {
 	}
 }
 
-// One metrics sink per process, on one registry, fed a run and its
-// checkpoint resume to a larger budget, books what the two Results account:
+// One metrics sink per process, on one registry, fed a run and its resume
+// from that run's journal to a larger budget, books what the two Results account:
 // each series equals the Result counts summed over both processes, each
 // canonical counter row's series the row summed over the two runs' last
 // stats events, each Env row's gauge the resumed run's last value, the
@@ -247,8 +247,7 @@ func TestMetricsSinkMatchesResult(t *testing.T) {
 	m := obs.NewMetrics()
 	var events []obs.Event
 	var lastStats []map[string]any // per run
-	var ckpt *core.Checkpoint
-	run := func(budget int, from *core.Checkpoint) *core.Result {
+	run := func(budget int, from []obs.Event) *core.Result {
 		ev, err := bench.NewEvaluator(bench.ByName("telecom_gsm"), bench.ARM(), seed)
 		if err != nil {
 			t.Fatal(err)
@@ -261,7 +260,6 @@ func TestMetricsSinkMatchesResult(t *testing.T) {
 		opts.GPOpts.AdamSteps = 10
 		opts.Workers = 2
 		opts.Sink = obs.Multi(mem, NewMetricsSink(m))
-		opts.Checkpoint = func(c *core.Checkpoint) error { ckpt = c; return nil }
 		opts.ResumeFrom = from
 		res, err := core.NewTuner(ev.Task(), opts, seed).Run()
 		if err != nil {
@@ -278,8 +276,8 @@ func TestMetricsSinkMatchesResult(t *testing.T) {
 		return res
 	}
 	first := run(8, nil)
-	resumedFrom, resumedAt := ckpt, len(events)
-	second := run(16, resumedFrom)
+	resumedAt := len(events)
+	second := run(16, slices.Clone(events))
 
 	var meas, saved, compiles, dups, appends int
 	for _, res := range []*core.Result{first, second} {
@@ -342,7 +340,7 @@ func TestMetricsSinkMatchesResult(t *testing.T) {
 		t.Errorf("citroen_incumbent_speedup = %v, report %v, Result %v", got, r.BestSpeedup, second.BestSpeedup)
 	}
 	// Until the resumed process improves on it, its incumbent is the one its
-	// resume event restores from the checkpoint.
+	// resume event restores from the first run's journal.
 	upToResume := NewMetricsSink(obs.NewMetrics())
 	for i := resumedAt; i < len(events); i++ {
 		upToResume.Feed(&events[i])
@@ -350,8 +348,8 @@ func TestMetricsSinkMatchesResult(t *testing.T) {
 			break
 		}
 	}
-	if got := upToResume.series.incumbent.Value(); got != resumedFrom.BestSpeedup || upToResume.Report().BestSpeedup != got {
-		t.Errorf("incumbent after resume = %v, report %v, checkpoint %v", got, upToResume.Report().BestSpeedup, resumedFrom.BestSpeedup)
+	if got := upToResume.series.incumbent.Value(); got != first.BestSpeedup || upToResume.Report().BestSpeedup != got {
+		t.Errorf("incumbent after resume = %v, report %v, first run %v", got, upToResume.Report().BestSpeedup, first.BestSpeedup)
 	}
 	for _, p := range Phases {
 		if p == PhaseOther {
@@ -374,10 +372,10 @@ func TestAnalyzeCurveIncumbentsAndPassProfile(t *testing.T) {
 	r := obs.NewRecorder(mem)
 	span := r.RunStart(map[string]any{"budget": 3})
 	r.NewIncumbent(span, "", 0, 1.0)
-	r.Measure(span, "m", 1, 90, 1.1, 1.1, true, false, 0)
+	r.Measure(span, "m", 1, nil, 90, 1.1, 1.1, true, false, 0)
 	r.NewIncumbent(span, "m", 1, 1.1)
-	r.Measure(span, "m", 0, 90, 1.1, 1.1, true, true, 0) // reused: not on the curve
-	r.Measure(span, "m", 2, 95, 1.05, 1.1, true, false, 0)
+	r.Measure(span, "m", 0, nil, 90, 1.1, 1.1, true, true, 0) // reused: not on the curve
+	r.Measure(span, "m", 2, nil, 95, 1.05, 1.1, true, false, 0)
 	r.RunEnd(span, map[string]any{
 		"best_speedup": 1.1,
 		"pass_profile": []any{map[string]any{

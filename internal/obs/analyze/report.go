@@ -18,8 +18,8 @@ func WriteReport(w io.Writer, r *Report) {
 	}
 	fmt.Fprintf(w, "runs: %d (%s), events: %d, wall %v\n",
 		r.Runs, status, r.Events, time.Duration(r.WallNS).Round(time.Microsecond))
-	fmt.Fprintf(w, "iterations: %d, compiles: %d (%d candidates), measurements: %d (+%d reused), gp appends: %d, checkpoints: %d, resumes: %d\n",
-		r.Iterations, r.Compiles, r.CandidateCompiles, r.Measurements, r.ReusedMeasurements, r.GPAppends, r.Checkpoints, r.Resumes)
+	fmt.Fprintf(w, "iterations: %d, compiles: %d (%d candidates), measurements: %d (+%d reused), gp appends: %d, resumes: %d\n",
+		r.Iterations, r.Compiles, r.CandidateCompiles, r.Measurements, r.ReusedMeasurements, r.GPAppends, r.Resumes)
 	fmt.Fprintf(w, "best speedup: %.3fx\n", r.BestSpeedup)
 
 	fmt.Fprintln(w, "\nphase attribution (elapsed = run timeline, cpu = summed event walls; acquisition cpu = its elapsed):")

@@ -96,7 +96,7 @@ func (tl *timeline) feed(e *obs.Event) placement {
 func (tl *timeline) splice(raw int64) int64 {
 	t := raw + tl.offsetNS
 	if t < tl.lastNS {
-		// The recorder clock restarted (checkpoint/resume in a new process):
+		// The recorder clock restarted (a resume in a new process):
 		// splice the new epoch onto the end of the old one.
 		tl.offsetNS = tl.lastNS
 		t = raw + tl.offsetNS

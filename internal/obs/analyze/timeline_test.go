@@ -93,16 +93,28 @@ func tuneJournal(t *testing.T, name string, plat bench.Platform, workers, budget
 	return mem.Events()
 }
 
-// resumedJournal interrupts a tuning run at a checkpoint and resumes it
-// from that checkpoint with a fresh evaluator and tuner, both journalling
-// into one sink, the way a restarted job server does: the second tuner's
-// recorder clock starts again near 0.
+// cancelAfter is a sink that cancels the run once its budget-consuming
+// measurement numbered measurements is journalled.
+type cancelAfter struct {
+	measurements int
+	cancel       context.CancelFunc
+}
+
+func (c cancelAfter) Emit(e *obs.Event) {
+	if e.Type == "measure" && int(obs.FieldFloat(e.Fields, "measurement")) == c.measurements {
+		c.cancel()
+	}
+}
+
+// resumedJournal interrupts a tuning run after its fourth measurement and
+// resumes it from its journal with a fresh evaluator and tuner, both
+// journalling into one sink, the way a restarted job server does: the second
+// tuner's recorder clock starts again near 0.
 func resumedJournal(t *testing.T) []obs.Event {
 	t.Helper()
 	mem := &obs.MemorySink{}
 	opts := core.DefaultOptions()
 	opts.Budget, opts.Lambda, opts.InitRandom, opts.GPOpts.AdamSteps = 10, 4, 2, 10
-	opts.Sink, opts.CheckpointEvery = mem, 2
 	task := func() core.Task {
 		ev, err := bench.NewEvaluator(bench.ByName("automotive_bitcount"), bench.ARM(), 1)
 		if err != nil {
@@ -112,19 +124,9 @@ func resumedJournal(t *testing.T) []obs.Event {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var ck *core.Checkpoint
-	opts.Checkpoint = func(c *core.Checkpoint) error {
-		ck = c
-		if c.Measurements >= 4 {
-			cancel()
-		}
-		return nil
-	}
+	opts.Sink = obs.Multi(mem, cancelAfter{measurements: 4, cancel: cancel})
 	core.NewTuner(task(), opts, 1).RunContext(ctx)
-	if ck == nil || ck.Measurements < 4 || ck.Measurements >= opts.Budget {
-		t.Fatalf("interrupted run checkpointed %+v", ck)
-	}
-	opts.Checkpoint, opts.ResumeFrom = nil, ck
+	opts.Sink, opts.ResumeFrom = mem, mem.Events()
 	if _, err := core.NewTuner(task(), opts, 1).Run(); err != nil {
 		t.Fatal(err)
 	}

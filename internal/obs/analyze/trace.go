@@ -40,8 +40,8 @@ const tunerTID = 0
 // slices (each up to the next iteration or the run's end), and the serial
 // measure/gp-fit/acq-max slices — while compile events, which overlap under
 // parallel workers, are packed into "compile lane" threads so the fan-out
-// width is visible. Incumbent improvements, checkpoints and resumes render
-// as instant events. Every event sits where the report's timeline placed
+// width is visible. Incumbent improvements and resumes render as instant
+// events. Every event sits where the report's timeline placed
 // it, on one time axis from the journal's first event, so the runs of a
 // resumed job follow each other.
 func ChromeTrace(events []obs.Event) *Trace {
@@ -79,7 +79,7 @@ func ChromeTrace(events []obs.Event) *Trace {
 			tr.slice(pid, tunerTID, name, string(PhaseGPFit), base, p.span.startNS, p.span.endNS, scrubArgs(e.Fields))
 		case "acq-max":
 			tr.slice(pid, tunerTID, "acquisition", string(PhaseAcq), base, p.span.startNS, p.span.endNS, scrubArgs(e.Fields))
-		case "new-incumbent", "checkpoint", "resume":
+		case "new-incumbent", "resume":
 			tr.instant(pid, tunerTID, strings.ReplaceAll(e.Type, "-", " "), base, p.atNS, scrubArgs(e.Fields))
 		}
 	}

@@ -92,7 +92,7 @@ func (m multiSink) BaseSeq() int64 {
 
 // SeqBase is implemented by sinks that continue an existing journal: the
 // recorder starts numbering events at BaseSeq()+1, keeping sequence numbers
-// monotonic across process restarts (checkpoint/resume of a tuning job).
+// monotonic across process restarts (a tuning job resumed from its journal).
 type SeqBase interface {
 	BaseSeq() int64
 }
@@ -386,17 +386,23 @@ func (r *Recorder) AcqMax(parent int64, candidates, dups int, module string, af 
 // Measure records one runtime measurement. reused marks duplicate-statistics
 // candidates whose profiled value was reused without consuming budget;
 // measurement is the 1-based index in the trace (0 when no budget was
-// consumed). timeCycles/speedup/best come from the deterministic simulated
-// machine and are NOT timing fields; wall is.
-func (r *Recorder) Measure(parent int64, module string, measurement int, timeCycles, speedup, best float64, ok, reused bool, wall time.Duration) {
+// consumed). passes, the measured module's pass names, is journalled when
+// non-nil: a budget-consuming measurement carries it, so the journal alone
+// can replay the run. timeCycles/speedup/best come from the deterministic
+// simulated machine and are NOT timing fields; wall is.
+func (r *Recorder) Measure(parent int64, module string, measurement int, passes []string, timeCycles, speedup, best float64, ok, reused bool, wall time.Duration) {
 	if r == nil {
 		return
 	}
-	r.emit("measure", -1, parent, map[string]any{
+	f := map[string]any{
 		"module": module, "measurement": measurement,
 		"time_cycles": timeCycles, "speedup": speedup, "best": best,
 		"ok": ok, "reused": reused, "wall_ns": wall.Nanoseconds(),
-	})
+	}
+	if passes != nil {
+		f["passes"] = passes
+	}
+	r.emit("measure", -1, parent, f)
 }
 
 // Stats records the run's cumulative counter set at a serial synchronisation
@@ -422,20 +428,9 @@ func (r *Recorder) NewIncumbent(parent int64, module string, measurement int, sp
 	})
 }
 
-// Checkpoint records a durable snapshot of tuner state (measurements
-// consumed and incumbent speedup at the time the checkpoint hook ran).
-func (r *Recorder) Checkpoint(parent int64, measurements int, best float64) {
-	if r == nil {
-		return
-	}
-	r.emit("checkpoint", -1, parent, map[string]any{
-		"measurements": measurements, "best": best,
-	})
-}
-
-// Resume records a warm-start from a checkpoint: replayed is the number of
-// observations re-injected into the model without consuming budget, best the
-// incumbent speedup restored by the replay.
+// Resume records a warm-start from an interrupted run's journal: replayed is
+// the number of its measurements re-injected into the model without
+// consuming budget, best the incumbent speedup restored by the replay.
 func (r *Recorder) Resume(parent int64, replayed int, best float64) {
 	if r == nil {
 		return

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -38,7 +39,7 @@ func TestNilRecorderAllocationFree(t *testing.T) {
 		r.Compile(1, "m", 10, 42, true, time.Second, time.Time{})
 		r.GPFit(1, 5, 7, false, time.Second)
 		r.AcqMax(1, 9, 0, "m", 0.5, false, 2, time.Second)
-		r.Measure(1, "m", 3, 100, 1.1, 1.2, true, false, time.Second)
+		r.Measure(1, "m", 3, nil, 100, 1.1, 1.2, true, false, time.Second)
 		r.Stats(1, set)
 		r.NewIncumbent(1, "m", 3, 1.2)
 		r.RunEnd(1, nil)
@@ -112,7 +113,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	sink := NewJSONLSink(&buf)
 	r := NewRecorder(sink)
 	run := r.RunStart(map[string]any{"budget": 7, "feature": "stats"})
-	r.Measure(run, "mod", 1, 123.5, 1.25, 1.25, true, false, time.Millisecond)
+	r.Measure(run, "mod", 1, []string{"mem2reg", "sroa"}, 123.5, 1.25, 1.25, true, false, time.Millisecond)
 	r.RunEnd(run, map[string]any{"best_speedup": 1.25})
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
@@ -132,6 +133,9 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if m.Type != "measure" || FieldFloat(m.Fields, "speedup") != 1.25 ||
 		m.Fields["module"] != "mod" || !FieldBool(m.Fields, "ok") {
 		t.Fatalf("measure mangled: %+v", m)
+	}
+	if got, ok := FieldStrings(m.Fields, "passes"); !ok || !slices.Equal(got, []string{"mem2reg", "sroa"}) {
+		t.Fatalf("measure passes = %v (%v), want [mem2reg sroa]", m.Fields["passes"], ok)
 	}
 	if events[2].Type != "run-end" || FieldFloat(events[2].Fields, "best_speedup") != 1.25 {
 		t.Fatalf("run-end mangled: %+v", events[2])
@@ -291,7 +295,7 @@ func TestAppendJSONLFileContinuesSeq(t *testing.T) {
 	}
 	r1 := NewRecorder(s1)
 	span := r1.RunStart(map[string]any{"budget": 1})
-	r1.Measure(span, "m", 1, 100, 1.1, 1.1, true, false, 0)
+	r1.Measure(span, "m", 1, nil, 100, 1.1, 1.1, true, false, 0)
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -108,10 +108,6 @@ var renderers = map[string]func(w io.Writer, e *Event){
 		fmt.Fprintf(w, "  ** new incumbent: %.3fx (module %v, measurement %d)\n",
 			FieldFloat(f, "speedup"), f["module"], fieldInt(f, "measurement"))
 	},
-	"checkpoint": func(w io.Writer, e *Event) {
-		fmt.Fprintf(w, "  checkpoint: %d measurements, best %.3fx\n",
-			fieldInt(e.Fields, "measurements"), FieldFloat(e.Fields, "best"))
-	},
 	"resume": func(w io.Writer, e *Event) {
 		fmt.Fprintf(w, "resume: replayed %d observations, best %.3fx\n",
 			fieldInt(e.Fields, "replayed"), FieldFloat(e.Fields, "best"))

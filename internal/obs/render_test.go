@@ -17,11 +17,10 @@ func emitAll(r *Recorder) (emitterMethods int) {
 	r.Compile(iter, "m", 12, 99, true, time.Millisecond, time.Time{})
 	r.GPFit(iter, 20, 8, false, time.Millisecond)
 	r.AcqMax(iter, 9, 0, "m", 0.5, false, 2, time.Millisecond)
-	r.Measure(iter, "m", 3, 1000, 1.2, 1.3, true, false, time.Millisecond)
+	r.Measure(iter, "m", 3, []string{"mem2reg", "dce"}, 1000, 1.2, 1.3, true, false, time.Millisecond)
 	r.Stats(iter, CounterSet{{Name: "cache_hits", Value: 4}, {Name: "machine_pool_gets", Value: 7, Env: true}})
 	r.FleetIncident(iter, "retry", "r1", "m", 2)
 	r.NewIncumbent(iter, "m", 3, 1.3)
-	r.Checkpoint(run, 3, 1.3)
 	r.Resume(run, 3, 1.3)
 	r.RunEnd(run, map[string]any{"best_speedup": 1.3, "measurements": 3, "compilations": 12})
 

@@ -33,6 +33,25 @@ func FieldBool(f map[string]any, key string) bool {
 	return b
 }
 
+// FieldStrings extracts a list-of-strings event field from an in-memory
+// event ([]string) or a JSON-decoded one ([]any); ok is false when the field
+// is missing or holds anything else.
+func FieldStrings(f map[string]any, key string) (out []string, ok bool) {
+	switch v := f[key].(type) {
+	case []string:
+		return v, true
+	case []any:
+		out = make([]string, len(v))
+		for i, x := range v {
+			if out[i], ok = x.(string); !ok {
+				return nil, false
+			}
+		}
+		return out, true
+	}
+	return nil, false
+}
+
 // ReadJournal parses a JSONL event stream that may still be growing: an
 // unterminated final line — the signature of a writer caught mid-append — is
 // silently dropped instead of failing the read, whether or not the fragment

@@ -68,7 +68,7 @@ func TestScanJournalTailTornUnterminatedLine(t *testing.T) {
 		t.Fatalf("BaseSeq = %d, want 2", s.BaseSeq())
 	}
 	rec := NewRecorder(s)
-	rec.Checkpoint(0, 1, 1.0)
+	rec.Resume(0, 1, 1.0)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

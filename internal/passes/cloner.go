@@ -55,8 +55,11 @@ type valueSub struct {
 }
 
 // newValueSub renumbers f and starts an empty round over its instructions.
-func newValueSub(f *ir.Function) valueSub {
-	sc := getScratch()
+func newValueSub(f *ir.Function) valueSub { return getScratch().valueSub(f) }
+
+// valueSub is newValueSub on scratch the caller holds already; releasing the
+// substitution returns sc to the pool.
+func (sc *scratch) valueSub(f *ir.Function) valueSub {
 	sc.byID = f.InstrsByID(sc.byID)
 	n := len(sc.byID)
 	sc.subVals = slices.Grow(sc.subVals[:0], n)[:n]

@@ -280,6 +280,28 @@ func rotateLoops(m *ir.Module, f *ir.Function) int {
 	return n
 }
 
+// index returns v's position in the header work, -1 when it is not a work
+// instruction of the header H.
+func (r *rotateScratch) index(H *ir.Block, v ir.Value) int {
+	if in, ok := v.(*ir.Instr); ok && in.Parent() == H {
+		return slices.Index(r.work, in)
+	}
+	return -1
+}
+
+// markMoved flags v, when it is header work, and its in-header operand
+// closure as moving into the body.
+func (r *rotateScratch) markMoved(H *ir.Block, v ir.Value) {
+	i := r.index(H, v)
+	if i < 0 || r.moved[i] {
+		return
+	}
+	r.moved[i] = true
+	for _, op := range r.work[i].Ops {
+		r.markMoved(H, op)
+	}
+}
+
 // rotateOne leaves fu coherent when it declines and without an index when it
 // rotates.
 func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUses) bool {
@@ -342,10 +364,13 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUs
 	}
 	// Header non-phi instrs: pure or loads. Uses inside the loop (body or
 	// phi latch incomings) are handled by moving the instruction into the
-	// body; uses outside the loop block rotation.
-	phis := H.Phis()
-	var hwork []*ir.Instr
-	usedInLoopBody := map[*ir.Instr]bool{}
+	// body; uses outside the loop block rotation. The header's tables live in
+	// pooled scratch, by position.
+	sc := getScratch()
+	defer putScratch(sc)
+	r := &sc.rot
+	r.phis = H.AppendPhis(r.phis)
+	phis := r.phis
 	for _, in := range H.Instrs[len(phis):] {
 		if in == ht {
 			continue
@@ -353,6 +378,7 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUs
 		if !(isPure(m, in) || in.Op == ir.OpLoad) || mayTrap(in) && in.Op != ir.OpLoad {
 			return false
 		}
+		usedInLoop := false
 		for _, x := range fu.get().Of(in) {
 			ob := x.User.Parent()
 			if ob == H {
@@ -361,95 +387,82 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUs
 			if !l.Contains(ob) {
 				return false
 			}
-			usedInLoopBody[in] = true
+			usedInLoop = true
 		}
-		hwork = append(hwork, in)
+		r.work = append(r.work, in)
+		r.moved = append(r.moved, false)
+		if usedInLoop {
+			r.used = append(r.used, in)
+		}
 	}
 	// Record phi incomings.
-	initOf := make(map[*ir.Instr]ir.Value)
-	nextOf := make(map[*ir.Instr]ir.Value)
 	for _, p := range phis {
+		var init, next ir.Value
 		for i, fb := range p.Blocks {
 			if fb == P {
-				initOf[p] = p.Ops[i]
+				init = p.Ops[i]
 			} else if fb == L {
-				nextOf[p] = p.Ops[i]
+				next = p.Ops[i]
 			} else {
 				return false
 			}
 		}
-		if initOf[p] == nil || nextOf[p] == nil {
+		if init == nil || next == nil {
 			return false
 		}
+		r.init = append(r.init, init)
+		r.next = append(r.next, next)
 	}
 
-	// Partition hwork: instructions feeding the phis' latch incomings (per-
-	// iteration work that other passes may have hoisted into the header,
-	// plus its in-header dependency closure) MOVE into the body; the rest —
-	// the exit-condition chain — is cloned into the guard and the latch.
-	hSet := make(map[*ir.Instr]bool, len(hwork))
-	for _, in := range hwork {
-		hSet[in] = true
+	// Partition the work: instructions feeding the phis' latch incomings
+	// (per-iteration work that other passes may have hoisted into the
+	// header, plus its in-header dependency closure) MOVE into the body; the
+	// rest — the exit-condition chain — is cloned into the guard and the
+	// latch.
+	for _, next := range r.next {
+		r.markMoved(H, next)
 	}
-	moved := map[*ir.Instr]bool{}
-	var markMoved func(v ir.Value)
-	markMoved = func(v ir.Value) {
-		in, ok := v.(*ir.Instr)
-		if !ok || !hSet[in] || moved[in] {
-			return
-		}
-		moved[in] = true
-		for _, op := range in.Ops {
-			markMoved(op)
-		}
-	}
-	for _, p := range phis {
-		markMoved(nextOf[p])
-	}
-	for in := range usedInLoopBody {
-		markMoved(in)
+	for _, in := range r.used {
+		r.markMoved(H, in)
 	}
 	// A moved load observes memory at body start, which matches its
 	// original pre-body execution point — UNLESS the surviving condition
 	// chain also reads it, in which case the latch clone would see a stale
 	// value; bail in that combination.
 	movedHasLoad := false
-	for in := range moved {
-		if in.Op == ir.OpLoad {
+	for i, in := range r.work {
+		if r.moved[i] && in.Op == ir.OpLoad {
 			movedHasLoad = true
 		}
 	}
-	if movedHasLoad {
-		for _, in := range hwork {
-			if moved[in] {
-				continue
-			}
+	for i, in := range r.work {
+		if r.moved[i] {
+			continue
+		}
+		if movedHasLoad {
 			for _, op := range in.Ops {
-				if oi, ok := op.(*ir.Instr); ok && moved[oi] {
+				if j := r.index(H, op); j >= 0 && r.moved[j] {
 					return false
 				}
 			}
 		}
+		r.cond = append(r.cond, in)
 	}
 
 	// The guard copies every header instruction and the latch the
 	// condition chain alone, each round substituting for the phis their
-	// values on entry to the loop (guard) or to the next iteration (latch).
+	// values on entry to the loop (guard) or to the next iteration (latch);
+	// a moved instruction the latch's chain reads resolves to itself.
 	fu.drop() // the rewrite below goes behind the index's back
-	sub := newValueSub(f)
-	defer sub.release()
-	cloneInto := func(dst *ir.Block, entering map[*ir.Instr]ir.Value, all bool) ir.Value {
+	sub := sc.valueSub(f)
+	cloneInto := func(dst *ir.Block, entering []ir.Value, ins []*ir.Instr) ir.Value {
 		sub.next()
-		for _, p := range phis {
-			sub.set(p, entering[p])
+		for i, p := range phis {
+			sub.set(p, entering[i])
 		}
-		copied := func(in *ir.Instr) bool { return all || !moved[in] } // a moved one resolves to itself
-		slab := slabFor(1, hwork, copied)
+		slab := slabFor(1, ins, nil)
 		insertAt := len(dst.Instrs) - 1 // before terminator
-		for _, in := range hwork {
-			if !copied(in) {
-				continue
-			}
+		for _, in := range ins {
 			c := cloneInstr(in, &sub, blockMap{}, &slab)
 			dst.InsertBefore(insertAt, c)
 			insertAt++
@@ -459,7 +472,7 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUs
 	}
 
 	// Guard in the preheader: clone everything with init substitutions.
-	condInit := cloneInto(P, initOf, true)
+	condInit := cloneInto(P, r.init, r.work)
 	pt := P.Term()
 	pt.Op = ir.OpBr
 	pt.Ops = []ir.Value{condInit}
@@ -472,8 +485,8 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUs
 	// Move the per-iteration work to the start of the body (after any
 	// pre-existing phis).
 	insertAt := body.NumPhis()
-	for _, in := range hwork {
-		if !moved[in] {
+	for i, in := range r.work {
+		if !r.moved[i] {
 			continue
 		}
 		H.RemoveAt(H.IndexOf(in))
@@ -483,7 +496,7 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUs
 
 	// Bottom test in the latch: clone only the condition chain; references
 	// to phis become their next values (often the moved body instructions).
-	condNext := cloneInto(L, nextOf, false)
+	condNext := cloneInto(L, r.next, r.cond)
 	lt.Op = ir.OpBr
 	lt.Ops = []ir.Value{condNext}
 	if bodyIdx == 0 {
@@ -530,8 +543,9 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUs
 	// (guard P and latch L) instead of H.
 	for _, ep := range exitB.Phis() {
 		v := ep.Ops[0]
-		if vp, ok := v.(*ir.Instr); ok && vp.Op == ir.OpPhi && initOf[vp] != nil {
-			ep.Ops = []ir.Value{initOf[vp], nextOf[vp]}
+		vp, _ := v.(*ir.Instr)
+		if i := slices.Index(phis, vp); i >= 0 {
+			ep.Ops = []ir.Value{r.init[i], r.next[i]}
 			ep.Blocks = []*ir.Block{P, L}
 		} else {
 			ep.Ops = []ir.Value{v, v}
@@ -542,14 +556,14 @@ func rotateOne(m *ir.Module, f *ir.Function, cfg *ir.CFG, l *ir.Loop, fu *funcUs
 	// Outside uses of phis go through fresh exit phis (H is in l.Blocks and
 	// about to be deleted, so header-internal uses are ignored).
 	outsideLoop := func(x ir.Use) bool { return !l.Contains(x.User.Parent()) }
-	for _, p := range phis {
+	for i, p := range phis {
 		outside := fu.collect(p, outsideLoop)
 		if len(outside) == 0 {
 			continue
 		}
 		ephi := &ir.Instr{Op: ir.OpPhi, Ty: p.Ty}
-		ir.AddIncoming(ephi, initOf[p], P)
-		ir.AddIncoming(ephi, nextOf[p], L)
+		ir.AddIncoming(ephi, r.init[i], P)
+		ir.AddIncoming(ephi, r.next[i], L)
 		exitB.InsertBefore(0, ephi)
 		fu.inserted(ephi)
 		fu.setAll(outside, ephi)

@@ -30,6 +30,32 @@ type scratch struct {
 	keys mergeKeyer
 	// slpOneChain's chain terms and matched terms.
 	slpTerms, slpMatched []slpTerm
+	// rotateOne's view of a loop header.
+	rot rotateScratch
+}
+
+// rotateScratch holds rotateOne's view of a loop header, by position: the
+// header's phis with their incoming values from the preheader (init) and the
+// latch (next); its work (every instruction but the phis and the terminator),
+// the work used in the loop outside the header, the flags of the work that
+// moves into the body, and the rest of the work, the exit-condition chain
+// (cond).
+type rotateScratch struct {
+	phis, work, used, cond []*ir.Instr
+	init, next             []ir.Value
+	moved                  []bool
+}
+
+// reset empties the tables; the pool must not keep IR alive.
+func (r *rotateScratch) reset() {
+	clear(r.phis)
+	clear(r.work)
+	clear(r.used)
+	clear(r.cond)
+	clear(r.init)
+	clear(r.next)
+	r.phis, r.work, r.used, r.cond = r.phis[:0], r.work[:0], r.used[:0], r.cond[:0]
+	r.init, r.next, r.moved = r.init[:0], r.next[:0], r.moved[:0]
 }
 
 var scratchPool = sync.Pool{
@@ -84,5 +110,6 @@ func putScratch(s *scratch) {
 	clear(s.keys.bpos)
 	clear(s.slpTerms[:cap(s.slpTerms)])
 	clear(s.slpMatched[:cap(s.slpMatched)])
+	s.rot.reset()
 	scratchPool.Put(s)
 }

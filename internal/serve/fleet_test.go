@@ -159,7 +159,7 @@ func TestRunnerEndpointsLifecycle(t *testing.T) {
 // canonically identical journal whether the server dispatches to a fleet
 // of two runners or compiles everything in-process.
 func TestFleetJobJournalMatchesLocal(t *testing.T) {
-	spec := JobSpec{Bench: "telecom_gsm", Budget: 4, Workers: 2, Seed: 3, CheckpointEvery: 2}
+	spec := JobSpec{Bench: "telecom_gsm", Budget: 4, Workers: 2, Seed: 3}
 
 	runJob := func(cfg Config) []obs.Event {
 		t.Helper()

@@ -197,7 +197,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		wrote := copyNew()
 		// Stop only after a quiet read past the terminal transition, so the
-		// final run-end/checkpoint events are not cut off.
+		// final run-end event is not cut off.
 		if terminal && !wrote {
 			return
 		}

@@ -24,14 +24,20 @@ type JobSpec struct {
 	Workers  int    `json:"workers,omitempty"`
 	Feature  string `json:"feature,omitempty"` // see core.FeatureKindFromString
 	Adaptive *bool  `json:"adaptive,omitempty"`
-	// CheckpointEvery overrides the server's checkpoint interval (measurements
-	// between durable snapshots) for this job.
-	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 }
+
+// maxLambda and maxBudget bound what one request may ask of the server:
+// every iteration compiles about Lambda candidates per hot module, and the
+// model-guided loop runs up to 6×Budget iterations. The paper's λ sweep is
+// 3–15 and its largest budget 600.
+const (
+	maxLambda = 1024
+	maxBudget = 100000
+)
 
 // normalize fills defaults and rejects requests the server cannot run, so
 // every persisted spec is complete and re-runnable after a restart.
-func (s *JobSpec) normalize(defaultCkptEvery int) error {
+func (s *JobSpec) normalize() error {
 	if s.Bench == "" {
 		return fmt.Errorf("serve: spec needs a bench name")
 	}
@@ -51,14 +57,14 @@ func (s *JobSpec) normalize(defaultCkptEvery int) error {
 	if s.Budget == 0 {
 		s.Budget = 50
 	}
-	if s.Budget < 0 {
-		return fmt.Errorf("serve: budget must be positive")
+	if s.Budget < 0 || s.Budget > maxBudget {
+		return fmt.Errorf("serve: budget %d outside 1..%d", s.Budget, maxBudget)
+	}
+	if s.Lambda < 0 || s.Lambda > maxLambda {
+		return fmt.Errorf("serve: lambda %d outside 0..%d (0 takes the default)", s.Lambda, maxLambda)
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
-	}
-	if s.CheckpointEvery == 0 {
-		s.CheckpointEvery = defaultCkptEvery
 	}
 	return nil
 }
@@ -75,7 +81,6 @@ func (s *JobSpec) options() core.Options {
 		opts.Adaptive = *s.Adaptive
 	}
 	opts.Feature, _ = core.FeatureKindFromString(s.Feature) // validated by normalize
-	opts.CheckpointEvery = s.CheckpointEvery
 	return opts
 }
 
@@ -94,7 +99,7 @@ const (
 	// StateCancelled: stopped by a client DELETE.
 	StateCancelled State = "cancelled"
 	// StateInterrupted: stopped by a server drain; resumed on restart from
-	// the last checkpoint.
+	// its journal.
 	StateInterrupted State = "interrupted"
 )
 
@@ -116,12 +121,14 @@ type JobStatus struct {
 	State State   `json:"state"`
 	Error string  `json:"error,omitempty"`
 	// Resumes counts how many times the job was warm-started from its
-	// checkpoint after a server restart or drain.
+	// journal after a server restart or drain.
 	Resumes    int   `json:"resumes,omitempty"`
 	CreatedNS  int64 `json:"created_ns,omitempty"`
 	StartedNS  int64 `json:"started_ns,omitempty"`
 	FinishedNS int64 `json:"finished_ns,omitempty"`
-	// Progress snapshot, updated at every checkpoint and at completion.
+	// Progress: the last budget-consuming measurement's number and the
+	// incumbent then, followed live from the job's journal events (see
+	// progressSink) and persisted with every state transition.
 	Measurements int     `json:"measurements,omitempty"`
 	BestSpeedup  float64 `json:"best_speedup,omitempty"`
 }
@@ -178,10 +185,9 @@ func (j *job) releaseLocked() {
 }
 
 const (
-	stateFile      = "state.json"
-	checkpointFile = "checkpoint.json"
-	journalFile    = "journal.jsonl"
-	resultFile     = "result.json"
+	stateFile   = "state.json"
+	journalFile = "journal.jsonl"
+	resultFile  = "result.json"
 )
 
 // writeJSONAtomic persists v as path via a same-directory temp file and

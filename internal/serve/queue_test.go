@@ -189,7 +189,7 @@ func TestRecoveredBacklogBeyondQueueCapRunsInIDOrder(t *testing.T) {
 	const n = 3
 	for i := 0; i < n; i++ {
 		spec := tinySpec(2)
-		if err := spec.normalize(5); err != nil {
+		if err := spec.normalize(); err != nil {
 			t.Fatal(err)
 		}
 		st := JobStatus{ID: fmt.Sprintf("%06d", i), Spec: spec, State: StateQueued}

@@ -1,18 +1,17 @@
 // Package serve turns the CITROEN tuner into a long-running service: a
 // bounded FIFO queue of tuning jobs, per-job lifecycle tracking
-// (queued → running → done/failed/cancelled), a JSONL event stream per job,
-// and periodic checkpointing of tuner state so a restarted server resumes
-// interrupted jobs from their last durable snapshot instead of restarting
-// the search. cmd/citroend exposes the HTTP API; cmd/citroenctl is the
-// client.
+// (queued → running → done/failed/cancelled), and a JSONL event journal per
+// job, flushed after every event. The journal is the job's one record of its
+// run: a restarted server resumes an interrupted job by replaying the
+// measurements its journal holds instead of restarting the search.
+// cmd/citroend exposes the HTTP API; cmd/citroenctl is the client.
 //
 // On-disk layout, one directory per job under Config.Dir:
 //
-//	<dir>/<id>/state.json       job spec + lifecycle state (atomic writes)
-//	<dir>/<id>/checkpoint.json  last tuner snapshot (atomic writes)
-//	<dir>/<id>/journal.jsonl    structured event journal, appended across
-//	                            restarts with continuous sequence numbers
-//	<dir>/<id>/result.json      final summary, written once on completion
+//	<dir>/<id>/state.json     job spec + lifecycle state (atomic writes)
+//	<dir>/<id>/journal.jsonl  structured event journal, appended across
+//	                          restarts with continuous sequence numbers
+//	<dir>/<id>/result.json    final summary, written once on completion
 package serve
 
 import (
@@ -45,9 +44,6 @@ type Config struct {
 	// Runners is the number of jobs tuned concurrently. Default 1: tuning
 	// runs are themselves internally parallel (JobSpec.Workers).
 	Runners int
-	// CheckpointEvery is the default measurement interval between durable
-	// tuner snapshots for jobs that do not set their own. Default 5.
-	CheckpointEvery int
 	// Metrics receives service-level counters (jobs submitted/finished by
 	// outcome). nil uses a private registry.
 	Metrics *obs.Metrics
@@ -106,7 +102,7 @@ var ErrUnknownJob = errors.New("serve: unknown job")
 
 // New builds the server, recovers persisted jobs from cfg.Dir, and re-queues
 // every job that was queued, running or interrupted when the previous
-// process died — running jobs resume from their last checkpoint.
+// process died — running jobs resume from their journals.
 func New(cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("serve: Config.Dir is required")
@@ -116,9 +112,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Runners <= 0 {
 		cfg.Runners = 1
-	}
-	if cfg.CheckpointEvery <= 0 {
-		cfg.CheckpointEvery = 5
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
@@ -213,7 +206,7 @@ func (s *Server) recover() error {
 		case StateQueued, StateRunning, StateInterrupted:
 			if st.State != StateQueued {
 				// The previous process died (or drained) mid-run; the next run
-				// warm-starts from checkpoint.json.
+				// warm-starts from the journal.
 				j.status.Resumes++
 				s.mResumed.Inc()
 			}
@@ -266,7 +259,7 @@ func (s *Server) startLocked() {
 // queued status, ErrDraining during shutdown, or ErrQueueFull when
 // Config.QueueCap jobs are queued.
 func (s *Server) Submit(spec JobSpec) (JobStatus, error) {
-	if err := spec.normalize(s.cfg.CheckpointEvery); err != nil {
+	if err := spec.normalize(); err != nil {
 		return JobStatus{}, err
 	}
 	s.mu.Lock()
@@ -358,7 +351,7 @@ func (s *Server) lookup(id string) *job {
 
 // Cancel stops a job: a queued job leaves the queue and is marked cancelled
 // immediately, a running job's context is cancelled (the tuner stops between
-// steps and checkpoints). The returned channel closes when the job has fully
+// steps). The returned channel closes when the job has fully
 // stopped.
 func (s *Server) Cancel(id string) (JobStatus, <-chan struct{}, error) {
 	s.mu.Lock()
@@ -437,8 +430,8 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, j *job) 
 		s.mCancelled.Inc()
 	case errors.Is(runErr, context.Canceled):
 		// Server drain. With a partial result the job is interrupted and
-		// resumes from its checkpoint; if it never left setup it just goes
-		// back to queued.
+		// resumes from its journal; if it never left setup it just goes back
+		// to queued.
 		if res != nil {
 			j.finishLocked(StateInterrupted, "", now)
 			s.mInterrupted.Inc()
@@ -471,8 +464,32 @@ func (f flushingSink) Emit(e *obs.Event) {
 
 func (f flushingSink) BaseSeq() int64 { return f.s.BaseSeq() }
 
-// tune builds the evaluator and runs the tuner for one job, wiring the
-// journal, checkpoint hook and (if present) the prior checkpoint.
+// progressSink follows the job's progress into its status: the number and
+// incumbent of each budget-consuming measure event, and what a resume
+// restored. state.json records them at the job's next state transition.
+type progressSink struct{ j *job }
+
+func (p progressSink) Emit(e *obs.Event) {
+	var n int
+	switch e.Type {
+	case "measure":
+		if !obs.FieldBool(e.Fields, "ok") || obs.FieldBool(e.Fields, "reused") {
+			return
+		}
+		n = int(obs.FieldFloat(e.Fields, "measurement"))
+	case "resume":
+		n = int(obs.FieldFloat(e.Fields, "replayed"))
+	default:
+		return
+	}
+	p.j.mu.Lock()
+	p.j.status.Measurements = n
+	p.j.status.BestSpeedup = obs.FieldFloat(e.Fields, "best")
+	p.j.mu.Unlock()
+}
+
+// tune builds the evaluator and runs the tuner for one job, journalling into
+// the job's journal and resuming from what an interrupted run left in it.
 func (s *Server) tune(ctx context.Context, j *job, spec JobSpec) (*core.Result, error) {
 	plat, err := bench.PlatformByName(spec.Platform)
 	if err != nil {
@@ -484,36 +501,22 @@ func (s *Server) tune(ctx context.Context, j *job, spec JobSpec) (*core.Result, 
 		return nil, err
 	}
 
-	sink, err := obs.AppendJSONLFile(filepath.Join(j.dir, journalFile))
+	// Opening the journal for append cuts a torn last line (a process killed
+	// mid-write); what is left is the interrupted run to resume from.
+	path := filepath.Join(j.dir, journalFile)
+	sink, err := obs.AppendJSONLFile(path)
 	if err != nil {
 		return nil, err
 	}
 	defer sink.Close()
-
 	opts := spec.options()
+	if opts.ResumeFrom, err = obs.ReadJournalFile(path); err != nil {
+		return nil, fmt.Errorf("serve: journal of job %s: %w", j.status.ID, err)
+	}
 	// The metrics sink feeds the run's series on the SERVICE registry (summed
 	// over jobs) from the same Analyzer the /summary endpoint reports with,
 	// so Prometheus and the offline report can never disagree.
-	opts.Sink = obs.Multi(flushingSink{sink}, analyze.NewMetricsSink(s.met))
-	ckptPath := filepath.Join(j.dir, checkpointFile)
-	opts.Checkpoint = func(c *core.Checkpoint) error {
-		if err := writeJSONAtomic(ckptPath, c); err != nil {
-			return err
-		}
-		j.mu.Lock()
-		j.status.Measurements = c.Measurements
-		j.status.BestSpeedup = c.BestSpeedup
-		writeJSONAtomic(filepath.Join(j.dir, stateFile), &j.status)
-		j.mu.Unlock()
-		return nil
-	}
-	if _, err := os.Stat(ckptPath); err == nil {
-		ck := &core.Checkpoint{}
-		if err := readJSON(ckptPath, ck); err != nil {
-			return nil, fmt.Errorf("serve: corrupt checkpoint for job %s: %w", j.status.ID, err)
-		}
-		opts.ResumeFrom = ck
-	}
+	opts.Sink = obs.Multi(flushingSink{sink}, progressSink{j}, analyze.NewMetricsSink(s.met))
 	task := ev.Task()
 	if s.cfg.Fleet != nil {
 		// Fleet mode: the binding is the task — candidate batches dispatch to
@@ -550,8 +553,8 @@ func (s *Server) persistResult(j *job, res *core.Result, interrupted bool) error
 }
 
 // Drain gracefully shuts the server down: new submissions are rejected, no
-// queued job starts, and every running job is cancelled (each takes a final
-// checkpoint and is marked interrupted for resume on restart). Once the
+// queued job starts, and every running job is cancelled (each is marked
+// interrupted, to resume from its journal on restart). Once the
 // running jobs have returned, the done channel of every job left queued is
 // closed; those jobs stay queued on disk. Returns when that has happened or
 // ctx expires.

@@ -20,7 +20,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 )
@@ -28,7 +27,7 @@ import (
 // tinySpec is a fast-but-real tuning job: a single-module benchmark with a
 // small budget.
 func tinySpec(budget int) JobSpec {
-	return JobSpec{Bench: "automotive_bitcount", Budget: budget, Workers: 1, CheckpointEvery: 2}
+	return JobSpec{Bench: "automotive_bitcount", Budget: budget, Workers: 1}
 }
 
 func newTestServer(t *testing.T, dir string) (*Server, *httptest.Server, *Client) {
@@ -108,8 +107,23 @@ func TestJobLifecycleEndToEnd(t *testing.T) {
 	if !strings.Contains(buf.String(), `"run-end"`) {
 		t.Fatal("event stream is missing run-end")
 	}
-	if !strings.Contains(buf.String(), `"checkpoint"`) {
-		t.Fatal("event stream is missing checkpoint events")
+	// Every budget-consuming measurement carries what a resume replays.
+	events, err := obs.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paid := 0
+	for _, e := range events {
+		if e.Type != "measure" || !obs.FieldBool(e.Fields, "ok") || obs.FieldBool(e.Fields, "reused") {
+			continue
+		}
+		paid++
+		if passes, ok := obs.FieldStrings(e.Fields, "passes"); !ok || len(passes) == 0 {
+			t.Fatalf("measure event without passes: %v", e.Fields)
+		}
+	}
+	if paid != 4 {
+		t.Fatalf("event stream has %d budget-consuming measurements, want 4", paid)
 	}
 
 	// Listing knows the job; unknown ids 404.
@@ -253,24 +267,28 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 	}
 	waitState(t, c1, st.ID, StateRunning, time.Minute)
 
-	// Wait for at least one durable checkpoint before pulling the plug.
-	ckptPath := filepath.Join(dir, st.ID, checkpointFile)
+	// Wait for two journalled measurements before pulling the plug.
+	journalPath := filepath.Join(dir, st.ID, journalFile)
 	deadline := time.Now().Add(time.Minute)
 	for {
-		if _, err := os.Stat(ckptPath); err == nil {
-			cur, err := c1.Job(st.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cur.Measurements >= 2 && cur.Measurements < 10 {
-				break
-			}
-			if cur.State.terminal() {
-				t.Fatalf("job finished before it could be interrupted: %+v", cur)
+		events, err := obs.ReadJournalFile(journalPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paid := 0
+		for _, e := range events {
+			if e.Type == "measure" && obs.FieldBool(e.Fields, "ok") && !obs.FieldBool(e.Fields, "reused") {
+				paid++
 			}
 		}
+		if paid >= 2 {
+			break
+		}
+		if cur, err := c1.Job(st.ID); err != nil || cur.State.terminal() {
+			t.Fatalf("job finished before it could be interrupted: %+v (%v)", cur, err)
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint appeared")
+			t.Fatal("no measurement was journalled")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -289,13 +307,8 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 	if after.State != StateInterrupted {
 		t.Fatalf("state after drain = %s, want interrupted", after.State)
 	}
-
-	ck := &core.Checkpoint{}
-	if err := readJSON(ckptPath, ck); err != nil {
-		t.Fatal(err)
-	}
-	if ck.Measurements == 0 || ck.BestSpeedup <= 0 {
-		t.Fatalf("checkpoint not populated: %+v", ck)
+	if after.Measurements < 2 || after.Measurements >= 10 || after.BestSpeedup <= 0 {
+		t.Fatalf("interrupted status does not follow the journal: %+v", after)
 	}
 
 	// Mimic a SIGKILL rather than a clean drain: the persisted state still
@@ -320,7 +333,7 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 	jf.Close()
 
 	// Restart on the same directory: recovery re-queues the job and the run
-	// resumes from the checkpoint.
+	// resumes from the journal.
 	s2, _, c2 := newTestServer(t, dir)
 	defer s2.Drain(context.Background())
 
@@ -337,8 +350,8 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 		t.Fatalf("resume not counted: %+v", final)
 	}
 	// The incumbent can only improve across a resume.
-	if final.BestSpeedup < ck.BestSpeedup-1e-9 {
-		t.Fatalf("resumed best %v < checkpointed best %v", final.BestSpeedup, ck.BestSpeedup)
+	if final.BestSpeedup < after.BestSpeedup {
+		t.Fatalf("resumed best %v < interrupted best %v", final.BestSpeedup, after.BestSpeedup)
 	}
 	res, err := c2.Result(st.ID)
 	if err != nil {
@@ -348,8 +361,8 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 	// the original 10, not 10 more, and the result, the persisted state and
 	// the last run-end event all count the whole job's 10.
 	if res.Measurements != 10 {
-		t.Fatalf("budget accounting: result counts %d measurements, want the whole job's 10 (checkpoint had %d)",
-			res.Measurements, ck.Measurements)
+		t.Fatalf("budget accounting: result counts %d measurements, want the whole job's 10 (the interrupted run had %d)",
+			res.Measurements, after.Measurements)
 	}
 	if err := readJSON(stPath, &persisted); err != nil {
 		t.Fatal(err)
@@ -360,13 +373,14 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 
 	// The journal must be one valid JSONL stream across both processes:
 	// strictly increasing seq, the torn line repaired away, both run-starts
-	// and a resume event present.
+	// and a resume event present, and the budget-consuming measurements
+	// numbered 1…10 with no gap or repeat.
 	b, err := os.ReadFile(filepath.Join(dir, st.ID, journalFile))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var lastSeq int64
-	runStarts, resumes, endMeasurements := 0, 0, -1
+	runStarts, resumes, paid, endMeasurements := 0, 0, 0, -1
 	for i, line := range strings.Split(strings.TrimRight(string(b), "\n"), "\n") {
 		var e struct {
 			Seq    int64          `json:"seq"`
@@ -387,7 +401,16 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 			resumes++
 		case "run-end":
 			endMeasurements = int(obs.FieldFloat(e.Fields, "measurements"))
+		case "measure":
+			if obs.FieldBool(e.Fields, "ok") && !obs.FieldBool(e.Fields, "reused") {
+				if paid++; int(obs.FieldFloat(e.Fields, "measurement")) != paid {
+					t.Fatalf("budget-consuming measurement %d is numbered %v", paid, e.Fields["measurement"])
+				}
+			}
 		}
+	}
+	if paid != 10 {
+		t.Fatalf("journal has %d budget-consuming measurements, want 10", paid)
 	}
 	if runStarts != 2 || resumes != 1 {
 		t.Fatalf("journal has %d run-starts and %d resumes, want 2 and 1", runStarts, resumes)
